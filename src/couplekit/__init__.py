@@ -5,11 +5,11 @@ from .kfunc import KResult, k_block_estimate, k_l1_linf_oracle, k_numeric, k_pro
 from .measure import (HALFLINE, UNIT, SeqVec, StepFunction, Window, char_fn,
                       default_halfline_window, default_unit_window, dilate,
                       double_star, dyadic_envelope, rearrange, zero_fn)
-from .orlicz import (ConvexifiedFn, GeneratorSpec, IndexReport, MinimalFn, TGrid,
+from .orlicz import (ConvexifiedFn, IndexReport, MinimalFn, TGrid,
                      OrliczFn, brudnyi_pair, brudnyi_schedule, convexify,
                      counter, elastic_non_lorentz, elasticity_report, example1,
                      geometric_grid, indices, lambda_seq, logfactor_fn,
-                     make_orlicz, phi_minus, phi_plus, power, psi_count,
+                     phi_minus, phi_plus, power, psi_count,
                      pwpower, regularize, rv_defect, sample_profile, w_witness)
 from .shift import (LSP, RSP, InterlacedFamily, ShiftEstimate, ShiftWitness,
                     family_ratio, gen_interlaced, replay_witness,

@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -70,13 +69,6 @@ def _load_fn(path: str) -> StepFunction:
         return StepFunction.from_json_dict(json.load(fh))
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("COUPLEKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def cmd_analyze_orlicz(args) -> int:
     F = parse_generator(args.gen)
     x_grid = 2.0 ** -np.arange(4, args.kmax + 1, dtype=float)
@@ -101,7 +93,7 @@ def cmd_k_profile(args) -> int:
     Y = parse_any_space(args.Y)
     f = _load_fn(args.f)
     grid = _t_grid_arg(args.t_grid)
-    rows = k_profile(f, X, Y, grid, workers=_workers())
+    rows = k_profile(f, X, Y, grid)
     with open(args.out, "w", newline="") as fh:
         wr = csv.DictWriter(fh, fieldnames=["t", "K", "x_mass", "y_mass"])
         wr.writeheader()

@@ -26,14 +26,12 @@ for the lower side.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measure import SeqVec, StepFunction, rearrange
-from .spaces import (LpSpace, SeparationFit, SeqSpaceSpec, SpaceSpec,
-                     e_space, fn_norm)
+from .spaces import LpSpace, SeparationFit, SeqSpaceSpec, e_space
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SWEEP_CAP = 64
@@ -240,16 +238,12 @@ def k_block_estimate(t: float, x: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
     return value
 
 
-def k_profile(f, X, Y, t_grid, tol: float = 1e-8, workers: int = 1):
+def k_profile(f, X, Y, t_grid, tol: float = 1e-8):
     """Rows (t, K, x_mass, y_mass) along an increasing positive t grid."""
     ts = [float(t) for t in t_grid]
     if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t grid must be positive and increasing")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: k_numeric(t, f, X, Y, tol), ts))
-    else:
-        results = [k_numeric(t, f, X, Y, tol) for t in ts]
+    results = [k_numeric(t, f, X, Y, tol) for t in ts]
     return [
         {"t": r.t, "K": r.value, "x_mass": r.x_mass, "y_mass": r.y_mass}
         for r in results

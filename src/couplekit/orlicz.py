@@ -21,7 +21,7 @@ schedule of disjoint oscillation intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -443,44 +443,6 @@ def convexify(F: OrliczFn) -> ConvexifiedFn:
     if seg._s_below < 1.0 - 1e-12 or np.any(seg._s < 1.0 - 1e-12):
         raise ValueError("convexify requires F(x)/x nondecreasing (slopes >= 1)")
     return ConvexifiedFn(F)
-
-
-# -- generator facade --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    kind: str
-    params: dict = field(default_factory=dict)
-    selector: str | None = None  # "F" or "G" for the pair generator
-
-
-def make_orlicz(spec):
-    """Build an Orlicz function (or (F, G) pair) from a GeneratorSpec.
-
-    ``brudnyi`` returns the pair unless a selector is given.
-    """
-    if isinstance(spec, OrliczFn):
-        return spec
-    kind, params, sel = spec.kind, dict(spec.params), spec.selector
-    if kind == "power":
-        return power(params["p"])
-    if kind == "pwpower":
-        return pwpower(params["p0"], params["p1"])
-    if kind == "logfactor":
-        return logfactor_fn(params["p"])
-    if kind == "example1":
-        return example1()
-    if kind == "elastic-nl":
-        return elastic_non_lorentz()
-    if kind == "minimal":
-        return MinimalFn(params.get("alpha", 0.05))
-    if kind == "brudnyi":
-        fg = brudnyi_pair(params["p"], params["q"])
-        if sel is None:
-            return fg
-        return fg[0] if sel.upper() == "F" else fg[1]
-    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def logfactor_fn(p: float) -> OrliczFn:

@@ -76,14 +76,12 @@ class TableLogLinear(WeightFn):
         if np.any(slopes < 0):
             raise ValueError("weight must be monotone increasing")
         self.slopes = slopes
-        sup = float(np.exp(np.max(slopes)) ** LOG2) if slopes.size else 1.0
         # doubling ratio w(2t)/w(t) = exp(slope * log 2) per segment
         self._sup = float(np.exp(np.max(slopes) * LOG2))
         self._inf = float(np.exp(np.min(slopes) * LOG2))
         if assume_finite_q and self._inf <= 1.0:
             raise ValueError("finite-q regime requires inf w(2t)/w(t) > 1")
         self.assume_finite_q = assume_finite_q
-        del sup
 
     def __call__(self, t):
         lt = np.log(np.asarray(t, dtype=float))
@@ -657,11 +655,7 @@ def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
     for _ in range(trials):
         vals = np.zeros(size)
         k = rng.integers(1, max(2, size // 4))
-        lo_ok = 0 if n < 0 else 0
-        hi_ok = size if n < 0 else size - n
-        if n < 0:
-            lo_ok = -n
-            hi_ok = size
+        lo_ok, hi_ok = (-n, size) if n < 0 else (0, size - n)
         idx = rng.choice(np.arange(lo_ok, hi_ok), size=min(k, hi_ok - lo_ok),
                          replace=False)
         vals[idx] = rng.random(idx.size) + 0.1

@@ -24,7 +24,7 @@ import math
 
 from .errors import UsageError
 from .measure import UNIT, Window, default_unit_window
-from .orlicz import (GeneratorSpec, MinimalFn, OrliczFn, brudnyi_pair,
+from .orlicz import (MinimalFn, OrliczFn, brudnyi_pair,
                      elastic_non_lorentz, example1, logfactor_fn, power,
                      pwpower)
 from .spaces import (FromSequenceSpace, GeometricWeighted, LinftySeq, LpSpace,
@@ -142,13 +142,6 @@ def parse_generator_pair(spec: str):
         raise UsageError("only the brudnyi generator yields a pair")
     kwargs, _ = _parse_args(rest)
     return brudnyi_pair(_num(kwargs["p"]), _num(kwargs["q"]))
-
-
-def generator_spec_of(spec: str) -> GeneratorSpec:
-    name, rest = _match_name(_strip(spec), _GEN_NAMES)
-    kwargs, positional = _parse_args(rest)
-    return GeneratorSpec(name, {k: _num(v) for k, v in kwargs.items()},
-                         positional[0].upper() if positional else None)
 
 
 def _parse_weight(val: str) -> PowerWeight:

@@ -1,7 +1,8 @@
 """Constructive synthesis of positive admissible operators.
 
-Three constructions, each returning a sparse nonnegative matrix T with
-replayable provenance and certified norm bounds:
+Three constructions, each returning a nonnegative matrix T stored as its
+rank-one and diagonal factors, with replayable provenance and certified norm
+bounds:
 
 * ``rank_one_shift`` -- T = sum_n <., g_n> y_n over an interlaced (or
   aligned-blocks) family, with g_n a norming functional of x_n.  Exact:
@@ -28,9 +29,8 @@ checked down to a = window.lo - 1 explicitly.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,95 +44,124 @@ from .spaces import (GeometricWeighted, LinftySeq, OrderReversed,
 EXACTNESS_TOL = 1e-9
 
 
-class PositiveMatrix:
-    """Sparse nonnegative matrix on a window with replayable provenance.
+class _Step(NamedTuple):
+    """One step: rank-one <., g> y, a diagonal (its values in y), or a note.
 
-    Provenance is a list of additive steps ("rank_one" with its functional
-    and target, or "diagonal") plus non-operative "note" entries recording
-    partition data and measured constants; ``replay`` reassembles the entry
-    map bit-identically from the recorded pieces.
+    ``g`` and ``y`` are dense nonnegative arrays over the window; ``info`` is
+    the step's note string, or for a note step its whole provenance record.
     """
 
-    def __init__(self, window: Window, entries: dict | None = None,
-                 provenance: list | None = None, certified_bounds: dict | None = None):
+    op: str
+    g: np.ndarray | None
+    y: np.ndarray | None
+    info: object
+
+
+class PositiveMatrix:
+    """Nonnegative matrix on a window, stored as its ordered factor steps.
+
+    A step is a rank-one map <., g> y ("rank_one"), a diagonal multiplier
+    ("diagonal") or a non-operative "note" recording partition data and
+    measured constants.  The steps are the only state: ``entries``, ``apply``,
+    the JSON triplets and the weighted row and column sums are computed from
+    them, and ``provenance`` lists them, so ``replay`` rebuilds the matrix
+    bit-identically.  Every factor must be nonnegative.
+    """
+
+    def __init__(self, window: Window, certified_bounds: dict | None = None):
         self.window = window
-        self.entries: dict[tuple[int, int], float] = {}
-        for (j, k), v in (entries or {}).items():
-            self._set(int(j), int(k), float(v))
-        self.provenance: list[dict] = list(provenance or [])
+        self.steps: list[_Step] = []
         self.certified_bounds = certified_bounds
 
-    def _set(self, j: int, k: int, v: float):
-        if v < 0:
+    def _values(self, entries: dict) -> np.ndarray:
+        vals = SeqVec.from_entries(self.window, entries).values
+        if np.any(vals < 0):
             raise ValueError("positive matrix entries must be >= 0")
-        w = self.window
-        if not (w.lo <= j <= w.hi and w.lo <= k <= w.hi):
-            raise ValueError("entry outside window")
-        if v != 0.0:
-            self.entries[(j, k)] = v
+        return vals
 
-    def _add(self, j: int, k: int, v: float):
-        cur = self.entries.get((j, k), 0.0) + v
-        if cur < 0 and cur > -1e-300:
-            cur = 0.0
-        self._set(j, k, cur) if cur != 0.0 else self.entries.pop((j, k), None)
+    def _sparse(self, vals: np.ndarray) -> dict[str, float]:
+        return {str(int(i) + self.window.lo): float(vals[i]) for i in np.flatnonzero(vals)}
 
     # -- construction steps --------------------------------------------------
 
     def add_rank_one(self, functional: SeqVec, target: SeqVec, note: str | None = None):
-        for k, g in functional.entries().items():
-            for j, yv in target.entries().items():
-                self._add(j, k, g * yv)
-        step = {"op": "rank_one",
-                "functional": {str(k): v for k, v in sorted(functional.entries().items())},
-                "target": {str(k): v for k, v in sorted(target.entries().items())}}
-        if note:
-            step["note"] = note
-        self.provenance.append(step)
+        self.steps.append(_Step("rank_one", self._values(functional.entries()),
+                                self._values(target.entries()), note))
 
     def add_diagonal(self, diag: dict[int, float], note: str | None = None):
-        for k, v in diag.items():
-            self._add(int(k), int(k), float(v))
-        step = {"op": "diagonal", "diag": {str(k): float(v) for k, v in sorted(diag.items())}}
-        if note:
-            step["note"] = note
-        self.provenance.append(step)
+        self.steps.append(_Step("diagonal", None, self._values(diag), note))
 
     def note(self, **kwargs):
-        self.provenance.append({"op": "note", **kwargs})
+        self.steps.append(_Step("note", None, None, {"op": "note", **kwargs}))
 
-    # -- algebra ---------------------------------------------------------------
+    @property
+    def provenance(self) -> list[dict]:
+        out = []
+        for s in self.steps:
+            if s.op == "rank_one":
+                rec = {"op": "rank_one", "functional": self._sparse(s.g),
+                       "target": self._sparse(s.y)}
+            elif s.op == "diagonal":
+                rec = {"op": "diagonal", "diag": self._sparse(s.y)}
+            else:
+                out.append(dict(s.info))
+                continue
+            if s.info:
+                rec["note"] = s.info
+            out.append(rec)
+        return out
+
+    @staticmethod
+    def replay(window: Window, provenance: list) -> "PositiveMatrix":
+        out = PositiveMatrix(window)
+        for step in provenance:
+            if step["op"] == "rank_one":
+                out.steps.append(_Step("rank_one", out._values(step["functional"]),
+                                       out._values(step["target"]), step.get("note")))
+            elif step["op"] == "diagonal":
+                out.add_diagonal(step["diag"], note=step.get("note"))
+            else:
+                out.steps.append(_Step("note", None, None, dict(step)))
+        return out
+
+    # -- views computed from the steps ----------------------------------------
+
+    def _factors(self):
+        """(G, Y, d): stacked rank-one factors (rank x n) and the summed diagonal."""
+        n = self.window.size
+        ones = [s for s in self.steps if s.op == "rank_one"]
+        d = np.zeros(n)
+        for s in self.steps:
+            if s.op == "diagonal":
+                d += s.y
+        return (np.array([s.g for s in ones]).reshape(len(ones), n),
+                np.array([s.y for s in ones]).reshape(len(ones), n), d)
+
+    @property
+    def entries(self) -> dict[tuple[int, int], float]:
+        """Nonzero entries {(j, k): value}, each summed over the steps in order."""
+        n, lo = self.window.size, self.window.lo
+        M = np.zeros((n, n))
+        for s in self.steps:
+            if s.op == "rank_one":
+                M += np.outer(s.y, s.g)
+            elif s.op == "diagonal":
+                M.flat[::n + 1] += s.y
+        return {(int(j) + lo, int(k) + lo): float(M[j, k]) for j, k in zip(*np.nonzero(M))}
 
     def apply(self, x: SeqVec) -> SeqVec:
         if x.window != self.window:
             raise ValueError("window mismatch")
-        out = np.zeros(self.window.size)
-        lo = self.window.lo
-        for (j, k), v in self.entries.items():
-            xv = x.values[k - lo]
-            if xv != 0.0:
-                out[j - lo] += v * xv
-        return SeqVec(self.window, out)
+        G, Y, d = self._factors()
+        return SeqVec(self.window, Y.T @ (G @ x.values) + d * x.values)
+
+    # -- algebra ---------------------------------------------------------------
 
     def scaled(self, c: float) -> "PositiveMatrix":
         if c < 0:
             raise ValueError("scale factor must be >= 0")
         out = PositiveMatrix(self.window)
-        for step in self.provenance:
-            if step["op"] == "rank_one":
-                f = {int(k): v for k, v in step["functional"].items()}
-                t = {int(k): v * c for k, v in step["target"].items()}
-                out.add_rank_one(SeqVec.from_entries(self.window, f),
-                                 SeqVec.from_entries(self.window, t),
-                                 note=step.get("note"))
-            elif step["op"] == "diagonal":
-                out.add_diagonal({int(k): v * c for k, v in step["diag"].items()},
-                                 note=step.get("note"))
-            else:
-                out.provenance.append(dict(step))
-        if not self.provenance:
-            for (j, k), v in self.entries.items():
-                out._add(j, k, c * v)
+        out.steps = [s if s.op == "note" else s._replace(y=s.y * c) for s in self.steps]
         if self.certified_bounds is not None:
             out.certified_bounds = {
                 k: (v * c if isinstance(v, (int, float)) and k in ("E", "F") else v)
@@ -144,43 +173,19 @@ class PositiveMatrix:
         if other.window != self.window:
             raise ValueError("window mismatch")
         out = PositiveMatrix(self.window)
-        for src in (self, other):
-            for (j, k), v in src.entries.items():
-                out._add(j, k, v)
-            out.provenance.extend(dict(s) for s in src.provenance)
+        out.steps = self.steps + other.steps
         return out
 
     def reversed(self) -> "PositiveMatrix":
-        """Conjugation by the order reversal: entries (j,k) -> (-(j+1), -(k+1))."""
-        win = self.window.reversed()
-        out = PositiveMatrix(win)
-        for step in self.provenance:
-            if step["op"] == "rank_one":
-                f = {-(int(k) + 1): v for k, v in step["functional"].items()}
-                t = {-(int(k) + 1): v for k, v in step["target"].items()}
-                out.add_rank_one(SeqVec.from_entries(win, f),
-                                 SeqVec.from_entries(win, t),
-                                 note=step.get("note"))
-            elif step["op"] == "diagonal":
-                out.add_diagonal({-(int(k) + 1): v for k, v in step["diag"].items()},
-                                 note=step.get("note"))
-            else:
-                out.provenance.append(dict(step))
-        return out
+        """Conjugation by the order reversal: entries (j,k) -> (-(j+1), -(k+1)).
 
-    @staticmethod
-    def replay(window: Window, provenance: list) -> "PositiveMatrix":
-        out = PositiveMatrix(window)
-        for step in provenance:
-            if step["op"] == "rank_one":
-                f = SeqVec.from_entries(window, {int(k): v for k, v in step["functional"].items()})
-                t = SeqVec.from_entries(window, {int(k): v for k, v in step["target"].items()})
-                out.add_rank_one(f, t, note=step.get("note"))
-            elif step["op"] == "diagonal":
-                out.add_diagonal({int(k): v for k, v in step["diag"].items()},
-                                 note=step.get("note"))
-            else:
-                out.provenance.append(dict(step))
+        The certified bounds carry over unchanged: they now bound the matrix
+        on the order-reversed spaces.
+        """
+        out = PositiveMatrix(self.window.reversed(), self.certified_bounds)
+        out.steps = [s._replace(g=None if s.g is None else s.g[::-1],
+                                y=None if s.y is None else s.y[::-1])
+                     for s in self.steps]
         return out
 
     def to_json_dict(self) -> dict:
@@ -193,11 +198,12 @@ class PositiveMatrix:
 
     @staticmethod
     def from_json_dict(d) -> "PositiveMatrix":
-        win = Window.from_json_dict(d["window"])
-        out = PositiveMatrix(win, certified_bounds=d.get("certified_bounds"))
-        for j, k, v in d["triplets"]:
-            out._set(int(j), int(k), float(v))
-        out.provenance = list(d.get("provenance", []))
+        """Replay the stored provenance; the stored triplets must agree with it."""
+        out = PositiveMatrix.replay(Window.from_json_dict(d["window"]),
+                                    d.get("provenance", []))
+        out.certified_bounds = d.get("certified_bounds")
+        if {(int(j), int(k)): float(v) for j, k, v in d["triplets"]} != out.entries:
+            raise UsageError("stored triplets disagree with the replayed provenance")
         return out
 
     def __repr__(self):
@@ -210,14 +216,10 @@ class PositiveMatrix:
 
 
 def _conjugated_colrow(T: PositiveMatrix, weights: np.ndarray):
-    lo = T.window.lo
-    n = T.window.size
-    col = np.zeros(n)
-    row = np.zeros(n)
-    for (j, k), v in T.entries.items():
-        m = v * weights[j - lo] / weights[k - lo]
-        col[k - lo] += m
-        row[j - lo] += m
+    """Column and row sums of the weight-conjugated matrix w_j T_jk / w_k."""
+    G, Y, d = T._factors()
+    col = (G.T @ (Y @ weights)) / weights + d
+    row = weights * (Y.T @ (G @ (1.0 / weights))) + d
     return col, row
 
 
@@ -248,35 +250,23 @@ def op_norm(T: PositiveMatrix, space: SeqSpaceSpec, mode: str = "interval",
     """
     if isinstance(space, OrderReversed):
         return op_norm(T.reversed(), space.inner, mode, budget, seed)
-    wp = _space_weights(space)
     if mode in ("exact", "schur"):
+        wp = _space_weights(space)
         if wp is None:
             raise UsageError(f"mode {mode!r} unsupported for {type(space).__name__}")
         w, p = wp
         col, row = _conjugated_colrow(T, w)
-        col_max = float(np.max(col)) if col.size else 0.0
-        row_max = float(np.max(row)) if row.size else 0.0
-        if mode == "exact":
-            if p == 1.0:
-                return col_max
-            if math.isinf(p):
-                return row_max
-            raise UsageError("exact mode needs p = 1 or p = inf")
         if p == 1.0:
-            return col_max
+            return float(np.max(col))
         if math.isinf(p):
-            return row_max
-        return col_max ** (1.0 / p) * row_max ** (1.0 - 1.0 / p)
+            return float(np.max(row))
+        if mode == "exact":
+            raise UsageError("exact mode needs p = 1 or p = inf")
+        return float(np.max(col)) ** (1.0 / p) * float(np.max(row)) ** (1.0 - 1.0 / p)
     if mode == "lower":
         return _op_norm_lower(T, space, budget, seed)
     if mode == "interval":
-        lower = _op_norm_lower(T, space, budget, seed)
-        upper = None
-        if wp is not None:
-            w, p = wp
-            mode2 = "exact" if (p == 1.0 or math.isinf(p)) else "schur"
-            upper = op_norm(T, space, mode2)
-        return (lower, upper)
+        return (_op_norm_lower(T, space, budget, seed), _upper_bound(T, space))
     raise UsageError(f"unknown op_norm mode {mode!r}")
 
 
@@ -329,6 +319,9 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
 
 
 def _upper_bound(T: PositiveMatrix, space: SeqSpaceSpec) -> float | None:
+    """Closed-form upper bound (exact or Schur), None when there is none."""
+    if isinstance(space, OrderReversed):
+        return _upper_bound(T.reversed(), space.inner)
     wp = _space_weights(space)
     if wp is None:
         return None
@@ -534,19 +527,25 @@ def majorization_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec,
     T.note(split_I=I[:64], split_len=(len(I), len(J)))
 
     c0 = _rank_one_constant(norm_pairs, E, F) if norm_pairs else 1.0
-    bounds = {"method": {}}
-    for label, space in (("E", E), ("F", F)):
-        direct = _upper_bound(T, space)
-        formula = (128.0 * c0 + 2.0) if c0 is not None else None
-        cands = [b for b in (direct, formula) if b is not None]
-        bounds[label] = min(cands) if cands else None
-        bounds["method"][label] = ("direct" if direct is not None and
-                                   (formula is None or direct <= formula)
-                                   else "128*C0+2")
-    bounds["C0_measured"] = c0
-    T.certified_bounds = bounds
+    formula = (128.0 * c0 + 2.0) if c0 is not None else None
+    T.certified_bounds = _certified_bounds(T, E, F, "128*C0+2", {"E": formula, "F": formula})
+    T.certified_bounds["C0_measured"] = c0
     _verify_action(T, x, y)
     return T
+
+
+def _certified_bounds(T: PositiveMatrix, E: SeqSpaceSpec, F: SeqSpaceSpec,
+                      method: str, other: dict) -> dict:
+    """Per space the smaller of the direct bound and ``other``; the method
+    names the one taken and is left out where neither exists."""
+    bounds = {"method": {}}
+    for label, space in (("E", E), ("F", F)):
+        cands = {"direct": _upper_bound(T, space), method: other[label]}
+        cands = {m: b for m, b in cands.items() if b is not None}
+        bounds[label] = min(cands.values()) if cands else None
+        if cands:
+            bounds["method"][label] = min(cands, key=cands.get)
+    return bounds
 
 
 def _verify_action(T: PositiveMatrix, x: SeqVec, y: SeqVec):
@@ -612,41 +611,26 @@ def k_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
                 f"neither prefix nor suffix comparison holds at a = {a}; "
                 f"needed constant {min(needE, needF) / 2.0:.6g} > C2 = {c2:.6g}")
 
-    parts = []
+    parts, part_bounds = [], []
     if J1:
-        y1 = y.restrict(J1)
-        T1 = majorization_transfer(x, y1.scale(1.0 / s), E, F).scaled(s)
+        T1 = majorization_transfer(x, y.restrict(J1).scale(1.0 / s), E, F).scaled(s)
         T1.note(branch="J1", indices=J1[:64], C2=c2)
         parts.append(T1)
+        part_bounds.append(T1.certified_bounds)
     if J2:
-        y2 = y.restrict(J2)
-        Frev = F.reversed_space() if not isinstance(F, OrderReversed) else F.inner
-        Erev = E.reversed_space() if not isinstance(E, OrderReversed) else E.inner
-        T2r = majorization_transfer(x.reversed(), y2.reversed().scale(1.0 / s),
-                                    Frev, Erev).scaled(s)
-        T2 = T2r.reversed()
+        T2 = majorization_transfer(x.reversed(), y.restrict(J2).reversed().scale(1.0 / s),
+                                   F.reversed_space(), E.reversed_space()).scaled(s).reversed()
         T2.note(branch="J2 (order-reversed)", indices=J2[:64], C2=c2)
         parts.append(T2)
-    if not parts:
-        T = PositiveMatrix(win)
-    elif len(parts) == 1:
-        T = parts[0]
-    else:
-        T = parts[0] + parts[1]
+        # built on (rev F, rev E): its "E" bound is on F and its "F" bound on E
+        part_bounds.append({"E": T2.certified_bounds["F"], "F": T2.certified_bounds["E"]})
+    T = sum(parts[1:], parts[0])  # J1 and J2 cover the window, so parts is not empty
 
-    bounds = {"method": {}, "C2_measured": c2}
-    part_bounds = []
-    for P in parts:
-        part_bounds.append(P.certified_bounds or {})
-    for label, space in (("E", E), ("F", F)):
-        direct = _upper_bound(T, space)
-        summed = None
-        vals = [pb.get(label) for pb in part_bounds]
-        if vals and all(v is not None for v in vals):
-            summed = float(sum(vals))
-        cands = [b for b in (direct, summed) if b is not None]
-        bounds[label] = min(cands) if cands else None
-        bounds["method"][label] = "direct" if direct is not None else "sum-of-parts"
-    T.certified_bounds = bounds
+    summed = {}
+    for label in ("E", "F"):
+        vals = [pb[label] for pb in part_bounds]
+        summed[label] = float(sum(vals)) if None not in vals else None
+    T.certified_bounds = _certified_bounds(T, E, F, "sum-of-parts", summed)
+    T.certified_bounds["C2_measured"] = c2
     _verify_action(T, x, y)
     return T

@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from couplekit import (HypothesisError, LinftySeq, PositiveMatrix, SeqVec,
-                       UsageError, Window, dyadic_lp, fit_separation,
-                       gen_interlaced, k_transfer, majorization_transfer,
-                       op_norm, rank_one_shift, rho_profile)
+from couplekit import (HypothesisError, LinftySeq, OrliczModular,
+                       PositiveMatrix, SeqVec, UsageError, Window, dyadic_lp,
+                       fit_separation, gen_interlaced, k_transfer,
+                       majorization_transfer, op_norm, power, rank_one_shift,
+                       rho_profile)
 from couplekit.spaces import shift_values
 from conftest import random_seqvec
 
@@ -152,6 +155,24 @@ def test_k_transfer_seeded_damped_shifts(rng):
             assert lower <= T.certified_bounds[label] + 1e-9
 
 
+def test_k_transfer_order_reversed_branch_certified():
+    # a damped left shift sends part of y through the J2 (order-reversed)
+    # branch; F has no closed-form bound, so its bound is the sum of parts
+    F = OrliczModular(power(2), WIN)
+    fit = fit_separation(rho_profile(E1, F, WIN))
+    rng = np.random.default_rng(0)
+    vals = np.zeros(WIN.size)
+    vals[rng.choice(np.arange(2, WIN.size - 2), size=6, replace=False)] = rng.random(6) + 0.2
+    x = SeqVec(WIN, vals)
+    y = SeqVec(WIN, 0.45 * shift_values(vals, -1))
+    T = k_transfer(x, y, E1, F, fit, t_points=3)
+    assert any(s.get("branch") == "J2 (order-reversed)" for s in T.provenance)
+    bound = T.certified_bounds["F"]
+    assert isinstance(bound, float)
+    assert T.certified_bounds["method"]["F"] == "sum-of-parts"
+    assert op_norm(T, F, "lower", budget=150, seed=0) <= bound + 1e-9
+
+
 def test_k_transfer_rejects_undominated():
     x = SeqVec.basis(WIN, -5, 0.01)
     y = SeqVec.basis(WIN, 5, 50.0)
@@ -262,3 +283,82 @@ def test_positivity_enforced():
     T = PositiveMatrix(WIN)
     with pytest.raises(ValueError):
         T.add_diagonal({0: -1.0})
+
+
+def test_from_json_rejects_tampered_triplet(rng):
+    x = random_seqvec(rng, WIN, k=5)
+    d = majorization_transfer(x, x.scale(0.3), E1, EINF).to_json_dict()
+    d["triplets"][0][2] *= 1.5
+    with pytest.raises(UsageError, match="triplets"):
+        PositiveMatrix.from_json_dict(json.loads(json.dumps(d)))
+
+
+# ---------------------------------------------------------------------------
+# operator algebra (properties)
+# ---------------------------------------------------------------------------
+
+_VALUES = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3))
+
+
+@st.composite
+def windows(draw):
+    lo = draw(st.integers(min_value=-10, max_value=5))
+    return Window("Z", lo, lo + draw(st.integers(min_value=0, max_value=9)))
+
+
+@st.composite
+def matrices(draw, win):
+    def entries():
+        return draw(st.dictionaries(st.integers(win.lo, win.hi), _VALUES, max_size=4))
+
+    T = PositiveMatrix(win)
+    for op in draw(st.lists(st.sampled_from(["rank_one", "diagonal", "note"]), max_size=6)):
+        if op == "rank_one":
+            T.add_rank_one(SeqVec.from_entries(win, entries()),
+                           SeqVec.from_entries(win, entries()), note="step")
+        elif op == "diagonal":
+            T.add_diagonal(entries())
+        else:
+            T.note(tag=draw(st.integers(0, 9)))
+    return T
+
+
+def vectors(win):
+    return st.lists(_VALUES, min_size=win.size, max_size=win.size).map(
+        lambda v: SeqVec(win, np.array(v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_replay_and_json_round_trip_property(data):
+    T = data.draw(matrices(data.draw(windows())))
+    assert PositiveMatrix.replay(T.window, T.provenance).entries == T.entries
+    back = PositiveMatrix.from_json_dict(json.loads(json.dumps(T.to_json_dict())))
+    assert back.entries == T.entries
+    assert back.provenance == T.provenance
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reversed_twice_property(data):
+    T = data.draw(matrices(data.draw(windows())))
+    R = T.reversed()
+    assert R.entries == {(-(j + 1), -(k + 1)): v for (j, k), v in T.entries.items()}
+    assert R.reversed().entries == T.entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_linear_property(data):
+    win = data.draw(windows())
+    A, B = data.draw(matrices(win)), data.draw(matrices(win))
+    x = data.draw(vectors(win))
+    c = data.draw(_VALUES)
+    ax = A.apply(x).values
+    M = np.zeros((win.size, win.size))
+    for (j, k), v in A.entries.items():
+        M[j - win.lo, k - win.lo] = v
+    assert np.allclose(ax, M @ x.values, rtol=1e-12, atol=0.0)
+    assert np.allclose(A.scaled(c).apply(x).values, c * ax, rtol=1e-12, atol=0.0)
+    assert np.allclose((A + B).apply(x).values, ax + B.apply(x).values,
+                       rtol=1e-12, atol=0.0)
