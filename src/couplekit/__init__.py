@@ -1,6 +1,6 @@
 """couplekit: desk-scale machinery for Calderon couples of r.i. spaces."""
 
-from .errors import CoupleKitError, HypothesisError, UsageError
+from .errors import ConvergenceError, CoupleKitError, HypothesisError, UsageError
 from .kfunc import KResult, k_block_estimate, k_l1_linf_oracle, k_numeric, k_profile
 from .measure import (HALFLINE, UNIT, SeqVec, StepFunction, Window, char_fn,
                       default_halfline_window, default_unit_window, dilate,

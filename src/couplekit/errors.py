@@ -13,3 +13,9 @@ class HypothesisError(CoupleKitError):
 
 class UsageError(CoupleKitError):
     code = "usage"
+
+
+class ConvergenceError(CoupleKitError):
+    """A solver reached its iteration bound without meeting its stop rule."""
+
+    code = "not-converged"

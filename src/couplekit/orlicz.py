@@ -102,10 +102,15 @@ class OrliczFn:
         return self.log_eval(log_t + log_x) - self.log_eval(log_t)
 
     def spec_string(self) -> str:
+        # a ":F"/":G" selector in the name goes after the arguments, as the
+        # DSL reads it ("brudnyi:F" with p, q -> "brudnyi:p=1.5,q=3.0:F")
+        name, sel = self.name, ""
+        if name[-2:] in (":F", ":G"):
+            name, sel = name[:-2], name[-2:]
         if not self.params:
-            return self.name
+            return name + sel
         args = ",".join(f"{k}={v}" for k, v in self.params.items())
-        return f"{self.name}:{args}"
+        return f"{name}:{args}{sel}"
 
     def __repr__(self):
         return f"<OrliczFn {self.spec_string()}>"
@@ -133,22 +138,27 @@ class PiecewiseAffineFn(OrliczFn):
             raise ValueError("one slope per anchor (last one extends to +inf)")
         if self._s_below < 1.0 - 1e-12 or np.any(self._s < 1.0 - 1e-12):
             raise ValueError("profile slope must stay >= 1 (F(x)/x increasing)")
+        # segment k = searchsorted(u, x, "right"): k = 0 is the tail below u_0,
+        # k >= 1 the segment starting at anchor k - 1; _u, _h, _s become views
+        self._seg_u = np.concatenate([self._u[:1], self._u])
+        self._seg_h = np.concatenate([self._h[:1], self._h])
+        self._seg_s = np.concatenate([[self._s_below], self._s])
+        self._u, self._h, self._s = self._seg_u[1:], self._seg_h[1:], self._seg_s[1:]
 
     def log_eval(self, u):
         u = np.asarray(u, dtype=float)
-        idx = np.searchsorted(self._u, u, side="right") - 1
-        below = idx < 0
-        idx_c = np.clip(idx, 0, self._u.size - 1)
-        out = self._h[idx_c] + (u - self._u[idx_c]) * self._s[idx_c]
-        if np.any(below):
-            out = np.where(below, self._h[0] + (u - self._u[0]) * self._s_below, out)
-        return out
+        k = np.searchsorted(self._u, u, side="right")
+        return self._seg_h[k] + (u - self._seg_u[k]) * self._seg_s[k]
 
     def slope(self, u):
-        u = np.asarray(u, dtype=float)
-        idx = np.searchsorted(self._u, u, side="right") - 1
-        idx_c = np.clip(idx, 0, self._u.size - 1)
-        return np.where(idx < 0, self._s_below, self._s[idx_c])
+        return self._seg_s[np.searchsorted(self._u, u, side="right")]
+
+    def log_inv(self, v):
+        """Closed form: the segment is found by height (h is increasing)."""
+        v = np.atleast_1d(np.asarray(v, dtype=float))
+        k = np.searchsorted(self._h, v, side="right")
+        out = self._seg_u[k] + (v - self._seg_h[k]) / self._seg_s[k]
+        return out if out.shape != (1,) else float(out[0])
 
     def breaks(self):
         return self._u.copy()

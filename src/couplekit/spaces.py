@@ -2,9 +2,12 @@
 
 Function-space variants (Lp, Lorentz quasinorm, Orlicz/Luxemburg, and the
 space-from-sequence construction) evaluate exactly on step functions -- every
-integral is a finite sum over pieces, every Luxemburg norm a monotone
-bisection on the modular.  Sequence-space variants are modelled on a Window
-and expose dense-array fast paths used heavily by the adversarial searches.
+integral is a finite sum over pieces.  Both Orlicz norms (``OrliczSpace`` and
+the modular space ``OrliczModular``) are one root-find of the log-modular G,
+``_luxemburg_log``: bracketed Newton steps on the log-norm, stopped when the
+Newton correction is at most 1e-13; h' >= 1 bounds the error by |G|.
+Sequence-space variants are modelled on a Window and expose dense-array fast
+paths used heavily by the adversarial searches.
 
 The dyadic sequence space of a function space X is E_X with
 ||x||_{E_X} = ||sum x(n) chi_[2^n,2^(n+1))||_X; for X = L_p this is the
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .measure import (HALFLINE, UNIT, SeqVec, StepFunction, Window,
                       dyadic_envelope, rearrange)
 from .orlicz import LOG2, OrliczFn
@@ -204,62 +208,76 @@ class LorentzSpace(SpaceSpec):
         return f"lorentz:p={self.p:g},w=table"
 
 
-def luxemburg_bisect(modular, hint_hi: float, hint_lo: float | None = None,
-                     rel_tol: float = 1e-10, max_iter: int = 200) -> float:
-    """inf{alpha > 0 : modular(alpha) <= 1} for a decreasing modular.
+# Newton stop for the log-norm: |G/G'| at most this (G as in _luxemburg_log)
+_NEWTON_TOL = 1e-13
+# the bracket halves at least every other step (see _luxemburg_log); one no
+# wider than the log-range of doubles (~1500) is below the stop width after
+# 1 + 2 * ceil(log2(1500 / 1e-13)) = 109 steps
+_MAX_ITER = 120
 
-    ``hint_hi`` must satisfy modular(hint_hi) <= 1; the bracket is grown/
-    shrunk geometrically and then bisected in log space.
+
+def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
+                   beta: float, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """log of the Luxemburg norm inf{alpha : sum_i w_i F(a_i / alpha) <= 1}.
+
+    Solves G(beta) = log sum_i exp(log w_i + h(log a_i - beta)) = 0 by Newton
+    steps from ``beta`` inside the bracket [lo, hi].  Every profile has
+    h' >= 1 (F(x)/x increasing; constructors allow 1e-12 less), so G' <= -1
+    and |beta - beta*| <= |G(beta)|.  Each evaluation therefore narrows the
+    bracket to [beta, beta + G] (G > 0) or [beta + G, beta] (G <= 0), widened
+    by 1e-9 relative, and at the stop -- Newton correction |G/G'| at most
+    ``_NEWTON_TOL`` -- the error is at most |G| <= max h' * 1e-13 before the
+    correction is applied.  A step that leaves the bracket, or follows a step
+    that did not halve it, is a bisection, so the bracket halves at least
+    every other step; reaching ``_MAX_ITER`` raises ``ConvergenceError``.
     """
-    hi = float(hint_hi)
-    if hi <= 0:
-        return 0.0
-    for _ in range(max_iter):
-        if modular(hi) <= 1.0:
-            break
-        hi *= 2.0
-    lo = hint_lo if hint_lo is not None else hi / 2.0
-    for _ in range(max_iter):
-        if lo <= 0 or modular(lo) > 1.0:
-            break
-        hi = lo
-        lo /= 2.0
-    if lo <= 0:
-        return hi
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = math.sqrt(lo * hi)
-        if modular(mid) <= 1.0:
-            hi = mid
+    width = math.inf
+    for _ in range(_MAX_ITER):
+        u = log_a - beta
+        expo = log_w + F.log_eval(u)
+        m = float(np.max(expo))
+        wts = np.exp(expo - m)
+        S = float(np.sum(wts))
+        G = m + math.log(S)
+        step = G * S / float(np.dot(wts, F.slope(u)))
+        reach = G * (1.0 + 1e-9)
+        if G > 0.0:
+            lo, hi = beta, min(hi, beta + reach)
         else:
-            lo = mid
-    return hi
+            lo, hi = max(lo, beta + reach), beta
+        if abs(step) <= _NEWTON_TOL or hi - lo <= _NEWTON_TOL * (1.0 + abs(beta)):
+            return min(max(beta + step, lo), hi)
+        nxt = beta + step
+        if not (lo < nxt < hi) or hi - lo > 0.5 * width:
+            nxt = 0.5 * (lo + hi)
+        width = hi - lo
+        beta = nxt
+    raise ConvergenceError(
+        f"Luxemburg solver reached {_MAX_ITER} iterations (bracket "
+        f"[{lo!r}, {hi!r}])")
 
 
 class OrliczSpace(SpaceSpec):
-    """Luxemburg norm inf{alpha : int F(|f|/alpha) <= 1}, bisected to 1e-10."""
+    """Luxemburg norm inf{alpha : int F(|f|/alpha) <= 1} of a step function.
+
+    The modular is sum_i |I_i| F(|f_i| / alpha): the root-find
+    ``_luxemburg_log`` of ``OrliczModular`` with the piece lengths as
+    weights, started at log max|f|, where the h' >= 1 bound turns the first
+    evaluation into a bracket.
+    """
 
     def __init__(self, F: OrliczFn, domain: str = UNIT):
         self.F = F
         self.domain = domain
 
-    def _modular(self, vals: np.ndarray, lens: np.ndarray, alpha: float) -> float:
-        with np.errstate(over="ignore"):
-            expo = self.F.log_eval(np.log(vals) - math.log(alpha))
-            terms = np.exp(np.minimum(expo, 700.0)) * lens
-        return float(np.sum(terms))
-
     def fn_norm(self, f: StepFunction) -> float:
         v = np.abs(f.vals)
         keep = v > 0
-        v, lens = v[keep], f.lengths[keep]
-        if v.size == 0:
+        if not np.any(keep):
             return 0.0
-        m = float(np.sum(lens))
-        # alpha_0 = max|f| / F^{-1}(1/m) already has modular <= 1
-        hint = float(np.max(v) / math.exp(self.F.log_inv(-math.log(m))))
-        return luxemburg_bisect(lambda a: self._modular(v, lens, a), hint)
+        log_v = np.log(v[keep])
+        return math.exp(_luxemburg_log(self.F, log_v, np.log(f.lengths[keep]),
+                                       float(np.max(log_v))))
 
     def spec_string(self) -> str:
         return f"orlicz:gen=<{self.F.spec_string()}>"
@@ -359,7 +377,9 @@ class OrliczModular(SeqSpaceSpec):
 
     This is E_X for X = L_F[0,1] (window on Z_-); the 2^n block weights are
     what lets the space probe F at large arguments: a unit vector may carry
-    entries up to lambda_n = F^{-1}(2^{-n}).
+    entries up to lambda_n = F^{-1}(2^{-n}).  The norm is the root-find
+    ``_luxemburg_log`` with log weights n log 2: Newton steps stopped when the
+    correction is at most 1e-13, with log-error at most |G| since h' >= 1.
     """
 
     def __init__(self, F: OrliczFn, window: Window):
@@ -375,41 +395,17 @@ class OrliczModular(SeqSpaceSpec):
         nz = a > 0
         if not np.any(nz):
             return 0.0
-        piece = np.exp(np.log(a[nz]) - self._log_lambda[nz])
+        log_a = np.log(a[nz])
+        piece = np.exp(log_a - self._log_lambda[nz])
         lo0 = float(np.max(piece))
         hi0 = float(np.sum(piece))
         if hi0 <= lo0 * (1 + 1e-14):
             return lo0
-        log_a, log_w = np.log(a[nz]), self._log_w[nz]
-        F = self.F
-        # log-modular at alpha = e^beta, bracketed by the single-piece norms;
-        # Newton steps (slope from h') stay inside the shrinking bisection
-        # bracket, so the value matches plain bisection at tolerance 1e-12
-        b_lo, b_hi = math.log(lo0), math.log(hi0)
-        beta = 0.5 * (b_lo + b_hi)
-        for _ in range(80):
-            u = log_a - beta
-            expo = log_w + F.log_eval(u)
-            m = float(np.max(expo))
-            if m > 700.0:
-                G = m
-                gp = -1.0
-            else:
-                wts = np.exp(expo - m)
-                S = float(np.sum(wts))
-                G = m + math.log(S)
-                gp = -float(np.dot(wts, F.slope(u))) / S
-            if G <= 0.0:
-                b_hi = min(b_hi, beta)
-            else:
-                b_lo = max(b_lo, beta)
-            if b_hi - b_lo <= 1e-12:
-                break
-            step = beta - G / gp if gp < 0 else None
-            if step is None or not (b_lo + 1e-15 < step < b_hi - 1e-15):
-                step = 0.5 * (b_lo + b_hi)
-            beta = step
-        return math.exp(b_hi)
+        # the norm lies between the largest single-block norm and their sum;
+        # Newton starts at the former
+        b_lo = math.log(lo0)
+        return math.exp(_luxemburg_log(self.F, log_a, self._log_w[nz],
+                                       b_lo, b_lo, math.log(hi0)))
 
     def unit_norm(self, n: int) -> float:
         return float(np.exp(-self._log_lambda[n - self.window.lo]))

@@ -68,8 +68,15 @@ def _match_name(spec: str, names) -> tuple[str, str]:
     raise UsageError(f"unrecognized spec {spec!r}")
 
 
+class _Args(dict):
+    """Keyword arguments of one spec; a missing key is a usage error naming it."""
+
+    def __missing__(self, key):
+        raise UsageError(f"spec is missing the argument {key!r}")
+
+
 def _parse_args(rest: str) -> tuple[dict, list]:
-    kwargs, positional = {}, []
+    kwargs, positional = _Args(), []
     if not rest:
         return kwargs, positional
     for item in _split_top(rest, ","):

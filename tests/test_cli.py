@@ -124,5 +124,14 @@ def test_usage_error_exit_1(tmp_path, capsys):
     assert err["error"] == "usage"
 
 
+def test_missing_spec_argument_names_key(tmp_path, capsys):
+    rc = _run(["analyze-orlicz", "--gen", "brudnyi:q=3:F",
+               "--out", tmp_path / "x.json"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage"
+    assert err["detail"] == "spec is missing the argument 'p'"
+
+
 def test_bad_subcommand_exit_1(capsys):
     assert _run(["no-such-command"]) == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from couplekit import (MinimalFn, TGrid, Window, brudnyi_pair,
                        brudnyi_schedule, convexify, counter,
@@ -9,7 +11,7 @@ from couplekit import (MinimalFn, TGrid, Window, brudnyi_pair,
                        indices, lambda_seq, logfactor_fn, phi_minus, phi_plus,
                        power, psi_count, pwpower, regularize, rv_defect,
                        sample_profile, w_witness)
-from couplekit.orlicz import PiecewiseAffineFn
+from couplekit.orlicz import OrliczFn, PiecewiseAffineFn
 
 GEN_SET = [power(2), pwpower(2, 3), logfactor_fn(2), example1(),
            elastic_non_lorentz(), MinimalFn(0.05)]
@@ -368,3 +370,52 @@ def test_w_witness_example1_grows():
 def test_sample_profile_step_cap():
     with pytest.raises(ValueError):
         sample_profile(logfactor_fn(2), step=0.5)
+
+
+# ---------------------------------------------------------------------------
+# piecewise-affine kernels
+# ---------------------------------------------------------------------------
+
+_PIECEWISE = [power(2), pwpower(1.5, 3.0), example1(), elastic_non_lorentz(),
+              *brudnyi_pair(1.5, 3.0), sample_profile(logfactor_fn(2))]
+
+
+def _clipped_log_eval(F, u):
+    """The clip-and-select formula the segment-indexed kernel replaced."""
+    idx = np.searchsorted(F._u, u, side="right") - 1
+    idx_c = np.clip(idx, 0, F._u.size - 1)
+    out = F._h[idx_c] + (u - F._u[idx_c]) * F._s[idx_c]
+    return np.where(idx < 0, F._h[0] + (u - F._u[0]) * F._s_below, out)
+
+
+def _clipped_slope(F, u):
+    idx = np.searchsorted(F._u, u, side="right") - 1
+    return np.where(idx < 0, F._s_below, F._s[np.clip(idx, 0, F._u.size - 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(0, len(_PIECEWISE) - 1), data=st.data())
+def test_piecewise_kernels_bit_identical(k, data):
+    F = _PIECEWISE[k]
+    offsets = st.floats(0.0, 1e3, allow_subnormal=False)
+    below = F._u[0] - np.array(data.draw(st.lists(offsets, min_size=1, max_size=8)))
+    past = F._u[-1] + np.array(data.draw(st.lists(offsets, min_size=1, max_size=8)))
+    inside = np.array(data.draw(st.lists(
+        st.floats(float(F._u[0]), float(F._u[-1])), max_size=8)))
+    u = np.concatenate([below, F._u, past, inside])
+    assert np.array_equal(F.log_eval(u), _clipped_log_eval(F, u))
+    assert np.array_equal(F.slope(u), _clipped_slope(F, u))
+
+
+def test_piecewise_log_inv_matches_bisection():
+    # anchor heights, both tails and points between anchors; bisection from
+    # the base class is the reference (1e-12 abs, relative beyond |u| = 1)
+    for F in _PIECEWISE:
+        h = F._h if F._h.size < 500 else F._h[::37]
+        v = np.concatenate([h, 0.5 * (h[1:] + h[:-1]),
+                            F._h[0] - np.array([1e-3, 1.0, 40.0]),
+                            F._h[-1] + np.array([1e-3, 1.0, 40.0])])
+        closed = F.log_inv(v)
+        ref = OrliczFn.log_inv(F, v)
+        assert np.all(np.abs(closed - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        assert np.allclose(F.log_eval(closed), v, rtol=1e-12, atol=1e-12)

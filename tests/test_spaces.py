@@ -6,11 +6,12 @@ import pytest
 from couplekit import (FromSequenceSpace, GeometricWeighted, LinftySeq,
                        LorentzSpace, LpSpace, OrderReversed, OrliczModular,
                        OrliczSpace, PowerWeight, SeqVec, TableLogLinear,
-                       WeightedLp, Window, char_fn, dyadic_lp, example1,
+                       MinimalFn, UsageError, WeightedLp, Window, brudnyi_pair,
+                       char_fn, dyadic_lp, elastic_non_lorentz, example1,
                        fit_separation, kappa_estimate, linf_space,
-                       norming_functional, parse_any_space, parse_seq_space,
-                       parse_space, power, pwpower, rearrange, rho_profile,
-                       seq_norm)
+                       logfactor_fn, norming_functional, parse_any_space,
+                       parse_generator, parse_seq_space, parse_space, power,
+                       pwpower, rearrange, rho_profile, seq_norm)
 from conftest import random_seqvec, random_step
 
 
@@ -307,3 +308,24 @@ def test_parse_seq_spaces(spec):
 def test_parse_any_space_dispatch():
     assert isinstance(parse_any_space("lp:p=2"), LpSpace)
     assert isinstance(parse_any_space("seq:lpw:p=2"), WeightedLp)
+
+
+@pytest.mark.parametrize("F", [
+    power(2.5), pwpower(1.5, 3.0), logfactor_fn(1.25), example1(),
+    elastic_non_lorentz(), *brudnyi_pair(1.5, 3.0), MinimalFn(0.04),
+], ids=lambda F: F.spec_string())
+def test_generator_spec_round_trip(F):
+    back = parse_generator(F.spec_string())
+    assert (back.name, back.spec_string()) == (F.name, F.spec_string())
+    u = np.linspace(-40.0, 400.0, 2001)
+    assert np.array_equal(back.log_eval(u), F.log_eval(u))
+
+
+@pytest.mark.parametrize("spec, key", [
+    ("orlicz:gen=<brudnyi:q=3:F>", "p"), ("orlicz:gen=<power>", "p"),
+    ("orlicz:gen=<pwpower:p0=2>", "p1"), ("lp", "p"), ("lorentz:p=2", "w"),
+    ("orlicz", "gen"), ("seq:orlicz-modular", "gen"),
+])
+def test_missing_argument_is_usage_error(spec, key):
+    with pytest.raises(UsageError, match=f"'{key}'"):
+        parse_any_space(spec)
