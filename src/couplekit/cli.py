@@ -95,7 +95,8 @@ def cmd_k_profile(args) -> int:
     grid = _t_grid_arg(args.t_grid)
     rows = k_profile(f, X, Y, grid)
     with open(args.out, "w", newline="") as fh:
-        wr = csv.DictWriter(fh, fieldnames=["t", "K", "x_mass", "y_mass"])
+        wr = csv.DictWriter(fh, fieldnames=["t", "K", "x_mass", "y_mass",
+                                            "lower", "converged"])
         wr.writeheader()
         for row in rows:
             wr.writerow(row)
@@ -113,6 +114,7 @@ def cmd_shift_test(args) -> int:
                    "seed": args.seed},
         "c_hat": est.c_hat,
         "evals": est.evals,
+        "stop": est.stop,
         "witness": est.witness.to_json_dict() if est.witness else None,
     })
     return 0

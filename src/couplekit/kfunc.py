@@ -14,13 +14,25 @@ minimization after two exact reductions:
    r.i. norm with the Fatou property is monotone under **-domination.  So
    averaging an arbitrary split piece-wise never increases the objective.
 
-What remains is a finite-dimensional convex problem over the box
-0 <= c <= |f|, minimized by cyclic coordinate descent (descending-|f| sweep
-order, golden-section line searches) and cross-checked against the
-truncation family x = min(|f|, c) and, for sequence couples, all
-prefix/suffix splits.  The reported value is the best decomposition found
-(an upper bound); the certificate carries a numeric convexity gap estimate
-for the lower side.
+When Y is L_infty or ell_infty the problem is one-dimensional and exact:
+a split with ||y||_infty = lam has |x| >= (|f| - lam)_+ pointwise, so
+
+    K(t, f; X, L_infty) = min over 0 <= lam <= ||f||_infty of
+                          phi(lam) = ||(|f| - lam)_+||_X + t lam
+
+(Bennett-Sharpley, Interpolation of Operators, 1988), and phi is convex.
+phi is evaluated at 0 and at every level of |f|, and the bracket around the
+best level is narrowed by golden-section steps.  ``lower`` is then a true
+bound: the chords of phi through the best interior point bound phi from
+below on the final bracket, which holds the minimiser.  X = L_infty is
+routed to the same search by K(t; X, Y) = t K(1/t; Y, X).
+
+Other couples are minimized over the box 0 <= c <= |f| by cyclic
+coordinate descent (descending-|f| sweep order, golden-section line
+searches), cross-checked against the truncation family x = min(|f|, c) and,
+for sequence couples, all prefix/suffix splits.  The reported value is the
+best decomposition found (an upper bound); ``lower`` there is only a numeric
+subgradient gap estimate, not a certified bound.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import SeqVec, StepFunction, rearrange
-from .spaces import LpSpace, SeparationFit, SeqSpaceSpec, e_space
+from .spaces import LinftySeq, LpSpace, SeparationFit, SeqSpaceSpec, e_space
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SWEEP_CAP = 64
@@ -41,7 +53,7 @@ SWEEP_CAP = 64
 class KResult:
     t: float
     value: float            # best decomposition value (upper bound)
-    lower: float             # value minus the convexity gap estimate
+    lower: float             # lower bound (L_infty path) or gap estimate
     x_mass: float            # ||x||_X at the best split
     y_mass: float            # ||y||_Y at the best split
     sweeps: int
@@ -86,13 +98,23 @@ def _golden_min(phi, lo: float, hi: float, tol: float):
     return xm, phi(xm)
 
 
+def _is_linf(space) -> bool:
+    return isinstance(space, LinftySeq) or (
+        isinstance(space, LpSpace) and math.isinf(space.p))
+
+
 def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
-    """K(t, f; X, Y) over the reduced cone, by cyclic coordinate descent.
+    """K(t, f; X, Y) over the reduced cone.
 
     ``f`` is a StepFunction (X, Y function spaces) or a SeqVec (X, Y sequence
-    spaces, or function spaces routed through their E_X).  Convergence:
-    a full sweep improving by less than tol * value; the sweep cap leaves
-    ``converged=False`` with the best value and gap estimate intact.
+    spaces, or function spaces routed through their E_X).
+
+    If Y (or X) is L_infty / ell_infty, K is the exact one-dimensional
+    search ``_k_linf``: it stops once value - lower <= tol * value, and
+    ``lower`` is a certified lower bound on K.  Otherwise K is found by
+    cyclic coordinate descent, converged once a full sweep improves by less
+    than tol * value; the sweep cap leaves ``converged=False`` with the best
+    value intact, and ``lower`` is a numeric gap estimate only.
     """
     if t <= 0:
         raise ValueError("K-functional needs t > 0")
@@ -109,6 +131,12 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
 
     if not np.any(a > 0):
         return KResult(t, 0.0, 0.0, 0.0, 0.0, 0, True, a.copy())
+    if _is_linf(Y):
+        return _k_linf(t, a, nx, tol)
+    if _is_linf(X):  # K(t; L_infty, Y) = t K(1/t; Y, L_infty)
+        r = _k_linf(1.0 / t, a, ny, tol)
+        return KResult(t, t * r.value, t * r.lower, r.y_mass, r.x_mass,
+                       r.sweeps, r.converged, a - r.split)
 
     def objective(c: np.ndarray) -> float:
         return nx(c) + t * ny(a - c)
@@ -148,6 +176,58 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
     gap = _convexity_gap(objective, c, a, value)
     return KResult(t, value, max(value - gap, 0.0), nx(c), ny(a - c),
                    sweeps, converged, c)
+
+
+def _k_linf(t: float, a: np.ndarray, nx, tol: float) -> KResult:
+    """min of the convex phi(lam) = nx((a - lam)_+) + t lam on [0, max a].
+
+    phi is evaluated at 0 and every level of a, so both trivial splits are
+    candidates.  A convex phi has a minimiser between the neighbours of its
+    best grid point; golden-section steps narrow that bracket until the
+    chord bound certifies value - lower <= tol * value, or the bracket is a
+    few ulps wide (at most 71 steps, since its width starts at most max a).
+    """
+    def phi(lam: float) -> float:
+        return nx(np.maximum(a - lam, 0.0)) + t * lam
+
+    levels = np.concatenate([[0.0], np.unique(a[a > 0])])
+    vals = [phi(lam) for lam in levels]
+    k = int(np.argmin(vals))
+    best_lam, value = float(levels[k]), vals[k]
+    i, j = max(k - 1, 0), min(k + 1, levels.size - 1)
+    lo, f_lo, hi, f_hi = float(levels[i]), vals[i], float(levels[j]), vals[j]
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = phi(c), phi(d)
+    floor = 8.0 * np.finfo(float).eps * float(levels[-1])
+    while True:
+        # the best interior point m; [A, B] still holds a minimiser of phi
+        if fc <= fd:
+            A, fA, m, fm, B, fB = lo, f_lo, c, fc, d, fd
+        else:
+            A, fA, m, fm, B, fB = c, fc, d, fd, hi, f_hi
+        if fm < value:
+            best_lam, value = m, fm
+        # convexity: phi >= the chord through (m, B) on [A, m] and the chord
+        # through (A, m) on [m, B]
+        s_left = (fm - fA) / (m - A)
+        s_right = (fB - fm) / (B - m)
+        lower = min(fm - max(s_right, 0.0) * (m - A),
+                    fm + min(s_left, 0.0) * (B - m))
+        if value - lower <= tol * value or hi - lo <= floor:
+            break
+        if fc <= fd:
+            hi, f_hi, d, fd = d, fd, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = phi(c)
+        else:
+            lo, f_lo, c, fc = c, fc, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = phi(d)
+    split = np.maximum(a - best_lam, 0.0)
+    # lower <= min phi <= value in exact arithmetic; the cap absorbs rounding
+    return KResult(t, value, max(min(lower, value), 0.0), nx(split), best_lam,
+                   1, True, split)
 
 
 def _trial_splits(a: np.ndarray, sequence_like: bool):
@@ -239,12 +319,14 @@ def k_block_estimate(t: float, x: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
 
 
 def k_profile(f, X, Y, t_grid, tol: float = 1e-8):
-    """Rows (t, K, x_mass, y_mass) along an increasing positive t grid."""
+    """Rows (t, K, x_mass, y_mass, lower, converged) along an increasing
+    positive t grid; ``lower`` and ``converged`` are as in ``k_numeric``."""
     ts = [float(t) for t in t_grid]
     if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t grid must be positive and increasing")
     results = [k_numeric(t, f, X, Y, tol) for t in ts]
     return [
-        {"t": r.t, "K": r.value, "x_mass": r.x_mass, "y_mass": r.y_mass}
+        {"t": r.t, "K": r.value, "x_mass": r.x_mass, "y_mass": r.y_mass,
+         "lower": r.lower, "converged": r.converged}
         for r in results
     ]

@@ -26,6 +26,9 @@ from .spaces import SeqSpaceSpec
 
 RSP = "rsp"
 LSP = "lsp"
+# why a search stopped: its evaluation budget ran out, or C-hat reached target
+STOP_BUDGET = "budget"
+STOP_TARGET = "target"
 
 
 @dataclass
@@ -155,6 +158,7 @@ class ShiftEstimate:
     evals: int
     budget: int
     history: list[dict] = field(default_factory=list)
+    stop: str = STOP_BUDGET
 
 
 def _family_mats(family: InterlacedFamily):
@@ -199,12 +203,13 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
                             target: float | None = None) -> ShiftEstimate:
     """Maximize the interlaced ratio by random families plus coordinate ascent.
 
-    ``budget`` counts ratio evaluations.  The returned C-hat is a certified
-    lower bound for the true shift constant; the incumbent (witness of a
-    previous run, possibly on a narrower window) is never discarded, so the
-    estimate is monotone in budget and window.  LSP is evaluated as RSP of
-    the order-reversed space and the witness is recorded against the
-    original space.
+    ``budget`` counts ratio evaluations, and ``stop`` says whether the
+    search ended on the budget or on reaching ``target``.  The returned
+    C-hat is a certified lower bound for the true shift constant; the
+    incumbent (witness of a previous run, possibly on a narrower window) is
+    never discarded, so the estimate is monotone in budget and window.  LSP
+    is evaluated as RSP of the order-reversed space and the witness is
+    recorded against the original space.
     """
     if side not in (RSP, LSP):
         raise UsageError(f"side must be '{RSP}' or '{LSP}'")
@@ -265,7 +270,9 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
         witness = ShiftWitness(E.spec_string(), side, win, best[0],
                                [float(a) for a in best[1]], float(best_ratio),
                                seed)
-    return ShiftEstimate(float(best_ratio), witness, side, evals, budget)
+    stop = STOP_TARGET if target is not None and best_ratio >= target else STOP_BUDGET
+    return ShiftEstimate(float(best_ratio), witness, side, evals, budget,
+                         stop=stop)
 
 
 def shift_schedule(space_factory, side: str, widths, budget: int, seed: int,
@@ -274,7 +281,7 @@ def shift_schedule(space_factory, side: str, widths, budget: int, seed: int,
 
     ``space_factory(width)`` must return the space on the width-sized
     window.  Terminates early once ``target`` is reached.  The history
-    records (width, C-hat) per stage.  Extra keyword arguments go to
+    records (width, C-hat) per stage; ``stop`` is the last stage's reason.  Extra keyword arguments go to
     ``shift_constant_estimate``.
     """
     est = None

@@ -321,15 +321,25 @@ class SeqSpaceSpec:
 
 
 class WeightedLp(SeqSpaceSpec):
-    """||x|| = (sum (|x_n| w_n)^p)^(1/p), w_n > 0; p = inf gives max |x_n| w_n."""
+    """||x|| = (sum (|x_n| w_n)^p)^(1/p), w_n > 0; p = inf gives max |x_n| w_n.
 
-    def __init__(self, p: float, window: Window, weights=None):
+    ``wexp`` gives the weights w_n = 2^(n wexp) and is kept in the spec
+    string; explicit ``weights`` (an array or a callable of the indices) are
+    not serialized, and no weights at all means wexp = 0.
+    """
+
+    def __init__(self, p: float, window: Window, weights=None,
+                 wexp: float | None = None):
         if p < 1:
             raise ValueError("weighted lp needs p >= 1")
+        if weights is not None and wexp is not None:
+            raise ValueError("give weights or wexp, not both")
         self.p = float(p)
         self.window = window
+        self.wexp = None
         if weights is None:
-            w = np.ones(window.size)
+            self.wexp = 0.0 if wexp is None else float(wexp)
+            w = 2.0 ** (window.indices() * self.wexp)
         elif callable(weights):
             w = np.asarray(weights(window.indices()), dtype=float)
         else:
@@ -348,7 +358,9 @@ class WeightedLp(SeqSpaceSpec):
         return float(self.weights[n - self.window.lo])
 
     def spec_string(self) -> str:
-        return f"seq:lpw:p={self.p:g}"
+        if self.wexp is None:
+            return f"seq:lpw:p={self.p:g}"
+        return f"seq:lpw:p={self.p:g},wexp={self.wexp!r}"
 
 
 def dyadic_lp(p: float, window: Window) -> SeqSpaceSpec:

@@ -12,6 +12,7 @@ Examples::
     orlicz:gen=<power:p=2>
     fromseq:<seq:orlicz-modular:gen=<example1>>
     seq:lpw:p=1             seq:linf
+    seq:lpw:p=2,wexp=0.3    (weights 2^(0.3 n); plain seq:lpw has 2^(n/p))
     seq:orlicz-modular:gen=<example1>
     seq:from:<seq:orlicz-modular:gen=<example1>>,weightbase=1.4142135623730951
     rev:<seq:lpw:p=2>
@@ -29,8 +30,8 @@ from .orlicz import (MinimalFn, OrliczFn, brudnyi_pair,
                      pwpower)
 from .spaces import (FromSequenceSpace, GeometricWeighted, LinftySeq, LpSpace,
                      LorentzSpace, OrderReversed, OrliczModular, OrliczSpace,
-                     PowerWeight, SeqSpaceSpec, SpaceSpec, dyadic_lp,
-                     linf_space)
+                     PowerWeight, SeqSpaceSpec, SpaceSpec, WeightedLp,
+                     dyadic_lp, linf_space)
 
 _FN_NAMES = ("lorentz", "orlicz", "fromseq", "linf", "lp")
 _SEQ_NAMES = ("seq:orlicz-modular", "seq:lpw", "seq:linf", "seq:from",
@@ -167,9 +168,7 @@ def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
     if name == "seq:lpw":
         p = _num(kwargs["p"]) if kwargs.get("p") not in (None, "inf") else math.inf
         if "wexp" in kwargs:
-            s = _num(kwargs["wexp"])
-            from .spaces import WeightedLp
-            return WeightedLp(p, window, weights=lambda ns: 2.0 ** (ns * s))
+            return WeightedLp(p, window, wexp=_num(kwargs["wexp"]))
         return dyadic_lp(p, window)
     if name == "seq:linf":
         return LinftySeq(window)

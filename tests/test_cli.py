@@ -36,9 +36,13 @@ def test_k_profile_oracle(tmp_path):
                "--t-grid", "log:-2:1:4", "--out", out])
     assert rc == 0
     with open(out) as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["t", "K", "x_mass", "y_mass", "lower", "converged"]
     ks = [float(r["K"]) for r in rows]
     assert ks == pytest.approx([0.25, 0.5, 1.0, 1.0], rel=1e-9)
+    assert all(float(r["lower"]) <= float(r["K"]) for r in rows)
+    assert all(r["converged"] == "True" for r in rows)
 
 
 def test_shift_test_weighted_lp(tmp_path):
@@ -50,6 +54,18 @@ def test_shift_test_weighted_lp(tmp_path):
     d = _json_no_ts(out)
     assert d["c_hat"] <= 1.0 + 1e-6
     assert d["config"]["seed"] == 7
+    assert d["stop"] == "budget" and d["evals"] == 1500
+
+
+def test_shift_test_stops_on_target(tmp_path):
+    out = tmp_path / "witness.json"
+    rc = _run(["shift-test", "--space", "seq:lpw:p=2", "--side", "rsp",
+               "--window=-24:-1", "--budget", 1500, "--seed", 7,
+               "--target", 0.5, "--out", out])
+    assert rc == 0
+    d = _json_no_ts(out)
+    assert d["stop"] == "target" and d["evals"] < 1500
+    assert d["c_hat"] >= 0.5
 
 
 def test_shift_test_replay_determinism(tmp_path):

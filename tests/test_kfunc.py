@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from couplekit import (LinftySeq, LpSpace, SeqVec, Window, char_fn,
-                       dyadic_envelope, dyadic_lp, fit_separation,
+from couplekit import (LinftySeq, LorentzSpace, LpSpace, OrliczSpace,
+                       PowerWeight, SeqVec, StepFunction, Window, char_fn,
+                       dyadic_envelope, dyadic_lp, fit_separation, kfunc,
                        k_block_estimate, k_l1_linf_oracle, k_numeric,
-                       k_profile, linf_space, rho_profile)
+                       k_profile, linf_space, pwpower, rho_profile)
 from conftest import random_seqvec, random_step
 
 L1 = LpSpace(1)
@@ -174,3 +179,174 @@ def test_envelope_k_comparison(rng):
             kG = k_numeric(t, G, L1, LINF).value
             kf = k_numeric(t, f, L1, LINF).value
             assert kG <= 2.0 * kf + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the exact one-dimensional path for couples with L_infty / ell_infty
+# ---------------------------------------------------------------------------
+
+SEQ_WIN = Window("Z-", -12, -1)
+LINF_X = {
+    "L1": LpSpace(1), "L2": LpSpace(2),
+    "lorentz": LorentzSpace(2, PowerWeight(0.5)),
+    "orlicz": OrliczSpace(pwpower(2, 3)),
+    "dyadic_lp(1)": dyadic_lp(1, SEQ_WIN),
+}
+# the Luxemburg norms are solved to about 1e-13, so comparisons between
+# separately evaluated decompositions allow this relative slack
+NORM_REL = 1e-12
+# a few repeated levels and zeros, so that distinct levels are fewer than pieces
+_LEVELS = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]),
+                    st.floats(-4.0, 3.0).map(math.exp))
+
+
+@st.composite
+def linf_cases(draw):
+    """(t, f, X, Y): a random step function or sequence and X paired with L_infty."""
+    name = draw(st.sampled_from(sorted(LINF_X)))
+    t = 2.0 ** draw(st.floats(-6.0, 6.0))
+    if name != "dyadic_lp(1)" and draw(st.booleans()):
+        n = draw(st.integers(1, 10))
+        cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=n - 1,
+                             max_size=n - 1, unique=True))
+        bp = (0.0, *sorted(cuts), 1.0)
+        vals = draw(st.lists(_LEVELS, min_size=n, max_size=n))
+        if not any(vals):
+            vals[0] = 1.0
+        return t, StepFunction("unit", bp, tuple(vals)), LINF_X[name], linf_space()
+    vals = np.array(draw(st.lists(_LEVELS, min_size=SEQ_WIN.size,
+                                  max_size=SEQ_WIN.size)))
+    if not np.any(vals):
+        vals[-1] = 1.0
+    return t, SeqVec(SEQ_WIN, vals), LINF_X[name], LinftySeq(SEQ_WIN)
+
+
+def _objective(t, f, X, Y):
+    """c -> ||c||_X + t ||a - c||_Y with a = |f|, through k_numeric's norms."""
+    nx, ny = kfunc._norm_closure(X, f), kfunc._norm_closure(Y, f)
+    a = np.abs(f.vals if isinstance(f, StepFunction) else f.values)
+    return a, lambda c: nx(c) + t * ny(a - c)
+
+
+def _dense_grid_k(t, f, X, Y):
+    """min of phi(lam) = ||(a - lam)_+||_X + t lam by zooming dense grids."""
+    a, obj = _objective(t, f, X, Y)
+
+    def phi(lam):
+        return obj(np.maximum(a - lam, 0.0))
+
+    lo, hi, best = 0.0, float(np.max(a)), math.inf
+    for points in [257] + [33] * 10:
+        grid = np.linspace(lo, hi, points)
+        vals = [phi(lam) for lam in grid]
+        k = int(np.argmin(vals))
+        best = min(best, vals[k])
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, points - 1)]
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(linf_cases())
+def test_k_linf_between_lower_and_trivial_splits(case):
+    t, f, X, Y = case
+    a, obj = _objective(t, f, X, Y)
+    r = k_numeric(t, f, X, Y)
+    assert r.lower <= r.value <= min(obj(a), obj(np.zeros_like(a)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(linf_cases())
+def test_k_linf_certified_gap(case):
+    r = k_numeric(*case)
+    assert r.value - r.lower <= 1e-6 * r.value
+
+
+@settings(max_examples=30, deadline=None)
+@given(linf_cases())
+def test_k_linf_matches_dense_grid(case):
+    assert k_numeric(*case).value == pytest.approx(_dense_grid_k(*case), rel=1e-8)
+
+
+def test_k_linf_exact_at_levels_for_l1(rng):
+    # phi is piecewise affine for X = L1 with kinks at the levels of |f|,
+    # so the level grid alone gives K = int_0^t f* up to rounding
+    for _ in range(20):
+        f = random_step(rng)
+        for t in 2.0 ** np.arange(-8, 5):
+            assert k_numeric(t, f, L1, LINF).value == pytest.approx(
+                k_l1_linf_oracle(t, f), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["L2", "lorentz", "orlicz"])
+def test_k_linf_lower_bounds_k_at_loose_tol(name):
+    # a two-level f puts the minimiser of phi strictly between levels for
+    # some t, where a loose tol leaves value above K; lower stays below K
+    X = LINF_X[name]
+    f = StepFunction("unit", (0.0, 0.5, 1.0), (2.0, 1.0))
+    above = 0
+    for t in np.geomspace(0.25, 2.0, 25):
+        r = k_numeric(t, f, X, LINF, tol=0.5)
+        ref = _dense_grid_k(t, f, X, LINF)
+        assert r.lower <= ref * (1 + NORM_REL)
+        above += r.value > ref * (1 + 1e-6)
+    assert above > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(linf_cases(), st.integers(0, 2 ** 32 - 1))
+def test_k_linf_no_split_beats_lower(case, seed):
+    # every decomposition, near-optimal ones included, costs at least lower
+    t, f, X, Y = case
+    a, obj = _objective(t, f, X, Y)
+    r = k_numeric(t, f, X, Y)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        c = a * rng.random(a.size)
+        near = np.clip(r.split + 1e-3 * a * rng.normal(size=a.size), 0.0, a)
+        assert obj(c) >= r.lower * (1 - NORM_REL)
+        assert obj(near) >= r.lower * (1 - NORM_REL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(linf_cases())
+def test_k_linf_increasing_concave_in_t(case):
+    _, f, X, Y = case
+    ts = np.geomspace(1.0 / 64, 64.0, 13)
+    ks = np.array([k_numeric(t, f, X, Y).value for t in ts])
+    # each value is within tol = 1e-8 of K, so allow 1e-7 relative
+    assert np.all(np.diff(ks) >= -1e-7 * ks[1:])
+    for i in range(1, len(ts) - 1):
+        lam = (ts[i] - ts[i - 1]) / (ts[i + 1] - ts[i - 1])
+        chord = (1 - lam) * ks[i - 1] + lam * ks[i + 1]
+        assert ks[i] >= chord * (1 - 1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(linf_cases())
+def test_k_linf_swap_identity(case):
+    # K(t, f; L_infty, X) = t K(1/t, f; X, L_infty)
+    t, f, X, Y = case
+    swapped = k_numeric(t, f, Y, X).value
+    assert swapped == pytest.approx(t * k_numeric(1.0 / t, f, X, Y).value, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(linf_cases())
+def test_k_linf_norm_evaluations_bounded(case):
+    t, f, X, Y = case
+    calls = [0]
+    closure = kfunc._norm_closure
+
+    def counting_closure(space, template):
+        nrm = closure(space, template)
+
+        def counted(v):
+            calls[0] += 1
+            return nrm(v)
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kfunc, "_norm_closure", counting_closure)
+        k_numeric(t, f, X, Y)
+    a = np.abs(f.vals if isinstance(f, StepFunction) else f.values)
+    assert calls[0] <= np.unique(a[a > 0]).size + 80

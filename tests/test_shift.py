@@ -8,6 +8,7 @@ from couplekit import (GeometricWeighted, InterlacedFamily, LinftySeq,
                        UsageError, WeightedLp, Window, dyadic_lp, example1,
                        family_ratio, gen_interlaced, replay_witness,
                        shift_constant_estimate, shift_schedule)
+from couplekit.shift import STOP_BUDGET, STOP_TARGET
 
 WIN = Window("Z", -12, 12)
 
@@ -134,3 +135,27 @@ def test_inelastic_modular_space_has_witness():
                                   n_pairs_range=(3, 10), target=1.3)
     assert est.c_hat >= 1.3
     assert replay_witness(E, est.witness) == pytest.approx(est.c_hat, rel=1e-12)
+
+
+def test_stop_reason_budget():
+    E = dyadic_lp(2, WIN)
+    est = shift_constant_estimate(E, "rsp", budget=300, seed=2)
+    assert (est.stop, est.evals) == (STOP_BUDGET, 300)
+    high = shift_constant_estimate(E, "rsp", budget=300, seed=2, target=50.0)
+    assert (high.stop, high.evals) == (STOP_BUDGET, 300)
+
+
+def test_stop_reason_target():
+    E = dyadic_lp(2, WIN)
+    est = shift_constant_estimate(E, "rsp", budget=300, seed=2, target=0.5)
+    assert est.stop == STOP_TARGET and est.c_hat >= 0.5 and est.evals < 300
+
+
+def test_schedule_stop_reason():
+    def factory(width):
+        return dyadic_lp(2, Window("Z-", -width, -1))
+
+    hit = shift_schedule(factory, "rsp", [12, 24], budget=200, seed=1, target=0.5)
+    assert hit.stop == STOP_TARGET and len(hit.history) == 1
+    miss = shift_schedule(factory, "rsp", [12, 24], budget=200, seed=1, target=50.0)
+    assert miss.stop == STOP_BUDGET and len(miss.history) == 2

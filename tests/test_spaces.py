@@ -305,6 +305,21 @@ def test_parse_seq_spaces(spec):
     assert E2.unit_norm(n) == pytest.approx(E.unit_norm(n), rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", [
+    "seq:lpw:p=2,wexp=0.3", "seq:lpw:p=2,wexp=-0.7", "seq:lpw:p=2",
+])
+def test_weighted_lp_spec_round_trip(spec):
+    win = Window("Z-", -8, -1)
+    E = parse_seq_space(spec, win)
+    back = parse_seq_space(E.spec_string(), win)
+    assert np.array_equal(back.unit_norms(), E.unit_norms())
+
+
+def test_weighted_lp_array_weights_keep_plain_spec():
+    win = Window("Z-", -8, -1)
+    assert WeightedLp(2, win, weights=np.ones(win.size)).spec_string() == "seq:lpw:p=2"
+
+
 def test_parse_any_space_dispatch():
     assert isinstance(parse_any_space("lp:p=2"), LpSpace)
     assert isinstance(parse_any_space("seq:lpw:p=2"), WeightedLp)
