@@ -494,32 +494,82 @@ class IndexReport:
         }
 
 
-def _window_slopes(F: OrliczFn, v_hi: np.ndarray, v_lo: np.ndarray):
-    y = v_hi - v_lo
-    return (F.log_eval(v_hi) - F.log_eval(v_lo)) / y
+def _index_points(F: OrliczFn, grid: np.ndarray, sign: int) -> np.ndarray:
+    """Window end points on one side of 0: the grid, 0 and the breakpoints.
 
-
-def _index_candidates(F: OrliczFn, grid: np.ndarray, y_layer: float, sign: int):
-    """All window pairs (v_lo, v_hi) on one side of 0 with length >= y_layer.
-
-    sign=+1 keeps windows in [0, inf) (indices at infinity: t >= 1 and
-    s t >= 1); sign=-1 keeps windows in (-inf, 0].
+    sign=+1 keeps [0, inf) (indices at infinity: t >= 1 and s t >= 1);
+    sign=-1 keeps (-inf, 0].
     """
-    pts = set(float(v) for v in grid)
     br = F.breaks()
-    if br is not None:
-        for b in br:
-            if (sign > 0 and b >= 0.0) or (sign < 0 and b <= 0.0):
-                pts.add(float(b))
-    pts.add(0.0)
-    pts = np.array(sorted(pts))
-    if sign > 0:
-        pts = pts[pts >= 0.0]
-    else:
-        pts = pts[pts <= 0.0]
-    lo, hi = np.meshgrid(pts, pts, indexing="ij")
-    keep = (hi - lo) >= y_layer
-    return lo[keep], hi[keep]
+    pts = np.unique(np.concatenate([grid, [0.0], br if br is not None else []]))
+    return pts[pts >= 0.0] if sign > 0 else pts[pts <= 0.0]
+
+
+def _tangent(hull: list, vl: list, hl: list, vj: float, hj: float, sign: int) -> int:
+    """Hull vertex extremal as seen from (vj, hj), right of the whole hull.
+
+    On the upper hull (sign=+1) the chord slope to j falls while the next
+    vertex lies above the line from the current one to j; the first vertex
+    where it stops falling has the minimum slope.  The lower hull
+    (sign=-1) is the mirror image and gives the maximum.
+    """
+    a, b = 0, len(hull) - 1
+    while a < b:
+        m = (a + b) // 2
+        k, k1 = hull[m], hull[m + 1]
+        above = (vj - vl[k]) * (hl[k1] - hl[k]) - (hj - hl[k]) * (vl[k1] - vl[k])
+        if sign * above > 0:
+            a = m + 1
+        else:
+            b = m
+    return hull[a]
+
+
+def _chord_slope_range(v: np.ndarray, h: np.ndarray, y: float) -> tuple[float, float]:
+    """Min and max of (h_j - h_i)/(v_j - v_i) over pairs with v_j - v_i >= y.
+
+    ``v`` is increasing.  A sweep over j adds point i to monotone-chain upper
+    and lower hulls once v_j - v_i >= y; the extreme slopes from j are at
+    the hull tangents, found by binary search: O(n log n) time, O(n)
+    memory.  Chords on one affine piece tie up to rounding, so every j whose
+    tangent slope comes within 1e-9 (relative) of the extreme is rescanned
+    against all its partners: the result is the floating-point extreme over
+    all pairs, as a full pair table would give it.
+    """
+    vl, hl = v.tolist(), h.tolist()
+    n = len(vl)
+    upper, lower = [], []
+    ends = np.zeros(n, dtype=int)  # j pairs with the points [0, ends[j])
+    lo_j, hi_j = np.full(n, np.inf), np.full(n, -np.inf)
+    i = 0
+    for j in range(n):
+        vj, hj = vl[j], hl[j]
+        while vj - vl[i] >= y:
+            for hull, sign in ((upper, 1.0), (lower, -1.0)):
+                while len(hull) >= 2:
+                    o, a = hull[-2], hull[-1]
+                    turn = (vl[a] - vl[o]) * (hl[i] - hl[o]) - (hl[a] - hl[o]) * (vl[i] - vl[o])
+                    if sign * turn < 0:
+                        break
+                    hull.pop()
+                hull.append(i)
+            i += 1
+        ends[j] = i
+        if i:
+            k = _tangent(upper, vl, hl, vj, hj, 1)
+            lo_j[j] = (hj - hl[k]) / (vj - vl[k])
+            k = _tangent(lower, vl, hl, vj, hj, -1)
+            hi_j[j] = (hj - hl[k]) / (vj - vl[k])
+    if not i:
+        raise ValueError("index points span less than the boundary layer y_layer")
+    lo, hi = float(np.min(lo_j)), float(np.max(hi_j))
+    for j in np.flatnonzero(lo_j <= lo + 1e-9 * max(1.0, abs(lo))):
+        p = ends[j]
+        lo = min(lo, float(np.min((h[j] - h[:p]) / (v[j] - v[:p]))))
+    for j in np.flatnonzero(hi_j >= hi - 1e-9 * max(1.0, abs(hi))):
+        p = ends[j]
+        hi = max(hi, float(np.max((h[j] - h[:p]) / (v[j] - v[:p]))))
+    return lo, hi
 
 
 def indices(F: OrliczFn, t_grid=None, x_grid=None, y_layer: float = 1.5) -> IndexReport:
@@ -531,8 +581,12 @@ def indices(F: OrliczFn, t_grid=None, x_grid=None, y_layer: float = 1.5) -> Inde
     0-indices use windows in (-inf, 0].  Windows shorter than ``y_layer``
     are the discarded boundary layer absorbing the constant C.  Breakpoints
     of piecewise-affine profiles are added to the grid so sustained slopes
-    are measured exactly.
+    are measured exactly.  The extremes over all point pairs come from a
+    hull sweep (``_chord_slope_range``): O(n log n) time and O(n) memory in
+    the n window end points, so 32,770 breakpoints (elastic-nl) are fine.
     """
+    if y_layer <= 0:
+        raise ValueError("boundary layer y_layer must be positive")
     if t_grid is None:
         t_grid = np.exp(np.linspace(0.0, 64.0, 257))
     v_grid = np.log(np.asarray(t_grid, dtype=float))
@@ -540,14 +594,12 @@ def indices(F: OrliczFn, t_grid=None, x_grid=None, y_layer: float = 1.5) -> Inde
         ys = -np.log(np.asarray(x_grid, dtype=float))
         v_grid = np.unique(np.concatenate([v_grid, v_grid[-1] - ys]))
 
-    lo, hi = _index_candidates(F, v_grid, y_layer, +1)
-    slopes_inf = _window_slopes(F, hi, lo)
-    lo0, hi0 = _index_candidates(F, -v_grid, y_layer, -1)
-    slopes_0 = _window_slopes(F, hi0, lo0)
+    pts = _index_points(F, v_grid, +1)
+    a_inf, b_inf = _chord_slope_range(pts, F.log_eval(pts), y_layer)
+    pts = _index_points(F, -v_grid, -1)
+    a_0, b_0 = _chord_slope_range(pts, F.log_eval(pts), y_layer)
 
     span = float(np.max(v_grid) - np.min(v_grid[v_grid >= 0])) if v_grid.size else 1.0
-    a_inf, b_inf = float(np.min(slopes_inf)), float(np.max(slopes_inf))
-    a_0, b_0 = float(np.min(slopes_0)), float(np.max(slopes_0))
     err_inf = (b_inf - a_inf) * y_layer / max(span, y_layer)
     err_0 = (b_0 - a_0) * y_layer / max(span, y_layer)
 
@@ -588,10 +640,11 @@ def rv_defect(F: OrliczFn, x_grid, t_range) -> float:
     if v.size < 64:
         raise ValueError("t_range needs at least 64 points")
     tail = v[v.size // 2:]
+    h_tail = F.log_eval(tail)
     worst = 1.0
     for x in np.asarray(x_grid, dtype=float):
         kappa = -math.log(x)
-        omega = F.log_eval(tail) - F.log_eval(tail - kappa)
+        omega = h_tail - F.log_eval(tail - kappa)
         worst = max(worst, float(np.exp(np.max(omega) - np.min(omega))))
     return worst
 
@@ -707,6 +760,44 @@ def _check_counter_grid(grid, side: str) -> np.ndarray:
     return v
 
 
+def _counter_kappa(x: float) -> float:
+    """kappa = log(1/x) for a counter argument x in (0, 1]."""
+    if not (0 < x <= 1):
+        raise ValueError("counter argument x must lie in (0, 1]")
+    return -math.log(x) if x < 1 else 0.0
+
+
+def _counter_log_threshold(C: float) -> float:
+    if C <= 1:
+        raise ValueError("counter threshold C must exceed 1")
+    return math.log(C)
+
+
+def _count_drops(w: np.ndarray, logC: float) -> int:
+    """Greedy count of drops of w by logC.
+
+    From a restart r (first r = 0) the next event is the first k > r with
+    max(w[r:k]) - w[k] >= logC, and k is the next restart.  Each search
+    scans galloping blocks (64, 128, ... points) with a running maximum: the
+    same comparisons on the same floats as a point-by-point loop, in
+    O(len(w) + 64 events) element work and O(events + log len(w)) calls.
+    """
+    count, r, n, block = 0, 0, w.size, 64
+    while r < n - 1:
+        end = min(n, r + block + 1)
+        run_max = np.maximum.accumulate(w[r:end - 1])
+        hit = np.flatnonzero(run_max - w[r + 1:end] >= logC)
+        if hit.size:
+            count += 1
+            r += 1 + int(hit[0])
+            block = 64
+        elif end == n:
+            break
+        else:
+            block *= 2
+    return count
+
+
 def counter(F: OrliczFn, kind: str, x: float, C: float, side: str = "inf",
             grid=None) -> int:
     """Greedy oscillation counters Phi+/Phi-/Psi_p on a geometric t-grid.
@@ -716,40 +807,29 @@ def counter(F: OrliczFn, kind: str, x: float, C: float, side: str = "inf",
     earliest-endpoint greedy is optimal for disjoint-interval counting.
     Psi_p counts >= 2-spaced grid points where F_t(x) deviates from x^p by
     the factor C, per the Lorentz-space criterion.  All values are certified
-    lower bounds for the true (grid-free) counters.
+    lower bounds for the true (grid-free) counters.  Cost: two profile
+    evaluations on the grid, then numpy scans (``_count_drops``) for Phi+/-
+    and a Python loop over the deviating points only for Psi_p.
     """
-    if not (0 < x <= 1):
-        raise ValueError("counter argument x must lie in (0, 1]")
-    if C <= 1:
-        raise ValueError("counter threshold C must exceed 1")
+    kappa = _counter_kappa(x)
+    logC = _counter_log_threshold(C)
     if grid is None:
         grid = TGrid.span(0.0, 1024.0) if side == "inf" else TGrid.span(-1024.0, 0.0)
     v = _check_counter_grid(grid, side)
-    kappa = -math.log(x) if x < 1 else 0.0
-    logC = math.log(C)
     omega = F.log_eval(v) - F.log_eval(v - kappa)
 
     if kind in ("phi+", "phi-"):
-        sign = 1.0 if kind == "phi+" else -1.0
-        w = sign * omega  # count drops of w by logC
-        count = 0
-        run_max = w[0]
-        for j in range(1, w.size):
-            run_max = max(run_max, w[j - 1])
-            if run_max - w[j] >= logC:
-                count += 1
-                run_max = w[j]
-        return count
+        return _count_drops(omega if kind == "phi+" else -omega, logC)
 
     if kind.startswith("psi"):
         p = float(kind.split(":")[1]) if ":" in kind else float(kind[3:])
         dev = np.abs(p * kappa - omega)
         count = 0
-        last_v = -np.inf
-        for j in range(v.size):
-            if dev[j] >= logC and v[j] - last_v >= LOG2 - 1e-12:
+        last_v = -math.inf
+        for vj in v[dev >= logC].tolist():
+            if vj - last_v >= LOG2 - 1e-12:
                 count += 1
-                last_v = v[j]
+                last_v = vj
         return count
 
     raise ValueError(f"unknown counter kind {kind!r}")
@@ -812,18 +892,28 @@ def elasticity_report(F: OrliczFn, C0: float = 4.0, x_grid=None,
     counts stay inside the envelope observed for elastic generators,
     "inelastic-witness" when they keep growing past it (thresholds frozen
     from the oracle pre-run).  One-sided counts suffice in principle; both
-    are computed and reported.
+    are computed and reported.  The counts are those of ``counter`` per x;
+    h is evaluated once on the t-grid and omega once per x, so a report
+    costs len(x_grid) + 1 profile evaluations.
     """
     if x_grid is None:
         x_grid = 2.0 ** -np.arange(4, 17, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
     if np.any(np.diff(x_grid) >= 0):
         raise ValueError("x_grid must be decreasing")
+    kappas = [_counter_kappa(x) for x in x_grid]
+    logC = _counter_log_threshold(C0)
     if t_grid is None:
         t_grid = TGrid.span(0.0, 2048.0) if side == "inf" \
             else TGrid.span(-2048.0, 0.0)
-    nplus = np.array([counter(F, "phi+", x, C0, side, t_grid) for x in x_grid])
-    nminus = np.array([counter(F, "phi-", x, C0, side, t_grid) for x in x_grid])
+    v = _check_counter_grid(t_grid, side)
+    h = F.log_eval(v)
+    nplus, nminus = [], []
+    for kappa in kappas:
+        omega = h - F.log_eval(v - kappa)
+        nplus.append(_count_drops(omega, logC))
+        nminus.append(_count_drops(-omega, logC))
+    nplus, nminus = np.array(nplus), np.array(nminus)
     totals = nplus + nminus
 
     lx = np.log(1.0 / x_grid)
@@ -872,6 +962,8 @@ def w_witness(F: OrliczFn, C0: float, t_grid=None, x_grid=None) -> WWitnessRepor
 
     holds on the grid by construction; C1 = w(t_max) - w(1) is the witness
     bound (finite-range: it can only certify growth, not boundedness).
+    The profit table is a running maximum over x: O(n^2 m) time and O(n^2)
+    memory for n grid points and m values of x.
     """
     if t_grid is None:
         t_grid = TGrid.span(0.0, 256.0, ratio=2.0)
@@ -883,8 +975,10 @@ def w_witness(F: OrliczFn, C0: float, t_grid=None, x_grid=None) -> WWitnessRepor
     ft = np.empty((v.size, x_grid.size))
     for j, x in enumerate(x_grid):
         ft[:, j] = np.exp(F.log_eval(v + math.log(x)) - F.log_eval(v))
-    # profit[i, k] = max_x (F_{t_k}(x) - C0 F_{t_i}(x))_+
-    profit = np.maximum(ft[None, :, :] - C0 * ft[:, None, :], 0.0).max(axis=2)
+    # profit[i, k] = max_x (F_{t_k}(x) - C0 F_{t_i}(x))_+, one x at a time
+    profit = np.zeros((v.size, v.size))
+    for j in range(x_grid.size):
+        np.maximum(profit, ft[None, :, j] - C0 * ft[:, None, j], out=profit)
 
     best = np.zeros(v.size)
     for k in range(1, v.size):

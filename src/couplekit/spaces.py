@@ -30,6 +30,12 @@ from .orlicz import LOG2, OrliczFn
 _OVERFLOW_RATIO = 1e12
 
 
+def _spec_num(x: float) -> str:
+    """A number for a spec string: ``:g`` when that reads back exactly, else repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 # ---------------------------------------------------------------------------
 # weight functions for Lorentz spaces
 # ---------------------------------------------------------------------------
@@ -139,7 +145,7 @@ class LpSpace(SpaceSpec):
         return float(np.dot(v ** self.p, f.lengths) ** (1.0 / self.p))
 
     def spec_string(self) -> str:
-        return "linf" if math.isinf(self.p) else f"lp:p={self.p:g}"
+        return "linf" if math.isinf(self.p) else f"lp:p={_spec_num(self.p)}"
 
 
 def linf_space(domain: str = UNIT) -> LpSpace:
@@ -204,8 +210,8 @@ class LorentzSpace(SpaceSpec):
 
     def spec_string(self) -> str:
         if isinstance(self.weight, PowerWeight):
-            return f"lorentz:p={self.p:g},w=pow:{self.weight.exponent:g}"
-        return f"lorentz:p={self.p:g},w=table"
+            return f"lorentz:p={_spec_num(self.p)},w=pow:{_spec_num(self.weight.exponent)}"
+        return f"lorentz:p={_spec_num(self.p)},w=table"
 
 
 # Newton stop for the log-norm: |G/G'| at most this (G as in _luxemburg_log)
@@ -359,8 +365,8 @@ class WeightedLp(SeqSpaceSpec):
 
     def spec_string(self) -> str:
         if self.wexp is None:
-            return f"seq:lpw:p={self.p:g}"
-        return f"seq:lpw:p={self.p:g},wexp={self.wexp!r}"
+            return f"seq:lpw:p={_spec_num(self.p)}"
+        return f"seq:lpw:p={_spec_num(self.p)},wexp={self.wexp!r}"
 
 
 def dyadic_lp(p: float, window: Window) -> SeqSpaceSpec:

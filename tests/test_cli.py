@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -26,6 +27,15 @@ def test_analyze_orlicz_power(tmp_path):
     assert d["elasticity"]["classification"] == "elastic-consistent"
     assert all(v == 0 for v in d["elasticity"]["phi_plus"])
     assert d["config"]["C0"] == 4.0
+
+
+def test_analyze_orlicz_elastic_nl(tmp_path):
+    # 32,770 window end points: indices() must not build the pair table
+    out = tmp_path / "report.json"
+    assert _run(["analyze-orlicz", "--gen", "elastic-nl", "--out", out]) == 0
+    d = _json_no_ts(out)
+    assert d["elasticity"]["classification"] == "elastic-consistent"
+    assert math.isfinite(d["indices"]["alpha_inf"])
 
 
 def test_k_profile_oracle(tmp_path):

@@ -419,3 +419,217 @@ def test_piecewise_log_inv_matches_bisection():
         ref = OrliczFn.log_inv(F, v)
         assert np.all(np.abs(closed - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
         assert np.allclose(F.log_eval(closed), v, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# vectorized counters, indices and witness against their loop references
+# ---------------------------------------------------------------------------
+
+
+def _loop_counter(F, kind, x, C, side, grid):
+    """The per-point greedy loops the numpy scans replaced (reference)."""
+    v = grid.log
+    kappa = -math.log(x) if x < 1 else 0.0
+    logC = math.log(C)
+    omega = F.log_eval(v) - F.log_eval(v - kappa)
+    if kind in ("phi+", "phi-"):
+        w = (1.0 if kind == "phi+" else -1.0) * omega
+        count, run_max = 0, w[0]
+        for j in range(1, w.size):
+            run_max = max(run_max, w[j - 1])
+            if run_max - w[j] >= logC:
+                count += 1
+                run_max = w[j]
+        return count
+    p = float(kind.split(":")[1])
+    dev = np.abs(p * kappa - omega)
+    count, last_v = 0, -np.inf
+    for j in range(v.size):
+        if dev[j] >= logC and v[j] - last_v >= math.log(2.0) - 1e-12:
+            count += 1
+            last_v = v[j]
+    return count
+
+
+def _random_profile(rng, n_anchors, span=40.0):
+    u = np.unique(rng.uniform(-span, span, size=n_anchors))
+    s = rng.uniform(1.0, 6.0, size=u.size)
+    h = np.concatenate([[0.0], np.cumsum(s[:-1] * np.diff(u))])
+    return PiecewiseAffineFn("rand", {}, u, h, s, float(rng.uniform(1.0, 6.0)))
+
+
+def _random_counter_grid(rng, side, n):
+    steps = rng.uniform(1e-3, 0.25 * math.log(2.0), size=n - 1)
+    v = np.concatenate([[0.0], np.cumsum(steps)])
+    return TGrid(v if side == "inf" else -v[::-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), side=st.sampled_from(["inf", "0"]),
+       n=st.integers(2, 2500), kind=st.sampled_from(["phi+", "phi-", "psi"]),
+       C=st.floats(1.0, 20.0, exclude_min=True), k=st.floats(0.0, 20.0))
+def test_counter_matches_loop_reference(seed, side, n, kind, C, k):
+    rng = np.random.default_rng(seed)
+    F = _random_profile(rng, int(rng.integers(1, 60)))
+    grid = _random_counter_grid(rng, side, n)
+    if kind == "psi":
+        kind = f"psi:{rng.uniform(1.0, 6.0)}"
+    x = 2.0 ** -k
+    assert counter(F, kind, x, C, side, grid) == _loop_counter(F, kind, x, C, side, grid)
+
+
+def test_counter_matches_loop_reference_on_zoo():
+    grid = TGrid.span(0.0, 2048.0)
+    for F in GEN_SET + list(brudnyi_pair(1.5, 3.0)):
+        for k in (4, 9, 16):
+            for kind in ("phi+", "phi-", "psi:2"):
+                for C in (1.5, 4.0):
+                    assert counter(F, kind, 2.0 ** -k, C, grid=grid) == \
+                        _loop_counter(F, kind, 2.0 ** -k, C, "inf", grid)
+
+
+def _threshold_for(d):
+    """C > 1 with math.log(C) == d exactly, or None."""
+    C = math.exp(d)
+    for _ in range(8):
+        if math.log(C) == d:
+            return C
+        C = math.nextafter(C, math.inf if math.log(C) < d else 0.0)
+    return None
+
+
+def test_counter_counts_drops_equal_to_log_C():
+    # the largest drop from the start, used as log C, is an event (>=)
+    grid = TGrid.span(0.0, 512.0)
+    tried = 0
+    for F in GEN_SET + list(brudnyi_pair(1.5, 3.0)):
+        for k in (4, 9):
+            x = 2.0 ** -k
+            omega = F.log_eval(grid.log) - F.log_eval(grid.log + math.log(x))
+            for kind, w in (("phi+", omega), ("phi-", -omega)):
+                d = float(np.max(np.maximum.accumulate(w[:-1]) - w[1:]))
+                C = _threshold_for(d) if d > 0 else None
+                if C is None or C <= 1:
+                    continue
+                tried += 1
+                n = counter(F, kind, x, C, grid=grid)
+                assert n >= 1 and n == _loop_counter(F, kind, x, C, "inf", grid)
+    assert tried >= 10
+
+
+class _CountingFn(OrliczFn):
+    def __init__(self, base):
+        self.base, self.calls = base, 0
+        self.name, self.params = base.name, base.params
+
+    def log_eval(self, u):
+        self.calls += 1
+        return self.base.log_eval(u)
+
+
+@pytest.mark.parametrize("side", ["inf", "0"])
+def test_elasticity_report_matches_counter(side):
+    x_grid = 2.0 ** -np.arange(4, 17, dtype=float)
+    t_grid = TGrid.span(0.0, 2048.0) if side == "inf" else TGrid.span(-2048.0, 0.0)
+    for F in GEN_SET + list(brudnyi_pair(1.5, 3.0)):
+        counted = _CountingFn(F)
+        rep = elasticity_report(counted, x_grid=x_grid, side=side)
+        assert counted.calls <= x_grid.size + 1
+        plus = [counter(F, "phi+", x, 4.0, side, t_grid) for x in x_grid]
+        minus = [counter(F, "phi-", x, 4.0, side, t_grid) for x in x_grid]
+        assert rep.phi_plus.tolist() == plus and rep.phi_minus.tolist() == minus
+
+
+def test_elasticity_report_validates_arguments():
+    with pytest.raises(ValueError, match="x must lie"):
+        elasticity_report(power(2), x_grid=np.array([2.0, 0.5]))
+    with pytest.raises(ValueError, match="exceed 1"):
+        elasticity_report(power(2), C0=1.0)
+    with pytest.raises(ValueError, match="ratio"):
+        elasticity_report(power(2), t_grid=np.array([1.0, 4.0, 16.0]))
+
+
+def _meshgrid_indices(F, t_grid=None, x_grid=None, y_layer=1.5):
+    """The all-pairs window table indices() used to build (reference)."""
+    if t_grid is None:
+        t_grid = np.exp(np.linspace(0.0, 64.0, 257))
+    v_grid = np.log(np.asarray(t_grid, dtype=float))
+    if x_grid is not None:
+        ys = -np.log(np.asarray(x_grid, dtype=float))
+        v_grid = np.unique(np.concatenate([v_grid, v_grid[-1] - ys]))
+
+    def slopes(grid, sign):
+        pts = set(float(v) for v in grid)
+        br = F.breaks()
+        if br is not None:
+            pts.update(float(b) for b in br if (b >= 0.0 if sign > 0 else b <= 0.0))
+        pts.add(0.0)
+        pts = np.array(sorted(pts))
+        pts = pts[pts >= 0.0] if sign > 0 else pts[pts <= 0.0]
+        lo, hi = np.meshgrid(pts, pts, indexing="ij")
+        keep = (hi - lo) >= y_layer
+        lo, hi = lo[keep], hi[keep]
+        s = (F.log_eval(hi) - F.log_eval(lo)) / (hi - lo)
+        return float(np.min(s)), float(np.max(s))
+
+    return slopes(v_grid, +1) + slopes(-v_grid, -1)
+
+
+def _index_extremes(rep):
+    return (rep.alpha_inf, rep.beta_inf, rep.alpha_0, rep.beta_0)
+
+
+@pytest.mark.parametrize("F", [power(2), power(3.5), pwpower(2, 3), logfactor_fn(2),
+                               example1(), MinimalFn(0.05), *brudnyi_pair(1.5, 3.0),
+                               convexify(example1())],
+                         ids=lambda F: F.name)
+def test_indices_match_meshgrid_reference(F):
+    assert _index_extremes(indices(F)) == _meshgrid_indices(F)
+    x_grid = 2.0 ** -np.arange(1, 9, dtype=float)
+    assert _index_extremes(indices(F, x_grid=x_grid)) == _meshgrid_indices(F, x_grid=x_grid)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_anchors=st.integers(1, 40),
+       n=st.integers(0, 120), y=st.floats(0.05, 4.0), extra=st.floats(0.0, 60.0))
+def test_indices_match_meshgrid_reference_random(seed, n_anchors, n, y, extra):
+    rng = np.random.default_rng(seed)
+    top = y + extra
+    F = _random_profile(rng, n_anchors, span=top)
+    t_grid = np.exp(np.unique(np.concatenate([[0.0, top], rng.uniform(0.0, top, size=n)])))
+    assert _index_extremes(indices(F, t_grid, y_layer=y)) == \
+        _meshgrid_indices(F, t_grid, y_layer=y)
+
+
+def test_indices_reject_short_span():
+    with pytest.raises(ValueError, match="y_layer"):
+        indices(power(2), t_grid=np.exp([0.0, 0.5, 1.0]), y_layer=1.5)
+    with pytest.raises(ValueError, match="positive"):
+        indices(power(2), y_layer=0.0)
+
+
+def test_indices_elastic_nl_without_pair_table():
+    rep = indices(elastic_non_lorentz())
+    assert 2.9999 < rep.alpha_inf <= rep.beta_inf < 3.0
+    assert rep.alpha_0 == rep.beta_0 == 2.0
+
+
+def _reference_w(F, C0, t_grid, x_grid):
+    v = t_grid.log
+    ft = np.stack([np.exp(F.log_eval(v + math.log(x)) - F.log_eval(v)) for x in x_grid],
+                  axis=1)
+    profit = np.maximum(ft[None, :, :] - C0 * ft[:, None, :], 0.0).max(axis=2)
+    best = np.zeros(v.size)
+    for k in range(1, v.size):
+        best[k] = max(best[k - 1], float(np.max(best[:k] + profit[:k, k])))
+    return best
+
+
+@pytest.mark.parametrize("F", [power(2), example1(), elastic_non_lorentz(),
+                               MinimalFn(0.05), brudnyi_pair(1.5, 3.0)[1]],
+                         ids=lambda F: F.name)
+def test_w_witness_matches_table_reference(F):
+    t_grid = TGrid.span(0.0, 128.0, ratio=2.0)
+    x_grid = 2.0 ** -np.arange(1, 17, dtype=float)
+    ww = w_witness(F, 4.0, t_grid=t_grid, x_grid=x_grid)
+    assert np.array_equal(ww.w, _reference_w(F, 4.0, t_grid, x_grid))

@@ -315,6 +315,27 @@ def test_weighted_lp_spec_round_trip(spec):
     assert np.array_equal(back.unit_norms(), E.unit_norms())
 
 
+def test_spec_strings_keep_every_digit_of_p(rng):
+    win = Window("Z-", -8, -1)
+    E = parse_seq_space("seq:lpw:p=2.123456789,wexp=0.3", win)
+    assert E.spec_string() == "seq:lpw:p=2.123456789,wexp=0.3"
+    back = parse_seq_space(E.spec_string(), win)
+    assert np.array_equal(back.unit_norms(), E.unit_norms())
+    ones = SeqVec(win, np.ones(win.size))
+    assert back.norm(ones) == E.norm(ones)
+    X = parse_space("lp:p=2.123456789")
+    assert X.spec_string() == "lp:p=2.123456789"
+    f = random_step(rng)
+    assert parse_space(X.spec_string()).fn_norm(f) == X.fn_norm(f)
+    # strings :g already reads back exactly stay as they were
+    assert parse_space("lp:p=2").spec_string() == "lp:p=2"
+    assert parse_seq_space("seq:lpw:p=1", win).spec_string() == "seq:lpw:p=1"
+    assert LorentzSpace(2.5, PowerWeight(0.4)).spec_string() == "lorentz:p=2.5,w=pow:0.4"
+    L = LorentzSpace(2.123456789, PowerWeight(0.123456789))
+    back = parse_space(L.spec_string())
+    assert (back.p, back.weight.exponent) == (L.p, L.weight.exponent)
+
+
 def test_weighted_lp_array_weights_keep_plain_spec():
     win = Window("Z-", -8, -1)
     assert WeightedLp(2, win, weights=np.ones(win.size)).spec_string() == "seq:lpw:p=2"
