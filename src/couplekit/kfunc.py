@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import SeqVec, StepFunction, rearrange
-from .spaces import LinftySeq, LpSpace, SeparationFit, SeqSpaceSpec, e_space
+from .spaces import SeparationFit, SeqSpaceSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SWEEP_CAP = 64
@@ -68,15 +68,8 @@ class KResult:
 def _norm_closure(space, template):
     """Fast ||.|| as a function of the piece/entry value vector."""
     if isinstance(template, StepFunction):
-        lens = template.lengths
-        if isinstance(space, LpSpace):
-            p = space.p
-            if math.isinf(p):
-                return lambda v: float(np.max(np.abs(v))) if v.size else 0.0
-            return lambda v: float(np.dot(np.abs(v) ** p, lens) ** (1.0 / p))
-        return lambda v: space.fn_norm(template.with_values(v))
-    space = space if isinstance(space, SeqSpaceSpec) else e_space(space, template.window)
-    return space.norm_values
+        return space.norm_closure(template)
+    return space.e_space(template.window).norm_values
 
 
 def _golden_min(phi, lo: float, hi: float, tol: float):
@@ -98,11 +91,6 @@ def _golden_min(phi, lo: float, hi: float, tol: float):
     return xm, phi(xm)
 
 
-def _is_linf(space) -> bool:
-    return isinstance(space, LinftySeq) or (
-        isinstance(space, LpSpace) and math.isinf(space.p))
-
-
 def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
     """K(t, f; X, Y) over the reduced cone.
 
@@ -118,22 +106,21 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
     """
     if t <= 0:
         raise ValueError("K-functional needs t > 0")
-    if isinstance(f, StepFunction):
-        a = np.abs(f.vals)
-        template = f
-    elif isinstance(f, SeqVec):
+    sequence_like = isinstance(f, SeqVec)
+    if sequence_like:
         a = np.abs(f.values)
-        template = f
+    elif isinstance(f, StepFunction):
+        a = np.abs(f.vals)
     else:
         raise TypeError("f must be a StepFunction or SeqVec")
-    nx = _norm_closure(X, template)
-    ny = _norm_closure(Y, template)
+    nx = _norm_closure(X, f)
+    ny = _norm_closure(Y, f)
 
     if not np.any(a > 0):
         return KResult(t, 0.0, 0.0, 0.0, 0.0, 0, True, a.copy())
-    if _is_linf(Y):
+    if Y.is_linf:
         return _k_linf(t, a, nx, tol)
-    if _is_linf(X):  # K(t; L_infty, Y) = t K(1/t; Y, L_infty)
+    if X.is_linf:  # K(t; L_infty, Y) = t K(1/t; Y, L_infty)
         r = _k_linf(1.0 / t, a, ny, tol)
         return KResult(t, t * r.value, t * r.lower, r.y_mass, r.x_mass,
                        r.sweeps, r.converged, a - r.split)
@@ -144,7 +131,7 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
     # trial decompositions: trivial, truncation family, prefix/suffix splits
     best_c = np.zeros_like(a)
     best_v = objective(best_c)
-    for cand in _trial_splits(a, isinstance(template, SeqVec)):
+    for cand in _trial_splits(a, sequence_like):
         v = objective(cand)
         if v < best_v:
             best_v, best_c = v, cand
@@ -186,6 +173,8 @@ def _k_linf(t: float, a: np.ndarray, nx, tol: float) -> KResult:
     best grid point; golden-section steps narrow that bracket until the
     chord bound certifies value - lower <= tol * value, or the bracket is a
     few ulps wide (at most 71 steps, since its width starts at most max a).
+    A bracket so narrow that its golden points round onto each other takes
+    its lower bound from the Lipschitz constant of phi instead.
     """
     def phi(lam: float) -> float:
         return nx(np.maximum(a - lam, 0.0)) + t * lam
@@ -208,6 +197,12 @@ def _k_linf(t: float, a: np.ndarray, nx, tol: float) -> KResult:
             A, fA, m, fm, B, fB = c, fc, d, fd, hi, f_hi
         if fm < value:
             best_lam, value = m, fm
+        if not A < m < B:
+            # rounding merged the golden points in a bracket a few ulps wide;
+            # phi is max(t, ||1_{a > lo}||_X)-Lipschitz on [lo, hi]
+            lip = max(t, nx(np.where(a > lo, 1.0, 0.0)))
+            lower = 0.5 * (f_lo + f_hi - lip * (hi - lo))
+            break
         # convexity: phi >= the chord through (m, B) on [A, m] and the chord
         # through (A, m) on [m, B]
         s_left = (fm - fA) / (m - A)
@@ -280,7 +275,7 @@ def k_l1_linf_oracle(t: float, f: StepFunction) -> float:
 
 
 def k_block_estimate(t: float, x: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
-                     fit: SeparationFit, return_index: bool = False):
+                     fit: SeparationFit) -> float:
     """Prefix/suffix split value ||x_(-inf,a]||_E + t ||x_(a,inf)||_F.
 
     For exponentially separated couples (``fit.separated`` must hold) the
@@ -295,27 +290,18 @@ def k_block_estimate(t: float, x: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
         raise ValueError("couple is not exponentially separated")
     rho = fit.rho
     ns = sorted(rho)
-    lo, hi = ns[0], ns[-1]
 
     def split(a: int) -> float:
         return E.norm(x.prefix(a)) + t * F.norm(x.suffix(a + 1))
 
     if t < min(rho.values()):
-        value, a_best = t * F.norm(x), lo - 1
-    elif t > max(rho.values()):
-        value, a_best = E.norm(x), hi
-    else:
-        cands = [a for a in ns[:-1] if rho[a] <= t <= rho[a + 1]]
-        if not cands:  # wobble gap: fall back to the nearest-rho index
-            cands = [min(ns[:-1], key=lambda a: abs(math.log(t) - math.log(rho[a])))]
-        value, a_best = math.inf, None
-        for a in cands:
-            v = split(a)
-            if v < value:
-                value, a_best = v, a
-    if return_index:
-        return value, a_best
-    return value
+        return t * F.norm(x)
+    if t > max(rho.values()):
+        return E.norm(x)
+    cands = [a for a in ns[:-1] if rho[a] <= t <= rho[a + 1]]
+    if not cands:  # wobble gap: fall back to the nearest-rho index
+        cands = [min(ns[:-1], key=lambda a: abs(math.log(t) - math.log(rho[a])))]
+    return min(split(a) for a in cands)
 
 
 def k_profile(f, X, Y, t_grid, tol: float = 1e-8):

@@ -17,7 +17,6 @@ which satisfies the two-sided envelope f* <= G <= D_2 f* on the covered range.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,15 +66,6 @@ class StepFunction:
     def vals(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
-    def support_measure(self) -> float:
-        v = self.vals
-        return float(np.sum(self.lengths[v != 0.0]))
-
-    def sup_value(self) -> float:
-        if not self.values:
-            return 0.0
-        return float(np.max(np.abs(self.vals)))
-
     def __call__(self, t) -> np.ndarray:
         """Evaluate f at t (scalar or array), right-continuous, 0 past t_m."""
         t = np.asarray(t, dtype=float)
@@ -114,10 +104,6 @@ class StepFunction:
     def from_json_dict(d: dict) -> "StepFunction":
         dom = {"unit": UNIT, "halfline": HALFLINE}[d["domain"]]
         return StepFunction(dom, tuple(d["breakpoints"]), tuple(d["values"]))
-
-    @staticmethod
-    def from_json(text: str) -> "StepFunction":
-        return StepFunction.from_json_dict(json.loads(text))
 
 
 def char_fn(a: float, b: float, domain: str = UNIT, height: float = 1.0) -> StepFunction:
@@ -257,10 +243,6 @@ def default_unit_window(width: int = 64) -> Window:
     return Window(Z_MINUS, -width, -1)
 
 
-def default_halfline_window(half_width: int = 48) -> Window:
-    return Window(Z, -half_width, half_width)
-
-
 class SeqVec:
     """Finitely supported vector on a window, stored densely over [lo, hi].
 
@@ -316,11 +298,6 @@ class SeqVec:
         if other.window != self.window:
             raise ValueError("window mismatch")
         return SeqVec(self.window, self.values + other.values)
-
-    def __sub__(self, other: "SeqVec") -> "SeqVec":
-        if other.window != self.window:
-            raise ValueError("window mismatch")
-        return SeqVec(self.window, self.values - other.values)
 
     def __abs__(self) -> "SeqVec":
         return SeqVec(self.window, np.abs(self.values))

@@ -737,10 +737,6 @@ class TGrid:
         return TGrid(np.append(pts, v_hi))
 
 
-def geometric_grid(t_min: float, t_max: float, ratio: float = 2.0 ** 0.25) -> TGrid:
-    return TGrid.span(math.log(t_min), math.log(t_max), ratio)
-
-
 def _as_log_grid(grid) -> np.ndarray:
     if isinstance(grid, TGrid):
         return grid.log
@@ -939,10 +935,6 @@ class WWitnessReport:
     w: np.ndarray
     C1: float
     C0: float
-
-    def w_at(self, t: float) -> float:
-        i = int(np.searchsorted(self.log_t, math.log(t), side="right")) - 1
-        return float(self.w[max(i, 0)])
 
     def to_json_dict(self):
         return {"C0": self.C0, "C1": self.C1,

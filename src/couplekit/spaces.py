@@ -13,6 +13,16 @@ The dyadic sequence space of a function space X is E_X with
 ||x||_{E_X} = ||sum x(n) chi_[2^n,2^(n+1))||_X; for X = L_p this is the
 weighted ell_p space with weights 2^(n/p), for X = L_infty it is ell_infty,
 and for X = L_F it is the modular space with block weights 2^n.
+
+Only this module knows the concrete space classes: other modules ask a space
+through its protocol, whose base-class defaults describe a space without
+closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
+``InducedSeq``), ``norm_closure(f)``, ``boyd()``, ``exact_weighted_lp``,
+``is_linf``, ``generator()``.  ``SeqSpaceSpec``: ``e_space`` (the space
+itself), ``norming_values``, ``weighted_lp_form()``, ``is_linf``,
+``generator()``.  The wrappers ``GeometricWeighted`` and ``OrderReversed``
+delegate to their inner space (``OrderReversed`` has no weighted-lp form),
+``FromSequenceSpace`` its ``generator`` to E; ``is_linf`` never delegates.
 """
 
 from __future__ import annotations
@@ -22,12 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, UsageError
 from .measure import (HALFLINE, UNIT, SeqVec, StepFunction, Window,
                       dyadic_envelope, rearrange)
-from .orlicz import LOG2, OrliczFn
+from .orlicz import LOG2, OrliczFn, indices
 
 _OVERFLOW_RATIO = 1e12
+# kappa_estimate budget and seed behind FromSequenceSpace's kappa_+ < 2 check
+_KAPPA_BUDGET, _KAPPA_SEED = 400, 0
 
 
 def _spec_num(x: float) -> str:
@@ -45,9 +57,6 @@ class WeightFn:
     """Monotone increasing weight with bounded doubling ratio."""
 
     def doubling_sup(self) -> float:
-        raise NotImplementedError
-
-    def doubling_inf(self) -> float:
         raise NotImplementedError
 
     def __call__(self, t):
@@ -70,9 +79,6 @@ class PowerWeight(WeightFn):
     def doubling_sup(self) -> float:
         return 2.0 ** self.exponent
 
-    def doubling_inf(self) -> float:
-        return 2.0 ** self.exponent
-
 
 class TableLogLinear(WeightFn):
     """Piecewise log-log-linear weight from a (log t, log w) table."""
@@ -88,8 +94,7 @@ class TableLogLinear(WeightFn):
         self.slopes = slopes
         # doubling ratio w(2t)/w(t) = exp(slope * log 2) per segment
         self._sup = float(np.exp(np.max(slopes) * LOG2))
-        self._inf = float(np.exp(np.min(slopes) * LOG2))
-        if assume_finite_q and self._inf <= 1.0:
+        if assume_finite_q and np.exp(np.min(slopes) * LOG2) <= 1.0:
             raise ValueError("finite-q regime requires inf w(2t)/w(t) > 1")
         self.assume_finite_q = assume_finite_q
 
@@ -106,13 +111,23 @@ class TableLogLinear(WeightFn):
     def doubling_sup(self) -> float:
         return self._sup
 
-    def doubling_inf(self) -> float:
-        return self._inf
-
 
 # ---------------------------------------------------------------------------
 # function spaces
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class BoydIndices:
+    p: float
+    q: float
+    p_err: float
+    q_err: float
+    method: str
+
+    def to_json_dict(self):
+        return {"p": self.p, "q": self.q, "p_err": self.p_err,
+                "q_err": self.q_err, "method": self.method}
 
 
 class SpaceSpec:
@@ -120,9 +135,28 @@ class SpaceSpec:
 
     domain: str = UNIT
     triangle_constant: float = 1.0
+    # E_X is exactly a weighted ell_p, so its shift constants are 1
+    exact_weighted_lp: bool = False
+    is_linf: bool = False
 
     def fn_norm(self, f: StepFunction) -> float:
         raise NotImplementedError
+
+    def norm_closure(self, f: StepFunction):
+        """||.|| as a function of the value vector on the pieces of f."""
+        return lambda v: self.fn_norm(f.with_values(v))
+
+    def e_space(self, window: Window) -> "SeqSpaceSpec":
+        """The dyadic sequence space E_X on the window, fast form if known."""
+        return InducedSeq(self, window)
+
+    def boyd(self) -> BoydIndices:
+        """Boyd indices (p_X, q_X) with error bars, by the best available route."""
+        raise UsageError(f"no Boyd-index route for {type(self).__name__}")
+
+    def generator(self) -> OrliczFn | None:
+        """The Orlicz function the space is built on, if any."""
+        return None
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -132,17 +166,32 @@ class SpaceSpec:
 
 
 class LpSpace(SpaceSpec):
+    exact_weighted_lp = True
+
     def __init__(self, p: float, domain: str = UNIT):
         if p < 1:
             raise ValueError("Lp needs p >= 1")
         self.p = float(p)
         self.domain = domain
 
+    @property
+    def is_linf(self) -> bool:
+        return math.isinf(self.p)
+
     def fn_norm(self, f: StepFunction) -> float:
-        v = np.abs(f.vals)
+        return self.norm_closure(f)(f.vals)
+
+    def norm_closure(self, f: StepFunction):
         if math.isinf(self.p):
-            return float(np.max(v)) if v.size else 0.0
-        return float(np.dot(v ** self.p, f.lengths) ** (1.0 / self.p))
+            return lambda v: float(np.max(np.abs(v))) if v.size else 0.0
+        p, lens = self.p, f.lengths
+        return lambda v: float(np.dot(np.abs(v) ** p, lens) ** (1.0 / p))
+
+    def e_space(self, window: Window) -> "SeqSpaceSpec":
+        return dyadic_lp(self.p, window)
+
+    def boyd(self) -> BoydIndices:
+        return BoydIndices(self.p, self.p, 0.0, 0.0, "analytic")
 
     def spec_string(self) -> str:
         return "linf" if math.isinf(self.p) else f"lp:p={_spec_num(self.p)}"
@@ -207,6 +256,20 @@ class LorentzSpace(SpaceSpec):
                 return math.inf
             acc += (v ** self.p) * piece
         return acc ** (1.0 / self.p)
+
+    @property
+    def exact_weighted_lp(self) -> bool:
+        return isinstance(self.weight, PowerWeight)
+
+    def boyd(self) -> BoydIndices:
+        w = self.weight
+        if isinstance(w, PowerWeight):
+            q = 1.0 / w.exponent
+            return BoydIndices(q, q, 0.0, 0.0, "analytic")
+        smax, smin = float(np.max(w.slopes)), float(np.min(w.slopes))
+        p = 1.0 / smax if smax > 0 else math.inf
+        q = 1.0 / smin if smin > 0 else math.inf
+        return BoydIndices(p, q, 0.02, 0.02, "weight-table")
 
     def spec_string(self) -> str:
         if isinstance(self.weight, PowerWeight):
@@ -285,6 +348,27 @@ class OrliczSpace(SpaceSpec):
         return math.exp(_luxemburg_log(self.F, log_v, np.log(f.lengths[keep]),
                                        float(np.max(log_v))))
 
+    def e_space(self, window: Window) -> "SeqSpaceSpec":
+        return OrliczModular(self.F, window)
+
+    @property
+    def exact_weighted_lp(self) -> bool:
+        br = self.F.breaks()
+        return br is not None and br.size == 1 and self.F.name == "power"
+
+    def boyd(self) -> BoydIndices:
+        rep = indices(self.F)
+        if self.domain == "unit":
+            p, q = rep.boyd_unit
+            err = rep.err_inf
+        else:
+            p, q = rep.boyd_halfline
+            err = max(rep.err_inf, rep.err_0)
+        return BoydIndices(p, q, err + 0.01, err + 0.01, "matuszewska")
+
+    def generator(self) -> OrliczFn:
+        return self.F
+
     def spec_string(self) -> str:
         return f"orlicz:gen=<{self.F.spec_string()}>"
 
@@ -298,9 +382,29 @@ class SeqSpaceSpec:
     """Kothe sequence space on a window with a dense-array fast path."""
 
     window: Window
+    is_linf: bool = False
 
     def norm_values(self, vals: np.ndarray) -> float:
         raise NotImplementedError
+
+    def e_space(self, window: Window) -> "SeqSpaceSpec":
+        """A sequence space is its own E."""
+        return self
+
+    def norming_values(self, xv: np.ndarray) -> np.ndarray:
+        """Values of a norming functional g of the nonzero x (see
+        ``norming_functional``)."""
+        raise NotImplementedError(
+            f"no norming functional for {type(self).__name__}; supported: weighted "
+            f"lp, ell_infty, Orlicz modular, and weighted/reversed wrappers")
+
+    def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
+        """(weights, p) when the space is a weighted ell_p, else None."""
+        return None
+
+    def generator(self) -> OrliczFn | None:
+        """The Orlicz function of the modular space inside, if any."""
+        return None
 
     def norm(self, x: SeqVec) -> float:
         if x.window != self.window:
@@ -331,7 +435,8 @@ class WeightedLp(SeqSpaceSpec):
 
     ``wexp`` gives the weights w_n = 2^(n wexp) and is kept in the spec
     string; explicit ``weights`` (an array or a callable of the indices) are
-    not serialized, and no weights at all means wexp = 0.
+    written out in full unless they are the dyadic weights 2^(n/p) of
+    ``dyadic_lp``, and no weights at all means wexp = 0.
     """
 
     def __init__(self, p: float, window: Window, weights=None,
@@ -363,10 +468,28 @@ class WeightedLp(SeqSpaceSpec):
     def unit_norm(self, n: int) -> float:
         return float(self.weights[n - self.window.lo])
 
+    def norming_values(self, xv: np.ndarray) -> np.ndarray:
+        w, p = self.weights, self.p
+        if math.isinf(p):
+            k = int(np.argmax(np.abs(xv) * w))
+            g = np.zeros_like(xv)
+            g[k] = math.copysign(w[k], xv[k])
+            return g
+        if p == 1.0:
+            return np.where(xv != 0, np.copysign(w, xv), 0.0)
+        nrm = self.norm_values(xv)
+        return np.sign(xv) * (w ** p) * np.abs(xv) ** (p - 1.0) / nrm ** (p - 1.0)
+
+    def weighted_lp_form(self) -> tuple[np.ndarray, float]:
+        return self.weights, self.p
+
     def spec_string(self) -> str:
-        if self.wexp is None:
-            return f"seq:lpw:p={_spec_num(self.p)}"
-        return f"seq:lpw:p={_spec_num(self.p)},wexp={self.wexp!r}"
+        head = f"seq:lpw:p={_spec_num(self.p)}"
+        if self.wexp is not None:
+            return f"{head},wexp={self.wexp!r}"
+        if np.array_equal(self.weights, 2.0 ** (self.window.indices() / self.p)):
+            return head
+        return f"{head},weights=<{','.join(repr(float(w)) for w in self.weights)}>"
 
 
 def dyadic_lp(p: float, window: Window) -> SeqSpaceSpec:
@@ -377,6 +500,8 @@ def dyadic_lp(p: float, window: Window) -> SeqSpaceSpec:
 
 
 class LinftySeq(SeqSpaceSpec):
+    is_linf = True
+
     def __init__(self, window: Window):
         self.window = window
 
@@ -385,6 +510,15 @@ class LinftySeq(SeqSpaceSpec):
 
     def unit_norm(self, n: int) -> float:
         return 1.0
+
+    def norming_values(self, xv: np.ndarray) -> np.ndarray:
+        k = int(np.argmax(np.abs(xv)))
+        g = np.zeros_like(xv)
+        g[k] = math.copysign(1.0, xv[k])
+        return g
+
+    def weighted_lp_form(self) -> tuple[np.ndarray, float]:
+        return np.ones(self.window.size), math.inf
 
     def spec_string(self) -> str:
         return "seq:linf"
@@ -428,11 +562,18 @@ class OrliczModular(SeqSpaceSpec):
     def unit_norm(self, n: int) -> float:
         return float(np.exp(-self._log_lambda[n - self.window.lo]))
 
-    def modular(self, x: SeqVec, alpha: float = 1.0) -> float:
-        a = np.abs(x.values)
-        nz = a > 0
-        expo = self._log_w[nz] + self.F.log_eval(np.log(a[nz]) - math.log(alpha))
-        return float(np.sum(np.exp(np.minimum(expo, 700.0))))
+    def norming_values(self, xv: np.ndarray) -> np.ndarray:
+        xhat = np.abs(xv) / self.norm_values(xv)
+        g = np.zeros_like(xv)
+        nz = xhat > 0
+        w = np.exp(self._log_w[nz])
+        g[nz] = w * self.F.deriv(xhat[nz])
+        denom = float(np.dot(xhat[nz], g[nz]))
+        g[nz] = np.sign(xv[nz]) * g[nz] / denom
+        return g
+
+    def generator(self) -> OrliczFn:
+        return self.F
 
     def spec_string(self) -> str:
         return f"seq:orlicz-modular:gen=<{self.F.spec_string()}>"
@@ -455,6 +596,16 @@ class GeometricWeighted(SeqSpaceSpec):
     def unit_norm(self, n: int) -> float:
         return float(self._w[n - self.window.lo]) * self.inner.unit_norm(n)
 
+    def norming_values(self, xv: np.ndarray) -> np.ndarray:
+        return self.inner.norming_values(xv * self._w) * self._w
+
+    def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
+        form = self.inner.weighted_lp_form()
+        return None if form is None else (form[0] * self._w, form[1])
+
+    def generator(self) -> OrliczFn | None:
+        return self.inner.generator()
+
     def spec_string(self) -> str:
         return f"seq:from:<{self.inner.spec_string()}>,weightbase={self.base!r}"
 
@@ -471,6 +622,12 @@ class OrderReversed(SeqSpaceSpec):
 
     def unit_norm(self, n: int) -> float:
         return self.inner.unit_norm(-(n + 1))
+
+    def norming_values(self, xv: np.ndarray) -> np.ndarray:
+        return self.inner.norming_values(xv[::-1])[::-1]
+
+    def generator(self) -> OrliczFn | None:
+        return self.inner.generator()
 
     def reversed_space(self) -> SeqSpaceSpec:
         return self.inner
@@ -494,30 +651,20 @@ class InducedSeq(SeqSpaceSpec):
     def norm_values(self, vals: np.ndarray) -> float:
         return self.space.fn_norm(SeqVec(self.window, vals).to_step(self.space.domain))
 
+    def norming_values(self, xv: np.ndarray) -> np.ndarray:
+        if isinstance(self.space, LpSpace):
+            return self.space.e_space(self.window).norming_values(xv)
+        return super().norming_values(xv)
+
     def spec_string(self) -> str:
         return f"seq:induced:<{self.space.spec_string()}>"
 
 
-def e_space(space: SpaceSpec, window: Window) -> SeqSpaceSpec:
-    """The dyadic sequence space E_X of a function space, fast form if known."""
-    if isinstance(space, LpSpace):
-        return dyadic_lp(space.p, window)
-    if isinstance(space, OrliczSpace):
-        return OrliczModular(space.F, window)
-    return InducedSeq(space, window)
-
-
 def seq_norm(space, x: SeqVec) -> float:
     """Norm of a sequence vector; function spaces are routed through E_X."""
-    if isinstance(space, SeqSpaceSpec):
-        return space.norm(x)
-    if isinstance(space, SpaceSpec):
-        return e_space(space, x.window).norm(x)
-    raise TypeError(f"cannot take a sequence norm in {space!r}")
-
-
-def fn_norm(space: SpaceSpec, f: StepFunction) -> float:
-    return space.fn_norm(f)
+    if not isinstance(space, (SpaceSpec, SeqSpaceSpec)):
+        raise TypeError(f"cannot take a sequence norm in {space!r}")
+    return space.e_space(x.window).norm(x)
 
 
 class FromSequenceSpace(SpaceSpec):
@@ -525,24 +672,34 @@ class FromSequenceSpace(SpaceSpec):
 
     Requires the fitted shift growth kappa_+(E) < 2 (checked at construction
     via ``kappa_estimate``; the estimate's extrapolated value is used and
-    recorded).  The domain follows the window kind: Z_- models [0,1], Z and
-    Z_+ model [0, inf).
+    recorded, and it also gives the Boyd indices).  The domain follows the
+    window kind: Z_- models [0,1], Z and Z_+ model [0, inf).
     """
 
-    def __init__(self, E: SeqSpaceSpec, kappa_budget: int = 400, seed: int = 0,
-                 enforce: bool = True):
+    def __init__(self, E: SeqSpaceSpec):
         self.E = E
         self.window = E.window
         self.domain = UNIT if self.window.kind == "Z-" else HALFLINE
         self.triangle_constant = 2.0
-        self.kappa = kappa_estimate(E, E.window, budget=kappa_budget, seed=seed)
-        if enforce and not (self.kappa.plus_est < 2.0):
+        self.kappa = kappa_estimate(E, E.window, budget=_KAPPA_BUDGET, seed=_KAPPA_SEED)
+        if not (self.kappa.plus_est < 2.0):
             raise ValueError(
                 f"space-from-sequence needs kappa_+(E) < 2; fitted "
                 f"{self.kappa.plus_est:.4f}")
 
     def fn_norm(self, f: StepFunction) -> float:
         return self.E.norm(dyadic_envelope(f, self.window))
+
+    def boyd(self) -> BoydIndices:
+        est = self.kappa
+        p = 1.0 / math.log2(est.plus_est) if est.plus_est > 1 else math.inf
+        q = -1.0 / math.log2(est.minus_est) if est.minus_est < 1 else math.inf
+        p_err = abs(p - (1.0 / math.log2(est.plus_lb) if est.plus_lb > 1 else math.inf))
+        q_err = abs(q - (-1.0 / math.log2(est.minus_lb) if est.minus_lb < 1 else math.inf))
+        return BoydIndices(p, q, min(p_err, 1.0), min(q_err, 1.0), "kappa-estimate")
+
+    def generator(self) -> OrliczFn | None:
+        return self.E.generator()
 
     def spec_string(self) -> str:
         return f"fromseq:<{self.E.spec_string()}>"
@@ -735,50 +892,13 @@ def norming_functional(E: SeqSpaceSpec, x: SeqVec) -> SeqVec:
     spaces the gradient of the modular at x/||x|| is the exact maximizer of
     <h, g> over the unit ball (first-order condition of the concave
     problem), which pins ||g||* = <x/||x||, g>.  The attained duality gap is
-    recorded in ``meta["norming_gap"]``.
+    recorded in ``meta["norming_gap"]``.  The closed forms are the spaces'
+    ``norming_values``.
     """
-    vals = _norming_values(E, x.values)
+    if not np.any(x.values):
+        raise ValueError("cannot norm the zero vector")
+    vals = E.norming_values(x.values)
     g = SeqVec(x.window, vals)
     g.meta["norming_gap"] = abs(float(np.dot(x.values, vals)) - E.norm(x))
     return g
 
-
-def _norming_values(E: SeqSpaceSpec, xv: np.ndarray) -> np.ndarray:
-    if not np.any(xv):
-        raise ValueError("cannot norm the zero vector")
-    if isinstance(E, OrderReversed):
-        return _norming_values(E.inner, xv[::-1])[::-1]
-    if isinstance(E, GeometricWeighted):
-        return _norming_values(E.inner, xv * E._w) * E._w
-    if isinstance(E, LinftySeq):
-        k = int(np.argmax(np.abs(xv)))
-        g = np.zeros_like(xv)
-        g[k] = math.copysign(1.0, xv[k])
-        return g
-    if isinstance(E, WeightedLp):
-        w, p = E.weights, E.p
-        a = np.abs(xv) * w
-        if math.isinf(p):
-            k = int(np.argmax(a))
-            g = np.zeros_like(xv)
-            g[k] = math.copysign(w[k], xv[k])
-            return g
-        nrm = E.norm_values(xv)
-        if p == 1.0:
-            return np.where(xv != 0, np.copysign(w, xv), 0.0)
-        return np.sign(xv) * (w ** p) * np.abs(xv) ** (p - 1.0) / nrm ** (p - 1.0)
-    if isinstance(E, OrliczModular):
-        nrm = E.norm_values(xv)
-        xhat = np.abs(xv) / nrm
-        g = np.zeros_like(xv)
-        nz = xhat > 0
-        w = np.exp(E._log_w[nz])
-        g[nz] = w * E.F.deriv(xhat[nz])
-        denom = float(np.dot(xhat[nz], g[nz]))
-        g[nz] = np.sign(xv[nz]) * g[nz] / denom
-        return g
-    if isinstance(E, InducedSeq) and isinstance(E.space, LpSpace):
-        return _norming_values(dyadic_lp(E.space.p, E.window), xv)
-    raise NotImplementedError(
-        f"no norming functional for {type(E).__name__}; supported: weighted "
-        f"lp, ell_infty, Orlicz modular, and weighted/reversed wrappers")

@@ -13,6 +13,7 @@ Examples::
     fromseq:<seq:orlicz-modular:gen=<example1>>
     seq:lpw:p=1             seq:linf
     seq:lpw:p=2,wexp=0.3    (weights 2^(0.3 n); plain seq:lpw has 2^(n/p))
+    seq:lpw:p=2,weights=<0.5,1.0,2.0>   (one weight per window index)
     seq:orlicz-modular:gen=<example1>
     seq:from:<seq:orlicz-modular:gen=<example1>>,weightbase=1.4142135623730951
     rev:<seq:lpw:p=2>
@@ -167,6 +168,13 @@ def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
     kwargs, positional = _parse_args(rest)
     if name == "seq:lpw":
         p = _num(kwargs["p"]) if kwargs.get("p") not in (None, "inf") else math.inf
+        if "weights" in kwargs:
+            if "wexp" in kwargs:
+                raise UsageError("give weights or wexp, not both")
+            w = [_num(v) for v in _strip(kwargs["weights"]).split(",")]
+            if len(w) != window.size:
+                raise UsageError(f"{len(w)} weights for a window of {window.size} indices")
+            return WeightedLp(p, window, weights=w)
         if "wexp" in kwargs:
             return WeightedLp(p, window, wexp=_num(kwargs["wexp"]))
         return dyadic_lp(p, window)

@@ -37,9 +37,7 @@ import numpy as np
 from .errors import HypothesisError, UsageError
 from .kfunc import k_block_estimate, k_numeric
 from .measure import SeqVec, Window
-from .spaces import (GeometricWeighted, LinftySeq, OrderReversed,
-                     SeparationFit, SeqSpaceSpec, WeightedLp,
-                     norming_functional)
+from .spaces import OrderReversed, SeparationFit, SeqSpaceSpec, norming_functional
 
 EXACTNESS_TOL = 1e-9
 
@@ -223,21 +221,6 @@ def _conjugated_colrow(T: PositiveMatrix, weights: np.ndarray):
     return col, row
 
 
-def _space_weights(space: SeqSpaceSpec) -> tuple[np.ndarray, float] | None:
-    """(weights, p) if the space is weighted ell_p after unwrapping, else None."""
-    if isinstance(space, WeightedLp):
-        return space.weights, space.p
-    if isinstance(space, LinftySeq):
-        return np.ones(space.window.size), math.inf
-    if isinstance(space, GeometricWeighted):
-        inner = _space_weights(space.inner)
-        if inner is None:
-            return None
-        w, p = inner
-        return w * space._w, p
-    return None
-
-
 def op_norm(T: PositiveMatrix, space: SeqSpaceSpec, mode: str = "interval",
             budget: int = 400, seed: int = 0):
     """Operator norm of T on a sequence space.
@@ -251,7 +234,7 @@ def op_norm(T: PositiveMatrix, space: SeqSpaceSpec, mode: str = "interval",
     if isinstance(space, OrderReversed):
         return op_norm(T.reversed(), space.inner, mode, budget, seed)
     if mode in ("exact", "schur"):
-        wp = _space_weights(space)
+        wp = space.weighted_lp_form()
         if wp is None:
             raise UsageError(f"mode {mode!r} unsupported for {type(space).__name__}")
         w, p = wp
@@ -322,7 +305,7 @@ def _upper_bound(T: PositiveMatrix, space: SeqSpaceSpec) -> float | None:
     """Closed-form upper bound (exact or Schur), None when there is none."""
     if isinstance(space, OrderReversed):
         return _upper_bound(T.reversed(), space.inner)
-    wp = _space_weights(space)
+    wp = space.weighted_lp_form()
     if wp is None:
         return None
     _, p = wp

@@ -21,64 +21,18 @@ import numpy as np
 
 from .errors import UsageError
 from .measure import SeqVec, Window, default_unit_window
-from .orlicz import (OrliczFn, brudnyi_schedule, elasticity_report,
-                     indices, lambda_seq)
+from .orlicz import OrliczFn, brudnyi_schedule, elasticity_report, lambda_seq
 from .shift import RSP, shift_constant_estimate
-from .spaces import (FromSequenceSpace, LorentzSpace, LpSpace, OrliczModular,
-                     OrliczSpace, PowerWeight, SpaceSpec, TableLogLinear,
-                     e_space)
+from .spaces import BoydIndices, OrliczModular, OrliczSpace, SpaceSpec
 
 CAVEAT_EXACT = "exact shift constants"
 CAVEAT_SEARCH = "theorem applies; RSP/LSP certified only to search level"
 CAVEAT_NONE = "no certification"
 
 
-@dataclass
-class BoydIndices:
-    p: float
-    q: float
-    p_err: float
-    q_err: float
-    method: str
-
-    def to_json_dict(self):
-        return {"p": self.p, "q": self.q, "p_err": self.p_err,
-                "q_err": self.q_err, "method": self.method}
-
-
-def boyd_indices(space: SpaceSpec, budget: int = 400, seed: int = 0) -> BoydIndices:
-    """Boyd indices (p_X, q_X) with error bars, by the best available route."""
-    if isinstance(space, LpSpace):
-        if math.isinf(space.p):
-            return BoydIndices(math.inf, math.inf, 0.0, 0.0, "analytic")
-        return BoydIndices(space.p, space.p, 0.0, 0.0, "analytic")
-    if isinstance(space, LorentzSpace):
-        w = space.weight
-        if isinstance(w, PowerWeight):
-            q = 1.0 / w.exponent
-            return BoydIndices(q, q, 0.0, 0.0, "analytic")
-        assert isinstance(w, TableLogLinear)
-        smax, smin = float(np.max(w.slopes)), float(np.min(w.slopes))
-        p = 1.0 / smax if smax > 0 else math.inf
-        q = 1.0 / smin if smin > 0 else math.inf
-        return BoydIndices(p, q, 0.02, 0.02, "weight-table")
-    if isinstance(space, OrliczSpace):
-        rep = indices(space.F)
-        if space.domain == "unit":
-            p, q = rep.boyd_unit
-            err = rep.err_inf
-        else:
-            p, q = rep.boyd_halfline
-            err = max(rep.err_inf, rep.err_0)
-        return BoydIndices(p, q, err + 0.01, err + 0.01, "matuszewska")
-    if isinstance(space, FromSequenceSpace):
-        est = space.kappa
-        p = 1.0 / math.log2(est.plus_est) if est.plus_est > 1 else math.inf
-        q = -1.0 / math.log2(est.minus_est) if est.minus_est < 1 else math.inf
-        p_err = abs(p - (1.0 / math.log2(est.plus_lb) if est.plus_lb > 1 else math.inf))
-        q_err = abs(q - (-1.0 / math.log2(est.minus_lb) if est.minus_lb < 1 else math.inf))
-        return BoydIndices(p, q, min(p_err, 1.0), min(q_err, 1.0), "kappa-estimate")
-    raise UsageError(f"no Boyd-index route for {type(space).__name__}")
+def boyd_indices(space: SpaceSpec) -> BoydIndices:
+    """Boyd indices (p_X, q_X) with error bars, by the space's own route."""
+    return space.boyd()
 
 
 @dataclass
@@ -108,39 +62,13 @@ class CoupleReport:
         }
 
 
-def _exact_weighted_lp(space: SpaceSpec) -> bool:
-    """Spaces whose E_X is exactly a weighted ell_p (shift constants = 1)."""
-    if isinstance(space, LpSpace):
-        return True
-    if isinstance(space, LorentzSpace) and isinstance(space.weight, PowerWeight):
-        return True
-    if isinstance(space, OrliczSpace):
-        br = space.F.breaks()
-        return br is not None and br.size == 1 and space.F.name == "power"
-    return False
-
-
-def _orlicz_generator(space: SpaceSpec) -> OrliczFn | None:
-    if isinstance(space, OrliczSpace):
-        return space.F
-    if isinstance(space, FromSequenceSpace):
-        E = space.E
-        seen = set()
-        while id(E) not in seen:
-            seen.add(id(E))
-            if isinstance(E, OrliczModular):
-                return E.F
-            E = getattr(E, "inner", E)
-    return None
-
-
 def _stretchability_evidence(space: SpaceSpec, window: Window, budget: int,
                              seed: int) -> dict:
     """Evidence record for 'E_X has RSP': exact class, witness, or consistency."""
-    if _exact_weighted_lp(space):
+    if space.exact_weighted_lp:
         return {"kind": "exact-weighted-lp", "constant": 1.0, "certified": True,
                 "stretchable": True}
-    F = _orlicz_generator(space)
+    F = space.generator()
     if F is not None:
         rep = elasticity_report(F)
         out = {"kind": "elasticity", "report": rep.to_json_dict(),
@@ -148,7 +76,7 @@ def _stretchability_evidence(space: SpaceSpec, window: Window, budget: int,
         if rep.classification == "inelastic-witness":
             # the counter growth is the certified falsifier; a bounded RSP
             # search is attached as corroboration only
-            E = e_space(space, window) if isinstance(space, OrliczSpace) else space.E
+            E = space.e_space(window) if isinstance(space, OrliczSpace) else space.E
             est = shift_constant_estimate(E, RSP, budget=min(budget, 2000),
                                           seed=seed)
             out["rsp_search"] = {"c_hat": est.c_hat,
@@ -160,7 +88,7 @@ def _stretchability_evidence(space: SpaceSpec, window: Window, budget: int,
             out["certified"] = False
             out["stretchable"] = None  # consistent, not proven
         return out
-    est = shift_constant_estimate(e_space(space, window), RSP, budget=budget,
+    est = shift_constant_estimate(space.e_space(window), RSP, budget=budget,
                                   seed=seed)
     return {"kind": "search", "c_hat": est.c_hat, "certified": False,
             "stretchable": None}
@@ -189,7 +117,7 @@ def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> 
     )
 
     # (i) pair with L_infty: verdict by stretchability of X
-    if isinstance(Y, LpSpace) and math.isinf(Y.p):
+    if Y.is_linf:
         report.applicable.append("pair-with-Linfty (stretchability criterion)")
         ev = _stretchability_evidence(X, window, budget, seed)
         report.evidence["stretchability_X"] = ev
@@ -225,7 +153,7 @@ def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> 
         return _verdict_from_shift_sides(report, X, Y, window, budget, seed)
 
     # (iv) Orlicz/Orlicz necessary condition
-    Fx, Fy = _orlicz_generator(X), _orlicz_generator(Y)
+    Fx, Fy = X.generator(), Y.generator()
     if Fx is not None and Fy is not None:
         report.applicable.append("Orlicz-pair necessary condition (joint elasticity or equal indices)")
         mismatch = (abs(bx.p - by.p) > bx.p_err + by.p_err + 1e-9 or
@@ -266,8 +194,8 @@ def _derive_convexity_p(X, Y, bx, by) -> float | None:
 
 
 def _verdict_from_shift_sides(report, X, Y, window, budget, seed):
-    ex = _exact_weighted_lp(X)
-    ey = _exact_weighted_lp(Y)
+    ex = X.exact_weighted_lp
+    ey = Y.exact_weighted_lp
     report.evidence["shift_X"] = {"exact-weighted-lp": ex}
     report.evidence["shift_Y"] = {"exact-weighted-lp": ey}
     if ex and ey:

@@ -267,6 +267,17 @@ def test_k_linf_matches_dense_grid(case):
     assert k_numeric(*case).value == pytest.approx(_dense_grid_k(*case), rel=1e-8)
 
 
+@pytest.mark.parametrize("t, top", [(0.125, 0.9999999999999998),
+                                    (0.25, 1.0000000000000002)])
+def test_k_linf_levels_one_ulp_apart(t, top):
+    # no float lies strictly between the two levels, so the golden points of
+    # the final bracket coincide with its ends
+    case = (t, SeqVec.from_entries(SEQ_WIN, {-2: 1.0, -1: top}), L1, LinftySeq(SEQ_WIN))
+    r = k_numeric(*case)
+    assert r.lower <= r.value and r.value - r.lower <= 1e-6 * r.value
+    assert r.value == pytest.approx(_dense_grid_k(*case), rel=1e-12)
+
+
 def test_k_linf_exact_at_levels_for_l1(rng):
     # phi is piecewise affine for X = L1 with kinks at the levels of |f|,
     # so the level grid alone gives K = int_0^t f* up to rounding

@@ -6,8 +6,9 @@ import pytest
 from couplekit import (GeometricWeighted, InterlacedFamily, LinftySeq,
                        OrderReversed, OrliczModular, SeqVec, ShiftWitness,
                        UsageError, WeightedLp, Window, dyadic_lp, example1,
-                       family_ratio, gen_interlaced, replay_witness,
-                       shift_constant_estimate, shift_schedule)
+                       family_ratio, gen_interlaced, parse_seq_space,
+                       replay_witness, shift_constant_estimate,
+                       shift_schedule)
 from couplekit.shift import STOP_BUDGET, STOP_TARGET
 
 WIN = Window("Z", -12, 12)
@@ -124,6 +125,16 @@ def test_witness_json_replay():
     blob = json.dumps(est.witness.to_json_dict())
     back = ShiftWitness.from_json_dict(json.loads(blob))
     assert replay_witness(E, back) == pytest.approx(est.c_hat, rel=1e-12)
+
+
+def test_witness_replays_from_its_own_spec(rng):
+    # the witness names the searched space, explicit weights included
+    win = Window("Z", -8, 8)
+    E = WeightedLp(2, win, weights=np.exp(rng.normal(0.0, 1.0, win.size)))
+    est = shift_constant_estimate(E, "lsp", budget=300, seed=4)
+    back = ShiftWitness.from_json_dict(json.loads(json.dumps(est.witness.to_json_dict())))
+    E_back = parse_seq_space(back.space_spec, back.window)
+    assert replay_witness(E_back, back) == replay_witness(E, est.witness)
 
 
 def test_inelastic_modular_space_has_witness():

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from couplekit import (FromSequenceSpace, GeometricWeighted, LinftySeq,
+from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftySeq,
                        LorentzSpace, LpSpace, OrderReversed, OrliczModular,
                        OrliczSpace, PowerWeight, SeqVec, TableLogLinear,
                        MinimalFn, UsageError, WeightedLp, Window, brudnyi_pair,
@@ -266,6 +268,9 @@ def _dual_ball_check(E, x, g, rng, trials=40):
     lambda win: OrliczModular(example1(), win),
     lambda win: GeometricWeighted(OrliczModular(example1(), win), 2 ** 0.5),
     lambda win: OrderReversed(dyadic_lp(2, win)),
+    lambda win: WeightedLp(math.inf, win, weights=np.linspace(0.5, 3.0, win.size)),
+    lambda win: InducedSeq(LpSpace(2), win),
+    lambda win: GeometricWeighted(dyadic_lp(1, win), 2 ** 0.5),
 ])
 def test_norming_functional(build, rng):
     win = Window("Z-", -16, -1)
@@ -336,9 +341,121 @@ def test_spec_strings_keep_every_digit_of_p(rng):
     assert (back.p, back.weight.exponent) == (L.p, L.weight.exponent)
 
 
-def test_weighted_lp_array_weights_keep_plain_spec():
+def _assert_same_weighted_lp(E, back, rng):
+    assert np.array_equal(back.unit_norms(), E.unit_norms())
+    x = random_seqvec(rng, E.window)
+    assert back.norm(x) == E.norm(x)
+
+
+def test_weighted_lp_array_weights_round_trip(rng):
+    # explicit weights are written out, so the spec names the same space
     win = Window("Z-", -8, -1)
-    assert WeightedLp(2, win, weights=np.ones(win.size)).spec_string() == "seq:lpw:p=2"
+    E = WeightedLp(2, win, weights=np.ones(win.size))
+    assert E.spec_string() == "seq:lpw:p=2,weights=<" + ",".join(["1.0"] * 8) + ">"
+    _assert_same_weighted_lp(E, parse_seq_space(E.spec_string(), win), rng)
+    wide = Window("Z", -16, 16)
+    for p in (1, 2.5, math.inf):
+        E = WeightedLp(p, wide, weights=rng.uniform(0.01, 40.0, wide.size))
+        _assert_same_weighted_lp(E, parse_seq_space(E.spec_string(), wide), rng)
+    # the dyadic weights 2^(n/p) keep the plain form, from an array or not
+    assert WeightedLp(2, win, weights=2.0 ** (win.indices() / 2.0)).spec_string() == "seq:lpw:p=2"
+    assert dyadic_lp(3, win).spec_string() == "seq:lpw:p=3"
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 40),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.7, math.inf]),
+       weights=st.lists(st.floats(1e-6, 1e6), min_size=40, max_size=40))
+def test_weighted_lp_spec_round_trip_property(size, p, weights):
+    win = Window("Z", -(size // 2), size - size // 2 - 1)
+    E = WeightedLp(p, win, weights=weights[:size])
+    back = parse_seq_space(E.spec_string(), win)
+    assert np.array_equal(back.unit_norms(), E.unit_norms())
+    vals = np.asarray(weights[40 - size:])
+    assert back.norm_values(vals) == E.norm_values(vals)
+
+
+@pytest.mark.parametrize("spec", [
+    "seq:lpw:p=2,weights=<1.0,2.0>",
+    "seq:lpw:p=2,weights=<1,1,1,1,1,1,1,1>,wexp=0.5",
+])
+def test_weighted_lp_explicit_weights_bad_input(spec):
+    with pytest.raises(UsageError):
+        parse_seq_space(spec, Window("Z-", -8, -1))
+
+
+# ---------------------------------------------------------------------------
+# the space protocol
+# ---------------------------------------------------------------------------
+
+
+def _one_of_each_seq_space(win):
+    """One instance of every sequence-space class, wrappers over two insides."""
+    return {
+        "weighted": WeightedLp(2.5, win, weights=np.linspace(0.5, 3.0, win.size)),
+        "dyadic": dyadic_lp(1, win),
+        "linf": LinftySeq(win),
+        "modular": OrliczModular(example1(), win),
+        "geo-lp": GeometricWeighted(dyadic_lp(2, win), 2 ** 0.5),
+        "geo-linf": GeometricWeighted(LinftySeq(win), 0.5),
+        "geo-modular": GeometricWeighted(OrliczModular(power(2), win), 2 ** 0.5),
+        "rev-lp": OrderReversed(dyadic_lp(2, win)),
+        "rev-modular": OrderReversed(OrliczModular(power(2), win)),
+        "induced": InducedSeq(LpSpace(2), win),
+    }
+
+
+def test_weighted_lp_form_contract(rng):
+    win = Window("Z-", -12, -1)
+    no_form = {"modular", "geo-modular", "rev-lp", "rev-modular", "induced"}
+    for name, E in _one_of_each_seq_space(win).items():
+        form = E.weighted_lp_form()
+        if name in no_form:
+            assert form is None, name
+            continue
+        w, p = form
+        for _ in range(5):
+            vals = random_seqvec(rng, E.window).values
+            a = np.abs(vals) * w
+            direct = np.max(a) if math.isinf(p) else np.sum(a ** p) ** (1.0 / p)
+            assert direct == pytest.approx(E.norm_values(vals), rel=1e-12), name
+
+
+def test_generator_and_e_space_contract():
+    win = Window("Z-", -12, -1)
+    spaces = _one_of_each_seq_space(win)
+    for name, E in spaces.items():
+        assert E.e_space(E.window) is E, name
+        inner = getattr(E, "inner", None)
+        if inner is not None:
+            assert E.generator() is inner.generator(), name
+    assert spaces["modular"].generator() is spaces["modular"].F
+    assert spaces["geo-modular"].generator() is spaces["geo-modular"].inner.F
+    assert spaces["rev-modular"].generator() is spaces["rev-modular"].inner.F
+    for name in ("weighted", "linf", "geo-lp", "induced"):
+        assert spaces[name].generator() is None, name
+    E = OrliczModular(power(2), win)
+    assert FromSequenceSpace(E).generator() is E.F
+    assert FromSequenceSpace(dyadic_lp(2, win)).generator() is None
+    F = pwpower(2, 3)
+    assert OrliczSpace(F).generator() is F
+    assert LpSpace(2).generator() is None
+    # function spaces: the closed forms of E_X, else the reconstruction
+    assert np.array_equal(LpSpace(2).e_space(win).unit_norms(), dyadic_lp(2, win).unit_norms())
+    assert isinstance(OrliczSpace(F).e_space(win), OrliczModular)
+    assert isinstance(LorentzSpace(2, PowerWeight(0.5)).e_space(win), InducedSeq)
+
+
+@pytest.mark.parametrize("spec, linf", [
+    ("linf", True), ("seq:linf", True), ("lp:p=2", False), ("lp:p=1", False),
+    ("orlicz:gen=<power:p=2>", False), ("lorentz:p=2,w=pow:0.5", False),
+    ("seq:lpw:p=2", False), ("seq:lpw:p=2,wexp=0", False), ("rev:<seq:linf>", False),
+    ("seq:from:<seq:linf>,weightbase=2", False), ("seq:induced:<linf>", False),
+    ("seq:orlicz-modular:gen=<power:p=2>", False),
+    ("seq:lpw:p=inf,weights=<2,2,2,2,2,2,2,2>", False),
+])
+def test_is_linf_contract(spec, linf):
+    assert parse_any_space(spec, window=Window("Z-", -8, -1)).is_linf is linf
 
 
 def test_parse_any_space_dispatch():

@@ -1,0 +1,76 @@
+"""Only ``spaces`` dispatches on the concrete space classes.
+
+The algorithm modules ask a space what it is through its own methods
+(``e_space``, ``norm_closure``, ``norming_values``, ``weighted_lp_form``,
+``boyd``, ``generator``, ``exact_weighted_lp``, ``is_linf``).  This test
+reads their source and fails when one of them tests for, or imports, a
+concrete class from ``spaces`` outside the few deliberate exceptions.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import couplekit.spaces as spaces
+
+SRC = Path(spaces.__file__).parent
+
+# deliberate exceptions: op_norm and _upper_bound unwrap an order reversal by
+# transposing the matrix; verdict corroborates an Orlicz witness on E_X of an
+# Orlicz space but on E itself for a space built from a sequence space, and
+# builds the modular spaces of the counterexample pair
+ALLOWED_ISINSTANCE = {"transfer": {"OrderReversed"}, "verdict": {"OrliczSpace"}}
+ALLOWED_IMPORTS = {"transfer": {"OrderReversed"},
+                   "verdict": {"OrliczSpace", "OrliczModular"}}
+MODULES = ("kfunc", "transfer", "verdict", "shift", "cli")
+
+
+def _spaces_classes() -> set[str]:
+    tree = ast.parse((SRC / "spaces.py").read_text())
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def _concrete_space_classes() -> set[str]:
+    bases = (spaces.SpaceSpec, spaces.SeqSpaceSpec)
+    return {name for name in _spaces_classes()
+            if issubclass(getattr(spaces, name), bases)
+            and getattr(spaces, name) not in bases}
+
+
+def _names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _isinstance_classes(tree) -> set[str]:
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            found |= _names(node.args[1])
+    return found
+
+
+def _spaces_imports(tree) -> set[str]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "spaces":
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_concrete_classes_are_found():
+    assert {"LpSpace", "LinftySeq", "OrderReversed", "InducedSeq"} <= _concrete_space_classes()
+    assert "SpaceSpec" not in _concrete_space_classes()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_space_type_dispatch_outside_spaces(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    tested = _isinstance_classes(tree) & _spaces_classes()
+    assert tested <= ALLOWED_ISINSTANCE.get(module, set()), (
+        f"{module}.py tests for {sorted(tested)}; ask the space instead")
+    imported = _spaces_imports(tree) & _concrete_space_classes()
+    assert imported <= ALLOWED_IMPORTS.get(module, set()), (
+        f"{module}.py imports {sorted(imported)} from spaces")

@@ -1,10 +1,12 @@
+import math
+
 import pytest
 
 from couplekit import (FromSequenceSpace, LorentzSpace, LpSpace,
-                       OrliczModular, OrliczSpace, PowerWeight, UsageError,
-                       Window, boyd_indices, brudnyi_evidence, brudnyi_pair,
-                       classify_couple, dyadic_lp, example1, linf_space,
-                       power, pwpower)
+                       OrliczModular, OrliczSpace, PowerWeight, SpaceSpec,
+                       TableLogLinear, UsageError, Window, boyd_indices,
+                       brudnyi_evidence, brudnyi_pair, classify_couple,
+                       dyadic_lp, example1, linf_space, power, pwpower)
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +29,24 @@ def test_boyd_orlicz_pwpower():
     b = boyd_indices(OrliczSpace(pwpower(2, 3)))
     assert b.p == pytest.approx(3.0, abs=0.02)
     assert b.q == pytest.approx(3.0, abs=0.02)
+
+
+def test_boyd_lorentz_weight_table():
+    # slopes 0.4 and 0.3 of log w: p = 1/0.4, q = 1/0.3; a flat piece gives q = inf
+    b = boyd_indices(LorentzSpace(2, TableLogLinear([-5.0, 0.0, 5.0], [-2.0, 0.0, 1.5])))
+    assert (b.p, b.q) == (pytest.approx(2.5), pytest.approx(1.0 / 0.3))
+    assert (b.p_err, b.q_err, b.method) == (0.02, 0.02, "weight-table")
+    b = boyd_indices(LorentzSpace(2, TableLogLinear([-5.0, 0.0, 5.0], [-2.0, 0.0, 0.0])))
+    assert (b.p, b.q) == (pytest.approx(2.5), math.inf)
+
+
+def test_boyd_needs_a_route():
+    class Bare(SpaceSpec):
+        def spec_string(self):
+            return "bare"
+
+    with pytest.raises(UsageError, match="no Boyd-index route for Bare"):
+        boyd_indices(Bare())
 
 
 def test_boyd_from_sequence():
