@@ -21,8 +21,8 @@ from .spaces import (BoydIndices, FromSequenceSpace, GeometricWeighted,
                      TableLogLinear, WeightedLp, dyadic_lp, fit_separation,
                      kappa_estimate, linf_space, norming_functional,
                      rho_profile, seq_norm)
-from .specdsl import (parse_any_space, parse_generator, parse_generator_pair,
-                      parse_seq_space, parse_space)
+from .specdsl import (parse_any_space, parse_generator, parse_seq_space,
+                      parse_space)
 from .transfer import (PositiveMatrix, k_transfer, majorization_transfer,
                        op_norm, rank_one_shift)
 from .verdict import CoupleReport, boyd_indices, brudnyi_evidence, classify_couple

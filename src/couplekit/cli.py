@@ -48,6 +48,8 @@ def _t_grid_arg(text: str) -> list[float]:
     if len(parts) != 4 or parts[0] != "log":
         raise UsageError("t-grid must be log:<a>:<b>:<n> (powers of 2)")
     a, b, n = float(parts[1]), float(parts[2]), int(parts[3])
+    if n < 1:
+        raise UsageError(f"t-grid needs at least one point, got n = {n}")
     return [float(2.0 ** e) for e in np.linspace(a, b, n)]
 
 
@@ -59,14 +61,17 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def _load_vec(path: str) -> SeqVec:
+def _load(path: str, from_json_dict):
+    """from_json_dict of the file's JSON object; a missing key is a usage
+    error naming the file and the key."""
     with open(path) as fh:
-        return SeqVec.from_json_dict(json.load(fh))
-
-
-def _load_fn(path: str) -> StepFunction:
-    with open(path) as fh:
-        return StepFunction.from_json_dict(json.load(fh))
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise UsageError(f"{path} must hold a JSON object")
+    try:
+        return from_json_dict(d)
+    except KeyError as exc:
+        raise UsageError(f"{path} is missing the key {exc.args[0]!r}") from None
 
 
 def cmd_analyze_orlicz(args) -> int:
@@ -91,7 +96,7 @@ def cmd_analyze_orlicz(args) -> int:
 def cmd_k_profile(args) -> int:
     X = parse_any_space(args.X)
     Y = parse_any_space(args.Y)
-    f = _load_fn(args.f)
+    f = _load(args.f, StepFunction.from_json_dict)
     grid = _t_grid_arg(args.t_grid)
     rows = k_profile(f, X, Y, grid)
     with open(args.out, "w", newline="") as fh:
@@ -124,8 +129,8 @@ def cmd_transfer(args) -> int:
     window = _window_arg(args.window)
     E = parse_seq_space(args.E, window)
     F = parse_seq_space(args.F, window)
-    x = _load_vec(args.x)
-    y = _load_vec(args.y)
+    x = _load(args.x, SeqVec.from_json_dict)
+    y = _load(args.y, SeqVec.from_json_dict)
     if args.mode == "majorization":
         T = majorization_transfer(x, y, E, F)
     else:

@@ -102,8 +102,7 @@ class StepFunction:
 
     @staticmethod
     def from_json_dict(d: dict) -> "StepFunction":
-        dom = {"unit": UNIT, "halfline": HALFLINE}[d["domain"]]
-        return StepFunction(dom, tuple(d["breakpoints"]), tuple(d["values"]))
+        return StepFunction(d["domain"], tuple(d["breakpoints"]), tuple(d["values"]))
 
 
 def char_fn(a: float, b: float, domain: str = UNIT, height: float = 1.0) -> StepFunction:

@@ -375,7 +375,9 @@ class ConvexifiedFn(OrliczFn):
     With h affine of slope s on a segment, int e^h du has the closed form
     e^h/s evaluated at the ends; the lower tail below the first anchor
     contributes e^(h_0)/s_below.  Cumulative sums are kept in log space.
-    F1 is convex, F1 <= F, and F(x) <= F1(2x)/log 2.
+    F1 is convex, F1 <= F, and F(x) <= F1(2x)/log 2.  A base without breaks
+    is resampled by ``sample_profile``; every slope must be >= 1 (F(x)/x
+    nondecreasing).
     """
 
     def __init__(self, base: OrliczFn):
@@ -384,8 +386,8 @@ class ConvexifiedFn(OrliczFn):
         self.name = f"convexify<{base.name}>"
         self.params = dict(base.params)
         u, h, s = seg._u, seg._h, seg._s
-        if seg._s_below <= 0:
-            raise ValueError("convexify needs a positive lower slope")
+        if seg._s_below < 1.0 - 1e-12 or np.any(s < 1.0 - 1e-12):
+            raise ValueError("convexify requires F(x)/x nondecreasing (slopes >= 1)")
         # log integral over (-inf, u_0]
         cum = h[0] - math.log(seg._s_below)
         cums = [cum]
@@ -449,9 +451,6 @@ def sample_profile(base: OrliczFn, u_lo: float = -64.0, u_hi: float = 2048.0,
 
 def convexify(F: OrliczFn) -> ConvexifiedFn:
     """F1(x) = int_0^x F(t)/t dt; rejects profiles with a slope below 1."""
-    seg = F if F.breaks() is not None else sample_profile(F)
-    if seg._s_below < 1.0 - 1e-12 or np.any(seg._s < 1.0 - 1e-12):
-        raise ValueError("convexify requires F(x)/x nondecreasing (slopes >= 1)")
     return ConvexifiedFn(F)
 
 

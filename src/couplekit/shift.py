@@ -29,6 +29,10 @@ LSP = "lsp"
 # why a search stopped: its evaluation budget ran out, or C-hat reached target
 STOP_BUDGET = "budget"
 STOP_TARGET = "target"
+# random alpha restarts per generated family, and the block-length range of
+# the families a search generates
+RESTARTS_PER_FAMILY = 20
+BLOCK_LEN_RANGE = (1, 3)
 
 
 @dataclass
@@ -195,10 +199,8 @@ def _embed_family(fam: InterlacedFamily, window: Window) -> InterlacedFamily:
 
 
 def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
-                            window: Window | None = None,
                             budget: int = 10000, seed: int = 0,
-                            n_pairs_range=(2, 6), block_len_range=(1, 3),
-                            restarts_per_family: int = 20,
+                            n_pairs_range=(2, 6),
                             incumbent: ShiftEstimate | None = None,
                             target: float | None = None) -> ShiftEstimate:
     """Maximize the interlaced ratio by random families plus coordinate ascent.
@@ -214,9 +216,7 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
     if side not in (RSP, LSP):
         raise UsageError(f"side must be '{RSP}' or '{LSP}'")
     work = E if side == RSP else E.reversed_space()
-    win = window or work.window
-    if win != work.window:
-        raise UsageError("window must match the space window")
+    win = work.window
     rng = np.random.default_rng(seed)
 
     best_ratio = 0.0
@@ -230,13 +230,13 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
         best_ratio, best = r, (fam, alpha)
 
     n_lo, n_hi = n_pairs_range
-    n_hi = min(n_hi, max(n_lo, win.size // (2 * block_len_range[1])))
+    n_hi = min(n_hi, max(n_lo, win.size // (2 * BLOCK_LEN_RANGE[1])))
     done = False
     while evals < budget and not done:
         n_pairs = int(rng.integers(n_lo, n_hi + 1))
-        fam = gen_interlaced(work, win, n_pairs, block_len_range, rng=rng)
+        fam = gen_interlaced(work, win, n_pairs, BLOCK_LEN_RANGE, rng=rng)
         X, Y = _family_mats(fam)
-        for _ in range(restarts_per_family):
+        for _ in range(RESTARTS_PER_FAMILY):
             if evals >= budget or done:
                 break
             alpha = np.exp(rng.normal(0.0, 1.5, size=len(fam.pairs)))

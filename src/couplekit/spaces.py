@@ -434,9 +434,9 @@ class WeightedLp(SeqSpaceSpec):
     """||x|| = (sum (|x_n| w_n)^p)^(1/p), w_n > 0; p = inf gives max |x_n| w_n.
 
     ``wexp`` gives the weights w_n = 2^(n wexp) and is kept in the spec
-    string; explicit ``weights`` (an array or a callable of the indices) are
-    written out in full unless they are the dyadic weights 2^(n/p) of
-    ``dyadic_lp``, and no weights at all means wexp = 0.
+    string; an explicit ``weights`` array is written out in full unless it
+    holds the dyadic weights 2^(n/p) of ``dyadic_lp``, and no weights at all
+    means wexp = 0.
     """
 
     def __init__(self, p: float, window: Window, weights=None,
@@ -451,8 +451,6 @@ class WeightedLp(SeqSpaceSpec):
         if weights is None:
             self.wexp = 0.0 if wexp is None else float(wexp)
             w = 2.0 ** (window.indices() * self.wexp)
-        elif callable(weights):
-            w = np.asarray(weights(window.indices()), dtype=float)
         else:
             w = np.asarray(weights, dtype=float)
         if w.shape != (window.size,) or np.any(w <= 0):
@@ -496,7 +494,7 @@ def dyadic_lp(p: float, window: Window) -> SeqSpaceSpec:
     """E_X for X = L_p: weighted ell_p with w_n = 2^(n/p); ell_infty for p = inf."""
     if math.isinf(p):
         return LinftySeq(window)
-    return WeightedLp(p, window, weights=lambda ns: 2.0 ** (ns / p))
+    return WeightedLp(p, window, weights=2.0 ** (window.indices() / p))
 
 
 class LinftySeq(SeqSpaceSpec):
@@ -681,7 +679,7 @@ class FromSequenceSpace(SpaceSpec):
         self.window = E.window
         self.domain = UNIT if self.window.kind == "Z-" else HALFLINE
         self.triangle_constant = 2.0
-        self.kappa = kappa_estimate(E, E.window, budget=_KAPPA_BUDGET, seed=_KAPPA_SEED)
+        self.kappa = kappa_estimate(E, budget=_KAPPA_BUDGET, seed=_KAPPA_SEED)
         if not (self.kappa.plus_est < 2.0):
             raise ValueError(
                 f"space-from-sequence needs kappa_+(E) < 2; fitted "
@@ -846,13 +844,10 @@ def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
     return best
 
 
-def kappa_estimate(E: SeqSpaceSpec, window: Window | None = None,
-                   budget: int = 800, seed: int = 0) -> KappaEstimate:
-    """Adversarial lower-bound estimate of kappa_±(E) = lim ||tau_{±n}||^{1/n}."""
-    if window is None:
-        window = E.window
-    if window != E.window:
-        raise ValueError("kappa window must match the space window")
+def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEstimate:
+    """Adversarial lower-bound estimate of kappa_±(E) = lim ||tau_{±n}||^{1/n}
+    on E's window."""
+    window = E.window
     rng = np.random.default_rng(seed)
     n_max = max(1, window.size // 2)
     shifts = sorted(set([1, 2] + [n_max // 2, n_max] +

@@ -114,8 +114,7 @@ def _split_selector(body: str) -> tuple[str, str | None]:
 def parse_generator(spec: str) -> OrliczFn:
     """Parse a generator spec string into an Orlicz function.
 
-    ``brudnyi`` needs a trailing ``:F``/``:G`` selector (or use
-    ``parse_generator_pair``).
+    ``brudnyi`` needs a trailing ``:F``/``:G`` selector.
     """
     body, selector = _split_selector(_strip(spec))
     name, rest = _match_name(body, _GEN_NAMES)
@@ -143,14 +142,6 @@ def parse_generator(spec: str) -> OrliczFn:
             return G
         raise UsageError("brudnyi generator needs a :F or :G selector here")
     raise UsageError(f"unknown generator {name!r}")
-
-
-def parse_generator_pair(spec: str):
-    name, rest = _match_name(_strip(spec), _GEN_NAMES)
-    if name != "brudnyi":
-        raise UsageError("only the brudnyi generator yields a pair")
-    kwargs, _ = _parse_args(rest)
-    return brudnyi_pair(_num(kwargs["p"]), _num(kwargs["q"]))
 
 
 def _parse_weight(val: str) -> PowerWeight:

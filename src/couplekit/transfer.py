@@ -21,6 +21,12 @@ bounds:
   compare there); each half is a majorization transfer, the second through
   order reversal, and T = T_1 + T_2.
 
+All three add their rank-one steps through one builder, ``_add_block_sum``,
+which checks every norming functional against ||x_n|| to FUNCTIONAL_TOL;
+prefix (and, through order reversal, suffix) norms come from one table,
+``_prefix_norms``, and the weighted-ell_p operator bound from one closed
+form, ``_upper_bound``.
+
 Window truncation realizes the two-ended proofs: indices below window.lo
 carry no mass, so the lower-tail extension set B is always empty here and
 the initial element takes the x_(-inf, a_0] block; the prefix hypothesis is
@@ -40,6 +46,10 @@ from .measure import SeqVec, Window
 from .spaces import OrderReversed, SeparationFit, SeqSpaceSpec, norming_functional
 
 EXACTNESS_TOL = 1e-9
+# <x, g> = ||x|| tolerance for every norming functional of a block sum
+FUNCTIONAL_TOL = 1e-8
+# relative slack in the K-domination check K(t, y) <= K(t, x)
+K_TOL = 1e-7
 
 
 class _Step(NamedTuple):
@@ -213,23 +223,15 @@ class PositiveMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _conjugated_colrow(T: PositiveMatrix, weights: np.ndarray):
-    """Column and row sums of the weight-conjugated matrix w_j T_jk / w_k."""
-    G, Y, d = T._factors()
-    col = (G.T @ (Y @ weights)) / weights + d
-    row = weights * (Y.T @ (G @ (1.0 / weights))) + d
-    return col, row
-
-
 def op_norm(T: PositiveMatrix, space: SeqSpaceSpec, mode: str = "interval",
             budget: int = 400, seed: int = 0):
     """Operator norm of T on a sequence space.
 
-    ``exact``: closed form for weighted ell_1 (max weighted column sum) and
-    ell_infty (max weighted row sum).  ``schur``: upper bound for weighted
-    ell_p by interpolating the two exact bounds of the conjugated matrix.
-    ``lower``: certified lower bound by adversarial ascent.  ``interval``
-    returns (lower, upper) with upper from exact/schur when available.
+    ``exact``: the closed form of ``_upper_bound`` for weighted ell_1 and
+    ell_infty.  ``schur``: the same closed form, which for weighted ell_p with
+    1 < p < inf is the Schur interpolation upper bound.  ``lower``: certified
+    lower bound by adversarial ascent.  ``interval`` returns (lower, upper)
+    with upper from ``_upper_bound`` (None when there is none).
     """
     if isinstance(space, OrderReversed):
         return op_norm(T.reversed(), space.inner, mode, budget, seed)
@@ -237,15 +239,9 @@ def op_norm(T: PositiveMatrix, space: SeqSpaceSpec, mode: str = "interval",
         wp = space.weighted_lp_form()
         if wp is None:
             raise UsageError(f"mode {mode!r} unsupported for {type(space).__name__}")
-        w, p = wp
-        col, row = _conjugated_colrow(T, w)
-        if p == 1.0:
-            return float(np.max(col))
-        if math.isinf(p):
-            return float(np.max(row))
-        if mode == "exact":
+        if mode == "exact" and 1.0 < wp[1] < math.inf:
             raise UsageError("exact mode needs p = 1 or p = inf")
-        return float(np.max(col)) ** (1.0 / p) * float(np.max(row)) ** (1.0 - 1.0 / p)
+        return _upper_bound(T, space)
     if mode == "lower":
         return _op_norm_lower(T, space, budget, seed)
     if mode == "interval":
@@ -302,15 +298,26 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
 
 
 def _upper_bound(T: PositiveMatrix, space: SeqSpaceSpec) -> float | None:
-    """Closed-form upper bound (exact or Schur), None when there is none."""
+    """Closed-form upper bound on a weighted ell_p, None on any other space.
+
+    With C = w_j T_jk / w_k the weight-conjugated matrix: its max column sum
+    (exact for p = 1), its max row sum (exact for p = inf), and otherwise the
+    Schur interpolation col^(1/p) row^(1 - 1/p).
+    """
     if isinstance(space, OrderReversed):
         return _upper_bound(T.reversed(), space.inner)
     wp = space.weighted_lp_form()
     if wp is None:
         return None
-    _, p = wp
-    mode = "exact" if (p == 1.0 or math.isinf(p)) else "schur"
-    return op_norm(T, space, mode)
+    w, p = wp
+    G, Y, d = T._factors()
+    col = float(np.max((G.T @ (Y @ w)) / w + d))
+    row = float(np.max(w * (Y.T @ (G @ (1.0 / w))) + d))
+    if p == 1.0:
+        return col
+    if math.isinf(p):
+        return row
+    return col ** (1.0 / p) * row ** (1.0 - 1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -318,37 +325,45 @@ def _upper_bound(T: PositiveMatrix, space: SeqSpaceSpec) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def rank_one_shift(pairs, E: SeqSpaceSpec, shifted: bool = False,
-                   functional_tol: float = 1e-8) -> PositiveMatrix:
+def _add_block_sum(T: PositiveMatrix, pairs, E: SeqSpaceSpec, note: str) -> list:
+    """Add sum_n <., g_n> y_n to T over the pairs (x_n, y_n) with y_n != 0.
+
+    g_n is the norming functional of x_n scaled so <x_n, g_n> = 1, after
+    checking <x_n, g> = ||x_n||_E to FUNCTIONAL_TOL; supp g_n stays inside
+    supp x_n.  ``note`` is the step note, with ``{n}`` the pair's position.
+    Returns the (x_n, y_n, g_n) it added.
+    """
+    used = []
+    for n, (x, y) in enumerate(pairs):
+        if not np.any(y.values):
+            continue
+        g = norming_functional(E, x)
+        pairing = float(np.dot(x.values, g.values))
+        if abs(pairing / E.norm(x) - 1.0) > FUNCTIONAL_TOL:
+            raise HypothesisError(
+                f"norming functional failed tolerance: <x, g> = {pairing:.12g} "
+                f"against ||x|| = {E.norm(x):.12g}")
+        g = g.scale(1.0 / pairing)
+        T.add_rank_one(g, y, note=note.format(n=n))
+        used.append((x, y, g))
+    return used
+
+
+def rank_one_shift(pairs, E: SeqSpaceSpec, shifted: bool = False) -> PositiveMatrix:
     """T = sum_n <., g_n> y_n (or y_{n+1} in shifted mode) on block pairs.
 
     ``pairs`` is an InterlacedFamily or a list of (x_n, y_n) SeqVec pairs
     with supp x_n < supp y_n < supp x_{n+1}.  Each g_n is the norming
-    functional of x_n scaled so <x_n, g_n> = 1; supp g_n stays inside
-    supp x_n, so T x_n = y_n exactly.
+    functional of x_n scaled so <x_n, g_n> = 1, supported in supp x_n, so
+    T x_n = y_n exactly.
     """
     plist = pairs.pairs if hasattr(pairs, "pairs") else list(pairs)
     if not plist:
         raise UsageError("empty family")
-    window = plist[0][0].window
-    T = PositiveMatrix(window)
-    for n, (x, _) in enumerate(plist):
-        target = None
-        if shifted:
-            if n + 1 < len(plist):
-                target = plist[n + 1][1]
-        else:
-            target = plist[n][1]
-        if target is None or not np.any(target.values):
-            continue
-        g = norming_functional(E, x)
-        pairing = float(np.dot(x.values, g.values))
-        if abs(pairing / E.norm(x) - 1.0) > functional_tol:
-            raise HypothesisError(
-                f"norming functional failed tolerance: <x, g> = {pairing:.12g} "
-                f"against ||x|| = {E.norm(x):.12g}")
-        T.add_rank_one(g.scale(1.0 / pairing), target,
-                       note=f"block {n}{' shifted' if shifted else ''}")
+    T = PositiveMatrix(plist[0][0].window)
+    if shifted:
+        plist = [(x, y) for (x, _), (_, y) in zip(plist, plist[1:])]
+    _add_block_sum(T, plist, E, "block {n} shifted" if shifted else "block {n}")
     return T
 
 
@@ -380,7 +395,7 @@ def _sigma_of_prefix(P: float) -> float:
     return float(j)
 
 
-def _disjoint_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
+def _disjoint_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec,
                        tol: float = 1e-12) -> tuple[PositiveMatrix, list]:
     """Core of the majorization construction for disjointly supported x, y.
 
@@ -388,13 +403,10 @@ def _disjoint_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
     window at the doubling points of the prefix norm (base-4 sigma levels),
     pairs each x block with the following y block, and sums the rank-one
     operators; the paired blocks satisfy ||y_{n+1}|| <= 4^3 ||x_n|| which is
-    what the rank-one-sum constant quantifies.
+    what the rank-one-sum constant quantifies.  Returns T and the
+    ``_add_block_sum`` triples.
     """
     win = x.window
-    if not np.any(x.values):
-        if np.any(y.values):
-            raise HypothesisError("x = 0 cannot be transferred onto y != 0")
-        return PositiveMatrix(win), []
     P = _prefix_norms(x, E)
     sigma = [_sigma_of_prefix(p) for p in P]  # sigma[i] is at index lo-1+i
     idx = win.indices()
@@ -421,37 +433,25 @@ def _disjoint_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
         raise HypothesisError("y carries mass before the first x block")
 
     T = PositiveMatrix(win)
-    norm_pairs = []
-    for n, (xb, yb) in enumerate(blocks):
-        if not np.any(yb.values):
-            continue
-        g = norming_functional(E, xb)
-        pairing = float(np.dot(xb.values, g.values))
-        T.add_rank_one(g.scale(1.0 / pairing), yb, note=f"partition block {n}")
-        norm_pairs.append((xb, yb))
+    used = _add_block_sum(T, blocks, E, "partition block {n}")
     T.note(partition=a_points)
-    return T, norm_pairs
+    return T, used
 
 
-def _rank_one_constant(norm_pairs, E: SeqSpaceSpec, F: SeqSpaceSpec) -> float | None:
+def _rank_one_constant(used, E: SeqSpaceSpec, F: SeqSpaceSpec) -> float | None:
     """Measured rank-one-sum constant C_0: norm of the normalized block shift.
 
-    Targets are scaled to the source norms (the normalization under which
-    the block-shift constant quantifies) and the operator norm is bounded on both
-    spaces; None when neither space admits a computable upper bound.
+    ``used`` are the (x_n, y_n, g_n) of the block sum.  Targets are scaled to
+    the source norms (the normalization under which the block-shift constant
+    quantifies) and the operator norm is bounded on both spaces; None when
+    neither space admits a computable upper bound.
     """
-    if not norm_pairs:
-        return 1.0
-    win = norm_pairs[0][0].window
-    S = PositiveMatrix(win)
-    for xb, yb in norm_pairs:
-        g = norming_functional(E, xb)
-        pairing = float(np.dot(xb.values, g.values))
+    S = PositiveMatrix(used[0][0].window)
+    for xb, yb, g in used:
         ny = E.norm(yb)
         if ny == 0.0:
             continue
-        target = yb.scale(E.norm(xb) / ny)
-        S.add_rank_one(g.scale(1.0 / pairing), target)
+        S.add_rank_one(g, yb.scale(E.norm(xb) / ny))
     bounds = [b for b in (_upper_bound(S, E), _upper_bound(S, F)) if b is not None]
     if not bounds:
         return None
@@ -493,9 +493,9 @@ def majorization_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec,
     v = y.restrict(I)
     u = x.restrict(J)
 
-    norm_pairs = []
+    used = []
     if np.any(v.values):
-        S2, norm_pairs = _disjoint_transfer(u.scale(2.0), v, E, F)
+        S2, used = _disjoint_transfer(u.scale(2.0), v, E)
         S = S2.scaled(2.0)  # S2(2u) = v, so S = 2 S2 satisfies S u = v
     else:
         S = PositiveMatrix(win)
@@ -509,7 +509,7 @@ def majorization_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec,
         T.add_diagonal(diag, note="multiplier branch |y_J| <= 2 x")
     T.note(split_I=I[:64], split_len=(len(I), len(J)))
 
-    c0 = _rank_one_constant(norm_pairs, E, F) if norm_pairs else 1.0
+    c0 = _rank_one_constant(used, E, F) if used else 1.0
     formula = (128.0 * c0 + 2.0) if c0 is not None else None
     T.certified_bounds = _certified_bounds(T, E, F, "128*C0+2", {"E": formula, "F": formula})
     T.certified_bounds["C0_measured"] = c0
@@ -544,8 +544,7 @@ def _verify_action(T: PositiveMatrix, x: SeqVec, y: SeqVec):
 
 
 def k_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
-               fit: SeparationFit, t_points: int = 9,
-               k_tol: float = 1e-7) -> PositiveMatrix:
+               fit: SeparationFit, t_points: int = 9) -> PositiveMatrix:
     """Positive T with Tx = y from K-functional domination.
 
     Verifies K(t, y) <= K(t, x) on a geometric t-grid spanning the rho
@@ -567,7 +566,7 @@ def k_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
     for t in ts:
         kx = k_numeric(t, x, E, F)
         ky = k_numeric(t, y, E, F)
-        if ky.value > kx.value * (1 + k_tol) + 1e-300:
+        if ky.value > kx.value * (1 + K_TOL) + 1e-300:
             raise HypothesisError(
                 f"K-domination fails at t = {t:.6g}: K(t,y) = {ky.value:.9g} "
                 f"> K(t,x) = {kx.value:.9g}")
@@ -577,22 +576,21 @@ def k_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
                          / r.value)
 
     s = 2.0 * c2 * (1 + 1e-9)
-    J1, J2 = [], []
-    for a in win.indices():
-        a = int(a)
-        okE = E.norm(y.prefix(a)) <= s * E.norm(x.prefix(a)) + 1e-300
-        if okE:
-            J1.append(a)
-            continue
-        okF = F.norm(y.suffix(a)) <= s * F.norm(x.suffix(a)) + 1e-300
-        if okF:
-            J2.append(a)
-        else:
-            needE = E.norm(y.prefix(a)) / max(E.norm(x.prefix(a)), 1e-300)
-            needF = F.norm(y.suffix(a)) / max(F.norm(x.suffix(a)), 1e-300)
-            raise HypothesisError(
-                f"neither prefix nor suffix comparison holds at a = {a}; "
-                f"needed constant {min(needE, needF) / 2.0:.6g} > C2 = {c2:.6g}")
+    # at index i = a - win.lo: ||v_(-inf,a]||_E and ||v_[a,inf)||_F
+    Frev = F.reversed_space()
+    xE, yE = _prefix_norms(x, E)[1:], _prefix_norms(y, E)[1:]
+    xF = _prefix_norms(x.reversed(), Frev)[:0:-1]
+    yF = _prefix_norms(y.reversed(), Frev)[:0:-1]
+    okE = yE <= s * xE + 1e-300
+    okF = yF <= s * xF + 1e-300
+    bad = np.flatnonzero(~(okE | okF))
+    if bad.size:
+        i = int(bad[0])
+        need = min(yE[i] / max(xE[i], 1e-300), yF[i] / max(xF[i], 1e-300))
+        raise HypothesisError(
+            f"neither prefix nor suffix comparison holds at a = {win.lo + i}; "
+            f"needed constant {need / 2.0:.6g} > C2 = {c2:.6g}")
+    J1, J2 = win.indices()[okE].tolist(), win.indices()[~okE].tolist()
 
     parts, part_bounds = [], []
     if J1:

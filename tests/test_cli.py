@@ -159,5 +159,73 @@ def test_missing_spec_argument_names_key(tmp_path, capsys):
     assert err["detail"] == "spec is missing the argument 'p'"
 
 
+def test_k_profile_rejects_empty_t_grid(tmp_path, capsys):
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps(char_fn(0, 1).to_json_dict()))
+    out = tmp_path / "profile.csv"
+    rc = _run(["k-profile", "--X", "lp:p=1", "--Y", "linf", "--f", fpath,
+               "--t-grid", "log:-2:1:0", "--out", out])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage"
+    assert err["detail"] == "t-grid needs at least one point, got n = 0"
+    assert not out.exists()
+
+
+def test_k_profile_missing_json_key_names_file(tmp_path, capsys):
+    d = char_fn(0, 1).to_json_dict()
+    del d["domain"]
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps(d))
+    rc = _run(["k-profile", "--X", "lp:p=1", "--Y", "linf", "--f", fpath,
+               "--t-grid", "log:-2:1:4", "--out", tmp_path / "profile.csv"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage"
+    assert err["detail"] == f"{fpath} is missing the key 'domain'"
+
+
+@pytest.mark.parametrize("which,key", [("x", "lo"), ("y", "kind")])
+def test_transfer_missing_json_key_names_file(tmp_path, capsys, which, key):
+    win = Window("Z-", -8, -1)
+    paths = {}
+    for name in ("x", "y"):
+        d = SeqVec.from_entries(win, {-3: 1.0}).to_json_dict()
+        if name == which:
+            del d[key]
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(d))
+    rc = _run(["transfer", "--E", "seq:lpw:p=1", "--F", "seq:linf",
+               "--x", paths["x"], "--y", paths["y"], "--window=-8:-1",
+               "--out", tmp_path / "T.json"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage"
+    assert err["detail"] == f"{paths[which]} is missing the key {key!r}"
+
+
+def test_k_profile_json_not_an_object_exit_1(tmp_path, capsys):
+    fpath = tmp_path / "f.json"
+    fpath.write_text("[0.0, 1.0]")
+    rc = _run(["k-profile", "--X", "lp:p=1", "--Y", "linf", "--f", fpath,
+               "--t-grid", "log:-2:1:4", "--out", tmp_path / "profile.csv"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage"
+    assert err["detail"] == f"{fpath} must hold a JSON object"
+
+
+def test_k_profile_unknown_domain_exit_1(tmp_path, capsys):
+    d = char_fn(0, 1).to_json_dict()
+    d["domain"] = "circle"
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps(d))
+    rc = _run(["k-profile", "--X", "lp:p=1", "--Y", "linf", "--f", fpath,
+               "--t-grid", "log:-2:1:4", "--out", tmp_path / "profile.csv"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["detail"] == "unknown domain 'circle'"
+
+
 def test_bad_subcommand_exit_1(capsys):
     assert _run(["no-such-command"]) == 1

@@ -1,12 +1,16 @@
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from couplekit import (HypothesisError, LinftySeq, OrliczModular,
-                       PositiveMatrix, SeqVec, UsageError, Window, dyadic_lp,
+import couplekit.transfer as transfer
+from couplekit import (GeometricWeighted, HypothesisError, LinftySeq,
+                       OrderReversed, OrliczModular, PositiveMatrix, SeqVec,
+                       UsageError, WeightedLp, Window, dyadic_lp,
                        fit_separation, gen_interlaced, k_transfer,
                        majorization_transfer, op_norm, power, rank_one_shift,
                        rho_profile)
@@ -121,6 +125,31 @@ def test_majorization_rejects_signed():
         majorization_transfer(x, x, E1, EINF)
 
 
+def test_majorization_one_norming_functional_per_block(rng, monkeypatch):
+    calls = []
+    inner = transfer.norming_functional
+
+    def counting(E, x):
+        calls.append(x)
+        return inner(E, x)
+
+    monkeypatch.setattr(transfer, "norming_functional", counting)
+    blocks_seen = 0
+    for E in (E1, dyadic_lp(2, WIN), OrliczModular(power(2), WIN)):
+        for _ in range(6):
+            x = random_seqvec(rng, WIN, k=7)
+            y = SeqVec(WIN, 0.3 * shift_values(x.values, 2))
+            calls.clear()
+            try:
+                T = majorization_transfer(x, y, E, EINF)
+            except HypothesisError:
+                continue
+            blocks = [s for s in T.provenance if str(s.get("note", "")).startswith("partition block")]
+            assert len(calls) == len(blocks)
+            blocks_seen += len(blocks)
+    assert blocks_seen >= 10
+
+
 # ---------------------------------------------------------------------------
 # K transfer
 # ---------------------------------------------------------------------------
@@ -187,6 +216,67 @@ def test_k_transfer_requires_separation():
         k_transfer(x, x, E1, E1, flat)
 
 
+def _reference_split(x, y, E, F, s):
+    """Per-index split: J1 where the prefix E-norms compare at s, else J2 where
+    the suffix F-norms do; the first index where neither holds, with the
+    constant it needs, ends the scan."""
+    J1, J2 = [], []
+    for a in (int(a) for a in x.window.indices()):
+        if E.norm(y.prefix(a)) <= s * E.norm(x.prefix(a)) + 1e-300:
+            J1.append(a)
+        elif F.norm(y.suffix(a)) <= s * F.norm(x.suffix(a)) + 1e-300:
+            J2.append(a)
+        else:
+            need_e = E.norm(y.prefix(a)) / max(E.norm(x.prefix(a)), 1e-300)
+            need_f = F.norm(y.suffix(a)) / max(F.norm(x.suffix(a)), 1e-300)
+            return J1, J2, (a, min(need_e, need_f) / 2.0)
+    return J1, J2, None
+
+
+def _damped_shift(seed, shift, damp):
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(WIN.size)
+    vals[rng.choice(np.arange(3, WIN.size - 3), size=6, replace=False)] = rng.random(6) + 0.2
+    return SeqVec(WIN, vals), SeqVec(WIN, damp * shift_values(vals, shift))
+
+
+@pytest.mark.parametrize("F", [EINF, OrliczModular(power(2), WIN)], ids=["linf", "orlicz"])
+def test_k_transfer_split_matches_per_index_reference(F):
+    fit = fit_separation(rho_profile(E1, F, WIN))
+    reached_j2 = False
+    for seed in range(3):
+        for shift in (1, -1, -2):
+            x, y = _damped_shift(seed, shift, 0.45)
+            T = k_transfer(x, y, E1, F, fit, t_points=3)
+            s = 2.0 * T.certified_bounds["C2_measured"] * (1 + 1e-9)
+            J1, J2, fail = _reference_split(x, y, E1, F, s)
+            assert fail is None
+            notes = {st["branch"]: st["indices"] for st in T.provenance if "branch" in st}
+            assert notes.get("J1", []) == J1
+            assert notes.get("J2 (order-reversed)", []) == J2
+            reached_j2 |= bool(J2)
+    assert reached_j2
+
+
+@pytest.mark.parametrize("F", [EINF, OrliczModular(power(2), WIN)], ids=["linf", "orlicz"])
+def test_k_transfer_neither_error_matches_reference(F, monkeypatch):
+    # K-domination and C2 = 1 are forced, so y's excess reaches the split
+    monkeypatch.setattr(transfer, "k_numeric", lambda t, v, E, F: SimpleNamespace(value=1.0))
+    monkeypatch.setattr(transfer, "k_block_estimate", lambda t, v, E, F, fit: 1.0)
+    fit = fit_separation(rho_profile(E1, F, WIN))
+    for seed in range(3):
+        for shift, damp in ((1, 3.0), (-1, 5.0), (2, 2.5)):
+            x, y = _damped_shift(seed, shift, damp)
+            _, _, fail = _reference_split(x, y, E1, F, 2.0 * (1 + 1e-9))
+            assert fail is not None
+            a, need = fail
+            with pytest.raises(HypothesisError) as err:
+                k_transfer(x, y, E1, F, fit, t_points=3)
+            assert str(err.value) == (
+                f"neither prefix nor suffix comparison holds at a = {a}; "
+                f"needed constant {need:.6g} > C2 = {1.0:.6g}")
+
+
 # ---------------------------------------------------------------------------
 # operator norms
 # ---------------------------------------------------------------------------
@@ -239,6 +329,40 @@ def test_op_norm_order_reversed_consistency():
     direct = op_norm(T.reversed(), E1, "exact")
     via = op_norm(T, R, "exact")
     assert via == pytest.approx(direct)
+
+
+
+def _dense_colrow(T, w):
+    """Max column and row sums of w_j T_jk / w_k, from the entries."""
+    M = np.zeros((WIN.size, WIN.size))
+    for (j, k), v in T.entries.items():
+        M[j - WIN.lo, k - WIN.lo] = v
+    C = w[:, None] * M / w[None, :]
+    return float(np.max(C.sum(axis=0))), float(np.max(C.sum(axis=1)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: WeightedLp(p, WIN, wexp=0.3),
+    lambda p: GeometricWeighted(dyadic_lp(p, WIN), 2.0 ** 0.5),
+    lambda p: OrderReversed(dyadic_lp(p, WIN.reversed())),
+], ids=["weighted", "geometric", "reversed"])
+def test_op_norm_schur_is_the_closed_form(make):
+    g = np.random.default_rng(17)
+    T = PositiveMatrix(WIN)
+    for _ in range(6):
+        T.add_rank_one(random_seqvec(g, WIN, k=3), random_seqvec(g, WIN, k=2))
+    T.add_diagonal({int(n): float(g.random()) for n in g.choice(WIN.indices(), 4)})
+    for p, pick in ((1.0, 0), (math.inf, 1)):
+        S = make(p)
+        assert op_norm(T, S, "schur") == op_norm(T, S, "exact")
+        assert op_norm(T, S, "exact") == pytest.approx(
+            _dense_colrow(T, S.unit_norms())[pick], rel=1e-12)
+    S = make(2.0)
+    col, row = _dense_colrow(T, S.unit_norms())
+    assert op_norm(T, S, "schur") == pytest.approx(col ** 0.5 * row ** 0.5, rel=1e-12)
+    assert op_norm(T, S, "interval", budget=40)[1] == op_norm(T, S, "schur")
+    with pytest.raises(UsageError, match="p = 1 or p = inf"):
+        op_norm(T, S, "exact")
 
 
 # ---------------------------------------------------------------------------
