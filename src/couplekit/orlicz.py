@@ -333,14 +333,29 @@ def brudnyi_pair(p: float, q: float, u_cap: float = 2.0 ** 23):
     return build(False, "F"), build(True, "G")
 
 
+# MinimalFn sums the terms of its series one by one while |theta_n| >= 2^-8,
+# theta_n = 2 pi u / 2^n, and the rest, a geometric tail in theta = theta_M
+# (|theta| < 2^-8, x = theta^2, f = 2 pi / 2^M), in closed form by the series
+#   sum_{j>=0} (1 - cos(theta / 2^j)) = x (c_1 + c_2 x),
+#   sum_{j>=0} (f / 2^j) sin(theta / 2^j) = f theta (s_0 + x (s_1 + s_2 x)),
+# whose first omitted terms are below 1e-17
+_C1, _C2 = ((-1) ** (k + 1) / (math.factorial(2 * k) * (1 - 4.0 ** -k)) for k in (1, 2))
+_S0, _S1, _S2 = ((-1) ** k / (math.factorial(2 * k + 1) * (1 - 4.0 ** -(k + 1)))
+                 for k in range(3))
+# n and 2 pi / 2^n for every n a double's exponent can call for, n decreasing
+_TERM_N = np.arange(1100)[::-1]
+_TERM_FREQ = 2.0 * math.pi * np.ldexp(1.0, -_TERM_N)
+
+
 class MinimalFn(OrliczFn):
-    """F(x) = x^2 exp(alpha sum_n (1 - cos(2 pi log x / 2^n))).
+    """F(x) = x^2 exp(alpha sum_n (1 - cos(2 pi log x / 2^n))), n >= 0.
 
-    Series truncated where the remaining terms sum below 1e-12 (term n decays
-    like (2 pi u / 2^n)^2 / 2).  Needs alpha <= 1/(4 pi) to keep h' >= 1.
+    Per point u = log x, the terms with |2 pi u / 2^n| >= 2^-8 are summed one
+    by one and the rest in closed form (see ``_C1``), to within 1e-17 where
+    a truncated series would leave up to 1e-12.  Each point's sum runs from
+    the tail up to n = 0, so its value does not depend on the other points
+    of the array.  Needs alpha <= 1/(4 pi) to keep h' >= 1.
     """
-
-    TAIL = 1e-12
 
     def __init__(self, alpha: float = 0.05):
         if not (0 < alpha <= 1.0 / (4.0 * math.pi)):
@@ -349,24 +364,34 @@ class MinimalFn(OrliczFn):
         self.params = {"alpha": alpha}
         self.alpha = float(alpha)
 
-    def _terms(self, u):
-        umax = max(1.0, float(np.max(np.abs(u))))
-        # sum_{n>N} (2 pi u / 2^n)^2 / 2 <= (2 pi umax)^2 / 6 * 4^-N
-        n_top = max(1, int(math.ceil(math.log(((2 * math.pi * umax) ** 2) / (6 * self.TAIL), 4))))
-        return np.arange(0, n_top + 1)
+    @staticmethod
+    def _terms(u):
+        """2 pi / 2^n for n = N-1 .. 0 along a new first axis, the terms each
+        point sums one by one (n < M(u)), and f = 2 pi / 2^M(u); N = max M."""
+        M = np.maximum(np.frexp(2.0 * math.pi * u)[1] + 8, 0)
+        first = _TERM_N.size - int(M.max(initial=0))
+        shape = (-1,) + (1,) * u.ndim
+        return (_TERM_FREQ[first:].reshape(shape), _TERM_N[first:].reshape(shape) < M,
+                np.ldexp(2.0 * math.pi, -M))
 
     def log_eval(self, u):
         u = np.asarray(u, dtype=float)
-        ns = self._terms(u)
-        theta = 2.0 * math.pi * u[..., None] / (2.0 ** ns)
-        return 2.0 * u + self.alpha * np.sum(1.0 - np.cos(theta), axis=-1)
+        freq, keep, f = self._terms(u)
+        x = (u * f) ** 2
+        terms = np.empty((keep.shape[0] + 1,) + u.shape)
+        terms[0] = x * (_C1 + _C2 * x)
+        np.multiply(1.0 - np.cos(u * freq), keep, out=terms[1:])
+        return 2.0 * u + self.alpha * np.cumsum(terms, axis=0)[-1]
 
     def slope(self, u):
         u = np.asarray(u, dtype=float)
-        ns = self._terms(u)
-        freq = 2.0 * math.pi / (2.0 ** ns)
-        theta = u[..., None] * freq
-        return 2.0 + self.alpha * np.sum(freq * np.sin(theta), axis=-1)
+        freq, keep, f = self._terms(u)
+        theta = u * f
+        x = theta * theta
+        terms = np.empty((keep.shape[0] + 1,) + u.shape)
+        terms[0] = f * theta * (_S0 + x * (_S1 + _S2 * x))
+        np.multiply(freq * np.sin(u * freq), keep, out=terms[1:])
+        return 2.0 + self.alpha * np.cumsum(terms, axis=0)[-1]
 
 
 class ConvexifiedFn(OrliczFn):

@@ -11,6 +11,12 @@ best ratio found (a certified lower bound on the true constant) together
 with a replayable witness.  The vocabulary is therefore "RSP violated with
 witness (ratio r)" versus "consistent with RSP up to C-hat at this width".
 The left-shift property is evaluated as RSP of the order-reversed space.
+
+The coordinate ascent evaluates the rest of a sweep's trials in one batch
+(one ``norm_rows`` call on the stacked numerators and denominators) and
+consumes them in order up to the first accepted trial, so it accepts the
+trials a trial-by-trial ascent would; ``evals`` and the budget count the
+consumed trials only, not the speculative rows evaluated past an accept.
 """
 
 from __future__ import annotations
@@ -56,11 +62,13 @@ class InterlacedFamily:
                 raise ValueError("supports are not strictly interlaced")
             last_hi = sy.max()
         if E is not None:
-            for x, y in self.pairs:
-                if abs(E.norm(x) - 1.0) > tol:
-                    raise ValueError("x block is not normalized")
-                if E.norm(y) > 1.0 + tol:
-                    raise ValueError("y block norm exceeds 1")
+            if any(v.window != E.window for pair in self.pairs for v in pair):
+                raise ValueError("vector window does not match space window")
+            norms = E.norm_rows(np.array([v.values for pair in self.pairs for v in pair]))
+            if np.any(np.abs(norms[0::2] - 1.0) > tol):
+                raise ValueError("x block is not normalized")
+            if np.any(norms[1::2] > 1.0 + tol):
+                raise ValueError("y block norm exceeds 1")
 
     def to_json_dict(self):
         return {
@@ -90,7 +98,8 @@ def gen_interlaced(E: SeqSpaceSpec, window: Window, n_pairs: int,
 
     2 * n_pairs blocks are placed in equal-width slots spanning the window
     (random offset and length inside each slot), which guarantees the strict
-    support ordering while varying the gaps.
+    support ordering while varying the gaps.  All slots are drawn first and
+    then normalized by one ``norm_rows`` call.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -103,23 +112,14 @@ def gen_interlaced(E: SeqSpaceSpec, window: Window, n_pairs: int,
             f"window of size {window.size} cannot pack {n_pairs} pairs "
             f"with blocks up to {lmax}")
     slot_w = window.size // slots
-    pairs = []
-    x_block = None
+    V = np.zeros((slots, window.size))
     for s in range(slots):
         length = int(rng.integers(lmin, lmax + 1))
-        start_lo = window.lo + s * slot_w
-        offset = int(rng.integers(0, max(1, slot_w - length + 1)))
-        start = start_lo + offset
-        vals = rng.random(length) + 0.05
-        vec = SeqVec.from_entries(window, {start + i: float(v)
-                                           for i, v in enumerate(vals)})
-        nrm = E.norm(vec)
-        vec = vec.scale(1.0 / nrm)
-        if s % 2 == 0:
-            x_block = vec
-        else:
-            pairs.append((x_block, vec))
-    fam = InterlacedFamily(window, pairs)
+        start = s * slot_w + int(rng.integers(0, max(1, slot_w - length + 1)))
+        V[s, start:start + length] = rng.random(length) + 0.05
+    V *= (1.0 / E.norm_rows(V))[:, None]
+    blocks = [SeqVec(window, v) for v in V]
+    fam = InterlacedFamily(window, list(zip(blocks[0::2], blocks[1::2])))
     fam.validate(E)
     return fam
 
@@ -171,17 +171,19 @@ def _family_mats(family: InterlacedFamily):
     return X, Y
 
 
-def _mat_ratio(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, alpha) -> float:
-    denom = E.norm_values(alpha @ X)
-    if denom == 0.0:
-        return 0.0
-    return E.norm_values(alpha @ Y) / denom
+def _ratios(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """||a Y|| / ||a X|| (0 where ||a X|| = 0) for each row a of A, from one
+    ``norm_rows`` call on the stacked A X and A Y."""
+    m = A.shape[0]
+    norms = E.norm_rows(np.concatenate([A @ X, A @ Y]))
+    den = norms[:m]
+    return np.divide(norms[m:], den, out=np.zeros(m), where=den != 0.0)
 
 
 def family_ratio(E: SeqSpaceSpec, family: InterlacedFamily, alpha) -> float:
     """|| sum alpha_n y_n || / || sum alpha_n x_n || in E."""
     X, Y = _family_mats(family)
-    return _mat_ratio(E, X, Y, np.asarray(alpha, dtype=float))
+    return float(_ratios(E, X, Y, np.asarray(alpha, dtype=float)[None])[0])
 
 
 def replay_witness(E: SeqSpaceSpec, witness: ShiftWitness) -> float:
@@ -198,6 +200,40 @@ def _embed_family(fam: InterlacedFamily, window: Window) -> InterlacedFamily:
     return InterlacedFamily(window, pairs)
 
 
+def _ascend(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, alpha: np.ndarray,
+            r: float, evals: int, budget: int) -> tuple[float, np.ndarray, int]:
+    """Multiplicative coordinate ascent of the ratio from ``alpha`` (ratio r).
+
+    A sweep tries alpha_i * 4 and then alpha_i / 4 for i = 0, 1, ..., each
+    trial built from the current alpha, and accepts a trial that beats r by
+    more than 1e-12 relative; sweeps repeat while one accepts.  Driving an
+    alpha_n down to ~0 deselects a useless pair, so large families
+    self-prune.  The sweep's remaining trials (at most ``budget - evals``) are
+    evaluated in one batch from the current alpha and consumed in order up to
+    the first accepted one; the rest are dropped and the batch is rebuilt
+    from the new alpha.  So the accepted trials and ``evals``, which counts
+    consumed trials only, are those of a trial-by-trial ascent.
+    """
+    coord = np.repeat(np.arange(alpha.size), 2)
+    factor = np.tile([4.0, 0.25], alpha.size)
+    improved = True
+    while improved and evals < budget:
+        improved = False
+        j = 0
+        while j < coord.size and evals < budget:
+            m = min(coord.size - j, budget - evals)
+            trials = np.repeat(alpha[None], m, axis=0)
+            trials[np.arange(m), coord[j:j + m]] *= factor[j:j + m]
+            for k, r2 in enumerate(_ratios(E, X, Y, trials).tolist()):
+                evals += 1
+                if r2 > r * (1 + 1e-12):
+                    r, alpha = r2, trials[k]
+                    improved = True
+                    break
+            j += k + 1
+    return r, alpha, evals
+
+
 def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
                             budget: int = 10000, seed: int = 0,
                             n_pairs_range=(2, 6),
@@ -205,7 +241,9 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
                             target: float | None = None) -> ShiftEstimate:
     """Maximize the interlaced ratio by random families plus coordinate ascent.
 
-    ``budget`` counts ratio evaluations, and ``stop`` says whether the
+    ``budget`` counts ratio evaluations (``evals``: the ascent evaluates
+    trials in batches, and only the trials it consumes are counted; see
+    ``_ascend``), and ``stop`` says whether the
     search ended on the budget or on reaching ``target``.  The returned
     C-hat is a certified lower bound for the true shift constant; the
     incumbent (witness of a previous run, possibly on a narrower window) is
@@ -240,26 +278,9 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
             if evals >= budget or done:
                 break
             alpha = np.exp(rng.normal(0.0, 1.5, size=len(fam.pairs)))
-            r = _mat_ratio(work, X, Y, alpha)
+            r = float(_ratios(work, X, Y, alpha[None])[0])
             evals += 1
-            # multiplicative coordinate ascent; driving an alpha_n down to
-            # ~0 deselects a useless pair, so large families self-prune
-            improved = True
-            while improved and evals < budget:
-                improved = False
-                for i in range(alpha.size):
-                    for factor in (4.0, 0.25):
-                        trial = alpha.copy()
-                        trial[i] *= factor
-                        r2 = _mat_ratio(work, X, Y, trial)
-                        evals += 1
-                        if r2 > r * (1 + 1e-12):
-                            r, alpha = r2, trial
-                            improved = True
-                        if evals >= budget:
-                            break
-                    if evals >= budget:
-                        break
+            r, alpha, evals = _ascend(work, X, Y, alpha, r, evals, budget)
             if r > best_ratio:
                 best_ratio, best = r, (fam, list(alpha))
             if target is not None and best_ratio >= target:

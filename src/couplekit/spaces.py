@@ -4,10 +4,12 @@ Function-space variants (Lp, Lorentz quasinorm, Orlicz/Luxemburg, and the
 space-from-sequence construction) evaluate exactly on step functions -- every
 integral is a finite sum over pieces.  Both Orlicz norms (``OrliczSpace`` and
 the modular space ``OrliczModular``) are one root-find of the log-modular G,
-``_luxemburg_log``: bracketed Newton steps on the log-norm, stopped when the
-Newton correction is at most 1e-13; h' >= 1 bounds the error by |G|.
-Sequence-space variants are modelled on a Window and expose dense-array fast
-paths used heavily by the adversarial searches.
+``_luxemburg_log``: bracketed Newton steps on the log-norm, row by row over a
+batch of rows, stopped when the Newton correction is at most 1e-13; h' >= 1
+bounds the error by |G|.  Sequence-space variants are modelled on a Window;
+each has one norm formula, ``norm_rows`` over the rows of a (k, n) array,
+whose rows do not depend on each other, and ``norm_values`` is its one-row
+case on the base class.  The adversarial searches evaluate whole batches.
 
 The dyadic sequence space of a function space X is E_X with
 ||x||_{E_X} = ||sum x(n) chi_[2^n,2^(n+1))||_X; for X = L_p this is the
@@ -18,9 +20,9 @@ Only this module knows the concrete space classes: other modules ask a space
 through its protocol, whose base-class defaults describe a space without
 closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
 ``InducedSeq``), ``norm_closure(f)``, ``boyd()``, ``exact_weighted_lp``,
-``is_linf``, ``generator()``.  ``SeqSpaceSpec``: ``e_space`` (the space
-itself), ``norming_values``, ``weighted_lp_form()``, ``is_linf``,
-``generator()``.  The wrappers ``GeometricWeighted`` and ``OrderReversed``
+``is_linf``, ``generator()``.  ``SeqSpaceSpec``: ``norm_rows(V)``,
+``e_space`` (the space itself), ``norming_values``, ``weighted_lp_form()``,
+``is_linf``, ``generator()``.  The wrappers ``GeometricWeighted`` and ``OrderReversed``
 delegate to their inner space (``OrderReversed`` has no weighted-lp form),
 ``FromSequenceSpace`` its ``generator`` to E; ``is_linf`` never delegates.
 """
@@ -286,12 +288,12 @@ _MAX_ITER = 120
 
 
 def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
-                   beta: float, lo: float = -math.inf, hi: float = math.inf) -> float:
-    """log of the Luxemburg norm inf{alpha : sum_i w_i F(a_i / alpha) <= 1}.
+                   beta, lo, hi) -> np.ndarray:
+    """log of the Luxemburg norm inf{alpha : sum_i w_i F(a_i / alpha) <= 1}, per row.
 
-    Solves G(beta) = log sum_i exp(log w_i + h(log a_i - beta)) = 0 by Newton
-    steps from ``beta`` inside the bracket [lo, hi].  Every profile has
-    h' >= 1 (F(x)/x increasing; constructors allow 1e-12 less), so G' <= -1
+    Row by row, solves G(beta) = log sum_i exp(log w_i + h(log a_i - beta)) = 0
+    by Newton steps from ``beta`` inside the bracket [lo, hi].  Every profile
+    has h' >= 1 (F(x)/x increasing; constructors allow 1e-12 less), so G' <= -1
     and |beta - beta*| <= |G(beta)|.  Each evaluation therefore narrows the
     bracket to [beta, beta + G] (G > 0) or [beta + G, beta] (G <= 0), widened
     by 1e-9 relative, and at the stop -- Newton correction |G/G'| at most
@@ -299,31 +301,62 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
     correction is applied.  A step that leaves the bracket, or follows a step
     that did not halve it, is a bisection, so the bracket halves at least
     every other step; reaching ``_MAX_ITER`` raises ``ConvergenceError``.
+
+    ``log_a`` is a (k, n) array of log |a| with -inf at the zero entries,
+    ``log_w`` the (n,) log weights, and ``beta``, ``lo``, ``hi`` (k,) arrays
+    of each row's start and bracket.  The profile kernels run once per
+    iteration on the packed nonzero entries of the rows still iterating; the
+    sums run per row over the full width, zeros in place, so a row's result
+    does not depend on the other rows.
     """
-    width = math.inf
+    k, n = log_a.shape
+    out = np.empty(k)
+    er, ec = np.nonzero(log_a > -np.inf)
+    la, lw = log_a[er, ec], log_w[ec]
+    flat = er * n + ec
+    # zero entries keep exp(-inf) = 0 in the row sums
+    expo, slope = np.full((k, n), -np.inf), np.zeros((k, n))
+    # row, beta, lo, hi and previous bracket width of each row still iterating
+    state = [[r, b, l, h, math.inf] for r, (b, l, h) in
+             enumerate(zip(beta.tolist(), lo.tolist(), hi.tolist()))]
     for _ in range(_MAX_ITER):
-        u = log_a - beta
-        expo = log_w + F.log_eval(u)
-        m = float(np.max(expo))
-        wts = np.exp(expo - m)
-        S = float(np.sum(wts))
-        G = m + math.log(S)
-        step = G * S / float(np.dot(wts, F.slope(u)))
-        reach = G * (1.0 + 1e-9)
-        if G > 0.0:
-            lo, hi = beta, min(hi, beta + reach)
-        else:
-            lo, hi = max(lo, beta + reach), beta
-        if abs(step) <= _NEWTON_TOL or hi - lo <= _NEWTON_TOL * (1.0 + abs(beta)):
-            return min(max(beta + step, lo), hi)
-        nxt = beta + step
-        if not (lo < nxt < hi) or hi - lo > 0.5 * width:
-            nxt = 0.5 * (lo + hi)
-        width = hi - lo
-        beta = nxt
+        betas = [st[1] for st in state]
+        u = la - (betas[0] if len(betas) == 1 else np.array(betas)[er])
+        expo.reshape(-1)[flat] = lw + F.log_eval(u)
+        m = np.maximum.reduce(expo, axis=1)
+        wts = np.exp(expo - m[:, None])
+        slope.reshape(-1)[flat] = F.slope(u)
+        keep = []
+        for st, mx, S, D in zip(state, m.tolist(), np.add.reduce(wts, axis=1).tolist(),
+                                np.add.reduce(wts * slope, axis=1).tolist()):
+            row, beta, lo, hi, width = st
+            g = mx + math.log(S)
+            d = g * S / D
+            reach = g * (1.0 + 1e-9)
+            if g > 0.0:
+                lo, hi = beta, min(hi, beta + reach)
+            else:
+                lo, hi = max(lo, beta + reach), beta
+            if abs(d) <= _NEWTON_TOL or hi - lo <= _NEWTON_TOL * (1.0 + abs(beta)):
+                out[row] = min(max(beta + d, lo), hi)
+                keep.append(False)
+                continue
+            nxt = beta + d
+            if not (lo < nxt < hi) or hi - lo > 0.5 * width:
+                nxt = 0.5 * (lo + hi)
+            st[1:] = nxt, lo, hi, hi - lo
+            keep.append(True)
+        if not all(keep):
+            if not any(keep):
+                return out
+            state = [st for st, kp in zip(state, keep) if kp]
+            on = np.array(keep)[er]
+            er, ec, la, lw = (np.cumsum(keep) - 1)[er[on]], ec[on], la[on], lw[on]
+            flat = er * n + ec
+            expo, slope = np.full((len(state), n), -np.inf), np.zeros((len(state), n))
     raise ConvergenceError(
         f"Luxemburg solver reached {_MAX_ITER} iterations (bracket "
-        f"[{lo!r}, {hi!r}])")
+        f"[{state[0][2]!r}, {state[0][3]!r}])")
 
 
 class OrliczSpace(SpaceSpec):
@@ -345,8 +378,9 @@ class OrliczSpace(SpaceSpec):
         if not np.any(keep):
             return 0.0
         log_v = np.log(v[keep])
-        return math.exp(_luxemburg_log(self.F, log_v, np.log(f.lengths[keep]),
-                                       float(np.max(log_v))))
+        return math.exp(_luxemburg_log(self.F, log_v[None], np.log(f.lengths[keep]),
+                                       log_v.max(keepdims=True), np.array([-math.inf]),
+                                       np.array([math.inf]))[0])
 
     def e_space(self, window: Window) -> "SeqSpaceSpec":
         return OrliczModular(self.F, window)
@@ -384,8 +418,13 @@ class SeqSpaceSpec:
     window: Window
     is_linf: bool = False
 
-    def norm_values(self, vals: np.ndarray) -> float:
+    def norm_rows(self, V: np.ndarray) -> np.ndarray:
+        """Norms of the rows of a (k, window.size) value array."""
         raise NotImplementedError
+
+    def norm_values(self, vals: np.ndarray) -> float:
+        """Norm of one value vector: the one-row case of ``norm_rows``."""
+        return float(self.norm_rows(np.asarray(vals, dtype=float)[None])[0])
 
     def e_space(self, window: Window) -> "SeqSpaceSpec":
         """A sequence space is its own E."""
@@ -457,11 +496,13 @@ class WeightedLp(SeqSpaceSpec):
             raise ValueError("need one strictly positive weight per index")
         self.weights = w
 
-    def norm_values(self, vals: np.ndarray) -> float:
-        a = np.abs(vals) * self.weights
+    def norm_rows(self, V: np.ndarray) -> np.ndarray:
+        A = np.abs(V) * self.weights
         if math.isinf(self.p):
-            return float(np.max(a)) if a.size else 0.0
-        return float(np.sum(a ** self.p) ** (1.0 / self.p))
+            return np.max(A, axis=1, initial=0.0)
+        # the root as a scalar power: numpy's array ** can differ by an ulp
+        root = 1.0 / self.p
+        return np.array([s ** root for s in np.sum(A ** self.p, axis=1).tolist()])
 
     def unit_norm(self, n: int) -> float:
         return float(self.weights[n - self.window.lo])
@@ -503,8 +544,8 @@ class LinftySeq(SeqSpaceSpec):
     def __init__(self, window: Window):
         self.window = window
 
-    def norm_values(self, vals: np.ndarray) -> float:
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
+    def norm_rows(self, V: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(V), axis=1, initial=0.0)
 
     def unit_norm(self, n: int) -> float:
         return 1.0
@@ -540,22 +581,20 @@ class OrliczModular(SeqSpaceSpec):
         # lambda(n) = F^{-1}(2^{-n}): single-block unit norms are 1/lambda(n)
         self._log_lambda = np.atleast_1d(F.log_inv(-self._log_w))
 
-    def norm_values(self, vals: np.ndarray) -> float:
-        a = np.abs(np.asarray(vals, dtype=float))
-        nz = a > 0
-        if not np.any(nz):
-            return 0.0
-        log_a = np.log(a[nz])
-        piece = np.exp(log_a - self._log_lambda[nz])
-        lo0 = float(np.max(piece))
-        hi0 = float(np.sum(piece))
-        if hi0 <= lo0 * (1 + 1e-14):
-            return lo0
-        # the norm lies between the largest single-block norm and their sum;
-        # Newton starts at the former
-        b_lo = math.log(lo0)
-        return math.exp(_luxemburg_log(self.F, log_a, self._log_w[nz],
-                                       b_lo, b_lo, math.log(hi0)))
+    def norm_rows(self, V: np.ndarray) -> np.ndarray:
+        A = np.abs(V)
+        log_a = np.log(A, out=np.full(A.shape, -np.inf), where=A > 0)
+        # single-block norms, 0 at the zero entries; a row's norm lies between
+        # the largest of them and their sum, and Newton starts at the former
+        piece = np.exp(log_a - self._log_lambda)
+        out = np.maximum.reduce(piece, axis=1)
+        hi0 = np.add.reduce(piece, axis=1)
+        solve = np.flatnonzero(hi0 > out * (1 + 1e-14))
+        if solve.size:
+            b_lo = np.log(out[solve])
+            out[solve] = np.exp(_luxemburg_log(self.F, log_a[solve], self._log_w,
+                                               b_lo, b_lo, np.log(hi0[solve])))
+        return out
 
     def unit_norm(self, n: int) -> float:
         return float(np.exp(-self._log_lambda[n - self.window.lo]))
@@ -588,8 +627,8 @@ class GeometricWeighted(SeqSpaceSpec):
         self.window = inner.window
         self._w = self.base ** self.window.indices().astype(float)
 
-    def norm_values(self, vals: np.ndarray) -> float:
-        return self.inner.norm_values(vals * self._w)
+    def norm_rows(self, V: np.ndarray) -> np.ndarray:
+        return self.inner.norm_rows(V * self._w)
 
     def unit_norm(self, n: int) -> float:
         return float(self._w[n - self.window.lo]) * self.inner.unit_norm(n)
@@ -615,8 +654,8 @@ class OrderReversed(SeqSpaceSpec):
         self.inner = inner
         self.window = inner.window.reversed()
 
-    def norm_values(self, vals: np.ndarray) -> float:
-        return self.inner.norm_values(vals[::-1])
+    def norm_rows(self, V: np.ndarray) -> np.ndarray:
+        return self.inner.norm_rows(V[:, ::-1])
 
     def unit_norm(self, n: int) -> float:
         return self.inner.unit_norm(-(n + 1))
@@ -646,8 +685,9 @@ class InducedSeq(SeqSpaceSpec):
         self.space = space
         self.window = window
 
-    def norm_values(self, vals: np.ndarray) -> float:
-        return self.space.fn_norm(SeqVec(self.window, vals).to_step(self.space.domain))
+    def norm_rows(self, V: np.ndarray) -> np.ndarray:
+        return np.array([self.space.fn_norm(SeqVec(self.window, v).to_step(self.space.domain))
+                         for v in V], dtype=float)
 
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
         if isinstance(self.space, LpSpace):
@@ -798,10 +838,9 @@ class KappaEstimate:
 
 
 def _shift_ratio(space: SeqSpaceSpec, vals: np.ndarray, n: int) -> float:
-    denom = space.norm_values(vals)
+    denom, num = space.norm_rows(np.stack([vals, shift_values(vals, n)])).tolist()
     if denom == 0.0:
         return 0.0
-    num = space.norm_values(shift_values(vals, n))
     if num > _OVERFLOW_RATIO * denom:
         return math.inf
     return num / denom

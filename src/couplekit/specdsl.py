@@ -186,7 +186,8 @@ def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
     if name == "rev":
         if not positional:
             raise UsageError("rev needs a nested spec in <...>")
-        return OrderReversed(parse_seq_space(positional[0], window))
+        # the inner space lives on the reversed window, so the result is on window
+        return OrderReversed(parse_seq_space(positional[0], window.reversed()))
     raise UsageError(f"unknown sequence space {name!r}")
 
 

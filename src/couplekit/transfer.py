@@ -373,14 +373,10 @@ def rank_one_shift(pairs, E: SeqSpaceSpec, shifted: bool = False) -> PositiveMat
 
 
 def _prefix_norms(v: SeqVec, E: SeqSpaceSpec) -> np.ndarray:
-    """||v_(-inf,a]||_E for a = lo-1 .. hi (index 0 is the empty prefix)."""
-    win = v.window
-    out = np.zeros(win.size + 1)
-    running = np.zeros(win.size)
-    for i in range(win.size):
-        running[i] = v.values[i]
-        out[i + 1] = E.norm_values(running)
-    return out
+    """||v_(-inf,a]||_E for a = lo-1 .. hi (index 0 is the empty prefix), from
+    one ``norm_rows`` call on the lower-triangular matrix of prefixes."""
+    prefixes = np.tril(np.broadcast_to(v.values, (v.window.size, v.window.size)))
+    return np.concatenate([[0.0], E.norm_rows(prefixes)])
 
 
 def _sigma_of_prefix(P: float) -> float:

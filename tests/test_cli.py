@@ -229,3 +229,21 @@ def test_k_profile_unknown_domain_exit_1(tmp_path, capsys):
 
 def test_bad_subcommand_exit_1(capsys):
     assert _run(["no-such-command"]) == 1
+
+
+def test_transfer_on_reversed_space_names_its_error(tmp_path, capsys):
+    # rev:<inner> lives on --window; K mode used to die with an IndexError
+    win = Window("Z-", -24, -1)
+    x = SeqVec.from_entries(win, {-20: 0.7, -13: 1.1, -9: 0.4, -2: 0.9})
+    y = SeqVec.from_entries(win, {-19: 0.3, -12: 0.4, -8: 0.2, -1: 0.35})
+    xp, yp = tmp_path / "x.json", tmp_path / "y.json"
+    xp.write_text(json.dumps(x.to_json_dict()))
+    yp.write_text(json.dumps(y.to_json_dict()))
+    base = ["transfer", "--E", "rev:<seq:lpw:p=1>", "--F", "seq:linf", "--x", xp,
+            "--y", yp, "--window=-24:-1"]
+    # rho(n) = 2^-(n+1) falls, so the couple is not exponentially separated
+    assert _run(base + ["--mode", "k", "--out", tmp_path / "Tk.json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "hypothesis-violation"
+    assert "separated" in err["detail"]
+    assert _run(base + ["--mode", "majorization", "--out", tmp_path / "Tm.json"]) == 0

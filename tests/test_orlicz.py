@@ -82,6 +82,29 @@ def test_minimal_alpha_cap():
     assert np.all(F.slope(u) >= 1.0)
 
 
+def _minimal_series(alpha, u):
+    """h(u) and h'(u) of MinimalFn by 80 explicit terms, summed exactly."""
+    s = math.fsum(1.0 - math.cos(2.0 * math.pi * u / 2.0 ** n) for n in range(80))
+    d = math.fsum(2.0 * math.pi / 2.0 ** n * math.sin(2.0 * math.pi * u / 2.0 ** n)
+                  for n in range(80))
+    return 2.0 * u + alpha * s, 2.0 + alpha * d
+
+
+def test_minimal_is_evaluated_point_by_point():
+    F = MinimalFn(0.05)
+    u = np.concatenate([np.linspace(-40.0, 40.0, 161), [0.0, 1e-9, -3e-4, 700.0]])
+    h, s = F.log_eval(u), F.slope(u)
+    for i, ui in enumerate(u.tolist()):
+        # a point's value does not depend on the rest of the array
+        assert F.log_eval(u[i:i + 1])[0] == h[i] and F.slope(np.array(ui)) == s[i]
+        ref_h, ref_s = _minimal_series(0.05, ui)
+        assert abs(h[i] - ref_h) <= 1e-12 * max(1.0, abs(ref_h))
+        assert abs(s[i] - ref_s) <= 1e-12
+    perm = np.random.default_rng(4).permutation(u.size)
+    assert np.array_equal(F.log_eval(u[perm]), h[perm])
+    assert np.array_equal(F.slope(u.reshape(5, 33)), s.reshape(5, 33))
+
+
 def test_profile_invariants_all_generators():
     # h strictly increasing and h(u) - u nondecreasing; F_t(1) = 1 and
     # F_t(x) <= 1 for x <= 1

@@ -9,7 +9,8 @@ from couplekit import (GeometricWeighted, InterlacedFamily, LinftySeq,
                        family_ratio, gen_interlaced, parse_seq_space,
                        replay_witness, shift_constant_estimate,
                        shift_schedule)
-from couplekit.shift import STOP_BUDGET, STOP_TARGET
+from couplekit.shift import (BLOCK_LEN_RANGE, RESTARTS_PER_FAMILY, STOP_BUDGET,
+                             STOP_TARGET, _family_mats)
 
 WIN = Window("Z", -12, 12)
 
@@ -170,3 +171,67 @@ def test_schedule_stop_reason():
     assert hit.stop == STOP_TARGET and len(hit.history) == 1
     miss = shift_schedule(factory, "rsp", [12, 24], budget=200, seed=1, target=50.0)
     assert miss.stop == STOP_BUDGET and len(miss.history) == 2
+
+
+def _sequential_search(E, side, budget, seed, n_pairs_range=(2, 6)):
+    """The trial-by-trial ascent: one ratio, two ``norm_values`` calls, per trial."""
+    work = E if side == "rsp" else E.reversed_space()
+    win = work.window
+    rng = np.random.default_rng(seed)
+
+    def ratio(X, Y, alpha):
+        den = work.norm_values(alpha @ X)
+        return 0.0 if den == 0.0 else work.norm_values(alpha @ Y) / den
+
+    best_ratio, best, evals = 0.0, None, 0
+    n_lo, n_hi = n_pairs_range
+    n_hi = min(n_hi, max(n_lo, win.size // (2 * BLOCK_LEN_RANGE[1])))
+    while evals < budget:
+        fam = gen_interlaced(work, win, int(rng.integers(n_lo, n_hi + 1)),
+                             BLOCK_LEN_RANGE, rng=rng)
+        X, Y = _family_mats(fam)
+        for _ in range(RESTARTS_PER_FAMILY):
+            if evals >= budget:
+                break
+            alpha = np.exp(rng.normal(0.0, 1.5, size=len(fam.pairs)))
+            r = ratio(X, Y, alpha)
+            evals += 1
+            improved = True
+            while improved and evals < budget:
+                improved = False
+                for i in range(alpha.size):
+                    for factor in (4.0, 0.25):
+                        trial = alpha.copy()
+                        trial[i] *= factor
+                        r2 = ratio(X, Y, trial)
+                        evals += 1
+                        if r2 > r * (1 + 1e-12):
+                            r, alpha = r2, trial
+                            improved = True
+                        if evals >= budget:
+                            break
+                    if evals >= budget:
+                        break
+            if r > best_ratio:
+                best_ratio, best = r, (fam, [float(a) for a in alpha])
+    witness = ShiftWitness(E.spec_string(), side, win, best[0], best[1],
+                           float(best_ratio), seed)
+    return float(best_ratio), evals, witness
+
+
+@pytest.mark.parametrize("make, side, budget, seed, pairs", [
+    (lambda: WeightedLp(2.0, WIN, weights=np.exp(np.linspace(-1.0, 1.5, WIN.size))),
+     "rsp", 400, 5, (2, 6)),
+    (lambda: WeightedLp(1.0, WIN, wexp=-0.4), "lsp", 300, 6, (2, 6)),
+    (lambda: LinftySeq(WIN), "rsp", 200, 7, (2, 6)),
+    (lambda: OrliczModular(example1(), Window("Z-", -32, -1)), "rsp", 300, 8, (2, 6)),
+    (lambda: GeometricWeighted(OrliczModular(example1(), Window("Z-", -64, -1)), 2 ** 0.5),
+     "lsp", 200, 9, (3, 10)),
+])
+def test_batched_search_equals_sequential_ascent(make, side, budget, seed, pairs):
+    E = make()
+    est = shift_constant_estimate(E, side, budget=budget, seed=seed, n_pairs_range=pairs)
+    c_hat, evals, witness = _sequential_search(E, side, budget, seed, pairs)
+    assert (est.c_hat, est.evals, est.stop) == (c_hat, evals, STOP_BUDGET)
+    assert json.dumps(est.witness.to_json_dict()) == json.dumps(witness.to_json_dict())
+    assert replay_witness(E, est.witness) == est.c_hat

@@ -482,3 +482,65 @@ def test_generator_spec_round_trip(F):
 def test_missing_argument_is_usage_error(spec, key):
     with pytest.raises(UsageError, match=f"'{key}'"):
         parse_any_space(spec)
+
+
+# ---------------------------------------------------------------------------
+# norm_rows: one norm formula per space, rows independent of each other
+# ---------------------------------------------------------------------------
+
+_ROWS_WIN = Window("Z-", -10, -1)
+_ROW_SPACES = {
+    "lpw-1": lambda win: WeightedLp(1, win, weights=np.linspace(0.5, 3.0, win.size)),
+    "lpw-2.5": lambda win: WeightedLp(2.5, win, wexp=0.3),
+    "lpw-inf": lambda win: WeightedLp(math.inf, win, weights=np.linspace(2.0, 0.5, win.size)),
+    "linf": LinftySeq,
+    **{f"modular-{F.name}": (lambda win, F=F: OrliczModular(F, win))
+       for F in (power(2), pwpower(1.5, 3), logfactor_fn(1.5), example1(),
+                 elastic_non_lorentz(), *brudnyi_pair(1.5, 3.0), MinimalFn(0.05))},
+    "geo-modular": lambda win: GeometricWeighted(OrliczModular(example1(), win), 2 ** 0.5),
+    "geo-lp": lambda win: GeometricWeighted(dyadic_lp(2, win), 0.7),
+    "rev-modular": lambda win: OrderReversed(OrliczModular(pwpower(1.5, 3), win.reversed())),
+    "rev-lp": lambda win: OrderReversed(dyadic_lp(3, win.reversed())),
+    "induced-lorentz": lambda win: InducedSeq(LorentzSpace(2, PowerWeight(0.5)), win),
+}
+_ENTRY = st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(math.exp),
+                   st.floats(-6.0, 6.0).map(lambda t: -math.exp(t)))
+_ROWS = st.lists(st.lists(_ENTRY, min_size=_ROWS_WIN.size, max_size=_ROWS_WIN.size),
+                 min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_SPACES))
+@settings(max_examples=25, deadline=None)
+@given(rows=_ROWS)
+def test_norm_rows_equal_each_row_alone(name, rows):
+    E = _ROW_SPACES[name](_ROWS_WIN)
+    assert E.window == _ROWS_WIN
+    V = np.array(rows + [[0.0] * _ROWS_WIN.size])  # always one zero row
+    norms = E.norm_rows(V)
+    assert norms.shape == (V.shape[0],) and norms[-1] == 0.0
+    for i, v in enumerate(V):
+        assert norms[i] == E.norm_rows(V[i:i + 1])[0] == E.norm_values(v), (name, i)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 4.0, math.inf])
+@settings(max_examples=40, deadline=None)
+@given(rows=_ROWS)
+def test_weighted_lp_rows_match_closed_form(p, rows):
+    w = 2.0 ** (_ROWS_WIN.indices() * 0.37)
+    E = WeightedLp(p, _ROWS_WIN, weights=w)
+    for v, nrm in zip(rows, E.norm_rows(np.array(rows)).tolist()):
+        a = np.abs(np.array(v)) * w
+        assert nrm == (float(np.max(a)) if math.isinf(p)
+                       else float(np.sum(a ** p) ** (1.0 / p)))
+
+
+def test_rev_spec_lives_on_the_given_window():
+    win = Window("Z-", -24, -1)
+    E = parse_seq_space("rev:<seq:lpw:p=1>", win)
+    assert E.window == win
+    ref = OrderReversed(dyadic_lp(1, win.reversed()))
+    vals = np.linspace(0.1, 2.4, win.size)
+    assert E.norm_values(vals) == ref.norm_values(vals)
+    assert [E.unit_norm(int(n)) for n in win.indices()] == [
+        2.0 ** -(int(n) + 1) for n in win.indices()]
+    assert parse_seq_space(E.spec_string(), win).norm_values(vals) == E.norm_values(vals)

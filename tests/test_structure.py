@@ -4,7 +4,10 @@ The algorithm modules ask a space what it is through its own methods
 (``e_space``, ``norm_closure``, ``norming_values``, ``weighted_lp_form``,
 ``boyd``, ``generator``, ``exact_weighted_lp``, ``is_linf``).  This test
 reads their source and fails when one of them tests for, or imports, a
-concrete class from ``spaces`` outside the few deliberate exceptions.
+concrete class from ``spaces`` outside the few deliberate exceptions.  It
+also keeps one norm formula per sequence space (``norm_rows``; the one-row
+``norm_values`` lives on the base class only), the shift search on batched
+rows, and one Luxemburg solver.
 """
 
 import ast
@@ -74,3 +77,39 @@ def test_no_space_type_dispatch_outside_spaces(module):
     imported = _spaces_imports(tree) & _concrete_space_classes()
     assert imported <= ALLOWED_IMPORTS.get(module, set()), (
         f"{module}.py imports {sorted(imported)} from spaces")
+
+
+def _calls(tree, attr: str) -> bool:
+    return any(isinstance(node, ast.Attribute) and node.attr == attr
+               for node in ast.walk(tree))
+
+
+def test_one_norm_formula_per_sequence_space():
+    for name in _concrete_space_classes():
+        cls = getattr(spaces, name)
+        if issubclass(cls, spaces.SeqSpaceSpec):
+            assert "norm_values" not in vars(cls), f"{name} defines norm_values"
+            assert "norm_rows" in vars(cls), f"{name} has no norm_rows"
+
+
+def test_shift_search_evaluates_rows():
+    tree = ast.parse((SRC / "shift.py").read_text())
+    assert not _calls(tree, "norm_values")
+    assert _calls(tree, "norm_rows")
+
+
+def _functions(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_one_luxemburg_solver():
+    solvers = [f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
+               for fn in _functions(ast.parse(path.read_text()))
+               if "luxemburg" in fn.name.lower()]
+    assert solvers == ["spaces._luxemburg_log"]
+    tree = ast.parse((SRC / "spaces.py").read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for cls, method in (("OrliczModular", "norm_rows"), ("OrliczSpace", "fn_norm")):
+        body = next(fn for fn in _functions(classes[cls]) if fn.name == method)
+        assert "_luxemburg_log" in _names(body), f"{cls}.{method}"
