@@ -69,7 +69,10 @@ def _norm_closure(space, template):
     """Fast ||.|| as a function of the piece/entry value vector."""
     if isinstance(template, StepFunction):
         return space.norm_closure(template)
-    return space.e_space(template.window).norm_values
+    E = space.e_space(template.window)
+    if E.window != template.window:
+        raise ValueError("vector window does not match space window")
+    return E.norm_values
 
 
 def _golden_min(phi, lo: float, hi: float, tol: float):

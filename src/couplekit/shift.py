@@ -12,11 +12,12 @@ with a replayable witness.  The vocabulary is therefore "RSP violated with
 witness (ratio r)" versus "consistent with RSP up to C-hat at this width".
 The left-shift property is evaluated as RSP of the order-reversed space.
 
-The coordinate ascent evaluates the rest of a sweep's trials in one batch
-(one ``norm_rows`` call on the stacked numerators and denominators) and
-consumes them in order up to the first accepted trial, so it accepts the
-trials a trial-by-trial ascent would; ``evals`` and the budget count the
-consumed trials only, not the speculative rows evaluated past an accept.
+Each sweep of the coordinate ascent is one pass of ``spaces._ascend_steps``,
+which kappa and the ``op_norm`` lower bound share: it evaluates the rest of a
+sweep in one batch (one ``norm_rows`` call on the stacked numerators and
+denominators) and accepts the trials a trial-by-trial ascent would; ``evals``
+and the budget count the consumed trials only, not the speculative rows
+evaluated past an accept.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import UsageError
 from .measure import SeqVec, Window
-from .spaces import SeqSpaceSpec
+from .spaces import SeqSpaceSpec, _ascend_steps
 
 RSP = "rsp"
 LSP = "lsp"
@@ -208,29 +209,17 @@ def _ascend(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, alpha: np.ndarray,
     trial built from the current alpha, and accepts a trial that beats r by
     more than 1e-12 relative; sweeps repeat while one accepts.  Driving an
     alpha_n down to ~0 deselects a useless pair, so large families
-    self-prune.  The sweep's remaining trials (at most ``budget - evals``) are
-    evaluated in one batch from the current alpha and consumed in order up to
-    the first accepted one; the rest are dropped and the batch is rebuilt
-    from the new alpha.  So the accepted trials and ``evals``, which counts
-    consumed trials only, are those of a trial-by-trial ascent.
+    self-prune.  Each sweep is one ``spaces._ascend_steps`` pass capped at
+    ``budget - evals`` trials, so ``evals`` counts the consumed trials of a
+    trial-by-trial ascent.
     """
     coord = np.repeat(np.arange(alpha.size), 2)
     factor = np.tile([4.0, 0.25], alpha.size)
     improved = True
     while improved and evals < budget:
-        improved = False
-        j = 0
-        while j < coord.size and evals < budget:
-            m = min(coord.size - j, budget - evals)
-            trials = np.repeat(alpha[None], m, axis=0)
-            trials[np.arange(m), coord[j:j + m]] *= factor[j:j + m]
-            for k, r2 in enumerate(_ratios(E, X, Y, trials).tolist()):
-                evals += 1
-                if r2 > r * (1 + 1e-12):
-                    r, alpha = r2, trials[k]
-                    improved = True
-                    break
-            j += k + 1
+        r, alpha, used, improved = _ascend_steps(lambda A: _ratios(E, X, Y, A), alpha,
+                                                 coord, factor, r, budget - evals, 1e-12)
+        evals += used
     return r, alpha, evals
 
 
@@ -314,5 +303,7 @@ def shift_schedule(space_factory, side: str, widths, budget: int, seed: int,
         history.append({"width": int(width), "c_hat": est.c_hat})
         if target is not None and est.c_hat >= target:
             break
+    if est is None:
+        raise UsageError("shift_schedule needs at least one width")
     est.history = history
     return est

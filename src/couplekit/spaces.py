@@ -9,7 +9,10 @@ batch of rows, stopped when the Newton correction is at most 1e-13; h' >= 1
 bounds the error by |G|.  Sequence-space variants are modelled on a Window;
 each has one norm formula, ``norm_rows`` over the rows of a (k, n) array,
 whose rows do not depend on each other, and ``norm_values`` is its one-row
-case on the base class.  The adversarial searches evaluate whole batches.
+case on the base class.  The adversarial searches (the RSP/LSP shift search,
+kappa, the ``op_norm`` lower bound) share one multiplicative coordinate
+ascent, ``_ascend_steps``: it evaluates a pass of steps a batch of rows at a
+time and accepts exactly the steps a step-by-step ascent would.
 
 The dyadic sequence space of a function space X is E_X with
 ||x||_{E_X} = ||sum x(n) chi_[2^n,2^(n+1))||_X; for X = L_p this is the
@@ -805,14 +808,37 @@ def fit_separation(rho: dict[int, float]) -> SeparationFit:
 
 
 def shift_values(vals: np.ndarray, n: int) -> np.ndarray:
-    """(tau_n x) on the same window: entries shifted up by n, zero-filled."""
+    """(tau_n x) on the same window: the last axis shifted up by n, zero-filled."""
     out = np.zeros_like(vals)
+    size = vals.shape[-1]
     if n >= 0:
-        if n < vals.size:
-            out[n:] = vals[:vals.size - n]
+        if n < size:
+            out[..., n:] = vals[..., :size - n]
     else:
-        out[:n] = vals[-n:]
+        out[..., :n] = vals[..., -n:]
     return out
+
+
+def _ascend_steps(ratios, alpha: np.ndarray, coords, factors, r: float,
+                  budget: int, rel: float):
+    """One pass of the steps alpha[coords[i]] *= factors[i], each built from
+    the current alpha and accepted when its ratio beats r by more than ``rel``
+    relative.  The remaining steps (at most ``budget`` in all) go to
+    ``ratios`` as one batch of rows and are consumed in order up to the first
+    accepted one, so accepts and ``consumed`` are those of a step-by-step
+    ascent.  Returns (r, alpha, consumed, improved)."""
+    total = min(len(coords), budget)
+    consumed, improved = 0, False
+    while consumed < total:
+        m = total - consumed
+        trials = np.repeat(alpha[None], m, axis=0)
+        trials[np.arange(m), coords[consumed:total]] *= factors[consumed:total]
+        for k, r2 in enumerate(ratios(trials).tolist()):
+            if r2 > r * (1 + rel):
+                r, alpha, improved = r2, trials[k], True
+                break
+        consumed += k + 1
+    return r, alpha, consumed, improved
 
 
 @dataclass
@@ -837,19 +863,18 @@ class KappaEstimate:
                 "table": {str(k): v for k, v in sorted(self.table.items())}}
 
 
-def _shift_ratio(space: SeqSpaceSpec, vals: np.ndarray, n: int) -> float:
-    denom, num = space.norm_rows(np.stack([vals, shift_values(vals, n)])).tolist()
-    if denom == 0.0:
-        return 0.0
-    if num > _OVERFLOW_RATIO * denom:
-        return math.inf
-    return num / denom
+def _shift_ratios(space: SeqSpaceSpec, V: np.ndarray, n: int) -> np.ndarray:
+    """||tau_n v|| / ||v|| for each row v of V: 0 where ||v|| = 0, inf past
+    the overflow ratio."""
+    den, num = space.norm_rows(np.concatenate([V, shift_values(V, n)])).reshape(2, -1)
+    out = np.divide(num, den, out=np.zeros(den.size), where=den != 0.0)
+    out[(den != 0.0) & (num > _OVERFLOW_RATIO * den)] = math.inf
+    return out
 
 
 def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
                       rng: np.random.Generator) -> float:
-    win = space.window
-    size = win.size
+    size = space.window.size
     best = 0.0
     # unit vectors first: exact on every Kothe space, tight for weighted lp
     units = space.unit_norms()
@@ -859,24 +884,19 @@ def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
         ratios = units[:size + n] / units[-n:]
     if ratios.size:
         best = float(np.max(ratios))
-    trials = max(1, budget)
-    for _ in range(trials):
+    for _ in range(max(1, budget)):
         vals = np.zeros(size)
         k = rng.integers(1, max(2, size // 4))
         lo_ok, hi_ok = (-n, size) if n < 0 else (0, size - n)
         idx = rng.choice(np.arange(lo_ok, hi_ok), size=min(k, hi_ok - lo_ok),
                          replace=False)
         vals[idx] = rng.random(idx.size) + 0.1
-        r = _shift_ratio(space, vals, n)
-        for _ in range(8):  # multiplicative coordinate ascent
-            j = int(rng.choice(idx))
-            old = vals[j]
-            vals[j] = old * (2.0 if rng.random() < 0.5 else 0.5)
-            r2 = _shift_ratio(space, vals, n)
-            if r2 > r:
-                r = r2
-            else:
-                vals[j] = old
+        # 8 steps of multiplicative coordinate ascent, drawn before any is tried
+        coords, factors = zip(*[(int(rng.choice(idx)), 2.0 if rng.random() < 0.5 else 0.5)
+                                for _ in range(8)])
+        r = float(_shift_ratios(space, vals[None], n)[0])
+        r = _ascend_steps(lambda V: _shift_ratios(space, V, n), vals, np.array(coords),
+                          np.array(factors), r, 8, 0.0)[0]
         best = max(best, r)
         if math.isinf(best):
             break
@@ -885,8 +905,11 @@ def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
 
 def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEstimate:
     """Adversarial lower-bound estimate of kappa_±(E) = lim ||tau_{±n}||^{1/n}
-    on E's window."""
+    on E's window, which needs at least two indices."""
     window = E.window
+    if window.size < 2:
+        raise UsageError(f"kappa_estimate needs a window of at least 2 indices; "
+                         f"this one has {window.size}")
     rng = np.random.default_rng(seed)
     n_max = max(1, window.size // 2)
     shifts = sorted(set([1, 2] + [n_max // 2, n_max] +

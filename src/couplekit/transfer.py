@@ -25,7 +25,8 @@ All three add their rank-one steps through one builder, ``_add_block_sum``,
 which checks every norming functional against ||x_n|| to FUNCTIONAL_TOL;
 prefix (and, through order reversal, suffix) norms come from one table,
 ``_prefix_norms``, and the weighted-ell_p operator bound from one closed
-form, ``_upper_bound``.
+form, ``_upper_bound``.  The ``op_norm`` lower bound is the multiplicative
+ascent of ``spaces._ascend_steps`` over batches of rows.
 
 Window truncation realizes the two-ended proofs: indices below window.lo
 carry no mass, so the lower-tail extension set B is always empty here and
@@ -43,7 +44,8 @@ import numpy as np
 from .errors import HypothesisError, UsageError
 from .kfunc import k_block_estimate, k_numeric
 from .measure import SeqVec, Window
-from .spaces import OrderReversed, SeparationFit, SeqSpaceSpec, norming_functional
+from .spaces import (OrderReversed, SeparationFit, SeqSpaceSpec, _ascend_steps,
+                     norming_functional)
 
 EXACTNESS_TOL = 1e-9
 # <x, g> = ||x|| tolerance for every norming functional of a block sum
@@ -251,44 +253,35 @@ def op_norm(T: PositiveMatrix, space: SeqSpaceSpec, mode: str = "interval",
 
 def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
                    seed: int) -> float:
+    """Best ||T x|| / ||x|| over the column rays, then rounds of one
+    ``_ascend_steps`` pass (x_k * 2, x_k / 2 over shuffled columns) against the
+    best so far, each of at least one step; a round without an accept restarts."""
     rng = np.random.default_rng(seed)
     win = T.window
     cols = sorted({k for (_, k) in T.entries})
     if not cols:
         return 0.0
-    best = 0.0
+    G, Y, d = T._factors()
+
+    def ratios(V):
+        # T row by row, as ``apply`` computes it: a matrix product may round otherwise
+        TV = np.array([Y.T @ (G @ v) + d * v for v in V])
+        nx, ntx = space.norm_rows(np.concatenate([V, TV])).reshape(2, -1)
+        return np.divide(ntx, nx, out=np.zeros(nx.size), where=nx > 0)
+
     # columns as starting rays
-    for k in cols:
-        x = SeqVec.basis(win, k)
-        nx = space.norm(x)
-        if nx > 0:
-            best = max(best, space.norm(T.apply(x)) / nx)
+    best = max([0.0] + ratios(np.eye(win.size)[np.array(cols) - win.lo]).tolist())
     evals = len(cols)
     x = np.zeros(win.size)
-    for k in cols:
-        x[k - win.lo] = 1.0
+    x[np.array(cols) - win.lo] = 1.0
     while evals < budget:
-        vec = SeqVec(win, x)
-        nx = space.norm(vec)
-        r = space.norm(T.apply(vec)) / nx if nx > 0 else 0.0
+        best = max(best, float(ratios(x[None])[0]))
         evals += 1
-        best = max(best, r)
-        improved = False
-        for k in rng.permutation(cols):
-            for factor in (2.0, 0.5):
-                trial = x.copy()
-                trial[k - win.lo] *= factor
-                tv = SeqVec(win, trial)
-                nt = space.norm(tv)
-                r2 = space.norm(T.apply(tv)) / nt if nt > 0 else 0.0
-                evals += 1
-                if r2 > best * (1 + 1e-12):
-                    best, x = r2, trial
-                    improved = True
-                if evals >= budget:
-                    break
-            if evals >= budget:
-                break
+        perm = rng.permutation(cols) - win.lo
+        best, x, used, improved = _ascend_steps(
+            ratios, x, np.repeat(perm, 2), np.tile([2.0, 0.5], perm.size), best,
+            max(1, budget - evals), 1e-12)
+        evals += used
         if not improved:
             x = np.zeros(win.size)
             pick = rng.choice(cols, size=max(1, len(cols) // 2), replace=False)

@@ -254,28 +254,23 @@ def brudnyi_evidence(pair, window: Window, n_samples: int = 200,
                          replace=False)
         scale = np.exp(rng.normal(0.0, 2.0))
         ent = {int(n): float(rng.random() + 0.05) * scale * lam[int(n)] for n in idx}
-        return SeqVec.from_entries(window, ent)
+        return SeqVec.from_entries(window, ent).values
 
-    ratios_J0 = []
-    for _ in range(n_samples):
-        v = sample_on(J0)
-        ratios_J0.append(EG.norm(v) / EF.norm(v))
-    ratios_J0 = np.asarray(ratios_J0)
+    # all samples first (J0, then J1), then one norm_rows call per set and space
+    V0 = np.array([sample_on(J0) for _ in range(n_samples)])
+    V1 = np.array([sample_on(J1) for _ in range(n_samples)]) if J1 else None
+    ratios_J0 = EG.norm_rows(V0) / EF.norm_rows(V0)
 
     lam_arr = np.array([lam[int(n)] for n in window.indices()])
     nu_arr = np.array([nu[int(n)] for n in window.indices()])
 
-    def wlr_norm(v: SeqVec, scales: np.ndarray) -> float:
-        return float(np.sum((np.abs(v.values) / scales) ** r) ** (1.0 / r))
+    def wlr_norms(scales: np.ndarray) -> np.ndarray:
+        # the root as a scalar power per row: numpy's array ** can differ by an ulp
+        sums = np.sum((np.abs(V1) / scales) ** r, axis=1).tolist()
+        return np.array([s ** (1.0 / r) for s in sums])
 
-    spreads_F, spreads_G = [], []
-    if J1:
-        for _ in range(n_samples):
-            v = sample_on(J1)
-            spreads_F.append(EF.norm(v) / wlr_norm(v, lam_arr))
-            spreads_G.append(EG.norm(v) / wlr_norm(v, nu_arr))
-    spreads_F = np.asarray(spreads_F) if spreads_F else np.array([1.0])
-    spreads_G = np.asarray(spreads_G) if spreads_G else np.array([1.0])
+    spreads_F = EF.norm_rows(V1) / wlr_norms(lam_arr) if J1 else np.array([1.0])
+    spreads_G = EG.norm_rows(V1) / wlr_norms(nu_arr) if J1 else np.array([1.0])
 
     def stats(a):
         return {"min": float(np.min(a)), "max": float(np.max(a)),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from couplekit import SeqVec, StepFunction, Window
+from couplekit import (GeometricWeighted, LinftySeq, OrderReversed, OrliczModular,
+                       SeqVec, StepFunction, WeightedLp, Window, dyadic_lp, example1,
+                       pwpower)
 
 
 def random_step(rng, n_pieces=None, domain="unit", vmax=3.0):
@@ -28,3 +30,19 @@ def random_seqvec(rng, window: Window, k=None, scale_sigma=2.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+# sequence spaces for the reference tests of the adversarial searches
+SEARCH_SPACE_KINDS = ("lpw", "linf", "modular", "geometric", "reversed", "reversed-modular")
+
+
+def search_space(kind, win, p=2.0, base=1.3):
+    return {
+        "lpw": lambda: WeightedLp(p, win, wexp=0.3),
+        "linf": lambda: LinftySeq(win),
+        "modular": lambda: OrliczModular(example1(), win),
+        "geometric": lambda: GeometricWeighted(dyadic_lp(p, win), base),
+        "reversed": lambda: OrderReversed(dyadic_lp(p, win.reversed())),
+        "reversed-modular": lambda: OrderReversed(OrliczModular(pwpower(1.5, 3),
+                                                                win.reversed())),
+    }[kind]()

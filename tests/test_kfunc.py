@@ -361,3 +361,13 @@ def test_k_linf_norm_evaluations_bounded(case):
         k_numeric(t, f, X, Y)
     a = np.abs(f.vals if isinstance(f, StepFunction) else f.values)
     assert calls[0] <= np.unique(a[a > 0]).size + 80
+
+
+def test_k_numeric_rejects_a_window_mismatch():
+    f = SeqVec(Window("Z-", -8, -1), np.linspace(0.5, 2.0, 8))
+    other = Window("Z", -4, 3)
+    with pytest.raises(ValueError, match="vector window does not match space window"):
+        k_numeric(1.0, f, dyadic_lp(1, other), dyadic_lp(2, other))
+    with pytest.raises(ValueError, match="vector window does not match space window"):
+        k_numeric(1.0, f, dyadic_lp(1, f.window), dyadic_lp(2, other))
+    assert k_numeric(1.0, f, dyadic_lp(1, f.window), dyadic_lp(2, f.window)).value > 0

@@ -173,6 +173,12 @@ def test_schedule_stop_reason():
     assert miss.stop == STOP_BUDGET and len(miss.history) == 2
 
 
+def test_schedule_needs_a_width():
+    with pytest.raises(UsageError, match="at least one width"):
+        shift_schedule(lambda w: dyadic_lp(2, Window("Z-", -w, -1)), "rsp", [],
+                       budget=10, seed=0)
+
+
 def _sequential_search(E, side, budget, seed, n_pairs_range=(2, 6)):
     """The trial-by-trial ascent: one ratio, two ``norm_values`` calls, per trial."""
     work = E if side == "rsp" else E.reversed_space()

@@ -14,7 +14,9 @@ from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftyS
                        logfactor_fn, norming_functional, parse_any_space,
                        parse_generator, parse_seq_space, parse_space, power,
                        pwpower, rearrange, rho_profile, seq_norm)
-from conftest import random_seqvec, random_step
+from couplekit.spaces import shift_values
+from conftest import (SEARCH_SPACE_KINDS, random_seqvec, random_step,
+                      search_space)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +238,67 @@ def test_kappa_estimates():
     assert kinf.minus_est == pytest.approx(1.0, rel=0.02)
     # lower-bound semantics
     assert k2.plus_lb <= k2.plus_est + 1e-12
+
+
+def _reference_best_shift_ratio(space, n, budget, rng):
+    """kappa's step-by-step ascent: one ratio, two ``norm_values`` calls, per step."""
+    def ratio(vals):
+        denom, num = space.norm_values(vals), space.norm_values(shift_values(vals, n))
+        if denom == 0.0:
+            return 0.0
+        return math.inf if num > 1e12 * denom else num / denom
+
+    size = space.window.size
+    units = space.unit_norms()
+    ratios = units[n:] / units[:size - n] if n > 0 else units[:size + n] / units[-n:]
+    best = float(np.max(ratios)) if ratios.size else 0.0
+    for _ in range(max(1, budget)):
+        vals = np.zeros(size)
+        k = rng.integers(1, max(2, size // 4))
+        lo_ok, hi_ok = (-n, size) if n < 0 else (0, size - n)
+        idx = rng.choice(np.arange(lo_ok, hi_ok), size=min(k, hi_ok - lo_ok),
+                         replace=False)
+        vals[idx] = rng.random(idx.size) + 0.1
+        r = ratio(vals)
+        for _ in range(8):
+            j = int(rng.choice(idx))
+            old = vals[j]
+            vals[j] = old * (2.0 if rng.random() < 0.5 else 0.5)
+            r2 = ratio(vals)
+            if r2 > r:
+                r = r2
+            else:
+                vals[j] = old
+        best = max(best, r)
+        if math.isinf(best):
+            break
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(SEARCH_SPACE_KINDS), width=st.integers(2, 12),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.0]), base=st.floats(0.4, 3.0),
+       budget=st.integers(1, 60), seed=st.integers(0, 2 ** 16))
+def test_kappa_table_equals_step_by_step_ascent(kind, width, p, base, budget, seed):
+    E = search_space(kind, Window("Z-", -width, -1), p, base)
+    est = kappa_estimate(E, budget=budget, seed=seed)
+    shifts = sorted(n for n in est.table if n > 0)
+    per = max(4, budget // max(1, 2 * len(shifts)))
+    rng = np.random.default_rng(seed)
+    ref = {}
+    for n in shifts:
+        ref[n] = _reference_best_shift_ratio(E, n, per, rng)
+        ref[-n] = _reference_best_shift_ratio(E, -n, per, rng)
+    assert est.table == ref
+
+
+@pytest.mark.parametrize("build", [
+    lambda win: kappa_estimate(dyadic_lp(2, win)),
+    lambda win: parse_space("fromseq:<seq:lpw:p=2>", window=win),
+], ids=["kappa_estimate", "fromseq"])
+def test_kappa_on_one_index_window_is_usage_error(build):
+    with pytest.raises(UsageError, match="at least 2 indices; this one has 1"):
+        build(Window("Z-", -1, -1))
 
 
 def test_from_sequence_enforces_kappa():

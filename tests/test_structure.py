@@ -7,7 +7,7 @@ reads their source and fails when one of them tests for, or imports, a
 concrete class from ``spaces`` outside the few deliberate exceptions.  It
 also keeps one norm formula per sequence space (``norm_rows``; the one-row
 ``norm_values`` lives on the base class only), the shift search on batched
-rows, and one Luxemburg solver.
+rows, one Luxemburg solver, and one multiplicative ascent.
 """
 
 import ast
@@ -113,3 +113,20 @@ def test_one_luxemburg_solver():
     for cls, method in (("OrliczModular", "norm_rows"), ("OrliczSpace", "fn_norm")):
         body = next(fn for fn in _functions(classes[cls]) if fn.name == method)
         assert "_luxemburg_log" in _names(body), f"{cls}.{method}"
+
+
+def _called(fn) -> set[str]:
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_one_multiplicative_ascent():
+    fns = {f"{path.stem}.{fn.name}": fn for path in sorted(SRC.glob("*.py"))
+           for fn in _functions(ast.parse(path.read_text()))}
+    assert "spaces._ascend_steps" in fns
+    for name in ("shift._ascend", "spaces._best_shift_ratio", "transfer._op_norm_lower"):
+        assert "_ascend_steps" in _called(fns[name]), f"{name} has its own ascent"
+    for name in ("spaces._best_shift_ratio", "transfer._op_norm_lower"):
+        assert not _called(fns[name]) & {"norm", "norm_values"}, f"{name} solves single rows"
+    assert "spaces._shift_ratio" not in fns

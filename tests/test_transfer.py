@@ -15,7 +15,7 @@ from couplekit import (GeometricWeighted, HypothesisError, LinftySeq,
                        majorization_transfer, op_norm, power, rank_one_shift,
                        rho_profile)
 from couplekit.spaces import shift_values
-from conftest import random_seqvec
+from conftest import SEARCH_SPACE_KINDS, random_seqvec, search_space
 
 WIN = Window("Z", -12, 12)
 E1 = dyadic_lp(1, WIN)
@@ -486,3 +486,87 @@ def test_apply_linear_property(data):
     assert np.allclose(A.scaled(c).apply(x).values, c * ax, rtol=1e-12, atol=0.0)
     assert np.allclose((A + B).apply(x).values, ax + B.apply(x).values,
                        rtol=1e-12, atol=0.0)
+
+
+def _reference_op_norm_lower(T, space, budget, seed):
+    """The step-by-step lower-bound ascent: ``norm`` and ``apply`` per trial."""
+    if isinstance(space, OrderReversed):
+        T, space = T.reversed(), space.inner
+    rng = np.random.default_rng(seed)
+    win = T.window
+    cols = sorted({k for (_, k) in T.entries})
+    if not cols:
+        return 0.0
+    best = 0.0
+    for k in cols:
+        x = SeqVec.basis(win, k)
+        nx = space.norm(x)
+        if nx > 0:
+            best = max(best, space.norm(T.apply(x)) / nx)
+    evals = len(cols)
+    x = np.zeros(win.size)
+    for k in cols:
+        x[k - win.lo] = 1.0
+    while evals < budget:
+        vec = SeqVec(win, x)
+        nx = space.norm(vec)
+        r = space.norm(T.apply(vec)) / nx if nx > 0 else 0.0
+        evals += 1
+        best = max(best, r)
+        improved = False
+        for k in rng.permutation(cols):
+            for factor in (2.0, 0.5):
+                trial = x.copy()
+                trial[k - win.lo] *= factor
+                tv = SeqVec(win, trial)
+                nt = space.norm(tv)
+                r2 = space.norm(T.apply(tv)) / nt if nt > 0 else 0.0
+                evals += 1
+                if r2 > best * (1 + 1e-12):
+                    best, x = r2, trial
+                    improved = True
+                if evals >= budget:
+                    break
+            if evals >= budget:
+                break
+        if not improved:
+            x = np.zeros(win.size)
+            pick = rng.choice(cols, size=max(1, len(cols) // 2), replace=False)
+            for k in pick:
+                x[k - win.lo] = rng.random() + 0.1
+    return best
+
+
+_SPARSE = st.lists(st.one_of(st.just(0.0), st.floats(0.05, 4.0)), min_size=8, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(SEARCH_SPACE_KINDS), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       base=st.floats(0.5, 2.0), steps=st.lists(st.tuples(_SPARSE, _SPARSE), min_size=1,
+                                                max_size=3),
+       diag=st.one_of(st.none(), _SPARSE),
+       budget=st.sampled_from(["1", "cols+1", "cols+2", 7, 60]), seed=st.integers(0, 2 ** 16))
+def test_op_norm_lower_equals_step_by_step_ascent(kind, p, base, steps, diag, budget, seed):
+    win = Window("Z-", -8, -1)
+    T = PositiveMatrix(win)
+    for g, y in steps:
+        T.add_rank_one(SeqVec(win, g), SeqVec(win, y))
+    if diag is not None:
+        T.add_diagonal({int(n): v for n, v in zip(win.indices(), diag)})
+    n_cols = len({k for (_, k) in T.entries})
+    budget = {"1": 1, "cols+1": n_cols + 1, "cols+2": n_cols + 2}.get(budget, budget)
+    space = search_space(kind, win, p, base)
+    assert op_norm(T, space, "lower", budget, seed) == _reference_op_norm_lower(
+        T, space, budget, seed)
+
+
+def test_op_norm_lower_tries_one_step_on_a_spent_budget():
+    # budget = columns + 1: the rays and the all-ones x spend it, yet one step
+    # still runs, and x_-2 * 2 lifts 3/sqrt(2) to 5/sqrt(5)
+    win = Window("Z-", -2, -1)
+    T = PositiveMatrix(win)
+    T.add_rank_one(SeqVec(win, [2.0, 1.0]), SeqVec(win, [1.0, 0.0]))
+    E2 = WeightedLp(2.0, win)
+    lowers = [op_norm(T, E2, "lower", budget=3, seed=s) for s in range(4)]
+    assert lowers == [_reference_op_norm_lower(T, E2, 3, s) for s in range(4)]
+    assert max(lowers) == pytest.approx(5 ** 0.5)
