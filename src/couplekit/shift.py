@@ -12,12 +12,19 @@ with a replayable witness.  The vocabulary is therefore "RSP violated with
 witness (ratio r)" versus "consistent with RSP up to C-hat at this width".
 The left-shift property is evaluated as RSP of the order-reversed space.
 
-Each sweep of the coordinate ascent is one pass of ``spaces._ascend_steps``,
-which kappa and the ``op_norm`` lower bound share: it evaluates the rest of a
-sweep in one batch (one ``norm_rows`` call on the stacked numerators and
-denominators) and accepts the trials a trial-by-trial ascent would; ``evals``
-and the budget count the consumed trials only, not the speculative rows
-evaluated past an accept.
+A family's random restarts are lanes of ``spaces._ascend_steps``, the ascent
+kappa and the ``op_norm`` lower bound share: each round evaluates the rest of
+every lane's sweep in one batch (one ``norm_rows`` call on the stacked
+numerators and denominators, exact because the supports are disjoint), and
+each lane accepts the trials a trial-by-trial ascent would.  Restarts run in
+waves: one at first, twice as many after a wave without an accept, one again
+after any accept.  A wave caps each restart by the budget left when every
+earlier restart of the wave costs its least (a start plus one sweep); the
+budget, the best ratio and the target are then replayed in restart order, and
+a restart the real budget cuts shorter runs again alone, so ``evals`` and
+every result are those of one restart after another.  ``evals`` and the
+budget count starts and consumed trials only, not the speculative rows
+evaluated past an accept or the restarts a wave ran past the end.
 """
 
 from __future__ import annotations
@@ -104,6 +111,8 @@ def gen_interlaced(E: SeqSpaceSpec, window: Window, n_pairs: int,
     """
     if rng is None:
         rng = np.random.default_rng(seed)
+    if n_pairs < 1:
+        raise UsageError(f"n_pairs must be at least 1; got {n_pairs}")
     lmin, lmax = block_len_range
     if lmin < 1 or lmax < lmin:
         raise UsageError("invalid block length range")
@@ -201,26 +210,22 @@ def _embed_family(fam: InterlacedFamily, window: Window) -> InterlacedFamily:
     return InterlacedFamily(window, pairs)
 
 
-def _ascend(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, alpha: np.ndarray,
-            r: float, evals: int, budget: int) -> tuple[float, np.ndarray, int]:
-    """Multiplicative coordinate ascent of the ratio from ``alpha`` (ratio r).
+def _ascend(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, coords, factors,
+            alphas, caps) -> list[tuple]:
+    """Multiplicative coordinate ascents of the ratio, one from each alpha in
+    ``alphas`` (ratio evaluated first), run as lanes of ``spaces._ascend_steps``.
 
-    A sweep tries alpha_i * 4 and then alpha_i / 4 for i = 0, 1, ..., each
-    trial built from the current alpha, and accepts a trial that beats r by
-    more than 1e-12 relative; sweeps repeat while one accepts.  Driving an
-    alpha_n down to ~0 deselects a useless pair, so large families
-    self-prune.  Each sweep is one ``spaces._ascend_steps`` pass capped at
-    ``budget - evals`` trials, so ``evals`` counts the consumed trials of a
-    trial-by-trial ascent.
+    A sweep tries alpha_i * 4 and then alpha_i / 4 for i = 0, 1, ... (the
+    family's ``coords`` and ``factors``), each trial built from the current
+    alpha, and accepts a trial that beats the ratio by more than 1e-12
+    relative; sweeps repeat while one accepts, and restart j consumes at most
+    ``caps[j]`` trials.  Driving an alpha_n down to ~0 deselects a useless
+    pair, so large families self-prune.  Returns (r, alpha, consumed,
+    improved) per restart.
     """
-    coord = np.repeat(np.arange(alpha.size), 2)
-    factor = np.tile([4.0, 0.25], alpha.size)
-    improved = True
-    while improved and evals < budget:
-        r, alpha, used, improved = _ascend_steps(lambda A: _ratios(E, X, Y, A), alpha,
-                                                 coord, factor, r, budget - evals, 1e-12)
-        evals += used
-    return r, alpha, evals
+    return _ascend_steps(lambda A: _ratios(E, X, Y, A),
+                         [[a, None, coords, factors, c] for a, c in zip(alphas, caps)],
+                         1e-12, sweeps=True)
 
 
 def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
@@ -230,10 +235,12 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
                             target: float | None = None) -> ShiftEstimate:
     """Maximize the interlaced ratio by random families plus coordinate ascent.
 
-    ``budget`` counts ratio evaluations (``evals``: the ascent evaluates
-    trials in batches, and only the trials it consumes are counted; see
-    ``_ascend``), and ``stop`` says whether the
-    search ended on the budget or on reaching ``target``.  The returned
+    A family's restarts climb in waves of lanes (see ``_ascend``); the budget,
+    the best ratio and ``target`` are replayed in restart order, so every
+    result is that of one restart after another.  ``budget`` counts ratio
+    evaluations (``evals``: a restart's start and the trials it consumes, not
+    the speculative rows evaluated past an accept), and ``stop`` says whether
+    the search ended on the budget or on reaching ``target``.  The returned
     C-hat is a certified lower bound for the true shift constant; the
     incumbent (witness of a previous run, possibly on a narrower window) is
     never discarded, so the estimate is monotone in budget and window.  LSP
@@ -242,6 +249,9 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
     """
     if side not in (RSP, LSP):
         raise UsageError(f"side must be '{RSP}' or '{LSP}'")
+    n_lo, n_hi = n_pairs_range
+    if not 1 <= n_lo <= n_hi:
+        raise UsageError(f"n_pairs_range must satisfy 1 <= low <= high; got {n_pairs_range}")
     work = E if side == RSP else E.reversed_space()
     win = work.window
     rng = np.random.default_rng(seed)
@@ -256,24 +266,37 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
         evals += 1
         best_ratio, best = r, (fam, alpha)
 
-    n_lo, n_hi = n_pairs_range
     n_hi = min(n_hi, max(n_lo, win.size // (2 * BLOCK_LEN_RANGE[1])))
     done = False
+    wave = 1  # restarts per wave: doubles after a wave without accepts
     while evals < budget and not done:
         n_pairs = int(rng.integers(n_lo, n_hi + 1))
         fam = gen_interlaced(work, win, n_pairs, BLOCK_LEN_RANGE, rng=rng)
         X, Y = _family_mats(fam)
-        for _ in range(RESTARTS_PER_FAMILY):
-            if evals >= budget or done:
-                break
-            alpha = np.exp(rng.normal(0.0, 1.5, size=len(fam.pairs)))
-            r = float(_ratios(work, X, Y, alpha[None])[0])
-            evals += 1
-            r, alpha, evals = _ascend(work, X, Y, alpha, r, evals, budget)
-            if r > best_ratio:
-                best_ratio, best = r, (fam, list(alpha))
-            if target is not None and best_ratio >= target:
-                done = True  # witness level reached
+        starts = np.exp(rng.normal(0.0, 1.5, size=(RESTARTS_PER_FAMILY, n_pairs)))
+        coords, factors = np.repeat(np.arange(n_pairs), 2), np.tile([4.0, 0.25], n_pairs)
+        least = 1 + coords.size  # a restart's start plus one full sweep
+        i = 0
+        while i < RESTARTS_PER_FAMILY and evals < budget and not done:
+            # restart i + j cannot start before i's evals plus j * least:
+            # each lane's cap bounds its real one from above
+            k = min(wave, RESTARTS_PER_FAMILY - i, (budget - evals - 1) // least + 1)
+            lanes = _ascend(work, X, Y, coords, factors, starts[i:i + k],
+                            [budget - evals - j * least - 1 for j in range(k)])
+            wave = 1 if any(lane[3] for lane in lanes) else min(2 * wave, RESTARTS_PER_FAMILY)
+            for r, alpha, used, _ in lanes:
+                if evals >= budget or done:
+                    break
+                left = budget - evals - 1
+                if used > left:  # the real budget cuts this restart: run it alone
+                    (r, alpha, used, _), = _ascend(work, X, Y, coords, factors,
+                                                   starts[i:i + 1], [left])
+                evals += 1 + used
+                i += 1
+                if r > best_ratio:
+                    best_ratio, best = r, (fam, list(alpha))
+                if target is not None and best_ratio >= target:
+                    done = True  # witness level reached
 
     witness = None
     if best is not None:

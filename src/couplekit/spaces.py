@@ -11,8 +11,12 @@ each has one norm formula, ``norm_rows`` over the rows of a (k, n) array,
 whose rows do not depend on each other, and ``norm_values`` is its one-row
 case on the base class.  The adversarial searches (the RSP/LSP shift search,
 kappa, the ``op_norm`` lower bound) share one multiplicative coordinate
-ascent, ``_ascend_steps``: it evaluates a pass of steps a batch of rows at a
-time and accepts exactly the steps a step-by-step ascent would.
+ascent, ``_ascend_steps``: it runs independent ascents ("lanes", such as a
+search's random restarts) together, sends the remaining steps of every lane
+to one batch of rows per round, and accepts in each lane exactly the steps a
+step-by-step ascent would.  Kappa draws all random starts of a shift first and
+ascends them as lanes; after an overflowing start it puts the generator back
+to the state just past that start's draws.
 
 The dyadic sequence space of a function space X is E_X with
 ||x||_{E_X} = ||sum x(n) chi_[2^n,2^(n+1))||_X; for X = L_p this is the
@@ -819,26 +823,56 @@ def shift_values(vals: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _ascend_steps(ratios, alpha: np.ndarray, coords, factors, r: float,
-                  budget: int, rel: float):
-    """One pass of the steps alpha[coords[i]] *= factors[i], each built from
-    the current alpha and accepted when its ratio beats r by more than ``rel``
-    relative.  The remaining steps (at most ``budget`` in all) go to
-    ``ratios`` as one batch of rows and are consumed in order up to the first
-    accepted one, so accepts and ``consumed`` are those of a step-by-step
-    ascent.  Returns (r, alpha, consumed, improved)."""
-    total = min(len(coords), budget)
-    consumed, improved = 0, False
-    while consumed < total:
-        m = total - consumed
-        trials = np.repeat(alpha[None], m, axis=0)
-        trials[np.arange(m), coords[consumed:total]] *= factors[consumed:total]
-        for k, r2 in enumerate(ratios(trials).tolist()):
-            if r2 > r * (1 + rel):
-                r, alpha, improved = r2, trials[k], True
-                break
-        consumed += k + 1
-    return r, alpha, consumed, improved
+def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False):
+    """Independent multiplicative ascents ("lanes") evaluated together.
+
+    A lane is a list [alpha, r, coords, factors, cap]: a pass of the steps
+    alpha[coords[i]] *= factors[i], each built from the lane's current alpha
+    and accepted when its ratio beats the lane's r by more than ``rel``
+    relative.  r None makes the lane evaluate alpha itself first, as a row of
+    its first batch; a lane consumes at most ``cap`` steps, and with
+    ``sweeps`` repeats its pass while the pass accepts a step.  Each round
+    sends the remaining steps of every unfinished lane's pass to ``ratios`` as
+    one batch of rows, and each lane consumes its own rows in order up to its
+    first accept, so a lane's accepts and consumed steps are those of a
+    step-by-step ascent (rows never depend on each other).  Returns
+    (r, alpha, consumed, improved) per lane."""
+    # lane state: alpha, r, coords, factors, steps left, position in the pass,
+    # consumed, accepted in this pass, accepted at all
+    state = [[alpha, r, coords, factors, cap, 0, 0, False, False]
+             for alpha, r, coords, factors, cap in lanes]
+    live = [s for s in state if s[1] is None or min(s[4], len(s[2])) > 0]
+    while live:
+        blocks = []
+        for s in live:
+            alpha, r, coords, factors, left, pos = s[:6]
+            first = r is None
+            m = min(len(coords) - pos, left)
+            T = np.repeat(alpha[None], m + first, axis=0)
+            T[np.arange(first, m + first), coords[pos:pos + m]] *= factors[pos:pos + m]
+            blocks.append(T)
+        out = ratios(blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).tolist()
+        at, still = 0, []
+        for s, T in zip(live, blocks):
+            end, k = at + len(T), at
+            if s[1] is None:
+                s[1], k = out[at], at + 1
+            r, taken = s[1] * (1 + rel), end - k
+            for j in range(k, end):
+                if out[j] > r:
+                    s[0], s[1], s[7], s[8] = T[j - at], out[j], True, True
+                    taken = j - k + 1
+                    break
+            at = end
+            s[4] -= taken
+            s[5] += taken
+            s[6] += taken
+            if s[5] == len(s[2]) and sweeps and s[7] and s[4] > 0:
+                s[5], s[7] = 0, False
+            if s[5] < len(s[2]) and s[4] > 0:
+                still.append(s)
+        live = still
+    return [(s[1], s[0], s[6], s[8]) for s in state]
 
 
 @dataclass
@@ -873,17 +907,20 @@ def _shift_ratios(space: SeqSpaceSpec, V: np.ndarray, n: int) -> np.ndarray:
 
 
 def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
-                      rng: np.random.Generator) -> float:
+                      rng: np.random.Generator, units: np.ndarray) -> float:
+    """Best ||tau_n x|| / ||x|| over the unit vectors (``units`` holds their
+    norms), then over ``budget`` random starts, each followed by 8 ascent
+    steps; every start and its steps are drawn first and ascended as lanes."""
     size = space.window.size
     best = 0.0
     # unit vectors first: exact on every Kothe space, tight for weighted lp
-    units = space.unit_norms()
     if n > 0:
         ratios = units[n:] / units[:size - n]
     else:
         ratios = units[:size + n] / units[-n:]
     if ratios.size:
         best = float(np.max(ratios))
+    lanes, states = [], []
     for _ in range(max(1, budget)):
         vals = np.zeros(size)
         k = rng.integers(1, max(2, size // 4))
@@ -891,14 +928,17 @@ def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
         idx = rng.choice(np.arange(lo_ok, hi_ok), size=min(k, hi_ok - lo_ok),
                          replace=False)
         vals[idx] = rng.random(idx.size) + 0.1
-        # 8 steps of multiplicative coordinate ascent, drawn before any is tried
         coords, factors = zip(*[(int(rng.choice(idx)), 2.0 if rng.random() < 0.5 else 0.5)
                                 for _ in range(8)])
-        r = float(_shift_ratios(space, vals[None], n)[0])
-        r = _ascend_steps(lambda V: _shift_ratios(space, V, n), vals, np.array(coords),
-                          np.array(factors), r, 8, 0.0)[0]
+        lanes.append([vals, None, np.array(coords), np.array(factors), 8])
+        states.append(rng.bit_generator.state)
+    for (r, _, _, _), state in zip(
+            _ascend_steps(lambda V: _shift_ratios(space, V, n), lanes, 0.0), states):
         best = max(best, r)
         if math.isinf(best):
+            # the starts after an overflow are never drawn: the next shift
+            # draws from the state just past this start
+            rng.bit_generator.state = state
             break
     return best
 
@@ -916,10 +956,11 @@ def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEs
                         list(np.unique(np.geomspace(1, n_max, 6).astype(int)))))
     shifts = [n for n in shifts if 1 <= n <= n_max]
     per = max(4, budget // max(1, 2 * len(shifts)))
+    units = E.unit_norms()
     table: dict[int, float] = {}
     for n in shifts:
-        table[n] = _best_shift_ratio(E, n, per, rng)
-        table[-n] = _best_shift_ratio(E, -n, per, rng)
+        table[n] = _best_shift_ratio(E, n, per, rng, units)
+        table[-n] = _best_shift_ratio(E, -n, per, rng, units)
 
     def summarize(sign: int):
         pairs = [(n, table[sign * n]) for n in shifts if table[sign * n] > 0]

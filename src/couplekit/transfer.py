@@ -25,8 +25,8 @@ All three add their rank-one steps through one builder, ``_add_block_sum``,
 which checks every norming functional against ||x_n|| to FUNCTIONAL_TOL;
 prefix (and, through order reversal, suffix) norms come from one table,
 ``_prefix_norms``, and the weighted-ell_p operator bound from one closed
-form, ``_upper_bound``.  The ``op_norm`` lower bound is the multiplicative
-ascent of ``spaces._ascend_steps`` over batches of rows.
+form, ``_upper_bound``.  The ``op_norm`` lower bound is a one-lane
+multiplicative ascent of ``spaces._ascend_steps`` over batches of rows.
 
 Window truncation realizes the two-ended proofs: indices below window.lo
 carry no mass, so the lower-tail extension set B is always empty here and
@@ -278,9 +278,9 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
         best = max(best, float(ratios(x[None])[0]))
         evals += 1
         perm = rng.permutation(cols) - win.lo
-        best, x, used, improved = _ascend_steps(
-            ratios, x, np.repeat(perm, 2), np.tile([2.0, 0.5], perm.size), best,
-            max(1, budget - evals), 1e-12)
+        (best, x, used, improved), = _ascend_steps(
+            ratios, [[x, best, np.repeat(perm, 2), np.tile([2.0, 0.5], perm.size),
+                      max(1, budget - evals)]], 1e-12)
         evals += used
         if not improved:
             x = np.zeros(win.size)

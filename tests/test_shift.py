@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from couplekit import (GeometricWeighted, InterlacedFamily, LinftySeq,
                        OrderReversed, OrliczModular, SeqVec, ShiftWitness,
                        UsageError, WeightedLp, Window, dyadic_lp, example1,
-                       family_ratio, gen_interlaced, parse_seq_space,
+                       family_ratio, gen_interlaced, parse_seq_space, parse_space,
                        replay_witness, shift_constant_estimate,
                        shift_schedule)
 from couplekit.shift import (BLOCK_LEN_RANGE, RESTARTS_PER_FAMILY, STOP_BUDGET,
@@ -179,7 +181,8 @@ def test_schedule_needs_a_width():
                        budget=10, seed=0)
 
 
-def _sequential_search(E, side, budget, seed, n_pairs_range=(2, 6)):
+def _sequential_search(E, side, budget, seed, n_pairs_range=(2, 6), incumbent=None,
+                       target=None):
     """The trial-by-trial ascent: one ratio, two ``norm_values`` calls, per trial."""
     work = E if side == "rsp" else E.reversed_space()
     win = work.window
@@ -189,15 +192,22 @@ def _sequential_search(E, side, budget, seed, n_pairs_range=(2, 6)):
         den = work.norm_values(alpha @ X)
         return 0.0 if den == 0.0 else work.norm_values(alpha @ Y) / den
 
-    best_ratio, best, evals = 0.0, None, 0
+    best_ratio, best, evals, done = 0.0, None, 0, False
+    if incumbent is not None:
+        fam = InterlacedFamily(win, [(SeqVec.from_entries(win, x.entries()),
+                                      SeqVec.from_entries(win, y.entries()))
+                                     for x, y in incumbent.witness.family.pairs])
+        alpha = list(incumbent.witness.alpha)
+        best_ratio, best = ratio(*_family_mats(fam), np.asarray(alpha)), (fam, alpha)
+        evals += 1
     n_lo, n_hi = n_pairs_range
     n_hi = min(n_hi, max(n_lo, win.size // (2 * BLOCK_LEN_RANGE[1])))
-    while evals < budget:
+    while evals < budget and not done:
         fam = gen_interlaced(work, win, int(rng.integers(n_lo, n_hi + 1)),
                              BLOCK_LEN_RANGE, rng=rng)
         X, Y = _family_mats(fam)
         for _ in range(RESTARTS_PER_FAMILY):
-            if evals >= budget:
+            if evals >= budget or done:
                 break
             alpha = np.exp(rng.normal(0.0, 1.5, size=len(fam.pairs)))
             r = ratio(X, Y, alpha)
@@ -220,9 +230,25 @@ def _sequential_search(E, side, budget, seed, n_pairs_range=(2, 6)):
                         break
             if r > best_ratio:
                 best_ratio, best = r, (fam, [float(a) for a in alpha])
-    witness = ShiftWitness(E.spec_string(), side, win, best[0], best[1],
-                           float(best_ratio), seed)
-    return float(best_ratio), evals, witness
+            if target is not None and best_ratio >= target:
+                done = True
+    witness = None if best is None else ShiftWitness(
+        E.spec_string(), side, win, best[0], [float(a) for a in best[1]], float(best_ratio), seed)
+    stop = STOP_TARGET if done else STOP_BUDGET
+    return float(best_ratio), evals, witness, stop
+
+
+def _assert_same_search(E, side, budget, seed, pairs, incumbent=None, target=None):
+    est = shift_constant_estimate(E, side, budget=budget, seed=seed, n_pairs_range=pairs,
+                                  incumbent=incumbent, target=target)
+    c_hat, evals, witness, stop = _sequential_search(E, side, budget, seed, pairs,
+                                                     incumbent, target)
+    assert (est.c_hat, est.evals, est.stop) == (c_hat, evals, stop)
+    assert json.dumps(None if est.witness is None else est.witness.to_json_dict()) == \
+        json.dumps(None if witness is None else witness.to_json_dict())
+    if est.witness is not None:
+        assert replay_witness(E, est.witness) == est.c_hat
+    return est
 
 
 @pytest.mark.parametrize("make, side, budget, seed, pairs", [
@@ -235,9 +261,89 @@ def _sequential_search(E, side, budget, seed, n_pairs_range=(2, 6)):
      "lsp", 200, 9, (3, 10)),
 ])
 def test_batched_search_equals_sequential_ascent(make, side, budget, seed, pairs):
+    est = _assert_same_search(make(), side, budget, seed, pairs)
+    assert est.stop == STOP_BUDGET
+
+
+def MODULAR():
+    return GeometricWeighted(OrliczModular(example1(), Window("Z-", -24, -1)), 2 ** 0.5)
+
+
+@pytest.mark.parametrize("make, side, budget, seed", [
+    (lambda: WeightedLp(1.0, WIN, wexp=-0.4), "lsp", 900, 6),
+    (lambda: WeightedLp(1.0, WIN, wexp=-0.4), "rsp", 900, 1),
+    (lambda: LinftySeq(WIN), "rsp", 300, 3),
+    (MODULAR, "rsp", 400, 4),
+    (MODULAR, "lsp", 400, 6),
+])
+def test_search_with_target_and_incumbent_equals_sequential_ascent(make, side, budget, seed):
+    # the target is the plain search's C-hat: the search stops on the restart
+    # that first reaches it, inside a wave of several for the lsp cases
     E = make()
-    est = shift_constant_estimate(E, side, budget=budget, seed=seed, n_pairs_range=pairs)
-    c_hat, evals, witness = _sequential_search(E, side, budget, seed, pairs)
-    assert (est.c_hat, est.evals, est.stop) == (c_hat, evals, STOP_BUDGET)
-    assert json.dumps(est.witness.to_json_dict()) == json.dumps(witness.to_json_dict())
-    assert replay_witness(E, est.witness) == est.c_hat
+    target = shift_constant_estimate(E, side, budget=budget, seed=seed,
+                                     n_pairs_range=(2, 4)).c_hat
+    est = _assert_same_search(E, side, budget, seed, (2, 4), target=target)
+    assert est.stop == STOP_TARGET
+    first = _assert_same_search(E, side, budget // 4, seed + 100, (2, 4))
+    _assert_same_search(E, side, budget, seed, (2, 4), incumbent=first)
+    _assert_same_search(E, side, budget, seed, (2, 4), incumbent=first, target=target)
+
+
+@settings(max_examples=40, deadline=None)
+# budgets that cut a restart after an accepting one in the same wave
+@example(kind="modular", n=3, cut=60, side="rsp", seed=0)
+@example(kind="modular", n=2, cut=200, side="lsp", seed=1)
+@example(kind="modular", n=2, cut=500, side="rsp", seed=2)
+@given(kind=st.sampled_from(["lpw", "linf", "modular"]), n=st.integers(1, 4),
+       cut=st.one_of(st.sampled_from(["1", "2n", "2n+1", "2n+2"]), st.integers(1, 500)),
+       side=st.sampled_from(["rsp", "lsp"]), seed=st.integers(0, 2 ** 16))
+def test_budget_cutting_a_wave_equals_sequential_ascent(kind, n, cut, side, seed):
+    # a restart costs 1 + 2n evals without accepts: these budgets cut the
+    # first restart, or a later one inside a wave of several
+    win = Window("Z-", -24, -1)
+    E = {"lpw": lambda: WeightedLp(2.0, win, wexp=0.3), "linf": lambda: LinftySeq(win),
+         "modular": MODULAR}[kind]()
+    budget = {"1": 1, "2n": 2 * n, "2n+1": 2 * n + 1, "2n+2": 2 * n + 2}.get(cut, cut)
+    _assert_same_search(E, side, budget, seed, (n, n))
+
+
+@pytest.mark.parametrize("call", [
+    lambda E: gen_interlaced(E, WIN, 0, seed=0),
+    lambda E: shift_constant_estimate(E, budget=10, n_pairs_range=(0, 0)),
+    lambda E: shift_constant_estimate(E, budget=10, n_pairs_range=(5, 2)),
+], ids=["gen-zero-pairs", "range-zero", "range-reversed"])
+def test_bad_pair_counts_are_usage_errors(call):
+    with pytest.raises(UsageError, match=r"n_pairs.*(got 0|\(0, 0\)|\(5, 2\))"):
+        call(dyadic_lp(2, WIN))
+
+
+# work counts of the two many-restart searches: restarts run as lanes, so
+# they are paid in rows, not in ``norm_rows`` calls
+
+
+def _norm_rows_counter(monkeypatch, cls):
+    rows = []
+    norm_rows = cls.norm_rows
+
+    def counted(self, V):
+        rows.append(len(V))
+        return norm_rows(self, V)
+
+    monkeypatch.setattr(cls, "norm_rows", counted)
+    return rows
+
+
+def test_weighted_lp_search_work(monkeypatch):
+    rows = _norm_rows_counter(monkeypatch, WeightedLp)
+    est = shift_constant_estimate(dyadic_lp(2, Window("Z", -16, 16)), "rsp", budget=3000,
+                                  seed=5)
+    assert est.evals == 3000
+    # one restart at a time it took 746 calls for the same 6,268 rows
+    assert len(rows) <= 80 and sum(rows) == 6268
+
+
+def test_fromseq_kappa_work(monkeypatch):
+    rows = _norm_rows_counter(monkeypatch, OrliczModular)
+    parse_space("fromseq:<seq:orlicz-modular:gen=<example1>>")
+    # one start at a time it took 1,795 calls for 15,656 rows
+    assert len(rows) <= 120 and sum(rows) <= 15656

@@ -282,6 +282,10 @@ def _reference_best_shift_ratio(space, n, budget, rng):
 def test_kappa_table_equals_step_by_step_ascent(kind, width, p, base, budget, seed):
     E = search_space(kind, Window("Z-", -width, -1), p, base)
     est = kappa_estimate(E, budget=budget, seed=seed)
+    assert est.table == _reference_kappa_table(E, est, budget, seed)
+
+
+def _reference_kappa_table(E, est, budget, seed):
     shifts = sorted(n for n in est.table if n > 0)
     per = max(4, budget // max(1, 2 * len(shifts)))
     rng = np.random.default_rng(seed)
@@ -289,7 +293,20 @@ def test_kappa_table_equals_step_by_step_ascent(kind, width, p, base, budget, se
     for n in shifts:
         ref[n] = _reference_best_shift_ratio(E, n, per, rng)
         ref[-n] = _reference_best_shift_ratio(E, -n, per, rng)
-    assert est.table == ref
+    return ref
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kappa_table_after_an_overflow_equals_step_by_step_ascent(seed):
+    # a shift by 6 overflows on a base-100 geometric weight: the search stops
+    # at the first start that does, and the next shift's starts (which beat
+    # the unit vectors on a modular space) must be the draws a start-by-start
+    # search makes
+    win = Window("Z-", -24, -1)
+    E = GeometricWeighted(OrliczModular(example1(), win), 100.0)
+    est = kappa_estimate(E, budget=200, seed=seed)
+    assert math.isinf(est.table[6]) and math.isfinite(est.table[-6])
+    assert est.table == _reference_kappa_table(E, est, 200, seed)
 
 
 @pytest.mark.parametrize("build", [
