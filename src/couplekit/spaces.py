@@ -838,38 +838,38 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False):
     step-by-step ascent (rows never depend on each other).  Returns
     (r, alpha, consumed, improved) per lane."""
     # lane state: alpha, r, coords, factors, steps left, position in the pass,
-    # consumed, accepted in this pass, accepted at all
-    state = [[alpha, r, coords, factors, cap, 0, 0, False, False]
+    # steps consumed, accepted in this pass, accepted at all, pass length
+    state = [[alpha, r, coords, factors, cap, 0, 0, False, False, len(coords)]
              for alpha, r, coords, factors, cap in lanes]
-    live = [s for s in state if s[1] is None or min(s[4], len(s[2])) > 0]
+    live = [s for s in state if s[1] is None or min(s[4], s[9]) > 0]
     while live:
         blocks = []
         for s in live:
             alpha, r, coords, factors, left, pos = s[:6]
             first = r is None
-            m = min(len(coords) - pos, left)
-            T = np.repeat(alpha[None], m + first, axis=0)
+            m = min(s[9] - pos, left)
+            T = alpha[None].repeat(m + first, axis=0)
             T[np.arange(first, m + first), coords[pos:pos + m]] *= factors[pos:pos + m]
             blocks.append(T)
         out = ratios(blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).tolist()
         at, still = 0, []
         for s, T in zip(live, blocks):
-            end, k = at + len(T), at
-            if s[1] is None:
-                s[1], k = out[at], at + 1
-            r, taken = s[1] * (1 + rel), end - k
-            for j in range(k, end):
-                if out[j] > r:
-                    s[0], s[1], s[7], s[8] = T[j - at], out[j], True, True
-                    taken = j - k + 1
+            alpha, r, coords, factors, left, pos, used, accepted, ever, size = s
+            start, end = at, at + len(T)
+            if r is None:
+                r, at = out[at], at + 1
+            bar, taken = r * (1 + rel), end - at
+            for j in range(at, end):
+                if out[j] > bar:
+                    alpha, r, accepted, ever = T[j - start], out[j], True, True
+                    taken = j - at + 1
                     break
             at = end
-            s[4] -= taken
-            s[5] += taken
-            s[6] += taken
-            if s[5] == len(s[2]) and sweeps and s[7] and s[4] > 0:
-                s[5], s[7] = 0, False
-            if s[5] < len(s[2]) and s[4] > 0:
+            left, pos, used = left - taken, pos + taken, used + taken
+            if pos == size and sweeps and accepted and left > 0:
+                pos, accepted = 0, False
+            s[:9] = alpha, r, coords, factors, left, pos, used, accepted, ever
+            if pos < size and left > 0:
                 still.append(s)
         live = still
     return [(s[1], s[0], s[6], s[8]) for s in state]
