@@ -21,18 +21,22 @@ a split with ||y||_infty = lam has |x| >= (|f| - lam)_+ pointwise, so
                           phi(lam) = ||(|f| - lam)_+||_X + t lam
 
 (Bennett-Sharpley, Interpolation of Operators, 1988), and phi is convex.
-phi is evaluated at 0 and at every level of |f|, and the bracket around the
-best level is narrowed by golden-section steps.  ``lower`` is then a true
-bound: the chords of phi through the best interior point bound phi from
-below on the final bracket, which holds the minimiser.  X = L_infty is
-routed to the same search by K(t; X, Y) = t K(1/t; Y, X).
+phi is evaluated at 0 and at every level of |f| (one batch of rows), and
+the bracket around the best level is narrowed by golden-section steps (one
+row each).  ``lower`` is then a true bound: the chords of phi through the
+best interior point bound phi from below on the final bracket, which holds
+the minimiser.  X = L_infty is routed to the same search by
+K(t; X, Y) = t K(1/t; Y, X).
 
 Other couples are minimized over the box 0 <= c <= |f| by cyclic
 coordinate descent (descending-|f| sweep order, golden-section line
 searches), cross-checked against the truncation family x = min(|f|, c) and,
-for sequence couples, all prefix/suffix splits.  The reported value is the
-best decomposition found (an upper bound); ``lower`` there is only a numeric
-subgradient gap estimate, not a certified bound.
+for sequence couples, all prefix/suffix splits (batches of rows).  The
+reported value is the best decomposition found (an upper bound); ``lower``
+there is only a numeric subgradient gap estimate, not a certified bound.
+
+Norms are row functions of the spaces, ``norm_rows_on(f)`` (or E_X's
+``norm_rows`` for a sequence): rows of values normed independently.
 """
 
 from __future__ import annotations
@@ -42,11 +46,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UsageError
 from .measure import SeqVec, StepFunction, rearrange
 from .spaces import SeparationFit, SeqSpaceSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SWEEP_CAP = 64
+# entries in one batch of rows: longer scans are split into batches of
+# 128 KB, small enough to stay in cache
+_BATCH = 1 << 14
 
 
 @dataclass
@@ -65,33 +73,55 @@ class KResult:
         return self.value
 
 
-def _norm_closure(space, template):
-    """Fast ||.|| as a function of the piece/entry value vector."""
+def _norm_rows(space, template):
+    """V -> ||.|| of each row of V, values on the pieces/entries of template."""
     if isinstance(template, StepFunction):
-        return space.norm_closure(template)
+        if not hasattr(space, "norm_rows_on"):
+            raise UsageError(f"{space.spec_string()} is a sequence space; a step "
+                             f"function needs function spaces")
+        return space.norm_rows_on(template)
     E = space.e_space(template.window)
     if E.window != template.window:
         raise ValueError("vector window does not match space window")
-    return E.norm_values
+    return E.norm_rows
+
+
+def _one(rows, v: np.ndarray) -> float:
+    """The norm of one value vector through a rows function."""
+    return float(rows(v[None])[0])
+
+
+def _runs(params: np.ndarray, width: int) -> list:
+    """params cut into runs whose rows of the given width fill one batch."""
+    step = max(1, _BATCH // width)
+    return [params[i:i + step] for i in range(0, params.size, step)]
+
+
+def _golden_steps(phi, lo: float, f_lo, hi: float, f_hi):
+    """Golden-section brackets (lo, f_lo, c, fc, d, fd, hi, f_hi) of a convex
+    phi, each narrowed from the one before; f_lo and f_hi are phi at the
+    ends, as given by the caller until a step moves that end."""
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = phi(c), phi(d)
+    while True:
+        yield lo, f_lo, c, fc, d, fd, hi, f_hi
+        if fc <= fd:
+            hi, f_hi, d, fd = d, fd, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = phi(c)
+        else:
+            lo, f_lo, c, fc = c, fc, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = phi(d)
 
 
 def _golden_min(phi, lo: float, hi: float, tol: float):
     """Golden-section minimum of a convex phi on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = phi(c), phi(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = phi(d)
-    xm = 0.5 * (a + b)
-    return xm, phi(xm)
+    for a, _, _, _, _, _, b, _ in _golden_steps(phi, lo, None, hi, None):
+        if b - a <= tol:
+            xm = 0.5 * (a + b)
+            return xm, phi(xm)
 
 
 def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
@@ -116,8 +146,8 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
         a = np.abs(f.vals)
     else:
         raise TypeError("f must be a StepFunction or SeqVec")
-    nx = _norm_closure(X, f)
-    ny = _norm_closure(Y, f)
+    nx = _norm_rows(X, f)
+    ny = _norm_rows(Y, f)
 
     if not np.any(a > 0):
         return KResult(t, 0.0, 0.0, 0.0, 0.0, 0, True, a.copy())
@@ -128,32 +158,30 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
         return KResult(t, t * r.value, t * r.lower, r.y_mass, r.x_mass,
                        r.sweeps, r.converged, a - r.split)
 
-    def objective(c: np.ndarray) -> float:
-        return nx(c) + t * ny(a - c)
+    def objective(C: np.ndarray) -> np.ndarray:
+        """||c||_X + t ||a - c||_Y for each row c of C."""
+        return nx(C) + t * ny(a - C)
 
-    # trial decompositions: trivial, truncation family, prefix/suffix splits
-    best_c = np.zeros_like(a)
-    best_v = objective(best_c)
-    for cand in _trial_splits(a, sequence_like):
-        v = objective(cand)
-        if v < best_v:
-            best_v, best_c = v, cand
+    best_c, best_v = np.zeros_like(a), math.inf
+    for C in _trial_splits(a, sequence_like):
+        vals = objective(C)
+        k = int(np.argmin(vals))  # the first minimum, as a strict-< scan keeps
+        if vals[k] < best_v:
+            best_c, best_v = C[k].copy(), float(vals[k])
 
     order = np.argsort(-a, kind="stable")
     order = order[a[order] > 0]
     c = best_c.copy()
     value = best_v
-    sweeps = 0
     converged = False
-    for sweep in range(SWEEP_CAP):
-        sweeps = sweep + 1
+    for sweeps in range(1, SWEEP_CAP + 1):
         before = value
         for i in order:
             ai = a[i]
 
             def line(z, i=i):
                 c[i] = z
-                return objective(c)
+                return _one(nx, c) + t * _one(ny, a - c)
 
             zi, vi = _golden_min(line, 0.0, ai, max(ai * tol / 10.0, 1e-15))
             c[i] = zi
@@ -163,8 +191,8 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
             break
     if value > best_v:  # keep the incumbent if descent stalled above it
         value, c = best_v, best_c
-    gap = _convexity_gap(objective, c, a, value)
-    return KResult(t, value, max(value - gap, 0.0), nx(c), ny(a - c),
+    gap = _convexity_gap(objective, c, a)
+    return KResult(t, value, max(value - gap, 0.0), _one(nx, c), _one(ny, a - c),
                    sweeps, converged, c)
 
 
@@ -180,19 +208,17 @@ def _k_linf(t: float, a: np.ndarray, nx, tol: float) -> KResult:
     its lower bound from the Lipschitz constant of phi instead.
     """
     def phi(lam: float) -> float:
-        return nx(np.maximum(a - lam, 0.0)) + t * lam
+        return _one(nx, np.maximum(a - lam, 0.0)) + t * lam
 
     levels = np.concatenate([[0.0], np.unique(a[a > 0])])
-    vals = [phi(lam) for lam in levels]
+    vals = np.concatenate([nx(np.maximum(a - lams[:, None], 0.0)) + t * lams
+                           for lams in _runs(levels, a.size)]).tolist()
     k = int(np.argmin(vals))
     best_lam, value = float(levels[k]), vals[k]
     i, j = max(k - 1, 0), min(k + 1, levels.size - 1)
-    lo, f_lo, hi, f_hi = float(levels[i]), vals[i], float(levels[j]), vals[j]
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = phi(c), phi(d)
     floor = 8.0 * np.finfo(float).eps * float(levels[-1])
-    while True:
+    for lo, f_lo, c, fc, d, fd, hi, f_hi in _golden_steps(
+            phi, float(levels[i]), vals[i], float(levels[j]), vals[j]):
         # the best interior point m; [A, B] still holds a minimiser of phi
         if fc <= fd:
             A, fA, m, fm, B, fB = lo, f_lo, c, fc, d, fd
@@ -203,7 +229,7 @@ def _k_linf(t: float, a: np.ndarray, nx, tol: float) -> KResult:
         if not A < m < B:
             # rounding merged the golden points in a bracket a few ulps wide;
             # phi is max(t, ||1_{a > lo}||_X)-Lipschitz on [lo, hi]
-            lip = max(t, nx(np.where(a > lo, 1.0, 0.0)))
+            lip = max(t, _one(nx, np.where(a > lo, 1.0, 0.0)))
             lower = 0.5 * (f_lo + f_hi - lip * (hi - lo))
             break
         # convexity: phi >= the chord through (m, B) on [A, m] and the chord
@@ -214,53 +240,41 @@ def _k_linf(t: float, a: np.ndarray, nx, tol: float) -> KResult:
                     fm + min(s_left, 0.0) * (B - m))
         if value - lower <= tol * value or hi - lo <= floor:
             break
-        if fc <= fd:
-            hi, f_hi, d, fd = d, fd, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = phi(c)
-        else:
-            lo, f_lo, c, fc = c, fc, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = phi(d)
     split = np.maximum(a - best_lam, 0.0)
     # lower <= min phi <= value in exact arithmetic; the cap absorbs rounding
-    return KResult(t, value, max(min(lower, value), 0.0), nx(split), best_lam,
+    return KResult(t, value, max(min(lower, value), 0.0), _one(nx, split), best_lam,
                    1, True, split)
 
 
 def _trial_splits(a: np.ndarray, sequence_like: bool):
-    levels = np.unique(a[a > 0])
-    for theta in levels:
-        yield np.minimum(a, theta)       # flat part in X
-        yield a - np.minimum(a, theta)   # peaks in X
-    yield a.copy()
-    if sequence_like:
-        for m in range(1, a.size):
-            cand = a.copy()
-            cand[m:] = 0.0
-            yield cand
-            cand2 = a.copy()
-            cand2[:m] = 0.0
-            yield cand2
+    """Blocks of trial decompositions as rows: the zero split, then for each
+    level theta the flat part min(a, theta) and the peaks a - min(a, theta),
+    then a, then (sequences) each prefix and suffix split."""
+    yield np.zeros((1, a.size))
+    for thetas in _runs(np.unique(a[a > 0]), 2 * a.size):
+        flat = np.minimum(a, thetas[:, None])
+        yield np.stack([flat, a - flat], axis=1).reshape(-1, a.size)
+    yield a[None]
+    if sequence_like and a.size > 1:
+        below = np.arange(a.size) < np.arange(1, a.size)[:, None]  # row m-1: j < m
+        yield np.stack([np.where(below, a, 0.0), np.where(below, 0.0, a)],
+                       axis=1).reshape(-1, a.size)
 
 
-def _convexity_gap(objective, c, a, value):
-    """Box lower-bound gap from a numeric subgradient at the solution."""
-    gap = 0.0
-    for i in range(a.size):
-        if a[i] <= 0:
-            continue
-        h = max(a[i] * 1e-6, 1e-12)
-        up = np.clip(c.copy(), 0, a)
-        dn = up.copy()
-        up[i] = min(c[i] + h, a[i])
-        dn[i] = max(c[i] - h, 0.0)
-        denom = up[i] - dn[i]
-        if denom <= 0:
-            continue
-        g = (objective(up) - objective(dn)) / denom
-        gap += max(g * (c[i] - 0.0), 0.0) if g > 0 else max(-g * (a[i] - c[i]), 0.0)
-    return gap
+def _convexity_gap(objective, c, a):
+    """Box lower-bound gap from a numeric subgradient at the solution c (in
+    the box): central differences along each coordinate with a > 0, whose
+    probes are one batch of rows."""
+    idx = np.flatnonzero(a > 0)
+    ci, ai = c[idx], a[idx]
+    h = np.maximum(ai * 1e-6, 1e-12)
+    up, dn = np.minimum(ci + h, ai), np.maximum(ci - h, 0.0)
+    probes = np.repeat(c[None], 2 * idx.size, axis=0)
+    probes[np.arange(2 * idx.size), np.tile(idx, 2)] = np.concatenate([up, dn])
+    g_up, g_dn = objective(probes).reshape(2, -1)
+    g = (g_up - g_dn) / (up - dn)
+    terms = np.where(g > 0, np.maximum(g * ci, 0.0), np.maximum(-g * (ai - ci), 0.0))
+    return float(np.cumsum(terms)[-1])  # summed in coordinate order
 
 
 def k_l1_linf_oracle(t: float, f: StepFunction) -> float:

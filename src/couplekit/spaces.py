@@ -2,21 +2,24 @@
 
 Function-space variants (Lp, Lorentz quasinorm, Orlicz/Luxemburg, and the
 space-from-sequence construction) evaluate exactly on step functions -- every
-integral is a finite sum over pieces.  Both Orlicz norms (``OrliczSpace`` and
-the modular space ``OrliczModular``) are one root-find of the log-modular G,
-``_luxemburg_log``: bracketed Newton steps on the log-norm, row by row over a
-batch of rows, stopped when the Newton correction is at most 1e-13; h' >= 1
-bounds the error by |G|.  Sequence-space variants are modelled on a Window;
-each has one norm formula, ``norm_rows`` over the rows of a (k, n) array,
-whose rows do not depend on each other, and ``norm_values`` is its one-row
-case on the base class.  The adversarial searches (the RSP/LSP shift search,
-kappa, the ``op_norm`` lower bound) share one multiplicative coordinate
-ascent, ``_ascend_steps``: it runs independent ascents ("lanes", such as a
-search's random restarts) together, sends the remaining steps of every lane
-to one batch of rows per round, and accepts in each lane exactly the steps a
-step-by-step ascent would.  Kappa draws all random starts of a shift first and
-ascends them as lanes; after an overflowing start it puts the generator back
-to the state just past that start's draws.
+integral is a finite sum over pieces.  Each has one norm formula,
+``norm_rows_on(f)``: it binds the pieces of f and returns the norms of the
+rows of a (k, pieces) array of values on them.  Sequence-space variants are
+modelled on a Window; each has one norm formula, ``norm_rows`` over the rows
+of a (k, n) array.  Rows never depend on each other, and ``fn_norm`` and
+``norm_values`` are the one-row cases on the base classes.  Both Orlicz norms
+(``OrliczSpace`` and the modular space ``OrliczModular``) are one root-find
+of the log-modular G, ``_luxemburg_log``: bracketed Newton steps on the
+log-norm, row by row over a batch of rows, stopped when the Newton correction
+is at most 1e-13; h' >= 1 bounds the error by |G|.  The adversarial searches
+(the RSP/LSP shift search, kappa, the ``op_norm`` lower bound) share one
+multiplicative coordinate ascent, ``_ascend_steps``: it runs independent
+ascents ("lanes", such as a search's random restarts) together, sends the
+remaining steps of every lane to one batch of rows per round, and accepts in
+each lane exactly the steps a step-by-step ascent would.  Kappa draws all
+random starts of a shift first and ascends them as lanes; after an
+overflowing start it puts the generator back to the state just past that
+start's draws.
 
 The dyadic sequence space of a function space X is E_X with
 ||x||_{E_X} = ||sum x(n) chi_[2^n,2^(n+1))||_X; for X = L_p this is the
@@ -26,7 +29,7 @@ and for X = L_F it is the modular space with block weights 2^n.
 Only this module knows the concrete space classes: other modules ask a space
 through its protocol, whose base-class defaults describe a space without
 closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
-``InducedSeq``), ``norm_closure(f)``, ``boyd()``, ``exact_weighted_lp``,
+``InducedSeq``), ``norm_rows_on(f)``, ``boyd()``, ``exact_weighted_lp``,
 ``is_linf``, ``generator()``.  ``SeqSpaceSpec``: ``norm_rows(V)``,
 ``e_space`` (the space itself), ``norming_values``, ``weighted_lp_form()``,
 ``is_linf``, ``generator()``.  The wrappers ``GeometricWeighted`` and ``OrderReversed``
@@ -148,12 +151,14 @@ class SpaceSpec:
     exact_weighted_lp: bool = False
     is_linf: bool = False
 
-    def fn_norm(self, f: StepFunction) -> float:
+    def norm_rows_on(self, f: StepFunction):
+        """V -> norms of the rows of a (k, pieces) array of values on the
+        pieces of f; rows do not depend on each other."""
         raise NotImplementedError
 
-    def norm_closure(self, f: StepFunction):
-        """||.|| as a function of the value vector on the pieces of f."""
-        return lambda v: self.fn_norm(f.with_values(v))
+    def fn_norm(self, f: StepFunction) -> float:
+        """Norm of one step function: the one-row case of ``norm_rows_on``."""
+        return float(self.norm_rows_on(f)(f.vals[None])[0])
 
     def e_space(self, window: Window) -> "SeqSpaceSpec":
         """The dyadic sequence space E_X on the window, fast form if known."""
@@ -187,14 +192,20 @@ class LpSpace(SpaceSpec):
     def is_linf(self) -> bool:
         return math.isinf(self.p)
 
-    def fn_norm(self, f: StepFunction) -> float:
-        return self.norm_closure(f)(f.vals)
-
-    def norm_closure(self, f: StepFunction):
+    def norm_rows_on(self, f: StepFunction):
         if math.isinf(self.p):
-            return lambda v: float(np.max(np.abs(v))) if v.size else 0.0
-        p, lens = self.p, f.lengths
-        return lambda v: float(np.dot(np.abs(v) ** p, lens) ** (1.0 / p))
+            return lambda V: np.max(np.abs(V), axis=1, initial=0.0)
+        p, root, lens = self.p, 1.0 / self.p, f.lengths
+
+        def rows(V):
+            # one dot per row and the root as a scalar power: a matrix product
+            # or numpy's array ** can differ by an ulp
+            A = np.abs(V) ** p
+            out = np.empty(len(A))
+            for i in range(len(A)):
+                out[i] = A[i].dot(lens) ** root
+            return out
+        return rows
 
     def e_space(self, window: Window) -> "SeqSpaceSpec":
         return dyadic_lp(self.p, window)
@@ -251,20 +262,20 @@ class LorentzSpace(SpaceSpec):
                 total += c * (l1 - l0)
         return total
 
-    def fn_norm(self, f: StepFunction) -> float:
-        fs = rearrange(f)
-        if not fs.values:
-            return 0.0
-        bp = np.asarray(fs.breakpoints)
-        acc = 0.0
-        for v, a, b in zip(fs.vals, bp[:-1], bp[1:]):
-            if v == 0.0:
-                continue
-            piece = self._piece_integral(float(a), float(b))
-            if math.isinf(piece):
-                return math.inf
-            acc += (v ** self.p) * piece
-        return acc ** (1.0 / self.p)
+    def norm_rows_on(self, f: StepFunction):
+        def norm(vals) -> float:
+            fs = rearrange(f.with_values(vals))
+            bp = np.asarray(fs.breakpoints)
+            acc = 0.0
+            for v, a, b in zip(fs.vals, bp[:-1], bp[1:]):
+                if v == 0.0:
+                    continue
+                piece = self._piece_integral(float(a), float(b))
+                if math.isinf(piece):
+                    return math.inf
+                acc += (v ** self.p) * piece
+            return acc ** (1.0 / self.p)
+        return lambda V: np.array([norm(v) for v in V], dtype=float)
 
     @property
     def exact_weighted_lp(self) -> bool:
@@ -379,15 +390,26 @@ class OrliczSpace(SpaceSpec):
         self.F = F
         self.domain = domain
 
-    def fn_norm(self, f: StepFunction) -> float:
-        v = np.abs(f.vals)
-        keep = v > 0
-        if not np.any(keep):
-            return 0.0
-        log_v = np.log(v[keep])
-        return math.exp(_luxemburg_log(self.F, log_v[None], np.log(f.lengths[keep]),
-                                       log_v.max(keepdims=True), np.array([-math.inf]),
-                                       np.array([math.inf]))[0])
+    def norm_rows_on(self, f: StepFunction):
+        log_len = np.log(f.lengths)
+
+        def rows(V):
+            A = np.abs(V)
+            out = np.zeros(len(A))
+            # each row is solved on its nonzero pieces only, as when alone
+            # (zeros in place regroup wide sums); one solve per zero pattern
+            groups = {}
+            for i, nz in enumerate(A > 0):
+                groups.setdefault(nz.tobytes(), (nz, []))[1].append(i)
+            for nz, idx in groups.values():
+                if nz.any():
+                    log_a = np.log(A[idx][:, nz])
+                    inf = np.full(len(idx), math.inf)
+                    beta = _luxemburg_log(self.F, log_a, log_len[nz], log_a.max(axis=1),
+                                          -inf, inf)
+                    out[idx] = [math.exp(b) for b in beta.tolist()]
+            return out
+        return rows
 
     def e_space(self, window: Window) -> "SeqSpaceSpec":
         return OrliczModular(self.F, window)
@@ -691,10 +713,12 @@ class InducedSeq(SeqSpaceSpec):
     def __init__(self, space: SpaceSpec, window: Window):
         self.space = space
         self.window = window
+        # rows of values on the pieces [0, 2^lo), [2^n, 2^(n+1)) -> norms in X
+        blocks = SeqVec(window, np.ones(window.size)).to_step(space.domain)
+        self._blocks = space.norm_rows_on(blocks)
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
-        return np.array([self.space.fn_norm(SeqVec(self.window, v).to_step(self.space.domain))
-                         for v in V], dtype=float)
+        return self._blocks(np.insert(V, 0, 0.0, axis=1))
 
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
         if isinstance(self.space, LpSpace):
@@ -732,8 +756,10 @@ class FromSequenceSpace(SpaceSpec):
                 f"space-from-sequence needs kappa_+(E) < 2; fitted "
                 f"{self.kappa.plus_est:.4f}")
 
-    def fn_norm(self, f: StepFunction) -> float:
-        return self.E.norm(dyadic_envelope(f, self.window))
+    def norm_rows_on(self, f: StepFunction):
+        return lambda V: self.E.norm_rows(np.array(
+            [dyadic_envelope(f.with_values(v), self.window).values for v in V]
+        ).reshape(-1, self.window.size))
 
     def boyd(self) -> BoydIndices:
         est = self.kappa

@@ -147,7 +147,7 @@ def parse_generator(spec: str) -> OrliczFn:
 def _parse_weight(val: str) -> PowerWeight:
     val = _strip(val)
     if val.startswith("pow:"):
-        return PowerWeight(float(val[4:]))
+        return PowerWeight(_num(val[4:]))
     raise UsageError(f"unknown weight form {val!r} (use pow:<exponent>)")
 
 

@@ -172,6 +172,19 @@ def test_k_profile_rejects_empty_t_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_k_profile_sequence_space_with_step_function_exit_1(tmp_path, capsys):
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps(char_fn(0, 0.5).to_json_dict()))
+    out = tmp_path / "profile.csv"
+    rc = _run(["k-profile", "--X", "lp:p=1", "--Y", "seq:linf", "--f", fpath,
+               "--t-grid", "log:-2:1:4", "--out", out])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage"
+    assert err["detail"] == "seq:linf is a sequence space; a step function needs function spaces"
+    assert not out.exists()
+
+
 def test_k_profile_missing_json_key_names_file(tmp_path, capsys):
     d = char_fn(0, 1).to_json_dict()
     del d["domain"]

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,14 +8,14 @@ from hypothesis import strategies as st
 
 from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftySeq,
                        LorentzSpace, LpSpace, OrderReversed, OrliczModular,
-                       OrliczSpace, PowerWeight, SeqVec, TableLogLinear,
+                       OrliczSpace, PowerWeight, SeqVec, StepFunction, TableLogLinear,
                        MinimalFn, UsageError, WeightedLp, Window, brudnyi_pair,
                        char_fn, dyadic_lp, elastic_non_lorentz, example1,
                        fit_separation, kappa_estimate, linf_space,
                        logfactor_fn, norming_functional, parse_any_space,
                        parse_generator, parse_seq_space, parse_space, power,
                        pwpower, rearrange, rho_profile, seq_norm)
-from couplekit.spaces import shift_values
+from couplekit.spaces import _luxemburg_log, shift_values
 from conftest import (SEARCH_SPACE_KINDS, random_seqvec, random_step,
                       search_space)
 
@@ -564,6 +565,12 @@ def test_missing_argument_is_usage_error(spec, key):
         parse_any_space(spec)
 
 
+@pytest.mark.parametrize("spec", ["lorentz:p=2,w=pow:abc", "lp:p=abc"])
+def test_unparseable_number_is_usage_error(spec):
+    with pytest.raises(UsageError, match="expected a number"):
+        parse_any_space(spec)
+
+
 # ---------------------------------------------------------------------------
 # norm_rows: one norm formula per space, rows independent of each other
 # ---------------------------------------------------------------------------
@@ -612,6 +619,75 @@ def test_weighted_lp_rows_match_closed_form(p, rows):
         a = np.abs(np.array(v)) * w
         assert nrm == (float(np.max(a)) if math.isinf(p)
                        else float(np.sum(a ** p) ** (1.0 / p)))
+
+
+# function spaces: norm_rows_on(f), rows on the pieces of one step function
+
+_ZOO = (power(2), pwpower(1.5, 3), logfactor_fn(1.5), example1(), elastic_non_lorentz(),
+        *brudnyi_pair(1.5, 3.0), MinimalFn(0.05))
+_FN_ROW_SPACES = {
+    "lp-1": lambda: LpSpace(1), "lp-2": lambda: LpSpace(2), "lp-inf": linf_space,
+    "lorentz-pow": lambda: LorentzSpace(2, PowerWeight(0.5)),
+    "lorentz-table": lambda: LorentzSpace(1.5, TableLogLinear([-8.0, -2.0, 0.0],
+                                                              [-4.0, -1.0, 0.0])),
+    **{f"orlicz-{F.name}": (lambda F=F: OrliczSpace(F)) for F in _ZOO},
+    "fromseq": lambda: FromSequenceSpace(dyadic_lp(2, _ROWS_WIN)),
+}
+
+
+@functools.cache
+def _fn_row_space(name):
+    """One instance per name: building a space from a sequence runs kappa."""
+    return _FN_ROW_SPACES[name]()
+
+
+def _lp_one_vector(X, f):
+    """Reference: the Lp norm of one step function, one dot and a scalar root."""
+    if math.isinf(X.p):
+        return float(np.max(np.abs(f.vals))) if f.vals.size else 0.0
+    return float(np.dot(np.abs(f.vals) ** X.p, f.lengths) ** (1.0 / X.p))
+
+
+def _orlicz_one_vector(X, f):
+    """Reference: the Luxemburg norm of one step function, solved on its
+    nonzero pieces alone."""
+    v = np.abs(f.vals)
+    keep = v > 0
+    if not np.any(keep):
+        return 0.0
+    log_v = np.log(v[keep])
+    return math.exp(_luxemburg_log(X.F, log_v[None], np.log(f.lengths[keep]),
+                                   log_v.max(keepdims=True), np.array([-math.inf]),
+                                   np.array([math.inf]))[0])
+
+
+@st.composite
+def _step_rows(draw):
+    """A grid of 1-14 pieces in [0, 1] and 1-5 rows of values on it, with
+    zeros in place; wide rows with zeros are where packing matters."""
+    n = draw(st.integers(1, 14))
+    cuts = draw(st.lists(st.floats(1e-3, 0.999), min_size=n - 1, max_size=n - 1,
+                         unique=True))
+    f = StepFunction("unit", (0.0, *sorted(cuts), 1.0), (1.0,) * n)
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=1, max_size=5))
+    return f, np.array(rows + [[0.0] * n])  # always one zero row
+
+
+@pytest.mark.parametrize("name", sorted(_FN_ROW_SPACES))
+@settings(max_examples=8, deadline=None)
+@given(case=_step_rows())
+def test_fn_rows_equal_each_row_alone(name, case):
+    X, (f, V) = _fn_row_space(name), case
+    norms = X.norm_rows_on(f)(V)
+    assert norms.shape == (V.shape[0],) and norms[-1] == 0.0
+    reference = (_lp_one_vector if name.startswith("lp") else
+                 _orlicz_one_vector if name.startswith("orlicz") else None)
+    for i, v in enumerate(V):
+        g = f.with_values(v)
+        alone = X.norm_rows_on(f)(V[i:i + 1])[0]
+        assert norms[i] == alone == X.fn_norm(g), (name, i)
+        if reference is not None:
+            assert norms[i] == reference(X, g), (name, i)
 
 
 def test_rev_spec_lives_on_the_given_window():

@@ -1,13 +1,14 @@
 """Only ``spaces`` dispatches on the concrete space classes.
 
 The algorithm modules ask a space what it is through its own methods
-(``e_space``, ``norm_closure``, ``norming_values``, ``weighted_lp_form``,
+(``e_space``, ``norm_rows_on``, ``norming_values``, ``weighted_lp_form``,
 ``boyd``, ``generator``, ``exact_weighted_lp``, ``is_linf``).  This test
 reads their source and fails when one of them tests for, or imports, a
 concrete class from ``spaces`` outside the few deliberate exceptions.  It
-also keeps one norm formula per sequence space (``norm_rows``; the one-row
-``norm_values`` lives on the base class only), the shift search on batched
-rows, one Luxemburg solver, and one multiplicative ascent.
+also keeps one norm formula per space -- ``norm_rows`` per sequence space,
+``norm_rows_on`` per function space, with the one-row ``norm_values`` and
+``fn_norm`` on the base classes only -- the shift search on batched rows,
+one Luxemburg solver, and one multiplicative ascent.
 """
 
 import ast
@@ -92,6 +93,21 @@ def test_one_norm_formula_per_sequence_space():
             assert "norm_rows" in vars(cls), f"{name} has no norm_rows"
 
 
+def test_one_norm_formula_per_function_space():
+    assert "norm_closure" not in vars(spaces.SpaceSpec)
+    found = set()
+    for name in _concrete_space_classes():
+        cls = getattr(spaces, name)
+        if issubclass(cls, spaces.SpaceSpec):
+            found.add(name)
+            assert not {"fn_norm", "norm_closure"} & set(vars(cls)), f"{name}"
+            assert "norm_rows_on" in vars(cls), f"{name} has no norm_rows_on"
+    assert {"LpSpace", "LorentzSpace", "OrliczSpace", "FromSequenceSpace"} <= found
+    defined = {fn.name for path in SRC.glob("*.py")
+               for fn in _functions(ast.parse(path.read_text()))}
+    assert not {"norm_closure", "_norm_closure"} & defined
+
+
 def test_shift_search_evaluates_rows():
     tree = ast.parse((SRC / "shift.py").read_text())
     assert not _calls(tree, "norm_values")
@@ -110,7 +126,7 @@ def test_one_luxemburg_solver():
     assert solvers == ["spaces._luxemburg_log"]
     tree = ast.parse((SRC / "spaces.py").read_text())
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    for cls, method in (("OrliczModular", "norm_rows"), ("OrliczSpace", "fn_norm")):
+    for cls, method in (("OrliczModular", "norm_rows"), ("OrliczSpace", "norm_rows_on")):
         body = next(fn for fn in _functions(classes[cls]) if fn.name == method)
         assert "_luxemburg_log" in _names(body), f"{cls}.{method}"
 
