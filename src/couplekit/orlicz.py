@@ -7,6 +7,9 @@ Every Orlicz function here is handled through its log-log profile
 which is strictly increasing with h(u) - u nondecreasing (F(x)/x increasing).
 Working with h avoids overflow entirely: the constructions below routinely
 evaluate F at heights like exp(180000), which only ever exist as h-values.
+The profile kernels are ``log_eval`` (h), ``slope`` (h') and the fused
+``log_eval_slope`` (h and h' on the same points: the one profile call of a
+Luxemburg Newton step).
 
 The oscillation quantities all reduce to the window function
 
@@ -34,7 +37,12 @@ LOG2 = math.log(2.0)
 
 
 class OrliczFn:
-    """Base class; subclasses provide the log-log profile h and its slope."""
+    """Base class; subclasses provide the log-log profile h and its slope.
+
+    ``log_eval_slope`` is the fused kernel: (h(u), h'(u)) equal to
+    (``log_eval(u)``, ``slope(u)``) bit for bit; a subclass overrides it when
+    the two share work.
+    """
 
     name = "orlicz"
     params: dict = {}
@@ -45,6 +53,10 @@ class OrliczFn:
     def slope(self, u):
         """d/du h(u); for piecewise-affine profiles the right-hand slope."""
         raise NotImplementedError
+
+    def log_eval_slope(self, u):
+        """(h(u), h'(u)) on the same points."""
+        return self.log_eval(u), self.slope(u)
 
     def breaks(self):
         """Kink locations when h is piecewise affine, else None."""
@@ -67,11 +79,18 @@ class OrliczFn:
         pos = x > 0
         if np.any(pos):
             u = np.log(x[pos])
-            out[pos] = np.exp(self.log_eval(u) - u) * self.slope(u)
+            h, s = self.log_eval_slope(u)
+            out[pos] = np.exp(h - u) * s
         return out if out.shape else float(out)
 
     def log_inv(self, v):
-        """Solve h(u) = v for u (vectorized bisection; h strictly increasing)."""
+        """Solve h(u) = v for u (vectorized bisection; h strictly increasing).
+
+        Brackets by doubling, then bisects for at most 100 steps on
+        ``log_eval``.  A step is a function of (lo, hi) alone, so once one
+        leaves every bracket unchanged all later ones would too: the loop
+        stops there with the result of the full 100 steps.
+        """
         v = np.atleast_1d(np.asarray(v, dtype=float))
         lo = np.full(v.shape, -1.0)
         hi = np.full(v.shape, 1.0)
@@ -88,6 +107,8 @@ class OrliczFn:
         for _ in range(100):
             mid = 0.5 * (lo + hi)
             below = self.log_eval(mid) < v
+            if np.array_equal(mid, np.where(below, lo, hi)):
+                break  # the fixed point: no bracket moves
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         out = 0.5 * (lo + hi)
@@ -152,6 +173,12 @@ class PiecewiseAffineFn(OrliczFn):
 
     def slope(self, u):
         return self._seg_s[np.searchsorted(self._u, u, side="right")]
+
+    def log_eval_slope(self, u):
+        u = np.asarray(u, dtype=float)
+        k = np.searchsorted(self._u, u, side="right")
+        s = self._seg_s[k]
+        return self._seg_h[k] + (u - self._seg_u[k]) * s, s
 
     def log_inv(self, v):
         """Closed form: the segment is found by height (h is increasing)."""
@@ -347,6 +374,15 @@ _TERM_N = np.arange(1100)[::-1]
 _TERM_FREQ = 2.0 * math.pi * np.ldexp(1.0, -_TERM_N)
 
 
+def _sum_terms(terms):
+    """Each point's terms summed in order along axis 0, as cumsum's last row.
+    add.reduce keeps that order unless a row holds one point: it then sums
+    pairwise, so one point goes through cumsum."""
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0)
+    return np.cumsum(terms, axis=0)[-1]
+
+
 class MinimalFn(OrliczFn):
     """F(x) = x^2 exp(alpha sum_n (1 - cos(2 pi log x / 2^n))), n >= 0.
 
@@ -366,32 +402,48 @@ class MinimalFn(OrliczFn):
 
     @staticmethod
     def _terms(u):
-        """2 pi / 2^n for n = N-1 .. 0 along a new first axis, the terms each
-        point sums one by one (n < M(u)), and f = 2 pi / 2^M(u); N = max M."""
+        """2 pi / 2^n for n = N-1 .. 0 along a new first axis, 1.0 at the terms
+        each point sums one by one (n < M(u)) and 0.0 elsewhere, and
+        f = 2 pi / 2^M(u); N = max M."""
         M = np.maximum(np.frexp(2.0 * math.pi * u)[1] + 8, 0)
         first = _TERM_N.size - int(M.max(initial=0))
         shape = (-1,) + (1,) * u.ndim
-        return (_TERM_FREQ[first:].reshape(shape), _TERM_N[first:].reshape(shape) < M,
+        return (_TERM_FREQ[first:].reshape(shape),
+                (_TERM_N[first:].reshape(shape) < M).astype(float),
                 np.ldexp(2.0 * math.pi, -M))
 
-    def log_eval(self, u):
+    def _series(self, u, value=True, slope=True):
+        """(h(u), h'(u)), None for the one not asked for: one terms table and
+        one phase array u 2 pi / 2^n serve both series."""
         u = np.asarray(u, dtype=float)
         freq, keep, f = self._terms(u)
-        x = (u * f) ** 2
+        phase = u * freq
+        theta = u * f
         terms = np.empty((keep.shape[0] + 1,) + u.shape)
-        terms[0] = x * (_C1 + _C2 * x)
-        np.multiply(1.0 - np.cos(u * freq), keep, out=terms[1:])
-        return 2.0 * u + self.alpha * np.cumsum(terms, axis=0)[-1]
+        rest = terms[1:]
+        h = s = None
+        if value:
+            x = theta ** 2  # C pow for a 0-d u, which can differ from theta * theta
+            terms[0] = x * (_C1 + _C2 * x)
+            np.subtract(1.0, np.cos(phase, out=rest), out=rest)
+            rest *= keep
+            h = 2.0 * u + self.alpha * _sum_terms(terms)
+        if slope:
+            x = theta * theta
+            terms[0] = f * theta * (_S0 + x * (_S1 + _S2 * x))
+            np.multiply(freq, np.sin(phase, out=rest), out=rest)
+            rest *= keep
+            s = 2.0 + self.alpha * _sum_terms(terms)
+        return h, s
+
+    def log_eval(self, u):
+        return self._series(u, slope=False)[0]
 
     def slope(self, u):
-        u = np.asarray(u, dtype=float)
-        freq, keep, f = self._terms(u)
-        theta = u * f
-        x = theta * theta
-        terms = np.empty((keep.shape[0] + 1,) + u.shape)
-        terms[0] = f * theta * (_S0 + x * (_S1 + _S2 * x))
-        np.multiply(freq * np.sin(u * freq), keep, out=terms[1:])
-        return 2.0 + self.alpha * np.cumsum(terms, axis=0)[-1]
+        return self._series(u, value=False)[1]
+
+    def log_eval_slope(self, u):
+        return self._series(u)
 
 
 class ConvexifiedFn(OrliczFn):
@@ -451,7 +503,11 @@ class ConvexifiedFn(OrliczFn):
 
     def slope(self, u):
         # h1'(u) = F(e^u)/F1(e^u)
-        return np.exp(self.base.log_eval(u) - self.log_eval(u))
+        return self.log_eval_slope(u)[1]
+
+    def log_eval_slope(self, u):
+        h1 = self.log_eval(u)
+        return h1, np.exp(self.base.log_eval(u) - h1)
 
     def deriv(self, x):
         # F1'(x) = F(x)/x exactly, by construction

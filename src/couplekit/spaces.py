@@ -323,7 +323,8 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
     ``log_a`` is a (k, n) array of log |a| with -inf at the zero entries,
     ``log_w`` the (n,) log weights, and ``beta``, ``lo``, ``hi`` (k,) arrays
     of each row's start and bracket.  The profile kernels run once per
-    iteration on the packed nonzero entries of the rows still iterating; the
+    iteration, as one fused ``log_eval_slope`` call (h and h' on the same
+    points), on the packed nonzero entries of the rows still iterating; the
     sums run per row over the full width, zeros in place, so a row's result
     does not depend on the other rows.
     """
@@ -340,10 +341,11 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
     for _ in range(_MAX_ITER):
         betas = [st[1] for st in state]
         u = la - (betas[0] if len(betas) == 1 else np.array(betas)[er])
-        expo.reshape(-1)[flat] = lw + F.log_eval(u)
+        h, dh = F.log_eval_slope(u)
+        expo.reshape(-1)[flat] = lw + h
         m = np.maximum.reduce(expo, axis=1)
         wts = np.exp(expo - m[:, None])
-        slope.reshape(-1)[flat] = F.slope(u)
+        slope.reshape(-1)[flat] = dh
         keep = []
         for st, mx, S, D in zip(state, m.tolist(), np.add.reduce(wts, axis=1).tolist(),
                                 np.add.reduce(wts * slope, axis=1).tolist()):

@@ -11,6 +11,7 @@ from couplekit import (MinimalFn, TGrid, Window, brudnyi_pair,
                        indices, lambda_seq, logfactor_fn, phi_minus, phi_plus,
                        power, psi_count, pwpower, regularize, rv_defect,
                        sample_profile, w_witness)
+from couplekit import orlicz
 from couplekit.orlicz import OrliczFn, PiecewiseAffineFn
 
 GEN_SET = [power(2), pwpower(2, 3), logfactor_fn(2), example1(),
@@ -442,6 +443,132 @@ def test_piecewise_log_inv_matches_bisection():
         ref = OrliczFn.log_inv(F, v)
         assert np.all(np.abs(closed - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
         assert np.allclose(F.log_eval(closed), v, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the fused kernel and the log_inv fixed-point stop, bit for bit
+# ---------------------------------------------------------------------------
+
+_ZOO = [power(2.5), pwpower(1.5, 3.0), logfactor_fn(1.5), example1(),
+        elastic_non_lorentz(), *brudnyi_pair(1.5, 3.0), MinimalFn(0.05),
+        convexify(example1())]
+_SHAPES = [(), (1,), (2,), (1, 1), (7, 1), (5, 9)]
+
+
+def _same(a, b):
+    """Equal bit for bit, with the same type and shape (0-d stays 0-d)."""
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+def _points(seed, shape, scale):
+    """Seeded normal points with zeros, signed zeros and tiny values mixed in."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(0.0, scale, shape)
+    flat = u.reshape(-1)
+    special = [0.0, -0.0, 1e-300, -2.0 ** -9 / math.pi, 700.0]
+    for i in rng.choice(flat.size, size=min(2, flat.size), replace=False):
+        flat[i] = special[int(rng.integers(len(special)))]
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, len(_ZOO) - 1), shape=st.sampled_from(_SHAPES),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1.0, 40.0, 5e3]))
+def test_log_eval_slope_is_log_eval_and_slope(k, shape, seed, scale):
+    F = _ZOO[k]
+    u = _points(seed, shape, scale)
+    h, s = F.log_eval_slope(u)
+    assert _same(h, F.log_eval(u)) and _same(s, F.slope(u))
+
+
+def test_log_eval_slope_is_log_eval_and_slope_large():
+    u = _points(5, (40, 250), 300.0)
+    for F in _ZOO:
+        h, s = F.log_eval_slope(u)
+        assert _same(h, F.log_eval(u)) and _same(s, F.slope(u)), F.name
+
+
+def test_deriv_is_the_two_kernel_formula():
+    # F'(x) = F(x) h'(log x) / x, as evaluated before the fused kernel
+    x = np.exp(np.random.default_rng(6).normal(0.0, 40.0, 200))
+    u = np.log(x)
+    for F in _ZOO[:-1]:  # convexify's F1'(x) = F(x)/x has its own formula
+        assert _same(F.deriv(x), np.exp(F.log_eval(u) - u) * F.slope(u)), F.name
+
+
+def _cumsum_minimal(alpha, u):
+    """h and h' of MinimalFn as two separate series, each summed by cumsum."""
+    u = np.asarray(u, dtype=float)
+    M = np.maximum(np.frexp(2.0 * math.pi * u)[1] + 8, 0)
+    first = orlicz._TERM_N.size - int(M.max(initial=0))
+    shape = (-1,) + (1,) * u.ndim
+    freq = orlicz._TERM_FREQ[first:].reshape(shape)
+    keep = orlicz._TERM_N[first:].reshape(shape) < M
+    f = np.ldexp(2.0 * math.pi, -M)
+    x = (u * f) ** 2
+    terms = np.empty((keep.shape[0] + 1,) + u.shape)
+    terms[0] = x * (orlicz._C1 + orlicz._C2 * x)
+    np.multiply(1.0 - np.cos(u * freq), keep, out=terms[1:])
+    h = 2.0 * u + alpha * np.cumsum(terms, axis=0)[-1]
+    theta = u * f
+    x = theta * theta
+    terms[0] = f * theta * (orlicz._S0 + x * (orlicz._S1 + orlicz._S2 * x))
+    np.multiply(freq * np.sin(u * freq), keep, out=terms[1:])
+    return h, 2.0 + alpha * np.cumsum(terms, axis=0)[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(_SHAPES + [(300, 40)]), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1.0, 40.0, 5e3, 1e7]))
+def test_minimal_kernels_match_cumsum_series(shape, seed, scale):
+    F = MinimalFn(0.05)
+    u = _points(seed, shape, scale)
+    ref_h, ref_s = _cumsum_minimal(0.05, u)
+    assert _same(F.log_eval(u), ref_h) and _same(F.slope(u), ref_s)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (1, 1), (7, 1), (5, 9), (200, 300)])
+def test_minimal_series_sums_in_order(shape):
+    # the sum MinimalFn takes of its terms is cumsum's last row, bit for bit
+    rng = np.random.default_rng(2)
+    for m in (1, 9, 17, 40):
+        scale = np.exp(rng.normal(0.0, 4.0, (m,) + (1,) * len(shape)))
+        terms = rng.normal(0.0, 1.0, (m,) + shape) * scale
+        assert _same(orlicz._sum_terms(terms), np.cumsum(terms, axis=0)[-1])
+
+
+def _full_bisection(F, v):
+    """The base-class log_inv with all 100 bisection steps, no early stop."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    lo = np.full(v.shape, -1.0)
+    hi = np.full(v.shape, 1.0)
+    for _ in range(120):
+        need = F.log_eval(hi) < v
+        if not np.any(need):
+            break
+        hi[need] = hi[need] * 2.0 + 1.0
+    for _ in range(120):
+        need = F.log_eval(lo) > v
+        if not np.any(need):
+            break
+        lo[need] = lo[need] * 2.0 - 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = F.log_eval(mid) < v
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out = 0.5 * (lo + hi)
+    return out if out.shape != (1,) else float(out[0])
+
+
+@pytest.mark.parametrize("F", [MinimalFn(0.05), logfactor_fn(2),
+                               sample_profile(logfactor_fn(2))])
+def test_log_inv_stop_matches_full_bisection(F):
+    rng = np.random.default_rng(8)
+    for v in (-np.arange(128) * math.log(2.0), rng.normal(0.0, 30.0, 50),
+              rng.normal(0.0, 3e3, 20), np.array([0.0]), 2.5):
+        assert _same(OrliczFn.log_inv(F, v), _full_bisection(F, v))
 
 
 # ---------------------------------------------------------------------------

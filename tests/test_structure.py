@@ -8,7 +8,8 @@ concrete class from ``spaces`` outside the few deliberate exceptions.  It
 also keeps one norm formula per space -- ``norm_rows`` per sequence space,
 ``norm_rows_on`` per function space, with the one-row ``norm_values`` and
 ``fn_norm`` on the base classes only -- the shift search on batched rows,
-one Luxemburg solver, and one multiplicative ascent.
+one Luxemburg solver (one fused profile call per Newton step), and one
+multiplicative ascent.
 """
 
 import ast
@@ -135,6 +136,13 @@ def _called(fn) -> set[str]:
     return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
             for node in ast.walk(fn) if isinstance(node, ast.Call)
             and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_luxemburg_step_calls_fused_kernel():
+    tree = ast.parse((SRC / "spaces.py").read_text())
+    called = _called(next(fn for fn in _functions(tree) if fn.name == "_luxemburg_log"))
+    assert "log_eval_slope" in called
+    assert not {"log_eval", "slope"} & called
 
 
 def test_one_multiplicative_ascent():
