@@ -13,18 +13,20 @@ witness (ratio r)" versus "consistent with RSP up to C-hat at this width".
 The left-shift property is evaluated as RSP of the order-reversed space.
 
 A family's random restarts are lanes of ``spaces._ascend_steps``, the ascent
-kappa and the ``op_norm`` lower bound share: each round evaluates the rest of
-every lane's sweep in one batch (one ``norm_rows`` call on the stacked
+kappa and the ``op_norm`` lower bound share: each round evaluates the next
+trials of every lane in one batch (one ``norm_rows`` call on the stacked
 numerators and denominators, exact because the supports are disjoint), and
-each lane accepts the trials a trial-by-trial ascent would.  Restarts run in
-waves: one at first, twice as many after a wave without an accept, one again
-after any accept.  A wave caps each restart by the budget left when every
-earlier restart of the wave costs its least (a start plus one sweep); the
-budget, the best ratio and the target are then replayed in restart order, and
-a restart the real budget cuts shorter runs again alone, so ``evals`` and
-every result are those of one restart after another.  ``evals`` and the
-budget count starts and consumed trials only, not the speculative rows
-evaluated past an accept or the restarts a wave ran past the end.
+each lane accepts the trials a trial-by-trial ascent would.  A lane's first
+round evaluates its whole sweep, later ones about as many trials as it has
+consumed per accept.  Restarts run in waves that double, from one up to a
+family's restarts, whatever they accept.  A wave caps each restart by the
+budget left when every earlier restart of the wave costs its least (a start
+plus one sweep); the budget, the best ratio and the target are then replayed
+in restart order, and a restart the real budget cuts shorter takes the state
+its accept log records at the cut, so ``evals`` and every result are those of
+one restart after another.  ``evals`` and the budget count starts and
+consumed trials only, not the speculative rows evaluated past an accept or
+the restarts a wave ran past the end.
 """
 
 from __future__ import annotations
@@ -220,8 +222,8 @@ def _ascend(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, coords, factors,
     alpha, and accepts a trial that beats the ratio by more than 1e-12
     relative; sweeps repeat while one accepts, and restart j consumes at most
     ``caps[j]`` trials.  Driving an alpha_n down to ~0 deselects a useless
-    pair, so large families self-prune.  Returns (r, alpha, consumed,
-    improved) per restart.
+    pair, so large families self-prune.  Returns (r, alpha, consumed, log)
+    per restart, the log as ``_ascend_steps`` keeps it.
     """
     return _ascend_steps(lambda A: _ratios(E, X, Y, A),
                          [[a, None, coords, factors, c] for a, c in zip(alphas, caps)],
@@ -235,9 +237,11 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
                             target: float | None = None) -> ShiftEstimate:
     """Maximize the interlaced ratio by random families plus coordinate ascent.
 
-    A family's restarts climb in waves of lanes (see ``_ascend``); the budget,
-    the best ratio and ``target`` are replayed in restart order, so every
-    result is that of one restart after another.  ``budget`` counts ratio
+    A family's restarts climb in doubling waves of lanes (see ``_ascend``);
+    the budget, the best ratio and ``target`` are replayed in restart order,
+    and a restart the budget cuts ends at the last accept its lane logged
+    before the cut, so every result is that of one restart after another.
+    ``budget`` (at least 1) counts ratio
     evaluations (``evals``: a restart's start and the trials it consumes, not
     the speculative rows evaluated past an accept), and ``stop`` says whether
     the search ended on the budget or on reaching ``target``.  The returned
@@ -249,6 +253,8 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
     """
     if side not in (RSP, LSP):
         raise UsageError(f"side must be '{RSP}' or '{LSP}'")
+    if budget < 1:
+        raise UsageError(f"budget must be at least 1; got {budget}")
     n_lo, n_hi = n_pairs_range
     if not 1 <= n_lo <= n_hi:
         raise UsageError(f"n_pairs_range must satisfy 1 <= low <= high; got {n_pairs_range}")
@@ -268,7 +274,7 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
 
     n_hi = min(n_hi, max(n_lo, win.size // (2 * BLOCK_LEN_RANGE[1])))
     done = False
-    wave = 1  # restarts per wave: doubles after a wave without accepts
+    wave = 1  # restarts per wave: doubles after every wave
     while evals < budget and not done:
         n_pairs = int(rng.integers(n_lo, n_hi + 1))
         fam = gen_interlaced(work, win, n_pairs, BLOCK_LEN_RANGE, rng=rng)
@@ -283,14 +289,13 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
             k = min(wave, RESTARTS_PER_FAMILY - i, (budget - evals - 1) // least + 1)
             lanes = _ascend(work, X, Y, coords, factors, starts[i:i + k],
                             [budget - evals - j * least - 1 for j in range(k)])
-            wave = 1 if any(lane[3] for lane in lanes) else min(2 * wave, RESTARTS_PER_FAMILY)
-            for r, alpha, used, _ in lanes:
+            wave = min(2 * wave, RESTARTS_PER_FAMILY)
+            for r, alpha, used, log in lanes:
                 if evals >= budget or done:
                     break
                 left = budget - evals - 1
-                if used > left:  # the real budget cuts this restart: run it alone
-                    (r, alpha, used, _), = _ascend(work, X, Y, coords, factors,
-                                                   starts[i:i + 1], [left])
+                if used > left:  # the budget cuts this restart: its state after left steps
+                    used, (_, r, alpha) = left, [e for e in log if e[0] <= left][-1]
                 evals += 1 + used
                 i += 1
                 if r > best_ratio:

@@ -15,8 +15,11 @@ is at most 1e-13; h' >= 1 bounds the error by |G|.  The adversarial searches
 (the RSP/LSP shift search, kappa, the ``op_norm`` lower bound) share one
 multiplicative coordinate ascent, ``_ascend_steps``: it runs independent
 ascents ("lanes", such as a search's random restarts) together, sends the
-remaining steps of every lane to one batch of rows per round, and accepts in
-each lane exactly the steps a step-by-step ascent would.  Kappa draws all
+next steps of every lane to one batch of rows per round -- the rest of its
+pass at first, then about its own steps per accept so far -- and accepts in
+each lane exactly the steps a step-by-step ascent would.  Each lane logs its
+state at the start and after each accept, so a caller can cut it at any
+smaller cap without running it again.  Kappa draws all
 random starts of a shift first and ascends them as lanes; after an
 overflowing start it puts the generator back to the state just past that
 start's draws.
@@ -860,47 +863,58 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False):
     relative.  r None makes the lane evaluate alpha itself first, as a row of
     its first batch; a lane consumes at most ``cap`` steps, and with
     ``sweeps`` repeats its pass while the pass accepts a step.  Each round
-    sends the remaining steps of every unfinished lane's pass to ``ratios`` as
-    one batch of rows, and each lane consumes its own rows in order up to its
-    first accept, so a lane's accepts and consumed steps are those of a
-    step-by-step ascent (rows never depend on each other).  Returns
-    (r, alpha, consumed, improved) per lane."""
+    sends the next steps of every unfinished lane to ``ratios`` as one batch
+    of rows, and each lane consumes its own rows in order up to its first
+    accept, so a lane's accepts and consumed steps are those of a
+    step-by-step ascent (rows never depend on each other): how many rows a
+    lane sends decides only what is evaluated speculatively.  A lane's first
+    round sends the rest of its pass; later rounds send at most
+    ceil((consumed + 1) / (accepts + 1)) steps, the lane's own steps per
+    accept so far, so a lane that never accepts ends its pass in one round.
+    Returns (r, alpha, consumed, log) per lane.  The log lists (consumed, r,
+    alpha) at the start and after each accept, so the lane run alone with
+    cap c <= consumed ends at its last entry with consumed <= c."""
     # lane state: alpha, r, coords, factors, steps left, position in the pass,
-    # steps consumed, accepted in this pass, accepted at all, pass length
-    state = [[alpha, r, coords, factors, cap, 0, 0, False, False, len(coords)]
+    # steps consumed, accepted in this pass, pass length, log
+    state = [[alpha, r, coords, factors, cap, 0, 0, False, len(coords),
+              [] if r is None else [(0, r, alpha)]]
              for alpha, r, coords, factors, cap in lanes]
-    live = [s for s in state if s[1] is None or min(s[4], s[9]) > 0]
+    live = [s for s in state if s[1] is None or min(s[4], s[8]) > 0]
     while live:
         blocks = []
         for s in live:
-            alpha, r, coords, factors, left, pos = s[:6]
+            alpha, r, coords, factors, left, pos, used, _, size, log = s
             first = r is None
-            m = min(s[9] - pos, left)
+            # past the first round the log holds the start and every accept
+            m = min(size - pos, left,
+                    size if used == 0 else -(-(used + 1) // len(log)))
             T = alpha[None].repeat(m + first, axis=0)
             T[np.arange(first, m + first), coords[pos:pos + m]] *= factors[pos:pos + m]
             blocks.append(T)
         out = ratios(blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).tolist()
         at, still = 0, []
         for s, T in zip(live, blocks):
-            alpha, r, coords, factors, left, pos, used, accepted, ever, size = s
+            alpha, r, coords, factors, left, pos, used, accepted, size, log = s
             start, end = at, at + len(T)
             if r is None:
                 r, at = out[at], at + 1
+                log.append((0, r, alpha))
             bar, taken = r * (1 + rel), end - at
             for j in range(at, end):
                 if out[j] > bar:
-                    alpha, r, accepted, ever = T[j - start], out[j], True, True
+                    alpha, r, accepted = T[j - start], out[j], True
                     taken = j - at + 1
+                    log.append((used + taken, r, alpha))
                     break
             at = end
             left, pos, used = left - taken, pos + taken, used + taken
             if pos == size and sweeps and accepted and left > 0:
                 pos, accepted = 0, False
-            s[:9] = alpha, r, coords, factors, left, pos, used, accepted, ever
+            s[:8] = alpha, r, coords, factors, left, pos, used, accepted
             if pos < size and left > 0:
                 still.append(s)
         live = still
-    return [(s[1], s[0], s[6], s[8]) for s in state]
+    return [(s[1], s[0], s[6], s[9]) for s in state]
 
 
 @dataclass

@@ -278,11 +278,11 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
         best = max(best, float(ratios(x[None])[0]))
         evals += 1
         perm = rng.permutation(cols) - win.lo
-        (best, x, used, improved), = _ascend_steps(
+        (best, x, used, log), = _ascend_steps(
             ratios, [[x, best, np.repeat(perm, 2), np.tile([2.0, 0.5], perm.size),
                       max(1, budget - evals)]], 1e-12)
         evals += used
-        if not improved:
+        if len(log) == 1:  # no accept
             x = np.zeros(win.size)
             pick = rng.choice(cols, size=max(1, len(cols) // 2), replace=False)
             for k in pick:

@@ -88,6 +88,20 @@ def test_shift_test_replay_determinism(tmp_path):
     assert _json_no_ts(a) == _json_no_ts(b)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("argv", [
+    ["shift-test", "--space", "seq:lpw:p=2", "--side", "rsp", "--window=-24:-1"],
+    ["verdict", "--X", "orlicz:gen=<example1>", "--Y", "linf"],
+], ids=["shift-test", "verdict"])
+def test_budget_below_one_is_usage_error(tmp_path, capsys, argv, budget):
+    out = tmp_path / "out.json"
+    assert _run(argv + ["--budget", budget, "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage"
+    assert err["detail"] == f"budget must be at least 1; got {budget}"
+    assert not out.exists()
+
+
 def test_transfer_cli_majorization(tmp_path):
     win = Window("Z-", -8, -1)
     x = SeqVec.from_entries(win, {-6: 1.0, -3: 2.0})

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import couplekit.spaces as spaces
 from couplekit import (GeometricWeighted, InterlacedFamily, LinftySeq,
                        OrderReversed, OrliczModular, SeqVec, ShiftWitness,
                        UsageError, WeightedLp, Window, dyadic_lp, example1,
@@ -12,7 +13,7 @@ from couplekit import (GeometricWeighted, InterlacedFamily, LinftySeq,
                        replay_witness, shift_constant_estimate,
                        shift_schedule)
 from couplekit.shift import (BLOCK_LEN_RANGE, RESTARTS_PER_FAMILY, STOP_BUDGET,
-                             STOP_TARGET, _family_mats)
+                             STOP_TARGET, _family_mats, _ratios)
 
 WIN = Window("Z", -12, 12)
 
@@ -294,6 +295,13 @@ def test_search_with_target_and_incumbent_equals_sequential_ascent(make, side, b
 @example(kind="modular", n=3, cut=60, side="rsp", seed=0)
 @example(kind="modular", n=2, cut=200, side="lsp", seed=1)
 @example(kind="modular", n=2, cut=500, side="rsp", seed=2)
+# budgets that cut the second lane of a wave of 2: after 2 steps, before its
+# first accept (step 4), and after 4, on that accept (the next is step 10),
+# each cut state the best ratio so far; after 44 steps, past its last accept
+# (step 42)
+@example(kind="modular", n=3, cut=101, side="lsp", seed=1)
+@example(kind="modular", n=3, cut=103, side="lsp", seed=1)
+@example(kind="modular", n=3, cut=65, side="rsp", seed=0)
 @given(kind=st.sampled_from(["lpw", "linf", "modular"]), n=st.integers(1, 4),
        cut=st.one_of(st.sampled_from(["1", "2n", "2n+1", "2n+2"]), st.integers(1, 500)),
        side=st.sampled_from(["rsp", "lsp"]), seed=st.integers(0, 2 ** 16))
@@ -307,6 +315,42 @@ def test_budget_cutting_a_wave_equals_sequential_ascent(kind, n, cut, side, seed
     _assert_same_search(E, side, budget, seed, (n, n))
 
 
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["lpw", "linf", "modular"]), n=st.integers(1, 4),
+       lanes=st.integers(1, 4), known=st.booleans(), sweeps=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_accept_log_equals_a_capped_lane(kind, n, lanes, known, sweeps, seed):
+    # a lane run alone with cap c <= consumed ends at its log's last entry at
+    # or before c, which is how a budget cuts a restart of a wave
+    win = Window("Z-", -24, -1)
+    E = {"lpw": lambda: WeightedLp(2.0, win, wexp=0.3), "linf": lambda: LinftySeq(win),
+         "modular": MODULAR}[kind]()
+    rng = np.random.default_rng(seed)
+    X, Y = _family_mats(gen_interlaced(E, win, n, BLOCK_LEN_RANGE, rng=rng))
+    coords, factors = np.repeat(np.arange(n), 2), np.tile([4.0, 0.25], n)
+    starts = np.exp(rng.normal(0.0, 1.5, size=(lanes, n)))
+    rs = _ratios(E, X, Y, starts).tolist() if known else [None] * lanes
+
+    def run(lanes):
+        return spaces._ascend_steps(lambda A: _ratios(E, X, Y, A), lanes, 1e-12, sweeps)
+
+    out = run([[a, r, coords, factors, int(c)]
+               for a, r, c in zip(starts, rs, rng.integers(1, 30, size=lanes))])
+    for a, r0, (r, alpha, used, log) in zip(starts, rs, out):
+        assert log[0][0] == 0 and (r0 is None or log[0][1] == r0)
+        assert log[-1][1] == r and np.array_equal(log[-1][2], alpha)
+        for c in range(used + 1):
+            (r1, alpha1, used1, _), = run([[a, r0, coords, factors, c]])
+            _, r2, alpha2 = [e for e in log if e[0] <= c][-1]
+            assert (r1, used1) == (r2, c) and np.array_equal(alpha1, alpha2)
+
+
+def test_budget_below_one_is_a_usage_error():
+    for budget in (0, -5):
+        with pytest.raises(UsageError, match=f"budget must be at least 1; got {budget}"):
+            shift_constant_estimate(dyadic_lp(2, WIN), budget=budget)
+
+
 @pytest.mark.parametrize("call", [
     lambda E: gen_interlaced(E, WIN, 0, seed=0),
     lambda E: shift_constant_estimate(E, budget=10, n_pairs_range=(0, 0)),
@@ -317,8 +361,9 @@ def test_bad_pair_counts_are_usage_errors(call):
         call(dyadic_lp(2, WIN))
 
 
-# work counts of the two many-restart searches: restarts run as lanes, so
-# they are paid in rows, not in ``norm_rows`` calls
+# work counts of the many-restart searches: restarts run as lanes in growing
+# waves, so they are paid in rows, not in ``norm_rows`` calls, and a lane's
+# speculation follows its own accepts, so few rows go past an accept
 
 
 def _norm_rows_counter(monkeypatch, cls):
@@ -345,5 +390,35 @@ def test_weighted_lp_search_work(monkeypatch):
 def test_fromseq_kappa_work(monkeypatch):
     rows = _norm_rows_counter(monkeypatch, OrliczModular)
     parse_space("fromseq:<seq:orlicz-modular:gen=<example1>>")
-    # one start at a time it took 1,795 calls for 15,656 rows
-    assert len(rows) <= 120 and sum(rows) <= 15656
+    # one start at a time it took 1,795 calls for 15,656 rows; speculating
+    # each lane's whole pass, 84 calls for 15,656 rows
+    assert len(rows) <= 120 and sum(rows) <= 12104
+
+
+def test_readme_shift_test_work(monkeypatch):
+    calls = []
+    solve = spaces._luxemburg_log
+
+    def counted(F, log_a, *args):
+        calls.append(len(log_a))
+        return solve(F, log_a, *args)
+
+    monkeypatch.setattr(spaces, "_luxemburg_log", counted)
+    E = parse_seq_space("seq:from:<seq:orlicz-modular:gen=<example1>>,"
+                        "weightbase=1.4142135623730951", Window("Z-", -64, -1))
+    est = shift_constant_estimate(E, "rsp", budget=20000, seed=11, target=1.5)
+    assert (est.evals, est.stop) == (5255, STOP_TARGET)
+    # with waves back to one lane after any accept it took 1,427 solver calls
+    # for 19,358 rows
+    assert len(calls) <= 300 and sum(calls) <= 17042
+
+
+def test_orlicz_budget_60_search_work(monkeypatch):
+    rows = _norm_rows_counter(monkeypatch, OrliczModular)
+    for seed in range(8):
+        E = GeometricWeighted(OrliczModular(example1(), Window("Z-", -64, -1)), 2 ** 0.5)
+        est = shift_constant_estimate(E, ("rsp", "lsp")[seed % 2], budget=60, seed=seed,
+                                      n_pairs_range=(3, 10))
+        assert est.evals == 60
+    # speculating each lane's whole sweep it took 3,344 rows
+    assert sum(rows) <= 1710

@@ -154,3 +154,13 @@ def test_one_multiplicative_ascent():
     for name in ("spaces._best_shift_ratio", "transfer._op_norm_lower"):
         assert not _called(fns[name]) & {"norm", "norm_values"}, f"{name} solves single rows"
     assert "spaces._shift_ratio" not in fns
+
+
+def test_shift_search_ascends_once_per_wave():
+    # a restart the budget cuts takes its state from the lane's accept log;
+    # it is never run again alone
+    tree = ast.parse((SRC / "shift.py").read_text())
+    fn = next(fn for fn in _functions(tree) if fn.name == "shift_constant_estimate")
+    ascents = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_ascend"]
+    assert len(ascents) == 1
