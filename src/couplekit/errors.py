@@ -19,3 +19,9 @@ class ConvergenceError(CoupleKitError):
     """A solver reached its iteration bound without meeting its stop rule."""
 
     code = "not-converged"
+
+
+def check_budget(budget: int) -> None:
+    """Reject an evaluation budget below 1, wherever a search may run on it."""
+    if budget < 1:
+        raise UsageError(f"budget must be at least 1; got {budget}")

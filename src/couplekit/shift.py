@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, check_budget
 from .measure import SeqVec, Window
 from .spaces import SeqSpaceSpec, _ascend_steps
 
@@ -213,7 +213,7 @@ def _embed_family(fam: InterlacedFamily, window: Window) -> InterlacedFamily:
 
 
 def _ascend(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, coords, factors,
-            alphas, caps) -> list[tuple]:
+            alphas, caps, target: float | None) -> list[tuple]:
     """Multiplicative coordinate ascents of the ratio, one from each alpha in
     ``alphas`` (ratio evaluated first), run as lanes of ``spaces._ascend_steps``.
 
@@ -223,11 +223,13 @@ def _ascend(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, coords, factors,
     relative; sweeps repeat while one accepts, and restart j consumes at most
     ``caps[j]`` trials.  Driving an alpha_n down to ~0 deselects a useless
     pair, so large families self-prune.  Returns (r, alpha, consumed, log)
-    per restart, the log as ``_ascend_steps`` keeps it.
+    per restart, the log as ``_ascend_steps`` keeps it; the restarts after the
+    first that reaches ``target`` are cut short, as the search never reads
+    them.
     """
     return _ascend_steps(lambda A: _ratios(E, X, Y, A),
                          [[a, None, coords, factors, c] for a, c in zip(alphas, caps)],
-                         1e-12, sweeps=True)
+                         1e-12, sweeps=True, reach=target)
 
 
 def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
@@ -253,8 +255,7 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
     """
     if side not in (RSP, LSP):
         raise UsageError(f"side must be '{RSP}' or '{LSP}'")
-    if budget < 1:
-        raise UsageError(f"budget must be at least 1; got {budget}")
+    check_budget(budget)
     n_lo, n_hi = n_pairs_range
     if not 1 <= n_lo <= n_hi:
         raise UsageError(f"n_pairs_range must satisfy 1 <= low <= high; got {n_pairs_range}")
@@ -288,7 +289,7 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
             # each lane's cap bounds its real one from above
             k = min(wave, RESTARTS_PER_FAMILY - i, (budget - evals - 1) // least + 1)
             lanes = _ascend(work, X, Y, coords, factors, starts[i:i + k],
-                            [budget - evals - j * least - 1 for j in range(k)])
+                            [budget - evals - j * least - 1 for j in range(k)], target)
             wave = min(2 * wave, RESTARTS_PER_FAMILY)
             for r, alpha, used, log in lanes:
                 if evals >= budget or done:

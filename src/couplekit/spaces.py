@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, UsageError
+from .errors import ConvergenceError, UsageError, check_budget
 from .measure import (HALFLINE, UNIT, SeqVec, StepFunction, Window,
                       dyadic_envelope, rearrange)
 from .orlicz import LOG2, OrliczFn, indices
@@ -854,7 +854,7 @@ def shift_values(vals: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False):
+def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
     """Independent multiplicative ascents ("lanes") evaluated together.
 
     A lane is a list [alpha, r, coords, factors, cap]: a pass of the steps
@@ -873,7 +873,9 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False):
     accept so far, so a lane that never accepts ends its pass in one round.
     Returns (r, alpha, consumed, log) per lane.  The log lists (consumed, r,
     alpha) at the start and after each accept, so the lane run alone with
-    cap c <= consumed ends at its last entry with consumed <= c."""
+    cap c <= consumed ends at its last entry with consumed <= c.  With
+    ``reach``, the lanes after the first lane whose r reaches it stop where
+    they are (their results are partial); that lane runs on."""
     # lane state: alpha, r, coords, factors, steps left, position in the pass,
     # steps consumed, accepted in this pass, pass length, log
     state = [[alpha, r, coords, factors, cap, 0, 0, False, len(coords),
@@ -913,6 +915,8 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False):
             s[:8] = alpha, r, coords, factors, left, pos, used, accepted
             if pos < size and left > 0:
                 still.append(s)
+            if reach is not None and r >= reach:
+                break
         live = still
     return [(s[1], s[0], s[6], s[9]) for s in state]
 
@@ -987,7 +991,9 @@ def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
 
 def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEstimate:
     """Adversarial lower-bound estimate of kappa_±(E) = lim ||tau_{±n}||^{1/n}
-    on E's window, which needs at least two indices."""
+    on E's window, which needs at least two indices and a budget of at
+    least 1."""
+    check_budget(budget)
     window = E.window
     if window.size < 2:
         raise UsageError(f"kappa_estimate needs a window of at least 2 indices; "

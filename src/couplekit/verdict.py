@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, check_budget
 from .measure import SeqVec, Window, default_unit_window
 from .orlicz import OrliczFn, brudnyi_schedule, elasticity_report, lambda_seq
 from .shift import RSP, shift_constant_estimate
@@ -97,7 +97,7 @@ def _stretchability_evidence(space: SpaceSpec, window: Window, budget: int,
 def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> CoupleReport:
     """Apply the verdict pipeline to a couple of function spaces.
 
-    options: window (Window), budget, seed, assertions
+    options: window (Window), budget (at least 1), seed, assertions
     {"p_concave_X": p, "p_convex_Y": p, "r_concave_Y": r} for the
     convexity-route hypotheses that have no general numeric test.
     """
@@ -106,6 +106,7 @@ def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> 
         raise UsageError("couple must live on a single domain")
     window = opts.get("window") or default_unit_window()
     budget = int(opts.get("budget", 4000))
+    check_budget(budget)
     seed = int(opts.get("seed", 0))
 
     bx, by = boyd_indices(X), boyd_indices(Y)

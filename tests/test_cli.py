@@ -92,7 +92,8 @@ def test_shift_test_replay_determinism(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["shift-test", "--space", "seq:lpw:p=2", "--side", "rsp", "--window=-24:-1"],
     ["verdict", "--X", "orlicz:gen=<example1>", "--Y", "linf"],
-], ids=["shift-test", "verdict"])
+    ["verdict", "--X", "lp:p=2", "--Y", "linf"],
+], ids=["shift-test", "verdict", "verdict-exact"])
 def test_budget_below_one_is_usage_error(tmp_path, capsys, argv, budget):
     out = tmp_path / "out.json"
     assert _run(argv + ["--budget", budget, "--out", out]) == 1

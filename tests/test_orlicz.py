@@ -1,8 +1,10 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from couplekit import (MinimalFn, TGrid, Window, brudnyi_pair,
@@ -741,8 +743,15 @@ def test_indices_match_meshgrid_reference(F):
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_anchors=st.integers(1, 40),
-       n=st.integers(0, 120), y=st.floats(0.05, 4.0), extra=st.floats(0.0, 60.0))
-def test_indices_match_meshgrid_reference_random(seed, n_anchors, n, y, extra):
+       n=st.integers(0, 120), y=st.floats(0.05, 4.0), extra=st.floats(0.0, 60.0),
+       block=st.sampled_from([orlicz._BAND_BLOCK, 1, 2, 7, 64]))
+# a reducible chord rounds past the band's extreme: only the rescan finds it
+@example(3211734110, 25, 105, 0.6103201708235395, 35.70460775198615, orlicz._BAND_BLOCK)
+@example(4015120240, 20, 14, 0.27915819842020756, 30.31934982171452, orlicz._BAND_BLOCK)
+@example(31728281, 9, 92, 0.37224223184094873, 44.534996763217954, orlicz._BAND_BLOCK)
+@example(1113077188, 10, 78, 0.7728294037565997, 18.745477198790123, orlicz._BAND_BLOCK)
+@example(3279766178, 2, 7, 3.3199258034773695, 31.61838715147143, orlicz._BAND_BLOCK)
+def test_indices_match_meshgrid_reference_random(seed, n_anchors, n, y, extra, block):
     rng = np.random.default_rng(seed)
     top = y + extra
     F = _random_profile(rng, n_anchors, span=top)
@@ -755,7 +764,28 @@ def test_indices_match_meshgrid_reference_random(seed, n_anchors, n, y, extra):
         with pytest.raises(ValueError, match="y_layer"):
             indices(F, t_grid, y_layer=y)
         return
-    assert _index_extremes(indices(F, t_grid, y_layer=y)) == expected
+    # small blocks split a point's partners across blocks
+    with mock.patch.object(orlicz, "_BAND_BLOCK", block):
+        assert _index_extremes(indices(F, t_grid, y_layer=y)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), affine=st.booleans())
+@example(6268, True)  # a rescan row that only the slack admits holds the minimum
+def test_chord_slope_range_matches_pair_table(seed, affine):
+    # points y apart, one ulp either side of it and below half an ulp of y:
+    # v_j - y rounds past a point both ways, and pairs a rounding apart
+    # decide the extremes; an affine profile ties every slope up to rounding
+    rng = np.random.default_rng(seed)
+    y, u = rng.uniform(0.05, 4.0), rng.uniform(0.0, 20.0, size=rng.integers(1, 31))
+    v = np.unique(np.concatenate([[0.0, y], u, u + y, np.nextafter(u + y, 0.0),
+                                  np.nextafter(u + y, np.inf), u + 2 * y, u * 1e-17]))
+    h = rng.uniform(1.0, 6.0) * v + rng.uniform(-5.0, 5.0) if affine else rng.normal(size=v.size)
+    lo, hi = np.meshgrid(v, v, indexing="ij")
+    h_lo, h_hi = np.meshgrid(h, h, indexing="ij")
+    keep = (hi - lo) >= y
+    s = (h_hi[keep] - h_lo[keep]) / (hi[keep] - lo[keep])
+    assert orlicz._chord_slope_range(v, h, y) == (float(np.min(s)), float(np.max(s)))
 
 
 def test_indices_reject_short_span():
@@ -766,9 +796,18 @@ def test_indices_reject_short_span():
 
 
 def test_indices_elastic_nl_without_pair_table():
-    rep = indices(elastic_non_lorentz())
-    assert 2.9999 < rep.alpha_inf <= rep.beta_inf < 3.0
+    F = elastic_non_lorentz()
+    tracemalloc.start()
+    try:
+        rep = indices(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.alpha_inf, rep.beta_inf) == (2.9999739520644653, 2.9999999952266925)
     assert rep.alpha_0 == rep.beta_0 == 2.0
+    # the 393,030 band pairs of its 32,770 points, scanned in one block,
+    # peak at about 15 MB
+    assert peak < 8 * 2 ** 20
 
 
 def _reference_w(F, C0, t_grid, x_grid):

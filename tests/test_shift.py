@@ -409,8 +409,9 @@ def test_readme_shift_test_work(monkeypatch):
     est = shift_constant_estimate(E, "rsp", budget=20000, seed=11, target=1.5)
     assert (est.evals, est.stop) == (5255, STOP_TARGET)
     # with waves back to one lane after any accept it took 1,427 solver calls
-    # for 19,358 rows
-    assert len(calls) <= 300 and sum(calls) <= 17042
+    # for 19,358 rows; with the lanes after the one that reaches the target
+    # running on, 257 calls for 17,042 rows
+    assert len(calls) <= 300 and sum(calls) <= 14102
 
 
 def test_orlicz_budget_60_search_work(monkeypatch):

@@ -319,6 +319,13 @@ def test_kappa_on_one_index_window_is_usage_error(build):
         build(Window("Z-", -1, -1))
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_kappa_budget_below_one_is_usage_error(budget):
+    # it used to run 4 starts per shift whatever the budget
+    with pytest.raises(UsageError, match=f"budget must be at least 1; got {budget}"):
+        kappa_estimate(dyadic_lp(2, Window("Z-", -16, -1)), budget=budget)
+
+
 def test_from_sequence_enforces_kappa():
     win = Window("Z-", -24, -1)
     E = GeometricWeighted(dyadic_lp(2, win), 2.0)  # kappa_+ = 2 sqrt2 > 2

@@ -8,8 +8,9 @@ concrete class from ``spaces`` outside the few deliberate exceptions.  It
 also keeps one norm formula per space -- ``norm_rows`` per sequence space,
 ``norm_rows_on`` per function space, with the one-row ``norm_values`` and
 ``fn_norm`` on the base classes only -- the shift search on batched rows,
-one Luxemburg solver (one fused profile call per Newton step), and one
-multiplicative ascent.
+one Luxemburg solver (one fused profile call per Newton step), one
+multiplicative ascent, and the index extremes from a band scan in bounded
+blocks.
 """
 
 import ast
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import couplekit.orlicz as orlicz
 import couplekit.spaces as spaces
 
 SRC = Path(spaces.__file__).parent
@@ -164,3 +166,17 @@ def test_shift_search_ascends_once_per_wave():
     ascents = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Name) and node.func.id == "_ascend"]
     assert len(ascents) == 1
+
+
+def test_index_extremes_scan_bounded_blocks():
+    # no hull sweep and no full pair table: the chord slopes of the band and
+    # of its rescans are taken in blocks of at most 2^14 pairs
+    tree = ast.parse((SRC / "orlicz.py").read_text())
+    fns = {fn.name: fn for fn in _functions(tree)}
+    assert "_tangent" not in fns
+    assert not _calls(tree, "meshgrid")
+    assert _called(fns["_chord_slope_range"]) >= {"_row_slope_extremes"}
+    loops = [node for node in ast.walk(fns["_row_slope_extremes"])
+             if isinstance(node, ast.For) and "_BAND_BLOCK" in _names(node.iter)]
+    assert len(loops) == 1
+    assert orlicz._BAND_BLOCK <= 1 << 14
