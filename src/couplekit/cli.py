@@ -77,8 +77,8 @@ def _load(path: str, from_json_dict):
 def cmd_analyze_orlicz(args) -> int:
     F = parse_generator(args.gen)
     x_grid = 2.0 ** -np.arange(4, args.kmax + 1, dtype=float)
+    idx = indices(F)  # first: an overflowing profile fails before the other work
     rep = elasticity_report(F, C0=args.C0, x_grid=x_grid)
-    idx = indices(F)
     defect = rv_defect(F, x_grid[:6], TGrid.span(0.0, 512.0))
     ww = w_witness(F, args.C0)
     _write_json(args.out, {

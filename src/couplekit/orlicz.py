@@ -669,10 +669,16 @@ def indices(F: OrliczFn, t_grid=None, x_grid=None, y_layer: float = 1.5) -> Inde
         ys = -np.log(np.asarray(x_grid, dtype=float))
         v_grid = np.unique(np.concatenate([v_grid, v_grid[-1] - ys]))
 
-    pts = _index_points(F, v_grid, +1)
-    a_inf, b_inf = _chord_slope_range(pts, F.log_eval(pts), y_layer)
-    pts = _index_points(F, -v_grid, -1)
-    a_0, b_0 = _chord_slope_range(pts, F.log_eval(pts), y_layer)
+    ranges = []
+    for pts in (_index_points(F, v_grid, +1), _index_points(F, -v_grid, -1)):
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            h = F.log_eval(pts)
+        # h is convex: finite at both ends means finite throughout
+        if not (math.isfinite(h[0]) and math.isfinite(h[-1])):
+            raise ValueError(f"{F.spec_string()}: log F is not finite on "
+                             f"[{pts[0]:g}, {pts[-1]:g}]; its profile overflows")
+        ranges.append(_chord_slope_range(pts, h, y_layer))
+    (a_inf, b_inf), (a_0, b_0) = ranges
 
     span = float(np.max(v_grid) - np.min(v_grid[v_grid >= 0])) if v_grid.size else 1.0
     err_inf = (b_inf - a_inf) * y_layer / max(span, y_layer)

@@ -26,8 +26,9 @@ start's draws.
 
 The dyadic sequence space of a function space X is E_X with
 ||x||_{E_X} = ||sum x(n) chi_[2^n,2^(n+1))||_X; for X = L_p this is the
-weighted ell_p space with weights 2^(n/p), for X = L_infty it is ell_infty,
-and for X = L_F it is the modular space with block weights 2^n.
+weighted ell_p space with weights 2^(n/p), for X = L_infty it is ell_infty
+(the p = inf member, with unit weights), and for X = L_F it is the modular
+space with block weights 2^n.
 
 Only this module knows the concrete space classes: other modules ask a space
 through its protocol, whose base-class defaults describe a space without
@@ -282,7 +283,9 @@ class LorentzSpace(SpaceSpec):
 
     @property
     def exact_weighted_lp(self) -> bool:
-        return isinstance(self.weight, PowerWeight)
+        # t^(1/p) is the one power weight whose quasinorm is L_p itself
+        w = self.weight
+        return isinstance(w, PowerWeight) and abs(self.p * w.exponent - 1.0) <= 1e-12
 
     def boyd(self) -> BoydIndices:
         w = self.weight
@@ -509,7 +512,8 @@ class WeightedLp(SeqSpaceSpec):
     ``wexp`` gives the weights w_n = 2^(n wexp) and is kept in the spec
     string; an explicit ``weights`` array is written out in full unless it
     holds the dyadic weights 2^(n/p) of ``dyadic_lp``, and no weights at all
-    means wexp = 0.
+    means wexp = 0.  p = inf with every weight 1 is ell_infty: ``is_linf``
+    (an attribute, read on every ``k_numeric`` call) and spec ``seq:linf``.
     """
 
     def __init__(self, p: float, window: Window, weights=None,
@@ -529,6 +533,7 @@ class WeightedLp(SeqSpaceSpec):
         if w.shape != (window.size,) or np.any(w <= 0):
             raise ValueError("need one strictly positive weight per index")
         self.weights = w
+        self.is_linf = math.isinf(self.p) and bool(np.all(w == 1.0))
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
         A = np.abs(V) * self.weights
@@ -557,6 +562,8 @@ class WeightedLp(SeqSpaceSpec):
         return self.weights, self.p
 
     def spec_string(self) -> str:
+        if self.is_linf:
+            return "seq:linf"
         head = f"seq:lpw:p={_spec_num(self.p)}"
         if self.wexp is not None:
             return f"{head},wexp={self.wexp!r}"
@@ -565,36 +572,14 @@ class WeightedLp(SeqSpaceSpec):
         return f"{head},weights=<{','.join(repr(float(w)) for w in self.weights)}>"
 
 
-def dyadic_lp(p: float, window: Window) -> SeqSpaceSpec:
+def dyadic_lp(p: float, window: Window) -> WeightedLp:
     """E_X for X = L_p: weighted ell_p with w_n = 2^(n/p); ell_infty for p = inf."""
-    if math.isinf(p):
-        return LinftySeq(window)
     return WeightedLp(p, window, weights=2.0 ** (window.indices() / p))
 
 
-class LinftySeq(SeqSpaceSpec):
-    is_linf = True
-
-    def __init__(self, window: Window):
-        self.window = window
-
-    def norm_rows(self, V: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(V), axis=1, initial=0.0)
-
-    def unit_norm(self, n: int) -> float:
-        return 1.0
-
-    def norming_values(self, xv: np.ndarray) -> np.ndarray:
-        k = int(np.argmax(np.abs(xv)))
-        g = np.zeros_like(xv)
-        g[k] = math.copysign(1.0, xv[k])
-        return g
-
-    def weighted_lp_form(self) -> tuple[np.ndarray, float]:
-        return np.ones(self.window.size), math.inf
-
-    def spec_string(self) -> str:
-        return "seq:linf"
+def LinftySeq(window: Window) -> WeightedLp:
+    """ell_infty on the window: the weighted ell_p with p = inf and unit weights."""
+    return WeightedLp(math.inf, window)
 
 
 class OrliczModular(SeqSpaceSpec):

@@ -11,8 +11,8 @@ Examples::
     lorentz:p=2,w=pow:0.5
     orlicz:gen=<power:p=2>
     fromseq:<seq:orlicz-modular:gen=<example1>>
-    seq:lpw:p=1             seq:linf
-    seq:lpw:p=2,wexp=0.3    (weights 2^(0.3 n); plain seq:lpw has 2^(n/p))
+    seq:lpw:p=1             seq:linf  (= seq:lpw:p=inf: unit weights)
+    seq:lpw:p=2,wexp=0.3    (weights 2^(0.3 n); seq:lpw:p=2 alone has 2^(n/p))
     seq:lpw:p=2,weights=<0.5,1.0,2.0>   (one weight per window index)
     seq:orlicz-modular:gen=<example1>
     seq:from:<seq:orlicz-modular:gen=<example1>>,weightbase=1.4142135623730951
@@ -21,8 +21,6 @@ Examples::
 """
 
 from __future__ import annotations
-
-import math
 
 from .errors import UsageError
 from .measure import UNIT, Window, default_unit_window
@@ -158,7 +156,7 @@ def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
     name, rest = _match_name(_strip(spec), _SEQ_NAMES)
     kwargs, positional = _parse_args(rest)
     if name == "seq:lpw":
-        p = _num(kwargs["p"]) if kwargs.get("p") not in (None, "inf") else math.inf
+        p = _num(kwargs["p"])
         if "weights" in kwargs:
             if "wexp" in kwargs:
                 raise UsageError("give weights or wexp, not both")

@@ -124,8 +124,8 @@ def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> 
         report.evidence["stretchability_X"] = ev
         if ev.get("stretchable") is True and ev.get("certified"):
             report.verdict = "calderon"
-            report.caveat_level = CAVEAT_EXACT if ev["kind"] == "exact-weighted-lp" \
-                else CAVEAT_SEARCH
+            # only the exact-weighted-lp kind is certified stretchable
+            report.caveat_level = CAVEAT_EXACT
             return report
         if ev.get("stretchable") is False and ev.get("certified"):
             report.verdict = "not-calderon-witness"

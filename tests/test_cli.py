@@ -103,6 +103,23 @@ def test_budget_below_one_is_usage_error(tmp_path, capsys, argv, budget):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["shift-test", "--space", "seq:lpw", "--side", "rsp", "--window=-24:-1"],
+     "spec is missing the argument 'p'"),
+    (["analyze-orlicz", "--gen", "power:p=1e307"],
+     "power:p=1e+307: log F is not finite on [0, 64]; its profile overflows"),
+    (["verdict", "--X", "orlicz:gen=<power:p=1e307>", "--Y", "linf"],
+     "power:p=1e+307: log F is not finite on [0, 64]; its profile overflows"),
+], ids=["lpw-without-p", "analyze-overflow", "verdict-overflow"])
+@pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
+def test_bad_spec_is_usage_error(tmp_path, capsys, argv, detail):
+    out = tmp_path / "out.json"
+    assert _run(argv + ["--out", out]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (err["error"], err["detail"]) == ("usage", detail)
+    assert not out.exists()
+
+
 def test_transfer_cli_majorization(tmp_path):
     win = Window("Z-", -8, -1)
     x = SeqVec.from_entries(win, {-6: 1.0, -3: 2.0})

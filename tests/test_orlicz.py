@@ -159,6 +159,24 @@ def test_convexify_is_convex(rng):
         assert F1(np.array([x1]))[0] <= 0.5 * (vals[i] + vals[i + 2]) + 1e-9 * vals[i + 2]
 
 
+def test_convexified_deriv_is_base_over_x():
+    # F1'(x) = F(x)/x of the base profile, and the slope of F1 itself
+    F = example1()
+    F1 = convexify(F)
+    x = np.geomspace(1e-3, 1e6, 60)
+    assert np.allclose(F1.deriv(x), F(x) / x, rtol=1e-12, atol=0.0)
+    dx = 1e-6 * x
+    central = (np.asarray(F1(x + dx)) - np.asarray(F1(x - dx))) / (2.0 * dx)
+    assert np.allclose(F1.deriv(x), central, rtol=1e-5, atol=0.0)
+    assert F1.deriv(0.0) == 0.0 and isinstance(F1.deriv(2.0), float)
+
+
+def test_indices_reject_an_overflowing_profile():
+    # h = 1e307 v overflows on the grid's far end; nan indices are no answer
+    with pytest.raises(ValueError, match="profile overflows"):
+        indices(power(1e307))
+
+
 def test_convexified_example1_regularly_varying():
     F1 = convexify(example1())
     # defect over a far tail stays below the frozen constant while the

@@ -10,12 +10,13 @@ from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftyS
                        LorentzSpace, LpSpace, OrderReversed, OrliczModular,
                        OrliczSpace, PowerWeight, SeqVec, StepFunction, TableLogLinear,
                        MinimalFn, UsageError, WeightedLp, Window, brudnyi_pair,
-                       char_fn, dyadic_lp, elastic_non_lorentz, example1,
+                       char_fn, convexify, dyadic_lp, elastic_non_lorentz, example1,
                        fit_separation, kappa_estimate, linf_space,
                        logfactor_fn, norming_functional, parse_any_space,
                        parse_generator, parse_seq_space, parse_space, power,
                        pwpower, rearrange, rho_profile, seq_norm)
 from couplekit.spaces import _luxemburg_log, shift_values
+from couplekit.transfer import FUNCTIONAL_TOL
 from conftest import (SEARCH_SPACE_KINDS, random_seqvec, random_step,
                       search_space)
 
@@ -370,6 +371,15 @@ def test_norming_functional(build, rng):
         _dual_ball_check(E, x, g, rng)
 
 
+def test_norming_functional_convexified_modular(rng):
+    # the modular's gradient runs through ConvexifiedFn.deriv
+    E = OrliczModular(convexify(example1()), Window("Z-", -32, -1))
+    for _ in range(6):
+        x = random_seqvec(rng, E.window, k=8)
+        g = norming_functional(E, x)
+        assert abs(float(np.dot(x.values, g.values)) / E.norm(x) - 1.0) <= FUNCTIONAL_TOL
+
+
 # ---------------------------------------------------------------------------
 # DSL round trips
 # ---------------------------------------------------------------------------
@@ -541,9 +551,33 @@ def test_generator_and_e_space_contract():
     ("seq:from:<seq:linf>,weightbase=2", False), ("seq:induced:<linf>", False),
     ("seq:orlicz-modular:gen=<power:p=2>", False),
     ("seq:lpw:p=inf,weights=<2,2,2,2,2,2,2,2>", False),
+    ("seq:lpw:p=inf", True), ("seq:lpw:p=inf,wexp=0", True),
+    ("seq:lpw:p=inf,weights=<1,1,1,1,1,1,1,1>", True),
+    ("seq:lpw:p=inf,weights=<1,1,1,1,1,1,1,2>", False),
+    ("seq:lpw:p=inf,wexp=0.3", False),
 ])
 def test_is_linf_contract(spec, linf):
     assert parse_any_space(spec, window=Window("Z-", -8, -1)).is_linf is linf
+
+
+def test_linf_is_weighted_lp_at_p_inf():
+    win = Window("Z-", -8, -1)
+    for E in (LinftySeq(win), dyadic_lp(math.inf, win), WeightedLp(math.inf, win),
+              parse_seq_space("seq:linf", win), parse_seq_space("seq:lpw:p=inf", win)):
+        assert type(E) is WeightedLp and E.is_linf is True
+        assert E.spec_string() == "seq:linf"
+        assert np.array_equal(E.unit_norms(), np.ones(win.size))
+    for E in (WeightedLp(math.inf, win, wexp=0.3),
+              WeightedLp(math.inf, win, weights=np.full(win.size, 0.5))):
+        assert E.is_linf is False and E.spec_string().startswith("seq:lpw:p=inf,")
+    # an attribute set once: k_numeric reads it on every call
+    assert "is_linf" in vars(LinftySeq(win))
+
+
+@pytest.mark.parametrize("spec", ["seq:lpw", "seq:lpw:wexp=0.5", "seq:lpw:weights=<1,2>"])
+def test_lpw_needs_p(spec):
+    with pytest.raises(UsageError, match="spec is missing the argument 'p'"):
+        parse_seq_space(spec, Window("Z-", -2, -1))
 
 
 def test_parse_any_space_dispatch():

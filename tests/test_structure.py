@@ -5,7 +5,9 @@ The algorithm modules ask a space what it is through its own methods
 ``boyd``, ``generator``, ``exact_weighted_lp``, ``is_linf``).  This test
 reads their source and fails when one of them tests for, or imports, a
 concrete class from ``spaces`` outside the few deliberate exceptions.  It
-also keeps one norm formula per space -- ``norm_rows`` per sequence space,
+also keeps one class per space (ell_infty is ``WeightedLp`` at p = inf with
+unit weights; ``LinftySeq`` only builds it), one norm formula per space --
+``norm_rows`` per sequence space,
 ``norm_rows_on`` per function space, with the one-row ``norm_values`` and
 ``fn_norm`` on the base classes only -- the shift search on batched rows,
 one Luxemburg solver (one fused profile call per Newton step), one
@@ -68,8 +70,10 @@ def _spaces_imports(tree) -> set[str]:
 
 
 def test_concrete_classes_are_found():
-    assert {"LpSpace", "LinftySeq", "OrderReversed", "InducedSeq"} <= _concrete_space_classes()
+    assert {"LpSpace", "WeightedLp", "OrderReversed", "InducedSeq"} <= _concrete_space_classes()
     assert "SpaceSpec" not in _concrete_space_classes()
+    # ell_infty is WeightedLp at p = inf, not a class of its own
+    assert "LinftySeq" not in _spaces_classes()
 
 
 @pytest.mark.parametrize("module", MODULES)

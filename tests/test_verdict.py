@@ -6,7 +6,8 @@ from couplekit import (FromSequenceSpace, LorentzSpace, LpSpace,
                        OrliczModular, OrliczSpace, PowerWeight, SpaceSpec,
                        TableLogLinear, UsageError, Window, boyd_indices,
                        brudnyi_evidence, brudnyi_pair, classify_couple,
-                       dyadic_lp, example1, linf_space, power, pwpower)
+                       dyadic_lp, example1, linf_space, parse_space, power, pwpower)
+from couplekit.verdict import CAVEAT_EXACT, CAVEAT_NONE, CAVEAT_SEARCH
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +117,50 @@ def test_report_schema_fields():
                 "caveat_level", "evidence", "seeds", "windows"):
         assert key in d
     assert d["spaces"]["X"] == "lp:p=2"
+
+
+_BOYD_GAP = "separated-Boyd-indices criterion (p_Y > q_X)"
+
+
+@pytest.mark.parametrize("X, Y, options, verdict, route, caveat, reasons", [
+    ("lp:p=2", "lp:p=2", {}, "calderon",
+     "matching convexity route (sufficient index criteria)", CAVEAT_EXACT, []),
+    ("lp:p=3", "lp:p=2", {"p_concave_X": 2, "p_convex_Y": 2, "r_concave_Y": 3},
+     "calderon", "matching convexity route (user-asserted)", CAVEAT_EXACT, []),
+    ("orlicz:gen=<example1>", "lp:p=4", {}, "not-calderon-witness", _BOYD_GAP,
+     CAVEAT_SEARCH, ["X fails stretchability with certified witness"]),
+    ("orlicz:gen=<pwpower:p0=2,p1=3>", "lp:p=4", {}, "inconclusive", _BOYD_GAP,
+     CAVEAT_NONE, ["shift hypotheses not certified for both sides"]),
+    ("orlicz:gen=<example1>", "orlicz:gen=<power:p=2>", {}, "not-calderon-witness",
+     "Orlicz-pair necessary condition (joint elasticity or equal indices)",
+     CAVEAT_SEARCH, ["index mismatch without joint elasticity (witness attached)"]),
+    ("lp:p=3", "lp:p=1", {}, "inconclusive", None, CAVEAT_NONE,
+     ["no applicable theorem: Boyd gap absent, no convexity assertion, not an Orlicz pair"]),
+], ids=["convexity-derived", "convexity-asserted", "boyd-gap-witness",
+        "boyd-gap-inconclusive", "orlicz-mismatch-witness", "no-theorem"])
+def test_verdict_routes(X, Y, options, verdict, route, caveat, reasons):
+    rep = classify_couple(parse_space(X), parse_space(Y), {"budget": 300, **options})
+    assert (rep.verdict, rep.caveat_level, rep.reasons) == (verdict, caveat, reasons)
+    assert rep.applicable == ([route] if route else [])
+
+
+@pytest.mark.parametrize("p, exponent, exact", [
+    (1, 0.5, False), (1.5, 0.25, False), (3, 0.5, False), (2, 0.5, True), (3, 1 / 3, True),
+])
+def test_lorentz_exact_only_when_lp(p, exponent, exact):
+    # p * exponent = 1 is the one power weight whose quasinorm is L_p itself
+    assert LorentzSpace(p, PowerWeight(exponent)).exact_weighted_lp is exact
+
+
+def test_lorentz_not_lp_vs_linf_is_searched():
+    # the RSP search finds c_hat > 1 on E_X, so nothing is certified exact
+    rep = classify_couple(parse_space("lorentz:p=1,w=pow:0.5"), linf_space(), {"budget": 200})
+    assert rep.verdict == "inconclusive"
+    ev = rep.evidence["stretchability_X"]
+    assert ev["kind"] == "search" and ev["certified"] is False
+    rep = classify_couple(parse_space("lorentz:p=1,w=pow:0.5"), LpSpace(4), {"budget": 200})
+    assert rep.evidence["shift_X"] == {"exact-weighted-lp": False}
+    assert rep.verdict == "inconclusive"
 
 
 def test_verdict_deterministic_under_seed():
