@@ -14,26 +14,35 @@ minimization after two exact reductions:
    r.i. norm with the Fatou property is monotone under **-domination.  So
    averaging an arbitrary split piece-wise never increases the objective.
 
-When Y is L_infty or ell_infty the problem is one-dimensional and exact:
-a split with ||y||_infty = lam has |x| >= (|f| - lam)_+ pointwise, so
+Three routes, asked of the spaces through their protocol:
+
+1. An L1-type side.  When one side is a weighted ell_1 on the pieces (L1,
+   or ``weighted_lp_form()`` with p = 1) and the other a weighted ell_p,
+   1 <= p <= inf, K is an exact one-parameter problem, ``_k_l1``: the best
+   split of a given ||y||_Y is y = min(|f|, theta c), and the minimum over
+   theta is found at the levels of |f| / c and, for 1 < p < inf, at a closed
+   form stationary point.  ``lower`` equals ``value``.  The other order is
+   the same problem by K(t; X, Y) = t K(1/t; Y, X).
+2. L_infty or ell_infty against any other X: a split with ||y||_infty = lam
+   has |x| >= (|f| - lam)_+ pointwise, so
 
     K(t, f; X, L_infty) = min over 0 <= lam <= ||f||_infty of
                           phi(lam) = ||(|f| - lam)_+||_X + t lam
 
-(Bennett-Sharpley, Interpolation of Operators, 1988), and phi is convex.
-phi is evaluated at 0 and at every level of |f| (one batch of rows), and
-the bracket around the best level is narrowed by golden-section steps (one
-row each).  ``lower`` is then a true bound: the chords of phi through the
-best interior point bound phi from below on the final bracket, which holds
-the minimiser.  X = L_infty is routed to the same search by
-K(t; X, Y) = t K(1/t; Y, X).
-
-Other couples are minimized over the box 0 <= c <= |f| by cyclic
-coordinate descent (descending-|f| sweep order, golden-section line
-searches), cross-checked against the truncation family x = min(|f|, c) and,
-for sequence couples, all prefix/suffix splits (batches of rows).  The
-reported value is the best decomposition found (an upper bound); ``lower``
-there is only a numeric subgradient gap estimate, not a certified bound.
+   (Bennett-Sharpley, Interpolation of Operators, 1988), and phi is convex.
+   phi is evaluated at 0 and at every level of |f| (one batch of rows), and
+   the bracket around the best level is narrowed by golden-section steps
+   (one row each).  ``lower`` is then a true bound: the chords of phi
+   through the best interior point bound phi from below on the final
+   bracket, which holds the minimiser.  X = L_infty takes the same search
+   by the swap identity.
+3. Other couples are minimized over the box 0 <= c <= |f| by cyclic
+   coordinate descent (descending-|f| sweep order, golden-section line
+   searches), cross-checked against the truncation family x = min(|f|, c)
+   and, for sequence couples, all prefix/suffix splits (batches of rows).
+   The reported value is the best decomposition found (an upper bound);
+   ``lower`` there is only a numeric subgradient gap estimate, not a
+   certified bound.
 
 Norms are row functions of the spaces, ``norm_rows_on(f)`` (or E_X's
 ``norm_rows`` for a sequence): rows of values normed independently.
@@ -61,7 +70,7 @@ _BATCH = 1 << 14
 class KResult:
     t: float
     value: float            # best decomposition value (upper bound)
-    lower: float             # lower bound (L_infty path) or gap estimate
+    lower: float             # lower bound (L1-type and L_infty paths) or gap estimate
     x_mass: float            # ||x||_X at the best split
     y_mass: float            # ||y||_Y at the best split
     sweeps: int
@@ -84,6 +93,14 @@ def _norm_rows(space, template):
     if E.window != template.window:
         raise ValueError("vector window does not match space window")
     return E.norm_rows
+
+
+def _lp_form(space, template):
+    """(weights, p) when the space's norm on the pieces/entries of template is
+    a weighted ell_p, else None."""
+    if isinstance(template, StepFunction):
+        return space.weighted_lp_form_on(template)
+    return space.e_space(template.window).weighted_lp_form()
 
 
 def _one(rows, v: np.ndarray) -> float:
@@ -130,11 +147,13 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
     ``f`` is a StepFunction (X, Y function spaces) or a SeqVec (X, Y sequence
     spaces, or function spaces routed through their E_X).
 
-    If Y (or X) is L_infty / ell_infty, K is the exact one-dimensional
-    search ``_k_linf``: it stops once value - lower <= tol * value, and
-    ``lower`` is a certified lower bound on K.  Otherwise K is found by
-    cyclic coordinate descent, converged once a full sweep improves by less
-    than tol * value; the sweep cap leaves ``converged=False`` with the best
+    If one side is L1-type (a weighted ell_1) and the other a weighted ell_p,
+    K is the exact one-parameter search ``_k_l1``.  Otherwise, if Y (or X)
+    is L_infty / ell_infty, K is the exact one-dimensional search
+    ``_k_linf``: it stops once value - lower <= tol * value.  On both paths
+    ``lower`` is a certified lower bound on K.  Other couples take cyclic
+    coordinate descent, converged once a full sweep improves by less than
+    tol * value; the sweep cap leaves ``converged=False`` with the best
     value intact, and ``lower`` is a numeric gap estimate only.
     """
     if t <= 0:
@@ -151,12 +170,16 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
 
     if not np.any(a > 0):
         return KResult(t, 0.0, 0.0, 0.0, 0.0, 0, True, a.copy())
+    form_x, form_y = _lp_form(X, f), _lp_form(Y, f)
+    if form_x is not None and form_y is not None:
+        if form_x[1] == 1.0:
+            return _k_l1(t, a, form_x[0], *form_y, nx, ny)
+        if form_y[1] == 1.0:
+            return _swapped(t, a, _k_l1(1.0 / t, a, form_y[0], *form_x, ny, nx))
     if Y.is_linf:
         return _k_linf(t, a, nx, tol)
-    if X.is_linf:  # K(t; L_infty, Y) = t K(1/t; Y, L_infty)
-        r = _k_linf(1.0 / t, a, ny, tol)
-        return KResult(t, t * r.value, t * r.lower, r.y_mass, r.x_mass,
-                       r.sweeps, r.converged, a - r.split)
+    if X.is_linf:
+        return _swapped(t, a, _k_linf(1.0 / t, a, ny, tol))
 
     def objective(C: np.ndarray) -> np.ndarray:
         """||c||_X + t ||a - c||_Y for each row c of C."""
@@ -194,6 +217,97 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
     gap = _convexity_gap(objective, c, a)
     return KResult(t, value, max(value - gap, 0.0), _one(nx, c), _one(ny, a - c),
                    sweeps, converged, c)
+
+
+def _swapped(t: float, a: np.ndarray, r: KResult) -> KResult:
+    """K(t; X, Y) = t K(1/t; Y, X), from r = K(1/t; Y, X)."""
+    return KResult(t, t * r.value, t * r.lower, r.y_mass, r.x_mass,
+                   r.sweeps, r.converged, a - r.split)
+
+
+def _k_l1(t: float, a: np.ndarray, u: np.ndarray, v: np.ndarray, p: float,
+          nx, ny) -> KResult:
+    """K(t) exactly for X = ell_1 with weights u and Y = ell_p with weights v.
+
+    For p = 1, K = sum_i min(u_i, t v_i) a_i: y_i = a_i exactly where
+    t v_i < u_i.  For p > 1, a split with ||y||_Y <= r maximises
+    sum u_i y_i over 0 <= y <= a: by the KKT conditions the maximiser is
+    y(theta) = min(a, theta c) with c_i = (u_i / v_i^p)^(1/(p-1)) (c = 1/v at
+    p = inf).  So K = min over theta >= 0 of
+    phi(theta) = ||a - y(theta)||_X + t ||y(theta)||_Y, and
+
+    * phi is unimodal: phi = psi(||y(theta)||_Y) with psi(r) = ||a||_X -
+      max{sum u_i y_i : ||y||_Y <= r, 0 <= y <= a} + t r convex (the max is
+      concave in r) and ||y(theta)||_Y increasing until it reaches ||a||_Y;
+    * between consecutive levels b_i = a_i / c_i the saturated set
+      {b_i <= lo} is fixed and phi(theta) = A - theta M +
+      t (S + theta^p M)^(1/p), with S = sum_{b_i <= lo} (v_i a_i)^p and
+      M = sum_{b_i > lo} u_i c_i = sum_{b_i > lo} (v_i c_i)^p: convex, and at
+      p = inf affine;
+    * so the minimum is at a level or at the stationary point
+      theta^p = S / (t^p' - M), p' = p/(p-1), of the segment holding it
+      (none when t^p' <= M: phi decreases on the whole segment).
+
+    phi is evaluated at 0 and at every level as one batch of rows, then at
+    the stationary points that lie inside their segments as a second batch.
+    In exact arithmetic only the segment holding the minimiser has one, but
+    near-equal levels can round the best level to the wrong side of it, so
+    every segment's point is computed (as prefix and suffix sums) and kept
+    if inside.  Every value comes from the spaces' own row functions ``nx``
+    and ``ny``, and ``lower`` equals ``value``.  For p < inf the exponent
+    1/(p-1) can spread c beyond the range of doubles (p near 1), so theta,
+    c and the levels are carried as logarithms there.
+    """
+    def rows(Y):
+        """(phi, ||x||_X, ||y||_Y) of the splits y = the rows of Y."""
+        xs, ys = nx(a - Y), ny(Y)
+        return xs + t * ys, xs, ys
+
+    if p == 1.0:
+        y = np.where(t * v < u, a, 0.0)
+        (value,), (x_mass,), (y_mass,) = (z.tolist() for z in rows(y[None]))
+        return KResult(t, value, value, x_mass, y_mass, 1, True, a - y)
+    if math.isinf(p):
+        c = 1.0 / v
+        b, zero = a / c, 0.0
+
+        def splits(thetas):
+            return np.where(b <= thetas[:, None], a, np.minimum(a, thetas[:, None] * c))
+    else:
+        lc = (np.log(u) - p * np.log(v)) / (p - 1.0)
+        with np.errstate(divide="ignore"):
+            b, zero = np.log(a) - lc, -math.inf
+
+        def splits(thetas):
+            with np.errstate(over="ignore"):
+                return np.where(b <= thetas[:, None], a,
+                                np.minimum(a, np.exp(thetas[:, None] + lc)))
+    levels = np.concatenate([[zero], np.unique(b[a > 0])])
+    thetas = levels
+    vals, xs, ys = (np.concatenate(z) for z in
+                    zip(*(rows(splits(run)) for run in _runs(levels, a.size))))
+    if p < math.inf:
+        # S and M / t^p' of each segment [lo, hi): prefix and suffix sums in
+        # the order of b over the entries saturated at lo (b <= lo) and the
+        # rest; then log theta = (log S - p' log t - log(1 - M / t^p')) / p
+        q = p / (p - 1.0)
+        order = np.argsort(b, kind="stable")
+        n_sat = np.searchsorted(b[order], levels[:-1], side="right")
+        S = np.concatenate([[0.0], np.cumsum((v[order] * a[order]) ** p)])[n_sat]
+        with np.errstate(over="ignore"):
+            uc = np.exp(np.log(u) + lc - q * math.log(t))[order]
+        d = 1.0 - np.concatenate([np.cumsum(uc[::-1])[::-1], [0.0]])[n_sat]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stat = (np.log(S) - q * math.log(t) - np.log(d)) / p
+        stat = stat[(d > 0.0) & (levels[:-1] < stat) & (stat < levels[1:])]
+        if stat.size:
+            thetas = np.concatenate([levels, stat])
+            vals, xs, ys = (np.concatenate(z) for z in
+                            zip((vals, xs, ys), rows(splits(stat))))
+    k = int(np.argmin(vals))  # the first minimum: a level wins a tie
+    y = splits(thetas[k:k + 1])[0]
+    return KResult(t, float(vals[k]), float(vals[k]), float(xs[k]), float(ys[k]),
+                   1, True, a - y)
 
 
 def _k_linf(t: float, a: np.ndarray, nx, tol: float) -> KResult:

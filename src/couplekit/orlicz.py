@@ -460,8 +460,9 @@ class ConvexifiedFn(OrliczFn):
     def __init__(self, base: OrliczFn):
         seg = base if base.breaks() is not None else sample_profile(base)
         self.base = seg
-        self.name = f"convexify<{base.name}>"
-        self.params = dict(base.params)
+        # the whole spec of the base in the name, so the spec string reparses
+        self.name = f"convexify<{base.spec_string()}>"
+        self.params = {}
         u, h, s = seg._u, seg._h, seg._s
         if seg._s_below < 1.0 - 1e-12 or np.any(s < 1.0 - 1e-12):
             raise ValueError("convexify requires F(x)/x nondecreasing (slopes >= 1)")
@@ -645,6 +646,17 @@ def _row_slope_extremes(v, h, j, first, end):
     return lo_j, hi_j
 
 
+def _finite_profile(F: OrliczFn, pts: np.ndarray) -> np.ndarray:
+    """h = log F on the increasing points pts; a ValueError when it overflows
+    (h is convex: finite at both ends means finite throughout)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        h = F.log_eval(pts)
+    if not (math.isfinite(h[0]) and math.isfinite(h[-1])):
+        raise ValueError(f"{F.spec_string()}: log F is not finite on "
+                         f"[{pts[0]:g}, {pts[-1]:g}]; its profile overflows")
+    return h
+
+
 def indices(F: OrliczFn, t_grid=None, x_grid=None, y_layer: float = 1.5) -> IndexReport:
     """Matuszewska-Orlicz indices from window-slope extremes of h.
 
@@ -671,12 +683,7 @@ def indices(F: OrliczFn, t_grid=None, x_grid=None, y_layer: float = 1.5) -> Inde
 
     ranges = []
     for pts in (_index_points(F, v_grid, +1), _index_points(F, -v_grid, -1)):
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            h = F.log_eval(pts)
-        # h is convex: finite at both ends means finite throughout
-        if not (math.isfinite(h[0]) and math.isfinite(h[-1])):
-            raise ValueError(f"{F.spec_string()}: log F is not finite on "
-                             f"[{pts[0]:g}, {pts[-1]:g}]; its profile overflows")
+        h = _finite_profile(F, pts)
         ranges.append(_chord_slope_range(pts, h, y_layer))
     (a_inf, b_inf), (a_0, b_0) = ranges
 
@@ -984,7 +991,7 @@ def elasticity_report(F: OrliczFn, C0: float = 4.0, x_grid=None,
         t_grid = TGrid.span(0.0, 2048.0) if side == "inf" \
             else TGrid.span(-2048.0, 0.0)
     v = _check_counter_grid(t_grid, side)
-    h = F.log_eval(v)
+    h = _finite_profile(F, v)
     nplus, nminus = [], []
     for kappa in kappas:
         omega = h - F.log_eval(v - kappa)

@@ -33,12 +33,14 @@ space with block weights 2^n.
 Only this module knows the concrete space classes: other modules ask a space
 through its protocol, whose base-class defaults describe a space without
 closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
-``InducedSeq``), ``norm_rows_on(f)``, ``boyd()``, ``exact_weighted_lp``,
-``is_linf``, ``generator()``.  ``SeqSpaceSpec``: ``norm_rows(V)``,
-``e_space`` (the space itself), ``norming_values``, ``weighted_lp_form()``,
-``is_linf``, ``generator()``.  The wrappers ``GeometricWeighted`` and ``OrderReversed``
-delegate to their inner space (``OrderReversed`` has no weighted-lp form),
-``FromSequenceSpace`` its ``generator`` to E; ``is_linf`` never delegates.
+``InducedSeq``), ``norm_rows_on(f)``, ``weighted_lp_form_on(f)``, ``boyd()``,
+``exact_weighted_lp``, ``is_linf``, ``generator()``.  ``SeqSpaceSpec``:
+``norm_rows(V)``, ``e_space`` (the space itself), ``norming_values``,
+``weighted_lp_form()``, ``is_linf``, ``generator()``.  The wrappers
+``GeometricWeighted`` and ``OrderReversed`` delegate to their inner space
+(``OrderReversed`` reverses the weighted-lp weights and takes ``is_linf``
+from it; ``GeometricWeighted`` never answers ``is_linf``), and
+``FromSequenceSpace`` its ``generator`` to E.
 """
 
 from __future__ import annotations
@@ -164,6 +166,11 @@ class SpaceSpec:
         """Norm of one step function: the one-row case of ``norm_rows_on``."""
         return float(self.norm_rows_on(f)(f.vals[None])[0])
 
+    def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float] | None:
+        """(weights, p) when the norm of values on the pieces of f is a
+        weighted ell_p, else None."""
+        return None
+
     def e_space(self, window: Window) -> "SeqSpaceSpec":
         """The dyadic sequence space E_X on the window, fast form if known."""
         return InducedSeq(self, window)
@@ -210,6 +217,11 @@ class LpSpace(SpaceSpec):
                 out[i] = A[i].dot(lens) ** root
             return out
         return rows
+
+    def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float]:
+        if math.isinf(self.p):
+            return np.ones(f.lengths.size), self.p
+        return f.lengths ** (1.0 / self.p), self.p
 
     def e_space(self, window: Window) -> "SeqSpaceSpec":
         return dyadic_lp(self.p, window)
@@ -672,6 +684,8 @@ class OrderReversed(SeqSpaceSpec):
     def __init__(self, inner: SeqSpaceSpec):
         self.inner = inner
         self.window = inner.window.reversed()
+        # a reversal of unit weights is unit weights
+        self.is_linf = inner.is_linf
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
         return self.inner.norm_rows(V[:, ::-1])
@@ -681,6 +695,10 @@ class OrderReversed(SeqSpaceSpec):
 
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
         return self.inner.norming_values(xv[::-1])[::-1]
+
+    def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
+        form = self.inner.weighted_lp_form()
+        return None if form is None else (form[0][::-1], form[1])
 
     def generator(self) -> OrliczFn | None:
         return self.inner.generator()

@@ -18,13 +18,14 @@ Examples::
     seq:from:<seq:orlicz-modular:gen=<example1>>,weightbase=1.4142135623730951
     rev:<seq:lpw:p=2>
     brudnyi:p=1.5,q=3:F     minimal:alpha=0.05
+    convexify<pwpower:p0=2,p1=3>
 """
 
 from __future__ import annotations
 
 from .errors import UsageError
 from .measure import UNIT, Window, default_unit_window
-from .orlicz import (MinimalFn, OrliczFn, brudnyi_pair,
+from .orlicz import (MinimalFn, OrliczFn, brudnyi_pair, convexify,
                      elastic_non_lorentz, example1, logfactor_fn, power,
                      pwpower)
 from .spaces import (FromSequenceSpace, GeometricWeighted, LinftySeq, LpSpace,
@@ -112,9 +113,13 @@ def _split_selector(body: str) -> tuple[str, str | None]:
 def parse_generator(spec: str) -> OrliczFn:
     """Parse a generator spec string into an Orlicz function.
 
-    ``brudnyi`` needs a trailing ``:F``/``:G`` selector.
+    ``brudnyi`` needs a trailing ``:F``/``:G`` selector; ``convexify<gen>``
+    convexifies the generator ``gen``.
     """
-    body, selector = _split_selector(_strip(spec))
+    body = _strip(spec)
+    if body.startswith("convexify<") and body.endswith(">"):
+        return convexify(parse_generator(body[len("convexify"):]))
+    body, selector = _split_selector(body)
     name, rest = _match_name(body, _GEN_NAMES)
     kwargs, positional = _parse_args(rest)
     if selector is not None:

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from couplekit import (LinftySeq, LorentzSpace, LpSpace, OrliczSpace,
-                       PowerWeight, SeqVec, StepFunction, Window, char_fn,
-                       dyadic_envelope, dyadic_lp, fit_separation, kfunc,
-                       k_block_estimate, k_l1_linf_oracle, k_numeric,
+                       PowerWeight, SeqVec, StepFunction, WeightedLp, Window,
+                       char_fn, dyadic_envelope, dyadic_lp, fit_separation,
+                       kfunc, k_block_estimate, k_l1_linf_oracle, k_numeric,
                        k_profile, linf_space, pwpower, rho_profile)
+from couplekit.specdsl import parse_any_space, parse_seq_space
 from conftest import random_seqvec, random_step
 
 L1 = LpSpace(1)
@@ -270,12 +271,13 @@ def test_k_linf_matches_dense_grid(case):
 @pytest.mark.parametrize("t, top", [(0.125, 0.9999999999999998),
                                     (0.25, 1.0000000000000002)])
 def test_k_linf_levels_one_ulp_apart(t, top):
-    # no float lies strictly between the two levels, so the golden points of
-    # the final bracket coincide with its ends
-    case = (t, SeqVec.from_entries(SEQ_WIN, {-2: 1.0, -1: top}), L1, LinftySeq(SEQ_WIN))
-    r = k_numeric(*case)
-    assert r.lower <= r.value and r.value - r.lower <= 1e-6 * r.value
-    assert r.value == pytest.approx(_dense_grid_k(*case), rel=1e-12)
+    # no float lies strictly between the two levels, so for L2 the golden
+    # points of the final bracket coincide with its ends; L1 takes no bracket
+    for X in (L1, LpSpace(2)):
+        case = (t, SeqVec.from_entries(SEQ_WIN, {-2: 1.0, -1: top}), X, LinftySeq(SEQ_WIN))
+        r = k_numeric(*case)
+        assert r.lower <= r.value and r.value - r.lower <= 1e-6 * r.value
+        assert r.value == pytest.approx(_dense_grid_k(*case), rel=1e-12)
 
 
 def test_k_linf_exact_at_levels_for_l1(rng):
@@ -371,3 +373,193 @@ def test_k_numeric_rejects_a_window_mismatch():
     with pytest.raises(ValueError, match="vector window does not match space window"):
         k_numeric(1.0, f, dyadic_lp(1, f.window), dyadic_lp(2, other))
     assert k_numeric(1.0, f, dyadic_lp(1, f.window), dyadic_lp(2, f.window)).value > 0
+
+
+# ---------------------------------------------------------------------------
+# the exact path for couples with an L1-type side
+# ---------------------------------------------------------------------------
+
+L1_WIN = Window("Z", -3, 3)
+# small integer weights give levels a_i / c_i that tie up to rounding
+_WEIGHTS = st.lists(st.one_of(st.sampled_from([1.0, 2.0, 4.0]),
+                              st.floats(-2.0, 2.0).map(math.exp)),
+                    min_size=L1_WIN.size, max_size=L1_WIN.size)
+
+
+def test_k_l1_weighted_reproducer():
+    # coordinate descent stalled at 0.4999999999203 on this couple; the
+    # split x = (1 - 1/sqrt(12), 0) costs 1/4 + sqrt(3)/8
+    w = Window("Z", 0, 1)
+    X = WeightedLp(1, w, weights=[0.25, 0.25])
+    Y = WeightedLp(2, w, weights=[0.5, 0.25])
+    f = SeqVec(w, np.array([1.0, 1.0]))
+    for r in (k_numeric(1.0, f, X, Y), k_numeric(1.0, f, Y, X)):
+        assert r.value == pytest.approx(0.25 + math.sqrt(3.0) / 8.0, rel=1e-15)
+        assert r.lower == r.value and r.converged
+
+
+@st.composite
+def l1_cases(draw):
+    """(t, f, X, Y, u, v, p, l1_first): weighted ell_1 (weights u) and ell_p
+    (weights v) on a small window, in either order, and a sparse f."""
+    p = draw(st.sampled_from([1.0, 1.01, 1.5, 2.0, 3.0, math.inf]))
+    u, v = np.array(draw(_WEIGHTS)), np.array(draw(_WEIGHTS))
+    vals = np.array(draw(st.lists(_LEVELS, min_size=L1_WIN.size, max_size=L1_WIN.size)))
+    if not np.any(vals):
+        vals[0] = 1.0
+    t = 2.0 ** draw(st.floats(-6.0, 6.0))
+    X, Y = WeightedLp(1, L1_WIN, weights=u), WeightedLp(p, L1_WIN, weights=v)
+    l1_first = draw(st.booleans())
+    if not l1_first:
+        X, Y = Y, X
+    return t, SeqVec(L1_WIN, vals), X, Y, u, v, p, l1_first
+
+
+@settings(max_examples=100, deadline=None)
+@given(l1_cases(), st.integers(0, 2 ** 32 - 1))
+def test_k_l1_exact(case, seed):
+    t, f, X, Y, u, v, p, l1_first = case
+    a = f.values
+    r = k_numeric(t, f, X, Y)
+    assert r.lower == r.value and r.converged
+
+    def costs(C):
+        """||x||_X + t ||a - x||_Y for each row x of C."""
+        return X.norm_rows(C) + t * Y.norm_rows(a - C)
+
+    assert costs(r.split[None])[0] == pytest.approx(r.value, rel=NORM_REL)
+    bar = r.value * (1 - NORM_REL)
+    rng = np.random.default_rng(seed)
+    assert np.all(costs(a * rng.random((40, a.size))) >= bar)
+    if p == 1.0:  # K = sum min(u_i, t v_i) a_i, or its mirror
+        exact = np.sum(np.minimum(u, t * v) * a) if l1_first else \
+            t * np.sum(np.minimum(u, v / t) * a)
+        assert r.value == pytest.approx(float(exact), rel=NORM_REL)
+        return
+    assert np.all(_kkt_grid_costs(t, a, X, Y, u, v, p, l1_first) >= bar)
+
+
+def _kkt_grid_costs(t, a, X, Y, u, v, p, l1_first):
+    """||x||_X + t ||a - x||_Y over the KKT family y = min(a, theta c) (y the
+    ell_p part) on a dense grid of log theta around the levels a / c."""
+    lc = -np.log(v) if math.isinf(p) else (np.log(u) - p * np.log(v)) / (p - 1.0)
+    lb = np.log(a[a > 0]) - lc[a > 0]
+    grid = np.linspace(lb.min() - 4.0, lb.max() + 1.0, 4000)[:, None]
+    lp_parts = np.vstack([np.zeros(a.size), np.minimum(a, np.exp(grid + lc))])
+    C = a - lp_parts if l1_first else lp_parts
+    return X.norm_rows(C) + t * Y.norm_rows(a - C)
+
+
+@pytest.mark.parametrize("t, u, v, a, p", [
+    (0.6831802941756706, [4, 2, 3, 4, 1, 2, 4], [2, 4, 4, 2, 4, 4, 2],
+     [2, 0.5, 0, 0, 0.02456074843325192, 14.37798659885624, 0], 3.0),
+    (3.3963890474534226, [1, 2, 2, 3, 1, 1, 4], [1, 1, 1, 2, 1, 2, 1],
+     [1, 2, 1, 1, 3.6386252047676244, 0.5, 0.06445870967677839], 3.0),
+])
+def test_k_l1_levels_tied_up_to_rounding(t, u, v, a, p):
+    # two levels a_i / c_i a few ulps apart: the best of them may round to
+    # either side, and the minimiser can lie past the other one
+    u, v, a = (np.array(z, dtype=float) for z in (u, v, a))
+    X, Y = WeightedLp(1, L1_WIN, weights=u), WeightedLp(p, L1_WIN, weights=v)
+    for l1_first in (True, False):
+        A, B, s = (X, Y, t) if l1_first else (Y, X, 1.0 / t)
+        r = k_numeric(s, SeqVec(L1_WIN, a), A, B)
+        costs = _kkt_grid_costs(s, a, A, B, u, v, p, l1_first)
+        assert np.all(costs >= r.value * (1 - NORM_REL))
+
+
+@pytest.mark.parametrize("t", [0.5, 0.99, 1.5])
+def test_k_l1_p_near_one(t):
+    # c = (u / v^p)^(1/(p-1)) spans a factor e^800 here, beyond any double
+    w = Window("Z", 0, 1)
+    X = WeightedLp(1, w, weights=[1.0, 1.0])
+    Y = WeightedLp(1.01, w, weights=[1.0, math.exp(-8.0)])
+    a = np.array([1.0, 1.0])
+    r = k_numeric(t, SeqVec(w, a), X, Y)
+    g = np.linspace(0.0, 1.0, 401)
+    C = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    brute = float(np.min(X.norm_rows(C) + t * Y.norm_rows(a - C)))
+    assert brute * (1 - 1e-3) <= r.value <= brute * (1 + NORM_REL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(l1_cases())
+def test_k_l1_increasing_concave_in_t(case):
+    _, f, X, Y, *_ = case
+    ts = np.geomspace(1.0 / 64, 64.0, 13)
+    ks = np.array([k_numeric(t, f, X, Y).value for t in ts])
+    assert np.all(np.diff(ks) >= -NORM_REL * ks[1:])
+    for i in range(1, len(ts) - 1):
+        lam = (ts[i] - ts[i - 1]) / (ts[i + 1] - ts[i - 1])
+        chord = (1 - lam) * ks[i - 1] + lam * ks[i + 1]
+        assert ks[i] >= chord * (1 - NORM_REL)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_k_l1_lp_step_equals_dyadic_sequence(rng, p):
+    # the (L1, Lp) problem on the step function of a sequence is the
+    # (dyadic ell_1, dyadic ell_p) problem on the sequence, in both orders
+    win = Window("Z-", -16, -1)
+    X, EX, Y, EY = LpSpace(1), dyadic_lp(1, win), LpSpace(p), dyadic_lp(p, win)
+    for _ in range(4):
+        xs = random_seqvec(rng, win, k=5, scale_sigma=1.0)
+        f = xs.to_step()
+        for t in (0.05, 0.4, 1.0, 3.0, 12.0):
+            assert k_numeric(t, f, X, Y).value == pytest.approx(
+                k_numeric(t, xs, EX, EY).value, rel=1e-12)
+            assert k_numeric(t, f, Y, X).value == pytest.approx(
+                k_numeric(t, xs, EY, EX).value, rel=1e-12)
+
+
+def test_k_l1_reversed_linf_is_certified():
+    # a reversal of ell_infty is ell_infty: the same exact K, lower = value
+    win = Window("Z-", -16, -1)
+    f = SeqVec(win, np.exp(np.random.default_rng(0).normal(size=win.size)))
+    X = dyadic_lp(1, win)
+    plain = k_numeric(0.7, f, X, parse_seq_space("seq:linf", win))
+    rev = k_numeric(0.7, f, X, parse_seq_space("rev:<seq:linf>", win))
+    assert rev.value == plain.value
+    assert rev.lower == rev.value and plain.lower == plain.value
+
+
+L1_TYPE_COUPLES = (
+    [("lp:p=1", other) for other in ("lp:p=1", "lp:p=1.5", "lp:p=2", "lp:p=3", "linf")]
+    + [("seq:lpw:p=1", other) for other in ("seq:lpw:p=1", "seq:lpw:p=1.5",
+                                            "seq:lpw:p=2", "seq:lpw:p=3",
+                                            "seq:lpw:p=1,wexp=0.3", "seq:linf",
+                                            "rev:<seq:linf>")])
+
+
+@pytest.mark.parametrize("spec_x, spec_y", L1_TYPE_COUPLES)
+def test_k_l1_takes_no_golden_step(spec_x, spec_y, rng):
+    # no golden section and no coordinate descent on an L1-type couple, and
+    # at most one row per level plus four per norm
+    win = Window("Z-", -12, -1)
+    X, Y = (parse_any_space(s, window=win) for s in (spec_x, spec_y))
+    rows = {}
+    norm_rows = kfunc._norm_rows
+
+    def counting_rows(space, template):
+        nrm = norm_rows(space, template)
+
+        def counted(V):
+            rows[id(space)] = rows.get(id(space), 0) + len(V)
+            return nrm(V)
+        return counted
+
+    def no_golden(*args):
+        raise AssertionError("golden-section step on an L1-type couple")
+
+    xs = random_seqvec(rng, win, k=6, scale_sigma=1.0)
+    fs = [xs] if spec_x.startswith("seq") else [xs.to_step(), random_step(rng)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kfunc, "_norm_rows", counting_rows)
+        mp.setattr(kfunc, "_golden_steps", no_golden)
+        for f in fs:
+            a = np.abs(f.values if isinstance(f, SeqVec) else f.vals)
+            for t in (0.05, 0.7, 3.0):
+                for A, B in ((X, Y), (Y, X)):
+                    rows.clear()
+                    r = k_numeric(t, f, A, B)
+                    assert r.lower == r.value and r.converged
+                    assert max(rows.values()) <= np.count_nonzero(a) + 4

@@ -710,6 +710,17 @@ def test_elasticity_report_matches_counter(side):
         assert rep.phi_plus.tolist() == plus and rep.phi_minus.tolist() == minus
 
 
+@pytest.mark.parametrize("side", ["inf", "0"])
+def test_elasticity_report_rejects_an_overflowing_profile(side):
+    # the counters of an overflowing profile are NaN arithmetic; the report
+    # refuses it as ``indices`` does, with no floating-point error on the way
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="log F is not finite"):
+            elasticity_report(power(1e307), side=side)
+    with pytest.raises(ValueError, match="log F is not finite"):
+        indices(power(1e307))
+
+
 def test_elasticity_report_validates_arguments():
     with pytest.raises(ValueError, match="x must lie"):
         elasticity_report(power(2), x_grid=np.array([2.0, 0.5]))

@@ -505,7 +505,8 @@ def _one_of_each_seq_space(win):
 
 def test_weighted_lp_form_contract(rng):
     win = Window("Z-", -12, -1)
-    no_form = {"modular", "geo-modular", "rev-lp", "rev-modular", "induced"}
+    # a reversal's form is the inner space's, its weights reversed
+    no_form = {"modular", "geo-modular", "rev-modular", "induced"}
     for name, E in _one_of_each_seq_space(win).items():
         form = E.weighted_lp_form()
         if name in no_form:
@@ -547,7 +548,8 @@ def test_generator_and_e_space_contract():
 @pytest.mark.parametrize("spec, linf", [
     ("linf", True), ("seq:linf", True), ("lp:p=2", False), ("lp:p=1", False),
     ("orlicz:gen=<power:p=2>", False), ("lorentz:p=2,w=pow:0.5", False),
-    ("seq:lpw:p=2", False), ("seq:lpw:p=2,wexp=0", False), ("rev:<seq:linf>", False),
+    ("seq:lpw:p=2", False), ("seq:lpw:p=2,wexp=0", False), ("rev:<seq:linf>", True),
+    ("rev:<seq:lpw:p=inf,wexp=0.3>", False),
     ("seq:from:<seq:linf>,weightbase=2", False), ("seq:induced:<linf>", False),
     ("seq:orlicz-modular:gen=<power:p=2>", False),
     ("seq:lpw:p=inf,weights=<2,2,2,2,2,2,2,2>", False),
@@ -594,6 +596,28 @@ def test_generator_spec_round_trip(F):
     assert (back.name, back.spec_string()) == (F.name, F.spec_string())
     u = np.linspace(-40.0, 400.0, 2001)
     assert np.array_equal(back.log_eval(u), F.log_eval(u))
+
+
+@pytest.mark.parametrize("F", [
+    power(2.5), pwpower(1.5, 3.0), logfactor_fn(1.25), example1(),
+    elastic_non_lorentz(), *brudnyi_pair(1.5, 3.0), MinimalFn(0.04),
+], ids=lambda F: F.spec_string())
+def test_convexify_spec_round_trip(F):
+    C = convexify(F)
+    assert C.spec_string() == f"convexify<{F.spec_string()}>"
+    back = parse_generator(C.spec_string())
+    assert back.spec_string() == C.spec_string()
+    u = np.linspace(-40.0, 400.0, 2001)
+    assert np.array_equal(back.log_eval(u), C.log_eval(u))
+
+
+def test_convexified_modular_space_reparses():
+    win = Window("Z-", -16, -1)
+    E = OrliczModular(convexify(example1()), win)
+    assert E.spec_string() == "seq:orlicz-modular:gen=<convexify<example1>>"
+    back = parse_seq_space(E.spec_string(), win)
+    V = np.exp(np.random.default_rng(3).normal(0.0, 1.5, (6, win.size)))
+    assert np.array_equal(back.norm_rows(V), E.norm_rows(V))
 
 
 @pytest.mark.parametrize("spec, key", [

@@ -345,7 +345,9 @@ def _dense_colrow(T, w):
     lambda p: WeightedLp(p, WIN, wexp=0.3),
     lambda p: GeometricWeighted(dyadic_lp(p, WIN), 2.0 ** 0.5),
     lambda p: OrderReversed(dyadic_lp(p, WIN.reversed())),
-], ids=["weighted", "geometric", "reversed"])
+    # a reversal answers weighted_lp_form, so a wrapper around it has a bound
+    lambda p: GeometricWeighted(OrderReversed(dyadic_lp(p, WIN.reversed())), 2.0 ** 0.5),
+], ids=["weighted", "geometric", "reversed", "geometric-reversed"])
 def test_op_norm_schur_is_the_closed_form(make):
     g = np.random.default_rng(17)
     T = PositiveMatrix(WIN)
