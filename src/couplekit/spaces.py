@@ -36,11 +36,11 @@ closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
 ``InducedSeq``), ``norm_rows_on(f)``, ``weighted_lp_form_on(f)``, ``boyd()``,
 ``exact_weighted_lp``, ``is_linf``, ``generator()``.  ``SeqSpaceSpec``:
 ``norm_rows(V)``, ``e_space`` (the space itself), ``norming_values``,
-``weighted_lp_form()``, ``is_linf``, ``generator()``.  The wrappers
-``GeometricWeighted`` and ``OrderReversed`` delegate to their inner space
-(``OrderReversed`` reverses the weighted-lp weights and takes ``is_linf``
-from it; ``GeometricWeighted`` never answers ``is_linf``), and
-``FromSequenceSpace`` its ``generator`` to E.
+``weighted_lp_form()``, ``is_linf``, ``generator()``.  A weighted ell_p is
+always a ``WeightedLp``: ``OrderReversed(E)`` is ``E.reversed_space()``, and
+``GeometricWeighted(E, b)`` is E at b = 1, else w_n b^n on E's form (w, p);
+only spaces without that form get the delegating wrappers ``_OrderReversed``
+and ``_GeometricWeighted``.  ``FromSequenceSpace`` delegates ``generator`` to E.
 """
 
 from __future__ import annotations
@@ -482,9 +482,8 @@ class SeqSpaceSpec:
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
         """Values of a norming functional g of the nonzero x (see
         ``norming_functional``)."""
-        raise NotImplementedError(
-            f"no norming functional for {type(self).__name__}; supported: weighted "
-            f"lp, ell_infty, Orlicz modular, and weighted/reversed wrappers")
+        raise NotImplementedError(f"no norming functional for {type(self).__name__}; "
+                                  f"supported: weighted lp and Orlicz modular, wrapped or not")
 
     def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
         """(weights, p) when the space is a weighted ell_p, else None."""
@@ -508,7 +507,7 @@ class SeqSpaceSpec:
         return np.array([self.unit_norm(int(n)) for n in self.window.indices()])
 
     def reversed_space(self) -> "SeqSpaceSpec":
-        return OrderReversed(self)
+        return _OrderReversed(self)
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -542,8 +541,8 @@ class WeightedLp(SeqSpaceSpec):
             w = 2.0 ** (window.indices() * self.wexp)
         else:
             w = np.asarray(weights, dtype=float)
-        if w.shape != (window.size,) or np.any(w <= 0):
-            raise ValueError("need one strictly positive weight per index")
+        if w.shape != (window.size,) or not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("need one finite, strictly positive weight per index")
         self.weights = w
         self.is_linf = math.isinf(self.p) and bool(np.all(w == 1.0))
 
@@ -572,6 +571,9 @@ class WeightedLp(SeqSpaceSpec):
 
     def weighted_lp_form(self) -> tuple[np.ndarray, float]:
         return self.weights, self.p
+
+    def reversed_space(self) -> "WeightedLp":
+        return WeightedLp(self.p, self.window.reversed(), weights=self.weights[::-1].copy())
 
     def spec_string(self) -> str:
         if self.is_linf:
@@ -647,16 +649,17 @@ class OrliczModular(SeqSpaceSpec):
         return f"seq:orlicz-modular:gen=<{self.F.spec_string()}>"
 
 
-class GeometricWeighted(SeqSpaceSpec):
-    """E(w^n): ||x|| = ||(x_n w^n)_n|| in the inner space."""
+class _GeometricWeighted(SeqSpaceSpec):
+    """E(b^n): ||x|| = ||(x_n b^n)_n|| in an inner space without a weighted-lp form."""
 
     def __init__(self, inner: SeqSpaceSpec, base: float):
-        if base <= 0:
-            raise ValueError("weight base must be positive")
         self.inner = inner
         self.base = float(base)
         self.window = inner.window
-        self._w = self.base ** self.window.indices().astype(float)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            self._w = self.base ** self.window.indices().astype(float)
+        if not np.all(np.isfinite(self._w) & (self._w > 0)):
+            raise ValueError(f"weight base {base!r} gives weights b^n not all finite and > 0")
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
         return self.inner.norm_rows(V * self._w)
@@ -667,10 +670,6 @@ class GeometricWeighted(SeqSpaceSpec):
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
         return self.inner.norming_values(xv * self._w) * self._w
 
-    def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
-        form = self.inner.weighted_lp_form()
-        return None if form is None else (form[0] * self._w, form[1])
-
     def generator(self) -> OrliczFn | None:
         return self.inner.generator()
 
@@ -678,14 +677,12 @@ class GeometricWeighted(SeqSpaceSpec):
         return f"seq:from:<{self.inner.spec_string()}>,weightbase={self.base!r}"
 
 
-class OrderReversed(SeqSpaceSpec):
+class _OrderReversed(SeqSpaceSpec):
     """||x|| = ||x~||_inner with x~(n) = x(-(n+1)); swaps RSP and LSP."""
 
     def __init__(self, inner: SeqSpaceSpec):
         self.inner = inner
         self.window = inner.window.reversed()
-        # a reversal of unit weights is unit weights
-        self.is_linf = inner.is_linf
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
         return self.inner.norm_rows(V[:, ::-1])
@@ -696,10 +693,6 @@ class OrderReversed(SeqSpaceSpec):
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
         return self.inner.norming_values(xv[::-1])[::-1]
 
-    def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
-        form = self.inner.weighted_lp_form()
-        return None if form is None else (form[0][::-1], form[1])
-
     def generator(self) -> OrliczFn | None:
         return self.inner.generator()
 
@@ -708,6 +701,19 @@ class OrderReversed(SeqSpaceSpec):
 
     def spec_string(self) -> str:
         return f"rev:<{self.inner.spec_string()}>"
+
+
+def GeometricWeighted(inner: SeqSpaceSpec, base: float) -> SeqSpaceSpec:
+    """E(b^n): ``inner`` at b = 1, the WeightedLp w_n b^n on its form (w, p), else a wrapper."""
+    if base == 1.0:
+        return inner
+    E, form = _GeometricWeighted(inner, base), inner.weighted_lp_form()
+    return E if form is None else WeightedLp(form[1], E.window, weights=form[0] * E._w)
+
+
+def OrderReversed(inner: SeqSpaceSpec) -> SeqSpaceSpec:
+    """||x|| = ||x~||_inner with x~(n) = x(-(n+1)): ``inner.reversed_space()``."""
+    return inner.reversed_space()
 
 
 class InducedSeq(SeqSpaceSpec):

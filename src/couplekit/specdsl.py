@@ -179,8 +179,7 @@ def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
     if name == "seq:from":
         if not positional:
             raise UsageError("seq:from needs a nested inner spec in <...>")
-        inner = parse_seq_space(positional[0], window)
-        return GeometricWeighted(inner, _num(kwargs["weightbase"]))
+        return GeometricWeighted(parse_seq_space(positional[0], window), _num(kwargs["weightbase"]))
     if name == "seq:induced":
         if not positional:
             raise UsageError("seq:induced needs a nested function-space spec")

@@ -44,8 +44,7 @@ import numpy as np
 from .errors import HypothesisError, UsageError
 from .kfunc import k_block_estimate, k_numeric
 from .measure import SeqVec, Window
-from .spaces import (OrderReversed, SeparationFit, SeqSpaceSpec, _ascend_steps,
-                     norming_functional)
+from .spaces import SeparationFit, SeqSpaceSpec, _ascend_steps, norming_functional
 
 EXACTNESS_TOL = 1e-9
 # <x, g> = ||x|| tolerance for every norming functional of a block sum
@@ -227,20 +226,18 @@ class PositiveMatrix:
 
 def op_norm(T: PositiveMatrix, space: SeqSpaceSpec, mode: str = "interval",
             budget: int = 400, seed: int = 0):
-    """Operator norm of T on a sequence space.
+    """Operator norm of T on a sequence space, asked through its protocol.
 
-    ``exact``: the closed form of ``_upper_bound`` for weighted ell_1 and
-    ell_infty.  ``schur``: the same closed form, which for weighted ell_p with
-    1 < p < inf is the Schur interpolation upper bound.  ``lower``: certified
-    lower bound by adversarial ascent.  ``interval`` returns (lower, upper)
-    with upper from ``_upper_bound`` (None when there is none).
+    ``exact``: the closed form of ``_upper_bound`` for a weighted ell_1 or
+    ell_infty form.  ``schur``: the same closed form, the Schur interpolation
+    bound for 1 < p < inf.  ``lower``: certified lower bound by adversarial
+    ascent over ``norm_rows``.  ``interval`` returns (lower, upper), upper
+    from ``_upper_bound`` (None when the space has no weighted-lp form).
     """
-    if isinstance(space, OrderReversed):
-        return op_norm(T.reversed(), space.inner, mode, budget, seed)
     if mode in ("exact", "schur"):
         wp = space.weighted_lp_form()
         if wp is None:
-            raise UsageError(f"mode {mode!r} unsupported for {type(space).__name__}")
+            raise UsageError(f"mode {mode!r} unsupported for {space.spec_string()}")
         if mode == "exact" and 1.0 < wp[1] < math.inf:
             raise UsageError("exact mode needs p = 1 or p = inf")
         return _upper_bound(T, space)
@@ -291,14 +288,12 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
 
 
 def _upper_bound(T: PositiveMatrix, space: SeqSpaceSpec) -> float | None:
-    """Closed-form upper bound on a weighted ell_p, None on any other space.
+    """Closed-form upper bound over ``weighted_lp_form()`` = (w, p), else None.
 
     With C = w_j T_jk / w_k the weight-conjugated matrix: its max column sum
     (exact for p = 1), its max row sum (exact for p = inf), and otherwise the
     Schur interpolation col^(1/p) row^(1 - 1/p).
     """
-    if isinstance(space, OrderReversed):
-        return _upper_bound(T.reversed(), space.inner)
     wp = space.weighted_lp_form()
     if wp is None:
         return None
@@ -589,7 +584,7 @@ def k_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
         part_bounds.append(T1.certified_bounds)
     if J2:
         T2 = majorization_transfer(x.reversed(), y.restrict(J2).reversed().scale(1.0 / s),
-                                   F.reversed_space(), E.reversed_space()).scaled(s).reversed()
+                                   Frev, E.reversed_space()).scaled(s).reversed()
         T2.note(branch="J2 (order-reversed)", indices=J2[:64], C2=c2)
         parts.append(T2)
         # built on (rev F, rev E): its "E" bound is on F and its "F" bound on E

@@ -110,7 +110,14 @@ def test_budget_below_one_is_usage_error(tmp_path, capsys, argv, budget):
      "power:p=1e+307: log F is not finite on [0, 64]; its profile overflows"),
     (["verdict", "--X", "orlicz:gen=<power:p=1e307>", "--Y", "linf"],
      "power:p=1e+307: log F is not finite on [0, 64]; its profile overflows"),
-], ids=["lpw-without-p", "analyze-overflow", "verdict-overflow"])
+    *[(["shift-test", "--space", f"seq:from:<seq:lpw:p=1>,weightbase={b}", "--side", "rsp",
+        "--window=-24:-1"], f"weight base {shown} gives weights b^n not all finite and > 0")
+      for b, shown in (("nan", "nan"), ("inf", "inf"), ("1e300", "1e+300"))],
+    *[(["shift-test", "--space", spec, "--side", "rsp", "--window=-4:-1"],
+       "need one finite, strictly positive weight per index")
+      for spec in ("seq:lpw:p=2,weights=<nan,1,1,1>", "seq:lpw:p=2,wexp=nan")],
+], ids=["lpw-without-p", "analyze-overflow", "verdict-overflow", "weightbase-nan",
+        "weightbase-inf", "weightbase-huge", "weights-nan", "wexp-nan"])
 @pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
 def test_bad_spec_is_usage_error(tmp_path, capsys, argv, detail):
     out = tmp_path / "out.json"

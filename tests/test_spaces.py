@@ -11,11 +11,12 @@ from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftyS
                        OrliczSpace, PowerWeight, SeqVec, StepFunction, TableLogLinear,
                        MinimalFn, UsageError, WeightedLp, Window, brudnyi_pair,
                        char_fn, convexify, dyadic_lp, elastic_non_lorentz, example1,
-                       fit_separation, kappa_estimate, linf_space,
+                       fit_separation, k_numeric, kappa_estimate, linf_space,
                        logfactor_fn, norming_functional, parse_any_space,
                        parse_generator, parse_seq_space, parse_space, power,
                        pwpower, rearrange, rho_profile, seq_norm)
-from couplekit.spaces import _luxemburg_log, shift_values
+from couplekit.spaces import (_GeometricWeighted, _OrderReversed, _luxemburg_log,
+                              shift_values)
 from couplekit.transfer import FUNCTIONAL_TOL
 from conftest import (SEARCH_SPACE_KINDS, random_seqvec, random_step,
                       search_space)
@@ -171,7 +172,15 @@ def test_order_reversed_norm():
     # x~(n) = x(-(n+1)): entries move to -1 and -4
     expect = E.norm(SeqVec.from_entries(win, {-1: 1.0, -4: 2.0}))
     assert R.norm(x) == pytest.approx(expect)
-    assert R.reversed_space() is E
+    # a reversed weighted ell_1 is a weighted ell_1, and reversing it again
+    # gives E's weights back; a wrapper reverses back to its inner space
+    RR = R.reversed_space()
+    assert type(R) is type(RR) is WeightedLp and RR.window == win
+    assert np.array_equal(RR.weights, E.weights) and RR.spec_string() == E.spec_string()
+    vals = np.linspace(0.3, 1.8, win.size)
+    assert RR.norm_values(vals) == E.norm_values(vals)
+    M = OrliczModular(example1(), win)
+    assert OrderReversed(M).reversed_space() is M
 
 
 def test_geometric_weighted_norm():
@@ -551,6 +560,8 @@ def test_generator_and_e_space_contract():
     ("seq:lpw:p=2", False), ("seq:lpw:p=2,wexp=0", False), ("rev:<seq:linf>", True),
     ("rev:<seq:lpw:p=inf,wexp=0.3>", False),
     ("seq:from:<seq:linf>,weightbase=2", False), ("seq:induced:<linf>", False),
+    ("seq:from:<seq:linf>,weightbase=1", True),
+    ("rev:<seq:from:<seq:linf>,weightbase=1>", True),
     ("seq:orlicz-modular:gen=<power:p=2>", False),
     ("seq:lpw:p=inf,weights=<2,2,2,2,2,2,2,2>", False),
     ("seq:lpw:p=inf", True), ("seq:lpw:p=inf,wexp=0", True),
@@ -765,3 +776,88 @@ def test_rev_spec_lives_on_the_given_window():
     assert [E.unit_norm(int(n)) for n in win.indices()] == [
         2.0 ** -(int(n) + 1) for n in win.indices()]
     assert parse_seq_space(E.spec_string(), win).norm_values(vals) == E.norm_values(vals)
+
+
+# ---------------------------------------------------------------------------
+# reversal and geometric weights of a weighted ell_p build a weighted ell_p
+# ---------------------------------------------------------------------------
+
+
+def test_wrappers_fold_into_weighted_lp():
+    win = Window("Z-", -8, -1)
+    E, M = WeightedLp(2, win, wexp=0.3), OrliczModular(example1(), win)
+    assert GeometricWeighted(E, 1) is E and GeometricWeighted(M, 1) is M
+    for S in (OrderReversed(E), GeometricWeighted(E, 0.7),
+              parse_seq_space("rev:<seq:lpw:p=2,wexp=0.3>", win),
+              parse_seq_space("seq:from:<seq:lpw:p=2,wexp=0.3>,weightbase=0.7", win)):
+        assert type(S) is WeightedLp
+    assert parse_seq_space("seq:from:<seq:linf>,weightbase=1", win).spec_string() == "seq:linf"
+    assert parse_seq_space("rev:<seq:linf>", win).spec_string() == "seq:linf"
+    # only spaces without a weighted-lp form are wrapped
+    assert type(OrderReversed(M)) is _OrderReversed
+    assert type(GeometricWeighted(M, 0.7)) is _GeometricWeighted
+
+
+def test_geometric_fold_reproducer_is_ell_infty():
+    # seq:from:<seq:linf>,weightbase=1 is ell_infty, so against dyadic ell_2 it
+    # takes the certified L_infty route; coordinate descent would stall at
+    # 0.5065148 with lower 0.0
+    win = Window("Z-", -16, -1)
+    f = SeqVec(win, np.exp(np.random.default_rng(0).normal(0.0, 1.0, win.size)))
+    X = dyadic_lp(2, win)
+    ref = k_numeric(0.7, f, X, LinftySeq(win))
+    assert ref.value == pytest.approx(0.5059244764, abs=1e-10)
+    for spec in ("seq:from:<seq:linf>,weightbase=1", "rev:<seq:from:<seq:linf>,weightbase=1>"):
+        r = k_numeric(0.7, f, X, parse_seq_space(spec, win))
+        assert (r.value, r.lower, r.converged) == (ref.value, ref.lower, True), spec
+        assert 0.0 < ref.value - r.lower <= 1e-8 * ref.value
+
+
+_FOLD_WINDOWS = (Window("Z-", -16, -1), Window("Z", -8, 7), Window("Z+", 0, 11))
+
+
+@st.composite
+def _folded_chain(draw):
+    """A weighted ell_p (explicit, wexp or dyadic weights), up to three
+    reversals or geometric weightings, and rows of values on the result."""
+    win, p = draw(st.sampled_from(_FOLD_WINDOWS)), draw(st.sampled_from([1.0, 1.5, 2.0, 3.0,
+                                                                          math.inf]))
+    kind = draw(st.sampled_from(["explicit", "wexp", "dyadic"]))
+    if kind == "explicit":
+        w = draw(st.lists(st.floats(-3.0, 3.0).map(math.exp), min_size=win.size,
+                          max_size=win.size))
+        E = WeightedLp(p, win, weights=w)
+    elif kind == "wexp":
+        E = WeightedLp(p, win, wexp=draw(st.floats(-0.5, 0.5)))
+    else:
+        E = dyadic_lp(p, win)
+    ops = draw(st.lists(st.one_of(st.none(), st.floats(0.5, 2.0)), min_size=1, max_size=3))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=win.size, max_size=win.size),
+                         min_size=1, max_size=4))
+    return E, ops, np.array(rows)
+
+
+def _chain(E, ops, rev, geo):
+    for op in ops:
+        E = rev(E) if op is None else geo(E, op)
+    return E
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_folded_chain())
+def test_folded_space_matches_its_wrapper(case):
+    E, ops, V = case
+    S = _chain(E, ops, OrderReversed, GeometricWeighted)
+    ref = _chain(E, ops, _OrderReversed, _GeometricWeighted)
+    assert type(S) is WeightedLp and S.window == ref.window
+    assert np.allclose(S.norm_rows(V), ref.norm_rows(V), rtol=1e-15, atol=0.0)
+    assert [S.unit_norm(int(n)) for n in S.window.indices()] == [
+        ref.unit_norm(int(n)) for n in S.window.indices()]
+    for v, nrm in zip(V, S.norm_rows(V).tolist()):
+        if nrm > 0:
+            for g in (S.norming_values(v), ref.norming_values(v)):
+                assert abs(float(np.dot(v, g)) / nrm - 1.0) <= FUNCTIONAL_TOL
+    # the spec string reparses to the same norms, and a double reversal is S
+    back = parse_seq_space(S.spec_string(), S.window)
+    assert type(back) is WeightedLp and np.array_equal(back.norm_rows(V), S.norm_rows(V))
+    assert np.array_equal(OrderReversed(OrderReversed(S)).norm_rows(V), S.norm_rows(V))

@@ -4,9 +4,14 @@ The algorithm modules ask a space what it is through its own methods
 (``e_space``, ``norm_rows_on``, ``norming_values``, ``weighted_lp_form``,
 ``boyd``, ``generator``, ``exact_weighted_lp``, ``is_linf``).  This test
 reads their source and fails when one of them tests for, or imports, a
-concrete class from ``spaces`` outside the few deliberate exceptions.  It
-also keeps one class per space (ell_infty is ``WeightedLp`` at p = inf with
-unit weights; ``LinftySeq`` only builds it), one norm formula per space --
+concrete class from ``spaces`` outside the few deliberate exceptions
+(``transfer`` has none).  It also keeps one class per space (ell_infty is
+``WeightedLp`` at p = inf with unit weights; ``LinftySeq`` only builds it; a
+reversed or geometrically weighted weighted ell_p is a ``WeightedLp``, and
+``OrderReversed`` and ``GeometricWeighted`` only build spaces, wrapping in the
+private ``_OrderReversed`` and ``_GeometricWeighted`` only spaces without a
+weighted-lp form, which answer neither ``weighted_lp_form`` nor ``is_linf``),
+one norm formula per space --
 ``norm_rows`` per sequence space,
 ``norm_rows_on`` per function space, with the one-row ``norm_values`` and
 ``fn_norm`` on the base classes only -- the shift search on batched rows,
@@ -25,13 +30,11 @@ import couplekit.spaces as spaces
 
 SRC = Path(spaces.__file__).parent
 
-# deliberate exceptions: op_norm and _upper_bound unwrap an order reversal by
-# transposing the matrix; verdict corroborates an Orlicz witness on E_X of an
+# deliberate exceptions: verdict corroborates an Orlicz witness on E_X of an
 # Orlicz space but on E itself for a space built from a sequence space, and
 # builds the modular spaces of the counterexample pair
-ALLOWED_ISINSTANCE = {"transfer": {"OrderReversed"}, "verdict": {"OrliczSpace"}}
-ALLOWED_IMPORTS = {"transfer": {"OrderReversed"},
-                   "verdict": {"OrliczSpace", "OrliczModular"}}
+ALLOWED_ISINSTANCE = {"verdict": {"OrliczSpace"}}
+ALLOWED_IMPORTS = {"verdict": {"OrliczSpace", "OrliczModular"}}
 MODULES = ("kfunc", "transfer", "verdict", "shift", "cli")
 
 
@@ -70,10 +73,15 @@ def _spaces_imports(tree) -> set[str]:
 
 
 def test_concrete_classes_are_found():
-    assert {"LpSpace", "WeightedLp", "OrderReversed", "InducedSeq"} <= _concrete_space_classes()
+    assert {"LpSpace", "WeightedLp", "_OrderReversed", "_GeometricWeighted",
+            "InducedSeq"} <= _concrete_space_classes()
     assert "SpaceSpec" not in _concrete_space_classes()
-    # ell_infty is WeightedLp at p = inf, not a class of its own
-    assert "LinftySeq" not in _spaces_classes()
+    # ell_infty is WeightedLp at p = inf, not a class of its own, and the
+    # public reversal and geometric weighting only build spaces
+    assert not {"LinftySeq", "OrderReversed", "GeometricWeighted"} & _spaces_classes()
+    # a wrapper answers no closed form of its own
+    for name in ("_OrderReversed", "_GeometricWeighted"):
+        assert not {"weighted_lp_form", "is_linf"} & set(vars(getattr(spaces, name))), name
 
 
 @pytest.mark.parametrize("module", MODULES)

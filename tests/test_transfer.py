@@ -492,8 +492,6 @@ def test_apply_linear_property(data):
 
 def _reference_op_norm_lower(T, space, budget, seed):
     """The step-by-step lower-bound ascent: ``norm`` and ``apply`` per trial."""
-    if isinstance(space, OrderReversed):
-        T, space = T.reversed(), space.inner
     rng = np.random.default_rng(seed)
     win = T.window
     cols = sorted({k for (_, k) in T.entries})
