@@ -237,6 +237,11 @@ class Window:
         return Window(d["kind"], int(d["lo"]), int(d["hi"]))
 
 
+def _sparse(window: Window, vals: np.ndarray) -> dict[str, float]:
+    """The nonzero values as {"index": value}, the JSON form of a vector."""
+    return {str(int(i) + window.lo): float(vals[i]) for i in np.flatnonzero(vals)}
+
+
 def default_unit_window(width: int = 64) -> Window:
     """Default working window for unit-interval spaces (dyadic blocks in [0,1])."""
     return Window(Z_MINUS, -width, -1)
@@ -353,7 +358,7 @@ class SeqVec:
 
     def to_json_dict(self) -> dict:
         d = self.window.to_json_dict()
-        d["entries"] = {str(n): v for n, v in sorted(self.entries().items())}
+        d["entries"] = _sparse(self.window, self.values)
         if self.meta:
             d["meta"] = dict(self.meta)
         return d

@@ -12,6 +12,9 @@ with a replayable witness.  The vocabulary is therefore "RSP violated with
 witness (ratio r)" versus "consistent with RSP up to C-hat at this width".
 The left-shift property is evaluated as RSP of the order-reversed space.
 
+A family is two arrays, ``InterlacedFamily(window, X, Y)``, read alike by the
+search, the witness JSON (validated again on replay) and ``rank_one_shift``.
+
 A family's random restarts are lanes of ``spaces._ascend_steps``, the ascent
 kappa and the ``op_norm`` lower bound share: each round evaluates the next
 trials of every lane in one batch (one ``norm_rows`` call on the stacked
@@ -31,13 +34,12 @@ the restarts a wave ran past the end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UsageError, check_budget
-from .measure import SeqVec, Window
+from .measure import SeqVec, Window, _sparse
 from .spaces import SeqSpaceSpec, _ascend_steps
 
 RSP = "rsp"
@@ -51,30 +53,37 @@ RESTARTS_PER_FAMILY = 20
 BLOCK_LEN_RANGE = (1, 3)
 
 
-@dataclass
+@dataclass(eq=False)
 class InterlacedFamily:
-    """Pairs (x_n, y_n) with strictly increasing alternating supports.
-
-    Normalization ||x_n||_E = 1, ||y_n||_E <= 1 is enforced by the
-    generator to 1e-10 after scaling.
-    """
+    """Block pairs (x_n, y_n) with supp x_1 < supp y_1 < supp x_2 < ..., the
+    rows of X and Y: read-only C-contiguous (n_pairs, window.size) float
+    arrays, so the search's ``A @ X`` is one BLAS product.  ``validate``
+    checks the blocks (nonempty, strictly interlaced) and, given E, the
+    window and ||x_n||_E = 1, ||y_n||_E <= 1 to ``tol``."""
 
     window: Window
-    pairs: list[tuple[SeqVec, SeqVec]]
+    X: np.ndarray
+    Y: np.ndarray
+
+    def __post_init__(self):
+        self.X, self.Y = (np.array(A, dtype=float, order="C") for A in (self.X, self.Y))
+        self.X.flags.writeable = self.Y.flags.writeable = False
 
     def validate(self, E: SeqSpaceSpec | None = None, tol: float = 1e-10):
-        last_hi = -math.inf
-        for x, y in self.pairs:
-            sx, sy = x.support(), y.support()
-            if sx.size == 0 or sy.size == 0:
-                raise ValueError("empty block in interlaced family")
-            if not (last_hi < sx.min() and sx.max() < sy.min()):
-                raise ValueError("supports are not strictly interlaced")
-            last_hi = sy.max()
+        if not len(self.X):
+            raise UsageError("empty family")
+        # the blocks in support order x_1, y_1, x_2, ...
+        B = np.stack((self.X, self.Y), axis=1).reshape(-1, self.window.size)
+        nz = B != 0.0
+        if not np.all(nz.any(axis=1)):
+            raise ValueError("empty block in interlaced family")
+        first, last = nz.argmax(axis=1), nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
+        if np.any(last[:-1] >= first[1:]):
+            raise ValueError("supports are not strictly interlaced")
         if E is not None:
-            if any(v.window != E.window for pair in self.pairs for v in pair):
+            if self.window != E.window:
                 raise ValueError("vector window does not match space window")
-            norms = E.norm_rows(np.array([v.values for pair in self.pairs for v in pair]))
+            norms = E.norm_rows(B)
             if np.any(np.abs(norms[0::2] - 1.0) > tol):
                 raise ValueError("x block is not normalized")
             if np.any(norms[1::2] > 1.0 + tol):
@@ -83,22 +92,16 @@ class InterlacedFamily:
     def to_json_dict(self):
         return {
             "window": self.window.to_json_dict(),
-            "pairs": [
-                {"x": {str(k): v for k, v in x.entries().items()},
-                 "y": {str(k): v for k, v in y.entries().items()}}
-                for x, y in self.pairs
-            ],
+            "pairs": [{"x": _sparse(self.window, x), "y": _sparse(self.window, y)}
+                      for x, y in zip(self.X, self.Y)],
         }
 
     @staticmethod
     def from_json_dict(d) -> "InterlacedFamily":
         win = Window.from_json_dict(d["window"])
-        pairs = []
-        for p in d["pairs"]:
-            x = SeqVec.from_entries(win, {int(k): v for k, v in p["x"].items()})
-            y = SeqVec.from_entries(win, {int(k): v for k, v in p["y"].items()})
-            pairs.append((x, y))
-        return InterlacedFamily(win, pairs)
+        X, Y = (np.reshape([SeqVec.from_entries(win, p[s]).values for p in d["pairs"]],
+                           (-1, win.size)) for s in "xy")
+        return InterlacedFamily(win, X, Y)
 
 
 def gen_interlaced(E: SeqSpaceSpec, window: Window, n_pairs: int,
@@ -130,10 +133,14 @@ def gen_interlaced(E: SeqSpaceSpec, window: Window, n_pairs: int,
         start = s * slot_w + int(rng.integers(0, max(1, slot_w - length + 1)))
         V[s, start:start + length] = rng.random(length) + 0.05
     V *= (1.0 / E.norm_rows(V))[:, None]
-    blocks = [SeqVec(window, v) for v in V]
-    fam = InterlacedFamily(window, list(zip(blocks[0::2], blocks[1::2])))
+    fam = InterlacedFamily(window, V[0::2], V[1::2])
     fam.validate(E)
     return fam
+
+
+def _check_side(side: str):
+    if side not in (RSP, LSP):
+        raise UsageError(f"side must be '{RSP}' or '{LSP}'; got {side!r}")
 
 
 @dataclass
@@ -145,6 +152,9 @@ class ShiftWitness:
     alpha: list[float]
     ratio: float
     seed: int
+
+    def __post_init__(self):
+        _check_side(self.side)
 
     def to_json_dict(self):
         return {
@@ -177,12 +187,6 @@ class ShiftEstimate:
     stop: str = STOP_BUDGET
 
 
-def _family_mats(family: InterlacedFamily):
-    X = np.stack([x.values for x, _ in family.pairs])
-    Y = np.stack([y.values for _, y in family.pairs])
-    return X, Y
-
-
 def _ratios(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, A: np.ndarray) -> np.ndarray:
     """||a Y|| / ||a X|| (0 where ||a X|| = 0) for each row a of A, from one
     ``norm_rows`` call on the stacked A X and A Y."""
@@ -194,22 +198,28 @@ def _ratios(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, A: np.ndarray) -> np.
 
 def family_ratio(E: SeqSpaceSpec, family: InterlacedFamily, alpha) -> float:
     """|| sum alpha_n y_n || / || sum alpha_n x_n || in E."""
-    X, Y = _family_mats(family)
-    return float(_ratios(E, X, Y, np.asarray(alpha, dtype=float)[None])[0])
+    if np.shape(alpha) != (len(family.X),):
+        raise UsageError(f"alpha has {np.size(alpha)} entries for {len(family.X)} pairs")
+    return float(_ratios(E, family.X, family.Y, np.asarray(alpha, dtype=float)[None])[0])
 
 
 def replay_witness(E: SeqSpaceSpec, witness: ShiftWitness) -> float:
-    """Recompute the witness ratio exactly from its serialized family."""
-    fam = witness.family
+    """Recompute the witness ratio exactly from its family, once the family is
+    admissible in the replay space (E's order reversal for LSP)."""
     if witness.side == LSP:
         E = E.reversed_space()
-    return family_ratio(E, fam, witness.alpha)
+    witness.family.validate(E)
+    return family_ratio(E, witness.family, witness.alpha)
 
 
 def _embed_family(fam: InterlacedFamily, window: Window) -> InterlacedFamily:
-    pairs = [(SeqVec.from_entries(window, x.entries()),
-              SeqVec.from_entries(window, y.entries())) for x, y in fam.pairs]
-    return InterlacedFamily(window, pairs)
+    """The family padded into ``window``; an entry outside it is a ValueError."""
+    used = fam.window.indices()[np.any(fam.X, axis=0) | np.any(fam.Y, axis=0)]
+    if used.size and not window.lo <= used[0] <= used[-1] <= window.hi:
+        raise ValueError(f"family entries outside window [{window.lo},{window.hi}]")
+    B = np.zeros((2, len(fam.X), window.size))
+    B[:, :, used - window.lo] = np.stack((fam.X, fam.Y))[:, :, used - fam.window.lo]
+    return InterlacedFamily(window, *B)
 
 
 def _ascend(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, coords, factors,
@@ -253,8 +263,7 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
     is evaluated as RSP of the order-reversed space and the witness is
     recorded against the original space.
     """
-    if side not in (RSP, LSP):
-        raise UsageError(f"side must be '{RSP}' or '{LSP}'")
+    _check_side(side)
     check_budget(budget)
     n_lo, n_hi = n_pairs_range
     if not 1 <= n_lo <= n_hi:
@@ -279,7 +288,6 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
     while evals < budget and not done:
         n_pairs = int(rng.integers(n_lo, n_hi + 1))
         fam = gen_interlaced(work, win, n_pairs, BLOCK_LEN_RANGE, rng=rng)
-        X, Y = _family_mats(fam)
         starts = np.exp(rng.normal(0.0, 1.5, size=(RESTARTS_PER_FAMILY, n_pairs)))
         coords, factors = np.repeat(np.arange(n_pairs), 2), np.tile([4.0, 0.25], n_pairs)
         least = 1 + coords.size  # a restart's start plus one full sweep
@@ -288,7 +296,7 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
             # restart i + j cannot start before i's evals plus j * least:
             # each lane's cap bounds its real one from above
             k = min(wave, RESTARTS_PER_FAMILY - i, (budget - evals - 1) // least + 1)
-            lanes = _ascend(work, X, Y, coords, factors, starts[i:i + k],
+            lanes = _ascend(work, fam.X, fam.Y, coords, factors, starts[i:i + k],
                             [budget - evals - j * least - 1 for j in range(k)], target)
             wave = min(2 * wave, RESTARTS_PER_FAMILY)
             for r, alpha, used, log in lanes:

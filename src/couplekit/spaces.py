@@ -538,7 +538,8 @@ class WeightedLp(SeqSpaceSpec):
         self.wexp = None
         if weights is None:
             self.wexp = 0.0 if wexp is None else float(wexp)
-            w = 2.0 ** (window.indices() * self.wexp)
+            with np.errstate(over="ignore"):  # the finite check below reports it
+                w = 2.0 ** (window.indices() * self.wexp)
         else:
             w = np.asarray(weights, dtype=float)
         if w.shape != (window.size,) or not np.all(np.isfinite(w) & (w > 0)):

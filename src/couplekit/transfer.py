@@ -4,9 +4,9 @@ Three constructions, each returning a nonnegative matrix T stored as its
 rank-one and diagonal factors, with replayable provenance and certified norm
 bounds:
 
-* ``rank_one_shift`` -- T = sum_n <., g_n> y_n over an interlaced (or
-  aligned-blocks) family, with g_n a norming functional of x_n.  Exact:
-  T x_n = y_n by the disjoint supports.
+* ``rank_one_shift`` -- T = sum_n <., g_n> y_n over the rows (x_n, y_n) of
+  an ``InterlacedFamily``'s X and Y, with g_n a norming functional of x_n.
+  Exact: T x_n = y_n by the disjoint supports.
 * ``majorization_transfer`` -- the prefix-majorization construction: if
   ||y_(-inf,a]||_E <= ||x_(-inf,a]||_E for all a then T x = y with T a
   bounded positive matrix.  The partition constants are kept verbatim:
@@ -22,8 +22,10 @@ bounds:
   order reversal, and T = T_1 + T_2.
 
 All three add their rank-one steps through one builder, ``_add_block_sum``,
-which checks every norming functional against ||x_n|| to FUNCTIONAL_TOL;
-prefix (and, through order reversal, suffix) norms come from one table,
+which takes the block pairs as the rows of two arrays, as ``InterlacedFamily``
+holds them, and checks every norming functional against ||x_n|| to
+FUNCTIONAL_TOL; prefix
+(and, through order reversal, suffix) norms come from one table,
 ``_prefix_norms``, and the weighted-ell_p operator bound from one closed
 form, ``_upper_bound``.  The ``op_norm`` lower bound is a one-lane
 multiplicative ascent of ``spaces._ascend_steps`` over batches of rows.
@@ -41,9 +43,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HypothesisError, UsageError
+from .errors import HypothesisError, UsageError, check_budget
 from .kfunc import k_block_estimate, k_numeric
-from .measure import SeqVec, Window
+from .measure import SeqVec, Window, _sparse
+from .shift import InterlacedFamily
 from .spaces import SeparationFit, SeqSpaceSpec, _ascend_steps, norming_functional
 
 EXACTNESS_TOL = 1e-9
@@ -83,22 +86,22 @@ class PositiveMatrix:
         self.certified_bounds = certified_bounds
 
     def _values(self, entries: dict) -> np.ndarray:
-        vals = SeqVec.from_entries(self.window, entries).values
-        if np.any(vals < 0):
-            raise ValueError("positive matrix entries must be >= 0")
-        return vals
+        return SeqVec.from_entries(self.window, entries).values
 
-    def _sparse(self, vals: np.ndarray) -> dict[str, float]:
-        return {str(int(i) + self.window.lo): float(vals[i]) for i in np.flatnonzero(vals)}
+    def _push(self, op: str, g: np.ndarray | None, y: np.ndarray, note):
+        if np.any(y < 0) or (g is not None and np.any(g < 0)):
+            raise ValueError("positive matrix entries must be >= 0")
+        self.steps.append(_Step(op, g, y, note))
 
     # -- construction steps --------------------------------------------------
 
     def add_rank_one(self, functional: SeqVec, target: SeqVec, note: str | None = None):
-        self.steps.append(_Step("rank_one", self._values(functional.entries()),
-                                self._values(target.entries()), note))
+        if functional.window != self.window or target.window != self.window:
+            raise ValueError("window mismatch")
+        self._push("rank_one", functional.values, target.values, note)
 
     def add_diagonal(self, diag: dict[int, float], note: str | None = None):
-        self.steps.append(_Step("diagonal", None, self._values(diag), note))
+        self._push("diagonal", None, self._values(diag), note)
 
     def note(self, **kwargs):
         self.steps.append(_Step("note", None, None, {"op": "note", **kwargs}))
@@ -108,10 +111,10 @@ class PositiveMatrix:
         out = []
         for s in self.steps:
             if s.op == "rank_one":
-                rec = {"op": "rank_one", "functional": self._sparse(s.g),
-                       "target": self._sparse(s.y)}
+                rec = {"op": "rank_one", "functional": _sparse(self.window, s.g),
+                       "target": _sparse(self.window, s.y)}
             elif s.op == "diagonal":
-                rec = {"op": "diagonal", "diag": self._sparse(s.y)}
+                rec = {"op": "diagonal", "diag": _sparse(self.window, s.y)}
             else:
                 out.append(dict(s.info))
                 continue
@@ -125,8 +128,8 @@ class PositiveMatrix:
         out = PositiveMatrix(window)
         for step in provenance:
             if step["op"] == "rank_one":
-                out.steps.append(_Step("rank_one", out._values(step["functional"]),
-                                       out._values(step["target"]), step.get("note")))
+                out._push("rank_one", out._values(step["functional"]),
+                          out._values(step["target"]), step.get("note"))
             elif step["op"] == "diagonal":
                 out.add_diagonal(step["diag"], note=step.get("note"))
             else:
@@ -253,6 +256,7 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
     """Best ||T x|| / ||x|| over the column rays, then rounds of one
     ``_ascend_steps`` pass (x_k * 2, x_k / 2 over shuffled columns) against the
     best so far, each of at least one step; a round without an accept restarts."""
+    check_budget(budget)
     rng = np.random.default_rng(seed)
     win = T.window
     cols = sorted({k for (_, k) in T.entries})
@@ -313,45 +317,44 @@ def _upper_bound(T: PositiveMatrix, space: SeqSpaceSpec) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def _add_block_sum(T: PositiveMatrix, pairs, E: SeqSpaceSpec, note: str) -> list:
-    """Add sum_n <., g_n> y_n to T over the pairs (x_n, y_n) with y_n != 0.
+def _add_block_sum(T: PositiveMatrix, X, Y, E: SeqSpaceSpec, note: str) -> tuple:
+    """Add sum_n <., g_n> y_n to T over the block pairs (x_n, y_n), the rows
+    of X and Y, with y_n != 0.
 
     g_n is the norming functional of x_n scaled so <x_n, g_n> = 1, after
-    checking <x_n, g> = ||x_n||_E to FUNCTIONAL_TOL; supp g_n stays inside
-    supp x_n.  ``note`` is the step note, with ``{n}`` the pair's position.
-    Returns the (x_n, y_n, g_n) it added.
+    checking <x_n, g> = ||x_n||_E to FUNCTIONAL_TOL, the norms from one
+    ``norm_rows`` call; supp g_n stays inside supp x_n.  ``note`` is the step
+    note, with ``{n}`` the pair's row.  Returns the rows (X, Y, G) it added.
     """
-    used = []
-    for n, (x, y) in enumerate(pairs):
-        if not np.any(y.values):
-            continue
-        g = norming_functional(E, x)
-        pairing = float(np.dot(x.values, g.values))
-        if abs(pairing / E.norm(x) - 1.0) > FUNCTIONAL_TOL:
+    rows = np.flatnonzero(Y.any(axis=1))
+    X, Y = X[rows], Y[rows]
+    G = np.empty_like(X)
+    for k, (n, nx) in enumerate(zip(rows.tolist(), E.norm_rows(X).tolist())):
+        g = norming_functional(E, SeqVec(T.window, X[k])).values
+        pairing = float(np.dot(X[k], g))
+        if abs(pairing / nx - 1.0) > FUNCTIONAL_TOL:
             raise HypothesisError(
                 f"norming functional failed tolerance: <x, g> = {pairing:.12g} "
-                f"against ||x|| = {E.norm(x):.12g}")
-        g = g.scale(1.0 / pairing)
-        T.add_rank_one(g, y, note=note.format(n=n))
-        used.append((x, y, g))
-    return used
+                f"against ||x|| = {nx:.12g}")
+        G[k] = (1.0 / pairing) * g
+        T._push("rank_one", G[k], Y[k], note.format(n=n))
+    return X, Y, G
 
 
-def rank_one_shift(pairs, E: SeqSpaceSpec, shifted: bool = False) -> PositiveMatrix:
-    """T = sum_n <., g_n> y_n (or y_{n+1} in shifted mode) on block pairs.
+def rank_one_shift(family: InterlacedFamily, E: SeqSpaceSpec,
+                   shifted: bool = False) -> PositiveMatrix:
+    """T = sum_n <., g_n> y_n (or y_{n+1} in shifted mode) over the block
+    pairs of an interlaced family, the rows of its X and Y.
 
-    ``pairs`` is an InterlacedFamily or a list of (x_n, y_n) SeqVec pairs
-    with supp x_n < supp y_n < supp x_{n+1}.  Each g_n is the norming
-    functional of x_n scaled so <x_n, g_n> = 1, supported in supp x_n, so
-    T x_n = y_n exactly.
+    Each g_n is the norming functional of x_n scaled so <x_n, g_n> = 1,
+    supported in supp x_n, so T x_n = y_n exactly.  Shifted mode pairs
+    X[:-1] with Y[1:].
     """
-    plist = pairs.pairs if hasattr(pairs, "pairs") else list(pairs)
-    if not plist:
+    if not len(family.X):
         raise UsageError("empty family")
-    T = PositiveMatrix(plist[0][0].window)
-    if shifted:
-        plist = [(x, y) for (x, _), (_, y) in zip(plist, plist[1:])]
-    _add_block_sum(T, plist, E, "block {n} shifted" if shifted else "block {n}")
+    X, Y = (family.X[:-1], family.Y[1:]) if shifted else (family.X, family.Y)
+    T = PositiveMatrix(family.window)
+    _add_block_sum(T, X, Y, E, "block {n} shifted" if shifted else "block {n}")
     return T
 
 
@@ -360,10 +363,10 @@ def rank_one_shift(pairs, E: SeqSpaceSpec, shifted: bool = False) -> PositiveMat
 # ---------------------------------------------------------------------------
 
 
-def _prefix_norms(v: SeqVec, E: SeqSpaceSpec) -> np.ndarray:
-    """||v_(-inf,a]||_E for a = lo-1 .. hi (index 0 is the empty prefix), from
-    one ``norm_rows`` call on the lower-triangular matrix of prefixes."""
-    prefixes = np.tril(np.broadcast_to(v.values, (v.window.size, v.window.size)))
+def _prefix_norms(v: np.ndarray, E: SeqSpaceSpec) -> np.ndarray:
+    """||v_(-inf,a]||_E of the values v for a = lo-1 .. hi (index 0 is the empty
+    prefix), from one ``norm_rows`` call on the lower-triangular prefix matrix."""
+    prefixes = np.tril(np.broadcast_to(v, (v.size, v.size)))
     return np.concatenate([[0.0], E.norm_rows(prefixes)])
 
 
@@ -379,63 +382,49 @@ def _sigma_of_prefix(P: float) -> float:
     return float(j)
 
 
-def _disjoint_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec,
-                       tol: float = 1e-12) -> tuple[PositiveMatrix, list]:
-    """Core of the majorization construction for disjointly supported x, y.
+def _disjoint_transfer(x: np.ndarray, y: np.ndarray, E: SeqSpaceSpec, win: Window,
+                       tol: float = 1e-12) -> tuple[PositiveMatrix, tuple]:
+    """Core of the majorization construction for disjointly supported values x, y.
 
     Requires ||y_(-inf,a]|| <= ||x_(-inf,a]|| for every a.  Partitions the
     window at the doubling points of the prefix norm (base-4 sigma levels),
     pairs each x block with the following y block, and sums the rank-one
     operators; the paired blocks satisfy ||y_{n+1}|| <= 4^3 ||x_n|| which is
-    what the rank-one-sum constant quantifies.  Returns T and the
-    ``_add_block_sum`` triples.
+    what the rank-one-sum constant quantifies.  One ``searchsorted`` over the
+    partition points cuts the blocks.  Returns T and the ``_add_block_sum`` rows.
     """
-    win = x.window
     P = _prefix_norms(x, E)
     sigma = [_sigma_of_prefix(p) for p in P]  # sigma[i] is at index lo-1+i
-    idx = win.indices()
-    i0_positions = [i for i in range(1, len(sigma)) if sigma[i] > sigma[i - 1]]
-    chosen = []
-    last_p = None
-    for i in i0_positions:
-        if last_p is None or last_p <= 0.5 * P[i] * (1 + tol):
-            chosen.append(i)
-        last_p = P[i]
-    a_points = [int(idx[i - 1]) for i in chosen]
-
-    blocks = []
-    prev = None
-    for n, a in enumerate(a_points):
-        xb = x.prefix(a) if prev is None else x.restrict(range(prev + 1, a + 1))
-        nxt = a_points[n + 1] if n + 1 < len(a_points) else None
-        yb = (y.restrict(range(a + 1, nxt + 1)) if nxt is not None
-              else y.suffix(a + 1))
-        blocks.append((xb, yb))
-        prev = a
-    leading = y.prefix(a_points[0])
-    if float(np.max(np.abs(leading.values))) > tol * max(1.0, float(np.max(y.values))):
+    i0 = [i for i in range(1, len(sigma)) if sigma[i] > sigma[i - 1]]
+    # each I_0 point whose prefix norm at least doubles the previous one's
+    chosen = [i for h, i in zip([None] + i0, i0) if h is None or P[h] <= 0.5 * P[i] * (1 + tol)]
+    # x block n is the positions [chosen[n-1], chosen[n]), y block n the
+    # positions [chosen[n], chosen[n+1]); y before chosen[0] must be empty
+    part = np.searchsorted(chosen, np.arange(win.size), side="right")
+    blocks = part == np.arange(len(chosen) + 1)[:, None]
+    if float(np.max(np.abs(y[blocks[0]]))) > tol * max(1.0, float(np.max(y))):
         raise HypothesisError("y carries mass before the first x block")
 
     T = PositiveMatrix(win)
-    used = _add_block_sum(T, blocks, E, "partition block {n}")
-    T.note(partition=a_points)
+    used = _add_block_sum(T, np.where(blocks[:-1], x, 0.0), np.where(blocks[1:], y, 0.0),
+                          E, "partition block {n}")
+    T.note(partition=[win.lo + i - 1 for i in chosen])
     return T, used
 
 
-def _rank_one_constant(used, E: SeqSpaceSpec, F: SeqSpaceSpec) -> float | None:
+def _rank_one_constant(X, Y, G, E: SeqSpaceSpec, F: SeqSpaceSpec) -> float | None:
     """Measured rank-one-sum constant C_0: norm of the normalized block shift.
 
-    ``used`` are the (x_n, y_n, g_n) of the block sum.  Targets are scaled to
+    X, Y and G are the rows the block sum added.  Targets are scaled to
     the source norms (the normalization under which the block-shift constant
-    quantifies) and the operator norm is bounded on both spaces; None when
-    neither space admits a computable upper bound.
+    quantifies), the norms from one ``norm_rows`` call per side, and the
+    operator norm is bounded on both spaces; None when neither space admits a
+    computable upper bound.
     """
-    S = PositiveMatrix(used[0][0].window)
-    for xb, yb, g in used:
-        ny = E.norm(yb)
-        if ny == 0.0:
-            continue
-        S.add_rank_one(g, yb.scale(E.norm(xb) / ny))
+    S = PositiveMatrix(E.window)
+    for g, y, nx, ny in zip(G, Y, E.norm_rows(X).tolist(), E.norm_rows(Y).tolist()):
+        if ny != 0.0:
+            S._push("rank_one", g, (nx / ny) * y, None)
     bounds = [b for b in (_upper_bound(S, E), _upper_bound(S, F)) if b is not None]
     if not bounds:
         return None
@@ -462,8 +451,7 @@ def majorization_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec,
         if np.any(y.values):
             raise HypothesisError("x = 0 with y != 0")
         return PositiveMatrix(win, certified_bounds={"E": 0.0, "F": 0.0, "method": "zero"})
-    Px = _prefix_norms(x, E)
-    Py = _prefix_norms(y, E)
+    Px, Py = _prefix_norms(x.values, E), _prefix_norms(y.values, E)
     bad = np.nonzero(Py > Px * (1 + 1e-12))[0]
     if bad.size:
         a = int(win.indices()[bad[0] - 1])
@@ -472,28 +460,21 @@ def majorization_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec,
             f"||y<=a|| = {Py[bad[0]]:.12g} > ||x<=a|| = {Px[bad[0]]:.12g}")
 
     big = y.values > 2.0 * x.values
-    I = [int(n) for n, b in zip(win.indices(), big) if b]
-    J = [int(n) for n, b in zip(win.indices(), big) if not b]
-    v = y.restrict(I)
-    u = x.restrict(J)
+    I = win.indices()[big].tolist()
+    u, v = np.where(big, 0.0, x.values), np.where(big, y.values, 0.0)
 
-    used = []
-    if np.any(v.values):
-        S2, used = _disjoint_transfer(u.scale(2.0), v, E)
-        S = S2.scaled(2.0)  # S2(2u) = v, so S = 2 S2 satisfies S u = v
-    else:
-        S = PositiveMatrix(win)
-    diag = {}
-    for n in J:
-        xv = x[n]
-        if xv > 0 and y[n] != 0.0:
-            diag[n] = y[n] / xv
-    T = S
-    if diag:
+    T, c0 = PositiveMatrix(win), 1.0
+    if np.any(v):
+        S2, used = _disjoint_transfer(2.0 * u, v, E, win)
+        T = S2.scaled(2.0)  # S2(2u) = v, so T = 2 S2 satisfies T u = v
+        if len(used[0]):
+            c0 = _rank_one_constant(*used, E, F)
+    on = ~big & (x.values > 0) & (y.values != 0.0)
+    if np.any(on):
+        diag = dict(zip(win.indices()[on].tolist(), (y.values[on] / x.values[on]).tolist()))
         T.add_diagonal(diag, note="multiplier branch |y_J| <= 2 x")
-    T.note(split_I=I[:64], split_len=(len(I), len(J)))
+    T.note(split_I=I[:64], split_len=(len(I), win.size - len(I)))
 
-    c0 = _rank_one_constant(used, E, F) if used else 1.0
     formula = (128.0 * c0 + 2.0) if c0 is not None else None
     T.certified_bounds = _certified_bounds(T, E, F, "128*C0+2", {"E": formula, "F": formula})
     T.certified_bounds["C0_measured"] = c0
@@ -541,6 +522,8 @@ def k_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
         raise HypothesisError("couple is not exponentially separated")
     if np.any(x.values < 0) or np.any(y.values < 0):
         raise UsageError("k_transfer needs nonnegative vectors")
+    if t_points < 1:
+        raise UsageError(f"t_points must be at least 1; got {t_points}")
     win = x.window
     rho_lo = min(fit.rho.values())
     rho_hi = max(fit.rho.values())
@@ -562,9 +545,9 @@ def k_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
     s = 2.0 * c2 * (1 + 1e-9)
     # at index i = a - win.lo: ||v_(-inf,a]||_E and ||v_[a,inf)||_F
     Frev = F.reversed_space()
-    xE, yE = _prefix_norms(x, E)[1:], _prefix_norms(y, E)[1:]
-    xF = _prefix_norms(x.reversed(), Frev)[:0:-1]
-    yF = _prefix_norms(y.reversed(), Frev)[:0:-1]
+    xE, yE = _prefix_norms(x.values, E)[1:], _prefix_norms(y.values, E)[1:]
+    xF = _prefix_norms(x.values[::-1], Frev)[:0:-1]
+    yF = _prefix_norms(y.values[::-1], Frev)[:0:-1]
     okE = yE <= s * xE + 1e-300
     okF = yF <= s * xF + 1e-300
     bad = np.flatnonzero(~(okE | okF))

@@ -116,8 +116,10 @@ def test_budget_below_one_is_usage_error(tmp_path, capsys, argv, budget):
     *[(["shift-test", "--space", spec, "--side", "rsp", "--window=-4:-1"],
        "need one finite, strictly positive weight per index")
       for spec in ("seq:lpw:p=2,weights=<nan,1,1,1>", "seq:lpw:p=2,wexp=nan")],
+    (["shift-test", "--space", "seq:lpw:p=2,wexp=2000", "--side", "rsp", "--window=-4:4:Z"],
+     "need one finite, strictly positive weight per index"),
 ], ids=["lpw-without-p", "analyze-overflow", "verdict-overflow", "weightbase-nan",
-        "weightbase-inf", "weightbase-huge", "weights-nan", "wexp-nan"])
+        "weightbase-inf", "weightbase-huge", "weights-nan", "wexp-nan", "wexp-overflow"])
 @pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
 def test_bad_spec_is_usage_error(tmp_path, capsys, argv, detail):
     out = tmp_path / "out.json"

@@ -13,7 +13,7 @@ from couplekit import (GeometricWeighted, InterlacedFamily, LinftySeq,
                        replay_witness, shift_constant_estimate,
                        shift_schedule)
 from couplekit.shift import (BLOCK_LEN_RANGE, RESTARTS_PER_FAMILY, STOP_BUDGET,
-                             STOP_TARGET, _family_mats, _ratios)
+                             STOP_TARGET, _ratios)
 
 WIN = Window("Z", -12, 12)
 
@@ -22,18 +22,17 @@ def test_gen_interlaced_structure(rng):
     E = dyadic_lp(2, WIN)
     fam = gen_interlaced(E, WIN, 4, (1, 3), seed=5)
     fam.validate(E)
-    assert len(fam.pairs) == 4
-    for x, y in fam.pairs:
-        assert E.norm(x) == pytest.approx(1.0, abs=1e-10)
-        assert E.norm(y) <= 1.0 + 1e-10
+    assert fam.X.shape == fam.Y.shape == (4, WIN.size)
+    for x, y in zip(fam.X, fam.Y):
+        assert E.norm(SeqVec(WIN, x)) == pytest.approx(1.0, abs=1e-10)
+        assert E.norm(SeqVec(WIN, y)) <= 1.0 + 1e-10
 
 
 def test_gen_interlaced_single_pair():
     E = dyadic_lp(1, WIN)
     fam = gen_interlaced(E, WIN, 1, (1, 1), seed=0)
-    (x, y) = fam.pairs[0]
-    assert x.support().size == 1 and y.support().size == 1
-    assert x.support()[0] < y.support()[0]
+    (sx,), (sy,) = np.flatnonzero(fam.X[0]), np.flatnonzero(fam.Y[0])
+    assert sx < sy
 
 
 def test_gen_interlaced_infeasible():
@@ -46,7 +45,7 @@ def test_interlaced_validation_catches_overlap():
     x = SeqVec.from_entries(WIN, {0: 1.0})
     y = SeqVec.from_entries(WIN, {0: 1.0})
     with pytest.raises(ValueError):
-        InterlacedFamily(WIN, [(x, y)]).validate()
+        InterlacedFamily(WIN, [x.values], [y.values]).validate()
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
@@ -113,11 +112,11 @@ def test_prop22_split_mechanism(rng):
     fam, alpha = w.family, np.asarray(w.alpha)
     r_full = family_ratio(E, fam, alpha)
     # split at the pair crossing 0
-    neg = [i for i, (x, y) in enumerate(fam.pairs) if y.support().max() < 0]
-    pos = [i for i, (x, y) in enumerate(fam.pairs) if x.support().min() >= 0]
-    r_minus = family_ratio(E, InterlacedFamily(win, [fam.pairs[i] for i in neg]),
+    neg = [i for i, y in enumerate(fam.Y) if np.flatnonzero(y).max() + win.lo < 0]
+    pos = [i for i, x in enumerate(fam.X) if np.flatnonzero(x).min() + win.lo >= 0]
+    r_minus = family_ratio(E, InterlacedFamily(win, fam.X[neg], fam.Y[neg]),
                            alpha[neg]) if neg else 0.0
-    r_plus = family_ratio(E, InterlacedFamily(win, [fam.pairs[i] for i in pos]),
+    r_plus = family_ratio(E, InterlacedFamily(win, fam.X[pos], fam.Y[pos]),
                           alpha[pos]) if pos else 0.0
     assert r_full <= r_minus + r_plus + 1.0 + 1e-9
 
@@ -132,13 +131,84 @@ def test_witness_json_replay():
 
 
 def test_witness_replays_from_its_own_spec(rng):
-    # the witness names the searched space, explicit weights included
+    # the witness names the searched space, explicit weights included; an LSP
+    # witness holds its family on the order reversal of the space's window
     win = Window("Z", -8, 8)
     E = WeightedLp(2, win, weights=np.exp(rng.normal(0.0, 1.0, win.size)))
     est = shift_constant_estimate(E, "lsp", budget=300, seed=4)
     back = ShiftWitness.from_json_dict(json.loads(json.dumps(est.witness.to_json_dict())))
-    E_back = parse_seq_space(back.space_spec, back.window)
+    E_back = parse_seq_space(back.space_spec, back.window.reversed())
     assert replay_witness(E_back, back) == replay_witness(E, est.witness)
+    with pytest.raises(ValueError, match="vector window does not match space window"):
+        replay_witness(parse_seq_space(back.space_spec, back.window), back)
+
+
+def _overlap_first_pair(d):
+    pair = d["family"]["pairs"][0]
+    pair["y"][max(pair["x"], key=int)] = 0.5
+
+
+def _double_first_x(d):
+    pair = d["family"]["pairs"][0]
+    pair["x"] = {k: 2.0 * v for k, v in pair["x"].items()}
+
+
+@pytest.mark.parametrize("tamper, error, match", [
+    (lambda d: d["alpha"].pop(), UsageError, r"alpha has [0-9]+ entries for [0-9]+ pairs"),
+    (lambda d: d["family"].update(pairs=[]), UsageError, "empty family"),
+    (lambda d: d.update(side="sideways"), UsageError,
+     "side must be 'rsp' or 'lsp'; got 'sideways'"),
+    (_overlap_first_pair, ValueError, "supports are not strictly interlaced"),
+    (_double_first_x, ValueError, "x block is not normalized"),
+], ids=["alpha-count", "empty-family", "side", "overlap", "x-scaled"])
+def test_tampered_witness_does_not_replay(tamper, error, match):
+    # a replayed witness is validated: a family that is not admissible in the
+    # replay space certifies nothing
+    E = dyadic_lp(2, WIN)
+    d = shift_constant_estimate(E, "lsp", budget=200, seed=3).witness.to_json_dict()
+    tamper(d)
+    with pytest.raises(error, match=match):
+        replay_witness(E, ShiftWitness.from_json_dict(json.loads(json.dumps(d))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["lpw", "linf", "modular"]), n=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_family_json_round_trip_and_validation(kind, n, seed, data):
+    win = Window("Z-", -24, -1)
+    E = {"lpw": lambda: WeightedLp(2.0, win, wexp=0.3), "linf": lambda: LinftySeq(win),
+         "modular": MODULAR}[kind]()
+    fam = gen_interlaced(E, win, n, BLOCK_LEN_RANGE, rng=np.random.default_rng(seed))
+    text = json.dumps(fam.to_json_dict())
+    back = InterlacedFamily.from_json_dict(json.loads(text))
+    assert np.array_equal(back.X, fam.X) and np.array_equal(back.Y, fam.Y)
+    assert json.dumps(back.to_json_dict()) == text
+    back.validate(E)
+
+    def rejects(X, Y, error, match, window=win):
+        with pytest.raises(error, match=match):
+            InterlacedFamily(window, X, Y).validate(E)
+
+    X, Y = fam.X.copy(), fam.Y.copy()
+    rejects(X[:0], Y[:0], UsageError, "empty family")
+    rejects(X, Y, ValueError, "vector window does not match space window",
+            Window("Z", win.lo - 1, win.hi - 1))
+    # the blocks in support order x_1, y_1, x_2, ...: block j + 1 reaches
+    # into block j, or block j is empty
+    B = np.stack((X, Y), axis=1).reshape(2 * n, win.size)
+    j = data.draw(st.integers(0, 2 * n - 2))
+    C = B.copy()
+    C[j + 1, np.flatnonzero(B[j])[-1]] = 0.5
+    rejects(C[0::2], C[1::2], ValueError, "supports are not strictly interlaced")
+    C = B.copy()
+    C[data.draw(st.integers(0, 2 * n - 1))] = 0.0
+    rejects(C[0::2], C[1::2], ValueError, "empty block in interlaced family")
+    i = data.draw(st.integers(0, n - 1))
+    scale = data.draw(st.sampled_from([0.5, 1.0 - 1e-8, 1.0 + 1e-8, 2.0]))
+    X[i] *= scale
+    rejects(X, fam.Y, ValueError, "x block is not normalized")
+    Y[i] *= (1.0 + 1e-8) / E.norm(SeqVec(win, Y[i]))
+    rejects(fam.X, Y, ValueError, "y block norm exceeds 1")
 
 
 def test_inelastic_modular_space_has_witness():
@@ -195,22 +265,25 @@ def _sequential_search(E, side, budget, seed, n_pairs_range=(2, 6), incumbent=No
 
     best_ratio, best, evals, done = 0.0, None, 0, False
     if incumbent is not None:
-        fam = InterlacedFamily(win, [(SeqVec.from_entries(win, x.entries()),
-                                      SeqVec.from_entries(win, y.entries()))
-                                     for x, y in incumbent.witness.family.pairs])
+        old = incumbent.witness.family
+
+        def embed(A):
+            return [SeqVec.from_entries(win, SeqVec(old.window, v).entries()).values for v in A]
+
+        fam = InterlacedFamily(win, embed(old.X), embed(old.Y))
         alpha = list(incumbent.witness.alpha)
-        best_ratio, best = ratio(*_family_mats(fam), np.asarray(alpha)), (fam, alpha)
+        best_ratio, best = ratio(fam.X, fam.Y, np.asarray(alpha)), (fam, alpha)
         evals += 1
     n_lo, n_hi = n_pairs_range
     n_hi = min(n_hi, max(n_lo, win.size // (2 * BLOCK_LEN_RANGE[1])))
     while evals < budget and not done:
         fam = gen_interlaced(work, win, int(rng.integers(n_lo, n_hi + 1)),
                              BLOCK_LEN_RANGE, rng=rng)
-        X, Y = _family_mats(fam)
+        X, Y = fam.X, fam.Y
         for _ in range(RESTARTS_PER_FAMILY):
             if evals >= budget or done:
                 break
-            alpha = np.exp(rng.normal(0.0, 1.5, size=len(fam.pairs)))
+            alpha = np.exp(rng.normal(0.0, 1.5, size=len(X)))
             r = ratio(X, Y, alpha)
             evals += 1
             improved = True
@@ -326,7 +399,8 @@ def test_accept_log_equals_a_capped_lane(kind, n, lanes, known, sweeps, seed):
     E = {"lpw": lambda: WeightedLp(2.0, win, wexp=0.3), "linf": lambda: LinftySeq(win),
          "modular": MODULAR}[kind]()
     rng = np.random.default_rng(seed)
-    X, Y = _family_mats(gen_interlaced(E, win, n, BLOCK_LEN_RANGE, rng=rng))
+    fam = gen_interlaced(E, win, n, BLOCK_LEN_RANGE, rng=rng)
+    X, Y = fam.X, fam.Y
     coords, factors = np.repeat(np.arange(n), 2), np.tile([4.0, 0.25], n)
     starts = np.exp(rng.normal(0.0, 1.5, size=(lanes, n)))
     rs = _ratios(E, X, Y, starts).tolist() if known else [None] * lanes

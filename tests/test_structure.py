@@ -16,17 +16,19 @@ one norm formula per space --
 ``norm_rows_on`` per function space, with the one-row ``norm_values`` and
 ``fn_norm`` on the base classes only -- the shift search on batched rows,
 one Luxemburg solver (one fused profile call per Newton step), one
-multiplicative ascent, and the index extremes from a band scan in bounded
-blocks.
+multiplicative ascent, the index extremes from a band scan in bounded
+blocks, and one representation of a family of block pairs.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import couplekit.orlicz as orlicz
 import couplekit.spaces as spaces
+from couplekit.shift import InterlacedFamily
 
 SRC = Path(spaces.__file__).parent
 
@@ -192,3 +194,12 @@ def test_index_extremes_scan_bounded_blocks():
              if isinstance(node, ast.For) and "_BAND_BLOCK" in _names(node.iter)]
     assert len(loops) == 1
     assert orlicz._BAND_BLOCK <= 1 << 14
+
+
+def test_one_family_representation():
+    # a family of block pairs is two (pairs, width) arrays, in the search and
+    # in the transfers alike
+    assert [f.name for f in dataclasses.fields(InterlacedFamily)] == ["window", "X", "Y"]
+    fns = {fn.name for fn in _functions(ast.parse((SRC / "shift.py").read_text()))}
+    assert "_family_mats" not in fns
+    assert "hasattr" not in _called(ast.parse((SRC / "transfer.py").read_text()))

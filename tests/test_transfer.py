@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import couplekit.transfer as transfer
-from couplekit import (GeometricWeighted, HypothesisError, LinftySeq,
+from couplekit import (GeometricWeighted, HypothesisError, InterlacedFamily, LinftySeq,
                        OrderReversed, OrliczModular, PositiveMatrix, SeqVec,
                        UsageError, WeightedLp, Window, dyadic_lp,
                        fit_separation, gen_interlaced, k_transfer,
@@ -31,7 +31,7 @@ FIT = fit_separation(rho_profile(E1, EINF, WIN))
 def test_rank_one_single_pair():
     x = SeqVec.basis(WIN, 0)          # ||e_0||_{E_L1} = 1
     y = SeqVec.basis(WIN, 1, 0.5)     # ||e_1/2||_{E_L1} = 1
-    T = rank_one_shift([(x, y)], E1)
+    T = rank_one_shift(InterlacedFamily(WIN, [x.values], [y.values]), E1)
     assert np.allclose(T.apply(x).values, y.values)
     assert op_norm(T, E1, "exact") == pytest.approx(1.0)
 
@@ -40,17 +40,17 @@ def test_rank_one_reproduces_family(rng):
     for seed in range(6):
         fam = gen_interlaced(E1, WIN, 3, (1, 3), seed=seed)
         T = rank_one_shift(fam, E1)
-        for x, y in fam.pairs:
-            out = T.apply(x)
-            assert np.max(np.abs(out.values - y.values)) <= 1e-9
+        for x, y in zip(fam.X, fam.Y):
+            out = T.apply(SeqVec(WIN, x))
+            assert np.max(np.abs(out.values - y)) <= 1e-9
 
 
 def test_rank_one_shifted_mode(rng):
     fam = gen_interlaced(E1, WIN, 3, (1, 2), seed=1)
     T = rank_one_shift(fam, E1, shifted=True)
-    for n, (x, _) in enumerate(fam.pairs):
-        out = T.apply(x)
-        target = fam.pairs[n + 1][1].values if n + 1 < 3 else np.zeros(WIN.size)
+    for n, x in enumerate(fam.X):
+        out = T.apply(SeqVec(WIN, x))
+        target = fam.Y[n + 1] if n + 1 < 3 else np.zeros(WIN.size)
         assert np.max(np.abs(out.values - target)) <= 1e-9
 
 
@@ -58,8 +58,8 @@ def test_rank_one_kills_off_support(rng):
     fam = gen_interlaced(E1, WIN, 2, (1, 2), seed=2)
     T = rank_one_shift(fam, E1)
     used = set()
-    for x, _ in fam.pairs:
-        used |= set(x.support())
+    for x in fam.X:
+        used |= set(np.flatnonzero(x) + WIN.lo)
     free = [n for n in WIN.indices() if n not in used]
     z = SeqVec.from_entries(WIN, {int(n): 1.0 for n in free[:5]})
     assert not np.any(T.apply(z).values)
@@ -207,6 +207,26 @@ def test_k_transfer_rejects_undominated():
     y = SeqVec.basis(WIN, 5, 50.0)
     with pytest.raises(HypothesisError, match="K-domination"):
         k_transfer(x, y, E1, EINF, FIT)
+
+
+def _diagonal():
+    T = PositiveMatrix(WIN)
+    T.add_diagonal({0: 1.0})
+    return T
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: op_norm(_diagonal(), E1, "lower", budget=0), "budget must be at least 1; got 0"),
+    (lambda: op_norm(_diagonal(), E1, "lower", budget=-3), "budget must be at least 1; got -3"),
+    (lambda: op_norm(_diagonal(), E1, "interval", budget=0), "budget must be at least 1; got 0"),
+    (lambda: k_transfer(SeqVec.basis(WIN, 0), SeqVec.basis(WIN, 0), E1, EINF, FIT, t_points=0),
+     "t_points must be at least 1; got 0"),
+    (lambda: k_transfer(SeqVec.basis(WIN, 0), SeqVec.basis(WIN, 0), E1, EINF, FIT, t_points=-1),
+     "t_points must be at least 1; got -1"),
+], ids=["lower-budget-0", "lower-budget-neg", "interval-budget-0", "t-points-0", "t-points-neg"])
+def test_counts_below_one_are_usage_errors(call, match):
+    with pytest.raises(UsageError, match=match):
+        call()
 
 
 def test_k_transfer_requires_separation():
@@ -407,8 +427,15 @@ def test_matrix_json_round_trip(rng):
 
 def test_positivity_enforced():
     T = PositiveMatrix(WIN)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be >= 0"):
         T.add_diagonal({0: -1.0})
+    for g, y in ((-1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            T.add_rank_one(SeqVec.basis(WIN, 0, g), SeqVec.basis(WIN, 1, y))
+    # like ``apply``, a rank-one step needs T's window
+    with pytest.raises(ValueError, match="window mismatch"):
+        T.add_rank_one(SeqVec.basis(WIN, 0), SeqVec.basis(Window("Z", -12, 13), 1))
+    assert not T.steps
 
 
 def test_from_json_rejects_tampered_triplet(rng):
