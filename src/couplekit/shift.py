@@ -29,7 +29,9 @@ in restart order, and a restart the real budget cuts shorter takes the state
 its accept log records at the cut, so ``evals`` and every result are those of
 one restart after another.  ``evals`` and the budget count starts and
 consumed trials only, not the speculative rows evaluated past an accept or
-the restarts a wave ran past the end.
+the restarts a wave ran past the end.  A trial that undoes a restart's latest
+accept (the / 4 after an accepted * 4) is a known reject: it is consumed, and
+counted in ``evals``, without a row.
 """
 
 from __future__ import annotations
@@ -145,6 +147,10 @@ def _check_side(side: str):
 
 @dataclass
 class ShiftWitness:
+    """A replayable shift witness: the family, alpha and ratio found on
+    ``window``, the family's own window (the order reversal of the space's
+    window for LSP); a witness whose window differs is a usage error."""
+
     space_spec: str
     side: str
     window: Window
@@ -155,6 +161,10 @@ class ShiftWitness:
 
     def __post_init__(self):
         _check_side(self.side)
+        if self.window != self.family.window:
+            w, f = self.window, self.family.window
+            raise UsageError(f"witness window {w.kind}[{w.lo},{w.hi}] does not match "
+                             f"its family's window {f.kind}[{f.lo},{f.hi}]")
 
     def to_json_dict(self):
         return {
@@ -254,8 +264,9 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
     and a restart the budget cuts ends at the last accept its lane logged
     before the cut, so every result is that of one restart after another.
     ``budget`` (at least 1) counts ratio
-    evaluations (``evals``: a restart's start and the trials it consumes, not
-    the speculative rows evaluated past an accept), and ``stop`` says whether
+    evaluations (``evals``: a restart's start and the trials it consumes,
+    known rejects included, not the speculative rows evaluated past an
+    accept), and ``stop`` says whether
     the search ended on the budget or on reaching ``target``.  The returned
     C-hat is a certified lower bound for the true shift constant; the
     incumbent (witness of a previous run, possibly on a narrower window) is

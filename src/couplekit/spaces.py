@@ -11,18 +11,20 @@ of a (k, n) array.  Rows never depend on each other, and ``fn_norm`` and
 (``OrliczSpace`` and the modular space ``OrliczModular``) are one root-find
 of the log-modular G, ``_luxemburg_log``: bracketed Newton steps on the
 log-norm, row by row over a batch of rows, stopped when the Newton correction
-is at most 1e-13; h' >= 1 bounds the error by |G|.  The adversarial searches
-(the RSP/LSP shift search, kappa, the ``op_norm`` lower bound) share one
-multiplicative coordinate ascent, ``_ascend_steps``: it runs independent
-ascents ("lanes", such as a search's random restarts) together, sends the
-next steps of every lane to one batch of rows per round -- the rest of its
-pass at first, then about its own steps per accept so far -- and accepts in
-each lane exactly the steps a step-by-step ascent would.  Each lane logs its
-state at the start and after each accept, so a caller can cut it at any
-smaller cap without running it again.  Kappa draws all
-random starts of a shift first and ascends them as lanes; after an
-overflowing start it puts the generator back to the state just past that
-start's draws.
+is at most 1e-13; h' >= 1 bounds the error by |G|.  Its elementwise work runs
+on the packed nonzero entries only, and its row sums over the full width in
+buffers allocated once per call.  The adversarial searches (the RSP/LSP shift
+search, kappa, the ``op_norm`` lower bound) share one multiplicative
+coordinate ascent, ``_ascend_steps``: it runs independent ascents ("lanes",
+such as a search's random restarts) together, sends the next steps of every
+lane to one batch of rows per round -- the rest of its pass at first, then
+about its own steps per accept so far -- and accepts in each lane exactly the
+steps a step-by-step ascent would.  A step back to the alpha before a lane's
+latest accept is a known reject and gets no row.  Each lane logs its state at
+the start and after each accept, so a caller can cut it at any smaller cap
+without running it again.  Kappa draws all random starts of a shift first and
+ascends them as lanes; after an overflowing start it puts the generator back
+to the state just past that start's draws.
 
 The dyadic sequence space of a function space X is E_X with
 ||x||_{E_X} = ||sum x(n) chi_[2^n,2^(n+1))||_X; for X = L_p this is the
@@ -46,6 +48,7 @@ and ``_GeometricWeighted``.  ``FromSequenceSpace`` delegates ``generator`` to E.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,7 +327,7 @@ _MAX_ITER = 120
 
 
 def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
-                   beta, lo, hi) -> np.ndarray:
+                   beta, lo, hi, nz=None) -> np.ndarray:
     """log of the Luxemburg norm inf{alpha : sum_i w_i F(a_i / alpha) <= 1}, per row.
 
     Row by row, solves G(beta) = log sum_i exp(log w_i + h(log a_i - beta)) = 0
@@ -339,37 +342,42 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
     every other step; reaching ``_MAX_ITER`` raises ``ConvergenceError``.
 
     ``log_a`` is a (k, n) array of log |a| with -inf at the zero entries,
-    ``log_w`` the (n,) log weights, and ``beta``, ``lo``, ``hi`` (k,) arrays
-    of each row's start and bracket.  The profile kernels run once per
-    iteration, as one fused ``log_eval_slope`` call (h and h' on the same
-    points), on the packed nonzero entries of the rows still iterating; the
-    sums run per row over the full width, zeros in place, so a row's result
-    does not depend on the other rows.
+    ``log_w`` the (n,) log weights, ``beta``, ``lo``, ``hi`` (k,) arrays of
+    each row's start and bracket, and ``nz`` the (k, n) mask of the nonzero
+    entries when the caller has it.  Each iteration evaluates the profile
+    once, as one fused ``log_eval_slope`` call (h and h' on the same points),
+    and the terms exp(log w + h - max) and their products with h' only on
+    the packed nonzero entries of the rows still iterating.  The row maxima
+    are taken in a -inf-filled (k, n) buffer, and both row sums (S and D of
+    G' = -D / S) in one zero-filled (2, k, n) buffer reduced over the full
+    width: zeros in place keep numpy's pairwise summation order, so a row's
+    result does not depend on the other rows.  As rows finish, the rows still
+    iterating reuse the buffers' leading rows.
     """
     k, n = log_a.shape
     out = np.empty(k)
-    er, ec = np.nonzero(log_a > -np.inf)
+    er, ec = np.nonzero(log_a > -np.inf if nz is None else nz)
     la, lw = log_a[er, ec], log_w[ec]
     flat = er * n + ec
-    # zero entries keep exp(-inf) = 0 in the row sums
-    expo, slope = np.full((k, n), -np.inf), np.zeros((k, n))
-    # row, beta, lo, hi and previous bracket width of each row still iterating
-    state = [[r, b, l, h, math.inf] for r, (b, l, h) in
-             enumerate(zip(beta.tolist(), lo.tolist(), hi.tolist()))]
+    top, sums = np.full((k, n), -np.inf), np.zeros((2, k, n))
+    top_f, s_f, d_f = top.reshape(-1), sums[0].reshape(-1), sums[1].reshape(-1)
+    # row, beta, bracket and previous bracket width of each row still iterating
+    rows, betas, los, his = list(range(k)), beta.tolist(), lo.tolist(), hi.tolist()
+    widths = [math.inf] * k
     for _ in range(_MAX_ITER):
-        betas = [st[1] for st in state]
-        u = la - (betas[0] if len(betas) == 1 else np.array(betas)[er])
-        h, dh = F.log_eval_slope(u)
-        expo.reshape(-1)[flat] = lw + h
-        m = np.maximum.reduce(expo, axis=1)
-        wts = np.exp(expo - m[:, None])
-        slope.reshape(-1)[flat] = dh
+        live = len(rows)
+        h, dh = F.log_eval_slope(la - (betas[0] if live == 1 else np.array(betas)[er]))
+        e = lw + h
+        top_f[flat] = e
+        m = np.maximum.reduce(top[:live], axis=1)
+        wts = np.exp(e - m[er])
+        s_f[flat] = wts
+        d_f[flat] = wts * dh
+        S, D = np.add.reduce(sums[:, :live], axis=2).tolist()
         keep = []
-        for st, mx, S, D in zip(state, m.tolist(), np.add.reduce(wts, axis=1).tolist(),
-                                np.add.reduce(wts * slope, axis=1).tolist()):
-            row, beta, lo, hi, width = st
-            g = mx + math.log(S)
-            d = g * S / D
+        for i, (row, beta, lo, hi, mx) in enumerate(zip(rows, betas, los, his, m.tolist())):
+            g = mx + math.log(S[i])
+            d = g * S[i] / D[i]
             reach = g * (1.0 + 1e-9)
             if g > 0.0:
                 lo, hi = beta, min(hi, beta + reach)
@@ -377,24 +385,29 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
                 lo, hi = max(lo, beta + reach), beta
             if abs(d) <= _NEWTON_TOL or hi - lo <= _NEWTON_TOL * (1.0 + abs(beta)):
                 out[row] = min(max(beta + d, lo), hi)
-                keep.append(False)
                 continue
             nxt = beta + d
-            if not (lo < nxt < hi) or hi - lo > 0.5 * width:
+            if not (lo < nxt < hi) or hi - lo > 0.5 * widths[i]:
                 nxt = 0.5 * (lo + hi)
-            st[1:] = nxt, lo, hi, hi - lo
-            keep.append(True)
-        if not all(keep):
-            if not any(keep):
+            betas[i], los[i], his[i], widths[i] = nxt, lo, hi, hi - lo
+            keep.append(i)
+        if len(keep) < live:
+            if not keep:
                 return out
-            state = [st for st, kp in zip(state, keep) if kp]
-            on = np.array(keep)[er]
-            er, ec, la, lw = (np.cumsum(keep) - 1)[er[on]], ec[on], la[on], lw[on]
+            rows, betas, los, his, widths = ([v[i] for i in keep]
+                                             for v in (rows, betas, los, his, widths))
+            # renumber the rows still iterating; -1 marks the finished ones
+            new = np.full(live, -1)
+            new[keep] = np.arange(len(keep))
+            er = new[er]
+            on = er >= 0
+            er, ec, la, lw = er[on], ec[on], la[on], lw[on]
             flat = er * n + ec
-            expo, slope = np.full((len(state), n), -np.inf), np.zeros((len(state), n))
+            top[:len(keep)] = -np.inf
+            sums[:, :len(keep)] = 0.0
     raise ConvergenceError(
         f"Luxemburg solver reached {_MAX_ITER} iterations (bracket "
-        f"[{state[0][2]!r}, {state[0][3]!r}])")
+        f"[{los[0]!r}, {his[0]!r}])")
 
 
 class OrliczSpace(SpaceSpec):
@@ -617,7 +630,8 @@ class OrliczModular(SeqSpaceSpec):
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
         A = np.abs(V)
-        log_a = np.log(A, out=np.full(A.shape, -np.inf), where=A > 0)
+        nz = A > 0
+        log_a = np.log(A, out=np.full(A.shape, -np.inf), where=nz)
         # single-block norms, 0 at the zero entries; a row's norm lies between
         # the largest of them and their sum, and Newton starts at the former
         piece = np.exp(log_a - self._log_lambda)
@@ -627,7 +641,7 @@ class OrliczModular(SeqSpaceSpec):
         if solve.size:
             b_lo = np.log(out[solve])
             out[solve] = np.exp(_luxemburg_log(self.F, log_a[solve], self._log_w,
-                                               b_lo, b_lo, np.log(hi0[solve])))
+                                               b_lo, b_lo, np.log(hi0[solve]), nz[solve]))
         return out
 
     def unit_norm(self, n: int) -> float:
@@ -881,44 +895,84 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
     round sends the rest of its pass; later rounds send at most
     ceil((consumed + 1) / (accepts + 1)) steps, the lane's own steps per
     accept so far, so a lane that never accepts ends its pass in one round.
+
+    A step whose trial equals the alpha logged just before the lane's latest
+    accept (the / 4 after an accepted * 4) is a known reject: its ratio is
+    the logged one, below r.  It is consumed without a row, and the known
+    rejects that directly follow a lane's rows are consumed with them.  A
+    trial differs from alpha only at its step's coordinate, and alpha from
+    the alpha before it only at the accepted one, so the test is that step
+    taking the accepted coordinate back to its old value; a product that
+    underflows or overflows never does.
+
     Returns (r, alpha, consumed, log) per lane.  The log lists (consumed, r,
     alpha) at the start and after each accept, so the lane run alone with
     cap c <= consumed ends at its last entry with consumed <= c.  With
     ``reach``, the lanes after the first lane whose r reaches it stop where
     they are (their results are partial); that lane runs on."""
     # lane state: alpha, r, coords, factors, steps left, position in the pass,
-    # steps consumed, accepted in this pass, pass length, log
+    # steps consumed, accepted in this pass, pass length, log, and the
+    # coordinate and old value of the latest accept
     state = [[alpha, r, coords, factors, cap, 0, 0, False, len(coords),
-              [] if r is None else [(0, r, alpha)]]
+              [] if r is None else [(0, r, alpha)], None]
              for alpha, r, coords, factors, cap in lanes]
     live = [s for s in state if s[1] is None or min(s[4], s[8]) > 0]
+    # lanes that share a pass (a family's restarts) share its multipliers,
+    # built once: row 1 + i turns alpha into step i's trial and row 0 is ones,
+    # as alpha * 1.0 is alpha exactly
+    passes, mults = Counter((id(s[2]), id(s[3])) for s in state), {}
     while live:
-        blocks = []
+        blocks, sent = [], []
         for s in live:
-            alpha, r, coords, factors, left, pos, used, _, size, log = s
+            alpha, r, coords, factors, left, pos, used, _, size, log, undo = s
             first = r is None
             # past the first round the log holds the start and every accept
             m = min(size - pos, left,
                     size if used == 0 else -(-(used + 1) // len(log)))
-            T = alpha[None].repeat(m + first, axis=0)
-            T[np.arange(first, m + first), coords[pos:pos + m]] *= factors[pos:pos + m]
-            blocks.append(T)
-        out = ratios(blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).tolist()
+            key = id(coords), id(factors)
+            if passes[key] > 1:
+                if key not in mults:
+                    M = mults[key] = np.ones((size + 1, alpha.size))
+                    M[np.arange(1, size + 1), coords] = factors
+                T = alpha * mults[key][pos + 1 - first:pos + 1 + m]
+            else:
+                T = alpha[None].repeat(m + first, axis=0)
+                T[np.arange(first, m + first), coords[pos:pos + m]] *= factors[pos:pos + m]
+            back = None  # the steps that are known rejects, which get no row
+            if undo is not None:
+                c, old = undo
+                back = (coords[pos:pos + m] == c) & (factors[pos:pos + m] * alpha[c] == old)
+                back = back if back.any() else None
+            blocks.append((T, back))
+            sent.append(T if back is None else T[~back])
+        rows = sent[0] if len(sent) == 1 else np.concatenate(sent)
+        out = ratios(rows).tolist() if len(rows) else []
         at, still = 0, []
-        for s, T in zip(live, blocks):
-            alpha, r, coords, factors, left, pos, used, accepted, size, log = s
-            start, end = at, at + len(T)
+        for s, (T, back), V in zip(live, blocks, sent):
+            alpha, r, coords, factors, left, pos, used, accepted, size, log, undo = s
+            vals, at = out[at:at + len(V)], at + len(V)
+            if back is not None:
+                known, got = log[-2][1], iter(vals)
+                vals = [known if b else next(got) for b in back.tolist()]
+            j0 = 0
             if r is None:
-                r, at = out[at], at + 1
+                r, j0 = vals[0], 1
                 log.append((0, r, alpha))
-            bar, taken = r * (1 + rel), end - at
-            for j in range(at, end):
-                if out[j] > bar:
-                    alpha, r, accepted = T[j - start], out[j], True
-                    taken = j - at + 1
+            bar, taken = r * (1 + rel), len(vals) - j0
+            for j in range(j0, len(vals)):
+                if vals[j] > bar:
+                    c = int(coords[pos + j - j0])
+                    undo = s[10] = c, alpha[c]
+                    alpha, r, accepted = T[j], vals[j], True
+                    taken = j - j0 + 1
                     log.append((used + taken, r, alpha))
                     break
-            at = end
+            if undo is not None:  # consume the known rejects that come next
+                c, old = undo
+                end, now = pos + min(size - pos, left), alpha[c]
+                while pos + taken < end and coords[pos + taken] == c \
+                        and now * factors[pos + taken] == old:
+                    taken += 1
             left, pos, used = left - taken, pos + taken, used + taken
             if pos == size and sweeps and accepted and left > 0:
                 pos, accepted = 0, False
@@ -1047,14 +1101,10 @@ def norming_functional(E: SeqSpaceSpec, x: SeqVec) -> SeqVec:
     Closed forms for weighted ell_p (1 <= p <= inf); for Orlicz modular
     spaces the gradient of the modular at x/||x|| is the exact maximizer of
     <h, g> over the unit ball (first-order condition of the concave
-    problem), which pins ||g||* = <x/||x||, g>.  The attained duality gap is
-    recorded in ``meta["norming_gap"]``.  The closed forms are the spaces'
-    ``norming_values``.
+    problem), which pins ||g||* = <x/||x||, g>.  The closed forms are the
+    spaces' ``norming_values``; a caller that needs <x, g> = ||x||_E checked
+    compares the pairing with the norm it already holds.
     """
     if not np.any(x.values):
         raise ValueError("cannot norm the zero vector")
-    vals = E.norming_values(x.values)
-    g = SeqVec(x.window, vals)
-    g.meta["norming_gap"] = abs(float(np.dot(x.values, vals)) - E.norm(x))
-    return g
-
+    return SeqVec(x.window, E.norming_values(x.values))

@@ -150,6 +150,32 @@ def test_majorization_one_norming_functional_per_block(rng, monkeypatch):
     assert blocks_seen >= 10
 
 
+def test_majorization_one_modular_solve_per_block(monkeypatch):
+    # the block norms come from one norm_rows call over all blocks, and each
+    # block's norming functional solves that block once more, alone
+    solves = []
+    norm_rows = OrliczModular.norm_rows
+
+    def counted(self, V):
+        if len(V) == 1:
+            solves.append(V)
+        return norm_rows(self, V)
+
+    monkeypatch.setattr(OrliczModular, "norm_rows", counted)
+    E, blocks = OrliczModular(power(2), WIN), 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = random_seqvec(rng, WIN, k=7)
+        try:
+            T = majorization_transfer(x, SeqVec(WIN, 0.3 * shift_values(x.values, 2)), E, EINF)
+        except HypothesisError:
+            continue
+        blocks += sum(str(s.get("note", "")).startswith("partition block") for s in T.provenance)
+    # a functional that re-solved its block for an unread duality gap made
+    # 108 one-row solves for these 54 blocks
+    assert blocks == 54 and len(solves) == blocks
+
+
 # ---------------------------------------------------------------------------
 # K transfer
 # ---------------------------------------------------------------------------
