@@ -48,7 +48,6 @@ and ``_GeometricWeighted``.  ``FromSequenceSpace`` delegates ``generator`` to E.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -917,10 +916,6 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
               [] if r is None else [(0, r, alpha)], None]
              for alpha, r, coords, factors, cap in lanes]
     live = [s for s in state if s[1] is None or min(s[4], s[8]) > 0]
-    # lanes that share a pass (a family's restarts) share its multipliers,
-    # built once: row 1 + i turns alpha into step i's trial and row 0 is ones,
-    # as alpha * 1.0 is alpha exactly
-    passes, mults = Counter((id(s[2]), id(s[3])) for s in state), {}
     while live:
         blocks, sent = [], []
         for s in live:
@@ -929,15 +924,8 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
             # past the first round the log holds the start and every accept
             m = min(size - pos, left,
                     size if used == 0 else -(-(used + 1) // len(log)))
-            key = id(coords), id(factors)
-            if passes[key] > 1:
-                if key not in mults:
-                    M = mults[key] = np.ones((size + 1, alpha.size))
-                    M[np.arange(1, size + 1), coords] = factors
-                T = alpha * mults[key][pos + 1 - first:pos + 1 + m]
-            else:
-                T = alpha[None].repeat(m + first, axis=0)
-                T[np.arange(first, m + first), coords[pos:pos + m]] *= factors[pos:pos + m]
+            T = alpha[None].repeat(m + first, axis=0)
+            T[np.arange(first, m + first), coords[pos:pos + m]] *= factors[pos:pos + m]
             back = None  # the steps that are known rejects, which get no row
             if undo is not None:
                 c, old = undo
