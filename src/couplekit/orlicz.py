@@ -7,9 +7,6 @@ Every Orlicz function here is handled through its log-log profile
 which is strictly increasing with h(u) - u nondecreasing (F(x)/x increasing).
 Working with h avoids overflow entirely: the constructions below routinely
 evaluate F at heights like exp(180000), which only ever exist as h-values.
-The profile kernels are ``log_eval`` (h), ``slope`` (h') and the fused
-``log_eval_slope`` (h and h' on the same points: the one profile call of a
-Luxemburg Newton step).
 
 The oscillation quantities all reduce to the window function
 
@@ -24,7 +21,7 @@ schedule of disjoint oscillation intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,10 +83,9 @@ class OrliczFn:
     def log_inv(self, v):
         """Solve h(u) = v for u (vectorized bisection; h strictly increasing).
 
-        Brackets by doubling, then bisects for at most 100 steps on
-        ``log_eval``.  A step is a function of (lo, hi) alone, so once one
-        leaves every bracket unchanged all later ones would too: the loop
-        stops there with the result of the full 100 steps.
+        Brackets by doubling, then bisects on ``log_eval`` for at most 100
+        steps; it stops at a step that moves no bracket, as then no later
+        step can (a step is a function of (lo, hi) alone).
         """
         v = np.atleast_1d(np.asarray(v, dtype=float))
         lo = np.full(v.shape, -1.0)
@@ -386,11 +382,10 @@ def _sum_terms(terms):
 class MinimalFn(OrliczFn):
     """F(x) = x^2 exp(alpha sum_n (1 - cos(2 pi log x / 2^n))), n >= 0.
 
-    Per point u = log x, the terms with |2 pi u / 2^n| >= 2^-8 are summed one
-    by one and the rest in closed form (see ``_C1``), to within 1e-17 where
-    a truncated series would leave up to 1e-12.  Each point's sum runs from
-    the tail up to n = 0, so its value does not depend on the other points
-    of the array.  Needs alpha <= 1/(4 pi) to keep h' >= 1.
+    Summed per point u = log x as the comment at ``_C1`` says, to within
+    1e-17 where a truncated series would leave up to 1e-12, from the tail up
+    to n = 0: a value does not depend on the other points of the array.
+    Needs alpha <= 1/(4 pi) to keep h' >= 1.
     """
 
     def __init__(self, alpha: float = 0.05):
@@ -565,14 +560,8 @@ class IndexReport:
         return (min(self.alpha_inf, self.alpha_0), max(self.beta_inf, self.beta_0))
 
     def to_json_dict(self):
-        return {
-            "alpha_inf": self.alpha_inf, "beta_inf": self.beta_inf,
-            "alpha_0": self.alpha_0, "beta_0": self.beta_0,
-            "delta2": self.delta2,
-            "err_inf": self.err_inf, "err_0": self.err_0,
-            "boyd_unit": list(self.boyd_unit),
-            "boyd_halfline": list(self.boyd_halfline),
-        }
+        return {**asdict(self), "boyd_unit": list(self.boyd_unit),
+                "boyd_halfline": list(self.boyd_halfline)}
 
 
 def _index_points(F: OrliczFn, grid: np.ndarray, sign: int) -> np.ndarray:
@@ -666,11 +655,8 @@ def indices(F: OrliczFn, t_grid=None, x_grid=None, y_layer: float = 1.5) -> Inde
     0-indices use windows in (-inf, 0].  Windows shorter than ``y_layer``
     are the discarded boundary layer absorbing the constant C.  Breakpoints
     of piecewise-affine profiles are added to the grid so sustained slopes
-    are measured exactly.  The extremes are reached on irreducible pairs (no
-    point y_layer from both ends), so ``_chord_slope_range`` scans a band of
-    about n (y_layer/spacing + 1) pairs in blocks of 2^14 and rescans the
-    rows within rounding slack of an extreme, for a full pair table's
-    result: 393,030 pairs and two rescans for elastic-nl's 32,770 points.
+    are measured exactly.  The extremes come from the band scan
+    ``_chord_slope_range``.
     """
     if y_layer <= 0:
         raise ValueError("boundary layer y_layer must be positive")
@@ -728,7 +714,7 @@ def rv_defect(F: OrliczFn, x_grid, t_range) -> float:
     if v.size < 64:
         raise ValueError("t_range needs at least 64 points")
     tail = v[v.size // 2:]
-    h_tail = F.log_eval(tail)
+    h_tail = _finite_profile(F, tail)
     worst = 1.0
     for x in np.asarray(x_grid, dtype=float):
         kappa = -math.log(x)
@@ -781,15 +767,10 @@ def regularize(F: OrliczFn, p: float, grid, y_cap: float = None,
     kinks = np.unique(np.concatenate([base._u, grid, grid - u]))
     hk = base.log_eval(kinks)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (hk[1:] + hk[:-1]) * np.diff(kinks))])
-
-    def h_int(a, b):
-        ia = np.interp(a, kinks, cum)
-        ib = np.interp(b, kinks, cum)
-        return ib - ia
-
     g = base.log_eval(grid).copy()
     pos = u > 1e-9
-    g[pos] = h_int(grid[pos] - u[pos], grid[pos]) / u[pos] + 0.5 * p * u[pos]
+    a, b = grid[pos] - u[pos], grid[pos]
+    g[pos] = (np.interp(b, kinks, cum) - np.interp(a, kinks, cum)) / u[pos] + 0.5 * p * u[pos]
     smoothed = PiecewiseAffineFn.from_samples(f"regularize<{base.name}>",
                                               dict(base.params), grid, g,
                                               slope_below=float(base._s_below))
@@ -857,28 +838,41 @@ def _counter_log_threshold(C: float) -> float:
     return math.log(C)
 
 
+_DROP_BLOCK = 128  # points per block of _count_drops
+
+
 def _count_drops(w: np.ndarray, logC: float) -> int:
     """Greedy count of drops of w by logC.
 
     From a restart r (first r = 0) the next event is the first k > r with
-    max(w[r:k]) - w[k] >= logC, and k is the next restart.  Each search
-    scans galloping blocks (64, 128, ... points) with a running maximum: the
-    same comparisons on the same floats as a point-by-point loop, in
-    O(len(w) + 64 events) element work and O(events + log len(w)) calls.
+    max(w[r:k]) - w[k] >= logC, and k is the next restart.  A block of
+    ``_DROP_BLOCK`` points is skipped when fl(max(M, its max) - its min) <
+    logC, M the maximum since the restart: subtraction rounds monotonically,
+    so no comparison in it can fire (a nan fails the test).  Other blocks get
+    the running maximum of a point-by-point loop, on the same floats.
     """
-    count, r, n, block = 0, 0, w.size, 64
-    while r < n - 1:
-        end = min(n, r + block + 1)
-        run_max = np.maximum.accumulate(w[r:end - 1])
-        hit = np.flatnonzero(run_max - w[r + 1:end] >= logC)
+    n, B = w.size, _DROP_BLOCK
+    if n < 2:
+        return 0
+    top, low = (f.reduceat(w, np.arange(0, n, B)) for f in (np.maximum, np.minimum))
+    count, p, M = 0, 1, w[0]  # p: the next k; M = max(w[r:p])
+    while p < n:
+        if p % B == 0:
+            reach = np.maximum(np.maximum.accumulate(top[p // B:]), M)
+            quiet = reach - low[p // B:] < logC
+            j = int(np.argmin(quiet))
+            if quiet[j]:
+                break
+            if j:
+                M, p = reach[j - 1], p + j * B
+        end = min(n, p - p % B + B)
+        run = np.maximum(np.maximum.accumulate(w[p - 1:end]), M)
+        hit = np.flatnonzero(run[:-1] - w[p:end] >= logC)
         if hit.size:
-            count += 1
-            r += 1 + int(hit[0])
-            block = 64
-        elif end == n:
-            break
+            k = p + int(hit[0])
+            count, M, p = count + 1, w[k], k + 1
         else:
-            block *= 2
+            M, p = run[-1], end
     return count
 
 
@@ -891,16 +885,17 @@ def counter(F: OrliczFn, kind: str, x: float, C: float, side: str = "inf",
     earliest-endpoint greedy is optimal for disjoint-interval counting.
     Psi_p counts >= 2-spaced grid points where F_t(x) deviates from x^p by
     the factor C, per the Lorentz-space criterion.  All values are certified
-    lower bounds for the true (grid-free) counters.  Cost: two profile
-    evaluations on the grid, then numpy scans (``_count_drops``) for Phi+/-
-    and a Python loop over the deviating points only for Psi_p.
+    lower bounds for the true (grid-free) counters; an overflowing profile
+    is a ValueError.  Cost: two profile evaluations on the grid, then
+    ``_count_drops`` for Phi+/- or a Python loop over the deviating points
+    for Psi_p.
     """
     kappa = _counter_kappa(x)
     logC = _counter_log_threshold(C)
     if grid is None:
         grid = TGrid.span(0.0, 1024.0) if side == "inf" else TGrid.span(-1024.0, 0.0)
     v = _check_counter_grid(grid, side)
-    omega = F.log_eval(v) - F.log_eval(v - kappa)
+    omega = _finite_profile(F, v) - F.log_eval(v - kappa)
 
     if kind in ("phi+", "phi-"):
         return _count_drops(omega if kind == "phi+" else -omega, logC)
@@ -908,8 +903,7 @@ def counter(F: OrliczFn, kind: str, x: float, C: float, side: str = "inf",
     if kind.startswith("psi"):
         p = float(kind.split(":")[1]) if ":" in kind else float(kind[3:])
         dev = np.abs(p * kappa - omega)
-        count = 0
-        last_v = -math.inf
+        count, last_v = 0, -math.inf
         for vj in v[dev >= logC].tolist():
             if vj - last_v >= LOG2 - 1e-12:
                 count += 1
@@ -978,7 +972,7 @@ def elasticity_report(F: OrliczFn, C0: float = 4.0, x_grid=None,
     from the oracle pre-run).  One-sided counts suffice in principle; both
     are computed and reported.  The counts are those of ``counter`` per x;
     h is evaluated once on the t-grid and omega once per x, so a report
-    costs len(x_grid) + 1 profile evaluations.
+    costs len(x_grid) + 1 profile evaluations and two ``_count_drops`` per x.
     """
     if x_grid is None:
         x_grid = 2.0 ** -np.arange(4, 17, dtype=float)
@@ -988,8 +982,7 @@ def elasticity_report(F: OrliczFn, C0: float = 4.0, x_grid=None,
     kappas = [_counter_kappa(x) for x in x_grid]
     logC = _counter_log_threshold(C0)
     if t_grid is None:
-        t_grid = TGrid.span(0.0, 2048.0) if side == "inf" \
-            else TGrid.span(-2048.0, 0.0)
+        t_grid = TGrid.span(0.0, 2048.0) if side == "inf" else TGrid.span(-2048.0, 0.0)
     v = _check_counter_grid(t_grid, side)
     h = _finite_profile(F, v)
     nplus, nminus = [], []
@@ -1017,6 +1010,9 @@ def elasticity_report(F: OrliczFn, C0: float = 4.0, x_grid=None,
                             resid, verdict, side, C0)
 
 
+_PAIR_BLOCK = 1 << 13  # profit pairs per block of w_witness
+
+
 @dataclass
 class WWitnessReport:
     log_t: np.ndarray
@@ -1042,26 +1038,28 @@ def w_witness(F: OrliczFn, C0: float, t_grid=None, x_grid=None) -> WWitnessRepor
 
     holds on the grid by construction; C1 = w(t_max) - w(1) is the witness
     bound (finite-range: it can only certify growth, not boundedness).
-    The profit table is a running maximum over x: O(n^2 m) time and O(n^2)
-    memory for n grid points and m values of x.
+    The rows profit[k, :k] the recursion reads are built in blocks of at
+    most ``_PAIR_BLOCK`` pairs: O(n^2 m) time and O(n m) memory for n grid
+    points and m values of x.
     """
     if t_grid is None:
         t_grid = TGrid.span(0.0, 256.0, ratio=2.0)
     if x_grid is None:
         x_grid = 2.0 ** -np.arange(1, 17, dtype=float)
     v = _as_log_grid(t_grid)
-    x_grid = np.asarray(x_grid, dtype=float)
-
-    ft = np.empty((v.size, x_grid.size))
-    for j, x in enumerate(x_grid):
-        ft[:, j] = np.exp(F.log_eval(v + math.log(x)) - F.log_eval(v))
-    # profit[i, k] = max_x (F_{t_k}(x) - C0 F_{t_i}(x))_+, one x at a time
-    profit = np.zeros((v.size, v.size))
-    for j in range(x_grid.size):
-        np.maximum(profit, ft[None, :, j] - C0 * ft[:, None, j], out=profit)
-
-    best = np.zeros(v.size)
-    for k in range(1, v.size):
-        best[k] = max(best[k - 1], float(np.max(best[:k] + profit[:k, k])))
+    h = F.log_eval(v)
+    ft = [np.exp(F.log_eval(v + math.log(x)) - h) for x in np.asarray(x_grid, dtype=float)]
+    n, k = v.size, 1
+    best = np.zeros(n)
+    while k < n:
+        # profit[k, i] = max_x (F_{t_k}(x) - C0 F_{t_i}(x))_+ on r rows of
+        # k + r - 1 pairs: r <= sqrt(_PAIR_BLOCK) bounds the block
+        r = min(n - k, max(1, _PAIR_BLOCK // (k + math.isqrt(_PAIR_BLOCK))))
+        profit = np.zeros((r, k + r - 1))
+        for f in ft:
+            np.maximum(profit, f[k:k + r, None] - C0 * f[:k + r - 1], out=profit)
+        for row in profit:
+            best[k] = max(best[k - 1], float(np.max(best[:k] + row[:k])))
+            k += 1
 
     return WWitnessReport(v, best, float(best[-1] - best[0]), C0)

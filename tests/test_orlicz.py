@@ -687,6 +687,89 @@ def test_counter_counts_drops_equal_to_log_C():
     assert tried >= 10
 
 
+def _galloping_drops(w, logC):
+    """The galloping scan the block scan replaced (reference): from each
+    restart, blocks of 64, 128, ... points with a running maximum."""
+    count, r, n, block = 0, 0, w.size, 64
+    while r < n - 1:
+        end = min(n, r + block + 1)
+        run_max = np.maximum.accumulate(w[r:end - 1])
+        hit = np.flatnonzero(run_max - w[r + 1:end] >= logC)
+        if hit.size:
+            count += 1
+            r += 1 + int(hit[0])
+            block = 64
+        elif end == n:
+            break
+        else:
+            block *= 2
+    return count
+
+
+_B = orlicz._DROP_BLOCK
+
+
+@st.composite
+def _drop_rows(draw):
+    """A raw float64 row and a log C: walks, long plateaus, dense sawtooth
+    and noise, of lengths 0-3, around the block size or up to four blocks,
+    with some entries +-inf or nan, and log C drawn or tied to a drop."""
+    n = draw(st.sampled_from([0, 1, 2, 3, _B - 1, _B, _B + 1, 2 * _B, 3 * _B - 1])
+             | st.integers(0, 4 * _B + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["walk", "plateau", "sawtooth", "noise"]))
+    if shape == "walk":
+        w = np.cumsum(rng.normal(0.0, 0.4, n))
+    elif shape == "plateau":
+        w = np.repeat(rng.normal(0.0, 3.0, n // 50 + 1), 50)[:n]
+    elif shape == "sawtooth":
+        w = (np.arange(n) % rng.integers(2, 6)) * rng.uniform(0.5, 3.0)
+    else:
+        w = rng.normal(0.0, 2.0, n)
+    if n and draw(st.booleans()):
+        at = rng.integers(0, n, size=int(rng.integers(1, 4)))
+        w[at] = rng.choice([np.inf, -np.inf, np.nan], size=at.size)
+    logC = draw(st.floats(1e-3, 8.0))
+    if n > 1 and draw(st.booleans()):
+        # a tie: log C equal to the drop at some k from the running maximum
+        k = int(rng.integers(1, n))
+        with np.errstate(invalid="ignore"):
+            d = float(np.max(w[:k]) - w[k])
+        C = _threshold_for(d) if 0 < d < math.inf else None
+        logC = math.log(C) if C is not None and C > 1 else logC
+    return w, logC
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=_drop_rows())
+@example(row=(np.array([0.0, -1.0] * _B), 1.0))
+@example(row=(np.r_[np.zeros(_B), np.nan, -5.0, np.zeros(_B)], 1.0))
+@example(row=(np.r_[np.zeros(9), -5.0, np.nan, np.zeros(_B)], 1.0))
+@example(row=(np.r_[np.zeros(_B - 1), np.inf, np.inf, -np.inf, 0.0], 1.0))
+def test_count_drops_matches_galloping_reference(row):
+    # raw rows with ties, infinities and nan: a nan or inf fails the skip
+    # test and is scanned with the same floats (Python's max would drop it)
+    w, logC = row
+    with np.errstate(invalid="ignore"):
+        assert orlicz._count_drops(w, logC) == _galloping_drops(w, logC)
+
+
+@pytest.mark.parametrize("kind", ["phi+", "phi-", "psi:2"])
+def test_counter_rejects_an_overflowing_profile(kind):
+    # h = 1e307 u overflows on the default grid, where the counts would be
+    # NaN arithmetic
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="log F is not finite"):
+            counter(power(1e307), kind, 0.5, 4.0)
+
+
+def test_rv_defect_rejects_an_overflowing_profile():
+    # a defect of 1.0 from NaN arithmetic would read as regular variation
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="log F is not finite"):
+            rv_defect(power(1e307), [0.5, 0.25], TGrid.span(0.0, 512.0))
+
+
 class _CountingFn(OrliczFn):
     def __init__(self, base):
         self.base, self.calls = base, 0
@@ -840,10 +923,14 @@ def test_indices_elastic_nl_without_pair_table():
 
 
 def _reference_w(F, C0, t_grid, x_grid):
+    """The full-table witness the blocked rows replaced (reference)."""
     v = t_grid.log
-    ft = np.stack([np.exp(F.log_eval(v + math.log(x)) - F.log_eval(v)) for x in x_grid],
-                  axis=1)
-    profit = np.maximum(ft[None, :, :] - C0 * ft[:, None, :], 0.0).max(axis=2)
+    ft = np.empty((v.size, x_grid.size))
+    for j, x in enumerate(x_grid):
+        ft[:, j] = np.exp(F.log_eval(v + math.log(x)) - F.log_eval(v))
+    profit = np.zeros((v.size, v.size))
+    for j in range(x_grid.size):
+        np.maximum(profit, ft[None, :, j] - C0 * ft[:, None, j], out=profit)
     best = np.zeros(v.size)
     for k in range(1, v.size):
         best[k] = max(best[k - 1], float(np.max(best[:k] + profit[:k, k])))
@@ -853,8 +940,19 @@ def _reference_w(F, C0, t_grid, x_grid):
 @pytest.mark.parametrize("F", [power(2), example1(), elastic_non_lorentz(),
                                MinimalFn(0.05), brudnyi_pair(1.5, 3.0)[1]],
                          ids=lambda F: F.name)
-def test_w_witness_matches_table_reference(F):
-    t_grid = TGrid.span(0.0, 128.0, ratio=2.0)
-    x_grid = 2.0 ** -np.arange(1, 17, dtype=float)
-    ww = w_witness(F, 4.0, t_grid=t_grid, x_grid=x_grid)
-    assert np.array_equal(ww.w, _reference_w(F, 4.0, t_grid, x_grid))
+@settings(max_examples=6, deadline=None)
+@given(C0=st.floats(1.0, 20.0, exclude_min=True), ratio=st.floats(1.3, 4.0),
+       span=st.floats(16.0, 400.0), seed=st.integers(0, 2 ** 32 - 1),
+       m=st.integers(1, 20))
+@example(C0=4.0, ratio=2.0, span=128.0, seed=0, m=0)
+@example(C0=1.5, ratio=1.3, span=300.0, seed=1, m=7)
+def test_w_witness_matches_table_reference(F, C0, ratio, span, seed, m):
+    # grids of 13 to about 1,500 points (a block of rows is at most 90), and
+    # x-grids of m random points in (0, 1) (m = 0: the dyadic default)
+    t_grid = TGrid.span(0.0, span, ratio=ratio)
+    rng = np.random.default_rng(seed)
+    x_grid = np.sort(rng.uniform(1e-6, 1.0, m))[::-1] if m else \
+        2.0 ** -np.arange(1, 17, dtype=float)
+    ww = w_witness(F, C0, t_grid=t_grid, x_grid=x_grid)
+    ref = _reference_w(F, C0, t_grid, x_grid)
+    assert np.array_equal(ww.w, ref) and ww.C1 == float(ref[-1] - ref[0])

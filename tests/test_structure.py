@@ -17,7 +17,8 @@ one norm formula per space --
 ``fn_norm`` on the base classes only -- the shift search on batched rows,
 one Luxemburg solver (one fused profile call per Newton step), one
 multiplicative ascent, the index extremes from a band scan in bounded
-blocks, and one representation of a family of block pairs.
+blocks, one drop scan behind Phi+/- (``_count_drops``), and one
+representation of a family of block pairs.
 """
 
 import ast
@@ -194,6 +195,18 @@ def test_index_extremes_scan_bounded_blocks():
              if isinstance(node, ast.For) and "_BAND_BLOCK" in _names(node.iter)]
     assert len(loops) == 1
     assert orlicz._BAND_BLOCK <= 1 << 14
+
+
+def test_one_drop_scan():
+    # counter and elasticity_report reach Phi+/- only through _count_drops,
+    # a block scan that takes the blocks' extremes once; no other function
+    # runs a running maximum of its own
+    tree = ast.parse((SRC / "orlicz.py").read_text())
+    fns = {fn.name: fn for fn in _functions(tree)}
+    for name in ("counter", "elasticity_report"):
+        assert "_count_drops" in _called(fns[name]), name
+    assert [name for name, fn in fns.items() if _calls(fn, "accumulate")] == ["_count_drops"]
+    assert "reduceat" in _called(fns["_count_drops"])
 
 
 def test_one_family_representation():
