@@ -25,6 +25,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import UsageError
+
 LOG2 = math.log(2.0)
 
 
@@ -43,6 +45,7 @@ class OrliczFn:
 
     name = "orlicz"
     params: dict = {}
+    sampled = False  # sampled from another profile (``regularize``): no spec names it
 
     def log_eval(self, u):
         raise NotImplementedError
@@ -119,6 +122,8 @@ class OrliczFn:
         return self.log_eval(log_t + log_x) - self.log_eval(log_t)
 
     def spec_string(self) -> str:
+        if self.sampled:
+            raise UsageError(f"{self.name} is a sampled profile; no spec names it")
         # a ":F"/":G" selector in the name goes after the arguments, as the
         # DSL reads it ("brudnyi:F" with p, q -> "brudnyi:p=1.5,q=3.0:F")
         name, sel = self.name, ""
@@ -130,7 +135,7 @@ class OrliczFn:
         return f"{name}:{args}{sel}"
 
     def __repr__(self):
-        return f"<OrliczFn {self.spec_string()}>"
+        return f"<OrliczFn {self.name if self.sampled else self.spec_string()}>"
 
 
 class PiecewiseAffineFn(OrliczFn):
@@ -456,7 +461,8 @@ class ConvexifiedFn(OrliczFn):
         seg = base if base.breaks() is not None else sample_profile(base)
         self.base = seg
         # the whole spec of the base in the name, so the spec string reparses
-        self.name = f"convexify<{base.spec_string()}>"
+        self.sampled = base.sampled
+        self.name = f"convexify<{base.name if base.sampled else base.spec_string()}>"
         self.params = {}
         u, h, s = seg._u, seg._h, seg._s
         if seg._s_below < 1.0 - 1e-12 or np.any(s < 1.0 - 1e-12):
@@ -522,8 +528,10 @@ def sample_profile(base: OrliczFn, u_lo: float = -64.0, u_hi: float = 2048.0,
     if step > 0.125 + 1e-12:
         raise ValueError("grid step must be <= 1/8")
     grid = np.arange(u_lo, u_hi + step, step)
-    return PiecewiseAffineFn.from_samples(f"grid<{base.name}>", dict(base.params),
-                                          grid, base.log_eval(grid))
+    out = PiecewiseAffineFn.from_samples(f"grid<{base.name}>", dict(base.params),
+                                         grid, base.log_eval(grid))
+    out.sampled = True
+    return out
 
 
 def convexify(F: OrliczFn) -> ConvexifiedFn:
@@ -774,6 +782,7 @@ def regularize(F: OrliczFn, p: float, grid, y_cap: float = None,
     smoothed = PiecewiseAffineFn.from_samples(f"regularize<{base.name}>",
                                               dict(base.params), grid, g,
                                               slope_below=float(base._s_below))
+    smoothed.sampled = True
     out = convexify(smoothed)
     out.regularize_c = c
     out.regularize_gap = float(np.max(np.abs(g - base.log_eval(grid))))

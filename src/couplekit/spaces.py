@@ -40,9 +40,10 @@ closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
 ``norm_rows(V)``, ``e_space`` (the space itself), ``norming_values``,
 ``weighted_lp_form()``, ``is_linf``, ``generator()``.  A weighted ell_p is
 always a ``WeightedLp``: ``OrderReversed(E)`` is ``E.reversed_space()``, and
-``GeometricWeighted(E, b)`` is E at b = 1, else w_n b^n on E's form (w, p);
-only spaces without that form get the delegating wrappers ``_OrderReversed``
-and ``_GeometricWeighted``.  ``FromSequenceSpace`` delegates ``generator`` to E.
+``GeometricWeighted(E, b)`` is E at b = 1, else w_n b^n on E's form (w, p).
+Any other space is reversed and weighted by one class, ``_Conjugated``,
+which folds a chain of both into one reversal flag and one scale per index.
+``FromSequenceSpace`` delegates ``generator`` to E.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ class TableLogLinear(WeightFn):
     def __init__(self, log_t, log_w, assume_finite_q: bool = False):
         self.log_t = np.asarray(log_t, dtype=float)
         self.log_w = np.asarray(log_w, dtype=float)
-        if self.log_t.ndim != 1 or self.log_t.size < 2 or np.any(np.diff(self.log_t) <= 0):
-            raise ValueError("log_t grid must be strictly increasing")
+        if (self.log_t.ndim != 1 or self.log_t.size < 2 or np.any(np.diff(self.log_t) <= 0)
+                or self.log_w.shape != self.log_t.shape):
+            raise ValueError("need a strictly increasing log_t grid and one log_w per point")
         slopes = np.diff(self.log_w) / np.diff(self.log_t)
         if np.any(slopes < 0):
             raise ValueError("weight must be monotone increasing")
@@ -314,7 +316,8 @@ class LorentzSpace(SpaceSpec):
     def spec_string(self) -> str:
         if isinstance(self.weight, PowerWeight):
             return f"lorentz:p={_spec_num(self.p)},w=pow:{_spec_num(self.weight.exponent)}"
-        return f"lorentz:p={_spec_num(self.p)},w=table"
+        table = (",".join(map(repr, a.tolist())) for a in (self.weight.log_t, self.weight.log_w))
+        return f"lorentz:p={_spec_num(self.p)},w=table:<{'>:<'.join(table)}>"
 
 
 # Newton stop for the log-norm: |G/G'| at most this (G as in _luxemburg_log)
@@ -494,8 +497,8 @@ class SeqSpaceSpec:
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
         """Values of a norming functional g of the nonzero x (see
         ``norming_functional``)."""
-        raise NotImplementedError(f"no norming functional for {type(self).__name__}; "
-                                  f"supported: weighted lp and Orlicz modular, wrapped or not")
+        raise NotImplementedError(f"no norming functional for {type(self).__name__}; supported: "
+                                  f"weighted lp and Orlicz modular, reversed or b^n-weighted")
 
     def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
         """(weights, p) when the space is a weighted ell_p, else None."""
@@ -519,7 +522,8 @@ class SeqSpaceSpec:
         return np.array([self.unit_norm(int(n)) for n in self.window.indices()])
 
     def reversed_space(self) -> "SeqSpaceSpec":
-        return _OrderReversed(self)
+        return _Conjugated(self, True, np.ones(self.window.size),
+                           lambda: f"rev:<{self.spec_string()}>", back=self)
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -663,66 +667,59 @@ class OrliczModular(SeqSpaceSpec):
         return f"seq:orlicz-modular:gen=<{self.F.spec_string()}>"
 
 
-class _GeometricWeighted(SeqSpaceSpec):
-    """E(b^n): ||x|| = ||(x_n b^n)_n|| in an inner space without a weighted-lp form."""
+class _Conjugated(SeqSpaceSpec):
+    """||x|| = ||(s x)~||_inner, one s_n > 0 per index, x~(n) = x(-(n+1)) if ``reverse``.
 
-    def __init__(self, inner: SeqSpaceSpec, base: float):
-        self.inner = inner
-        self.base = float(base)
-        self.window = inner.window
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            self._w = self.base ** self.window.indices().astype(float)
-        if not np.all(np.isfinite(self._w) & (self._w > 0)):
-            raise ValueError(f"weight base {base!r} gives weights b^n not all finite and > 0")
+    A conjugated ``inner`` folds in (its scale, reversed if ``reverse``, times
+    ``scale``; the reversals XORed), so ``inner`` is never conjugated and the
+    composed scale is checked once.  ``spec()`` writes the spec of the chain
+    that built the space, and a reversal returns to ``back`` when it is set.
+    """
 
-    def norm_rows(self, V: np.ndarray) -> np.ndarray:
-        return self.inner.norm_rows(V * self._w)
-
-    def unit_norm(self, n: int) -> float:
-        return float(self._w[n - self.window.lo]) * self.inner.unit_norm(n)
-
-    def norming_values(self, xv: np.ndarray) -> np.ndarray:
-        return self.inner.norming_values(xv * self._w) * self._w
-
-    def generator(self) -> OrliczFn | None:
-        return self.inner.generator()
-
-    def spec_string(self) -> str:
-        return f"seq:from:<{self.inner.spec_string()}>,weightbase={self.base!r}"
-
-
-class _OrderReversed(SeqSpaceSpec):
-    """||x|| = ||x~||_inner with x~(n) = x(-(n+1)); swaps RSP and LSP."""
-
-    def __init__(self, inner: SeqSpaceSpec):
-        self.inner = inner
-        self.window = inner.window.reversed()
+    def __init__(self, inner: SeqSpaceSpec, reverse: bool, scale: np.ndarray, spec, back=None):
+        if isinstance(inner, _Conjugated):
+            scale = (inner.scale[::-1] if reverse else inner.scale) * scale
+            inner, reverse = inner.inner, reverse != inner.reverse
+        if not np.all(np.isfinite(scale) & (scale > 0)):
+            raise ValueError("need one finite, strictly positive weight per index")
+        self.inner, self.reverse, self.scale, self._spec, self.back = (
+            inner, reverse, scale, spec, back)
+        self.window = inner.window.reversed() if reverse else inner.window
+        self._w = scale[::-1].copy() if reverse else scale  # in the inner order
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
-        return self.inner.norm_rows(V[:, ::-1])
+        return self.inner.norm_rows((V[:, ::-1] if self.reverse else V) * self._w)
 
     def unit_norm(self, n: int) -> float:
-        return self.inner.unit_norm(-(n + 1))
+        m = -(n + 1) if self.reverse else n
+        return float(self.scale[n - self.window.lo]) * self.inner.unit_norm(m)
 
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
-        return self.inner.norming_values(xv[::-1])[::-1]
+        g = self.inner.norming_values((xv[::-1] if self.reverse else xv) * self._w) * self._w
+        return g[::-1] if self.reverse else g
 
     def generator(self) -> OrliczFn | None:
         return self.inner.generator()
 
     def reversed_space(self) -> SeqSpaceSpec:
-        return self.inner
+        return super().reversed_space() if self.back is None else self.back
 
     def spec_string(self) -> str:
-        return f"rev:<{self.inner.spec_string()}>"
+        return self._spec()
 
 
 def GeometricWeighted(inner: SeqSpaceSpec, base: float) -> SeqSpaceSpec:
-    """E(b^n): ``inner`` at b = 1, the WeightedLp w_n b^n on its form (w, p), else a wrapper."""
+    """E(b^n): ``inner`` at b = 1, the WeightedLp w_n b^n on its form (w, p), else conjugated."""
     if base == 1.0:
         return inner
-    E, form = _GeometricWeighted(inner, base), inner.weighted_lp_form()
-    return E if form is None else WeightedLp(form[1], E.window, weights=form[0] * E._w)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = float(base) ** inner.window.indices().astype(float)
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError(f"weight base {base!r} gives weights b^n not all finite and > 0")
+    if (form := inner.weighted_lp_form()) is not None:
+        return WeightedLp(form[1], inner.window, weights=form[0] * w)
+    return _Conjugated(inner, False, w, lambda: f"seq:from:<{inner.spec_string()}>,"
+                                                f"weightbase={float(base)!r}")
 
 
 def OrderReversed(inner: SeqSpaceSpec) -> SeqSpaceSpec:

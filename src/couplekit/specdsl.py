@@ -9,6 +9,7 @@ Examples::
 
     lp:p=2                  linf
     lorentz:p=2,w=pow:0.5
+    lorentz:p=1.5,w=table:<-8.0,-2.0,0.0>:<-4.0,-1.0,0.0>   (<log t>:<log w>)
     orlicz:gen=<power:p=2>
     fromseq:<seq:orlicz-modular:gen=<example1>>
     seq:lpw:p=1             seq:linf  (= seq:lpw:p=inf: unit weights)
@@ -24,14 +25,14 @@ Examples::
 from __future__ import annotations
 
 from .errors import UsageError
-from .measure import UNIT, Window, default_unit_window
+from .measure import HALFLINE, UNIT, Z_MINUS, Window, default_unit_window
 from .orlicz import (MinimalFn, OrliczFn, brudnyi_pair, convexify,
                      elastic_non_lorentz, example1, logfactor_fn, power,
                      pwpower)
-from .spaces import (FromSequenceSpace, GeometricWeighted, LinftySeq, LpSpace,
-                     LorentzSpace, OrderReversed, OrliczModular, OrliczSpace,
-                     PowerWeight, SeqSpaceSpec, SpaceSpec, WeightedLp,
-                     dyadic_lp, linf_space)
+from .spaces import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftySeq,
+                     LpSpace, LorentzSpace, OrderReversed, OrliczModular,
+                     OrliczSpace, PowerWeight, SeqSpaceSpec, SpaceSpec,
+                     TableLogLinear, WeightedLp, WeightFn, dyadic_lp, linf_space)
 
 _FN_NAMES = ("lorentz", "orlicz", "fromseq", "linf", "lp")
 _SEQ_NAMES = ("seq:orlicz-modular", "seq:lpw", "seq:linf", "seq:from",
@@ -147,11 +148,14 @@ def parse_generator(spec: str) -> OrliczFn:
     raise UsageError(f"unknown generator {name!r}")
 
 
-def _parse_weight(val: str) -> PowerWeight:
+def _parse_weight(val: str) -> WeightFn:
     val = _strip(val)
     if val.startswith("pow:"):
         return PowerWeight(_num(val[4:]))
-    raise UsageError(f"unknown weight form {val!r} (use pow:<exponent>)")
+    cols = _split_top(val[6:], ":") if val.startswith("table:") else []
+    if len(cols) == 2:
+        return TableLogLinear(*([_num(v) for v in _strip(c).split(",")] for c in cols))
+    raise UsageError(f"unknown weight form {val!r} (use pow:<exponent> or table:<log t>:<log w>)")
 
 
 def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
@@ -160,6 +164,8 @@ def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
         window = default_unit_window()
     name, rest = _match_name(_strip(spec), _SEQ_NAMES)
     kwargs, positional = _parse_args(rest)
+    if name in ("seq:from", "seq:induced", "rev") and not positional:
+        raise UsageError(f"{name} needs a nested spec in <...>")
     if name == "seq:lpw":
         p = _num(kwargs["p"])
         if "weights" in kwargs:
@@ -177,17 +183,11 @@ def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
     if name == "seq:orlicz-modular":
         return OrliczModular(parse_generator(kwargs["gen"]), window)
     if name == "seq:from":
-        if not positional:
-            raise UsageError("seq:from needs a nested inner spec in <...>")
         return GeometricWeighted(parse_seq_space(positional[0], window), _num(kwargs["weightbase"]))
     if name == "seq:induced":
-        if not positional:
-            raise UsageError("seq:induced needs a nested function-space spec")
-        from .spaces import InducedSeq
-        return InducedSeq(parse_space(positional[0]), window)
+        domain = UNIT if window.kind == Z_MINUS else HALFLINE  # where the blocks lie
+        return InducedSeq(parse_space(positional[0], domain), window)
     if name == "rev":
-        if not positional:
-            raise UsageError("rev needs a nested spec in <...>")
         # the inner space lives on the reversed window, so the result is on window
         return OrderReversed(parse_seq_space(positional[0], window.reversed()))
     raise UsageError(f"unknown sequence space {name!r}")

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftySeq,
                        LorentzSpace, LpSpace, OrderReversed, OrliczModular,
-                       OrliczSpace, PowerWeight, SeqVec, StepFunction, TableLogLinear,
+                       OrliczSpace, PowerWeight, SeqSpaceSpec, SeqVec, StepFunction, TableLogLinear,
                        MinimalFn, UsageError, WeightedLp, Window, brudnyi_pair,
                        char_fn, convexify, dyadic_lp, elastic_non_lorentz, example1,
                        fit_separation, k_numeric, kappa_estimate, linf_space,
                        logfactor_fn, norming_functional, parse_any_space,
                        parse_generator, parse_seq_space, parse_space, power,
-                       pwpower, rearrange, rho_profile, seq_norm)
-from couplekit.spaces import (_GeometricWeighted, _OrderReversed, _luxemburg_log,
-                              shift_values)
+                       pwpower, rearrange, regularize, rho_profile, seq_norm)
+from couplekit.spaces import _Conjugated, _luxemburg_log, shift_values
 from couplekit.transfer import FUNCTIONAL_TOL
 from conftest import (SEARCH_SPACE_KINDS, random_seqvec, random_step,
                       search_space)
@@ -779,6 +778,60 @@ def test_rev_spec_lives_on_the_given_window():
 
 
 # ---------------------------------------------------------------------------
+# every spec string reparses to the same norms, or is refused
+# ---------------------------------------------------------------------------
+
+_CHAIN_OPS = ([None], [2 ** 0.5], [None, 2 ** 0.5], [0.7, None], [0.7, None, 1.3],
+              [None, 0.7, None])
+_SPEC_ZOO = [*(f"row:{k}" for k in sorted(_ROW_SPACES)),
+             *(f"one:{k}" for k in sorted(_one_of_each_seq_space(_ROWS_WIN))),
+             *(f"fn:{k}" for k in sorted(_FN_ROW_SPACES)),
+             *(f"chain:{inner}:{i}" for inner in ("modular", "induced")
+               for i in range(len(_CHAIN_OPS))),
+             "sampled:orlicz", "sampled:modular"]
+
+
+def _spec_zoo_space(name):
+    kind, key = name.split(":", 1)
+    if kind == "row":
+        return _ROW_SPACES[key](_ROWS_WIN)
+    if kind == "one":
+        return _one_of_each_seq_space(_ROWS_WIN)[key]
+    if kind == "fn":
+        return _fn_row_space(key)
+    if kind == "chain":
+        inner, i = key.split(":")
+        E = (OrliczModular(example1(), _ROWS_WIN) if inner == "modular"
+             else InducedSeq(_fn_row_space("lorentz-table"), _ROWS_WIN))
+        return _chain(E, _CHAIN_OPS[int(i)], OrderReversed, GeometricWeighted)
+    F = regularize(power(2), 2.0, np.linspace(0.0, 64.0, 513))
+    return OrliczSpace(F) if key == "orlicz" else OrderReversed(OrliczModular(F, _ROWS_WIN))
+
+
+@pytest.mark.parametrize("name", _SPEC_ZOO)
+def test_spec_string_reparses_to_the_same_norms(name):
+    X = _spec_zoo_space(name)
+    if name.startswith("sampled:"):
+        # no spec names a sampled profile, so no witness names the space
+        with pytest.raises(UsageError, match="sampled profile"):
+            X.spec_string()
+        assert "regularize<power>" in repr(X.generator())
+        return
+    rng = np.random.default_rng(11)
+    if isinstance(X, SeqSpaceSpec):
+        V = rng.lognormal(0.0, 1.5, (5, X.window.size)) * (rng.random((5, X.window.size)) < 0.6)
+        back = parse_seq_space(X.spec_string(), X.window)
+        assert type(back) is type(X)
+        assert np.array_equal(back.norm_rows(V), X.norm_rows(V)), name
+    else:
+        f = StepFunction(X.domain, (0.0, 0.05, 0.2, 0.45, 0.7, 1.0), (1.0,) * 5)
+        V = rng.lognormal(0.0, 1.5, (5, 5)) * (rng.random((5, 5)) < 0.6)
+        back = parse_space(X.spec_string(), X.domain, _ROWS_WIN)
+        assert type(back) is type(X)
+        assert np.array_equal(back.norm_rows_on(f)(V), X.norm_rows_on(f)(V)), name
+
+
+# ---------------------------------------------------------------------------
 # reversal and geometric weights of a weighted ell_p build a weighted ell_p
 # ---------------------------------------------------------------------------
 
@@ -794,8 +847,8 @@ def test_wrappers_fold_into_weighted_lp():
     assert parse_seq_space("seq:from:<seq:linf>,weightbase=1", win).spec_string() == "seq:linf"
     assert parse_seq_space("rev:<seq:linf>", win).spec_string() == "seq:linf"
     # only spaces without a weighted-lp form are wrapped
-    assert type(OrderReversed(M)) is _OrderReversed
-    assert type(GeometricWeighted(M, 0.7)) is _GeometricWeighted
+    assert type(OrderReversed(M)) is _Conjugated
+    assert type(GeometricWeighted(M, 0.7)) is _Conjugated
 
 
 def test_geometric_fold_reproducer_is_ell_infty():
@@ -818,23 +871,52 @@ _FOLD_WINDOWS = (Window("Z-", -16, -1), Window("Z", -8, 7), Window("Z+", 0, 11))
 
 @st.composite
 def _folded_chain(draw):
-    """A weighted ell_p (explicit, wexp or dyadic weights), up to three
-    reversals or geometric weightings, and rows of values on the result."""
+    """A weighted ell_p (explicit, wexp or dyadic weights), an Orlicz modular
+    or an induced Lorentz space, up to three reversals or geometric
+    weightings, and rows of values on the result."""
     win, p = draw(st.sampled_from(_FOLD_WINDOWS)), draw(st.sampled_from([1.0, 1.5, 2.0, 3.0,
                                                                           math.inf]))
-    kind = draw(st.sampled_from(["explicit", "wexp", "dyadic"]))
+    kind = draw(st.sampled_from(["explicit", "wexp", "dyadic", "modular", "induced"]))
     if kind == "explicit":
         w = draw(st.lists(st.floats(-3.0, 3.0).map(math.exp), min_size=win.size,
                           max_size=win.size))
         E = WeightedLp(p, win, weights=w)
     elif kind == "wexp":
         E = WeightedLp(p, win, wexp=draw(st.floats(-0.5, 0.5)))
-    else:
+    elif kind == "dyadic":
         E = dyadic_lp(p, win)
+    elif kind == "modular":
+        E = OrliczModular(example1(), win)
+    else:
+        domain = "unit" if win.kind == "Z-" else "halfline"
+        E = InducedSeq(LorentzSpace(2, PowerWeight(0.5), domain), win)
     ops = draw(st.lists(st.one_of(st.none(), st.floats(0.5, 2.0)), min_size=1, max_size=3))
     rows = draw(st.lists(st.lists(_ENTRY, min_size=win.size, max_size=win.size),
                          min_size=1, max_size=4))
     return E, ops, np.array(rows)
+
+
+class _Unfolded:
+    """Reference: a reversal (op None) or the weights b^n (op b) applied to the
+    rows of one inner space, one op per instance, without folding."""
+
+    def __init__(self, inner, op=None):
+        self.inner, self.op = inner, op
+        self.window = inner.window.reversed() if op is None else inner.window
+        self.w = None if op is None else op ** self.window.indices().astype(float)
+
+    def norm_rows(self, V):
+        return self.inner.norm_rows(V[:, ::-1] if self.op is None else V * self.w)
+
+    def unit_norm(self, n):
+        if self.op is None:
+            return self.inner.unit_norm(-(n + 1))
+        return float(self.w[n - self.window.lo]) * self.inner.unit_norm(n)
+
+    def norming_values(self, xv):
+        if self.op is None:
+            return self.inner.norming_values(xv[::-1])[::-1]
+        return self.inner.norming_values(xv * self.w) * self.w
 
 
 def _chain(E, ops, rev, geo):
@@ -848,16 +930,30 @@ def _chain(E, ops, rev, geo):
 def test_folded_space_matches_its_wrapper(case):
     E, ops, V = case
     S = _chain(E, ops, OrderReversed, GeometricWeighted)
-    ref = _chain(E, ops, _OrderReversed, _GeometricWeighted)
-    assert type(S) is WeightedLp and S.window == ref.window
-    assert np.allclose(S.norm_rows(V), ref.norm_rows(V), rtol=1e-15, atol=0.0)
-    assert [S.unit_norm(int(n)) for n in S.window.indices()] == [
-        ref.unit_norm(int(n)) for n in S.window.indices()]
-    for v, nrm in zip(V, S.norm_rows(V).tolist()):
-        if nrm > 0:
-            for g in (S.norming_values(v), ref.norming_values(v)):
-                assert abs(float(np.dot(v, g)) / nrm - 1.0) <= FUNCTIONAL_TOL
+    ref = _chain(E, ops, _Unfolded, _Unfolded)
+    lp = type(E) is WeightedLp
+    assert type(S) is (WeightedLp if lp else type(E) if S is E else _Conjugated)
+    assert S.window == ref.window
+    # one product per entry stays exact; a weighted ell_p, and two or more
+    # weightings, regroup the products of the weights.  The modular takes
+    # log |x| first, so an entry that moves by an ulp moves its norm by up to
+    # an ulp of log |x| (|log x| < 40 here): 1e-14 relative
+    exact = not lp and sum(op is not None and op != 1.0 for op in ops) <= 1
+    rtol = 1e-14 if type(E) is OrliczModular else 1e-15
+    ns = [int(n) for n in S.window.indices()]
+    got, want = S.norm_rows(V), ref.norm_rows(V)
+    units, ref_units = [S.unit_norm(n) for n in ns], [ref.unit_norm(n) for n in ns]
+    if exact:
+        assert np.array_equal(got, want) and units == ref_units
+    else:
+        assert np.allclose(got, want, rtol=rtol, atol=0.0)
+        assert np.allclose(units, ref_units, rtol=1e-15, atol=0.0)
+    if type(E) is not InducedSeq:  # no norming functional for a Lorentz space
+        for v, nrm in zip(V, got.tolist()):
+            if nrm > 0:
+                for g in (S.norming_values(v), ref.norming_values(v)):
+                    assert abs(float(np.dot(v, g)) / nrm - 1.0) <= FUNCTIONAL_TOL
     # the spec string reparses to the same norms, and a double reversal is S
     back = parse_seq_space(S.spec_string(), S.window)
-    assert type(back) is WeightedLp and np.array_equal(back.norm_rows(V), S.norm_rows(V))
-    assert np.array_equal(OrderReversed(OrderReversed(S)).norm_rows(V), S.norm_rows(V))
+    assert type(back) is type(S) and np.array_equal(back.norm_rows(V), got)
+    assert np.array_equal(OrderReversed(OrderReversed(S)).norm_rows(V), got)

@@ -8,9 +8,9 @@ concrete class from ``spaces`` outside the few deliberate exceptions
 (``transfer`` has none).  It also keeps one class per space (ell_infty is
 ``WeightedLp`` at p = inf with unit weights; ``LinftySeq`` only builds it; a
 reversed or geometrically weighted weighted ell_p is a ``WeightedLp``, and
-``OrderReversed`` and ``GeometricWeighted`` only build spaces, wrapping in the
-private ``_OrderReversed`` and ``_GeometricWeighted`` only spaces without a
-weighted-lp form, which answer neither ``weighted_lp_form`` nor ``is_linf``),
+``OrderReversed`` and ``GeometricWeighted`` only build spaces; every other
+space is reversed and weighted by the one private class ``_Conjugated``, which
+answers neither ``weighted_lp_form`` nor ``is_linf`` and never wraps itself),
 one norm formula per space --
 ``norm_rows`` per sequence space,
 ``norm_rows_on`` per function space, with the one-row ``norm_values`` and
@@ -23,12 +23,15 @@ representation of a family of block pairs.
 
 import ast
 import dataclasses
+import functools
+import itertools
 from pathlib import Path
 
 import pytest
 
 import couplekit.orlicz as orlicz
 import couplekit.spaces as spaces
+from couplekit import Window, parse_seq_space
 from couplekit.shift import InterlacedFamily
 
 SRC = Path(spaces.__file__).parent
@@ -76,15 +79,28 @@ def _spaces_imports(tree) -> set[str]:
 
 
 def test_concrete_classes_are_found():
-    assert {"LpSpace", "WeightedLp", "_OrderReversed", "_GeometricWeighted",
-            "InducedSeq"} <= _concrete_space_classes()
+    assert {"LpSpace", "WeightedLp", "_Conjugated", "InducedSeq"} <= _concrete_space_classes()
     assert "SpaceSpec" not in _concrete_space_classes()
     # ell_infty is WeightedLp at p = inf, not a class of its own, and the
     # public reversal and geometric weighting only build spaces
     assert not {"LinftySeq", "OrderReversed", "GeometricWeighted"} & _spaces_classes()
     # a wrapper answers no closed form of its own
-    for name in ("_OrderReversed", "_GeometricWeighted"):
-        assert not {"weighted_lp_form", "is_linf"} & set(vars(getattr(spaces, name))), name
+    assert not {"weighted_lp_form", "is_linf"} & set(vars(spaces._Conjugated))
+
+
+def test_one_conjugation_class():
+    # reversal and b^n weights have one class, and a chain of them folds into
+    # one instance around a space that is not conjugated
+    assert {name for name in _concrete_space_classes() if name.startswith("_")} == {"_Conjugated"}
+    win = Window("Z-", -6, -1)
+    for inner in ("seq:orlicz-modular:gen=<example1>", "seq:induced:<lorentz:p=2,w=pow:0.5>"):
+        for chain in itertools.product(("rev:<{}>", "seq:from:<{}>,weightbase=0.7",
+                                        "seq:from:<{}>,weightbase=1"), repeat=3):
+            spec = functools.reduce(lambda s, op: op.format(s), chain, inner)
+            E = parse_seq_space(spec, win)
+            assert E.window == win, spec
+            if isinstance(E, spaces._Conjugated):
+                assert not isinstance(E.inner, spaces._Conjugated), spec
 
 
 @pytest.mark.parametrize("module", MODULES)
