@@ -221,6 +221,11 @@ class Window:
     def size(self) -> int:
         return self.hi - self.lo + 1
 
+    @property
+    def domain(self) -> str:
+        """Where the blocks [2^n, 2^(n+1)) lie: [0, 1] on Z_-, else [0, inf)."""
+        return UNIT if self.kind == Z_MINUS else HALFLINE
+
     def indices(self) -> np.ndarray:
         return np.arange(self.lo, self.hi + 1)
 
@@ -333,8 +338,7 @@ class SeqVec:
 
     def to_step(self, domain: str | None = None) -> StepFunction:
         """Reconstruct sum x(n) chi_[2^n, 2^(n+1)) as a step function."""
-        if domain is None:
-            domain = UNIT if self.window.kind == Z_MINUS else HALFLINE
+        domain = domain or self.window.domain
         nz = np.nonzero(self.values)[0]
         if nz.size == 0:
             return zero_fn(domain)

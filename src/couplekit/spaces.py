@@ -40,22 +40,22 @@ closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
 ``norm_rows(V)``, ``e_space`` (the space itself), ``norming_values``,
 ``weighted_lp_form()``, ``is_linf``, ``generator()``.  A weighted ell_p is
 always a ``WeightedLp``: ``OrderReversed(E)`` is ``E.reversed_space()``, and
-``GeometricWeighted(E, b)`` is E at b = 1, else w_n b^n on E's form (w, p).
-Any other space is reversed and weighted by one class, ``_Conjugated``,
-which folds a chain of both into one reversal flag and one scale per index.
-``FromSequenceSpace`` delegates ``generator`` to E.
+``GeometricWeighted(E, b)`` is E at b = 1, else w_n b^n on E's form (w, p);
+any other space is reversed and weighted by ``_Conjugated``, which folds a
+chain of both.  ``FromSequenceSpace`` delegates ``generator`` to E.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .errors import ConvergenceError, UsageError, check_budget
-from .measure import (HALFLINE, UNIT, SeqVec, StepFunction, Window,
-                      dyadic_envelope, rearrange)
+from .measure import (UNIT, SeqVec, StepFunction, Window, dyadic_envelope,
+                      rearrange)
 from .orlicz import LOG2, OrliczFn, indices
 
 _OVERFLOW_RATIO = 1e12
@@ -148,8 +148,7 @@ class BoydIndices:
     method: str
 
     def to_json_dict(self):
-        return {"p": self.p, "q": self.q, "p_err": self.p_err,
-                "q_err": self.q_err, "method": self.method}
+        return asdict(self)
 
 
 class SpaceSpec:
@@ -258,8 +257,7 @@ class LorentzSpace(SpaceSpec):
 
     def _piece_integral(self, a: float, b: float) -> float:
         """int_a^b w(t)^p dt/t, exact per log-linear weight segment."""
-        p = self.p
-        w = self.weight
+        p, w = self.p, self.weight
         if isinstance(w, PowerWeight):
             s = w.exponent * p
             return (b ** s - a ** s) / s
@@ -455,13 +453,9 @@ class OrliczSpace(SpaceSpec):
         return br is not None and br.size == 1 and self.F.name == "power"
 
     def boyd(self) -> BoydIndices:
-        rep = indices(self.F)
-        if self.domain == "unit":
-            p, q = rep.boyd_unit
-            err = rep.err_inf
-        else:
-            p, q = rep.boyd_halfline
-            err = max(rep.err_inf, rep.err_0)
+        rep, unit = indices(self.F), self.domain == UNIT
+        p, q = rep.boyd_unit if unit else rep.boyd_halfline
+        err = rep.err_inf if unit else max(rep.err_inf, rep.err_0)
         return BoydIndices(p, q, err + 0.01, err + 0.01, "matuszewska")
 
     def generator(self) -> OrliczFn:
@@ -522,8 +516,7 @@ class SeqSpaceSpec:
         return np.array([self.unit_norm(int(n)) for n in self.window.indices()])
 
     def reversed_space(self) -> "SeqSpaceSpec":
-        return _Conjugated(self, True, np.ones(self.window.size),
-                           lambda: f"rev:<{self.spec_string()}>", back=self)
+        return _Conjugated(self, True, (), ("rev:<", ">"), back=self)
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -668,34 +661,38 @@ class OrliczModular(SeqSpaceSpec):
 
 
 class _Conjugated(SeqSpaceSpec):
-    """||x|| = ||(s x)~||_inner, one s_n > 0 per index, x~(n) = x(-(n+1)) if ``reverse``.
+    """||x|| = ||x~ s_1 ... s_k||_inner, x~(n) = x(-(n+1)) if ``reverse``, else x.
 
-    A conjugated ``inner`` folds in (its scale, reversed if ``reverse``, times
-    ``scale``; the reversals XORed), so ``inner`` is never conjugated and the
-    composed scale is checked once.  ``spec()`` writes the spec of the chain
-    that built the space, and a reversal returns to ``back`` when it is set.
+    A conjugated ``inner`` folds in (its s_i after these, these reversed if it
+    reverses; reversals XORed), so ``inner`` is never conjugated.  The s_i > 0
+    on inner's window multiply in the chain's order; their product is checked
+    once.  Spec: ``spec[0] + inner spec + spec[1]``; reversal returns ``back``.
     """
 
-    def __init__(self, inner: SeqSpaceSpec, reverse: bool, scale: np.ndarray, spec, back=None):
+    def __init__(self, inner: SeqSpaceSpec, reverse: bool, scales: tuple, spec, back=None):
         if isinstance(inner, _Conjugated):
-            scale = (inner.scale[::-1] if reverse else inner.scale) * scale
+            scales = tuple(s[::-1] if inner.reverse else s for s in scales) + inner.scales
+            spec = (spec[0] + inner.spec[0], inner.spec[1] + spec[1])
             inner, reverse = inner.inner, reverse != inner.reverse
-        if not np.all(np.isfinite(scale) & (scale > 0)):
-            raise ValueError("need one finite, strictly positive weight per index")
-        self.inner, self.reverse, self.scale, self._spec, self.back = (
-            inner, reverse, scale, spec, back)
+        with np.errstate(over="ignore"):  # the check below reports it
+            if not np.all(np.isfinite(s := reduce(np.multiply, scales, 1.0)) & (s > 0)):
+                raise ValueError("need one finite, strictly positive weight per index")
+        self.inner, self.reverse, self.scales, self.spec, self.back = (
+            inner, reverse, scales, spec, back)
         self.window = inner.window.reversed() if reverse else inner.window
-        self._w = scale[::-1].copy() if reverse else scale  # in the inner order
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
-        return self.inner.norm_rows((V[:, ::-1] if self.reverse else V) * self._w)
+        return self.inner.norm_rows(reduce(np.multiply, self.scales,
+                                           V[:, ::-1] if self.reverse else V))
 
     def unit_norm(self, n: int) -> float:
         m = -(n + 1) if self.reverse else n
-        return float(self.scale[n - self.window.lo]) * self.inner.unit_norm(m)
+        return reduce(lambda u, s: float(s[m - self.inner.window.lo]) * u,
+                      self.scales[::-1], self.inner.unit_norm(m))
 
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
-        g = self.inner.norming_values((xv[::-1] if self.reverse else xv) * self._w) * self._w
+        y = reduce(np.multiply, self.scales, xv[::-1] if self.reverse else xv)
+        g = reduce(np.multiply, self.scales[::-1], self.inner.norming_values(y))
         return g[::-1] if self.reverse else g
 
     def generator(self) -> OrliczFn | None:
@@ -705,7 +702,7 @@ class _Conjugated(SeqSpaceSpec):
         return super().reversed_space() if self.back is None else self.back
 
     def spec_string(self) -> str:
-        return self._spec()
+        return self.spec[0] + self.inner.spec_string() + self.spec[1]
 
 
 def GeometricWeighted(inner: SeqSpaceSpec, base: float) -> SeqSpaceSpec:
@@ -718,8 +715,7 @@ def GeometricWeighted(inner: SeqSpaceSpec, base: float) -> SeqSpaceSpec:
         raise ValueError(f"weight base {base!r} gives weights b^n not all finite and > 0")
     if (form := inner.weighted_lp_form()) is not None:
         return WeightedLp(form[1], inner.window, weights=form[0] * w)
-    return _Conjugated(inner, False, w, lambda: f"seq:from:<{inner.spec_string()}>,"
-                                                f"weightbase={float(base)!r}")
+    return _Conjugated(inner, False, (w,), ("seq:from:<", f">,weightbase={float(base)!r}"))
 
 
 def OrderReversed(inner: SeqSpaceSpec) -> SeqSpaceSpec:
@@ -773,7 +769,7 @@ class FromSequenceSpace(SpaceSpec):
     def __init__(self, E: SeqSpaceSpec):
         self.E = E
         self.window = E.window
-        self.domain = UNIT if self.window.kind == "Z-" else HALFLINE
+        self.domain = self.window.domain
         self.triangle_constant = 2.0
         self.kappa = kappa_estimate(E, budget=_KAPPA_BUDGET, seed=_KAPPA_SEED)
         if not (self.kappa.plus_est < 2.0):

@@ -25,7 +25,7 @@ Examples::
 from __future__ import annotations
 
 from .errors import UsageError
-from .measure import HALFLINE, UNIT, Z_MINUS, Window, default_unit_window
+from .measure import UNIT, Window, default_unit_window
 from .orlicz import (MinimalFn, OrliczFn, brudnyi_pair, convexify,
                      elastic_non_lorentz, example1, logfactor_fn, power,
                      pwpower)
@@ -93,9 +93,7 @@ def _parse_args(rest: str) -> tuple[dict, list]:
 
 
 def _strip(val: str) -> str:
-    if val.startswith("<") and val.endswith(">"):
-        return val[1:-1]
-    return val
+    return val[1:-1] if val.startswith("<") and val.endswith(">") else val
 
 
 def _num(val: str) -> float:
@@ -139,12 +137,10 @@ def parse_generator(spec: str) -> OrliczFn:
         return MinimalFn(_num(kwargs.get("alpha", "0.05")))
     if name == "brudnyi":
         sel = positional[0].upper() if positional else None
-        F, G = brudnyi_pair(_num(kwargs["p"]), _num(kwargs["q"]))
-        if sel == "F":
-            return F
-        if sel == "G":
-            return G
-        raise UsageError("brudnyi generator needs a :F or :G selector here")
+        pair = brudnyi_pair(_num(kwargs["p"]), _num(kwargs["q"]))
+        if sel not in ("F", "G"):
+            raise UsageError("brudnyi generator needs a :F or :G selector here")
+        return pair[sel == "G"]
     raise UsageError(f"unknown generator {name!r}")
 
 
@@ -185,8 +181,7 @@ def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
     if name == "seq:from":
         return GeometricWeighted(parse_seq_space(positional[0], window), _num(kwargs["weightbase"]))
     if name == "seq:induced":
-        domain = UNIT if window.kind == Z_MINUS else HALFLINE  # where the blocks lie
-        return InducedSeq(parse_space(positional[0], domain), window)
+        return InducedSeq(parse_space(positional[0], window.domain), window)
     if name == "rev":
         # the inner space lives on the reversed window, so the result is on window
         return OrderReversed(parse_seq_space(positional[0], window.reversed()))
@@ -215,8 +210,6 @@ def parse_space(spec: str, domain: str = UNIT,
 
 def parse_any_space(spec: str, domain: str = UNIT, window: Window | None = None):
     """Function space or sequence space, whichever the name resolves to."""
-    body = _strip(spec)
-    head = body.split(":", 1)[0]
-    if head in ("seq", "rev"):
+    if _strip(spec).split(":", 1)[0] in ("seq", "rev"):
         return parse_seq_space(spec, window)
     return parse_space(spec, domain, window)

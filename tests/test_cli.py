@@ -118,13 +118,13 @@ def test_budget_below_one_is_usage_error(tmp_path, capsys, argv, budget):
       for spec in ("seq:lpw:p=2,weights=<nan,1,1,1>", "seq:lpw:p=2,wexp=nan")],
     (["shift-test", "--space", "seq:lpw:p=2,wexp=2000", "--side", "rsp", "--window=-4:4:Z"],
      "need one finite, strictly positive weight per index"),
-    # each b^n is finite on [-64, -1], but their product underflows
-    (["shift-test", "--space", "seq:from:<seq:from:<seq:orlicz-modular:gen=<power:p=2>>,"
-      "weightbase=1e4>,weightbase=1e4", "--side", "rsp"],
-     "need one finite, strictly positive weight per index"),
+    # each b^n is finite on [-64, -1], but their product underflows or overflows
+    *[(["shift-test", "--space", "seq:from:<seq:from:<seq:orlicz-modular:gen=<power:p=2>>,"
+        f"weightbase={b}>,weightbase={b}", "--side", "rsp"],
+       "need one finite, strictly positive weight per index") for b in ("1e4", "1e-4")],
 ], ids=["lpw-without-p", "analyze-overflow", "verdict-overflow", "weightbase-nan",
         "weightbase-inf", "weightbase-huge", "weights-nan", "wexp-nan", "wexp-overflow",
-        "nested-weights-underflow"])
+        "nested-weights-underflow", "nested-weights-overflow"])
 @pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
 def test_bad_spec_is_usage_error(tmp_path, capsys, argv, detail):
     out = tmp_path / "out.json"

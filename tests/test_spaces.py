@@ -934,20 +934,16 @@ def test_folded_space_matches_its_wrapper(case):
     lp = type(E) is WeightedLp
     assert type(S) is (WeightedLp if lp else type(E) if S is E else _Conjugated)
     assert S.window == ref.window
-    # one product per entry stays exact; a weighted ell_p, and two or more
-    # weightings, regroup the products of the weights.  The modular takes
-    # log |x| first, so an entry that moves by an ulp moves its norm by up to
-    # an ulp of log |x| (|log x| < 40 here): 1e-14 relative
-    exact = not lp and sum(op is not None and op != 1.0 for op in ops) <= 1
-    rtol = 1e-14 if type(E) is OrliczModular else 1e-15
+    # a weighted ell_p multiplies its weights into one and sums in its own
+    # order; a conjugated space applies each op to the rows in the chain's
+    # order, so its norms are the chain's
     ns = [int(n) for n in S.window.indices()]
     got, want = S.norm_rows(V), ref.norm_rows(V)
-    units, ref_units = [S.unit_norm(n) for n in ns], [ref.unit_norm(n) for n in ns]
-    if exact:
-        assert np.array_equal(got, want) and units == ref_units
+    if lp:
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
     else:
-        assert np.allclose(got, want, rtol=rtol, atol=0.0)
-        assert np.allclose(units, ref_units, rtol=1e-15, atol=0.0)
+        assert np.array_equal(got, want)
+    assert [S.unit_norm(n) for n in ns] == [ref.unit_norm(n) for n in ns]
     if type(E) is not InducedSeq:  # no norming functional for a Lorentz space
         for v, nrm in zip(V, got.tolist()):
             if nrm > 0:
