@@ -120,6 +120,7 @@ def cmd_shift_test(args) -> int:
         "c_hat": est.c_hat,
         "evals": est.evals,
         "stop": est.stop,
+        "upper": est.upper,
         "witness": est.witness.to_json_dict() if est.witness else None,
     })
     return 0

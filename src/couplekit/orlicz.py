@@ -30,6 +30,12 @@ from .errors import UsageError
 LOG2 = math.log(2.0)
 
 
+def _spec_num(x: float) -> str:
+    """A number for a spec string: ``:g`` when that reads back exactly, else repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 # ---------------------------------------------------------------------------
 # core representation
 # ---------------------------------------------------------------------------
@@ -125,13 +131,13 @@ class OrliczFn:
         if self.sampled:
             raise UsageError(f"{self.name} is a sampled profile; no spec names it")
         # a ":F"/":G" selector in the name goes after the arguments, as the
-        # DSL reads it ("brudnyi:F" with p, q -> "brudnyi:p=1.5,q=3.0:F")
+        # DSL reads it ("brudnyi:F" with p, q -> "brudnyi:p=1.5,q=3:F")
         name, sel = self.name, ""
         if name[-2:] in (":F", ":G"):
             name, sel = name[:-2], name[-2:]
         if not self.params:
             return name + sel
-        args = ",".join(f"{k}={v}" for k, v in self.params.items())
+        args = ",".join(f"{k}={_spec_num(v)}" for k, v in self.params.items())
         return f"{name}:{args}{sel}"
 
     def __repr__(self):

@@ -7,10 +7,18 @@ supp x_1 < supp y_1 < supp x_2 < ..., and all scalars alpha,
     || sum alpha_n y_n || <= C || sum alpha_n x_n ||.
 
 A finite search can only falsify: ``shift_constant_estimate`` returns the
-best ratio found (a certified lower bound on the true constant) together
-with a replayable witness.  The vocabulary is therefore "RSP violated with
-witness (ratio r)" versus "consistent with RSP up to C-hat at this width".
-The left-shift property is evaluated as RSP of the order-reversed space.
+best ratio found (a lower bound on the true constant) together with a
+replayable witness.  The vocabulary is therefore "RSP violated with witness
+(ratio r)" versus "consistent with RSP up to C-hat at this width".  C-hat is
+a ratio computed in floating point, so it can exceed the true constant by a
+few ulps (1 + 2.2e-16 on a weighted ell_p); it is reported as computed.  The
+left-shift property is evaluated as RSP of the order-reversed space.
+
+Where a theorem fixes the constant, the searched space answers a certified
+upper bound (``SeqSpaceSpec.shift_upper()``: 1 on every weighted ell_p, whose
+blocks are disjoint), and the search stops once C-hat is within the ascent's
+accept margin ``ACCEPT_REL`` of it, as no further accept could beat the bound
+by more: exactly as if that level were its ``target``.
 
 A family is two arrays, ``InterlacedFamily(window, X, Y)``, read alike by the
 search, the witness JSON (validated again on replay) and ``rank_one_shift``.
@@ -46,9 +54,13 @@ from .spaces import SeqSpaceSpec, _ascend_steps
 
 RSP = "rsp"
 LSP = "lsp"
-# why a search stopped: its evaluation budget ran out, or C-hat reached target
+# why a search stopped: its evaluation budget ran out, C-hat reached target,
+# or C-hat met the space's certified upper bound within ACCEPT_REL
 STOP_BUDGET = "budget"
 STOP_TARGET = "target"
+STOP_UPPER = "upper"
+# the relative gain an ascent step must beat to be accepted
+ACCEPT_REL = 1e-12
 # random alpha restarts per generated family, and the block-length range of
 # the families a search generates
 RESTARTS_PER_FAMILY = 20
@@ -188,6 +200,11 @@ class ShiftWitness:
 
 @dataclass
 class ShiftEstimate:
+    """A search's C-hat (the best ratio computed, a lower bound up to a few
+    ulps) with its witness, the evaluations it spent, why it stopped (``stop``:
+    ``budget``, ``target`` or ``upper``) and the certified upper bound of the
+    searched space (``upper``, None when the space gives none)."""
+
     c_hat: float
     witness: ShiftWitness | None
     side: str
@@ -195,6 +212,7 @@ class ShiftEstimate:
     budget: int
     history: list[dict] = field(default_factory=list)
     stop: str = STOP_BUDGET
+    upper: float | None = None
 
 
 def _ratios(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -239,9 +257,9 @@ def _ascend(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, coords, factors,
 
     A sweep tries alpha_i * 4 and then alpha_i / 4 for i = 0, 1, ... (the
     family's ``coords`` and ``factors``), each trial built from the current
-    alpha, and accepts a trial that beats the ratio by more than 1e-12
-    relative; sweeps repeat while one accepts, and restart j consumes at most
-    ``caps[j]`` trials.  Driving an alpha_n down to ~0 deselects a useless
+    alpha, and accepts a trial that beats the ratio by more than
+    ``ACCEPT_REL`` relative; sweeps repeat while one accepts, and restart j
+    consumes at most ``caps[j]`` trials.  Driving an alpha_n down to ~0 deselects a useless
     pair, so large families self-prune.  Returns (r, alpha, consumed, log)
     per restart, the log as ``_ascend_steps`` keeps it; the restarts after the
     first that reaches ``target`` are cut short, as the search never reads
@@ -249,7 +267,7 @@ def _ascend(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, coords, factors,
     """
     return _ascend_steps(lambda A: _ratios(E, X, Y, A),
                          [[a, None, coords, factors, c] for a, c in zip(alphas, caps)],
-                         1e-12, sweeps=True, reach=target)
+                         ACCEPT_REL, sweeps=True, reach=target)
 
 
 def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
@@ -266,13 +284,17 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
     ``budget`` (at least 1) counts ratio
     evaluations (``evals``: a restart's start and the trials it consumes,
     known rejects included, not the speculative rows evaluated past an
-    accept), and ``stop`` says whether
-    the search ended on the budget or on reaching ``target``.  The returned
-    C-hat is a certified lower bound for the true shift constant; the
-    incumbent (witness of a previous run, possibly on a narrower window) is
-    never discarded, so the estimate is monotone in budget and window.  LSP
-    is evaluated as RSP of the order-reversed space and the witness is
-    recorded against the original space.
+    accept), and ``stop`` says whether the search ended on the budget, on
+    reaching ``target``, or on meeting ``upper``: the searched space's
+    ``shift_upper()`` bound, reached once C-hat >= upper / (1 + ACCEPT_REL).
+    That stop is checked wherever ``target`` is, so the result equals the
+    run with that level as its target; a space without a bound runs the
+    search unchanged.  The returned C-hat is the best ratio computed in
+    floating point, a lower bound for the true shift constant up to a few
+    ulps; the incumbent (witness of a previous run, possibly on a narrower
+    window) is never discarded, so the estimate is monotone in budget and
+    window.  LSP is evaluated as RSP of the order-reversed space and the
+    witness is recorded against the original space.
     """
     _check_side(side)
     check_budget(budget)
@@ -281,6 +303,11 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
         raise UsageError(f"n_pairs_range must satisfy 1 <= low <= high; got {n_pairs_range}")
     work = E if side == RSP else E.reversed_space()
     win = work.window
+    upper = work.shift_upper()
+    level = target  # the ratio that ends the search
+    if upper is not None:
+        bound = upper / (1 + ACCEPT_REL)
+        level = bound if target is None else min(target, bound)
     rng = np.random.default_rng(seed)
 
     best_ratio = 0.0
@@ -308,7 +335,7 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
             # each lane's cap bounds its real one from above
             k = min(wave, RESTARTS_PER_FAMILY - i, (budget - evals - 1) // least + 1)
             lanes = _ascend(work, fam.X, fam.Y, coords, factors, starts[i:i + k],
-                            [budget - evals - j * least - 1 for j in range(k)], target)
+                            [budget - evals - j * least - 1 for j in range(k)], level)
             wave = min(2 * wave, RESTARTS_PER_FAMILY)
             for r, alpha, used, log in lanes:
                 if evals >= budget or done:
@@ -320,17 +347,21 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
                 i += 1
                 if r > best_ratio:
                     best_ratio, best = r, (fam, list(alpha))
-                if target is not None and best_ratio >= target:
-                    done = True  # witness level reached
+                if level is not None and best_ratio >= level:
+                    done = True  # witness level or certified bound reached
 
     witness = None
     if best is not None:
         witness = ShiftWitness(E.spec_string(), side, win, best[0],
                                [float(a) for a in best[1]], float(best_ratio),
                                seed)
-    stop = STOP_TARGET if target is not None and best_ratio >= target else STOP_BUDGET
+    stop = STOP_BUDGET
+    if target is not None and best_ratio >= target:
+        stop = STOP_TARGET
+    elif level is not None and best_ratio >= level:
+        stop = STOP_UPPER
     return ShiftEstimate(float(best_ratio), witness, side, evals, budget,
-                         stop=stop)
+                         stop=stop, upper=upper)
 
 
 def shift_schedule(space_factory, side: str, widths, budget: int, seed: int,

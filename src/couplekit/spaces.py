@@ -38,11 +38,12 @@ closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
 ``InducedSeq``), ``norm_rows_on(f)``, ``weighted_lp_form_on(f)``, ``boyd()``,
 ``exact_weighted_lp``, ``is_linf``, ``generator()``.  ``SeqSpaceSpec``:
 ``norm_rows(V)``, ``e_space`` (the space itself), ``norming_values``,
-``weighted_lp_form()``, ``is_linf``, ``generator()``.  A weighted ell_p is
-always a ``WeightedLp``: ``OrderReversed(E)`` is ``E.reversed_space()``, and
-``GeometricWeighted(E, b)`` is E at b = 1, else w_n b^n on E's form (w, p);
-any other space is reversed and weighted by ``_Conjugated``, which folds a
-chain of both.  ``FromSequenceSpace`` delegates ``generator`` to E.
+``weighted_lp_form()``, ``shift_upper()``, ``is_linf``, ``generator()``.  A
+weighted ell_p is always a ``WeightedLp``: ``OrderReversed(E)`` is
+``E.reversed_space()``, and ``GeometricWeighted(E, b)`` is E at b = 1, else
+w_n b^n on E's form (w, p); any other space is reversed and weighted by
+``_Conjugated``, which folds a chain of both.  ``FromSequenceSpace``
+delegates ``generator`` to E.
 """
 
 from __future__ import annotations
@@ -56,17 +57,11 @@ import numpy as np
 from .errors import ConvergenceError, UsageError, check_budget
 from .measure import (UNIT, SeqVec, StepFunction, Window, dyadic_envelope,
                       rearrange)
-from .orlicz import LOG2, OrliczFn, indices
+from .orlicz import LOG2, OrliczFn, _spec_num, indices
 
 _OVERFLOW_RATIO = 1e12
 # kappa_estimate budget and seed behind FromSequenceSpace's kappa_+ < 2 check
 _KAPPA_BUDGET, _KAPPA_SEED = 400, 0
-
-
-def _spec_num(x: float) -> str:
-    """A number for a spec string: ``:g`` when that reads back exactly, else repr."""
-    short = f"{x:g}"
-    return short if float(short) == x else repr(x)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +405,12 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
         f"[{los[0]!r}, {his[0]!r}])")
 
 
+def _is_power(F: OrliczFn) -> bool:
+    """F(x) = x^p: L_F is L_p, and its modular space the weighted ell_p 2^(n/p)."""
+    br = F.breaks()
+    return br is not None and br.size == 1 and F.name == "power"
+
+
 class OrliczSpace(SpaceSpec):
     """Luxemburg norm inf{alpha : int F(|f|/alpha) <= 1} of a step function.
 
@@ -449,8 +450,7 @@ class OrliczSpace(SpaceSpec):
 
     @property
     def exact_weighted_lp(self) -> bool:
-        br = self.F.breaks()
-        return br is not None and br.size == 1 and self.F.name == "power"
+        return _is_power(self.F)
 
     def boyd(self) -> BoydIndices:
         rep, unit = indices(self.F), self.domain == UNIT
@@ -496,6 +496,10 @@ class SeqSpaceSpec:
 
     def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
         """(weights, p) when the space is a weighted ell_p, else None."""
+        return None
+
+    def shift_upper(self) -> float | None:
+        """A certified upper bound on the space's right-shift constant, or None."""
         return None
 
     def generator(self) -> OrliczFn | None:
@@ -582,6 +586,12 @@ class WeightedLp(SeqSpaceSpec):
     def weighted_lp_form(self) -> tuple[np.ndarray, float]:
         return self.weights, self.p
 
+    def shift_upper(self) -> float:
+        """1: the blocks are disjoint, so ||sum a_n y_n||^p = sum |a_n|^p ||y_n||^p
+        <= sum |a_n|^p ||x_n||^p = ||sum a_n x_n||^p (the max of the same
+        terms for p = inf), whatever the weights."""
+        return 1.0
+
     def reversed_space(self) -> "WeightedLp":
         return WeightedLp(self.p, self.window.reversed(), weights=self.weights[::-1].copy())
 
@@ -652,6 +662,10 @@ class OrliczModular(SeqSpaceSpec):
         denom = float(np.dot(xhat[nz], g[nz]))
         g[nz] = np.sign(xv[nz]) * g[nz] / denom
         return g
+
+    def shift_upper(self) -> float | None:
+        """1 when F is a power, as the space is then a weighted ell_p."""
+        return 1.0 if _is_power(self.F) else None
 
     def generator(self) -> OrliczFn:
         return self.F
@@ -745,6 +759,10 @@ class InducedSeq(SeqSpaceSpec):
         if isinstance(self.space, LpSpace):
             return self.space.e_space(self.window).norming_values(xv)
         return super().norming_values(xv)
+
+    def shift_upper(self) -> float | None:
+        """1 when the space's E_X is exactly a weighted ell_p."""
+        return 1.0 if self.space.exact_weighted_lp else None
 
     def spec_string(self) -> str:
         return f"seq:induced:<{self.space.spec_string()}>"

@@ -66,8 +66,8 @@ def _stretchability_evidence(space: SpaceSpec, window: Window, budget: int,
                              seed: int) -> dict:
     """Evidence record for 'E_X has RSP': exact class, witness, or consistency."""
     if space.exact_weighted_lp:
-        return {"kind": "exact-weighted-lp", "constant": 1.0, "certified": True,
-                "stretchable": True}
+        return {"kind": "exact-weighted-lp", "constant": space.e_space(window).shift_upper(),
+                "certified": True, "stretchable": True}
     F = space.generator()
     if F is not None:
         rep = elasticity_report(F)

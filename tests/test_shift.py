@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from couplekit import (GeometricWeighted, InterlacedFamily, LinftySeq,
                        family_ratio, gen_interlaced, parse_seq_space, parse_space,
                        replay_witness, shift_constant_estimate,
                        shift_schedule)
-from couplekit.shift import (BLOCK_LEN_RANGE, RESTARTS_PER_FAMILY, STOP_BUDGET,
-                             STOP_TARGET, _ratios)
+from couplekit.shift import (ACCEPT_REL, BLOCK_LEN_RANGE, RESTARTS_PER_FAMILY, STOP_BUDGET,
+                             STOP_TARGET, STOP_UPPER, _ratios)
 
 WIN = Window("Z", -12, 12)
 
@@ -57,6 +58,45 @@ def test_weighted_lp_rsp_constant_is_one(p, rng):
     assert est.c_hat <= 1.0 + 1e-6
     est2 = shift_constant_estimate(E, "lsp", budget=1200, seed=3)
     assert est2.c_hat <= 1.0 + 1e-6
+
+
+class _Unbounded(WeightedLp):
+    """The same weighted ell_p without its certified bound: the search's path
+    for a space that gives none."""
+
+    def shift_upper(self):
+        return None
+
+    def reversed_space(self):
+        return _Unbounded(self.p, self.window.reversed(), weights=self.weights[::-1].copy())
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]), kind=st.sampled_from(["Z", "Z-"]),
+       size=st.integers(8, 40), side=st.sampled_from(["rsp", "lsp"]),
+       budget=st.integers(1, 3000), incumbent=st.integers(0, 40),
+       seed=st.integers(0, 2 ** 16))
+def test_weighted_lp_search_stops_on_its_bound(p, kind, size, side, budget, incumbent, seed):
+    # stopping on the bound 1 is the plain search with target 1 / (1 + ACCEPT_REL)
+    w = np.random.default_rng(seed).lognormal(0.0, 1.0, size)
+    win = Window("Z", -(size // 2), size - size // 2 - 1) if kind == "Z" else \
+        Window("Z-", -size, -1)
+    E, plain = WeightedLp(p, win, weights=w), _Unbounded(p, win, weights=w)
+    pairs = (1, 4)  # a window of 8 packs one pair of blocks up to 3 long
+    inc = None
+    if incumbent:  # a short earlier search's witness, or none
+        inc = shift_constant_estimate(E, side, budget=incumbent, seed=seed + 1,
+                                      n_pairs_range=pairs)
+    est = shift_constant_estimate(E, side, budget=budget, seed=seed, incumbent=inc,
+                                  n_pairs_range=pairs)
+    ref = shift_constant_estimate(plain, side, budget=budget, seed=seed, incumbent=inc,
+                                  n_pairs_range=pairs, target=1 / (1 + ACCEPT_REL))
+    assert (est.c_hat, est.evals, est.upper, ref.upper) == (ref.c_hat, ref.evals, 1.0, None)
+    assert json.dumps(est.witness.to_json_dict()) == json.dumps(ref.witness.to_json_dict())
+    assert est.evals <= budget
+    assert est.stop == (STOP_UPPER if est.c_hat >= 1 / (1 + ACCEPT_REL) else STOP_BUDGET)
+    assert est.c_hat <= 1 + 1e-13
+    assert replay_witness(E, est.witness) == est.c_hat
 
 
 def test_linf_constant_is_one():
@@ -225,11 +265,16 @@ def test_inelastic_modular_space_has_witness():
 
 
 def test_stop_reason_budget():
-    E = dyadic_lp(2, WIN)
+    E = OrliczModular(example1(), Window("Z-", -24, -1))
     est = shift_constant_estimate(E, "rsp", budget=300, seed=2)
-    assert (est.stop, est.evals) == (STOP_BUDGET, 300)
+    assert (est.stop, est.evals, est.upper) == (STOP_BUDGET, 300, None)
     high = shift_constant_estimate(E, "rsp", budget=300, seed=2, target=50.0)
     assert (high.stop, high.evals) == (STOP_BUDGET, 300)
+    # a weighted ell_p has the certified bound 1, which ends the search first
+    E = dyadic_lp(2, WIN)
+    for target in (None, 50.0):
+        est = shift_constant_estimate(E, "rsp", budget=300, seed=2, target=target)
+        assert (est.stop, est.upper) == (STOP_UPPER, 1.0) and est.evals < 300
 
 
 def test_stop_reason_target():
@@ -245,6 +290,9 @@ def test_schedule_stop_reason():
     hit = shift_schedule(factory, "rsp", [12, 24], budget=200, seed=1, target=0.5)
     assert hit.stop == STOP_TARGET and len(hit.history) == 1
     miss = shift_schedule(factory, "rsp", [12, 24], budget=200, seed=1, target=50.0)
+    assert miss.stop == STOP_UPPER and len(miss.history) == 2
+    miss = shift_schedule(lambda width: OrliczModular(example1(), Window("Z-", -width, -1)),
+                          "rsp", [12, 24], budget=200, seed=1, target=50.0)
     assert miss.stop == STOP_BUDGET and len(miss.history) == 2
 
 
@@ -256,10 +304,14 @@ def test_schedule_needs_a_width():
 
 def _sequential_search(E, side, budget, seed, n_pairs_range=(2, 6), incumbent=None,
                        target=None):
-    """The trial-by-trial ascent: one ratio, two ``norm_values`` calls, per trial."""
+    """The trial-by-trial ascent: one ratio, two ``norm_values`` calls, per trial.
+    It stops at ``target`` or at the searched space's certified bound."""
     work = E if side == "rsp" else E.reversed_space()
     win = work.window
     rng = np.random.default_rng(seed)
+    upper = work.shift_upper()
+    bound = None if upper is None else upper / (1 + ACCEPT_REL)
+    level = min((t for t in (target, bound) if t is not None), default=None)
 
     def ratio(X, Y, alpha):
         den = work.norm_values(alpha @ X)
@@ -306,11 +358,13 @@ def _sequential_search(E, side, budget, seed, n_pairs_range=(2, 6), incumbent=No
                         break
             if r > best_ratio:
                 best_ratio, best = r, (fam, [float(a) for a in alpha])
-            if target is not None and best_ratio >= target:
+            if level is not None and best_ratio >= level:
                 done = True
     witness = None if best is None else ShiftWitness(
         E.spec_string(), side, win, best[0], [float(a) for a in best[1]], float(best_ratio), seed)
-    stop = STOP_TARGET if done else STOP_BUDGET
+    stop = STOP_BUDGET
+    if level is not None and best_ratio >= level:
+        stop = STOP_TARGET if target is not None and best_ratio >= target else STOP_UPPER
     return float(best_ratio), evals, witness, stop
 
 
@@ -337,8 +391,10 @@ def _assert_same_search(E, side, budget, seed, pairs, incumbent=None, target=Non
      "lsp", 200, 9, (3, 10)),
 ])
 def test_batched_search_equals_sequential_ascent(make, side, budget, seed, pairs):
-    est = _assert_same_search(make(), side, budget, seed, pairs)
-    assert est.stop == STOP_BUDGET
+    E = make()
+    est = _assert_same_search(E, side, budget, seed, pairs)
+    # a weighted ell_p stops on its certified bound 1, any other space on the budget
+    assert est.stop == (STOP_BUDGET if E.shift_upper() is None else STOP_UPPER)
 
 
 def MODULAR():
@@ -499,9 +555,11 @@ def test_weighted_lp_search_work(monkeypatch):
     rows = _norm_rows_counter(monkeypatch, WeightedLp)
     est = shift_constant_estimate(dyadic_lp(2, Window("Z", -16, 16)), "rsp", budget=3000,
                                   seed=5)
-    assert est.evals == 3000
-    # one restart at a time it took 746 calls for the same 6,268 rows
-    assert len(rows) <= 80 and sum(rows) == 6268
+    # the first restart meets the certified bound 1 after its first sweep:
+    # 8 rows to draw the family, 8 to validate it and 18 for 9 ratios; without
+    # the bound it ran the whole budget, 3,000 evals in 6,268 rows
+    assert (est.evals, est.stop, est.c_hat) == (9, STOP_UPPER, 1.0)
+    assert rows == [8, 8, 18]
 
 
 def test_fromseq_kappa_work(monkeypatch):

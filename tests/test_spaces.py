@@ -447,6 +447,30 @@ def test_spec_strings_keep_every_digit_of_p(rng):
     assert (back.p, back.weight.exponent) == (L.p, L.weight.exponent)
 
 
+_BF, _BG = brudnyi_pair(1.5, 3)
+_GEN_SPECS = [
+    (power(2), "power:p=2"), (power(2.5), "power:p=2.5"), (pwpower(2, 3), "pwpower:p0=2,p1=3"),
+    (logfactor_fn(1.5), "logfactor:p=1.5"), (example1(), "example1"),
+    (elastic_non_lorentz(), "elastic-nl"), (MinimalFn(0.05), "minimal:alpha=0.05"),
+    (_BF, "brudnyi:p=1.5,q=3:F"), (_BG, "brudnyi:p=1.5,q=3:G"),
+    (convexify(power(2)), "convexify<power:p=2>"), (power(2.123456789), "power:p=2.123456789"),
+]
+
+
+@pytest.mark.parametrize("F, text", _GEN_SPECS, ids=[text for _, text in _GEN_SPECS])
+def test_generator_spec_is_a_fixed_point_of_parse_and_write(F, text, rng):
+    # each parameter is written as the DSL reads it back, whether it was
+    # given as an int or parsed as a float
+    assert F.spec_string() == text
+    back = parse_generator(text)
+    assert back.spec_string() == text
+    win = Window("Z-", -16, -1)
+    E, E2 = OrliczModular(F, win), parse_seq_space(f"seq:orlicz-modular:gen=<{text}>", win)
+    assert E2.spec_string() == E.spec_string()
+    V = np.stack([random_seqvec(rng, win).values for _ in range(4)])
+    assert np.array_equal(E2.norm_rows(V), E.norm_rows(V))
+
+
 def _assert_same_weighted_lp(E, back, rng):
     assert np.array_equal(back.unit_norms(), E.unit_norms())
     x = random_seqvec(rng, E.window)
@@ -597,10 +621,19 @@ def test_parse_any_space_dispatch():
     assert isinstance(parse_any_space("seq:lpw:p=2"), WeightedLp)
 
 
-@pytest.mark.parametrize("F", [
+# case names spell the constructor arguments as written here, so they do not
+# follow the number format of spec_string
+_ROUND_TRIP_ZOO = [
     power(2.5), pwpower(1.5, 3.0), logfactor_fn(1.25), example1(),
     elastic_non_lorentz(), *brudnyi_pair(1.5, 3.0), MinimalFn(0.04),
-], ids=lambda F: F.spec_string())
+]
+_ROUND_TRIP_IDS = [
+    "power:p=2.5", "pwpower:p0=1.5,p1=3.0", "logfactor:p=1.25", "example1",
+    "elastic-nl", "brudnyi:p=1.5,q=3.0:F", "brudnyi:p=1.5,q=3.0:G", "minimal:alpha=0.04",
+]
+
+
+@pytest.mark.parametrize("F", _ROUND_TRIP_ZOO, ids=_ROUND_TRIP_IDS)
 def test_generator_spec_round_trip(F):
     back = parse_generator(F.spec_string())
     assert (back.name, back.spec_string()) == (F.name, F.spec_string())
@@ -608,10 +641,7 @@ def test_generator_spec_round_trip(F):
     assert np.array_equal(back.log_eval(u), F.log_eval(u))
 
 
-@pytest.mark.parametrize("F", [
-    power(2.5), pwpower(1.5, 3.0), logfactor_fn(1.25), example1(),
-    elastic_non_lorentz(), *brudnyi_pair(1.5, 3.0), MinimalFn(0.04),
-], ids=lambda F: F.spec_string())
+@pytest.mark.parametrize("F", _ROUND_TRIP_ZOO, ids=_ROUND_TRIP_IDS)
 def test_convexify_spec_round_trip(F):
     C = convexify(F)
     assert C.spec_string() == f"convexify<{F.spec_string()}>"

@@ -99,6 +99,13 @@ def test_power_orlicz_vs_linf_calderon():
     assert rep.verdict == "calderon"
 
 
+@pytest.mark.parametrize("X", ["lp:p=2", "orlicz:gen=<power:p=2>", "lorentz:p=2,w=pow:0.5"])
+def test_exact_weighted_lp_constant_is_the_spaces_bound(X):
+    # the constant is the certified bound E_X answers, whatever class E_X is
+    ev = classify_couple(parse_space(X), linf_space()).evidence["stretchability_X"]
+    assert (ev["kind"], ev["constant"], ev["certified"]) == ("exact-weighted-lp", 1.0, True)
+
+
 def test_boyd_gap_route_both_exact():
     rep = classify_couple(LpSpace(1), LpSpace(4))
     assert "separated-Boyd" in rep.applicable[0]
