@@ -50,7 +50,13 @@ def _t_grid_arg(text: str) -> list[float]:
     a, b, n = float(parts[1]), float(parts[2]), int(parts[3])
     if n < 1:
         raise UsageError(f"t-grid needs at least one point, got n = {n}")
-    return [float(2.0 ** e) for e in np.linspace(a, b, n)]
+    es = np.linspace(a, b, n)
+    with np.errstate(over="ignore"):  # the check below reports it
+        ts = [float(2.0 ** e) for e in es]
+    for e, t in zip(es.tolist(), ts):
+        if not 0 < t < math.inf:
+            raise UsageError(f"t-grid point 2^{e!r} is not finite and > 0")
+    return ts
 
 
 def _write_json(path: str, payload: dict):

@@ -156,8 +156,8 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
     tol * value; the sweep cap leaves ``converged=False`` with the best
     value intact, and ``lower`` is a numeric gap estimate only.
     """
-    if t <= 0:
-        raise ValueError("K-functional needs t > 0")
+    if not 0 < t < math.inf:
+        raise ValueError(f"K-functional needs a finite t > 0; got {t!r}")
     sequence_like = isinstance(f, SeqVec)
     if sequence_like:
         a = np.abs(f.values)
@@ -439,8 +439,8 @@ def k_profile(f, X, Y, t_grid, tol: float = 1e-8):
     """Rows (t, K, x_mass, y_mass, lower, converged) along an increasing
     positive t grid; ``lower`` and ``converged`` are as in ``k_numeric``."""
     ts = [float(t) for t in t_grid]
-    if any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t grid must be positive and increasing")
+    if not all(0 < t < math.inf for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError("t grid must be finite, positive and increasing")
     results = [k_numeric(t, f, X, Y, tol) for t in ts]
     return [
         {"t": r.t, "K": r.value, "x_mass": r.x_mass, "y_mass": r.y_mass,

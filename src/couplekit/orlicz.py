@@ -848,8 +848,8 @@ def _counter_kappa(x: float) -> float:
 
 
 def _counter_log_threshold(C: float) -> float:
-    if C <= 1:
-        raise ValueError("counter threshold C must exceed 1")
+    if not 1 < C < math.inf:
+        raise ValueError(f"counter threshold C must be finite and exceed 1; got {C!r}")
     return math.log(C)
 
 
@@ -992,6 +992,8 @@ def elasticity_report(F: OrliczFn, C0: float = 4.0, x_grid=None,
     if x_grid is None:
         x_grid = 2.0 ** -np.arange(4, 17, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
+    if x_grid.size < 2:
+        raise ValueError(f"x_grid needs at least two points for the fit; got {x_grid.size}")
     if np.any(np.diff(x_grid) >= 0):
         raise ValueError("x_grid must be decreasing")
     kappas = [_counter_kappa(x) for x in x_grid]

@@ -15,10 +15,12 @@ few ulps (1 + 2.2e-16 on a weighted ell_p); it is reported as computed.  The
 left-shift property is evaluated as RSP of the order-reversed space.
 
 Where a theorem fixes the constant, the searched space answers a certified
-upper bound (``SeqSpaceSpec.shift_upper()``: 1 on every weighted ell_p, whose
-blocks are disjoint), and the search stops once C-hat is within the ascent's
-accept margin ``ACCEPT_REL`` of it, as no further accept could beat the bound
-by more: exactly as if that level were its ``target``.
+upper bound (``SeqSpaceSpec.shift_upper()``: 1 on every space that is exactly
+a weighted ell_p, whose blocks are disjoint).  One stop rule: the search ends
+once C-hat reaches the lower of ``target`` and the bound over the ascent's
+accept margin ``ACCEPT_REL`` (no accept could beat the bound by more), tested
+on the incumbent and after each restart; ``shift_schedule`` ends on the first
+stage that stops before its budget.
 
 A family is two arrays, ``InterlacedFamily(window, X, Y)``, read alike by the
 search, the witness JSON (validated again on replay) and ``rank_one_shift``.
@@ -250,26 +252,6 @@ def _embed_family(fam: InterlacedFamily, window: Window) -> InterlacedFamily:
     return InterlacedFamily(window, *B)
 
 
-def _ascend(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, coords, factors,
-            alphas, caps, target: float | None) -> list[tuple]:
-    """Multiplicative coordinate ascents of the ratio, one from each alpha in
-    ``alphas`` (ratio evaluated first), run as lanes of ``spaces._ascend_steps``.
-
-    A sweep tries alpha_i * 4 and then alpha_i / 4 for i = 0, 1, ... (the
-    family's ``coords`` and ``factors``), each trial built from the current
-    alpha, and accepts a trial that beats the ratio by more than
-    ``ACCEPT_REL`` relative; sweeps repeat while one accepts, and restart j
-    consumes at most ``caps[j]`` trials.  Driving an alpha_n down to ~0 deselects a useless
-    pair, so large families self-prune.  Returns (r, alpha, consumed, log)
-    per restart, the log as ``_ascend_steps`` keeps it; the restarts after the
-    first that reaches ``target`` are cut short, as the search never reads
-    them.
-    """
-    return _ascend_steps(lambda A: _ratios(E, X, Y, A),
-                         [[a, None, coords, factors, c] for a, c in zip(alphas, caps)],
-                         ACCEPT_REL, sweeps=True, reach=target)
-
-
 def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
                             budget: int = 10000, seed: int = 0,
                             n_pairs_range=(2, 6),
@@ -277,24 +259,27 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
                             target: float | None = None) -> ShiftEstimate:
     """Maximize the interlaced ratio by random families plus coordinate ascent.
 
-    A family's restarts climb in doubling waves of lanes (see ``_ascend``);
-    the budget, the best ratio and ``target`` are replayed in restart order,
-    and a restart the budget cuts ends at the last accept its lane logged
-    before the cut, so every result is that of one restart after another.
-    ``budget`` (at least 1) counts ratio
-    evaluations (``evals``: a restart's start and the trials it consumes,
-    known rejects included, not the speculative rows evaluated past an
-    accept), and ``stop`` says whether the search ended on the budget, on
-    reaching ``target``, or on meeting ``upper``: the searched space's
-    ``shift_upper()`` bound, reached once C-hat >= upper / (1 + ACCEPT_REL).
-    That stop is checked wherever ``target`` is, so the result equals the
-    run with that level as its target; a space without a bound runs the
-    search unchanged.  The returned C-hat is the best ratio computed in
-    floating point, a lower bound for the true shift constant up to a few
-    ulps; the incumbent (witness of a previous run, possibly on a narrower
-    window) is never discarded, so the estimate is monotone in budget and
-    window.  LSP is evaluated as RSP of the order-reversed space and the
-    witness is recorded against the original space.
+    A restart climbs from a random alpha: a sweep tries alpha_i * 4 and then
+    alpha_i / 4 for i = 0, 1, ..., each trial built from the current alpha,
+    and accepts a trial that beats the ratio by more than ``ACCEPT_REL``
+    relative; sweeps repeat while one accepts.  Driving an alpha_n down to ~0
+    deselects a useless pair, so large families self-prune.  A family's
+    restarts run in doubling waves of lanes of ``spaces._ascend_steps``; the
+    budget, the best ratio and the stop are replayed in restart order, and a
+    restart the budget cuts ends at the last accept its lane logged before
+    the cut, so every result is that of one restart after another.
+    ``budget`` (at least 1) counts ratio evaluations (``evals``: the
+    incumbent, a restart's start and the trials it consumes, known rejects
+    included, not the speculative rows evaluated past an accept).  The search
+    ends once C-hat reaches the lower of ``target`` and upper / (1 +
+    ACCEPT_REL), ``upper`` being the searched space's ``shift_upper()``
+    bound; ``stop`` says whether it ended on the budget, on ``target`` or on
+    ``upper``.  The returned C-hat is the best ratio computed in floating
+    point, a lower bound for the true shift constant up to a few ulps; the
+    incumbent (witness of a previous run, possibly on a narrower window) is
+    never discarded, so the estimate is monotone in budget and window.  LSP
+    is evaluated as RSP of the order-reversed space and the witness is
+    recorded against the original space.
     """
     _check_side(side)
     check_budget(budget)
@@ -304,24 +289,25 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
     work = E if side == RSP else E.reversed_space()
     win = work.window
     upper = work.shift_upper()
-    level = target  # the ratio that ends the search
-    if upper is not None:
-        bound = upper / (1 + ACCEPT_REL)
-        level = bound if target is None else min(target, bound)
-    rng = np.random.default_rng(seed)
+    bound = None if upper is None else upper / (1 + ACCEPT_REL)
+    # the ratio that ends the search: the lower of the target and the bound
+    level = min((v for v in (target, bound) if v is not None), default=None)
 
+    def reached(r: float) -> bool:
+        return level is not None and r >= level
+
+    rng = np.random.default_rng(seed)
     best_ratio = 0.0
     best = None
     evals = 0
+    done = False
     if incumbent is not None and incumbent.witness is not None:
         fam = _embed_family(incumbent.witness.family, win)
         alpha = list(incumbent.witness.alpha)
-        r = family_ratio(work, fam, alpha)
-        evals += 1
-        best_ratio, best = r, (fam, alpha)
+        best_ratio, best = family_ratio(work, fam, alpha), (fam, alpha)
+        evals, done = 1, reached(best_ratio)
 
     n_hi = min(n_hi, max(n_lo, win.size // (2 * BLOCK_LEN_RANGE[1])))
-    done = False
     wave = 1  # restarts per wave: doubles after every wave
     while evals < budget and not done:
         n_pairs = int(rng.integers(n_lo, n_hi + 1))
@@ -334,8 +320,10 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
             # restart i + j cannot start before i's evals plus j * least:
             # each lane's cap bounds its real one from above
             k = min(wave, RESTARTS_PER_FAMILY - i, (budget - evals - 1) // least + 1)
-            lanes = _ascend(work, fam.X, fam.Y, coords, factors, starts[i:i + k],
-                            [budget - evals - j * least - 1 for j in range(k)], level)
+            lanes = _ascend_steps(
+                lambda A: _ratios(work, fam.X, fam.Y, A),
+                [[starts[i + j], None, coords, factors, budget - evals - j * least - 1]
+                 for j in range(k)], ACCEPT_REL, sweeps=True, reach=level)
             wave = min(2 * wave, RESTARTS_PER_FAMILY)
             for r, alpha, used, log in lanes:
                 if evals >= budget or done:
@@ -347,8 +335,7 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
                 i += 1
                 if r > best_ratio:
                     best_ratio, best = r, (fam, list(alpha))
-                if level is not None and best_ratio >= level:
-                    done = True  # witness level or certified bound reached
+                done = reached(best_ratio)
 
     witness = None
     if best is not None:
@@ -356,10 +343,8 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
                                [float(a) for a in best[1]], float(best_ratio),
                                seed)
     stop = STOP_BUDGET
-    if target is not None and best_ratio >= target:
-        stop = STOP_TARGET
-    elif level is not None and best_ratio >= level:
-        stop = STOP_UPPER
+    if done:
+        stop = STOP_TARGET if target is not None and best_ratio >= target else STOP_UPPER
     return ShiftEstimate(float(best_ratio), witness, side, evals, budget,
                          stop=stop, upper=upper)
 
@@ -369,9 +354,10 @@ def shift_schedule(space_factory, side: str, widths, budget: int, seed: int,
     """Doubling-window search: run each width, carrying the incumbent.
 
     ``space_factory(width)`` must return the space on the width-sized
-    window.  Terminates early once ``target`` is reached.  The history
-    records (width, C-hat) per stage; ``stop`` is the last stage's reason.  Extra keyword arguments go to
-    ``shift_constant_estimate``.
+    window.  Ends after the first stage that stops before its budget, on
+    ``target`` or on the space's bound.  The history records (width, C-hat)
+    per stage; ``stop`` is the last stage's reason.  Extra keyword arguments
+    go to ``shift_constant_estimate``.
     """
     est = None
     history = []
@@ -380,7 +366,7 @@ def shift_schedule(space_factory, side: str, widths, budget: int, seed: int,
         est = shift_constant_estimate(E, side, budget=budget, seed=seed + k,
                                       incumbent=est, target=target, **kwargs)
         history.append({"width": int(width), "c_hat": est.c_hat})
-        if target is not None and est.c_hat >= target:
+        if est.stop != STOP_BUDGET:
             break
     if est is None:
         raise UsageError("shift_schedule needs at least one width")

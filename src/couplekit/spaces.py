@@ -38,7 +38,8 @@ closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
 ``InducedSeq``), ``norm_rows_on(f)``, ``weighted_lp_form_on(f)``, ``boyd()``,
 ``exact_weighted_lp``, ``is_linf``, ``generator()``.  ``SeqSpaceSpec``:
 ``norm_rows(V)``, ``e_space`` (the space itself), ``norming_values``,
-``weighted_lp_form()``, ``shift_upper()``, ``is_linf``, ``generator()``.  A
+``weighted_lp_form()``, ``exact_weighted_lp`` (set once per space; the
+certified ``shift_upper()`` derives from it), ``is_linf``, ``generator()``.  A
 weighted ell_p is always a ``WeightedLp``: ``OrderReversed(E)`` is
 ``E.reversed_space()``, and ``GeometricWeighted(E, b)`` is E at b = 1, else
 w_n b^n on E's form (w, p); any other space is reversed and weighted by
@@ -407,8 +408,8 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
 
 def _is_power(F: OrliczFn) -> bool:
     """F(x) = x^p: L_F is L_p, and its modular space the weighted ell_p 2^(n/p)."""
-    br = F.breaks()
-    return br is not None and br.size == 1 and F.name == "power"
+    # the name first: breaks() copies the anchors of a tabulated generator
+    return F.name == "power" and (br := F.breaks()) is not None and br.size == 1
 
 
 class OrliczSpace(SpaceSpec):
@@ -423,6 +424,7 @@ class OrliczSpace(SpaceSpec):
     def __init__(self, F: OrliczFn, domain: str = UNIT):
         self.F = F
         self.domain = domain
+        self.exact_weighted_lp = _is_power(F)
 
     def norm_rows_on(self, f: StepFunction):
         log_len = np.log(f.lengths)
@@ -448,10 +450,6 @@ class OrliczSpace(SpaceSpec):
     def e_space(self, window: Window) -> "SeqSpaceSpec":
         return OrliczModular(self.F, window)
 
-    @property
-    def exact_weighted_lp(self) -> bool:
-        return _is_power(self.F)
-
     def boyd(self) -> BoydIndices:
         rep, unit = indices(self.F), self.domain == UNIT
         p, q = rep.boyd_unit if unit else rep.boyd_halfline
@@ -474,6 +472,8 @@ class SeqSpaceSpec:
     """Kothe sequence space on a window with a dense-array fast path."""
 
     window: Window
+    # exactly a weighted ell_p, whatever its form: shift constants 1
+    exact_weighted_lp: bool = False
     is_linf: bool = False
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
@@ -499,8 +499,12 @@ class SeqSpaceSpec:
         return None
 
     def shift_upper(self) -> float | None:
-        """A certified upper bound on the space's right-shift constant, or None."""
-        return None
+        """A certified upper bound on the space's right-shift constant, or None:
+        1 on a space that is exactly a weighted ell_p, as its blocks are
+        disjoint, so ||sum a_n y_n||^p = sum |a_n|^p ||y_n||^p <= sum |a_n|^p
+        ||x_n||^p = ||sum a_n x_n||^p (the max of the same terms for p = inf),
+        whatever the weights."""
+        return 1.0 if self.exact_weighted_lp else None
 
     def generator(self) -> OrliczFn | None:
         """The Orlicz function of the modular space inside, if any."""
@@ -539,6 +543,8 @@ class WeightedLp(SeqSpaceSpec):
     means wexp = 0.  p = inf with every weight 1 is ell_infty: ``is_linf``
     (an attribute, read on every ``k_numeric`` call) and spec ``seq:linf``.
     """
+
+    exact_weighted_lp = True
 
     def __init__(self, p: float, window: Window, weights=None,
                  wexp: float | None = None):
@@ -586,12 +592,6 @@ class WeightedLp(SeqSpaceSpec):
     def weighted_lp_form(self) -> tuple[np.ndarray, float]:
         return self.weights, self.p
 
-    def shift_upper(self) -> float:
-        """1: the blocks are disjoint, so ||sum a_n y_n||^p = sum |a_n|^p ||y_n||^p
-        <= sum |a_n|^p ||x_n||^p = ||sum a_n x_n||^p (the max of the same
-        terms for p = inf), whatever the weights."""
-        return 1.0
-
     def reversed_space(self) -> "WeightedLp":
         return WeightedLp(self.p, self.window.reversed(), weights=self.weights[::-1].copy())
 
@@ -629,6 +629,7 @@ class OrliczModular(SeqSpaceSpec):
     def __init__(self, F: OrliczFn, window: Window):
         self.F = F
         self.window = window
+        self.exact_weighted_lp = _is_power(F)
         ns = window.indices().astype(float)
         self._log_w = ns * LOG2
         # lambda(n) = F^{-1}(2^{-n}): single-block unit norms are 1/lambda(n)
@@ -663,10 +664,6 @@ class OrliczModular(SeqSpaceSpec):
         g[nz] = np.sign(xv[nz]) * g[nz] / denom
         return g
 
-    def shift_upper(self) -> float | None:
-        """1 when F is a power, as the space is then a weighted ell_p."""
-        return 1.0 if _is_power(self.F) else None
-
     def generator(self) -> OrliczFn:
         return self.F
 
@@ -693,6 +690,7 @@ class _Conjugated(SeqSpaceSpec):
                 raise ValueError("need one finite, strictly positive weight per index")
         self.inner, self.reverse, self.scales, self.spec, self.back = (
             inner, reverse, scales, spec, back)
+        self.exact_weighted_lp = inner.exact_weighted_lp
         self.window = inner.window.reversed() if reverse else inner.window
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
@@ -748,6 +746,7 @@ class InducedSeq(SeqSpaceSpec):
     def __init__(self, space: SpaceSpec, window: Window):
         self.space = space
         self.window = window
+        self.exact_weighted_lp = space.exact_weighted_lp
         # rows of values on the pieces [0, 2^lo), [2^n, 2^(n+1)) -> norms in X
         blocks = SeqVec(window, np.ones(window.size)).to_step(space.domain)
         self._blocks = space.norm_rows_on(blocks)
@@ -759,10 +758,6 @@ class InducedSeq(SeqSpaceSpec):
         if isinstance(self.space, LpSpace):
             return self.space.e_space(self.window).norming_values(xv)
         return super().norming_values(xv)
-
-    def shift_upper(self) -> float | None:
-        """1 when the space's E_X is exactly a weighted ell_p."""
-        return 1.0 if self.space.exact_weighted_lp else None
 
     def spec_string(self) -> str:
         return f"seq:induced:<{self.space.spec_string()}>"

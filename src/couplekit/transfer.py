@@ -450,7 +450,9 @@ def majorization_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec,
     if not np.any(x.values):
         if np.any(y.values):
             raise HypothesisError("x = 0 with y != 0")
-        return PositiveMatrix(win, certified_bounds={"E": 0.0, "F": 0.0, "method": "zero"})
+        T = PositiveMatrix(win)
+        T.certified_bounds = _certified_bounds(T, E, F, "zero", {"E": 0.0, "F": 0.0})
+        return T
     Px, Py = _prefix_norms(x.values, E), _prefix_norms(y.values, E)
     bad = np.nonzero(Py > Px * (1 + 1e-12))[0]
     if bad.size:

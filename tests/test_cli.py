@@ -123,13 +123,36 @@ def test_budget_below_one_is_usage_error(tmp_path, capsys, argv, budget):
     *[(["shift-test", "--space", "seq:from:<seq:from:<seq:orlicz-modular:gen=<power:p=2>>,"
         f"weightbase={b}>,weightbase={b}", "--side", "rsp"],
        "need one finite, strictly positive weight per index") for b in ("1e4", "1e-4")],
+    # a fit needs two x points 2^-4 .. 2^-kmax
+    *[(["analyze-orlicz", "--gen", "example1", "--kmax", str(kmax)],
+       f"x_grid needs at least two points for the fit; got {kmax - 3}") for kmax in (3, 4)],
+    *[(["analyze-orlicz", "--gen", "example1", "--C0", c],
+       f"counter threshold C must be finite and exceed 1; got {c}") for c in ("nan", "inf")],
 ], ids=["lpw-without-p", "analyze-overflow", "verdict-overflow", "weightbase-nan",
         "weightbase-inf", "weightbase-huge", "weights-nan", "wexp-nan", "wexp-overflow",
-        "nested-weights-underflow", "nested-weights-overflow"])
+        "nested-weights-underflow", "nested-weights-overflow", "analyze-kmax-3",
+        "analyze-kmax-4", "analyze-C0-nan", "analyze-C0-inf"])
 @pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
 def test_bad_spec_is_usage_error(tmp_path, capsys, argv, detail):
     out = tmp_path / "out.json"
     assert _run(argv + ["--out", out]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (err["error"], err["detail"]) == ("usage", detail)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, detail", [
+    ("log:nan:1:3", "t-grid point 2^nan is not finite and > 0"),
+    ("log:1:2000:3", "t-grid point 2^2000.0 is not finite and > 0"),
+    ("log:-1100:1:3", "t-grid point 2^-1100.0 is not finite and > 0"),
+], ids=["nan", "overflow", "underflow"])
+@pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
+def test_bad_t_grid_is_usage_error(tmp_path, capsys, grid, detail):
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps(char_fn(0, 1).to_json_dict()))
+    out = tmp_path / "profile.csv"
+    assert _run(["k-profile", "--X", "lp:p=1", "--Y", "linf", "--f", fpath,
+                 "--t-grid", grid, "--out", out]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert (err["error"], err["detail"]) == ("usage", detail)
     assert not out.exists()

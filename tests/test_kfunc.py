@@ -65,8 +65,9 @@ def test_k_equals_k_of_abs(rng):
 
 
 def test_k_rejects_bad_t():
-    with pytest.raises(ValueError):
-        k_numeric(0.0, char_fn(0, 1), L1, LINF)
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite t > 0"):
+            k_numeric(t, char_fn(0, 1), L1, LINF)
 
 
 def test_k_zero_function():
@@ -149,8 +150,9 @@ def test_profile_monotone_concave(rng):
 
 
 def test_profile_grid_validation():
-    with pytest.raises(ValueError):
-        k_profile(char_fn(0, 1), L1, LINF, [1.0, 0.5])
+    for grid in ([1.0, 0.5], [math.nan, 1.0], [1.0, math.inf], [-1.0, 1.0]):
+        with pytest.raises(ValueError, match="t grid must be finite, positive and increasing"):
+            k_profile(char_fn(0, 1), L1, LINF, grid)
 
 
 def test_prop52_sequence_function_equality(rng):

@@ -11,7 +11,7 @@ from couplekit import (GeometricWeighted, InterlacedFamily, LinftySeq,
                        OrderReversed, OrliczModular, SeqVec, ShiftWitness,
                        UsageError, WeightedLp, Window, dyadic_lp, example1,
                        family_ratio, gen_interlaced, parse_seq_space, parse_space,
-                       replay_witness, shift_constant_estimate,
+                       power, replay_witness, shift_constant_estimate,
                        shift_schedule)
 from couplekit.shift import (ACCEPT_REL, BLOCK_LEN_RANGE, RESTARTS_PER_FAMILY, STOP_BUDGET,
                              STOP_TARGET, STOP_UPPER, _ratios)
@@ -64,24 +64,41 @@ class _Unbounded(WeightedLp):
     """The same weighted ell_p without its certified bound: the search's path
     for a space that gives none."""
 
-    def shift_upper(self):
-        return None
+    exact_weighted_lp = False
 
     def reversed_space(self):
         return _Unbounded(self.p, self.window.reversed(), weights=self.weights[::-1].copy())
+
+
+def _power_modular(p, win, chain, exact=True):
+    """The modular space of x^p on ``win``, reversed and/or b^n-weighted per
+    ``chain``; ``exact=False`` is the same space without its certified bound."""
+    E = OrliczModular(power(p), win)
+    E.exact_weighted_lp = exact
+    if chain in ("weighted", "both"):
+        E = GeometricWeighted(E, 2 ** 0.5)
+    return OrderReversed(E) if chain in ("reversed", "both") else E
 
 
 @settings(max_examples=100, deadline=None)
 @given(p=st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]), kind=st.sampled_from(["Z", "Z-"]),
        size=st.integers(8, 40), side=st.sampled_from(["rsp", "lsp"]),
        budget=st.integers(1, 3000), incumbent=st.integers(0, 40),
-       seed=st.integers(0, 2 ** 16))
-def test_weighted_lp_search_stops_on_its_bound(p, kind, size, side, budget, incumbent, seed):
-    # stopping on the bound 1 is the plain search with target 1 / (1 + ACCEPT_REL)
+       seed=st.integers(0, 2 ** 16),
+       space=st.sampled_from(["lpw", "plain", "reversed", "weighted", "both"]))
+def test_weighted_lp_search_stops_on_its_bound(p, kind, size, side, budget, incumbent, seed,
+                                               space):
+    # stopping on the bound 1 is the plain search with target 1 / (1 + ACCEPT_REL),
+    # on a weighted ell_p and on the modular space of a power, reversed and/or
+    # b^n-weighted
     w = np.random.default_rng(seed).lognormal(0.0, 1.0, size)
     win = Window("Z", -(size // 2), size - size // 2 - 1) if kind == "Z" else \
         Window("Z-", -size, -1)
-    E, plain = WeightedLp(p, win, weights=w), _Unbounded(p, win, weights=w)
+    if space == "lpw":
+        E, plain = WeightedLp(p, win, weights=w), _Unbounded(p, win, weights=w)
+    else:
+        p = 1.0 if math.isinf(p) else p
+        E, plain = (_power_modular(p, win, space, exact) for exact in (True, False))
     pairs = (1, 4)  # a window of 8 packs one pair of blocks up to 3 long
     inc = None
     if incumbent:  # a short earlier search's witness, or none
@@ -289,11 +306,51 @@ def test_schedule_stop_reason():
 
     hit = shift_schedule(factory, "rsp", [12, 24], budget=200, seed=1, target=0.5)
     assert hit.stop == STOP_TARGET and len(hit.history) == 1
+    # the first stage meets the weighted ell_p's bound 1, which ends the schedule
     miss = shift_schedule(factory, "rsp", [12, 24], budget=200, seed=1, target=50.0)
-    assert miss.stop == STOP_UPPER and len(miss.history) == 2
+    assert miss.stop == STOP_UPPER and len(miss.history) == 1
     miss = shift_schedule(lambda width: OrliczModular(example1(), Window("Z-", -width, -1)),
                           "rsp", [12, 24], budget=200, seed=1, target=50.0)
     assert miss.stop == STOP_BUDGET and len(miss.history) == 2
+
+
+def test_schedule_on_a_weighted_lp_stops_after_its_first_stage():
+    widths = [16, 32, 64]
+    est = shift_schedule(lambda w: dyadic_lp(2, Window("Z-", -w, -1)), "rsp", widths,
+                         budget=1500, seed=7)
+    first = shift_constant_estimate(dyadic_lp(2, Window("Z-", -16, -1)), "rsp", budget=1500,
+                                    seed=7)
+    assert est.history == [{"width": 16, "c_hat": first.c_hat}]
+    assert (est.stop, est.evals) == (STOP_UPPER, first.evals)
+    # a space without a bound runs every stage
+    orlicz = shift_schedule(lambda w: OrliczModular(example1(), Window("Z-", -w, -1)), "rsp",
+                            widths, budget=30, seed=7)
+    assert orlicz.stop == STOP_BUDGET and [h["width"] for h in orlicz.history] == widths
+
+
+@pytest.mark.parametrize("make", [
+    lambda w: dyadic_lp(2, w),
+    lambda w: _power_modular(2.0, w, "both"),
+    lambda w: OrliczModular(example1(), w),
+], ids=["lpw", "power-modular", "orlicz"])
+@pytest.mark.parametrize("side", ["rsp", "lsp"])
+def test_incumbent_at_the_level_costs_one_eval(make, side):
+    # an incumbent that meets the target, or the space's bound, ends the
+    # search before it draws a family: one eval, the incumbent's witness
+    narrow, wide = Window("Z-", -16, -1), Window("Z-", -32, -1)
+    first = shift_constant_estimate(make(narrow), side, budget=400, seed=3)
+    E = make(wide)
+    targets = [first.c_hat / 2] + ([None] if E.shift_upper() is not None else [])
+    for target in targets:
+        est = shift_constant_estimate(E, side, budget=400, seed=4, incumbent=first,
+                                      target=target)
+        assert est.evals == 1
+        assert est.stop == (STOP_UPPER if target is None else STOP_TARGET)
+        assert est.witness.alpha == first.witness.alpha
+        assert est.c_hat == est.witness.ratio == replay_witness(E, est.witness)
+        # the same blocks, padded into the wider window
+        assert est.witness.family.to_json_dict()["pairs"] == \
+            first.witness.family.to_json_dict()["pairs"]
 
 
 def test_schedule_needs_a_width():
@@ -305,7 +362,8 @@ def test_schedule_needs_a_width():
 def _sequential_search(E, side, budget, seed, n_pairs_range=(2, 6), incumbent=None,
                        target=None):
     """The trial-by-trial ascent: one ratio, two ``norm_values`` calls, per trial.
-    It stops at ``target`` or at the searched space's certified bound."""
+    It stops at ``target`` or at the searched space's certified bound, tested
+    on the incumbent and after each restart."""
     work = E if side == "rsp" else E.reversed_space()
     win = work.window
     rng = np.random.default_rng(seed)
@@ -328,6 +386,7 @@ def _sequential_search(E, side, budget, seed, n_pairs_range=(2, 6), incumbent=No
         alpha = list(incumbent.witness.alpha)
         best_ratio, best = ratio(fam.X, fam.Y, np.asarray(alpha)), (fam, alpha)
         evals += 1
+        done = level is not None and best_ratio >= level
     n_lo, n_hi = n_pairs_range
     n_hi = min(n_hi, max(n_lo, win.size // (2 * BLOCK_LEN_RANGE[1])))
     while evals < budget and not done:

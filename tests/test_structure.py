@@ -14,7 +14,9 @@ answers neither ``weighted_lp_form`` nor ``is_linf`` and never wraps itself),
 one norm formula per space --
 ``norm_rows`` per sequence space,
 ``norm_rows_on`` per function space, with the one-row ``norm_values`` and
-``fn_norm`` on the base classes only -- the shift search on batched rows,
+``fn_norm`` on the base classes only -- one certified shift bound
+(``SeqSpaceSpec.shift_upper``, read from ``exact_weighted_lp``), the shift
+search on batched rows,
 one Luxemburg solver (one fused profile call per Newton step), one
 multiplicative ascent, the index extremes from a band scan in bounded
 blocks, one drop scan behind Phi+/- (``_count_drops``), and one
@@ -127,6 +129,17 @@ def test_one_norm_formula_per_sequence_space():
             assert "norm_rows" in vars(cls), f"{name} has no norm_rows"
 
 
+def test_one_shift_bound():
+    # the certified shift bound is defined once, on the base class, from the
+    # one exactness answer, which each sequence space sets as data
+    assert "shift_upper" in vars(spaces.SeqSpaceSpec)
+    for name in _concrete_space_classes():
+        cls = getattr(spaces, name)
+        assert "shift_upper" not in vars(cls), f"{name} defines shift_upper"
+        if issubclass(cls, spaces.SeqSpaceSpec):
+            assert not isinstance(vars(cls).get("exact_weighted_lp"), property), f"{name}"
+
+
 def test_one_norm_formula_per_function_space():
     assert "norm_closure" not in vars(spaces.SpaceSpec)
     found = set()
@@ -182,7 +195,8 @@ def test_one_multiplicative_ascent():
     fns = {f"{path.stem}.{fn.name}": fn for path in sorted(SRC.glob("*.py"))
            for fn in _functions(ast.parse(path.read_text()))}
     assert "spaces._ascend_steps" in fns
-    for name in ("shift._ascend", "spaces._best_shift_ratio", "transfer._op_norm_lower"):
+    for name in ("shift.shift_constant_estimate", "spaces._best_shift_ratio",
+                 "transfer._op_norm_lower"):
         assert "_ascend_steps" in _called(fns[name]), f"{name} has its own ascent"
     for name in ("spaces._best_shift_ratio", "transfer._op_norm_lower"):
         assert not _called(fns[name]) & {"norm", "norm_values"}, f"{name} solves single rows"
@@ -195,8 +209,9 @@ def test_shift_search_ascends_once_per_wave():
     tree = ast.parse((SRC / "shift.py").read_text())
     fn = next(fn for fn in _functions(tree) if fn.name == "shift_constant_estimate")
     ascents = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Name) and node.func.id == "_ascend"]
+               and isinstance(node.func, ast.Name) and node.func.id == "_ascend_steps"]
     assert len(ascents) == 1
+    assert "_ascend" not in {fn.name for fn in _functions(tree)}
 
 
 def test_index_extremes_scan_bounded_blocks():

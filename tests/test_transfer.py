@@ -117,6 +117,11 @@ def test_majorization_zero_x_error():
         majorization_transfer(z, y, E1, EINF)
     T = majorization_transfer(z, z, E1, EINF)
     assert not T.entries
+    # bounds and methods keyed by space, as for every other construction
+    assert T.certified_bounds == {"E": 0.0, "F": 0.0,
+                                  "method": {"E": "direct", "F": "direct"}}
+    T = majorization_transfer(z, z, OrliczModular(power(3), WIN), EINF)
+    assert T.certified_bounds["method"] == {"E": "zero", "F": "direct"}
 
 
 def test_majorization_rejects_signed():
