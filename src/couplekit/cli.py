@@ -27,7 +27,7 @@ from .shift import shift_constant_estimate
 from .spaces import fit_separation, rho_profile
 from .specdsl import (parse_any_space, parse_generator, parse_seq_space,
                       parse_space)
-from .transfer import k_transfer, majorization_transfer, op_norm
+from .transfer import OP_NORM_BUDGET, _op_norm_lower, k_transfer, majorization_transfer
 from .verdict import classify_couple
 
 
@@ -147,11 +147,11 @@ def cmd_transfer(args) -> int:
     payload["config"] = {"E": args.E, "F": args.F, "mode": args.mode,
                          "window": window.to_json_dict(), "seed": args.seed}
     if args.check_norms:
-        checks = {}
-        for label, space in (("E", E), ("F", F)):
-            lower, upper = op_norm(T, space, "interval", seed=args.seed)
-            checks[label] = {"lower": lower, "upper": upper}
-        payload["norm_checks"] = checks
+        # op_norm's interval, with the evaluations its lower search spent and
+        # why that search stopped
+        payload["norm_checks"] = {
+            label: _op_norm_lower(T, space, OP_NORM_BUDGET, args.seed)._asdict()
+            for label, space in (("E", E), ("F", F))}
     _write_json(args.out, payload)
     return 0
 

@@ -24,11 +24,11 @@ bounds:
 All three add their rank-one steps through one builder, ``_add_block_sum``,
 which takes the block pairs as the rows of two arrays, as ``InterlacedFamily``
 holds them, and checks every norming functional against ||x_n|| to
-FUNCTIONAL_TOL; prefix
-(and, through order reversal, suffix) norms come from one table,
-``_prefix_norms``, and the weighted-ell_p operator bound from one closed
-form, ``_upper_bound``.  The ``op_norm`` lower bound is a one-lane
-multiplicative ascent of ``spaces._ascend_steps`` over batches of rows.
+FUNCTIONAL_TOL; prefix and suffix norms come from the tables of
+``kfunc``, ``_prefix_norms`` and ``_suffix_norms``, and the weighted-ell_p
+operator bound from one closed form, ``_upper_bound``.  The ``op_norm``
+lower bound is a one-lane multiplicative ascent of ``spaces._ascend_steps``
+over batches of rows, which stops once it meets that closed form.
 
 Window truncation realizes the two-ended proofs: indices below window.lo
 carry no mass, so the lower-tail extension set B is always empty here and
@@ -44,9 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HypothesisError, UsageError, check_budget
-from .kfunc import k_block_estimate, k_numeric
+from .kfunc import _block_points, _check_finite, _k_grid, _prefix_norms, _suffix_norms
 from .measure import SeqVec, Window, _sparse
-from .shift import InterlacedFamily
+from .shift import STOP_BUDGET, STOP_UPPER, InterlacedFamily
 from .spaces import SeparationFit, SeqSpaceSpec, _ascend_steps, norming_functional
 
 EXACTNESS_TOL = 1e-9
@@ -54,6 +54,11 @@ EXACTNESS_TOL = 1e-9
 FUNCTIONAL_TOL = 1e-8
 # relative slack in the K-domination check K(t, y) <= K(t, x)
 K_TOL = 1e-7
+# evaluations of an ``op_norm`` lower-bound search unless told otherwise
+OP_NORM_BUDGET = 400
+# relative margin of an ``op_norm`` ascent's accepts and of its stop at the
+# closed-form upper bound
+_OP_REL = 1e-12
 
 
 class _Step(NamedTuple):
@@ -228,14 +233,16 @@ class PositiveMatrix:
 
 
 def op_norm(T: PositiveMatrix, space: SeqSpaceSpec, mode: str = "interval",
-            budget: int = 400, seed: int = 0):
+            budget: int = OP_NORM_BUDGET, seed: int = 0):
     """Operator norm of T on a sequence space, asked through its protocol.
 
     ``exact``: the closed form of ``_upper_bound`` for a weighted ell_1 or
     ell_infty form.  ``schur``: the same closed form, the Schur interpolation
     bound for 1 < p < inf.  ``lower``: certified lower bound by adversarial
-    ascent over ``norm_rows``.  ``interval`` returns (lower, upper), upper
-    from ``_upper_bound`` (None when the space has no weighted-lp form).
+    ascent over ``norm_rows`` (``_op_norm_lower``), which stops early once it
+    reaches the closed-form upper bound to 1e-12 relative.  ``interval``
+    returns (lower, upper), upper from ``_upper_bound`` (None when the space
+    has no weighted-lp form).
     """
     if mode in ("exact", "schur"):
         wp = space.weighted_lp_form()
@@ -245,23 +252,47 @@ def op_norm(T: PositiveMatrix, space: SeqSpaceSpec, mode: str = "interval",
             raise UsageError("exact mode needs p = 1 or p = inf")
         return _upper_bound(T, space)
     if mode == "lower":
-        return _op_norm_lower(T, space, budget, seed)
+        return _op_norm_lower(T, space, budget, seed).lower
     if mode == "interval":
-        return (_op_norm_lower(T, space, budget, seed), _upper_bound(T, space))
+        search = _op_norm_lower(T, space, budget, seed)
+        return search.lower, search.upper
     raise UsageError(f"unknown op_norm mode {mode!r}")
 
 
+class _LowerSearch(NamedTuple):
+    """An ``op_norm`` lower-bound search: the bound, the closed-form upper
+    bound (None without one), the evaluations spent and why it stopped."""
+
+    lower: float
+    upper: float | None
+    evals: int
+    stop: str  # STOP_UPPER once lower reached upper / (1 + 1e-12), else STOP_BUDGET
+
+
 def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
-                   seed: int) -> float:
+                   seed: int) -> _LowerSearch:
     """Best ||T x|| / ||x|| over the column rays, then rounds of one
     ``_ascend_steps`` pass (x_k * 2, x_k / 2 over shuffled columns) against the
-    best so far, each of at least one step; a round without an accept restarts."""
+    best so far, each of at least one step; a round without an accept restarts.
+
+    The search stops on ``upper`` once best >= upper / (1 + 1e-12), upper the
+    closed form ``_upper_bound``: tested after the column rays, after each
+    evaluation of x and after each pass.  That bound is exact on a weighted
+    ell_1 (a column ray attains it) and on ell_infty (the all-ones x does), so
+    there the search ends within one evaluation past the rays.  Without a
+    closed form it spends the budget."""
     check_budget(budget)
+    upper = _upper_bound(T, space)
+    level = math.inf if upper is None else upper / (1 + _OP_REL)
     rng = np.random.default_rng(seed)
     win = T.window
     cols = sorted({k for (_, k) in T.entries})
+
+    def result(best: float, evals: int) -> _LowerSearch:
+        return _LowerSearch(best, upper, evals, STOP_UPPER if best >= level else STOP_BUDGET)
+
     if not cols:
-        return 0.0
+        return result(0.0, 0)
     G, Y, d = T._factors()
 
     def ratios(V):
@@ -275,20 +306,22 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
     evals = len(cols)
     x = np.zeros(win.size)
     x[np.array(cols) - win.lo] = 1.0
-    while evals < budget:
+    while evals < budget and best < level:
         best = max(best, float(ratios(x[None])[0]))
         evals += 1
+        if best >= level:
+            break
         perm = rng.permutation(cols) - win.lo
         (best, x, used, log), = _ascend_steps(
             ratios, [[x, best, np.repeat(perm, 2), np.tile([2.0, 0.5], perm.size),
-                      max(1, budget - evals)]], 1e-12)
+                      max(1, budget - evals)]], _OP_REL)
         evals += used
         if len(log) == 1:  # no accept
             x = np.zeros(win.size)
             pick = rng.choice(cols, size=max(1, len(cols) // 2), replace=False)
             for k in pick:
                 x[k - win.lo] = rng.random() + 0.1
-    return best
+    return result(best, evals)
 
 
 def _upper_bound(T: PositiveMatrix, space: SeqSpaceSpec) -> float | None:
@@ -361,13 +394,6 @@ def rank_one_shift(family: InterlacedFamily, E: SeqSpaceSpec,
 # ---------------------------------------------------------------------------
 # majorization transfer  (prefix-norm domination to operator)
 # ---------------------------------------------------------------------------
-
-
-def _prefix_norms(v: np.ndarray, E: SeqSpaceSpec) -> np.ndarray:
-    """||v_(-inf,a]||_E of the values v for a = lo-1 .. hi (index 0 is the empty
-    prefix), from one ``norm_rows`` call on the lower-triangular prefix matrix."""
-    prefixes = np.tril(np.broadcast_to(v, (v.size, v.size)))
-    return np.concatenate([[0.0], E.norm_rows(prefixes)])
 
 
 def _sigma_of_prefix(P: float) -> float:
@@ -445,6 +471,8 @@ def majorization_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec,
     win = x.window
     if y.window != win:
         raise UsageError("x and y must share a window")
+    _check_finite("x", x)
+    _check_finite("y", y)
     if np.any(x.values < 0) or np.any(y.values < 0):
         raise UsageError("majorization transfer needs nonnegative vectors")
     if not np.any(x.values):
@@ -518,10 +546,16 @@ def k_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
     range, measures the block-estimate constant C_2 for the couple on the
     same grid, splits the window into J_1 (prefix E-norms compare at 2 C_2)
     and J_2 (suffix F-norms compare), and combines two majorization
-    transfers, the J_2 one through order reversal.
+    transfers, the J_2 one through order reversal.  K comes from one
+    ``_k_grid`` call per vector, so each vector's level scan serves the whole
+    grid, and the block estimates and the split read one prefix E-norm and
+    one suffix F-norm table per vector.  A non-finite value of x or y is a
+    ``UsageError``.
     """
     if not fit.separated:
         raise HypothesisError("couple is not exponentially separated")
+    _check_finite("x", x)
+    _check_finite("y", y)
     if np.any(x.values < 0) or np.any(y.values < 0):
         raise UsageError("k_transfer needs nonnegative vectors")
     if t_points < 1:
@@ -531,25 +565,25 @@ def k_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
     rho_hi = max(fit.rho.values())
     ts = np.geomspace(rho_lo, rho_hi, t_points)
 
+    kxs, kys = _k_grid(ts, x, E, F), _k_grid(ts, y, E, F)
+    # prefix E-norms and suffix F-norms of x and y, for the block estimates
+    # and the split
+    Px, Py = _prefix_norms(x.values, E), _prefix_norms(y.values, E)
+    Sx, Sy = _suffix_norms(x.values, F), _suffix_norms(y.values, F)
     c2 = 1.0
-    for t in ts:
-        kx = k_numeric(t, x, E, F)
-        ky = k_numeric(t, y, E, F)
+    for t, kx, ky in zip(ts, kxs, kys):
         if ky.value > kx.value * (1 + K_TOL) + 1e-300:
             raise HypothesisError(
                 f"K-domination fails at t = {t:.6g}: K(t,y) = {ky.value:.9g} "
                 f"> K(t,x) = {kx.value:.9g}")
-        for r in (kx, ky):
-            if r.value > 0:
-                c2 = max(c2, k_block_estimate(t, x if r is kx else y, E, F, fit)
-                         / r.value)
+        js = _block_points(t, fit, win.lo, win.size)
+        for r, P, S in ((kx, Px, Sx), (ky, Py, Sy)):
+            if r.value > 0:  # k_block_estimate, read from the tables
+                c2 = max(c2, min(float(P[j]) + t * float(S[j]) for j in js) / r.value)
 
     s = 2.0 * c2 * (1 + 1e-9)
     # at index i = a - win.lo: ||v_(-inf,a]||_E and ||v_[a,inf)||_F
-    Frev = F.reversed_space()
-    xE, yE = _prefix_norms(x.values, E)[1:], _prefix_norms(y.values, E)[1:]
-    xF = _prefix_norms(x.values[::-1], Frev)[:0:-1]
-    yF = _prefix_norms(y.values[::-1], Frev)[:0:-1]
+    xE, yE, xF, yF = Px[1:], Py[1:], Sx[:-1], Sy[:-1]
     okE = yE <= s * xE + 1e-300
     okF = yF <= s * xF + 1e-300
     bad = np.flatnonzero(~(okE | okF))
@@ -569,7 +603,7 @@ def k_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
         part_bounds.append(T1.certified_bounds)
     if J2:
         T2 = majorization_transfer(x.reversed(), y.restrict(J2).reversed().scale(1.0 / s),
-                                   Frev, E.reversed_space()).scaled(s).reversed()
+                                   F.reversed_space(), E.reversed_space()).scaled(s).reversed()
         T2.note(branch="J2 (order-reversed)", indices=J2[:64], C2=c2)
         parts.append(T2)
         # built on (rev F, rev E): its "E" bound is on F and its "F" bound on E

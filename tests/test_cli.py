@@ -174,6 +174,43 @@ def test_transfer_cli_majorization(tmp_path):
     assert d["certified_bounds"]["E"] is not None
     assert d["norm_checks"]["E"]["lower"] <= d["norm_checks"]["E"]["upper"] + 1e-9
     assert all(v >= 0 for (_, _, v) in d["triplets"])
+    # on a weighted ell_1 and on ell_inf the search meets the exact closed form
+    for check in d["norm_checks"].values():
+        assert set(check) == {"lower", "upper", "evals", "stop"}
+        assert check["stop"] == "upper" and 1 <= check["evals"] < 400
+
+
+@pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
+def test_k_profile_non_finite_f_is_usage_error(tmp_path, capsys):
+    fpath = tmp_path / "f.json"
+    f = char_fn(0, 1).to_json_dict()
+    f["values"] = [math.nan]
+    fpath.write_text(json.dumps(f))
+    out = tmp_path / "profile.csv"
+    assert _run(["k-profile", "--X", "lp:p=1", "--Y", "linf", "--f", fpath,
+                 "--t-grid", "log:-2:1:4", "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (err["error"], err["detail"]) == (
+        "usage", "f has a non-finite value nan at piece [0.0, 1.0)")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["majorization", "k"])
+def test_transfer_non_finite_x_is_usage_error(tmp_path, capsys, mode):
+    win = Window("Z", -4, 3)
+    x = SeqVec.from_entries(win, {-3: 1.0, 1: 2.0}).to_json_dict()
+    x["entries"]["1"] = math.nan
+    y = SeqVec.from_entries(win, {-2: 0.25}).to_json_dict()
+    xp, yp = tmp_path / "x.json", tmp_path / "y.json"
+    xp.write_text(json.dumps(x))
+    yp.write_text(json.dumps(y))
+    out = tmp_path / "T.json"
+    assert _run(["transfer", "--E", "seq:lpw:p=1", "--F", "seq:linf", "--x", xp,
+                 "--y", yp, "--mode", mode, "--window=-4:3", "--check-norms",
+                 "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (err["error"], err["detail"]) == ("usage", "x has a non-finite value nan at index 1")
+    assert not out.exists()
 
 
 def test_transfer_cli_hypothesis_violation_exit_2(tmp_path, capsys):

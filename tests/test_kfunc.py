@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from couplekit import (LinftySeq, LorentzSpace, LpSpace, OrliczSpace,
-                       PowerWeight, SeqVec, StepFunction, WeightedLp, Window,
-                       char_fn, dyadic_envelope, dyadic_lp, fit_separation,
+from couplekit import (LinftySeq, LorentzSpace, LpSpace, OrliczModular, OrliczSpace,
+                       PowerWeight, SeqVec, StepFunction, UsageError, WeightedLp,
+                       Window, char_fn, dyadic_envelope, dyadic_lp, fit_separation,
                        kfunc, k_block_estimate, k_l1_linf_oracle, k_numeric,
                        k_profile, linf_space, pwpower, rho_profile)
 from couplekit.specdsl import parse_any_space, parse_seq_space
@@ -565,3 +565,103 @@ def test_k_l1_takes_no_golden_step(spec_x, spec_y, rng):
                     r = k_numeric(t, f, A, B)
                     assert r.lower == r.value and r.converged
                     assert max(rows.values()) <= np.count_nonzero(a) + 4
+
+
+# ---------------------------------------------------------------------------
+# the K engine over a t-grid
+# ---------------------------------------------------------------------------
+
+GRID_WIN = Window("Z-", -6, -1)
+LORENTZ = LorentzSpace(2, PowerWeight(0.5))
+# one couple per route: the L1-type path at p = 1, 1 < p < inf and p = inf
+# (and swapped), the L_infty path in both orientations, and descent
+GRID_COUPLES = {
+    "l1-p1": (L1, LpSpace(1)), "l1-p2": (L1, LpSpace(2)), "l1-pinf": (L1, LINF),
+    "p3-l1": (LpSpace(3), L1), "linf-y": (LpSpace(2), LINF),
+    "linf-x": (LINF, LpSpace(2)), "descent": (LORENTZ, LpSpace(2)),
+}
+
+
+def _fields(r):
+    return (r.t, r.value, r.lower, r.x_mass, r.y_mass, r.sweeps, r.converged,
+            r.split.tobytes())
+
+
+@st.composite
+def grid_cases(draw):
+    name = draw(st.sampled_from(sorted(GRID_COUPLES) + ["descent-seq"]))
+    vals = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 4.0)),
+                         min_size=GRID_WIN.size, max_size=GRID_WIN.size))
+    if name == "descent-seq":
+        # a sequence adds the prefix and suffix splits to descent's trials
+        f, (X, Y) = SeqVec(GRID_WIN, vals), GRID_COUPLES["descent"]
+    else:
+        n = draw(st.integers(2, 5))
+        cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=n - 1, max_size=n - 1,
+                             unique=True))
+        f = StepFunction("unit", (0.0, *sorted(cuts), 1.0), tuple(vals[:n]))
+        X, Y = GRID_COUPLES[name]
+    ts = draw(st.lists(st.floats(-5.0, 5.0).map(lambda e: 2.0 ** e), min_size=1,
+                       max_size=4, unique=True))
+    return sorted(ts), f, X, Y
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_cases())
+def test_k_grid_equals_k_numeric_per_t(case):
+    ts, f, X, Y = case
+    grid = kfunc._k_grid(ts, f, X, Y)
+    assert [_fields(r) for r in grid] == [_fields(k_numeric(t, f, X, Y)) for t in ts]
+    assert [row["K"] for row in k_profile(f, X, Y, ts)] == [r.value for r in grid]
+
+
+def test_k_rejects_non_finite_values():
+    f = StepFunction("unit", (0.0, 0.25, 0.5, 1.0), (1.0, math.nan, 2.0))
+    with pytest.raises(UsageError, match=r"^f has a non-finite value nan at piece "
+                                         r"\[0\.25, 0\.5\)$"):
+        k_numeric(1.0, f, L1, LINF)
+    x = SeqVec(GRID_WIN, [0.0, 1.0, math.inf, 0.0, -math.inf, 1.0])
+    with pytest.raises(UsageError, match="^f has a non-finite value inf at index -4$"):
+        k_profile(x, dyadic_lp(1, GRID_WIN), LinftySeq(GRID_WIN), [0.5, 1.0])
+
+
+def _reference_block_estimate(t, x, E, F, fit):
+    """The split ||x_(-inf,a]||_E + t ||x_(a,inf)||_F from single norms."""
+    rho = fit.rho
+    ns = sorted(rho)
+
+    def split(a):
+        return E.norm(x.prefix(a)) + t * F.norm(x.suffix(a + 1))
+
+    if t < min(rho.values()):
+        return t * F.norm(x)
+    if t > max(rho.values()):
+        return E.norm(x)
+    cands = [a for a in ns[:-1] if rho[a] <= t <= rho[a + 1]]
+    if not cands:
+        cands = [min(ns[:-1], key=lambda a: abs(math.log(t) - math.log(rho[a])))]
+    return min(split(a) for a in cands)
+
+
+@pytest.mark.parametrize("make_F", [LinftySeq, lambda w: dyadic_lp(2, w),
+                                    lambda w: OrliczModular(pwpower(2.0, 3.0), w)],
+                         ids=["linf", "l2", "orlicz"])
+def test_block_estimate_equals_the_split_of_single_norms(rng, make_F):
+    win = Window("Z", -8, 8)
+    E, F = dyadic_lp(1, win), make_F(win)
+    fit = fit_separation(rho_profile(E, F, win))
+    assert fit.separated
+    rhos = sorted(fit.rho.values())
+    ts = rhos + list(np.geomspace(rhos[0] / 2, rhos[-1] * 2, 15))
+    for _ in range(4):
+        x = random_seqvec(rng, win, k=6, scale_sigma=1.5)
+        for t in ts:
+            assert k_block_estimate(t, x, E, F, fit) == _reference_block_estimate(
+                t, x, E, F, fit)
+
+
+def test_block_estimate_rejects_bad_t():
+    win, E, F, fit = _couple()
+    for t in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite t > 0"):
+            k_block_estimate(t, SeqVec.basis(win, 0), E, F, fit)

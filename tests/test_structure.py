@@ -19,8 +19,9 @@ one norm formula per space --
 search on batched rows,
 one Luxemburg solver (one fused profile call per Newton step), one
 multiplicative ascent, the index extremes from a band scan in bounded
-blocks, one drop scan behind Phi+/- (``_count_drops``), and one
-representation of a family of block pairs.
+blocks, one drop scan behind Phi+/- (``_count_drops``), one
+representation of a family of block pairs, and one K scan per vector for a
+whole t-grid (``kfunc._k_grid``).
 """
 
 import ast
@@ -247,3 +248,19 @@ def test_one_family_representation():
     fns = {fn.name for fn in _functions(ast.parse((SRC / "shift.py").read_text()))}
     assert "_family_mats" not in fns
     assert "hasattr" not in _called(ast.parse((SRC / "transfer.py").read_text()))
+
+
+def test_one_k_scan_per_vector():
+    # a t-grid goes to the K engine whole: k_profile and k_transfer have no
+    # per-t k_numeric loop, k_numeric is the engine's one-point case, and the
+    # block estimates read their splits from prefix and suffix norm tables
+    fns = {f"{path.stem}.{fn.name}": fn for path in sorted(SRC.glob("*.py"))
+           for fn in _functions(ast.parse(path.read_text()))}
+    for name in ("kfunc.k_profile", "transfer.k_transfer"):
+        assert "_k_grid" in _called(fns[name]), name
+        assert not _called(fns[name]) & {"k_numeric", "k_block_estimate"}, name
+    assert _called(fns["kfunc.k_numeric"]) == {"_k_grid"}
+    assert "_block_points" in _called(fns["kfunc.k_block_estimate"])
+    assert _called(fns["transfer.k_transfer"]) >= {"_block_points", "_prefix_norms",
+                                                    "_suffix_norms"}
+    assert [name for name in fns if name.endswith("._prefix_norms")] == ["kfunc._prefix_norms"]

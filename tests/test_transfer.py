@@ -311,9 +311,10 @@ def test_k_transfer_split_matches_per_index_reference(F):
 
 @pytest.mark.parametrize("F", [EINF, OrliczModular(power(2), WIN)], ids=["linf", "orlicz"])
 def test_k_transfer_neither_error_matches_reference(F, monkeypatch):
-    # K-domination and C2 = 1 are forced, so y's excess reaches the split
-    monkeypatch.setattr(transfer, "k_numeric", lambda t, v, E, F: SimpleNamespace(value=1.0))
-    monkeypatch.setattr(transfer, "k_block_estimate", lambda t, v, E, F, fit: 1.0)
+    # K-domination and C2 = 1 are forced (K = inf at every t: every block
+    # ratio is 0), so y's excess reaches the split
+    monkeypatch.setattr(transfer, "_k_grid",
+                        lambda ts, v, E, F: [SimpleNamespace(value=math.inf)] * len(ts))
     fit = fit_separation(rho_profile(E1, F, WIN))
     for seed in range(3):
         for shift, damp in ((1, 3.0), (-1, 5.0), (2, 2.5)):
@@ -549,9 +550,13 @@ def test_apply_linear_property(data):
 
 
 def _reference_op_norm_lower(T, space, budget, seed):
-    """The step-by-step lower-bound ascent: ``norm`` and ``apply`` per trial."""
+    """The step-by-step lower-bound ascent: ``norm`` and ``apply`` per trial;
+    it stops once best >= upper / (1 + 1e-12), upper the closed form, tested
+    after the column rays, after each evaluation of x and after each pass."""
     rng = np.random.default_rng(seed)
     win = T.window
+    upper = transfer._upper_bound(T, space)
+    level = math.inf if upper is None else upper / (1 + 1e-12)
     cols = sorted({k for (_, k) in T.entries})
     if not cols:
         return 0.0
@@ -565,12 +570,14 @@ def _reference_op_norm_lower(T, space, budget, seed):
     x = np.zeros(win.size)
     for k in cols:
         x[k - win.lo] = 1.0
-    while evals < budget:
+    while evals < budget and best < level:
         vec = SeqVec(win, x)
         nx = space.norm(vec)
         r = space.norm(T.apply(vec)) / nx if nx > 0 else 0.0
         evals += 1
         best = max(best, r)
+        if best >= level:
+            break
         improved = False
         for k in rng.permutation(cols):
             for factor in (2.0, 0.5):
@@ -628,3 +635,63 @@ def test_op_norm_lower_tries_one_step_on_a_spent_budget():
     lowers = [op_norm(T, E2, "lower", budget=3, seed=s) for s in range(4)]
     assert lowers == [_reference_op_norm_lower(T, E2, 3, s) for s in range(4)]
     assert max(lowers) == pytest.approx(5 ** 0.5)
+
+
+@st.composite
+def positive_matrices(draw):
+    """A window of 2-8 indices and a positive matrix on it: rank-one steps with
+    strictly positive factors and, maybe, a positive diagonal."""
+    n = draw(st.integers(2, 8))
+    win = Window("Z", -(n // 2), n - n // 2 - 1)
+    positive = st.lists(st.floats(0.05, 4.0), min_size=n, max_size=n)
+    T = PositiveMatrix(win)
+    for _ in range(draw(st.integers(1, 3))):
+        T.add_rank_one(SeqVec(win, draw(positive)), SeqVec(win, draw(positive)))
+    if draw(st.booleans()):
+        T.add_diagonal(dict(zip(win.indices().tolist(), draw(positive))))
+    return T
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=positive_matrices(), weighted=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_op_norm_lower_stops_at_the_exact_norm(T, weighted, seed):
+    # on a weighted ell_1 a column ray attains the closed form, on ell_inf the
+    # all-ones x does: the search ends there instead of spending its budget
+    win = T.window
+    spaces = [WeightedLp(1.0, win, wexp=0.4 if weighted else 0.0), LinftySeq(win)]
+    n_cols = len({k for (_, k) in T.entries})
+    for space in spaces:
+        search = transfer._op_norm_lower(T, space, 60, seed)
+        exact = op_norm(T, space, "exact")
+        assert search.stop == "upper" and search.upper == exact
+        assert search.evals <= n_cols + 1
+        assert search.lower >= exact / (1 + 1e-12)
+        assert op_norm(T, space, "lower", 60, seed) == search.lower
+
+
+def test_op_norm_lower_without_closed_form_spends_its_budget():
+    win = Window("Z-", -4, -1)
+    T = PositiveMatrix(win)
+    T.add_rank_one(SeqVec(win, [1.0, 2.0, 0.5, 1.0]), SeqVec(win, [0.5, 1.0, 1.0, 2.0]))
+    for budget in (1, 5, 40):
+        search = transfer._op_norm_lower(T, search_space("modular", win), budget, 3)
+        assert (search.upper, search.stop) == (None, "budget")
+        assert search.evals >= budget
+    # on ell_2 the Schur bound 9 lies above the norm 6.25 of this rank-one T
+    search = transfer._op_norm_lower(T, WeightedLp(2.0, win), 40, 3)
+    assert (search.upper, search.stop) == (pytest.approx(9.0), "budget")
+    assert search.lower == pytest.approx(6.25)
+
+
+@pytest.mark.parametrize("build", ["majorization", "k"])
+@pytest.mark.parametrize("which", ["x", "y"])
+def test_transfers_reject_non_finite_vectors(build, which):
+    vecs = dict(zip("xy", _damped_shift(0, 1, 0.45)))
+    vals = vecs[which].values.copy()
+    vals[5] = math.nan
+    vecs[which] = SeqVec(WIN, vals)
+    with pytest.raises(UsageError, match=f"^{which} has a non-finite value nan at index -7$"):
+        if build == "majorization":
+            majorization_transfer(vecs["x"], vecs["y"], E1, EINF)
+        else:
+            k_transfer(vecs["x"], vecs["y"], E1, EINF, FIT, t_points=3)
