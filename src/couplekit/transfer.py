@@ -1,8 +1,8 @@
 """Constructive synthesis of positive admissible operators.
 
-Three constructions, each returning a nonnegative matrix T stored as its
-rank-one and diagonal factors, with replayable provenance and certified norm
-bounds:
+Three constructions, each returning a nonnegative matrix held as one factor
+stack, with replayable provenance and certified norm bounds (which the
+algebra ``scaled``, ``reversed``, ``+`` does not carry):
 
 * ``rank_one_shift`` -- T = sum_n <., g_n> y_n over the rows (x_n, y_n) of
   an ``InterlacedFamily``'s X and Y, with g_n a norming functional of x_n.
@@ -21,14 +21,15 @@ bounds:
   compare there); each half is a majorization transfer, the second through
   order reversal, and T = T_1 + T_2.
 
-All three add their rank-one steps through one builder, ``_add_block_sum``,
-which takes the block pairs as the rows of two arrays, as ``InterlacedFamily``
-holds them, and checks every norming functional against ||x_n|| to
-FUNCTIONAL_TOL; prefix and suffix norms come from the tables of
+All three push their rank-one rows in one call of one builder,
+``_add_block_sum``, which takes the block pairs as the rows of two arrays, as
+``InterlacedFamily`` holds them, and checks every norming functional against
+||x_n|| to FUNCTIONAL_TOL; prefix and suffix norms come from the tables of
 ``kfunc``, ``_prefix_norms`` and ``_suffix_norms``, and the weighted-ell_p
-operator bound from one closed form, ``_upper_bound``.  The ``op_norm``
-lower bound is a one-lane multiplicative ascent of ``spaces._ascend_steps``
-over batches of rows, which stops once it meets that closed form.
+operator bound from one closed form over the stack, ``_upper_bound``.  The
+``op_norm`` lower bound is a one-lane multiplicative ascent of
+``spaces._ascend_steps`` over batches of rows, which stops once it meets that
+closed form.  Every space must be on the window of the data.
 
 Window truncation realizes the two-ended proofs: indices below window.lo
 carry no mass, so the lower-tail extension set B is always empty here and
@@ -61,70 +62,78 @@ OP_NORM_BUDGET = 400
 _OP_REL = 1e-12
 
 
-class _Step(NamedTuple):
-    """One step: rank-one <., g> y, a diagonal (its values in y), or a note.
-
-    ``g`` and ``y`` are dense nonnegative arrays over the window; ``info`` is
-    the step's note string, or for a note step its whole provenance record.
-    """
-
-    op: str
-    g: np.ndarray | None
-    y: np.ndarray | None
-    info: object
-
-
 class PositiveMatrix:
-    """Nonnegative matrix on a window, stored as its ordered factor steps.
+    """Nonnegative matrix T = Y.T @ G + diag(d) on a window, held as its factor stack.
 
-    A step is a rank-one map <., g> y ("rank_one"), a diagonal multiplier
-    ("diagonal") or a non-operative "note" recording partition data and
-    measured constants.  The steps are the only state: ``entries``, ``apply``,
-    the JSON triplets and the weighted row and column sums are computed from
-    them, and ``provenance`` lists them, so ``replay`` rebuilds the matrix
-    bit-identically.  Every factor must be nonnegative.
+    Row i of ``G`` and ``Y`` is the i-th rank-one step <., G[i]> Y[i] and
+    ``d`` the diagonal steps summed, both in step order and both grown as
+    steps are pushed; ``apply`` and the norm bounds read them.  ``steps``
+    keeps the order as (op, values, note): "rank_one" (the next stack row),
+    "diagonal" (its own values) or "note" (its whole provenance record, with
+    partition data and measured constants), so ``entries`` (summed step by
+    step), ``provenance`` and ``replay`` follow it bit for bit.  Every factor
+    must be nonnegative.  Only the constructions set ``certified_bounds``:
+    ``scaled``, ``reversed`` and ``+`` return matrices without it.
     """
 
-    def __init__(self, window: Window, certified_bounds: dict | None = None):
+    def __init__(self, window: Window):
         self.window = window
-        self.steps: list[_Step] = []
-        self.certified_bounds = certified_bounds
+        self.G = self.Y = np.zeros((0, window.size))  # replaced, never written
+        self.d = np.zeros(window.size)
+        self.steps: list[tuple] = []
+        self.certified_bounds = None
 
     def _values(self, entries: dict) -> np.ndarray:
         return SeqVec.from_entries(self.window, entries).values
 
-    def _push(self, op: str, g: np.ndarray | None, y: np.ndarray, note):
-        if np.any(y < 0) or (g is not None and np.any(g < 0)):
+    def _push_rank_one(self, G: np.ndarray, Y: np.ndarray, notes: list):
+        """Push the steps <., G[i]> Y[i], one per row, with their notes."""
+        if np.any(G < 0) or np.any(Y < 0):
             raise ValueError("positive matrix entries must be >= 0")
-        self.steps.append(_Step(op, g, y, note))
+        self.G = np.concatenate([self.G, G])
+        self.Y = np.concatenate([self.Y, Y])
+        self.steps += [("rank_one", None, note) for note in notes]
+
+    @staticmethod
+    def _stacked(window: Window, G, Y, steps: list) -> "PositiveMatrix":
+        """A bare matrix over a given stack; d sums its diagonal steps in order."""
+        out = PositiveMatrix(window)
+        out.G, out.Y, out.steps = G, Y, steps
+        out.d = sum((diag for op, diag, _ in steps if op == "diagonal"), out.d)
+        return out
 
     # -- construction steps --------------------------------------------------
 
     def add_rank_one(self, functional: SeqVec, target: SeqVec, note: str | None = None):
         if functional.window != self.window or target.window != self.window:
             raise ValueError("window mismatch")
-        self._push("rank_one", functional.values, target.values, note)
+        self._push_rank_one(functional.values[None], target.values[None], [note])
 
     def add_diagonal(self, diag: dict[int, float], note: str | None = None):
-        self._push("diagonal", None, self._values(diag), note)
+        values = self._values(diag)
+        if np.any(values < 0):
+            raise ValueError("positive matrix entries must be >= 0")
+        self.d = self.d + values
+        self.steps.append(("diagonal", values, note))
 
     def note(self, **kwargs):
-        self.steps.append(_Step("note", None, None, {"op": "note", **kwargs}))
+        self.steps.append(("note", None, {"op": "note", **kwargs}))
 
     @property
     def provenance(self) -> list[dict]:
-        out = []
-        for s in self.steps:
-            if s.op == "rank_one":
-                rec = {"op": "rank_one", "functional": _sparse(self.window, s.g),
-                       "target": _sparse(self.window, s.y)}
-            elif s.op == "diagonal":
-                rec = {"op": "diagonal", "diag": _sparse(self.window, s.y)}
+        out, rows = [], zip(self.G, self.Y)
+        for op, diag, note in self.steps:
+            if op == "rank_one":
+                g, y = next(rows)
+                rec = {"op": "rank_one", "functional": _sparse(self.window, g),
+                       "target": _sparse(self.window, y)}
+            elif op == "diagonal":
+                rec = {"op": "diagonal", "diag": _sparse(self.window, diag)}
             else:
-                out.append(dict(s.info))
+                out.append(dict(note))
                 continue
-            if s.info:
-                rec["note"] = s.info
+            if note:
+                rec["note"] = note
             out.append(rec)
         return out
 
@@ -133,77 +142,55 @@ class PositiveMatrix:
         out = PositiveMatrix(window)
         for step in provenance:
             if step["op"] == "rank_one":
-                out._push("rank_one", out._values(step["functional"]),
-                          out._values(step["target"]), step.get("note"))
+                out._push_rank_one(out._values(step["functional"])[None],
+                                   out._values(step["target"])[None], [step.get("note")])
             elif step["op"] == "diagonal":
                 out.add_diagonal(step["diag"], note=step.get("note"))
             else:
-                out.steps.append(_Step("note", None, None, dict(step)))
+                out.steps.append(("note", None, dict(step)))
         return out
 
-    # -- views computed from the steps ----------------------------------------
-
-    def _factors(self):
-        """(G, Y, d): stacked rank-one factors (rank x n) and the summed diagonal."""
-        n = self.window.size
-        ones = [s for s in self.steps if s.op == "rank_one"]
-        d = np.zeros(n)
-        for s in self.steps:
-            if s.op == "diagonal":
-                d += s.y
-        return (np.array([s.g for s in ones]).reshape(len(ones), n),
-                np.array([s.y for s in ones]).reshape(len(ones), n), d)
+    # -- views of the stack ----------------------------------------------------
 
     @property
     def entries(self) -> dict[tuple[int, int], float]:
         """Nonzero entries {(j, k): value}, each summed over the steps in order."""
         n, lo = self.window.size, self.window.lo
-        M = np.zeros((n, n))
-        for s in self.steps:
-            if s.op == "rank_one":
-                M += np.outer(s.y, s.g)
-            elif s.op == "diagonal":
-                M.flat[::n + 1] += s.y
+        M, rows = np.zeros((n, n)), zip(self.G, self.Y)
+        for op, diag, _ in self.steps:
+            if op == "rank_one":
+                g, y = next(rows)
+                M += np.outer(y, g)
+            elif op == "diagonal":
+                M.flat[::n + 1] += diag
         return {(int(j) + lo, int(k) + lo): float(M[j, k]) for j, k in zip(*np.nonzero(M))}
 
     def apply(self, x: SeqVec) -> SeqVec:
         if x.window != self.window:
             raise ValueError("window mismatch")
-        G, Y, d = self._factors()
-        return SeqVec(self.window, Y.T @ (G @ x.values) + d * x.values)
+        return SeqVec(self.window, self.Y.T @ (self.G @ x.values) + self.d * x.values)
 
     # -- algebra ---------------------------------------------------------------
 
     def scaled(self, c: float) -> "PositiveMatrix":
         if c < 0:
             raise ValueError("scale factor must be >= 0")
-        out = PositiveMatrix(self.window)
-        out.steps = [s if s.op == "note" else s._replace(y=s.y * c) for s in self.steps]
-        if self.certified_bounds is not None:
-            out.certified_bounds = {
-                k: (v * c if isinstance(v, (int, float)) and k in ("E", "F") else v)
-                for k, v in self.certified_bounds.items()
-            }
-        return out
+        return PositiveMatrix._stacked(
+            self.window, self.G, self.Y * c,
+            [(op, None if diag is None else diag * c, note) for op, diag, note in self.steps])
 
     def __add__(self, other: "PositiveMatrix") -> "PositiveMatrix":
         if other.window != self.window:
             raise ValueError("window mismatch")
-        out = PositiveMatrix(self.window)
-        out.steps = self.steps + other.steps
-        return out
+        return PositiveMatrix._stacked(self.window, np.concatenate([self.G, other.G]),
+                                       np.concatenate([self.Y, other.Y]),
+                                       self.steps + other.steps)
 
     def reversed(self) -> "PositiveMatrix":
-        """Conjugation by the order reversal: entries (j,k) -> (-(j+1), -(k+1)).
-
-        The certified bounds carry over unchanged: they now bound the matrix
-        on the order-reversed spaces.
-        """
-        out = PositiveMatrix(self.window.reversed(), self.certified_bounds)
-        out.steps = [s._replace(g=None if s.g is None else s.g[::-1],
-                                y=None if s.y is None else s.y[::-1])
-                     for s in self.steps]
-        return out
+        """Conjugation by the order reversal: entries (j,k) -> (-(j+1), -(k+1))."""
+        return PositiveMatrix._stacked(
+            self.window.reversed(), self.G[:, ::-1].copy(), self.Y[:, ::-1].copy(),
+            [(op, None if diag is None else diag[::-1], note) for op, diag, note in self.steps])
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,23 +221,21 @@ class PositiveMatrix:
 
 def op_norm(T: PositiveMatrix, space: SeqSpaceSpec, mode: str = "interval",
             budget: int = OP_NORM_BUDGET, seed: int = 0):
-    """Operator norm of T on a sequence space, asked through its protocol.
+    """Operator norm of T on a sequence space on T's window.
 
-    ``exact``: the closed form of ``_upper_bound`` for a weighted ell_1 or
-    ell_infty form.  ``schur``: the same closed form, the Schur interpolation
-    bound for 1 < p < inf.  ``lower``: certified lower bound by adversarial
-    ascent over ``norm_rows`` (``_op_norm_lower``), which stops early once it
-    reaches the closed-form upper bound to 1e-12 relative.  ``interval``
-    returns (lower, upper), upper from ``_upper_bound`` (None when the space
-    has no weighted-lp form).
+    ``upper``: the closed form ``_upper_bound``, exact for p = 1 and p = inf
+    and the Schur bound otherwise; a ``UsageError`` without a weighted-lp
+    form.  ``lower``: certified lower bound by adversarial ascent over
+    ``norm_rows`` (``_op_norm_lower``), which stops early once it reaches the
+    closed form to 1e-12 relative.  ``interval``: (lower, upper), upper None
+    without a weighted-lp form.
     """
-    if mode in ("exact", "schur"):
-        wp = space.weighted_lp_form()
-        if wp is None:
-            raise UsageError(f"mode {mode!r} unsupported for {space.spec_string()}")
-        if mode == "exact" and 1.0 < wp[1] < math.inf:
-            raise UsageError("exact mode needs p = 1 or p = inf")
-        return _upper_bound(T, space)
+    _check_windows("matrix", T.window, space)
+    if mode == "upper":
+        upper = _upper_bound(T, space)
+        if upper is None:
+            raise UsageError(f"mode 'upper' unsupported for {space.spec_string()}")
+        return upper
     if mode == "lower":
         return _op_norm_lower(T, space, budget, seed).lower
     if mode == "interval":
@@ -293,11 +278,10 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
 
     if not cols:
         return result(0.0, 0)
-    G, Y, d = T._factors()
 
     def ratios(V):
         # T row by row, as ``apply`` computes it: a matrix product may round otherwise
-        TV = np.array([Y.T @ (G @ v) + d * v for v in V])
+        TV = np.array([T.Y.T @ (T.G @ v) + T.d * v for v in V])
         nx, ntx = space.norm_rows(np.concatenate([V, TV])).reshape(2, -1)
         return np.divide(ntx, nx, out=np.zeros(nx.size), where=nx > 0)
 
@@ -324,20 +308,21 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
     return result(best, evals)
 
 
-def _upper_bound(T: PositiveMatrix, space: SeqSpaceSpec) -> float | None:
+def _upper_bound(T: PositiveMatrix, space: SeqSpaceSpec, Y=None) -> float | None:
     """Closed-form upper bound over ``weighted_lp_form()`` = (w, p), else None.
 
     With C = w_j T_jk / w_k the weight-conjugated matrix: its max column sum
     (exact for p = 1), its max row sum (exact for p = inf), and otherwise the
-    Schur interpolation col^(1/p) row^(1 - 1/p).
+    Schur interpolation col^(1/p) row^(1 - 1/p).  Given ``Y``, the bound is
+    of T with its rank-one targets T.Y replaced by the rows of Y.
     """
     wp = space.weighted_lp_form()
     if wp is None:
         return None
     w, p = wp
-    G, Y, d = T._factors()
-    col = float(np.max((G.T @ (Y @ w)) / w + d))
-    row = float(np.max(w * (Y.T @ (G @ (1.0 / w))) + d))
+    Y = T.Y if Y is None else Y
+    col = float(np.max((T.G.T @ (Y @ w)) / w + T.d))
+    row = float(np.max(w * (Y.T @ (T.G @ (1.0 / w))) + T.d))
     if p == 1.0:
         return col
     if math.isinf(p):
@@ -350,19 +335,21 @@ def _upper_bound(T: PositiveMatrix, space: SeqSpaceSpec) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def _add_block_sum(T: PositiveMatrix, X, Y, E: SeqSpaceSpec, note: str) -> tuple:
-    """Add sum_n <., g_n> y_n to T over the block pairs (x_n, y_n), the rows
-    of X and Y, with y_n != 0.
+def _add_block_sum(T: PositiveMatrix, X, Y, E: SeqSpaceSpec, note: str) -> np.ndarray:
+    """Push sum_n <., g_n> y_n onto T over the block pairs (x_n, y_n), the
+    rows of X and Y, with y_n != 0.
 
     g_n is the norming functional of x_n scaled so <x_n, g_n> = 1, after
     checking <x_n, g> = ||x_n||_E to FUNCTIONAL_TOL, the norms from one
     ``norm_rows`` call; supp g_n stays inside supp x_n.  ``note`` is the step
-    note, with ``{n}`` the pair's row.  Returns the rows (X, Y, G) it added.
+    note, with ``{n}`` the pair's row.  Returns the norms ||x_n||_E of the
+    pairs it pushed, in row order.
     """
     rows = np.flatnonzero(Y.any(axis=1))
     X, Y = X[rows], Y[rows]
+    norms = E.norm_rows(X)
     G = np.empty_like(X)
-    for k, (n, nx) in enumerate(zip(rows.tolist(), E.norm_rows(X).tolist())):
+    for k, nx in enumerate(norms.tolist()):
         g = norming_functional(E, SeqVec(T.window, X[k])).values
         pairing = float(np.dot(X[k], g))
         if abs(pairing / nx - 1.0) > FUNCTIONAL_TOL:
@@ -370,8 +357,8 @@ def _add_block_sum(T: PositiveMatrix, X, Y, E: SeqSpaceSpec, note: str) -> tuple
                 f"norming functional failed tolerance: <x, g> = {pairing:.12g} "
                 f"against ||x|| = {nx:.12g}")
         G[k] = (1.0 / pairing) * g
-        T._push("rank_one", G[k], Y[k], note.format(n=n))
-    return X, Y, G
+    T._push_rank_one(G, Y, [note.format(n=n) for n in rows.tolist()])
+    return norms
 
 
 def rank_one_shift(family: InterlacedFamily, E: SeqSpaceSpec,
@@ -385,6 +372,7 @@ def rank_one_shift(family: InterlacedFamily, E: SeqSpaceSpec,
     """
     if not len(family.X):
         raise UsageError("empty family")
+    _check_windows("family", family.window, E)
     X, Y = (family.X[:-1], family.Y[1:]) if shifted else (family.X, family.Y)
     T = PositiveMatrix(family.window)
     _add_block_sum(T, X, Y, E, "block {n} shifted" if shifted else "block {n}")
@@ -409,7 +397,7 @@ def _sigma_of_prefix(P: float) -> float:
 
 
 def _disjoint_transfer(x: np.ndarray, y: np.ndarray, E: SeqSpaceSpec, win: Window,
-                       tol: float = 1e-12) -> tuple[PositiveMatrix, tuple]:
+                       tol: float = 1e-12) -> tuple[PositiveMatrix, np.ndarray]:
     """Core of the majorization construction for disjointly supported values x, y.
 
     Requires ||y_(-inf,a]|| <= ||x_(-inf,a]|| for every a.  Partitions the
@@ -417,7 +405,7 @@ def _disjoint_transfer(x: np.ndarray, y: np.ndarray, E: SeqSpaceSpec, win: Windo
     pairs each x block with the following y block, and sums the rank-one
     operators; the paired blocks satisfy ||y_{n+1}|| <= 4^3 ||x_n|| which is
     what the rank-one-sum constant quantifies.  One ``searchsorted`` over the
-    partition points cuts the blocks.  Returns T and the ``_add_block_sum`` rows.
+    partition points cuts the blocks.  Returns T and its x-block norms.
     """
     P = _prefix_norms(x, E)
     sigma = [_sigma_of_prefix(p) for p in P]  # sigma[i] is at index lo-1+i
@@ -432,29 +420,25 @@ def _disjoint_transfer(x: np.ndarray, y: np.ndarray, E: SeqSpaceSpec, win: Windo
         raise HypothesisError("y carries mass before the first x block")
 
     T = PositiveMatrix(win)
-    used = _add_block_sum(T, np.where(blocks[:-1], x, 0.0), np.where(blocks[1:], y, 0.0),
-                          E, "partition block {n}")
+    norms = _add_block_sum(T, np.where(blocks[:-1], x, 0.0), np.where(blocks[1:], y, 0.0),
+                           E, "partition block {n}")
     T.note(partition=[win.lo + i - 1 for i in chosen])
-    return T, used
+    return T, norms
 
 
-def _rank_one_constant(X, Y, G, E: SeqSpaceSpec, F: SeqSpaceSpec) -> float | None:
+def _rank_one_constant(S: PositiveMatrix, norms: np.ndarray, E: SeqSpaceSpec,
+                       F: SeqSpaceSpec) -> float | None:
     """Measured rank-one-sum constant C_0: norm of the normalized block shift.
 
-    X, Y and G are the rows the block sum added.  Targets are scaled to
-    the source norms (the normalization under which the block-shift constant
-    quantifies), the norms from one ``norm_rows`` call per side, and the
-    operator norm is bounded on both spaces; None when neither space admits a
-    computable upper bound.
+    S is a block sum and ``norms`` the E-norms of its x blocks.  Each target
+    S.Y[n] is scaled to its source norm (the normalization under which the
+    block-shift constant quantifies), and the operator norm is bounded on
+    both spaces; None when neither space admits a closed-form bound.
     """
-    S = PositiveMatrix(E.window)
-    for g, y, nx, ny in zip(G, Y, E.norm_rows(X).tolist(), E.norm_rows(Y).tolist()):
-        if ny != 0.0:
-            S._push("rank_one", g, (nx / ny) * y, None)
-    bounds = [b for b in (_upper_bound(S, E), _upper_bound(S, F)) if b is not None]
-    if not bounds:
-        return None
-    return max(max(bounds), 1.0)
+    ny = E.norm_rows(S.Y)  # a target of norm 0 drops out
+    Y = np.divide(norms, ny, out=np.zeros(ny.size), where=ny != 0.0)[:, None] * S.Y
+    bounds = [b for b in (_upper_bound(S, E, Y), _upper_bound(S, F, Y)) if b is not None]
+    return max(max(bounds), 1.0) if bounds else None
 
 
 def majorization_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec,
@@ -469,12 +453,7 @@ def majorization_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec,
     with entries <= 2 supplies the rest.  Certified bound 128 C_0 + 2.
     """
     win = x.window
-    if y.window != win:
-        raise UsageError("x and y must share a window")
-    _check_finite("x", x)
-    _check_finite("y", y)
-    if np.any(x.values < 0) or np.any(y.values < 0):
-        raise UsageError("majorization transfer needs nonnegative vectors")
+    _check_vectors(x, y, E, F, "majorization transfer")
     if not np.any(x.values):
         if np.any(y.values):
             raise HypothesisError("x = 0 with y != 0")
@@ -495,10 +474,10 @@ def majorization_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec,
 
     T, c0 = PositiveMatrix(win), 1.0
     if np.any(v):
-        S2, used = _disjoint_transfer(2.0 * u, v, E, win)
+        S2, norms = _disjoint_transfer(2.0 * u, v, E, win)
         T = S2.scaled(2.0)  # S2(2u) = v, so T = 2 S2 satisfies T u = v
-        if len(used[0]):
-            c0 = _rank_one_constant(*used, E, F)
+        if norms.size:
+            c0 = _rank_one_constant(S2, norms, E, F)
     on = ~big & (x.values > 0) & (y.values != 0.0)
     if np.any(on):
         diag = dict(zip(win.indices()[on].tolist(), (y.values[on] / x.values[on]).tolist()))
@@ -518,12 +497,33 @@ def _certified_bounds(T: PositiveMatrix, E: SeqSpaceSpec, F: SeqSpaceSpec,
     names the one taken and is left out where neither exists."""
     bounds = {"method": {}}
     for label, space in (("E", E), ("F", F)):
-        cands = {"direct": _upper_bound(T, space), method: other[label]}
-        cands = {m: b for m, b in cands.items() if b is not None}
+        cands = {m: b for m, b in (("direct", _upper_bound(T, space)), (method, other[label]))
+                 if b is not None}
         bounds[label] = min(cands.values()) if cands else None
         if cands:
             bounds["method"][label] = min(cands, key=cands.get)
     return bounds
+
+
+def _check_windows(what: str, window: Window, *spaces: SeqSpaceSpec):
+    """Every space must be on ``window``: on another window of the same size
+    its weights would fall on the wrong indices."""
+    for space in spaces:
+        if space.window != window:
+            a, b = space.window, window
+            raise UsageError(f"window mismatch: {space.spec_string()} is on "
+                             f"{a.kind}[{a.lo},{a.hi}], the {what} on {b.kind}[{b.lo},{b.hi}]")
+
+
+def _check_vectors(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec, name: str):
+    """x and y of a transfer: on one window with E and F, finite, nonnegative."""
+    if y.window != x.window:
+        raise UsageError("x and y must share a window")
+    _check_windows("vectors", x.window, E, F)
+    _check_finite("x", x)
+    _check_finite("y", y)
+    if np.any(x.values < 0) or np.any(y.values < 0):
+        raise UsageError(f"{name} needs nonnegative vectors")
 
 
 def _verify_action(T: PositiveMatrix, x: SeqVec, y: SeqVec):
@@ -552,15 +552,12 @@ def k_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
     one suffix F-norm table per vector.  A non-finite value of x or y is a
     ``UsageError``.
     """
+    win = x.window
+    _check_vectors(x, y, E, F, "k_transfer")
     if not fit.separated:
         raise HypothesisError("couple is not exponentially separated")
-    _check_finite("x", x)
-    _check_finite("y", y)
-    if np.any(x.values < 0) or np.any(y.values < 0):
-        raise UsageError("k_transfer needs nonnegative vectors")
     if t_points < 1:
         raise UsageError(f"t_points must be at least 1; got {t_points}")
-    win = x.window
     rho_lo = min(fit.rho.values())
     rho_hi = max(fit.rho.values())
     ts = np.geomspace(rho_lo, rho_hi, t_points)
@@ -595,25 +592,26 @@ def k_transfer(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
             f"needed constant {need / 2.0:.6g} > C2 = {c2:.6g}")
     J1, J2 = win.indices()[okE].tolist(), win.indices()[~okE].tolist()
 
+    # each part is s M, M a majorization transfer: its bounds are s times M's
     parts, part_bounds = [], []
     if J1:
-        T1 = majorization_transfer(x, y.restrict(J1).scale(1.0 / s), E, F).scaled(s)
+        M = majorization_transfer(x, y.restrict(J1).scale(1.0 / s), E, F)
+        T1 = M.scaled(s)
         T1.note(branch="J1", indices=J1[:64], C2=c2)
         parts.append(T1)
-        part_bounds.append(T1.certified_bounds)
+        part_bounds.append((M.certified_bounds["E"], M.certified_bounds["F"]))
     if J2:
-        T2 = majorization_transfer(x.reversed(), y.restrict(J2).reversed().scale(1.0 / s),
-                                   F.reversed_space(), E.reversed_space()).scaled(s).reversed()
+        M = majorization_transfer(x.reversed(), y.restrict(J2).reversed().scale(1.0 / s),
+                                  F.reversed_space(), E.reversed_space())
+        T2 = M.scaled(s).reversed()
         T2.note(branch="J2 (order-reversed)", indices=J2[:64], C2=c2)
         parts.append(T2)
         # built on (rev F, rev E): its "E" bound is on F and its "F" bound on E
-        part_bounds.append({"E": T2.certified_bounds["F"], "F": T2.certified_bounds["E"]})
+        part_bounds.append((M.certified_bounds["F"], M.certified_bounds["E"]))
     T = sum(parts[1:], parts[0])  # J1 and J2 cover the window, so parts is not empty
 
-    summed = {}
-    for label in ("E", "F"):
-        vals = [pb[label] for pb in part_bounds]
-        summed[label] = float(sum(vals)) if None not in vals else None
+    summed = {label: float(sum(b * s for b in vals)) if None not in vals else None
+              for label, vals in zip(("E", "F"), zip(*part_bounds))}
     T.certified_bounds = _certified_bounds(T, E, F, "sum-of-parts", summed)
     T.certified_bounds["C2_measured"] = c2
     _verify_action(T, x, y)

@@ -213,6 +213,27 @@ def test_transfer_non_finite_x_is_usage_error(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["majorization", "k"])
+def test_transfer_space_window_other_than_vectors_exit_1(tmp_path, capsys, mode):
+    # x and y on Z[-12, 12], the spaces on --window Z[0, 24]: same size, so
+    # the weights would fall on the wrong indices
+    win = Window("Z", -12, 12)
+    x = SeqVec.from_entries(win, {-9: 1.0, -5: 0.7, -1: 1.3, 3: 0.4, 7: 0.9})
+    y = SeqVec.from_entries(win, {k + 1: 0.3 * v for k, v in x.entries().items()})
+    xp, yp = tmp_path / "x.json", tmp_path / "y.json"
+    xp.write_text(json.dumps(x.to_json_dict()))
+    yp.write_text(json.dumps(y.to_json_dict()))
+    out = tmp_path / "T.json"
+    assert _run(["transfer", "--mode", mode, "--E", "seq:orlicz-modular:gen=<example1>",
+                 "--F", "seq:linf", "--x", xp, "--y", yp, "--window=0:24:Z",
+                 "--check-norms", "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (err["error"], err["detail"]) == (
+        "usage", "window mismatch: seq:orlicz-modular:gen=<example1> is on Z[0,24], "
+                 "the vectors on Z[-12,12]")
+    assert not out.exists()
+
+
 def test_transfer_cli_hypothesis_violation_exit_2(tmp_path, capsys):
     win = Window("Z-", -8, -1)
     x = SeqVec.from_entries(win, {-3: 1.0})

@@ -20,8 +20,9 @@ search on batched rows,
 one Luxemburg solver (one fused profile call per Newton step), one
 multiplicative ascent, the index extremes from a band scan in bounded
 blocks, one drop scan behind Phi+/- (``_count_drops``), one
-representation of a family of block pairs, and one K scan per vector for a
-whole t-grid (``kfunc._k_grid``).
+representation of a family of block pairs, one K scan per vector for a
+whole t-grid (``kfunc._k_grid``), and one representation of a positive
+operator (the factor stack ``G``, ``Y``, ``d`` of ``PositiveMatrix``).
 """
 
 import ast
@@ -264,3 +265,20 @@ def test_one_k_scan_per_vector():
     assert _called(fns["transfer.k_transfer"]) >= {"_block_points", "_prefix_norms",
                                                     "_suffix_norms"}
     assert [name for name in fns if name.endswith("._prefix_norms")] == ["kfunc._prefix_norms"]
+
+
+def test_one_representation_of_a_positive_operator():
+    # the factor stack is the one stored form of a positive matrix: nothing
+    # rebuilds it from the steps, and the matrix, its bounds and its lower
+    # search read it
+    tree = ast.parse((SRC / "transfer.py").read_text())
+    fns = {fn.name: fn for fn in _functions(tree)}
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert "_Step" not in classes
+    assert "_factors" not in fns and not _calls(tree, "_factors")
+    assert not _called(classes["PositiveMatrix"]) & {"array", "stack", "vstack"}
+    for name in ("apply", "_upper_bound", "_op_norm_lower"):
+        assert {"G", "Y", "d"} <= _names(fns[name]), name
+    # the rank-one constant reads the block rows of the block sum itself
+    assert "Y" in _names(fns["_rank_one_constant"])
+    assert "PositiveMatrix" not in _called(fns["_rank_one_constant"])

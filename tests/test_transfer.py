@@ -33,7 +33,7 @@ def test_rank_one_single_pair():
     y = SeqVec.basis(WIN, 1, 0.5)     # ||e_1/2||_{E_L1} = 1
     T = rank_one_shift(InterlacedFamily(WIN, [x.values], [y.values]), E1)
     assert np.allclose(T.apply(x).values, y.values)
-    assert op_norm(T, E1, "exact") == pytest.approx(1.0)
+    assert op_norm(T, E1, "upper") == pytest.approx(1.0)
 
 
 def test_rank_one_reproduces_family(rng):
@@ -329,6 +329,26 @@ def test_k_transfer_neither_error_matches_reference(F, monkeypatch):
                 f"needed constant {need:.6g} > C2 = {1.0:.6g}")
 
 
+@pytest.mark.parametrize("build", ["majorization", "k", "rank-one", "op-norm"])
+@pytest.mark.parametrize("side", ["E", "F"])
+def test_space_on_another_window_is_usage_error(build, side):
+    # a window of the same size would put the space's weights on the wrong
+    # indices, so it is refused, naming both windows
+    x, y = _damped_shift(0, 1, 0.45)
+    other = Window("Z", 0, 24)
+    E, F = (dyadic_lp(1, other), EINF) if side == "E" else (E1, LinftySeq(other))
+    fam = gen_interlaced(E1, WIN, 2, (1, 2), seed=0)
+    call = {
+        "majorization": lambda: majorization_transfer(x, y, E, F),
+        "k": lambda: k_transfer(x, y, E, F, FIT, t_points=3),
+        "rank-one": lambda: rank_one_shift(fam, E if side == "E" else F),
+        "op-norm": lambda: op_norm(_diagonal(), E if side == "E" else F, "interval", 10),
+    }[build]
+    with pytest.raises(UsageError, match=r"window mismatch: .* is on Z\[0,24\], the "
+                                         r"(vectors|family|matrix) on Z\[-12,12\]$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # operator norms
 # ---------------------------------------------------------------------------
@@ -337,8 +357,8 @@ def test_k_transfer_neither_error_matches_reference(F, monkeypatch):
 def test_op_norm_diagonal_exact():
     T = PositiveMatrix(WIN)
     T.add_diagonal({-3: 0.5, 0: 2.0, 4: 1.5})
-    assert op_norm(T, E1, "exact") == pytest.approx(2.0)
-    assert op_norm(T, EINF, "exact") == pytest.approx(2.0)
+    assert op_norm(T, E1, "upper") == pytest.approx(2.0)
+    assert op_norm(T, EINF, "upper") == pytest.approx(2.0)
 
 
 def test_op_norm_single_entry_weight_ratio():
@@ -346,7 +366,7 @@ def test_op_norm_single_entry_weight_ratio():
     f = SeqVec.basis(WIN, -2)
     t = SeqVec.basis(WIN, 3)
     T.add_rank_one(f, t)  # T[3, -2] = 1
-    assert op_norm(T, E1, "exact") == pytest.approx(2.0 ** (3 - (-2)))
+    assert op_norm(T, E1, "upper") == pytest.approx(2.0 ** (3 - (-2)))
 
 
 def test_op_norm_lower_below_schur(rng):
@@ -369,7 +389,7 @@ def test_op_norm_exact_unsupported():
     T = PositiveMatrix(win)
     T.add_diagonal({-3: 1.0})
     with pytest.raises(UsageError):
-        op_norm(T, E, "exact")
+        op_norm(T, E, "upper")
     assert op_norm(T, E, "lower", budget=50, seed=0) > 0
 
 
@@ -377,9 +397,9 @@ def test_op_norm_order_reversed_consistency():
     from couplekit import OrderReversed
     T = PositiveMatrix(WIN)
     T.add_rank_one(SeqVec.basis(WIN, -2), SeqVec.basis(WIN, 3, 0.7))
-    R = OrderReversed(E1)
-    direct = op_norm(T.reversed(), E1, "exact")
-    via = op_norm(T, R, "exact")
+    R = OrderReversed(E1)  # on WIN.reversed(), where T.reversed() is
+    direct = op_norm(T, E1, "upper")
+    via = op_norm(T.reversed(), R, "upper")
     assert via == pytest.approx(direct)
 
 
@@ -408,15 +428,12 @@ def test_op_norm_schur_is_the_closed_form(make):
     T.add_diagonal({int(n): float(g.random()) for n in g.choice(WIN.indices(), 4)})
     for p, pick in ((1.0, 0), (math.inf, 1)):
         S = make(p)
-        assert op_norm(T, S, "schur") == op_norm(T, S, "exact")
-        assert op_norm(T, S, "exact") == pytest.approx(
+        assert op_norm(T, S, "upper") == pytest.approx(
             _dense_colrow(T, S.unit_norms())[pick], rel=1e-12)
     S = make(2.0)
     col, row = _dense_colrow(T, S.unit_norms())
-    assert op_norm(T, S, "schur") == pytest.approx(col ** 0.5 * row ** 0.5, rel=1e-12)
-    assert op_norm(T, S, "interval", budget=40)[1] == op_norm(T, S, "schur")
-    with pytest.raises(UsageError, match="p = 1 or p = inf"):
-        op_norm(T, S, "exact")
+    assert op_norm(T, S, "upper") == pytest.approx(col ** 0.5 * row ** 0.5, rel=1e-12)
+    assert op_norm(T, S, "interval", budget=40)[1] == op_norm(T, S, "upper")
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +485,31 @@ def test_positivity_enforced():
     with pytest.raises(ValueError, match="window mismatch"):
         T.add_rank_one(SeqVec.basis(WIN, 0), SeqVec.basis(Window("Z", -12, 13), 1))
     assert not T.steps
+
+
+def test_factor_stack_is_the_entries():
+    # seeded majorization and K transfers: every entry comes from exactly one
+    # step, so the stack Y.T @ G + diag(d) equals the step-by-step entries
+    # bit for bit
+    built, n = 0, WIN.size
+    for F in (EINF, dyadic_lp(2, WIN)):
+        fit = fit_separation(rho_profile(E1, F, WIN))
+        for seed in range(8):
+            for shift in (1, -1):
+                x, y = _damped_shift(seed, shift, 0.45)
+                builds = [k_transfer(x, y, E1, F, fit, t_points=3)]
+                if shift == 1:  # y's prefix norms stay below x's
+                    builds.append(majorization_transfer(x, y, E1, F))
+                for T in builds:
+                    steps = [np.outer(yr != 0, g != 0) for g, yr in zip(T.G, T.Y)]
+                    steps += [np.diag(v != 0) for op, v, _ in T.steps if op == "diagonal"]
+                    M = np.zeros((n, n))
+                    for (j, k), v in T.entries.items():
+                        M[j - WIN.lo, k - WIN.lo] = v
+                    assert np.array_equal(np.sum(steps, axis=0), M != 0)
+                    assert np.array_equal(T.Y.T @ T.G + np.diag(T.d), M)
+                    built += 1
+    assert built == 48
 
 
 def test_from_json_rejects_tampered_triplet(rng):
@@ -662,7 +704,7 @@ def test_op_norm_lower_stops_at_the_exact_norm(T, weighted, seed):
     n_cols = len({k for (_, k) in T.entries})
     for space in spaces:
         search = transfer._op_norm_lower(T, space, 60, seed)
-        exact = op_norm(T, space, "exact")
+        exact = op_norm(T, space, "upper")
         assert search.stop == "upper" and search.upper == exact
         assert search.evals <= n_cols + 1
         assert search.lower >= exact / (1 + 1e-12)
