@@ -16,32 +16,17 @@ left-shift property is evaluated as RSP of the order-reversed space.
 
 Where a theorem fixes the constant, the searched space answers a certified
 upper bound (``SeqSpaceSpec.shift_upper()``: 1 on every space that is exactly
-a weighted ell_p, whose blocks are disjoint).  One stop rule: the search ends
-once C-hat reaches the lower of ``target`` and the bound over the ascent's
-accept margin ``ACCEPT_REL`` (no accept could beat the bound by more), tested
-on the incumbent and after each restart; ``shift_schedule`` ends on the first
-stage that stops before its budget.
+a weighted ell_p, whose blocks are disjoint).  The search ends on the stop
+rule of ``couplekit.ascent`` -- C-hat reaches the lower of ``target`` and the
+bound over 1 + ``ascent.ACCEPT_REL`` -- tested on the incumbent and after
+each restart; ``shift_schedule`` ends on the first stage that stops before
+its budget.
 
 A family is two arrays, ``InterlacedFamily(window, X, Y)``, read alike by the
 search, the witness JSON (validated again on replay) and ``rank_one_shift``.
-
-A family's random restarts are lanes of ``spaces._ascend_steps``, the ascent
-kappa and the ``op_norm`` lower bound share: each round evaluates the next
-trials of every lane in one batch (one ``norm_rows`` call on the stacked
-numerators and denominators, exact because the supports are disjoint), and
-each lane accepts the trials a trial-by-trial ascent would.  A lane's first
-round evaluates its whole sweep, later ones about as many trials as it has
-consumed per accept.  Restarts run in waves that double, from one up to a
-family's restarts, whatever they accept.  A wave caps each restart by the
-budget left when every earlier restart of the wave costs its least (a start
-plus one sweep); the budget, the best ratio and the target are then replayed
-in restart order, and a restart the real budget cuts shorter takes the state
-its accept log records at the cut, so ``evals`` and every result are those of
-one restart after another.  ``evals`` and the budget count starts and
-consumed trials only, not the speculative rows evaluated past an accept or
-the restarts a wave ran past the end.  A trial that undoes a restart's latest
-accept (the / 4 after an accepted * 4) is a known reject: it is consumed, and
-counted in ``evals``, without a row.
+A family's random restarts are lanes of ``ascent._ascend_steps``, one
+``norm_rows`` call per round on the stacked numerators and denominators
+(exact because the supports are disjoint), run in waves that double.
 """
 
 from __future__ import annotations
@@ -50,19 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ascent import (ACCEPT_REL, STOP_BUDGET, _ascend_steps, stop_level,
+                     stop_reason)
 from .errors import UsageError, check_budget
 from .measure import SeqVec, Window, _sparse
-from .spaces import SeqSpaceSpec, _ascend_steps
+from .spaces import SeqSpaceSpec
 
 RSP = "rsp"
 LSP = "lsp"
-# why a search stopped: its evaluation budget ran out, C-hat reached target,
-# or C-hat met the space's certified upper bound within ACCEPT_REL
-STOP_BUDGET = "budget"
-STOP_TARGET = "target"
-STOP_UPPER = "upper"
-# the relative gain an ascent step must beat to be accepted
-ACCEPT_REL = 1e-12
 # random alpha restarts per generated family, and the block-length range of
 # the families a search generates
 RESTARTS_PER_FAMILY = 20
@@ -261,25 +241,26 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
 
     A restart climbs from a random alpha: a sweep tries alpha_i * 4 and then
     alpha_i / 4 for i = 0, 1, ..., each trial built from the current alpha,
-    and accepts a trial that beats the ratio by more than ``ACCEPT_REL``
-    relative; sweeps repeat while one accepts.  Driving an alpha_n down to ~0
-    deselects a useless pair, so large families self-prune.  A family's
-    restarts run in doubling waves of lanes of ``spaces._ascend_steps``; the
-    budget, the best ratio and the stop are replayed in restart order, and a
-    restart the budget cuts ends at the last accept its lane logged before
-    the cut, so every result is that of one restart after another.
-    ``budget`` (at least 1) counts ratio evaluations (``evals``: the
-    incumbent, a restart's start and the trials it consumes, known rejects
-    included, not the speculative rows evaluated past an accept).  The search
-    ends once C-hat reaches the lower of ``target`` and upper / (1 +
-    ACCEPT_REL), ``upper`` being the searched space's ``shift_upper()``
-    bound; ``stop`` says whether it ended on the budget, on ``target`` or on
-    ``upper``.  The returned C-hat is the best ratio computed in floating
-    point, a lower bound for the true shift constant up to a few ulps; the
-    incumbent (witness of a previous run, possibly on a narrower window) is
-    never discarded, so the estimate is monotone in budget and window.  LSP
-    is evaluated as RSP of the order-reversed space and the witness is
-    recorded against the original space.
+    and accepts a trial that beats the ratio by more than
+    ``ascent.ACCEPT_REL`` relative; sweeps repeat while one accepts.  Driving
+    an alpha_n down to ~0 deselects a useless pair, so large families
+    self-prune.  A family's restarts run in doubling waves of lanes of
+    ``ascent._ascend_steps``; the budget, the best ratio and the stop are
+    replayed in restart order, and a restart the budget cuts ends at the last
+    accept its lane logged before the cut, so every result is that of one
+    restart after another.  ``budget`` (at least 1) counts ratio evaluations
+    (``evals``: the incumbent, a restart's start and the trials it consumes,
+    known rejects included, not the speculative rows evaluated past an
+    accept).  The search ends once C-hat reaches ``ascent.stop_level``, the
+    lower of ``target`` and upper / (1 + ACCEPT_REL), ``upper`` being the
+    searched space's ``shift_upper()`` bound; ``stop`` says whether it ended
+    on the budget, on ``target`` or on ``upper``.  The returned C-hat is the
+    best ratio computed in floating point, a lower bound for the true shift
+    constant up to a few ulps; the incumbent (witness of a previous run,
+    possibly on a narrower window) is never discarded, so the estimate is
+    monotone in budget and window.  LSP is evaluated as RSP of the
+    order-reversed space and the witness is recorded against the original
+    space.
     """
     _check_side(side)
     check_budget(budget)
@@ -289,34 +270,25 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
     work = E if side == RSP else E.reversed_space()
     win = work.window
     upper = work.shift_upper()
-    bound = None if upper is None else upper / (1 + ACCEPT_REL)
-    # the ratio that ends the search: the lower of the target and the bound
-    level = min((v for v in (target, bound) if v is not None), default=None)
-
-    def reached(r: float) -> bool:
-        return level is not None and r >= level
-
+    level = stop_level(target, upper)
     rng = np.random.default_rng(seed)
-    best_ratio = 0.0
-    best = None
-    evals = 0
-    done = False
+    best_ratio, best, evals, stop = 0.0, None, 0, STOP_BUDGET
     if incumbent is not None and incumbent.witness is not None:
         fam = _embed_family(incumbent.witness.family, win)
         alpha = list(incumbent.witness.alpha)
         best_ratio, best = family_ratio(work, fam, alpha), (fam, alpha)
-        evals, done = 1, reached(best_ratio)
+        evals, stop = 1, stop_reason(best_ratio, level, target)
 
     n_hi = min(n_hi, max(n_lo, win.size // (2 * BLOCK_LEN_RANGE[1])))
     wave = 1  # restarts per wave: doubles after every wave
-    while evals < budget and not done:
+    while evals < budget and stop == STOP_BUDGET:
         n_pairs = int(rng.integers(n_lo, n_hi + 1))
         fam = gen_interlaced(work, win, n_pairs, BLOCK_LEN_RANGE, rng=rng)
         starts = np.exp(rng.normal(0.0, 1.5, size=(RESTARTS_PER_FAMILY, n_pairs)))
         coords, factors = np.repeat(np.arange(n_pairs), 2), np.tile([4.0, 0.25], n_pairs)
         least = 1 + coords.size  # a restart's start plus one full sweep
         i = 0
-        while i < RESTARTS_PER_FAMILY and evals < budget and not done:
+        while i < RESTARTS_PER_FAMILY and evals < budget and stop == STOP_BUDGET:
             # restart i + j cannot start before i's evals plus j * least:
             # each lane's cap bounds its real one from above
             k = min(wave, RESTARTS_PER_FAMILY - i, (budget - evals - 1) // least + 1)
@@ -326,7 +298,7 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
                  for j in range(k)], ACCEPT_REL, sweeps=True, reach=level)
             wave = min(2 * wave, RESTARTS_PER_FAMILY)
             for r, alpha, used, log in lanes:
-                if evals >= budget or done:
+                if evals >= budget or stop != STOP_BUDGET:
                     break
                 left = budget - evals - 1
                 if used > left:  # the budget cuts this restart: its state after left steps
@@ -335,16 +307,13 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
                 i += 1
                 if r > best_ratio:
                     best_ratio, best = r, (fam, list(alpha))
-                done = reached(best_ratio)
+                stop = stop_reason(best_ratio, level, target)
 
     witness = None
     if best is not None:
         witness = ShiftWitness(E.spec_string(), side, win, best[0],
                                [float(a) for a in best[1]], float(best_ratio),
                                seed)
-    stop = STOP_BUDGET
-    if done:
-        stop = STOP_TARGET if target is not None and best_ratio >= target else STOP_UPPER
     return ShiftEstimate(float(best_ratio), witness, side, evals, budget,
                          stop=stop, upper=upper)
 

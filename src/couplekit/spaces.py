@@ -13,16 +13,9 @@ of the log-modular G, ``_luxemburg_log``: bracketed Newton steps on the
 log-norm, row by row over a batch of rows, stopped when the Newton correction
 is at most 1e-13; h' >= 1 bounds the error by |G|.  Its elementwise work runs
 on the packed nonzero entries only, and its row sums over the full width in
-buffers allocated once per call.  The adversarial searches (the RSP/LSP shift
-search, kappa, the ``op_norm`` lower bound) share one multiplicative
-coordinate ascent, ``_ascend_steps``: it runs independent ascents ("lanes",
-such as a search's random restarts) together, sends the next steps of every
-lane to one batch of rows per round -- the rest of its pass at first, then
-about its own steps per accept so far -- and accepts in each lane exactly the
-steps a step-by-step ascent would.  A step back to the alpha before a lane's
-latest accept is a known reject and gets no row.  Each lane logs its state at
-the start and after each accept, so a caller can cut it at any smaller cap
-without running it again.  Kappa draws all random starts of a shift first and
+buffers allocated once per call.  The adversarial searches (the RSP/LSP
+shift search, kappa, the ``op_norm`` lower bound) share the one ascent of
+``couplekit.ascent``.  Kappa draws all random starts of a shift first and
 ascends them as lanes; after an overflowing start it puts the generator back
 to the state just past that start's draws.
 
@@ -55,6 +48,7 @@ from functools import reduce
 
 import numpy as np
 
+from .ascent import _ascend_steps
 from .errors import ConvergenceError, UsageError, check_budget
 from .measure import (UNIT, SeqVec, StepFunction, Window, dyadic_envelope,
                       rearrange)
@@ -883,102 +877,6 @@ def shift_values(vals: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
-    """Independent multiplicative ascents ("lanes") evaluated together.
-
-    A lane is a list [alpha, r, coords, factors, cap]: a pass of the steps
-    alpha[coords[i]] *= factors[i], each built from the lane's current alpha
-    and accepted when its ratio beats the lane's r by more than ``rel``
-    relative.  r None makes the lane evaluate alpha itself first, as a row of
-    its first batch; a lane consumes at most ``cap`` steps, and with
-    ``sweeps`` repeats its pass while the pass accepts a step.  Each round
-    sends the next steps of every unfinished lane to ``ratios`` as one batch
-    of rows, and each lane consumes its own rows in order up to its first
-    accept, so a lane's accepts and consumed steps are those of a
-    step-by-step ascent (rows never depend on each other): how many rows a
-    lane sends decides only what is evaluated speculatively.  A lane's first
-    round sends the rest of its pass; later rounds send at most
-    ceil((consumed + 1) / (accepts + 1)) steps, the lane's own steps per
-    accept so far, so a lane that never accepts ends its pass in one round.
-
-    A step whose trial equals the alpha logged just before the lane's latest
-    accept (the / 4 after an accepted * 4) is a known reject: its ratio is
-    the logged one, below r.  It is consumed without a row, and the known
-    rejects that directly follow a lane's rows are consumed with them.  A
-    trial differs from alpha only at its step's coordinate, and alpha from
-    the alpha before it only at the accepted one, so the test is that step
-    taking the accepted coordinate back to its old value; a product that
-    underflows or overflows never does.
-
-    Returns (r, alpha, consumed, log) per lane.  The log lists (consumed, r,
-    alpha) at the start and after each accept, so the lane run alone with
-    cap c <= consumed ends at its last entry with consumed <= c.  With
-    ``reach``, the lanes after the first lane whose r reaches it stop where
-    they are (their results are partial); that lane runs on."""
-    # lane state: alpha, r, coords, factors, steps left, position in the pass,
-    # steps consumed, accepted in this pass, pass length, log, and the
-    # coordinate and old value of the latest accept
-    state = [[alpha, r, coords, factors, cap, 0, 0, False, len(coords),
-              [] if r is None else [(0, r, alpha)], None]
-             for alpha, r, coords, factors, cap in lanes]
-    live = [s for s in state if s[1] is None or min(s[4], s[8]) > 0]
-    while live:
-        blocks, sent = [], []
-        for s in live:
-            alpha, r, coords, factors, left, pos, used, _, size, log, undo = s
-            first = r is None
-            # past the first round the log holds the start and every accept
-            m = min(size - pos, left,
-                    size if used == 0 else -(-(used + 1) // len(log)))
-            T = alpha[None].repeat(m + first, axis=0)
-            T[np.arange(first, m + first), coords[pos:pos + m]] *= factors[pos:pos + m]
-            back = None  # the steps that are known rejects, which get no row
-            if undo is not None:
-                c, old = undo
-                back = (coords[pos:pos + m] == c) & (factors[pos:pos + m] * alpha[c] == old)
-                back = back if back.any() else None
-            blocks.append((T, back))
-            sent.append(T if back is None else T[~back])
-        rows = sent[0] if len(sent) == 1 else np.concatenate(sent)
-        out = ratios(rows).tolist() if len(rows) else []
-        at, still = 0, []
-        for s, (T, back), V in zip(live, blocks, sent):
-            alpha, r, coords, factors, left, pos, used, accepted, size, log, undo = s
-            vals, at = out[at:at + len(V)], at + len(V)
-            if back is not None:
-                known, got = log[-2][1], iter(vals)
-                vals = [known if b else next(got) for b in back.tolist()]
-            j0 = 0
-            if r is None:
-                r, j0 = vals[0], 1
-                log.append((0, r, alpha))
-            bar, taken = r * (1 + rel), len(vals) - j0
-            for j in range(j0, len(vals)):
-                if vals[j] > bar:
-                    c = int(coords[pos + j - j0])
-                    undo = s[10] = c, alpha[c]
-                    alpha, r, accepted = T[j], vals[j], True
-                    taken = j - j0 + 1
-                    log.append((used + taken, r, alpha))
-                    break
-            if undo is not None:  # consume the known rejects that come next
-                c, old = undo
-                end, now = pos + min(size - pos, left), alpha[c]
-                while pos + taken < end and coords[pos + taken] == c \
-                        and now * factors[pos + taken] == old:
-                    taken += 1
-            left, pos, used = left - taken, pos + taken, used + taken
-            if pos == size and sweeps and accepted and left > 0:
-                pos, accepted = 0, False
-            s[:8] = alpha, r, coords, factors, left, pos, used, accepted
-            if pos < size and left > 0:
-                still.append(s)
-            if reach is not None and r >= reach:
-                break
-        live = still
-    return [(s[1], s[0], s[6], s[9]) for s in state]
-
-
 @dataclass
 class KappaEstimate:
     """Shift growth rates with lower-bound semantics.
@@ -1036,6 +934,7 @@ def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
                                 for _ in range(8)])
         lanes.append([vals, None, np.array(coords), np.array(factors), 8])
         states.append(rng.bit_generator.state)
+    # margin 0.0, not ACCEPT_REL, which would move kappa tables by up to 6e-4
     for (r, _, _, _), state in zip(
             _ascend_steps(lambda V: _shift_ratios(space, V, n), lanes, 0.0), states):
         best = max(best, r)

@@ -27,9 +27,10 @@ All three push their rank-one rows in one call of one builder,
 ||x_n|| to FUNCTIONAL_TOL; prefix and suffix norms come from the tables of
 ``kfunc``, ``_prefix_norms`` and ``_suffix_norms``, and the weighted-ell_p
 operator bound from one closed form over the stack, ``_upper_bound``.  The
-``op_norm`` lower bound is a one-lane multiplicative ascent of
-``spaces._ascend_steps`` over batches of rows, which stops once it meets that
-closed form.  Every space must be on the window of the data.
+``op_norm`` lower bound is a one-lane ascent of ``ascent._ascend_steps``
+over batches of rows, which stops by the ascent's stop rule once it meets that
+closed form within ``ascent.ACCEPT_REL``.  Every space must be on the window
+of the data.
 
 Window truncation realizes the two-ended proofs: indices below window.lo
 carry no mass, so the lower-tail extension set B is always empty here and
@@ -44,11 +45,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ascent import ACCEPT_REL, STOP_BUDGET, _ascend_steps, stop_level, stop_reason
 from .errors import HypothesisError, UsageError, check_budget
 from .kfunc import _block_points, _check_finite, _k_grid, _prefix_norms, _suffix_norms
 from .measure import SeqVec, Window, _sparse
-from .shift import STOP_BUDGET, STOP_UPPER, InterlacedFamily
-from .spaces import SeparationFit, SeqSpaceSpec, _ascend_steps, norming_functional
+from .shift import InterlacedFamily
+from .spaces import SeparationFit, SeqSpaceSpec, norming_functional
 
 EXACTNESS_TOL = 1e-9
 # <x, g> = ||x|| tolerance for every norming functional of a block sum
@@ -57,9 +59,6 @@ FUNCTIONAL_TOL = 1e-8
 K_TOL = 1e-7
 # evaluations of an ``op_norm`` lower-bound search unless told otherwise
 OP_NORM_BUDGET = 400
-# relative margin of an ``op_norm`` ascent's accepts and of its stop at the
-# closed-form upper bound
-_OP_REL = 1e-12
 
 
 class PositiveMatrix:
@@ -227,8 +226,8 @@ def op_norm(T: PositiveMatrix, space: SeqSpaceSpec, mode: str = "interval",
     and the Schur bound otherwise; a ``UsageError`` without a weighted-lp
     form.  ``lower``: certified lower bound by adversarial ascent over
     ``norm_rows`` (``_op_norm_lower``), which stops early once it reaches the
-    closed form to 1e-12 relative.  ``interval``: (lower, upper), upper None
-    without a weighted-lp form.
+    closed form to ``ascent.ACCEPT_REL`` relative.  ``interval``: (lower,
+    upper), upper None without a weighted-lp form.
     """
     _check_windows("matrix", T.window, space)
     if mode == "upper":
@@ -251,7 +250,7 @@ class _LowerSearch(NamedTuple):
     lower: float
     upper: float | None
     evals: int
-    stop: str  # STOP_UPPER once lower reached upper / (1 + 1e-12), else STOP_BUDGET
+    stop: str  # STOP_UPPER once lower >= upper / (1 + ascent.ACCEPT_REL), else STOP_BUDGET
 
 
 def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
@@ -260,24 +259,21 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
     ``_ascend_steps`` pass (x_k * 2, x_k / 2 over shuffled columns) against the
     best so far, each of at least one step; a round without an accept restarts.
 
-    The search stops on ``upper`` once best >= upper / (1 + 1e-12), upper the
-    closed form ``_upper_bound``: tested after the column rays, after each
+    The search stops on ``upper`` at ``ascent.stop_level``, upper the closed
+    form ``_upper_bound``: tested after the column rays, after each
     evaluation of x and after each pass.  That bound is exact on a weighted
     ell_1 (a column ray attains it) and on ell_infty (the all-ones x does), so
     there the search ends within one evaluation past the rays.  Without a
     closed form it spends the budget."""
     check_budget(budget)
     upper = _upper_bound(T, space)
-    level = math.inf if upper is None else upper / (1 + _OP_REL)
+    level = stop_level(None, upper)
     rng = np.random.default_rng(seed)
     win = T.window
-    cols = sorted({k for (_, k) in T.entries})
-
-    def result(best: float, evals: int) -> _LowerSearch:
-        return _LowerSearch(best, upper, evals, STOP_UPPER if best >= level else STOP_BUDGET)
-
-    if not cols:
-        return result(0.0, 0)
+    # the nonzero columns: of the diagonal and of the steps with a nonzero target
+    cols = np.flatnonzero((T.G[T.Y.any(axis=1)] != 0).any(axis=0) | (T.d != 0))
+    if not cols.size:
+        return _LowerSearch(0.0, upper, 0, stop_reason(0.0, level))
 
     def ratios(V):
         # T row by row, as ``apply`` computes it: a matrix product may round otherwise
@@ -286,26 +282,26 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
         return np.divide(ntx, nx, out=np.zeros(nx.size), where=nx > 0)
 
     # columns as starting rays
-    best = max([0.0] + ratios(np.eye(win.size)[np.array(cols) - win.lo]).tolist())
-    evals = len(cols)
+    best = max([0.0] + ratios(np.eye(win.size)[cols]).tolist())
+    evals, stop = cols.size, stop_reason(best, level)
     x = np.zeros(win.size)
-    x[np.array(cols) - win.lo] = 1.0
-    while evals < budget and best < level:
+    x[cols] = 1.0
+    while evals < budget and stop == STOP_BUDGET:
         best = max(best, float(ratios(x[None])[0]))
         evals += 1
-        if best >= level:
+        stop = stop_reason(best, level)
+        if stop != STOP_BUDGET:
             break
-        perm = rng.permutation(cols) - win.lo
+        perm = rng.permutation(cols)
         (best, x, used, log), = _ascend_steps(
             ratios, [[x, best, np.repeat(perm, 2), np.tile([2.0, 0.5], perm.size),
-                      max(1, budget - evals)]], _OP_REL)
-        evals += used
+                      max(1, budget - evals)]], ACCEPT_REL)
+        evals, stop = evals + used, stop_reason(best, level)
         if len(log) == 1:  # no accept
             x = np.zeros(win.size)
-            pick = rng.choice(cols, size=max(1, len(cols) // 2), replace=False)
-            for k in pick:
-                x[k - win.lo] = rng.random() + 0.1
-    return result(best, evals)
+            pick = rng.choice(cols, size=max(1, cols.size // 2), replace=False)
+            x[pick] = rng.random(pick.size) + 0.1
+    return _LowerSearch(best, upper, evals, stop)
 
 
 def _upper_bound(T: PositiveMatrix, space: SeqSpaceSpec, Y=None) -> float | None:

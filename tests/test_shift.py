@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import couplekit.ascent as ascent
 import couplekit.spaces as spaces
 from couplekit import (GeometricWeighted, InterlacedFamily, LinftySeq,
                        OrderReversed, OrliczModular, SeqVec, ShiftWitness,
@@ -13,8 +14,8 @@ from couplekit import (GeometricWeighted, InterlacedFamily, LinftySeq,
                        family_ratio, gen_interlaced, parse_seq_space, parse_space,
                        power, replay_witness, shift_constant_estimate,
                        shift_schedule)
-from couplekit.shift import (ACCEPT_REL, BLOCK_LEN_RANGE, RESTARTS_PER_FAMILY, STOP_BUDGET,
-                             STOP_TARGET, STOP_UPPER, _ratios)
+from couplekit.ascent import ACCEPT_REL, STOP_BUDGET, STOP_TARGET, STOP_UPPER
+from couplekit.shift import BLOCK_LEN_RANGE, RESTARTS_PER_FAMILY, _ratios
 
 WIN = Window("Z", -12, 12)
 
@@ -523,7 +524,7 @@ def test_accept_log_equals_a_capped_lane(kind, n, lanes, known, sweeps, seed):
     rs = _ratios(E, X, Y, starts).tolist() if known else [None] * lanes
 
     def run(lanes):
-        return spaces._ascend_steps(lambda A: _ratios(E, X, Y, A), lanes, 1e-12, sweeps)
+        return ascent._ascend_steps(lambda A: _ratios(E, X, Y, A), lanes, 1e-12, sweeps)
 
     out = run([[a, r, coords, factors, int(c)]
                for a, r, c in zip(starts, rs, rng.integers(1, 30, size=lanes))])
@@ -559,7 +560,7 @@ def test_no_row_for_a_step_back_before_the_latest_accept(kind, n, lanes, known, 
         batches.append(A.copy())
         return _ratios(E, fam.X, fam.Y, A)
 
-    out = spaces._ascend_steps(ratios, [[a, r, coords, factors, int(c)] for a, r, c in
+    out = ascent._ascend_steps(ratios, [[a, r, coords, factors, int(c)] for a, r, c in
                                         zip(starts, rs, rng.integers(1, 30, size=lanes))],
                                1e-12, sweeps)
 

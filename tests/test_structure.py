@@ -18,11 +18,13 @@ one norm formula per space --
 (``SeqSpaceSpec.shift_upper``, read from ``exact_weighted_lp``), the shift
 search on batched rows,
 one Luxemburg solver (one fused profile call per Newton step), one
-multiplicative ascent, the index extremes from a band scan in bounded
-blocks, one drop scan behind Phi+/- (``_count_drops``), one
-representation of a family of block pairs, one K scan per vector for a
-whole t-grid (``kfunc._k_grid``), and one representation of a positive
-operator (the factor stack ``G``, ``Y``, ``d`` of ``PositiveMatrix``).
+multiplicative ascent (``ascent._ascend_steps``) with one stop rule (one
+accept margin, one set of stop labels and ``ascent.stop_level``), the index
+extremes from a band scan in bounded blocks, one drop scan behind Phi+/-
+(``_count_drops``), one representation of a family of block pairs, one K
+scan per vector for a whole t-grid (``kfunc._k_grid``), and one
+representation of a positive operator (the factor stack ``G``, ``Y``, ``d``
+of ``PositiveMatrix``).
 """
 
 import ast
@@ -194,15 +196,32 @@ def test_luxemburg_step_calls_fused_kernel():
 
 
 def test_one_multiplicative_ascent():
-    fns = {f"{path.stem}.{fn.name}": fn for path in sorted(SRC.glob("*.py"))
-           for fn in _functions(ast.parse(path.read_text()))}
-    assert "spaces._ascend_steps" in fns
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    fns = {f"{stem}.{fn.name}": fn for stem, tree in trees.items() for fn in _functions(tree)}
+    assert [name for name in fns if name.endswith("._ascend_steps")] == ["ascent._ascend_steps"]
     for name in ("shift.shift_constant_estimate", "spaces._best_shift_ratio",
                  "transfer._op_norm_lower"):
         assert "_ascend_steps" in _called(fns[name]), f"{name} has its own ascent"
     for name in ("spaces._best_shift_ratio", "transfer._op_norm_lower"):
         assert not _called(fns[name]) & {"norm", "norm_values"}, f"{name} solves single rows"
     assert "spaces._shift_ratio" not in fns
+    # one stop rule: one accept margin and one set of stop labels, assigned in
+    # ``ascent`` only, and one stop level that the shift search and the
+    # op_norm lower bound call instead of dividing by 1 + margin themselves
+    labels = {"ACCEPT_REL", "STOP_BUDGET", "STOP_TARGET", "STOP_UPPER"}
+    for stem, tree in trees.items():
+        assigned = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+        assert assigned & labels == (labels if stem == "ascent" else set()), stem
+        assert "_OP_REL" not in _names(tree), stem
+    for name in ("shift.shift_constant_estimate", "transfer._op_norm_lower"):
+        assert _called(fns[name]) >= {"stop_level", "stop_reason"}, name
+        margins = [node for node in ast.walk(fns[name]) if isinstance(node, ast.BinOp)
+                   and isinstance(node.op, ast.Div) and isinstance(node.right, ast.BinOp)
+                   and isinstance(node.right.op, ast.Add)]
+        assert not margins, f"{name} computes its own stop level"
+    # op_norm's columns come from the factor stack, not the dense entries
+    assert "entries" not in _names(fns["transfer._op_norm_lower"])
 
 
 def test_shift_search_ascends_once_per_wave():
