@@ -4,18 +4,23 @@ lower bound), with its accept margin and its stop rule: a step is accepted
 when it beats its lane's ratio by more than ``ACCEPT_REL`` relative, and a
 search ends once its best ratio reaches ``stop_level``, the lower of its
 ``target`` and its certified upper bound over 1 + ``ACCEPT_REL`` (no accept
-could beat the bound by more); ``stop_reason`` says why it ended.
+could beat the bound by more), or once its best ratio is inf, which no step
+can beat; ``stop_reason`` says why it ended.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # why a search stopped: its evaluation budget ran out, its best ratio reached
-# the target, or it met the certified upper bound within ACCEPT_REL
+# the target, it met the certified upper bound within ACCEPT_REL, or it
+# overflowed to inf
 STOP_BUDGET = "budget"
 STOP_TARGET = "target"
 STOP_UPPER = "upper"
+STOP_OVERFLOW = "overflow"
 # the relative gain an ascent step must beat to be accepted
 ACCEPT_REL = 1e-12
 
@@ -29,8 +34,11 @@ def stop_level(target: float | None, upper: float | None) -> float | None:
 
 def stop_reason(best: float, level: float | None, target: float | None = None) -> str:
     """Why a search whose best ratio is ``best`` stops at ``level``:
-    STOP_BUDGET below it, else STOP_TARGET when ``best`` reached ``target``
-    and STOP_UPPER when it reached only the bound."""
+    STOP_OVERFLOW once ``best`` is inf, else STOP_BUDGET below the level,
+    else STOP_TARGET when ``best`` reached ``target`` and STOP_UPPER when it
+    reached only the bound."""
+    if math.isinf(best):
+        return STOP_OVERFLOW
     if level is None or best < level:
         return STOP_BUDGET
     return STOP_TARGET if target is not None and best >= target else STOP_UPPER

@@ -718,6 +718,37 @@ def lambda_seq(F: OrliczFn, window) -> dict[int, float]:
     return {int(n): float(math.exp(u)) for n, u in zip(ns, us)}
 
 
+def log_dilation(F: OrliczFn, c: float, v_max: float) -> float | None:
+    """The least log d with e^c F(y / d) <= F(y) for all 0 < y <= e^v_max,
+    widened for rounding: sup over v <= v_max of phi(v) = v - h^{-1}(h(v) - c)
+    (Krasnosel'skii-Rutickii, section 13).  None unless h is piecewise affine.
+
+    phi is then piecewise affine too, with kinks at the anchors u_j and at
+    their preimages h^{-1}(h_j + c), and constant c / s_below in the tail
+    below both; so the sup is the largest of its values there and at v_max.
+    Only the anchors up to the highest point phi reads, max(v_max,
+    h^{-1}(h(v_max) - c)), matter.  Computed values are widened by
+    16 u_r (2 + max s / min s) times the largest magnitude involved, over
+    the slopes there: |phi'| <= 1 + max s / min s bounds what a rounded kink
+    location moves phi by, u_r the unit roundoff.
+    """
+    u = F.breaks()
+    if u is None:
+        return None
+    top = max(v_max, F.log_inv(F.log_eval(v_max) - c)) if c < 0 else v_max
+    u = u[u <= top]
+    h = F.log_eval(u)
+    s = np.append(F.slope(u), F.slope(-math.inf))
+    v = np.concatenate([u, np.atleast_1d(F.log_inv(h + c)), [v_max]])
+    v = v[v <= v_max]
+    hv = F.log_eval(v)
+    g = np.atleast_1d(F.log_inv(hv - c))
+    sup = max(float(np.max(v - g)), c / float(s[-1]))
+    size = max(abs(c), *(float(np.max(np.abs(a))) for a in (v, hv, g)))
+    u_r = np.finfo(float).eps / 2
+    return sup + 16.0 * u_r * (2.0 + float(np.max(s) / np.min(s))) * size + 4.0 * u_r
+
+
 def rv_defect(F: OrliczFn, x_grid, t_range) -> float:
     """max_x (sup_tail F_t(x)) / (inf_tail F_t(x)), tail = upper half of t_range.
 

@@ -18,9 +18,9 @@ Where a theorem fixes the constant, the searched space answers a certified
 upper bound (``SeqSpaceSpec.shift_upper()``: 1 on every space that is exactly
 a weighted ell_p, whose blocks are disjoint).  The search ends on the stop
 rule of ``couplekit.ascent`` -- C-hat reaches the lower of ``target`` and the
-bound over 1 + ``ascent.ACCEPT_REL`` -- tested on the incumbent and after
-each restart; ``shift_schedule`` ends on the first stage that stops before
-its budget.
+bound over 1 + ``ascent.ACCEPT_REL``, or overflows to inf -- tested on the
+incumbent and after each restart; ``shift_schedule`` ends on the first stage
+that stops before its budget.
 
 A family is two arrays, ``InterlacedFamily(window, X, Y)``, read alike by the
 search, the witness JSON (validated again on replay) and ``rank_one_shift``.
@@ -184,7 +184,7 @@ class ShiftWitness:
 class ShiftEstimate:
     """A search's C-hat (the best ratio computed, a lower bound up to a few
     ulps) with its witness, the evaluations it spent, why it stopped (``stop``:
-    ``budget``, ``target`` or ``upper``) and the certified upper bound of the
+    ``budget``, ``target``, ``upper`` or ``overflow``) and the certified upper bound of the
     searched space (``upper``, None when the space gives none)."""
 
     c_hat: float
@@ -253,8 +253,9 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
     known rejects included, not the speculative rows evaluated past an
     accept).  The search ends once C-hat reaches ``ascent.stop_level``, the
     lower of ``target`` and upper / (1 + ACCEPT_REL), ``upper`` being the
-    searched space's ``shift_upper()`` bound; ``stop`` says whether it ended
-    on the budget, on ``target`` or on ``upper``.  The returned C-hat is the
+    searched space's ``shift_upper()`` bound, or once it is inf; ``stop``
+    says whether it ended on the budget, on ``target``, on ``upper`` or on
+    ``overflow``.  The returned C-hat is the
     best ratio computed in floating point, a lower bound for the true shift
     constant up to a few ulps; the incumbent (witness of a previous run,
     possibly on a narrower window) is never discarded, so the estimate is

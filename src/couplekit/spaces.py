@@ -17,7 +17,9 @@ buffers allocated once per call.  The adversarial searches (the RSP/LSP
 shift search, kappa, the ``op_norm`` lower bound) share the one ascent of
 ``couplekit.ascent``.  Kappa draws all random starts of a shift first and
 ascends them as lanes; after an overflowing start it puts the generator back
-to the state just past that start's draws.
+to the state just past that start's draws.  A shift whose unit vectors reach
+the stop level of the space's certified bound on ||tau_n|| is closed: its
+starts are drawn and not ascended.
 
 The dyadic sequence space of a function space X is E_X with
 ||x||_{E_X} = ||sum x(n) chi_[2^n,2^(n+1))||_X; for X = L_p this is the
@@ -32,7 +34,8 @@ closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
 ``exact_weighted_lp``, ``is_linf``, ``generator()``.  ``SeqSpaceSpec``:
 ``norm_rows(V)``, ``e_space`` (the space itself), ``norming_values``,
 ``weighted_lp_form()``, ``exact_weighted_lp`` (set once per space; the
-certified ``shift_upper()`` derives from it), ``is_linf``, ``generator()``.  A
+certified ``shift_upper()`` derives from it), ``shift_norm_upper(m)`` (a
+certified bound on ||tau_m||), ``is_linf``, ``generator()``.  A
 weighted ell_p is always a ``WeightedLp``: ``OrderReversed(E)`` is
 ``E.reversed_space()``, and ``GeometricWeighted(E, b)`` is E at b = 1, else
 w_n b^n on E's form (w, p); any other space is reversed and weighted by
@@ -48,13 +51,14 @@ from functools import reduce
 
 import numpy as np
 
-from .ascent import _ascend_steps
+from .ascent import STOP_OVERFLOW, STOP_UPPER, _ascend_steps, stop_level, stop_reason
 from .errors import ConvergenceError, UsageError, check_budget
 from .measure import (UNIT, SeqVec, StepFunction, Window, dyadic_envelope,
                       rearrange)
-from .orlicz import LOG2, OrliczFn, _spec_num, indices
+from .orlicz import LOG2, OrliczFn, _spec_num, indices, log_dilation
 
 _OVERFLOW_RATIO = 1e12
+_EPS = float(np.finfo(float).eps)
 # kappa_estimate budget and seed behind FromSequenceSpace's kappa_+ < 2 check
 _KAPPA_BUDGET, _KAPPA_SEED = 400, 0
 
@@ -500,6 +504,11 @@ class SeqSpaceSpec:
         whatever the weights."""
         return 1.0 if self.exact_weighted_lp else None
 
+    def shift_norm_upper(self, m: int) -> float | None:
+        """A certified upper bound on ||tau_m|| on the window (tau_m as in
+        ``shift_values``), widened for rounding, or None."""
+        return None
+
     def generator(self) -> OrliczFn | None:
         """The Orlicz function of the modular space inside, if any."""
         return None
@@ -570,6 +579,12 @@ class WeightedLp(SeqSpaceSpec):
 
     def unit_norm(self, n: int) -> float:
         return float(self.weights[n - self.window.lo])
+
+    def shift_norm_upper(self, m: int) -> float:
+        # max_n w_n / w_(n-m), which a unit vector attains; widened for the
+        # rounding of the quotient and of the norm's sum over the window
+        top = float(np.max(_shift_quotients(self.weights, m), initial=0.0))
+        return top * (1.0 + (self.window.size + 8) * _EPS)
 
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
         w, p = self.weights, self.p
@@ -648,6 +663,20 @@ class OrliczModular(SeqSpaceSpec):
     def unit_norm(self, n: int) -> float:
         return float(np.exp(-self._log_lambda[n - self.window.lo]))
 
+    def shift_norm_upper(self, m: int) -> float | None:
+        # rho(tau_m x / (d ||x||)) <= rho(x / ||x||) = 1 when 2^m F(y / d) <= F(y)
+        # for every y = |x_n| / ||x|| that stays on the window, y <= lambda_n;
+        # widened for the rounding of the norm's sums and of its log weights
+        size = self.window.size
+        if abs(m) >= size:
+            return 0.0
+        v_max = float(np.max(self._log_lambda[max(0, -m):size - max(0, m)]))
+        log_d = log_dilation(self.F, m * LOG2, v_max)
+        if log_d is None:
+            return None
+        log_d += (size + 4.0 * float(np.max(np.abs(self._log_w)))) * _EPS
+        return math.exp(log_d) if log_d < 709.0 else math.inf
+
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
         xhat = np.abs(xv) / self.norm_values(xv)
         g = np.zeros_like(xv)
@@ -695,6 +724,16 @@ class _Conjugated(SeqSpaceSpec):
         m = -(n + 1) if self.reverse else n
         return reduce(lambda u, s: float(s[m - self.inner.window.lo]) * u,
                       self.scales[::-1], self.inner.unit_norm(m))
+
+    def shift_norm_upper(self, m: int) -> float | None:
+        # a reversal maps tau_m to tau_-m; with z = x~ S, (tau_k x~) S is
+        # (tau_k z) S_n / S_(n-k) <= max S_n / S_(n-k) tau_k z in the lattice
+        k = -m if self.reverse else m
+        inner = self.inner.shift_norm_upper(k)
+        if inner is None or not self.scales:
+            return inner
+        top = float(np.max(_shift_quotients(reduce(np.multiply, self.scales), k), initial=0.0))
+        return top * inner * (1.0 + (len(self.scales) + 2) * _EPS)
 
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
         y = reduce(np.multiply, self.scales, xv[::-1] if self.reverse else xv)
@@ -877,14 +916,32 @@ def shift_values(vals: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _shift_quotients(a: np.ndarray, m: int) -> np.ndarray:
+    """a[i] / a[i - m] over the positions i where both lie in a (inf where
+    a quotient overflows)."""
+    size = a.size
+    if abs(m) >= size:
+        return a[:0]
+    with np.errstate(over="ignore"):
+        return a[m:] / a[:size - m] if m > 0 else a[:size + m] / a[-m:]
+
+
 @dataclass
 class KappaEstimate:
-    """Shift growth rates with lower-bound semantics.
+    """Shift growth rates: witnessed ratios, estimates and certified bounds.
 
-    ``plus_lb``/``minus_lb`` are certified lower bounds (max of witnessed
-    ratios); ``plus_est``/``minus_est`` extrapolate the geometric-mean slope
-    of log ||tau_n|| over the largest tested shifts.  The true kappa can
-    exceed the estimate; verdict logic must treat these as estimates.
+    ``table`` holds the best ratio ||tau_n x|| / ||x|| found for each tested
+    shift n and ``table_ub`` the space's certified bound on ||tau_n|| (inf
+    without one, or past the overflow ratio, where ratios read as inf too), so
+    ||tau_n|| on the window lies in [table[n], table_ub[n]].
+    ``plus_lb``/``minus_lb`` are the max over n of table[+-n]^(1/n), lower
+    bounds on the largest ||tau_n||^(1/n); ``plus_est``/``minus_est``
+    extrapolate the geometric-mean slope of log ||tau_n|| over the largest
+    tested shifts; ``plus_ub``/``minus_ub`` are the min over n of
+    table_ub[+-n]^(1/n), upper bounds on kappa = inf_n ||tau_n||^(1/n)
+    (Fekete: ||tau_(a+b)|| <= ||tau_a|| ||tau_b||) wherever the window's
+    bounds hold for the space.  The true kappa can exceed the estimate;
+    verdict logic must treat these as estimates.
     """
 
     plus_lb: float
@@ -892,11 +949,16 @@ class KappaEstimate:
     minus_lb: float
     minus_est: float
     table: dict[int, float] = field(default_factory=dict)
+    table_ub: dict[int, float] = field(default_factory=dict)
+    plus_ub: float = math.inf
+    minus_ub: float = math.inf
 
     def to_json_dict(self):
         return {"plus_lb": self.plus_lb, "plus_est": self.plus_est,
                 "minus_lb": self.minus_lb, "minus_est": self.minus_est,
-                "table": {str(k): v for k, v in sorted(self.table.items())}}
+                "plus_ub": self.plus_ub, "minus_ub": self.minus_ub,
+                "table": {str(k): v for k, v in sorted(self.table.items())},
+                "table_ub": {str(k): v for k, v in sorted(self.table_ub.items())}}
 
 
 def _shift_ratios(space: SeqSpaceSpec, V: np.ndarray, n: int) -> np.ndarray:
@@ -908,20 +970,25 @@ def _shift_ratios(space: SeqSpaceSpec, V: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _shift_bound(space: SeqSpaceSpec, n: int) -> float:
+    """The space's certified bound on ||tau_n||: inf without one, and past
+    the overflow ratio, where the ratios read as inf too."""
+    ub = space.shift_norm_upper(n)
+    return math.inf if ub is None or ub > _OVERFLOW_RATIO else ub
+
+
 def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
-                      rng: np.random.Generator, units: np.ndarray) -> float:
+                      rng: np.random.Generator, units: np.ndarray, upper: float) -> float:
     """Best ||tau_n x|| / ||x|| over the unit vectors (``units`` holds their
     norms), then over ``budget`` random starts, each followed by 8 ascent
-    steps; every start and its steps are drawn first and ascended as lanes."""
+    steps; every start and its steps are drawn first and ascended as lanes.
+    When the unit vectors reach the stop level of ``upper``, the certified
+    bound on ||tau_n||, the bracket is closed and the starts are drawn but
+    not ascended, so the generator moves on as if they had been."""
     size = space.window.size
-    best = 0.0
     # unit vectors first: exact on every Kothe space, tight for weighted lp
-    if n > 0:
-        ratios = units[n:] / units[:size - n]
-    else:
-        ratios = units[:size + n] / units[-n:]
-    if ratios.size:
-        best = float(np.max(ratios))
+    best = float(np.max(_shift_quotients(units, n), initial=0.0))
+    level = stop_level(None, upper)
     lanes, states = [], []
     for _ in range(max(1, budget)):
         vals = np.zeros(size)
@@ -934,11 +1001,13 @@ def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
                                 for _ in range(8)])
         lanes.append([vals, None, np.array(coords), np.array(factors), 8])
         states.append(rng.bit_generator.state)
+    if stop_reason(best, level) == STOP_UPPER:
+        return best
     # margin 0.0, not ACCEPT_REL, which would move kappa tables by up to 6e-4
     for (r, _, _, _), state in zip(
             _ascend_steps(lambda V: _shift_ratios(space, V, n), lanes, 0.0), states):
         best = max(best, r)
-        if math.isinf(best):
+        if stop_reason(best, level) == STOP_OVERFLOW:
             # the starts after an overflow are never drawn: the next shift
             # draws from the state just past this start
             rng.bit_generator.state = state
@@ -949,7 +1018,8 @@ def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
 def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEstimate:
     """Adversarial lower-bound estimate of kappa_±(E) = lim ||tau_{±n}||^{1/n}
     on E's window, which needs at least two indices and a budget of at
-    least 1."""
+    least 1, bracketed from above by E's certified bounds on ||tau_n||; a
+    shift whose unit vectors reach its bound skips its ascent."""
     check_budget(budget)
     window = E.window
     if window.size < 2:
@@ -963,9 +1033,11 @@ def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEs
     per = max(4, budget // max(1, 2 * len(shifts)))
     units = E.unit_norms()
     table: dict[int, float] = {}
+    table_ub: dict[int, float] = {}
     for n in shifts:
-        table[n] = _best_shift_ratio(E, n, per, rng, units)
-        table[-n] = _best_shift_ratio(E, -n, per, rng, units)
+        for m in (n, -n):
+            table_ub[m] = _shift_bound(E, m)
+            table[m] = _best_shift_ratio(E, m, per, rng, units, table_ub[m])
 
     def summarize(sign: int):
         pairs = [(n, table[sign * n]) for n in shifts if table[sign * n] > 0]
@@ -980,7 +1052,11 @@ def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEs
 
     plus_lb, plus_est = summarize(+1)
     minus_lb, minus_est = summarize(-1)
-    return KappaEstimate(plus_lb, plus_est, minus_lb, minus_est, table)
+    # the root widened for the rounding of 1/n, the power and the product
+    plus_ub, minus_ub = (min(table_ub[sign * n] ** (1.0 / n) * (1.0 + 32 * _EPS)
+                             for n in shifts) for sign in (+1, -1))
+    return KappaEstimate(plus_lb, plus_est, minus_lb, minus_est, table,
+                         table_ub, plus_ub, minus_ub)
 
 
 # ---------------------------------------------------------------------------

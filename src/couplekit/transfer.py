@@ -250,7 +250,7 @@ class _LowerSearch(NamedTuple):
     lower: float
     upper: float | None
     evals: int
-    stop: str  # STOP_UPPER once lower >= upper / (1 + ascent.ACCEPT_REL), else STOP_BUDGET
+    stop: str  # ascent.stop_reason: STOP_UPPER, STOP_OVERFLOW or STOP_BUDGET
 
 
 def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
@@ -264,7 +264,8 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
     evaluation of x and after each pass.  That bound is exact on a weighted
     ell_1 (a column ray attains it) and on ell_infty (the all-ones x does), so
     there the search ends within one evaluation past the rays.  Without a
-    closed form it spends the budget."""
+    closed form it spends the budget, unless its ratio overflows to inf,
+    which ends it on ``overflow``."""
     check_budget(budget)
     upper = _upper_bound(T, space)
     level = stop_level(None, upper)

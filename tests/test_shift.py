@@ -624,11 +624,27 @@ def test_weighted_lp_search_work(monkeypatch):
 
 def test_fromseq_kappa_work(monkeypatch):
     rows = _norm_rows_counter(monkeypatch, OrliczModular)
-    parse_space("fromseq:<seq:orlicz-modular:gen=<example1>>")
+    ascended = []
+    ratios = spaces._shift_ratios
+
+    def counted(space, V, n):
+        ascended.append(n)
+        return ratios(space, V, n)
+
+    monkeypatch.setattr(spaces, "_shift_ratios", counted)
+    X = parse_space("fromseq:<seq:orlicz-modular:gen=<example1>>")
     # one start at a time it took 1,795 calls for 15,656 rows; speculating
     # each lane's whole pass, 84 calls for 15,656 rows; evaluating the steps
-    # that undo a lane's latest accept, 92 calls for 12,104 rows
-    assert len(rows) <= 92 and sum(rows) <= 11602
+    # that undo a lane's latest accept, 92 calls for 12,104 rows, and 92 for
+    # 11,602 before the certified bounds.  The unit vectors now reach the
+    # bound on every shift but +32, whose bound (263,102.6) stays above its
+    # best ratio: only it ascends
+    assert set(ascended) == {32}
+    assert len(rows) <= 6 and sum(rows) <= 1000
+    est = X.kappa
+    assert (est.plus_lb, est.plus_est, est.minus_lb, est.minus_est) == (
+        1.9476790523738003, 1.5615177337909596, 0.7901038761804398, 0.7881406532672007)
+    assert est.table[32] == 170566.81040038797
 
 
 def test_readme_shift_test_work(monkeypatch):

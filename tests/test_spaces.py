@@ -15,7 +15,9 @@ from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftyS
                        logfactor_fn, norming_functional, parse_any_space,
                        parse_generator, parse_seq_space, parse_space, power,
                        pwpower, rearrange, regularize, rho_profile, seq_norm)
-from couplekit.spaces import _Conjugated, _luxemburg_log, shift_values
+from couplekit.ascent import stop_level
+from couplekit.spaces import (_Conjugated, _luxemburg_log, _shift_bound, _shift_ratios,
+                              shift_values)
 from couplekit.transfer import FUNCTIONAL_TOL
 from conftest import (SEARCH_SPACE_KINDS, random_seqvec, random_step,
                       search_space)
@@ -250,8 +252,10 @@ def test_kappa_estimates():
     assert k2.plus_lb <= k2.plus_est + 1e-12
 
 
-def _reference_best_shift_ratio(space, n, budget, rng):
-    """kappa's step-by-step ascent: one ratio, two ``norm_values`` calls, per step."""
+def _reference_best_shift_ratio(space, n, budget, rng, upper):
+    """kappa's step-by-step ascent: one ratio, two ``norm_values`` calls, per
+    step; a shift whose unit ratio reaches the stop level of ``upper`` takes
+    the unit ratio, its starts drawn but not ascended."""
     def ratio(vals):
         denom, num = space.norm_values(vals), space.norm_values(shift_values(vals, n))
         if denom == 0.0:
@@ -262,6 +266,7 @@ def _reference_best_shift_ratio(space, n, budget, rng):
     units = space.unit_norms()
     ratios = units[n:] / units[:size - n] if n > 0 else units[:size + n] / units[-n:]
     best = float(np.max(ratios)) if ratios.size else 0.0
+    closed = best >= stop_level(None, upper)
     for _ in range(max(1, budget)):
         vals = np.zeros(size)
         k = rng.integers(1, max(2, size // 4))
@@ -269,6 +274,10 @@ def _reference_best_shift_ratio(space, n, budget, rng):
         idx = rng.choice(np.arange(lo_ok, hi_ok), size=min(k, hi_ok - lo_ok),
                          replace=False)
         vals[idx] = rng.random(idx.size) + 0.1
+        if closed:
+            for _ in range(8):
+                rng.choice(idx), rng.random()
+            continue
         r = ratio(vals)
         for _ in range(8):
             j = int(rng.choice(idx))
@@ -301,9 +310,32 @@ def _reference_kappa_table(E, est, budget, seed):
     rng = np.random.default_rng(seed)
     ref = {}
     for n in shifts:
-        ref[n] = _reference_best_shift_ratio(E, n, per, rng)
-        ref[-n] = _reference_best_shift_ratio(E, -n, per, rng)
+        ref[n] = _reference_best_shift_ratio(E, n, per, rng, est.table_ub[n])
+        ref[-n] = _reference_best_shift_ratio(E, -n, per, rng, est.table_ub[-n])
     return ref
+
+
+_BOUNDED_GENERATORS = {"power": power(2.0), "pwpower": pwpower(1.5, 3.0), "example1": example1(),
+                       "elastic-nl": elastic_non_lorentz(),
+                       **dict(zip(("brudnyi-F", "brudnyi-G"), brudnyi_pair(1.5, 3.0)))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(SEARCH_SPACE_KINDS + tuple(_BOUNDED_GENERATORS)),
+       width=st.integers(2, 32), shift=st.integers(1, 31), sign=st.sampled_from([1, -1]),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.0]), base=st.floats(0.4, 3.0),
+       seed=st.integers(0, 2 ** 16))
+def test_shift_norm_upper_bounds_the_shift_ratios(kind, width, shift, sign, p, base, seed):
+    win = Window("Z-", -width, -1)
+    E = (OrliczModular(_BOUNDED_GENERATORS[kind], win) if kind in _BOUNDED_GENERATORS
+         else search_space(kind, win, p, base))
+    m = sign * (1 + (shift - 1) % (width - 1))
+    assert E.shift_norm_upper(m) is not None
+    rng = np.random.default_rng(seed)
+    # the unit vectors, then random vectors on random supports
+    V = np.concatenate([np.eye(width), np.exp(rng.normal(0.0, 2.0, (24, width)))
+                        * (rng.random((24, width)) < rng.random((24, 1)))])
+    assert np.all(_shift_ratios(E, V, m) <= _shift_bound(E, m))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

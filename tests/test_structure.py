@@ -206,16 +206,18 @@ def test_one_multiplicative_ascent():
         assert not _called(fns[name]) & {"norm", "norm_values"}, f"{name} solves single rows"
     assert "spaces._shift_ratio" not in fns
     # one stop rule: one accept margin and one set of stop labels, assigned in
-    # ``ascent`` only, and one stop level that the shift search and the
+    # ``ascent`` only, and one stop level that the shift search, kappa and the
     # op_norm lower bound call instead of dividing by 1 + margin themselves
-    labels = {"ACCEPT_REL", "STOP_BUDGET", "STOP_TARGET", "STOP_UPPER"}
+    labels = {"ACCEPT_REL", "STOP_BUDGET", "STOP_TARGET", "STOP_UPPER", "STOP_OVERFLOW"}
     for stem, tree in trees.items():
         assigned = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
                     for t in node.targets if isinstance(t, ast.Name)}
         assert assigned & labels == (labels if stem == "ascent" else set()), stem
         assert "_OP_REL" not in _names(tree), stem
-    for name in ("shift.shift_constant_estimate", "transfer._op_norm_lower"):
+    for name in ("shift.shift_constant_estimate", "spaces._best_shift_ratio",
+                 "transfer._op_norm_lower"):
         assert _called(fns[name]) >= {"stop_level", "stop_reason"}, name
+        assert "isinf" not in _called(fns[name]), f"{name} tests overflow itself"
         margins = [node for node in ast.walk(fns[name]) if isinstance(node, ast.BinOp)
                    and isinstance(node.op, ast.Div) and isinstance(node.right, ast.BinOp)
                    and isinstance(node.right.op, ast.Add)]

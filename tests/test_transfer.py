@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import couplekit.transfer as transfer
 from couplekit import (GeometricWeighted, HypothesisError, InterlacedFamily, LinftySeq,
                        OrderReversed, OrliczModular, PositiveMatrix, SeqVec,
-                       UsageError, WeightedLp, Window, dyadic_lp,
+                       UsageError, WeightedLp, Window, dyadic_lp, example1,
                        fit_separation, gen_interlaced, k_transfer,
                        majorization_transfer, op_norm, power, rank_one_shift,
                        rho_profile)
@@ -723,6 +723,22 @@ def test_op_norm_lower_without_closed_form_spends_its_budget():
     search = transfer._op_norm_lower(T, WeightedLp(2.0, win), 40, 3)
     assert (search.upper, search.stop) == (pytest.approx(9.0), "budget")
     assert search.lower == pytest.approx(6.25)
+
+
+def test_op_norm_lower_stops_once_its_ratio_overflows():
+    # the rank-one step's weight 1e300 * 1e300 overflows on its column ray, and
+    # no step can beat inf: the search ends there instead of spending its
+    # budget (it used to run all 400 evals and report "budget")
+    win = Window("Z", -6, 6)
+    T = PositiveMatrix(win)
+    T.add_diagonal({0: 1e300})
+    g, y = np.zeros(win.size), np.zeros(win.size)
+    g[2], y[8] = 1e300, 1e300
+    T.add_rank_one(SeqVec(win, g), SeqVec(win, y))
+    with np.errstate(over="ignore"):
+        search = transfer._op_norm_lower(T, OrliczModular(example1(), win), 400, 0)
+    assert math.isinf(search.lower) and search.stop == "overflow"
+    assert search.evals <= 2 + 1  # the nonzero columns, n = -4 and n = 0, and x
 
 
 @pytest.mark.parametrize("build", ["majorization", "k"])
