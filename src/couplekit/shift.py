@@ -15,12 +15,12 @@ few ulps (1 + 2.2e-16 on a weighted ell_p); it is reported as computed.  The
 left-shift property is evaluated as RSP of the order-reversed space.
 
 Where a theorem fixes the constant, the searched space answers a certified
-upper bound (``SeqSpaceSpec.shift_upper()``: 1 on every space that is exactly
-a weighted ell_p, whose blocks are disjoint).  The search ends on the stop
-rule of ``couplekit.ascent`` -- C-hat reaches the lower of ``target`` and the
-bound over 1 + ``ascent.ACCEPT_REL``, or overflows to inf -- tested on the
-incumbent and after each restart; ``shift_schedule`` ends on the first stage
-that stops before its budget.
+upper bound (``SeqSpaceSpec.shift_upper()``: 1 on every space with a
+``weighted_lp_form()``, exactly a weighted ell_p, whose blocks are disjoint).
+The search ends on the stop rule of ``couplekit.ascent`` -- C-hat reaches the
+lower of ``target`` and the bound over 1 + ``ascent.ACCEPT_REL``, or
+overflows to inf -- tested on the incumbent and after each restart;
+``shift_schedule`` ends on the first stage that stops before its budget.
 
 A family is two arrays, ``InterlacedFamily(window, X, Y)``, read alike by the
 search, the witness JSON (validated again on replay) and ``rank_one_shift``.

@@ -31,16 +31,20 @@ Only this module knows the concrete space classes: other modules ask a space
 through its protocol, whose base-class defaults describe a space without
 closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
 ``InducedSeq``), ``norm_rows_on(f)``, ``weighted_lp_form_on(f)``, ``boyd()``,
-``exact_weighted_lp``, ``is_linf``, ``generator()``.  ``SeqSpaceSpec``:
-``norm_rows(V)``, ``e_space`` (the space itself), ``norming_values``,
-``weighted_lp_form()``, ``exact_weighted_lp`` (set once per space; the
-certified ``shift_upper()`` derives from it), ``shift_norm_upper(m)`` (a
-certified bound on ||tau_m||), ``is_linf``, ``generator()``.  A
-weighted ell_p is always a ``WeightedLp``: ``OrderReversed(E)`` is
-``E.reversed_space()``, and ``GeometricWeighted(E, b)`` is E at b = 1, else
-w_n b^n on E's form (w, p); any other space is reversed and weighted by
-``_Conjugated``, which folds a chain of both.  ``FromSequenceSpace``
-delegates ``generator`` to E.
+``is_linf``, ``generator()``.  ``SeqSpaceSpec``: ``norm_rows(V)``,
+``e_space`` (the space itself), ``norming_values``, ``weighted_lp_form()``,
+``shift_norm_upper(m)`` (a certified bound on ||tau_m||), ``is_linf``,
+``generator()``.  The weighted-lp forms are the one answer to "is this space
+exactly a weighted ell_p": L_p, the Lorentz space with weight t^(1/p) and the
+Orlicz space of F(x) = x^p answer |I_i|^(1/p) on pieces, ``WeightedLp`` its
+weights, the modular space of x^p 2^(n/p), and ``InducedSeq`` its space's form
+on the blocks; the exponent of a power is read from the profile, never from a
+name.  ``SeqSpaceSpec`` derives from the form the certified
+``shift_upper()`` and ``reversed_space()``, so a weighted ell_p is always a
+``WeightedLp``: ``OrderReversed(E)`` is ``E.reversed_space()``, and
+``GeometricWeighted(E, b)`` is E at b = 1, else w_n b^n on E's form (w, p);
+any other space is reversed and weighted by ``_Conjugated``, which folds a
+chain of both.  ``FromSequenceSpace`` delegates ``generator`` to E.
 """
 
 from __future__ import annotations
@@ -150,8 +154,6 @@ class SpaceSpec:
 
     domain: str = UNIT
     triangle_constant: float = 1.0
-    # E_X is exactly a weighted ell_p, so its shift constants are 1
-    exact_weighted_lp: bool = False
     is_linf: bool = False
 
     def norm_rows_on(self, f: StepFunction):
@@ -187,9 +189,14 @@ class SpaceSpec:
         return f"<{type(self).__name__} {self.spec_string()} on {self.domain}>"
 
 
-class LpSpace(SpaceSpec):
-    exact_weighted_lp = True
+def _lp_form_on(f: StepFunction, p: float) -> tuple[np.ndarray, float]:
+    """L_p's form on the pieces of f: weights |I_i|^(1/p), unit weights at p = inf."""
+    if math.isinf(p):
+        return np.ones(f.lengths.size), p
+    return f.lengths ** (1.0 / p), p
 
+
+class LpSpace(SpaceSpec):
     def __init__(self, p: float, domain: str = UNIT):
         if p < 1:
             raise ValueError("Lp needs p >= 1")
@@ -216,9 +223,7 @@ class LpSpace(SpaceSpec):
         return rows
 
     def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float]:
-        if math.isinf(self.p):
-            return np.ones(f.lengths.size), self.p
-        return f.lengths ** (1.0 / self.p), self.p
+        return _lp_form_on(f, self.p)
 
     def e_space(self, window: Window) -> "SeqSpaceSpec":
         return dyadic_lp(self.p, window)
@@ -289,11 +294,12 @@ class LorentzSpace(SpaceSpec):
             return acc ** (1.0 / self.p)
         return lambda V: np.array([norm(v) for v in V], dtype=float)
 
-    @property
-    def exact_weighted_lp(self) -> bool:
+    def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float] | None:
         # t^(1/p) is the one power weight whose quasinorm is L_p itself
         w = self.weight
-        return isinstance(w, PowerWeight) and abs(self.p * w.exponent - 1.0) <= 1e-12
+        if isinstance(w, PowerWeight) and abs(self.p * w.exponent - 1.0) <= 1e-12:
+            return _lp_form_on(f, self.p)
+        return None
 
     def boyd(self) -> BoydIndices:
         w = self.weight
@@ -404,10 +410,15 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
         f"[{los[0]!r}, {his[0]!r}])")
 
 
-def _is_power(F: OrliczFn) -> bool:
-    """F(x) = x^p: L_F is L_p, and its modular space the weighted ell_p 2^(n/p)."""
-    # the name first: breaks() copies the anchors of a tabulated generator
-    return F.name == "power" and (br := F.breaks()) is not None and br.size == 1
+def _power_exponent(F: OrliczFn) -> float | None:
+    """p when F(x) = x^p, read from the profile: h is one affine piece through
+    0 (one anchor at (0, 0), the same slope below it as past it).  L_F is then
+    L_p, and its modular space the weighted ell_p 2^(n/p); else None."""
+    u = F.breaks()
+    if u is None or u.size != 1 or u[0] != 0.0 or F.log_eval(0.0) != 0.0:
+        return None
+    p, below = F.slope(np.array([0.0, -math.inf])).tolist()
+    return p if p == below else None
 
 
 class OrliczSpace(SpaceSpec):
@@ -422,7 +433,6 @@ class OrliczSpace(SpaceSpec):
     def __init__(self, F: OrliczFn, domain: str = UNIT):
         self.F = F
         self.domain = domain
-        self.exact_weighted_lp = _is_power(F)
 
     def norm_rows_on(self, f: StepFunction):
         log_len = np.log(f.lengths)
@@ -444,6 +454,10 @@ class OrliczSpace(SpaceSpec):
                     out[idx] = [math.exp(b) for b in beta.tolist()]
             return out
         return rows
+
+    def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float] | None:
+        p = _power_exponent(self.F)
+        return None if p is None else _lp_form_on(f, p)
 
     def e_space(self, window: Window) -> "SeqSpaceSpec":
         return OrliczModular(self.F, window)
@@ -470,8 +484,6 @@ class SeqSpaceSpec:
     """Kothe sequence space on a window with a dense-array fast path."""
 
     window: Window
-    # exactly a weighted ell_p, whatever its form: shift constants 1
-    exact_weighted_lp: bool = False
     is_linf: bool = False
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
@@ -493,16 +505,17 @@ class SeqSpaceSpec:
                                   f"weighted lp and Orlicz modular, reversed or b^n-weighted")
 
     def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
-        """(weights, p) when the space is a weighted ell_p, else None."""
+        """(weights, p) when the space is exactly a weighted ell_p, else None:
+        the one answer to "is this space a weighted ell_p"."""
         return None
 
     def shift_upper(self) -> float | None:
         """A certified upper bound on the space's right-shift constant, or None:
-        1 on a space that is exactly a weighted ell_p, as its blocks are
-        disjoint, so ||sum a_n y_n||^p = sum |a_n|^p ||y_n||^p <= sum |a_n|^p
-        ||x_n||^p = ||sum a_n x_n||^p (the max of the same terms for p = inf),
-        whatever the weights."""
-        return 1.0 if self.exact_weighted_lp else None
+        1 on a space with a ``weighted_lp_form``, as its blocks are disjoint,
+        so ||sum a_n y_n||^p = sum |a_n|^p ||y_n||^p <= sum |a_n|^p ||x_n||^p
+        = ||sum a_n x_n||^p (the max of the same terms for p = inf), whatever
+        the weights."""
+        return None if self.weighted_lp_form() is None else 1.0
 
     def shift_norm_upper(self, m: int) -> float | None:
         """A certified upper bound on ||tau_m|| on the window (tau_m as in
@@ -527,6 +540,10 @@ class SeqSpaceSpec:
         return np.array([self.unit_norm(int(n)) for n in self.window.indices()])
 
     def reversed_space(self) -> "SeqSpaceSpec":
+        """The order reversal x(n) -> x(-(n+1)): a ``WeightedLp`` on the
+        reversed weights of a space with a form, else ``_Conjugated``."""
+        if (form := self.weighted_lp_form()) is not None:
+            return WeightedLp(form[1], self.window.reversed(), weights=form[0][::-1].copy())
         return _Conjugated(self, True, (), ("rev:<", ">"), back=self)
 
     def spec_string(self) -> str:
@@ -546,8 +563,6 @@ class WeightedLp(SeqSpaceSpec):
     means wexp = 0.  p = inf with every weight 1 is ell_infty: ``is_linf``
     (an attribute, read on every ``k_numeric`` call) and spec ``seq:linf``.
     """
-
-    exact_weighted_lp = True
 
     def __init__(self, p: float, window: Window, weights=None,
                  wexp: float | None = None):
@@ -601,9 +616,6 @@ class WeightedLp(SeqSpaceSpec):
     def weighted_lp_form(self) -> tuple[np.ndarray, float]:
         return self.weights, self.p
 
-    def reversed_space(self) -> "WeightedLp":
-        return WeightedLp(self.p, self.window.reversed(), weights=self.weights[::-1].copy())
-
     def spec_string(self) -> str:
         if self.is_linf:
             return "seq:linf"
@@ -638,7 +650,6 @@ class OrliczModular(SeqSpaceSpec):
     def __init__(self, F: OrliczFn, window: Window):
         self.F = F
         self.window = window
-        self.exact_weighted_lp = _is_power(F)
         ns = window.indices().astype(float)
         self._log_w = ns * LOG2
         # lambda(n) = F^{-1}(2^{-n}): single-block unit norms are 1/lambda(n)
@@ -662,6 +673,11 @@ class OrliczModular(SeqSpaceSpec):
 
     def unit_norm(self, n: int) -> float:
         return float(np.exp(-self._log_lambda[n - self.window.lo]))
+
+    def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
+        # F(x) = x^p: the modular is sum (|x_n| 2^(n/p))^p
+        p = _power_exponent(self.F)
+        return None if p is None else (2.0 ** (self.window.indices() / p), p)
 
     def shift_norm_upper(self, m: int) -> float | None:
         # rho(tau_m x / (d ||x||)) <= rho(x / ||x||) = 1 when 2^m F(y / d) <= F(y)
@@ -713,7 +729,6 @@ class _Conjugated(SeqSpaceSpec):
                 raise ValueError("need one finite, strictly positive weight per index")
         self.inner, self.reverse, self.scales, self.spec, self.back = (
             inner, reverse, scales, spec, back)
-        self.exact_weighted_lp = inner.exact_weighted_lp
         self.window = inner.window.reversed() if reverse else inner.window
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
@@ -759,7 +774,8 @@ def GeometricWeighted(inner: SeqSpaceSpec, base: float) -> SeqSpaceSpec:
     if not np.all(np.isfinite(w) & (w > 0)):
         raise ValueError(f"weight base {base!r} gives weights b^n not all finite and > 0")
     if (form := inner.weighted_lp_form()) is not None:
-        return WeightedLp(form[1], inner.window, weights=form[0] * w)
+        with np.errstate(over="ignore"):  # WeightedLp reports it
+            return WeightedLp(form[1], inner.window, weights=form[0] * w)
     return _Conjugated(inner, False, (w,), ("seq:from:<", f">,weightbase={float(base)!r}"))
 
 
@@ -779,17 +795,21 @@ class InducedSeq(SeqSpaceSpec):
     def __init__(self, space: SpaceSpec, window: Window):
         self.space = space
         self.window = window
-        self.exact_weighted_lp = space.exact_weighted_lp
-        # rows of values on the pieces [0, 2^lo), [2^n, 2^(n+1)) -> norms in X
-        blocks = SeqVec(window, np.ones(window.size)).to_step(space.domain)
-        self._blocks = space.norm_rows_on(blocks)
+        # the pieces [0, 2^lo), [2^n, 2^(n+1)), and their rows of values -> norms in X
+        self._pieces = SeqVec(window, np.ones(window.size)).to_step(space.domain)
+        self._blocks = space.norm_rows_on(self._pieces)
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
         return self._blocks(np.insert(V, 0, 0.0, axis=1))
 
+    def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
+        # the space's form on the blocks, without the [0, 2^lo) piece
+        form = self.space.weighted_lp_form_on(self._pieces)
+        return None if form is None else (form[0][1:], form[1])
+
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
-        if isinstance(self.space, LpSpace):
-            return self.space.e_space(self.window).norming_values(xv)
+        if (form := self.weighted_lp_form()) is not None:
+            return WeightedLp(form[1], self.window, weights=form[0]).norming_values(xv)
         return super().norming_values(xv)
 
     def spec_string(self) -> str:

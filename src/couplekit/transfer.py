@@ -277,9 +277,11 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
         return _LowerSearch(0.0, upper, 0, stop_reason(0.0, level))
 
     def ratios(V):
-        # T row by row, as ``apply`` computes it: a matrix product may round otherwise
-        TV = np.array([T.Y.T @ (T.G @ v) + T.d * v for v in V])
-        nx, ntx = space.norm_rows(np.concatenate([V, TV])).reshape(2, -1)
+        # T row by row, as ``apply`` computes it: a matrix product may round
+        # otherwise; an overflow to inf ends the search on its own label
+        with np.errstate(over="ignore"):
+            TV = np.array([T.Y.T @ (T.G @ v) + T.d * v for v in V])
+            nx, ntx = space.norm_rows(np.concatenate([V, TV])).reshape(2, -1)
         return np.divide(ntx, nx, out=np.zeros(nx.size), where=nx > 0)
 
     # columns as starting rays

@@ -65,8 +65,9 @@ class CoupleReport:
 def _stretchability_evidence(space: SpaceSpec, window: Window, budget: int,
                              seed: int) -> dict:
     """Evidence record for 'E_X has RSP': exact class, witness, or consistency."""
-    if space.exact_weighted_lp:
-        return {"kind": "exact-weighted-lp", "constant": space.e_space(window).shift_upper(),
+    E = space.e_space(window)
+    if (constant := E.shift_upper()) is not None:
+        return {"kind": "exact-weighted-lp", "constant": constant,
                 "certified": True, "stretchable": True}
     F = space.generator()
     if F is not None:
@@ -76,7 +77,8 @@ def _stretchability_evidence(space: SpaceSpec, window: Window, budget: int,
         if rep.classification == "inelastic-witness":
             # the counter growth is the certified falsifier; a bounded RSP
             # search is attached as corroboration only
-            E = space.e_space(window) if isinstance(space, OrliczSpace) else space.E
+            if not isinstance(space, OrliczSpace):
+                E = space.E
             est = shift_constant_estimate(E, RSP, budget=min(budget, 2000),
                                           seed=seed)
             out["rsp_search"] = {"c_hat": est.c_hat,
@@ -88,8 +90,7 @@ def _stretchability_evidence(space: SpaceSpec, window: Window, budget: int,
             out["certified"] = False
             out["stretchable"] = None  # consistent, not proven
         return out
-    est = shift_constant_estimate(space.e_space(window), RSP, budget=budget,
-                                  seed=seed)
+    est = shift_constant_estimate(E, RSP, budget=budget, seed=seed)
     return {"kind": "search", "c_hat": est.c_hat, "certified": False,
             "stretchable": None}
 
@@ -195,8 +196,7 @@ def _derive_convexity_p(X, Y, bx, by) -> float | None:
 
 
 def _verdict_from_shift_sides(report, X, Y, window, budget, seed):
-    ex = X.exact_weighted_lp
-    ey = Y.exact_weighted_lp
+    ex, ey = (S.e_space(window).shift_upper() is not None for S in (X, Y))
     report.evidence["shift_X"] = {"exact-weighted-lp": ex}
     report.evidence["shift_Y"] = {"exact-weighted-lp": ey}
     if ex and ey:

@@ -120,9 +120,11 @@ def test_budget_below_one_is_usage_error(tmp_path, capsys, argv, budget):
     (["shift-test", "--space", "seq:lpw:p=2,wexp=2000", "--side", "rsp", "--window=-4:4:Z"],
      "need one finite, strictly positive weight per index"),
     # each b^n is finite on [-64, -1], but their product underflows or overflows
-    *[(["shift-test", "--space", "seq:from:<seq:from:<seq:orlicz-modular:gen=<power:p=2>>,"
-        f"weightbase={b}>,weightbase={b}", "--side", "rsp"],
-       "need one finite, strictly positive weight per index") for b in ("1e4", "1e-4")],
+    *[(["shift-test", "--space", f"seq:from:<seq:from:<{inner}>,weightbase={b}>,weightbase={b}",
+        "--side", "rsp"], "need one finite, strictly positive weight per index")
+      for inner in ("seq:orlicz-modular:gen=<power:p=2>", "seq:orlicz-modular:gen=<example1>",
+                    "seq:lpw:p=2")
+      for b in ("1e4", "1e-4")],
     # a fit needs two x points 2^-4 .. 2^-kmax
     *[(["analyze-orlicz", "--gen", "example1", "--kmax", str(kmax)],
        f"x_grid needs at least two points for the fit; got {kmax - 3}") for kmax in (3, 4)],
@@ -130,7 +132,8 @@ def test_budget_below_one_is_usage_error(tmp_path, capsys, argv, budget):
        f"counter threshold C must be finite and exceed 1; got {c}") for c in ("nan", "inf")],
 ], ids=["lpw-without-p", "analyze-overflow", "verdict-overflow", "weightbase-nan",
         "weightbase-inf", "weightbase-huge", "weights-nan", "wexp-nan", "wexp-overflow",
-        "nested-weights-underflow", "nested-weights-overflow", "analyze-kmax-3",
+        *(f"nested-{inner}weights-{flow}" for inner in ("", "modular-", "lpw-")
+          for flow in ("underflow", "overflow")), "analyze-kmax-3",
         "analyze-kmax-4", "analyze-C0-nan", "analyze-C0-inf"])
 @pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
 def test_bad_spec_is_usage_error(tmp_path, capsys, argv, detail):

@@ -524,12 +524,31 @@ def test_k_l1_reversed_linf_is_certified():
     assert rev.lower == rev.value and plain.lower == plain.value
 
 
+@pytest.mark.parametrize("spec", ["orlicz:gen=<power:p=2>", "lorentz:p=2,w=pow:0.5",
+                                  "orlicz:gen=<pwpower:p0=2,p1=2>"])
+def test_k_l1_of_exact_lp_spaces_is_k_l1_l2(spec, rng):
+    # the Orlicz space of x^2 and the Lorentz space with weight t^(1/2) are
+    # L_2: their K against L1 takes the exact route, lower = value, and
+    # equals K(L1, L2)
+    X = parse_any_space(spec)
+    for _ in range(3):
+        f = random_step(rng)
+        for t in (0.05, 0.7, 3.0):
+            r, ref = k_numeric(t, f, LpSpace(1), X), k_numeric(t, f, LpSpace(1), LpSpace(2))
+            assert r.lower == r.value and r.converged
+            assert r.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+
+
 L1_TYPE_COUPLES = (
-    [("lp:p=1", other) for other in ("lp:p=1", "lp:p=1.5", "lp:p=2", "lp:p=3", "linf")]
+    [("lp:p=1", other) for other in ("lp:p=1", "lp:p=1.5", "lp:p=2", "lp:p=3", "linf",
+                                     "orlicz:gen=<power:p=2>",
+                                     "lorentz:p=3,w=pow:0.3333333333333333")]
     + [("seq:lpw:p=1", other) for other in ("seq:lpw:p=1", "seq:lpw:p=1.5",
                                             "seq:lpw:p=2", "seq:lpw:p=3",
                                             "seq:lpw:p=1,wexp=0.3", "seq:linf",
-                                            "rev:<seq:linf>")])
+                                            "rev:<seq:linf>",
+                                            "seq:orlicz-modular:gen=<power:p=2>",
+                                            "rev:<seq:orlicz-modular:gen=<power:p=3>>")])
 
 
 @pytest.mark.parametrize("spec_x, spec_y", L1_TYPE_COUPLES)

@@ -62,23 +62,43 @@ def test_weighted_lp_rsp_constant_is_one(p, rng):
 
 
 class _Unbounded(WeightedLp):
-    """The same weighted ell_p without its certified bound: the search's path
-    for a space that gives none."""
+    """The same weighted ell_p without its form, so without its certified
+    bound: the search's path for a space that gives none."""
 
-    exact_weighted_lp = False
+    def weighted_lp_form(self):
+        return None
 
     def reversed_space(self):
         return _Unbounded(self.p, self.window.reversed(), weights=self.weights[::-1].copy())
 
 
+class _UnboundedModular(OrliczModular):
+    """The modular space without its form, so without its certified bound;
+    its reversal is the weighted ell_p the space with a form reverses to,
+    without its bound."""
+
+    def weighted_lp_form(self):
+        return None
+
+    def reversed_space(self):
+        R = OrliczModular(self.F, self.window).reversed_space()
+        return _Unbounded(R.p, R.window, weights=R.weights)
+
+
 def _power_modular(p, win, chain, exact=True):
     """The modular space of x^p on ``win``, reversed and/or b^n-weighted per
-    ``chain``; ``exact=False`` is the same space without its certified bound."""
+    ``chain`` (a reversal or b^n weights fold it into a ``WeightedLp``);
+    ``exact=False`` is the same space without its certified bound."""
     E = OrliczModular(power(p), win)
-    E.exact_weighted_lp = exact
     if chain in ("weighted", "both"):
         E = GeometricWeighted(E, 2 ** 0.5)
-    return OrderReversed(E) if chain in ("reversed", "both") else E
+    if chain in ("reversed", "both"):
+        E = OrderReversed(E)
+    if exact:
+        return E
+    if type(E) is WeightedLp:
+        return _Unbounded(E.p, E.window, weights=E.weights)
+    return _UnboundedModular(E.F, E.window)
 
 
 @settings(max_examples=100, deadline=None)
@@ -331,7 +351,7 @@ def test_schedule_on_a_weighted_lp_stops_after_its_first_stage():
 
 @pytest.mark.parametrize("make", [
     lambda w: dyadic_lp(2, w),
-    lambda w: _power_modular(2.0, w, "both"),
+    lambda w: _power_modular(2.0, w, "plain"),
     lambda w: OrliczModular(example1(), w),
 ], ids=["lpw", "power-modular", "orlicz"])
 @pytest.mark.parametrize("side", ["rsp", "lsp"])

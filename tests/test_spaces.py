@@ -551,6 +551,13 @@ def test_weighted_lp_explicit_weights_bad_input(spec):
 # ---------------------------------------------------------------------------
 
 
+def _closed_form(form, V):
+    """Norms of the rows of V in the weighted ell_p with form (w, p)."""
+    w, p = form
+    A = np.abs(V) * w
+    return np.max(A, axis=1) if math.isinf(p) else np.sum(A ** p, axis=1) ** (1.0 / p)
+
+
 def _one_of_each_seq_space(win):
     """One instance of every sequence-space class, wrappers over two insides."""
     return {
@@ -560,28 +567,39 @@ def _one_of_each_seq_space(win):
         "modular": OrliczModular(example1(), win),
         "geo-lp": GeometricWeighted(dyadic_lp(2, win), 2 ** 0.5),
         "geo-linf": GeometricWeighted(LinftySeq(win), 0.5),
-        "geo-modular": GeometricWeighted(OrliczModular(power(2), win), 2 ** 0.5),
+        "geo-modular": GeometricWeighted(OrliczModular(example1(), win), 2 ** 0.5),
+        "power-modular": OrliczModular(power(2), win),
+        "geo-power": GeometricWeighted(OrliczModular(power(2), win), 2 ** 0.5),
         "rev-lp": OrderReversed(dyadic_lp(2, win)),
-        "rev-modular": OrderReversed(OrliczModular(power(2), win)),
+        "rev-modular": OrderReversed(OrliczModular(example1(), win)),
+        "rev-power": OrderReversed(OrliczModular(power(2), win)),
         "induced": InducedSeq(LpSpace(2), win),
+        "induced-lorentz": InducedSeq(LorentzSpace(2, PowerWeight(0.5)), win),
+        "induced-power": InducedSeq(OrliczSpace(power(3)), win),
+        "induced-table": InducedSeq(LorentzSpace(1.5, TableLogLinear([-8.0, -2.0, 0.0],
+                                                                     [-4.0, -1.0, 0.0])), win),
     }
 
 
 def test_weighted_lp_form_contract(rng):
     win = Window("Z-", -12, -1)
-    # a reversal's form is the inner space's, its weights reversed
-    no_form = {"modular", "geo-modular", "rev-modular", "induced"}
+    # a power modular, its reversal and b^n weighting, and the induced spaces
+    # of L_p, of the Lorentz space with weight t^(1/p) and of the Orlicz
+    # space of x^p answer a form; a wrapped space answers none of its own
+    no_form = {"modular", "geo-modular", "rev-modular", "induced-table"}
     for name, E in _one_of_each_seq_space(win).items():
         form = E.weighted_lp_form()
+        assert (E.shift_upper() is None) is (form is None), name
         if name in no_form:
             assert form is None, name
             continue
-        w, p = form
         for _ in range(5):
             vals = random_seqvec(rng, E.window).values
-            a = np.abs(vals) * w
-            direct = np.max(a) if math.isinf(p) else np.sum(a ** p) ** (1.0 / p)
+            direct = _closed_form(form, vals[None])[0]
             assert direct == pytest.approx(E.norm_values(vals), rel=1e-12), name
+    # a reversed or b^n-weighted space with a form is a weighted ell_p
+    for name in ("geo-power", "rev-power"):
+        assert type(_one_of_each_seq_space(win)[name]) is WeightedLp, name
 
 
 def test_generator_and_e_space_contract():
@@ -595,7 +613,8 @@ def test_generator_and_e_space_contract():
     assert spaces["modular"].generator() is spaces["modular"].F
     assert spaces["geo-modular"].generator() is spaces["geo-modular"].inner.F
     assert spaces["rev-modular"].generator() is spaces["rev-modular"].inner.F
-    for name in ("weighted", "linf", "geo-lp", "induced"):
+    # a folded power modular is a weighted ell_p, built on no generator
+    for name in ("weighted", "linf", "geo-lp", "geo-power", "rev-power", "induced"):
         assert spaces[name].generator() is None, name
     E = OrliczModular(power(2), win)
     assert FromSequenceSpace(E).generator() is E.F
@@ -893,6 +912,52 @@ def test_spec_string_reparses_to_the_same_norms(name):
         assert np.array_equal(back.norm_rows_on(f)(V), X.norm_rows_on(f)(V)), name
 
 
+@pytest.mark.parametrize("name", _SPEC_ZOO)
+def test_the_form_is_the_one_exactness_answer(name):
+    # a certified shift bound exactly where a form is, and the form's closed
+    # norm is the space's own; a function space's form on pieces agrees with
+    # the form of its E_X
+    X = _spec_zoo_space(name)
+    rng = np.random.default_rng(5)
+    E = X if isinstance(X, SeqSpaceSpec) else X.e_space(_ROWS_WIN)
+    form = E.weighted_lp_form()
+    assert (E.shift_upper() is None) is (form is None), name
+    V = rng.lognormal(0.0, 1.5, (5, E.window.size)) * (rng.random((5, E.window.size)) < 0.6)
+    if form is not None:
+        assert E.shift_upper() == 1.0
+        assert np.allclose(_closed_form(form, V), E.norm_rows(V), rtol=1e-12, atol=0.0), name
+    if not isinstance(X, SeqSpaceSpec):
+        f = StepFunction(X.domain, (0.0, 0.05, 0.2, 0.45, 0.7, 1.0), (1.0,) * 5)
+        on = X.weighted_lp_form_on(f)
+        assert (on is None) is (form is None), name
+        if on is not None:
+            W = V[:, :5]
+            assert np.allclose(_closed_form(on, W), X.norm_rows_on(f)(W), rtol=1e-12,
+                               atol=0.0), name
+
+
+@pytest.mark.parametrize("F, p", [
+    (power(1), 1.0), (power(2), 2.0), (power(3.5), 3.5), (pwpower(2, 2), 2.0),
+    (pwpower(1.5, 1.5), 1.5), (pwpower(2, 3), None), (pwpower(1, 2), None),
+    (example1(), None), (logfactor_fn(2), None), (convexify(power(2)), None),
+    (regularize(power(2), 2.0, np.linspace(0.0, 64.0, 513)), None),
+], ids=["power-1", "power-2", "power-3.5", "pwpower-2-2", "pwpower-1.5-1.5", "pwpower-2-3",
+        "pwpower-1-2", "example1", "logfactor", "convexify", "regularize"])
+def test_power_read_from_the_profile(F, p):
+    # the exponent is read from the profile, one affine piece of h through 0,
+    # whatever the generator's name: pwpower(p, p) is x^p
+    win = Window("Z-", -8, -1)
+    form = OrliczModular(F, win).weighted_lp_form()
+    f = StepFunction("unit", (0.0, 0.25, 1.0), (1.0, 0.5))
+    on = OrliczSpace(F).weighted_lp_form_on(f)
+    if p is None:
+        assert form is None and on is None
+        return
+    assert form[1] == on[1] == p
+    assert np.array_equal(form[0], dyadic_lp(p, win).weights)
+    assert np.array_equal(on[0], f.lengths ** (1.0 / p))
+
+
 # ---------------------------------------------------------------------------
 # reversal and geometric weights of a weighted ell_p build a weighted ell_p
 # ---------------------------------------------------------------------------
@@ -934,11 +999,13 @@ _FOLD_WINDOWS = (Window("Z-", -16, -1), Window("Z", -8, 7), Window("Z+", 0, 11))
 @st.composite
 def _folded_chain(draw):
     """A weighted ell_p (explicit, wexp or dyadic weights), an Orlicz modular
-    or an induced Lorentz space, up to three reversals or geometric
-    weightings, and rows of values on the result."""
+    (of example1, or of x^p, a weighted ell_p), or an induced Lorentz space
+    (with weight t^(1/2) and p = 2, a weighted ell_p), up to three reversals or
+    geometric weightings, and rows of values on the result."""
     win, p = draw(st.sampled_from(_FOLD_WINDOWS)), draw(st.sampled_from([1.0, 1.5, 2.0, 3.0,
                                                                           math.inf]))
-    kind = draw(st.sampled_from(["explicit", "wexp", "dyadic", "modular", "induced"]))
+    kind = draw(st.sampled_from(["explicit", "wexp", "dyadic", "modular", "power",
+                                 "induced"]))
     if kind == "explicit":
         w = draw(st.lists(st.floats(-3.0, 3.0).map(math.exp), min_size=win.size,
                           max_size=win.size))
@@ -949,6 +1016,8 @@ def _folded_chain(draw):
         E = dyadic_lp(p, win)
     elif kind == "modular":
         E = OrliczModular(example1(), win)
+    elif kind == "power":
+        E = OrliczModular(power(1.0 if math.isinf(p) else p), win)
     else:
         domain = "unit" if win.kind == "Z-" else "halfline"
         E = InducedSeq(LorentzSpace(2, PowerWeight(0.5), domain), win)
@@ -993,24 +1062,32 @@ def test_folded_space_matches_its_wrapper(case):
     E, ops, V = case
     S = _chain(E, ops, OrderReversed, GeometricWeighted)
     ref = _chain(E, ops, _Unfolded, _Unfolded)
-    lp = type(E) is WeightedLp
-    assert type(S) is (WeightedLp if lp else type(E) if S is E else _Conjugated)
+    # a space with a form folds into a weighted ell_p, any other into one
+    # conjugated space
+    lp = E.weighted_lp_form() is not None
+    assert type(S) is (type(E) if S is E else WeightedLp if lp else _Conjugated)
     assert S.window == ref.window
     # a weighted ell_p multiplies its weights into one and sums in its own
-    # order; a conjugated space applies each op to the rows in the chain's
-    # order, so its norms are the chain's
+    # order (to rel 1e-12 of the chain on a space whose form is not its own
+    # norm formula); a conjugated space applies each op to the rows in the
+    # chain's order, so its norms are the chain's
     ns = [int(n) for n in S.window.indices()]
     got, want = S.norm_rows(V), ref.norm_rows(V)
-    if lp:
+    units, ref_units = ([X.unit_norm(n) for n in ns] for X in (S, ref))
+    if type(E) is WeightedLp:
         assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+        assert units == ref_units
+    elif lp:
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.allclose(units, ref_units, rtol=1e-12, atol=0.0)
     else:
         assert np.array_equal(got, want)
-    assert [S.unit_norm(n) for n in ns] == [ref.unit_norm(n) for n in ns]
-    if type(E) is not InducedSeq:  # no norming functional for a Lorentz space
-        for v, nrm in zip(V, got.tolist()):
-            if nrm > 0:
-                for g in (S.norming_values(v), ref.norming_values(v)):
-                    assert abs(float(np.dot(v, g)) / nrm - 1.0) <= FUNCTIONAL_TOL
+        assert units == ref_units
+    # the induced Lorentz space is L_2 and has the norming functional of its form
+    for v, nrm in zip(V, got.tolist()):
+        if nrm > 0:
+            for g in (S.norming_values(v), ref.norming_values(v)):
+                assert abs(float(np.dot(v, g)) / nrm - 1.0) <= FUNCTIONAL_TOL
     # the spec string reparses to the same norms, and a double reversal is S
     back = parse_seq_space(S.spec_string(), S.window)
     assert type(back) is type(S) and np.array_equal(back.norm_rows(V), got)

@@ -2,7 +2,7 @@
 
 The algorithm modules ask a space what it is through its own methods
 (``e_space``, ``norm_rows_on``, ``norming_values``, ``weighted_lp_form``,
-``boyd``, ``generator``, ``exact_weighted_lp``, ``is_linf``).  This test
+``boyd``, ``generator``, ``is_linf``).  This test
 reads their source and fails when one of them tests for, or imports, a
 concrete class from ``spaces`` outside the few deliberate exceptions
 (``transfer`` has none).  It also keeps one class per space (ell_infty is
@@ -14,9 +14,11 @@ answers neither ``weighted_lp_form`` nor ``is_linf`` and never wraps itself),
 one norm formula per space --
 ``norm_rows`` per sequence space,
 ``norm_rows_on`` per function space, with the one-row ``norm_values`` and
-``fn_norm`` on the base classes only -- one certified shift bound
-(``SeqSpaceSpec.shift_upper``, read from ``exact_weighted_lp``), the shift
-search on batched rows,
+``fn_norm`` on the base classes only -- one exactness answer (the
+weighted-lp forms, ``weighted_lp_form()`` and ``weighted_lp_form_on(f)``,
+from which ``SeqSpaceSpec`` alone derives the certified ``shift_upper`` and
+``reversed_space``; no module tells a power from a generator's name), the
+shift search on batched rows,
 one Luxemburg solver (one fused profile call per Newton step), one
 multiplicative ascent (``ascent._ascend_steps``) with one stop rule (one
 accept margin, one set of stop labels and ``ascent.stop_level``), the index
@@ -133,15 +135,31 @@ def test_one_norm_formula_per_sequence_space():
             assert "norm_rows" in vars(cls), f"{name} has no norm_rows"
 
 
-def test_one_shift_bound():
-    # the certified shift bound is defined once, on the base class, from the
-    # one exactness answer, which each sequence space sets as data
-    assert "shift_upper" in vars(spaces.SeqSpaceSpec)
-    for name in _concrete_space_classes():
-        cls = getattr(spaces, name)
-        assert "shift_upper" not in vars(cls), f"{name} defines shift_upper"
-        if issubclass(cls, spaces.SeqSpaceSpec):
-            assert not isinstance(vars(cls).get("exact_weighted_lp"), property), f"{name}"
+def _reads_name(node) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "name" for n in ast.walk(node))
+
+
+def test_one_exactness_answer():
+    # the weighted-lp form is the one answer to "is this space exactly a
+    # weighted ell_p": no flag beside it (the names are spelled in two parts
+    # so that this file does not match itself)
+    gone = ("exact_weighted" + "_lp", "_is" + "_power")
+    for path in [*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        text = path.read_text()
+        assert not [word for word in gone if word in text], path.name
+    # the shift bound and the reversal derive from the form on the base class
+    for method in ("shift_upper", "reversed_space"):
+        assert method in vars(spaces.SeqSpaceSpec)
+        for name in _concrete_space_classes():
+            if (name, method) != ("_Conjugated", "reversed_space"):
+                assert method not in vars(getattr(spaces, name)), f"{name} defines {method}"
+    # a power is read from the profile: spaces reads no generator's name,
+    # and of the algorithm modules only the counterexample-pair annotation does
+    assert not _reads_name(ast.parse((SRC / "spaces.py").read_text()))
+    for module in MODULES:
+        readers = {fn.name for fn in _functions(ast.parse((SRC / f"{module}.py").read_text()))
+                   if _reads_name(fn)}
+        assert readers <= ({"_is_brudnyi_pair"} if module == "verdict" else set()), module
 
 
 def test_one_norm_formula_per_function_space():

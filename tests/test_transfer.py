@@ -12,7 +12,7 @@ from couplekit import (GeometricWeighted, HypothesisError, InterlacedFamily, Lin
                        OrderReversed, OrliczModular, PositiveMatrix, SeqVec,
                        UsageError, WeightedLp, Window, dyadic_lp, example1,
                        fit_separation, gen_interlaced, k_transfer,
-                       majorization_transfer, op_norm, power, rank_one_shift,
+                       majorization_transfer, op_norm, power, pwpower, rank_one_shift,
                        rho_profile)
 from couplekit.spaces import shift_values
 from conftest import SEARCH_SPACE_KINDS, random_seqvec, search_space
@@ -120,8 +120,11 @@ def test_majorization_zero_x_error():
     # bounds and methods keyed by space, as for every other construction
     assert T.certified_bounds == {"E": 0.0, "F": 0.0,
                                   "method": {"E": "direct", "F": "direct"}}
-    T = majorization_transfer(z, z, OrliczModular(power(3), WIN), EINF)
+    T = majorization_transfer(z, z, OrliczModular(pwpower(2, 3), WIN), EINF)
     assert T.certified_bounds["method"] == {"E": "zero", "F": "direct"}
+    # the modular space of x^3 is a weighted ell_p, with a closed form
+    T = majorization_transfer(z, z, OrliczModular(power(3), WIN), EINF)
+    assert T.certified_bounds["method"] == {"E": "direct", "F": "direct"}
 
 
 def test_majorization_rejects_signed():
@@ -215,10 +218,10 @@ def test_k_transfer_seeded_damped_shifts(rng):
             assert lower <= T.certified_bounds[label] + 1e-9
 
 
-def test_k_transfer_order_reversed_branch_certified():
-    # a damped left shift sends part of y through the J2 (order-reversed)
-    # branch; F has no closed-form bound, so its bound is the sum of parts
-    F = OrliczModular(power(2), WIN)
+def _reversed_branch_transfer(F, method):
+    """A damped left shift sends part of y through the J2 (order-reversed)
+    branch; the bound on the modular space of F is certified by ``method``."""
+    F = OrliczModular(F, WIN)
     fit = fit_separation(rho_profile(E1, F, WIN))
     rng = np.random.default_rng(0)
     vals = np.zeros(WIN.size)
@@ -229,8 +232,31 @@ def test_k_transfer_order_reversed_branch_certified():
     assert any(s.get("branch") == "J2 (order-reversed)" for s in T.provenance)
     bound = T.certified_bounds["F"]
     assert isinstance(bound, float)
-    assert T.certified_bounds["method"]["F"] == "sum-of-parts"
+    assert T.certified_bounds["method"]["F"] == method
     assert op_norm(T, F, "lower", budget=150, seed=0) <= bound + 1e-9
+
+
+def test_k_transfer_order_reversed_branch_certified():
+    # pwpower(2, 3) has no closed-form bound, so its bound is the sum of parts
+    _reversed_branch_transfer(pwpower(2, 3), "sum-of-parts")
+
+
+def test_k_transfer_order_reversed_branch_direct_on_a_power():
+    # the modular space of x^2 is a weighted ell_2: its bound is direct
+    _reversed_branch_transfer(power(2), "direct")
+
+
+def test_power_modular_has_the_closed_form_upper_bound():
+    # the modular space of x^2 answers the form of dyadic_lp(2), so op_norm
+    # bounds T on it by the same closed form
+    rng = np.random.default_rng(3)
+    T = PositiveMatrix(WIN)
+    T.add_diagonal({-3: 0.8, 2: 1.7})
+    for _ in range(3):
+        T.add_rank_one(random_seqvec(rng, WIN), random_seqvec(rng, WIN))
+    lower, upper = op_norm(T, OrliczModular(power(2), WIN), "interval", budget=150)
+    assert upper is not None and upper == op_norm(T, dyadic_lp(2, WIN), "interval", budget=150)[1]
+    assert lower <= upper * (1 + 1e-12)
 
 
 def test_k_transfer_rejects_undominated():
@@ -735,8 +761,7 @@ def test_op_norm_lower_stops_once_its_ratio_overflows():
     g, y = np.zeros(win.size), np.zeros(win.size)
     g[2], y[8] = 1e300, 1e300
     T.add_rank_one(SeqVec(win, g), SeqVec(win, y))
-    with np.errstate(over="ignore"):
-        search = transfer._op_norm_lower(T, OrliczModular(example1(), win), 400, 0)
+    search = transfer._op_norm_lower(T, OrliczModular(example1(), win), 400, 0)
     assert math.isinf(search.lower) and search.stop == "overflow"
     assert search.evals <= 2 + 1  # the nonzero columns, n = -4 and n = 0, and x
 

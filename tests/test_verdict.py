@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from couplekit import (FromSequenceSpace, LorentzSpace, LpSpace,
                        OrliczModular, OrliczSpace, PowerWeight, SpaceSpec,
-                       TableLogLinear, UsageError, Window, boyd_indices,
+                       StepFunction, TableLogLinear, UsageError, Window, boyd_indices,
                        brudnyi_evidence, brudnyi_pair, classify_couple,
                        dyadic_lp, example1, linf_space, parse_space, power, pwpower)
 from couplekit.verdict import CAVEAT_EXACT, CAVEAT_NONE, CAVEAT_SEARCH
@@ -97,10 +98,14 @@ def test_orlicz_elastic_vs_linf_stays_inconclusive():
 def test_power_orlicz_vs_linf_calderon():
     rep = classify_couple(OrliczSpace(power(2)), linf_space())
     assert rep.verdict == "calderon"
+    # pwpower(2, 2) is x^2 by its profile, whatever its name
+    same = classify_couple(parse_space("orlicz:gen=<pwpower:p0=2,p1=2>"), linf_space())
+    assert (same.verdict, same.caveat_level, same.evidence) == \
+        (rep.verdict, rep.caveat_level, rep.evidence)
 
 
 @pytest.mark.parametrize("X", ["lp:p=2", "orlicz:gen=<power:p=2>", "lorentz:p=2,w=pow:0.5"])
-def test_exact_weighted_lp_constant_is_the_spaces_bound(X):
+def test_exact_lp_constant_is_the_spaces_bound(X):
     # the constant is the certified bound E_X answers, whatever class E_X is
     ev = classify_couple(parse_space(X), linf_space()).evidence["stretchability_X"]
     assert (ev["kind"], ev["constant"], ev["certified"]) == ("exact-weighted-lp", 1.0, True)
@@ -155,8 +160,15 @@ def test_verdict_routes(X, Y, options, verdict, route, caveat, reasons):
     (1, 0.5, False), (1.5, 0.25, False), (3, 0.5, False), (2, 0.5, True), (3, 1 / 3, True),
 ])
 def test_lorentz_exact_only_when_lp(p, exponent, exact):
-    # p * exponent = 1 is the one power weight whose quasinorm is L_p itself
-    assert LorentzSpace(p, PowerWeight(exponent)).exact_weighted_lp is exact
+    # p * exponent = 1 is the one power weight whose quasinorm is L_p itself:
+    # L_p's form on the pieces, and on E_X the certified shift bound
+    X = LorentzSpace(p, PowerWeight(exponent))
+    f = StepFunction("unit", (0.0, 0.25, 1.0), (1.0, 0.5))
+    form = X.weighted_lp_form_on(f)
+    assert (form is not None) is exact
+    assert (X.e_space(Window("Z-", -8, -1)).shift_upper() == 1.0) is exact
+    if exact:
+        assert form[1] == p and np.array_equal(form[0], f.lengths ** (1.0 / p))
 
 
 def test_lorentz_not_lp_vs_linf_is_searched():
