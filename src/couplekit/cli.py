@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -122,7 +123,7 @@ def cmd_shift_test(args) -> int:
     _write_json(args.out, {
         "config": {"space": args.space, "side": args.side,
                    "window": window.to_json_dict(), "budget": args.budget,
-                   "seed": args.seed},
+                   "seed": args.seed, "target": args.target},
         "c_hat": est.c_hat,
         "evals": est.evals,
         "stop": est.stop,
@@ -164,22 +165,33 @@ def cmd_verdict(args) -> int:
     return 0
 
 
+def _exp(v: float) -> float:
+    """e^v, inf where it overflows."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 def cmd_generate(args) -> int:
     F = parse_generator(args.gen)
+    if not math.isfinite(args.u_hi - args.u_lo):  # nan or inf at either end too
+        raise UsageError(f"--u-lo and --u-hi must be finite and a finite distance "
+                         f"apart; got {args.u_lo!r}, {args.u_hi!r}")
     us = np.linspace(args.u_lo, args.u_hi, args.points)
     hs = F.log_eval(us)
     with open(args.dump, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["log_x", "log_F", "x", "F"])
-        for u, h in zip(us, hs):
-            u, h = float(u), float(h)
-            x = math.exp(u) if abs(u) < 700 else math.inf
-            Fx = math.exp(h) if abs(h) < 700 else math.inf
-            wr.writerow([repr(u), repr(h), repr(x), repr(Fx)])
+        for u, h in zip(us.tolist(), hs.tolist()):
+            wr.writerow([repr(u), repr(h), repr(_exp(u)), repr(_exp(h))])
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (``parse_args`` leaves it
+    as it was)."""
     ap = argparse.ArgumentParser(
         prog="couplekit",
         description="Calderon-couple toolkit: norms, K-functionals, shift "

@@ -119,6 +119,22 @@ class OrliczFn:
         out = 0.5 * (lo + hi)
         return out if out.shape != (1,) else float(out[0])
 
+    def log_lambda(self, ns) -> np.ndarray:
+        """log lambda_n = h^{-1}(-n log 2), F(lambda_n) = 2^{-n}, for integers n.
+
+        Each level is solved once per generator, by one ``log_inv`` call for
+        the levels not solved before.  ``log_inv`` is pointwise (a point's
+        brackets depend on its own v alone), so a level is the same float
+        whichever levels it is solved with.
+        """
+        ns = np.asarray(ns).tolist()
+        memo = self.__dict__.setdefault("_log_lambda_memo", {})
+        missing = sorted(set(ns) - memo.keys())
+        if missing:
+            us = self.log_inv(-np.array(missing, dtype=float) * LOG2)
+            memo.update(zip(missing, np.atleast_1d(us).tolist()))
+        return np.array([memo[n] for n in ns], dtype=float)
+
     def inv(self, y):
         """F^{-1}(y) for y > 0."""
         return np.exp(self.log_inv(np.log(y)))
@@ -713,9 +729,7 @@ def lambda_seq(F: OrliczFn, window) -> dict[int, float]:
     ns = window.indices()
     if np.any(ns > 0):
         raise ValueError("lambda sequence lives on nonpositive indices")
-    us = F.log_inv(-ns.astype(float) * LOG2)
-    us = np.atleast_1d(us)
-    return {int(n): float(math.exp(u)) for n, u in zip(ns, us)}
+    return {int(n): math.exp(u) for n, u in zip(ns, F.log_lambda(ns).tolist())}
 
 
 def log_dilation(F: OrliczFn, c: float, v_max: float) -> float | None:

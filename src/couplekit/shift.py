@@ -265,6 +265,8 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
     """
     _check_side(side)
     check_budget(budget)
+    if target is not None and not target > 0:  # a NaN target compares False
+        raise UsageError(f"target must be a number > 0; got {target!r}")
     n_lo, n_hi = n_pairs_range
     if not 1 <= n_lo <= n_hi:
         raise UsageError(f"n_pairs_range must satisfy 1 <= low <= high; got {n_pairs_range}")

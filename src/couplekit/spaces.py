@@ -650,10 +650,10 @@ class OrliczModular(SeqSpaceSpec):
     def __init__(self, F: OrliczFn, window: Window):
         self.F = F
         self.window = window
-        ns = window.indices().astype(float)
-        self._log_w = ns * LOG2
+        ns = window.indices()
+        self._log_w = ns.astype(float) * LOG2
         # lambda(n) = F^{-1}(2^{-n}): single-block unit norms are 1/lambda(n)
-        self._log_lambda = np.atleast_1d(F.log_inv(-self._log_w))
+        self._log_lambda = F.log_lambda(ns)
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
         A = np.abs(V)
@@ -1010,15 +1010,15 @@ def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
     best = float(np.max(_shift_quotients(units, n), initial=0.0))
     level = stop_level(None, upper)
     lanes, states = [], []
+    ok = np.arange(-n, size) if n < 0 else np.arange(size - n)
     for _ in range(max(1, budget)):
         vals = np.zeros(size)
         k = rng.integers(1, max(2, size // 4))
-        lo_ok, hi_ok = (-n, size) if n < 0 else (0, size - n)
-        idx = rng.choice(np.arange(lo_ok, hi_ok), size=min(k, hi_ok - lo_ok),
-                         replace=False)
+        idx = rng.choice(ok, size=min(k, ok.size), replace=False)
         vals[idx] = rng.random(idx.size) + 0.1
-        coords, factors = zip(*[(int(rng.choice(idx)), 2.0 if rng.random() < 0.5 else 0.5)
-                                for _ in range(8)])
+        # idx[rng.integers(idx.size)] draws as rng.choice(idx) does, at less cost
+        coords, factors = zip(*[(int(idx[rng.integers(idx.size)]),
+                                 2.0 if rng.random() < 0.5 else 0.5) for _ in range(8)])
         lanes.append([vals, None, np.array(coords), np.array(factors), 8])
         states.append(rng.bit_generator.state)
     if stop_reason(best, level) == STOP_UPPER:

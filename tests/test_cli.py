@@ -79,6 +79,38 @@ def test_shift_test_stops_on_target(tmp_path):
     assert d["c_hat"] >= 0.5
 
 
+@pytest.mark.parametrize("target", [1.5, None], ids=["target", "no-target"])
+def test_shift_test_replays_from_its_config(tmp_path, target):
+    # every option of the run is in the artifact's config, target too
+    out, again = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["shift-test", "--space", "seq:orlicz-modular:gen=<example1>", "--side", "rsp",
+            "--window=-24:-1", "--budget", 200, "--seed", 11]
+    assert _run(argv + (["--target", target] if target else []) + ["--out", out]) == 0
+    d = _json_no_ts(out)
+    cfg = d["config"]
+    assert cfg["target"] == target
+    win = cfg["window"]
+    replay = ["shift-test", "--space", cfg["space"], "--side", cfg["side"],
+              f"--window={win['lo']}:{win['hi']}:{win['kind']}", "--budget", cfg["budget"],
+              "--seed", cfg["seed"]]
+    replay += ["--target", cfg["target"]] if cfg["target"] is not None else []
+    assert _run(replay + ["--out", again]) == 0
+    assert _json_no_ts(again) == d
+
+
+@pytest.mark.parametrize("target", ["nan", "0", "-1"])
+@pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
+def test_shift_test_target_not_above_zero_is_usage_error(tmp_path, capsys, target):
+    out = tmp_path / "witness.json"
+    assert _run(["shift-test", "--space", "seq:orlicz-modular:gen=<example1>", "--side",
+                 "rsp", "--window=-24:-1", "--budget", 50, "--target", target,
+                 "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage"
+    assert err["detail"].startswith("target must be a number > 0")
+    assert not out.exists()
+
+
 def test_shift_test_replay_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["shift-test", "--space", "seq:orlicz-modular:gen=<example1>",
@@ -271,6 +303,31 @@ def test_generate_cli(tmp_path):
     mid = rows[8]
     assert float(mid["log_x"]) == pytest.approx(0.0)
     assert float(mid["log_F"]) == pytest.approx(0.0)
+
+
+def test_generate_saturates_only_on_overflow(tmp_path):
+    out = tmp_path / "grid.csv"
+    assert _run(["generate", "--gen", "power:p=2", "--dump", out, "--u-lo", -800,
+                 "--u-hi", 720, "--points", 3]) == 0
+    with open(out) as fh:
+        rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+    assert rows == [{"log_x": -800.0, "log_F": -1600.0, "x": 0.0, "F": 0.0},
+                    {"log_x": -40.0, "log_F": -80.0, "x": math.exp(-40.0),
+                     "F": math.exp(-80.0)},
+                    {"log_x": 720.0, "log_F": 1440.0, "x": math.inf, "F": math.inf}]
+
+
+@pytest.mark.parametrize("bounds", [["--u-lo", "nan"], ["--u-hi", "inf"],
+                                    ["--u-lo=-inf"], ["--u-lo=-1e308", "--u-hi", "1e308"]],
+                         ids=["lo-nan", "hi-inf", "lo-minus-inf", "span-overflow"])
+@pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
+def test_generate_non_finite_range_is_usage_error(tmp_path, capsys, bounds):
+    out = tmp_path / "grid.csv"
+    assert _run(["generate", "--gen", "power:p=2", "--dump", out, *bounds]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage"
+    assert err["detail"].startswith("--u-lo and --u-hi must be finite")
+    assert not out.exists()
 
 
 def test_usage_error_exit_1(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from couplekit import (MinimalFn, TGrid, Window, brudnyi_pair,
+from couplekit import (MinimalFn, OrliczModular, TGrid, Window, brudnyi_pair,
                        brudnyi_schedule, convexify, counter,
                        elastic_non_lorentz, elasticity_report, example1,
                        indices, lambda_seq, logfactor_fn, phi_minus, phi_plus,
@@ -589,6 +589,45 @@ def test_log_inv_stop_matches_full_bisection(F):
     for v in (-np.arange(128) * math.log(2.0), rng.normal(0.0, 30.0, 50),
               rng.normal(0.0, 3e3, 20), np.array([0.0]), 2.5):
         assert _same(OrliczFn.log_inv(F, v), _full_bisection(F, v))
+
+
+_BISECTED = [MinimalFn(0.05), logfactor_fn(2), convexify(MinimalFn(0.05)),
+             sample_profile(logfactor_fn(2))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(F=st.sampled_from(_BISECTED),
+       v=st.lists(st.one_of(st.integers(-128, 128).map(lambda n: -n * math.log(2.0)),
+                            st.floats(-3e3, 3e3)), min_size=2, max_size=6))
+def test_log_inv_is_pointwise(F, v):
+    # a level solved alone is the float it is among others: what lets
+    # log_lambda solve each level once, whatever window asks for it
+    v = np.array(v)
+    whole = OrliczFn.log_inv(F, v)
+    assert all(_same(float(whole[i]), OrliczFn.log_inv(F, v[i:i + 1])) for i in range(v.size))
+
+
+@pytest.mark.parametrize("make", [lambda: MinimalFn(0.05), lambda: logfactor_fn(2),
+                                  lambda: convexify(MinimalFn(0.05))],
+                         ids=["minimal", "logfactor", "convexify"])
+@pytest.mark.parametrize("widths", [(64, 128), (128, 64)], ids=["64-128", "128-64"])
+def test_memoised_levels_are_the_bisection(make, widths):
+    F = make()
+    for width in widths:
+        win = Window("Z-", -width, -1)
+        levels = OrliczModular(F, win)._log_lambda
+        assert _same(levels, _full_bisection(F, -win.indices() * math.log(2.0)))
+        assert list(lambda_seq(F, win).values()) == [math.exp(u) for u in levels.tolist()]
+
+
+def test_levels_are_solved_once_per_generator():
+    F = _CountingFn(MinimalFn(0.05))
+    OrliczModular(F, Window("Z-", -128, -1))
+    assert F.calls > 0
+    solved = F.calls
+    OrliczModular(F, Window("Z-", -64, -1))
+    lambda_seq(F, Window("Z-", -64, -1))
+    assert F.calls == solved
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,17 @@ def test_stop_reason_target():
     assert est.stop == STOP_TARGET and est.c_hat >= 0.5 and est.evals < 300
 
 
+@pytest.mark.parametrize("target", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+def test_target_not_above_zero_is_usage_error(target):
+    # a NaN target would run the whole budget and then report the stop "upper"
+    E = OrliczModular(example1(), Window("Z-", -24, -1))
+    with pytest.raises(UsageError, match="target must be a number > 0"):
+        shift_constant_estimate(E, "rsp", budget=50, seed=0, target=target)
+    with pytest.raises(UsageError, match="target must be a number > 0"):
+        shift_schedule(lambda w: OrliczModular(example1(), Window("Z-", -w, -1)), "rsp",
+                       [12, 24], budget=50, seed=0, target=target)
+
+
 def test_schedule_stop_reason():
     def factory(width):
         return dyadic_lp(2, Window("Z-", -width, -1))

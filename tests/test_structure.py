@@ -24,9 +24,10 @@ multiplicative ascent (``ascent._ascend_steps``) with one stop rule (one
 accept margin, one set of stop labels and ``ascent.stop_level``), the index
 extremes from a band scan in bounded blocks, one drop scan behind Phi+/-
 (``_count_drops``), one representation of a family of block pairs, one K
-scan per vector for a whole t-grid (``kfunc._k_grid``), and one
-representation of a positive operator (the factor stack ``G``, ``Y``, ``d``
-of ``PositiveMatrix``).
+scan per vector for a whole t-grid (``kfunc._k_grid``), the dyadic levels
+lambda_n = F^{-1}(2^{-n}) solved in one place (``OrliczFn.log_lambda``, once
+per generator), and one representation of a positive operator (the factor
+stack ``G``, ``Y``, ``d`` of ``PositiveMatrix``).
 """
 
 import ast
@@ -242,6 +243,24 @@ def test_one_multiplicative_ascent():
         assert not margins, f"{name} computes its own stop level"
     # op_norm's columns come from the factor stack, not the dense entries
     assert "entries" not in _names(fns["transfer._op_norm_lower"])
+
+
+def test_dyadic_levels_solved_in_one_place():
+    # lambda_n = F^{-1}(2^{-n}) is solved by OrliczFn.log_lambda alone, which
+    # keeps each generator's levels; the modular and lambda_seq read it, and
+    # no other function solves h(u) = -n log 2 itself
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    fns = {f"{stem}.{fn.name}": fn for stem, tree in trees.items() for fn in tree.body
+           if isinstance(fn, ast.FunctionDef)}
+    fns.update({f"{stem}.{cls.name}.{fn.name}": fn for stem, tree in trees.items()
+                for cls in tree.body if isinstance(cls, ast.ClassDef) for fn in _functions(cls)})
+    for name in ("spaces.OrliczModular.__init__", "orlicz.lambda_seq"):
+        assert "log_lambda" in _called(fns[name]) and "log_inv" not in _called(fns[name]), name
+    solvers = [name for name, fn in fns.items()
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and node.func.attr == "log_inv"
+               and _names(node) & {"LOG2", "_log_w"}]
+    assert solvers == ["orlicz.OrliczFn.log_lambda"]
 
 
 def test_shift_search_ascends_once_per_wave():
