@@ -25,6 +25,6 @@ from .specdsl import (parse_any_space, parse_generator, parse_seq_space,
                       parse_space)
 from .transfer import (PositiveMatrix, k_transfer, majorization_transfer,
                        op_norm, rank_one_shift)
-from .verdict import CoupleReport, boyd_indices, brudnyi_evidence, classify_couple
+from .verdict import CoupleReport, brudnyi_evidence, classify_couple
 
 __version__ = "0.1.0"

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import CoupleKitError, HypothesisError, UsageError
 from .kfunc import k_profile
 from .measure import SeqVec, StepFunction, Window
-from .orlicz import (TGrid, elasticity_report, indices, rv_defect,
-                     w_witness)
+from .orlicz import (TGrid, _finite_profile, elasticity_report, indices,
+                     rv_defect, w_witness)
 from .shift import shift_constant_estimate
 from .spaces import fit_separation, rho_profile
 from .specdsl import (parse_any_space, parse_generator, parse_seq_space,
@@ -160,7 +160,7 @@ def cmd_transfer(args) -> int:
 def cmd_verdict(args) -> int:
     X = parse_space(args.X)
     Y = parse_space(args.Y)
-    report = classify_couple(X, Y, {"seed": args.seed, "budget": args.budget})
+    report = classify_couple(X, Y, {"seed": args.seed})
     _write_json(args.out, report.to_json_dict())
     return 0
 
@@ -179,7 +179,7 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--u-lo and --u-hi must be finite and a finite distance "
                          f"apart; got {args.u_lo!r}, {args.u_hi!r}")
     us = np.linspace(args.u_lo, args.u_hi, args.points)
-    hs = F.log_eval(us)
+    hs = _finite_profile(F, us)  # a usage error where log F overflows
     with open(args.dump, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["log_x", "log_F", "x", "F"])
@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verdict", help="classify a couple of function spaces")
     p.add_argument("--X", required=True)
     p.add_argument("--Y", required=True)
-    p.add_argument("--budget", type=int, default=4000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_verdict)

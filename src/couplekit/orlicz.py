@@ -666,11 +666,11 @@ def _row_slope_extremes(v, h, j, first, end):
 
 
 def _finite_profile(F: OrliczFn, pts: np.ndarray) -> np.ndarray:
-    """h = log F on the increasing points pts; a ValueError when it overflows
+    """h = log F on the monotone points pts; a ValueError when it overflows
     (h is convex: finite at both ends means finite throughout)."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         h = F.log_eval(pts)
-    if not (math.isfinite(h[0]) and math.isfinite(h[-1])):
+    if h.size and not (math.isfinite(h[0]) and math.isfinite(h[-1])):
         raise ValueError(f"{F.spec_string()}: log F is not finite on "
                          f"[{pts[0]:g}, {pts[-1]:g}]; its profile overflows")
     return h

@@ -118,14 +118,20 @@ class TableLogLinear(WeightFn):
             raise ValueError("finite-q regime requires inf w(2t)/w(t) > 1")
         self.assume_finite_q = assume_finite_q
 
+    def _segment(self, lt):
+        """Index of the segment containing lt; the end segments extend past
+        the table, as the norm integrates them."""
+        return np.clip(np.searchsorted(self.log_t, lt, side="right") - 1,
+                       0, self.slopes.size - 1)
+
     def __call__(self, t):
         lt = np.log(np.asarray(t, dtype=float))
-        return np.exp(np.interp(lt, self.log_t, self.log_w))
+        i = self._segment(lt)
+        return np.exp(self.log_w[i] + self.slopes[i] * (lt - self.log_t[i]))
 
     def segment_at(self, lt: float):
         """(anchor log_t, anchor log_w, slope) of the segment containing lt."""
-        i = int(np.clip(np.searchsorted(self.log_t, lt, side="right") - 1,
-                        0, self.slopes.size - 1))
+        i = int(self._segment(lt))
         return self.log_t[i], self.log_w[i], float(self.slopes[i])
 
     def doubling_sup(self) -> float:

@@ -19,20 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError, check_budget
+from .errors import UsageError
 from .measure import SeqVec, Window, default_unit_window
 from .orlicz import OrliczFn, brudnyi_schedule, elasticity_report, lambda_seq
-from .shift import RSP, shift_constant_estimate
-from .spaces import BoydIndices, OrliczModular, OrliczSpace, SpaceSpec
+from .spaces import OrliczModular, SpaceSpec
 
 CAVEAT_EXACT = "exact shift constants"
 CAVEAT_SEARCH = "theorem applies; RSP/LSP certified only to search level"
 CAVEAT_NONE = "no certification"
-
-
-def boyd_indices(space: SpaceSpec) -> BoydIndices:
-    """Boyd indices (p_X, q_X) with error bars, by the space's own route."""
-    return space.boyd()
 
 
 @dataclass
@@ -62,55 +56,49 @@ class CoupleReport:
         }
 
 
-def _stretchability_evidence(space: SpaceSpec, window: Window, budget: int,
-                             seed: int) -> dict:
-    """Evidence record for 'E_X has RSP': exact class, witness, or consistency."""
-    E = space.e_space(window)
-    if (constant := E.shift_upper()) is not None:
+def _stretchability_evidence(space: SpaceSpec, window: Window) -> dict:
+    """Evidence record for 'E_X has RSP': exact class, elasticity counters, or
+    none.
+
+    Only certificates decide, so no RSP search runs here: a finite search
+    can neither certify nor falsify a uniform constant (``shift-test`` runs
+    one)."""
+    if (constant := space.e_space(window).shift_upper()) is not None:
         return {"kind": "exact-weighted-lp", "constant": constant,
                 "certified": True, "stretchable": True}
     F = space.generator()
-    if F is not None:
-        rep = elasticity_report(F)
-        out = {"kind": "elasticity", "report": rep.to_json_dict(),
-               "classification": rep.classification}
-        if rep.classification == "inelastic-witness":
-            # the counter growth is the certified falsifier; a bounded RSP
-            # search is attached as corroboration only
-            if not isinstance(space, OrliczSpace):
-                E = space.E
-            est = shift_constant_estimate(E, RSP, budget=min(budget, 2000),
-                                          seed=seed)
-            out["rsp_search"] = {"c_hat": est.c_hat,
-                                 "witness": est.witness.to_json_dict()
-                                 if est.witness else None}
-            out["certified"] = True
-            out["stretchable"] = False
-        else:
-            out["certified"] = False
-            out["stretchable"] = None  # consistent, not proven
-        return out
-    est = shift_constant_estimate(E, RSP, budget=budget, seed=seed)
-    return {"kind": "search", "c_hat": est.c_hat, "certified": False,
-            "stretchable": None}
+    if F is None:
+        return {"kind": "none", "certified": False, "stretchable": None}
+    rep = elasticity_report(F)
+    # the counter growth is the certified falsifier; elastic counters are
+    # consistent with stretchability, not a proof of it
+    witness = rep.classification == "inelastic-witness"
+    return {"kind": "elasticity", "report": rep.to_json_dict(),
+            "classification": rep.classification, "certified": witness,
+            "stretchable": False if witness else None}
+
+
+_OPTIONS = ("window", "seed", "p_concave_X", "p_convex_Y", "r_concave_Y")
 
 
 def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> CoupleReport:
     """Apply the verdict pipeline to a couple of function spaces.
 
-    options: window (Window), budget (at least 1), seed, assertions
-    {"p_concave_X": p, "p_convex_Y": p, "r_concave_Y": r} for the
-    convexity-route hypotheses that have no general numeric test.
+    options: window (Window), seed, assertions {"p_concave_X": p,
+    "p_convex_Y": p, "r_concave_Y": r} for the convexity-route hypotheses
+    that have no general numeric test; any other key is a usage error.
     """
     opts = dict(options or {})
+    for key in opts:
+        if key not in _OPTIONS:
+            raise UsageError(f"unknown classify_couple option {key!r}; "
+                             f"known: {', '.join(_OPTIONS)}")
     if X.domain != Y.domain:
         raise UsageError("couple must live on a single domain")
     window = opts.get("window") or default_unit_window()
-    budget = int(opts.get("budget", 4000))
-    check_budget(budget)
     seed = int(opts.get("seed", 0))
 
-    bx, by = boyd_indices(X), boyd_indices(Y)
+    bx, by = X.boyd(), Y.boyd()
     report = CoupleReport(
         spaces={"X": X.spec_string(), "Y": Y.spec_string(), "domain": X.domain},
         indices={"X": bx.to_json_dict(), "Y": by.to_json_dict()},
@@ -121,7 +109,7 @@ def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> 
     # (i) pair with L_infty: verdict by stretchability of X
     if Y.is_linf:
         report.applicable.append("pair-with-Linfty (stretchability criterion)")
-        ev = _stretchability_evidence(X, window, budget, seed)
+        ev = _stretchability_evidence(X, window)
         report.evidence["stretchability_X"] = ev
         if ev.get("stretchable") is True and ev.get("certified"):
             report.verdict = "calderon"
@@ -142,7 +130,7 @@ def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> 
     gap_ok = by.p - by.p_err > bx.q + bx.q_err
     if gap_ok:
         report.applicable.append("separated-Boyd-indices criterion (p_Y > q_X)")
-        return _verdict_from_shift_sides(report, X, Y, window, budget, seed)
+        return _verdict_from_shift_sides(report, X, Y, window)
 
     # (iii) p-concavity / p-convexity route
     p_cc = opts.get("p_concave_X")
@@ -152,7 +140,7 @@ def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> 
     if (p_cc is not None and p_cv is not None and p_cc == p_cv and r_cc) or derived:
         tag = "user-asserted" if p_cc is not None else "sufficient index criteria"
         report.applicable.append(f"matching convexity route ({tag})")
-        return _verdict_from_shift_sides(report, X, Y, window, budget, seed)
+        return _verdict_from_shift_sides(report, X, Y, window)
 
     # (iv) Orlicz/Orlicz necessary condition
     Fx, Fy = X.generator(), Y.generator()
@@ -195,7 +183,7 @@ def _derive_convexity_p(X, Y, bx, by) -> float | None:
     return None
 
 
-def _verdict_from_shift_sides(report, X, Y, window, budget, seed):
+def _verdict_from_shift_sides(report, X, Y, window):
     ex, ey = (S.e_space(window).shift_upper() is not None for S in (X, Y))
     report.evidence["shift_X"] = {"exact-weighted-lp": ex}
     report.evidence["shift_Y"] = {"exact-weighted-lp": ey}
@@ -203,7 +191,7 @@ def _verdict_from_shift_sides(report, X, Y, window, budget, seed):
         report.verdict = "calderon"
         report.caveat_level = CAVEAT_EXACT
         return report
-    sx = _stretchability_evidence(X, window, budget, seed)
+    sx = _stretchability_evidence(X, window)
     report.evidence["stretchability_X"] = sx
     if sx.get("stretchable") is False and sx.get("certified"):
         report.verdict = "not-calderon-witness"

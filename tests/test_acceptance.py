@@ -185,7 +185,6 @@ def test_criterion_06_transfer_correctness():
 
 def test_criterion_07_indices():
     """Power exact; pwpower(2,3) = 3 +- 0.02; Lorentz (q,q); Delta2 = 2^p."""
-    from couplekit import boyd_indices
     for p in (1.0, 2.0, 3.5):
         rep = indices(power(p))
         assert rep.alpha_inf == pytest.approx(p, abs=1e-12)
@@ -195,7 +194,7 @@ def test_criterion_07_indices():
     assert rep.alpha_inf == pytest.approx(3.0, abs=0.02)
     assert rep.beta_inf == pytest.approx(3.0, abs=0.02)
     for q in (2.0, 4.0):
-        b = boyd_indices(LorentzSpace(2, PowerWeight(1.0 / q)))
+        b = LorentzSpace(2, PowerWeight(1.0 / q)).boyd()
         assert b.p == pytest.approx(q, abs=0.02)
         assert b.q == pytest.approx(q, abs=0.02)
     _report(7, "indices: power exact, pwpower(2,3) -> 3 +- 0.02, Lorentz "

@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from couplekit import SeqVec, Window, char_fn
-from couplekit.cli import main
+from couplekit.cli import build_parser, main
 
 
 def _run(argv):
@@ -124,9 +126,7 @@ def test_shift_test_replay_determinism(tmp_path):
 @pytest.mark.parametrize("budget", [0, -5])
 @pytest.mark.parametrize("argv", [
     ["shift-test", "--space", "seq:lpw:p=2", "--side", "rsp", "--window=-24:-1"],
-    ["verdict", "--X", "orlicz:gen=<example1>", "--Y", "linf"],
-    ["verdict", "--X", "lp:p=2", "--Y", "linf"],
-], ids=["shift-test", "verdict", "verdict-exact"])
+], ids=["shift-test"])
 def test_budget_below_one_is_usage_error(tmp_path, capsys, argv, budget):
     out = tmp_path / "out.json"
     assert _run(argv + ["--budget", budget, "--out", out]) == 1
@@ -317,17 +317,37 @@ def test_generate_saturates_only_on_overflow(tmp_path):
                     {"log_x": 720.0, "log_F": 1440.0, "x": math.inf, "F": math.inf}]
 
 
-@pytest.mark.parametrize("bounds", [["--u-lo", "nan"], ["--u-hi", "inf"],
-                                    ["--u-lo=-inf"], ["--u-lo=-1e308", "--u-hi", "1e308"]],
-                         ids=["lo-nan", "hi-inf", "lo-minus-inf", "span-overflow"])
+_RANGE = "--u-lo and --u-hi must be finite"
+_PROFILE = "power:p=2: log F is not finite"  # u is finite, but log F = 2u is not
+
+
+@pytest.mark.parametrize("bounds, detail", [
+    (["--u-lo", "nan"], _RANGE), (["--u-hi", "inf"], _RANGE), (["--u-lo=-inf"], _RANGE),
+    (["--u-lo=-1e308", "--u-hi", "1e308"], _RANGE),
+    (["--u-lo", "1e308", "--u-hi", "1.7e308"], _PROFILE),
+    (["--u-lo=-1e308", "--u-hi=-5e307"], _PROFILE),
+], ids=["lo-nan", "hi-inf", "lo-minus-inf", "span-overflow", "profile-overflow-top",
+        "profile-overflow-bottom"])
 @pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
-def test_generate_non_finite_range_is_usage_error(tmp_path, capsys, bounds):
+def test_generate_non_finite_range_is_usage_error(tmp_path, capsys, bounds, detail):
     out = tmp_path / "grid.csv"
     assert _run(["generate", "--gen", "power:p=2", "--dump", out, *bounds]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "usage"
-    assert err["detail"].startswith("--u-lo and --u-hi must be finite")
+    assert err["detail"].startswith(detail)
     assert not out.exists()
+
+
+def test_readme_cli_lines_parse():
+    # the documented command lines name only flags the parser has
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Quick start (CLI)", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("couplekit ")]
+    assert len(lines) == 6
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 def test_usage_error_exit_1(tmp_path, capsys):

@@ -66,6 +66,17 @@ def test_lorentz_table_weight_matches_power():
     assert Xt.fn_norm(f) == pytest.approx(Xp.fn_norm(f), rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_lorentz_table_weight_extends_its_end_slopes(p):
+    # below the table w runs on along its first segment, in w(t) as in the
+    # norm: ||chi_[0,T)||^p = w(T)^p / (p s_0), s_0 = 0.5 here
+    w = TableLogLinear([-8.0, -2.0, 0.0], [-4.0, -1.0, 0.0])
+    assert w(math.exp(-10.0)) == pytest.approx(math.exp(-5.0), rel=1e-14)
+    for T in (math.exp(-10.0), math.exp(-30.0)):
+        got = LorentzSpace(p, w).fn_norm(char_fn(0, T)) ** p
+        assert got == pytest.approx(w(T) ** p / (p * 0.5), rel=1e-12)
+
+
 def test_lorentz_flat_weight_diverges():
     table = TableLogLinear([-30.0, 0.0], [0.0, 0.0])
     X = LorentzSpace(2.0, table)

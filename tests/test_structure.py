@@ -3,9 +3,10 @@
 The algorithm modules ask a space what it is through its own methods
 (``e_space``, ``norm_rows_on``, ``norming_values``, ``weighted_lp_form``,
 ``boyd``, ``generator``, ``is_linf``).  This test
-reads their source and fails when one of them tests for, or imports, a
-concrete class from ``spaces`` outside the few deliberate exceptions
-(``transfer`` has none).  It also keeps one class per space (ell_infty is
+reads their source and fails when one of them tests for a concrete class
+from ``spaces``, or imports one outside the one deliberate exception
+(``verdict`` builds ``OrliczModular``s).  It also keeps ``verdict`` free of
+searches, and one class per space (ell_infty is
 ``WeightedLp`` at p = inf with unit weights; ``LinftySeq`` only builds it; a
 reversed or geometrically weighted weighted ell_p is a ``WeightedLp``, and
 ``OrderReversed`` and ``GeometricWeighted`` only build spaces; every other
@@ -45,11 +46,9 @@ from couplekit.shift import InterlacedFamily
 
 SRC = Path(spaces.__file__).parent
 
-# deliberate exceptions: verdict corroborates an Orlicz witness on E_X of an
-# Orlicz space but on E itself for a space built from a sequence space, and
-# builds the modular spaces of the counterexample pair
-ALLOWED_ISINSTANCE = {"verdict": {"OrliczSpace"}}
-ALLOWED_IMPORTS = {"verdict": {"OrliczSpace", "OrliczModular"}}
+# the one deliberate exception: verdict builds the modular spaces of the
+# counterexample pair
+ALLOWED_IMPORTS = {"verdict": {"OrliczModular"}}
 MODULES = ("kfunc", "transfer", "verdict", "shift", "cli")
 
 
@@ -79,10 +78,10 @@ def _isinstance_classes(tree) -> set[str]:
     return found
 
 
-def _spaces_imports(tree) -> set[str]:
+def _imports_from(tree, module: str) -> set[str]:
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "spaces":
+        if isinstance(node, ast.ImportFrom) and node.module == module:
             found |= {alias.name for alias in node.names}
     return found
 
@@ -116,11 +115,18 @@ def test_one_conjugation_class():
 def test_no_space_type_dispatch_outside_spaces(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     tested = _isinstance_classes(tree) & _spaces_classes()
-    assert tested <= ALLOWED_ISINSTANCE.get(module, set()), (
-        f"{module}.py tests for {sorted(tested)}; ask the space instead")
-    imported = _spaces_imports(tree) & _concrete_space_classes()
+    assert not tested, f"{module}.py tests for {sorted(tested)}; ask the space instead"
+    imported = _imports_from(tree, "spaces") & _concrete_space_classes()
     assert imported <= ALLOWED_IMPORTS.get(module, set()), (
         f"{module}.py imports {sorted(imported)} from spaces")
+
+
+def test_verdict_runs_no_search():
+    # a verdict reads certificates only: a finite search can neither certify
+    # nor falsify a uniform shift constant (``shift-test`` runs one)
+    tree = ast.parse((SRC / "verdict.py").read_text())
+    assert not _imports_from(tree, "shift") | _imports_from(tree, "ascent")
+    assert "budget" not in _names(tree)
 
 
 def _calls(tree, attr: str) -> bool:

@@ -5,7 +5,7 @@ import pytest
 
 from couplekit import (FromSequenceSpace, LorentzSpace, LpSpace,
                        OrliczModular, OrliczSpace, PowerWeight, SpaceSpec,
-                       StepFunction, TableLogLinear, UsageError, Window, boyd_indices,
+                       StepFunction, TableLogLinear, UsageError, Window,
                        brudnyi_evidence, brudnyi_pair, classify_couple,
                        dyadic_lp, example1, linf_space, parse_space, power, pwpower)
 from couplekit.verdict import CAVEAT_EXACT, CAVEAT_NONE, CAVEAT_SEARCH
@@ -17,28 +17,28 @@ from couplekit.verdict import CAVEAT_EXACT, CAVEAT_NONE, CAVEAT_SEARCH
 
 
 def test_boyd_lp_exact():
-    b = boyd_indices(LpSpace(2))
+    b = LpSpace(2).boyd()
     assert (b.p, b.q) == (2.0, 2.0) and b.p_err == 0.0
 
 
 def test_boyd_lorentz_power_weight():
-    b = boyd_indices(LorentzSpace(2, PowerWeight(1.0 / 3.0)))
+    b = LorentzSpace(2, PowerWeight(1.0 / 3.0)).boyd()
     assert b.p == pytest.approx(3.0, abs=0.02)
     assert b.q == pytest.approx(3.0, abs=0.02)
 
 
 def test_boyd_orlicz_pwpower():
-    b = boyd_indices(OrliczSpace(pwpower(2, 3)))
+    b = OrliczSpace(pwpower(2, 3)).boyd()
     assert b.p == pytest.approx(3.0, abs=0.02)
     assert b.q == pytest.approx(3.0, abs=0.02)
 
 
 def test_boyd_lorentz_weight_table():
     # slopes 0.4 and 0.3 of log w: p = 1/0.4, q = 1/0.3; a flat piece gives q = inf
-    b = boyd_indices(LorentzSpace(2, TableLogLinear([-5.0, 0.0, 5.0], [-2.0, 0.0, 1.5])))
+    b = LorentzSpace(2, TableLogLinear([-5.0, 0.0, 5.0], [-2.0, 0.0, 1.5])).boyd()
     assert (b.p, b.q) == (pytest.approx(2.5), pytest.approx(1.0 / 0.3))
     assert (b.p_err, b.q_err, b.method) == (0.02, 0.02, "weight-table")
-    b = boyd_indices(LorentzSpace(2, TableLogLinear([-5.0, 0.0, 5.0], [-2.0, 0.0, 0.0])))
+    b = LorentzSpace(2, TableLogLinear([-5.0, 0.0, 5.0], [-2.0, 0.0, 0.0])).boyd()
     assert (b.p, b.q) == (pytest.approx(2.5), math.inf)
 
 
@@ -48,12 +48,12 @@ def test_boyd_needs_a_route():
             return "bare"
 
     with pytest.raises(UsageError, match="no Boyd-index route for Bare"):
-        boyd_indices(Bare())
+        Bare().boyd()
 
 
 def test_boyd_from_sequence():
     X = FromSequenceSpace(dyadic_lp(2, Window("Z-", -32, -1)))
-    b = boyd_indices(X)
+    b = X.boyd()
     assert b.p == pytest.approx(2.0, rel=0.05)
     assert b.q == pytest.approx(2.0, rel=0.05)
 
@@ -73,11 +73,13 @@ def test_l2_linf_is_calderon():
 def test_orlicz_lorentz_vs_linf_witness():
     win = Window("Z-", -64, -1)
     X = FromSequenceSpace(OrliczModular(example1(), win))
-    rep = classify_couple(X, linf_space(), {"budget": 2000, "seed": 3})
+    rep = classify_couple(X, linf_space(), {"seed": 3})
     assert rep.verdict == "not-calderon-witness"
     ev = rep.evidence["stretchability_X"]
-    assert ev["classification"] == "inelastic-witness"
-    assert ev["rsp_search"]["c_hat"] > 1.0
+    # the counters are the certificate; no RSP search is run beside them
+    assert (ev["kind"], ev["classification"]) == ("elasticity", "inelastic-witness")
+    assert ev["report"]["classification"] == "inelastic-witness"
+    assert "rsp_search" not in ev
 
 
 def test_brudnyi_pair_inconclusive_with_annotation():
@@ -151,7 +153,7 @@ _BOYD_GAP = "separated-Boyd-indices criterion (p_Y > q_X)"
 ], ids=["convexity-derived", "convexity-asserted", "boyd-gap-witness",
         "boyd-gap-inconclusive", "orlicz-mismatch-witness", "no-theorem"])
 def test_verdict_routes(X, Y, options, verdict, route, caveat, reasons):
-    rep = classify_couple(parse_space(X), parse_space(Y), {"budget": 300, **options})
+    rep = classify_couple(parse_space(X), parse_space(Y), options)
     assert (rep.verdict, rep.caveat_level, rep.reasons) == (verdict, caveat, reasons)
     assert rep.applicable == ([route] if route else [])
 
@@ -171,15 +173,23 @@ def test_lorentz_exact_only_when_lp(p, exponent, exact):
         assert form[1] == p and np.array_equal(form[0], f.lengths ** (1.0 / p))
 
 
-def test_lorentz_not_lp_vs_linf_is_searched():
-    # the RSP search finds c_hat > 1 on E_X, so nothing is certified exact
-    rep = classify_couple(parse_space("lorentz:p=1,w=pow:0.5"), linf_space(), {"budget": 200})
+def test_lorentz_not_lp_vs_linf_has_no_certificate():
+    # E_X is not a weighted ell_p and X has no generator: no certificate
+    # either way, and no search stands in for one
+    rep = classify_couple(parse_space("lorentz:p=1,w=pow:0.5"), linf_space())
     assert rep.verdict == "inconclusive"
-    ev = rep.evidence["stretchability_X"]
-    assert ev["kind"] == "search" and ev["certified"] is False
-    rep = classify_couple(parse_space("lorentz:p=1,w=pow:0.5"), LpSpace(4), {"budget": 200})
+    assert rep.evidence["stretchability_X"] == {"kind": "none", "certified": False,
+                                                "stretchable": None}
+    rep = classify_couple(parse_space("lorentz:p=1,w=pow:0.5"), LpSpace(4))
     assert rep.evidence["shift_X"] == {"exact-weighted-lp": False}
     assert rep.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("key", ["budget", "p_concave_x"])
+def test_unknown_option_is_usage_error(key):
+    # a stale or misspelt key would otherwise drop its route without a word
+    with pytest.raises(UsageError, match=f"unknown classify_couple option '{key}'"):
+        classify_couple(LpSpace(3), LpSpace(2), {key: 2})
 
 
 def test_verdict_deterministic_under_seed():
