@@ -89,8 +89,7 @@ def cmd_analyze_orlicz(args) -> int:
     defect = rv_defect(F, x_grid[:6], TGrid.span(0.0, 512.0))
     ww = w_witness(F, args.C0)
     _write_json(args.out, {
-        "config": {"gen": args.gen, "C0": args.C0, "kmax": args.kmax,
-                   "seed": args.seed},
+        "config": {"gen": args.gen, "C0": args.C0, "kmax": args.kmax},
         "generator": F.spec_string(),
         "elasticity": rep.to_json_dict(),
         "indices": idx.to_json_dict(),
@@ -202,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", required=True)
     p.add_argument("--C0", type=float, default=4.0)
     p.add_argument("--kmax", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_orlicz)
 
@@ -211,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Y", required=True)
     p.add_argument("--f", required=True, help="step-function JSON file")
     p.add_argument("--t-grid", required=True, dest="t_grid")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_k_profile)
 

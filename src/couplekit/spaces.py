@@ -2,14 +2,15 @@
 
 Function-space variants (Lp, Lorentz quasinorm, Orlicz/Luxemburg, and the
 space-from-sequence construction) evaluate exactly on step functions -- every
-integral is a finite sum over pieces.  Each has one norm formula,
-``norm_rows_on(f)``: it binds the pieces of f and returns the norms of the
-rows of a (k, pieces) array of values on them.  Sequence-space variants are
-modelled on a Window; each has one norm formula, ``norm_rows`` over the rows
-of a (k, n) array.  Rows never depend on each other, and ``fn_norm`` and
-``norm_values`` are the one-row cases on the base classes.  Both Orlicz norms
-(``OrliczSpace`` and the modular space ``OrliczModular``) are one root-find
-of the log-modular G, ``_luxemburg_log``: bracketed Newton steps on the
+integral is a finite sum over pieces.  ``norm_rows_on(f)`` binds the
+pieces of f and norms the rows of a (k, pieces) array of values on them;
+sequence-space variants are modelled on a Window, and ``norm_rows`` norms the
+rows of a (k, n) array.  The base classes decide once: a space whose
+weighted-lp form answers is normed by the one row formula ``_wlp_norms`` on
+it, any other by its own ``_rows_on(f)`` or ``_rows``.  Rows never depend on
+each other; ``fn_norm`` and ``norm_values`` are the one-row cases.  An Orlicz
+norm that is not a power's (``OrliczSpace``, ``OrliczModular``) is one
+root-find of the log-modular G, ``_luxemburg_log``: bracketed Newton steps on the
 log-norm, row by row over a batch of rows, stopped when the Newton correction
 is at most 1e-13; h' >= 1 bounds the error by |G|.  Its elementwise work runs
 on the packed nonzero entries only, and its row sums over the full width in
@@ -39,7 +40,8 @@ exactly a weighted ell_p": L_p, the Lorentz space with weight t^(1/p) and the
 Orlicz space of F(x) = x^p answer |I_i|^(1/p) on pieces, ``WeightedLp`` its
 weights, the modular space of x^p 2^(n/p), and ``InducedSeq`` its space's form
 on the blocks; the exponent of a power is read from the profile, never from a
-name.  ``SeqSpaceSpec`` derives from the form the certified
+name; a sequence space computes it once.  ``SeqSpaceSpec`` derives from the
+form the certified
 ``shift_upper()`` and ``reversed_space()``, so a weighted ell_p is always a
 ``WeightedLp``: ``OrderReversed(E)`` is ``E.reversed_space()``, and
 ``GeometricWeighted(E, b)`` is E at b = 1, else w_n b^n on E's form (w, p);
@@ -164,8 +166,14 @@ class SpaceSpec:
 
     def norm_rows_on(self, f: StepFunction):
         """V -> norms of the rows of a (k, pieces) array of values on the
-        pieces of f; rows do not depend on each other."""
-        raise NotImplementedError
+        pieces of f; rows do not depend on each other.  ``_wlp_norms`` on
+        the form wherever ``weighted_lp_form_on(f)`` answers, else ``_rows_on(f)``."""
+        if (form := self.weighted_lp_form_on(f)) is not None:
+            return lambda V: _wlp_norms(V, *form)
+        return self._rows_on(f)
+
+    def _rows_on(self, f: StepFunction):
+        raise NotImplementedError  # the space's own formula where no form answers
 
     def fn_norm(self, f: StepFunction) -> float:
         """Norm of one step function: the one-row case of ``norm_rows_on``."""
@@ -195,6 +203,22 @@ class SpaceSpec:
         return f"<{type(self).__name__} {self.spec_string()} on {self.domain}>"
 
 
+def _wlp_norms(V: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """The one weighted-ell_p row formula: (sum_i (|v_i| w_i)^p)^(1/p) for each
+    row v of V, max_i |v_i| w_i at p = inf.  Each row is summed alone, and its
+    root taken as a scalar power: numpy's array ** can differ by an ulp."""
+    # w as a (1, n) row: a one-row V (each golden step of K against L_infty)
+    # then multiplies without broadcasting, at half the cost
+    A = np.abs(V) * w[None]
+    if math.isinf(p):
+        return np.maximum.reduce(A, axis=1, initial=0.0)
+    if p == 1.0:
+        return np.add.reduce(A, axis=1)
+    A **= p
+    root = 1.0 / p
+    return np.array([s ** root for s in np.add.reduce(A, axis=1).tolist()])
+
+
 def _lp_form_on(f: StepFunction, p: float) -> tuple[np.ndarray, float]:
     """L_p's form on the pieces of f: weights |I_i|^(1/p), unit weights at p = inf."""
     if math.isinf(p):
@@ -212,21 +236,6 @@ class LpSpace(SpaceSpec):
     @property
     def is_linf(self) -> bool:
         return math.isinf(self.p)
-
-    def norm_rows_on(self, f: StepFunction):
-        if math.isinf(self.p):
-            return lambda V: np.max(np.abs(V), axis=1, initial=0.0)
-        p, root, lens = self.p, 1.0 / self.p, f.lengths
-
-        def rows(V):
-            # one dot per row and the root as a scalar power: a matrix product
-            # or numpy's array ** can differ by an ulp
-            A = np.abs(V) ** p
-            out = np.empty(len(A))
-            for i in range(len(A)):
-                out[i] = A[i].dot(lens) ** root
-            return out
-        return rows
 
     def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float]:
         return _lp_form_on(f, self.p)
@@ -249,7 +258,7 @@ class LorentzSpace(SpaceSpec):
     """Quasinorm ||f|| = (int f*(t)^p w(t)^p dt/t)^(1/p), evaluated exactly.
 
     Kept as the quasinorm exactly as written (no renorming); the triangle
-    constant sup w(2t)/w(t) is carried in metadata.
+    constant sup w(2t)/w(t) is carried in metadata.  w = t^(1/p) gives L_p.
     """
 
     def __init__(self, p: float, weight: WeightFn, domain: str = UNIT):
@@ -285,7 +294,7 @@ class LorentzSpace(SpaceSpec):
                 total += c * (l1 - l0)
         return total
 
-    def norm_rows_on(self, f: StepFunction):
+    def _rows_on(self, f: StepFunction):
         def norm(vals) -> float:
             fs = rearrange(f.with_values(vals))
             bp = np.asarray(fs.breakpoints)
@@ -433,14 +442,14 @@ class OrliczSpace(SpaceSpec):
     The modular is sum_i |I_i| F(|f_i| / alpha): the root-find
     ``_luxemburg_log`` of ``OrliczModular`` with the piece lengths as
     weights, started at log max|f|, where the h' >= 1 bound turns the first
-    evaluation into a bracket.
+    evaluation into a bracket.  F(x) = x^p gives L_p.
     """
 
     def __init__(self, F: OrliczFn, domain: str = UNIT):
         self.F = F
         self.domain = domain
 
-    def norm_rows_on(self, f: StepFunction):
+    def _rows_on(self, f: StepFunction):
         log_len = np.log(f.lengths)
 
         def rows(V):
@@ -491,10 +500,17 @@ class SeqSpaceSpec:
 
     window: Window
     is_linf: bool = False
+    _form: tuple[np.ndarray, float] | None = None  # set once at construction
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
-        """Norms of the rows of a (k, window.size) value array."""
-        raise NotImplementedError
+        """Norms of the rows of a (k, window.size) value array: ``_wlp_norms``
+        on the space's weighted-lp form when it has one, else ``_rows``."""
+        if self._form is not None:
+            return _wlp_norms(V, *self._form)
+        return self._rows(V)
+
+    def _rows(self, V: np.ndarray) -> np.ndarray:
+        raise NotImplementedError  # the space's own formula where it has no form
 
     def norm_values(self, vals: np.ndarray) -> float:
         """Norm of one value vector: the one-row case of ``norm_rows``."""
@@ -513,7 +529,7 @@ class SeqSpaceSpec:
     def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
         """(weights, p) when the space is exactly a weighted ell_p, else None:
         the one answer to "is this space a weighted ell_p"."""
-        return None
+        return self._form
 
     def shift_upper(self) -> float | None:
         """A certified upper bound on the space's right-shift constant, or None:
@@ -588,15 +604,8 @@ class WeightedLp(SeqSpaceSpec):
         if w.shape != (window.size,) or not np.all(np.isfinite(w) & (w > 0)):
             raise ValueError("need one finite, strictly positive weight per index")
         self.weights = w
+        self._form = w, self.p
         self.is_linf = math.isinf(self.p) and bool(np.all(w == 1.0))
-
-    def norm_rows(self, V: np.ndarray) -> np.ndarray:
-        A = np.abs(V) * self.weights
-        if math.isinf(self.p):
-            return np.max(A, axis=1, initial=0.0)
-        # the root as a scalar power: numpy's array ** can differ by an ulp
-        root = 1.0 / self.p
-        return np.array([s ** root for s in np.sum(A ** self.p, axis=1).tolist()])
 
     def unit_norm(self, n: int) -> float:
         return float(self.weights[n - self.window.lo])
@@ -618,9 +627,6 @@ class WeightedLp(SeqSpaceSpec):
             return np.where(xv != 0, np.copysign(w, xv), 0.0)
         nrm = self.norm_values(xv)
         return np.sign(xv) * (w ** p) * np.abs(xv) ** (p - 1.0) / nrm ** (p - 1.0)
-
-    def weighted_lp_form(self) -> tuple[np.ndarray, float]:
-        return self.weights, self.p
 
     def spec_string(self) -> str:
         if self.is_linf:
@@ -651,6 +657,7 @@ class OrliczModular(SeqSpaceSpec):
     entries up to lambda_n = F^{-1}(2^{-n}).  The norm is the root-find
     ``_luxemburg_log`` with log weights n log 2: Newton steps stopped when the
     correction is at most 1e-13, with log-error at most |G| since h' >= 1.
+    F(x) = x^p gives the weighted ell_p 2^(n/p).
     """
 
     def __init__(self, F: OrliczFn, window: Window):
@@ -660,8 +667,11 @@ class OrliczModular(SeqSpaceSpec):
         self._log_w = ns.astype(float) * LOG2
         # lambda(n) = F^{-1}(2^{-n}): single-block unit norms are 1/lambda(n)
         self._log_lambda = F.log_lambda(ns)
+        # F(x) = x^p: the modular is sum (|x_n| 2^(n/p))^p
+        if (p := _power_exponent(F)) is not None:
+            self._form = 2.0 ** (ns / p), p
 
-    def norm_rows(self, V: np.ndarray) -> np.ndarray:
+    def _rows(self, V: np.ndarray) -> np.ndarray:
         A = np.abs(V)
         nz = A > 0
         log_a = np.log(A, out=np.full(A.shape, -np.inf), where=nz)
@@ -679,11 +689,6 @@ class OrliczModular(SeqSpaceSpec):
 
     def unit_norm(self, n: int) -> float:
         return float(np.exp(-self._log_lambda[n - self.window.lo]))
-
-    def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
-        # F(x) = x^p: the modular is sum (|x_n| 2^(n/p))^p
-        p = _power_exponent(self.F)
-        return None if p is None else (2.0 ** (self.window.indices() / p), p)
 
     def shift_norm_upper(self, m: int) -> float | None:
         # rho(tau_m x / (d ||x||)) <= rho(x / ||x||) = 1 when 2^m F(y / d) <= F(y)
@@ -737,7 +742,7 @@ class _Conjugated(SeqSpaceSpec):
             inner, reverse, scales, spec, back)
         self.window = inner.window.reversed() if reverse else inner.window
 
-    def norm_rows(self, V: np.ndarray) -> np.ndarray:
+    def _rows(self, V: np.ndarray) -> np.ndarray:
         return self.inner.norm_rows(reduce(np.multiply, self.scales,
                                            V[:, ::-1] if self.reverse else V))
 
@@ -801,17 +806,15 @@ class InducedSeq(SeqSpaceSpec):
     def __init__(self, space: SpaceSpec, window: Window):
         self.space = space
         self.window = window
-        # the pieces [0, 2^lo), [2^n, 2^(n+1)), and their rows of values -> norms in X
-        self._pieces = SeqVec(window, np.ones(window.size)).to_step(space.domain)
-        self._blocks = space.norm_rows_on(self._pieces)
+        # the pieces [0, 2^lo), [2^n, 2^(n+1)); the form drops the first
+        pieces = SeqVec(window, np.ones(window.size)).to_step(space.domain)
+        if (form := space.weighted_lp_form_on(pieces)) is not None:
+            self._form = form[0][1:], form[1]
+        else:
+            self._blocks = space._rows_on(pieces)
 
-    def norm_rows(self, V: np.ndarray) -> np.ndarray:
+    def _rows(self, V: np.ndarray) -> np.ndarray:
         return self._blocks(np.insert(V, 0, 0.0, axis=1))
-
-    def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
-        # the space's form on the blocks, without the [0, 2^lo) piece
-        form = self.space.weighted_lp_form_on(self._pieces)
-        return None if form is None else (form[0][1:], form[1])
 
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
         if (form := self.weighted_lp_form()) is not None:
@@ -849,7 +852,7 @@ class FromSequenceSpace(SpaceSpec):
                 f"space-from-sequence needs kappa_+(E) < 2; fitted "
                 f"{self.kappa.plus_est:.4f}")
 
-    def norm_rows_on(self, f: StepFunction):
+    def _rows_on(self, f: StepFunction):
         return lambda V: self.E.norm_rows(np.array(
             [dyadic_envelope(f.with_values(v), self.window).values for v in V]
         ).reshape(-1, self.window.size))

@@ -22,10 +22,10 @@ import numpy as np
 from .errors import UsageError
 from .measure import SeqVec, Window, default_unit_window
 from .orlicz import OrliczFn, brudnyi_schedule, elasticity_report, lambda_seq
-from .spaces import OrliczModular, SpaceSpec
+from .spaces import OrliczModular, SpaceSpec, _wlp_norms
 
 CAVEAT_EXACT = "exact shift constants"
-CAVEAT_SEARCH = "theorem applies; RSP/LSP certified only to search level"
+CAVEAT_WITNESS = "inelasticity witness of the elasticity counters on their grid"
 CAVEAT_NONE = "no certification"
 
 
@@ -118,7 +118,7 @@ def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> 
             return report
         if ev.get("stretchable") is False and ev.get("certified"):
             report.verdict = "not-calderon-witness"
-            report.caveat_level = CAVEAT_SEARCH
+            report.caveat_level = CAVEAT_WITNESS
             report.reasons.append(
                 "inelasticity witness certifies failure of stretchability")
             return report
@@ -154,7 +154,7 @@ def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> 
         some_witness = "inelastic-witness" in (ex.classification, ey.classification)
         if mismatch and some_witness:
             report.verdict = "not-calderon-witness"
-            report.caveat_level = CAVEAT_SEARCH
+            report.caveat_level = CAVEAT_WITNESS
             report.reasons.append(
                 "index mismatch without joint elasticity (witness attached)")
             return report
@@ -195,7 +195,7 @@ def _verdict_from_shift_sides(report, X, Y, window):
     report.evidence["stretchability_X"] = sx
     if sx.get("stretchable") is False and sx.get("certified"):
         report.verdict = "not-calderon-witness"
-        report.caveat_level = CAVEAT_SEARCH
+        report.caveat_level = CAVEAT_WITNESS
         report.reasons.append("X fails stretchability with certified witness")
         return report
     report.reasons.append("shift hypotheses not certified for both sides")
@@ -252,14 +252,8 @@ def brudnyi_evidence(pair, window: Window, n_samples: int = 200,
 
     lam_arr = np.array([lam[int(n)] for n in window.indices()])
     nu_arr = np.array([nu[int(n)] for n in window.indices()])
-
-    def wlr_norms(scales: np.ndarray) -> np.ndarray:
-        # the root as a scalar power per row: numpy's array ** can differ by an ulp
-        sums = np.sum((np.abs(V1) / scales) ** r, axis=1).tolist()
-        return np.array([s ** (1.0 / r) for s in sums])
-
-    spreads_F = EF.norm_rows(V1) / wlr_norms(lam_arr) if J1 else np.array([1.0])
-    spreads_G = EG.norm_rows(V1) / wlr_norms(nu_arr) if J1 else np.array([1.0])
+    spreads_F = EF.norm_rows(V1) / _wlp_norms(V1, 1.0 / lam_arr, r) if J1 else np.array([1.0])
+    spreads_G = EG.norm_rows(V1) / _wlp_norms(V1, 1.0 / nu_arr, r) if J1 else np.array([1.0])
 
     def stats(a):
         return {"min": float(np.min(a)), "max": float(np.max(a)),

@@ -28,7 +28,16 @@ def test_analyze_orlicz_power(tmp_path):
     d = _json_no_ts(out)
     assert d["elasticity"]["classification"] == "elastic-consistent"
     assert all(v == 0 for v in d["elasticity"]["phi_plus"])
-    assert d["config"]["C0"] == 4.0
+    # nothing in the report is random, so no seed is taken or recorded
+    assert d["config"] == {"gen": "power:p=2", "C0": 4.0, "kmax": 20}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze-orlicz", "--gen", "example1"],
+    ["k-profile", "--X", "lp:p=1", "--Y", "linf", "--f", "f.json", "--t-grid", "log:-2:1:4"],
+], ids=["analyze-orlicz", "k-profile"])
+def test_deterministic_commands_take_no_seed(tmp_path, argv):
+    assert _run(argv + ["--seed", 3, "--out", tmp_path / "out"]) == 1
 
 
 def test_analyze_orlicz_elastic_nl(tmp_path):

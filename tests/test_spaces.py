@@ -17,7 +17,7 @@ from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftyS
                        pwpower, rearrange, regularize, rho_profile, seq_norm)
 from couplekit.ascent import stop_level
 from couplekit.spaces import (_Conjugated, _luxemburg_log, _shift_bound, _shift_ratios,
-                              shift_values)
+                              _wlp_norms, shift_values)
 from couplekit.transfer import FUNCTIONAL_TOL
 from conftest import (SEARCH_SPACE_KINDS, random_seqvec, random_step,
                       search_space)
@@ -808,11 +808,12 @@ def _fn_row_space(name):
     return _FN_ROW_SPACES[name]()
 
 
-def _lp_one_vector(X, f):
-    """Reference: the Lp norm of one step function, one dot and a scalar root."""
-    if math.isinf(X.p):
-        return float(np.max(np.abs(f.vals))) if f.vals.size else 0.0
-    return float(np.dot(np.abs(f.vals) ** X.p, f.lengths) ** (1.0 / X.p))
+def _form_one_vector(X, f):
+    """Reference: the norm of one step function in the weighted ell_p of the
+    form of X on its pieces, one sum and a scalar root."""
+    w, p = X.weighted_lp_form_on(f)
+    a = np.abs(f.vals) * w
+    return float(np.max(a, initial=0.0)) if math.isinf(p) else float(np.sum(a ** p) ** (1.0 / p))
 
 
 def _orlicz_one_vector(X, f):
@@ -847,7 +848,9 @@ def test_fn_rows_equal_each_row_alone(name, case):
     X, (f, V) = _fn_row_space(name), case
     norms = X.norm_rows_on(f)(V)
     assert norms.shape == (V.shape[0],) and norms[-1] == 0.0
-    reference = (_lp_one_vector if name.startswith("lp") else
+    # a space with a form on the pieces (L_p, the Lorentz space with weight
+    # t^(1/2), the Orlicz space of x^2) is normed by it
+    reference = (_form_one_vector if X.weighted_lp_form_on(f) is not None else
                  _orlicz_one_vector if name.startswith("orlicz") else None)
     for i, v in enumerate(V):
         g = f.with_values(v)
@@ -855,6 +858,43 @@ def test_fn_rows_equal_each_row_alone(name, case):
         assert norms[i] == alone == X.fn_norm(g), (name, i)
         if reference is not None:
             assert norms[i] == reference(X, g), (name, i)
+
+
+# every space whose weighted-lp form answers, each built once
+_FORM_FN_SPECS = ("lp:p=1", "lp:p=1.5", "lp:p=2", "lp:p=3", "linf", "lorentz:p=2,w=pow:0.5",
+                  "lorentz:p=1.5,w=pow:0.6666666666666666", "orlicz:gen=<power:p=2.5>",
+                  "orlicz:gen=<pwpower:p0=3,p1=3>")
+_FORM_SEQ_SPECS = ("seq:lpw:p=2.5,wexp=0.3", "seq:lpw:p=inf,wexp=-0.2", "seq:linf",
+                   "seq:orlicz-modular:gen=<power:p=1.5>",
+                   *(f"seq:induced:<{spec}>" for spec in _FORM_FN_SPECS))
+
+
+@functools.cache
+def _form_spaces():
+    return ([parse_space(spec) for spec in _FORM_FN_SPECS],
+            [parse_seq_space(spec, _ROWS_WIN) for spec in _FORM_SEQ_SPECS])
+
+
+def _assert_normed_by_form(rows, V, form, name):
+    """rows(V) is the one weighted-lp formula on the form, batched and one row alone."""
+    want = _wlp_norms(V, *form)
+    assert np.array_equal(rows(V), want), name
+    assert [rows(V[i:i + 1])[0] for i in range(len(V))] == want.tolist(), name
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_step_rows(), rows=_ROWS)
+def test_a_space_with_a_form_is_normed_by_it(case, rows):
+    # no Newton solve, rearrangement or reconstruction behind an exact form:
+    # L_p, the Lorentz space with weight t^(1/p) (p = 1.5 within the form's
+    # 1e-12 tolerance), the Orlicz space and the modular space of a power
+    # (pwpower(p, p) too), their induced spaces, and every weighted ell_p
+    (f, V), S = case, np.array(rows + [[0.0] * _ROWS_WIN.size])
+    fn_spaces, seq_spaces = _form_spaces()
+    for X in fn_spaces:
+        _assert_normed_by_form(X.norm_rows_on(f), V, X.weighted_lp_form_on(f), X.spec_string())
+    for E in seq_spaces:
+        _assert_normed_by_form(E.norm_rows, S, E.weighted_lp_form(), E.spec_string())
 
 
 def test_rev_spec_lives_on_the_given_window():

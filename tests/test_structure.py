@@ -12,14 +12,15 @@ reversed or geometrically weighted weighted ell_p is a ``WeightedLp``, and
 ``OrderReversed`` and ``GeometricWeighted`` only build spaces; every other
 space is reversed and weighted by the one private class ``_Conjugated``, which
 answers neither ``weighted_lp_form`` nor ``is_linf`` and never wraps itself),
-one norm formula per space --
-``norm_rows`` per sequence space,
-``norm_rows_on`` per function space, with the one-row ``norm_values`` and
-``fn_norm`` on the base classes only -- one exactness answer (the
-weighted-lp forms, ``weighted_lp_form()`` and ``weighted_lp_form_on(f)``,
-from which ``SeqSpaceSpec`` alone derives the certified ``shift_upper`` and
-``reversed_space``; no module tells a power from a generator's name), the
-shift search on batched rows,
+one weighted-lp row formula (``spaces._wlp_norms``, which norms every space
+whose form answers) and otherwise one norm formula per space -- ``norm_rows``
+and ``norm_rows_on`` on the base classes decide between the form and a space's
+own ``_rows`` or ``_rows_on``, with the one-row ``norm_values`` and ``fn_norm``
+on the base classes only -- one exactness answer (the weighted-lp forms,
+``weighted_lp_form()``, read from the form a sequence space computes once,
+and ``weighted_lp_form_on(f)``, from which ``SeqSpaceSpec`` alone derives the
+certified ``shift_upper`` and ``reversed_space``; no module tells a power from
+a generator's name), the shift search on batched rows,
 one Luxemburg solver (one fused profile call per Newton step), one
 multiplicative ascent (``ascent._ascend_steps``) with one stop rule (one
 accept margin, one set of stop labels and ``ascent.stop_level``), the index
@@ -134,12 +135,32 @@ def _calls(tree, attr: str) -> bool:
                for node in ast.walk(tree))
 
 
+def _row_roots(tree) -> list:
+    """The list comprehensions of powers: a scalar root taken per row."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ListComp)
+            and isinstance(node.elt, ast.BinOp) and isinstance(node.elt.op, ast.Pow)]
+
+
+def test_one_weighted_lp_row_formula():
+    # spaces._wlp_norms is the one place a row's weighted-lp root is taken:
+    # the brudnyi annotation calls it, and no other function has a copy
+    found = [f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
+             for fn in _functions(ast.parse(path.read_text())) if _row_roots(fn)]
+    assert found == ["spaces._wlp_norms"]
+    verdict = next(fn for fn in _functions(ast.parse((SRC / "verdict.py").read_text()))
+                   if fn.name == "brudnyi_evidence")
+    assert "_wlp_norms" in _called(verdict)
+
+
 def test_one_norm_formula_per_sequence_space():
+    # the base class norms a space by its form when it has one, else by the
+    # space's own _rows; a weighted ell_p always has a form, so no formula
+    assert "norm_rows" in vars(spaces.SeqSpaceSpec)
     for name in _concrete_space_classes():
         cls = getattr(spaces, name)
         if issubclass(cls, spaces.SeqSpaceSpec):
-            assert "norm_values" not in vars(cls), f"{name} defines norm_values"
-            assert "norm_rows" in vars(cls), f"{name} has no norm_rows"
+            assert not {"norm_values", "norm_rows"} & set(vars(cls)), f"{name}"
+            assert ("_rows" in vars(cls)) is (name != "WeightedLp"), f"{name}"
 
 
 def _reads_name(node) -> bool:
@@ -154,8 +175,9 @@ def test_one_exactness_answer():
     for path in [*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
         text = path.read_text()
         assert not [word for word in gone if word in text], path.name
-    # the shift bound and the reversal derive from the form on the base class
-    for method in ("shift_upper", "reversed_space"):
+    # the form is computed once per sequence space and read on the base
+    # class; the shift bound and the reversal derive from it there
+    for method in ("weighted_lp_form", "shift_upper", "reversed_space"):
         assert method in vars(spaces.SeqSpaceSpec)
         for name in _concrete_space_classes():
             if (name, method) != ("_Conjugated", "reversed_space"):
@@ -170,14 +192,17 @@ def test_one_exactness_answer():
 
 
 def test_one_norm_formula_per_function_space():
+    # the base class norms the pieces by the form when it answers, else by the
+    # space's own _rows_on; L_p's form always answers, so it has no formula
     assert "norm_closure" not in vars(spaces.SpaceSpec)
+    assert "norm_rows_on" in vars(spaces.SpaceSpec)
     found = set()
     for name in _concrete_space_classes():
         cls = getattr(spaces, name)
         if issubclass(cls, spaces.SpaceSpec):
             found.add(name)
-            assert not {"fn_norm", "norm_closure"} & set(vars(cls)), f"{name}"
-            assert "norm_rows_on" in vars(cls), f"{name} has no norm_rows_on"
+            assert not {"fn_norm", "norm_closure", "norm_rows_on"} & set(vars(cls)), f"{name}"
+            assert ("_rows_on" in vars(cls)) is (name != "LpSpace"), f"{name}"
     assert {"LpSpace", "LorentzSpace", "OrliczSpace", "FromSequenceSpace"} <= found
     defined = {fn.name for path in SRC.glob("*.py")
                for fn in _functions(ast.parse(path.read_text()))}
@@ -202,7 +227,7 @@ def test_one_luxemburg_solver():
     assert solvers == ["spaces._luxemburg_log"]
     tree = ast.parse((SRC / "spaces.py").read_text())
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    for cls, method in (("OrliczModular", "norm_rows"), ("OrliczSpace", "norm_rows_on")):
+    for cls, method in (("OrliczModular", "_rows"), ("OrliczSpace", "_rows_on")):
         body = next(fn for fn in _functions(classes[cls]) if fn.name == method)
         assert "_luxemburg_log" in _names(body), f"{cls}.{method}"
 

@@ -8,7 +8,7 @@ from couplekit import (FromSequenceSpace, LorentzSpace, LpSpace,
                        StepFunction, TableLogLinear, UsageError, Window,
                        brudnyi_evidence, brudnyi_pair, classify_couple,
                        dyadic_lp, example1, linf_space, parse_space, power, pwpower)
-from couplekit.verdict import CAVEAT_EXACT, CAVEAT_NONE, CAVEAT_SEARCH
+from couplekit.verdict import CAVEAT_EXACT, CAVEAT_NONE, CAVEAT_WITNESS
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +78,7 @@ def test_orlicz_lorentz_vs_linf_witness():
     ev = rep.evidence["stretchability_X"]
     # the counters are the certificate; no RSP search is run beside them
     assert (ev["kind"], ev["classification"]) == ("elasticity", "inelastic-witness")
+    assert rep.caveat_level == CAVEAT_WITNESS
     assert ev["report"]["classification"] == "inelastic-witness"
     assert "rsp_search" not in ev
 
@@ -142,12 +143,12 @@ _BOYD_GAP = "separated-Boyd-indices criterion (p_Y > q_X)"
     ("lp:p=3", "lp:p=2", {"p_concave_X": 2, "p_convex_Y": 2, "r_concave_Y": 3},
      "calderon", "matching convexity route (user-asserted)", CAVEAT_EXACT, []),
     ("orlicz:gen=<example1>", "lp:p=4", {}, "not-calderon-witness", _BOYD_GAP,
-     CAVEAT_SEARCH, ["X fails stretchability with certified witness"]),
+     CAVEAT_WITNESS, ["X fails stretchability with certified witness"]),
     ("orlicz:gen=<pwpower:p0=2,p1=3>", "lp:p=4", {}, "inconclusive", _BOYD_GAP,
      CAVEAT_NONE, ["shift hypotheses not certified for both sides"]),
     ("orlicz:gen=<example1>", "orlicz:gen=<power:p=2>", {}, "not-calderon-witness",
      "Orlicz-pair necessary condition (joint elasticity or equal indices)",
-     CAVEAT_SEARCH, ["index mismatch without joint elasticity (witness attached)"]),
+     CAVEAT_WITNESS, ["index mismatch without joint elasticity (witness attached)"]),
     ("lp:p=3", "lp:p=1", {}, "inconclusive", None, CAVEAT_NONE,
      ["no applicable theorem: Boyd gap absent, no convexity assertion, not an Orlicz pair"]),
 ], ids=["convexity-derived", "convexity-asserted", "boyd-gap-witness",
