@@ -1072,7 +1072,18 @@ def elasticity_report(F: OrliczFn, C0: float = 4.0, x_grid=None,
                             resid, verdict, side, C0)
 
 
-_PAIR_BLOCK = 1 << 13  # profit pairs per block of w_witness
+_W_BLOCK = 64  # grid rows per block of w_witness
+
+
+def _profit_rows(ft: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The rows k >= 1 of w_witness's profit table that can hold a positive
+    profit, for ft[j, k] = F_{t_k}(x_j) and c = fl(C0 ft).
+
+    fl(a - b) > 0 exactly when a > b, so row k holds a positive profit
+    exactly when ft[j, k] > min_{i<k} c[j, i] for some j.  Every other row
+    is <= 0 throughout, and there w[k] = w[k - 1]."""
+    below = np.minimum.accumulate(c[:, :-1], axis=1)
+    return np.flatnonzero(np.any(ft[:, 1:] > below, axis=0)) + 1
 
 
 @dataclass
@@ -1100,28 +1111,82 @@ def w_witness(F: OrliczFn, C0: float, t_grid=None, x_grid=None) -> WWitnessRepor
 
     holds on the grid by construction; C1 = w(t_max) - w(1) is the witness
     bound (finite-range: it can only certify growth, not boundedness).
-    The rows profit[k, :k] the recursion reads are built in blocks of at
-    most ``_PAIR_BLOCK`` pairs: O(n^2 m) time and O(n m) memory for n grid
-    points and m values of x.
+
+    Only the profits that can move w are formed, and w is bit-identical to
+    the full table's.  A row k is built only if some F_{t_k}(x) exceeds
+    min_{i<k} C0 F_{t_i}(x) (``_profit_rows``); w[k] = w[k-1] elsewhere.
+    The rows that remain go in blocks of ``_W_BLOCK`` grid rows.  Per x, a
+    column before the block is kept only if w_i - C0 F_{t_i}(x) lies within
+    a rounding margin of its maximum; inside the block, only the columns
+    with a positive profit in a later row of it are built.  With n grid
+    points and m values of x, a profile with no profitable row costs
+    O(n m) time.  As C0 -> 1 every row is built, and the worst case stays
+    O(n^2 m).  Memory is O(n m), up to a factor ``_W_BLOCK`` when rounding
+    ties keep many columns.
+
+    C0 must be finite and exceed 1, each x lie in (0, 1] (an empty x-grid
+    gives w = 0), and the t-grid increase strictly over at least 2 points;
+    a profile that overflows on it is a ValueError.
     """
+    _counter_log_threshold(C0)
     if t_grid is None:
         t_grid = TGrid.span(0.0, 256.0, ratio=2.0)
     if x_grid is None:
         x_grid = 2.0 ** -np.arange(1, 17, dtype=float)
+    kappas = [_counter_kappa(x) for x in np.asarray(x_grid, dtype=float)]
     v = _as_log_grid(t_grid)
-    h = F.log_eval(v)
-    ft = [np.exp(F.log_eval(v + math.log(x)) - h) for x in np.asarray(x_grid, dtype=float)]
-    n, k = v.size, 1
+    if v.ndim != 1 or v.size < 2 or not np.all(np.diff(v) > 0):
+        raise ValueError("t_grid must be strictly increasing, with at least 2 points")
+    h = _finite_profile(F, v)
+    n = v.size
+    ft = np.empty((len(kappas), n))
+    for j, kappa in enumerate(kappas):
+        ft[j] = np.exp(F.log_eval(v - kappa) - h)
+    c = C0 * ft
+    rows = _profit_rows(ft, c)
+    c_top = np.max(c, axis=1)  # bounds every c_i
+    # w is nondecreasing and fl monotone: c_{i+1} <= c_i makes column i + 1 at
+    # least as good as column i in every later row, so column i is covered
+    covered = c[:, 1:] <= c[:, :-1]
     best = np.zeros(n)
-    while k < n:
-        # profit[k, i] = max_x (F_{t_k}(x) - C0 F_{t_i}(x))_+ on r rows of
-        # k + r - 1 pairs: r <= sqrt(_PAIR_BLOCK) bounds the block
-        r = min(n - k, max(1, _PAIR_BLOCK // (k + math.isqrt(_PAIR_BLOCK))))
-        profit = np.zeros((r, k + r - 1))
-        for f in ft:
-            np.maximum(profit, f[k:k + r, None] - C0 * f[:k + r - 1], out=profit)
-        for row in profit:
-            best[k] = max(best[k - 1], float(np.max(best[:k] + row[:k])))
-            k += 1
-
+    done, j = 0, 0  # best[:done + 1] is final; rows[j] is the next row to build
+    while j < rows.size:
+        k0 = int(rows[j])
+        j1 = int(np.searchsorted(rows, k0 + _W_BLOCK))
+        blk, k1 = rows[j:j1], int(rows[j1 - 1])
+        best[done + 1:k0] = best[done]
+        f = ft[:, blk]
+        f_top = np.max(f, axis=1)
+        # Columns i < k0, per x.  Row k reads E_i = fl(w_i + fl(F_{t_k}(x) - c_i))
+        # with c_i = fl(C0 F_{t_i}(x)); let g_i = fl(w_i - c_i), G = g_* = max g,
+        # and W, C, f bound w_i, c_i and F_{t_k}(x) >= 0.  A sum of floats is
+        # within u = 2^-53 of its value, relatively (exact when subnormal), so
+        # |g_i - (w_i - c_i)| <= u (W + C), |E_i - (w_i - c_i + F_{t_k}(x))| <=
+        # u W + 3u (f + C), and E_i - E_* <= g_i - G + 8u (W + C + f).  Below
+        # the threshold fl(G - 2^-48 fl(W + C + f)), whose own rounding costs
+        # under 2u (W + C + f), g_i - G < -30u (W + C + f): then E_i < E_*.  A
+        # covered column goes too: the columns after it are at least as good,
+        # up to one that is kept or lies below the threshold.
+        g = best[:k0] - c[:, :k0]
+        slack = 2.0 ** -48 * (best[k0 - 1] + c_top + f_top)
+        keep = g >= (np.max(g, axis=1) - slack)[:, None]
+        keep[:, :-1] &= ~covered[:, :k0 - 1]
+        xs, cols = np.nonzero(keep)
+        top = np.max(best[cols, None] + (f[xs] - c[xs, cols][:, None]), axis=0)
+        # Columns k0 <= i < k1: a term fl(w_i + d) with d <= 0 is at most w[k - 1],
+        # so only columns with some c_i < F_{t_k}(x), k > i, are built.  Each
+        # one's terms go to the rows after it once w_i = max(w[k0 - 1], top of
+        # the rows <= i) is known.
+        after = np.searchsorted(blk, np.arange(k0, k1), side="right")
+        f_after = np.maximum.accumulate(f[:, ::-1], axis=1)[:, ::-1]
+        live = np.flatnonzero(np.any(c[:, k0:k1] < f_after[:, after], axis=0))
+        tri = np.max(f[:, None, :] - c[:, k0 + live, None], axis=0)
+        for d, a in zip(tri, after[live].tolist()):
+            w_i = max(best[k0 - 1], float(np.max(top[:a])))
+            np.maximum(top[a:], w_i + d[a:], out=top[a:])
+        run = np.full(k1 - k0 + 2, best[k0 - 1])
+        run[blk - k0 + 1] = top
+        best[k0 - 1:k1 + 1] = np.maximum.accumulate(run)
+        done, j = k1, j1
+    best[done + 1:] = best[done]
     return WWitnessReport(v, best, float(best[-1] - best[0]), C0)

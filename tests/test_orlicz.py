@@ -809,6 +809,13 @@ def test_rv_defect_rejects_an_overflowing_profile():
             rv_defect(power(1e307), [0.5, 0.25], TGrid.span(0.0, 512.0))
 
 
+def test_w_witness_rejects_an_overflowing_profile():
+    # NaN profits, dropped by max, would read as a certified C1 = 0
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="log F is not finite"):
+            w_witness(power(1e307), 4.0)
+
+
 class _CountingFn(OrliczFn):
     def __init__(self, base):
         self.base, self.calls = base, 0
@@ -961,37 +968,112 @@ def test_indices_elastic_nl_without_pair_table():
     assert peak < 8 * 2 ** 20
 
 
-def _reference_w(F, C0, t_grid, x_grid):
-    """The full-table witness the blocked rows replaced (reference)."""
+def _w_profiles(F, t_grid, x_grid):
+    """ft[j, k] = F_{t_k}(x_j) on the grids, as w_witness evaluates it."""
     v = t_grid.log
-    ft = np.empty((v.size, x_grid.size))
+    ft = np.empty((len(x_grid), v.size))
     for j, x in enumerate(x_grid):
-        ft[:, j] = np.exp(F.log_eval(v + math.log(x)) - F.log_eval(v))
-    profit = np.zeros((v.size, v.size))
-    for j in range(x_grid.size):
-        np.maximum(profit, ft[None, :, j] - C0 * ft[:, None, j], out=profit)
-    best = np.zeros(v.size)
-    for k in range(1, v.size):
+        ft[j] = np.exp(F.log_eval(v + math.log(x)) - F.log_eval(v))
+    return ft
+
+
+def _reference_profit(ft, C0):
+    """profit[i, k] = max_x fl(F_{t_k}(x) - C0 F_{t_i}(x)), unclipped: the
+    full table the witness prunes (-inf for an empty x-grid)."""
+    profit = np.full((ft.shape[1],) * 2, -np.inf)
+    for f in ft:
+        np.maximum(profit, f[None, :] - C0 * f[:, None], out=profit)
+    return profit
+
+
+def _reference_w(F, C0, t_grid, x_grid):
+    """The full-table witness the pruned rows replaced (reference)."""
+    profit = np.maximum(_reference_profit(_w_profiles(F, t_grid, x_grid), C0), 0.0)
+    best = np.zeros(profit.shape[0])
+    for k in range(1, best.size):
         best[k] = max(best[k - 1], float(np.max(best[:k] + profit[:k, k])))
     return best
 
 
-@pytest.mark.parametrize("F", [power(2), example1(), elastic_non_lorentz(),
-                               MinimalFn(0.05), brudnyi_pair(1.5, 3.0)[1]],
+_BRUDNYI_F, _BRUDNYI_G = brudnyi_pair(1.5, 3.0)
+
+
+def _x_grid(m, seed):
+    """m random points in (0, 1), or the dyadic default for m = None."""
+    if m is None:
+        return 2.0 ** -np.arange(1, 17, dtype=float)
+    return np.sort(np.random.default_rng(seed).uniform(1e-6, 1.0, m))[::-1]
+
+
+@pytest.mark.parametrize("F", [power(2), pwpower(2, 3), logfactor_fn(2), example1(),
+                               elastic_non_lorentz(), MinimalFn(0.05),
+                               _BRUDNYI_F, _BRUDNYI_G],
                          ids=lambda F: F.name)
 @settings(max_examples=6, deadline=None)
 @given(C0=st.floats(1.0, 20.0, exclude_min=True), ratio=st.floats(1.3, 4.0),
        span=st.floats(16.0, 400.0), seed=st.integers(0, 2 ** 32 - 1),
-       m=st.integers(1, 20))
-@example(C0=4.0, ratio=2.0, span=128.0, seed=0, m=0)
+       m=st.integers(0, 20))
+@example(C0=4.0, ratio=2.0, span=128.0, seed=0, m=None)
 @example(C0=1.5, ratio=1.3, span=300.0, seed=1, m=7)
+@example(C0=1 + 1e-9, ratio=2.0, span=256.0, seed=0, m=None)
+@example(C0=4.0, ratio=2.0, span=256.0, seed=0, m=0)
 def test_w_witness_matches_table_reference(F, C0, ratio, span, seed, m):
-    # grids of 13 to about 1,500 points (a block of rows is at most 90), and
-    # x-grids of m random points in (0, 1) (m = 0: the dyadic default)
+    # grids of 13 to about 1,500 points, and x-grids of m random points in
+    # (0, 1) (m = None: the dyadic default; m = 0: an empty x-grid, w = 0).
+    # C0 = 1 + 1e-9 builds nearly every row.
     t_grid = TGrid.span(0.0, span, ratio=ratio)
-    rng = np.random.default_rng(seed)
-    x_grid = np.sort(rng.uniform(1e-6, 1.0, m))[::-1] if m else \
-        2.0 ** -np.arange(1, 17, dtype=float)
+    x_grid = _x_grid(m, seed)
     ww = w_witness(F, C0, t_grid=t_grid, x_grid=x_grid)
     ref = _reference_w(F, C0, t_grid, x_grid)
     assert np.array_equal(ww.w, ref) and ww.C1 == float(ref[-1] - ref[0])
+
+
+@pytest.mark.parametrize("F, rows", [
+    (power(2), 0), (pwpower(2, 3), 0), (elastic_non_lorentz(), 0),
+    (MinimalFn(0.05), 0), (_BRUDNYI_F, 15), (example1(), 148),
+    (_BRUDNYI_G, 238), (logfactor_fn(2), 342)], ids=lambda a: getattr(a, "name", a))
+def test_w_witness_profit_rows(F, rows):
+    # the rows (of 370) of the default grids that still need a profit row at
+    # C0 = 4; on the first four no profit difference is formed at all
+    seen = []
+    real = orlicz._profit_rows
+    with mock.patch.object(orlicz, "_profit_rows",
+                           lambda ft, c: seen.append(real(ft, c)) or seen[-1]):
+        w_witness(F, 4.0)
+    assert [r.size for r in seen] == [rows]
+
+
+@settings(max_examples=25, deadline=None)
+@given(F=st.sampled_from(GEN_SET + [_BRUDNYI_F, _BRUDNYI_G]),
+       C0=st.floats(1.0, 20.0, exclude_min=True), ratio=st.floats(1.3, 4.0),
+       span=st.floats(4.0, 160.0), seed=st.integers(0, 2 ** 32 - 1),
+       m=st.none() | st.integers(0, 12))
+@example(F=logfactor_fn(2), C0=1 + 1e-9, ratio=2.0, span=64.0, seed=0, m=None)
+def test_profit_rows_are_the_rows_with_a_positive_profit(F, C0, ratio, span, seed, m):
+    # a dropped row is <= 0 throughout the unclipped table, and a kept row
+    # holds a positive profit: the row rule is exact
+    ft = _w_profiles(F, TGrid.span(0.0, span, ratio=ratio), _x_grid(m, seed))
+    profit = np.triu(_reference_profit(ft, C0), 1)
+    positive = np.flatnonzero(np.any(profit > 0, axis=0))
+    assert np.array_equal(orlicz._profit_rows(ft, C0 * ft), positive)
+
+
+def test_profit_rows_need_a_strict_excess():
+    # F_{t_k}(x) = C0 F_{t_i}(x) is a profit of exactly 0: no row to build
+    ft = np.array([[1.0, 4.0, 2.0, 17.0]])
+    assert orlicz._profit_rows(ft, 4.0 * ft).tolist() == [3]
+
+
+def test_w_witness_validates_its_arguments():
+    F = example1()
+    for C0 in (math.nan, -1.0, 1.0, math.inf):
+        with pytest.raises(ValueError, match="threshold C"):
+            w_witness(F, C0)
+    for x_grid in ([2.0], [0.0], [0.5, -0.25]):
+        with pytest.raises(ValueError, match="argument x"):
+            w_witness(F, 4.0, x_grid=x_grid)
+    for t_grid in ([3.0, 2.0, 5.0], [2.0, 2.0], [2.0]):
+        with pytest.raises(ValueError, match="t_grid"):
+            w_witness(F, 4.0, t_grid=t_grid)
+    ww = w_witness(F, 4.0, x_grid=[])
+    assert ww.C1 == 0.0 and np.all(ww.w == 0.0) and ww.w.size == 371

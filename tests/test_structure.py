@@ -322,12 +322,14 @@ def test_index_extremes_scan_bounded_blocks():
 def test_one_drop_scan():
     # counter and elasticity_report reach Phi+/- only through _count_drops,
     # a block scan that takes the blocks' extremes once; no other function
-    # runs a running maximum of its own
+    # runs a running extremum of its own but w_witness's row rule (a running
+    # minimum per x) and its w recursion (a running maximum over rows)
     tree = ast.parse((SRC / "orlicz.py").read_text())
     fns = {fn.name: fn for fn in _functions(tree)}
     for name in ("counter", "elasticity_report"):
         assert "_count_drops" in _called(fns[name]), name
-    assert [name for name, fn in fns.items() if _calls(fn, "accumulate")] == ["_count_drops"]
+    assert [name for name, fn in fns.items() if _calls(fn, "accumulate")] == \
+        ["_count_drops", "_profit_rows", "w_witness"]
     assert "reduceat" in _called(fns["_count_drops"])
 
 
