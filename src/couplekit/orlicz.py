@@ -16,6 +16,12 @@ since F_t(x) = F(tx)/F(t) = exp(-omega(log t)).  Counters count disjoint
 oscillations of omega by log C, regular-variation defect is the tail
 oscillation of omega, and the bounded-witness w(t) is a maximum-profit
 schedule of disjoint oscillation intervals.
+
+These four analyses (``counter``, ``elasticity_report``, ``rv_defect``,
+``w_witness``) share one input front end.  ``_log_grid`` turns a t-grid into
+log t: a t that is not finite and positive, or a grid not strictly increasing
+over at least 2 points, is a ValueError naming the argument.  ``_omega_table``
+forms omega per x: an x outside (0, 1] or an overflowing h is a ValueError.
 """
 
 from __future__ import annotations
@@ -769,15 +775,11 @@ def rv_defect(F: OrliczFn, x_grid, t_range) -> float:
     A defect near 1 signals regular variation; the quantity equals
     exp(osc of omega over the tail).
     """
-    v = _as_log_grid(t_range)
+    v = _log_grid(t_range, "t_range")
     if v.size < 64:
         raise ValueError("t_range needs at least 64 points")
-    tail = v[v.size // 2:]
-    h_tail = _finite_profile(F, tail)
     worst = 1.0
-    for x in np.asarray(x_grid, dtype=float):
-        kappa = -math.log(x)
-        omega = h_tail - F.log_eval(tail - kappa)
+    for omega in _omega_table(F, v[v.size // 2:], x_grid):
         worst = max(worst, float(np.exp(np.max(omega) - np.min(omega))))
     return worst
 
@@ -793,16 +795,16 @@ def regularize(F: OrliczFn, p: float, grid, y_cap: float = None,
     convexifies the result.  |h - g| stays bounded by the measured c.
     """
     base = F if F.breaks() is not None else sample_profile(F)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 8 or np.any(np.diff(grid) <= 0):
-        raise ValueError("regularize needs an increasing grid")
+    grid = TGrid(grid).log  # the grid holds v = log x
+    if grid.size < 8:
+        raise ValueError("regularize needs a grid of at least 8 points")
     if y_cap is None:
         y_cap = (grid[-1] - grid[0]) / 4.0
     ys = np.linspace(0.0, y_cap, 65)[1:]
-    tail = grid[grid >= grid[0] + (grid[-1] - grid[0]) / 2.0]
-    h_tail = base.log_eval(tail)
-    dev = np.abs(h_tail[:, None] - base.log_eval(tail[:, None] - ys[None, :])
-                 - p * ys[None, :])
+    dev_all = np.abs(base.log_eval(grid[:, None]) -
+                     base.log_eval(grid[:, None] - ys[None, :]) - p * ys[None, :])
+    in_tail = grid >= grid[0] + (grid[-1] - grid[0]) / 2.0
+    tail, dev = grid[in_tail], dev_all[in_tail]
     c = float(np.max(dev))
     if c > c_limit:
         i, j = np.unravel_index(np.argmax(dev), dev.shape)
@@ -811,8 +813,6 @@ def regularize(F: OrliczFn, p: float, grid, y_cap: float = None,
             f"x=exp({tail[i]:.3g}), y={ys[j]:.3g}")
 
     # largest valid window per grid point, then slope-1 cap
-    dev_all = np.abs(base.log_eval(grid[:, None]) -
-                     base.log_eval(grid[:, None] - ys[None, :]) - p * ys[None, :])
     ok = dev_all <= c + 1e-12
     first_bad = np.argmin(ok, axis=1)
     ubar = np.where(ok.all(axis=1), ys[-1], ys[np.maximum(first_bad - 1, 0)])
@@ -850,8 +850,7 @@ class TGrid:
 
     def __init__(self, log_t):
         self.log = np.asarray(log_t, dtype=float)
-        if self.log.ndim != 1 or self.log.size < 2 or np.any(np.diff(self.log) <= 0):
-            raise ValueError("grid must be increasing")
+        _log_grid(self, "grid")
 
     @property
     def size(self):
@@ -866,23 +865,38 @@ class TGrid:
         return TGrid(np.append(pts, v_hi))
 
 
-def _as_log_grid(grid) -> np.ndarray:
+def _log_grid(grid, name: str) -> np.ndarray:
+    """log t of a ``TGrid`` or raw t, checked; a ValueError names ``name``."""
     if isinstance(grid, TGrid):
-        return grid.log
-    return np.log(np.asarray(grid, dtype=float))
-
-
-def _check_counter_grid(grid, side: str) -> np.ndarray:
-    v = _as_log_grid(grid)
-    if v.ndim != 1 or v.size < 2 or np.any(np.diff(v) <= 0):
-        raise ValueError("counter grid must be increasing")
-    if np.any(np.diff(v) > 0.25 * LOG2 + 1e-9):
-        raise ValueError("counter grid ratio must be <= 2^(1/4)")
-    if side == "inf" and v[0] < -1e-12:
-        raise ValueError("at-infinity grid starts at t >= 1")
-    if side == "0" and v[-1] > 1e-12:
-        raise ValueError("at-zero grid ends at t <= 1")
+        v = grid.log
+    else:
+        t = np.asarray(grid, dtype=float)
+        if not np.all(np.isfinite(t) & (t > 0)):
+            raise ValueError(f"{name} must hold finite t > 0")
+        v = np.log(t)
+    # finite first: np.diff of infinities warns
+    if v.ndim != 1 or v.size < 2 or not np.all(np.isfinite(v)) or not np.all(np.diff(v) > 0):
+        raise ValueError(f"{name} must be finite and strictly increasing, with at least 2 points")
     return v
+
+
+def _check_counter_grid(grid, side: str, name: str) -> np.ndarray:
+    v = _log_grid(grid, name)
+    if np.any(np.diff(v) > 0.25 * LOG2 + 1e-9):
+        raise ValueError(f"{name} ratio must be <= 2^(1/4)")
+    if side == "inf" and v[0] < -1e-12:
+        raise ValueError(f"{name} at infinity must start at t >= 1")
+    if side == "0" and v[-1] > 1e-12:
+        raise ValueError(f"{name} at zero must end at t <= 1")
+    return v
+
+
+def _omega_table(F: OrliczFn, v: np.ndarray, xs):
+    """omega = h(v) - h(v - log(1/x)) per x, each array as it is read; the x's
+    are checked and h evaluated at the call, then one profile call per x."""
+    kappas = [_counter_kappa(x) for x in np.asarray(xs, dtype=float)]
+    h = _finite_profile(F, v)
+    return (h - F.log_eval(v - kappa) for kappa in kappas)
 
 
 def _counter_kappa(x: float) -> float:
@@ -945,32 +959,36 @@ def counter(F: OrliczFn, kind: str, x: float, C: float, side: str = "inf",
     earliest-endpoint greedy is optimal for disjoint-interval counting.
     Psi_p counts >= 2-spaced grid points where F_t(x) deviates from x^p by
     the factor C, per the Lorentz-space criterion.  All values are certified
-    lower bounds for the true (grid-free) counters; an overflowing profile
-    is a ValueError.  Cost: two profile evaluations on the grid, then
-    ``_count_drops`` for Phi+/- or a Python loop over the deviating points
-    for Psi_p.
+    lower bounds for the true (grid-free) counters.  kind, x, C and the grid
+    are checked before the profile is evaluated; then two profile evaluations
+    on the grid, and ``_count_drops`` for Phi+/- or a Python loop over the
+    deviating points for Psi_p.
     """
     kappa = _counter_kappa(x)
     logC = _counter_log_threshold(C)
+    if kind.startswith("psi"):
+        try:
+            p = float(kind.split(":")[1] if ":" in kind else kind[3:])
+        except ValueError:
+            p = math.nan
+        if not math.isfinite(p):
+            raise ValueError(f"counter kind {kind!r} needs a finite exponent p")
+    elif kind not in ("phi+", "phi-"):
+        raise ValueError(f"unknown counter kind {kind!r}")
     if grid is None:
         grid = TGrid.span(0.0, 1024.0) if side == "inf" else TGrid.span(-1024.0, 0.0)
-    v = _check_counter_grid(grid, side)
-    omega = _finite_profile(F, v) - F.log_eval(v - kappa)
+    v = _check_counter_grid(grid, side, "grid")
+    (omega,) = _omega_table(F, v, [x])
 
     if kind in ("phi+", "phi-"):
         return _count_drops(omega if kind == "phi+" else -omega, logC)
-
-    if kind.startswith("psi"):
-        p = float(kind.split(":")[1]) if ":" in kind else float(kind[3:])
-        dev = np.abs(p * kappa - omega)
-        count, last_v = 0, -math.inf
-        for vj in v[dev >= logC].tolist():
-            if vj - last_v >= LOG2 - 1e-12:
-                count += 1
-                last_v = vj
-        return count
-
-    raise ValueError(f"unknown counter kind {kind!r}")
+    dev = np.abs(p * kappa - omega)
+    count, last_v = 0, -math.inf
+    for vj in v[dev >= logC].tolist():
+        if vj - last_v >= LOG2 - 1e-12:
+            count += 1
+            last_v = vj
+    return count
 
 
 def phi_plus(F, x, C, side="inf", grid=None):
@@ -1030,9 +1048,8 @@ def elasticity_report(F: OrliczFn, C0: float = 4.0, x_grid=None,
     counts stay inside the envelope observed for elastic generators,
     "inelastic-witness" when they keep growing past it (thresholds frozen
     from the oracle pre-run).  One-sided counts suffice in principle; both
-    are computed and reported.  The counts are those of ``counter`` per x;
-    h is evaluated once on the t-grid and omega once per x, so a report
-    costs len(x_grid) + 1 profile evaluations and two ``_count_drops`` per x.
+    are computed and reported.  The counts are those of ``counter`` per x,
+    from one ``_omega_table``: len(x_grid) + 1 profile evaluations in all.
     """
     if x_grid is None:
         x_grid = 2.0 ** -np.arange(4, 17, dtype=float)
@@ -1041,15 +1058,12 @@ def elasticity_report(F: OrliczFn, C0: float = 4.0, x_grid=None,
         raise ValueError(f"x_grid needs at least two points for the fit; got {x_grid.size}")
     if np.any(np.diff(x_grid) >= 0):
         raise ValueError("x_grid must be decreasing")
-    kappas = [_counter_kappa(x) for x in x_grid]
     logC = _counter_log_threshold(C0)
     if t_grid is None:
         t_grid = TGrid.span(0.0, 2048.0) if side == "inf" else TGrid.span(-2048.0, 0.0)
-    v = _check_counter_grid(t_grid, side)
-    h = _finite_profile(F, v)
+    v = _check_counter_grid(t_grid, side, "t_grid")
     nplus, nminus = [], []
-    for kappa in kappas:
-        omega = h - F.log_eval(v - kappa)
+    for omega in _omega_table(F, v, x_grid):
         nplus.append(_count_drops(omega, logC))
         nminus.append(_count_drops(-omega, logC))
     nplus, nminus = np.array(nplus), np.array(nminus)
@@ -1124,24 +1138,18 @@ def w_witness(F: OrliczFn, C0: float, t_grid=None, x_grid=None) -> WWitnessRepor
     O(n^2 m).  Memory is O(n m), up to a factor ``_W_BLOCK`` when rounding
     ties keep many columns.
 
-    C0 must be finite and exceed 1, each x lie in (0, 1] (an empty x-grid
-    gives w = 0), and the t-grid increase strictly over at least 2 points;
-    a profile that overflows on it is a ValueError.
+    C0 must be finite and exceed 1; an empty x-grid gives w = 0.
     """
     _counter_log_threshold(C0)
     if t_grid is None:
         t_grid = TGrid.span(0.0, 256.0, ratio=2.0)
     if x_grid is None:
         x_grid = 2.0 ** -np.arange(1, 17, dtype=float)
-    kappas = [_counter_kappa(x) for x in np.asarray(x_grid, dtype=float)]
-    v = _as_log_grid(t_grid)
-    if v.ndim != 1 or v.size < 2 or not np.all(np.diff(v) > 0):
-        raise ValueError("t_grid must be strictly increasing, with at least 2 points")
-    h = _finite_profile(F, v)
+    v = _log_grid(t_grid, "t_grid")
     n = v.size
-    ft = np.empty((len(kappas), n))
-    for j, kappa in enumerate(kappas):
-        ft[j] = np.exp(F.log_eval(v - kappa) - h)
+    ft = np.empty((len(x_grid), n))
+    for j, omega in enumerate(_omega_table(F, v, x_grid)):
+        np.exp(np.negative(omega, out=omega), out=ft[j])  # fl(g - h) = -fl(h - g)
     c = C0 * ft
     rows = _profit_rows(ft, c)
     c_top = np.max(c, axis=1)  # bounds every c_i

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -297,7 +298,9 @@ def test_regularize_equivalence_bound():
 
 
 def test_regularize_rejects_wrong_order():
-    with pytest.raises(ValueError, match="deviation"):
+    # the message names the worst point of the tail
+    with pytest.raises(ValueError, match=r"^regular-variation deviation 16 exceeds 3\.0 "
+                                         r"at x=exp\(32\), y=16$"):
         regularize(pwpower(2, 3), 2.0, np.linspace(0.0, 64.0, 257))
 
 
@@ -1077,3 +1080,81 @@ def test_w_witness_validates_its_arguments():
             w_witness(F, 4.0, t_grid=t_grid)
     ww = w_witness(F, 4.0, x_grid=[])
     assert ww.C1 == 0.0 and np.all(ww.w == 0.0) and ww.w.size == 371
+
+
+# the four analyses that read omega, each with its t-grid argument's name
+_ANALYSES = [
+    ("counter", "grid", lambda F, g: counter(F, "phi+", 2.0 ** -8, 4.0, grid=g)),
+    ("elasticity_report", "t_grid", lambda F, g: elasticity_report(F, t_grid=g)),
+    ("rv_defect", "t_range", lambda F, g: rv_defect(F, [2.0 ** -8], g)),
+    ("w_witness", "t_grid", lambda F, g: w_witness(F, 4.0, t_grid=g)),
+]
+
+
+def _nan_tgrid():
+    # TGrid refuses a nan itself; one can still be written into its log
+    g = TGrid.span(0.0, 1.0)
+    g.log = np.array([0.0, np.nan, 0.1, 0.2])
+    return g
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([0.0, 1.0, 2.0], "must hold finite t > 0"),
+    ([-1.0, 1.0, 2.0], "must hold finite t > 0"),
+    ([1.0, np.nan, 2.0], "must hold finite t > 0"),
+    (_nan_tgrid(), "must be finite and strictly increasing"),
+], ids=["t=0", "t<0", "t=nan", "TGrid-nan"])
+@pytest.mark.parametrize("analysis", _ANALYSES, ids=[a[0] for a in _ANALYSES])
+def test_a_bad_t_grid_is_a_value_error_naming_the_argument(analysis, grid, message):
+    # no log of a t <= 0 (a RuntimeWarning is an error in this suite) and no
+    # nan counted or blamed on the profile
+    _, name, run = analysis
+    with pytest.raises(ValueError, match=f"^{name} {message}"):
+        run(example1(), grid)
+
+
+@pytest.mark.parametrize("log_t", [[0.0, np.nan, 0.1, 0.2], [0.0, 1.0, np.inf],
+                                   [-np.inf, 0.0], [np.inf, np.inf]])
+def test_tgrid_refuses_a_non_finite_point(log_t):
+    with pytest.raises(ValueError, match="^grid must be finite and strictly increasing"):
+        TGrid(log_t)
+
+
+@pytest.mark.parametrize("x", [2.0, 0.0, -0.5, np.nan])
+def test_rv_defect_checks_its_x(x):
+    with pytest.raises(ValueError, match=r"argument x must lie in \(0, 1\]"):
+        rv_defect(power(2), [x], TGrid.span(0.0, 64.0))
+
+
+@pytest.mark.parametrize("kind", ["phi", "phi+ ", "psi", "psi:x", "psi:nan", "psi:inf"])
+def test_counter_rejects_a_bad_kind_before_any_work(kind):
+    counted = _CountingFn(example1())
+    with pytest.raises(ValueError, match=f"^(unknown )?counter kind {re.escape(repr(kind))}"):
+        counter(counted, kind, 0.5, 4.0)
+    assert counted.calls == 0
+
+
+def test_each_analysis_evaluates_h_once_and_omega_once_per_x():
+    xs = 2.0 ** -np.arange(1, 7, dtype=float)
+    runs = [(lambda F: counter(F, "psi:2", 0.25, 4.0), 2),
+            (lambda F: elasticity_report(F, x_grid=xs), xs.size + 1),
+            (lambda F: rv_defect(F, xs, TGrid.span(0.0, 64.0)), xs.size + 1),
+            (lambda F: w_witness(F, 4.0, x_grid=xs), xs.size + 1)]
+    for run, calls in runs:
+        counted = _CountingFn(example1())
+        run(counted)
+        assert counted.calls == calls
+
+
+def test_regularize_builds_one_deviation_table():
+    # the tail's deviations are rows of the grid's table, not a second table
+    seen = []
+    log_eval = PiecewiseAffineFn.log_eval
+
+    def spy(self, u):
+        seen.append(np.ndim(u))
+        return log_eval(self, u)
+
+    with mock.patch.object(PiecewiseAffineFn, "log_eval", spy):
+        regularize(power(2), 2.0, np.linspace(0.0, 64.0, 513))
+    assert seen.count(2) == 2

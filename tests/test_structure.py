@@ -25,8 +25,10 @@ one Luxemburg solver (one fused profile call per Newton step), one
 multiplicative ascent (``ascent._ascend_steps``) with one stop rule (one
 accept margin, one set of stop labels and ``ascent.stop_level``), the index
 extremes from a band scan in bounded blocks, one drop scan behind Phi+/-
-(``_count_drops``), one representation of a family of block pairs, one K
-scan per vector for a whole t-grid (``kfunc._k_grid``), the dyadic levels
+(``_count_drops``), one input front end for the Orlicz analyses (one t-grid
+check, ``_log_grid``, and one omega table, ``_omega_table``), one
+representation of a family of block pairs, one K scan per vector for a whole
+t-grid (``kfunc._k_grid``), the dyadic levels
 lambda_n = F^{-1}(2^{-n}) solved in one place (``OrliczFn.log_lambda``, once
 per generator), and one representation of a positive operator (the factor
 stack ``G``, ``Y``, ``d`` of ``PositiveMatrix``).
@@ -331,6 +333,64 @@ def test_one_drop_scan():
     assert [name for name, fn in fns.items() if _calls(fn, "accumulate")] == \
         ["_count_drops", "_profit_rows", "w_witness"]
     assert "reduceat" in _called(fns["_count_drops"])
+
+
+T_GRID_ARGS = {"grid", "t_grid", "t_range", "log_t"}
+# the calls that turn a t-grid into a t-grid or a log grid
+GRID_VALUED = {"asarray", "log", "TGrid", "_log_grid", "_check_counter_grid"}
+
+
+def _from_t_grid(fn) -> set[str]:
+    """The names in fn bound to a t-grid argument, or to a grid made from one
+    by indexing or by the calls of ``GRID_VALUED``."""
+    names = {a.arg for a in fn.args.args} & T_GRID_ARGS
+    assigns = [node for node in ast.walk(fn) if isinstance(node, ast.Assign)
+               and _called(node.value) <= GRID_VALUED]
+    while True:
+        new = {t.id for node in assigns if _names(node.value) & names
+               for target in node.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+        if new <= names:
+            return names
+        names |= new
+
+
+def test_one_analysis_front_end():
+    # counter, elasticity_report, rv_defect and w_witness read their t-grid
+    # through _log_grid and omega through _omega_table: only _log_grid takes
+    # the log of a raw t-grid (indices keeps its own, set-like one: any order,
+    # repeats), only _omega_table shifts the profile by kappa, and only
+    # _log_grid checks that a t-grid increases
+    tree = ast.parse((SRC / "orlicz.py").read_text())
+    fns = _functions(tree)
+    logs, shifts, increasing = set(), set(), set()
+    for fn in fns:
+        grid_names = _from_t_grid(fn)
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.args and _names(node.args[0]) & grid_names
+                    and node.func.attr == "log" and _names(node.func) == {"np", "log"}):
+                logs.add(fn.name)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "log_eval" and node.args
+                    and isinstance(node.args[0], ast.BinOp)
+                    and isinstance(node.args[0].op, ast.Sub)
+                    and _names(node.args[0].right) & {"kappa", "kappas"}):
+                shifts.add(fn.name)
+            if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                    and _names(node.left.func) == {"np", "diff"}
+                    and _names(node.left) & grid_names
+                    and isinstance(node.comparators[0], ast.Constant)
+                    and node.comparators[0].value == 0):
+                increasing.add(fn.name)
+    assert logs == {"_log_grid", "indices"}
+    assert shifts == {"_omega_table"}
+    assert increasing == {"_log_grid"}
+    analyses = {fn.name: fn for fn in fns
+                if fn.name in ("counter", "elasticity_report", "rv_defect", "w_witness")}
+    assert len(analyses) == 4
+    for name, fn in analyses.items():
+        assert "_omega_table" in _called(fn), name
+        assert not _called(fn) & {"log_eval", "_finite_profile"}, name
 
 
 def test_one_family_representation():
