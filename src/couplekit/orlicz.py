@@ -21,7 +21,8 @@ These four analyses (``counter``, ``elasticity_report``, ``rv_defect``,
 ``w_witness``) share one input front end.  ``_log_grid`` turns a t-grid into
 log t: a t that is not finite and positive, or a grid not strictly increasing
 over at least 2 points, is a ValueError naming the argument.  ``_omega_table``
-forms omega per x: an x outside (0, 1] or an overflowing h is a ValueError.
+forms omega per x: an x outside (0, 1] or an overflowing h is a ValueError,
+and h(v - kappa) is evaluated only where v - kappa is not a grid point.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ class OrliczFn:
     sampled = False  # sampled from another profile (``regularize``): no spec names it
 
     def log_eval(self, u):
+        """h(u) = log F(e^u), pointwise: ``log_eval(u)[idx]`` equals
+        ``log_eval(u[idx])`` bit for bit for any index array idx, since a
+        value never depends on the other points.  ``_omega_table`` reuses
+        h at grid points on that contract."""
         raise NotImplementedError
 
     def slope(self, u):
@@ -698,9 +703,9 @@ def indices(F: OrliczFn, t_grid=None, x_grid=None, y_layer: float = 1.5) -> Inde
         raise ValueError("boundary layer y_layer must be positive")
     if t_grid is None:
         t_grid = np.exp(np.linspace(0.0, 64.0, 257))
-    v_grid = np.log(np.asarray(t_grid, dtype=float))
+    v_grid = np.log(_positive(t_grid, "t_grid"))
     if x_grid is not None:
-        ys = -np.log(np.asarray(x_grid, dtype=float))
+        ys = -np.log(_positive(x_grid, "x_grid", "x"))
         v_grid = np.unique(np.concatenate([v_grid, v_grid[-1] - ys]))
 
     ranges = []
@@ -868,19 +873,27 @@ class TGrid:
 def _log_grid(grid, name: str) -> np.ndarray:
     """log t of a ``TGrid`` or raw t, checked; a ValueError names ``name``."""
     if isinstance(grid, TGrid):
-        v = grid.log
+        v = np.asarray(grid.log, dtype=float)  # .log is writable: float64 again
     else:
-        t = np.asarray(grid, dtype=float)
-        if not np.all(np.isfinite(t) & (t > 0)):
-            raise ValueError(f"{name} must hold finite t > 0")
-        v = np.log(t)
+        v = np.log(_positive(grid, name))
     # finite first: np.diff of infinities warns
     if v.ndim != 1 or v.size < 2 or not np.all(np.isfinite(v)) or not np.all(np.diff(v) > 0):
         raise ValueError(f"{name} must be finite and strictly increasing, with at least 2 points")
     return v
 
 
+def _positive(a, name: str, what: str = "t") -> np.ndarray:
+    """a as floats, checked before any log: a ValueError naming ``name``
+    unless every entry is finite and > 0."""
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise ValueError(f"{name} must hold finite {what} > 0")
+    return a
+
+
 def _check_counter_grid(grid, side: str, name: str) -> np.ndarray:
+    if side not in ("inf", "0"):
+        raise ValueError(f"side must be 'inf' or '0'; got {side!r}")
     v = _log_grid(grid, name)
     if np.any(np.diff(v) > 0.25 * LOG2 + 1e-9):
         raise ValueError(f"{name} ratio must be <= 2^(1/4)")
@@ -893,10 +906,26 @@ def _check_counter_grid(grid, side: str, name: str) -> np.ndarray:
 
 def _omega_table(F: OrliczFn, v: np.ndarray, xs):
     """omega = h(v) - h(v - log(1/x)) per x, each array as it is read; the x's
-    are checked and h evaluated at the call, then one profile call per x."""
+    are checked and h evaluated at the first read, then one profile call per x
+    on the points off the grid only.
+
+    With d = round(kappa / (v[1] - v[0])), h(v_i - kappa) is h[i - d] wherever
+    v[i - d] and v_i - kappa are the same float bit for bit; ``log_eval`` is
+    pointwise, so that is the value a full call would give.  The rest (the d
+    points below the grid and the misses) go to one call; without an offset
+    in [1, v.size) d is v.size and that call takes the whole shifted grid."""
     kappas = [_counter_kappa(x) for x in np.asarray(xs, dtype=float)]
     h = _finite_profile(F, v)
-    return (h - F.log_eval(v - kappa) for kappa in kappas)
+    step = float(v[1]) - float(v[0]) if v.size > 1 else math.inf
+    for kappa in kappas:
+        q = kappa / step  # a Python float: inf, not a warning, on a subnormal step
+        d = round(q) if 0.5 < q < v.size else v.size
+        need = np.ones(v.size, dtype=bool)
+        need[d:] = v[:-d].view(np.int64) != (v[d:] - kappa).view(np.int64)
+        shifted = np.empty_like(h)
+        shifted[d:] = h[:-d]
+        shifted[need] = F.log_eval(v[need] - kappa)
+        yield h - shifted
 
 
 def _counter_kappa(x: float) -> float:
@@ -959,9 +988,10 @@ def counter(F: OrliczFn, kind: str, x: float, C: float, side: str = "inf",
     earliest-endpoint greedy is optimal for disjoint-interval counting.
     Psi_p counts >= 2-spaced grid points where F_t(x) deviates from x^p by
     the factor C, per the Lorentz-space criterion.  All values are certified
-    lower bounds for the true (grid-free) counters.  kind, x, C and the grid
-    are checked before the profile is evaluated; then two profile evaluations
-    on the grid, and ``_count_drops`` for Phi+/- or a Python loop over the
+    lower bounds for the true (grid-free) counters.  kind, x, C, side and the
+    grid are checked before the profile is evaluated; then h on the grid and
+    h(v - log(1/x)) at the shifted points off the grid (``_omega_table``),
+    and ``_count_drops`` for Phi+/- or a Python loop over the
     deviating points for Psi_p.
     """
     kappa = _counter_kappa(x)
@@ -1049,7 +1079,8 @@ def elasticity_report(F: OrliczFn, C0: float = 4.0, x_grid=None,
     "inelastic-witness" when they keep growing past it (thresholds frozen
     from the oracle pre-run).  One-sided counts suffice in principle; both
     are computed and reported.  The counts are those of ``counter`` per x,
-    from one ``_omega_table``: len(x_grid) + 1 profile evaluations in all.
+    from one ``_omega_table``: len(x_grid) + 1 profile calls in all, the
+    call per x on the shifted points that are off the grid only.
     """
     if x_grid is None:
         x_grid = 2.0 ** -np.arange(4, 17, dtype=float)

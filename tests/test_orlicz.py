@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from couplekit import (MinimalFn, OrliczModular, TGrid, Window, brudnyi_pair,
                        brudnyi_schedule, convexify, counter,
                        elastic_non_lorentz, elasticity_report, example1,
-                       indices, lambda_seq, logfactor_fn, phi_minus, phi_plus,
-                       power, psi_count, pwpower, regularize, rv_defect,
-                       sample_profile, w_witness)
-from couplekit import orlicz
+                       indices, lambda_seq, logfactor_fn, parse_generator,
+                       phi_minus, phi_plus, power, psi_count, pwpower, regularize,
+                       rv_defect, sample_profile, w_witness)
+from couplekit import cli, orlicz
 from couplekit.orlicz import OrliczFn, PiecewiseAffineFn
 
 GEN_SET = [power(2), pwpower(2, 3), logfactor_fn(2), example1(),
@@ -1144,6 +1144,136 @@ def test_each_analysis_evaluates_h_once_and_omega_once_per_x():
         counted = _CountingFn(example1())
         run(counted)
         assert counted.calls == calls
+
+
+@pytest.mark.parametrize("side", ["zero", "x", "", "INF", 0])
+def test_counter_and_elasticity_reject_an_unknown_side(side):
+    counted = _CountingFn(example1())
+    with pytest.raises(ValueError, match="^side must be 'inf' or '0'"):
+        counter(counted, "phi+", 2.0 ** -8, 4.0, side=side)
+    with pytest.raises(ValueError, match="^side must be 'inf' or '0'"):
+        elasticity_report(counted, side=side)
+    assert counted.calls == 0
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"t_grid": [0.0, 1.0, 2.0]}, "t_grid must hold finite t > 0"),
+    ({"t_grid": [-1.0, 1.0, 2.0]}, "t_grid must hold finite t > 0"),
+    ({"t_grid": [1.0, np.inf]}, "t_grid must hold finite t > 0"),
+    ({"t_grid": [1.0, np.nan, 2.0]}, "t_grid must hold finite t > 0"),
+    ({"x_grid": [0.5, 0.0]}, "x_grid must hold finite x > 0"),
+    ({"x_grid": [-0.25]}, "x_grid must hold finite x > 0"),
+    ({"x_grid": [np.nan]}, "x_grid must hold finite x > 0"),
+], ids=["t=0", "t<0", "t=inf", "t=nan", "x=0", "x<0", "x=nan"])
+def test_indices_reject_a_bad_raw_grid_before_the_log(kw, message):
+    # a RuntimeWarning from np.log is an error in this suite: the check comes first
+    with pytest.raises(ValueError, match=f"^{message}"):
+        indices(power(2), **kw)
+
+
+def test_indices_grid_stays_set_like():
+    t = np.exp(np.linspace(0.0, 16.0, 33))
+    shuffled = np.random.default_rng(3).permutation(np.concatenate([t, t[::4]]))
+    assert indices(pwpower(2, 3), t_grid=shuffled) == indices(pwpower(2, 3), t_grid=t)
+
+
+# every generator's log_eval is pointwise, which _omega_table's reuse rests on
+_OMEGA_ZOO = _ZOO + [convexify(MinimalFn(0.05))]
+
+
+@pytest.mark.parametrize("F", _OMEGA_ZOO, ids=lambda F: F.name)
+def test_log_eval_is_pointwise(F):
+    rng = np.random.default_rng(11)
+    for scale in (1.0, 40.0, 5e3):
+        u = _points(int(rng.integers(2 ** 32)), (600,), scale)
+        h = F.log_eval(u)
+        for size in (0, 1, 2, 37, 599):
+            idx = rng.choice(u.size, size=size, replace=False)
+            assert _same(h[idx], F.log_eval(u[idx])), (F.name, scale, size)
+
+
+def test_a_float32_tgrid_log_is_read_as_float64():
+    # the omega table compares grid points as float64 bits
+    g = TGrid.span(0.0, 64.0)
+    g.log = g.log.astype(np.float32)
+    assert rv_defect(example1(), [0.5], g) == rv_defect(example1(), [0.5], TGrid(g.log))
+
+
+def _omega_grid(kind, seed, span, ratio):
+    """A t-grid of the given kind: a TGrid.span on either side, a non-uniform
+    raw t-grid, or a grid whose first step is subnormal."""
+    if kind == "inf":
+        return TGrid.span(0.0, span, ratio)
+    if kind == "0":
+        return TGrid.span(-span, 0.0, ratio)
+    if kind == "raw":
+        rng = np.random.default_rng(seed)
+        return np.exp(np.unique(rng.uniform(-span / 2, span / 2, 300)))
+    return TGrid([0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(0, len(_OMEGA_ZOO) - 1),
+       kind=st.sampled_from(["inf", "0", "raw", "subnormal"]),
+       seed=st.integers(0, 2 ** 32 - 1), span=st.floats(1.0, 200.0),
+       ratio=st.integers(4, 32).map(lambda m: 2.0 ** (1.0 / m))
+       | st.floats(1.01, 2.0 ** 0.25))
+@example(k=7, kind="subnormal", seed=0, span=1.0, ratio=2.0 ** 0.25)
+def test_omega_table_rows_are_the_full_shifted_call(k, kind, seed, span, ratio):
+    # reusing h at the grid points v - kappa hits changes no bit of omega
+    F = _OMEGA_ZOO[k]
+    v = orlicz._log_grid(_omega_grid(kind, seed, span, ratio), "grid")
+    rng = np.random.default_rng(seed)
+    step, width = v[1] - v[0], v[-1] - v[0]
+    xs = [1.0, 2.0 ** -int(rng.integers(1, 12)), float(rng.uniform(1e-3, 1.0)),
+          math.exp(-0.4 * step),  # kappa below half a step
+          math.exp(-1.5 * width - 1.0)]  # kappa beyond the grid's span
+    h = F.log_eval(v)
+    for x, omega in zip(xs, orlicz._omega_table(F, v, xs)):
+        kappa = -math.log(x) if x < 1 else 0.0
+        assert _same(omega, h - F.log_eval(v - kappa)), x
+
+
+# Phi+ and Phi- of elasticity_report at C0 = 4 on the default grids, per
+# x = 2^-4 .. 2^-16; at zero every count of the eight generators is 0
+_NONE = [0] * 13
+_PHI_AT_INF = {
+    "power:p=2": (_NONE, _NONE),
+    "pwpower:p0=2,p1=3": (_NONE, [1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7]),
+    "logfactor:p=2": ([0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+                      [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1]),
+    "example1": ([14, 17, 18, 22, 26, 30, 33, 34, 38, 41, 44, 46, 47],
+                 [13, 16, 17, 20, 23, 26, 29, 31, 34, 36, 39, 41, 41]),
+    "elastic-nl": (_NONE, [1, 2, 2, 3, 3, 4, 4, 4, 5, 5, 6, 6, 7]),
+    "brudnyi:p=1.5,q=3:F": ([3] * 13, [2] * 13),
+    "brudnyi:p=1.5,q=3:G": ([4, 5, 5, 6, 6, 7, 7, 7, 8, 9, 9, 9, 10],
+                            [4, 4, 4, 5, 6, 6, 6, 7, 8, 8, 8, 9, 10]),
+    "minimal:alpha=0.05": (_NONE, _NONE),
+}
+
+
+@pytest.mark.parametrize("gen", _PHI_AT_INF)
+def test_elasticity_counts_of_the_zoo(gen):
+    F = parse_generator(gen)
+    for side, counts in (("inf", _PHI_AT_INF[gen]), ("0", (_NONE, _NONE))):
+        rep = elasticity_report(F, C0=4.0, side=side)
+        assert (rep.phi_plus.tolist(), rep.phi_minus.tolist()) == counts, side
+
+
+def test_analyze_orlicz_minimal_profile_points(tmp_path):
+    # the points MinimalFn.log_eval evaluates for one analyze-orlicz: the
+    # omega rows evaluate only the points v - kappa that are off the grid
+    points = []
+    log_eval = MinimalFn.log_eval
+
+    def spy(self, u):
+        points.append(np.size(u))
+        return log_eval(self, u)
+
+    with mock.patch.object(MinimalFn, "log_eval", spy):
+        assert cli.main(["analyze-orlicz", "--gen", "minimal:alpha=0.05", "--C0", "4",
+                         "--out", str(tmp_path / "a.json")]) == 0
+    assert sum(points) == 74_378
 
 
 def test_regularize_builds_one_deviation_table():
