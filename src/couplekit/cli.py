@@ -177,6 +177,12 @@ def cmd_generate(args) -> int:
     if not math.isfinite(args.u_hi - args.u_lo):  # nan or inf at either end too
         raise UsageError(f"--u-lo and --u-hi must be finite and a finite distance "
                          f"apart; got {args.u_lo!r}, {args.u_hi!r}")
+    if F.sampled_range is not None:
+        lo, hi = F.sampled_range
+        if not lo <= min(args.u_lo, args.u_hi) <= max(args.u_lo, args.u_hi) <= hi:
+            raise UsageError(f"{args.gen} is sampled on u in [{lo!r}, {hi!r}] and "
+                             f"extrapolated past it; got --u-lo {args.u_lo!r}, "
+                             f"--u-hi {args.u_hi!r}")
     us = np.linspace(args.u_lo, args.u_hi, args.points)
     hs = _finite_profile(F, us)  # a usage error where log F overflows
     with open(args.dump, "w", newline="") as fh:

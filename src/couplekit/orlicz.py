@@ -53,12 +53,17 @@ class OrliczFn:
 
     ``log_eval_slope`` is the fused kernel: (h(u), h'(u)) equal to
     (``log_eval(u)``, ``slope(u)``) bit for bit; a subclass overrides it when
-    the two share work.
+    the two share work.  ``curvature()`` answers (s_lo, s_hi, L), bounds on h'
+    and a Lipschitz constant of h', where a smooth profile proves them
+    (``MinimalFn``, ``LogFactorFn``), and None otherwise.
     """
 
     name = "orlicz"
     params: dict = {}
     sampled = False  # sampled from another profile (``regularize``): no spec names it
+    # the u-range a profile was resampled on, past which its values are the
+    # end slopes extrapolated rather than the profile it names; None if exact
+    sampled_range = None
 
     def log_eval(self, u):
         """h(u) = log F(e^u), pointwise: ``log_eval(u)[idx]`` equals
@@ -77,6 +82,14 @@ class OrliczFn:
 
     def breaks(self):
         """Kink locations when h is piecewise affine, else None."""
+        return None
+
+    def curvature(self):
+        """(s_lo, s_hi, L) with s_lo <= h' <= s_hi and h' L-Lipschitz on the
+        whole line, or None when no such constants are stated (the default;
+        piecewise-affine profiles, whose h' jumps at the kinks).  The
+        Luxemburg solver reads it to stop Newton one step early and to start
+        near the root (``spaces._luxemburg_log``)."""
         return None
 
     # -- derived evaluations -------------------------------------------------
@@ -267,6 +280,14 @@ class LogFactorFn(OrliczFn):
     def log_eval(self, u):
         u = np.asarray(u, dtype=float)
         return self.p * u + np.log(np.logaddexp(1.0, u))
+
+    def curvature(self):
+        # with g = log(e + e^u) >= 1 and sig = e^u / (e + e^u), h' = p + sig/g
+        # and h'' = sig (1 - sig) / g - (sig/g)^2.  In y = g - 1 >= 0,
+        # sig/g = (1 - e^-y) / (1 + y), whose maximum e^-y* (e^y* = 2 + y*,
+        # y* = 1.14619...) is 0.317844...; so h' lies in [p, p + 0.3179] and
+        # |h''| <= max(1/4, 0.3179^2) = 1/4
+        return self.p, self.p + 0.3179, 0.25
 
     def slope(self, u):
         u = np.asarray(u, dtype=float)
@@ -469,6 +490,13 @@ class MinimalFn(OrliczFn):
             s = 2.0 + self.alpha * _sum_terms(terms)
         return h, s
 
+    def curvature(self):
+        # h' = 2 + alpha sum_n (2 pi / 2^n) sin(2 pi u / 2^n) and h'' its
+        # derivative, bounded termwise by alpha sum (2 pi / 2^n)^k, n >= 0:
+        # 4 pi alpha for h' - 2 and (16 pi^2 / 3) alpha for h'' (attained at u = 0)
+        a = self.alpha
+        return 2.0 - 4.0 * math.pi * a, 2.0 + 4.0 * math.pi * a, 16.0 * math.pi ** 2 / 3.0 * a
+
     def log_eval(self, u):
         return self._series(u, slope=False)[0]
 
@@ -486,13 +514,16 @@ class ConvexifiedFn(OrliczFn):
     e^h/s evaluated at the ends; the lower tail below the first anchor
     contributes e^(h_0)/s_below.  Cumulative sums are kept in log space.
     F1 is convex, F1 <= F, and F(x) <= F1(2x)/log 2.  A base without breaks
-    is resampled by ``sample_profile``; every slope must be >= 1 (F(x)/x
-    nondecreasing).
+    is resampled by ``sample_profile``, and ``sampled_range`` records the
+    u-range of that sample: past it the end slopes are extrapolated and the
+    sandwich fails.  Every slope must be >= 1 (F(x)/x nondecreasing).
     """
 
     def __init__(self, base: OrliczFn):
         seg = base if base.breaks() is not None else sample_profile(base)
         self.base = seg
+        if seg is not base:
+            self.sampled_range = float(seg._u[0]), float(seg._u[-1])
         # the whole spec of the base in the name, so the spec string reparses
         self.sampled = base.sampled
         self.name = f"convexify<{base.name if base.sampled else base.spec_string()}>"

@@ -12,7 +12,9 @@ each other; ``fn_norm`` and ``norm_values`` are the one-row cases.  An Orlicz
 norm that is not a power's (``OrliczSpace``, ``OrliczModular``) is one
 root-find of the log-modular G, ``_luxemburg_log``: bracketed Newton steps on the
 log-norm, row by row over a batch of rows, stopped when the Newton correction
-is at most 1e-13; h' >= 1 bounds the error by |G|.  Its elementwise work runs
+is at most 1e-13 (h' >= 1 bounds the error by |G|), or one step earlier on a
+profile whose ``curvature()`` bounds h' and h'', when Newton's remainder bound
+certifies a log-error of at most 1e-13.  Its elementwise work runs
 on the packed nonzero entries only, and its row sums over the full width in
 buffers allocated once per call.  The adversarial searches (the RSP/LSP
 shift search, kappa, the ``op_norm`` lower bound) share the one ascent of
@@ -333,7 +335,7 @@ class LorentzSpace(SpaceSpec):
         return f"lorentz:p={_spec_num(self.p)},w=table:<{'>:<'.join(table)}>"
 
 
-# Newton stop for the log-norm: |G/G'| at most this (G as in _luxemburg_log)
+# the log-norm error a Newton stop certifies (G as in _luxemburg_log)
 _NEWTON_TOL = 1e-13
 # the bracket halves at least every other step (see _luxemburg_log); one no
 # wider than the log-range of doubles (~1500) is below the stop width after
@@ -350,11 +352,19 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
     has h' >= 1 (F(x)/x increasing; constructors allow 1e-12 less), so G' <= -1
     and |beta - beta*| <= |G(beta)|.  Each evaluation therefore narrows the
     bracket to [beta, beta + G] (G > 0) or [beta + G, beta] (G <= 0), widened
-    by 1e-9 relative, and at the stop -- Newton correction |G/G'| at most
-    ``_NEWTON_TOL`` -- the error is at most |G| <= max h' * 1e-13 before the
-    correction is applied.  A step that leaves the bracket, or follows a step
-    that did not halve it, is a bisection, so the bracket halves at least
-    every other step; reaching ``_MAX_ITER`` raises ``ConvergenceError``.
+    by 1e-9 relative.  A step that leaves the bracket, or follows a step that
+    did not halve it, is a bisection, so the bracket halves at least every
+    other step; reaching ``_MAX_ITER`` raises ``ConvergenceError``.  A row
+    stops at the first Newton correction d = -G/G' that certifies its result
+    beta + d, clamped to the bracket:
+    - when ``F.curvature()`` is None, |d| <= ``_NEWTON_TOL``: the error is at
+      most |G| <= max h' * 1e-13 before the correction is applied;
+    - when it is (s_lo, s_hi, L), K d^2 / 2 <= ``_NEWTON_TOL`` * s_lo with
+      K = L + (s_hi - s_lo)^2 / 4.  G'' = E h'' + Var h' under the weights
+      of G' = -E h', so |G''| <= K (Popoviciu's bound on the variance), and
+      Newton's remainder |G(beta + d)| <= K d^2 / 2 with |G'| >= s_lo puts
+      beta + d within 1e-13 of the root, one profile call before |d| would
+      reach 1e-13.
 
     ``log_a`` is a (k, n) array of log |a| with -inf at the zero entries,
     ``log_w`` the (n,) log weights, ``beta``, ``lo``, ``hi`` (k,) arrays of
@@ -371,6 +381,10 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
     """
     k, n = log_a.shape
     out = np.empty(k)
+    stop = _NEWTON_TOL
+    if (curv := F.curvature()) is not None:
+        s_lo, s_hi, lip = curv
+        stop = math.sqrt(2.0 * _NEWTON_TOL * s_lo / (lip + 0.25 * (s_hi - s_lo) ** 2))
     er, ec = np.nonzero(log_a > -np.inf if nz is None else nz)
     la, lw = log_a[er, ec], log_w[ec]
     flat = er * n + ec
@@ -398,7 +412,7 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
                 lo, hi = beta, min(hi, beta + reach)
             else:
                 lo, hi = max(lo, beta + reach), beta
-            if abs(d) <= _NEWTON_TOL or hi - lo <= _NEWTON_TOL * (1.0 + abs(beta)):
+            if abs(d) <= stop or hi - lo <= _NEWTON_TOL * (1.0 + abs(beta)):
                 out[row] = min(max(beta + d, lo), hi)
                 continue
             nxt = beta + d
@@ -655,8 +669,15 @@ class OrliczModular(SeqSpaceSpec):
     This is E_X for X = L_F[0,1] (window on Z_-); the 2^n block weights are
     what lets the space probe F at large arguments: a unit vector may carry
     entries up to lambda_n = F^{-1}(2^{-n}).  The norm is the root-find
-    ``_luxemburg_log`` with log weights n log 2: Newton steps stopped when the
-    correction is at most 1e-13, with log-error at most |G| since h' >= 1.
+    ``_luxemburg_log`` with log weights n log 2, bracketed by the largest
+    single-block norm and their sum.  A profile without ``curvature()`` starts
+    at the bracket's low end and stops when the Newton correction is at most
+    1e-13, with log-error at most |G| since h' >= 1.  A profile with
+    curvature (s_lo, s_hi, L) stops on the remainder bound, with log-error at
+    most 1e-13, and starts where the modular of x^s, s = (s_lo + s_hi) / 2,
+    scaled to agree with F at each lambda_n, is 1: beta_0 = q_max +
+    log sum_i exp(s (q_i - q_max)) / s over the row's nonzero entries,
+    q_i = log(|x_i| / lambda_i), clamped to the bracket.
     F(x) = x^p gives the weighted ell_p 2^(n/p).
     """
 
@@ -676,15 +697,24 @@ class OrliczModular(SeqSpaceSpec):
         nz = A > 0
         log_a = np.log(A, out=np.full(A.shape, -np.inf), where=nz)
         # single-block norms, 0 at the zero entries; a row's norm lies between
-        # the largest of them and their sum, and Newton starts at the former
-        piece = np.exp(log_a - self._log_lambda)
+        # the largest of them and their sum
+        q = log_a - self._log_lambda
+        piece = np.exp(q)
         out = np.maximum.reduce(piece, axis=1)
         hi0 = np.add.reduce(piece, axis=1)
         solve = np.flatnonzero(hi0 > out * (1 + 1e-14))
         if solve.size:
-            b_lo = np.log(out[solve])
+            b_lo, b_hi = np.log(out[solve]), np.log(hi0[solve])
+            beta = b_lo
+            if (curv := self.F.curvature()) is not None:
+                # the root for x^s; the -inf at zero entries add exact zeros
+                s = 0.5 * (curv[0] + curv[1])
+                qs = q[solve]
+                q_max = np.maximum.reduce(qs, axis=1)
+                sums = np.add.reduce(np.exp(s * (qs - q_max[:, None])), axis=1)
+                beta = np.clip(q_max + np.log(sums) / s, b_lo, b_hi)
             out[solve] = np.exp(_luxemburg_log(self.F, log_a[solve], self._log_w,
-                                               b_lo, b_lo, np.log(hi0[solve]), nz[solve]))
+                                               beta, b_lo, b_hi, nz[solve]))
         return out
 
     def unit_norm(self, n: int) -> float:

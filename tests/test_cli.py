@@ -347,6 +347,27 @@ def test_generate_non_finite_range_is_usage_error(tmp_path, capsys, bounds, deta
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_generate_refuses_a_range_past_the_sample(tmp_path, capsys):
+    # convexify<minimal> is built on a sample of h over [-64, 2048]; past it
+    # the end slope is extrapolated (log F = 7,868.4 at u = 4096, where
+    # F <= F1(2x)/log 2 needs at least 8,190.6), so generate refuses there
+    out = tmp_path / "grid.csv"
+    gen = "convexify<minimal:alpha=0.05>"
+    assert _run(["generate", "--gen", gen, "--dump", out, "--u-lo", 4000, "--u-hi", 4096,
+                 "--points", 2]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage"
+    assert "[-64.0, 2048.0]" in err["detail"]
+    assert not out.exists()
+    assert _run(["generate", "--gen", gen, "--dump", out, "--u-lo", -65, "--u-hi", 0]) == 1
+    # inside the sampled range, and on generators that are not sampled, as before
+    assert _run(["generate", "--gen", gen, "--dump", out, "--u-lo", -64, "--u-hi", 2048,
+                 "--points", 5]) == 0
+    assert _run(["generate", "--gen", "minimal:alpha=0.05", "--dump", out, "--u-lo", 4000,
+                 "--u-hi", 4096, "--points", 2]) == 0
+
+
 def test_readme_cli_lines_parse():
     # the documented command lines name only flags the parser has
     text = (Path(__file__).parents[1] / "README.md").read_text()

@@ -187,6 +187,59 @@ def test_convexified_example1_regularly_varying():
 
 
 # ---------------------------------------------------------------------------
+# curvature: the stated bounds on h' and h''
+# ---------------------------------------------------------------------------
+
+# minimal over alpha in (0, 1/(4 pi)], logfactor over p >= 1
+_SMOOTH = st.one_of(st.floats(1e-6, 1.0).map(lambda t: MinimalFn(t / (4.0 * math.pi))),
+                    st.floats(1.0, 16.0).map(logfactor_fn))
+
+
+def test_curvature_is_stated_by_smooth_profiles_only():
+    for F in (power(2), pwpower(2, 3), example1(), elastic_non_lorentz(),
+              convexify(MinimalFn(0.05)), sample_profile(logfactor_fn(2))):
+        assert F.curvature() is None
+    assert MinimalFn(0.05).curvature() == pytest.approx((2 - 0.2 * math.pi, 2 + 0.2 * math.pi,
+                                                        0.8 * math.pi ** 2 / 3))
+    assert logfactor_fn(2).curvature() == (2.0, 2.3179, 0.25)
+
+
+@settings(max_examples=25, deadline=None)
+@given(F=_SMOOTH, u=st.lists(st.floats(-200.0, 4000.0), min_size=1, max_size=8),
+       du=st.floats(-1.0, 1.0))
+def test_curvature_bounds_the_slope_and_its_lipschitz_constant(F, u, du):
+    s_lo, s_hi, lip = F.curvature()
+    u = np.array(u)
+    s = F.slope(u)
+    assert np.all((s_lo <= s) & (s <= s_hi))
+    # the slope's own rounding grows with |u| (phases u 2 pi / 2^n)
+    gap = np.abs(F.slope(u + du) - s)
+    assert np.all(gap <= lip * abs(du) + 1e-13 * (1.0 + np.abs(u)))
+
+
+def test_minimal_curvature_is_attained_at_zero():
+    # h'' = alpha sum (2 pi / 2^n)^2 cos(2 pi u / 2^n) has every cosine at 1
+    # when u = 0: the stated L is the maximum, 2.6319 at alpha = 0.05
+    F = MinimalFn(0.05)
+    lip = F.curvature()[2]
+    u = np.linspace(-4.0, 4.0, 8001)
+    fd = np.diff(F.slope(u)) / np.diff(u)
+    assert lip == pytest.approx(2.6319, abs=1e-4)
+    assert lip * (1.0 - 1e-5) <= fd.max() <= lip
+
+
+@pytest.mark.parametrize("F", [MinimalFn(0.05), logfactor_fn(2)], ids=["minimal", "logfactor"])
+def test_curvature_bounds_the_sample_gap(F):
+    # a chord over a cell of width delta is within delta^2 L / 8 of h: the
+    # sample's gap at the cell midpoints on its whole range [-64, 2048]
+    delta, lip = 0.125, F.curvature()[2]
+    sample = sample_profile(F)
+    mid = np.arange(-64.0, 2048.0, delta) + 0.5 * delta
+    gap = np.abs(sample.log_eval(mid) - F.log_eval(mid)).max()
+    assert gap <= delta ** 2 * lip / 8.0
+
+
+# ---------------------------------------------------------------------------
 # indices
 # ---------------------------------------------------------------------------
 

@@ -21,7 +21,9 @@ on the base classes only -- one exactness answer (the weighted-lp forms,
 and ``weighted_lp_form_on(f)``, from which ``SeqSpaceSpec`` alone derives the
 certified ``shift_upper`` and ``reversed_space``; no module tells a power from
 a generator's name), the shift search on batched rows,
-one Luxemburg solver (one fused profile call per Newton step), one
+one Luxemburg solver (one fused profile call per Newton step, the one
+Newton stop and the only reader of a profile's curvature besides the
+modular space's start), one
 multiplicative ascent (``ascent._ascend_steps``) with one stop rule (one
 accept margin, one set of stop labels and ``ascent.stop_level``), the index
 extremes from a band scan in bounded blocks, one drop scan behind Phi+/-
@@ -247,6 +249,28 @@ def test_luxemburg_step_calls_fused_kernel():
     assert not {"log_eval", "slope"} & called
 
 
+def _qualified_functions() -> dict:
+    """Every module function and method of the package, by qualified name."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    fns = {f"{stem}.{fn.name}": fn for stem, tree in trees.items() for fn in tree.body
+           if isinstance(fn, ast.FunctionDef)}
+    fns.update({f"{stem}.{cls.name}.{fn.name}": fn for stem, tree in trees.items()
+                for cls in tree.body if isinstance(cls, ast.ClassDef) for fn in _functions(cls)})
+    return fns
+
+
+def test_one_newton_stop():
+    # the stop tolerance, and the threshold derived from a profile's
+    # curvature, live in the solver alone; the curvature is read by the
+    # solver (the stop) and by the modular space (the start) only
+    fns = _qualified_functions()
+    tol = [name for name, fn in fns.items() if "_NEWTON_TOL" in _names(fn)]
+    assert tol == ["spaces._luxemburg_log"]
+    assert "sqrt" in _called(fns["spaces._luxemburg_log"])
+    readers = [name for name, fn in fns.items() if "curvature" in _called(fn)]
+    assert readers == ["spaces._luxemburg_log", "spaces.OrliczModular._rows"]
+
+
 def test_one_multiplicative_ascent():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     fns = {f"{stem}.{fn.name}": fn for stem, tree in trees.items() for fn in _functions(tree)}
@@ -282,11 +306,7 @@ def test_dyadic_levels_solved_in_one_place():
     # lambda_n = F^{-1}(2^{-n}) is solved by OrliczFn.log_lambda alone, which
     # keeps each generator's levels; the modular and lambda_seq read it, and
     # no other function solves h(u) = -n log 2 itself
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    fns = {f"{stem}.{fn.name}": fn for stem, tree in trees.items() for fn in tree.body
-           if isinstance(fn, ast.FunctionDef)}
-    fns.update({f"{stem}.{cls.name}.{fn.name}": fn for stem, tree in trees.items()
-                for cls in tree.body if isinstance(cls, ast.ClassDef) for fn in _functions(cls)})
+    fns = _qualified_functions()
     for name in ("spaces.OrliczModular.__init__", "orlicz.lambda_seq"):
         assert "log_lambda" in _called(fns[name]) and "log_inv" not in _called(fns[name]), name
     solvers = [name for name, fn in fns.items()
