@@ -88,8 +88,8 @@ class OrliczFn:
         """(s_lo, s_hi, L) with s_lo <= h' <= s_hi and h' L-Lipschitz on the
         whole line, or None when no such constants are stated (the default;
         piecewise-affine profiles, whose h' jumps at the kinks).  The
-        Luxemburg solver reads it to stop Newton one step early and to start
-        near the root (``spaces._luxemburg_log``)."""
+        Luxemburg solver reads it to stop Newton one step early, and the
+        Orlicz row path to start near the root (``spaces._orlicz_rows``)."""
         return None
 
     # -- derived evaluations -------------------------------------------------

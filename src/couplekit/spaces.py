@@ -8,21 +8,23 @@ sequence-space variants are modelled on a Window, and ``norm_rows`` norms the
 rows of a (k, n) array.  The base classes decide once: a space whose
 weighted-lp form answers is normed by the one row formula ``_wlp_norms`` on
 it, any other by its own ``_rows_on(f)`` or ``_rows``.  Rows never depend on
-each other; ``fn_norm`` and ``norm_values`` are the one-row cases.  An Orlicz
-norm that is not a power's (``OrliczSpace``, ``OrliczModular``) is one
-root-find of the log-modular G, ``_luxemburg_log``: bracketed Newton steps on the
-log-norm, row by row over a batch of rows, stopped when the Newton correction
-is at most 1e-13 (h' >= 1 bounds the error by |G|), or one step earlier on a
-profile whose ``curvature()`` bounds h' and h'', when Newton's remainder bound
-certifies a log-error of at most 1e-13.  Its elementwise work runs
-on the packed nonzero entries only, and its row sums over the full width in
-buffers allocated once per call.  The adversarial searches (the RSP/LSP
-shift search, kappa, the ``op_norm`` lower bound) share the one ascent of
-``couplekit.ascent``.  Kappa draws all random starts of a shift first and
-ascends them as lanes; after an overflowing start it puts the generator back
-to the state just past that start's draws.  A shift whose unit vectors reach
-the stop level of the space's certified bound on ||tau_n|| is closed: its
-starts are drawn and not ascended.
+each other; ``fn_norm`` and ``norm_values`` are the one-row cases.  Every
+Orlicz norm that is not a power's goes through one row path, ``_orlicz_rows``:
+a step function's pieces are the modular's entries, with weights |I_i| and
+levels F^{-1}(1 / |I_i|).  It brackets each row by its single-entry norms and
+makes one root-find of the log-modular G, ``_luxemburg_log``: bracketed Newton
+steps on the log-norm, row by row over a batch of rows, stopped when the
+Newton correction is at most 1e-13 (h' >= 1 bounds the error by |G|), or one
+step earlier on a profile whose ``curvature()`` bounds h' and h'', when
+Newton's remainder bound certifies a log-error of at most 1e-13.  Its
+elementwise work runs on the packed nonzero entries only, and its row sums
+over the full width in buffers allocated once per call.  The adversarial
+searches (the RSP/LSP shift search, kappa, the ``op_norm`` lower bound) share
+the one ascent of ``couplekit.ascent``.  Kappa draws all random starts of a
+shift first and ascends them as lanes; after an overflowing start it puts the
+generator back to the state just past that start's draws.  A shift whose unit
+vectors reach the stop level of the space's certified bound on ||tau_n|| is
+closed: its starts are drawn and not ascended.
 
 The dyadic sequence space of a function space X is E_X with
 ||x||_{E_X} = ||sum x(n) chi_[2^n,2^(n+1))||_X; for X = L_p this is the
@@ -66,7 +68,7 @@ from .measure import (UNIT, SeqVec, StepFunction, Window, dyadic_envelope,
 from .orlicz import LOG2, OrliczFn, _spec_num, indices, log_dilation
 
 _OVERFLOW_RATIO = 1e12
-_EPS = float(np.finfo(float).eps)
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 # kappa_estimate budget and seed behind FromSequenceSpace's kappa_+ < 2 check
 _KAPPA_BUDGET, _KAPPA_SEED = 400, 0
 
@@ -216,9 +218,18 @@ def _wlp_norms(V: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
         return np.maximum.reduce(A, axis=1, initial=0.0)
     if p == 1.0:
         return np.add.reduce(A, axis=1)
-    A **= p
+    with np.errstate(over="ignore"):  # an overflowing sum is rescaled below
+        A **= p
+        sums = np.add.reduce(A, axis=1).tolist()
     root = 1.0 / p
-    return np.array([s ** root for s in np.add.reduce(A, axis=1).tolist()])
+    out = np.array([s ** root for s in sums])
+    # a sum that is 0, subnormal or inf lost the norm: m (sum (t_i / m)^p)^(1/p)
+    if sums and not _TINY <= min(sums) <= max(sums) < math.inf:
+        for i in [i for i, s in enumerate(sums) if not _TINY <= s < math.inf]:
+            t = np.abs(V[i]) * w
+            if 0.0 < (m := float(np.max(t))) < math.inf:  # m = max t_i
+                out[i] = m * float(np.add.reduce((t / m) ** p)) ** root
+    return out
 
 
 def _lp_form_on(f: StepFunction, p: float) -> tuple[np.ndarray, float]:
@@ -439,6 +450,39 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
         f"[{los[0]!r}, {his[0]!r}])")
 
 
+def _orlicz_rows(F: OrliczFn, V: np.ndarray, log_w: np.ndarray,
+                 log_lambda: np.ndarray) -> np.ndarray:
+    """Luxemburg norms of sum_i w_i F(|v_i| / alpha) for the rows v of V, with
+    log weights ``log_w`` and levels ``log_lambda`` (w_i F(lambda_i) = 1).  The
+    single-entry norms b_i = |v_i| / lambda_i bracket a row's norm by their max
+    and their sum whatever the weights, as F(tx) <= t F(x) for t <= 1; a row
+    with one entry is its b_i.  The others go to one masked ``_luxemburg_log``
+    call, started at the bracket's low end or, given ``curvature()``, at the
+    root for x^s, s the mid slope, scaled to agree with F at each lambda_i:
+    q_max + log sum exp(s (q_i - q_max)) / s, q_i = log b_i, clamped."""
+    A = np.abs(V)
+    nz = A > 0
+    log_a = np.log(A, out=np.full(A.shape, -np.inf), where=nz)
+    q = log_a - log_lambda  # -inf at the zero entries, which add exact zeros
+    with np.errstate(over="ignore"):  # a sum past the float range opens the bracket
+        piece = np.exp(q)
+        out = np.maximum.reduce(piece, axis=1)
+        hi0 = np.add.reduce(piece, axis=1)
+    solve = np.flatnonzero(hi0 > out * (1 + 1e-14))
+    if solve.size:
+        b_lo, b_hi = np.log(out[solve]), np.log(hi0[solve])
+        beta = b_lo
+        if (curv := F.curvature()) is not None:
+            s = 0.5 * (curv[0] + curv[1])
+            qs = q[solve]
+            q_max = np.maximum.reduce(qs, axis=1)
+            sums = np.add.reduce(np.exp(s * (qs - q_max[:, None])), axis=1)
+            beta = np.clip(q_max + np.log(sums) / s, b_lo, b_hi)
+        out[solve] = np.exp(_luxemburg_log(F, log_a[solve], log_w, beta, b_lo, b_hi,
+                                           nz[solve]))
+    return out
+
+
 def _power_exponent(F: OrliczFn) -> float | None:
     """p when F(x) = x^p, read from the profile: h is one affine piece through
     0 (one anchor at (0, 0), the same slope below it as past it).  L_F is then
@@ -453,10 +497,12 @@ def _power_exponent(F: OrliczFn) -> float | None:
 class OrliczSpace(SpaceSpec):
     """Luxemburg norm inf{alpha : int F(|f|/alpha) <= 1} of a step function.
 
-    The modular is sum_i |I_i| F(|f_i| / alpha): the root-find
-    ``_luxemburg_log`` of ``OrliczModular`` with the piece lengths as
-    weights, started at log max|f|, where the h' >= 1 bound turns the first
-    evaluation into a bracket.  F(x) = x^p gives L_p.
+    The modular is sum_i |I_i| F(|f_i| / alpha), so the rows on the pieces of
+    f are ``_orlicz_rows`` with log weights log |I_i| and levels
+    lambda_i = F^{-1}(1 / |I_i|), solved once per f by one ``log_inv`` call:
+    closed-form on a piecewise-affine profile, a bisection of about 60 profile
+    calls on a smooth one, which a one-off ``fn_norm`` pays in full.
+    F(x) = x^p gives L_p.
     """
 
     def __init__(self, F: OrliczFn, domain: str = UNIT):
@@ -465,24 +511,8 @@ class OrliczSpace(SpaceSpec):
 
     def _rows_on(self, f: StepFunction):
         log_len = np.log(f.lengths)
-
-        def rows(V):
-            A = np.abs(V)
-            out = np.zeros(len(A))
-            # each row is solved on its nonzero pieces only, as when alone
-            # (zeros in place regroup wide sums); one solve per zero pattern
-            groups = {}
-            for i, nz in enumerate(A > 0):
-                groups.setdefault(nz.tobytes(), (nz, []))[1].append(i)
-            for nz, idx in groups.values():
-                if nz.any():
-                    log_a = np.log(A[idx][:, nz])
-                    inf = np.full(len(idx), math.inf)
-                    beta = _luxemburg_log(self.F, log_a, log_len[nz], log_a.max(axis=1),
-                                          -inf, inf)
-                    out[idx] = [math.exp(b) for b in beta.tolist()]
-            return out
-        return rows
+        log_lambda = np.atleast_1d(self.F.log_inv(-log_len))
+        return lambda V: _orlicz_rows(self.F, V, log_len, log_lambda)
 
     def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float] | None:
         p = _power_exponent(self.F)
@@ -668,17 +698,9 @@ class OrliczModular(SeqSpaceSpec):
 
     This is E_X for X = L_F[0,1] (window on Z_-); the 2^n block weights are
     what lets the space probe F at large arguments: a unit vector may carry
-    entries up to lambda_n = F^{-1}(2^{-n}).  The norm is the root-find
-    ``_luxemburg_log`` with log weights n log 2, bracketed by the largest
-    single-block norm and their sum.  A profile without ``curvature()`` starts
-    at the bracket's low end and stops when the Newton correction is at most
-    1e-13, with log-error at most |G| since h' >= 1.  A profile with
-    curvature (s_lo, s_hi, L) stops on the remainder bound, with log-error at
-    most 1e-13, and starts where the modular of x^s, s = (s_lo + s_hi) / 2,
-    scaled to agree with F at each lambda_n, is 1: beta_0 = q_max +
-    log sum_i exp(s (q_i - q_max)) / s over the row's nonzero entries,
-    q_i = log(|x_i| / lambda_i), clamped to the bracket.
-    F(x) = x^p gives the weighted ell_p 2^(n/p).
+    entries up to lambda_n = F^{-1}(2^{-n}).  Its rows are ``_orlicz_rows``
+    with log weights n log 2 and these levels.  F(x) = x^p gives the weighted
+    ell_p 2^(n/p).
     """
 
     def __init__(self, F: OrliczFn, window: Window):
@@ -693,29 +715,7 @@ class OrliczModular(SeqSpaceSpec):
             self._form = 2.0 ** (ns / p), p
 
     def _rows(self, V: np.ndarray) -> np.ndarray:
-        A = np.abs(V)
-        nz = A > 0
-        log_a = np.log(A, out=np.full(A.shape, -np.inf), where=nz)
-        # single-block norms, 0 at the zero entries; a row's norm lies between
-        # the largest of them and their sum
-        q = log_a - self._log_lambda
-        piece = np.exp(q)
-        out = np.maximum.reduce(piece, axis=1)
-        hi0 = np.add.reduce(piece, axis=1)
-        solve = np.flatnonzero(hi0 > out * (1 + 1e-14))
-        if solve.size:
-            b_lo, b_hi = np.log(out[solve]), np.log(hi0[solve])
-            beta = b_lo
-            if (curv := self.F.curvature()) is not None:
-                # the root for x^s; the -inf at zero entries add exact zeros
-                s = 0.5 * (curv[0] + curv[1])
-                qs = q[solve]
-                q_max = np.maximum.reduce(qs, axis=1)
-                sums = np.add.reduce(np.exp(s * (qs - q_max[:, None])), axis=1)
-                beta = np.clip(q_max + np.log(sums) / s, b_lo, b_hi)
-            out[solve] = np.exp(_luxemburg_log(self.F, log_a[solve], self._log_w,
-                                               beta, b_lo, b_hi, nz[solve]))
-        return out
+        return _orlicz_rows(self.F, V, self._log_w, self._log_lambda)
 
     def unit_norm(self, n: int) -> float:
         return float(np.exp(-self._log_lambda[n - self.window.lo]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,36 @@ def random_seqvec(rng, window: Window, k=None, scale_sigma=2.0):
     idx = rng.choice(window.size, size=min(k, window.size), replace=False)
     vals[idx] = np.exp(rng.normal(0.0, scale_sigma, size=idx.size))
     return SeqVec(window, vals)
+
+
+def _log_modular(F, log_a, log_w, beta):
+    expo = log_w + F.log_eval(log_a - beta)
+    m = float(np.max(expo))
+    return m + math.log(float(np.sum(np.exp(expo - m))))
+
+
+def reference_norm(F, vals, log_w):
+    """inf{alpha : sum w_i F(|v_i| / alpha) <= 1} by bisection on log alpha."""
+    a = np.abs(vals)
+    nz = a > 0
+    log_a, log_w = np.log(a[nz]), log_w[nz]
+    lo = hi = float(np.max(log_a))
+    step = 1.0
+    while _log_modular(F, log_a, log_w, lo) <= 0.0:
+        lo -= step
+        step *= 2.0
+    step = 1.0
+    while _log_modular(F, log_a, log_w, hi) > 0.0:
+        hi += step
+        step *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return math.exp(hi)
+        if _log_modular(F, log_a, log_w, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 @pytest.fixture

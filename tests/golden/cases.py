@@ -1,0 +1,116 @@
+"""Named golden cases: values that must not move between commits unless a
+change means them to.
+
+Each case is a named list of floats computed from seeds recorded in
+``manifest.json`` beside this file, and stored there as ``repr`` strings:
+- ``modular:<window>:<gen>``: 24 seeded sparse rows per zoo generator,
+  normed as ``OrliczModular`` on Z-[-64, -1] and on Z[-12, 12];
+- ``orlicz-space:<gen>``: 24 seeded step functions with random breakpoints
+  and zeros in place, normed as ``OrliczSpace``;
+- ``k-linf:<gen>:value`` and ``k-linf:<gen>:lower``: ``kfunc._k_grid``
+  against L_infty on a 4-point t-grid, for 3 seeded step functions.
+
+``tests/test_golden.py`` recomputes every case bit for bit;
+``python tests/golden/regen.py`` rewrites the manifest.
+"""
+
+from __future__ import annotations
+
+import json
+import platform
+from pathlib import Path
+
+import numpy as np
+
+from couplekit import (MinimalFn, OrliczModular, OrliczSpace, StepFunction, Window,
+                       brudnyi_pair, elastic_non_lorentz, example1, linf_space,
+                       logfactor_fn, power, pwpower)
+from couplekit.kfunc import _k_grid
+
+MANIFEST = Path(__file__).with_name("manifest.json")
+ROWS = 24
+K_FUNCTIONS = 3
+WINDOWS = {"Z-[-64,-1]": ("Z-", -64, -1), "Z[-12,12]": ("Z", -12, 12)}
+
+
+def zoo() -> dict:
+    """A fresh instance of each zoo generator, so no memo carries over."""
+    bf, bg = brudnyi_pair(1.5, 3.0)
+    return {"power": power(2.0), "pwpower": pwpower(1.5, 3.0),
+            "logfactor": logfactor_fn(1.5), "example1": example1(),
+            "elastic-nl": elastic_non_lorentz(), "brudnyi-F": bf, "brudnyi-G": bg,
+            "minimal": MinimalFn(0.05)}
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def _sparse_rows(rng, size: int) -> np.ndarray:
+    """ROWS rows of 1 to size // 3 log-normal entries at random places."""
+    V = np.zeros((ROWS, size))
+    for row in V:
+        idx = rng.choice(size, size=int(rng.integers(1, max(2, size // 3))), replace=False)
+        row[idx] = np.exp(rng.normal(0.0, 2.0, size=idx.size))
+    return V
+
+
+def _step(rng, zeros: bool) -> StepFunction:
+    """A step function on [0, 1] with 2-16 pieces at random breakpoints,
+    a third of its values zero when ``zeros``."""
+    n = int(rng.integers(2, 17))
+    bp = np.unique(np.concatenate([[0.0], rng.uniform(0.0, 1.0, n - 1), [1.0]]))
+    vals = np.exp(rng.normal(0.0, 2.0, bp.size - 1))
+    if zeros:
+        vals[rng.random(vals.size) < 1 / 3] = 0.0
+    return StepFunction("unit", tuple(bp.tolist()), tuple(vals.tolist()))
+
+
+def compute(seeds: dict, t_grid: list) -> dict[str, list[float]]:
+    """Every case from the recorded seeds: name -> list of floats."""
+    cases = {}
+    for i, (name, F) in enumerate(zoo().items()):
+        for j, (label, (kind, lo, hi)) in enumerate(WINDOWS.items()):
+            E = OrliczModular(F, Window(kind, lo, hi))
+            rng = np.random.default_rng([seeds["modular"], i, j])
+            cases[f"modular:{label}:{name}"] = E.norm_rows(_sparse_rows(rng, E.window.size)).tolist()
+        X = OrliczSpace(F)
+        rng = np.random.default_rng([seeds["step"], i])
+        cases[f"orlicz-space:{name}"] = [X.fn_norm(_step(rng, True)) for _ in range(ROWS)]
+        rng = np.random.default_rng([seeds["k"], i])
+        ks = [r for _ in range(K_FUNCTIONS)
+              for r in _k_grid(t_grid, _step(rng, False), X, linf_space())]
+        cases[f"k-linf:{name}:value"] = [r.value for r in ks]
+        cases[f"k-linf:{name}:lower"] = [r.lower for r in ks]
+    return cases
+
+
+def load() -> dict:
+    return json.loads(MANIFEST.read_text())
+
+
+def stored(manifest: dict) -> dict[str, list[float]]:
+    return {name: [float(v) for v in vals] for name, vals in manifest["cases"].items()}
+
+
+def dump(manifest: dict, cases: dict[str, list[float]]) -> None:
+    out = {**manifest, **versions(),
+           "cases": {name: [repr(v) for v in vals] for name, vals in cases.items()}}
+    MANIFEST.write_text(json.dumps(out, indent=1) + "\n")
+
+
+def moved(old: dict[str, list[float]], new: dict[str, list[float]]) -> list[tuple]:
+    """(name, values moved, values, largest relative move) per case that moved;
+    a case added or dropped counts every value."""
+    out = []
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name), new.get(name)
+        if a is None or b is None or len(a) != len(b):
+            out.append((name, len(a or b), len(a or b), float("inf")))
+            continue
+        diff = [(x, y) for x, y in zip(a, b) if repr(x) != repr(y)]
+        if diff:
+            rel = max(abs(y - x) / max(abs(x), abs(y)) if x != y else float("inf")
+                      for x, y in diff)
+            out.append((name, len(diff), len(a), rel))
+    return out

@@ -1,0 +1,17 @@
+"""Golden cases: the values of ``tests/golden/cases.py`` recomputed bit for bit.
+
+A change that moves a value regenerates the manifest with
+``python tests/golden/regen.py`` and states each moved case.  The manifest
+holds the Python and numpy versions it was made with; on other versions the
+test fails and names both, since the last bits of a value may differ there.
+"""
+
+from golden import cases
+
+
+def test_golden_cases_recompute_bit_for_bit():
+    manifest = cases.load()
+    made, here = {k: manifest[k] for k in cases.versions()}, cases.versions()
+    assert made == here, f"manifest made with {made}, running {here}: regenerate it"
+    new = cases.compute(manifest["seeds"], manifest["t_grid"])
+    assert cases.moved(cases.stored(manifest), new) == []

@@ -1,8 +1,9 @@
 """The shared Luxemburg solver behind OrliczModular and OrliczSpace.
 
-Norms are checked against a plain log-space bisection that lives only here,
-the two Orlicz norms against each other, the iteration cap against a silent
-exit, and the work per norm against a fixed count of profile evaluations.
+Norms are checked against a plain log-space bisection
+(``conftest.reference_norm``), the two Orlicz norms against each other, the
+iteration cap against a silent exit, and the work per norm against a fixed
+count of profile evaluations and against each other.
 """
 
 import math
@@ -17,6 +18,7 @@ from couplekit import (ConvergenceError, GeometricWeighted, MinimalFn,
                        SeqVec, StepFunction, Window, brudnyi_pair,
                        elastic_non_lorentz, example1, logfactor_fn, power,
                        pwpower, shift_constant_estimate, spaces)
+from conftest import random_seqvec, reference_norm
 
 _BF, _BG = brudnyi_pair(1.5, 3.0)
 ZOO = {"power": power(2.0), "pwpower": pwpower(1.5, 3.0),
@@ -25,36 +27,6 @@ ZOO = {"power": power(2.0), "pwpower": pwpower(1.5, 3.0),
        "minimal": MinimalFn(0.05)}
 
 _ENTRIES = st.one_of(st.just(0.0), st.floats(-8.0, 8.0).map(math.exp))
-
-
-def _log_modular(F, log_a, log_w, beta):
-    expo = log_w + F.log_eval(log_a - beta)
-    m = float(np.max(expo))
-    return m + math.log(float(np.sum(np.exp(expo - m))))
-
-
-def _reference_norm(F, vals, log_w):
-    """inf{alpha : sum w_i F(|v_i| / alpha) <= 1} by bisection on log alpha."""
-    a = np.abs(vals)
-    nz = a > 0
-    log_a, log_w = np.log(a[nz]), log_w[nz]
-    lo = hi = float(np.max(log_a))
-    step = 1.0
-    while _log_modular(F, log_a, log_w, lo) <= 0.0:
-        lo -= step
-        step *= 2.0
-    step = 1.0
-    while _log_modular(F, log_a, log_w, hi) > 0.0:
-        hi += step
-        step *= 2.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return math.exp(hi)
-        if _log_modular(F, log_a, log_w, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
 
 
 def _window_vals(data, kind):
@@ -78,7 +50,7 @@ def test_modular_norm_matches_reference_bisection(name, kind, base, data):
     cases = [(E, vals, vals), (GeometricWeighted(E, base), vals, vals * base ** ns),
              (OrderReversed(E), vals, vals[::-1])]
     for space, outer, inner in cases:
-        ref = _reference_norm(F, inner, log_w)
+        ref = reference_norm(F, inner, log_w)
         assert space.norm_values(outer) == pytest.approx(ref, rel=1e-12)
 
 
@@ -102,7 +74,7 @@ def test_early_stopped_norms_are_within_the_certified_error(F, kind, data):
     # is a log-error of at most 1e-13, for the modular and the function norm
     win, vals = _window_vals(data, kind)
     log_w = win.indices() * math.log(2.0)
-    ref = _reference_norm(F, vals, log_w)
+    ref = reference_norm(F, vals, log_w)
     E = OrliczModular(F, win)
     norm = E.norm_values(vals)
     assert abs(math.log(norm / ref)) <= 1e-13
@@ -115,7 +87,7 @@ def test_function_norm_extreme_range_matches_reference():
     # start and first bracket far from the root: the bisection fallback
     f = StepFunction("unit", (0.0, 1e-200, 0.5, 1.0), (1e150, 1e-150, 3.0))
     for F in ZOO.values():
-        ref = _reference_norm(F, np.asarray(f.vals), np.log(f.lengths))
+        ref = reference_norm(F, np.asarray(f.vals), np.log(f.lengths))
         assert OrliczSpace(F).fn_norm(f) == pytest.approx(ref, rel=1e-12)
 
 
@@ -187,3 +159,31 @@ def test_profile_evaluations_per_norm():
         nonzeros += sum(nz for _, nz in rows)
     assert norms >= 500
     assert points / nonzeros <= 6.0
+
+
+@pytest.mark.parametrize("name", ["minimal", "logfactor", "example1", "brudnyi-F"])
+def test_function_path_spends_no_more_than_the_modular(name):
+    # one row path: a step function's pieces are the modular's entries with
+    # log weights log |I_i| and levels F^{-1}(1 / |I_i|), so on the same
+    # vectors the function norm evaluates the profile at no more points per
+    # nonzero piece than the modular (the one log_inv per f is not counted)
+    win = Window("Z-", -64, -1)
+    rng = np.random.default_rng(18)
+    xs = [random_seqvec(rng, win) for _ in range(200)]
+    V = np.array([x.values for x in xs])
+    E, X = OrliczModular(_Counting(ZOO[name]), win), OrliczSpace(_Counting(ZOO[name]))
+    E.norm_rows(V)
+    # the pieces [0, 2^-64), [2^n, 2^(n+1)), the first one zero in every row
+    f = SeqVec(win, np.ones(win.size)).to_step()
+    X.norm_rows_on(f)(np.insert(V, 0, 0.0, axis=1))
+    assert X.F.points <= E.F.points
+
+
+def test_function_norm_past_the_float_range_of_the_bracket():
+    # the single-piece norms sum past 1.8e308, so the bracket's upper end is
+    # inf, while the norm itself is finite
+    f = StepFunction("unit", (0.0, 0.5, 1.0), (1.5e308, 1.5e308))
+    for name, F in ZOO.items():
+        if name != "power":
+            ref = reference_norm(F, np.asarray(f.vals), np.log(f.lengths))
+            assert OrliczSpace(F).fn_norm(f) == pytest.approx(ref, rel=1e-12), name

@@ -23,7 +23,8 @@ certified ``shift_upper`` and ``reversed_space``; no module tells a power from
 a generator's name), the shift search on batched rows,
 one Luxemburg solver (one fused profile call per Newton step, the one
 Newton stop and the only reader of a profile's curvature besides the
-modular space's start), one
+start) behind one Orlicz row path (``_orlicz_rows``, its one caller, which
+the modular and the function space both call), one
 multiplicative ascent (``ascent._ascend_steps``) with one stop rule (one
 accept margin, one set of stop labels and ``ascent.stop_level``), the index
 extremes from a band scan in bounded blocks, one drop scan behind Phi+/-
@@ -229,11 +230,15 @@ def test_one_luxemburg_solver():
                for fn in _functions(ast.parse(path.read_text()))
                if "luxemburg" in fn.name.lower()]
     assert solvers == ["spaces._luxemburg_log"]
-    tree = ast.parse((SRC / "spaces.py").read_text())
-    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    for cls, method in (("OrliczModular", "_rows"), ("OrliczSpace", "_rows_on")):
-        body = next(fn for fn in _functions(classes[cls]) if fn.name == method)
-        assert "_luxemburg_log" in _names(body), f"{cls}.{method}"
+    # one row path: the solver's one caller is the row function, which both
+    # Orlicz spaces call
+    fns = _qualified_functions()
+    callers = [name for name, fn in fns.items() if "_luxemburg_log" in _called(fn)]
+    assert callers == ["spaces._orlicz_rows"]
+    for name in ("spaces.OrliczModular._rows", "spaces.OrliczSpace._rows_on"):
+        assert "_orlicz_rows" in _called(fns[name]), name
+    # no zero-pattern grouping and no bracket of its own on the function path
+    assert not {"tobytes", "inf", "setdefault"} & _names(fns["spaces.OrliczSpace._rows_on"])
 
 
 def _called(fn) -> set[str]:
@@ -262,13 +267,13 @@ def _qualified_functions() -> dict:
 def test_one_newton_stop():
     # the stop tolerance, and the threshold derived from a profile's
     # curvature, live in the solver alone; the curvature is read by the
-    # solver (the stop) and by the modular space (the start) only
+    # solver (the stop) and by the row function (the start) only
     fns = _qualified_functions()
     tol = [name for name, fn in fns.items() if "_NEWTON_TOL" in _names(fn)]
     assert tol == ["spaces._luxemburg_log"]
     assert "sqrt" in _called(fns["spaces._luxemburg_log"])
     readers = [name for name, fn in fns.items() if "curvature" in _called(fn)]
-    assert readers == ["spaces._luxemburg_log", "spaces.OrliczModular._rows"]
+    assert readers == ["spaces._luxemburg_log", "spaces._orlicz_rows"]
 
 
 def test_one_multiplicative_ascent():
