@@ -14,29 +14,22 @@ minimization after two exact reductions:
    r.i. norm with the Fatou property is monotone under **-domination.  So
    averaging an arbitrary split piece-wise never increases the objective.
 
-Three routes, asked of the spaces through their protocol:
+Two routes, asked of the spaces through their protocol:
 
-1. An L1-type side.  When one side is a weighted ell_1 on the pieces (L1,
-   or ``weighted_lp_form()`` with p = 1) and the other a weighted ell_p,
-   1 <= p <= inf, K is an exact one-parameter problem, ``_k_l1``: the best
-   split of a given ||y||_Y is y = min(|f|, theta c), and the minimum over
-   theta is found at the levels of |f| / c and, for 1 < p < inf, at a closed
-   form stationary point.  ``lower`` equals ``value``.  The other order is
-   the same problem by K(t; X, Y) = t K(1/t; Y, X).
-2. L_infty or ell_infty against any other X: a split with ||y||_infty = lam
-   has |x| >= (|f| - lam)_+ pointwise, so
-
-    K(t, f; X, L_infty) = min over 0 <= lam <= ||f||_infty of
-                          phi(lam) = ||(|f| - lam)_+||_X + t lam
-
-   (Bennett-Sharpley, Interpolation of Operators, 1988), and phi is convex.
-   phi is evaluated at 0 and at every level of |f| (one batch of rows), and
-   the bracket around the best level is narrowed by golden-section steps
-   (one row each).  ``lower`` is then a true bound: the chords of phi
-   through the best interior point bound phi from below on the final
-   bracket, which holds the minimiser.  X = L_infty takes the same search
-   by the swap identity.
-3. Other couples are minimized over the box 0 <= c <= |f| by cyclic
+1. The level path, ``_k_path``: K is a minimum over theta >= 0 of
+   phi(theta) = ||a - y||_X + t ||y||_Y along the splits y = min(a, theta c),
+   a = |f|, tried at 0 and at every level a / c (one batch of rows).
+   Against an ell_1 side (L1, or ``weighted_lp_form()`` with p = 1) and a
+   weighted ell_p, 1 <= p <= inf, the KKT conditions put the best split on
+   the path, closed-form stationary points finish the search, and ``lower``
+   equals ``value``.  Against L_infty or ell_infty (c = 1) and any lattice
+   X, phi(theta) = ||(a - theta)_+||_X + t theta is convex with minimum K
+   (Bennett-Sharpley, Interpolation of Operators, 1988): golden-section
+   steps (one row each) narrow the bracket around the best level, and the
+   chords of phi through the best interior point bound phi from below on
+   it, so ``lower`` is a true bound.  The other order of a couple is the
+   same problem by K(t; X, Y) = t K(1/t; Y, X).
+2. Other couples are minimized over the box 0 <= c <= |f| by cyclic
    coordinate descent (descending-|f| sweep order, golden-section line
    searches), cross-checked against the truncation family x = min(|f|, c)
    and, for sequence couples, all prefix/suffix splits (batches of rows).
@@ -46,8 +39,8 @@ Three routes, asked of the spaces through their protocol:
 
 Norms are row functions of the spaces, ``norm_rows_on(f)`` (or E_X's
 ``norm_rows`` for a sequence): rows of values normed independently.  One
-engine, ``_k_grid``, runs the three routes over a grid of t: the rows that
-do not depend on t (the level scans, the trial splits) are normed once per
+engine, ``_k_grid``, runs the two routes over a grid of t: the rows that
+do not depend on t (the level scan, the trial splits) are normed once per
 f, so a profile costs one scan plus the per-t steps, with each value
 bit-identical to a one-point run (``k_numeric``).
 """
@@ -61,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .measure import SeqVec, StepFunction, rearrange
+from .measure import SeqVec, StepFunction, star_integral
 from .spaces import SeparationFit, SeqSpaceSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -82,30 +75,20 @@ class KResult:
     converged: bool
     split: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def upper(self) -> float:
-        return self.value
 
-
-def _norm_rows(space, template):
-    """V -> ||.|| of each row of V, values on the pieces/entries of template."""
+def _side(space, template):
+    """(rows, form) of a space on the pieces/entries of template: rows maps V
+    to the norm of each row of V, and form is (weights, p) when that norm is
+    a weighted ell_p, else None."""
     if isinstance(template, StepFunction):
         if not hasattr(space, "norm_rows_on"):
             raise UsageError(f"{space.spec_string()} is a sequence space; a step "
                              f"function needs function spaces")
-        return space.norm_rows_on(template)
+        return space.norm_rows_on(template), space.weighted_lp_form_on(template)
     E = space.e_space(template.window)
     if E.window != template.window:
         raise ValueError("vector window does not match space window")
-    return E.norm_rows
-
-
-def _lp_form(space, template):
-    """(weights, p) when the space's norm on the pieces/entries of template is
-    a weighted ell_p, else None."""
-    if isinstance(template, StepFunction):
-        return space.weighted_lp_form_on(template)
-    return space.e_space(template.window).weighted_lp_form()
+    return E.norm_rows, E.weighted_lp_form()
 
 
 def _one(rows, v: np.ndarray) -> float:
@@ -154,10 +137,9 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
     of f is a ``UsageError``.
 
     If one side is L1-type (a weighted ell_1) and the other a weighted ell_p,
-    K is the exact one-parameter search ``_k_l1``.  Otherwise, if Y (or X)
-    is L_infty / ell_infty, K is the exact one-dimensional search
-    ``_k_linf``: it stops once value - lower <= tol * value.  On both paths
-    ``lower`` is a certified lower bound on K.  Other couples take cyclic
+    or one side is L_infty / ell_infty, K is the exact one-parameter search
+    ``_k_path`` (against L_infty it stops once value - lower <= tol * value),
+    and ``lower`` is a certified lower bound on K.  Other couples take cyclic
     coordinate descent, converged once a full sweep improves by less than
     tol * value; the sweep cap leaves ``converged=False`` with the best
     value intact, and ``lower`` is a numeric gap estimate only.
@@ -178,10 +160,10 @@ def _check_finite(name: str, v) -> None:
 
 def _k_grid(ts, f, X, Y, tol: float = 1e-8) -> list[KResult]:
     """``k_numeric`` at each t of ts, from one scan of the rows that do not
-    depend on t: the level rows of ``_k_l1`` (p > 1) and of ``_k_linf`` and
-    the trial splits of descent are normed once for the whole grid.  Per t
-    there remain the p = 1 row, the stationary points, the golden steps and
-    the descent sweeps."""
+    depend on t: the level rows of ``_k_path`` (p > 1) and the trial splits
+    of descent are normed once for the whole grid.  Per t there remain the
+    p = 1 row, the stationary points, the golden steps and the descent
+    sweeps."""
     for t in ts:
         if not 0 < t < math.inf:
             raise ValueError(f"K-functional needs a finite t > 0; got {t!r}")
@@ -193,22 +175,22 @@ def _k_grid(ts, f, X, Y, tol: float = 1e-8) -> list[KResult]:
     else:
         raise TypeError("f must be a StepFunction or SeqVec")
     _check_finite("f", f)
-    nx = _norm_rows(X, f)
-    ny = _norm_rows(Y, f)
+    nx, form_x = _side(X, f)
+    ny, form_y = _side(Y, f)
 
     if not np.any(a > 0):
         return [KResult(t, 0.0, 0.0, 0.0, 0.0, 0, True, a.copy()) for t in ts]
     inverse = [1.0 / t for t in ts]
-    form_x, form_y = _lp_form(X, f), _lp_form(Y, f)
     if form_x is not None and form_y is not None:
         if form_x[1] == 1.0:
-            return _k_l1(ts, a, form_x[0], *form_y, nx, ny)
+            return _k_path(ts, a, form_x[0], *form_y, nx, ny, tol)
         if form_y[1] == 1.0:
-            return _swapped(ts, a, _k_l1(inverse, a, form_y[0], *form_x, ny, nx))
+            return _swapped(ts, a, _k_path(inverse, a, form_y[0], *form_x, ny, nx, tol))
     if Y.is_linf:
-        return _k_linf(ts, a, nx, tol)
+        return _k_path(ts, a, None, np.ones(a.size), math.inf, nx, ny, tol)
     if X.is_linf:
-        return _swapped(ts, a, _k_linf(inverse, a, ny, tol))
+        return _swapped(ts, a, _k_path(inverse, a, None, np.ones(a.size), math.inf,
+                                       ny, nx, tol))
     return _k_descent(ts, a, nx, ny, sequence_like, tol)
 
 
@@ -218,10 +200,12 @@ def _swapped(ts, a: np.ndarray, rs: list) -> list[KResult]:
                     r.sweeps, r.converged, a - r.split) for t, r in zip(ts, rs)]
 
 
-def _k_l1(ts, a: np.ndarray, u: np.ndarray, v: np.ndarray, p: float,
-          nx, ny) -> list[KResult]:
+def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
+            nx, ny, tol: float) -> list[KResult]:
     """K(t) exactly at each t of ts for X = ell_1 with weights u and Y = ell_p
-    with weights v.
+    with weights v; with u None, for any lattice X and Y = ell_infty (unit
+    weights v, so c = 1 below), where each t takes ``_k_linf_at``'s golden
+    steps from the levels in place of the stationary points.
 
     For p = 1, K = sum_i min(u_i, t v_i) a_i: y_i = a_i exactly where
     t v_i < u_i.  For p > 1, a split with ||y||_Y <= r maximises
@@ -249,9 +233,9 @@ def _k_l1(ts, a: np.ndarray, u: np.ndarray, v: np.ndarray, p: float,
     near-equal levels can round the best level to the wrong side of it, so
     every segment's point is computed (as prefix and suffix sums) and kept
     if inside.  Every value comes from the spaces' own row functions ``nx``
-    and ``ny``, and ``lower`` equals ``value``.  For p < inf the exponent
-    1/(p-1) can spread c beyond the range of doubles (p near 1), so theta,
-    c and the levels are carried as logarithms there.
+    and ``ny``, and with an ell_1 side ``lower`` equals ``value``.  For
+    p < inf the exponent 1/(p-1) can spread c beyond the range of doubles
+    (p near 1), so theta, c and the levels are carried as logarithms there.
     """
     def rows(Y):
         """(||x||_X, ||y||_Y) of the splits y = the rows of Y."""
@@ -298,6 +282,9 @@ def _k_l1(ts, a: np.ndarray, u: np.ndarray, v: np.ndarray, p: float,
     for t in ts:
         thetas, xs, ys = levels, level_xs, level_ys
         vals = xs + t * ys
+        if u is None:
+            out.append(_k_linf_at(t, a, nx, tol, levels, vals.tolist()))
+            continue
         if p < math.inf:
             with np.errstate(over="ignore"):
                 uc = np.exp(log_uc - q * math.log(t))[order]
@@ -317,29 +304,18 @@ def _k_l1(ts, a: np.ndarray, u: np.ndarray, v: np.ndarray, p: float,
     return out
 
 
-def _k_linf(ts, a: np.ndarray, nx, tol: float) -> list[KResult]:
-    """min of the convex phi(lam) = nx((a - lam)_+) + t lam on [0, max a], at
-    each t of ts.
-
-    phi is evaluated at 0 and every level of a, so both trivial splits are
-    candidates; the level rows (a - lam)_+ do not depend on t and are normed
-    once for all of ts.  A convex phi has a minimiser between the neighbours
-    of its best grid point; golden-section steps narrow that bracket until
-    the chord bound certifies value - lower <= tol * value, or the bracket is
-    a few ulps wide (at most 71 steps, since its width starts at most max a).
-    A bracket so narrow that its golden points round onto each other takes
-    its lower bound from the Lipschitz constant of phi instead.
-    """
-    levels = np.concatenate([[0.0], np.unique(a[a > 0])])
-    level_xs = np.concatenate([nx(np.maximum(a - lams[:, None], 0.0))
-                               for lams in _runs(levels, a.size)])
-    return [_k_linf_at(t, a, nx, tol, levels, (level_xs + t * levels).tolist())
-            for t in ts]
-
-
 def _k_linf_at(t: float, a: np.ndarray, nx, tol: float, levels: np.ndarray,
                vals: list) -> KResult:
-    """``_k_linf`` at one t, from phi's values at the levels."""
+    """min of the convex phi(lam) = nx((a - lam)_+) + t lam on [0, max a],
+    from phi's values at 0 and at the levels of a.
+
+    A convex phi has a minimiser between the neighbours of its best level;
+    golden-section steps narrow that bracket until the chord bound certifies
+    value - lower <= tol * value, or the bracket is a few ulps wide (at most
+    71 steps, since its width starts at most max a).  A bracket so narrow
+    that its golden points round onto each other takes its lower bound from
+    the Lipschitz constant of phi instead.
+    """
     def phi(lam: float) -> float:
         return _one(nx, np.maximum(a - lam, 0.0)) + t * lam
 
@@ -470,10 +446,7 @@ def k_l1_linf_oracle(t: float, f: StepFunction) -> float:
     """
     if t <= 0:
         raise ValueError("oracle needs t > 0")
-    fs = rearrange(f)
-    bp = np.asarray(fs.breakpoints)
-    covered = np.clip(np.minimum(bp[1:], t) - bp[:-1], 0.0, None)
-    return float(np.dot(fs.vals, covered))
+    return star_integral(f, t)
 
 
 def _prefix_norms(v: np.ndarray, E: SeqSpaceSpec) -> np.ndarray:

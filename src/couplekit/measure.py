@@ -157,15 +157,19 @@ def rearrange(f: StepFunction) -> StepFunction:
     return StepFunction(f.domain, tuple(bp), tuple(out_v))
 
 
+def star_integral(f: StepFunction, t: float) -> float:
+    """int_0^t f*(s) ds, exact from steps, for t > 0."""
+    fs = rearrange(f)
+    bp = np.asarray(fs.breakpoints)
+    covered = np.clip(np.minimum(bp[1:], t) - bp[:-1], 0.0, None)
+    return float(np.dot(fs.vals, covered))
+
+
 def double_star(f: StepFunction, t: float) -> float:
     """Maximal function f**(t) = (1/t) * int_0^t f*(s) ds, exact from steps."""
     if t <= 0:
         raise ValueError("double_star needs t > 0")
-    fs = rearrange(f)
-    bp = np.asarray(fs.breakpoints)
-    v = fs.vals
-    covered = np.clip(np.minimum(bp[1:], t) - bp[:-1], 0.0, None)
-    return float(np.dot(v, covered)) / t
+    return star_integral(f, t) / t
 
 
 def dilate(f: StepFunction, a: float) -> StepFunction:

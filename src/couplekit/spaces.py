@@ -16,7 +16,9 @@ makes one root-find of the log-modular G, ``_luxemburg_log``: bracketed Newton
 steps on the log-norm, row by row over a batch of rows, stopped when the
 Newton correction is at most 1e-13 (h' >= 1 bounds the error by |G|), or one
 step earlier on a profile whose ``curvature()`` bounds h' and h'', when
-Newton's remainder bound certifies a log-error of at most 1e-13.  Its
+Newton's remainder bound certifies a log-error of at most 1e-13, or when the
+bracket is at most 1e-13 (1 + |log ||f|| |) wide.  That width is the
+certified log-error: a flat 1e-13 only for norms near 1.  Its
 elementwise work runs on the packed nonzero entries only, and its row sums
 over the full width in buffers allocated once per call.  The adversarial
 searches (the RSP/LSP shift search, kappa, the ``op_norm`` lower bound) share
@@ -81,9 +83,6 @@ _KAPPA_BUDGET, _KAPPA_SEED = 400, 0
 class WeightFn:
     """Monotone increasing weight with bounded doubling ratio."""
 
-    def doubling_sup(self) -> float:
-        raise NotImplementedError
-
     def __call__(self, t):
         raise NotImplementedError
 
@@ -101,9 +100,6 @@ class PowerWeight(WeightFn):
     def __call__(self, t):
         return np.power(np.asarray(t, dtype=float), self.exponent)
 
-    def doubling_sup(self) -> float:
-        return 2.0 ** self.exponent
-
 
 class TableLogLinear(WeightFn):
     """Piecewise log-log-linear weight from a (log t, log w) table."""
@@ -119,7 +115,6 @@ class TableLogLinear(WeightFn):
             raise ValueError("weight must be monotone increasing")
         self.slopes = slopes
         # doubling ratio w(2t)/w(t) = exp(slope * log 2) per segment
-        self._sup = float(np.exp(np.max(slopes) * LOG2))
         if assume_finite_q and np.exp(np.min(slopes) * LOG2) <= 1.0:
             raise ValueError("finite-q regime requires inf w(2t)/w(t) > 1")
         self.assume_finite_q = assume_finite_q
@@ -139,9 +134,6 @@ class TableLogLinear(WeightFn):
         """(anchor log_t, anchor log_w, slope) of the segment containing lt."""
         i = int(self._segment(lt))
         return self.log_t[i], self.log_w[i], float(self.slopes[i])
-
-    def doubling_sup(self) -> float:
-        return self._sup
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +157,6 @@ class SpaceSpec:
     """Base for concrete r.i. function spaces on [0,1] or [0,inf)."""
 
     domain: str = UNIT
-    triangle_constant: float = 1.0
     is_linf: bool = False
 
     def norm_rows_on(self, f: StepFunction):
@@ -270,8 +261,8 @@ def linf_space(domain: str = UNIT) -> LpSpace:
 class LorentzSpace(SpaceSpec):
     """Quasinorm ||f|| = (int f*(t)^p w(t)^p dt/t)^(1/p), evaluated exactly.
 
-    Kept as the quasinorm exactly as written (no renorming); the triangle
-    constant sup w(2t)/w(t) is carried in metadata.  w = t^(1/p) gives L_p.
+    Kept as the quasinorm exactly as written (no renorming).  w = t^(1/p)
+    gives L_p.
     """
 
     def __init__(self, p: float, weight: WeightFn, domain: str = UNIT):
@@ -280,7 +271,6 @@ class LorentzSpace(SpaceSpec):
         self.p = float(p)
         self.weight = weight
         self.domain = domain
-        self.triangle_constant = weight.doubling_sup()
 
     def _piece_integral(self, a: float, b: float) -> float:
         """int_a^b w(t)^p dt/t, exact per log-linear weight segment."""
@@ -375,7 +365,10 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
       of G' = -E h', so |G''| <= K (Popoviciu's bound on the variance), and
       Newton's remainder |G(beta + d)| <= K d^2 / 2 with |G'| >= s_lo puts
       beta + d within 1e-13 of the root, one profile call before |d| would
-      reach 1e-13.
+      reach 1e-13;
+    - whatever the profile, when the bracket, which holds the clamped result,
+      is at most 1e-13 (1 + |beta|) wide.  So the certified log-error is
+      1e-13 (1 + |log ||f|| |): a flat 1e-13 only for norms near 1.
 
     ``log_a`` is a (k, n) array of log |a| with -inf at the zero entries,
     ``log_w`` the (n,) log weights, ``beta``, ``lo``, ``hi`` (k,) arrays of
@@ -875,7 +868,6 @@ class FromSequenceSpace(SpaceSpec):
         self.E = E
         self.window = E.window
         self.domain = self.window.domain
-        self.triangle_constant = 2.0
         self.kappa = kappa_estimate(E, budget=_KAPPA_BUDGET, seed=_KAPPA_SEED)
         if not (self.kappa.plus_est < 2.0):
             raise ValueError(
@@ -994,13 +986,14 @@ class KappaEstimate:
     without one, or past the overflow ratio, where ratios read as inf too), so
     ||tau_n|| on the window lies in [table[n], table_ub[n]].
     ``plus_lb``/``minus_lb`` are the max over n of table[+-n]^(1/n), lower
-    bounds on the largest ||tau_n||^(1/n); ``plus_est``/``minus_est``
-    extrapolate the geometric-mean slope of log ||tau_n|| over the largest
-    tested shifts; ``plus_ub``/``minus_ub`` are the min over n of
-    table_ub[+-n]^(1/n), upper bounds on kappa = inf_n ||tau_n||^(1/n)
-    (Fekete: ||tau_(a+b)|| <= ||tau_a|| ||tau_b||) wherever the window's
-    bounds hold for the space.  The true kappa can exceed the estimate;
-    verdict logic must treat these as estimates.
+    bounds on the largest ||tau_n||^(1/n), not on kappa;
+    ``plus_est``/``minus_est`` extrapolate the geometric-mean slope of
+    log ||tau_n|| over the largest tested shifts; ``plus_ub``/``minus_ub``
+    are the min over n of table_ub[+-n]^(1/n), upper bounds on
+    kappa = inf_n ||tau_n||^(1/n) (Fekete: ||tau_(a+b)|| <= ||tau_a||
+    ||tau_b||) wherever the window's bounds hold for the space.  The true
+    kappa can exceed the estimate; verdict logic must treat these as
+    estimates.
     """
 
     plus_lb: float
@@ -1075,10 +1068,13 @@ def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
 
 
 def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEstimate:
-    """Adversarial lower-bound estimate of kappa_±(E) = lim ||tau_{±n}||^{1/n}
-    on E's window, which needs at least two indices and a budget of at
-    least 1, bracketed from above by E's certified bounds on ||tau_n||; a
-    shift whose unit vectors reach its bound skips its ascent."""
+    """Adversarial estimate of kappa_±(E) = lim ||tau_{±n}||^{1/n} =
+    inf_n ||tau_{±n}||^{1/n} on E's window, which needs at least two indices
+    and a budget of at least 1.  ``plus_lb``/``minus_lb`` (max_n
+    table^(1/n)) bound max_n ||tau_{±n}||^(1/n) from below, not kappa; the
+    certified side of kappa is ``plus_ub``/``minus_ub``, from E's certified
+    bounds on ||tau_n||.  A shift whose unit vectors reach its bound skips
+    its ascent."""
     check_budget(budget)
     window = E.window
     if window.size < 2:

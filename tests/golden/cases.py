@@ -8,7 +8,13 @@ Each case is a named list of floats computed from seeds recorded in
 - ``orlicz-space:<gen>``: 24 seeded step functions with random breakpoints
   and zeros in place, normed as ``OrliczSpace``;
 - ``k-linf:<gen>:value`` and ``k-linf:<gen>:lower``: ``kfunc._k_grid``
-  against L_infty on a 4-point t-grid, for 3 seeded step functions.
+  against L_infty on a 4-point t-grid, for 3 seeded step functions;
+- ``k-route:<couple>:{value,lower,x_mass,y_mass}``: ``kfunc._k_grid`` on the
+  same t-grid for one couple per K route, 3 seeded step functions each:
+  the level path with an L1 side ((L1,Linf), (L1,L2)) and swapped ((L2,L1)),
+  the path against L_infty in both orientations ((L2,Linf), (Linf,L2)) and
+  descent ((L2,L3)); ``l2,l3-seq`` is descent on 3 seeded sequences, where
+  the prefix and suffix splits join the trials.
 
 ``tests/test_golden.py`` recomputes every case bit for bit;
 ``python tests/golden/regen.py`` rewrites the manifest.
@@ -22,15 +28,27 @@ from pathlib import Path
 
 import numpy as np
 
-from couplekit import (MinimalFn, OrliczModular, OrliczSpace, StepFunction, Window,
-                       brudnyi_pair, elastic_non_lorentz, example1, linf_space,
-                       logfactor_fn, power, pwpower)
+from couplekit import (LpSpace, MinimalFn, OrliczModular, OrliczSpace, SeqVec,
+                       StepFunction, Window, brudnyi_pair, dyadic_lp, elastic_non_lorentz,
+                       example1, linf_space, logfactor_fn, power, pwpower)
 from couplekit.kfunc import _k_grid
 
 MANIFEST = Path(__file__).with_name("manifest.json")
 ROWS = 24
 K_FUNCTIONS = 3
 WINDOWS = {"Z-[-64,-1]": ("Z-", -64, -1), "Z[-12,12]": ("Z", -12, 12)}
+K_SEQ_WINDOW = Window("Z-", -8, -1)
+K_FIELDS = ("value", "lower", "x_mass", "y_mass")
+
+
+def k_couples() -> dict:
+    """One couple per K route: name -> (X, Y, seeded vector maker)."""
+    L1, L2, L3, Linf = LpSpace(1), LpSpace(2), LpSpace(3), linf_space()
+    fn = {"L1,Linf": (L1, Linf), "L1,L2": (L1, L2), "L2,L1": (L2, L1),
+          "L2,Linf": (L2, Linf), "Linf,L2": (Linf, L2), "L2,L3": (L2, L3)}
+    out = {name: (X, Y, lambda rng: _step(rng, False)) for name, (X, Y) in fn.items()}
+    out["l2,l3-seq"] = (dyadic_lp(2, K_SEQ_WINDOW), dyadic_lp(3, K_SEQ_WINDOW), _seq)
+    return out
 
 
 def zoo() -> dict:
@@ -66,6 +84,13 @@ def _step(rng, zeros: bool) -> StepFunction:
     return StepFunction("unit", tuple(bp.tolist()), tuple(vals.tolist()))
 
 
+def _seq(rng) -> SeqVec:
+    """A vector on K_SEQ_WINDOW with log-normal values, a third of them zero."""
+    vals = np.exp(rng.normal(0.0, 2.0, K_SEQ_WINDOW.size))
+    vals[rng.random(vals.size) < 1 / 3] = 0.0
+    return SeqVec(K_SEQ_WINDOW, vals)
+
+
 def compute(seeds: dict, t_grid: list) -> dict[str, list[float]]:
     """Every case from the recorded seeds: name -> list of floats."""
     cases = {}
@@ -82,6 +107,11 @@ def compute(seeds: dict, t_grid: list) -> dict[str, list[float]]:
               for r in _k_grid(t_grid, _step(rng, False), X, linf_space())]
         cases[f"k-linf:{name}:value"] = [r.value for r in ks]
         cases[f"k-linf:{name}:lower"] = [r.lower for r in ks]
+    for i, (name, (X, Y, make)) in enumerate(k_couples().items()):
+        rng = np.random.default_rng([seeds["k-route"], i])
+        ks = [r for _ in range(K_FUNCTIONS) for r in _k_grid(t_grid, make(rng), X, Y)]
+        for key in K_FIELDS:
+            cases[f"k-route:{name}:{key}"] = [getattr(r, key) for r in ks]
     return cases
 
 

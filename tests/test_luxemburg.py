@@ -91,6 +91,19 @@ def test_function_norm_extreme_range_matches_reference():
         assert OrliczSpace(F).fn_norm(f) == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["logfactor", "example1", "elastic-nl", "minimal"])
+def test_tiny_norms_are_within_the_width_certificate(name):
+    # the solver also stops on a bracket 1e-13 (1 + |beta|) wide, so far
+    # from norm 1 the certified log-error is 1e-13 (1 + |log ||f|| |)
+    F = ZOO[name]
+    for f in (StepFunction("unit", (0.0, 1.0), (1e-300,)),
+              StepFunction("unit", (0.0, 1e-10, 1.0), (1e-300, 1e-305)),
+              StepFunction("unit", (0.0, 0.25, 0.5, 1.0), (3e-300, 1e-300, 2e-302))):
+        ref = reference_norm(F, np.asarray(f.vals), np.log(f.lengths))
+        err = abs(math.log(OrliczSpace(F).fn_norm(f) / ref))
+        assert err <= 1e-13 * (1.0 + abs(math.log(ref))), f.vals
+
+
 def test_iteration_cap_raises(monkeypatch):
     win = Window("Z-", -16, -1)
     vals = np.linspace(0.1, 2.0, win.size)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from couplekit import (SeqVec, StepFunction, Window, char_fn,
                        default_unit_window, dilate, double_star,
-                       dyadic_envelope, rearrange, zero_fn)
+                       dyadic_envelope, k_l1_linf_oracle, rearrange, zero_fn)
+from couplekit.measure import star_integral
 from conftest import random_step
 
 
@@ -107,6 +108,16 @@ def test_double_star_matches_integral_oracle(rng):
         for t in (0.05, 0.3, 1.0, 2.5):
             assert double_star(f, t) * t == pytest.approx(
                 _integral_oracle(f, t), rel=1e-12, abs=1e-12)
+
+
+def test_one_star_integral_behind_double_star_and_the_k_oracle(rng):
+    # f** and the (L1, Linf) oracle are the one int_0^t f* helper, bit for bit
+    for _ in range(10):
+        f = random_step(rng)
+        for t in (0.05, 0.3, 1.0, 2.5):
+            integral = star_integral(f, t)
+            assert k_l1_linf_oracle(t, f) == integral
+            assert double_star(f, t) == integral / t
 
 
 def test_double_star_dominates_f_star(rng):

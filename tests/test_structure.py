@@ -31,7 +31,9 @@ extremes from a band scan in bounded blocks, one drop scan behind Phi+/-
 (``_count_drops``), one input front end for the Orlicz analyses (one t-grid
 check, ``_log_grid``, and one omega table, ``_omega_table``), one
 representation of a family of block pairs, one K scan per vector for a whole
-t-grid (``kfunc._k_grid``), the dyadic levels
+t-grid (``kfunc._k_grid``) with one level scan behind both exact K routes
+(``kfunc._k_path``) and one template front end per side (``kfunc._side``),
+the dyadic levels
 lambda_n = F^{-1}(2^{-n}) solved in one place (``OrliczFn.log_lambda``, once
 per generator), and one representation of a positive operator (the factor
 stack ``G``, ``Y``, ``d`` of ``PositiveMatrix``).
@@ -441,6 +443,29 @@ def test_one_k_scan_per_vector():
     assert _called(fns["transfer.k_transfer"]) >= {"_block_points", "_prefix_norms",
                                                     "_suffix_norms"}
     assert [name for name in fns if name.endswith("._prefix_norms")] == ["kfunc._prefix_norms"]
+
+
+def test_one_k_level_scan():
+    # K against L_infty is the ell_infty case of the split path: one level
+    # scan serves both exact routes, and the golden steps run only from it;
+    # one front end asks a space for its rows and its weighted-lp form, once
+    # per side of the couple
+    tree = ast.parse((SRC / "kfunc.py").read_text())
+    fns = {fn.name: fn for fn in _functions(tree)}
+    assert not {"_k_linf", "_k_l1", "_norm_rows", "_lp_form"} & set(fns)
+    # the other np.unique is descent's truncation trials
+    assert {name for name, fn in fns.items() if "unique" in _called(fn)} == {
+        "_k_path", "_trial_splits"}
+    assert [name for name, fn in fns.items() if "_k_linf_at" in _called(fn)] == ["_k_path"]
+    protocol = {"norm_rows_on", "e_space", "weighted_lp_form_on", "weighted_lp_form"}
+    assert {name for name, fn in fns.items() if _called(fn) & protocol} == {"_side"}
+    sides = [node for node in ast.walk(fns["_k_grid"]) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_side"]
+    assert len(sides) == 2
+    assert [name for name, fn in fns.items() if "_side" in _called(fn)] == ["_k_grid"]
+    result = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "KResult")
+    assert "upper" not in {fn.name for fn in _functions(result)}
 
 
 def test_one_representation_of_a_positive_operator():
