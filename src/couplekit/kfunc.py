@@ -232,8 +232,8 @@ def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
     In exact arithmetic only the segment holding the minimiser has one, but
     near-equal levels can round the best level to the wrong side of it, so
     every segment's point is computed (as prefix and suffix sums) and kept
-    if inside.  Every value comes from the spaces' own row functions ``nx``
-    and ``ny``, and with an ell_1 side ``lower`` equals ``value``.  For
+    if inside.  Every value but ||min(a, theta)||_infty = theta is a row of
+    ``nx`` or ``ny``, and with an ell_1 side ``lower`` equals ``value``.  For
     p < inf the exponent 1/(p-1) can spread c beyond the range of doubles
     (p near 1), so theta, c and the levels are carried as logarithms there.
     """
@@ -265,8 +265,10 @@ def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
                 return np.where(b <= thetas[:, None], a,
                                 np.minimum(a, np.exp(thetas[:, None] + lc)))
     levels = np.concatenate([[zero], np.unique(b[a > 0])])
-    level_xs, level_ys = (np.concatenate(z) for z in
-                          zip(*(rows(splits(run)) for run in _runs(levels, a.size))))
+    # against ell_infty, ||min(a, theta)|| = theta exactly (0 or a value of a)
+    level_xs, level_ys = (np.concatenate(z) for z in zip(*(
+        (nx(a - splits(run)), run) if u is None else rows(splits(run))
+        for run in _runs(levels, a.size))))
     if p < math.inf:
         # S and M / t^p' of each segment [lo, hi): prefix and suffix sums in
         # the order of b over the entries saturated at lo (b <= lo) and the

@@ -34,7 +34,9 @@ class StepFunction:
     ``breakpoints`` is the strictly increasing grid t_0 = 0 < t_1 < ... < t_m
     and ``values`` the piece values v_1..v_m with f = v_i on [t_{i-1}, t_i).
     On the unit-interval domain t_m <= 1.  Values may be negative; operations
-    that need |f| take the absolute value themselves.
+    that need |f| take the absolute value themselves.  ``lengths`` (the piece
+    lengths) and ``vals`` are read-only arrays built once; they are not
+    fields, so equality, hash and JSON see the tuples only.
     """
 
     domain: str
@@ -49,22 +51,18 @@ class StepFunction:
             raise ValueError("breakpoints must start at 0")
         if bp.size != len(self.values) + 1:
             raise ValueError("need exactly one more breakpoint than values")
-        if np.any(np.diff(bp) <= 0):
+        lengths = np.diff(bp)
+        if np.any(lengths <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if self.domain == UNIT and bp[-1] > 1.0 + 1e-15:
             raise ValueError("unit-interval step function exceeds [0,1]")
         object.__setattr__(self, "breakpoints", tuple(float(t) for t in bp))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        for name, arr in (("lengths", lengths), ("vals", np.array(self.values))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     # -- basic geometry ----------------------------------------------------
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(np.asarray(self.breakpoints))
-
-    @property
-    def vals(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
     def __call__(self, t) -> np.ndarray:
         """Evaluate f at t (scalar or array), right-continuous, 0 past t_m."""
@@ -73,8 +71,7 @@ class StepFunction:
         idx = np.searchsorted(bp, t, side="right") - 1
         out = np.zeros_like(t, dtype=float)
         inside = (idx >= 0) & (idx < len(self.values))
-        if self.values:
-            out[inside] = self.vals[idx[inside]]
+        out[inside] = self.vals[idx[inside]]
         return out
 
     # -- algebra on a shared grid -------------------------------------------
@@ -121,40 +118,55 @@ def zero_fn(domain: str = UNIT) -> StepFunction:
 # ---------------------------------------------------------------------------
 
 
+def _decreasing(V: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decreasing rearrangement of each row of V on pieces of the given
+    lengths, as (S, T): S is |V| sorted decreasingly along each row (stably,
+    so ties stay in piece order) and T the cumulative piece lengths in that
+    order, so the row's f* is S[k] on [T[k-1], T[k]) with T[-1] = 0.  The
+    lengths of a run of equal values are summed first and then added to the
+    run's start, as ``rearrange`` merges them: T at the end of each run is a
+    breakpoint of f* to the bit."""
+    A = np.abs(V)
+    order = np.argsort(-A, axis=1, kind="stable")
+    S = np.take_along_axis(A, order, axis=1)
+    run = lengths[order]  # becomes each piece's partial sum within its run
+    tie = S[:, 1:] == S[:, :-1]
+    for j in np.flatnonzero(tie.any(axis=0)) + 1:
+        run[:, j] += np.where(tie[:, j - 1], run[:, j - 1], 0.0)
+    end = np.ones(S.shape, dtype=bool)
+    end[:, :-1] = ~tie
+    # a running sum of the run totals (zeros elsewhere add exactly) is each
+    # run's start, to which its pieces' partial sums are added
+    starts = np.cumsum(np.where(end, run, 0.0), axis=1)
+    T = run
+    T[:, 1:] += starts[:, :-1]
+    return S, T
+
+
+def _sample_decreasing(S: np.ndarray, T: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """f*(points) for each row of ``_decreasing``'s (S, T): the S entry of the
+    piece with T[k-1] <= point < T[k], 0 past the support."""
+    k = np.add.reduce(T[:, :, None] <= points, axis=1)
+    return np.take_along_axis(np.pad(S, ((0, 0), (0, 1))), k, axis=1)
+
+
 def rearrange(f: StepFunction) -> StepFunction:
     """Decreasing rearrangement f* of |f|.
 
     f* is the nonincreasing right-continuous step function equimeasurable
     with |f|: for every level c > 0 the sets {|f| > c} and {f* > c} have the
-    same measure.  Pieces with value 0 are dropped, so the result is supported
-    on [0, m(supp f)).
+    same measure.  It is the one row of ``_decreasing``, a run of equal values
+    one piece; pieces of value 0 or of no length at float resolution are
+    dropped, so the result is supported on [0, m(supp f)).
     """
-    v = np.abs(f.vals)
-    lens = f.lengths
-    keep = v > 0.0
-    v, lens = v[keep], lens[keep]
-    if v.size == 0:
+    (S,), (T,) = _decreasing(f.vals[None], f.lengths)
+    end = S > 0.0
+    end[:-1] &= S[1:] != S[:-1]
+    v, t = S[end], T[end]
+    keep = np.diff(t, prepend=0.0) > 0.0
+    if not keep.any():
         return zero_fn(f.domain)
-    order = np.argsort(-v, kind="stable")
-    v, lens = v[order], lens[order]
-    # merge equal adjacent values for a canonical representation
-    merged_v, merged_l = [v[0]], [lens[0]]
-    for val, ln in zip(v[1:], lens[1:]):
-        if val == merged_v[-1]:
-            merged_l[-1] += ln
-        else:
-            merged_v.append(val)
-            merged_l.append(ln)
-    # pieces whose length collapses at float resolution carry no measure
-    bp, out_v = [0.0], []
-    for val, ln in zip(merged_v, merged_l):
-        nxt = bp[-1] + ln
-        if nxt > bp[-1]:
-            bp.append(nxt)
-            out_v.append(val)
-    if not out_v:
-        return zero_fn(f.domain)
-    return StepFunction(f.domain, tuple(bp), tuple(out_v))
+    return StepFunction(f.domain, (0.0, *t[keep].tolist()), tuple(v[keep].tolist()))
 
 
 def star_integral(f: StepFunction, t: float) -> float:
@@ -182,7 +194,6 @@ def dilate(f: StepFunction, a: float) -> StepFunction:
         keep = bp[:-1] < 1.0
         v = [val for val, k in zip(v, keep) if k]
         bp = np.concatenate([bp[:-1][keep], [1.0]])
-        bp[-1] = 1.0
     if len(v) == 0:
         return zero_fn(f.domain)
     return StepFunction(f.domain, tuple(bp), tuple(v))
@@ -389,14 +400,9 @@ def dyadic_envelope(f: StepFunction, window: Window) -> SeqVec:
     f* <= G <= D_2 f* on [2^lo, 2^(hi+1)).  If f* still carries mass outside
     that range the result is flagged with meta["truncated"] = True.
     """
-    fs = rearrange(f)
-    points = np.power(2.0, window.indices().astype(float))
-    vals = fs(points)
-    vec = SeqVec(window, vals)
-    top = 2.0 ** (window.hi + 1)
-    truncated = bool(fs(np.array([top]))[0] > 0.0)
-    if fs.values:
-        # variation of f* below 2^lo is invisible to the sample
-        truncated = truncated or bool(fs.vals[0] > fs(np.array([2.0 ** window.lo]))[0])
-    vec.meta["truncated"] = truncated
+    S, T = _decreasing(f.vals[None], f.lengths)
+    points = np.append(np.power(2.0, window.indices().astype(float)), 2.0 ** (window.hi + 1))
+    (samples,) = _sample_decreasing(S, T, points)
+    vec = SeqVec(window, samples[:-1])
+    vec.meta["truncated"] = bool(samples[-1] > 0.0 or np.max(S, initial=0.0) > samples[0])
     return vec

@@ -8,7 +8,11 @@ sequence-space variants are modelled on a Window, and ``norm_rows`` norms the
 rows of a (k, n) array.  The base classes decide once: a space whose
 weighted-lp form answers is normed by the one row formula ``_wlp_norms`` on
 it, any other by its own ``_rows_on(f)`` or ``_rows``.  Rows never depend on
-each other; ``fn_norm`` and ``norm_values`` are the one-row cases.  Every
+each other; ``fn_norm`` and ``norm_values`` are the one-row cases.  The
+Lorentz and space-from-sequence rows are one sort of the batch
+(``measure._decreasing``) and one array formula: the weight's closed-form
+int_0^T w^p dt/t at the sorted cumulative lengths T, or f*(2^n) of every row
+normed by one ``E.norm_rows`` call.  Every
 Orlicz norm that is not a power's goes through one row path, ``_orlicz_rows``:
 a step function's pieces are the modular's entries, with weights |I_i| and
 levels F^{-1}(1 / |I_i|).  It brackets each row by its single-entry norms and
@@ -65,8 +69,7 @@ import numpy as np
 
 from .ascent import STOP_OVERFLOW, STOP_UPPER, _ascend_steps, stop_level, stop_reason
 from .errors import ConvergenceError, UsageError, check_budget
-from .measure import (UNIT, SeqVec, StepFunction, Window, dyadic_envelope,
-                      rearrange)
+from .measure import UNIT, SeqVec, StepFunction, Window, _decreasing, _sample_decreasing
 from .orlicz import LOG2, OrliczFn, _spec_num, indices, log_dilation
 
 _OVERFLOW_RATIO = 1e12
@@ -81,7 +84,8 @@ _KAPPA_BUDGET, _KAPPA_SEED = 400, 0
 
 
 class WeightFn:
-    """Monotone increasing weight with bounded doubling ratio."""
+    """Monotone increasing weight with bounded doubling ratio; ``integral(p, T)``
+    is W(T) = int_0^T w(t)^p dt/t for an array of T > 0, in closed form."""
 
     def __call__(self, t):
         raise NotImplementedError
@@ -99,6 +103,9 @@ class PowerWeight(WeightFn):
 
     def __call__(self, t):
         return np.power(np.asarray(t, dtype=float), self.exponent)
+
+    def integral(self, p: float, T: np.ndarray) -> np.ndarray:
+        return np.power(T, self.exponent * p) / (self.exponent * p)
 
 
 class TableLogLinear(WeightFn):
@@ -130,10 +137,21 @@ class TableLogLinear(WeightFn):
         i = self._segment(lt)
         return np.exp(self.log_w[i] + self.slopes[i] * (lt - self.log_t[i]))
 
-    def segment_at(self, lt: float):
-        """(anchor log_t, anchor log_w, slope) of the segment containing lt."""
-        i = int(self._segment(lt))
-        return self.log_t[i], self.log_w[i], float(self.slopes[i])
+    def integral(self, p: float, T: np.ndarray) -> np.ndarray:
+        """W(T) on the segments as ``w`` extends them: w(T)^p / (p s_0) on the
+        first (inf where it is flat), and on each later one, from its anchor
+        (t_i, w_i), W(t_i) + w_i^p expm1(p s_i x) / (p s_i) with x = log(T / t_i),
+        or W(t_i) + w_i^p x where s_i = 0."""
+        ps, wp, lt, d = p * self.slopes, np.exp(p * self.log_w), np.log(T), np.diff(self.log_t)
+        i, inner = self._segment(lt), np.arange(1, d.size - 1)
+
+        def above(j, x):  # over segment j from its anchor to log t_j + x
+            return wp[j] * np.where(ps[j] > 0.0, np.expm1(ps[j] * x) / ps[j], x)
+
+        with np.errstate(divide="ignore", invalid="ignore"):  # where a segment is flat
+            knots = np.cumsum(np.concatenate([[0.0, wp[1] / ps[0]], above(inner, d[inner])]))
+            first = wp[0] * np.exp(ps[0] * np.where(i == 0, lt - self.log_t[0], 0.0)) / ps[0]
+            return np.where(i == 0, first, knots[i] + above(i, lt - self.log_t[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +280,9 @@ class LorentzSpace(SpaceSpec):
     """Quasinorm ||f|| = (int f*(t)^p w(t)^p dt/t)^(1/p), evaluated exactly.
 
     Kept as the quasinorm exactly as written (no renorming).  w = t^(1/p)
-    gives L_p.
+    gives L_p.  A batch of rows on the pieces of f is one ``_decreasing`` sort
+    (S, T) and one array formula, ||v||^p = sum_k S_k^p (W(T_k) - W(T_(k-1))),
+    with the weight's closed-form ``integral`` W(T) = int_0^T w^p dt/t.
     """
 
     def __init__(self, p: float, weight: WeightFn, domain: str = UNIT):
@@ -272,45 +292,16 @@ class LorentzSpace(SpaceSpec):
         self.weight = weight
         self.domain = domain
 
-    def _piece_integral(self, a: float, b: float) -> float:
-        """int_a^b w(t)^p dt/t, exact per log-linear weight segment."""
-        p, w = self.p, self.weight
-        if isinstance(w, PowerWeight):
-            s = w.exponent * p
-            return (b ** s - a ** s) / s
-        assert isinstance(w, TableLogLinear)
-        la = -math.inf if a == 0.0 else math.log(a)
-        lb = math.log(b)
-        cuts = [la] + [float(t) for t in w.log_t if la < t < lb] + [lb]
-        total = 0.0
-        for l0, l1 in zip(cuts[:-1], cuts[1:]):
-            lt0, lw0, s = w.segment_at(l1 if math.isinf(l0) else l0)
-            # w(t)^p = exp(p lw0) (t / exp(lt0))^(p s)
-            c = math.exp(p * lw0 - p * s * lt0)
-            if s > 0:
-                hi = math.exp(p * s * l1)
-                lo = 0.0 if math.isinf(l0) else math.exp(p * s * l0)
-                total += c * (hi - lo) / (p * s)
-            else:
-                if math.isinf(l0):
-                    return math.inf
-                total += c * (l1 - l0)
-        return total
-
     def _rows_on(self, f: StepFunction):
-        def norm(vals) -> float:
-            fs = rearrange(f.with_values(vals))
-            bp = np.asarray(fs.breakpoints)
-            acc = 0.0
-            for v, a, b in zip(fs.vals, bp[:-1], bp[1:]):
-                if v == 0.0:
-                    continue
-                piece = self._piece_integral(float(a), float(b))
-                if math.isinf(piece):
-                    return math.inf
-                acc += (v ** self.p) * piece
-            return acc ** (1.0 / self.p)
-        return lambda V: np.array([norm(v) for v in V], dtype=float)
+        def rows(V: np.ndarray) -> np.ndarray:
+            S, T = _decreasing(V, f.lengths)
+            # past a weight flat at 0, W is inf from T_0 on: the increments stay inf
+            W = self.weight.integral(self.p, T)
+            dW = W.copy()
+            np.subtract(W[:, 1:], W[:, :-1], out=dW[:, 1:], where=W[:, :-1] < math.inf)
+            terms = np.multiply(S ** self.p, dW, out=np.zeros(S.shape), where=S > 0.0)
+            return np.add.reduce(terms, axis=1) ** (1.0 / self.p)
+        return rows
 
     def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float] | None:
         # t^(1/p) is the one power weight whose quasinorm is L_p itself
@@ -861,7 +852,8 @@ class FromSequenceSpace(SpaceSpec):
     Requires the fitted shift growth kappa_+(E) < 2 (checked at construction
     via ``kappa_estimate``; the estimate's extrapolated value is used and
     recorded, and it also gives the Boyd indices).  The domain follows the
-    window kind: Z_- models [0,1], Z and Z_+ model [0, inf).
+    window kind: Z_- models [0,1], Z and Z_+ model [0, inf).  A batch of rows
+    samples f*(2^n) off one ``_decreasing`` sort and makes one ``E.norm_rows``.
     """
 
     def __init__(self, E: SeqSpaceSpec):
@@ -875,9 +867,8 @@ class FromSequenceSpace(SpaceSpec):
                 f"{self.kappa.plus_est:.4f}")
 
     def _rows_on(self, f: StepFunction):
-        return lambda V: self.E.norm_rows(np.array(
-            [dyadic_envelope(f.with_values(v), self.window).values for v in V]
-        ).reshape(-1, self.window.size))
+        points = np.power(2.0, self.window.indices().astype(float))
+        return lambda V: self.E.norm_rows(_sample_decreasing(*_decreasing(V, f.lengths), points))
 
     def boyd(self) -> BoydIndices:
         est = self.kappa

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from couplekit import (GeometricWeighted, LinftySeq, OrderReversed, OrliczModular,
-                       SeqVec, StepFunction, WeightedLp, Window, dyadic_lp, example1,
-                       pwpower)
+                       PowerWeight, SeqVec, StepFunction, WeightedLp, Window, dyadic_lp,
+                       example1, pwpower, zero_fn)
 
 
 def random_step(rng, n_pieces=None, domain="unit", vmax=3.0):
@@ -57,6 +58,106 @@ def reference_norm(F, vals, log_w):
             lo = mid
         else:
             hi = mid
+
+
+def reference_rearrange(f: StepFunction) -> StepFunction:
+    """f* by one Python sort and merge per function: drop the zero pieces,
+    sort stably by decreasing |value|, sum the lengths of each run of equal
+    values, add each run to the breakpoint before it, and drop a run whose
+    length collapses at float resolution."""
+    v = np.abs(f.vals)
+    keep = v > 0.0
+    v, lens = v[keep], f.lengths[keep]
+    if v.size == 0:
+        return zero_fn(f.domain)
+    order = np.argsort(-v, kind="stable")
+    merged_v, merged_l = [v[order[0]]], [lens[order[0]]]
+    for val, ln in zip(v[order[1:]], lens[order[1:]]):
+        if val == merged_v[-1]:
+            merged_l[-1] += ln
+        else:
+            merged_v.append(val)
+            merged_l.append(ln)
+    bp, out_v = [0.0], []
+    for val, ln in zip(merged_v, merged_l):
+        if bp[-1] + ln > bp[-1]:
+            bp.append(bp[-1] + ln)
+            out_v.append(val)
+    return StepFunction(f.domain, tuple(bp), tuple(out_v))
+
+
+def reference_star_integral(f: StepFunction, t: float) -> float:
+    fs = reference_rearrange(f)
+    bp = np.asarray(fs.breakpoints)
+    return float(np.dot(fs.vals, np.clip(np.minimum(bp[1:], t) - bp[:-1], 0.0, None)))
+
+
+def reference_dyadic_envelope(f: StepFunction, window: Window) -> SeqVec:
+    """(f*(2^n))_n read off ``reference_rearrange``, with its truncation flag."""
+    fs = reference_rearrange(f)
+    vec = SeqVec(window, fs(np.power(2.0, window.indices().astype(float))))
+    vec.meta["truncated"] = bool(fs(np.array([2.0 ** (window.hi + 1)]))[0] > 0.0
+                                 or fs.vals[0] > fs(np.array([2.0 ** window.lo]))[0])
+    return vec
+
+
+def _reference_weight_integral(p: float, w, a: float, b: float) -> float:
+    """int_a^b w(t)^p dt/t: closed form for a power weight, summed per
+    log-linear segment of a table weight."""
+    if isinstance(w, PowerWeight):
+        s = w.exponent * p
+        return (b ** s - a ** s) / s
+    la = -math.inf if a == 0.0 else math.log(a)
+    lb = math.log(b)
+    cuts = [la] + [float(t) for t in w.log_t if la < t < lb] + [lb]
+    total = 0.0
+    for l0, l1 in zip(cuts[:-1], cuts[1:]):
+        lt = l1 if math.isinf(l0) else l0
+        i = min(max(int(np.searchsorted(w.log_t, lt, side="right")) - 1, 0), w.slopes.size - 1)
+        lt0, lw0, s = w.log_t[i], w.log_w[i], float(w.slopes[i])
+        # w(t)^p = exp(p lw0) (t / exp(lt0))^(p s)
+        c = math.exp(p * lw0 - p * s * lt0)
+        if s > 0:
+            lo = 0.0 if math.isinf(l0) else math.exp(p * s * l0)
+            total += c * (math.exp(p * s * l1) - lo) / (p * s)
+        elif math.isinf(l0):
+            return math.inf
+        else:
+            total += c * (l1 - l0)
+    return total
+
+
+def reference_lorentz_norm(X, f: StepFunction) -> float:
+    """(int f*^p w^p dt/t)^(1/p) piece by piece of ``reference_rearrange``."""
+    fs = reference_rearrange(f)
+    acc = 0.0
+    for v, a, b in zip(fs.values, fs.breakpoints[:-1], fs.breakpoints[1:]):
+        if v == 0.0:
+            continue
+        piece = _reference_weight_integral(X.p, X.weight, a, b)
+        if math.isinf(piece):
+            return math.inf
+        acc += (v ** X.p) * piece
+    return acc ** (1.0 / X.p)
+
+
+@st.composite
+def tied_rows(draw, max_rows: int = 6):
+    """(f, V): a step function of 1-12 pieces at random breakpoints, some on
+    dyadic points, on [0, 1] or stretched onto [0, inf), and 1 to max_rows
+    rows of values on its pieces drawn from 0 and at most 3 levels of either
+    sign, so that rows hold ties and zeros in place; f's values are the
+    first row."""
+    dyadic = st.sampled_from([0.5, 0.25, 0.75, 0.125, 0.375])
+    cuts = draw(st.lists(st.floats(1e-6, 1.0, exclude_max=True) | dyadic, max_size=11,
+                         unique=True))
+    top = draw(st.sampled_from([1.0, 0.37, 4.0, 40.0]))
+    bp = np.unique(np.array([0.0, *sorted(cuts), 1.0]) * top)
+    levels = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3))
+    pool = [0.0, *levels, *(-x for x in levels)]
+    row = st.lists(st.sampled_from(pool), min_size=bp.size - 1, max_size=bp.size - 1)
+    V = np.array(draw(st.lists(row, min_size=1, max_size=max_rows)))
+    return StepFunction("unit" if top <= 1.0 else "halfline", tuple(bp), tuple(V[0])), V
 
 
 @pytest.fixture

@@ -14,7 +14,12 @@ Each case is a named list of floats computed from seeds recorded in
   the level path with an L1 side ((L1,Linf), (L1,L2)) and swapped ((L2,L1)),
   the path against L_infty in both orientations ((L2,Linf), (Linf,L2)) and
   descent ((L2,L3)); ``l2,l3-seq`` is descent on 3 seeded sequences, where
-  the prefix and suffix splits join the trials.
+  the prefix and suffix splits join the trials;
+- ``lorentz:<weight>``: ``LorentzSpace`` rows of order 1.5 with a power
+  weight t^0.3 and a log-linear table weight, and ``fromseq:<E>``:
+  ``FromSequenceSpace`` rows over a dyadic ell_2 and an Orlicz modular, each
+  on 3 seeded step functions with 8 rows of values apiece, ties and zeros in
+  place.
 
 ``tests/test_golden.py`` recomputes every case bit for bit;
 ``python tests/golden/regen.py`` rewrites the manifest.
@@ -28,9 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from couplekit import (LpSpace, MinimalFn, OrliczModular, OrliczSpace, SeqVec,
-                       StepFunction, Window, brudnyi_pair, dyadic_lp, elastic_non_lorentz,
-                       example1, linf_space, logfactor_fn, power, pwpower)
+from couplekit import (FromSequenceSpace, LorentzSpace, LpSpace, MinimalFn, OrliczModular,
+                       OrliczSpace, PowerWeight, SeqVec, StepFunction, TableLogLinear, Window,
+                       brudnyi_pair, dyadic_lp, elastic_non_lorentz, example1, linf_space,
+                       logfactor_fn, power, pwpower)
 from couplekit.kfunc import _k_grid
 
 MANIFEST = Path(__file__).with_name("manifest.json")
@@ -39,6 +45,19 @@ K_FUNCTIONS = 3
 WINDOWS = {"Z-[-64,-1]": ("Z-", -64, -1), "Z[-12,12]": ("Z", -12, 12)}
 K_SEQ_WINDOW = Window("Z-", -8, -1)
 K_FIELDS = ("value", "lower", "x_mass", "y_mass")
+FROMSEQ_WINDOW = Window("Z-", -16, -1)
+ROWS_PER_STEP = 8
+
+
+def rearrangement_spaces() -> dict:
+    """The spaces normed through f*: name -> function space."""
+    weights = {"pow:0.3": PowerWeight(0.3),
+               "table": TableLogLinear([-8.0, -2.0, 0.0], [-4.0, -1.0, 0.0])}
+    out = {f"lorentz:{name}": LorentzSpace(1.5, w) for name, w in weights.items()}
+    seqs = {"l2": dyadic_lp(2, FROMSEQ_WINDOW),
+            "modular-example1": OrliczModular(example1(), FROMSEQ_WINDOW)}
+    out.update({f"fromseq:{name}": FromSequenceSpace(E) for name, E in seqs.items()})
+    return out
 
 
 def k_couples() -> dict:
@@ -84,6 +103,15 @@ def _step(rng, zeros: bool) -> StepFunction:
     return StepFunction("unit", tuple(bp.tolist()), tuple(vals.tolist()))
 
 
+def _tied_rows(rng, pieces: int) -> np.ndarray:
+    """ROWS_PER_STEP rows of values drawn from 3 log-normal levels, so that
+    rows hold ties, a third of their values zero."""
+    levels = np.exp(rng.normal(0.0, 2.0, 3))
+    V = levels[rng.integers(0, 3, (ROWS_PER_STEP, pieces))]
+    V[rng.random(V.shape) < 1 / 3] = 0.0
+    return V
+
+
 def _seq(rng) -> SeqVec:
     """A vector on K_SEQ_WINDOW with log-normal values, a third of them zero."""
     vals = np.exp(rng.normal(0.0, 2.0, K_SEQ_WINDOW.size))
@@ -112,6 +140,12 @@ def compute(seeds: dict, t_grid: list) -> dict[str, list[float]]:
         ks = [r for _ in range(K_FUNCTIONS) for r in _k_grid(t_grid, make(rng), X, Y)]
         for key in K_FIELDS:
             cases[f"k-route:{name}:{key}"] = [getattr(r, key) for r in ks]
+    for i, (name, X) in enumerate(rearrangement_spaces().items()):
+        rng = np.random.default_rng([seeds["rearrangement"], i])
+        cases[name] = []
+        for _ in range(K_FUNCTIONS):
+            f = _step(rng, False)
+            cases[name] += X.norm_rows_on(f)(_tied_rows(rng, len(f.values))).tolist()
     return cases
 
 

@@ -7,7 +7,8 @@ from couplekit import (SeqVec, StepFunction, Window, char_fn,
                        default_unit_window, dilate, double_star,
                        dyadic_envelope, k_l1_linf_oracle, rearrange, zero_fn)
 from couplekit.measure import star_integral
-from conftest import random_step
+from conftest import (random_step, reference_dyadic_envelope, reference_rearrange,
+                      reference_star_integral, tied_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +50,31 @@ def step_functions(draw):
                                    allow_nan=False, allow_infinity=False),
                          min_size=len(bp) - 1, max_size=len(bp) - 1))
     return StepFunction("unit", tuple(bp), tuple(vals))
+
+
+@settings(max_examples=120, deadline=None)
+@given(tied_rows())
+def test_rearrange_matches_reference_bit_for_bit(case):
+    # runs of equal values merge, and zero-measure pieces drop, exactly as
+    # one Python sort and merge per function does
+    f, V = case
+    for v in V:
+        g = f.with_values(v)
+        fs, ref = rearrange(g), reference_rearrange(g)
+        assert (fs.breakpoints, fs.values) == (ref.breakpoints, ref.values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tied_rows(), st.integers(-24, -1), st.integers(0, 6))
+def test_dyadic_envelope_and_star_integral_match_reference_bit_for_bit(case, lo, hi):
+    f, V = case
+    window = Window("Z-", lo, -1) if f.domain == "unit" else Window("Z", lo, hi)
+    for v in V:
+        g = f.with_values(v)
+        env, ref = dyadic_envelope(g, window), reference_dyadic_envelope(g, window)
+        assert np.array_equal(env.values, ref.values) and env.meta == ref.meta
+        for t in (2.0 ** lo, 0.3, f.breakpoints[-1], 7.5):
+            assert star_integral(g, t) == reference_star_integral(g, t)
 
 
 @settings(max_examples=60, deadline=None)

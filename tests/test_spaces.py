@@ -20,8 +20,9 @@ from couplekit.ascent import stop_level
 from couplekit.spaces import (_EPS, _Conjugated, _shift_bound, _shift_ratios, _wlp_norms,
                               shift_values)
 from couplekit.transfer import FUNCTIONAL_TOL
-from conftest import (SEARCH_SPACE_KINDS, random_seqvec, random_step, reference_norm,
-                      search_space)
+from conftest import (SEARCH_SPACE_KINDS, random_seqvec, random_step,
+                      reference_dyadic_envelope, reference_lorentz_norm, reference_norm,
+                      search_space, tied_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,65 @@ def test_lorentz_flat_weight_diverges():
     table = TableLogLinear([-30.0, 0.0], [0.0, 0.0])
     X = LorentzSpace(2.0, table)
     assert X.fn_norm(char_fn(0, 0.5)) == math.inf
+
+
+@st.composite
+def lorentz_spaces(draw):
+    """A Lorentz space of order 1 to 3 with a power weight or a log-linear
+    table of 2-4 points whose first segment is flat now and then."""
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    if draw(st.booleans()):
+        return LorentzSpace(p, PowerWeight(draw(st.sampled_from([0.3, 0.45, 0.8, 1.7]))))
+    gaps = draw(st.lists(st.floats(0.5, 6.0), min_size=1, max_size=3))
+    slopes = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                           min_size=len(gaps), max_size=len(gaps)))
+    log_t = draw(st.floats(-12.0, -1.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    rises = np.multiply(slopes, gaps)
+    log_w = draw(st.floats(-2.0, 2.0)) + np.concatenate([[0.0], np.cumsum(rises)])
+    return LorentzSpace(p, TableLogLinear(log_t, log_w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lorentz_spaces(), tied_rows())
+def test_lorentz_rows_match_piece_by_piece_reference(X, case):
+    # one sort and one array formula per batch give the per-row piece sums
+    # to 1e-14, inf (a flat first segment) and 0 rows exactly
+    f, V = case
+    got = X.norm_rows_on(f)(V)
+    for x, v in zip(got.tolist(), V):
+        ref = reference_lorentz_norm(X, f.with_values(v))
+        assert x == ref or abs(x - ref) <= 1e-14 * ref, (x, ref)
+
+
+def test_lorentz_weight_flat_at_zero_rows_are_inf_or_zero():
+    # int_0^T w^p dt/t diverges when w is flat at 0: a nonzero row is inf and
+    # a zero row 0, with no inf - inf on the way (a RuntimeWarning fails)
+    X = LorentzSpace(2.0, TableLogLinear([-4.0, -1.0, 0.0], [0.0, 0.0, 1.0]))
+    f = StepFunction("unit", (0.0, 0.1, 0.3, 0.6, 1.0), (1.0, 2.0, 0.0, 3.0))
+    V = np.array([[1.0, 2.0, 0.0, 3.0], [0.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 5.0, 0.0], [2.0, -2.0, 2.0, 2.0]])
+    want = [math.inf, 0.0, math.inf, math.inf]
+    assert X.norm_rows_on(f)(V).tolist() == want
+    assert [reference_lorentz_norm(X, f.with_values(v)) for v in V] == want
+
+
+@functools.cache
+def _fromseq_spaces(domain: str) -> tuple:
+    window = Window("Z-", -16, -1) if domain == "unit" else Window("Z", -10, 8)
+    return (FromSequenceSpace(dyadic_lp(2, window)),
+            FromSequenceSpace(OrliczModular(example1(), window)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_rows(), st.integers(0, 1))
+def test_fromseq_rows_match_envelope_reference_bit_for_bit(case, which):
+    # the rows sample f* at the dyadic points for all rows at once, as the
+    # envelope of each row does, and make one norm_rows call
+    f, V = case
+    X = _fromseq_spaces(f.domain)[which]
+    ref = X.E.norm_rows(np.array([reference_dyadic_envelope(f.with_values(v), X.window).values
+                                  for v in V]))
+    assert np.array_equal(X.norm_rows_on(f)(V), ref)
 
 
 def test_finite_q_regime_flag():

@@ -24,7 +24,9 @@ a generator's name), the shift search on batched rows,
 one Luxemburg solver (one fused profile call per Newton step, the one
 Newton stop and the only reader of a profile's curvature besides the
 start) behind one Orlicz row path (``_orlicz_rows``, its one caller, which
-the modular and the function space both call), one
+the modular and the function space both call), one decreasing rearrangement
+(``measure._decreasing``, one sort per batch of rows behind ``rearrange``,
+``dyadic_envelope`` and the Lorentz and space-from-sequence rows), one
 multiplicative ascent (``ascent._ascend_steps``) with one stop rule (one
 accept margin, one set of stop labels and ``ascent.stop_level``), the index
 extremes from a band scan in bounded blocks, one drop scan behind Phi+/-
@@ -264,6 +266,25 @@ def _qualified_functions() -> dict:
     fns.update({f"{stem}.{cls.name}.{fn.name}": fn for stem, tree in trees.items()
                 for cls in tree.body if isinstance(cls, ast.ClassDef) for fn in _functions(cls)})
     return fns
+
+
+def test_one_decreasing_rearrangement():
+    # f* has one implementation, measure._decreasing: the one sort in measure
+    # and spaces, behind rearrange, dyadic_envelope and the Lorentz and
+    # space-from-sequence rows, each of which sorts a batch once and builds no
+    # step function per row
+    fns = _qualified_functions()
+    sorts = {"argsort", "sort", "lexsort"}
+    assert {name for name, fn in fns.items() if name.split(".")[0] in ("measure", "spaces")
+            and _called(fn) & sorts} == {"measure._decreasing"}
+    for name in ("measure.rearrange", "measure.dyadic_envelope",
+                 "spaces.LorentzSpace._rows_on", "spaces.FromSequenceSpace._rows_on"):
+        calls = [node for node in ast.walk(fns[name]) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "_decreasing"]
+        assert len(calls) == 1, name
+    tree = ast.parse((SRC / "spaces.py").read_text())
+    assert not {"rearrange", "dyadic_envelope", "with_values", "StepFunction"} & _called(tree)
+    assert not {"_piece_integral", "segment_at"} & {fn.name for fn in _functions(tree)}
 
 
 def test_one_newton_stop():
