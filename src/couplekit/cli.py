@@ -4,7 +4,8 @@ Artifacts are JSON (CSV for profile/grid tables), embed the fully resolved
 configuration, and are byte-identical under identical argv + seed apart
 from the ``timestamp`` field.  Exit codes: 0 success, 1 usage errors,
 2 hypothesis violations; errors go to stderr as one JSON object with a
-machine-readable ``error`` code.
+machine-readable ``error`` code.  Each command imports the modules it
+calls inside its own function, so one call compiles only those.
 """
 
 from __future__ import annotations
@@ -20,16 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import CoupleKitError, HypothesisError, UsageError
-from .kfunc import k_profile
 from .measure import SeqVec, StepFunction, Window
-from .orlicz import (TGrid, _finite_profile, elasticity_report, indices,
-                     rv_defect, w_witness)
-from .shift import shift_constant_estimate
-from .spaces import fit_separation, rho_profile
-from .specdsl import (parse_any_space, parse_generator, parse_seq_space,
-                      parse_space)
-from .transfer import OP_NORM_BUDGET, _op_norm_lower, k_transfer, majorization_transfer
-from .verdict import classify_couple
 
 
 def _window_arg(text: str, kind_default: str = "Z-") -> Window:
@@ -82,6 +74,9 @@ def _load(path: str, from_json_dict):
 
 
 def cmd_analyze_orlicz(args) -> int:
+    from .orlicz import TGrid, elasticity_report, indices, rv_defect, w_witness
+    from .specdsl import parse_generator
+
     F = parse_generator(args.gen)
     x_grid = 2.0 ** -np.arange(4, args.kmax + 1, dtype=float)
     idx = indices(F)  # first: an overflowing profile fails before the other work
@@ -100,6 +95,9 @@ def cmd_analyze_orlicz(args) -> int:
 
 
 def cmd_k_profile(args) -> int:
+    from .kfunc import k_profile
+    from .specdsl import parse_any_space
+
     X = parse_any_space(args.X)
     Y = parse_any_space(args.Y)
     f = _load(args.f, StepFunction.from_json_dict)
@@ -115,6 +113,9 @@ def cmd_k_profile(args) -> int:
 
 
 def cmd_shift_test(args) -> int:
+    from .shift import shift_constant_estimate
+    from .specdsl import parse_seq_space
+
     window = _window_arg(args.window)
     E = parse_seq_space(args.space, window)
     est = shift_constant_estimate(E, args.side, budget=args.budget,
@@ -133,6 +134,10 @@ def cmd_shift_test(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from .spaces import fit_separation, rho_profile
+    from .specdsl import parse_seq_space
+    from .transfer import OP_NORM_BUDGET, _op_norm_lower, k_transfer, majorization_transfer
+
     window = _window_arg(args.window)
     E = parse_seq_space(args.E, window)
     F = parse_seq_space(args.F, window)
@@ -157,6 +162,9 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_verdict(args) -> int:
+    from .specdsl import parse_space
+    from .verdict import classify_couple
+
     X = parse_space(args.X)
     Y = parse_space(args.Y)
     report = classify_couple(X, Y, {"seed": args.seed})
@@ -173,6 +181,9 @@ def _exp(v: float) -> float:
 
 
 def cmd_generate(args) -> int:
+    from .orlicz import _finite_profile
+    from .specdsl import parse_generator
+
     F = parse_generator(args.gen)
     if not math.isfinite(args.u_hi - args.u_lo):  # nan or inf at either end too
         raise UsageError(f"--u-lo and --u-hi must be finite and a finite distance "

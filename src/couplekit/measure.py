@@ -17,6 +17,7 @@ which satisfies the two-sided envelope f* <= G <= D_2 f* on the covered range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,14 @@ UNIT = "unit"
 HALFLINE = "halfline"
 
 _DOMAINS = (UNIT, HALFLINE)
+
+LOG2 = math.log(2.0)
+
+
+def _spec_num(x: float) -> str:
+    """A number for a spec string: ``:g`` when that reads back exactly, else repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 @dataclass(frozen=True)

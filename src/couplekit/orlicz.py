@@ -33,14 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import UsageError
-
-LOG2 = math.log(2.0)
-
-
-def _spec_num(x: float) -> str:
-    """A number for a spec string: ``:g`` when that reads back exactly, else repr."""
-    short = f"{x:g}"
-    return short if float(short) == x else repr(x)
+from .measure import LOG2, _spec_num
 
 
 # ---------------------------------------------------------------------------

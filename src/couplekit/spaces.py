@@ -64,13 +64,17 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ascent import STOP_OVERFLOW, STOP_UPPER, _ascend_steps, stop_level, stop_reason
 from .errors import ConvergenceError, UsageError, check_budget
-from .measure import UNIT, SeqVec, StepFunction, Window, _decreasing, _sample_decreasing
-from .orlicz import LOG2, OrliczFn, _spec_num, indices, log_dilation
+from .measure import (LOG2, UNIT, SeqVec, StepFunction, Window, _decreasing, _sample_decreasing,
+                      _spec_num)
+
+if TYPE_CHECKING:
+    from .orlicz import OrliczFn
 
 _OVERFLOW_RATIO = 1e12
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
@@ -125,6 +129,7 @@ class TableLogLinear(WeightFn):
         if assume_finite_q and np.exp(np.min(slopes) * LOG2) <= 1.0:
             raise ValueError("finite-q regime requires inf w(2t)/w(t) > 1")
         self.assume_finite_q = assume_finite_q
+        self._tables = {}  # p -> _knot_table(p)
 
     def _segment(self, lt):
         """Index of the segment containing lt; the end segments extend past
@@ -137,21 +142,35 @@ class TableLogLinear(WeightFn):
         i = self._segment(lt)
         return np.exp(self.log_w[i] + self.slopes[i] * (lt - self.log_t[i]))
 
+    def _knot_table(self, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p s_i, w_i^p, W(t_i)) for one p; ``integral`` builds it once per p."""
+        ps, wp, d = p * self.slopes, np.exp(p * self.log_w), np.diff(self.log_t)
+        inner = np.arange(1, d.size - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # where a segment is flat
+            knots = np.cumsum(np.concatenate([[0.0, wp[1] / ps[0]],
+                                              _above(ps, wp, inner, d[inner])]))
+        return ps, wp, knots
+
     def integral(self, p: float, T: np.ndarray) -> np.ndarray:
         """W(T) on the segments as ``w`` extends them: w(T)^p / (p s_0) on the
         first (inf where it is flat), and on each later one, from its anchor
         (t_i, w_i), W(t_i) + w_i^p expm1(p s_i x) / (p s_i) with x = log(T / t_i),
         or W(t_i) + w_i^p x where s_i = 0."""
-        ps, wp, lt, d = p * self.slopes, np.exp(p * self.log_w), np.log(T), np.diff(self.log_t)
-        i, inner = self._segment(lt), np.arange(1, d.size - 1)
-
-        def above(j, x):  # over segment j from its anchor to log t_j + x
-            return wp[j] * np.where(ps[j] > 0.0, np.expm1(ps[j] * x) / ps[j], x)
-
+        table = self._tables.get(p)
+        if table is None:
+            table = self._tables[p] = self._knot_table(p)
+        ps, wp, knots = table
+        lt = np.log(T)
+        i = self._segment(lt)
         with np.errstate(divide="ignore", invalid="ignore"):  # where a segment is flat
-            knots = np.cumsum(np.concatenate([[0.0, wp[1] / ps[0]], above(inner, d[inner])]))
             first = wp[0] * np.exp(ps[0] * np.where(i == 0, lt - self.log_t[0], 0.0)) / ps[0]
-            return np.where(i == 0, first, knots[i] + above(i, lt - self.log_t[i]))
+            return np.where(i == 0, first, knots[i] + _above(ps, wp, i, lt - self.log_t[i]))
+
+
+def _above(ps: np.ndarray, wp: np.ndarray, j: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w_j^p times the integral of (t / t_j)^(p s_j) dt/t over segment j from
+    its anchor to log t_j + x."""
+    return wp[j] * np.where(ps[j] > 0.0, np.expm1(ps[j] * x) / ps[j], x)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +525,8 @@ class OrliczSpace(SpaceSpec):
         return OrliczModular(self.F, window)
 
     def boyd(self) -> BoydIndices:
+        from .orlicz import indices  # loaded with self.F's class
+
         rep, unit = indices(self.F), self.domain == UNIT
         p, q = rep.boyd_unit if unit else rep.boyd_halfline
         err = rep.err_inf if unit else max(rep.err_inf, rep.err_0)
@@ -708,6 +729,8 @@ class OrliczModular(SeqSpaceSpec):
         # rho(tau_m x / (d ||x||)) <= rho(x / ||x||) = 1 when 2^m F(y / d) <= F(y)
         # for every y = |x_n| / ||x|| that stays on the window, y <= lambda_n;
         # widened for the rounding of the norm's sums and of its log weights
+        from .orlicz import log_dilation  # loaded with self.F's class
+
         size = self.window.size
         if abs(m) >= size:
             return 0.0

@@ -127,6 +127,22 @@ def _reference_weight_integral(p: float, w, a: float, b: float) -> float:
     return total
 
 
+def reference_table_integral(w, p: float, T: np.ndarray) -> np.ndarray:
+    """``TableLogLinear.integral`` as one call that builds its knot table
+    W(t_i) from scratch, the formula the cached table must reproduce bit for bit."""
+    ps, wp, lt, d = p * w.slopes, np.exp(p * w.log_w), np.log(T), np.diff(w.log_t)
+    i = np.clip(np.searchsorted(w.log_t, lt, side="right") - 1, 0, w.slopes.size - 1)
+    inner = np.arange(1, d.size - 1)
+
+    def above(j, x):
+        return wp[j] * np.where(ps[j] > 0.0, np.expm1(ps[j] * x) / ps[j], x)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        knots = np.cumsum(np.concatenate([[0.0, wp[1] / ps[0]], above(inner, d[inner])]))
+        first = wp[0] * np.exp(ps[0] * np.where(i == 0, lt - w.log_t[0], 0.0)) / ps[0]
+        return np.where(i == 0, first, knots[i] + above(i, lt - w.log_t[i]))
+
+
 def reference_lorentz_norm(X, f: StepFunction) -> float:
     """(int f*^p w^p dt/t)^(1/p) piece by piece of ``reference_rearrange``."""
     fs = reference_rearrange(f)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftySeq,
@@ -17,12 +17,13 @@ from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftyS
                        parse_generator, parse_seq_space, parse_space, power,
                        pwpower, rearrange, regularize, rho_profile, seq_norm)
 from couplekit.ascent import stop_level
+from couplekit.measure import _decreasing
 from couplekit.spaces import (_EPS, _Conjugated, _shift_bound, _shift_ratios, _wlp_norms,
                               shift_values)
 from couplekit.transfer import FUNCTIONAL_TOL
 from conftest import (SEARCH_SPACE_KINDS, random_seqvec, random_step,
                       reference_dyadic_envelope, reference_lorentz_norm, reference_norm,
-                      search_space, tied_rows)
+                      reference_table_integral, search_space, tied_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +112,29 @@ def test_lorentz_rows_match_piece_by_piece_reference(X, case):
     for x, v in zip(got.tolist(), V):
         ref = reference_lorentz_norm(X, f.with_values(v))
         assert x == ref or abs(x - ref) <= 1e-14 * ref, (x, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lorentz_spaces(), tied_rows())
+def test_lorentz_table_integral_builds_its_knots_once_per_p(X, case):
+    # the knot table W(t_i) is built on a weight's first integral at each p and
+    # read by every later one; rows and W equal the one-call formula bit for bit
+    assume(isinstance(X.weight, TableLogLinear))
+    f, V = case
+    w = TableLogLinear(X.weight.log_t, X.weight.log_w)
+    want = X.norm_rows_on(f)(V)
+    built = []
+    build = TableLogLinear._knot_table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TableLogLinear, "_knot_table", lambda self, p: built.append(p) or build(self, p))
+        rows = LorentzSpace(X.p, w).norm_rows_on(f)
+        for _ in range(2):
+            assert np.array_equal(rows(V), want)
+        _, T = _decreasing(V, f.lengths)
+        for p in (X.p, X.p + 0.5, X.p):
+            assert np.array_equal(w.integral(p, T), reference_table_integral(w, p, T),
+                                  equal_nan=True)
+    assert built == [X.p, X.p + 0.5]
 
 
 def test_lorentz_weight_flat_at_zero_rows_are_inf_or_zero():
