@@ -14,20 +14,20 @@ minimization after two exact reductions:
    r.i. norm with the Fatou property is monotone under **-domination.  So
    averaging an arbitrary split piece-wise never increases the objective.
 
-Two routes, asked of the spaces through their protocol:
+Two routes, picked from the sides' weighted-lp forms (``_side``) alone:
 
 1. The level path, ``_k_path``: K is a minimum over theta >= 0 of
    phi(theta) = ||a - y||_X + t ||y||_Y along the splits y = min(a, theta c),
    a = |f|, tried at 0 and at every level a / c (one batch of rows).
-   Against an ell_1 side (L1, or ``weighted_lp_form()`` with p = 1) and a
-   weighted ell_p, 1 <= p <= inf, the KKT conditions put the best split on
-   the path, closed-form stationary points finish the search, and ``lower``
-   equals ``value``.  Against L_infty or ell_infty (c = 1) and any lattice
-   X, phi(theta) = ||(a - theta)_+||_X + t theta is convex with minimum K
-   (Bennett-Sharpley, Interpolation of Operators, 1988): golden-section
-   steps (one row each) narrow the bracket around the best level, and the
-   chords of phi through the best interior point bound phi from below on
-   it, so ``lower`` is a true bound.  The other order of a couple is the
+   Against an ell_1 side (form p = 1) and a weighted ell_p, 1 <= p <= inf,
+   the KKT conditions put the best split on the path, closed-form
+   stationary points finish the search, and ``lower`` equals ``value``.
+   Against a weighted-ell_infty form (v, inf), c = 1/v and any other X has
+   K = min phi(theta) = ||(a - theta c)_+||_X + t theta (Bennett-Sharpley,
+   Interpolation of Operators, 1988): golden-section steps (one row each)
+   narrow the bracket around the best level, and for a normed X (phi
+   convex) the chords through the best interior point bound phi from below
+   on it, so ``lower`` is a true bound.  The other order of a couple is the
    same problem by K(t; X, Y) = t K(1/t; Y, X).
 2. Other couples are minimized over the box 0 <= c <= |f| by cyclic
    coordinate descent (descending-|f| sweep order, golden-section line
@@ -68,7 +68,7 @@ _BATCH = 1 << 14
 class KResult:
     t: float
     value: float            # best decomposition value (upper bound)
-    lower: float             # lower bound (L1-type and L_infty paths) or gap estimate
+    lower: float             # lower bound (L1-type, weighted-ell_infty paths) or gap estimate
     x_mass: float            # ||x||_X at the best split
     y_mass: float            # ||y||_Y at the best split
     sweeps: int
@@ -137,12 +137,12 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
     of f is a ``UsageError``.
 
     If one side is L1-type (a weighted ell_1) and the other a weighted ell_p,
-    or one side is L_infty / ell_infty, K is the exact one-parameter search
-    ``_k_path`` (against L_infty it stops once value - lower <= tol * value),
-    and ``lower`` is a certified lower bound on K.  Other couples take cyclic
-    coordinate descent, converged once a full sweep improves by less than
-    tol * value; the sweep cap leaves ``converged=False`` with the best
-    value intact, and ``lower`` is a numeric gap estimate only.
+    or one side has a weighted-ell_infty form (v, inf), K is ``_k_path`` and
+    ``lower`` a certified lower bound (for (v, inf): within tol * value, for
+    a normed X only, and ``y_mass`` is the level lam, the y norm in exact
+    arithmetic).  Other couples take cyclic coordinate descent, converged
+    once a sweep improves by less than tol * value; the sweep cap leaves
+    ``converged=False`` with the best value intact, ``lower`` a gap estimate.
     """
     return _k_grid([t], f, X, Y, tol)[0]
 
@@ -181,30 +181,31 @@ def _k_grid(ts, f, X, Y, tol: float = 1e-8) -> list[KResult]:
     if not np.any(a > 0):
         return [KResult(t, 0.0, 0.0, 0.0, 0.0, 0, True, a.copy()) for t in ts]
     inverse = [1.0 / t for t in ts]
-    if form_x is not None and form_y is not None:
-        if form_x[1] == 1.0:
-            return _k_path(ts, a, form_x[0], *form_y, nx, ny, tol)
-        if form_y[1] == 1.0:
-            return _swapped(ts, a, _k_path(inverse, a, form_y[0], *form_x, ny, nx, tol))
-    if Y.is_linf:
-        return _k_path(ts, a, None, np.ones(a.size), math.inf, nx, ny, tol)
-    if X.is_linf:
-        return _swapped(ts, a, _k_path(inverse, a, None, np.ones(a.size), math.inf,
-                                       ny, nx, tol))
+    (u, p), (v, q) = form_x or (None, None), form_y or (None, None)
+    if p == 1.0 and q is not None:
+        return _k_path(ts, a, u, v, q, nx, ny, tol)
+    if q == 1.0 and p is not None:
+        return _swapped(ts, a, _k_path(inverse, a, v, u, p, ny, nx, tol))
+    if q == math.inf:
+        return _k_path(ts, a, None, v, q, nx, ny, tol)
+    if p == math.inf:
+        return _swapped(ts, a, _k_path(inverse, a, None, u, p, ny, nx, tol))
     return _k_descent(ts, a, nx, ny, sequence_like, tol)
 
 
 def _swapped(ts, a: np.ndarray, rs: list) -> list[KResult]:
-    """K(t; X, Y) = t K(1/t; Y, X), from rs = K(1/t; Y, X) at each t of ts."""
-    return [KResult(t, t * r.value, t * r.lower, r.y_mass, r.x_mass,
-                    r.sweeps, r.converged, a - r.split) for t, r in zip(ts, rs)]
+    """K(t; X, Y) = t K(1/t; Y, X), from rs = K(1/t; Y, X) at each t of ts,
+    the value capped at its split's cost, which t r.value can round above."""
+    return [KResult(t, k, min(t * r.lower, k), r.y_mass, r.x_mass, r.sweeps, r.converged,
+                    a - r.split)
+            for t, r in zip(ts, rs) for k in [min(t * r.value, r.y_mass + t * r.x_mass)]]
 
 
 def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
             nx, ny, tol: float) -> list[KResult]:
     """K(t) exactly at each t of ts for X = ell_1 with weights u and Y = ell_p
-    with weights v; with u None, for any lattice X and Y = ell_infty (unit
-    weights v, so c = 1 below), where each t takes ``_k_linf_at``'s golden
+    with weights v; with u None, for any lattice X and Y = ell_infty with
+    weights v (c = 1/v below), where each t takes ``_k_linf_at``'s golden
     steps from the levels in place of the stationary points.
 
     For p = 1, K = sum_i min(u_i, t v_i) a_i: y_i = a_i exactly where
@@ -232,7 +233,7 @@ def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
     In exact arithmetic only the segment holding the minimiser has one, but
     near-equal levels can round the best level to the wrong side of it, so
     every segment's point is computed (as prefix and suffix sums) and kept
-    if inside.  Every value but ||min(a, theta)||_infty = theta is a row of
+    if inside.  Every value but ||min(a, theta c)||_(v, inf) = theta is a row of
     ``nx`` or ``ny``, and with an ell_1 side ``lower`` equals ``value``.  For
     p < inf the exponent 1/(p-1) can spread c beyond the range of doubles
     (p near 1), so theta, c and the levels are carried as logarithms there.
@@ -251,7 +252,7 @@ def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
         return out
     if math.isinf(p):
         c = 1.0 / v
-        b, zero = a / c, 0.0
+        b, zero = a * v, 0.0  # as ``_wlp_norms`` scales: the top level is ||a||_(v, inf)
 
         def splits(thetas):
             return np.where(b <= thetas[:, None], a, np.minimum(a, thetas[:, None] * c))
@@ -265,7 +266,7 @@ def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
                 return np.where(b <= thetas[:, None], a,
                                 np.minimum(a, np.exp(thetas[:, None] + lc)))
     levels = np.concatenate([[zero], np.unique(b[a > 0])])
-    # against ell_infty, ||min(a, theta)|| = theta exactly (0 or a value of a)
+    # against ell_infty, ||min(a, theta c)|| = theta in exact arithmetic (0 or a level)
     level_xs, level_ys = (np.concatenate(z) for z in zip(*(
         (nx(a - splits(run)), run) if u is None else rows(splits(run))
         for run in _runs(levels, a.size))))
@@ -285,7 +286,7 @@ def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
         thetas, xs, ys = levels, level_xs, level_ys
         vals = xs + t * ys
         if u is None:
-            out.append(_k_linf_at(t, a, nx, tol, levels, vals.tolist()))
+            out.append(_k_linf_at(t, a, c, nx, tol, levels, vals.tolist()))
             continue
         if p < math.inf:
             with np.errstate(over="ignore"):
@@ -306,20 +307,20 @@ def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
     return out
 
 
-def _k_linf_at(t: float, a: np.ndarray, nx, tol: float, levels: np.ndarray,
+def _k_linf_at(t: float, a: np.ndarray, scale, nx, tol: float, levels: np.ndarray,
                vals: list) -> KResult:
-    """min of the convex phi(lam) = nx((a - lam)_+) + t lam on [0, max a],
-    from phi's values at 0 and at the levels of a.
+    """min of phi(lam) = nx((a - lam scale)_+) + t lam, scale = 1/v against
+    max_i v_i |y_i|, from phi at 0 and at the levels v a.
 
-    A convex phi has a minimiser between the neighbours of its best level;
+    For a norm nx phi is convex (for a quasi-norm unproved: lower is then an
+    estimate), with a minimiser between the neighbours of its best level;
     golden-section steps narrow that bracket until the chord bound certifies
-    value - lower <= tol * value, or the bracket is a few ulps wide (at most
-    71 steps, since its width starts at most max a).  A bracket so narrow
-    that its golden points round onto each other takes its lower bound from
-    the Lipschitz constant of phi instead.
+    value - lower <= tol * value, or it is a few ulps wide (at most 71 steps
+    from a width of at most the top level).  A bracket whose golden points
+    round onto each other takes lower from phi's Lipschitz constant instead.
     """
     def phi(lam: float) -> float:
-        return _one(nx, np.maximum(a - lam, 0.0)) + t * lam
+        return _one(nx, np.maximum(a - lam * scale, 0.0)) + t * lam
 
     k = int(np.argmin(vals))
     best_lam, value = float(levels[k]), vals[k]
@@ -336,8 +337,8 @@ def _k_linf_at(t: float, a: np.ndarray, nx, tol: float, levels: np.ndarray,
             best_lam, value = m, fm
         if not A < m < B:
             # rounding merged the golden points in a bracket a few ulps wide;
-            # phi is max(t, ||1_{a > lo}||_X)-Lipschitz on [lo, hi]
-            lip = max(t, _one(nx, np.where(a > lo, 1.0, 0.0)))
+            # phi is max(t, ||scale 1_{a > lo scale}||_X)-Lipschitz on [lo, hi]
+            lip = max(t, _one(nx, np.where(a > lo * scale, scale, 0.0)))
             lower = 0.5 * (f_lo + f_hi - lip * (hi - lo))
             break
         # convexity: phi >= the chord through (m, B) on [A, m] and the chord
@@ -348,7 +349,7 @@ def _k_linf_at(t: float, a: np.ndarray, nx, tol: float, levels: np.ndarray,
                     fm + min(s_left, 0.0) * (B - m))
         if value - lower <= tol * value or hi - lo <= floor:
             break
-    split = np.maximum(a - best_lam, 0.0)
+    split = np.maximum(a - best_lam * scale, 0.0)
     # lower <= min phi <= value in exact arithmetic; the cap absorbs rounding
     return KResult(t, value, max(min(lower, value), 0.0), _one(nx, split), best_lam,
                    1, True, split)

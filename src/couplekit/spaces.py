@@ -42,21 +42,21 @@ Only this module knows the concrete space classes: other modules ask a space
 through its protocol, whose base-class defaults describe a space without
 closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
 ``InducedSeq``), ``norm_rows_on(f)``, ``weighted_lp_form_on(f)``, ``boyd()``,
-``is_linf``, ``generator()``.  ``SeqSpaceSpec``: ``norm_rows(V)``,
-``e_space`` (the space itself), ``norming_values``, ``weighted_lp_form()``,
-``shift_norm_upper(m)`` (a certified bound on ||tau_m||), ``is_linf``,
-``generator()``.  The weighted-lp forms are the one answer to "is this space
-exactly a weighted ell_p": L_p, the Lorentz space with weight t^(1/p) and the
-Orlicz space of F(x) = x^p answer |I_i|^(1/p) on pieces, ``WeightedLp`` its
-weights, the modular space of x^p 2^(n/p), and ``InducedSeq`` its space's form
-on the blocks; the exponent of a power is read from the profile, never from a
-name; a sequence space computes it once.  ``SeqSpaceSpec`` derives from the
-form the certified
-``shift_upper()`` and ``reversed_space()``, so a weighted ell_p is always a
-``WeightedLp``: ``OrderReversed(E)`` is ``E.reversed_space()``, and
-``GeometricWeighted(E, b)`` is E at b = 1, else w_n b^n on E's form (w, p);
-any other space is reversed and weighted by ``_Conjugated``, which folds a
-chain of both.  ``FromSequenceSpace`` delegates ``generator`` to E.
+``generator()``.  ``SeqSpaceSpec``: ``norm_rows(V)``, ``e_space`` (the space
+itself), ``norming_values``, ``weighted_lp_form()``, ``shift_norm_upper(m)``
+(a certified bound on ||tau_m||), ``generator()``.  The weighted-lp forms are
+the one answer to "is this space exactly a weighted ell_p", p = inf (L_infty,
+a weighted ell_infty) included: L_p, the Lorentz space with weight t^(1/p)
+and the Orlicz space of F(x) = x^p answer |I_i|^(1/p) on pieces,
+``WeightedLp`` its weights, the modular space of x^p 2^(n/p), and
+``InducedSeq`` its space's form on the blocks; the exponent of a power is
+read from the profile, never from a name; a sequence space computes it once.
+``SeqSpaceSpec`` derives from the form the certified ``shift_upper()`` and
+``reversed_space()``, so a weighted ell_p is always a ``WeightedLp``:
+``OrderReversed(E)`` is ``E.reversed_space()``, and ``GeometricWeighted(E,
+b)`` is E at b = 1, else w_n b^n on E's form (w, p); any other space is
+reversed and weighted by ``_Conjugated``, which folds a chain of both.
+``FromSequenceSpace`` delegates ``generator`` to E.
 """
 
 from __future__ import annotations
@@ -194,7 +194,6 @@ class SpaceSpec:
     """Base for concrete r.i. function spaces on [0,1] or [0,inf)."""
 
     domain: str = UNIT
-    is_linf: bool = False
 
     def norm_rows_on(self, f: StepFunction):
         """V -> norms of the rows of a (k, pieces) array of values on the
@@ -273,10 +272,6 @@ class LpSpace(SpaceSpec):
             raise ValueError("Lp needs p >= 1")
         self.p = float(p)
         self.domain = domain
-
-    @property
-    def is_linf(self) -> bool:
-        return math.isinf(self.p)
 
     def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float]:
         return _lp_form_on(f, self.p)
@@ -548,7 +543,6 @@ class SeqSpaceSpec:
     """Kothe sequence space on a window with a dense-array fast path."""
 
     window: Window
-    is_linf: bool = False
     _form: tuple[np.ndarray, float] | None = None  # set once at construction
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
@@ -576,8 +570,7 @@ class SeqSpaceSpec:
                                   f"weighted lp and Orlicz modular, reversed or b^n-weighted")
 
     def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
-        """(weights, p) when the space is exactly a weighted ell_p, else None:
-        the one answer to "is this space a weighted ell_p"."""
+        """(weights, p) when the space is exactly a weighted ell_p, p = inf too, else None."""
         return self._form
 
     def shift_upper(self) -> float | None:
@@ -631,8 +624,7 @@ class WeightedLp(SeqSpaceSpec):
     ``wexp`` gives the weights w_n = 2^(n wexp) and is kept in the spec
     string; an explicit ``weights`` array is written out in full unless it
     holds the dyadic weights 2^(n/p) of ``dyadic_lp``, and no weights at all
-    means wexp = 0.  p = inf with every weight 1 is ell_infty: ``is_linf``
-    (an attribute, read on every ``k_numeric`` call) and spec ``seq:linf``.
+    means wexp = 0.  p = inf with every weight 1 is ell_infty, spec ``seq:linf``.
     """
 
     def __init__(self, p: float, window: Window, weights=None,
@@ -654,7 +646,6 @@ class WeightedLp(SeqSpaceSpec):
             raise ValueError("need one finite, strictly positive weight per index")
         self.weights = w
         self._form = w, self.p
-        self.is_linf = math.isinf(self.p) and bool(np.all(w == 1.0))
 
     def unit_norm(self, n: int) -> float:
         return float(self.weights[n - self.window.lo])
@@ -678,7 +669,7 @@ class WeightedLp(SeqSpaceSpec):
         return np.sign(xv) * (w ** p) * np.abs(xv) ** (p - 1.0) / nrm ** (p - 1.0)
 
     def spec_string(self) -> str:
-        if self.is_linf:
+        if math.isinf(self.p) and np.all(self.weights == 1.0):
             return "seq:linf"
         head = f"seq:lpw:p={_spec_num(self.p)}"
         if self.wexp is not None:

@@ -24,15 +24,16 @@ Examples::
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import UsageError
 from .measure import UNIT, Window, default_unit_window
 from .orlicz import (MinimalFn, OrliczFn, brudnyi_pair, convexify,
                      elastic_non_lorentz, example1, logfactor_fn, power,
                      pwpower)
-from .spaces import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftySeq,
-                     LpSpace, LorentzSpace, OrderReversed, OrliczModular,
-                     OrliczSpace, PowerWeight, SeqSpaceSpec, SpaceSpec,
-                     TableLogLinear, WeightedLp, WeightFn, dyadic_lp, linf_space)
+
+if TYPE_CHECKING:  # a generator needs only orlicz: the parsers import spaces when called
+    from .spaces import SeqSpaceSpec, SpaceSpec, WeightFn
 
 _FN_NAMES = ("lorentz", "orlicz", "fromseq", "linf", "lp")
 _SEQ_NAMES = ("seq:orlicz-modular", "seq:lpw", "seq:linf", "seq:from",
@@ -145,6 +146,8 @@ def parse_generator(spec: str) -> OrliczFn:
 
 
 def _parse_weight(val: str) -> WeightFn:
+    from .spaces import PowerWeight, TableLogLinear
+
     val = _strip(val)
     if val.startswith("pow:"):
         return PowerWeight(_num(val[4:]))
@@ -156,6 +159,9 @@ def _parse_weight(val: str) -> WeightFn:
 
 def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
     """Parse a sequence-space spec on the given window (default [-64, -1])."""
+    from .spaces import (GeometricWeighted, InducedSeq, LinftySeq, OrderReversed,
+                         OrliczModular, WeightedLp, dyadic_lp)
+
     if window is None:
         window = default_unit_window()
     name, rest = _match_name(_strip(spec), _SEQ_NAMES)
@@ -191,6 +197,8 @@ def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
 def parse_space(spec: str, domain: str = UNIT,
                 window: Window | None = None) -> SpaceSpec:
     """Parse a function-space spec (Lp, Lorentz, Orlicz, fromseq)."""
+    from .spaces import FromSequenceSpace, LorentzSpace, LpSpace, OrliczSpace, linf_space
+
     name, rest = _match_name(_strip(spec), _FN_NAMES)
     kwargs, positional = _parse_args(rest)
     if name == "lp":

@@ -106,8 +106,8 @@ def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> 
         seeds={"seed": seed}, windows={"window": window.to_json_dict()},
     )
 
-    # (i) pair with L_infty: verdict by stretchability of X
-    if Y.is_linf:
+    # (i) pair with L_infty (E_Y's form has p = inf): verdict by stretchability of X
+    if (form := Y.e_space(window).weighted_lp_form()) and math.isinf(form[1]):
         report.applicable.append("pair-with-Linfty (stretchability criterion)")
         ev = _stretchability_evidence(X, window)
         report.evidence["stretchability_X"] = ev

@@ -14,7 +14,10 @@ Each case is a named list of floats computed from seeds recorded in
   the level path with an L1 side ((L1,Linf), (L1,L2)) and swapped ((L2,L1)),
   the path against L_infty in both orientations ((L2,Linf), (Linf,L2)) and
   descent ((L2,L3)); ``l2,l3-seq`` is descent on 3 seeded sequences, where
-  the prefix and suffix splits join the trials;
+  the prefix and suffix splits join the trials, and on the same kind of
+  sequences a dyadic ell_2 meets a weighted ell_infty (weights 2^(0.3 n)) in
+  both orders (``l2,wlinf-seq``, ``wlinf,l2-seq``) and the induced E of
+  L_infty, ell_infty's form on the dyadic blocks (``l2,induced-linf-seq``);
 - ``lorentz:<weight>``: ``LorentzSpace`` rows of order 1.5 with a power
   weight t^0.3 and a log-linear table weight, and ``fromseq:<E>``:
   ``FromSequenceSpace`` rows over a dyadic ell_2 and an Orlicz modular, each
@@ -28,15 +31,16 @@ Each case is a named list of floats computed from seeds recorded in
 from __future__ import annotations
 
 import json
+import math
 import platform
 from pathlib import Path
 
 import numpy as np
 
-from couplekit import (FromSequenceSpace, LorentzSpace, LpSpace, MinimalFn, OrliczModular,
-                       OrliczSpace, PowerWeight, SeqVec, StepFunction, TableLogLinear, Window,
-                       brudnyi_pair, dyadic_lp, elastic_non_lorentz, example1, linf_space,
-                       logfactor_fn, power, pwpower)
+from couplekit import (FromSequenceSpace, InducedSeq, LorentzSpace, LpSpace, MinimalFn,
+                       OrliczModular, OrliczSpace, PowerWeight, SeqVec, StepFunction,
+                       TableLogLinear, WeightedLp, Window, brudnyi_pair, dyadic_lp,
+                       elastic_non_lorentz, example1, linf_space, logfactor_fn, power, pwpower)
 from couplekit.kfunc import _k_grid
 
 MANIFEST = Path(__file__).with_name("manifest.json")
@@ -66,7 +70,11 @@ def k_couples() -> dict:
     fn = {"L1,Linf": (L1, Linf), "L1,L2": (L1, L2), "L2,L1": (L2, L1),
           "L2,Linf": (L2, Linf), "Linf,L2": (Linf, L2), "L2,L3": (L2, L3)}
     out = {name: (X, Y, lambda rng: _step(rng, False)) for name, (X, Y) in fn.items()}
-    out["l2,l3-seq"] = (dyadic_lp(2, K_SEQ_WINDOW), dyadic_lp(3, K_SEQ_WINDOW), _seq)
+    l2, wlinf = dyadic_lp(2, K_SEQ_WINDOW), WeightedLp(math.inf, K_SEQ_WINDOW, wexp=0.3)
+    out["l2,l3-seq"] = (l2, dyadic_lp(3, K_SEQ_WINDOW), _seq)
+    out["l2,wlinf-seq"] = (l2, wlinf, _seq)
+    out["wlinf,l2-seq"] = (wlinf, l2, _seq)
+    out["l2,induced-linf-seq"] = (l2, InducedSeq(Linf, K_SEQ_WINDOW), _seq)
     return out
 
 

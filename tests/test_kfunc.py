@@ -198,6 +198,11 @@ LINF_X = {
 # the Luxemburg norms are solved to about 1e-13, so comparisons between
 # separately evaluated decompositions allow this relative slack
 NORM_REL = 1e-12
+# the ell_infty side of a sequence case: spaces whose weighted-lp form is
+# (v, inf), unit v or not
+LINF_SEQ = {spec: parse_seq_space(spec, SEQ_WIN) for spec in (
+    "seq:linf", "seq:lpw:p=inf,wexp=0.3", "seq:from:<seq:linf>,weightbase=2",
+    "rev:<seq:lpw:p=inf,wexp=0.3>", "seq:induced:<linf>")}
 # a few repeated levels and zeros, so that distinct levels are fewer than pieces
 _LEVELS = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]),
                     st.floats(-4.0, 3.0).map(math.exp))
@@ -205,7 +210,9 @@ _LEVELS = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]),
 
 @st.composite
 def linf_cases(draw):
-    """(t, f, X, Y): a random step function or sequence and X paired with L_infty."""
+    """(t, f, X, Y): a random step function with L_infty, or a random sequence
+    with a weighted ell_infty of ``LINF_SEQ``, on one side and a normed
+    lattice of ``LINF_X`` on the other, in either order."""
     name = draw(st.sampled_from(sorted(LINF_X)))
     t = 2.0 ** draw(st.floats(-6.0, 6.0))
     if name != "dyadic_lp(1)" and draw(st.booleans()):
@@ -216,12 +223,15 @@ def linf_cases(draw):
         vals = draw(st.lists(_LEVELS, min_size=n, max_size=n))
         if not any(vals):
             vals[0] = 1.0
-        return t, StepFunction("unit", bp, tuple(vals)), LINF_X[name], linf_space()
-    vals = np.array(draw(st.lists(_LEVELS, min_size=SEQ_WIN.size,
-                                  max_size=SEQ_WIN.size)))
-    if not np.any(vals):
-        vals[-1] = 1.0
-    return t, SeqVec(SEQ_WIN, vals), LINF_X[name], LinftySeq(SEQ_WIN)
+        f, Z = StepFunction("unit", bp, tuple(vals)), linf_space()
+    else:
+        vals = np.array(draw(st.lists(_LEVELS, min_size=SEQ_WIN.size,
+                                      max_size=SEQ_WIN.size)))
+        if not np.any(vals):
+            vals[-1] = 1.0
+        f, Z = SeqVec(SEQ_WIN, vals), LINF_SEQ[draw(st.sampled_from(sorted(LINF_SEQ)))]
+    X = LINF_X[name]
+    return (t, f, Z, X) if draw(st.booleans()) else (t, f, X, Z)
 
 
 def _objective(t, f, X, Y):
@@ -231,14 +241,25 @@ def _objective(t, f, X, Y):
     return a, lambda c: float(nx(c[None])[0] + t * ny((a - c)[None])[0])
 
 
+def _linf_scale(f, X, Y):
+    """(c, on_y): c = 1/v of the side whose weighted-lp form is (v, inf),
+    Y's if it has one (on_y), else X's."""
+    (_, form_x), (_, form_y) = kfunc._side(X, f), kfunc._side(Y, f)
+    on_y = form_y is not None and math.isinf(form_y[1])
+    return 1.0 / (form_y if on_y else form_x)[0], on_y
+
+
 def _dense_grid_k(t, f, X, Y):
-    """min of phi(lam) = ||(a - lam)_+||_X + t lam by zooming dense grids."""
+    """min over the splits whose ell_infty side is min(a, lam c), c = 1/v,
+    of ||x||_X + t ||a - x||_Y, by zooming dense grids of lam."""
     a, obj = _objective(t, f, X, Y)
+    c, on_y = _linf_scale(f, X, Y)
 
     def phi(lam):
-        return obj(np.maximum(a - lam, 0.0))
+        y = np.minimum(a, lam * c)
+        return obj(a - y if on_y else y)
 
-    lo, hi, best = 0.0, float(np.max(a)), math.inf
+    lo, hi, best = 0.0, float(np.max(a / c)), math.inf
     for points in [257] + [33] * 10:
         grid = np.linspace(lo, hi, points)
         vals = [phi(lam) for lam in grid]
@@ -364,7 +385,41 @@ def test_k_linf_norm_evaluations_bounded(case):
         mp.setattr(kfunc, "_side", counting_side)
         k_numeric(t, f, X, Y)
     a = np.abs(f.vals if isinstance(f, StepFunction) else f.values)
-    assert rows[0] <= np.unique(a[a > 0]).size + 80
+    levels = np.unique((a / _linf_scale(f, X, Y)[0])[a > 0])
+    assert rows[0] <= levels.size + 80
+
+
+LINF_SEQ_X = {"dyadic_lp(2)": dyadic_lp(2, SEQ_WIN), "dyadic_lp(1.5)": dyadic_lp(1.5, SEQ_WIN),
+              "modular": OrliczModular(pwpower(2, 3), SEQ_WIN)}
+
+
+@pytest.mark.parametrize("spec", sorted(LINF_SEQ))
+def test_k_linf_weighted_takes_no_descent(spec, rng):
+    # every weighted ell_infty, in either order, takes the level scan
+    def no_descent(*args):
+        raise AssertionError("coordinate descent against a weighted ell_infty")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kfunc, "_k_descent", no_descent)
+        for _ in range(2):
+            f = random_seqvec(rng, SEQ_WIN, k=6, scale_sigma=1.0)
+            for X in LINF_SEQ_X.values():
+                for A, B in ((X, LINF_SEQ[spec]), (LINF_SEQ[spec], X)):
+                    r = k_numeric(0.7, f, A, B)
+                    assert r.lower <= r.value and r.value - r.lower <= 1e-8 * r.value
+
+
+def test_k_induced_linf_is_k_seq_linf_bit_for_bit(rng):
+    # E of L_infty has ell_infty's form, so K takes the same steps on it
+    for _ in range(3):
+        f = random_seqvec(rng, SEQ_WIN, k=6, scale_sigma=1.0)
+        for X in (*LINF_X.values(), *LINF_SEQ_X.values()):
+            for t in (0.05, 0.7, 3.0):
+                for swap in (False, True):
+                    runs = [(Y, X) if swap else (X, Y) for Y in
+                            (LINF_SEQ["seq:induced:<linf>"], LINF_SEQ["seq:linf"])]
+                    induced, plain = (_fields(k_numeric(t, f, *c)) for c in runs)
+                    assert induced == plain
 
 
 def test_k_numeric_rejects_a_window_mismatch():

@@ -94,7 +94,7 @@ def test_generate_command_loads_no_search_or_k_module(tmp_path):
     loaded = _loaded(code)
     assert dump.read_text().count("\n") == 6
     assert {"cli", "specdsl", "orlicz"} <= loaded
-    assert not {"kfunc", "transfer", "shift", "verdict"} & loaded
+    assert not {"kfunc", "transfer", "shift", "verdict", "spaces", "ascent"} & loaded
 
 
 def test_every_exported_name_is_its_module_attribute():

@@ -734,7 +734,7 @@ def test_generator_and_e_space_contract():
     ("orlicz:gen=<power:p=2>", False), ("lorentz:p=2,w=pow:0.5", False),
     ("seq:lpw:p=2", False), ("seq:lpw:p=2,wexp=0", False), ("rev:<seq:linf>", True),
     ("rev:<seq:lpw:p=inf,wexp=0.3>", False),
-    ("seq:from:<seq:linf>,weightbase=2", False), ("seq:induced:<linf>", False),
+    ("seq:from:<seq:linf>,weightbase=2", False), ("seq:induced:<linf>", True),
     ("seq:from:<seq:linf>,weightbase=1", True),
     ("rev:<seq:from:<seq:linf>,weightbase=1>", True),
     ("seq:orlicz-modular:gen=<power:p=2>", False),
@@ -745,21 +745,21 @@ def test_generator_and_e_space_contract():
     ("seq:lpw:p=inf,wexp=0.3", False),
 ])
 def test_is_linf_contract(spec, linf):
-    assert parse_any_space(spec, window=Window("Z-", -8, -1)).is_linf is linf
+    # ell_infty is the weighted-lp form (1, inf): of E_X for a function space
+    win = Window("Z-", -8, -1)
+    form = parse_any_space(spec, window=win).e_space(win).weighted_lp_form()
+    assert (form is not None and math.isinf(form[1]) and bool(np.all(form[0] == 1.0))) is linf
 
 
 def test_linf_is_weighted_lp_at_p_inf():
     win = Window("Z-", -8, -1)
     for E in (LinftySeq(win), dyadic_lp(math.inf, win), WeightedLp(math.inf, win),
               parse_seq_space("seq:linf", win), parse_seq_space("seq:lpw:p=inf", win)):
-        assert type(E) is WeightedLp and E.is_linf is True
-        assert E.spec_string() == "seq:linf"
+        assert type(E) is WeightedLp and E.spec_string() == "seq:linf"
         assert np.array_equal(E.unit_norms(), np.ones(win.size))
     for E in (WeightedLp(math.inf, win, wexp=0.3),
               WeightedLp(math.inf, win, weights=np.full(win.size, 0.5))):
-        assert E.is_linf is False and E.spec_string().startswith("seq:lpw:p=inf,")
-    # an attribute set once: k_numeric reads it on every call
-    assert "is_linf" in vars(LinftySeq(win))
+        assert E.spec_string().startswith("seq:lpw:p=inf,")
 
 
 @pytest.mark.parametrize("spec", ["seq:lpw", "seq:lpw:wexp=0.5", "seq:lpw:weights=<1,2>"])

@@ -2,7 +2,7 @@
 
 The algorithm modules ask a space what it is through its own methods
 (``e_space``, ``norm_rows_on``, ``norming_values``, ``weighted_lp_form``,
-``boyd``, ``generator``, ``is_linf``).  This test
+``boyd``, ``generator``).  This test
 reads their source and fails when one of them tests for a concrete class
 from ``spaces``, or imports one outside the one deliberate exception
 (``verdict`` builds ``OrliczModular``s).  It also keeps ``verdict`` free of
@@ -11,12 +11,14 @@ searches, and one class per space (ell_infty is
 reversed or geometrically weighted weighted ell_p is a ``WeightedLp``, and
 ``OrderReversed`` and ``GeometricWeighted`` only build spaces; every other
 space is reversed and weighted by the one private class ``_Conjugated``, which
-answers neither ``weighted_lp_form`` nor ``is_linf`` and never wraps itself),
+answers no ``weighted_lp_form`` of its own and never wraps itself),
 one weighted-lp row formula (``spaces._wlp_norms``, which norms every space
 whose form answers) and otherwise one norm formula per space -- ``norm_rows``
 and ``norm_rows_on`` on the base classes decide between the form and a space's
 own ``_rows`` or ``_rows_on``, with the one-row ``norm_values`` and ``fn_norm``
 on the base classes only -- one exactness answer (the weighted-lp forms,
+which also tell K's route and the verdict's pair with L_infty whether a side
+is a weighted ell_infty, so no space answers ``is_linf``;
 ``weighted_lp_form()``, read from the form a sequence space computes once,
 and ``weighted_lp_form_on(f)``, from which ``SeqSpaceSpec`` alone derives the
 certified ``shift_upper`` and ``reversed_space``; no module tells a power from
@@ -103,7 +105,14 @@ def test_concrete_classes_are_found():
     # public reversal and geometric weighting only build spaces
     assert not {"LinftySeq", "OrderReversed", "GeometricWeighted"} & _spaces_classes()
     # a wrapper answers no closed form of its own
-    assert not {"weighted_lp_form", "is_linf"} & set(vars(spaces._Conjugated))
+    assert "weighted_lp_form" not in vars(spaces._Conjugated)
+
+
+def test_one_linf_answer():
+    # the weighted-lp form with p = inf is the only answer to "is this side
+    # ell_infty": no module asks a space anything else
+    for path in SRC.glob("*.py"):
+        assert "is_linf" not in path.read_text(), path.name
 
 
 def test_one_conjugation_class():
