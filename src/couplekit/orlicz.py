@@ -460,14 +460,15 @@ class MinimalFn(OrliczFn):
                 np.ldexp(2.0 * math.pi, -M))
 
     def _series(self, u, value=True, slope=True):
-        """(h(u), h'(u)), None for the one not asked for: one terms table and
-        one phase array u 2 pi / 2^n serve both series."""
+        """(h(u), h'(u)), None for the one not asked for: one terms table
+        serves both series, and the phase u 2 pi / 2^n is an array of its own
+        only when both read it (else it is formed in the table's rows)."""
         u = np.asarray(u, dtype=float)
         freq, keep, f = self._terms(u)
-        phase = u * freq
         theta = u * f
         terms = np.empty((keep.shape[0] + 1,) + u.shape)
         rest = terms[1:]
+        phase = u * freq if value and slope else np.multiply(u, freq, out=rest)
         h = s = None
         if value:
             x = theta ** 2  # C pow for a 0-d u, which can differ from theta * theta
@@ -968,39 +969,60 @@ def _counter_log_threshold(C: float) -> float:
 _DROP_BLOCK = 128  # points per block of _count_drops
 
 
-def _count_drops(w: np.ndarray, logC: float) -> int:
-    """Greedy count of drops of w by logC.
+def _count_drops(W: np.ndarray, logC: float, signs=(1.0,)) -> np.ndarray:
+    """Greedy counts of drops by logC > 0: counts[i, j] for s*W[j], s = signs[i].
 
     From a restart r (first r = 0) the next event is the first k > r with
-    max(w[r:k]) - w[k] >= logC, and k is the next restart.  A block of
-    ``_DROP_BLOCK`` points is skipped when fl(max(M, its max) - its min) <
-    logC, M the maximum since the restart: subtraction rounds monotonically,
-    so no comparison in it can fire (a nan fails the test).  Other blocks get
-    the running maximum of a point-by-point loop, on the same floats.
+    max(w[r:k]) - w[k] >= logC, and k is the next restart; s = -1 (rises)
+    reads w negated, which is exact, and swaps its block extremes.  Every
+    (s, row) scan keeps its next k (p), the maximum M since its restart and
+    its count; the scans run in lockstep over blocks of ``_DROP_BLOCK``
+    points from k = 1.  A step moves each scan at a block start past the
+    quiet blocks ahead, where fl(max(M, block maxima so far) - block minimum)
+    < logC (subtraction rounds monotonically, so no comparison there fires;
+    a nan fails the test); a scan with only quiet blocks left leaves.  Then
+    it reads each scan's block once and runs it to its end, event by event,
+    with the running maximum of a point-by-point loop on the same floats.
     """
-    n, B = w.size, _DROP_BLOCK
+    (m, n), B = W.shape, _DROP_BLOCK
+    counts = np.zeros(len(signs) * m, dtype=int)
     if n < 2:
-        return 0
-    top, low = (f.reduceat(w, np.arange(0, n, B)) for f in (np.maximum, np.minimum))
-    count, p, M = 0, 1, w[0]  # p: the next k; M = max(w[r:p])
-    while p < n:
-        if p % B == 0:
-            reach = np.maximum(np.maximum.accumulate(top[p // B:]), M)
-            quiet = reach - low[p // B:] < logC
-            j = int(np.argmin(quiet))
-            if quiet[j]:
-                break
-            if j:
-                M, p = reach[j - 1], p + j * B
-        end = min(n, p - p % B + B)
-        run = np.maximum(np.maximum.accumulate(w[p - 1:end]), M)
-        hit = np.flatnonzero(run[:-1] - w[p:end] >= logC)
-        if hit.size:
-            k = p + int(hit[0])
-            count, M, p = count + 1, w[k], k + 1
-        else:
-            M, p = run[-1], end
-    return count
+        return counts.reshape(len(signs), m)
+    live = np.arange(counts.size)
+    s, rows = np.repeat(np.asarray(signs, dtype=float), m), live % m
+    cut, Bw = np.arange(1, n, B), min(B + 1, n)  # a window: a block and the point before
+    view = np.lib.stride_tricks.sliding_window_view(W, Bw, axis=1)
+    hi, lo = (f.reduceat(W, cut, axis=1)[rows] for f in (np.maximum, np.minimum))
+    top, low = np.where(s[:, None] > 0, (hi, lo), (-lo, -hi))
+    p, M = np.ones(live.size, dtype=int), s * W[rows, 0]  # p: the next k; M = max(w[r:p])
+    with np.errstate(invalid="ignore"):  # inf - inf in rows with infinities
+        while live.size:
+            a = np.flatnonzero((p - 1) % B == 0)
+            if a.size:  # skip to the first block that is not quiet; none: p = n
+                ahead = np.arange(cut.size) >= ((p[a] - 1) // B)[:, None]
+                # reach[:, j] = max(M, the block maxima from here to before block j)
+                reach = np.maximum.accumulate(np.concatenate(
+                    [M[a, None], np.where(ahead, top[live[a]], M[a, None])], axis=1), axis=1)
+                quiet = ~ahead | (reach[:, 1:] - low[live[a]] < logC)
+                j = np.argmin(quiet, axis=1)
+                M[a] = reach[np.arange(a.size), j]
+                p[a] = np.where(quiet[np.arange(a.size), j], n, 1 + j * B)
+            # the window from p - 1 to the block's end; r: the scans still on it.
+            # Points before p read as M: a comparison there is M - M < logC
+            st = np.minimum(p - 1 - (p - 1) % B, n - Bw)
+            x, r = s[live, None] * view[rows[live], st], np.arange(live.size)
+            while r.size:
+                y = np.where(np.arange(Bw) >= (p[r] - st[r])[:, None], x[r], M[r, None])
+                run = np.maximum.accumulate(y, axis=1)
+                hit = run[:, :-1] - y[:, 1:] >= logC
+                k = np.argmax(hit, axis=1)
+                event = hit[np.arange(r.size), k]
+                counts[live[r[event]]] += 1
+                M[r] = np.where(event, y[np.arange(r.size), k + 1], run[:, -1])
+                p[r] = np.where(event, st[r] + k + 2, st[r] + Bw)
+                r = r[event]
+            live, p, M = live[p < n], p[p < n], M[p < n]
+    return counts.reshape(len(signs), m)
 
 
 def counter(F: OrliczFn, kind: str, x: float, C: float, side: str = "inf",
@@ -1015,8 +1037,8 @@ def counter(F: OrliczFn, kind: str, x: float, C: float, side: str = "inf",
     lower bounds for the true (grid-free) counters.  kind, x, C, side and the
     grid are checked before the profile is evaluated; then h on the grid and
     h(v - log(1/x)) at the shifted points off the grid (``_omega_table``),
-    and ``_count_drops`` for Phi+/- or a Python loop over the
-    deviating points for Psi_p.
+    and ``_count_drops`` on that one row (negated for Phi-) or a Python loop
+    over the deviating points for Psi_p.
     """
     kappa = _counter_kappa(x)
     logC = _counter_log_threshold(C)
@@ -1035,7 +1057,7 @@ def counter(F: OrliczFn, kind: str, x: float, C: float, side: str = "inf",
     (omega,) = _omega_table(F, v, [x])
 
     if kind in ("phi+", "phi-"):
-        return _count_drops(omega if kind == "phi+" else -omega, logC)
+        return int(_count_drops(omega[None], logC, (1.0 if kind == "phi+" else -1.0,))[0, 0])
     dev = np.abs(p * kappa - omega)
     count, last_v = 0, -math.inf
     for vj in v[dev >= logC].tolist():
@@ -1102,9 +1124,10 @@ def elasticity_report(F: OrliczFn, C0: float = 4.0, x_grid=None,
     counts stay inside the envelope observed for elastic generators,
     "inelastic-witness" when they keep growing past it (thresholds frozen
     from the oracle pre-run).  One-sided counts suffice in principle; both
-    are computed and reported.  The counts are those of ``counter`` per x,
-    from one ``_omega_table``: len(x_grid) + 1 profile calls in all, the
-    call per x on the shifted points that are off the grid only.
+    are computed and reported.  The counts are those of ``counter`` per x:
+    one ``_omega_table`` of len(x_grid) rows (len(x_grid) + 1 profile calls,
+    the call per x on the shifted points that are off the grid only), then
+    one lockstep ``_count_drops`` call for Phi+ and Phi- of every row.
     """
     if x_grid is None:
         x_grid = 2.0 ** -np.arange(4, 17, dtype=float)
@@ -1117,11 +1140,8 @@ def elasticity_report(F: OrliczFn, C0: float = 4.0, x_grid=None,
     if t_grid is None:
         t_grid = TGrid.span(0.0, 2048.0) if side == "inf" else TGrid.span(-2048.0, 0.0)
     v = _check_counter_grid(t_grid, side, "t_grid")
-    nplus, nminus = [], []
-    for omega in _omega_table(F, v, x_grid):
-        nplus.append(_count_drops(omega, logC))
-        nminus.append(_count_drops(-omega, logC))
-    nplus, nminus = np.array(nplus), np.array(nminus)
+    omega = np.fromiter(_omega_table(F, v, x_grid), np.dtype((float, v.size)), x_grid.size)
+    nplus, nminus = _count_drops(omega, logC, (1.0, -1.0))
     totals = nplus + nminus
 
     lx = np.log(1.0 / x_grid)

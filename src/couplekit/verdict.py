@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .measure import SeqVec, Window, default_unit_window
+from .measure import Window, default_unit_window
 from .orlicz import OrliczFn, brudnyi_schedule, elasticity_report, lambda_seq
 from .spaces import OrliczModular, SpaceSpec, _wlp_norms
 
@@ -212,6 +212,20 @@ def _is_brudnyi_pair(Fx: OrliczFn, Fy: OrliczFn) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _brudnyi_samples(rng, lam: np.ndarray, J: np.ndarray, n_samples: int,
+                     k_max: int = 6) -> np.ndarray:
+    """n_samples rows over the window, each nonzero at 1 to k_max positions
+    drawn from J without replacement: (u + 0.05) * scale * lam there, u
+    uniform per position and scale log-normal per row.  Per row the draws
+    are the size, the positions, the scale, then one u per position."""
+    V = np.zeros((n_samples, lam.size))
+    for row in V:
+        idx = rng.choice(J, size=min(J.size, int(rng.integers(1, k_max + 1))), replace=False)
+        scale = np.exp(rng.normal(0.0, 2.0))
+        row[idx] = (rng.random(idx.size) + 0.05) * scale * lam[idx]
+    return V
+
+
 def brudnyi_evidence(pair, window: Window, n_samples: int = 200,
                      seed: int = 0, r: float | None = None) -> dict:
     """Norm-equivalence evidence for the counterexample pair on J0 and J1.
@@ -227,33 +241,23 @@ def brudnyi_evidence(pair, window: Window, n_samples: int = 200,
     if r is None:
         r = 0.5 * (p + q)
     lam = lambda_seq(F, window)
-    nu = lambda_seq(G, window)
+    lam_arr = np.array(list(lam.values()))  # in window order, as nu_arr
+    nu_arr = np.array(list(lambda_seq(G, window).values()))
     bands = [(c / 2.0, 2.0 * d) for (_, _, _, c, d) in brudnyi_schedule()]
-    J0 = [n for n in lam
-          if any(lo <= math.log(lam[n]) <= hi for lo, hi in bands)]
-    J1 = [n for n in lam if n not in J0]
-    if not J0:
+    in_band = np.array([any(lo <= math.log(v) <= hi for lo, hi in bands) for v in lam.values()])
+    J0, J1 = np.flatnonzero(in_band), np.flatnonzero(~in_band)  # window positions
+    if not J0.size:
         raise UsageError("window too narrow: no index reaches a psi band")
     EF = OrliczModular(F, window)
     EG = OrliczModular(G, window)
     rng = np.random.default_rng(seed)
 
-    def sample_on(idx_set, k_max=6):
-        idx = rng.choice(idx_set, size=min(len(idx_set), int(rng.integers(1, k_max + 1))),
-                         replace=False)
-        scale = np.exp(rng.normal(0.0, 2.0))
-        ent = {int(n): float(rng.random() + 0.05) * scale * lam[int(n)] for n in idx}
-        return SeqVec.from_entries(window, ent).values
-
     # all samples first (J0, then J1), then one norm_rows call per set and space
-    V0 = np.array([sample_on(J0) for _ in range(n_samples)])
-    V1 = np.array([sample_on(J1) for _ in range(n_samples)]) if J1 else None
+    V0 = _brudnyi_samples(rng, lam_arr, J0, n_samples)
+    V1 = _brudnyi_samples(rng, lam_arr, J1, n_samples) if J1.size else None
     ratios_J0 = EG.norm_rows(V0) / EF.norm_rows(V0)
-
-    lam_arr = np.array([lam[int(n)] for n in window.indices()])
-    nu_arr = np.array([nu[int(n)] for n in window.indices()])
-    spreads_F = EF.norm_rows(V1) / _wlp_norms(V1, 1.0 / lam_arr, r) if J1 else np.array([1.0])
-    spreads_G = EG.norm_rows(V1) / _wlp_norms(V1, 1.0 / nu_arr, r) if J1 else np.array([1.0])
+    spreads_F = EF.norm_rows(V1) / _wlp_norms(V1, 1.0 / lam_arr, r) if J1.size else np.array([1.0])
+    spreads_G = EG.norm_rows(V1) / _wlp_norms(V1, 1.0 / nu_arr, r) if J1.size else np.array([1.0])
 
     def stats(a):
         return {"min": float(np.min(a)), "max": float(np.max(a)),
@@ -261,8 +265,8 @@ def brudnyi_evidence(pair, window: Window, n_samples: int = 200,
 
     return {
         "r": r,
-        "J0_size": len(J0), "J1_size": len(J1),
-        "J0_indices_head": J0[:16],
+        "J0_size": int(J0.size), "J1_size": int(J1.size),
+        "J0_indices_head": (J0[:16] + window.lo).tolist(),
         "J0_norm_ratio": stats(ratios_J0),
         "J1_weighted_lr_spread_F": stats(spreads_F),
         "J1_weighted_lr_spread_G": stats(spreads_G),

@@ -60,6 +60,20 @@ def reference_norm(F, vals, log_w):
             hi = mid
 
 
+def reference_brudnyi_samples(rng, window: Window, lam: dict, J: list, n_samples: int,
+                              k_max: int = 6) -> np.ndarray:
+    """The Brudnyi evidence sampler as one dict of entries per sample, made a
+    ``SeqVec``: per sample, the size, ``choice`` of the indices J, the scale,
+    then one ``random()`` per index, valued (u + 0.05) * scale * lam[n]."""
+    def sample_on():
+        idx = rng.choice(J, size=min(len(J), int(rng.integers(1, k_max + 1))), replace=False)
+        scale = np.exp(rng.normal(0.0, 2.0))
+        ent = {int(n): float(rng.random() + 0.05) * scale * lam[int(n)] for n in idx}
+        return SeqVec.from_entries(window, ent).values
+
+    return np.array([sample_on() for _ in range(n_samples)])
+
+
 def reference_rearrange(f: StepFunction) -> StepFunction:
     """f* by one Python sort and merge per function: drop the zero pieces,
     sort stably by decreasing |value|, sum the lengths of each run of equal

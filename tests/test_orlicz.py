@@ -802,16 +802,15 @@ def _galloping_drops(w, logC):
 
 
 _B = orlicz._DROP_BLOCK
+# lengths 0-3, around one to three blocks (which start at k = 1) or up to four
+_DROP_LENGTHS = (st.sampled_from([0, 1, 2, 3, _B - 1, _B, _B + 1, 2 * _B, 3 * _B - 1])
+                 | st.builds(lambda i, d: i * _B + d, st.integers(1, 3), st.integers(-2, 2))
+                 | st.integers(0, 4 * _B + 1))
 
 
-@st.composite
-def _drop_rows(draw):
-    """A raw float64 row and a log C: walks, long plateaus, dense sawtooth
-    and noise, of lengths 0-3, around the block size or up to four blocks,
-    with some entries +-inf or nan, and log C drawn or tied to a drop."""
-    n = draw(st.sampled_from([0, 1, 2, 3, _B - 1, _B, _B + 1, 2 * _B, 3 * _B - 1])
-             | st.integers(0, 4 * _B + 1))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def _drop_row(draw, rng, n):
+    """A raw float64 row of length n: a walk, long plateaus, a dense sawtooth
+    or noise, with some entries +-inf or nan."""
     shape = draw(st.sampled_from(["walk", "plateau", "sawtooth", "noise"]))
     if shape == "walk":
         w = np.cumsum(rng.normal(0.0, 0.4, n))
@@ -824,29 +823,49 @@ def _drop_rows(draw):
     if n and draw(st.booleans()):
         at = rng.integers(0, n, size=int(rng.integers(1, 4)))
         w[at] = rng.choice([np.inf, -np.inf, np.nan], size=at.size)
+    return w
+
+
+def _drop_log_C(draw, rng, w):
+    """log C drawn, or tied to the drop of w at some k from its running
+    maximum."""
     logC = draw(st.floats(1e-3, 8.0))
-    if n > 1 and draw(st.booleans()):
-        # a tie: log C equal to the drop at some k from the running maximum
-        k = int(rng.integers(1, n))
+    if w.size > 1 and draw(st.booleans()):
+        k = int(rng.integers(1, w.size))
         with np.errstate(invalid="ignore"):
             d = float(np.max(w[:k]) - w[k])
         C = _threshold_for(d) if 0 < d < math.inf else None
         logC = math.log(C) if C is not None and C > 1 else logC
-    return w, logC
+    return logC
 
 
-@settings(max_examples=300, deadline=None)
-@given(row=_drop_rows())
-@example(row=(np.array([0.0, -1.0] * _B), 1.0))
-@example(row=(np.r_[np.zeros(_B), np.nan, -5.0, np.zeros(_B)], 1.0))
-@example(row=(np.r_[np.zeros(9), -5.0, np.nan, np.zeros(_B)], 1.0))
-@example(row=(np.r_[np.zeros(_B - 1), np.inf, np.inf, -np.inf, 0.0], 1.0))
-def test_count_drops_matches_galloping_reference(row):
-    # raw rows with ties, infinities and nan: a nan or inf fails the skip
-    # test and is scanned with the same floats (Python's max would drop it)
-    w, logC = row
+@st.composite
+def _drop_stacks(draw):
+    """1-6 rows of one length, each of its own ``_drop_row`` shape, and a
+    log C tied (or not) to a drop of one row read with either sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(_DROP_LENGTHS)
+    W = np.array([_drop_row(draw, rng, n) for _ in range(draw(st.integers(1, 6)))])
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return W, _drop_log_C(draw, rng, sign * W[int(rng.integers(W.shape[0]))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=_drop_stacks())
+@example(stack=(np.array([[0.0, -1.0] * _B, [-1.0, 0.0] * _B]), 1.0))
+@example(stack=(np.array([np.r_[np.zeros(_B), np.nan, -5.0, np.zeros(_B)],
+                          np.r_[np.zeros(_B), 5.0, -np.inf, np.zeros(_B)]]), 1.0))
+@example(stack=(np.r_[np.zeros(9), -5.0, np.nan, np.zeros(_B)][None], 1.0))
+@example(stack=(np.r_[np.zeros(_B - 1), np.inf, np.inf, -np.inf, 0.0][None], 1.0))
+def test_count_drops_matches_galloping_reference(stack):
+    # every (sign, row) scan of one lockstep call counts what the galloping
+    # scan counts on that row alone, negated for the rises; raw rows with
+    # ties, infinities and nan: a nan or inf fails the skip test and is
+    # scanned with the same floats (Python's max would drop it)
+    W, logC = stack
     with np.errstate(invalid="ignore"):
-        assert orlicz._count_drops(w, logC) == _galloping_drops(w, logC)
+        got = orlicz._count_drops(W, logC, (1.0, -1.0))
+        assert got.tolist() == [[_galloping_drops(s * w, logC) for w in W] for s in (1.0, -1.0)]
 
 
 @pytest.mark.parametrize("kind", ["phi+", "phi-", "psi:2"])

@@ -380,9 +380,9 @@ def test_index_extremes_scan_bounded_blocks():
 
 def test_one_drop_scan():
     # counter and elasticity_report reach Phi+/- only through _count_drops,
-    # a block scan that takes the blocks' extremes once; no other function
-    # runs a running extremum of its own but w_witness's row rule (a running
-    # minimum per x) and its w recursion (a running maximum over rows)
+    # a lockstep block scan that takes the blocks' extremes once; no other
+    # function runs a running extremum of its own but w_witness's row rule (a
+    # running minimum per x) and its w recursion (a running maximum over rows)
     tree = ast.parse((SRC / "orlicz.py").read_text())
     fns = {fn.name: fn for fn in _functions(tree)}
     for name in ("counter", "elasticity_report"):
@@ -390,6 +390,15 @@ def test_one_drop_scan():
     assert [name for name, fn in fns.items() if _calls(fn, "accumulate")] == \
         ["_count_drops", "_profit_rows", "w_witness"]
     assert "reduceat" in _called(fns["_count_drops"])
+    # elasticity_report counts Phi+ and Phi- of every x in one lockstep call:
+    # exactly one _count_drops call, in no loop or comprehension
+    report = fns["elasticity_report"]
+    drops = [node for node in ast.walk(report) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_count_drops"]
+    assert len(drops) == 1
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not any(drops[0] in set(ast.walk(node))
+                   for node in ast.walk(report) if isinstance(node, loops))
 
 
 T_GRID_ARGS = {"grid", "t_grid", "t_range", "log_t"}

@@ -7,8 +7,11 @@ from couplekit import (FromSequenceSpace, LorentzSpace, LpSpace,
                        OrliczModular, OrliczSpace, PowerWeight, SpaceSpec,
                        StepFunction, TableLogLinear, UsageError, Window,
                        brudnyi_evidence, brudnyi_pair, classify_couple,
-                       dyadic_lp, example1, linf_space, parse_space, power, pwpower)
-from couplekit.verdict import CAVEAT_EXACT, CAVEAT_NONE, CAVEAT_WITNESS
+                       dyadic_lp, example1, lambda_seq, linf_space, parse_space, power,
+                       pwpower)
+from couplekit.orlicz import brudnyi_schedule
+from couplekit.verdict import CAVEAT_EXACT, CAVEAT_NONE, CAVEAT_WITNESS, _brudnyi_samples
+from conftest import reference_brudnyi_samples
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +215,24 @@ def test_brudnyi_evidence_contents():
     assert ev["J0_norm_ratio"]["spread"] <= 2.0
     assert ev["J1_weighted_lr_spread_F"]["spread"] <= 1.5
     assert ev["J1_weighted_lr_spread_G"]["spread"] <= 1.5
+
+
+@pytest.mark.parametrize("seed", [0, 2, 11])
+def test_brudnyi_samples_match_the_per_sample_reference(seed):
+    # rows drawn in place equal the per-sample dicts bit for bit: J0's rows,
+    # then J1's, from one generator, with J0 the indices in a widened psi band
+    F, _ = brudnyi_pair(1.5, 3.0)
+    window = Window("Z-", -256, -1)
+    lam = lambda_seq(F, window)
+    bands = [(c / 2.0, 2.0 * d) for (_, _, _, c, d) in brudnyi_schedule()]
+    J0 = [n for n in lam if any(lo <= math.log(lam[n]) <= hi for lo, hi in bands)]
+    J1 = [n for n in lam if n not in J0]
+    assert J0 and J1
+    got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    lam_arr = np.array([lam[n] for n in window.indices()])
+    for J in (J0, J1):
+        V = _brudnyi_samples(got, lam_arr, np.array(J) - window.lo, 200)
+        assert V.tobytes() == reference_brudnyi_samples(ref, window, lam, J, 200).tobytes()
 
 
 def test_brudnyi_evidence_window_too_narrow():
