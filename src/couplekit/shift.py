@@ -52,10 +52,10 @@ BLOCK_LEN_RANGE = (1, 3)
 @dataclass(eq=False)
 class InterlacedFamily:
     """Block pairs (x_n, y_n) with supp x_1 < supp y_1 < supp x_2 < ..., the
-    rows of X and Y: read-only C-contiguous (n_pairs, window.size) float
-    arrays, so the search's ``A @ X`` is one BLAS product.  ``validate``
-    checks the blocks (nonempty, strictly interlaced) and, given E, the
-    window and ||x_n||_E = 1, ||y_n||_E <= 1 to ``tol``."""
+    rows of X and Y: finite (else a ``UsageError``), read-only C-contiguous
+    (n_pairs, window.size) float arrays, so the search's ``A @ X`` is one BLAS
+    product.  ``validate`` checks the blocks (nonempty, strictly interlaced)
+    and, given E, the window and ||x_n||_E = 1, ||y_n||_E <= 1 to ``tol``."""
 
     window: Window
     X: np.ndarray
@@ -64,6 +64,8 @@ class InterlacedFamily:
     def __post_init__(self):
         self.X, self.Y = (np.array(A, dtype=float, order="C") for A in (self.X, self.Y))
         self.X.flags.writeable = self.Y.flags.writeable = False
+        if not np.all(ok := np.isfinite(self.X).all(axis=-1) & np.isfinite(self.Y).all(axis=-1)):
+            raise UsageError(f"pair {int(np.argmin(ok))} of the family has a non-finite entry")
 
     def validate(self, E: SeqSpaceSpec | None = None, tol: float = 1e-10):
         if not len(self.X):

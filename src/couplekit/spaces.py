@@ -8,11 +8,11 @@ sequence-space variants are modelled on a Window, and ``norm_rows`` norms the
 rows of a (k, n) array.  The base classes decide once: a space whose
 weighted-lp form answers is normed by the one row formula ``_wlp_norms`` on
 it, any other by its own ``_rows_on(f)`` or ``_rows``.  Rows never depend on
-each other; ``fn_norm`` and ``norm_values`` are the one-row cases.  The
-Lorentz and space-from-sequence rows are one sort of the batch
-(``measure._decreasing``) and one array formula: the weight's closed-form
-int_0^T w^p dt/t at the sorted cumulative lengths T, or f*(2^n) of every row
-normed by one ``E.norm_rows`` call.  Every
+each other; ``fn_norm``, ``norm_values`` and ``norming_values`` are the
+one-row cases.  The Lorentz and space-from-sequence rows are one sort of the
+batch (``measure._decreasing``) and one array formula: the weight's
+closed-form int_0^T w^p dt/t at the sorted cumulative lengths T, or f*(2^n)
+of every row normed by one ``E.norm_rows`` call.  Every
 Orlicz norm that is not a power's goes through one row path, ``_orlicz_rows``:
 a step function's pieces are the modular's entries, with weights |I_i| and
 levels F^{-1}(1 / |I_i|).  It brackets each row by its single-entry norms and
@@ -43,19 +43,21 @@ through its protocol, whose base-class defaults describe a space without
 closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
 ``InducedSeq``), ``norm_rows_on(f)``, ``weighted_lp_form_on(f)``, ``boyd()``,
 ``generator()``.  ``SeqSpaceSpec``: ``norm_rows(V)``, ``e_space`` (the space
-itself), ``norming_values``, ``weighted_lp_form()``, ``shift_norm_upper(m)``
-(a certified bound on ||tau_m||), ``generator()``.  The weighted-lp forms are
-the one answer to "is this space exactly a weighted ell_p", p = inf (L_infty,
-a weighted ell_infty) included: L_p, the Lorentz space with weight t^(1/p)
-and the Orlicz space of F(x) = x^p answer |I_i|^(1/p) on pieces,
-``WeightedLp`` its weights, the modular space of x^p 2^(n/p), and
-``InducedSeq`` its space's form on the blocks; the exponent of a power is
-read from the profile, never from a name; a sequence space computes it once.
-``SeqSpaceSpec`` derives from the form the certified ``shift_upper()`` and
-``reversed_space()``, so a weighted ell_p is always a ``WeightedLp``:
-``OrderReversed(E)`` is ``E.reversed_space()``, and ``GeometricWeighted(E,
-b)`` is E at b = 1, else w_n b^n on E's form (w, p); any other space is
-reversed and weighted by ``_Conjugated``, which folds a chain of both.
+itself), ``norming_rows(V, norms)``, ``weighted_lp_form()``, ``unit_norm(n)``,
+``shift_norm_upper(m)`` (a certified bound on ||tau_m||), ``generator()``.
+The weighted-lp forms are the one answer to "is this space exactly a
+weighted ell_p", p = inf included: L_p, the Lorentz space of t^(1/p) and the
+Orlicz space of x^p answer |I_i|^(1/p) on pieces, ``WeightedLp`` its weights,
+the modular space of x^p 2^(n/p), ``InducedSeq`` its space's form on the
+blocks; a power's exponent is read from the profile, never from a name.
+``SeqSpaceSpec`` reads every closed form from the form (w, p): the norms,
+||e_n|| = w_n, max w_n / w_(n-m) for ||tau_m||, the norming functionals,
+``shift_upper()`` and ``reversed_space()``; a space without one answers by
+its ``_rows``, ``_unit_norm``, ``_shift_norm_upper`` and ``_norming_rows``.
+So a weighted ell_p is a ``WeightedLp`` (a constructor and a spec string):
+``OrderReversed(E)`` is ``E.reversed_space()``, ``GeometricWeighted(E, b)``
+E at b = 1, else w_n b^n on E's form; any other space is reversed and
+weighted by ``_Conjugated``, which folds a chain of both.
 ``FromSequenceSpace`` delegates ``generator`` to E.
 """
 
@@ -563,11 +565,27 @@ class SeqSpaceSpec:
         """A sequence space is its own E."""
         return self
 
-    def norming_values(self, xv: np.ndarray) -> np.ndarray:
-        """Values of a norming functional g of the nonzero x (see
-        ``norming_functional``)."""
+    def norming_rows(self, V: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """Norming functionals g of the rows v of V, given their norms > 0:
+        supp g in supp v, <v, g> = ||v||, ||g||* = 1.  On the form (w, p) the
+        scale-free g_i = sgn(v_i) w_i (w_i |v_i| / ||v||)^(p-1), whose power
+        neither overflows nor loses a tiny row; else ``_norming_rows``."""
+        if self._form is None:
+            return self._norming_rows(V, norms)
+        w, p = self._form
+        if math.isinf(p):  # sgn(v_k) w_k at the first k of largest w_k |v_k|
+            top = np.argmax(np.abs(V) * w, axis=1)[:, None] == np.arange(V.shape[1])
+            return np.where(top, np.copysign(w, V), 0.0)
+        return np.sign(V) * w * (np.abs(V) * w / norms[:, None]) ** (p - 1.0)
+
+    def _norming_rows(self, V: np.ndarray, norms: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"no norming functional for {type(self).__name__}; supported: "
                                   f"weighted lp and Orlicz modular, reversed or b^n-weighted")
+
+    def norming_values(self, xv: np.ndarray) -> np.ndarray:
+        """A norming functional of one nonzero x: the one-row ``norming_rows``."""
+        V = np.asarray(xv, dtype=float)[None]
+        return self.norming_rows(V, self.norm_rows(V))[0]
 
     def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
         """(weights, p) when the space is exactly a weighted ell_p, p = inf too, else None."""
@@ -584,6 +602,14 @@ class SeqSpaceSpec:
     def shift_norm_upper(self, m: int) -> float | None:
         """A certified upper bound on ||tau_m|| on the window (tau_m as in
         ``shift_values``), widened for rounding, or None."""
+        if self._form is None:
+            return self._shift_norm_upper(m)
+        # max_n w_n / w_(n-m), which a unit vector attains; widened for the
+        # rounding of the quotient and of the norm's sum over the window
+        top = float(np.max(_shift_quotients(self._form[0], m), initial=0.0))
+        return top * (1.0 + (self.window.size + 8) * _EPS)
+
+    def _shift_norm_upper(self, m: int) -> float | None:
         return None
 
     def generator(self) -> OrliczFn | None:
@@ -596,9 +622,13 @@ class SeqSpaceSpec:
         return self.norm_values(x.values)
 
     def unit_norm(self, n: int) -> float:
-        vals = np.zeros(self.window.size)
-        vals[n - self.window.lo] = 1.0
-        return self.norm_values(vals)
+        """||e_n||: w_n on the form (w, p), else ``_unit_norm``."""
+        if self._form is None:
+            return self._unit_norm(n)
+        return float(self._form[0][n - self.window.lo])
+
+    def _unit_norm(self, n: int) -> float:
+        return self.norm_values(np.eye(1, self.window.size, n - self.window.lo)[0])
 
     def unit_norms(self) -> np.ndarray:
         return np.array([self.unit_norm(int(n)) for n in self.window.indices()])
@@ -647,27 +677,6 @@ class WeightedLp(SeqSpaceSpec):
         self.weights = w
         self._form = w, self.p
 
-    def unit_norm(self, n: int) -> float:
-        return float(self.weights[n - self.window.lo])
-
-    def shift_norm_upper(self, m: int) -> float:
-        # max_n w_n / w_(n-m), which a unit vector attains; widened for the
-        # rounding of the quotient and of the norm's sum over the window
-        top = float(np.max(_shift_quotients(self.weights, m), initial=0.0))
-        return top * (1.0 + (self.window.size + 8) * _EPS)
-
-    def norming_values(self, xv: np.ndarray) -> np.ndarray:
-        w, p = self.weights, self.p
-        if math.isinf(p):
-            k = int(np.argmax(np.abs(xv) * w))
-            g = np.zeros_like(xv)
-            g[k] = math.copysign(w[k], xv[k])
-            return g
-        if p == 1.0:
-            return np.where(xv != 0, np.copysign(w, xv), 0.0)
-        nrm = self.norm_values(xv)
-        return np.sign(xv) * (w ** p) * np.abs(xv) ** (p - 1.0) / nrm ** (p - 1.0)
-
     def spec_string(self) -> str:
         if math.isinf(self.p) and np.all(self.weights == 1.0):
             return "seq:linf"
@@ -713,10 +722,10 @@ class OrliczModular(SeqSpaceSpec):
     def _rows(self, V: np.ndarray) -> np.ndarray:
         return _orlicz_rows(self.F, V, self._log_w, self._log_lambda)
 
-    def unit_norm(self, n: int) -> float:
+    def _unit_norm(self, n: int) -> float:
         return float(np.exp(-self._log_lambda[n - self.window.lo]))
 
-    def shift_norm_upper(self, m: int) -> float | None:
+    def _shift_norm_upper(self, m: int) -> float | None:
         # rho(tau_m x / (d ||x||)) <= rho(x / ||x||) = 1 when 2^m F(y / d) <= F(y)
         # for every y = |x_n| / ||x|| that stays on the window, y <= lambda_n;
         # widened for the rounding of the norm's sums and of its log weights
@@ -732,15 +741,14 @@ class OrliczModular(SeqSpaceSpec):
         log_d += (size + 4.0 * float(np.max(np.abs(self._log_w)))) * _EPS
         return math.exp(log_d) if log_d < 709.0 else math.inf
 
-    def norming_values(self, xv: np.ndarray) -> np.ndarray:
-        xhat = np.abs(xv) / self.norm_values(xv)
-        g = np.zeros_like(xv)
-        nz = xhat > 0
-        w = np.exp(self._log_w[nz])
-        g[nz] = w * self.F.deriv(xhat[nz])
-        denom = float(np.dot(xhat[nz], g[nz]))
-        g[nz] = np.sign(xv[nz]) * g[nz] / denom
-        return g
+    def _norming_rows(self, V: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        # the modular's gradient at v / ||v||, scaled to <v / ||v||, g> = 1
+        G = np.zeros_like(V)
+        for g, v, xhat in zip(G, V, np.abs(V) / norms[:, None]):
+            nz = xhat > 0
+            g[nz] = np.exp(self._log_w[nz]) * self.F.deriv(xhat[nz])
+            g[nz] = np.sign(v[nz]) * g[nz] / float(np.dot(xhat[nz], g[nz]))
+        return G
 
     def generator(self) -> OrliczFn:
         return self.F
@@ -774,12 +782,12 @@ class _Conjugated(SeqSpaceSpec):
         return self.inner.norm_rows(reduce(np.multiply, self.scales,
                                            V[:, ::-1] if self.reverse else V))
 
-    def unit_norm(self, n: int) -> float:
+    def _unit_norm(self, n: int) -> float:
         m = -(n + 1) if self.reverse else n
         return reduce(lambda u, s: float(s[m - self.inner.window.lo]) * u,
                       self.scales[::-1], self.inner.unit_norm(m))
 
-    def shift_norm_upper(self, m: int) -> float | None:
+    def _shift_norm_upper(self, m: int) -> float | None:
         # a reversal maps tau_m to tau_-m; with z = x~ S, (tau_k x~) S is
         # (tau_k z) S_n / S_(n-k) <= max S_n / S_(n-k) tau_k z in the lattice
         k = -m if self.reverse else m
@@ -789,10 +797,10 @@ class _Conjugated(SeqSpaceSpec):
         top = float(np.max(_shift_quotients(reduce(np.multiply, self.scales), k), initial=0.0))
         return top * inner * (1.0 + (len(self.scales) + 2) * _EPS)
 
-    def norming_values(self, xv: np.ndarray) -> np.ndarray:
-        y = reduce(np.multiply, self.scales, xv[::-1] if self.reverse else xv)
-        g = reduce(np.multiply, self.scales[::-1], self.inner.norming_values(y))
-        return g[::-1] if self.reverse else g
+    def _norming_rows(self, V: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        Y = reduce(np.multiply, self.scales, V[:, ::-1] if self.reverse else V)
+        G = reduce(np.multiply, self.scales[::-1], self.inner.norming_rows(Y, norms))
+        return G[:, ::-1] if self.reverse else G
 
     def generator(self) -> OrliczFn | None:
         return self.inner.generator()
@@ -843,11 +851,6 @@ class InducedSeq(SeqSpaceSpec):
 
     def _rows(self, V: np.ndarray) -> np.ndarray:
         return self._blocks(np.insert(V, 0, 0.0, axis=1))
-
-    def norming_values(self, xv: np.ndarray) -> np.ndarray:
-        if (form := self.weighted_lp_form()) is not None:
-            return WeightedLp(form[1], self.window, weights=form[0]).norming_values(xv)
-        return super().norming_values(xv)
 
     def spec_string(self) -> str:
         return f"seq:induced:<{self.space.spec_string()}>"
@@ -906,10 +909,7 @@ class FromSequenceSpace(SpaceSpec):
 
 def rho_profile(E: SeqSpaceSpec, F: SeqSpaceSpec, window: Window) -> dict[int, float]:
     """rho(n) = ||e_n||_E / ||e_n||_F for n in the window."""
-    out = {}
-    for n in window.indices():
-        out[int(n)] = E.unit_norm(int(n)) / F.unit_norm(int(n))
-    return out
+    return {n: E.unit_norm(n) / F.unit_norm(n) for n in window.indices().tolist()}
 
 
 @dataclass
@@ -1092,8 +1092,7 @@ def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEs
     shifts = [n for n in shifts if 1 <= n <= n_max]
     per = max(4, budget // max(1, 2 * len(shifts)))
     units = E.unit_norms()
-    table: dict[int, float] = {}
-    table_ub: dict[int, float] = {}
+    table, table_ub = {}, {}  # shift -> best ratio found, certified bound
     for n in shifts:
         for m in (n, -n):
             table_ub[m] = _shift_bound(E, m)
@@ -1127,12 +1126,12 @@ def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEs
 def norming_functional(E: SeqSpaceSpec, x: SeqVec) -> SeqVec:
     """g >= 0-signed with supp g in supp x, ||g||_{E*} = 1, <x, g> = ||x||_E.
 
-    Closed forms for weighted ell_p (1 <= p <= inf); for Orlicz modular
-    spaces the gradient of the modular at x/||x|| is the exact maximizer of
-    <h, g> over the unit ball (first-order condition of the concave
-    problem), which pins ||g||* = <x/||x||, g>.  The closed forms are the
-    spaces' ``norming_values``; a caller that needs <x, g> = ||x||_E checked
-    compares the pairing with the norm it already holds.
+    The one-row case of ``E.norming_rows``: the scale-free closed form on a
+    weighted-lp form (1 <= p <= inf); for Orlicz modular spaces the gradient
+    of the modular at x/||x||, the exact maximizer of <h, g> over the unit
+    ball (first-order condition of the concave problem), which pins ||g||* =
+    <x/||x||, g>.  A caller with many rows makes one ``norming_rows`` call on
+    the norms it holds, and checks <x, g> = ||x||_E against them.
     """
     if not np.any(x.values):
         raise ValueError("cannot norm the zero vector")

@@ -23,14 +23,14 @@ algebra ``scaled``, ``reversed``, ``+`` does not carry):
 
 All three push their rank-one rows in one call of one builder,
 ``_add_block_sum``, which takes the block pairs as the rows of two arrays, as
-``InterlacedFamily`` holds them, and checks every norming functional against
-||x_n|| to FUNCTIONAL_TOL; prefix and suffix norms come from the tables of
-``kfunc``, ``_prefix_norms`` and ``_suffix_norms``, and the weighted-ell_p
-operator bound from one closed form over the stack, ``_upper_bound``.  The
-``op_norm`` lower bound is a one-lane ascent of ``ascent._ascend_steps``
-over batches of rows, which stops by the ascent's stop rule once it meets that
-closed form within ``ascent.ACCEPT_REL``.  Every space must be on the window
-of the data.
+``InterlacedFamily`` holds them, their functionals from one ``norming_rows``
+call on their norms, each checked against ||x_n|| to FUNCTIONAL_TOL; prefix
+and suffix norms come from the tables of ``kfunc``, ``_prefix_norms`` and
+``_suffix_norms``, and the weighted-ell_p operator bound from one closed form
+over the stack, ``_upper_bound``.  The ``op_norm`` lower bound is a one-lane
+ascent of ``ascent._ascend_steps`` over batches of rows, which stops by the
+ascent's stop rule once it meets that closed form within
+``ascent.ACCEPT_REL``.  Every space must be on the window of the data.
 
 Window truncation realizes the two-ended proofs: indices below window.lo
 carry no mass, so the lower-tail extension set B is always empty here and
@@ -50,7 +50,7 @@ from .errors import HypothesisError, UsageError, check_budget
 from .kfunc import _block_points, _check_finite, _k_grid, _prefix_norms, _suffix_norms
 from .measure import SeqVec, Window, _sparse
 from .shift import InterlacedFamily
-from .spaces import SeparationFit, SeqSpaceSpec, norming_functional
+from .spaces import SeparationFit, SeqSpaceSpec
 
 EXACTNESS_TOL = 1e-9
 # <x, g> = ||x|| tolerance for every norming functional of a block sum
@@ -87,7 +87,7 @@ class PositiveMatrix:
 
     def _push_rank_one(self, G: np.ndarray, Y: np.ndarray, notes: list):
         """Push the steps <., G[i]> Y[i], one per row, with their notes."""
-        if np.any(G < 0) or np.any(Y < 0):
+        if not (np.all(G >= 0) and np.all(Y >= 0)):  # a NaN fails too
             raise ValueError("positive matrix entries must be >= 0")
         self.G = np.concatenate([self.G, G])
         self.Y = np.concatenate([self.Y, Y])
@@ -110,7 +110,7 @@ class PositiveMatrix:
 
     def add_diagonal(self, diag: dict[int, float], note: str | None = None):
         values = self._values(diag)
-        if np.any(values < 0):
+        if not np.all(values >= 0):
             raise ValueError("positive matrix entries must be >= 0")
         self.d = self.d + values
         self.steps.append(("diagonal", values, note))
@@ -172,7 +172,7 @@ class PositiveMatrix:
     # -- algebra ---------------------------------------------------------------
 
     def scaled(self, c: float) -> "PositiveMatrix":
-        if c < 0:
+        if not c >= 0:
             raise ValueError("scale factor must be >= 0")
         return PositiveMatrix._stacked(
             self.window, self.G, self.Y * c,
@@ -339,24 +339,23 @@ def _add_block_sum(T: PositiveMatrix, X, Y, E: SeqSpaceSpec, note: str) -> np.nd
     rows of X and Y, with y_n != 0.
 
     g_n is the norming functional of x_n scaled so <x_n, g_n> = 1, after
-    checking <x_n, g> = ||x_n||_E to FUNCTIONAL_TOL, the norms from one
-    ``norm_rows`` call; supp g_n stays inside supp x_n.  ``note`` is the step
-    note, with ``{n}`` the pair's row.  Returns the norms ||x_n||_E of the
-    pairs it pushed, in row order.
+    checking <x_n, g> = ||x_n||_E to FUNCTIONAL_TOL: one ``norm_rows`` call,
+    then one ``norming_rows`` call on those norms; supp g_n stays inside supp
+    x_n.  ``note`` is the step note, with ``{n}`` the pair's row.  Returns
+    the norms ||x_n||_E of the pairs it pushed, in row order.
     """
     rows = np.flatnonzero(Y.any(axis=1))
     X, Y = X[rows], Y[rows]
     norms = E.norm_rows(X)
-    G = np.empty_like(X)
-    for k, nx in enumerate(norms.tolist()):
-        g = norming_functional(E, SeqVec(T.window, X[k])).values
-        pairing = float(np.dot(X[k], g))
-        if abs(pairing / nx - 1.0) > FUNCTIONAL_TOL:
-            raise HypothesisError(
-                f"norming functional failed tolerance: <x, g> = {pairing:.12g} "
-                f"against ||x|| = {nx:.12g}")
-        G[k] = (1.0 / pairing) * g
-    T._push_rank_one(G, Y, [note.format(n=n) for n in rows.tolist()])
+    if not np.all(norms > 0.0):
+        raise ValueError("cannot norm the zero vector")
+    G = E.norming_rows(X, norms)
+    pairings = np.array([np.dot(x, g) for x, g in zip(X, G)])
+    # not >, so that a NaN pairing fails too
+    if (bad := np.flatnonzero(~(np.abs(pairings / norms - 1.0) <= FUNCTIONAL_TOL))).size:
+        raise HypothesisError(f"norming functional failed tolerance: <x, g> = "
+                              f"{pairings[bad[0]]:.12g} against ||x|| = {norms[bad[0]]:.12g}")
+    T._push_rank_one((1.0 / pairings)[:, None] * G, Y, [note.format(n=n) for n in rows.tolist()])
     return norms
 
 

@@ -231,6 +231,12 @@ def _double_first_x(d):
     pair["x"] = {k: 2.0 * v for k, v in pair["x"].items()}
 
 
+def _nan_in_second_y(d):
+    # a witness with a NaN entry once replayed to a NaN ratio
+    pair = d["family"]["pairs"][1]
+    pair["y"][next(iter(pair["y"]))] = math.nan
+
+
 @pytest.mark.parametrize("tamper, error, match", [
     (lambda d: d["alpha"].pop(), UsageError, r"alpha has [0-9]+ entries for [0-9]+ pairs"),
     (lambda d: d["family"].update(pairs=[]), UsageError, "empty family"),
@@ -240,7 +246,8 @@ def _double_first_x(d):
     (_double_first_x, ValueError, "x block is not normalized"),
     (lambda d: d.update(window={"kind": "Z-", "lo": -40, "hi": -1}), UsageError,
      r"witness window Z-\[-40,-1\] does not match its family's window Z\[-13,11\]"),
-], ids=["alpha-count", "empty-family", "side", "overlap", "x-scaled", "window"])
+    (_nan_in_second_y, UsageError, "pair 1 of the family has a non-finite entry"),
+], ids=["alpha-count", "empty-family", "side", "overlap", "x-scaled", "window", "nan"])
 def test_tampered_witness_does_not_replay(tamper, error, match):
     # a replayed witness is validated: a family that is not admissible in the
     # replay space certifies nothing

@@ -521,6 +521,61 @@ def test_norming_functional_convexified_modular(rng):
         assert abs(float(np.dot(x.values, g.values)) / E.norm(x) - 1.0) <= FUNCTIONAL_TOL
 
 
+@pytest.mark.parametrize("p, vals", [
+    (3.0, [1e-170, 2e-170]),                  # the p-th powers underflow
+    (3.0, [-1e-300, 0.0, 5e-301]),
+    (200.0, [1e10, 1.0, 3.0]),                # the p-th powers overflow
+    (200.0, [-1e10, 2e9, 0.0, 3.0]),
+    (1.5, [1e300, -1e300]),
+])
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_norming_functional_at_the_extremes(p, vals, dyadic):
+    # the scale-free formula raises w_i |x_i| / ||x|| <= 1 to p - 1: no 0/0
+    # after an underflow, no overflow, and no RuntimeWarning (an error here)
+    win = Window("Z-", -len(vals), -1)
+    E = dyadic_lp(p, win) if dyadic else WeightedLp(p, win)
+    x = SeqVec(win, np.array(vals))
+    g = norming_functional(E, x).values
+    assert np.all(np.isfinite(g)) and set(np.flatnonzero(g)) <= set(np.flatnonzero(x.values))
+    assert abs(float(np.dot(x.values, g)) / E.norm(x) - 1.0) <= 1e-12
+
+
+def _weighted_lp_spaces(p: float, win: Window) -> list:
+    """Every space of couplekit whose form is a weighted ell_p at p, on win."""
+    dom = "unit" if win.kind == "Z-" else "halfline"
+    out = [dyadic_lp(p, win), InducedSeq(LpSpace(p, dom), win)]
+    if not math.isinf(p):
+        out += [OrliczModular(power(p), win),
+                InducedSeq(LorentzSpace(p, PowerWeight(1.0 / p), dom), win)]
+    return out
+
+
+@settings(max_examples=16, deadline=None)
+@given(p=st.sampled_from([1.0, 2.0, 3.0, math.inf]), which=st.integers(0, 3),
+       width=st.integers(2, 10), kind=st.sampled_from(["Z-", "Z"]),
+       op=st.sampled_from([None, "rev", 0.7, 1.3]), seed=st.integers(0, 2 ** 16))
+def test_every_form_space_answers_as_its_weighted_lp(p, which, width, kind, op, seed):
+    # unit norms, shift-norm bounds, norming functionals and kappa are read
+    # from the form (w, p) in one place: a space with a form, also reversed
+    # or b^n-weighted, answers as WeightedLp(p, window, weights=w), bit for bit
+    win = Window(kind, -width, -1) if kind == "Z-" else Window(kind, -width // 2, width // 2)
+    spaces = _weighted_lp_spaces(p, win)
+    E = spaces[which % len(spaces)]
+    E = E if op is None else OrderReversed(E) if op == "rev" else GeometricWeighted(E, op)
+    w, q = E.weighted_lp_form()
+    ref = WeightedLp(q, E.window, weights=w)
+    assert E.unit_norms().tobytes() == ref.unit_norms().tobytes()
+    ms = range(-win.size, win.size + 1)
+    assert [E.shift_norm_upper(m) for m in ms] == [ref.shift_norm_upper(m) for m in ms]
+    rng = np.random.default_rng(seed)
+    V = rng.random((6, win.size)) * (rng.random((6, win.size)) < 0.6) - 0.3
+    V[~V.any(axis=1), 0] = 1.0
+    norms = E.norm_rows(V)
+    assert norms.tobytes() == ref.norm_rows(V).tobytes()
+    assert np.array_equal(E.norming_rows(V, norms), ref.norming_rows(V, norms))
+    assert kappa_estimate(E, 400, 0).to_json_dict() == kappa_estimate(ref, 400, 0).to_json_dict()
+
+
 # ---------------------------------------------------------------------------
 # DSL round trips
 # ---------------------------------------------------------------------------

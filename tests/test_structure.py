@@ -1,7 +1,7 @@
 """Only ``spaces`` dispatches on the concrete space classes.
 
 The algorithm modules ask a space what it is through its own methods
-(``e_space``, ``norm_rows_on``, ``norming_values``, ``weighted_lp_form``,
+(``e_space``, ``norm_rows_on``, ``norming_rows``, ``weighted_lp_form``,
 ``boyd``, ``generator``).  This test
 reads their source and fails when one of them tests for a concrete class
 from ``spaces``, or imports one outside the one deliberate exception
@@ -21,8 +21,11 @@ which also tell K's route and the verdict's pair with L_infty whether a side
 is a weighted ell_infty, so no space answers ``is_linf``;
 ``weighted_lp_form()``, read from the form a sequence space computes once,
 and ``weighted_lp_form_on(f)``, from which ``SeqSpaceSpec`` alone derives the
-certified ``shift_upper`` and ``reversed_space``; no module tells a power from
-a generator's name), the shift search on batched rows,
+certified ``shift_upper`` and ``reversed_space``, the unit norms, the bounds
+on ||tau_m|| and the norming functionals, so ``WeightedLp`` is only its
+constructor and spec string; no module tells a power from a generator's
+name), one norming-functional call per block sum (``norming_rows``), the
+shift search on batched rows,
 one Luxemburg solver (one fused profile call per Newton step, the one
 Newton stop and the only reader of a profile's curvature besides the
 start) behind one Orlicz row path (``_orlicz_rows``, its one caller, which
@@ -207,6 +210,30 @@ def test_one_exactness_answer():
         readers = {fn.name for fn in _functions(ast.parse((SRC / f"{module}.py").read_text()))
                    if _reads_name(fn)}
         assert readers <= ({"_is_brudnyi_pair"} if module == "verdict" else set()), module
+
+
+def test_one_answer_from_the_form():
+    # unit norms, the bounds on ||tau_m|| and the norming functionals are read
+    # from the form on the base class, which hands a space without one to its
+    # private hooks; the one-row norming_values is the base class's too
+    for method in ("unit_norm", "shift_norm_upper", "norming_rows", "norming_values"):
+        assert method in vars(spaces.SeqSpaceSpec), method
+        for name in _concrete_space_classes():
+            assert method not in vars(getattr(spaces, name)), f"{name} defines {method}"
+    tree = ast.parse((SRC / "spaces.py").read_text())
+    wlp = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "WeightedLp")
+    assert {fn.name for fn in _functions(wlp)} == {"__init__", "spec_string"}
+    # a block sum takes the functionals of all its blocks in one row call, in
+    # no loop, on the norms it holds: no per-block vector and no second solve
+    block = _qualified_functions()["transfer._add_block_sum"]
+    calls = [node for node in ast.walk(block) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "norming_rows"]
+    assert len(calls) == 1
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not any(calls[0] in set(ast.walk(node))
+                   for node in ast.walk(block) if isinstance(node, loops))
+    assert not _called(block) & {"norming_functional", "norming_values", "SeqVec"}
 
 
 def test_one_norm_formula_per_function_space():

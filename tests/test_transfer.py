@@ -14,7 +14,7 @@ from couplekit import (GeometricWeighted, HypothesisError, InterlacedFamily, Lin
                        fit_separation, gen_interlaced, k_transfer,
                        majorization_transfer, op_norm, power, pwpower, rank_one_shift,
                        rho_profile)
-from couplekit.spaces import shift_values
+from couplekit.spaces import SeqSpaceSpec, shift_values
 from conftest import SEARCH_SPACE_KINDS, random_seqvec, search_space
 
 WIN = Window("Z", -12, 12)
@@ -63,6 +63,28 @@ def test_rank_one_kills_off_support(rng):
     free = [n for n in WIN.indices() if n not in used]
     z = SeqVec.from_entries(WIN, {int(n): 1.0 for n in free[:5]})
     assert not np.any(T.apply(z).values)
+
+
+@pytest.mark.parametrize("E", [E1, dyadic_lp(2, WIN), OrliczModular(example1(), WIN)],
+                         ids=["l1", "l2", "example1"])
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_non_finite_family_is_a_usage_error(E, entry):
+    # a NaN entry once gave rank_one_shift an operator of NaNs: the family
+    # names the pair instead
+    fam = gen_interlaced(E, WIN, 3, (1, 2), seed=4)
+    X = fam.X.copy()
+    X[1, np.flatnonzero(X[1])[0]] = entry
+    with pytest.raises(UsageError, match="pair 1 of the family has a non-finite entry"):
+        rank_one_shift(InterlacedFamily(WIN, X, fam.Y), E)
+
+
+def test_block_sum_rejects_a_nan_functional(monkeypatch):
+    # the tolerance test fails a NaN pairing, where a > test would pass it
+    monkeypatch.setattr(SeqSpaceSpec, "norming_rows",
+                        lambda self, V, norms: np.full(V.shape, math.nan))
+    fam = gen_interlaced(E1, WIN, 2, (1, 2), seed=2)
+    with pytest.raises(HypothesisError, match="norming functional failed tolerance"):
+        rank_one_shift(fam, E1)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +156,16 @@ def test_majorization_rejects_signed():
 
 
 def test_majorization_one_norming_functional_per_block(rng, monkeypatch):
+    # a block sum takes the functionals of all its blocks in one norming_rows
+    # call, one row per block
     calls = []
-    inner = transfer.norming_functional
+    inner = SeqSpaceSpec.norming_rows
 
-    def counting(E, x):
-        calls.append(x)
-        return inner(E, x)
+    def counting(self, V, norms):
+        calls.append(len(V))
+        return inner(self, V, norms)
 
-    monkeypatch.setattr(transfer, "norming_functional", counting)
+    monkeypatch.setattr(SeqSpaceSpec, "norming_rows", counting)
     blocks_seen = 0
     for E in (E1, dyadic_lp(2, WIN), OrliczModular(power(2), WIN)):
         for _ in range(6):
@@ -153,14 +177,14 @@ def test_majorization_one_norming_functional_per_block(rng, monkeypatch):
             except HypothesisError:
                 continue
             blocks = [s for s in T.provenance if str(s.get("note", "")).startswith("partition block")]
-            assert len(calls) == len(blocks)
+            assert len(calls) <= 1 and sum(calls) == len(blocks)
             blocks_seen += len(blocks)
     assert blocks_seen >= 10
 
 
 def test_majorization_one_modular_solve_per_block(monkeypatch):
-    # the block norms come from one norm_rows call over all blocks, and each
-    # block's norming functional solves that block once more, alone
+    # the block norms come from one norm_rows call over all blocks, and the
+    # functionals read those norms: no block is solved again alone
     solves = []
     norm_rows = OrliczModular.norm_rows
 
@@ -180,8 +204,9 @@ def test_majorization_one_modular_solve_per_block(monkeypatch):
             continue
         blocks += sum(str(s.get("note", "")).startswith("partition block") for s in T.provenance)
     # a functional that re-solved its block for an unread duality gap made
-    # 108 one-row solves for these 54 blocks
-    assert blocks == 54 and len(solves) == blocks
+    # 108 one-row solves for these 54 blocks, and one that solved it for its
+    # norm made 54
+    assert blocks == 54 and not solves
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +535,19 @@ def test_positivity_enforced():
     # like ``apply``, a rank-one step needs T's window
     with pytest.raises(ValueError, match="window mismatch"):
         T.add_rank_one(SeqVec.basis(WIN, 0), SeqVec.basis(Window("Z", -12, 13), 1))
+    assert not T.steps
+
+
+def test_positivity_rejects_nan():
+    # a NaN is not >= 0: each entry point refuses it
+    T = PositiveMatrix(WIN)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        T.add_diagonal({-1: math.nan})
+    for g, y in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            T.add_rank_one(SeqVec.basis(WIN, 0, g), SeqVec.basis(WIN, 1, y))
+    with pytest.raises(ValueError, match="must be >= 0"):
+        T.scaled(math.nan)
     assert not T.steps
 
 
