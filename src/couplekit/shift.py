@@ -39,7 +39,7 @@ from .ascent import (ACCEPT_REL, STOP_BUDGET, _ascend_steps, stop_level,
                      stop_reason)
 from .errors import UsageError, check_budget
 from .measure import SeqVec, Window, _sparse
-from .spaces import SeqSpaceSpec
+from .spaces import SeqSpaceSpec, _row_ratios
 
 RSP = "rsp"
 LSP = "lsp"
@@ -202,10 +202,7 @@ class ShiftEstimate:
 def _ratios(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, A: np.ndarray) -> np.ndarray:
     """||a Y|| / ||a X|| (0 where ||a X|| = 0) for each row a of A, from one
     ``norm_rows`` call on the stacked A X and A Y."""
-    m = A.shape[0]
-    norms = E.norm_rows(np.concatenate([A @ X, A @ Y]))
-    den = norms[:m]
-    return np.divide(norms[m:], den, out=np.zeros(m), where=den != 0.0)
+    return _row_ratios(E, A @ X, A @ Y)
 
 
 def family_ratio(E: SeqSpaceSpec, family: InterlacedFamily, alpha) -> float:

@@ -26,11 +26,12 @@ certified log-error: a flat 1e-13 only for norms near 1.  Its
 elementwise work runs on the packed nonzero entries only, and its row sums
 over the full width in buffers allocated once per call.  The adversarial
 searches (the RSP/LSP shift search, kappa, the ``op_norm`` lower bound) share
-the one ascent of ``couplekit.ascent``.  Kappa draws all random starts of a
-shift first and ascends them as lanes; after an overflowing start it puts the
-generator back to the state just past that start's draws.  A shift whose unit
-vectors reach the stop level of the space's certified bound on ||tau_n|| is
-closed: its starts are drawn and not ascended.
+the one ascent of ``couplekit.ascent`` and one ratio of rows, ``_row_ratios``.
+Kappa draws all random starts of a shift first and ascends them as lanes;
+after an overflowing start it puts the generator back to the state just past
+that start's draws.  A shift whose unit vectors reach the stop level of the
+space's certified bound on ||tau_n|| is closed: its starts are drawn and not
+ascended, and after the last open shift none are drawn.
 
 The dyadic sequence space of a function space X is E_X with
 ||x||_{E_X} = ||sum x(n) chi_[2^n,2^(n+1))||_X; for X = L_p this is the
@@ -42,18 +43,21 @@ Only this module knows the concrete space classes: other modules ask a space
 through its protocol, whose base-class defaults describe a space without
 closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
 ``InducedSeq``), ``norm_rows_on(f)``, ``weighted_lp_form_on(f)``, ``boyd()``,
-``generator()``.  ``SeqSpaceSpec``: ``norm_rows(V)``, ``e_space`` (the space
-itself), ``norming_rows(V, norms)``, ``weighted_lp_form()``, ``unit_norm(n)``,
-``shift_norm_upper(m)`` (a certified bound on ||tau_m||), ``generator()``.
+``generator()``.  ``SeqSpaceSpec``: ``norm_rows(V, grad=False)`` (with
+``grad``, the rows' norming functionals G too, as (norms, G)), ``e_space``
+(the space itself), ``weighted_lp_form()``, ``unit_norms()`` (the rows of
+the identity, ``unit_norm(n)`` one of them), ``shift_norm_upper(m)`` (a
+certified bound on ||tau_m||), ``generator()``.
 The weighted-lp forms are the one answer to "is this space exactly a
 weighted ell_p", p = inf included: L_p, the Lorentz space of t^(1/p) and the
 Orlicz space of x^p answer |I_i|^(1/p) on pieces, ``WeightedLp`` its weights,
 the modular space of x^p 2^(n/p), ``InducedSeq`` its space's form on the
 blocks; a power's exponent is read from the profile, never from a name.
-``SeqSpaceSpec`` reads every closed form from the form (w, p): the norms,
-||e_n|| = w_n, max w_n / w_(n-m) for ||tau_m||, the norming functionals,
-``shift_upper()`` and ``reversed_space()``; a space without one answers by
-its ``_rows``, ``_unit_norm``, ``_shift_norm_upper`` and ``_norming_rows``.
+``SeqSpaceSpec`` reads every closed form from the form (w, p): the norms
+and their norming functionals, ||e_n|| = w_n, max w_n / w_(n-m) for
+||tau_m||, ``shift_upper()`` and ``reversed_space()``; a space without one
+answers from two hooks, its rows ``_rows(V, grad)`` (its unit norms are the
+norms of the identity's rows) and ``_shift_norm_upper``.
 So a weighted ell_p is a ``WeightedLp`` (a constructor and a spec string):
 ``OrderReversed(E)`` is ``E.reversed_space()``, ``GeometricWeighted(E, b)``
 E at b = 1, else w_n b^n on E's form; any other space is reversed and
@@ -547,14 +551,26 @@ class SeqSpaceSpec:
     window: Window
     _form: tuple[np.ndarray, float] | None = None  # set once at construction
 
-    def norm_rows(self, V: np.ndarray) -> np.ndarray:
-        """Norms of the rows of a (k, window.size) value array: ``_wlp_norms``
-        on the space's weighted-lp form when it has one, else ``_rows``."""
-        if self._form is not None:
-            return _wlp_norms(V, *self._form)
-        return self._rows(V)
+    def norm_rows(self, V: np.ndarray, grad: bool = False):
+        """Norms of the rows of a (k, window.size) value array, with ``grad``
+        as (norms, G), G the rows' norming functionals: supp g in supp v,
+        <v, g> = ||v||, ||g||* = 1 for each nonzero row v.  On the form
+        (w, p): ``_wlp_norms`` and the scale-free g_i = sgn(v_i) w_i
+        (w_i |v_i| / ||v||)^(p-1), whose power neither overflows nor loses a
+        tiny row (sgn(v_k) w_k at the first k of largest w_k |v_k| at p = inf);
+        else the space's own ``_rows(V, grad)``."""
+        if self._form is None:
+            return self._rows(V, grad)
+        w, p = self._form
+        norms = _wlp_norms(V, w, p)
+        if not grad:
+            return norms
+        if math.isinf(p):
+            top = np.argmax(np.abs(V) * w, axis=1)[:, None] == np.arange(V.shape[1])
+            return norms, np.where(top, np.copysign(w, V), 0.0)
+        return norms, np.sign(V) * w * (np.abs(V) * w / norms[:, None]) ** (p - 1.0)
 
-    def _rows(self, V: np.ndarray) -> np.ndarray:
+    def _rows(self, V: np.ndarray, grad: bool = False):
         raise NotImplementedError  # the space's own formula where it has no form
 
     def norm_values(self, vals: np.ndarray) -> float:
@@ -565,27 +581,9 @@ class SeqSpaceSpec:
         """A sequence space is its own E."""
         return self
 
-    def norming_rows(self, V: np.ndarray, norms: np.ndarray) -> np.ndarray:
-        """Norming functionals g of the rows v of V, given their norms > 0:
-        supp g in supp v, <v, g> = ||v||, ||g||* = 1.  On the form (w, p) the
-        scale-free g_i = sgn(v_i) w_i (w_i |v_i| / ||v||)^(p-1), whose power
-        neither overflows nor loses a tiny row; else ``_norming_rows``."""
-        if self._form is None:
-            return self._norming_rows(V, norms)
-        w, p = self._form
-        if math.isinf(p):  # sgn(v_k) w_k at the first k of largest w_k |v_k|
-            top = np.argmax(np.abs(V) * w, axis=1)[:, None] == np.arange(V.shape[1])
-            return np.where(top, np.copysign(w, V), 0.0)
-        return np.sign(V) * w * (np.abs(V) * w / norms[:, None]) ** (p - 1.0)
-
-    def _norming_rows(self, V: np.ndarray, norms: np.ndarray) -> np.ndarray:
-        raise NotImplementedError(f"no norming functional for {type(self).__name__}; supported: "
-                                  f"weighted lp and Orlicz modular, reversed or b^n-weighted")
-
     def norming_values(self, xv: np.ndarray) -> np.ndarray:
-        """A norming functional of one nonzero x: the one-row ``norming_rows``."""
-        V = np.asarray(xv, dtype=float)[None]
-        return self.norming_rows(V, self.norm_rows(V))[0]
+        """A norming functional of one nonzero x: the one-row ``norm_rows(V, grad=True)``."""
+        return self.norm_rows(np.asarray(xv, dtype=float)[None], grad=True)[1][0]
 
     def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
         """(weights, p) when the space is exactly a weighted ell_p, p = inf too, else None."""
@@ -622,16 +620,15 @@ class SeqSpaceSpec:
         return self.norm_values(x.values)
 
     def unit_norm(self, n: int) -> float:
-        """||e_n||: w_n on the form (w, p), else ``_unit_norm``."""
+        """||e_n||: one row of ``unit_norms``."""
         if self._form is None:
-            return self._unit_norm(n)
+            return self.norm_values(np.eye(1, self.window.size, n - self.window.lo)[0])
         return float(self._form[0][n - self.window.lo])
 
-    def _unit_norm(self, n: int) -> float:
-        return self.norm_values(np.eye(1, self.window.size, n - self.window.lo)[0])
-
     def unit_norms(self) -> np.ndarray:
-        return np.array([self.unit_norm(int(n)) for n in self.window.indices()])
+        """||e_n|| over the window: the form's weights, else the identity's rows' norms."""
+        form = self._form
+        return self.norm_rows(np.eye(self.window.size)) if form is None else form[0].copy()
 
     def reversed_space(self) -> "SeqSpaceSpec":
         """The order reversal x(n) -> x(-(n+1)): a ``WeightedLp`` on the
@@ -719,11 +716,19 @@ class OrliczModular(SeqSpaceSpec):
         if (p := _power_exponent(F)) is not None:
             self._form = 2.0 ** (ns / p), p
 
-    def _rows(self, V: np.ndarray) -> np.ndarray:
-        return _orlicz_rows(self.F, V, self._log_w, self._log_lambda)
-
-    def _unit_norm(self, n: int) -> float:
-        return float(np.exp(-self._log_lambda[n - self.window.lo]))
+    def _rows(self, V: np.ndarray, grad: bool = False):
+        norms = _orlicz_rows(self.F, V, self._log_w, self._log_lambda)
+        if not grad:
+            return norms
+        # the modular's gradient at v / ||v||, scaled to <v / ||v||, g> = 1:
+        # one F' call on the packed nonzero entries, then one dot per row
+        xhat, G = np.abs(V) / norms[:, None], np.zeros_like(V)
+        r, c = np.nonzero(xhat > 0)
+        G[r, c] = np.exp(self._log_w[c]) * self.F.deriv(xhat[r, c])
+        for g, v, x in zip(G, V, xhat):
+            nz = x > 0
+            g[nz] = np.sign(v[nz]) * g[nz] / float(np.dot(x[nz], g[nz]))
+        return norms, G
 
     def _shift_norm_upper(self, m: int) -> float | None:
         # rho(tau_m x / (d ||x||)) <= rho(x / ||x||) = 1 when 2^m F(y / d) <= F(y)
@@ -740,15 +745,6 @@ class OrliczModular(SeqSpaceSpec):
             return None
         log_d += (size + 4.0 * float(np.max(np.abs(self._log_w)))) * _EPS
         return math.exp(log_d) if log_d < 709.0 else math.inf
-
-    def _norming_rows(self, V: np.ndarray, norms: np.ndarray) -> np.ndarray:
-        # the modular's gradient at v / ||v||, scaled to <v / ||v||, g> = 1
-        G = np.zeros_like(V)
-        for g, v, xhat in zip(G, V, np.abs(V) / norms[:, None]):
-            nz = xhat > 0
-            g[nz] = np.exp(self._log_w[nz]) * self.F.deriv(xhat[nz])
-            g[nz] = np.sign(v[nz]) * g[nz] / float(np.dot(xhat[nz], g[nz]))
-        return G
 
     def generator(self) -> OrliczFn:
         return self.F
@@ -778,14 +774,14 @@ class _Conjugated(SeqSpaceSpec):
             inner, reverse, scales, spec, back)
         self.window = inner.window.reversed() if reverse else inner.window
 
-    def _rows(self, V: np.ndarray) -> np.ndarray:
-        return self.inner.norm_rows(reduce(np.multiply, self.scales,
-                                           V[:, ::-1] if self.reverse else V))
-
-    def _unit_norm(self, n: int) -> float:
-        m = -(n + 1) if self.reverse else n
-        return reduce(lambda u, s: float(s[m - self.inner.window.lo]) * u,
-                      self.scales[::-1], self.inner.unit_norm(m))
+    def _rows(self, V: np.ndarray, grad: bool = False):
+        Y = reduce(np.multiply, self.scales, V[:, ::-1] if self.reverse else V)
+        if not grad:
+            return self.inner.norm_rows(Y)
+        # g = (inner g at x~ S) S, reversed back
+        norms, G = self.inner.norm_rows(Y, grad=True)
+        G = reduce(np.multiply, self.scales[::-1], G)
+        return norms, G[:, ::-1] if self.reverse else G
 
     def _shift_norm_upper(self, m: int) -> float | None:
         # a reversal maps tau_m to tau_-m; with z = x~ S, (tau_k x~) S is
@@ -796,11 +792,6 @@ class _Conjugated(SeqSpaceSpec):
             return inner
         top = float(np.max(_shift_quotients(reduce(np.multiply, self.scales), k), initial=0.0))
         return top * inner * (1.0 + (len(self.scales) + 2) * _EPS)
-
-    def _norming_rows(self, V: np.ndarray, norms: np.ndarray) -> np.ndarray:
-        Y = reduce(np.multiply, self.scales, V[:, ::-1] if self.reverse else V)
-        G = reduce(np.multiply, self.scales[::-1], self.inner.norming_rows(Y, norms))
-        return G[:, ::-1] if self.reverse else G
 
     def generator(self) -> OrliczFn | None:
         return self.inner.generator()
@@ -849,7 +840,10 @@ class InducedSeq(SeqSpaceSpec):
         else:
             self._blocks = space._rows_on(pieces)
 
-    def _rows(self, V: np.ndarray) -> np.ndarray:
+    def _rows(self, V: np.ndarray, grad: bool = False):
+        if grad:
+            raise NotImplementedError("no norming functional for InducedSeq; supported: weighted "
+                                      "lp and Orlicz modular, reversed or b^n-weighted")
         return self._blocks(np.insert(V, 0, 0.0, axis=1))
 
     def spec_string(self) -> str:
@@ -908,8 +902,9 @@ class FromSequenceSpace(SpaceSpec):
 
 
 def rho_profile(E: SeqSpaceSpec, F: SeqSpaceSpec, window: Window) -> dict[int, float]:
-    """rho(n) = ||e_n||_E / ||e_n||_F for n in the window."""
-    return {n: E.unit_norm(n) / F.unit_norm(n) for n in window.indices().tolist()}
+    """rho(n) = ||e_n||_E / ||e_n||_F for n in the window, from one ``unit_norms()`` each."""
+    ue, uf = E.unit_norms().tolist(), F.unit_norms().tolist()
+    return {n: ue[n - E.window.lo] / uf[n - F.window.lo] for n in window.indices().tolist()}
 
 
 @dataclass
@@ -1018,12 +1013,18 @@ class KappaEstimate:
                 "table_ub": {str(k): v for k, v in sorted(self.table_ub.items())}}
 
 
+def _row_ratios(space: SeqSpaceSpec, D: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """||n|| / ||d|| for the rows d of D and n of N (0 where ||d|| = 0), from
+    one ``norm_rows`` call on the stacked D and N."""
+    den, num = space.norm_rows(np.concatenate([D, N])).reshape(2, -1)
+    return np.divide(num, den, out=np.zeros(den.size), where=den != 0.0)
+
+
 def _shift_ratios(space: SeqSpaceSpec, V: np.ndarray, n: int) -> np.ndarray:
     """||tau_n v|| / ||v|| for each row v of V: 0 where ||v|| = 0, inf past
     the overflow ratio."""
-    den, num = space.norm_rows(np.concatenate([V, shift_values(V, n)])).reshape(2, -1)
-    out = np.divide(num, den, out=np.zeros(den.size), where=den != 0.0)
-    out[(den != 0.0) & (num > _OVERFLOW_RATIO * den)] = math.inf
+    out = _row_ratios(space, V, shift_values(V, n))
+    out[out > _OVERFLOW_RATIO] = math.inf
     return out
 
 
@@ -1035,16 +1036,14 @@ def _shift_bound(space: SeqSpaceSpec, n: int) -> float:
 
 
 def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
-                      rng: np.random.Generator, units: np.ndarray, upper: float) -> float:
-    """Best ||tau_n x|| / ||x|| over the unit vectors (``units`` holds their
-    norms), then over ``budget`` random starts, each followed by 8 ascent
-    steps; every start and its steps are drawn first and ascended as lanes.
-    When the unit vectors reach the stop level of ``upper``, the certified
-    bound on ||tau_n||, the bracket is closed and the starts are drawn but
-    not ascended, so the generator moves on as if they had been."""
+                      rng: np.random.Generator, best: float, upper: float) -> float:
+    """Best ||tau_n x|| / ||x|| over ``best``, the unit vectors' ratio, and
+    ``budget`` random starts, each followed by 8 ascent steps; every start
+    and its steps are drawn first and ascended as lanes.  When ``best``
+    reaches the stop level of ``upper``, the certified bound on ||tau_n||,
+    the bracket is closed and the starts are drawn but not ascended, so the
+    generator moves on as if they had been."""
     size = space.window.size
-    # unit vectors first: exact on every Kothe space, tight for weighted lp
-    best = float(np.max(_shift_quotients(units, n), initial=0.0))
     level = stop_level(None, upper)
     lanes, states = [], []
     ok = np.arange(-n, size) if n < 0 else np.arange(size - n)
@@ -1079,7 +1078,8 @@ def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEs
     table^(1/n)) bound max_n ||tau_{±n}||^(1/n) from below, not kappa; the
     certified side of kappa is ``plus_ub``/``minus_ub``, from E's certified
     bounds on ||tau_n||.  A shift whose unit vectors reach its bound skips
-    its ascent."""
+    its ascent; every shift's closure is decided first, and no starts are
+    drawn after the last shift that ascends, as none would be read."""
     check_budget(budget)
     window = E.window
     if window.size < 2:
@@ -1091,12 +1091,14 @@ def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEs
                         list(np.unique(np.geomspace(1, n_max, 6).astype(int)))))
     shifts = [n for n in shifts if 1 <= n <= n_max]
     per = max(4, budget // max(1, 2 * len(shifts)))
-    units = E.unit_norms()
-    table, table_ub = {}, {}  # shift -> best ratio found, certified bound
-    for n in shifts:
-        for m in (n, -n):
-            table_ub[m] = _shift_bound(E, m)
-            table[m] = _best_shift_ratio(E, m, per, rng, units, table_ub[m])
+    units, order = E.unit_norms(), [m for n in shifts for m in (n, -n)]
+    # shift -> certified bound, best ratio (the unit vectors' first: exact on any Kothe space)
+    table_ub = {m: _shift_bound(E, m) for m in order}
+    table = {m: float(np.max(_shift_quotients(units, m), initial=0.0)) for m in order}
+    last = max((i for i, m in enumerate(order)
+                if stop_reason(table[m], stop_level(None, table_ub[m])) != STOP_UPPER), default=-1)
+    for m in order[:last + 1]:
+        table[m] = _best_shift_ratio(E, m, per, rng, table[m], table_ub[m])
 
     def summarize(sign: int):
         pairs = [(n, table[sign * n]) for n in shifts if table[sign * n] > 0]
@@ -1126,12 +1128,12 @@ def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEs
 def norming_functional(E: SeqSpaceSpec, x: SeqVec) -> SeqVec:
     """g >= 0-signed with supp g in supp x, ||g||_{E*} = 1, <x, g> = ||x||_E.
 
-    The one-row case of ``E.norming_rows``: the scale-free closed form on a
-    weighted-lp form (1 <= p <= inf); for Orlicz modular spaces the gradient
-    of the modular at x/||x||, the exact maximizer of <h, g> over the unit
-    ball (first-order condition of the concave problem), which pins ||g||* =
-    <x/||x||, g>.  A caller with many rows makes one ``norming_rows`` call on
-    the norms it holds, and checks <x, g> = ||x||_E against them.
+    The one-row case of ``E.norm_rows(V, grad=True)``: the scale-free closed
+    form on a weighted-lp form (1 <= p <= inf); for Orlicz modular spaces the
+    gradient of the modular at x/||x||, the exact maximizer of <h, g> over
+    the unit ball (first-order condition of the concave problem), which pins
+    ||g||* = <x/||x||, g>.  A caller with many rows makes that one call and
+    checks <x, g> against the norms that come back with the functionals.
     """
     if not np.any(x.values):
         raise ValueError("cannot norm the zero vector")

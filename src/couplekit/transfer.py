@@ -23,12 +23,14 @@ algebra ``scaled``, ``reversed``, ``+`` does not carry):
 
 All three push their rank-one rows in one call of one builder,
 ``_add_block_sum``, which takes the block pairs as the rows of two arrays, as
-``InterlacedFamily`` holds them, their functionals from one ``norming_rows``
-call on their norms, each checked against ||x_n|| to FUNCTIONAL_TOL; prefix
+``InterlacedFamily`` holds them, their norms and functionals from one
+``norm_rows(X, grad=True)`` call, each checked against ||x_n|| to
+FUNCTIONAL_TOL; prefix
 and suffix norms come from the tables of ``kfunc``, ``_prefix_norms`` and
 ``_suffix_norms``, and the weighted-ell_p operator bound from one closed form
 over the stack, ``_upper_bound``.  The ``op_norm`` lower bound is a one-lane
-ascent of ``ascent._ascend_steps`` over batches of rows, which stops by the
+ascent of ``ascent._ascend_steps`` over batches of rows, their ratios
+||T x|| / ||x|| from one ``spaces._row_ratios`` call each, which stops by the
 ascent's stop rule once it meets that closed form within
 ``ascent.ACCEPT_REL``.  Every space must be on the window of the data.
 
@@ -50,7 +52,7 @@ from .errors import HypothesisError, UsageError, check_budget
 from .kfunc import _block_points, _check_finite, _k_grid, _prefix_norms, _suffix_norms
 from .measure import SeqVec, Window, _sparse
 from .shift import InterlacedFamily
-from .spaces import SeparationFit, SeqSpaceSpec
+from .spaces import SeparationFit, SeqSpaceSpec, _row_ratios
 
 EXACTNESS_TOL = 1e-9
 # <x, g> = ||x|| tolerance for every norming functional of a block sum
@@ -280,9 +282,7 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
         # T row by row, as ``apply`` computes it: a matrix product may round
         # otherwise; an overflow to inf ends the search on its own label
         with np.errstate(over="ignore"):
-            TV = np.array([T.Y.T @ (T.G @ v) + T.d * v for v in V])
-            nx, ntx = space.norm_rows(np.concatenate([V, TV])).reshape(2, -1)
-        return np.divide(ntx, nx, out=np.zeros(nx.size), where=nx > 0)
+            return _row_ratios(space, V, np.array([T.Y.T @ (T.G @ v) + T.d * v for v in V]))
 
     # columns as starting rays
     best = max([0.0] + ratios(np.eye(win.size)[cols]).tolist())
@@ -339,17 +339,17 @@ def _add_block_sum(T: PositiveMatrix, X, Y, E: SeqSpaceSpec, note: str) -> np.nd
     rows of X and Y, with y_n != 0.
 
     g_n is the norming functional of x_n scaled so <x_n, g_n> = 1, after
-    checking <x_n, g> = ||x_n||_E to FUNCTIONAL_TOL: one ``norm_rows`` call,
-    then one ``norming_rows`` call on those norms; supp g_n stays inside supp
-    x_n.  ``note`` is the step note, with ``{n}`` the pair's row.  Returns
+    checking <x_n, g> = ||x_n||_E to FUNCTIONAL_TOL: the norms and the
+    functionals come from one ``norm_rows(X, grad=True)`` call; supp g_n
+    stays inside supp x_n.  ``note`` is the step note, with ``{n}`` the pair's row.  Returns
     the norms ||x_n||_E of the pairs it pushed, in row order.
     """
     rows = np.flatnonzero(Y.any(axis=1))
     X, Y = X[rows], Y[rows]
-    norms = E.norm_rows(X)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero x_n is reported below
+        norms, G = E.norm_rows(X, grad=True)
     if not np.all(norms > 0.0):
         raise ValueError("cannot norm the zero vector")
-    G = E.norming_rows(X, norms)
     pairings = np.array([np.dot(x, g) for x, g in zip(X, G)])
     # not >, so that a NaN pairing fails too
     if (bad := np.flatnonzero(~(np.abs(pairings / norms - 1.0) <= FUNCTIONAL_TOL))).size:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from couplekit import (GeometricWeighted, LinftySeq, OrderReversed, OrliczModular,
                        PowerWeight, SeqVec, StepFunction, WeightedLp, Window, dyadic_lp,
                        example1, pwpower, zero_fn)
+from couplekit.spaces import _Conjugated
 
 
 def random_step(rng, n_pieces=None, domain="unit", vmax=3.0):
@@ -209,3 +211,27 @@ def search_space(kind, win, p=2.0, base=1.3):
         "reversed-modular": lambda: OrderReversed(OrliczModular(pwpower(1.5, 3),
                                                                 win.reversed())),
     }[kind]()
+
+
+def reference_norming_rows(E, V: np.ndarray) -> np.ndarray:
+    """The norming functionals of the nonzero rows of V as the per-row
+    ``norming_rows(V, norms)`` hooks gave them: the scale-free closed form on
+    a weighted-lp form, the Orlicz modular's gradient one row at a time, and
+    a reversed or b^n-weighted space's inner functionals conjugated back."""
+    if isinstance(E, _Conjugated):
+        Y = functools.reduce(np.multiply, E.scales, V[:, ::-1] if E.reverse else V)
+        G = functools.reduce(np.multiply, E.scales[::-1], reference_norming_rows(E.inner, Y))
+        return G[:, ::-1] if E.reverse else G
+    norms = E.norm_rows(V)
+    if (form := E.weighted_lp_form()) is not None:
+        w, p = form
+        if math.isinf(p):
+            top = np.argmax(np.abs(V) * w, axis=1)[:, None] == np.arange(V.shape[1])
+            return np.where(top, np.copysign(w, V), 0.0)
+        return np.sign(V) * w * (np.abs(V) * w / norms[:, None]) ** (p - 1.0)
+    G = np.zeros_like(V)
+    for g, v, xhat in zip(G, V, np.abs(V) / norms[:, None]):
+        nz = xhat > 0
+        g[nz] = np.exp(E._log_w[nz]) * E.F.deriv(xhat[nz])
+        g[nz] = np.sign(v[nz]) * g[nz] / float(np.dot(xhat[nz], g[nz]))
+    return G

@@ -22,7 +22,19 @@ Each case is a named list of floats computed from seeds recorded in
   weight t^0.3 and a log-linear table weight, and ``fromseq:<E>``:
   ``FromSequenceSpace`` rows over a dyadic ell_2 and an Orlicz modular, each
   on 3 seeded step functions with 8 rows of values apiece, ties and zeros in
-  place.
+  place;
+- ``norming:<E>``: the norming functionals of 40 seeded signed rows on the
+  support of each row, from one ``norm_rows(V, grad=True)`` call, for the
+  Orlicz modulars of example1, pwpower(2, 3), minimal and power(2), the
+  b^n-weighted modular of example1 (b = sqrt 2), the reversed modular of
+  pwpower(1.5, 3), the dyadic ell_2 and the weighted ell_infty 2^(0.3 n),
+  all on Z-[-24, -1];
+- ``unit-norms:<E>``: ``unit_norms()`` of the same spaces and of the induced
+  E of the Lorentz space with the table weight;
+- ``kappa:<E>``: ``kappa_estimate`` (its six bounds and estimates, then
+  ``table`` and ``table_ub`` by shift) of the dyadic ell_2 and the modular
+  of example1 on Z-[-64, -1] (budget 400, seed 0), and of the modular of
+  example1 weighted by 100^n on Z-[-24, -1] (budget 200, seed 0).
 
 ``tests/test_golden.py`` recomputes every case bit for bit;
 ``python tests/golden/regen.py`` rewrites the manifest.
@@ -37,10 +49,11 @@ from pathlib import Path
 
 import numpy as np
 
-from couplekit import (FromSequenceSpace, InducedSeq, LorentzSpace, LpSpace, MinimalFn,
-                       OrliczModular, OrliczSpace, PowerWeight, SeqVec, StepFunction,
-                       TableLogLinear, WeightedLp, Window, brudnyi_pair, dyadic_lp,
-                       elastic_non_lorentz, example1, linf_space, logfactor_fn, power, pwpower)
+from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LorentzSpace, LpSpace,
+                       MinimalFn, OrderReversed, OrliczModular, OrliczSpace, PowerWeight, SeqVec,
+                       StepFunction, TableLogLinear, WeightedLp, Window, brudnyi_pair, dyadic_lp,
+                       elastic_non_lorentz, example1, kappa_estimate, linf_space, logfactor_fn,
+                       power, pwpower)
 from couplekit.kfunc import _k_grid
 
 MANIFEST = Path(__file__).with_name("manifest.json")
@@ -51,12 +64,16 @@ K_SEQ_WINDOW = Window("Z-", -8, -1)
 K_FIELDS = ("value", "lower", "x_mass", "y_mass")
 FROMSEQ_WINDOW = Window("Z-", -16, -1)
 ROWS_PER_STEP = 8
+ROW_WINDOW = Window("Z-", -24, -1)
+NORMING_ROWS = 40
+KAPPA_FIELDS = ("plus_lb", "plus_est", "minus_lb", "minus_est", "plus_ub", "minus_ub")
+TABLE_WEIGHT = ([-8.0, -2.0, 0.0], [-4.0, -1.0, 0.0])
 
 
 def rearrangement_spaces() -> dict:
     """The spaces normed through f*: name -> function space."""
     weights = {"pow:0.3": PowerWeight(0.3),
-               "table": TableLogLinear([-8.0, -2.0, 0.0], [-4.0, -1.0, 0.0])}
+               "table": TableLogLinear(*TABLE_WEIGHT)}
     out = {f"lorentz:{name}": LorentzSpace(1.5, w) for name, w in weights.items()}
     seqs = {"l2": dyadic_lp(2, FROMSEQ_WINDOW),
             "modular-example1": OrliczModular(example1(), FROMSEQ_WINDOW)}
@@ -76,6 +93,29 @@ def k_couples() -> dict:
     out["wlinf,l2-seq"] = (wlinf, l2, _seq)
     out["l2,induced-linf-seq"] = (l2, InducedSeq(Linf, K_SEQ_WINDOW), _seq)
     return out
+
+
+def row_spaces() -> dict:
+    """The spaces of the ``norming`` cases, on ROW_WINDOW: name -> sequence space."""
+    win = ROW_WINDOW
+    gens = {"example1": example1(), "pwpower": pwpower(2.0, 3.0), "minimal": MinimalFn(0.05),
+            "power": power(2.0)}
+    out = {f"modular-{name}": OrliczModular(F, win) for name, F in gens.items()}
+    out["geometric-modular-example1"] = GeometricWeighted(OrliczModular(example1(), win), 2 ** 0.5)
+    out["reversed-modular-pwpower"] = OrderReversed(OrliczModular(pwpower(1.5, 3.0),
+                                                                  win.reversed()))
+    out["l2"] = dyadic_lp(2, win)
+    out["wlinf"] = WeightedLp(math.inf, win, wexp=0.3)
+    return out
+
+
+def kappa_spaces() -> dict:
+    """The spaces of the ``kappa`` cases: name -> (sequence space, budget)."""
+    win = Window("Z-", -64, -1)
+    return {"l2": (dyadic_lp(2, win), 400),
+            "modular-example1": (OrliczModular(example1(), win), 400),
+            "geometric-100-modular-example1": (
+                GeometricWeighted(OrliczModular(example1(), ROW_WINDOW), 100.0), 200)}
 
 
 def zoo() -> dict:
@@ -120,6 +160,16 @@ def _tied_rows(rng, pieces: int) -> np.ndarray:
     return V
 
 
+def _signed_rows(rng, size: int) -> np.ndarray:
+    """NORMING_ROWS rows of 1 to size // 3 log-normal entries of random sign
+    at random places."""
+    V = np.zeros((NORMING_ROWS, size))
+    for row in V:
+        idx = rng.choice(size, size=int(rng.integers(1, max(2, size // 3))), replace=False)
+        row[idx] = np.exp(rng.normal(0.0, 2.0, idx.size)) * rng.choice([-1.0, 1.0], idx.size)
+    return V
+
+
 def _seq(rng) -> SeqVec:
     """A vector on K_SEQ_WINDOW with log-normal values, a third of them zero."""
     vals = np.exp(rng.normal(0.0, 2.0, K_SEQ_WINDOW.size))
@@ -154,6 +204,20 @@ def compute(seeds: dict, t_grid: list) -> dict[str, list[float]]:
         for _ in range(K_FUNCTIONS):
             f = _step(rng, False)
             cases[name] += X.norm_rows_on(f)(_tied_rows(rng, len(f.values))).tolist()
+    units = {**row_spaces(),
+             "induced-lorentz-table": InducedSeq(LorentzSpace(1.5, TableLogLinear(*TABLE_WEIGHT)),
+                                                 ROW_WINDOW)}
+    for i, (name, E) in enumerate(row_spaces().items()):
+        V = _signed_rows(np.random.default_rng([seeds["norming"], i]), E.window.size)
+        cases[f"norming:{name}"] = E.norm_rows(V, grad=True)[1][V != 0.0].tolist()
+    for name, E in units.items():
+        cases[f"unit-norms:{name}"] = E.unit_norms().tolist()
+    for name, (E, budget) in kappa_spaces().items():
+        est = kappa_estimate(E, budget, 0)
+        values = ([getattr(est, key) for key in KAPPA_FIELDS]
+                  + [est.table[n] for n in sorted(est.table)]
+                  + [est.table_ub[n] for n in sorted(est.table_ub)])
+        cases[f"kappa:{name}"] = [float(v) for v in values]
     return cases
 
 

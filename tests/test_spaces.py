@@ -18,12 +18,12 @@ from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftyS
                        pwpower, rearrange, regularize, rho_profile, seq_norm)
 from couplekit.ascent import stop_level
 from couplekit.measure import _decreasing
-from couplekit.spaces import (_EPS, _Conjugated, _shift_bound, _shift_ratios, _wlp_norms,
-                              shift_values)
+from couplekit.spaces import (_EPS, _Conjugated, _best_shift_ratio, _shift_bound, _shift_ratios,
+                              _wlp_norms, shift_values)
 from couplekit.transfer import FUNCTIONAL_TOL
 from conftest import (SEARCH_SPACE_KINDS, random_seqvec, random_step,
                       reference_dyadic_envelope, reference_lorentz_norm, reference_norm,
-                      reference_table_integral, search_space, tied_rows)
+                      reference_norming_rows, reference_table_integral, search_space, tied_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +421,30 @@ _BOUNDED_GENERATORS = {"power": power(2.0), "pwpower": pwpower(1.5, 3.0), "examp
                        **dict(zip(("brudnyi-F", "brudnyi-G"), brudnyi_pair(1.5, 3.0)))}
 
 
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(SEARCH_SPACE_KINDS + tuple(_BOUNDED_GENERATORS)),
+def _modular_kinds(gens: dict) -> tuple:
+    """The search-space kinds, then a modular and a b^n-weighted modular per generator."""
+    return SEARCH_SPACE_KINDS + tuple(gens) + tuple(f"geometric-{name}" for name in gens)
+
+
+def _modular_kind_space(kind, gens, win, p, base):
+    """The space of a kind of ``_modular_kinds(gens)``: the b^n-weighted modulars
+    are weighted as the README's shift test weights one."""
+    if kind in gens:
+        return OrliczModular(gens[kind], win)
+    if (name := kind.removeprefix("geometric-")) in gens:
+        return GeometricWeighted(OrliczModular(gens[name], win), base)
+    return search_space(kind, win, p, base)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(_modular_kinds(_BOUNDED_GENERATORS)),
        width=st.integers(2, 32), shift=st.integers(1, 31), sign=st.sampled_from([1, -1]),
        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]), base=st.floats(0.4, 3.0),
        seed=st.integers(0, 2 ** 16))
 def test_shift_norm_upper_bounds_the_shift_ratios(kind, width, shift, sign, p, base, seed):
+    # a b^n-weighted modular's unit ratios come from its rows
     win = Window("Z-", -width, -1)
-    E = (OrliczModular(_BOUNDED_GENERATORS[kind], win) if kind in _BOUNDED_GENERATORS
-         else search_space(kind, win, p, base))
+    E = _modular_kind_space(kind, _BOUNDED_GENERATORS, win, p, base)
     m = sign * (1 + (shift - 1) % (width - 1))
     assert E.shift_norm_upper(m) is not None
     rng = np.random.default_rng(seed)
@@ -437,6 +452,28 @@ def test_shift_norm_upper_bounds_the_shift_ratios(kind, width, shift, sign, p, b
     V = np.concatenate([np.eye(width), np.exp(rng.normal(0.0, 2.0, (24, width)))
                         * (rng.random((24, width)) < rng.random((24, 1)))])
     assert np.all(_shift_ratios(E, V, m) <= _shift_bound(E, m))
+
+
+@pytest.mark.parametrize("build", [
+    lambda win: dyadic_lp(2, win), lambda win: dyadic_lp(1, win), lambda win: LinftySeq(win),
+    lambda win: WeightedLp(3, win, wexp=-0.4), lambda win: OrliczModular(power(2), win),
+    lambda win: InducedSeq(LpSpace(2), win), lambda win: GeometricWeighted(dyadic_lp(2, win), 1.3),
+], ids=["l2", "l1", "linf", "wexp", "power-modular", "induced-l2", "geometric"])
+def test_kappa_on_a_form_space_ascends_no_shift(build, monkeypatch):
+    # a unit vector attains ||tau_m|| on a weighted ell_p, so every shift is
+    # closed at its unit ratio: none is ascended and no start is drawn
+    calls = []
+    best_shift_ratio = _best_shift_ratio
+
+    def counted(space, m, *args):
+        calls.append(m)
+        return best_shift_ratio(space, m, *args)
+
+    monkeypatch.setattr("couplekit.spaces._best_shift_ratio", counted)
+    E = build(Window("Z-", -64, -1))
+    est = kappa_estimate(E, budget=400, seed=0)
+    assert not calls
+    assert all(est.table[m] <= est.table_ub[m] for m in est.table)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -521,6 +558,30 @@ def test_norming_functional_convexified_modular(rng):
         assert abs(float(np.dot(x.values, g.values)) / E.norm(x) - 1.0) <= FUNCTIONAL_TOL
 
 
+_GRAD_GENERATORS = {"example1": example1(), "pwpower": pwpower(2.0, 3.0),
+                    "minimal": MinimalFn(0.05), "logfactor": logfactor_fn(1.5),
+                    "brudnyi-G": brudnyi_pair(1.5, 3.0)[1]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(_modular_kinds(_GRAD_GENERATORS)),
+       width=st.integers(1, 24), rows=st.integers(1, 12), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       base=st.floats(0.4, 3.0), seed=st.integers(0, 2 ** 16))
+def test_norm_rows_grad_equals_the_per_row_functionals(kind, width, rows, p, base, seed):
+    # the functionals that come back with the norms are the per-row ones bit
+    # for bit: the modular's batched gradient, one F' call for all rows,
+    # keeps each row's sum order
+    win = Window("Z-", -width, -1)
+    E = _modular_kind_space(kind, _GRAD_GENERATORS, win, p, base)
+    rng = np.random.default_rng(seed)
+    V = np.exp(rng.normal(0.0, 2.0, (rows, width))) * rng.choice([-1.0, 1.0], (rows, width))
+    V *= rng.random((rows, width)) < rng.random((rows, 1))
+    V[~V.any(axis=1), 0] = 1.0
+    norms, G = E.norm_rows(V, grad=True)
+    assert norms.tobytes() == E.norm_rows(V).tobytes()
+    assert G.tobytes() == reference_norming_rows(E, V).tobytes()
+
+
 @pytest.mark.parametrize("p, vals", [
     (3.0, [1e-170, 2e-170]),                  # the p-th powers underflow
     (3.0, [-1e-300, 0.0, 5e-301]),
@@ -570,9 +631,10 @@ def test_every_form_space_answers_as_its_weighted_lp(p, which, width, kind, op, 
     rng = np.random.default_rng(seed)
     V = rng.random((6, win.size)) * (rng.random((6, win.size)) < 0.6) - 0.3
     V[~V.any(axis=1), 0] = 1.0
-    norms = E.norm_rows(V)
-    assert norms.tobytes() == ref.norm_rows(V).tobytes()
-    assert np.array_equal(E.norming_rows(V, norms), ref.norming_rows(V, norms))
+    norms, G = E.norm_rows(V, grad=True)
+    ref_norms, ref_G = ref.norm_rows(V, grad=True)
+    assert norms.tobytes() == ref_norms.tobytes() == E.norm_rows(V).tobytes()
+    assert np.array_equal(G, ref_G)
     assert kappa_estimate(E, 400, 0).to_json_dict() == kappa_estimate(ref, 400, 0).to_json_dict()
 
 
@@ -1255,9 +1317,7 @@ class _Unfolded:
         return self.inner.norm_rows(V[:, ::-1] if self.op is None else V * self.w)
 
     def unit_norm(self, n):
-        if self.op is None:
-            return self.inner.unit_norm(-(n + 1))
-        return float(self.w[n - self.window.lo]) * self.inner.unit_norm(n)
+        return float(self.norm_rows(np.eye(1, self.window.size, n - self.window.lo))[0])
 
     def norming_values(self, xv):
         if self.op is None:
@@ -1290,8 +1350,10 @@ def test_folded_space_matches_its_wrapper(case):
     got, want = S.norm_rows(V), ref.norm_rows(V)
     units, ref_units = ([X.unit_norm(n) for n in ns] for X in (S, ref))
     if type(E) is WeightedLp:
+        # a unit row's norm is its weight to the rounding of the p-th power
+        # and root, which grows with |log w|
         assert np.allclose(got, want, rtol=1e-15, atol=0.0)
-        assert units == ref_units
+        assert np.allclose(units, ref_units, rtol=1e-12, atol=0.0)
     elif lp:
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         assert np.allclose(units, ref_units, rtol=1e-12, atol=0.0)

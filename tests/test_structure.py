@@ -1,7 +1,7 @@
 """Only ``spaces`` dispatches on the concrete space classes.
 
 The algorithm modules ask a space what it is through its own methods
-(``e_space``, ``norm_rows_on``, ``norming_rows``, ``weighted_lp_form``,
+(``e_space``, ``norm_rows_on``, ``norm_rows``, ``weighted_lp_form``,
 ``boyd``, ``generator``).  This test
 reads their source and fails when one of them tests for a concrete class
 from ``spaces``, or imports one outside the one deliberate exception
@@ -24,7 +24,10 @@ and ``weighted_lp_form_on(f)``, from which ``SeqSpaceSpec`` alone derives the
 certified ``shift_upper`` and ``reversed_space``, the unit norms, the bounds
 on ||tau_m|| and the norming functionals, so ``WeightedLp`` is only its
 constructor and spec string; no module tells a power from a generator's
-name), one norming-functional call per block sum (``norming_rows``), the
+name), two hooks per concrete sequence space (``_rows``, which answers the
+norming functionals too, and ``_shift_norm_upper``), one row call per block
+sum (``norm_rows(X, grad=True)``) and one ratio-of-rows helper
+(``spaces._row_ratios``) behind the three searches, the
 shift search on batched rows,
 one Luxemburg solver (one fused profile call per Newton step, the one
 Newton stop and the only reader of a profile's curvature besides the
@@ -216,7 +219,8 @@ def test_one_answer_from_the_form():
     # unit norms, the bounds on ||tau_m|| and the norming functionals are read
     # from the form on the base class, which hands a space without one to its
     # private hooks; the one-row norming_values is the base class's too
-    for method in ("unit_norm", "shift_norm_upper", "norming_rows", "norming_values"):
+    for method in ("norm_rows", "unit_norm", "unit_norms", "shift_norm_upper",
+                   "norming_values"):
         assert method in vars(spaces.SeqSpaceSpec), method
         for name in _concrete_space_classes():
             assert method not in vars(getattr(spaces, name)), f"{name} defines {method}"
@@ -224,16 +228,42 @@ def test_one_answer_from_the_form():
     wlp = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "WeightedLp")
     assert {fn.name for fn in _functions(wlp)} == {"__init__", "spec_string"}
-    # a block sum takes the functionals of all its blocks in one row call, in
-    # no loop, on the norms it holds: no per-block vector and no second solve
+    # a block sum takes the norms and functionals of all its blocks in one
+    # row call, in no loop: no per-block vector and no second solve
     block = _qualified_functions()["transfer._add_block_sum"]
     calls = [node for node in ast.walk(block) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute) and node.func.attr == "norming_rows"]
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "norm_rows"]
     assert len(calls) == 1
+    assert [(kw.arg, getattr(kw.value, "value", None)) for kw in calls[0].keywords] == [
+        ("grad", True)]
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     assert not any(calls[0] in set(ast.walk(node))
                    for node in ast.walk(block) if isinstance(node, loops))
     assert not _called(block) & {"norming_functional", "norming_values", "SeqVec"}
+
+
+def test_two_hooks_per_sequence_space():
+    # a sequence space answers from its rows: its unit norms are rows of the
+    # identity and its norming functionals come back with its norms, so of
+    # the base class's methods a concrete class overrides only its row
+    # function and its bound on ||tau_m|| (besides the constructor, the spec
+    # string, the generator and a conjugated space's cached reversal)
+    base = spaces.SeqSpaceSpec
+    own = {"__init__", "spec_string", "generator", "reversed_space"}
+    found = set()
+    for name in _spaces_classes():
+        cls = getattr(spaces, name)
+        assert not {"_unit_norm", "_norming_rows", "norming_rows"} & set(vars(cls)), name
+        if issubclass(cls, base) and cls is not base:
+            found.add(name)
+            hooks = {m for m in vars(cls) if callable(getattr(base, m, None))} - own
+            assert hooks <= {"_rows", "_shift_norm_upper"}, f"{name} overrides {hooks}"
+    assert {"WeightedLp", "OrliczModular", "_Conjugated", "InducedSeq"} <= found
+    # the three searches divide norms of stacked rows through one helper
+    fns = _qualified_functions()
+    for name in ("spaces._shift_ratios", "shift._ratios", "transfer._op_norm_lower"):
+        assert "_row_ratios" in _called(fns[name]), name
+    assert _called(fns["spaces._row_ratios"]) >= {"norm_rows", "divide"}
 
 
 def test_one_norm_formula_per_function_space():

@@ -80,8 +80,13 @@ def test_non_finite_family_is_a_usage_error(E, entry):
 
 def test_block_sum_rejects_a_nan_functional(monkeypatch):
     # the tolerance test fails a NaN pairing, where a > test would pass it
-    monkeypatch.setattr(SeqSpaceSpec, "norming_rows",
-                        lambda self, V, norms: np.full(V.shape, math.nan))
+    norm_rows = SeqSpaceSpec.norm_rows
+
+    def nan_functionals(self, V, grad=False):
+        norms = norm_rows(self, V)
+        return (norms, np.full(V.shape, math.nan)) if grad else norms
+
+    monkeypatch.setattr(SeqSpaceSpec, "norm_rows", nan_functionals)
     fam = gen_interlaced(E1, WIN, 2, (1, 2), seed=2)
     with pytest.raises(HypothesisError, match="norming functional failed tolerance"):
         rank_one_shift(fam, E1)
@@ -156,16 +161,17 @@ def test_majorization_rejects_signed():
 
 
 def test_majorization_one_norming_functional_per_block(rng, monkeypatch):
-    # a block sum takes the functionals of all its blocks in one norming_rows
-    # call, one row per block
+    # a block sum takes the functionals of all its blocks in one
+    # norm_rows(X, grad=True) call, one row per block
     calls = []
-    inner = SeqSpaceSpec.norming_rows
+    inner = SeqSpaceSpec.norm_rows
 
-    def counting(self, V, norms):
-        calls.append(len(V))
-        return inner(self, V, norms)
+    def counting(self, V, grad=False):
+        if grad:
+            calls.append(len(V))
+        return inner(self, V, grad)
 
-    monkeypatch.setattr(SeqSpaceSpec, "norming_rows", counting)
+    monkeypatch.setattr(SeqSpaceSpec, "norm_rows", counting)
     blocks_seen = 0
     for E in (E1, dyadic_lp(2, WIN), OrliczModular(power(2), WIN)):
         for _ in range(6):
@@ -183,15 +189,15 @@ def test_majorization_one_norming_functional_per_block(rng, monkeypatch):
 
 
 def test_majorization_one_modular_solve_per_block(monkeypatch):
-    # the block norms come from one norm_rows call over all blocks, and the
-    # functionals read those norms: no block is solved again alone
+    # the block norms and functionals come from one norm_rows call over all
+    # blocks: no block is solved again alone
     solves = []
     norm_rows = OrliczModular.norm_rows
 
-    def counted(self, V):
+    def counted(self, V, grad=False):
         if len(V) == 1:
             solves.append(V)
-        return norm_rows(self, V)
+        return norm_rows(self, V, grad)
 
     monkeypatch.setattr(OrliczModular, "norm_rows", counted)
     E, blocks = OrliczModular(power(2), WIN), 0
