@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import UsageError
 from .measure import SeqVec, StepFunction, star_integral
-from .spaces import SeparationFit, SeqSpaceSpec
+from .spaces import SeparationFit, SeqSpaceSpec, _check_windows
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SWEEP_CAP = 64
@@ -86,8 +86,7 @@ def _side(space, template):
                              f"function needs function spaces")
         return space.norm_rows_on(template), space.weighted_lp_form_on(template)
     E = space.e_space(template.window)
-    if E.window != template.window:
-        raise ValueError("vector window does not match space window")
+    _check_windows("vector", template.window, E)
     return E.norm_rows, E.weighted_lp_form()
 
 
@@ -484,8 +483,7 @@ def k_block_estimate(t: float, x: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
         raise ValueError(f"block estimate needs a finite t > 0; got {t!r}")
     if not fit.separated:
         raise ValueError("couple is not exponentially separated")
-    if E.window != x.window or F.window != x.window:
-        raise ValueError("vector window does not match space window")
+    _check_windows("vector", x.window, E, F)
     js = _block_points(t, fit, x.window.lo, x.window.size)
     head = np.arange(x.window.size) < np.array(js)[:, None]  # row r: j < js[r]
     pre = E.norm_rows(np.where(head, x.values, 0.0)).tolist()

@@ -39,7 +39,7 @@ from .ascent import (ACCEPT_REL, STOP_BUDGET, _ascend_steps, stop_level,
                      stop_reason)
 from .errors import UsageError, check_budget
 from .measure import SeqVec, Window, _sparse
-from .spaces import SeqSpaceSpec, _row_ratios
+from .spaces import SeqSpaceSpec, _check_windows, _row_ratios
 
 RSP = "rsp"
 LSP = "lsp"
@@ -79,8 +79,7 @@ class InterlacedFamily:
         if np.any(last[:-1] >= first[1:]):
             raise ValueError("supports are not strictly interlaced")
         if E is not None:
-            if self.window != E.window:
-                raise ValueError("vector window does not match space window")
+            _check_windows("family", self.window, E)
             norms = E.norm_rows(B)
             if np.any(np.abs(norms[0::2] - 1.0) > tol):
                 raise ValueError("x block is not normalized")

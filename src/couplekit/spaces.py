@@ -49,10 +49,12 @@ closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
 the identity, ``unit_norm(n)`` one of them), ``shift_norm_upper(m)`` (a
 certified bound on ||tau_m||), ``generator()``.
 The weighted-lp forms are the one answer to "is this space exactly a
-weighted ell_p", p = inf included: L_p, the Lorentz space of t^(1/p) and the
-Orlicz space of x^p answer |I_i|^(1/p) on pieces, ``WeightedLp`` its weights,
-the modular space of x^p 2^(n/p), ``InducedSeq`` its space's form on the
-blocks; a power's exponent is read from the profile, never from a name.
+weighted ell_p", p = inf included: a function space fixes ``_lp`` at
+construction (p for L_p, the Lorentz space of t^(1/p) and the Orlicz space
+of x^p, else None), from which ``SpaceSpec`` alone answers |I_i|^(1/p) on
+pieces; ``WeightedLp`` its weights, the modular space of x^p 2^(n/p),
+``InducedSeq`` its space's form on the blocks; a power's exponent is read
+from the profile once per space, never from a name.
 ``SeqSpaceSpec`` reads every closed form from the form (w, p): the norms
 and their norming functionals, ||e_n|| = w_n, max w_n / w_(n-m) for
 ||tau_m||, ``shift_upper()`` and ``reversed_space()``; a space without one
@@ -62,7 +64,9 @@ So a weighted ell_p is a ``WeightedLp`` (a constructor and a spec string):
 ``OrderReversed(E)`` is ``E.reversed_space()``, ``GeometricWeighted(E, b)``
 E at b = 1, else w_n b^n on E's form; any other space is reversed and
 weighted by ``_Conjugated``, which folds a chain of both.
-``FromSequenceSpace`` delegates ``generator`` to E.
+``FromSequenceSpace`` delegates ``generator`` to E.  Data meets a
+sequence space through one check, ``_check_windows``: a vector, family or
+window off the space's window is a ``UsageError`` naming both windows.
 """
 
 from __future__ import annotations
@@ -121,7 +125,7 @@ class PowerWeight(WeightFn):
 class TableLogLinear(WeightFn):
     """Piecewise log-log-linear weight from a (log t, log w) table."""
 
-    def __init__(self, log_t, log_w, assume_finite_q: bool = False):
+    def __init__(self, log_t, log_w):
         self.log_t = np.asarray(log_t, dtype=float)
         self.log_w = np.asarray(log_w, dtype=float)
         if (self.log_t.ndim != 1 or self.log_t.size < 2 or np.any(np.diff(self.log_t) <= 0)
@@ -131,10 +135,6 @@ class TableLogLinear(WeightFn):
         if np.any(slopes < 0):
             raise ValueError("weight must be monotone increasing")
         self.slopes = slopes
-        # doubling ratio w(2t)/w(t) = exp(slope * log 2) per segment
-        if assume_finite_q and np.exp(np.min(slopes) * LOG2) <= 1.0:
-            raise ValueError("finite-q regime requires inf w(2t)/w(t) > 1")
-        self.assume_finite_q = assume_finite_q
         self._tables = {}  # p -> _knot_table(p)
 
     def _segment(self, lt):
@@ -200,6 +200,7 @@ class SpaceSpec:
     """Base for concrete r.i. function spaces on [0,1] or [0,inf)."""
 
     domain: str = UNIT
+    _lp: float | None = None  # p when the space is L_p, set once at construction
 
     def norm_rows_on(self, f: StepFunction):
         """V -> norms of the rows of a (k, pieces) array of values on the
@@ -218,8 +219,11 @@ class SpaceSpec:
 
     def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float] | None:
         """(weights, p) when the norm of values on the pieces of f is a
-        weighted ell_p, else None."""
-        return None
+        weighted ell_p, else None: L_p's |I_i|^(1/p), unit weights at p = inf,
+        when the space is L_p (its ``_lp``)."""
+        if (p := self._lp) is None:
+            return None
+        return (np.ones(f.lengths.size) if math.isinf(p) else f.lengths ** (1.0 / p)), p
 
     def e_space(self, window: Window) -> "SeqSpaceSpec":
         """The dyadic sequence space E_X on the window, fast form if known."""
@@ -265,22 +269,12 @@ def _wlp_norms(V: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _lp_form_on(f: StepFunction, p: float) -> tuple[np.ndarray, float]:
-    """L_p's form on the pieces of f: weights |I_i|^(1/p), unit weights at p = inf."""
-    if math.isinf(p):
-        return np.ones(f.lengths.size), p
-    return f.lengths ** (1.0 / p), p
-
-
 class LpSpace(SpaceSpec):
     def __init__(self, p: float, domain: str = UNIT):
         if p < 1:
             raise ValueError("Lp needs p >= 1")
-        self.p = float(p)
+        self.p = self._lp = float(p)
         self.domain = domain
-
-    def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float]:
-        return _lp_form_on(f, self.p)
 
     def e_space(self, window: Window) -> "SeqSpaceSpec":
         return dyadic_lp(self.p, window)
@@ -311,6 +305,9 @@ class LorentzSpace(SpaceSpec):
         self.p = float(p)
         self.weight = weight
         self.domain = domain
+        # t^(1/p) is the one power weight whose quasinorm is L_p itself
+        if isinstance(weight, PowerWeight) and abs(self.p * weight.exponent - 1.0) <= 1e-12:
+            self._lp = self.p
 
     def _rows_on(self, f: StepFunction):
         def rows(V: np.ndarray) -> np.ndarray:
@@ -322,13 +319,6 @@ class LorentzSpace(SpaceSpec):
             terms = np.multiply(S ** self.p, dW, out=np.zeros(S.shape), where=S > 0.0)
             return np.add.reduce(terms, axis=1) ** (1.0 / self.p)
         return rows
-
-    def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float] | None:
-        # t^(1/p) is the one power weight whose quasinorm is L_p itself
-        w = self.weight
-        if isinstance(w, PowerWeight) and abs(self.p * w.exponent - 1.0) <= 1e-12:
-            return _lp_form_on(f, self.p)
-        return None
 
     def boyd(self) -> BoydIndices:
         w = self.weight
@@ -512,15 +502,12 @@ class OrliczSpace(SpaceSpec):
     def __init__(self, F: OrliczFn, domain: str = UNIT):
         self.F = F
         self.domain = domain
+        self._lp = _power_exponent(F)
 
     def _rows_on(self, f: StepFunction):
         log_len = np.log(f.lengths)
         log_lambda = np.atleast_1d(self.F.log_inv(-log_len))
         return lambda V: _orlicz_rows(self.F, V, log_len, log_lambda)
-
-    def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float] | None:
-        p = _power_exponent(self.F)
-        return None if p is None else _lp_form_on(f, p)
 
     def e_space(self, window: Window) -> "SeqSpaceSpec":
         return OrliczModular(self.F, window)
@@ -543,6 +530,17 @@ class OrliczSpace(SpaceSpec):
 # ---------------------------------------------------------------------------
 # sequence spaces
 # ---------------------------------------------------------------------------
+
+
+def _check_windows(what: str, window: Window, *spaces: SeqSpaceSpec):
+    """The one check of data against spaces: each must be on ``window`` (on
+    another of the same size its weights fall on the wrong indices), else a
+    ``UsageError`` naming the space and both windows."""
+    for space in spaces:
+        if space.window != window:
+            a, b = space.window, window
+            raise UsageError(f"window mismatch: {space.spec_string()} is on "
+                             f"{a.kind}[{a.lo},{a.hi}], the {what} on {b.kind}[{b.lo},{b.hi}]")
 
 
 class SeqSpaceSpec:
@@ -615,8 +613,7 @@ class SeqSpaceSpec:
         return None
 
     def norm(self, x: SeqVec) -> float:
-        if x.window != self.window:
-            raise ValueError("vector window does not match space window")
+        _check_windows("vector", x.window, self)
         return self.norm_values(x.values)
 
     def unit_norm(self, n: int) -> float:
@@ -902,9 +899,11 @@ class FromSequenceSpace(SpaceSpec):
 
 
 def rho_profile(E: SeqSpaceSpec, F: SeqSpaceSpec, window: Window) -> dict[int, float]:
-    """rho(n) = ||e_n||_E / ||e_n||_F for n in the window, from one ``unit_norms()`` each."""
+    """rho(n) = ||e_n||_E / ||e_n||_F for n in the window, which must be E's
+    and F's (``_check_windows``), from one ``unit_norms()`` each."""
+    _check_windows("window", window, E, F)
     ue, uf = E.unit_norms().tolist(), F.unit_norms().tolist()
-    return {n: ue[n - E.window.lo] / uf[n - F.window.lo] for n in window.indices().tolist()}
+    return {n: a / b for n, a, b in zip(window.indices().tolist(), ue, uf)}
 
 
 @dataclass
@@ -1135,6 +1134,7 @@ def norming_functional(E: SeqSpaceSpec, x: SeqVec) -> SeqVec:
     ||g||* = <x/||x||, g>.  A caller with many rows makes that one call and
     checks <x, g> against the norms that come back with the functionals.
     """
+    _check_windows("vector", x.window, E)
     if not np.any(x.values):
         raise ValueError("cannot norm the zero vector")
     return SeqVec(x.window, E.norming_values(x.values))

@@ -32,7 +32,8 @@ over the stack, ``_upper_bound``.  The ``op_norm`` lower bound is a one-lane
 ascent of ``ascent._ascend_steps`` over batches of rows, their ratios
 ||T x|| / ||x|| from one ``spaces._row_ratios`` call each, which stops by the
 ascent's stop rule once it meets that closed form within
-``ascent.ACCEPT_REL``.  Every space must be on the window of the data.
+``ascent.ACCEPT_REL``.  Every space must be on the window of the data, by
+the one check of ``spaces._check_windows``, else a ``UsageError``.
 
 Window truncation realizes the two-ended proofs: indices below window.lo
 carry no mass, so the lower-tail extension set B is always empty here and
@@ -52,7 +53,7 @@ from .errors import HypothesisError, UsageError, check_budget
 from .kfunc import _block_points, _check_finite, _k_grid, _prefix_norms, _suffix_norms
 from .measure import SeqVec, Window, _sparse
 from .shift import InterlacedFamily
-from .spaces import SeparationFit, SeqSpaceSpec, _row_ratios
+from .spaces import SeparationFit, SeqSpaceSpec, _check_windows, _row_ratios
 
 EXACTNESS_TOL = 1e-9
 # <x, g> = ||x|| tolerance for every norming functional of a block sum
@@ -501,16 +502,6 @@ def _certified_bounds(T: PositiveMatrix, E: SeqSpaceSpec, F: SeqSpaceSpec,
         if cands:
             bounds["method"][label] = min(cands, key=cands.get)
     return bounds
-
-
-def _check_windows(what: str, window: Window, *spaces: SeqSpaceSpec):
-    """Every space must be on ``window``: on another window of the same size
-    its weights would fall on the wrong indices."""
-    for space in spaces:
-        if space.window != window:
-            a, b = space.window, window
-            raise UsageError(f"window mismatch: {space.spec_string()} is on "
-                             f"{a.kind}[{a.lo},{a.hi}], the {what} on {b.kind}[{b.lo},{b.hi}]")
 
 
 def _check_vectors(x: SeqVec, y: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec, name: str):

@@ -425,9 +425,11 @@ def test_k_induced_linf_is_k_seq_linf_bit_for_bit(rng):
 def test_k_numeric_rejects_a_window_mismatch():
     f = SeqVec(Window("Z-", -8, -1), np.linspace(0.5, 2.0, 8))
     other = Window("Z", -4, 3)
-    with pytest.raises(ValueError, match="vector window does not match space window"):
+    with pytest.raises(UsageError, match=r"^window mismatch: seq:lpw:p=1 is on Z\[-4,3\], "
+                                         r"the vector on Z-\[-8,-1\]$"):
         k_numeric(1.0, f, dyadic_lp(1, other), dyadic_lp(2, other))
-    with pytest.raises(ValueError, match="vector window does not match space window"):
+    with pytest.raises(UsageError, match=r"^window mismatch: seq:lpw:p=2 is on Z\[-4,3\], "
+                                         r"the vector on Z-\[-8,-1\]$"):
         k_numeric(1.0, f, dyadic_lp(1, f.window), dyadic_lp(2, other))
     assert k_numeric(1.0, f, dyadic_lp(1, f.window), dyadic_lp(2, f.window)).value > 0
 

@@ -217,7 +217,8 @@ def test_witness_replays_from_its_own_spec(rng):
     back = ShiftWitness.from_json_dict(json.loads(json.dumps(est.witness.to_json_dict())))
     E_back = parse_seq_space(back.space_spec, back.window.reversed())
     assert replay_witness(E_back, back) == replay_witness(E, est.witness)
-    with pytest.raises(ValueError, match="vector window does not match space window"):
+    with pytest.raises(UsageError, match=r"^window mismatch: .* is on Z\[-8,8\], "
+                                         r"the family on Z\[-9,7\]$"):
         replay_witness(parse_seq_space(back.space_spec, back.window), back)
 
 
@@ -278,8 +279,8 @@ def test_family_json_round_trip_and_validation(kind, n, seed, data):
 
     X, Y = fam.X.copy(), fam.Y.copy()
     rejects(X[:0], Y[:0], UsageError, "empty family")
-    rejects(X, Y, ValueError, "vector window does not match space window",
-            Window("Z", win.lo - 1, win.hi - 1))
+    rejects(X, Y, UsageError, r"^window mismatch: .* is on Z-\[-24,-1\], "
+            r"the family on Z\[-25,-2\]$", Window("Z", win.lo - 1, win.hi - 1))
     # the blocks in support order x_1, y_1, x_2, ...: block j + 1 reaches
     # into block j, or block j is empty
     B = np.stack((X, Y), axis=1).reshape(2 * n, win.size)

@@ -168,12 +168,6 @@ def test_fromseq_rows_match_envelope_reference_bit_for_bit(case, which):
     assert np.array_equal(X.norm_rows_on(f)(V), ref)
 
 
-def test_finite_q_regime_flag():
-    with pytest.raises(ValueError):
-        TableLogLinear([-2.0, 0.0], [0.0, 0.0], assume_finite_q=True)
-    TableLogLinear([-2.0, 0.0], [-1.0, 0.0], assume_finite_q=True)
-
-
 def _variants():
     win = Window("Z-", -40, -1)
     return [
@@ -315,6 +309,11 @@ def test_rho_examples():
     assert all(v == pytest.approx(1.0) for v in rho_same.values())
     rho12 = rho_profile(E1, E2, win)
     assert all(rho12[n] == pytest.approx(2.0 ** (n / 2.0)) for n in rho12)
+    # a window past the spaces' own is refused, not wrapped to other indices
+    short = Window("Z-", -8, -1)
+    with pytest.raises(UsageError, match=r"^window mismatch: seq:lpw:p=2 is on Z-\[-8,-1\], "
+                                         r"the window on Z-\[-12,-1\]$"):
+        rho_profile(dyadic_lp(2, short), LinftySeq(short), Window("Z-", -12, -1))
 
 
 def test_fit_separation_examples():

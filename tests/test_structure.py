@@ -20,7 +20,10 @@ on the base classes only -- one exactness answer (the weighted-lp forms,
 which also tell K's route and the verdict's pair with L_infty whether a side
 is a weighted ell_infty, so no space answers ``is_linf``;
 ``weighted_lp_form()``, read from the form a sequence space computes once,
-and ``weighted_lp_form_on(f)``, from which ``SeqSpaceSpec`` alone derives the
+and ``weighted_lp_form_on(f)``, read on ``SpaceSpec`` alone from the L_p
+exponent ``_lp`` a function space fixes at construction, so a power's
+exponent is read from the profile once per space; from the forms
+``SeqSpaceSpec`` alone derives the
 certified ``shift_upper`` and ``reversed_space``, the unit norms, the bounds
 on ||tau_m|| and the norming functionals, so ``WeightedLp`` is only its
 constructor and spec string; no module tells a power from a generator's
@@ -45,8 +48,10 @@ t-grid (``kfunc._k_grid``) with one level scan behind both exact K routes
 (``kfunc._k_path``) and one template front end per side (``kfunc._side``),
 the dyadic levels
 lambda_n = F^{-1}(2^{-n}) solved in one place (``OrliczFn.log_lambda``, once
-per generator), and one representation of a positive operator (the factor
-stack ``G``, ``Y``, ``d`` of ``PositiveMatrix``).
+per generator), one window check (``spaces._check_windows``, which every
+pairing of a vector, family or window with a space calls, so a mismatch is
+one ``UsageError`` everywhere), and one representation of a positive
+operator (the factor stack ``G``, ``Y``, ``d`` of ``PositiveMatrix``).
 """
 
 import ast
@@ -281,7 +286,36 @@ def test_one_norm_formula_per_function_space():
     assert {"LpSpace", "LorentzSpace", "OrliczSpace", "FromSequenceSpace"} <= found
     defined = {fn.name for path in SRC.glob("*.py")
                for fn in _functions(ast.parse(path.read_text()))}
-    assert not {"norm_closure", "_norm_closure"} & defined
+    assert not {"norm_closure", "_norm_closure", "_lp_form_on"} & defined
+    # a function space's form is read on the base class from its L_p
+    # exponent, fixed at construction: a power's exponent is read from the
+    # profile once per Orlicz space or modular, not once per norm
+    assert "weighted_lp_form_on" in vars(spaces.SpaceSpec)
+    for name in found:
+        assert "weighted_lp_form_on" not in vars(getattr(spaces, name)), name
+    fns = _qualified_functions()
+    assert {name for name, fn in fns.items() if "_power_exponent" in _called(fn)} == {
+        "spaces.OrliczModular.__init__", "spaces.OrliczSpace.__init__"}
+
+
+def test_one_window_check():
+    # data meets a space's window through one check, spaces._check_windows,
+    # which every pairing of a vector, family or window with a space calls
+    fns = _qualified_functions()
+    assert [name for name in fns if name.endswith("._check_windows")] == [
+        "spaces._check_windows"]
+    for name in ("kfunc._side", "kfunc.k_block_estimate", "shift.InterlacedFamily.validate",
+                 "spaces.SeqSpaceSpec.norm", "spaces.norming_functional", "spaces.rho_profile",
+                 "transfer._check_vectors",
+                 "transfer.op_norm", "transfer.rank_one_shift"):
+        assert "_check_windows" in _called(fns[name]), name
+    for module in ("kfunc", "shift", "transfer"):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        assert "_check_windows" in _imports_from(tree, "spaces"), module
+    # the message is spelled in two parts so that this file does not match itself
+    gone = "vector window does not match" + " space window"
+    for path in [*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        assert gone not in path.read_text(), path.name
 
 
 def test_shift_search_evaluates_rows():

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 import couplekit.transfer as transfer
 from couplekit import (GeometricWeighted, HypothesisError, InterlacedFamily, LinftySeq,
-                       OrderReversed, OrliczModular, PositiveMatrix, SeqVec,
+                       OrderReversed, OrliczModular, PositiveMatrix, SeqVec, ShiftWitness,
                        UsageError, WeightedLp, Window, dyadic_lp, example1,
-                       fit_separation, gen_interlaced, k_transfer,
-                       majorization_transfer, op_norm, power, pwpower, rank_one_shift,
-                       rho_profile)
+                       fit_separation, gen_interlaced, k_block_estimate, k_numeric, k_transfer,
+                       majorization_transfer, norming_functional, op_norm, power, pwpower,
+                       rank_one_shift, replay_witness, rho_profile)
 from couplekit.spaces import SeqSpaceSpec, shift_values
 from conftest import SEARCH_SPACE_KINDS, random_seqvec, search_space
 
@@ -386,23 +386,33 @@ def test_k_transfer_neither_error_matches_reference(F, monkeypatch):
                 f"needed constant {need:.6g} > C2 = {1.0:.6g}")
 
 
-@pytest.mark.parametrize("build", ["majorization", "k", "rank-one", "op-norm"])
+@pytest.mark.parametrize("build", ["majorization", "k", "rank-one", "op-norm", "k-numeric",
+                                   "k-block", "replay", "norm", "norming", "rho"])
 @pytest.mark.parametrize("side", ["E", "F"])
 def test_space_on_another_window_is_usage_error(build, side):
     # a window of the same size would put the space's weights on the wrong
-    # indices, so it is refused, naming both windows
+    # indices, so every pairing of data with a space refuses it through the
+    # one window check, naming both windows
     x, y = _damped_shift(0, 1, 0.45)
     other = Window("Z", 0, 24)
     E, F = (dyadic_lp(1, other), EINF) if side == "E" else (E1, LinftySeq(other))
     fam = gen_interlaced(E1, WIN, 2, (1, 2), seed=0)
+    one = E if side == "E" else F
     call = {
         "majorization": lambda: majorization_transfer(x, y, E, F),
         "k": lambda: k_transfer(x, y, E, F, FIT, t_points=3),
-        "rank-one": lambda: rank_one_shift(fam, E if side == "E" else F),
-        "op-norm": lambda: op_norm(_diagonal(), E if side == "E" else F, "interval", 10),
+        "rank-one": lambda: rank_one_shift(fam, one),
+        "op-norm": lambda: op_norm(_diagonal(), one, "interval", 10),
+        "k-numeric": lambda: k_numeric(1.0, x, E, F),
+        "k-block": lambda: k_block_estimate(1.0, x, E, F, FIT),
+        "replay": lambda: replay_witness(one, ShiftWitness(
+            one.spec_string(), "rsp", WIN, fam, [1.0, 1.0], 1.0, 0)),
+        "norm": lambda: one.norm(x),
+        "norming": lambda: norming_functional(one, x),
+        "rho": lambda: rho_profile(E, F, WIN),
     }[build]
-    with pytest.raises(UsageError, match=r"window mismatch: .* is on Z\[0,24\], the "
-                                         r"(vectors|family|matrix) on Z\[-12,12\]$"):
+    with pytest.raises(UsageError, match=r"^window mismatch: .* is on Z\[0,24\], the "
+                                         r"(vectors?|family|matrix|window) on Z\[-12,12\]$"):
         call()
 
 
