@@ -24,11 +24,13 @@ Two routes, picked from the sides' weighted-lp forms (``_side``) alone:
    stationary points finish the search, and ``lower`` equals ``value``.
    Against a weighted-ell_infty form (v, inf), c = 1/v and any other X has
    K = min phi(theta) = ||(a - theta c)_+||_X + t theta (Bennett-Sharpley,
-   Interpolation of Operators, 1988): golden-section steps (one row each)
-   narrow the bracket around the best level, and for a normed X (phi
-   convex) the chords through the best interior point bound phi from below
-   on it, so ``lower`` is a true bound.  The other order of a couple is the
-   same problem by K(t; X, Y) = t K(1/t; Y, X).
+   Interpolation of Operators, 1988).  For X of form (w, p), 1 < p < inf,
+   the root of phi' on the one segment where it changes sign is exact, and
+   ``lower`` equals ``value`` up to rounding; for other X golden-section
+   steps (one row each) narrow the bracket around the best level, and for a
+   normed X (phi convex) the chords through the best interior point bound
+   phi from below on it, so ``lower`` is a true bound.  The other order of
+   a couple is the same problem by K(t; X, Y) = t K(1/t; Y, X).
 2. Other couples are minimized over the box 0 <= c <= |f| by cyclic
    coordinate descent (descending-|f| sweep order, golden-section line
    searches), cross-checked against the truncation family x = min(|f|, c)
@@ -137,10 +139,11 @@ def k_numeric(t: float, f, X, Y, tol: float = 1e-8) -> KResult:
 
     If one side is L1-type (a weighted ell_1) and the other a weighted ell_p,
     or one side has a weighted-ell_infty form (v, inf), K is ``_k_path`` and
-    ``lower`` a certified lower bound (for (v, inf): within tol * value, for
-    a normed X only, and ``y_mass`` is the level lam, the y norm in exact
-    arithmetic).  Other couples take cyclic coordinate descent, converged
-    once a sweep improves by less than tol * value; the sweep cap leaves
+    ``lower`` a certified lower bound (for (v, inf): ``value`` up to rounding
+    for a weighted-ell_p X, else within tol * value for a normed X only;
+    ``y_mass`` is the level lam, the y norm in exact arithmetic).  Other
+    couples take cyclic coordinate descent, converged once a sweep improves
+    by less than tol * value; the sweep cap leaves
     ``converged=False`` with the best value intact, ``lower`` a gap estimate.
     """
     return _k_grid([t], f, X, Y, tol)[0]
@@ -161,8 +164,8 @@ def _k_grid(ts, f, X, Y, tol: float = 1e-8) -> list[KResult]:
     """``k_numeric`` at each t of ts, from one scan of the rows that do not
     depend on t: the level rows of ``_k_path`` (p > 1) and the trial splits
     of descent are normed once for the whole grid.  Per t there remain the
-    p = 1 row, the stationary points, the golden steps and the descent
-    sweeps."""
+    p = 1 row, the stationary points, the segment roots, the golden steps
+    and the descent sweeps."""
     for t in ts:
         if not 0 < t < math.inf:
             raise ValueError(f"K-functional needs a finite t > 0; got {t!r}")
@@ -177,18 +180,14 @@ def _k_grid(ts, f, X, Y, tol: float = 1e-8) -> list[KResult]:
     nx, form_x = _side(X, f)
     ny, form_y = _side(Y, f)
 
-    if not np.any(a > 0):
+    if not a.any():  # a = |f| is finite here
         return [KResult(t, 0.0, 0.0, 0.0, 0.0, 0, True, a.copy()) for t in ts]
     inverse = [1.0 / t for t in ts]
     (u, p), (v, q) = form_x or (None, None), form_y or (None, None)
-    if p == 1.0 and q is not None:
-        return _k_path(ts, a, u, v, q, nx, ny, tol)
-    if q == 1.0 and p is not None:
-        return _swapped(ts, a, _k_path(inverse, a, v, u, p, ny, nx, tol))
-    if q == math.inf:
-        return _k_path(ts, a, None, v, q, nx, ny, tol)
-    if p == math.inf:
-        return _swapped(ts, a, _k_path(inverse, a, None, u, p, ny, nx, tol))
+    if (p == 1.0 and q is not None) or q == math.inf:
+        return _k_path(ts, a, form_x, v, q, nx, ny, tol)
+    if (q == 1.0 and p is not None) or p == math.inf:
+        return _swapped(ts, a, _k_path(inverse, a, form_y, u, p, ny, nx, tol))
     return _k_descent(ts, a, nx, ny, sequence_like, tol)
 
 
@@ -200,12 +199,12 @@ def _swapped(ts, a: np.ndarray, rs: list) -> list[KResult]:
             for t, r in zip(ts, rs) for k in [min(t * r.value, r.y_mass + t * r.x_mass)]]
 
 
-def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
+def _k_path(ts, a: np.ndarray, x_form: tuple | None, v: np.ndarray, p: float,
             nx, ny, tol: float) -> list[KResult]:
-    """K(t) exactly at each t of ts for X = ell_1 with weights u and Y = ell_p
-    with weights v; with u None, for any lattice X and Y = ell_infty with
-    weights v (c = 1/v below), where each t takes ``_k_linf_at``'s golden
-    steps from the levels in place of the stationary points.
+    """K(t) exactly at each t of ts for X = ell_1 with weights u (x_form
+    (u, 1)) and Y = ell_p with weights v, and for X of form (u, px),
+    1 < px < inf, against Y = ell_infty with weights v (c = 1/v below); any
+    other X against that Y takes ``_k_linf_at``'s golden steps per t.
 
     For p = 1, K = sum_i min(u_i, t v_i) a_i: y_i = a_i exactly where
     t v_i < u_i.  For p > 1, a split with ||y||_Y <= r maximises
@@ -236,7 +235,17 @@ def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
     ``nx`` or ``ny``, and with an ell_1 side ``lower`` equals ``value``.  For
     p < inf the exponent 1/(p-1) can spread c beyond the range of doubles
     (p near 1), so theta, c and the levels are carried as logarithms there.
+
+    Against (v, inf) and X of form (W^(1/px), px), phi(lam) =
+    ||(a - lam c)_+||_X + t lam is convex, phi'_+ = t - G with
+    G = sum W c q^(px-1), q the row (a - lam c)_+ over its norm; per t, the
+    first level with phi'_+ >= 0 closes the one segment where phi' changes
+    sign, its roots (``_segment_root``) are one batch, and ``lower`` is where
+    the tangents around the sign change cross.
     """
+    u, px = x_form or (None, None)
+    segment = px is not None and 1.0 < px < math.inf
+
     def rows(Y):
         """(||x||_X, ||y||_Y) of the splits y = the rows of Y."""
         return nx(a - Y), ny(Y)
@@ -267,8 +276,16 @@ def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
     levels = np.concatenate([[zero], np.unique(b[a > 0])])
     # against ell_infty, ||min(a, theta c)|| = theta in exact arithmetic (0 or a level)
     level_xs, level_ys = (np.concatenate(z) for z in zip(*(
-        (nx(a - splits(run)), run) if u is None else rows(splits(run))
+        (nx(a - splits(run)), run) if px != 1.0 else rows(splits(run))
         for run in _runs(levels, a.size))))
+    if segment:
+        W = u ** px
+
+        def slopes(R):
+            """G (see ``_segment_root``) at each row R = (a - lam c)_+ != 0."""
+            q = R / R.max(axis=1, keepdims=True)
+            return q ** (px - 1.0) @ (W * c) / (q ** px @ W) ** (1.0 - 1.0 / px)
+        table = np.array([levels, level_xs, np.append(slopes(a - splits(levels[:-1])), 0.0)])
     if p < math.inf:
         # S and M / t^p' of each segment [lo, hi): prefix and suffix sums in
         # the order of b over the entries saturated at lo (b <= lo) and the
@@ -283,10 +300,20 @@ def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
     out = []
     for t in ts:
         thetas, xs, ys = levels, level_xs, level_ys
-        vals = xs + t * ys
-        if u is None:
-            out.append(_k_linf_at(t, a, c, nx, tol, levels, vals.tolist()))
+        if segment:
+            thetas, xs, G = table
+            m = int((t >= G).argmax())  # the first point with phi'_+ >= 0
+            if 0 < m < levels.size - 1 and (
+                    lams := _segment_root(t, a, b, c, W, px, *levels[m - 1:m + 1])).size:
+                R = a - splits(lams)
+                thetas, xs, G = np.concatenate(
+                    [table[:, :m], [lams, nx(R), slopes(R)], table[:, m:]], axis=1)
+                m = int((t >= G).argmax())
+            ys = thetas
+        elif px != 1.0:
+            out.append(_k_linf_at(t, a, c, nx, tol, levels, (xs + t * ys).tolist()))
             continue
+        vals = xs + t * ys
         if p < math.inf:
             with np.errstate(over="ignore"):
                 uc = np.exp(log_uc - q * math.log(t))[order]
@@ -299,11 +326,47 @@ def _k_path(ts, a: np.ndarray, u: np.ndarray | None, v: np.ndarray, p: float,
                 thetas = np.concatenate([levels, stat])
                 vals, xs, ys = (np.concatenate(z) for z in
                                 zip((vals, xs, ys), (sx + t * sy, sx, sy)))
-        k = int(np.argmin(vals))  # the first minimum: a level wins a tie
+        k = int(vals.argmin())  # the first minimum: a level wins a tie
+        lower = vals[k]
+        if segment and m:
+            (fA, fB), (dA, dB), (A, B) = (z[m - 1:m + 1].tolist() for z in (vals, t - G, thetas))
+            lower = min((dB * fA - dA * fB + dA * dB * (B - A)) / (dB - dA), lower)
         y = splits(thetas[k:k + 1])[0]
-        out.append(KResult(t, float(vals[k]), float(vals[k]), float(xs[k]),
+        out.append(KResult(t, float(vals[k]), max(float(lower), 0.0), float(xs[k]),
                            float(ys[k]), 1, True, a - y))
     return out
+
+
+def _segment_root(t: float, a: np.ndarray, b: np.ndarray, c: np.ndarray, W: np.ndarray,
+                  px: float, lo: float, hi: float) -> np.ndarray:
+    """The roots found on (lo, hi) of phi' = t - G (see ``_k_path``) over the
+    entries b > lo.  At px = 2, ||a - lam c||^2 = C (lam - beta)^2 + D, D a
+    residual sum (no cancellation).  Otherwise safeguarded Newton steps, and
+    both ends of the last bracket: px near 1 turns phi' within an ulp of hi."""
+    on = b > lo
+    # phi' is scale-free in a and lam: solve for lam / s, s a power of 2 near max a
+    s = math.ldexp(1.0, math.frexp(a[on].max())[1] - 1)
+    a, c, W, lo, hi = a[on] / s, c[on], W[on], lo / s, hi / s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if px == 2.0:
+            C = W @ (c * c)
+            beta = W @ (a * c) / C
+            ends = np.array([beta - t * np.sqrt(W @ (a - beta * c) ** 2 / (C * (C - t * t)))])
+        else:
+            lam, left, right = 0.5 * (lo + hi), lo, hi
+            for _ in range(100):
+                q = (a - lam * c) / (N := (W @ (a - lam * c) ** px) ** (1.0 / px))
+                G = W @ (c * q ** (px - 1.0))
+                left, right = (lam, right) if G > t else (left, lam)
+                # phi'' = (px - 1) (sum W c^2 q^(px-2) - G^2) / N
+                step = lam + (G - t) * N / ((px - 1.0) * (W @ (c * c * q ** (px - 2.0)) - G * G))
+                if step == lam:
+                    break
+                lam = step if left < step < right else 0.5 * (left + right)
+                if not left < lam < right:  # left and right are adjacent floats
+                    break
+            ends = np.array([left, right])
+        return s * ends[(lo < ends) & (ends < hi)]
 
 
 def _k_linf_at(t: float, a: np.ndarray, scale, nx, tol: float, levels: np.ndarray,

@@ -248,8 +248,8 @@ def _wlp_norms(V: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     """The one weighted-ell_p row formula: (sum_i (|v_i| w_i)^p)^(1/p) for each
     row v of V, max_i |v_i| w_i at p = inf.  Each row is summed alone, and its
     root taken as a scalar power: numpy's array ** can differ by an ulp."""
-    # w as a (1, n) row: a one-row V (each golden step of K against L_infty)
-    # then multiplies without broadcasting, at half the cost
+    # w as a (1, n) row: a one-row V (a segment root or golden step of K
+    # against L_infty) then multiplies without broadcasting, at half the cost
     A = np.abs(V) * w[None]
     if math.isinf(p):
         return np.maximum.reduce(A, axis=1, initial=0.0)

@@ -45,7 +45,8 @@ extremes from a band scan in bounded blocks, one drop scan behind Phi+/-
 check, ``_log_grid``, and one omega table, ``_omega_table``), one
 representation of a family of block pairs, one K scan per vector for a whole
 t-grid (``kfunc._k_grid``) with one level scan behind both exact K routes
-(``kfunc._k_path``) and one template front end per side (``kfunc._side``),
+(``kfunc._k_path``, whose segment rule serves a weighted-lp side against a
+weighted ell_infty) and one template front end per side (``kfunc._side``),
 the dyadic levels
 lambda_n = F^{-1}(2^{-n}) solved in one place (``OrliczFn.log_lambda``, once
 per generator), one window check (``spaces._check_windows``, which every
@@ -577,7 +578,8 @@ def test_one_k_scan_per_vector():
 
 def test_one_k_level_scan():
     # K against L_infty is the ell_infty case of the split path: one level
-    # scan serves both exact routes, and the golden steps run only from it;
+    # scan serves both exact routes, and the segment rule and the golden
+    # steps run only from it (golden steps also in descent's line search);
     # one front end asks a space for its rows and its weighted-lp form, once
     # per side of the couple
     tree = ast.parse((SRC / "kfunc.py").read_text())
@@ -586,7 +588,10 @@ def test_one_k_level_scan():
     # the other np.unique is descent's truncation trials
     assert {name for name, fn in fns.items() if "unique" in _called(fn)} == {
         "_k_path", "_trial_splits"}
-    assert [name for name, fn in fns.items() if "_k_linf_at" in _called(fn)] == ["_k_path"]
+    for step in ("_k_linf_at", "_segment_root"):
+        assert [name for name, fn in fns.items() if step in _called(fn)] == ["_k_path"], step
+    assert {name for name, fn in fns.items() if "_golden_steps" in _called(fn)} == {
+        "_k_linf_at", "_golden_min"}
     protocol = {"norm_rows_on", "e_space", "weighted_lp_form_on", "weighted_lp_form"}
     assert {name for name, fn in fns.items() if _called(fn) & protocol} == {"_side"}
     sides = [node for node in ast.walk(fns["_k_grid"]) if isinstance(node, ast.Call)
