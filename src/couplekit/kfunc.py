@@ -86,7 +86,7 @@ def _side(space, template):
         if not hasattr(space, "norm_rows_on"):
             raise UsageError(f"{space.spec_string()} is a sequence space; a step "
                              f"function needs function spaces")
-        return space.norm_rows_on(template), space.weighted_lp_form_on(template)
+        return space.norm_rows_on(template, form=True)
     E = space.e_space(template.window)
     _check_windows("vector", template.window, E)
     return E.norm_rows, E.weighted_lp_form()

@@ -23,9 +23,11 @@ step earlier on a profile whose ``curvature()`` bounds h' and h'', when
 Newton's remainder bound certifies a log-error of at most 1e-13, or when the
 bracket is at most 1e-13 (1 + |log ||f|| |) wide.  That width is the
 certified log-error: a flat 1e-13 only for norms near 1.  Its
-elementwise work runs on the packed nonzero entries only, and its row sums
-over the full width in buffers allocated once per call.  The adversarial
-searches (the RSP/LSP shift search, kappa, the ``op_norm`` lower bound) share
+elementwise work runs on the packed nonzero entries only, its row sums over
+the full width in one buffer allocated once per call; a batch of at least
+``_ARRAY_ROWS`` rows steps its Newton state as arrays, to the same floats,
+while that many rows iterate.  The adversarial searches (the RSP/LSP shift
+search, kappa, the ``op_norm`` lower bound) share
 the one ascent of ``couplekit.ascent`` and one ratio of rows, ``_row_ratios``.
 Kappa draws all random starts of a shift first and ascends them as lanes;
 after an overflowing start it puts the generator back to the state just past
@@ -202,13 +204,14 @@ class SpaceSpec:
     domain: str = UNIT
     _lp: float | None = None  # p when the space is L_p, set once at construction
 
-    def norm_rows_on(self, f: StepFunction):
+    def norm_rows_on(self, f: StepFunction, form: bool = False):
         """V -> norms of the rows of a (k, pieces) array of values on the
         pieces of f; rows do not depend on each other.  ``_wlp_norms`` on
-        the form wherever ``weighted_lp_form_on(f)`` answers, else ``_rows_on(f)``."""
-        if (form := self.weighted_lp_form_on(f)) is not None:
-            return lambda V: _wlp_norms(V, *form)
-        return self._rows_on(f)
+        the form wherever ``weighted_lp_form_on(f)`` answers, else ``_rows_on(f)``;
+        with ``form``, (rows, that form), the form read once."""
+        lp = self.weighted_lp_form_on(f)
+        rows = self._rows_on(f) if lp is None else (lambda V: _wlp_norms(V, *lp))
+        return (rows, lp) if form else rows
 
     def _rows_on(self, f: StepFunction):
         raise NotImplementedError  # the space's own formula where no form answers
@@ -343,6 +346,8 @@ _NEWTON_TOL = 1e-13
 # wider than the log-range of doubles (~1500) is below the stop width after
 # 1 + 2 * ceil(log2(1500 / 1e-13)) = 109 steps
 _MAX_ITER = 120
+# a batch of at least this many rows keeps its Newton state in arrays
+_ARRAY_ROWS = 24
 
 
 def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
@@ -377,12 +382,17 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
     entries when the caller has it.  Each iteration evaluates the profile
     once, as one fused ``log_eval_slope`` call (h and h' on the same points),
     and the terms exp(log w + h - max) and their products with h' only on
-    the packed nonzero entries of the rows still iterating.  The row maxima
-    are taken in a -inf-filled (k, n) buffer, and both row sums (S and D of
-    G' = -D / S) in one zero-filled (2, k, n) buffer reduced over the full
-    width: zeros in place keep numpy's pairwise summation order, so a row's
-    result does not depend on the other rows.  As rows finish, the rows still
-    iterating reuse the buffers' leading rows.
+    the packed nonzero entries of the rows still iterating (every row has
+    one).  Both row sums (S and D of G' = -D / S) are taken in one zero-filled
+    (2, k, n) buffer reduced over the full width: zeros in place keep numpy's
+    pairwise summation order, so a row's result does not depend on the other
+    rows; the rows still iterating reuse its leading rows.  A batch of at
+    least ``_ARRAY_ROWS`` rows keeps each row's beta, bracket and previous
+    width in arrays, stepped as whole-array operations, with row maxima by
+    ``np.maximum.reduceat``; below that, the rows step one by one in lists,
+    with maxima in a -inf-filled buffer.  Both steps compute the same floats
+    (``math.log`` per row, Python's min/max as strict comparisons), so a
+    row's iterates do not depend on the path.
     """
     k, n = log_a.shape
     out = np.empty(k)
@@ -393,43 +403,75 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
     er, ec = np.nonzero(log_a > -np.inf if nz is None else nz)
     la, lw = log_a[er, ec], log_w[ec]
     flat = er * n + ec
-    top, sums = np.full((k, n), -np.inf), np.zeros((2, k, n))
+    # a wide batch reads no -inf maxima buffer until fewer than _ARRAY_ROWS iterate
+    top, sums = np.full((min(k, _ARRAY_ROWS), n), -np.inf), np.zeros((2, k, n))
     top_f, s_f, d_f = top.reshape(-1), sums[0].reshape(-1), sums[1].reshape(-1)
-    # row, beta, bracket and previous bracket width of each row still iterating
-    rows, betas, los, his = list(range(k)), beta.tolist(), lo.tolist(), hi.tolist()
-    widths = [math.inf] * k
+    # row, beta, bracket and previous bracket width of each row still
+    # iterating: arrays while the batch is wide, then lists
+    if wide := k >= _ARRAY_ROWS:
+        rows, betas, los, his, widths = np.arange(k), beta, lo, hi, np.full(k, math.inf)
+        starts = np.searchsorted(er, rows)
+    else:
+        rows, betas, los, his = list(range(k)), beta.tolist(), lo.tolist(), hi.tolist()
+        widths = [math.inf] * k
     for _ in range(_MAX_ITER):
         live = len(rows)
-        h, dh = F.log_eval_slope(la - (betas[0] if live == 1 else np.array(betas)[er]))
+        h, dh = F.log_eval_slope(la - (betas[0] if live == 1 else np.asarray(betas)[er]))
         e = lw + h
-        top_f[flat] = e
-        m = np.maximum.reduce(top[:live], axis=1)
+        if wide:
+            m = np.maximum.reduceat(e, starts)
+        else:
+            top_f[flat] = e
+            m = np.maximum.reduce(top[:live], axis=1)
         wts = np.exp(e - m[er])
         s_f[flat] = wts
         d_f[flat] = wts * dh
-        S, D = np.add.reduce(sums[:, :live], axis=2).tolist()
-        keep = []
-        for i, (row, beta, lo, hi, mx) in enumerate(zip(rows, betas, los, his, m.tolist())):
-            g = mx + math.log(S[i])
-            d = g * S[i] / D[i]
-            reach = g * (1.0 + 1e-9)
-            if g > 0.0:
-                lo, hi = beta, min(hi, beta + reach)
-            else:
-                lo, hi = max(lo, beta + reach), beta
-            if abs(d) <= stop or hi - lo <= _NEWTON_TOL * (1.0 + abs(beta)):
-                out[row] = min(max(beta + d, lo), hi)
-                continue
-            nxt = beta + d
-            if not (lo < nxt < hi) or hi - lo > 0.5 * widths[i]:
-                nxt = 0.5 * (lo + hi)
-            betas[i], los[i], his[i], widths[i] = nxt, lo, hi, hi - lo
-            keep.append(i)
+        SD = np.add.reduce(sums[:, :live], axis=2)
+        if wide:
+            S, D = SD
+            # the list rule below as array operations; np.where on strict
+            # comparisons is Python's min/max, signed zeros included
+            g = m + np.fromiter(map(math.log, S.tolist()), float, live)
+            d = g * S / D
+            reach = betas + g * (1.0 + 1e-9)
+            up = g > 0.0
+            los, his = (np.where(up, betas, np.where(reach > los, reach, los)),
+                        np.where(up, np.where(reach < his, reach, his), betas))
+            nxt, width = betas + d, his - los
+            done = (np.abs(d) <= stop) | (width <= _NEWTON_TOL * (1.0 + np.abs(betas)))
+            keep = np.flatnonzero(~done)
+            if len(keep) < live:
+                end = np.where(los > nxt, los, nxt)
+                out[rows[done]] = np.where(his < end, his, end)[done]
+            bisect = ~((los < nxt) & (nxt < his)) | (width > 0.5 * widths)
+            betas, widths = np.where(bisect, 0.5 * (los + his), nxt), width
+        else:
+            keep = []
+            S, D = SD.tolist()
+            for i, (row, beta, lo, hi, mx) in enumerate(zip(rows, betas, los, his, m.tolist())):
+                g = mx + math.log(S[i])
+                d = g * S[i] / D[i]
+                reach = g * (1.0 + 1e-9)
+                if g > 0.0:
+                    lo, hi = beta, min(hi, beta + reach)
+                else:
+                    lo, hi = max(lo, beta + reach), beta
+                if abs(d) <= stop or hi - lo <= _NEWTON_TOL * (1.0 + abs(beta)):
+                    out[row] = min(max(beta + d, lo), hi)
+                    continue
+                nxt = beta + d
+                if not (lo < nxt < hi) or hi - lo > 0.5 * widths[i]:
+                    nxt = 0.5 * (lo + hi)
+                betas[i], los[i], his[i], widths[i] = nxt, lo, hi, hi - lo
+                keep.append(i)
         if len(keep) < live:
-            if not keep:
+            if not len(keep):
                 return out
-            rows, betas, los, his, widths = ([v[i] for i in keep]
-                                             for v in (rows, betas, los, his, widths))
+            state = [v[keep] if wide else [v[i] for i in keep]
+                     for v in (rows, betas, los, his, widths)]
+            if wide and len(keep) < _ARRAY_ROWS:  # the rows left iterate as lists
+                wide, state = False, [v.tolist() for v in state]
+            rows, betas, los, his, widths = state
             # renumber the rows still iterating; -1 marks the finished ones
             new = np.full(live, -1)
             new[keep] = np.arange(len(keep))
@@ -439,9 +481,10 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
             flat = er * n + ec
             top[:len(keep)] = -np.inf
             sums[:, :len(keep)] = 0.0
+            starts = np.searchsorted(er, np.arange(len(keep))) if wide else None
     raise ConvergenceError(
         f"Luxemburg solver reached {_MAX_ITER} iterations (bracket "
-        f"[{los[0]!r}, {his[0]!r}])")
+        f"[{float(los[0])!r}, {float(his[0])!r}])")
 
 
 def _orlicz_rows(F: OrliczFn, V: np.ndarray, log_w: np.ndarray,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from couplekit import (GeometricWeighted, LinftySeq, OrderReversed, OrliczModular,
                        PowerWeight, SeqVec, StepFunction, WeightedLp, Window, dyadic_lp,
                        example1, pwpower, zero_fn)
+import couplekit.spaces as spaces
 from couplekit.spaces import _Conjugated
 
 
@@ -30,6 +31,28 @@ def random_seqvec(rng, window: Window, k=None, scale_sigma=2.0):
     idx = rng.choice(window.size, size=min(k, window.size), replace=False)
     vals[idx] = np.exp(rng.normal(0.0, scale_sigma, size=idx.size))
     return SeqVec(window, vals)
+
+
+class KernelCount:
+    """A profile for the Luxemburg solver that appends the size of each fused
+    ``log_eval_slope`` call made on it to ``counts``."""
+
+    def __init__(self, F, counts: list):
+        self.F, self.counts = F, counts
+
+    def curvature(self):
+        return self.F.curvature()
+
+    def log_eval_slope(self, u):
+        self.counts.append(u.size)
+        return self.F.log_eval_slope(u)
+
+
+def count_solver_kernel(monkeypatch, counts: list) -> None:
+    """Route every ``spaces._luxemburg_log`` call through a ``KernelCount``."""
+    solve = spaces._luxemburg_log
+    monkeypatch.setattr(spaces, "_luxemburg_log",
+                        lambda F, *args: solve(KernelCount(F, counts), *args))
 
 
 def _log_modular(F, log_a, log_w, beta):

@@ -5,6 +5,10 @@ Each case is a named list of floats computed from seeds recorded in
 ``manifest.json`` beside this file, and stored there as ``repr`` strings:
 - ``modular:<window>:<gen>``: 24 seeded sparse rows per zoo generator,
   normed as ``OrliczModular`` on Z-[-64, -1] and on Z[-12, 12];
+- ``modular-wide:<E>``: 96 seeded sparse rows normed in one batch, wide
+  enough that the Luxemburg solver keeps its Newton state in arrays, by the
+  Orlicz modulars of example1, minimal, brudnyi G and logfactor and the
+  b^n-weighted modular of example1 (b = sqrt 2), all on Z-[-64, -1];
 - ``orlicz-space:<gen>``: 24 seeded step functions with random breakpoints
   and zeros in place, normed as ``OrliczSpace``;
 - ``k-linf:<gen>:value`` and ``k-linf:<gen>:lower``: ``kfunc._k_grid``
@@ -58,6 +62,7 @@ from couplekit.kfunc import _k_grid
 
 MANIFEST = Path(__file__).with_name("manifest.json")
 ROWS = 24
+WIDE_ROWS = 96
 K_FUNCTIONS = 3
 WINDOWS = {"Z-[-64,-1]": ("Z-", -64, -1), "Z[-12,12]": ("Z", -12, 12)}
 K_SEQ_WINDOW = Window("Z-", -8, -1)
@@ -109,6 +114,16 @@ def row_spaces() -> dict:
     return out
 
 
+def wide_spaces() -> dict:
+    """The spaces of the ``modular-wide`` cases: name -> sequence space."""
+    win = Window("Z-", -64, -1)
+    gens = {"example1": example1(), "minimal": MinimalFn(0.05),
+            "brudnyi-G": brudnyi_pair(1.5, 3.0)[1], "logfactor": logfactor_fn(1.5)}
+    out = {name: OrliczModular(F, win) for name, F in gens.items()}
+    out["geometric-example1"] = GeometricWeighted(OrliczModular(example1(), win), 2 ** 0.5)
+    return out
+
+
 def kappa_spaces() -> dict:
     """The spaces of the ``kappa`` cases: name -> (sequence space, budget)."""
     win = Window("Z-", -64, -1)
@@ -131,9 +146,9 @@ def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def _sparse_rows(rng, size: int) -> np.ndarray:
-    """ROWS rows of 1 to size // 3 log-normal entries at random places."""
-    V = np.zeros((ROWS, size))
+def _sparse_rows(rng, size: int, rows: int = ROWS) -> np.ndarray:
+    """``rows`` rows of 1 to size // 3 log-normal entries at random places."""
+    V = np.zeros((rows, size))
     for row in V:
         idx = rng.choice(size, size=int(rng.integers(1, max(2, size // 3))), replace=False)
         row[idx] = np.exp(rng.normal(0.0, 2.0, size=idx.size))
@@ -193,6 +208,10 @@ def compute(seeds: dict, t_grid: list) -> dict[str, list[float]]:
               for r in _k_grid(t_grid, _step(rng, False), X, linf_space())]
         cases[f"k-linf:{name}:value"] = [r.value for r in ks]
         cases[f"k-linf:{name}:lower"] = [r.lower for r in ks]
+    for i, (name, E) in enumerate(wide_spaces().items()):
+        V = _sparse_rows(np.random.default_rng([seeds["modular-wide"], i]), E.window.size,
+                         WIDE_ROWS)
+        cases[f"modular-wide:{name}"] = E.norm_rows(V).tolist()
     for i, (name, (X, Y, make)) in enumerate(k_couples().items()):
         rng = np.random.default_rng([seeds["k-route"], i])
         ks = [r for _ in range(K_FUNCTIONS) for r in _k_grid(t_grid, make(rng), X, Y)]

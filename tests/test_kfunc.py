@@ -10,6 +10,7 @@ from couplekit import (LinftySeq, LorentzSpace, LpSpace, OrliczModular, OrliczSp
                        WeightedLp, Window, char_fn, dyadic_envelope, dyadic_lp,
                        fit_separation, kfunc, k_block_estimate, k_l1_linf_oracle,
                        k_numeric, k_profile, linf_space, power, pwpower, rho_profile)
+from couplekit.spaces import SpaceSpec
 from couplekit.specdsl import parse_any_space, parse_seq_space
 from conftest import random_seqvec, random_step
 
@@ -21,6 +22,19 @@ def test_oracle_char_examples():
     f = char_fn(0, 1)
     assert k_l1_linf_oracle(2.0, f) == pytest.approx(1.0)
     assert k_l1_linf_oracle(0.25, f) == pytest.approx(0.25)
+
+
+def test_each_side_reads_its_form_once(monkeypatch):
+    # a function space's rows and its weighted-lp form come from one read
+    reads = []
+    form_on = SpaceSpec.weighted_lp_form_on
+    monkeypatch.setattr(SpaceSpec, "weighted_lp_form_on",
+                        lambda self, f: reads.append(self) or form_on(self, f))
+    f = char_fn(0, 0.5, height=2.0)
+    for X, Y in ((L1, LINF), (LpSpace(2), L1), (OrliczSpace(power(3)), LINF)):
+        reads.clear()
+        k_numeric(0.5, f, X, Y)
+        assert reads == [X, Y]
 
 
 def test_k_numeric_matches_oracle(rng):

@@ -7,6 +7,7 @@ count of profile evaluations and against each other.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,14 +111,22 @@ def test_iteration_cap_raises(monkeypatch):
     E = OrliczModular(example1(), win)
     X = OrliczSpace(example1())
     f = SeqVec(win, vals).to_step()
-    expected = E.norm_values(vals), X.fn_norm(f)
+    # a wide batch keeps its Newton state in arrays: it raises the same error
+    scale = np.linspace(0.5, 2.0, 2 * spaces._ARRAY_ROWS)[:, None]
+    wide = [(E.norm_rows, vals * scale), (X.norm_rows_on(f), np.asarray(f.vals) * scale)]
+    expected = E.norm_values(vals), X.fn_norm(f), [rows(V).tolist() for rows, V in wide]
     monkeypatch.setattr(spaces, "_MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="1 iterations"):
         E.norm_values(vals)
     with pytest.raises(ConvergenceError):
         X.fn_norm(f)
+    for rows, V in wide:
+        with pytest.raises(ConvergenceError, match="1 iterations") as err:
+            rows(V)
+        lo, hi = re.fullmatch(r".*\(bracket \[(.*), (.*)\]\)", str(err.value)).groups()
+        assert float(lo) < float(hi), str(err.value)
     monkeypatch.undo()
-    assert (E.norm_values(vals), X.fn_norm(f)) == expected
+    assert (E.norm_values(vals), X.fn_norm(f), [rows(V).tolist() for rows, V in wide]) == expected
 
 
 class _Counting(OrliczFn):

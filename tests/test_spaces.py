@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +20,10 @@ from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftyS
                        pwpower, rearrange, regularize, rho_profile, seq_norm)
 from couplekit.ascent import stop_level
 from couplekit.measure import _decreasing
-from couplekit.spaces import (_EPS, _Conjugated, _best_shift_ratio, _shift_bound, _shift_ratios,
-                              _wlp_norms, shift_values)
+from couplekit.spaces import (_ARRAY_ROWS, _EPS, _Conjugated, _best_shift_ratio, _shift_bound,
+                              _shift_ratios, _wlp_norms, shift_values)
 from couplekit.transfer import FUNCTIONAL_TOL
-from conftest import (SEARCH_SPACE_KINDS, random_seqvec, random_step,
+from conftest import (SEARCH_SPACE_KINDS, count_solver_kernel, random_seqvec, random_step,
                       reference_dyadic_envelope, reference_lorentz_norm, reference_norm,
                       reference_norming_rows, reference_table_integral, search_space, tied_rows)
 
@@ -1083,6 +1085,57 @@ def test_fn_rows_equal_each_row_alone(name, case):
             assert norms[i] == _form_one_vector(X, g), (name, i)
         elif name.startswith("orlicz"):
             assert _orlicz_log_error(X, g, norms[i]) <= 1e-13, (name, i)
+
+
+# a batch of at least _ARRAY_ROWS rows keeps its Newton state in arrays
+
+_WIDE_SPACES = ([name for name in sorted(_ROW_SPACES) if "modular" in name]
+                + [name for name in sorted(_FN_ROW_SPACES) if name.startswith("orlicz")])
+
+
+def _wide_rows(rows, n: int, rng) -> np.ndarray:
+    """3 * _ARRAY_ROWS rows of n values: a zero row, two single-entry rows, a
+    row whose single-entry norms sum past the float range, then sparse signed
+    rows, the second half of them rescaled to norms near 1 (where a bracket
+    end can be -0 or +0)."""
+    V = np.zeros((3 * _ARRAY_ROWS, n))
+    V[1, 0], V[2, n - 1] = 3.0, -1e-3
+    # entries of single-entry norm at most 0.6 DBL_MAX at the places of
+    # largest unit norm, as few as make the single-entry norms' sum overflow
+    top, units = sys.float_info.max, rows(np.eye(n))
+    big = np.argsort(units)[::-1].tolist()
+    vals = [min(0.6 * top / u, 0.99 * top) for u in units[big].tolist()]
+    sums = list(itertools.accumulate(v * u for v, u in zip(vals, units[big].tolist())))
+    j = sums.index(math.inf) + 1
+    V[3, big[:j]] = vals[:j]
+    for row in V[4:]:
+        idx = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+        row[idx] = np.exp(rng.normal(0.0, 2.0, idx.size)) * rng.choice([-1.0, 1.0], idx.size)
+    near_one = V[V.shape[0] // 2:]
+    near_one /= rows(near_one)[:, None]
+    return V
+
+
+@pytest.mark.parametrize("name", _WIDE_SPACES)
+def test_wide_batches_equal_each_row_alone(name, monkeypatch):
+    if name in _ROW_SPACES:  # on Z, where unit norms exceed 1 past n = 0
+        win = Window("Z", -5, 4)
+        rows, n = _ROW_SPACES[name](win).norm_rows, win.size
+    else:
+        n = 10
+        f = StepFunction("unit", tuple(np.linspace(0.0, 1.0, n + 1) ** 2), (1.0,) * n)
+        rows = _fn_row_space(name).norm_rows_on(f)
+    V = _wide_rows(rows, n, np.random.default_rng(_WIDE_SPACES.index(name)))
+    points = []
+    count_solver_kernel(monkeypatch, points)
+    norms = rows(V)
+    assert norms[0] == 0.0 and np.all(np.isfinite(norms))
+    batch = sum(points)
+    points.clear()
+    for i in range(V.shape[0]):
+        assert norms[i] == rows(V[i:i + 1])[0], (name, i)
+    # each row takes the same Newton steps, batched or alone
+    assert sum(points) == batch
 
 
 # every space whose weighted-lp form answers, each built once

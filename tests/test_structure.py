@@ -400,6 +400,14 @@ def test_one_newton_stop():
     assert readers == ["spaces._luxemburg_log", "spaces._orlicz_rows"]
 
 
+def test_one_row_state_threshold():
+    # the batch size that selects the solver's array row state is read by
+    # the solver alone, so there is still one solver and no option
+    fns = _qualified_functions()
+    assert [name for name, fn in fns.items() if "_ARRAY_ROWS" in _names(fn)] == [
+        "spaces._luxemburg_log"]
+
+
 def test_one_multiplicative_ascent():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     fns = {f"{stem}.{fn.name}": fn for stem, tree in trees.items() for fn in _functions(tree)}
