@@ -16,8 +16,7 @@ _MODULES = {
     "errors": ("ConvergenceError", "CoupleKitError", "HypothesisError", "UsageError"),
     "kfunc": ("KResult", "k_block_estimate", "k_l1_linf_oracle", "k_numeric", "k_profile"),
     "measure": ("HALFLINE", "UNIT", "SeqVec", "StepFunction", "Window", "char_fn",
-                "default_unit_window", "dilate", "double_star", "dyadic_envelope",
-                "rearrange", "zero_fn"),
+                "default_unit_window", "dyadic_envelope", "rearrange", "zero_fn"),
     "orlicz": ("ConvexifiedFn", "IndexReport", "MinimalFn", "TGrid", "OrliczFn",
                "brudnyi_pair", "brudnyi_schedule", "convexify", "counter",
                "elastic_non_lorentz", "elasticity_report", "example1", "indices",
@@ -30,7 +29,7 @@ _MODULES = {
                "KappaEstimate", "LinftySeq", "LorentzSpace", "LpSpace", "OrderReversed",
                "OrliczModular", "OrliczSpace", "PowerWeight", "SeparationFit", "SeqSpaceSpec",
                "SpaceSpec", "TableLogLinear", "WeightedLp", "dyadic_lp", "fit_separation",
-               "kappa_estimate", "linf_space", "norming_functional", "rho_profile", "seq_norm"),
+               "kappa_estimate", "linf_space", "rho_profile"),
     "specdsl": ("parse_any_space", "parse_generator", "parse_seq_space", "parse_space"),
     "transfer": ("PositiveMatrix", "k_transfer", "majorization_transfer", "op_norm",
                  "rank_one_shift"),

@@ -4,9 +4,9 @@ Everything downstream (norms, K-functionals, transfer operators) is built on
 two carriers:
 
 * ``StepFunction`` -- a finitely supported step function ``f`` with
-  f = v_i on [t_{i-1}, t_i) and f = 0 past the last breakpoint.  Decreasing
-  rearrangements, maximal functions and dilations of step functions are again
-  step functions, so every integral in the package is a finite exact sum.
+  f = v_i on [t_{i-1}, t_i) and f = 0 past the last breakpoint.  The
+  decreasing rearrangement of a step function is again a step function, so
+  every integral in the package is a finite exact sum.
 * ``SeqVec`` -- a finitely supported vector on an integer window J, one of
   Z, Z_- (indices < 0) or Z_+ (indices >= 0).
 
@@ -94,9 +94,6 @@ class StepFunction:
     def __abs__(self) -> "StepFunction":
         return self.with_values(np.abs(self.vals))
 
-    def integral(self) -> float:
-        return float(np.dot(self.vals, self.lengths))
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -123,7 +120,7 @@ def zero_fn(domain: str = UNIT) -> StepFunction:
 
 
 # ---------------------------------------------------------------------------
-# rearrangement, maximal function, dilation
+# rearrangement
 # ---------------------------------------------------------------------------
 
 
@@ -184,28 +181,6 @@ def star_integral(f: StepFunction, t: float) -> float:
     bp = np.asarray(fs.breakpoints)
     covered = np.clip(np.minimum(bp[1:], t) - bp[:-1], 0.0, None)
     return float(np.dot(fs.vals, covered))
-
-
-def double_star(f: StepFunction, t: float) -> float:
-    """Maximal function f**(t) = (1/t) * int_0^t f*(s) ds, exact from steps."""
-    if t <= 0:
-        raise ValueError("double_star needs t > 0")
-    return star_integral(f, t) / t
-
-
-def dilate(f: StepFunction, a: float) -> StepFunction:
-    """Dilation D_a f(t) = f(t/a); on [0,1] the result is truncated to [0,1]."""
-    if a <= 0:
-        raise ValueError("dilate needs a > 0")
-    bp = np.asarray(f.breakpoints) * a
-    v = list(f.values)
-    if f.domain == UNIT and bp[-1] > 1.0:
-        keep = bp[:-1] < 1.0
-        v = [val for val, k in zip(v, keep) if k]
-        bp = np.concatenate([bp[:-1][keep], [1.0]])
-    if len(v) == 0:
-        return zero_fn(f.domain)
-    return StepFunction(f.domain, tuple(bp), tuple(v))
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +296,8 @@ class SeqVec:
     def support(self) -> np.ndarray:
         return np.nonzero(self.values)[0] + self.window.lo
 
-    def with_values(self, values) -> "SeqVec":
-        return SeqVec(self.window, values)
-
     def scale(self, c: float) -> "SeqVec":
         return SeqVec(self.window, c * self.values)
-
-    def __add__(self, other: "SeqVec") -> "SeqVec":
-        if other.window != self.window:
-            raise ValueError("window mismatch")
-        return SeqVec(self.window, self.values + other.values)
-
-    def __abs__(self) -> "SeqVec":
-        return SeqVec(self.window, np.abs(self.values))
 
     def restrict(self, indices) -> "SeqVec":
         """Coordinate restriction P_A x to the given index set."""

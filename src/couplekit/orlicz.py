@@ -248,7 +248,7 @@ class PiecewiseAffineFn(OrliczFn):
 
 def power(p: float) -> OrliczFn:
     """F(x) = x^p."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError("power generator needs p >= 1")
     return PiecewiseAffineFn("power", {"p": p}, [0.0], [0.0], [p], p)
 
@@ -264,7 +264,7 @@ class LogFactorFn(OrliczFn):
     """F(x) = x^p log(e + x); h(u) = p u + log(logaddexp(1, u))."""
 
     def __init__(self, p: float):
-        if p < 1:
+        if not p >= 1:
             raise ValueError("logfactor generator needs p >= 1")
         self.name = "logfactor"
         self.params = {"p": p}
@@ -882,10 +882,6 @@ class TGrid:
         self.log = np.asarray(log_t, dtype=float)
         _log_grid(self, "grid")
 
-    @property
-    def size(self):
-        return self.log.size
-
     @staticmethod
     def span(v_lo: float, v_hi: float, ratio: float = 2.0 ** 0.25) -> "TGrid":
         """Grid of t = e^v from v_lo up to exactly v_hi, steps <= log(ratio)."""
@@ -1181,11 +1177,6 @@ class WWitnessReport:
     w: np.ndarray
     C1: float
     C0: float
-
-    def to_json_dict(self):
-        return {"C0": self.C0, "C1": self.C1,
-                "log_t": [float(v) for v in self.log_t],
-                "w": [float(v) for v in self.w]}
 
 
 def w_witness(F: OrliczFn, C0: float, t_grid=None, x_grid=None) -> WWitnessReport:

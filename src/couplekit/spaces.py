@@ -8,8 +8,7 @@ sequence-space variants are modelled on a Window, and ``norm_rows`` norms the
 rows of a (k, n) array.  The base classes decide once: a space whose
 weighted-lp form answers is normed by the one row formula ``_wlp_norms`` on
 it, any other by its own ``_rows_on(f)`` or ``_rows``.  Rows never depend on
-each other; ``fn_norm``, ``norm_values`` and ``norming_values`` are the
-one-row cases.  The Lorentz and space-from-sequence rows are one sort of the
+each other; ``fn_norm`` and ``norm_values`` are the one-row cases.  The Lorentz and space-from-sequence rows are one sort of the
 batch (``measure._decreasing``) and one array formula: the weight's
 closed-form int_0^T w^p dt/t at the sorted cumulative lengths T, or f*(2^n)
 of every row normed by one ``E.norm_rows`` call.  Every
@@ -103,9 +102,6 @@ class WeightFn:
     """Monotone increasing weight with bounded doubling ratio; ``integral(p, T)``
     is W(T) = int_0^T w(t)^p dt/t for an array of T > 0, in closed form."""
 
-    def __call__(self, t):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class PowerWeight(WeightFn):
@@ -114,11 +110,8 @@ class PowerWeight(WeightFn):
     exponent: float
 
     def __post_init__(self):
-        if self.exponent <= 0:
+        if not self.exponent > 0:
             raise ValueError("power weight needs a positive exponent")
-
-    def __call__(self, t):
-        return np.power(np.asarray(t, dtype=float), self.exponent)
 
     def integral(self, p: float, T: np.ndarray) -> np.ndarray:
         return np.power(T, self.exponent * p) / (self.exponent * p)
@@ -131,8 +124,9 @@ class TableLogLinear(WeightFn):
         self.log_t = np.asarray(log_t, dtype=float)
         self.log_w = np.asarray(log_w, dtype=float)
         if (self.log_t.ndim != 1 or self.log_t.size < 2 or np.any(np.diff(self.log_t) <= 0)
-                or self.log_w.shape != self.log_t.shape):
-            raise ValueError("need a strictly increasing log_t grid and one log_w per point")
+                or self.log_w.shape != self.log_t.shape
+                or not np.all(np.isfinite([self.log_t, self.log_w]))):
+            raise ValueError("need a finite, strictly increasing log_t grid and one log_w per point")
         slopes = np.diff(self.log_w) / np.diff(self.log_t)
         if np.any(slopes < 0):
             raise ValueError("weight must be monotone increasing")
@@ -144,11 +138,6 @@ class TableLogLinear(WeightFn):
         the table, as the norm integrates them."""
         return np.clip(np.searchsorted(self.log_t, lt, side="right") - 1,
                        0, self.slopes.size - 1)
-
-    def __call__(self, t):
-        lt = np.log(np.asarray(t, dtype=float))
-        i = self._segment(lt)
-        return np.exp(self.log_w[i] + self.slopes[i] * (lt - self.log_t[i]))
 
     def _knot_table(self, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(p s_i, w_i^p, W(t_i)) for one p; ``integral`` builds it once per p."""
@@ -274,7 +263,7 @@ def _wlp_norms(V: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
 
 class LpSpace(SpaceSpec):
     def __init__(self, p: float, domain: str = UNIT):
-        if p < 1:
+        if not p >= 1:
             raise ValueError("Lp needs p >= 1")
         self.p = self._lp = float(p)
         self.domain = domain
@@ -622,10 +611,6 @@ class SeqSpaceSpec:
         """A sequence space is its own E."""
         return self
 
-    def norming_values(self, xv: np.ndarray) -> np.ndarray:
-        """A norming functional of one nonzero x: the one-row ``norm_rows(V, grad=True)``."""
-        return self.norm_rows(np.asarray(xv, dtype=float)[None], grad=True)[1][0]
-
     def weighted_lp_form(self) -> tuple[np.ndarray, float] | None:
         """(weights, p) when the space is exactly a weighted ell_p, p = inf too, else None."""
         return self._form
@@ -696,7 +681,7 @@ class WeightedLp(SeqSpaceSpec):
 
     def __init__(self, p: float, window: Window, weights=None,
                  wexp: float | None = None):
-        if p < 1:
+        if not p >= 1:
             raise ValueError("weighted lp needs p >= 1")
         if weights is not None and wexp is not None:
             raise ValueError("give weights or wexp, not both")
@@ -727,6 +712,8 @@ class WeightedLp(SeqSpaceSpec):
 
 def dyadic_lp(p: float, window: Window) -> WeightedLp:
     """E_X for X = L_p: weighted ell_p with w_n = 2^(n/p); ell_infty for p = inf."""
+    if not p >= 1:  # before 2^(n/p) divides by it
+        raise ValueError("weighted lp needs p >= 1")
     return WeightedLp(p, window, weights=2.0 ** (window.indices() / p))
 
 
@@ -890,13 +877,6 @@ class InducedSeq(SeqSpaceSpec):
         return f"seq:induced:<{self.space.spec_string()}>"
 
 
-def seq_norm(space, x: SeqVec) -> float:
-    """Norm of a sequence vector; function spaces are routed through E_X."""
-    if not isinstance(space, (SpaceSpec, SeqSpaceSpec)):
-        raise TypeError(f"cannot take a sequence norm in {space!r}")
-    return space.e_space(x.window).norm(x)
-
-
 class FromSequenceSpace(SpaceSpec):
     """r.i. space built from a sequence space: ||f|| = ||(f*(2^n))_n||_E.
 
@@ -956,11 +936,6 @@ class SeparationFit:
     separated: bool
     residuals: dict[int, float] = field(default_factory=dict)
     rho: dict[int, float] = field(default_factory=dict)
-
-    def to_json_dict(self):
-        return {"beta": self.beta, "C0": self.C0, "separated": self.separated,
-                "residuals": {str(k): v for k, v in sorted(self.residuals.items())},
-                "rho": {str(k): v for k, v in sorted(self.rho.items())}}
 
 
 def fit_separation(rho: dict[int, float]) -> SeparationFit:
@@ -1160,24 +1135,3 @@ def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEs
                              for n in shifts) for sign in (+1, -1))
     return KappaEstimate(plus_lb, plus_est, minus_lb, minus_est, table,
                          table_ub, plus_ub, minus_ub)
-
-
-# ---------------------------------------------------------------------------
-# norming functionals  (Kothe-dual elements with <x, g> = ||x||, ||g||* = 1)
-# ---------------------------------------------------------------------------
-
-
-def norming_functional(E: SeqSpaceSpec, x: SeqVec) -> SeqVec:
-    """g >= 0-signed with supp g in supp x, ||g||_{E*} = 1, <x, g> = ||x||_E.
-
-    The one-row case of ``E.norm_rows(V, grad=True)``: the scale-free closed
-    form on a weighted-lp form (1 <= p <= inf); for Orlicz modular spaces the
-    gradient of the modular at x/||x||, the exact maximizer of <h, g> over
-    the unit ball (first-order condition of the concave problem), which pins
-    ||g||* = <x/||x||, g>.  A caller with many rows makes that one call and
-    checks <x, g> against the norms that come back with the functionals.
-    """
-    _check_windows("vector", x.window, E)
-    if not np.any(x.values):
-        raise ValueError("cannot norm the zero vector")
-    return SeqVec(x.window, E.norming_values(x.values))

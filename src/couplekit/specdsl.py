@@ -24,6 +24,8 @@ Examples::
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from .errors import UsageError
@@ -72,25 +74,33 @@ def _match_name(spec: str, names) -> tuple[str, str]:
 
 
 class _Args(dict):
-    """Keyword arguments of one spec; a missing key is a usage error naming it."""
+    """Keyword arguments of one spec, each taken out as the parser reads it;
+    a missing key is a usage error naming it."""
 
-    def __missing__(self, key):
-        raise UsageError(f"spec is missing the argument {key!r}")
+    def __getitem__(self, key):
+        if key not in self:
+            raise UsageError(f"spec is missing the argument {key!r}")
+        return self.pop(key)
 
 
-def _parse_args(rest: str) -> tuple[dict, list]:
+@contextmanager
+def _parse_args(rest: str):
+    """(kwargs, positional) of one spec for the ``with`` block that builds it:
+    a repeated key, or one the block leaves unread, is a usage error naming it."""
     kwargs, positional = _Args(), []
-    if not rest:
-        return kwargs, positional
-    for item in _split_top(rest, ","):
+    for item in _split_top(rest, ",") if rest else ():
         if not item:
             continue
         if "=" in item and not item.startswith("<"):
-            key, val = item.split("=", 1)
-            kwargs[key.strip()] = val.strip()
+            key, val = (s.strip() for s in item.split("=", 1))
+            if key in kwargs:
+                raise UsageError(f"spec repeats the argument {key!r}")
+            kwargs[key] = val
         else:
             positional.append(item.strip())
-    return kwargs, positional
+    yield kwargs, positional
+    if kwargs:
+        raise UsageError(f"spec has an argument it does not take: {next(iter(kwargs))!r}")
 
 
 def _strip(val: str) -> str:
@@ -99,9 +109,12 @@ def _strip(val: str) -> str:
 
 def _num(val: str) -> float:
     try:
-        return float(_strip(val))
-    except ValueError as exc:
-        raise UsageError(f"expected a number, got {val!r}") from exc
+        x = float(_strip(val))
+    except ValueError:
+        x = math.nan
+    if math.isnan(x):
+        raise UsageError(f"expected a number, got {val!r}")
+    return x
 
 
 def _split_selector(body: str) -> tuple[str, str | None]:
@@ -121,28 +134,28 @@ def parse_generator(spec: str) -> OrliczFn:
         return convexify(parse_generator(body[len("convexify"):]))
     body, selector = _split_selector(body)
     name, rest = _match_name(body, _GEN_NAMES)
-    kwargs, positional = _parse_args(rest)
-    if selector is not None:
-        positional = [selector] + positional
-    if name == "power":
-        return power(_num(kwargs["p"]))
-    if name == "pwpower":
-        return pwpower(_num(kwargs["p0"]), _num(kwargs["p1"]))
-    if name == "logfactor":
-        return logfactor_fn(_num(kwargs["p"]))
-    if name == "example1":
-        return example1()
-    if name == "elastic-nl":
-        return elastic_non_lorentz()
-    if name == "minimal":
-        return MinimalFn(_num(kwargs.get("alpha", "0.05")))
-    if name == "brudnyi":
-        sel = positional[0].upper() if positional else None
-        pair = brudnyi_pair(_num(kwargs["p"]), _num(kwargs["q"]))
-        if sel not in ("F", "G"):
-            raise UsageError("brudnyi generator needs a :F or :G selector here")
-        return pair[sel == "G"]
-    raise UsageError(f"unknown generator {name!r}")
+    with _parse_args(rest) as (kwargs, positional):
+        if selector is not None:
+            positional = [selector] + positional
+        if name == "power":
+            return power(_num(kwargs["p"]))
+        if name == "pwpower":
+            return pwpower(_num(kwargs["p0"]), _num(kwargs["p1"]))
+        if name == "logfactor":
+            return logfactor_fn(_num(kwargs["p"]))
+        if name == "example1":
+            return example1()
+        if name == "elastic-nl":
+            return elastic_non_lorentz()
+        if name == "minimal":
+            return MinimalFn(_num(kwargs.pop("alpha", "0.05")))
+        if name == "brudnyi":
+            sel = positional[0].upper() if positional else None
+            pair = brudnyi_pair(_num(kwargs["p"]), _num(kwargs["q"]))
+            if sel not in ("F", "G"):
+                raise UsageError("brudnyi generator needs a :F or :G selector here")
+            return pair[sel == "G"]
+        raise UsageError(f"unknown generator {name!r}")
 
 
 def _parse_weight(val: str) -> WeightFn:
@@ -165,33 +178,34 @@ def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
     if window is None:
         window = default_unit_window()
     name, rest = _match_name(_strip(spec), _SEQ_NAMES)
-    kwargs, positional = _parse_args(rest)
-    if name in ("seq:from", "seq:induced", "rev") and not positional:
-        raise UsageError(f"{name} needs a nested spec in <...>")
-    if name == "seq:lpw":
-        p = _num(kwargs["p"])
-        if "weights" in kwargs:
+    with _parse_args(rest) as (kwargs, positional):
+        if name in ("seq:from", "seq:induced", "rev") and not positional:
+            raise UsageError(f"{name} needs a nested spec in <...>")
+        if name == "seq:lpw":
+            p = _num(kwargs["p"])
+            if "weights" in kwargs:
+                if "wexp" in kwargs:
+                    raise UsageError("give weights or wexp, not both")
+                w = [_num(v) for v in _strip(kwargs["weights"]).split(",")]
+                if len(w) != window.size:
+                    raise UsageError(f"{len(w)} weights for a window of {window.size} indices")
+                return WeightedLp(p, window, weights=w)
             if "wexp" in kwargs:
-                raise UsageError("give weights or wexp, not both")
-            w = [_num(v) for v in _strip(kwargs["weights"]).split(",")]
-            if len(w) != window.size:
-                raise UsageError(f"{len(w)} weights for a window of {window.size} indices")
-            return WeightedLp(p, window, weights=w)
-        if "wexp" in kwargs:
-            return WeightedLp(p, window, wexp=_num(kwargs["wexp"]))
-        return dyadic_lp(p, window)
-    if name == "seq:linf":
-        return LinftySeq(window)
-    if name == "seq:orlicz-modular":
-        return OrliczModular(parse_generator(kwargs["gen"]), window)
-    if name == "seq:from":
-        return GeometricWeighted(parse_seq_space(positional[0], window), _num(kwargs["weightbase"]))
-    if name == "seq:induced":
-        return InducedSeq(parse_space(positional[0], window.domain), window)
-    if name == "rev":
-        # the inner space lives on the reversed window, so the result is on window
-        return OrderReversed(parse_seq_space(positional[0], window.reversed()))
-    raise UsageError(f"unknown sequence space {name!r}")
+                return WeightedLp(p, window, wexp=_num(kwargs["wexp"]))
+            return dyadic_lp(p, window)
+        if name == "seq:linf":
+            return LinftySeq(window)
+        if name == "seq:orlicz-modular":
+            return OrliczModular(parse_generator(kwargs["gen"]), window)
+        if name == "seq:from":
+            return GeometricWeighted(parse_seq_space(positional[0], window),
+                                     _num(kwargs["weightbase"]))
+        if name == "seq:induced":
+            return InducedSeq(parse_space(positional[0], window.domain), window)
+        if name == "rev":
+            # the inner space lives on the reversed window, so the result is on window
+            return OrderReversed(parse_seq_space(positional[0], window.reversed()))
+        raise UsageError(f"unknown sequence space {name!r}")
 
 
 def parse_space(spec: str, domain: str = UNIT,
@@ -200,20 +214,20 @@ def parse_space(spec: str, domain: str = UNIT,
     from .spaces import FromSequenceSpace, LorentzSpace, LpSpace, OrliczSpace, linf_space
 
     name, rest = _match_name(_strip(spec), _FN_NAMES)
-    kwargs, positional = _parse_args(rest)
-    if name == "lp":
-        return LpSpace(_num(kwargs["p"]), domain)
-    if name == "linf":
-        return linf_space(domain)
-    if name == "lorentz":
-        return LorentzSpace(_num(kwargs["p"]), _parse_weight(kwargs["w"]), domain)
-    if name == "orlicz":
-        return OrliczSpace(parse_generator(kwargs["gen"]), domain)
-    if name == "fromseq":
-        if not positional:
-            raise UsageError("fromseq needs a nested sequence spec in <...>")
-        return FromSequenceSpace(parse_seq_space(positional[0], window))
-    raise UsageError(f"unknown function space {name!r}")
+    with _parse_args(rest) as (kwargs, positional):
+        if name == "lp":
+            return LpSpace(_num(kwargs["p"]), domain)
+        if name == "linf":
+            return linf_space(domain)
+        if name == "lorentz":
+            return LorentzSpace(_num(kwargs["p"]), _parse_weight(kwargs["w"]), domain)
+        if name == "orlicz":
+            return OrliczSpace(parse_generator(kwargs["gen"]), domain)
+        if name == "fromseq":
+            if not positional:
+                raise UsageError("fromseq needs a nested sequence spec in <...>")
+            return FromSequenceSpace(parse_seq_space(positional[0], window))
+        raise UsageError(f"unknown function space {name!r}")
 
 
 def parse_any_space(spec: str, domain: str = UNIT, window: Window | None = None):

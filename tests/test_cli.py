@@ -152,11 +152,13 @@ def test_budget_below_one_is_usage_error(tmp_path, capsys, argv, budget):
      "power:p=1e+307: log F is not finite on [0, 64]; its profile overflows"),
     (["verdict", "--X", "orlicz:gen=<power:p=1e307>", "--Y", "linf"],
      "power:p=1e+307: log F is not finite on [0, 64]; its profile overflows"),
+    (["shift-test", "--space", "seq:from:<seq:lpw:p=1>,weightbase=nan", "--side", "rsp",
+      "--window=-24:-1"], "expected a number, got 'nan'"),
     *[(["shift-test", "--space", f"seq:from:<seq:lpw:p=1>,weightbase={b}", "--side", "rsp",
         "--window=-24:-1"], f"weight base {shown} gives weights b^n not all finite and > 0")
-      for b, shown in (("nan", "nan"), ("inf", "inf"), ("1e300", "1e+300"))],
+      for b, shown in (("inf", "inf"), ("1e300", "1e+300"))],
     *[(["shift-test", "--space", spec, "--side", "rsp", "--window=-4:-1"],
-       "need one finite, strictly positive weight per index")
+       "expected a number, got 'nan'")
       for spec in ("seq:lpw:p=2,weights=<nan,1,1,1>", "seq:lpw:p=2,wexp=nan")],
     (["shift-test", "--space", "seq:lpw:p=2,wexp=2000", "--side", "rsp", "--window=-4:4:Z"],
      "need one finite, strictly positive weight per index"),
@@ -180,6 +182,32 @@ def test_budget_below_one_is_usage_error(tmp_path, capsys, argv, budget):
 def test_bad_spec_is_usage_error(tmp_path, capsys, argv, detail):
     out = tmp_path / "out.json"
     assert _run(argv + ["--out", out]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (err["error"], err["detail"]) == ("usage", detail)
+    assert not out.exists()
+
+
+_K_PROFILE = ["k-profile", "--Y", "linf", "--t-grid", "log:-2:1:4", "--X"]
+_SHIFT_TEST = ["shift-test", "--side", "rsp", "--window=-4:-1", "--space"]
+
+
+@pytest.mark.parametrize("argv, detail", [
+    ([*_K_PROFILE, "lp:p=nan"], "expected a number, got 'nan'"),
+    ([*_K_PROFILE, "orlicz:gen=<power:p=nan>"], "expected a number, got 'nan'"),
+    ([*_SHIFT_TEST, "seq:lpw:p=nan,wexp=0.3"], "expected a number, got 'nan'"),
+    ([*_K_PROFILE, "lp:p=2,p=3"], "spec repeats the argument 'p'"),
+    ([*_K_PROFILE, "orlicz:gen=<power:p=2,q=9>"], "spec has an argument it does not take: 'q'"),
+    ([*_SHIFT_TEST, "seq:lpw:p=2,zz=1"], "spec has an argument it does not take: 'zz'"),
+    ([*_SHIFT_TEST, "seq:linf:p=3"], "spec has an argument it does not take: 'p'"),
+    ([*_SHIFT_TEST, "seq:lpw:p=0"], "weighted lp needs p >= 1"),
+], ids=["lp-nan", "power-nan", "lpw-nan", "lp-repeated", "power-stray", "lpw-stray",
+        "linf-stray", "lpw-zero"])
+@pytest.mark.filterwarnings("error")  # p = 0 is refused before 2^(n/p) warns
+def test_spec_is_read_whole_or_refused(tmp_path, capsys, argv, detail):
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps(char_fn(0, 1).to_json_dict()))
+    out = tmp_path / "out"
+    assert _run(argv + ["--f", fpath] * (argv[0] == "k-profile") + ["--out", out]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert (err["error"], err["detail"]) == ("usage", detail)
     assert not out.exists()

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from couplekit import (SeqVec, StepFunction, Window, char_fn,
-                       default_unit_window, dilate, double_star,
-                       dyadic_envelope, k_l1_linf_oracle, rearrange, zero_fn)
+                       default_unit_window, dyadic_envelope, k_l1_linf_oracle, rearrange, zero_fn)
 from couplekit.measure import star_integral
 from conftest import (random_step, reference_dyadic_envelope, reference_rearrange,
                       reference_star_integral, tied_rows)
@@ -101,14 +100,14 @@ def test_rearrange_equimeasurable(f):
 
 
 # ---------------------------------------------------------------------------
-# maximal function
+# maximal function f**(t) = (1/t) int_0^t f*, read off star_integral
 # ---------------------------------------------------------------------------
 
 
 def test_double_star_char_examples():
     f = char_fn(0, 1)
-    assert double_star(f, 2.0) == pytest.approx(0.5)
-    assert double_star(f, 0.5) == pytest.approx(1.0)
+    assert star_integral(f, 2.0) / 2.0 == pytest.approx(0.5)
+    assert star_integral(f, 0.5) / 0.5 == pytest.approx(1.0)
 
 
 def _integral_oracle(f: StepFunction, t: float) -> float:
@@ -129,21 +128,13 @@ def _integral_oracle(f: StepFunction, t: float) -> float:
 
 
 def test_double_star_matches_integral_oracle(rng):
+    # t f**(t) = int_0^t f*, and the (L1, Linf) oracle is that helper, bit for bit
     for _ in range(25):
         f = random_step(rng)
         for t in (0.05, 0.3, 1.0, 2.5):
-            assert double_star(f, t) * t == pytest.approx(
-                _integral_oracle(f, t), rel=1e-12, abs=1e-12)
-
-
-def test_one_star_integral_behind_double_star_and_the_k_oracle(rng):
-    # f** and the (L1, Linf) oracle are the one int_0^t f* helper, bit for bit
-    for _ in range(10):
-        f = random_step(rng)
-        for t in (0.05, 0.3, 1.0, 2.5):
             integral = star_integral(f, t)
+            assert integral == pytest.approx(_integral_oracle(f, t), rel=1e-12, abs=1e-12)
             assert k_l1_linf_oracle(t, f) == integral
-            assert double_star(f, t) == integral / t
 
 
 def test_double_star_dominates_f_star(rng):
@@ -151,47 +142,9 @@ def test_double_star_dominates_f_star(rng):
         f = random_step(rng)
         fs = rearrange(f)
         ts = np.linspace(0.01, 1.5, 23)
-        d2 = np.array([double_star(f, t) for t in ts])
+        d2 = np.array([star_integral(f, t) / t for t in ts])
         assert np.all(d2 >= fs(ts) - 1e-12)
         assert np.all(np.diff(d2) <= 1e-12)  # f** nonincreasing
-
-
-def test_double_star_rejects_nonpositive_t():
-    with pytest.raises(ValueError):
-        double_star(char_fn(0, 1), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# dilation
-# ---------------------------------------------------------------------------
-
-
-def test_dilate_halfline():
-    f = char_fn(0, 1, "halfline")
-    g = dilate(f, 2.0)
-    assert g.breakpoints == (0.0, 2.0) and g.values == (1.0,)
-
-
-def test_dilate_unit_truncates():
-    f = char_fn(0, 1)
-    g = dilate(f, 2.0)
-    assert g.breakpoints == (0.0, 1.0) and g.values == (1.0,)
-
-
-def test_dilate_lp_scaling(rng):
-    from couplekit import LpSpace
-    for p in (1.0, 2.0, 3.5):
-        X = LpSpace(p, "halfline")
-        for _ in range(5):
-            f = random_step(rng, domain="halfline")
-            for a in (0.3, 2.0, 7.5):
-                assert X.fn_norm(dilate(f, a)) == pytest.approx(
-                    a ** (1.0 / p) * X.fn_norm(f), rel=1e-12)
-
-
-def test_dilate_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        dilate(char_fn(0, 1), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +214,9 @@ def test_envelope_power_decay_and_sandwich():
     # sandwich f* <= G <= D_2 f* on [2^lo, 2^(hi+1))
     fs = rearrange(f)
     G = v.to_step()
-    D2 = dilate(fs, 2.0)
     grid = np.linspace(2.0 ** win.lo, 2.0 ** (win.hi + 1) - 1e-9, 301)
     assert np.all(fs(grid) <= G(grid) + 1e-12)
-    assert np.all(G(grid) <= D2(grid) + 1e-12)
+    assert np.all(G(grid) <= fs(grid / 2.0) + 1e-12)  # D_2 f*(t) = f*(t/2)
 
 
 def test_envelope_truncation_flag():

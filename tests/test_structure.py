@@ -224,9 +224,8 @@ def test_one_exactness_answer():
 def test_one_answer_from_the_form():
     # unit norms, the bounds on ||tau_m|| and the norming functionals are read
     # from the form on the base class, which hands a space without one to its
-    # private hooks; the one-row norming_values is the base class's too
-    for method in ("norm_rows", "unit_norm", "unit_norms", "shift_norm_upper",
-                   "norming_values"):
+    # private hooks
+    for method in ("norm_rows", "unit_norm", "unit_norms", "shift_norm_upper"):
         assert method in vars(spaces.SeqSpaceSpec), method
         for name in _concrete_space_classes():
             assert method not in vars(getattr(spaces, name)), f"{name} defines {method}"
@@ -306,8 +305,7 @@ def test_one_window_check():
     assert [name for name in fns if name.endswith("._check_windows")] == [
         "spaces._check_windows"]
     for name in ("kfunc._side", "kfunc.k_block_estimate", "shift.InterlacedFamily.validate",
-                 "spaces.SeqSpaceSpec.norm", "spaces.norming_functional", "spaces.rho_profile",
-                 "transfer._check_vectors",
+                 "spaces.SeqSpaceSpec.norm", "spaces.rho_profile", "transfer._check_vectors",
                  "transfer.op_norm", "transfer.rank_one_shift"):
         assert "_check_windows" in _called(fns[name]), name
     for module in ("kfunc", "shift", "transfer"):

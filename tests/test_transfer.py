@@ -12,7 +12,7 @@ from couplekit import (GeometricWeighted, HypothesisError, InterlacedFamily, Lin
                        OrderReversed, OrliczModular, PositiveMatrix, SeqVec, ShiftWitness,
                        UsageError, WeightedLp, Window, dyadic_lp, example1,
                        fit_separation, gen_interlaced, k_block_estimate, k_numeric, k_transfer,
-                       majorization_transfer, norming_functional, op_norm, power, pwpower,
+                       majorization_transfer, op_norm, power, pwpower,
                        rank_one_shift, replay_witness, rho_profile)
 from couplekit.spaces import SeqSpaceSpec, shift_values
 from conftest import SEARCH_SPACE_KINDS, random_seqvec, search_space
@@ -387,7 +387,7 @@ def test_k_transfer_neither_error_matches_reference(F, monkeypatch):
 
 
 @pytest.mark.parametrize("build", ["majorization", "k", "rank-one", "op-norm", "k-numeric",
-                                   "k-block", "replay", "norm", "norming", "rho"])
+                                   "k-block", "replay", "norm", "rho"])
 @pytest.mark.parametrize("side", ["E", "F"])
 def test_space_on_another_window_is_usage_error(build, side):
     # a window of the same size would put the space's weights on the wrong
@@ -408,7 +408,6 @@ def test_space_on_another_window_is_usage_error(build, side):
         "replay": lambda: replay_witness(one, ShiftWitness(
             one.spec_string(), "rsp", WIN, fam, [1.0, 1.0], 1.0, 0)),
         "norm": lambda: one.norm(x),
-        "norming": lambda: norming_functional(one, x),
         "rho": lambda: rho_profile(E, F, WIN),
     }[build]
     with pytest.raises(UsageError, match=r"^window mismatch: .* is on Z\[0,24\], the "
