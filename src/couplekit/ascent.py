@@ -61,6 +61,9 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
     round sends the rest of its pass; later rounds send at most
     ceil((consumed + 1) / (accepts + 1)) steps, the lane's own steps per
     accept so far, so a lane that never accepts ends its pass in one round.
+    A round's rows are alpha times rows of the pass's step table (row 0 all
+    ones, row j + 1 ones but factors[j] at coords[j]), built once for each
+    run of lanes on the same pass: the products of the steps, bit for bit.
 
     A step whose trial equals the alpha logged just before the lane's latest
     accept (the / 4 after an accepted * 4) is a known reject: its ratio is
@@ -76,39 +79,45 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
     cap c <= consumed ends at its last entry with consumed <= c.  With
     ``reach``, the lanes after the first lane whose r reaches it stop where
     they are (their results are partial); that lane runs on."""
-    # lane state: alpha, r, coords, factors, steps left, position in the pass,
-    # steps consumed, accepted in this pass, pass length, log, and the
-    # coordinate and old value of the latest accept
-    state = [[alpha, r, coords, factors, cap, 0, 0, False, len(coords),
-              [] if r is None else [(0, r, alpha)], None]
-             for alpha, r, coords, factors, cap in lanes]
-    live = [s for s in state if s[1] is None or min(s[4], s[8]) > 0]
+    # lane state: alpha, r, step table, coords and factors as lists, steps
+    # left, position in the pass, steps consumed, accepted in this pass, pass
+    # length, log, and the coordinate and old value of the latest accept
+    state, last = [], None
+    for alpha, r, coords, factors, cap in lanes:
+        if last is None or last[0] is not coords or last[1] is not factors:
+            P = np.empty((len(coords) + 1, len(alpha)))
+            P.fill(1.0)  # as np.ones, at less cost
+            P[np.arange(1, len(coords) + 1), coords] = factors
+            last, table = (coords, factors), (P, coords.tolist(), factors.tolist())
+        state.append([alpha, r, *table, cap, 0, 0, False, len(coords),
+                      [] if r is None else [(0, r, alpha)], None])
+    live = [s for s in state if s[1] is None or min(s[5], s[9]) > 0]
     while live:
         blocks, sent = [], []
         for s in live:
-            alpha, r, coords, factors, left, pos, used, _, size, log, undo = s
+            alpha, r, P, coords, factors, left, pos, used, _, size, log, undo = s
             first = r is None
             # past the first round the log holds the start and every accept
             m = min(size - pos, left,
                     size if used == 0 else -(-(used + 1) // len(log)))
-            T = alpha[None].repeat(m + first, axis=0)
-            T[np.arange(first, m + first), coords[pos:pos + m]] *= factors[pos:pos + m]
+            T = alpha * P[pos + 1 - first:pos + 1 + m]
             back = None  # the steps that are known rejects, which get no row
             if undo is not None:
-                c, old = undo
-                back = (coords[pos:pos + m] == c) & (factors[pos:pos + m] * alpha[c] == old)
-                back = back if back.any() else None
+                (c, old), now = undo, alpha[undo[0]]
+                back = [x == c and f * now == old
+                        for x, f in zip(coords[pos:pos + m], factors[pos:pos + m])]
+                back = back if any(back) else None
             blocks.append((T, back))
-            sent.append(T if back is None else T[~back])
+            sent.append(T if back is None else T[np.logical_not(back)])
         rows = sent[0] if len(sent) == 1 else np.concatenate(sent)
         out = ratios(rows).tolist() if len(rows) else []
         at, still = 0, []
         for s, (T, back), V in zip(live, blocks, sent):
-            alpha, r, coords, factors, left, pos, used, accepted, size, log, undo = s
+            alpha, r, _, coords, factors, left, pos, used, accepted, size, log, undo = s
             vals, at = out[at:at + len(V)], at + len(V)
             if back is not None:
                 known, got = log[-2][1], iter(vals)
-                vals = [known if b else next(got) for b in back.tolist()]
+                vals = [known if b else next(got) for b in back]
             j0 = 0
             if r is None:
                 r, j0 = vals[0], 1
@@ -116,8 +125,8 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
             bar, taken = r * (1 + rel), len(vals) - j0
             for j in range(j0, len(vals)):
                 if vals[j] > bar:
-                    c = int(coords[pos + j - j0])
-                    undo = s[10] = c, alpha[c]
+                    c = coords[pos + j - j0]
+                    undo = s[11] = c, alpha[c]
                     alpha, r, accepted = T[j], vals[j], True
                     taken = j - j0 + 1
                     log.append((used + taken, r, alpha))
@@ -131,10 +140,10 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
             left, pos, used = left - taken, pos + taken, used + taken
             if pos == size and sweeps and accepted and left > 0:
                 pos, accepted = 0, False
-            s[:8] = alpha, r, coords, factors, left, pos, used, accepted
+            s[:2], s[5:9] = (alpha, r), (left, pos, used, accepted)
             if pos < size and left > 0:
                 still.append(s)
             if reach is not None and r >= reach:
                 break
         live = still
-    return [(s[1], s[0], s[6], s[9]) for s in state]
+    return [(s[1], s[0], s[7], s[10]) for s in state]

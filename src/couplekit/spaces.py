@@ -21,11 +21,12 @@ Newton correction is at most 1e-13 (h' >= 1 bounds the error by |G|), or one
 step earlier on a profile whose ``curvature()`` bounds h' and h'', when
 Newton's remainder bound certifies a log-error of at most 1e-13, or when the
 bracket is at most 1e-13 (1 + |log ||f|| |) wide.  That width is the
-certified log-error: a flat 1e-13 only for norms near 1.  Its
-elementwise work runs on the packed nonzero entries only, its row sums over
-the full width in one buffer allocated once per call; a batch of at least
-``_ARRAY_ROWS`` rows steps its Newton state as arrays, to the same floats,
-while that many rows iterate.  The adversarial searches (the RSP/LSP shift
+certified log-error: a flat 1e-13 only for norms near 1.  The row path
+packs a batch's nonzero entries once; the bracket, the start and the solver
+run their logs and exps on those entries only, their row sums over the full
+width of zero-filled rows (a NaN entry stays an entry, so its row is NaN); a
+batch of at least ``_ARRAY_ROWS`` rows steps its Newton state as arrays, to
+the same floats, while that many rows iterate.  The adversarial searches (the RSP/LSP shift
 search, kappa, the ``op_norm`` lower bound) share
 the one ascent of ``couplekit.ascent`` and one ratio of rows, ``_row_ratios``.
 Kappa draws all random starts of a shift first and ascends them as lanes;
@@ -339,8 +340,8 @@ _MAX_ITER = 120
 _ARRAY_ROWS = 24
 
 
-def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
-                   beta, lo, hi, nz=None) -> np.ndarray:
+def _luxemburg_log(F: OrliczFn, er: np.ndarray, ec: np.ndarray, la: np.ndarray,
+                   log_w: np.ndarray, beta, lo, hi) -> np.ndarray:
     """log of the Luxemburg norm inf{alpha : sum_i w_i F(a_i / alpha) <= 1}, per row.
 
     Row by row, solves G(beta) = log sum_i exp(log w_i + h(log a_i - beta)) = 0
@@ -365,41 +366,37 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
       is at most 1e-13 (1 + |beta|) wide.  So the certified log-error is
       1e-13 (1 + |log ||f|| |): a flat 1e-13 only for norms near 1.
 
-    ``log_a`` is a (k, n) array of log |a| with -inf at the zero entries,
-    ``log_w`` the (n,) log weights, ``beta``, ``lo``, ``hi`` (k,) arrays of
-    each row's start and bracket, and ``nz`` the (k, n) mask of the nonzero
-    entries when the caller has it.  Each iteration evaluates the profile
-    once, as one fused ``log_eval_slope`` call (h and h' on the same points),
-    and the terms exp(log w + h - max) and their products with h' only on
-    the packed nonzero entries of the rows still iterating (every row has
-    one).  Both row sums (S and D of G' = -D / S) are taken in one zero-filled
-    (2, k, n) buffer reduced over the full width: zeros in place keep numpy's
-    pairwise summation order, so a row's result does not depend on the other
-    rows; the rows still iterating reuse its leading rows.  A batch of at
-    least ``_ARRAY_ROWS`` rows keeps each row's beta, bracket and previous
-    width in arrays, stepped as whole-array operations, with row maxima by
-    ``np.maximum.reduceat``; below that, the rows step one by one in lists,
-    with maxima in a -inf-filled buffer.  Both steps compute the same floats
-    (``math.log`` per row, Python's min/max as strict comparisons), so a
-    row's iterates do not depend on the path.
+    The rows come packed: entry i is log |a| = ``la[i]`` at row ``er[i]``
+    and column ``ec[i]``, in row-major order, every row with an entry;
+    ``log_w`` holds the (n,) log weights, ``beta``, ``lo``, ``hi`` (k,)
+    arrays each row's start and bracket.  Each iteration evaluates the
+    profile once, as one fused ``log_eval_slope`` call (h and h' on the same
+    points), and the terms exp(log w + h - max) and their products with h'
+    on the entries of the rows still iterating, with row maxima by
+    ``np.maximum.reduceat``.  Both row sums (S and D of G' = -D / S) are
+    taken in one zero-filled (2, k, n) buffer reduced over the full width:
+    zeros in place keep numpy's pairwise summation order, so a row's result
+    does not depend on the other rows; the rows still iterating reuse its
+    leading rows.  A batch of at least ``_ARRAY_ROWS`` rows keeps each row's
+    beta, bracket and previous width in arrays, stepped as whole-array
+    operations; below that, the rows step one by one in lists.  Both steps
+    compute the same floats (``math.log`` per row, Python's min/max as
+    strict comparisons), so a row's iterates do not depend on the path.
     """
-    k, n = log_a.shape
+    k, n = len(beta), len(log_w)
     out = np.empty(k)
     stop = _NEWTON_TOL
     if (curv := F.curvature()) is not None:
         s_lo, s_hi, lip = curv
         stop = math.sqrt(2.0 * _NEWTON_TOL * s_lo / (lip + 0.25 * (s_hi - s_lo) ** 2))
-    er, ec = np.nonzero(log_a > -np.inf if nz is None else nz)
-    la, lw = log_a[er, ec], log_w[ec]
-    flat = er * n + ec
-    # a wide batch reads no -inf maxima buffer until fewer than _ARRAY_ROWS iterate
-    top, sums = np.full((min(k, _ARRAY_ROWS), n), -np.inf), np.zeros((2, k, n))
-    top_f, s_f, d_f = top.reshape(-1), sums[0].reshape(-1), sums[1].reshape(-1)
+    lw, flat = log_w[ec], er * n + ec
+    starts = er.searchsorted(np.arange(k))
+    sums = np.zeros((2, k, n))
+    s_f, d_f = sums[0].reshape(-1), sums[1].reshape(-1)
     # row, beta, bracket and previous bracket width of each row still
     # iterating: arrays while the batch is wide, then lists
     if wide := k >= _ARRAY_ROWS:
         rows, betas, los, his, widths = np.arange(k), beta, lo, hi, np.full(k, math.inf)
-        starts = np.searchsorted(er, rows)
     else:
         rows, betas, los, his = list(range(k)), beta.tolist(), lo.tolist(), hi.tolist()
         widths = [math.inf] * k
@@ -407,11 +404,7 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
         live = len(rows)
         h, dh = F.log_eval_slope(la - (betas[0] if live == 1 else np.asarray(betas)[er]))
         e = lw + h
-        if wide:
-            m = np.maximum.reduceat(e, starts)
-        else:
-            top_f[flat] = e
-            m = np.maximum.reduce(top[:live], axis=1)
+        m = np.maximum.reduceat(e, starts)
         wts = np.exp(e - m[er])
         s_f[flat] = wts
         d_f[flat] = wts * dh
@@ -468,9 +461,8 @@ def _luxemburg_log(F: OrliczFn, log_a: np.ndarray, log_w: np.ndarray,
             on = er >= 0
             er, ec, la, lw = er[on], ec[on], la[on], lw[on]
             flat = er * n + ec
-            top[:len(keep)] = -np.inf
             sums[:, :len(keep)] = 0.0
-            starts = np.searchsorted(er, np.arange(len(keep))) if wide else None
+            starts = er.searchsorted(np.arange(len(keep)))
     raise ConvergenceError(
         f"Luxemburg solver reached {_MAX_ITER} iterations (bracket "
         f"[{float(los[0])!r}, {float(his[0])!r}])")
@@ -482,30 +474,33 @@ def _orlicz_rows(F: OrliczFn, V: np.ndarray, log_w: np.ndarray,
     log weights ``log_w`` and levels ``log_lambda`` (w_i F(lambda_i) = 1).  The
     single-entry norms b_i = |v_i| / lambda_i bracket a row's norm by their max
     and their sum whatever the weights, as F(tx) <= t F(x) for t <= 1; a row
-    with one entry is its b_i.  The others go to one masked ``_luxemburg_log``
-    call, started at the bracket's low end or, given ``curvature()``, at the
-    root for x^s, s the mid slope, scaled to agree with F at each lambda_i:
+    with one entry is its b_i, one with a NaN entry NaN.  The others go to one
+    ``_luxemburg_log`` call on their packed nonzero entries, started at the
+    bracket's low end or, given ``curvature()``, at the root for x^s, s the
+    mid slope, scaled to agree with F at each lambda_i:
     q_max + log sum exp(s (q_i - q_max)) / s, q_i = log b_i, clamped."""
-    A = np.abs(V)
-    nz = A > 0
-    log_a = np.log(A, out=np.full(A.shape, -np.inf), where=nz)
-    q = log_a - log_lambda  # -inf at the zero entries, which add exact zeros
+    k, n = V.shape
+    er, ec = np.nonzero(V)
+    la = np.log(np.abs(V[er, ec]))
+    q = la - log_lambda[ec]
+    piece = np.zeros((k, n))
     with np.errstate(over="ignore"):  # a sum past the float range opens the bracket
-        piece = np.exp(q)
+        piece[er, ec] = np.exp(q)
         out = np.maximum.reduce(piece, axis=1)
         hi0 = np.add.reduce(piece, axis=1)
-    solve = np.flatnonzero(hi0 > out * (1 + 1e-14))
-    if solve.size:
+    solve = hi0 > out * (1 + 1e-14)
+    if solve.any():
+        on = solve[er]
+        er, ec, la, q = (np.cumsum(solve) - 1)[er[on]], ec[on], la[on], q[on]
         b_lo, b_hi = np.log(out[solve]), np.log(hi0[solve])
         beta = b_lo
         if (curv := F.curvature()) is not None:
             s = 0.5 * (curv[0] + curv[1])
-            qs = q[solve]
-            q_max = np.maximum.reduce(qs, axis=1)
-            sums = np.add.reduce(np.exp(s * (qs - q_max[:, None])), axis=1)
-            beta = np.clip(q_max + np.log(sums) / s, b_lo, b_hi)
-        out[solve] = np.exp(_luxemburg_log(F, log_a[solve], log_w, beta, b_lo, b_hi,
-                                           nz[solve]))
+            q_max = np.maximum.reduceat(q, er.searchsorted(np.arange(b_lo.size)))
+            piece = np.zeros((b_lo.size, n))
+            piece[er, ec] = np.exp(s * (q - q_max[er]))
+            beta = np.clip(q_max + np.log(np.add.reduce(piece, axis=1)) / s, b_lo, b_hi)
+        out[solve] = np.exp(_luxemburg_log(F, er, ec, la, log_w, beta, b_lo, b_hi))
     return out
 
 

@@ -83,11 +83,18 @@ class _Args(dict):
         return self.pop(key)
 
 
+class _Items(list):
+    """Positional items of one spec, each taken out as the parser reads it."""
+
+    def __getitem__(self, i):
+        return self.pop(i)
+
+
 @contextmanager
 def _parse_args(rest: str):
     """(kwargs, positional) of one spec for the ``with`` block that builds it:
-    a repeated key, or one the block leaves unread, is a usage error naming it."""
-    kwargs, positional = _Args(), []
+    a repeated key, or a key or item left unread, is a usage error naming it."""
+    kwargs, positional = _Args(), _Items()
     for item in _split_top(rest, ",") if rest else ():
         if not item:
             continue
@@ -101,6 +108,8 @@ def _parse_args(rest: str):
     yield kwargs, positional
     if kwargs:
         raise UsageError(f"spec has an argument it does not take: {next(iter(kwargs))!r}")
+    if positional:
+        raise UsageError(f"spec has an item it does not take: {next(iter(positional))!r}")
 
 
 def _strip(val: str) -> str:
@@ -136,7 +145,7 @@ def parse_generator(spec: str) -> OrliczFn:
     name, rest = _match_name(body, _GEN_NAMES)
     with _parse_args(rest) as (kwargs, positional):
         if selector is not None:
-            positional = [selector] + positional
+            positional.insert(0, selector)
         if name == "power":
             return power(_num(kwargs["p"]))
         if name == "pwpower":

@@ -55,6 +55,37 @@ def count_solver_kernel(monkeypatch, counts: list) -> None:
                         lambda F, *args: solve(KernelCount(F, counts), *args))
 
 
+def reference_orlicz_rows(F, V, log_w, log_lambda):
+    """``spaces._orlicz_rows`` with its prep on the dense (k, n) batch, as
+    before the rows were packed: |V|, log |v| with -inf at the zeros, exp of
+    q = log |v| - log lambda, the row max and sum, the solve rows sliced out
+    and the curvature start on their dense q; the solver gets the entries of
+    the dense nonzero mask.  A NaN entry reads as a zero here (NaN > 0 is
+    False), so this is the reference on NaN-free rows only."""
+    A = np.abs(V)
+    nz = A > 0
+    log_a = np.log(A, out=np.full(A.shape, -np.inf), where=nz)
+    q = log_a - log_lambda
+    with np.errstate(over="ignore"):
+        piece = np.exp(q)
+        out = np.maximum.reduce(piece, axis=1)
+        hi0 = np.add.reduce(piece, axis=1)
+    solve = np.flatnonzero(hi0 > out * (1 + 1e-14))
+    if solve.size:
+        b_lo, b_hi = np.log(out[solve]), np.log(hi0[solve])
+        beta = b_lo
+        if (curv := F.curvature()) is not None:
+            s = 0.5 * (curv[0] + curv[1])
+            qs = q[solve]
+            q_max = np.maximum.reduce(qs, axis=1)
+            sums = np.add.reduce(np.exp(s * (qs - q_max[:, None])), axis=1)
+            beta = np.clip(q_max + np.log(sums) / s, b_lo, b_hi)
+        er, ec = np.nonzero(nz[solve])
+        out[solve] = np.exp(spaces._luxemburg_log(F, er, ec, log_a[solve][er, ec], log_w,
+                                                  beta, b_lo, b_hi))
+    return out
+
+
 def _log_modular(F, log_a, log_w, beta):
     expo = log_w + F.log_eval(log_a - beta)
     m = float(np.max(expo))

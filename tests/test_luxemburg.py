@@ -8,6 +8,7 @@ count of profile evaluations and against each other.
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from couplekit import (ConvergenceError, GeometricWeighted, MinimalFn,
                        SeqVec, StepFunction, Window, brudnyi_pair,
                        elastic_non_lorentz, example1, logfactor_fn, power,
                        pwpower, shift_constant_estimate, spaces)
-from conftest import random_seqvec, reference_norm
+from conftest import random_seqvec, reference_norm, reference_orlicz_rows
 
 _BF, _BG = brudnyi_pair(1.5, 3.0)
 ZOO = {"power": power(2.0), "pwpower": pwpower(1.5, 3.0),
@@ -209,3 +210,66 @@ def test_function_norm_past_the_float_range_of_the_bracket():
         if name != "power":
             ref = reference_norm(F, np.asarray(f.vals), np.log(f.lengths))
             assert OrliczSpace(F).fn_norm(f) == pytest.approx(ref, rel=1e-12), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["example1", "minimal", "logfactor"]),
+       on=st.sampled_from(["modular", "pieces"]), wide=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_packed_rows_equal_the_dense_prep(name, on, wide, seed):
+    # log and exp on the packed entries, row sums in a zero-filled buffer and
+    # the solver on the packed solve rows give the dense prep's floats bit for
+    # bit, and hand the solver the same arguments
+    F, rng = ZOO[name], np.random.default_rng(seed)
+    if on == "modular":
+        E = OrliczModular(F, Window("Z-", -64, -1))
+        log_w, log_lambda = E._log_w, E._log_lambda
+    else:  # two pieces of 0.45, then pieces cutting [0.9, 1]
+        cuts = np.sort(rng.uniform(0.9, 1.0, int(rng.integers(1, 40))))
+        log_w = np.log(np.diff(np.unique(np.concatenate([[0.0, 0.45, 0.9], cuts, [1.0]]))))
+        log_lambda = np.atleast_1d(F.log_inv(-log_w))
+    n = log_w.size
+    rows = spaces._ARRAY_ROWS
+    k = int(rng.integers(rows, 2 * rows) if wide else rng.integers(3, rows))
+    V = np.zeros((k, n))
+    for row in V[3:]:
+        idx = rng.choice(n, int(rng.integers(2, min(n, 12) + 1)), replace=False)
+        row[idx] = np.exp(rng.normal(0.0, 4.0, idx.size)) * rng.choice([-1.0, 1.0], idx.size)
+    V[0, rng.integers(n)] = -1.0 if rng.random() < 0.5 else 3.0  # one entry
+    # single-entry norms of 0.95e308 (or less, where lambda_i is too large):
+    # their sum is past the float range, the norm is not
+    top = np.argsort(log_lambda)[:2]
+    lam = np.exp(log_lambda[top])
+    V[1, top] = np.minimum(0.95e308, 1.79e308 / lam) * lam
+    V[2] = -0.0  # a zero row
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sum(np.exp(np.log(V[1][V[1] > 0]) - log_lambda[V[1] > 0])))
+    V = V[rng.permutation(k)]
+    calls, solve = [], spaces._luxemburg_log
+
+    def recorded(*args):
+        calls.append([np.asarray(a).tobytes() for a in args[1:]])
+        return solve(*args)
+
+    with mock.patch.object(spaces, "_luxemburg_log", recorded):
+        got = spaces._orlicz_rows(F, V, log_w, log_lambda)
+        ref = reference_orlicz_rows(F, V, log_w, log_lambda)
+    assert got.tobytes() == ref.tobytes()
+    assert len(calls) == 2 and calls[0] == calls[1]
+
+
+def test_a_nan_entry_makes_the_norm_nan():
+    # a NaN entry is an entry: its row's bracket test is False, so the row's
+    # norm is NaN, with no solve and no warning, as the weighted-lp norms give
+    # it; the other rows are normed as they are alone
+    win = Window("Z-", -4, -1)
+    E = OrliczModular(example1(), win)
+    V = np.array([[math.nan, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 2.0, 0.0]])
+    for space in (E, GeometricWeighted(E, 2.0 ** 0.5), OrderReversed(E),
+                  OrderReversed(GeometricWeighted(E, 2.0 ** 0.5))):
+        norms = space.norm_rows(V)
+        assert math.isnan(norms[0])
+        assert norms[1:].tolist() == [space.norm_values(v) for v in V[1:]]
+    f = StepFunction("unit", (0.0, 0.25, 0.5, 1.0), (math.nan, 1.0, 0.0))
+    for F in (example1(), ZOO["minimal"], ZOO["logfactor"]):
+        assert math.isnan(OrliczSpace(F).fn_norm(f))

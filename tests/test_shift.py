@@ -692,9 +692,9 @@ def test_readme_shift_test_work(monkeypatch):
     calls, steps = [], []
     solve = spaces._luxemburg_log
 
-    def counted(F, log_a, *args):
-        calls.append(len(log_a))
-        return solve(F, log_a, *args)
+    def counted(F, er, ec, la, log_w, beta, *args):
+        calls.append(len(beta))
+        return solve(F, er, ec, la, log_w, beta, *args)
 
     monkeypatch.setattr(spaces, "_luxemburg_log", counted)
     count_solver_kernel(monkeypatch, steps)

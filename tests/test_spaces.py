@@ -660,6 +660,7 @@ def test_every_form_space_answers_as_its_weighted_lp(p, which, width, kind, op, 
 @pytest.mark.parametrize("spec", [
     "lp:p=2", "linf", "lorentz:p=2,w=pow:0.5",
     "orlicz:gen=<power:p=2>", "orlicz:gen=<brudnyi:p=1.5,q=3:F>",
+    "fromseq:<seq:lpw:p=2,wexp=0.3>",
 ])
 def test_parse_function_spaces(spec):
     X = parse_space(spec)
@@ -669,7 +670,7 @@ def test_parse_function_spaces(spec):
 @pytest.mark.parametrize("spec", [
     "seq:lpw:p=1", "seq:linf", "seq:orlicz-modular:gen=<example1>",
     "seq:from:<seq:orlicz-modular:gen=<example1>>,weightbase=1.4142135623730951",
-    "rev:<seq:lpw:p=2>",
+    "rev:<seq:lpw:p=2>", "seq:induced:<lorentz:p=2,w=pow:0.5>",
 ])
 def test_parse_seq_spaces(spec):
     E = parse_seq_space(spec, Window("Z-", -8, -1))
@@ -957,6 +958,18 @@ def test_missing_argument_is_usage_error(spec, key):
 def test_unparseable_number_is_usage_error(spec):
     with pytest.raises(UsageError, match="expected a number"):
         parse_any_space(spec)
+
+
+@pytest.mark.parametrize("parse, spec, item", [
+    (parse_any_space, "seq:lpw:p=2,zz", "zz"), (parse_generator, "power:p=2,3", "3"),
+    (parse_generator, "example1:zz", "zz"), (parse_generator, "power:p=2:F", "F"),
+    (parse_generator, "brudnyi:p=1.5,q=3,F:G", "F"),
+], ids=["lpw", "power", "example1", "power-selector", "brudnyi-two-selectors"])
+def test_unread_item_is_usage_error(parse, spec, item):
+    # an item without '=' that the spec's parser never reads is refused, as
+    # an unread key is, not dropped from the space and its spec string
+    with pytest.raises(UsageError, match=f"^spec has an item it does not take: '{item}'$"):
+        parse(spec)
 
 
 # ---------------------------------------------------------------------------
