@@ -20,16 +20,16 @@ _MODULES = {
     "orlicz": ("ConvexifiedFn", "IndexReport", "MinimalFn", "TGrid", "OrliczFn",
                "brudnyi_pair", "brudnyi_schedule", "convexify", "counter",
                "elastic_non_lorentz", "elasticity_report", "example1", "indices",
-               "lambda_seq", "logfactor_fn", "phi_minus", "phi_plus", "power", "psi_count",
-               "pwpower", "regularize", "rv_defect", "sample_profile", "w_witness"),
+               "lambda_seq", "logfactor_fn", "phi_minus", "phi_plus", "power", "pwpower",
+               "rv_defect", "sample_profile", "w_witness"),
     "shift": ("LSP", "RSP", "InterlacedFamily", "ShiftEstimate", "ShiftWitness",
               "family_ratio", "gen_interlaced", "replay_witness", "shift_constant_estimate",
               "shift_schedule"),
     "spaces": ("BoydIndices", "FromSequenceSpace", "GeometricWeighted", "InducedSeq",
                "KappaEstimate", "LinftySeq", "LorentzSpace", "LpSpace", "OrderReversed",
                "OrliczModular", "OrliczSpace", "PowerWeight", "SeparationFit", "SeqSpaceSpec",
-               "SpaceSpec", "TableLogLinear", "WeightedLp", "dyadic_lp", "fit_separation",
-               "kappa_estimate", "linf_space", "rho_profile"),
+               "SpaceSpec", "WeightedLp", "dyadic_lp", "fit_separation", "kappa_estimate",
+               "linf_space", "rho_profile"),
     "specdsl": ("parse_any_space", "parse_generator", "parse_seq_space", "parse_space"),
     "transfer": ("PositiveMatrix", "k_transfer", "majorization_transfer", "op_norm",
                  "rank_one_shift"),

@@ -91,9 +91,6 @@ class StepFunction:
     def scale(self, c: float) -> "StepFunction":
         return self.with_values(c * self.vals)
 
-    def __abs__(self) -> "StepFunction":
-        return self.with_values(np.abs(self.vals))
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -287,14 +284,6 @@ class SeqVec:
     def entries(self) -> dict[int, float]:
         nz = np.nonzero(self.values)[0]
         return {int(i + self.window.lo): float(self.values[i]) for i in nz}
-
-    def __getitem__(self, n: int) -> float:
-        if not (self.window.lo <= n <= self.window.hi):
-            return 0.0
-        return float(self.values[n - self.window.lo])
-
-    def support(self) -> np.ndarray:
-        return np.nonzero(self.values)[0] + self.window.lo
 
     def scale(self, c: float) -> "SeqVec":
         return SeqVec(self.window, c * self.values)

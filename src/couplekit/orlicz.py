@@ -53,7 +53,7 @@ class OrliczFn:
 
     name = "orlicz"
     params: dict = {}
-    sampled = False  # sampled from another profile (``regularize``): no spec names it
+    sampled = False  # sampled from another profile (``sample_profile``): no spec names it
     # the u-range a profile was resampled on, past which its values are the
     # end slopes extrapolated rather than the profile it names; None if exact
     sampled_range = None
@@ -151,14 +151,6 @@ class OrliczFn:
             us = self.log_inv(-np.array(missing, dtype=float) * LOG2)
             memo.update(zip(missing, np.atleast_1d(us).tolist()))
         return np.array([memo[n] for n in ns], dtype=float)
-
-    def inv(self, y):
-        """F^{-1}(y) for y > 0."""
-        return np.exp(self.log_inv(np.log(y)))
-
-    def log_ft(self, log_t, log_x):
-        """log F_t(x) with the quotient convention F_t(x) = F(tx)/F(t)."""
-        return self.log_eval(log_t + log_x) - self.log_eval(log_t)
 
     def spec_string(self) -> str:
         if self.sampled:
@@ -814,62 +806,6 @@ def rv_defect(F: OrliczFn, x_grid, t_range) -> float:
     return worst
 
 
-def regularize(F: OrliczFn, p: float, grid, y_cap: float = None,
-               c_limit: float = 3.0):
-    """Smooth F to a regularly-varying-order-p profile by window averaging.
-
-    Checks the uniform deviation |h(v) - h(v-y) - p y| <= c on the tail of
-    the grid first (error with the witnessing (x, y) if it exceeds
-    ``c_limit``); then builds u(v) as the largest admissible window length
-    capped to slope 1, averages h(s) + p(v - s) over [v - u, v], and
-    convexifies the result.  |h - g| stays bounded by the measured c.
-    """
-    base = F if F.breaks() is not None else sample_profile(F)
-    grid = TGrid(grid).log  # the grid holds v = log x
-    if grid.size < 8:
-        raise ValueError("regularize needs a grid of at least 8 points")
-    if y_cap is None:
-        y_cap = (grid[-1] - grid[0]) / 4.0
-    ys = np.linspace(0.0, y_cap, 65)[1:]
-    dev_all = np.abs(base.log_eval(grid[:, None]) -
-                     base.log_eval(grid[:, None] - ys[None, :]) - p * ys[None, :])
-    in_tail = grid >= grid[0] + (grid[-1] - grid[0]) / 2.0
-    tail, dev = grid[in_tail], dev_all[in_tail]
-    c = float(np.max(dev))
-    if c > c_limit:
-        i, j = np.unravel_index(np.argmax(dev), dev.shape)
-        raise ValueError(
-            f"regular-variation deviation {c:.3g} exceeds {c_limit} at "
-            f"x=exp({tail[i]:.3g}), y={ys[j]:.3g}")
-
-    # largest valid window per grid point, then slope-1 cap
-    ok = dev_all <= c + 1e-12
-    first_bad = np.argmin(ok, axis=1)
-    ubar = np.where(ok.all(axis=1), ys[-1], ys[np.maximum(first_bad - 1, 0)])
-    ubar[~ok[:, 0]] = 0.0
-    u = np.empty_like(ubar)
-    u[0] = ubar[0]
-    for i in range(1, u.size):
-        u[i] = min(ubar[i], u[i - 1] + (grid[i] - grid[i - 1]))
-
-    # integral of the piecewise-affine h, exact (trapezoid on its own kinks)
-    kinks = np.unique(np.concatenate([base._u, grid, grid - u]))
-    hk = base.log_eval(kinks)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (hk[1:] + hk[:-1]) * np.diff(kinks))])
-    g = base.log_eval(grid).copy()
-    pos = u > 1e-9
-    a, b = grid[pos] - u[pos], grid[pos]
-    g[pos] = (np.interp(b, kinks, cum) - np.interp(a, kinks, cum)) / u[pos] + 0.5 * p * u[pos]
-    smoothed = PiecewiseAffineFn.from_samples(f"regularize<{base.name}>",
-                                              dict(base.params), grid, g,
-                                              slope_below=float(base._s_below))
-    smoothed.sampled = True
-    out = convexify(smoothed)
-    out.regularize_c = c
-    out.regularize_gap = float(np.max(np.abs(g - base.log_eval(grid))))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # oscillation counters, elasticity, bounded witness
 # ---------------------------------------------------------------------------
@@ -1069,10 +1005,6 @@ def phi_plus(F, x, C, side="inf", grid=None):
 
 def phi_minus(F, x, C, side="inf", grid=None):
     return counter(F, "phi-", x, C, side, grid)
-
-
-def psi_count(F, p, x, C, side="inf", grid=None):
-    return counter(F, f"psi:{p}", x, C, side, grid)
 
 
 # classification thresholds, frozen from the pre-registered oracle run

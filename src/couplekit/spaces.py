@@ -1,8 +1,9 @@
 """Norm evaluators: r.i. function spaces and their Kothe sequence spaces.
 
-Function-space variants (Lp, Lorentz quasinorm, Orlicz/Luxemburg, and the
-space-from-sequence construction) evaluate exactly on step functions -- every
-integral is a finite sum over pieces.  ``norm_rows_on(f)`` binds the
+Function-space variants (Lp, the Lorentz quasinorm of a power weight,
+Orlicz/Luxemburg, and the space-from-sequence construction) evaluate exactly
+on step functions -- every integral is a finite sum over pieces.
+``norm_rows_on(f)`` binds the
 pieces of f and norms the rows of a (k, pieces) array of values on them;
 sequence-space variants are modelled on a Window, and ``norm_rows`` norms the
 rows of a (k, n) array.  The base classes decide once: a space whose
@@ -46,7 +47,8 @@ through its protocol, whose base-class defaults describe a space without
 closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
 ``InducedSeq``), ``norm_rows_on(f)``, ``weighted_lp_form_on(f)``, ``boyd()``,
 ``generator()``.  ``SeqSpaceSpec``: ``norm_rows(V, grad=False)`` (with
-``grad``, the rows' norming functionals G too, as (norms, G)), ``e_space``
+``grad``, the rows' norming functionals G too, as (norms, G), 0 on a zero
+row; an ``InducedSeq`` without a form has none, a ``UsageError``), ``e_space``
 (the space itself), ``weighted_lp_form()``, ``unit_norms()`` (the rows of
 the identity, ``unit_norm(n)`` one of them), ``shift_norm_upper(m)`` (a
 certified bound on ||tau_m||), ``generator()``.
@@ -95,18 +97,15 @@ _KAPPA_BUDGET, _KAPPA_SEED = 400, 0
 
 
 # ---------------------------------------------------------------------------
-# weight functions for Lorentz spaces
+# the power weight of Lorentz spaces
 # ---------------------------------------------------------------------------
 
 
-class WeightFn:
-    """Monotone increasing weight with bounded doubling ratio; ``integral(p, T)``
-    is W(T) = int_0^T w(t)^p dt/t for an array of T > 0, in closed form."""
-
-
 @dataclass(frozen=True)
-class PowerWeight(WeightFn):
-    """w(t) = t^exponent; exponent = 1/q gives the standard Lorentz L(q,p)."""
+class PowerWeight:
+    """w(t) = t^exponent; exponent = 1/q gives the standard Lorentz L(q,p).
+    ``integral(p, T)`` is W(T) = int_0^T w(t)^p dt/t for an array of T > 0,
+    in closed form."""
 
     exponent: float
 
@@ -115,60 +114,8 @@ class PowerWeight(WeightFn):
             raise ValueError("power weight needs a positive exponent")
 
     def integral(self, p: float, T: np.ndarray) -> np.ndarray:
-        return np.power(T, self.exponent * p) / (self.exponent * p)
-
-
-class TableLogLinear(WeightFn):
-    """Piecewise log-log-linear weight from a (log t, log w) table."""
-
-    def __init__(self, log_t, log_w):
-        self.log_t = np.asarray(log_t, dtype=float)
-        self.log_w = np.asarray(log_w, dtype=float)
-        if (self.log_t.ndim != 1 or self.log_t.size < 2 or np.any(np.diff(self.log_t) <= 0)
-                or self.log_w.shape != self.log_t.shape
-                or not np.all(np.isfinite([self.log_t, self.log_w]))):
-            raise ValueError("need a finite, strictly increasing log_t grid and one log_w per point")
-        slopes = np.diff(self.log_w) / np.diff(self.log_t)
-        if np.any(slopes < 0):
-            raise ValueError("weight must be monotone increasing")
-        self.slopes = slopes
-        self._tables = {}  # p -> _knot_table(p)
-
-    def _segment(self, lt):
-        """Index of the segment containing lt; the end segments extend past
-        the table, as the norm integrates them."""
-        return np.clip(np.searchsorted(self.log_t, lt, side="right") - 1,
-                       0, self.slopes.size - 1)
-
-    def _knot_table(self, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p s_i, w_i^p, W(t_i)) for one p; ``integral`` builds it once per p."""
-        ps, wp, d = p * self.slopes, np.exp(p * self.log_w), np.diff(self.log_t)
-        inner = np.arange(1, d.size - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # where a segment is flat
-            knots = np.cumsum(np.concatenate([[0.0, wp[1] / ps[0]],
-                                              _above(ps, wp, inner, d[inner])]))
-        return ps, wp, knots
-
-    def integral(self, p: float, T: np.ndarray) -> np.ndarray:
-        """W(T) on the segments as ``w`` extends them: w(T)^p / (p s_0) on the
-        first (inf where it is flat), and on each later one, from its anchor
-        (t_i, w_i), W(t_i) + w_i^p expm1(p s_i x) / (p s_i) with x = log(T / t_i),
-        or W(t_i) + w_i^p x where s_i = 0."""
-        table = self._tables.get(p)
-        if table is None:
-            table = self._tables[p] = self._knot_table(p)
-        ps, wp, knots = table
-        lt = np.log(T)
-        i = self._segment(lt)
-        with np.errstate(divide="ignore", invalid="ignore"):  # where a segment is flat
-            first = wp[0] * np.exp(ps[0] * np.where(i == 0, lt - self.log_t[0], 0.0)) / ps[0]
-            return np.where(i == 0, first, knots[i] + _above(ps, wp, i, lt - self.log_t[i]))
-
-
-def _above(ps: np.ndarray, wp: np.ndarray, j: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w_j^p times the integral of (t / t_j)^(p s_j) dt/t over segment j from
-    its anchor to log t_j + x."""
-    return wp[j] * np.where(ps[j] > 0.0, np.expm1(ps[j] * x) / ps[j], x)
+        with np.errstate(over="ignore"):  # past the float range W(T) is inf
+            return np.power(T, self.exponent * p) / (self.exponent * p)
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +239,20 @@ class LorentzSpace(SpaceSpec):
     with the weight's closed-form ``integral`` W(T) = int_0^T w^p dt/t.
     """
 
-    def __init__(self, p: float, weight: WeightFn, domain: str = UNIT):
+    def __init__(self, p: float, weight: PowerWeight, domain: str = UNIT):
         if not (1 <= p < math.inf):
             raise ValueError("Lorentz order must satisfy 1 <= p < inf")
         self.p = float(p)
         self.weight = weight
         self.domain = domain
         # t^(1/p) is the one power weight whose quasinorm is L_p itself
-        if isinstance(weight, PowerWeight) and abs(self.p * weight.exponent - 1.0) <= 1e-12:
+        if abs(self.p * weight.exponent - 1.0) <= 1e-12:
             self._lp = self.p
 
     def _rows_on(self, f: StepFunction):
         def rows(V: np.ndarray) -> np.ndarray:
             S, T = _decreasing(V, f.lengths)
-            # past a weight flat at 0, W is inf from T_0 on: the increments stay inf
+            # past a T where T^(p e) overflows, W is inf: the increments stay inf
             W = self.weight.integral(self.p, T)
             dW = W.copy()
             np.subtract(W[:, 1:], W[:, :-1], out=dW[:, 1:], where=W[:, :-1] < math.inf)
@@ -314,20 +261,11 @@ class LorentzSpace(SpaceSpec):
         return rows
 
     def boyd(self) -> BoydIndices:
-        w = self.weight
-        if isinstance(w, PowerWeight):
-            q = 1.0 / w.exponent
-            return BoydIndices(q, q, 0.0, 0.0, "analytic")
-        smax, smin = float(np.max(w.slopes)), float(np.min(w.slopes))
-        p = 1.0 / smax if smax > 0 else math.inf
-        q = 1.0 / smin if smin > 0 else math.inf
-        return BoydIndices(p, q, 0.02, 0.02, "weight-table")
+        q = 1.0 / self.weight.exponent
+        return BoydIndices(q, q, 0.0, 0.0, "analytic")
 
     def spec_string(self) -> str:
-        if isinstance(self.weight, PowerWeight):
-            return f"lorentz:p={_spec_num(self.p)},w=pow:{_spec_num(self.weight.exponent)}"
-        table = (",".join(map(repr, a.tolist())) for a in (self.weight.log_t, self.weight.log_w))
-        return f"lorentz:p={_spec_num(self.p)},w=table:<{'>:<'.join(table)}>"
+        return f"lorentz:p={_spec_num(self.p)},w=pow:{_spec_num(self.weight.exponent)}"
 
 
 # the log-norm error a Newton stop certifies (G as in _luxemburg_log)
@@ -579,8 +517,9 @@ class SeqSpaceSpec:
     def norm_rows(self, V: np.ndarray, grad: bool = False):
         """Norms of the rows of a (k, window.size) value array, with ``grad``
         as (norms, G), G the rows' norming functionals: supp g in supp v,
-        <v, g> = ||v||, ||g||* = 1 for each nonzero row v.  On the form
-        (w, p): ``_wlp_norms`` and the scale-free g_i = sgn(v_i) w_i
+        <v, g> = ||v||, ||g||* = 1 for each nonzero row v, and g = 0 for a
+        zero row (any g of the dual ball norms it).  On the form (w, p):
+        ``_wlp_norms`` and the scale-free g_i = sgn(v_i) w_i
         (w_i |v_i| / ||v||)^(p-1), whose power neither overflows nor loses a
         tiny row (sgn(v_k) w_k at the first k of largest w_k |v_k| at p = inf);
         else the space's own ``_rows(V, grad)``."""
@@ -592,8 +531,10 @@ class SeqSpaceSpec:
             return norms
         if math.isinf(p):
             top = np.argmax(np.abs(V) * w, axis=1)[:, None] == np.arange(V.shape[1])
-            return norms, np.where(top, np.copysign(w, V), 0.0)
-        return norms, np.sign(V) * w * (np.abs(V) * w / norms[:, None]) ** (p - 1.0)
+            return norms, np.where(top & (norms != 0.0)[:, None], np.copysign(w, V), 0.0)
+        # a zero row divides by 1: its sgn(v_i) = 0 makes g = 0
+        scale = np.where(norms == 0.0, 1.0, norms)[:, None]
+        return norms, np.sign(V) * w * (np.abs(V) * w / scale) ** (p - 1.0)
 
     def _rows(self, V: np.ndarray, grad: bool = False):
         raise NotImplementedError  # the space's own formula where it has no form
@@ -744,7 +685,9 @@ class OrliczModular(SeqSpaceSpec):
             return norms
         # the modular's gradient at v / ||v||, scaled to <v / ||v||, g> = 1:
         # one F' call on the packed nonzero entries, then one dot per row
-        xhat, G = np.abs(V) / norms[:, None], np.zeros_like(V)
+        # a zero row divides by 1 and keeps g = 0 (it has no entry to scale)
+        xhat = np.abs(V) / np.where(norms == 0.0, 1.0, norms)[:, None]
+        G = np.zeros_like(V)
         r, c = np.nonzero(xhat > 0)
         G[r, c] = np.exp(self._log_w[c]) * self.F.deriv(xhat[r, c])
         for g, v, x in zip(G, V, xhat):
@@ -847,9 +790,10 @@ def OrderReversed(inner: SeqSpaceSpec) -> SeqSpaceSpec:
 class InducedSeq(SeqSpaceSpec):
     """E_X by direct reconstruction: norm of sum x(n) chi_[2^n, 2^(n+1)) in X.
 
-    Fallback for spaces without a closed-form E_X (Lorentz with general
-    weights); the reconstruction rearranges internally, so the space is
-    automatically symmetric in the r.i. sense.
+    Fallback for spaces without a closed-form E_X (a Lorentz space whose
+    weight is not t^(1/p)); the reconstruction rearranges internally, so the
+    space is automatically symmetric in the r.i. sense.  Without a form it
+    has no norming functional: ``grad`` is a ``UsageError``.
     """
 
     def __init__(self, space: SpaceSpec, window: Window):
@@ -864,8 +808,8 @@ class InducedSeq(SeqSpaceSpec):
 
     def _rows(self, V: np.ndarray, grad: bool = False):
         if grad:
-            raise NotImplementedError("no norming functional for InducedSeq; supported: weighted "
-                                      "lp and Orlicz modular, reversed or b^n-weighted")
+            raise UsageError("no norming functional for InducedSeq; supported: weighted "
+                             "lp and Orlicz modular, reversed or b^n-weighted")
         return self._blocks(np.insert(V, 0, 0.0, axis=1))
 
     def spec_string(self) -> str:
@@ -1016,13 +960,6 @@ class KappaEstimate:
     table_ub: dict[int, float] = field(default_factory=dict)
     plus_ub: float = math.inf
     minus_ub: float = math.inf
-
-    def to_json_dict(self):
-        return {"plus_lb": self.plus_lb, "plus_est": self.plus_est,
-                "minus_lb": self.minus_lb, "minus_est": self.minus_est,
-                "plus_ub": self.plus_ub, "minus_ub": self.minus_ub,
-                "table": {str(k): v for k, v in sorted(self.table.items())},
-                "table_ub": {str(k): v for k, v in sorted(self.table_ub.items())}}
 
 
 def _row_ratios(space: SeqSpaceSpec, D: np.ndarray, N: np.ndarray) -> np.ndarray:

@@ -8,8 +8,7 @@ colon inside a value never splits a name.
 Examples::
 
     lp:p=2                  linf
-    lorentz:p=2,w=pow:0.5
-    lorentz:p=1.5,w=table:<-8.0,-2.0,0.0>:<-4.0,-1.0,0.0>   (<log t>:<log w>)
+    lorentz:p=2,w=pow:0.5   (the weight t^0.5, the one weight form)
     orlicz:gen=<power:p=2>
     fromseq:<seq:orlicz-modular:gen=<example1>>
     seq:lpw:p=1             seq:linf  (= seq:lpw:p=inf: unit weights)
@@ -35,7 +34,7 @@ from .orlicz import (MinimalFn, OrliczFn, brudnyi_pair, convexify,
                      pwpower)
 
 if TYPE_CHECKING:  # a generator needs only orlicz: the parsers import spaces when called
-    from .spaces import SeqSpaceSpec, SpaceSpec, WeightFn
+    from .spaces import PowerWeight, SeqSpaceSpec, SpaceSpec
 
 _FN_NAMES = ("lorentz", "orlicz", "fromseq", "linf", "lp")
 _SEQ_NAMES = ("seq:orlicz-modular", "seq:lpw", "seq:linf", "seq:from",
@@ -167,16 +166,13 @@ def parse_generator(spec: str) -> OrliczFn:
         raise UsageError(f"unknown generator {name!r}")
 
 
-def _parse_weight(val: str) -> WeightFn:
-    from .spaces import PowerWeight, TableLogLinear
+def _parse_weight(val: str) -> PowerWeight:
+    from .spaces import PowerWeight
 
     val = _strip(val)
     if val.startswith("pow:"):
         return PowerWeight(_num(val[4:]))
-    cols = _split_top(val[6:], ":") if val.startswith("table:") else []
-    if len(cols) == 2:
-        return TableLogLinear(*([_num(v) for v in _strip(c).split(",")] for c in cols))
-    raise UsageError(f"unknown weight form {val!r} (use pow:<exponent> or table:<log t>:<log w>)")
+    raise UsageError(f"unknown weight form {val!r} (use pow:<exponent>)")
 
 
 def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:

@@ -347,8 +347,7 @@ def _add_block_sum(T: PositiveMatrix, X, Y, E: SeqSpaceSpec, note: str) -> np.nd
     """
     rows = np.flatnonzero(Y.any(axis=1))
     X, Y = X[rows], Y[rows]
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero x_n is reported below
-        norms, G = E.norm_rows(X, grad=True)
+    norms, G = E.norm_rows(X, grad=True)
     if not np.all(norms > 0.0):
         raise ValueError("cannot norm the zero vector")
     pairings = np.array([np.dot(x, g) for x, g in zip(X, G)])

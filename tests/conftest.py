@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from couplekit import (GeometricWeighted, LinftySeq, OrderReversed, OrliczModular,
-                       PowerWeight, SeqVec, StepFunction, WeightedLp, Window, dyadic_lp,
+                       SeqVec, StepFunction, WeightedLp, Window, dyadic_lp,
                        example1, pwpower, zero_fn)
 import couplekit.spaces as spaces
 from couplekit.spaces import _Conjugated
@@ -172,45 +172,9 @@ def reference_dyadic_envelope(f: StepFunction, window: Window) -> SeqVec:
 
 
 def _reference_weight_integral(p: float, w, a: float, b: float) -> float:
-    """int_a^b w(t)^p dt/t: closed form for a power weight, summed per
-    log-linear segment of a table weight."""
-    if isinstance(w, PowerWeight):
-        s = w.exponent * p
-        return (b ** s - a ** s) / s
-    la = -math.inf if a == 0.0 else math.log(a)
-    lb = math.log(b)
-    cuts = [la] + [float(t) for t in w.log_t if la < t < lb] + [lb]
-    total = 0.0
-    for l0, l1 in zip(cuts[:-1], cuts[1:]):
-        lt = l1 if math.isinf(l0) else l0
-        i = min(max(int(np.searchsorted(w.log_t, lt, side="right")) - 1, 0), w.slopes.size - 1)
-        lt0, lw0, s = w.log_t[i], w.log_w[i], float(w.slopes[i])
-        # w(t)^p = exp(p lw0) (t / exp(lt0))^(p s)
-        c = math.exp(p * lw0 - p * s * lt0)
-        if s > 0:
-            lo = 0.0 if math.isinf(l0) else math.exp(p * s * l0)
-            total += c * (math.exp(p * s * l1) - lo) / (p * s)
-        elif math.isinf(l0):
-            return math.inf
-        else:
-            total += c * (l1 - l0)
-    return total
-
-
-def reference_table_integral(w, p: float, T: np.ndarray) -> np.ndarray:
-    """``TableLogLinear.integral`` as one call that builds its knot table
-    W(t_i) from scratch, the formula the cached table must reproduce bit for bit."""
-    ps, wp, lt, d = p * w.slopes, np.exp(p * w.log_w), np.log(T), np.diff(w.log_t)
-    i = np.clip(np.searchsorted(w.log_t, lt, side="right") - 1, 0, w.slopes.size - 1)
-    inner = np.arange(1, d.size - 1)
-
-    def above(j, x):
-        return wp[j] * np.where(ps[j] > 0.0, np.expm1(ps[j] * x) / ps[j], x)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        knots = np.cumsum(np.concatenate([[0.0, wp[1] / ps[0]], above(inner, d[inner])]))
-        first = wp[0] * np.exp(ps[0] * np.where(i == 0, lt - w.log_t[0], 0.0)) / ps[0]
-        return np.where(i == 0, first, knots[i] + above(i, lt - w.log_t[i]))
+    """int_a^b w(t)^p dt/t for the power weight w, in closed form."""
+    s = w.exponent * p
+    return (b ** s - a ** s) / s
 
 
 def reference_lorentz_norm(X, f: StepFunction) -> float:
@@ -220,10 +184,7 @@ def reference_lorentz_norm(X, f: StepFunction) -> float:
     for v, a, b in zip(fs.values, fs.breakpoints[:-1], fs.breakpoints[1:]):
         if v == 0.0:
             continue
-        piece = _reference_weight_integral(X.p, X.weight, a, b)
-        if math.isinf(piece):
-            return math.inf
-        acc += (v ** X.p) * piece
+        acc += (v ** X.p) * _reference_weight_integral(X.p, X.weight, a, b)
     return acc ** (1.0 / X.p)
 
 

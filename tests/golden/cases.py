@@ -22,11 +22,10 @@ Each case is a named list of floats computed from seeds recorded in
   sequences a dyadic ell_2 meets a weighted ell_infty (weights 2^(0.3 n)) in
   both orders (``l2,wlinf-seq``, ``wlinf,l2-seq``) and the induced E of
   L_infty, ell_infty's form on the dyadic blocks (``l2,induced-linf-seq``);
-- ``lorentz:<weight>``: ``LorentzSpace`` rows of order 1.5 with a power
-  weight t^0.3 and a log-linear table weight, and ``fromseq:<E>``:
-  ``FromSequenceSpace`` rows over a dyadic ell_2 and an Orlicz modular, each
-  on 3 seeded step functions with 8 rows of values apiece, ties and zeros in
-  place;
+- ``lorentz:pow:0.3``: ``LorentzSpace`` rows of order 1.5 with the power
+  weight t^0.3, and ``fromseq:<E>``: ``FromSequenceSpace`` rows over a dyadic
+  ell_2 and an Orlicz modular, each on 3 seeded step functions with 8 rows of
+  values apiece, ties and zeros in place;
 - ``norming:<E>``: the norming functionals of 40 seeded signed rows on the
   support of each row, from one ``norm_rows(V, grad=True)`` call, for the
   Orlicz modulars of example1, pwpower(2, 3), minimal and power(2), the
@@ -34,7 +33,8 @@ Each case is a named list of floats computed from seeds recorded in
   pwpower(1.5, 3), the dyadic ell_2 and the weighted ell_infty 2^(0.3 n),
   all on Z-[-24, -1];
 - ``unit-norms:<E>``: ``unit_norms()`` of the same spaces and of the induced
-  E of the Lorentz space with the table weight;
+  E of the Lorentz space of order 1.5 with weight t^0.3, which has no
+  weighted-lp form;
 - ``kappa:<E>``: ``kappa_estimate`` (its six bounds and estimates, then
   ``table`` and ``table_ub`` by shift) of the dyadic ell_2 and the modular
   of example1 on Z-[-64, -1] (budget 400, seed 0), and of the modular of
@@ -55,7 +55,7 @@ import numpy as np
 
 from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LorentzSpace, LpSpace,
                        MinimalFn, OrderReversed, OrliczModular, OrliczSpace, PowerWeight, SeqVec,
-                       StepFunction, TableLogLinear, WeightedLp, Window, brudnyi_pair, dyadic_lp,
+                       StepFunction, WeightedLp, Window, brudnyi_pair, dyadic_lp,
                        elastic_non_lorentz, example1, kappa_estimate, linf_space, logfactor_fn,
                        power, pwpower)
 from couplekit.kfunc import _k_grid
@@ -72,18 +72,16 @@ ROWS_PER_STEP = 8
 ROW_WINDOW = Window("Z-", -24, -1)
 NORMING_ROWS = 40
 KAPPA_FIELDS = ("plus_lb", "plus_est", "minus_lb", "minus_est", "plus_ub", "minus_ub")
-TABLE_WEIGHT = ([-8.0, -2.0, 0.0], [-4.0, -1.0, 0.0])
 
 
 def rearrangement_spaces() -> dict:
-    """The spaces normed through f*: name -> function space."""
-    weights = {"pow:0.3": PowerWeight(0.3),
-               "table": TableLogLinear(*TABLE_WEIGHT)}
-    out = {f"lorentz:{name}": LorentzSpace(1.5, w) for name, w in weights.items()}
+    """The spaces normed through f*: name -> (seed stream, function space).
+    Stream 1 belonged to a retired case, so the others keep their values."""
     seqs = {"l2": dyadic_lp(2, FROMSEQ_WINDOW),
             "modular-example1": OrliczModular(example1(), FROMSEQ_WINDOW)}
-    out.update({f"fromseq:{name}": FromSequenceSpace(E) for name, E in seqs.items()})
-    return out
+    return {"lorentz:pow:0.3": (0, LorentzSpace(1.5, PowerWeight(0.3))),
+            **{f"fromseq:{name}": (i, FromSequenceSpace(E))
+               for i, (name, E) in enumerate(seqs.items(), 2)}}
 
 
 def k_couples() -> dict:
@@ -217,15 +215,14 @@ def compute(seeds: dict, t_grid: list) -> dict[str, list[float]]:
         ks = [r for _ in range(K_FUNCTIONS) for r in _k_grid(t_grid, make(rng), X, Y)]
         for key in K_FIELDS:
             cases[f"k-route:{name}:{key}"] = [getattr(r, key) for r in ks]
-    for i, (name, X) in enumerate(rearrangement_spaces().items()):
+    for name, (i, X) in rearrangement_spaces().items():
         rng = np.random.default_rng([seeds["rearrangement"], i])
         cases[name] = []
         for _ in range(K_FUNCTIONS):
             f = _step(rng, False)
             cases[name] += X.norm_rows_on(f)(_tied_rows(rng, len(f.values))).tolist()
     units = {**row_spaces(),
-             "induced-lorentz-table": InducedSeq(LorentzSpace(1.5, TableLogLinear(*TABLE_WEIGHT)),
-                                                 ROW_WINDOW)}
+             "induced-lorentz-pow": InducedSeq(LorentzSpace(1.5, PowerWeight(0.3)), ROW_WINDOW)}
     for i, (name, E) in enumerate(row_spaces().items()):
         V = _signed_rows(np.random.default_rng([seeds["norming"], i]), E.window.size)
         cases[f"norming:{name}"] = E.norm_rows(V, grad=True)[1][V != 0.0].tolist()

@@ -526,3 +526,34 @@ def test_transfer_on_reversed_space_names_its_error(tmp_path, capsys):
     assert err["error"] == "hypothesis-violation"
     assert "separated" in err["detail"]
     assert _run(base + ["--mode", "majorization", "--out", tmp_path / "Tm.json"]) == 0
+
+
+@pytest.mark.parametrize("E", ["seq:induced:<lorentz:p=2,w=pow:0.3>",
+                               "rev:<seq:induced:<lorentz:p=2,w=pow:0.3>>"],
+                         ids=["induced", "rev-induced"])
+@pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
+def test_transfer_on_a_space_without_functionals_is_usage_error(tmp_path, capsys, E):
+    # the majorization transfer needs norming functionals, and an induced
+    # space without a weighted-lp form has none
+    win = Window("Z-", -8, -1)
+    xp, yp = tmp_path / "x.json", tmp_path / "y.json"
+    xp.write_text(json.dumps(SeqVec.basis(win, -6).to_json_dict()))
+    yp.write_text(json.dumps(SeqVec.basis(win, -3, 0.5).to_json_dict()))
+    out = tmp_path / "T.json"
+    assert _run(["transfer", "--E", E, "--F", "seq:linf", "--x", xp, "--y", yp,
+                 "--mode", "majorization", "--window=-8:-1", "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "usage", "detail": "no norming functional for InducedSeq; "
+                   "supported: weighted lp and Orlicz modular, reversed or b^n-weighted"}
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
+def test_a_lorentz_weight_table_is_usage_error(tmp_path, capsys):
+    # pow:<exponent> is the one weight form
+    out = tmp_path / "verdict.json"
+    assert _run(["verdict", "--X", "lorentz:p=2,w=table:<-1,0>:<0,1>", "--Y", "linf",
+                 "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage" and "pow:<exponent>" in err["detail"]
+    assert not out.exists()

@@ -12,8 +12,8 @@ from couplekit import (MinimalFn, OrliczModular, TGrid, Window, brudnyi_pair,
                        brudnyi_schedule, convexify, counter,
                        elastic_non_lorentz, elasticity_report, example1,
                        indices, lambda_seq, logfactor_fn, parse_generator,
-                       phi_minus, phi_plus, power, psi_count, pwpower, regularize,
-                       rv_defect, sample_profile, w_witness)
+                       phi_minus, phi_plus, power, pwpower, rv_defect, sample_profile,
+                       w_witness)
 from couplekit import cli, orlicz
 from couplekit.orlicz import OrliczFn, PiecewiseAffineFn
 
@@ -31,7 +31,7 @@ def test_power_values():
     assert F(4.0) == pytest.approx(16.0)
     assert F(0.0) == 0.0
     assert F.deriv(3.0) == pytest.approx(6.0)
-    assert F.inv(16.0) == pytest.approx(4.0)
+    assert math.exp(F.log_inv(math.log(16.0))) == pytest.approx(4.0)
 
 
 def test_brudnyi_parameters():
@@ -118,9 +118,10 @@ def test_profile_invariants_all_generators():
         assert np.all(np.diff(h) > 0)
         assert np.all(np.diff(h - u) >= -1e-9)
         for t_log in (0.0, 3.0, 40.0):
-            assert F.log_ft(t_log, 0.0) == pytest.approx(0.0, abs=1e-12)
-            for x in (0.9, 0.5, 2.0 ** -8):
-                assert F.log_ft(t_log, math.log(x)) <= 1e-12
+            # log F_t(x) = h(log t + log x) - h(log t)
+            for x in (1.0, 0.9, 0.5, 2.0 ** -8):
+                log_ft = F.log_eval(t_log + math.log(x)) - F.log_eval(t_log)
+                assert log_ft <= 1e-12 and (x < 1.0 or abs(log_ft) <= 1e-12)
 
 
 def test_slope_must_stay_at_least_one():
@@ -326,37 +327,6 @@ def test_rv_defect_example1_bounded():
     assert 1.0 < d <= 2.0e4
 
 
-def test_regularize_power_passthrough():
-    G = regularize(power(2), 2.0, np.linspace(0.0, 64.0, 513))
-    assert G.regularize_gap <= 1e-9
-    xs = np.geomspace(0.1, 1e4, 30)
-    assert np.allclose(np.asarray(G(xs)), xs ** 2 / 2.0 * 2.0, rtol=1e-6) or True
-    # equivalent to x^2: ratio bounded both sides
-    ratio = np.asarray(G(xs)) / xs ** 2
-    assert ratio.max() / ratio.min() <= 1.001
-
-
-def test_regularize_logfactor_smooths():
-    G = regularize(logfactor_fn(2), 2.0, np.linspace(0.0, 256.0, 1025))
-    assert rv_defect(G, [0.5, 0.25], TGrid.span(8.0, 300.0, 1.05)) <= 1.01
-
-
-def test_regularize_equivalence_bound():
-    grid = np.linspace(0.0, 128.0, 513)
-    F = logfactor_fn(2)
-    G = regularize(F, 2.0, grid)
-    c = G.regularize_c
-    gap = np.max(np.abs(F.log_eval(grid) - G.base.log_eval(grid)))
-    assert gap <= c + 1e-9
-
-
-def test_regularize_rejects_wrong_order():
-    # the message names the worst point of the tail
-    with pytest.raises(ValueError, match=r"^regular-variation deviation 16 exceeds 3\.0 "
-                                         r"at x=exp\(32\), y=16$"):
-        regularize(pwpower(2, 3), 2.0, np.linspace(0.0, 64.0, 257))
-
-
 # ---------------------------------------------------------------------------
 # counters
 # ---------------------------------------------------------------------------
@@ -367,7 +337,7 @@ def test_counters_zero_for_power():
     for C in (1.5, 4.0):
         assert phi_plus(F, 0.25, C) == 0
         assert phi_minus(F, 0.25, C) == 0
-        assert psi_count(F, 2.0, 0.25, C) == 0
+        assert counter(F, "psi:2", 0.25, C) == 0
 
 
 def test_counter_example1_strictly_increasing():
@@ -395,7 +365,7 @@ def test_psi_logfactor_bound():
     F = logfactor_fn(2)
     for C in (1.5, 3.0):
         for k in (4, 8, 12):
-            n = psi_count(F, 2.0, 2.0 ** -k, C)
+            n = counter(F, "psi:2", 2.0 ** -k, C)
             assert n <= math.ceil(C / (C - 1.0) * k) + 2
 
 
@@ -415,7 +385,7 @@ def test_counter_at_zero_side():
     F = pwpower(2, 3)
     g0 = TGrid.span(-512.0, 0.0)
     assert counter(F, "phi+", 0.25, 4.0, side="0", grid=g0) == 0
-    assert psi_count(F, 2.0, 0.25, 4.0, side="0", grid=g0) == 0
+    assert counter(F, "psi:2", 0.25, 4.0, side="0", grid=g0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +426,8 @@ def test_w_witness_monotone_and_condition4(rng):
         if i == j:
             continue
         x = 2.0 ** -float(rng.integers(1, 16))
-        ft = math.exp(F.log_ft(v[j], math.log(x)))
-        fs = math.exp(F.log_ft(v[i], math.log(x)))
+        ft = math.exp(F.log_eval(v[j] + math.log(x)) - F.log_eval(v[j]))
+        fs = math.exp(F.log_eval(v[i] + math.log(x)) - F.log_eval(v[i]))
         assert ft <= C0 * fs + ww.w[j] - ww.w[i] + 1e-9
 
 
@@ -1346,17 +1316,3 @@ def test_analyze_orlicz_minimal_profile_points(tmp_path):
         assert cli.main(["analyze-orlicz", "--gen", "minimal:alpha=0.05", "--C0", "4",
                          "--out", str(tmp_path / "a.json")]) == 0
     assert sum(points) == 74_378
-
-
-def test_regularize_builds_one_deviation_table():
-    # the tail's deviations are rows of the grid's table, not a second table
-    seen = []
-    log_eval = PiecewiseAffineFn.log_eval
-
-    def spy(self, u):
-        seen.append(np.ndim(u))
-        return log_eval(self, u)
-
-    with mock.patch.object(PiecewiseAffineFn, "log_eval", spy):
-        regularize(power(2), 2.0, np.linspace(0.0, 64.0, 513))
-    assert seen.count(2) == 2

@@ -4,6 +4,7 @@ comments state."""
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -19,7 +20,18 @@ def test_readme_library_quick_start():
             shown.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), scope))
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
-    k, oracle, c_hat, _, inelastic, elastic = shown
+    (k, oracle, k_swapped, c_hat, images, _, norm, spec, seq_norm, inelastic,
+     elastic) = shown
     assert k == pytest.approx(0.5, rel=1e-12) and oracle == pytest.approx(0.5, rel=1e-12)
+    assert k_swapped == pytest.approx(0.5, rel=1e-12)
     assert c_hat >= 1.5
+    # the rank-one sum maps each x_n of the witness to its y_n
+    Y = scope["fam"].Y
+    assert len(images) == len(Y)
+    for Rx, y in zip(images, Y):
+        assert np.max(np.abs(Rx - y)) <= 1e-12 * np.max(np.abs(y))
+    # ||chi_[0,1/4)||^2 = W(1/4) = (1/4)^0.6 / 0.6, in X and in E_X
+    closed = (0.25 ** 0.6 / 0.6) ** 0.5
+    assert norm == pytest.approx(closed, rel=1e-12) and seq_norm == pytest.approx(closed, rel=1e-12)
+    assert spec == "lorentz:p=2,w=pow:0.3"
     assert (inelastic, elastic) == ("inelastic-witness", "elastic-consistent")

@@ -78,6 +78,16 @@ def test_non_finite_family_is_a_usage_error(E, entry):
         rank_one_shift(InterlacedFamily(WIN, X, fam.Y), E)
 
 
+@pytest.mark.parametrize("E", [E1, LinftySeq(WIN), OrliczModular(example1(), WIN)],
+                         ids=["l1", "linf", "example1"])
+def test_block_sum_refuses_a_zero_block(E):
+    # a zero x_n has no functional that pairs with it to 1: refused by the
+    # explicit norm check, with no 0/0 on the way (a RuntimeWarning fails)
+    fam = InterlacedFamily(WIN, [np.zeros(WIN.size)], [SeqVec.basis(WIN, 1).values])
+    with pytest.raises(ValueError, match="cannot norm the zero vector"):
+        rank_one_shift(fam, E)
+
+
 def test_block_sum_rejects_a_nan_functional(monkeypatch):
     # the tolerance test fails a NaN pairing, where a > test would pass it
     norm_rows = SeqSpaceSpec.norm_rows

@@ -5,7 +5,7 @@ import pytest
 
 from couplekit import (FromSequenceSpace, LorentzSpace, LpSpace,
                        OrliczModular, OrliczSpace, PowerWeight, SpaceSpec,
-                       StepFunction, TableLogLinear, UsageError, Window,
+                       StepFunction, UsageError, Window,
                        brudnyi_evidence, brudnyi_pair, classify_couple,
                        dyadic_lp, example1, lambda_seq, linf_space, parse_space, power,
                        pwpower)
@@ -34,15 +34,6 @@ def test_boyd_orlicz_pwpower():
     b = OrliczSpace(pwpower(2, 3)).boyd()
     assert b.p == pytest.approx(3.0, abs=0.02)
     assert b.q == pytest.approx(3.0, abs=0.02)
-
-
-def test_boyd_lorentz_weight_table():
-    # slopes 0.4 and 0.3 of log w: p = 1/0.4, q = 1/0.3; a flat piece gives q = inf
-    b = LorentzSpace(2, TableLogLinear([-5.0, 0.0, 5.0], [-2.0, 0.0, 1.5])).boyd()
-    assert (b.p, b.q) == (pytest.approx(2.5), pytest.approx(1.0 / 0.3))
-    assert (b.p_err, b.q_err, b.method) == (0.02, 0.02, "weight-table")
-    b = LorentzSpace(2, TableLogLinear([-5.0, 0.0, 5.0], [-2.0, 0.0, 0.0])).boyd()
-    assert (b.p, b.q) == (pytest.approx(2.5), math.inf)
 
 
 def test_boyd_needs_a_route():
