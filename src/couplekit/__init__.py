@@ -4,32 +4,33 @@ Submodules load on first use: ``import couplekit`` imports none of them, and
 the first read of an exported name (``couplekit.k_numeric``, ``from couplekit
 import k_numeric``) or of a submodule (``couplekit.orlicz``) imports that
 module and what it imports.  A caller compiles only the modules it uses: a
-shift search on an Orlicz modular never loads ``kfunc``, ``transfer``,
-``verdict`` or ``specdsl``, and a K-functional on Lebesgue spaces never loads
-``orlicz``.
+shift search on an Orlicz modular loads no ``kfunc``, ``transfer``,
+``verdict``, ``specdsl``, ``analysis`` or ``kappa``, and a K-functional on
+Lebesgue spaces no ``orlicz``, ``analysis`` or ``kappa``.
 """
 
 import importlib
 
 # each exported name, listed under the submodule that defines it
 _MODULES = {
+    "analysis": ("IndexReport", "TGrid", "counter", "elasticity_report", "indices",
+                 "lambda_seq", "phi_minus", "phi_plus", "rv_defect", "w_witness"),
     "errors": ("ConvergenceError", "CoupleKitError", "HypothesisError", "UsageError"),
-    "kfunc": ("KResult", "k_block_estimate", "k_l1_linf_oracle", "k_numeric", "k_profile"),
+    "kappa": ("KappaEstimate", "kappa_estimate"),
+    "kfunc": ("KResult", "SeparationFit", "fit_separation", "k_block_estimate",
+              "k_l1_linf_oracle", "k_numeric", "k_profile", "rho_profile"),
     "measure": ("HALFLINE", "UNIT", "SeqVec", "StepFunction", "Window", "char_fn",
                 "default_unit_window", "dyadic_envelope", "rearrange", "zero_fn"),
-    "orlicz": ("ConvexifiedFn", "IndexReport", "MinimalFn", "TGrid", "OrliczFn",
-               "brudnyi_pair", "brudnyi_schedule", "convexify", "counter",
-               "elastic_non_lorentz", "elasticity_report", "example1", "indices",
-               "lambda_seq", "logfactor_fn", "phi_minus", "phi_plus", "power", "pwpower",
-               "rv_defect", "sample_profile", "w_witness"),
+    "orlicz": ("ConvexifiedFn", "MinimalFn", "OrliczFn", "brudnyi_pair", "brudnyi_schedule",
+               "convexify", "elastic_non_lorentz", "example1", "logfactor_fn", "power",
+               "pwpower", "sample_profile"),
     "shift": ("LSP", "RSP", "InterlacedFamily", "ShiftEstimate", "ShiftWitness",
               "family_ratio", "gen_interlaced", "replay_witness", "shift_constant_estimate",
               "shift_schedule"),
     "spaces": ("BoydIndices", "FromSequenceSpace", "GeometricWeighted", "InducedSeq",
-               "KappaEstimate", "LinftySeq", "LorentzSpace", "LpSpace", "OrderReversed",
-               "OrliczModular", "OrliczSpace", "PowerWeight", "SeparationFit", "SeqSpaceSpec",
-               "SpaceSpec", "WeightedLp", "dyadic_lp", "fit_separation", "kappa_estimate",
-               "linf_space", "rho_profile"),
+               "LinftySeq", "LorentzSpace", "LpSpace", "OrderReversed", "OrliczModular",
+               "OrliczSpace", "PowerWeight", "SeqSpaceSpec", "SpaceSpec", "WeightedLp",
+               "dyadic_lp", "linf_space"),
     "specdsl": ("parse_any_space", "parse_generator", "parse_seq_space", "parse_space"),
     "transfer": ("PositiveMatrix", "k_transfer", "majorization_transfer", "op_norm",
                  "rank_one_shift"),

@@ -74,7 +74,7 @@ def _load(path: str, from_json_dict):
 
 
 def cmd_analyze_orlicz(args) -> int:
-    from .orlicz import TGrid, elasticity_report, indices, rv_defect, w_witness
+    from .analysis import TGrid, elasticity_report, indices, rv_defect, w_witness
     from .specdsl import parse_generator
 
     F = parse_generator(args.gen)
@@ -134,7 +134,7 @@ def cmd_shift_test(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    from .spaces import fit_separation, rho_profile
+    from .kfunc import fit_separation, rho_profile
     from .specdsl import parse_seq_space
     from .transfer import OP_NORM_BUDGET, _op_norm_lower, k_transfer, majorization_transfer
 

@@ -45,6 +45,9 @@ engine, ``_k_grid``, runs the two routes over a grid of t: the rows that
 do not depend on t (the level scan, the trial splits) are normed once per
 f, so a profile costs one scan plus the per-t steps, with each value
 bit-identical to a one-point run (``k_numeric``).
+
+An exponentially separated sequence couple (``rho_profile``,
+``fit_separation``) has the block estimate ``k_block_estimate``.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .measure import SeqVec, StepFunction, star_integral
-from .spaces import SeparationFit, SeqSpaceSpec, _check_windows
+from .measure import SeqVec, StepFunction, Window, star_integral
+from .spaces import SeqSpaceSpec, _check_windows
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SWEEP_CAP = 64
@@ -512,6 +515,52 @@ def k_l1_linf_oracle(t: float, f: StepFunction) -> float:
     if t <= 0:
         raise ValueError("oracle needs t > 0")
     return star_integral(f, t)
+
+
+def rho_profile(E: SeqSpaceSpec, F: SeqSpaceSpec, window: Window) -> dict[int, float]:
+    """rho(n) = ||e_n||_E / ||e_n||_F for n in the window, which must be E's
+    and F's (``_check_windows``), from one ``unit_norms()`` each."""
+    _check_windows("window", window, E, F)
+    ue, uf = E.unit_norms().tolist(), F.unit_norms().tolist()
+    return {n: a / b for n, a, b in zip(window.indices().tolist(), ue, uf)}
+
+
+@dataclass
+class SeparationFit:
+    beta: float
+    C0: float
+    separated: bool
+    residuals: dict[int, float] = field(default_factory=dict)
+    rho: dict[int, float] = field(default_factory=dict)
+
+
+def fit_separation(rho: dict[int, float]) -> SeparationFit:
+    """Exhaustive fit of rho(m+n) >= C0^{-1} 2^{n beta} rho(m) over the window.
+
+    beta is the worst pairwise slope of log2 rho; C0 the smallest constant
+    making the inequality hold for every pair at that beta.  separated
+    means beta > 0.
+    """
+    ns = sorted(rho)
+    if any(rho[n] <= 0 for n in ns):
+        raise ValueError("rho must be strictly positive")
+    lr = {n: math.log2(rho[n]) for n in ns}
+    beta = math.inf
+    per_gap: dict[int, float] = {}
+    for i, m in enumerate(ns):
+        for mp in ns[i + 1:]:
+            gap = mp - m
+            slope = (lr[mp] - lr[m]) / gap
+            beta = min(beta, slope)
+            per_gap[gap] = min(per_gap.get(gap, math.inf), slope)
+    if not per_gap:
+        return SeparationFit(0.0, 1.0, False, {}, dict(rho))
+    worst = -math.inf
+    for i, m in enumerate(ns):
+        for mp in ns[i + 1:]:
+            worst = max(worst, (mp - m) * beta - (lr[mp] - lr[m]))
+    C0 = max(1.0, 2.0 ** worst)
+    return SeparationFit(float(beta), float(C0), beta > 0.0, per_gap, dict(rho))
 
 
 def _prefix_norms(v: np.ndarray, E: SeqSpaceSpec) -> np.ndarray:

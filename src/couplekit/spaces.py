@@ -9,32 +9,12 @@ sequence-space variants are modelled on a Window, and ``norm_rows`` norms the
 rows of a (k, n) array.  The base classes decide once: a space whose
 weighted-lp form answers is normed by the one row formula ``_wlp_norms`` on
 it, any other by its own ``_rows_on(f)`` or ``_rows``.  Rows never depend on
-each other; ``fn_norm`` and ``norm_values`` are the one-row cases.  The Lorentz and space-from-sequence rows are one sort of the
-batch (``measure._decreasing``) and one array formula: the weight's
-closed-form int_0^T w^p dt/t at the sorted cumulative lengths T, or f*(2^n)
-of every row normed by one ``E.norm_rows`` call.  Every
-Orlicz norm that is not a power's goes through one row path, ``_orlicz_rows``:
-a step function's pieces are the modular's entries, with weights |I_i| and
-levels F^{-1}(1 / |I_i|).  It brackets each row by its single-entry norms and
-makes one root-find of the log-modular G, ``_luxemburg_log``: bracketed Newton
-steps on the log-norm, row by row over a batch of rows, stopped when the
-Newton correction is at most 1e-13 (h' >= 1 bounds the error by |G|), or one
-step earlier on a profile whose ``curvature()`` bounds h' and h'', when
-Newton's remainder bound certifies a log-error of at most 1e-13, or when the
-bracket is at most 1e-13 (1 + |log ||f|| |) wide.  That width is the
-certified log-error: a flat 1e-13 only for norms near 1.  The row path
-packs a batch's nonzero entries once; the bracket, the start and the solver
-run their logs and exps on those entries only, their row sums over the full
-width of zero-filled rows (a NaN entry stays an entry, so its row is NaN); a
-batch of at least ``_ARRAY_ROWS`` rows steps its Newton state as arrays, to
-the same floats, while that many rows iterate.  The adversarial searches (the RSP/LSP shift
-search, kappa, the ``op_norm`` lower bound) share
-the one ascent of ``couplekit.ascent`` and one ratio of rows, ``_row_ratios``.
-Kappa draws all random starts of a shift first and ascends them as lanes;
-after an overflowing start it puts the generator back to the state just past
-that start's draws.  A shift whose unit vectors reach the stop level of the
-space's certified bound on ||tau_n|| is closed: its starts are drawn and not
-ascended, and after the last open shift none are drawn.
+each other; ``fn_norm`` and ``norm_values`` are the one-row cases.  The
+Lorentz and space-from-sequence rows sort a batch once
+(``measure._decreasing``); the Orlicz rows are ``orlicz._orlicz_rows``.  The
+adversarial searches (the RSP/LSP shift search, kappa, the ``op_norm`` lower
+bound) share the one ascent of ``couplekit.ascent`` and one ratio of rows,
+``_row_ratios``.
 
 The dyadic sequence space of a function space X is E_X with
 ||x||_{E_X} = ||sum x(n) chi_[2^n,2^(n+1))||_X; for X = L_p this is the
@@ -71,26 +51,25 @@ weighted by ``_Conjugated``, which folds a chain of both.
 ``FromSequenceSpace`` delegates ``generator`` to E.  Data meets a
 sequence space through one check, ``_check_windows``: a vector, family or
 window off the space's window is a ``UsageError`` naming both windows.
+``orlicz``, ``analysis`` and ``kappa`` are imported by the methods that call them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ascent import STOP_OVERFLOW, STOP_UPPER, _ascend_steps, stop_level, stop_reason
-from .errors import ConvergenceError, UsageError, check_budget
+from .errors import UsageError
 from .measure import (LOG2, UNIT, SeqVec, StepFunction, Window, _decreasing, _sample_decreasing,
                       _spec_num)
 
 if TYPE_CHECKING:
     from .orlicz import OrliczFn
 
-_OVERFLOW_RATIO = 1e12
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 # kappa_estimate budget and seed behind FromSequenceSpace's kappa_+ < 2 check
 _KAPPA_BUDGET, _KAPPA_SEED = 400, 0
@@ -268,191 +247,6 @@ class LorentzSpace(SpaceSpec):
         return f"lorentz:p={_spec_num(self.p)},w=pow:{_spec_num(self.weight.exponent)}"
 
 
-# the log-norm error a Newton stop certifies (G as in _luxemburg_log)
-_NEWTON_TOL = 1e-13
-# the bracket halves at least every other step (see _luxemburg_log); one no
-# wider than the log-range of doubles (~1500) is below the stop width after
-# 1 + 2 * ceil(log2(1500 / 1e-13)) = 109 steps
-_MAX_ITER = 120
-# a batch of at least this many rows keeps its Newton state in arrays
-_ARRAY_ROWS = 24
-
-
-def _luxemburg_log(F: OrliczFn, er: np.ndarray, ec: np.ndarray, la: np.ndarray,
-                   log_w: np.ndarray, beta, lo, hi) -> np.ndarray:
-    """log of the Luxemburg norm inf{alpha : sum_i w_i F(a_i / alpha) <= 1}, per row.
-
-    Row by row, solves G(beta) = log sum_i exp(log w_i + h(log a_i - beta)) = 0
-    by Newton steps from ``beta`` inside the bracket [lo, hi].  Every profile
-    has h' >= 1 (F(x)/x increasing; constructors allow 1e-12 less), so G' <= -1
-    and |beta - beta*| <= |G(beta)|.  Each evaluation therefore narrows the
-    bracket to [beta, beta + G] (G > 0) or [beta + G, beta] (G <= 0), widened
-    by 1e-9 relative.  A step that leaves the bracket, or follows a step that
-    did not halve it, is a bisection, so the bracket halves at least every
-    other step; reaching ``_MAX_ITER`` raises ``ConvergenceError``.  A row
-    stops at the first Newton correction d = -G/G' that certifies its result
-    beta + d, clamped to the bracket:
-    - when ``F.curvature()`` is None, |d| <= ``_NEWTON_TOL``: the error is at
-      most |G| <= max h' * 1e-13 before the correction is applied;
-    - when it is (s_lo, s_hi, L), K d^2 / 2 <= ``_NEWTON_TOL`` * s_lo with
-      K = L + (s_hi - s_lo)^2 / 4.  G'' = E h'' + Var h' under the weights
-      of G' = -E h', so |G''| <= K (Popoviciu's bound on the variance), and
-      Newton's remainder |G(beta + d)| <= K d^2 / 2 with |G'| >= s_lo puts
-      beta + d within 1e-13 of the root, one profile call before |d| would
-      reach 1e-13;
-    - whatever the profile, when the bracket, which holds the clamped result,
-      is at most 1e-13 (1 + |beta|) wide.  So the certified log-error is
-      1e-13 (1 + |log ||f|| |): a flat 1e-13 only for norms near 1.
-
-    The rows come packed: entry i is log |a| = ``la[i]`` at row ``er[i]``
-    and column ``ec[i]``, in row-major order, every row with an entry;
-    ``log_w`` holds the (n,) log weights, ``beta``, ``lo``, ``hi`` (k,)
-    arrays each row's start and bracket.  Each iteration evaluates the
-    profile once, as one fused ``log_eval_slope`` call (h and h' on the same
-    points), and the terms exp(log w + h - max) and their products with h'
-    on the entries of the rows still iterating, with row maxima by
-    ``np.maximum.reduceat``.  Both row sums (S and D of G' = -D / S) are
-    taken in one zero-filled (2, k, n) buffer reduced over the full width:
-    zeros in place keep numpy's pairwise summation order, so a row's result
-    does not depend on the other rows; the rows still iterating reuse its
-    leading rows.  A batch of at least ``_ARRAY_ROWS`` rows keeps each row's
-    beta, bracket and previous width in arrays, stepped as whole-array
-    operations; below that, the rows step one by one in lists.  Both steps
-    compute the same floats (``math.log`` per row, Python's min/max as
-    strict comparisons), so a row's iterates do not depend on the path.
-    """
-    k, n = len(beta), len(log_w)
-    out = np.empty(k)
-    stop = _NEWTON_TOL
-    if (curv := F.curvature()) is not None:
-        s_lo, s_hi, lip = curv
-        stop = math.sqrt(2.0 * _NEWTON_TOL * s_lo / (lip + 0.25 * (s_hi - s_lo) ** 2))
-    lw, flat = log_w[ec], er * n + ec
-    starts = er.searchsorted(np.arange(k))
-    sums = np.zeros((2, k, n))
-    s_f, d_f = sums[0].reshape(-1), sums[1].reshape(-1)
-    # row, beta, bracket and previous bracket width of each row still
-    # iterating: arrays while the batch is wide, then lists
-    if wide := k >= _ARRAY_ROWS:
-        rows, betas, los, his, widths = np.arange(k), beta, lo, hi, np.full(k, math.inf)
-    else:
-        rows, betas, los, his = list(range(k)), beta.tolist(), lo.tolist(), hi.tolist()
-        widths = [math.inf] * k
-    for _ in range(_MAX_ITER):
-        live = len(rows)
-        h, dh = F.log_eval_slope(la - (betas[0] if live == 1 else np.asarray(betas)[er]))
-        e = lw + h
-        m = np.maximum.reduceat(e, starts)
-        wts = np.exp(e - m[er])
-        s_f[flat] = wts
-        d_f[flat] = wts * dh
-        SD = np.add.reduce(sums[:, :live], axis=2)
-        if wide:
-            S, D = SD
-            # the list rule below as array operations; np.where on strict
-            # comparisons is Python's min/max, signed zeros included
-            g = m + np.fromiter(map(math.log, S.tolist()), float, live)
-            d = g * S / D
-            reach = betas + g * (1.0 + 1e-9)
-            up = g > 0.0
-            los, his = (np.where(up, betas, np.where(reach > los, reach, los)),
-                        np.where(up, np.where(reach < his, reach, his), betas))
-            nxt, width = betas + d, his - los
-            done = (np.abs(d) <= stop) | (width <= _NEWTON_TOL * (1.0 + np.abs(betas)))
-            keep = np.flatnonzero(~done)
-            if len(keep) < live:
-                end = np.where(los > nxt, los, nxt)
-                out[rows[done]] = np.where(his < end, his, end)[done]
-            bisect = ~((los < nxt) & (nxt < his)) | (width > 0.5 * widths)
-            betas, widths = np.where(bisect, 0.5 * (los + his), nxt), width
-        else:
-            keep = []
-            S, D = SD.tolist()
-            for i, (row, beta, lo, hi, mx) in enumerate(zip(rows, betas, los, his, m.tolist())):
-                g = mx + math.log(S[i])
-                d = g * S[i] / D[i]
-                reach = g * (1.0 + 1e-9)
-                if g > 0.0:
-                    lo, hi = beta, min(hi, beta + reach)
-                else:
-                    lo, hi = max(lo, beta + reach), beta
-                if abs(d) <= stop or hi - lo <= _NEWTON_TOL * (1.0 + abs(beta)):
-                    out[row] = min(max(beta + d, lo), hi)
-                    continue
-                nxt = beta + d
-                if not (lo < nxt < hi) or hi - lo > 0.5 * widths[i]:
-                    nxt = 0.5 * (lo + hi)
-                betas[i], los[i], his[i], widths[i] = nxt, lo, hi, hi - lo
-                keep.append(i)
-        if len(keep) < live:
-            if not len(keep):
-                return out
-            state = [v[keep] if wide else [v[i] for i in keep]
-                     for v in (rows, betas, los, his, widths)]
-            if wide and len(keep) < _ARRAY_ROWS:  # the rows left iterate as lists
-                wide, state = False, [v.tolist() for v in state]
-            rows, betas, los, his, widths = state
-            # renumber the rows still iterating; -1 marks the finished ones
-            new = np.full(live, -1)
-            new[keep] = np.arange(len(keep))
-            er = new[er]
-            on = er >= 0
-            er, ec, la, lw = er[on], ec[on], la[on], lw[on]
-            flat = er * n + ec
-            sums[:, :len(keep)] = 0.0
-            starts = er.searchsorted(np.arange(len(keep)))
-    raise ConvergenceError(
-        f"Luxemburg solver reached {_MAX_ITER} iterations (bracket "
-        f"[{float(los[0])!r}, {float(his[0])!r}])")
-
-
-def _orlicz_rows(F: OrliczFn, V: np.ndarray, log_w: np.ndarray,
-                 log_lambda: np.ndarray) -> np.ndarray:
-    """Luxemburg norms of sum_i w_i F(|v_i| / alpha) for the rows v of V, with
-    log weights ``log_w`` and levels ``log_lambda`` (w_i F(lambda_i) = 1).  The
-    single-entry norms b_i = |v_i| / lambda_i bracket a row's norm by their max
-    and their sum whatever the weights, as F(tx) <= t F(x) for t <= 1; a row
-    with one entry is its b_i, one with a NaN entry NaN.  The others go to one
-    ``_luxemburg_log`` call on their packed nonzero entries, started at the
-    bracket's low end or, given ``curvature()``, at the root for x^s, s the
-    mid slope, scaled to agree with F at each lambda_i:
-    q_max + log sum exp(s (q_i - q_max)) / s, q_i = log b_i, clamped."""
-    k, n = V.shape
-    er, ec = np.nonzero(V)
-    la = np.log(np.abs(V[er, ec]))
-    q = la - log_lambda[ec]
-    piece = np.zeros((k, n))
-    with np.errstate(over="ignore"):  # a sum past the float range opens the bracket
-        piece[er, ec] = np.exp(q)
-        out = np.maximum.reduce(piece, axis=1)
-        hi0 = np.add.reduce(piece, axis=1)
-    solve = hi0 > out * (1 + 1e-14)
-    if solve.any():
-        on = solve[er]
-        er, ec, la, q = (np.cumsum(solve) - 1)[er[on]], ec[on], la[on], q[on]
-        b_lo, b_hi = np.log(out[solve]), np.log(hi0[solve])
-        beta = b_lo
-        if (curv := F.curvature()) is not None:
-            s = 0.5 * (curv[0] + curv[1])
-            q_max = np.maximum.reduceat(q, er.searchsorted(np.arange(b_lo.size)))
-            piece = np.zeros((b_lo.size, n))
-            piece[er, ec] = np.exp(s * (q - q_max[er]))
-            beta = np.clip(q_max + np.log(np.add.reduce(piece, axis=1)) / s, b_lo, b_hi)
-        out[solve] = np.exp(_luxemburg_log(F, er, ec, la, log_w, beta, b_lo, b_hi))
-    return out
-
-
-def _power_exponent(F: OrliczFn) -> float | None:
-    """p when F(x) = x^p, read from the profile: h is one affine piece through
-    0 (one anchor at (0, 0), the same slope below it as past it).  L_F is then
-    L_p, and its modular space the weighted ell_p 2^(n/p); else None."""
-    u = F.breaks()
-    if u is None or u.size != 1 or u[0] != 0.0 or F.log_eval(0.0) != 0.0:
-        return None
-    p, below = F.slope(np.array([0.0, -math.inf])).tolist()
-    return p if p == below else None
-
-
 class OrliczSpace(SpaceSpec):
     """Luxemburg norm inf{alpha : int F(|f|/alpha) <= 1} of a step function.
 
@@ -465,11 +259,13 @@ class OrliczSpace(SpaceSpec):
     """
 
     def __init__(self, F: OrliczFn, domain: str = UNIT):
+        from .orlicz import _power_exponent  # loaded with F's class
         self.F = F
         self.domain = domain
         self._lp = _power_exponent(F)
 
     def _rows_on(self, f: StepFunction):
+        from .orlicz import _orlicz_rows
         log_len = np.log(f.lengths)
         log_lambda = np.atleast_1d(self.F.log_inv(-log_len))
         return lambda V: _orlicz_rows(self.F, V, log_len, log_lambda)
@@ -478,8 +274,7 @@ class OrliczSpace(SpaceSpec):
         return OrliczModular(self.F, window)
 
     def boyd(self) -> BoydIndices:
-        from .orlicz import indices  # loaded with self.F's class
-
+        from .analysis import indices
         rep, unit = indices(self.F), self.domain == UNIT
         p, q = rep.boyd_unit if unit else rep.boyd_halfline
         err = rep.err_inf if unit else max(rep.err_inf, rep.err_0)
@@ -669,6 +464,7 @@ class OrliczModular(SeqSpaceSpec):
     """
 
     def __init__(self, F: OrliczFn, window: Window):
+        from .orlicz import _power_exponent  # loaded with F's class
         self.F = F
         self.window = window
         ns = window.indices()
@@ -680,6 +476,7 @@ class OrliczModular(SeqSpaceSpec):
             self._form = 2.0 ** (ns / p), p
 
     def _rows(self, V: np.ndarray, grad: bool = False):
+        from .orlicz import _orlicz_rows
         norms = _orlicz_rows(self.F, V, self._log_w, self._log_lambda)
         if not grad:
             return norms
@@ -699,8 +496,7 @@ class OrliczModular(SeqSpaceSpec):
         # rho(tau_m x / (d ||x||)) <= rho(x / ||x||) = 1 when 2^m F(y / d) <= F(y)
         # for every y = |x_n| / ||x|| that stays on the window, y <= lambda_n;
         # widened for the rounding of the norm's sums and of its log weights
-        from .orlicz import log_dilation  # loaded with self.F's class
-
+        from .analysis import log_dilation
         size = self.window.size
         if abs(m) >= size:
             return 0.0
@@ -827,6 +623,7 @@ class FromSequenceSpace(SpaceSpec):
     """
 
     def __init__(self, E: SeqSpaceSpec):
+        from .kappa import kappa_estimate
         self.E = E
         self.window = E.window
         self.domain = self.window.domain
@@ -856,58 +653,7 @@ class FromSequenceSpace(SpaceSpec):
 
 
 # ---------------------------------------------------------------------------
-# rho profile and exponential separation
-# ---------------------------------------------------------------------------
-
-
-def rho_profile(E: SeqSpaceSpec, F: SeqSpaceSpec, window: Window) -> dict[int, float]:
-    """rho(n) = ||e_n||_E / ||e_n||_F for n in the window, which must be E's
-    and F's (``_check_windows``), from one ``unit_norms()`` each."""
-    _check_windows("window", window, E, F)
-    ue, uf = E.unit_norms().tolist(), F.unit_norms().tolist()
-    return {n: a / b for n, a, b in zip(window.indices().tolist(), ue, uf)}
-
-
-@dataclass
-class SeparationFit:
-    beta: float
-    C0: float
-    separated: bool
-    residuals: dict[int, float] = field(default_factory=dict)
-    rho: dict[int, float] = field(default_factory=dict)
-
-
-def fit_separation(rho: dict[int, float]) -> SeparationFit:
-    """Exhaustive fit of rho(m+n) >= C0^{-1} 2^{n beta} rho(m) over the window.
-
-    beta is the worst pairwise slope of log2 rho; C0 the smallest constant
-    making the inequality hold for every pair at that beta.  separated
-    means beta > 0.
-    """
-    ns = sorted(rho)
-    if any(rho[n] <= 0 for n in ns):
-        raise ValueError("rho must be strictly positive")
-    lr = {n: math.log2(rho[n]) for n in ns}
-    beta = math.inf
-    per_gap: dict[int, float] = {}
-    for i, m in enumerate(ns):
-        for mp in ns[i + 1:]:
-            gap = mp - m
-            slope = (lr[mp] - lr[m]) / gap
-            beta = min(beta, slope)
-            per_gap[gap] = min(per_gap.get(gap, math.inf), slope)
-    if not per_gap:
-        return SeparationFit(0.0, 1.0, False, {}, dict(rho))
-    worst = -math.inf
-    for i, m in enumerate(ns):
-        for mp in ns[i + 1:]:
-            worst = max(worst, (mp - m) * beta - (lr[mp] - lr[m]))
-    C0 = max(1.0, 2.0 ** worst)
-    return SeparationFit(float(beta), float(C0), beta > 0.0, per_gap, dict(rho))
-
-
-# ---------------------------------------------------------------------------
-# shift-norm (kappa) estimation
+# shifts and ratios of rows
 # ---------------------------------------------------------------------------
 
 
@@ -933,137 +679,8 @@ def _shift_quotients(a: np.ndarray, m: int) -> np.ndarray:
         return a[m:] / a[:size - m] if m > 0 else a[:size + m] / a[-m:]
 
 
-@dataclass
-class KappaEstimate:
-    """Shift growth rates: witnessed ratios, estimates and certified bounds.
-
-    ``table`` holds the best ratio ||tau_n x|| / ||x|| found for each tested
-    shift n and ``table_ub`` the space's certified bound on ||tau_n|| (inf
-    without one, or past the overflow ratio, where ratios read as inf too), so
-    ||tau_n|| on the window lies in [table[n], table_ub[n]].
-    ``plus_lb``/``minus_lb`` are the max over n of table[+-n]^(1/n), lower
-    bounds on the largest ||tau_n||^(1/n), not on kappa;
-    ``plus_est``/``minus_est`` extrapolate the geometric-mean slope of
-    log ||tau_n|| over the largest tested shifts; ``plus_ub``/``minus_ub``
-    are the min over n of table_ub[+-n]^(1/n), upper bounds on
-    kappa = inf_n ||tau_n||^(1/n) (Fekete: ||tau_(a+b)|| <= ||tau_a||
-    ||tau_b||) wherever the window's bounds hold for the space.  The true
-    kappa can exceed the estimate; verdict logic must treat these as
-    estimates.
-    """
-
-    plus_lb: float
-    plus_est: float
-    minus_lb: float
-    minus_est: float
-    table: dict[int, float] = field(default_factory=dict)
-    table_ub: dict[int, float] = field(default_factory=dict)
-    plus_ub: float = math.inf
-    minus_ub: float = math.inf
-
-
 def _row_ratios(space: SeqSpaceSpec, D: np.ndarray, N: np.ndarray) -> np.ndarray:
     """||n|| / ||d|| for the rows d of D and n of N (0 where ||d|| = 0), from
     one ``norm_rows`` call on the stacked D and N."""
     den, num = space.norm_rows(np.concatenate([D, N])).reshape(2, -1)
     return np.divide(num, den, out=np.zeros(den.size), where=den != 0.0)
-
-
-def _shift_ratios(space: SeqSpaceSpec, V: np.ndarray, n: int) -> np.ndarray:
-    """||tau_n v|| / ||v|| for each row v of V: 0 where ||v|| = 0, inf past
-    the overflow ratio."""
-    out = _row_ratios(space, V, shift_values(V, n))
-    out[out > _OVERFLOW_RATIO] = math.inf
-    return out
-
-
-def _shift_bound(space: SeqSpaceSpec, n: int) -> float:
-    """The space's certified bound on ||tau_n||: inf without one, and past
-    the overflow ratio, where the ratios read as inf too."""
-    ub = space.shift_norm_upper(n)
-    return math.inf if ub is None or ub > _OVERFLOW_RATIO else ub
-
-
-def _best_shift_ratio(space: SeqSpaceSpec, n: int, budget: int,
-                      rng: np.random.Generator, best: float, upper: float) -> float:
-    """Best ||tau_n x|| / ||x|| over ``best``, the unit vectors' ratio, and
-    ``budget`` random starts, each followed by 8 ascent steps; every start
-    and its steps are drawn first and ascended as lanes.  When ``best``
-    reaches the stop level of ``upper``, the certified bound on ||tau_n||,
-    the bracket is closed and the starts are drawn but not ascended, so the
-    generator moves on as if they had been."""
-    size = space.window.size
-    level = stop_level(None, upper)
-    lanes, states = [], []
-    ok = np.arange(-n, size) if n < 0 else np.arange(size - n)
-    for _ in range(max(1, budget)):
-        vals = np.zeros(size)
-        k = rng.integers(1, max(2, size // 4))
-        idx = rng.choice(ok, size=min(k, ok.size), replace=False)
-        vals[idx] = rng.random(idx.size) + 0.1
-        # idx[rng.integers(idx.size)] draws as rng.choice(idx) does, at less cost
-        coords, factors = zip(*[(int(idx[rng.integers(idx.size)]),
-                                 2.0 if rng.random() < 0.5 else 0.5) for _ in range(8)])
-        lanes.append([vals, None, np.array(coords), np.array(factors), 8])
-        states.append(rng.bit_generator.state)
-    if stop_reason(best, level) == STOP_UPPER:
-        return best
-    # margin 0.0, not ACCEPT_REL, which would move kappa tables by up to 6e-4
-    for (r, _, _, _), state in zip(
-            _ascend_steps(lambda V: _shift_ratios(space, V, n), lanes, 0.0), states):
-        best = max(best, r)
-        if stop_reason(best, level) == STOP_OVERFLOW:
-            # the starts after an overflow are never drawn: the next shift
-            # draws from the state just past this start
-            rng.bit_generator.state = state
-            break
-    return best
-
-
-def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEstimate:
-    """Adversarial estimate of kappa_±(E) = lim ||tau_{±n}||^{1/n} =
-    inf_n ||tau_{±n}||^{1/n} on E's window, which needs at least two indices
-    and a budget of at least 1.  ``plus_lb``/``minus_lb`` (max_n
-    table^(1/n)) bound max_n ||tau_{±n}||^(1/n) from below, not kappa; the
-    certified side of kappa is ``plus_ub``/``minus_ub``, from E's certified
-    bounds on ||tau_n||.  A shift whose unit vectors reach its bound skips
-    its ascent; every shift's closure is decided first, and no starts are
-    drawn after the last shift that ascends, as none would be read."""
-    check_budget(budget)
-    window = E.window
-    if window.size < 2:
-        raise UsageError(f"kappa_estimate needs a window of at least 2 indices; "
-                         f"this one has {window.size}")
-    rng = np.random.default_rng(seed)
-    n_max = max(1, window.size // 2)
-    shifts = sorted(set([1, 2] + [n_max // 2, n_max] +
-                        list(np.unique(np.geomspace(1, n_max, 6).astype(int)))))
-    shifts = [n for n in shifts if 1 <= n <= n_max]
-    per = max(4, budget // max(1, 2 * len(shifts)))
-    units, order = E.unit_norms(), [m for n in shifts for m in (n, -n)]
-    # shift -> certified bound, best ratio (the unit vectors' first: exact on any Kothe space)
-    table_ub = {m: _shift_bound(E, m) for m in order}
-    table = {m: float(np.max(_shift_quotients(units, m), initial=0.0)) for m in order}
-    last = max((i for i, m in enumerate(order)
-                if stop_reason(table[m], stop_level(None, table_ub[m])) != STOP_UPPER), default=-1)
-    for m in order[:last + 1]:
-        table[m] = _best_shift_ratio(E, m, per, rng, table[m], table_ub[m])
-
-    def summarize(sign: int):
-        pairs = [(n, table[sign * n]) for n in shifts if table[sign * n] > 0]
-        if not pairs:
-            return 0.0, 0.0
-        if any(math.isinf(r) for _, r in pairs):
-            return math.inf, math.inf
-        lb = max(r ** (1.0 / n) for n, r in pairs)
-        top = pairs[-max(1, len(pairs) // 3):]
-        est = math.exp(float(np.mean([math.log(r) / n for n, r in top])))
-        return lb, est
-
-    plus_lb, plus_est = summarize(+1)
-    minus_lb, minus_est = summarize(-1)
-    # the root widened for the rounding of 1/n, the power and the product
-    plus_ub, minus_ub = (min(table_ub[sign * n] ** (1.0 / n) * (1.0 + 32 * _EPS)
-                             for n in shifts) for sign in (+1, -1))
-    return KappaEstimate(plus_lb, plus_est, minus_lb, minus_est, table,
-                         table_ub, plus_ub, minus_ub)

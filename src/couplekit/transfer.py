@@ -50,10 +50,11 @@ import numpy as np
 
 from .ascent import ACCEPT_REL, STOP_BUDGET, _ascend_steps, stop_level, stop_reason
 from .errors import HypothesisError, UsageError, check_budget
-from .kfunc import _block_points, _check_finite, _k_grid, _prefix_norms, _suffix_norms
+from .kfunc import (SeparationFit, _block_points, _check_finite, _k_grid, _prefix_norms,
+                    _suffix_norms)
 from .measure import SeqVec, Window, _sparse
 from .shift import InterlacedFamily
-from .spaces import SeparationFit, SeqSpaceSpec, _check_windows, _row_ratios
+from .spaces import SeqSpaceSpec, _check_windows, _row_ratios
 
 EXACTNESS_TOL = 1e-9
 # <x, g> = ||x|| tolerance for every norming functional of a block sum

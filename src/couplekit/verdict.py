@@ -9,7 +9,7 @@ issued only when every hypothesis in the chain is certified at the stated
 evidence level (exact shift constants, or a concrete falsifier witness);
 everything else is "inconclusive" with the failed hypotheses listed, since
 finite searches and finite counter tables cannot prove an asymptotic
-property.
+property.  A rule that reads the elasticity counters imports ``analysis``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import UsageError
 from .measure import Window, default_unit_window
-from .orlicz import OrliczFn, brudnyi_schedule, elasticity_report, lambda_seq
+from .orlicz import OrliczFn, brudnyi_schedule
 from .spaces import OrliczModular, SpaceSpec, _wlp_norms
 
 CAVEAT_EXACT = "exact shift constants"
@@ -69,6 +69,7 @@ def _stretchability_evidence(space: SpaceSpec, window: Window) -> dict:
     F = space.generator()
     if F is None:
         return {"kind": "none", "certified": False, "stretchable": None}
+    from .analysis import elasticity_report
     rep = elasticity_report(F)
     # the counter growth is the certified falsifier; elastic counters are
     # consistent with stretchability, not a proof of it
@@ -148,6 +149,7 @@ def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> 
         report.applicable.append("Orlicz-pair necessary condition (joint elasticity or equal indices)")
         mismatch = (abs(bx.p - by.p) > bx.p_err + by.p_err + 1e-9 or
                     abs(bx.q - by.q) > bx.q_err + by.q_err + 1e-9)
+        from .analysis import elasticity_report
         ex, ey = elasticity_report(Fx), elasticity_report(Fy)
         report.evidence["elasticity_X"] = ex.to_json_dict()
         report.evidence["elasticity_Y"] = ey.to_json_dict()
@@ -236,6 +238,7 @@ def brudnyi_evidence(pair, window: Window, n_samples: int = 200,
     weights 1/lambda_n (resp. 1/nu_n), r = (p+q)/2.  Reports min/max/spread
     statistics over seeded nonnegative samples.
     """
+    from .analysis import lambda_seq
     F, G = pair
     p, q = F.params["p"], F.params["q"]
     if r is None:

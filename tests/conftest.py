@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from couplekit import (GeometricWeighted, LinftySeq, OrderReversed, OrliczModular,
                        SeqVec, StepFunction, WeightedLp, Window, dyadic_lp,
                        example1, pwpower, zero_fn)
-import couplekit.spaces as spaces
+import couplekit.orlicz as orlicz
 from couplekit.spaces import _Conjugated
 
 
@@ -49,14 +49,14 @@ class KernelCount:
 
 
 def count_solver_kernel(monkeypatch, counts: list) -> None:
-    """Route every ``spaces._luxemburg_log`` call through a ``KernelCount``."""
-    solve = spaces._luxemburg_log
-    monkeypatch.setattr(spaces, "_luxemburg_log",
+    """Route every ``orlicz._luxemburg_log`` call through a ``KernelCount``."""
+    solve = orlicz._luxemburg_log
+    monkeypatch.setattr(orlicz, "_luxemburg_log",
                         lambda F, *args: solve(KernelCount(F, counts), *args))
 
 
 def reference_orlicz_rows(F, V, log_w, log_lambda):
-    """``spaces._orlicz_rows`` with its prep on the dense (k, n) batch, as
+    """``orlicz._orlicz_rows`` with its prep on the dense (k, n) batch, as
     before the rows were packed: |V|, log |v| with -inf at the zeros, exp of
     q = log |v| - log lambda, the row max and sum, the solve rows sliced out
     and the curvature start on their dense q; the solver gets the entries of
@@ -81,7 +81,7 @@ def reference_orlicz_rows(F, V, log_w, log_lambda):
             sums = np.add.reduce(np.exp(s * (qs - q_max[:, None])), axis=1)
             beta = np.clip(q_max + np.log(sums) / s, b_lo, b_hi)
         er, ec = np.nonzero(nz[solve])
-        out[solve] = np.exp(spaces._luxemburg_log(F, er, ec, log_a[solve][er, ec], log_w,
+        out[solve] = np.exp(orlicz._luxemburg_log(F, er, ec, log_a[solve][er, ec], log_w,
                                                   beta, b_lo, b_hi))
     return out
 

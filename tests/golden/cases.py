@@ -40,7 +40,9 @@ Each case is a named list of floats computed from seeds recorded in
   of example1 on Z-[-64, -1] (budget 400, seed 0), and of the modular of
   example1 weighted by 100^n on Z-[-24, -1] (budget 200, seed 0).
 
-``tests/test_golden.py`` recomputes every case bit for bit;
+Every seeded group names each member's seed stream, so removing a case
+leaves the values of the others in place.  ``tests/test_golden.py``
+recomputes every case bit for bit;
 ``python tests/golden/regen.py`` rewrites the manifest.
 """
 
@@ -64,7 +66,8 @@ MANIFEST = Path(__file__).with_name("manifest.json")
 ROWS = 24
 WIDE_ROWS = 96
 K_FUNCTIONS = 3
-WINDOWS = {"Z-[-64,-1]": ("Z-", -64, -1), "Z[-12,12]": ("Z", -12, 12)}
+# label -> (seed stream, window) of the modular cases
+WINDOWS = {"Z-[-64,-1]": (0, Window("Z-", -64, -1)), "Z[-12,12]": (1, Window("Z", -12, 12))}
 K_SEQ_WINDOW = Window("Z-", -8, -1)
 K_FIELDS = ("value", "lower", "x_mass", "y_mass")
 FROMSEQ_WINDOW = Window("Z-", -16, -1)
@@ -85,40 +88,42 @@ def rearrangement_spaces() -> dict:
 
 
 def k_couples() -> dict:
-    """One couple per K route: name -> (X, Y, seeded vector maker)."""
+    """One couple per K route: name -> (seed stream, X, Y, seeded vector maker)."""
     L1, L2, L3, Linf = LpSpace(1), LpSpace(2), LpSpace(3), linf_space()
-    fn = {"L1,Linf": (L1, Linf), "L1,L2": (L1, L2), "L2,L1": (L2, L1),
-          "L2,Linf": (L2, Linf), "Linf,L2": (Linf, L2), "L2,L3": (L2, L3)}
-    out = {name: (X, Y, lambda rng: _step(rng, False)) for name, (X, Y) in fn.items()}
+    fn = {"L1,Linf": (0, L1, Linf), "L1,L2": (1, L1, L2), "L2,L1": (2, L2, L1),
+          "L2,Linf": (3, L2, Linf), "Linf,L2": (4, Linf, L2), "L2,L3": (5, L2, L3)}
+    out = {name: (i, X, Y, lambda rng: _step(rng, False)) for name, (i, X, Y) in fn.items()}
     l2, wlinf = dyadic_lp(2, K_SEQ_WINDOW), WeightedLp(math.inf, K_SEQ_WINDOW, wexp=0.3)
-    out["l2,l3-seq"] = (l2, dyadic_lp(3, K_SEQ_WINDOW), _seq)
-    out["l2,wlinf-seq"] = (l2, wlinf, _seq)
-    out["wlinf,l2-seq"] = (wlinf, l2, _seq)
-    out["l2,induced-linf-seq"] = (l2, InducedSeq(Linf, K_SEQ_WINDOW), _seq)
+    out["l2,l3-seq"] = (6, l2, dyadic_lp(3, K_SEQ_WINDOW), _seq)
+    out["l2,wlinf-seq"] = (7, l2, wlinf, _seq)
+    out["wlinf,l2-seq"] = (8, wlinf, l2, _seq)
+    out["l2,induced-linf-seq"] = (9, l2, InducedSeq(Linf, K_SEQ_WINDOW), _seq)
     return out
 
 
 def row_spaces() -> dict:
-    """The spaces of the ``norming`` cases, on ROW_WINDOW: name -> sequence space."""
+    """The spaces of the ``norming`` cases, on ROW_WINDOW: name -> (seed
+    stream, sequence space)."""
     win = ROW_WINDOW
-    gens = {"example1": example1(), "pwpower": pwpower(2.0, 3.0), "minimal": MinimalFn(0.05),
-            "power": power(2.0)}
-    out = {f"modular-{name}": OrliczModular(F, win) for name, F in gens.items()}
-    out["geometric-modular-example1"] = GeometricWeighted(OrliczModular(example1(), win), 2 ** 0.5)
-    out["reversed-modular-pwpower"] = OrderReversed(OrliczModular(pwpower(1.5, 3.0),
-                                                                  win.reversed()))
-    out["l2"] = dyadic_lp(2, win)
-    out["wlinf"] = WeightedLp(math.inf, win, wexp=0.3)
+    gens = {"example1": (0, example1()), "pwpower": (1, pwpower(2.0, 3.0)),
+            "minimal": (2, MinimalFn(0.05)), "power": (3, power(2.0))}
+    out = {f"modular-{name}": (i, OrliczModular(F, win)) for name, (i, F) in gens.items()}
+    out["geometric-modular-example1"] = (
+        4, GeometricWeighted(OrliczModular(example1(), win), 2 ** 0.5))
+    out["reversed-modular-pwpower"] = (
+        5, OrderReversed(OrliczModular(pwpower(1.5, 3.0), win.reversed())))
+    out["l2"] = (6, dyadic_lp(2, win))
+    out["wlinf"] = (7, WeightedLp(math.inf, win, wexp=0.3))
     return out
 
 
 def wide_spaces() -> dict:
-    """The spaces of the ``modular-wide`` cases: name -> sequence space."""
+    """The spaces of the ``modular-wide`` cases: name -> (seed stream, sequence space)."""
     win = Window("Z-", -64, -1)
-    gens = {"example1": example1(), "minimal": MinimalFn(0.05),
-            "brudnyi-G": brudnyi_pair(1.5, 3.0)[1], "logfactor": logfactor_fn(1.5)}
-    out = {name: OrliczModular(F, win) for name, F in gens.items()}
-    out["geometric-example1"] = GeometricWeighted(OrliczModular(example1(), win), 2 ** 0.5)
+    gens = {"example1": (0, example1()), "minimal": (1, MinimalFn(0.05)),
+            "brudnyi-G": (2, brudnyi_pair(1.5, 3.0)[1]), "logfactor": (3, logfactor_fn(1.5))}
+    out = {name: (i, OrliczModular(F, win)) for name, (i, F) in gens.items()}
+    out["geometric-example1"] = (4, GeometricWeighted(OrliczModular(example1(), win), 2 ** 0.5))
     return out
 
 
@@ -132,12 +137,20 @@ def kappa_spaces() -> dict:
 
 
 def zoo() -> dict:
-    """A fresh instance of each zoo generator, so no memo carries over."""
+    """A fresh instance of each zoo generator, so no memo carries over: name
+    -> (seed stream, generator)."""
     bf, bg = brudnyi_pair(1.5, 3.0)
-    return {"power": power(2.0), "pwpower": pwpower(1.5, 3.0),
-            "logfactor": logfactor_fn(1.5), "example1": example1(),
-            "elastic-nl": elastic_non_lorentz(), "brudnyi-F": bf, "brudnyi-G": bg,
-            "minimal": MinimalFn(0.05)}
+    return {"power": (0, power(2.0)), "pwpower": (1, pwpower(1.5, 3.0)),
+            "logfactor": (2, logfactor_fn(1.5)), "example1": (3, example1()),
+            "elastic-nl": (4, elastic_non_lorentz()), "brudnyi-F": (5, bf),
+            "brudnyi-G": (6, bg), "minimal": (7, MinimalFn(0.05))}
+
+
+def seeded_groups() -> dict:
+    """Each group of cases seeded per member: group -> {name: (seed stream, ...)}."""
+    return {"windows": WINDOWS, "zoo": zoo(), "modular-wide": wide_spaces(),
+            "k-route": k_couples(), "rearrangement": rearrangement_spaces(),
+            "norming": row_spaces()}
 
 
 def versions() -> dict:
@@ -193,9 +206,9 @@ def _seq(rng) -> SeqVec:
 def compute(seeds: dict, t_grid: list) -> dict[str, list[float]]:
     """Every case from the recorded seeds: name -> list of floats."""
     cases = {}
-    for i, (name, F) in enumerate(zoo().items()):
-        for j, (label, (kind, lo, hi)) in enumerate(WINDOWS.items()):
-            E = OrliczModular(F, Window(kind, lo, hi))
+    for name, (i, F) in zoo().items():
+        for label, (j, window) in WINDOWS.items():
+            E = OrliczModular(F, window)
             rng = np.random.default_rng([seeds["modular"], i, j])
             cases[f"modular:{label}:{name}"] = E.norm_rows(_sparse_rows(rng, E.window.size)).tolist()
         X = OrliczSpace(F)
@@ -206,11 +219,11 @@ def compute(seeds: dict, t_grid: list) -> dict[str, list[float]]:
               for r in _k_grid(t_grid, _step(rng, False), X, linf_space())]
         cases[f"k-linf:{name}:value"] = [r.value for r in ks]
         cases[f"k-linf:{name}:lower"] = [r.lower for r in ks]
-    for i, (name, E) in enumerate(wide_spaces().items()):
+    for name, (i, E) in wide_spaces().items():
         V = _sparse_rows(np.random.default_rng([seeds["modular-wide"], i]), E.window.size,
                          WIDE_ROWS)
         cases[f"modular-wide:{name}"] = E.norm_rows(V).tolist()
-    for i, (name, (X, Y, make)) in enumerate(k_couples().items()):
+    for name, (i, X, Y, make) in k_couples().items():
         rng = np.random.default_rng([seeds["k-route"], i])
         ks = [r for _ in range(K_FUNCTIONS) for r in _k_grid(t_grid, make(rng), X, Y)]
         for key in K_FIELDS:
@@ -221,9 +234,9 @@ def compute(seeds: dict, t_grid: list) -> dict[str, list[float]]:
         for _ in range(K_FUNCTIONS):
             f = _step(rng, False)
             cases[name] += X.norm_rows_on(f)(_tied_rows(rng, len(f.values))).tolist()
-    units = {**row_spaces(),
-             "induced-lorentz-pow": InducedSeq(LorentzSpace(1.5, PowerWeight(0.3)), ROW_WINDOW)}
-    for i, (name, E) in enumerate(row_spaces().items()):
+    units = {name: E for name, (_, E) in row_spaces().items()}
+    units["induced-lorentz-pow"] = InducedSeq(LorentzSpace(1.5, PowerWeight(0.3)), ROW_WINDOW)
+    for name, (i, E) in row_spaces().items():
         V = _signed_rows(np.random.default_rng([seeds["norming"], i]), E.window.size)
         cases[f"norming:{name}"] = E.norm_rows(V, grad=True)[1][V != 0.0].tolist()
     for name, E in units.items():

@@ -58,3 +58,19 @@ def test_a_call_under_the_hook_is_attributed_to_its_def():
     # nested helpers have code objects of their own, not defs
     called = {names[key] for key in census.reached(seen) if key in names}
     assert called == {"measure.Window.reversed", "measure.Window.__post_init__"}
+
+
+def test_load_table_sizes_each_loaded_module_and_its_called_def_lines():
+    import couplekit.errors  # noqa: F401
+
+    assert {"__init__", "errors"} <= set(census.loaded_modules())
+    text = (census.PACKAGE / "errors.py").read_text()
+    lines, tokens = census.module_size("errors")
+    assert lines == text.count("\n") and tokens > lines
+    defs = census.enumerate_defs()
+    check = next(d for d in defs if d.name == "errors.check_budget")
+    runs_of = {d: ["w"] if d is check else [] for d in defs}
+    header, row, total = census.load_table("w", ["errors"], runs_of)
+    assert row.split() == ["#", "errors", f"{lines:,d}", f"{tokens:,d}", str(check.lines),
+                           "/", str(check.lines)]
+    assert total.split()[1] == "total" and total.split()[2:] == row.split()[2:]

@@ -15,3 +15,10 @@ def test_golden_cases_recompute_bit_for_bit():
     assert made == here, f"manifest made with {made}, running {here}: regenerate it"
     new = cases.compute(manifest["seeds"], manifest["t_grid"])
     assert cases.moved(cases.stored(manifest), new) == []
+
+
+def test_each_group_seeds_its_cases_from_distinct_streams():
+    # a case's values follow its own stream, never its position in the group
+    for group, members in cases.seeded_groups().items():
+        streams = [member[0] for member in members.values()]
+        assert len(set(streams)) == len(streams), group

@@ -17,22 +17,24 @@ import couplekit
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
-# the names the package exported when it imported every submodule eagerly
+# the names the package exported when it imported every submodule eagerly,
+# each under the module that defines it now
 EXPORTED = {
+    "analysis": "IndexReport TGrid counter elasticity_report indices lambda_seq phi_minus "
+                "phi_plus rv_defect w_witness",
     "errors": "ConvergenceError CoupleKitError HypothesisError UsageError",
-    "kfunc": "KResult k_block_estimate k_l1_linf_oracle k_numeric k_profile",
+    "kappa": "KappaEstimate kappa_estimate",
+    "kfunc": "KResult SeparationFit fit_separation k_block_estimate k_l1_linf_oracle k_numeric "
+             "k_profile rho_profile",
     "measure": "HALFLINE UNIT SeqVec StepFunction Window char_fn default_unit_window "
                "dyadic_envelope rearrange zero_fn",
-    "orlicz": "ConvexifiedFn IndexReport MinimalFn TGrid OrliczFn brudnyi_pair "
-              "brudnyi_schedule convexify counter elastic_non_lorentz elasticity_report "
-              "example1 indices lambda_seq logfactor_fn phi_minus phi_plus power pwpower "
-              "rv_defect sample_profile w_witness",
+    "orlicz": "ConvexifiedFn MinimalFn OrliczFn brudnyi_pair brudnyi_schedule convexify "
+              "elastic_non_lorentz example1 logfactor_fn power pwpower sample_profile",
     "shift": "LSP RSP InterlacedFamily ShiftEstimate ShiftWitness family_ratio gen_interlaced "
              "replay_witness shift_constant_estimate shift_schedule",
-    "spaces": "BoydIndices FromSequenceSpace GeometricWeighted InducedSeq KappaEstimate "
-              "LinftySeq LorentzSpace LpSpace OrderReversed OrliczModular OrliczSpace "
-              "PowerWeight SeparationFit SeqSpaceSpec SpaceSpec WeightedLp "
-              "dyadic_lp fit_separation kappa_estimate linf_space rho_profile",
+    "spaces": "BoydIndices FromSequenceSpace GeometricWeighted InducedSeq LinftySeq "
+              "LorentzSpace LpSpace OrderReversed OrliczModular OrliczSpace PowerWeight "
+              "SeqSpaceSpec SpaceSpec WeightedLp dyadic_lp linf_space",
     "specdsl": "parse_any_space parse_generator parse_seq_space parse_space",
     "transfer": "PositiveMatrix k_transfer majorization_transfer op_norm rank_one_shift",
     "verdict": "CoupleReport brudnyi_evidence classify_couple",
@@ -82,7 +84,29 @@ def test_orlicz_shift_set_up_loads_only_the_orlicz_stack():
 def test_kfunc_transfer_set_up_loads_no_orlicz_module():
     loaded = _loaded(_SET_UP.format(workload="kfunc-transfer"))
     assert {"kfunc", "transfer", "spaces"} <= loaded
-    assert not {"orlicz", "specdsl", "verdict"} & loaded
+    assert not {"orlicz", "analysis", "kappa", "specdsl", "verdict"} & loaded
+
+
+def _cli_loaded(argv: list[str]) -> set[str]:
+    """The submodules loaded by one ``cli.main`` call that exits 0."""
+    return _loaded(f"from couplekit import cli\nassert cli.main({argv!r}) == 0\n")
+
+
+def test_readme_shift_test_loads_no_analysis_kappa_or_k_module(tmp_path):
+    # the README's shift-test space, side and window, at a smaller budget
+    argv = ["shift-test", "--space", "seq:from:<seq:orlicz-modular:gen=<example1>>,"
+            "weightbase=1.4142135623730951", "--side", "rsp", "--window=-64:-1",
+            "--budget", "200", "--seed", "11", "--out", str(tmp_path / "shift.json")]
+    loaded = _cli_loaded(argv)
+    assert {"shift", "spaces", "orlicz"} <= loaded
+    assert not {"analysis", "kappa", "kfunc", "transfer", "verdict"} & loaded
+
+
+def test_exact_verdict_loads_no_analysis_or_kappa(tmp_path):
+    loaded = _cli_loaded(["verdict", "--X", "lp:p=2", "--Y", "linf",
+                          "--out", str(tmp_path / "verdict.json")])
+    assert {"verdict", "spaces"} <= loaded
+    assert not {"analysis", "kappa"} & loaded
 
 
 def test_generate_command_loads_no_search_or_k_module(tmp_path):
@@ -93,7 +117,8 @@ def test_generate_command_loads_no_search_or_k_module(tmp_path):
     loaded = _loaded(code)
     assert dump.read_text().count("\n") == 6
     assert {"cli", "specdsl", "orlicz"} <= loaded
-    assert not {"kfunc", "transfer", "shift", "verdict", "spaces", "ascent"} & loaded
+    assert not {"kfunc", "transfer", "shift", "verdict", "spaces", "ascent", "analysis",
+                "kappa"} & loaded
 
 
 def test_every_exported_name_is_its_module_attribute():

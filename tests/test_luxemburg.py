@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from couplekit import (ConvergenceError, GeometricWeighted, MinimalFn,
                        OrderReversed, OrliczFn, OrliczModular, OrliczSpace,
                        SeqVec, StepFunction, Window, brudnyi_pair,
-                       elastic_non_lorentz, example1, logfactor_fn, power,
-                       pwpower, shift_constant_estimate, spaces)
+                       elastic_non_lorentz, example1, logfactor_fn, orlicz, power,
+                       pwpower, shift_constant_estimate)
 from conftest import random_seqvec, reference_norm, reference_orlicz_rows
 
 _BF, _BG = brudnyi_pair(1.5, 3.0)
@@ -113,10 +113,10 @@ def test_iteration_cap_raises(monkeypatch):
     X = OrliczSpace(example1())
     f = SeqVec(win, vals).to_step()
     # a wide batch keeps its Newton state in arrays: it raises the same error
-    scale = np.linspace(0.5, 2.0, 2 * spaces._ARRAY_ROWS)[:, None]
+    scale = np.linspace(0.5, 2.0, 2 * orlicz._ARRAY_ROWS)[:, None]
     wide = [(E.norm_rows, vals * scale), (X.norm_rows_on(f), np.asarray(f.vals) * scale)]
     expected = E.norm_values(vals), X.fn_norm(f), [rows(V).tolist() for rows, V in wide]
-    monkeypatch.setattr(spaces, "_MAX_ITER", 1)
+    monkeypatch.setattr(orlicz, "_MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="1 iterations"):
         E.norm_values(vals)
     with pytest.raises(ConvergenceError):
@@ -229,7 +229,7 @@ def test_packed_rows_equal_the_dense_prep(name, on, wide, seed):
         log_w = np.log(np.diff(np.unique(np.concatenate([[0.0, 0.45, 0.9], cuts, [1.0]]))))
         log_lambda = np.atleast_1d(F.log_inv(-log_w))
     n = log_w.size
-    rows = spaces._ARRAY_ROWS
+    rows = orlicz._ARRAY_ROWS
     k = int(rng.integers(rows, 2 * rows) if wide else rng.integers(3, rows))
     V = np.zeros((k, n))
     for row in V[3:]:
@@ -245,14 +245,14 @@ def test_packed_rows_equal_the_dense_prep(name, on, wide, seed):
     with np.errstate(over="ignore"):
         assert np.isinf(np.sum(np.exp(np.log(V[1][V[1] > 0]) - log_lambda[V[1] > 0])))
     V = V[rng.permutation(k)]
-    calls, solve = [], spaces._luxemburg_log
+    calls, solve = [], orlicz._luxemburg_log
 
     def recorded(*args):
         calls.append([np.asarray(a).tobytes() for a in args[1:]])
         return solve(*args)
 
-    with mock.patch.object(spaces, "_luxemburg_log", recorded):
-        got = spaces._orlicz_rows(F, V, log_w, log_lambda)
+    with mock.patch.object(orlicz, "_luxemburg_log", recorded):
+        got = orlicz._orlicz_rows(F, V, log_w, log_lambda)
         ref = reference_orlicz_rows(F, V, log_w, log_lambda)
     assert got.tobytes() == ref.tobytes()
     assert len(calls) == 2 and calls[0] == calls[1]

@@ -14,7 +14,7 @@ from couplekit import (MinimalFn, OrliczModular, TGrid, Window, brudnyi_pair,
                        indices, lambda_seq, logfactor_fn, parse_generator,
                        phi_minus, phi_plus, power, pwpower, rv_defect, sample_profile,
                        w_witness)
-from couplekit import cli, orlicz
+from couplekit import analysis, cli, orlicz
 from couplekit.orlicz import OrliczFn, PiecewiseAffineFn
 
 GEN_SET = [power(2), pwpower(2, 3), logfactor_fn(2), example1(),
@@ -771,7 +771,7 @@ def _galloping_drops(w, logC):
     return count
 
 
-_B = orlicz._DROP_BLOCK
+_B = analysis._DROP_BLOCK
 # lengths 0-3, around one to three blocks (which start at k = 1) or up to four
 _DROP_LENGTHS = (st.sampled_from([0, 1, 2, 3, _B - 1, _B, _B + 1, 2 * _B, 3 * _B - 1])
                  | st.builds(lambda i, d: i * _B + d, st.integers(1, 3), st.integers(-2, 2))
@@ -834,7 +834,7 @@ def test_count_drops_matches_galloping_reference(stack):
     # scanned with the same floats (Python's max would drop it)
     W, logC = stack
     with np.errstate(invalid="ignore"):
-        got = orlicz._count_drops(W, logC, (1.0, -1.0))
+        got = analysis._count_drops(W, logC, (1.0, -1.0))
         assert got.tolist() == [[_galloping_drops(s * w, logC) for w in W] for s in (1.0, -1.0)]
 
 
@@ -947,13 +947,13 @@ def test_indices_match_meshgrid_reference(F):
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_anchors=st.integers(1, 40),
        n=st.integers(0, 120), y=st.floats(0.05, 4.0), extra=st.floats(0.0, 60.0),
-       block=st.sampled_from([orlicz._BAND_BLOCK, 1, 2, 7, 64]))
+       block=st.sampled_from([analysis._BAND_BLOCK, 1, 2, 7, 64]))
 # a reducible chord rounds past the band's extreme: only the rescan finds it
-@example(3211734110, 25, 105, 0.6103201708235395, 35.70460775198615, orlicz._BAND_BLOCK)
-@example(4015120240, 20, 14, 0.27915819842020756, 30.31934982171452, orlicz._BAND_BLOCK)
-@example(31728281, 9, 92, 0.37224223184094873, 44.534996763217954, orlicz._BAND_BLOCK)
-@example(1113077188, 10, 78, 0.7728294037565997, 18.745477198790123, orlicz._BAND_BLOCK)
-@example(3279766178, 2, 7, 3.3199258034773695, 31.61838715147143, orlicz._BAND_BLOCK)
+@example(3211734110, 25, 105, 0.6103201708235395, 35.70460775198615, analysis._BAND_BLOCK)
+@example(4015120240, 20, 14, 0.27915819842020756, 30.31934982171452, analysis._BAND_BLOCK)
+@example(31728281, 9, 92, 0.37224223184094873, 44.534996763217954, analysis._BAND_BLOCK)
+@example(1113077188, 10, 78, 0.7728294037565997, 18.745477198790123, analysis._BAND_BLOCK)
+@example(3279766178, 2, 7, 3.3199258034773695, 31.61838715147143, analysis._BAND_BLOCK)
 def test_indices_match_meshgrid_reference_random(seed, n_anchors, n, y, extra, block):
     rng = np.random.default_rng(seed)
     top = y + extra
@@ -968,7 +968,7 @@ def test_indices_match_meshgrid_reference_random(seed, n_anchors, n, y, extra, b
             indices(F, t_grid, y_layer=y)
         return
     # small blocks split a point's partners across blocks
-    with mock.patch.object(orlicz, "_BAND_BLOCK", block):
+    with mock.patch.object(analysis, "_BAND_BLOCK", block):
         assert _index_extremes(indices(F, t_grid, y_layer=y)) == expected
 
 
@@ -988,7 +988,7 @@ def test_chord_slope_range_matches_pair_table(seed, affine):
     h_lo, h_hi = np.meshgrid(h, h, indexing="ij")
     keep = (hi - lo) >= y
     s = (h_hi[keep] - h_lo[keep]) / (hi[keep] - lo[keep])
-    assert orlicz._chord_slope_range(v, h, y) == (float(np.min(s)), float(np.max(s)))
+    assert analysis._chord_slope_range(v, h, y) == (float(np.min(s)), float(np.max(s)))
 
 
 def test_indices_reject_short_span():
@@ -1081,8 +1081,8 @@ def test_w_witness_profit_rows(F, rows):
     # the rows (of 370) of the default grids that still need a profit row at
     # C0 = 4; on the first four no profit difference is formed at all
     seen = []
-    real = orlicz._profit_rows
-    with mock.patch.object(orlicz, "_profit_rows",
+    real = analysis._profit_rows
+    with mock.patch.object(analysis, "_profit_rows",
                            lambda ft, c: seen.append(real(ft, c)) or seen[-1]):
         w_witness(F, 4.0)
     assert [r.size for r in seen] == [rows]
@@ -1100,13 +1100,13 @@ def test_profit_rows_are_the_rows_with_a_positive_profit(F, C0, ratio, span, see
     ft = _w_profiles(F, TGrid.span(0.0, span, ratio=ratio), _x_grid(m, seed))
     profit = np.triu(_reference_profit(ft, C0), 1)
     positive = np.flatnonzero(np.any(profit > 0, axis=0))
-    assert np.array_equal(orlicz._profit_rows(ft, C0 * ft), positive)
+    assert np.array_equal(analysis._profit_rows(ft, C0 * ft), positive)
 
 
 def test_profit_rows_need_a_strict_excess():
     # F_{t_k}(x) = C0 F_{t_i}(x) is a profit of exactly 0: no row to build
     ft = np.array([[1.0, 4.0, 2.0, 17.0]])
-    assert orlicz._profit_rows(ft, 4.0 * ft).tolist() == [3]
+    assert analysis._profit_rows(ft, 4.0 * ft).tolist() == [3]
 
 
 def test_w_witness_validates_its_arguments():
@@ -1264,14 +1264,14 @@ def _omega_grid(kind, seed, span, ratio):
 def test_omega_table_rows_are_the_full_shifted_call(k, kind, seed, span, ratio):
     # reusing h at the grid points v - kappa hits changes no bit of omega
     F = _OMEGA_ZOO[k]
-    v = orlicz._log_grid(_omega_grid(kind, seed, span, ratio), "grid")
+    v = analysis._log_grid(_omega_grid(kind, seed, span, ratio), "grid")
     rng = np.random.default_rng(seed)
     step, width = v[1] - v[0], v[-1] - v[0]
     xs = [1.0, 2.0 ** -int(rng.integers(1, 12)), float(rng.uniform(1e-3, 1.0)),
           math.exp(-0.4 * step),  # kappa below half a step
           math.exp(-1.5 * width - 1.0)]  # kappa beyond the grid's span
     h = F.log_eval(v)
-    for x, omega in zip(xs, orlicz._omega_table(F, v, xs)):
+    for x, omega in zip(xs, analysis._omega_table(F, v, xs)):
         kappa = -math.log(x) if x < 1 else 0.0
         assert _same(omega, h - F.log_eval(v - kappa)), x
 

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import couplekit.ascent as ascent
-import couplekit.spaces as spaces
+import couplekit.kappa as kappa
+import couplekit.orlicz as orlicz
 from couplekit import (GeometricWeighted, InterlacedFamily, LinftySeq,
                        OrderReversed, OrliczModular, SeqVec, ShiftWitness,
                        UsageError, WeightedLp, Window, dyadic_lp, example1,
@@ -665,13 +666,13 @@ def test_weighted_lp_search_work(monkeypatch):
 def test_fromseq_kappa_work(monkeypatch):
     rows = _norm_rows_counter(monkeypatch, OrliczModular)
     ascended = []
-    ratios = spaces._shift_ratios
+    ratios = kappa._shift_ratios
 
     def counted(space, V, n):
         ascended.append(n)
         return ratios(space, V, n)
 
-    monkeypatch.setattr(spaces, "_shift_ratios", counted)
+    monkeypatch.setattr(kappa, "_shift_ratios", counted)
     X = parse_space("fromseq:<seq:orlicz-modular:gen=<example1>>")
     # one start at a time it took 1,795 calls for 15,656 rows; speculating
     # each lane's whole pass, 84 calls for 15,656 rows; evaluating the steps
@@ -690,13 +691,13 @@ def test_fromseq_kappa_work(monkeypatch):
 
 def test_readme_shift_test_work(monkeypatch):
     calls, steps = [], []
-    solve = spaces._luxemburg_log
+    solve = orlicz._luxemburg_log
 
     def counted(F, er, ec, la, log_w, beta, *args):
         calls.append(len(beta))
         return solve(F, er, ec, la, log_w, beta, *args)
 
-    monkeypatch.setattr(spaces, "_luxemburg_log", counted)
+    monkeypatch.setattr(orlicz, "_luxemburg_log", counted)
     count_solver_kernel(monkeypatch, steps)
     E = parse_seq_space("seq:from:<seq:orlicz-modular:gen=<example1>>,"
                         "weightbase=1.4142135623730951", Window("Z-", -64, -1))

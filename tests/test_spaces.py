@@ -19,8 +19,9 @@ from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftyS
                        parse_generator, parse_seq_space, parse_space, power,
                        pwpower, rearrange, rho_profile, sample_profile)
 from couplekit.ascent import stop_level
-from couplekit.spaces import (_ARRAY_ROWS, _EPS, _Conjugated, _best_shift_ratio, _shift_bound,
-                              _shift_ratios, _wlp_norms, shift_values)
+from couplekit.kappa import _best_shift_ratio, _shift_bound, _shift_ratios
+from couplekit.orlicz import _ARRAY_ROWS
+from couplekit.spaces import _EPS, _Conjugated, _wlp_norms, shift_values
 from couplekit.transfer import FUNCTIONAL_TOL
 from conftest import (SEARCH_SPACE_KINDS, count_solver_kernel, random_seqvec, random_step,
                       reference_dyadic_envelope, reference_lorentz_norm, reference_norm,
@@ -422,7 +423,7 @@ def test_kappa_on_a_form_space_ascends_no_shift(build, monkeypatch):
         calls.append(m)
         return best_shift_ratio(space, m, *args)
 
-    monkeypatch.setattr("couplekit.spaces._best_shift_ratio", counted)
+    monkeypatch.setattr("couplekit.kappa._best_shift_ratio", counted)
     E = build(Window("Z-", -64, -1))
     est = kappa_estimate(E, budget=400, seed=0)
     assert not calls

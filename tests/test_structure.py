@@ -63,7 +63,7 @@ from pathlib import Path
 
 import pytest
 
-import couplekit.orlicz as orlicz
+import couplekit.analysis as analysis
 import couplekit.spaces as spaces
 from couplekit import Window, parse_seq_space
 from couplekit.shift import InterlacedFamily
@@ -73,7 +73,7 @@ SRC = Path(spaces.__file__).parent
 # the one deliberate exception: verdict builds the modular spaces of the
 # counterexample pair
 ALLOWED_IMPORTS = {"verdict": {"OrliczModular"}}
-MODULES = ("kfunc", "transfer", "verdict", "shift", "cli")
+MODULES = ("kfunc", "transfer", "verdict", "shift", "kappa", "cli")
 
 
 def _spaces_classes() -> set[str]:
@@ -266,7 +266,7 @@ def test_two_hooks_per_sequence_space():
     assert {"WeightedLp", "OrliczModular", "_Conjugated", "InducedSeq"} <= found
     # the three searches divide norms of stacked rows through one helper
     fns = _qualified_functions()
-    for name in ("spaces._shift_ratios", "shift._ratios", "transfer._op_norm_lower"):
+    for name in ("kappa._shift_ratios", "shift._ratios", "transfer._op_norm_lower"):
         assert "_row_ratios" in _called(fns[name]), name
     assert _called(fns["spaces._row_ratios"]) >= {"norm_rows", "divide"}
 
@@ -305,7 +305,7 @@ def test_one_window_check():
     assert [name for name in fns if name.endswith("._check_windows")] == [
         "spaces._check_windows"]
     for name in ("kfunc._side", "kfunc.k_block_estimate", "shift.InterlacedFamily.validate",
-                 "spaces.SeqSpaceSpec.norm", "spaces.rho_profile", "transfer._check_vectors",
+                 "spaces.SeqSpaceSpec.norm", "kfunc.rho_profile", "transfer._check_vectors",
                  "transfer.op_norm", "transfer.rank_one_shift"):
         assert "_check_windows" in _called(fns[name]), name
     for module in ("kfunc", "shift", "transfer"):
@@ -332,12 +332,12 @@ def test_one_luxemburg_solver():
     solvers = [f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
                for fn in _functions(ast.parse(path.read_text()))
                if "luxemburg" in fn.name.lower()]
-    assert solvers == ["spaces._luxemburg_log"]
+    assert solvers == ["orlicz._luxemburg_log"]
     # one row path: the solver's one caller is the row function, which both
     # Orlicz spaces call
     fns = _qualified_functions()
     callers = [name for name, fn in fns.items() if "_luxemburg_log" in _called(fn)]
-    assert callers == ["spaces._orlicz_rows"]
+    assert callers == ["orlicz._orlicz_rows"]
     for name in ("spaces.OrliczModular._rows", "spaces.OrliczSpace._rows_on"):
         assert "_orlicz_rows" in _called(fns[name]), name
     # no zero-pattern grouping and no bracket of its own on the function path
@@ -351,7 +351,7 @@ def _called(fn) -> set[str]:
 
 
 def test_luxemburg_step_calls_fused_kernel():
-    tree = ast.parse((SRC / "spaces.py").read_text())
+    tree = ast.parse((SRC / "orlicz.py").read_text())
     called = _called(next(fn for fn in _functions(tree) if fn.name == "_luxemburg_log"))
     assert "log_eval_slope" in called
     assert not {"log_eval", "slope"} & called
@@ -392,10 +392,10 @@ def test_one_newton_stop():
     # solver (the stop) and by the row function (the start) only
     fns = _qualified_functions()
     tol = [name for name, fn in fns.items() if "_NEWTON_TOL" in _names(fn)]
-    assert tol == ["spaces._luxemburg_log"]
-    assert "sqrt" in _called(fns["spaces._luxemburg_log"])
+    assert tol == ["orlicz._luxemburg_log"]
+    assert "sqrt" in _called(fns["orlicz._luxemburg_log"])
     readers = [name for name, fn in fns.items() if "curvature" in _called(fn)]
-    assert readers == ["spaces._luxemburg_log", "spaces._orlicz_rows"]
+    assert readers == ["orlicz._luxemburg_log", "orlicz._orlicz_rows"]
 
 
 def test_one_row_state_threshold():
@@ -403,19 +403,19 @@ def test_one_row_state_threshold():
     # the solver alone, so there is still one solver and no option
     fns = _qualified_functions()
     assert [name for name, fn in fns.items() if "_ARRAY_ROWS" in _names(fn)] == [
-        "spaces._luxemburg_log"]
+        "orlicz._luxemburg_log"]
 
 
 def test_one_multiplicative_ascent():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     fns = {f"{stem}.{fn.name}": fn for stem, tree in trees.items() for fn in _functions(tree)}
     assert [name for name in fns if name.endswith("._ascend_steps")] == ["ascent._ascend_steps"]
-    for name in ("shift.shift_constant_estimate", "spaces._best_shift_ratio",
+    for name in ("shift.shift_constant_estimate", "kappa._best_shift_ratio",
                  "transfer._op_norm_lower"):
         assert "_ascend_steps" in _called(fns[name]), f"{name} has its own ascent"
-    for name in ("spaces._best_shift_ratio", "transfer._op_norm_lower"):
+    for name in ("kappa._best_shift_ratio", "transfer._op_norm_lower"):
         assert not _called(fns[name]) & {"norm", "norm_values"}, f"{name} solves single rows"
-    assert "spaces._shift_ratio" not in fns
+    assert "kappa._shift_ratio" not in fns
     # one stop rule: one accept margin and one set of stop labels, assigned in
     # ``ascent`` only, and one stop level that the shift search, kappa and the
     # op_norm lower bound call instead of dividing by 1 + margin themselves
@@ -425,7 +425,7 @@ def test_one_multiplicative_ascent():
                     for t in node.targets if isinstance(t, ast.Name)}
         assert assigned & labels == (labels if stem == "ascent" else set()), stem
         assert "_OP_REL" not in _names(tree), stem
-    for name in ("shift.shift_constant_estimate", "spaces._best_shift_ratio",
+    for name in ("shift.shift_constant_estimate", "kappa._best_shift_ratio",
                  "transfer._op_norm_lower"):
         assert _called(fns[name]) >= {"stop_level", "stop_reason"}, name
         assert "isinf" not in _called(fns[name]), f"{name} tests overflow itself"
@@ -442,7 +442,7 @@ def test_dyadic_levels_solved_in_one_place():
     # keeps each generator's levels; the modular and lambda_seq read it, and
     # no other function solves h(u) = -n log 2 itself
     fns = _qualified_functions()
-    for name in ("spaces.OrliczModular.__init__", "orlicz.lambda_seq"):
+    for name in ("spaces.OrliczModular.__init__", "analysis.lambda_seq"):
         assert "log_lambda" in _called(fns[name]) and "log_inv" not in _called(fns[name]), name
     solvers = [name for name, fn in fns.items()
                for node in ast.walk(fn) if isinstance(node, ast.Call)
@@ -465,7 +465,7 @@ def test_shift_search_ascends_once_per_wave():
 def test_index_extremes_scan_bounded_blocks():
     # no hull sweep and no full pair table: the chord slopes of the band and
     # of its rescans are taken in blocks of at most 2^14 pairs
-    tree = ast.parse((SRC / "orlicz.py").read_text())
+    tree = ast.parse((SRC / "analysis.py").read_text())
     fns = {fn.name: fn for fn in _functions(tree)}
     assert "_tangent" not in fns
     assert not _calls(tree, "meshgrid")
@@ -473,7 +473,7 @@ def test_index_extremes_scan_bounded_blocks():
     loops = [node for node in ast.walk(fns["_row_slope_extremes"])
              if isinstance(node, ast.For) and "_BAND_BLOCK" in _names(node.iter)]
     assert len(loops) == 1
-    assert orlicz._BAND_BLOCK <= 1 << 14
+    assert analysis._BAND_BLOCK <= 1 << 14
 
 
 def test_one_drop_scan():
@@ -481,7 +481,7 @@ def test_one_drop_scan():
     # a lockstep block scan that takes the blocks' extremes once; no other
     # function runs a running extremum of its own but w_witness's row rule (a
     # running minimum per x) and its w recursion (a running maximum over rows)
-    tree = ast.parse((SRC / "orlicz.py").read_text())
+    tree = ast.parse((SRC / "analysis.py").read_text())
     fns = {fn.name: fn for fn in _functions(tree)}
     for name in ("counter", "elasticity_report"):
         assert "_count_drops" in _called(fns[name]), name
@@ -524,7 +524,7 @@ def test_one_analysis_front_end():
     # the log of a raw t-grid (indices keeps its own, set-like one: any order,
     # repeats), only _omega_table shifts the profile by kappa, and only
     # _log_grid checks that a t-grid increases
-    tree = ast.parse((SRC / "orlicz.py").read_text())
+    tree = ast.parse((SRC / "analysis.py").read_text())
     fns = _functions(tree)
     logs, shifts, increasing = set(), set(), set()
     for fn in fns:

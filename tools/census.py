@@ -19,7 +19,10 @@ under ``sys.setprofile``:
 
 A function no run calls is "never" called; one that only ``tier1`` calls is
 "tier1 only": unit tests reach it, and no claim or workload does.  The
-census prints one line per function and the totals of both.  The suite runs
+census prints one line per function and the totals of both, then for each
+workload run the package modules it loaded, each with its lines, its tokens
+and the def-lines the run called of those the module holds: the code a
+workload compiles against the code it runs.  The suite runs
 about twice as slowly under the hook, so the census takes minutes and stays
 out of Tier-1.
 """
@@ -28,11 +31,13 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
 import json
 import subprocess
 import sys
 import tempfile
 import threading
+import tokenize
 from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
@@ -131,8 +136,22 @@ def _workload(name: str) -> None:
                 raise SystemExit(f"census: a {task.kind} check failed in {name}")
 
 
+def loaded_modules() -> list[str]:
+    """The package's modules loaded in this process, by file stem
+    (``__init__`` for the package itself)."""
+    return sorted(name.partition(".")[2] or "__init__" for name in sys.modules
+                  if name == PACKAGE.name or name.startswith(PACKAGE.name + "."))
+
+
+def module_size(stem: str) -> tuple[int, int]:
+    """(lines, tokens) of a package module's source, as the tokenizer reads it."""
+    text = (PACKAGE / f"{stem}.py").read_text()
+    return text.count("\n"), sum(1 for _ in tokenize.generate_tokens(io.StringIO(text).readline))
+
+
 def worker(run: str, out: Path) -> None:
-    """Run one census run in this process and write the keys it reached."""
+    """Run one census run in this process and write the keys it reached and
+    the package modules it loaded."""
     sys.path.insert(0, str(SRC))
     with recording() as seen:
         if run == "tier1":
@@ -141,22 +160,40 @@ def worker(run: str, out: Path) -> None:
             _pytest([ROOT / t for t in CLAIM_TESTS])
         else:
             _workload(run)
-    out.write_text(json.dumps(sorted(reached(seen))))
+    out.write_text(json.dumps({"reached": sorted(reached(seen)), "loaded": loaded_modules()}))
 
 
-def census() -> dict[Def, list[str]]:
-    """Each def -> the runs that call it, one worker process per run."""
+def census() -> tuple[dict[Def, list[str]], dict[str, list[str]]]:
+    """Each def -> the runs that call it, and each run -> the modules it
+    loaded; one worker process per run."""
     runs_of = {d: [] for d in enumerate_defs()}
     by_key = {d.key: d for d in runs_of}
+    loads = {}
     with tempfile.TemporaryDirectory() as tmp:
         for run in RUNS:
             out = Path(tmp) / f"{run}.json"
             subprocess.run([sys.executable, __file__, "--worker", run, "--out", str(out)],
                            cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-            for key in json.loads(out.read_text()):
+            result = json.loads(out.read_text())
+            loads[run] = result["loaded"]
+            for key in result["reached"]:
                 if tuple(key) in by_key:
                     runs_of[by_key[tuple(key)]].append(run)
-    return runs_of
+    return runs_of, loads
+
+
+def load_table(run: str, modules: list[str], runs_of: dict[Def, list[str]]) -> list[str]:
+    """One line per module ``run`` loaded: its lines, its tokens, and the
+    def-lines ``run`` called of the def-lines it holds; then the totals."""
+    rows, total = [f"# {run}: module, lines, tokens, def-lines called / held"], [0, 0, 0, 0]
+    for stem in modules:
+        defs = [d for d in runs_of if Path(d.path).stem == stem]
+        size = (*module_size(stem), sum(d.lines for d in defs if run in runs_of[d]),
+                sum(d.lines for d in defs))
+        total = [a + b for a, b in zip(total, size)]
+        rows.append("#   {:<10} {:6,d} {:7,d} {:6,d} / {:,d}".format(stem, *size))
+    rows.append("#   {:<10} {:6,d} {:7,d} {:6,d} / {:,d}".format("total", *total))
+    return rows
 
 
 def main(argv=None) -> int:
@@ -168,7 +205,7 @@ def main(argv=None) -> int:
         worker(args.worker, args.out)
         return 0
 
-    runs_of = census()
+    runs_of, loads = census()
     for d, runs in runs_of.items():
         print(f"{d.lines:4d}  {','.join(runs) or 'never':<50}  {d.name}")
     print(f"# {len(runs_of)} functions, {sum(d.lines for d in runs_of)} lines")
@@ -177,6 +214,8 @@ def main(argv=None) -> int:
         picked = [d for d, r in runs_of.items() if pick(r)]
         print(f"# {label}: {len(picked)} functions, {sum(d.lines for d in picked)} lines: "
               + " ".join(d.name for d in picked))
+    for run in WORKLOADS:
+        print("\n".join(load_table(run, loads[run], runs_of)))
     return 0
 
 
