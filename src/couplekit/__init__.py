@@ -6,7 +6,9 @@ import k_numeric``) or of a submodule (``couplekit.orlicz``) imports that
 module and what it imports.  A caller compiles only the modules it uses: a
 shift search on an Orlicz modular loads no ``kfunc``, ``transfer``,
 ``verdict``, ``specdsl``, ``analysis`` or ``kappa``, and a K-functional on
-Lebesgue spaces no ``orlicz``, ``analysis`` or ``kappa``.
+Lebesgue spaces no ``orlicz``, ``analysis`` or ``kappa``.  Importing a
+module compiles it and builds its classes without generating code: the
+records are plain classes over one base, ``measure._Record``.
 """
 
 import importlib

@@ -22,11 +22,10 @@ The indices, ``lambda_seq`` and ``log_dilation`` read h directly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .measure import LOG2
+from .measure import LOG2, _Record
 from .orlicz import OrliczFn, _finite_profile
 
 
@@ -35,15 +34,14 @@ from .orlicz import OrliczFn, _finite_profile
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IndexReport:
-    alpha_inf: float
-    beta_inf: float
-    alpha_0: float
-    beta_0: float
-    delta2: float
-    err_inf: float
-    err_0: float
+class IndexReport(_Record):
+    _fields = ("alpha_inf", "beta_inf", "alpha_0", "beta_0", "delta2", "err_inf", "err_0")
+
+    def __init__(self, alpha_inf: float, beta_inf: float, alpha_0: float, beta_0: float,
+                 delta2: float, err_inf: float, err_0: float):
+        self.alpha_inf, self.beta_inf = alpha_inf, beta_inf
+        self.alpha_0, self.beta_0 = alpha_0, beta_0
+        self.delta2, self.err_inf, self.err_0 = delta2, err_inf, err_0
 
     @property
     def boyd_unit(self):
@@ -55,7 +53,7 @@ class IndexReport:
         return (min(self.alpha_inf, self.alpha_0), max(self.beta_inf, self.beta_0))
 
     def to_json_dict(self):
-        return {**asdict(self), "boyd_unit": list(self.boyd_unit),
+        return {**self._field_dict(), "boyd_unit": list(self.boyd_unit),
                 "boyd_halfline": list(self.boyd_halfline)}
 
 
@@ -441,17 +439,16 @@ WITNESS_COUNT_FLOOR = 10
 WITNESS_TAIL_POINTS = 5
 
 
-@dataclass
-class ElasticityReport:
-    x_grid: np.ndarray
-    phi_plus: np.ndarray
-    phi_minus: np.ndarray
-    fit_r: float
-    fit_logC1: float
-    fit_residual: float
-    classification: str
-    side: str
-    C0: float
+class ElasticityReport(_Record):
+    _fields = ("x_grid", "phi_plus", "phi_minus", "fit_r", "fit_logC1", "fit_residual",
+               "classification", "side", "C0")
+
+    def __init__(self, x_grid: np.ndarray, phi_plus: np.ndarray, phi_minus: np.ndarray,
+                 fit_r: float, fit_logC1: float, fit_residual: float, classification: str,
+                 side: str, C0: float):
+        self.x_grid, self.phi_plus, self.phi_minus = x_grid, phi_plus, phi_minus
+        self.fit_r, self.fit_logC1, self.fit_residual = fit_r, fit_logC1, fit_residual
+        self.classification, self.side, self.C0 = classification, side, C0
 
     @property
     def totals(self):
@@ -529,12 +526,11 @@ def _profit_rows(ft: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.any(ft[:, 1:] > below, axis=0)) + 1
 
 
-@dataclass
-class WWitnessReport:
-    log_t: np.ndarray
-    w: np.ndarray
-    C1: float
-    C0: float
+class WWitnessReport(_Record):
+    _fields = ("log_t", "w", "C1", "C0")
+
+    def __init__(self, log_t: np.ndarray, w: np.ndarray, C1: float, C0: float):
+        self.log_t, self.w, self.C1, self.C0 = log_t, w, C1, C0
 
 
 def w_witness(F: OrliczFn, C0: float, t_grid=None, x_grid=None) -> WWitnessReport:

@@ -155,7 +155,7 @@ def cmd_transfer(args) -> int:
         # op_norm's interval, with the evaluations its lower search spent and
         # why that search stopped
         payload["norm_checks"] = {
-            label: _op_norm_lower(T, space, OP_NORM_BUDGET, args.seed)._asdict()
+            label: _op_norm_lower(T, space, OP_NORM_BUDGET, args.seed).to_json_dict()
             for label, space in (("E", E), ("F", F))}
     _write_json(args.out, payload)
     return 0

@@ -9,19 +9,18 @@ computation never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ascent import STOP_OVERFLOW, STOP_UPPER, _ascend_steps, stop_level, stop_reason
 from .errors import UsageError, check_budget
+from .measure import _Record
 from .spaces import _EPS, SeqSpaceSpec, _row_ratios, _shift_quotients, shift_values
 
 _OVERFLOW_RATIO = 1e12
 
 
-@dataclass
-class KappaEstimate:
+class KappaEstimate(_Record):
     """Shift growth rates: witnessed ratios, estimates and certified bounds.
 
     ``table`` holds the best ratio ||tau_n x|| / ||x|| found for each tested
@@ -39,14 +38,17 @@ class KappaEstimate:
     estimates.
     """
 
-    plus_lb: float
-    plus_est: float
-    minus_lb: float
-    minus_est: float
-    table: dict[int, float] = field(default_factory=dict)
-    table_ub: dict[int, float] = field(default_factory=dict)
-    plus_ub: float = math.inf
-    minus_ub: float = math.inf
+    _fields = ("plus_lb", "plus_est", "minus_lb", "minus_est", "table", "table_ub",
+               "plus_ub", "minus_ub")
+
+    def __init__(self, plus_lb: float, plus_est: float, minus_lb: float, minus_est: float,
+                 table: dict[int, float] | None = None, table_ub: dict[int, float] | None = None,
+                 plus_ub: float = math.inf, minus_ub: float = math.inf):
+        self.plus_lb, self.plus_est = plus_lb, plus_est
+        self.minus_lb, self.minus_est = minus_lb, minus_est
+        self.table = {} if table is None else table
+        self.table_ub = {} if table_ub is None else table_ub
+        self.plus_ub, self.minus_ub = plus_ub, minus_ub
 
 
 def _shift_ratios(space: SeqSpaceSpec, V: np.ndarray, n: int) -> np.ndarray:

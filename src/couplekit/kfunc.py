@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UsageError
-from .measure import SeqVec, StepFunction, Window, star_integral
+from .measure import SeqVec, StepFunction, Window, _Record, star_integral
 from .spaces import SeqSpaceSpec, _check_windows
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -69,16 +68,18 @@ SWEEP_CAP = 64
 _BATCH = 1 << 14
 
 
-@dataclass
-class KResult:
-    t: float
-    value: float            # best decomposition value (upper bound)
-    lower: float             # lower bound (L1-type, weighted-ell_infty paths) or gap estimate
-    x_mass: float            # ||x||_X at the best split
-    y_mass: float            # ||y||_Y at the best split
-    sweeps: int
-    converged: bool
-    split: np.ndarray = field(repr=False, default=None)
+class KResult(_Record):
+    _fields = ("t", "value", "lower", "x_mass", "y_mass", "sweeps", "converged", "split")
+    _unshown = ("split",)
+
+    def __init__(self, t: float,
+                 value: float,    # best decomposition value (upper bound)
+                 lower: float,    # lower bound (L1-type, weighted-ell_infty paths) or gap estimate
+                 x_mass: float,   # ||x||_X at the best split
+                 y_mass: float,   # ||y||_Y at the best split
+                 sweeps: int, converged: bool, split: np.ndarray = None):
+        self.t, self.value, self.lower, self.x_mass, self.y_mass = t, value, lower, x_mass, y_mass
+        self.sweeps, self.converged, self.split = sweeps, converged, split
 
 
 def _side(space, template):
@@ -525,13 +526,14 @@ def rho_profile(E: SeqSpaceSpec, F: SeqSpaceSpec, window: Window) -> dict[int, f
     return {n: a / b for n, a, b in zip(window.indices().tolist(), ue, uf)}
 
 
-@dataclass
-class SeparationFit:
-    beta: float
-    C0: float
-    separated: bool
-    residuals: dict[int, float] = field(default_factory=dict)
-    rho: dict[int, float] = field(default_factory=dict)
+class SeparationFit(_Record):
+    _fields = ("beta", "C0", "separated", "residuals", "rho")
+
+    def __init__(self, beta: float, C0: float, separated: bool,
+                 residuals: dict[int, float] | None = None, rho: dict[int, float] | None = None):
+        self.beta, self.C0, self.separated = beta, C0, separated
+        self.residuals = {} if residuals is None else residuals
+        self.rho = {} if rho is None else rho
 
 
 def fit_separation(rho: dict[int, float]) -> SeparationFit:

@@ -13,12 +13,14 @@ two carriers:
 The bridge between the two is ``dyadic_envelope``: sampling f* at the dyadic
 points 2^n produces the coefficient vector of G = sum f*(2^n) chi_[2^n,2^(n+1))
 which satisfies the two-sided envelope f* <= G <= D_2 f* on the covered range.
+
+``_Record`` is the base of the package's records, ``StepFunction`` and
+``Window`` among them: plain classes with their constructors written out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +38,40 @@ def _spec_num(x: float) -> str:
     return short if float(short) == x else repr(x)
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class _Record:
+    """Base of the package's records.  ``_fields`` names a record's
+    constructor arguments in order: repr shows them (less ``_unshown``), ==
+    compares them as one tuple between records of one class, and a subclass
+    that takes ``_read_only`` and ``_hash`` is read-only and hashable on them.
+    A record class that keeps this == is unhashable."""
+
+    _fields: tuple[str, ...] = ()
+    _unshown: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _field_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields
+                 if name not in self._unshown)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _read_only(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    def _hash(self):
+        return hash(self._values())
+
+
+class StepFunction(_Record):
     """Right-continuous step function, zero past its last breakpoint.
 
     ``breakpoints`` is the strictly increasing grid t_0 = 0 < t_1 < ... < t_m
@@ -48,28 +82,29 @@ class StepFunction:
     fields, so equality, hash and JSON see the tuples only.
     """
 
-    domain: str
-    breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
+    _fields = ("domain", "breakpoints", "values")
+    __setattr__ = __delattr__ = _Record._read_only
+    __hash__ = _Record._hash
 
-    def __post_init__(self):
-        if self.domain not in _DOMAINS:
-            raise ValueError(f"unknown domain {self.domain!r}")
-        bp = np.asarray(self.breakpoints, dtype=float)
+    def __init__(self, domain: str, breakpoints: tuple[float, ...], values: tuple[float, ...]):
+        if domain not in _DOMAINS:
+            raise ValueError(f"unknown domain {domain!r}")
+        bp = np.asarray(breakpoints, dtype=float)
         if bp.size == 0 or bp[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
-        if bp.size != len(self.values) + 1:
+        if bp.size != len(values) + 1:
             raise ValueError("need exactly one more breakpoint than values")
         lengths = np.diff(bp)
         if np.any(lengths <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if self.domain == UNIT and bp[-1] > 1.0 + 1e-15:
+        if domain == UNIT and bp[-1] > 1.0 + 1e-15:
             raise ValueError("unit-interval step function exceeds [0,1]")
-        object.__setattr__(self, "breakpoints", tuple(float(t) for t in bp))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for name, arr in (("lengths", lengths), ("vals", np.array(self.values))):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        values = tuple(float(v) for v in values)
+        vals = np.array(values)
+        lengths.setflags(write=False)
+        vals.setflags(write=False)
+        vars(self).update(domain=domain, breakpoints=tuple(float(t) for t in bp),
+                          values=values, lengths=lengths, vals=vals)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -191,27 +226,32 @@ Z_PLUS = "Z+"
 _KINDS = (Z, Z_MINUS, Z_PLUS)
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Record):
     """Retained finite index range [lo, hi] of one of Z, Z_- or Z_+.
 
     Z_- is the set of strictly negative indices (hi <= -1),
     matching dyadic blocks inside [0,1]; Z_+ means indices >= 0.
     """
 
-    kind: str
-    lo: int
-    hi: int
+    _fields = ("kind", "lo", "hi")
+    __setattr__ = __delattr__ = _Record._read_only
+    __hash__ = _Record._hash
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown window kind {self.kind!r}")
-        if self.lo > self.hi:
+    def __init__(self, kind: str, lo: int, hi: int):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown window kind {kind!r}")
+        if lo > hi:
             raise ValueError("window needs lo <= hi")
-        if self.kind == Z_MINUS and self.hi > -1:
+        if kind == Z_MINUS and hi > -1:
             raise ValueError("Z- window must satisfy hi <= -1")
-        if self.kind == Z_PLUS and self.lo < 0:
+        if kind == Z_PLUS and lo < 0:
             raise ValueError("Z+ window must satisfy lo >= 0")
+        vars(self).update(kind=kind, lo=lo, hi=hi)
+
+    def __eq__(self, other):  # written out: each window check compares two windows
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.lo, self.hi) == (other.kind, other.lo, other.hi)
 
     @property
     def size(self) -> int:

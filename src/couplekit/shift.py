@@ -31,14 +31,12 @@ A family's random restarts are lanes of ``ascent._ascend_steps``, one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .ascent import (ACCEPT_REL, STOP_BUDGET, _ascend_steps, stop_level,
                      stop_reason)
 from .errors import UsageError, check_budget
-from .measure import SeqVec, Window, _sparse
+from .measure import SeqVec, Window, _Record, _sparse
 from .spaces import SeqSpaceSpec, _check_windows, _row_ratios
 
 RSP = "rsp"
@@ -49,20 +47,20 @@ RESTARTS_PER_FAMILY = 20
 BLOCK_LEN_RANGE = (1, 3)
 
 
-@dataclass(eq=False)
-class InterlacedFamily:
+class InterlacedFamily(_Record):
     """Block pairs (x_n, y_n) with supp x_1 < supp y_1 < supp x_2 < ..., the
     rows of X and Y: finite (else a ``UsageError``), read-only C-contiguous
     (n_pairs, window.size) float arrays, so the search's ``A @ X`` is one BLAS
     product.  ``validate`` checks the blocks (nonempty, strictly interlaced)
-    and, given E, the window and ||x_n||_E = 1, ||y_n||_E <= 1 to ``tol``."""
+    and, given E, the window and ||x_n||_E = 1, ||y_n||_E <= 1 to ``tol``.
+    Two families are equal only when they are one object."""
 
-    window: Window
-    X: np.ndarray
-    Y: np.ndarray
+    _fields = ("window", "X", "Y")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        self.X, self.Y = (np.array(A, dtype=float, order="C") for A in (self.X, self.Y))
+    def __init__(self, window: Window, X: np.ndarray, Y: np.ndarray):
+        self.window = window
+        self.X, self.Y = (np.array(A, dtype=float, order="C") for A in (X, Y))
         self.X.flags.writeable = self.Y.flags.writeable = False
         if not np.all(ok := np.isfinite(self.X).all(axis=-1) & np.isfinite(self.Y).all(axis=-1)):
             raise UsageError(f"pair {int(np.argmin(ok))} of the family has a non-finite entry")
@@ -140,26 +138,22 @@ def _check_side(side: str):
         raise UsageError(f"side must be '{RSP}' or '{LSP}'; got {side!r}")
 
 
-@dataclass
-class ShiftWitness:
+class ShiftWitness(_Record):
     """A replayable shift witness: the family, alpha and ratio found on
     ``window``, the family's own window (the order reversal of the space's
     window for LSP); a witness whose window differs is a usage error."""
 
-    space_spec: str
-    side: str
-    window: Window
-    family: InterlacedFamily
-    alpha: list[float]
-    ratio: float
-    seed: int
+    _fields = ("space_spec", "side", "window", "family", "alpha", "ratio", "seed")
 
-    def __post_init__(self):
-        _check_side(self.side)
-        if self.window != self.family.window:
-            w, f = self.window, self.family.window
+    def __init__(self, space_spec: str, side: str, window: Window, family: InterlacedFamily,
+                 alpha: list[float], ratio: float, seed: int):
+        _check_side(side)
+        if window != family.window:
+            w, f = window, family.window
             raise UsageError(f"witness window {w.kind}[{w.lo},{w.hi}] does not match "
                              f"its family's window {f.kind}[{f.lo},{f.hi}]")
+        self.space_spec, self.side, self.window, self.family = space_spec, side, window, family
+        self.alpha, self.ratio, self.seed = alpha, ratio, seed
 
     def to_json_dict(self):
         return {
@@ -181,21 +175,20 @@ class ShiftWitness:
                             float(d["ratio"]), int(d["seed"]))
 
 
-@dataclass
-class ShiftEstimate:
+class ShiftEstimate(_Record):
     """A search's C-hat (the best ratio computed, a lower bound up to a few
     ulps) with its witness, the evaluations it spent, why it stopped (``stop``:
     ``budget``, ``target``, ``upper`` or ``overflow``) and the certified upper bound of the
     searched space (``upper``, None when the space gives none)."""
 
-    c_hat: float
-    witness: ShiftWitness | None
-    side: str
-    evals: int
-    budget: int
-    history: list[dict] = field(default_factory=list)
-    stop: str = STOP_BUDGET
-    upper: float | None = None
+    _fields = ("c_hat", "witness", "side", "evals", "budget", "history", "stop", "upper")
+
+    def __init__(self, c_hat: float, witness: ShiftWitness | None, side: str, evals: int,
+                 budget: int, history: list[dict] | None = None, stop: str = STOP_BUDGET,
+                 upper: float | None = None):
+        self.c_hat, self.witness, self.side, self.evals = c_hat, witness, side, evals
+        self.budget, self.history = budget, [] if history is None else history
+        self.stop, self.upper = stop, upper
 
 
 def _ratios(E: SeqSpaceSpec, X: np.ndarray, Y: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -57,15 +57,14 @@ window off the space's window is a ``UsageError`` naming both windows.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import UsageError
-from .measure import (LOG2, UNIT, SeqVec, StepFunction, Window, _decreasing, _sample_decreasing,
-                      _spec_num)
+from .measure import (LOG2, UNIT, SeqVec, StepFunction, Window, _decreasing, _Record,
+                      _sample_decreasing, _spec_num)
 
 if TYPE_CHECKING:
     from .orlicz import OrliczFn
@@ -80,17 +79,19 @@ _KAPPA_BUDGET, _KAPPA_SEED = 400, 0
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerWeight:
+class PowerWeight(_Record):
     """w(t) = t^exponent; exponent = 1/q gives the standard Lorentz L(q,p).
     ``integral(p, T)`` is W(T) = int_0^T w(t)^p dt/t for an array of T > 0,
     in closed form."""
 
-    exponent: float
+    _fields = ("exponent",)
+    __setattr__ = __delattr__ = _Record._read_only
+    __hash__ = _Record._hash
 
-    def __post_init__(self):
-        if not self.exponent > 0:
+    def __init__(self, exponent: float):
+        if not exponent > 0:
             raise ValueError("power weight needs a positive exponent")
+        vars(self)["exponent"] = exponent
 
     def integral(self, p: float, T: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # past the float range W(T) is inf
@@ -102,16 +103,14 @@ class PowerWeight:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BoydIndices:
-    p: float
-    q: float
-    p_err: float
-    q_err: float
-    method: str
+class BoydIndices(_Record):
+    _fields = ("p", "q", "p_err", "q_err", "method")
+
+    def __init__(self, p: float, q: float, p_err: float, q_err: float, method: str):
+        self.p, self.q, self.p_err, self.q_err, self.method = p, q, p_err, q_err, method
 
     def to_json_dict(self):
-        return asdict(self)
+        return self._field_dict()
 
 
 class SpaceSpec:

@@ -44,7 +44,6 @@ checked down to a = window.lo - 1 explicitly.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from .ascent import ACCEPT_REL, STOP_BUDGET, _ascend_steps, stop_level, stop_rea
 from .errors import HypothesisError, UsageError, check_budget
 from .kfunc import (SeparationFit, _block_points, _check_finite, _k_grid, _prefix_norms,
                     _suffix_norms)
-from .measure import SeqVec, Window, _sparse
+from .measure import SeqVec, Window, _Record, _sparse
 from .shift import InterlacedFamily
 from .spaces import SeqSpaceSpec, _check_windows, _row_ratios
 
@@ -247,14 +246,18 @@ def op_norm(T: PositiveMatrix, space: SeqSpaceSpec, mode: str = "interval",
     raise UsageError(f"unknown op_norm mode {mode!r}")
 
 
-class _LowerSearch(NamedTuple):
+class _LowerSearch(_Record):
     """An ``op_norm`` lower-bound search: the bound, the closed-form upper
-    bound (None without one), the evaluations spent and why it stopped."""
+    bound (None without one), the evaluations spent and why it stopped
+    (``ascent.stop_reason``: STOP_UPPER, STOP_OVERFLOW or STOP_BUDGET)."""
 
-    lower: float
-    upper: float | None
-    evals: int
-    stop: str  # ascent.stop_reason: STOP_UPPER, STOP_OVERFLOW or STOP_BUDGET
+    _fields = ("lower", "upper", "evals", "stop")
+
+    def __init__(self, lower: float, upper: float | None, evals: int, stop: str):
+        self.lower, self.upper, self.evals, self.stop = lower, upper, evals, stop
+
+    def to_json_dict(self):
+        return self._field_dict()
 
 
 def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,

@@ -15,12 +15,11 @@ property.  A rule that reads the elasticity counters imports ``analysis``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UsageError
-from .measure import Window, default_unit_window
+from .measure import Window, _Record, default_unit_window
 from .orlicz import OrliczFn, brudnyi_schedule
 from .spaces import OrliczModular, SpaceSpec, _wlp_norms
 
@@ -29,17 +28,19 @@ CAVEAT_WITNESS = "inelasticity witness of the elasticity counters on their grid"
 CAVEAT_NONE = "no certification"
 
 
-@dataclass
-class CoupleReport:
-    spaces: dict
-    indices: dict
-    applicable: list
-    verdict: str
-    caveat_level: str
-    evidence: dict = field(default_factory=dict)
-    reasons: list = field(default_factory=list)
-    seeds: dict = field(default_factory=dict)
-    windows: dict = field(default_factory=dict)
+class CoupleReport(_Record):
+    _fields = ("spaces", "indices", "applicable", "verdict", "caveat_level", "evidence",
+               "reasons", "seeds", "windows")
+
+    def __init__(self, spaces: dict, indices: dict, applicable: list, verdict: str,
+                 caveat_level: str, evidence: dict | None = None, reasons: list | None = None,
+                 seeds: dict | None = None, windows: dict | None = None):
+        self.spaces, self.indices, self.applicable = spaces, indices, applicable
+        self.verdict, self.caveat_level = verdict, caveat_level
+        self.evidence = {} if evidence is None else evidence
+        self.reasons = [] if reasons is None else reasons
+        self.seeds = {} if seeds is None else seeds
+        self.windows = {} if windows is None else windows
 
     def to_json_dict(self):
         return {

@@ -2,9 +2,11 @@
 a call made under its hook to the def that was called; the census runs
 themselves take minutes and are not run here."""
 
+import builtins
 import importlib
 import importlib.util
 import inspect
+from importlib.machinery import SourceFileLoader
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "census.py"
@@ -54,10 +56,9 @@ def test_a_call_under_the_hook_is_attributed_to_its_def():
     win = Window("Z", 0, 3)
     with census.recording() as seen:
         win.reversed()
-    # the dataclass's generated __init__ is not in the package; genexprs and
-    # nested helpers have code objects of their own, not defs
+    # genexprs and nested helpers have code objects of their own, not defs
     called = {names[key] for key in census.reached(seen) if key in names}
-    assert called == {"measure.Window.reversed", "measure.Window.__post_init__"}
+    assert called == {"measure.Window.reversed", "measure.Window.__init__"}
 
 
 def test_load_table_sizes_each_loaded_module_and_its_called_def_lines():
@@ -74,3 +75,20 @@ def test_load_table_sizes_each_loaded_module_and_its_called_def_lines():
     assert row.split() == ["#", "errors", f"{lines:,d}", f"{tokens:,d}", str(check.lines),
                            "/", str(check.lines)]
     assert total.split()[1] == "total" and total.split()[2:] == row.split()[2:]
+
+
+def test_setup_timers_split_compiling_from_building_classes(tmp_path):
+    build_class = builtins.__build_class__
+    path = tmp_path / "census_probe.py"
+    path.write_text("import dataclasses\n\n\nclass A:\n    class B:\n        pass\n\n\n"
+                    "@dataclasses.dataclass\nclass C:\n    x: int = 0\n")
+    spec = importlib.util.spec_from_file_location("census_probe", path)
+    module = importlib.util.module_from_spec(spec)
+    with census.setup_timers() as (spent, calls):
+        spec.loader.exec_module(module)
+    # B is built inside A's body, so it is A's time; C is a class and a dataclass
+    assert calls == {"compile (other)": 1, "classes": 2, "dataclasses": 1}
+    assert spent.keys() == calls.keys() and all(s > 0 for s in spent.values())
+    assert builtins.__build_class__ is build_class
+    assert "source_to_code" not in vars(SourceFileLoader)
+    assert module.C(3).x == 3

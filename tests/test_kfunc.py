@@ -601,7 +601,8 @@ def _kkt_grid_costs(t, a, X, Y, u, v, p, l1_first):
     lc = -np.log(v) if math.isinf(p) else (np.log(u) - p * np.log(v)) / (p - 1.0)
     lb = np.log(a[a > 0]) - lc[a > 0]
     grid = np.linspace(lb.min() - 4.0, lb.max() + 1.0, 4000)[:, None]
-    lp_parts = np.vstack([np.zeros(a.size), np.minimum(a, np.exp(grid + lc))])
+    with np.errstate(over="ignore"):  # near p = 1 a far level's theta c is inf, min(a, inf) = a
+        lp_parts = np.vstack([np.zeros(a.size), np.minimum(a, np.exp(grid + lc))])
     C = a - lp_parts if l1_first else lp_parts
     return X.norm_rows(C) + t * Y.norm_rows(a - C)
 

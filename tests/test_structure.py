@@ -51,13 +51,15 @@ the dyadic levels
 lambda_n = F^{-1}(2^{-n}) solved in one place (``OrliczFn.log_lambda``, once
 per generator), one window check (``spaces._check_windows``, which every
 pairing of a vector, family or window with a space calls, so a mismatch is
-one ``UsageError`` everywhere), and one representation of a positive
-operator (the factor stack ``G``, ``Y``, ``d`` of ``PositiveMatrix``).
+one ``UsageError`` everywhere), one representation of a positive
+operator (the factor stack ``G``, ``Y``, ``d`` of ``PositiveMatrix``), and
+classes built from their source as written: no dataclass, named tuple or
+``exec``.
 """
 
 import ast
-import dataclasses
 import functools
+import inspect
 import itertools
 from pathlib import Path
 
@@ -560,10 +562,22 @@ def test_one_analysis_front_end():
 def test_one_family_representation():
     # a family of block pairs is two (pairs, width) arrays, in the search and
     # in the transfers alike
-    assert [f.name for f in dataclasses.fields(InterlacedFamily)] == ["window", "X", "Y"]
+    assert list(inspect.signature(InterlacedFamily).parameters) == ["window", "X", "Y"]
     fns = {fn.name for fn in _functions(ast.parse((SRC / "shift.py").read_text()))}
     assert "_family_mats" not in fns
     assert "hasattr" not in _called(ast.parse((SRC / "transfer.py").read_text()))
+
+
+def test_no_code_generated_at_import():
+    # each class is built from its source as written: no module imports
+    # dataclasses or a named-tuple factory, or calls exec
+    generated = {"dataclasses", "dataclass", "NamedTuple", "namedtuple", "exec"}
+    for file in sorted(SRC.glob("*.py")):
+        tree = ast.parse(file.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not generated & (imported | modules | _names(tree)), file.stem
 
 
 def test_one_k_scan_per_vector():

@@ -25,21 +25,33 @@ and the def-lines the run called of those the module holds: the code a
 workload compiles against the code it runs.  The suite runs
 about twice as slowly under the hook, so the census takes minutes and stays
 out of Tier-1.
+
+Last it splits each workload's set-up, timed as ``perfbench/run.py`` times
+it (a fresh import of the package and ``couplekit.cli``, the workload, its
+round 0 and its warm-up), into compiling source (per module), building
+classes and the rest: the median of ``SETUP_REPEATS`` fresh set-ups in one
+``python tools/census.py --worker setup:W`` process, in raw milliseconds
+(not at perfbench's reference host speed).  ``--setup`` prints these
+tables alone, in seconds rather than minutes.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import builtins
 import io
 import json
+import statistics
 import subprocess
 import sys
 import tempfile
 import threading
 import tokenize
 from contextlib import contextmanager
+from importlib.machinery import SourceFileLoader
 from pathlib import Path
+from time import perf_counter
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +61,7 @@ WORKLOADS = ("orlicz-shift", "kfunc-transfer", "readme-cli")
 RUNS = ("tier1", "claims", *WORKLOADS)
 CLAIM_TESTS = ("tests/test_acceptance.py", "tests/test_cli.py", "tests/test_readme.py")
 SEED, ROUNDS = 7, 1
+SETUP_REPEATS = 9
 
 
 class Def(NamedTuple):
@@ -149,9 +162,109 @@ def module_size(stem: str) -> tuple[int, int]:
     return text.count("\n"), sum(1 for _ in tokenize.generate_tokens(io.StringIO(text).readline))
 
 
+@contextmanager
+def setup_timers():
+    """Time, in the block, each compile of a module's source
+    (``SourceFileLoader.source_to_code``: ``compile <stem>`` for a package
+    module, ``compile (other)`` else) and the building of classes
+    (``builtins.__build_class__``, and ``dataclasses._process_class`` where
+    a dataclass is made); the block gets the seconds and the calls per part.
+    Only outermost calls count, so a class statement inside a class body or
+    the code a dataclass compiles is its outer call's time."""
+    import dataclasses
+
+    spent, calls, depth = {}, {}, [0]
+
+    def timing(owner, attr, part):
+        fn = getattr(owner, attr)
+
+        def timed(*args, **kwargs):
+            if depth[0]:
+                return fn(*args, **kwargs)
+            depth[0] += 1
+            t0 = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+                key = part(args)
+                spent[key] = spent.get(key, 0.0) + perf_counter() - t0
+                calls[key] = calls.get(key, 0) + 1
+
+        own = vars(owner).get(attr)  # None where a class inherits it
+        setattr(owner, attr, timed)
+        return owner, attr, own
+
+    def compiled(args):
+        path = Path(args[2])
+        return f"compile {path.stem if path.parent == PACKAGE else '(other)'}"
+
+    saved = [timing(SourceFileLoader, "source_to_code", compiled),
+             timing(builtins, "__build_class__", lambda args: "classes"),
+             timing(dataclasses, "_process_class", lambda args: "dataclasses")]
+    try:
+        yield spent, calls
+    finally:
+        for owner, attr, own in saved:
+            if own is None:
+                delattr(owner, attr)
+            else:
+                setattr(owner, attr, own)
+
+
+def setup_split(name: str) -> dict:
+    """``SETUP_REPEATS`` fresh set-ups of a workload after an untimed one,
+    with no bytecode read or written, as in a fresh checkout under
+    ``PYTHONDONTWRITEBYTECODE``: the medians of the total, of each part of
+    ``setup_timers`` and of the rest, with the parts' calls per set-up."""
+    sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
+    sys.dont_write_bytecode = True
+    import run  # perfbench's runner: its thread pins and its fresh import
+    import workloads
+
+    def set_up(tmp):
+        ck = run._import_couplekit()
+        wl = workloads.WORKLOADS[name](ck, SEED, workloads.Notes(), tmp)
+        wl.round(0)
+        wl.warmup()
+
+    samples, calls = [], {}
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.pycache_prefix = tmp  # an empty bytecode cache: every import compiles
+        set_up(tmp)
+        for _ in range(SETUP_REPEATS):
+            with setup_timers() as (spent, calls):
+                t0 = perf_counter()
+                set_up(tmp)
+                total = perf_counter() - t0
+            samples.append({**spent, "total": total, "rest": total - sum(spent.values())})
+    parts = sorted({key for s in samples for key in s})
+    return {"seconds": {key: statistics.median(s.get(key, 0.0) for s in samples)
+                        for key in parts}, "calls": calls}
+
+
+def setup_table(name: str, split: dict) -> list[str]:
+    """The set-up split of one workload, in ms, package modules by compile
+    time."""
+    sec, calls = split["seconds"], split["calls"]
+    mods = sorted((k for k in sec if k.startswith("compile ")), key=lambda k: -sec[k])
+    built = (f"{calls.get('classes', 0)} classes, "
+             f"{calls.get('dataclasses', 0)} of them dataclasses")
+    rows = [f"# {name} set-up, median of {SETUP_REPEATS}, ms: total {1e3 * sec['total']:.1f}",
+            f"#   compiling source  {1e3 * sum(sec[k] for k in mods):6.1f}",
+            *(f"#     {k[8:]:<15} {1e3 * sec[k]:6.1f}" for k in mods),
+            f"#   building classes  {1e3 * (sec.get('classes', 0) + sec.get('dataclasses', 0)):6.1f}"
+            f"  ({built})",
+            f"#   the rest          {1e3 * sec['rest']:6.1f}"]
+    return rows
+
+
 def worker(run: str, out: Path) -> None:
     """Run one census run in this process and write the keys it reached and
-    the package modules it loaded."""
+    the package modules it loaded, or a ``setup:W`` run's ``setup_split``."""
+    if run.startswith("setup:"):
+        out.write_text(json.dumps(setup_split(run.partition(":")[2])))
+        return
     sys.path.insert(0, str(SRC))
     with recording() as seen:
         if run == "tier1":
@@ -163,22 +276,27 @@ def worker(run: str, out: Path) -> None:
     out.write_text(json.dumps({"reached": sorted(reached(seen)), "loaded": loaded_modules()}))
 
 
+def in_worker(run: str) -> dict:
+    """What ``worker`` writes for ``run``, from a fresh process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        subprocess.run([sys.executable, __file__, "--worker", run, "--out", str(out)],
+                       cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+        return json.loads(out.read_text())
+
+
 def census() -> tuple[dict[Def, list[str]], dict[str, list[str]]]:
     """Each def -> the runs that call it, and each run -> the modules it
     loaded; one worker process per run."""
     runs_of = {d: [] for d in enumerate_defs()}
     by_key = {d.key: d for d in runs_of}
     loads = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for run in RUNS:
-            out = Path(tmp) / f"{run}.json"
-            subprocess.run([sys.executable, __file__, "--worker", run, "--out", str(out)],
-                           cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-            result = json.loads(out.read_text())
-            loads[run] = result["loaded"]
-            for key in result["reached"]:
-                if tuple(key) in by_key:
-                    runs_of[by_key[tuple(key)]].append(run)
+    for run in RUNS:
+        result = in_worker(run)
+        loads[run] = result["loaded"]
+        for key in result["reached"]:
+            if tuple(key) in by_key:
+                runs_of[by_key[tuple(key)]].append(run)
     return runs_of, loads
 
 
@@ -198,24 +316,30 @@ def load_table(run: str, modules: list[str], runs_of: dict[Def, list[str]]) -> l
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--worker", choices=RUNS, help=argparse.SUPPRESS)
+    ap.add_argument("--setup", action="store_true",
+                    help="print only the set-up split of each workload")
+    ap.add_argument("--worker", choices=[*RUNS, *(f"setup:{w}" for w in WORKLOADS)],
+                    help=argparse.SUPPRESS)
     ap.add_argument("--out", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
         worker(args.worker, args.out)
         return 0
 
-    runs_of, loads = census()
-    for d, runs in runs_of.items():
-        print(f"{d.lines:4d}  {','.join(runs) or 'never':<50}  {d.name}")
-    print(f"# {len(runs_of)} functions, {sum(d.lines for d in runs_of)} lines")
-    for label, pick in (("never called", lambda r: not r),
-                        ("tier1 only", lambda r: r == ["tier1"])):
-        picked = [d for d, r in runs_of.items() if pick(r)]
-        print(f"# {label}: {len(picked)} functions, {sum(d.lines for d in picked)} lines: "
-              + " ".join(d.name for d in picked))
+    if not args.setup:
+        runs_of, loads = census()
+        for d, runs in runs_of.items():
+            print(f"{d.lines:4d}  {','.join(runs) or 'never':<50}  {d.name}")
+        print(f"# {len(runs_of)} functions, {sum(d.lines for d in runs_of)} lines")
+        for label, pick in (("never called", lambda r: not r),
+                            ("tier1 only", lambda r: r == ["tier1"])):
+            picked = [d for d, r in runs_of.items() if pick(r)]
+            print(f"# {label}: {len(picked)} functions, {sum(d.lines for d in picked)} "
+                  "lines: " + " ".join(d.name for d in picked))
+        for run in WORKLOADS:
+            print("\n".join(load_table(run, loads[run], runs_of)))
     for run in WORKLOADS:
-        print("\n".join(load_table(run, loads[run], runs_of)))
+        print("\n".join(setup_table(run, in_worker(f"setup:{run}"))))
     return 0
 
 
