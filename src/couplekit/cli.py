@@ -6,6 +6,12 @@ from the ``timestamp`` field.  Exit codes: 0 success, 1 usage errors,
 2 hypothesis violations; errors go to stderr as one JSON object with a
 machine-readable ``error`` code.  Each command imports the modules it
 calls inside its own function, so one call compiles only those.
+
+Input files are JSON: a step function (``--f``) is ``{"domain": "unit" |
+"halfline", "breakpoints": [...], "values": [...]}``, a sequence vector
+(``--x``, ``--y``) is ``{"kind": "Z" | "Z-" | "Z+", "lo": -8, "hi": -1,
+"entries": {"-3": 1.5}}``.  A ``--window`` is ``lo:hi:kind``, or ``lo:hi``
+with kind Z- when hi <= -1 and Z otherwise.
 """
 
 from __future__ import annotations
@@ -24,12 +30,11 @@ from .errors import CoupleKitError, HypothesisError, UsageError
 from .measure import SeqVec, StepFunction, Window
 
 
-def _window_arg(text: str, kind_default: str = "Z-") -> Window:
+def _window_arg(text: str) -> Window:
     parts = text.split(":")
     if len(parts) == 2:
         lo, hi = int(parts[0]), int(parts[1])
-        kind = kind_default if (hi <= -1 and kind_default == "Z-") else "Z"
-        return Window(kind, lo, hi)
+        return Window("Z-" if hi <= -1 else "Z", lo, hi)
     if len(parts) == 3:
         return Window(parts[2], int(parts[0]), int(parts[1]))
     raise UsageError("window must be lo:hi or lo:hi:kind")

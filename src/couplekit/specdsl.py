@@ -19,6 +19,35 @@ Examples::
     rev:<seq:lpw:p=2>
     brudnyi:p=1.5,q=3:F     minimal:alpha=0.05
     convexify<pwpower:p0=2,p1=3>
+
+A missing, repeated or unread key or item is a usage error naming it.
+
+* ``seq:lpw`` needs ``p``.  ``seq:linf``, ``seq:lpw:p=inf(,wexp=0)`` and
+  ``LinftySeq(window)`` build one ``WeightedLp``, written ``seq:linf``.  One
+  built from a weight array writes its weights in full (repr floats), so its
+  spec reparses to it; the dyadic weights 2^(n/p) write ``seq:lpw:p=..``.
+* ``seq:induced:<X>`` takes X on [0, 1] for a Z- window, else on [0, inf).
+  ``rev:<S>`` parses S on the reversed window, so the result lives on the
+  given one (``rev:<seq:induced:<X>>`` on Z- takes X on [0, inf)).
+* ``rev:<...>`` or ``seq:from:<...>`` of a space with a weighted-lp form (a
+  weighted ell_p, the modular space of a power, an exact induced space)
+  builds that weighted ell_p itself (``weightbase=1`` the inner space), so
+  ``rev:<seq:linf>`` writes ``seq:linf``.  Around any other space a chain of
+  both folds into one space (the inner space, one reversal flag and the b^n
+  weights in the chain's order), written as the chain was.
+* A weight base whose powers b^n are not all finite and > 0 on the window
+  (``nan``, ``inf``, ``0``, or ``1e300`` on Z-), a weight that is not
+  (``weights=<nan,...>``, ``wexp=nan``), and a chain whose weight product
+  underflows or overflows (``weightbase=1e4`` twice on Z-) are refused.
+
+A Lorentz weight is ``w=pow:<exponent>``, the one weight form.  A space on a
+sampled profile (``sample_profile``) has no spec string.  ``convexify<gen>``
+is the spec ``convexify(F)`` writes; a generator whose profile overflows on
+the index grid (``power:p=1e307``) is refused.  The CLI exits 1 on each
+refusal.  Numbers are written as ``lp:p=..`` writes them (``:g`` when that
+reads back exactly, else repr), so every spec string is a fixed point of
+parse and write: ``power(2)`` and the parsed ``power:p=2`` both write
+``power:p=2``.
 """
 
 from __future__ import annotations

@@ -122,14 +122,55 @@ def test_shift_test_target_not_above_zero_is_usage_error(tmp_path, capsys, targe
     assert not out.exists()
 
 
-def test_shift_test_replay_determinism(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["shift-test", "--space", "seq:orlicz-modular:gen=<example1>",
-            "--side", "rsp", "--window=-32:-1", "--budget", 600,
-            "--seed", 3]
-    assert _run(args + ["--out", a]) == 0
-    assert _run(args + ["--out", b]) == 0
-    assert _json_no_ts(a) == _json_no_ts(b)
+def _readme_cli_argv():
+    """The README's CLI lines as argv lists, shift-test at budget 300."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Quick start (CLI)", 1)[1].split("```", 2)[1]
+    argvs = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("couplekit ")]
+    for argv in argvs:
+        if argv[0] == "shift-test":
+            argv[argv.index("--budget") + 1] = "300"
+    return argvs
+
+
+def _write_readme_inputs(where):
+    """The input files the README's CLI lines name, in ``where``."""
+    (where / "unit_char.json").write_text(json.dumps(char_fn(0, 1).to_json_dict()))
+    win = Window("Z-", -24, -1)
+    for name, entries in (("x", {-6: 1.0, -3: 2.0}), ("y", {-5: 0.25, -2: 0.5})):
+        (where / f"{name}.json").write_text(
+            json.dumps(SeqVec.from_entries(win, entries).to_json_dict()))
+
+
+@pytest.mark.parametrize("argv", _readme_cli_argv(), ids=lambda argv: argv[0])
+def test_shift_test_replay_determinism(tmp_path, monkeypatch, argv):
+    # two runs of each README command: equal JSON apart from timestamp, or
+    # byte-equal CSV
+    argv = list(argv)
+    _write_readme_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    flag = "--dump" if argv[0] == "generate" else "--out"
+    out = argv[argv.index(flag) + 1]
+    runs = []
+    for run in ("a", "b"):
+        argv[argv.index(flag) + 1] = f"{run}-{out}"
+        assert _run(argv) == 0
+        runs.append(tmp_path / f"{run}-{out}")
+    if out.endswith(".json"):
+        assert _json_no_ts(runs[0]) == _json_no_ts(runs[1])
+    else:
+        assert runs[0].read_bytes() == runs[1].read_bytes()
+
+
+def test_iteration_cap_is_not_converged_exit_1(tmp_path, capsys, monkeypatch):
+    # a Luxemburg solve that reaches its cap fails the command: no artifact
+    monkeypatch.setattr("couplekit.orlicz._MAX_ITER", 1)
+    out = tmp_path / "witness.json"
+    assert _run(["shift-test", "--space", "seq:orlicz-modular:gen=<example1>", "--side",
+                 "rsp", "--window=-16:-1", "--budget", 20, "--out", out]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "not-converged"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("budget", [0, -5])

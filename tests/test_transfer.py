@@ -539,6 +539,15 @@ def test_provenance_replay_bit_identical(rng):
     assert R.entries == T.entries
 
 
+def test_algebra_carries_no_certified_bounds(rng):
+    # the bounds belong to a construction: scaling, reversal and sums drop them
+    x = random_seqvec(rng, WIN, k=5)
+    T = majorization_transfer(x, x.scale(0.3), E1, EINF)
+    assert T.certified_bounds["E"] is not None
+    for R in (T.scaled(2.0), T.reversed(), T + T):
+        assert R.certified_bounds is None
+
+
 def test_matrix_json_round_trip(rng):
     x = random_seqvec(rng, WIN, k=5)
     T = majorization_transfer(x, x.scale(0.3), E1, EINF)
