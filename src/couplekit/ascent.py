@@ -72,7 +72,9 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
     trial differs from alpha only at its step's coordinate, and alpha from
     the alpha before it only at the accepted one, so the test is that step
     taking the accepted coordinate back to its old value; a product that
-    underflows or overflows never does.
+    underflows or overflows never does.  With ``sweeps``, the steps past a
+    pass's last accept were rejected from the alpha the next pass starts
+    with: until that pass accepts, they are known rejects, sent no row.
 
     Returns (r, alpha, consumed, log) per lane.  The log lists (consumed, r,
     alpha) at the start and after each accept, so the lane run alone with
@@ -80,8 +82,10 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
     ``reach``, the lanes after the first lane whose r reaches it stop where
     they are (their results are partial); that lane runs on."""
     # lane state: alpha, r, step table, coords and factors as lists, steps
-    # left, position in the pass, steps consumed, accepted in this pass, pass
-    # length, log, and the coordinate and old value of the latest accept
+    # left, position in the pass, steps consumed, the position past this
+    # pass's last accept (0 before one), pass length, log, the coordinate and
+    # old value of the latest accept, and where the known rejects of this pass
+    # start (its length once it accepts)
     state, last = [], None
     for alpha, r, coords, factors, cap in lanes:
         if last is None or last[0] is not coords or last[1] is not factors:
@@ -89,16 +93,16 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
             P.fill(1.0)  # as np.ones, at less cost
             P[np.arange(1, len(coords) + 1), coords] = factors
             last, table = (coords, factors), (P, coords.tolist(), factors.tolist())
-        state.append([alpha, r, *table, cap, 0, 0, False, len(coords),
-                      [] if r is None else [(0, r, alpha)], None])
+        state.append([alpha, r, *table, cap, 0, 0, 0, len(coords),
+                      [] if r is None else [(0, r, alpha)], None, len(coords)])
     live = [s for s in state if s[1] is None or min(s[5], s[9]) > 0]
     while live:
         blocks, sent = [], []
         for s in live:
-            alpha, r, P, coords, factors, left, pos, used, _, size, log, undo = s
+            alpha, r, P, coords, factors, left, pos, used, accepted, size, log, undo, tail = s
             first = r is None
             # past the first round the log holds the start and every accept
-            m = min(size - pos, left,
+            m = min(tail - pos, left,
                     size if used == 0 else -(-(used + 1) // len(log)))
             T = alpha * P[pos + 1 - first:pos + 1 + m]
             back = None  # the steps that are known rejects, which get no row
@@ -113,7 +117,7 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
         out = ratios(rows).tolist() if len(rows) else []
         at, still = 0, []
         for s, (T, back), V in zip(live, blocks, sent):
-            alpha, r, _, coords, factors, left, pos, used, accepted, size, log, undo = s
+            alpha, r, _, coords, factors, left, pos, used, accepted, size, log, undo, tail = s
             vals, at = out[at:at + len(V)], at + len(V)
             if back is not None:
                 known, got = log[-2][1], iter(vals)
@@ -127,8 +131,9 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
                 if vals[j] > bar:
                     c = coords[pos + j - j0]
                     undo = s[11] = c, alpha[c]
-                    alpha, r, accepted = T[j], vals[j], True
+                    alpha, r = T[j], vals[j]
                     taken = j - j0 + 1
+                    accepted, tail = pos + taken, size
                     log.append((used + taken, r, alpha))
                     break
             if undo is not None:  # consume the known rejects that come next
@@ -137,10 +142,12 @@ def _ascend_steps(ratios, lanes, rel: float, sweeps: bool = False, reach=None):
                 while pos + taken < end and coords[pos + taken] == c \
                         and now * factors[pos + taken] == old:
                     taken += 1
+            if pos + taken >= tail:  # the rest are known rejects
+                taken = min(size - pos, left)
             left, pos, used = left - taken, pos + taken, used + taken
             if pos == size and sweeps and accepted and left > 0:
-                pos, accepted = 0, False
-            s[:2], s[5:9] = (alpha, r), (left, pos, used, accepted)
+                pos, accepted, tail = 0, 0, accepted
+            s[:2], s[5:9], s[12] = (alpha, r), (left, pos, used, accepted), tail
             if pos < size and left > 0:
                 still.append(s)
             if reach is not None and r >= reach:

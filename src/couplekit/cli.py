@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import CoupleKitError, HypothesisError, UsageError
-from .measure import SeqVec, StepFunction, Window
+from .measure import SeqVec, Window
 
 
 def _window_arg(text: str) -> Window:
@@ -100,6 +100,7 @@ def cmd_analyze_orlicz(args) -> int:
 
 
 def cmd_k_profile(args) -> int:
+    from .fnspaces import StepFunction
     from .kfunc import k_profile
     from .specdsl import parse_any_space
 

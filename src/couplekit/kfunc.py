@@ -58,7 +58,8 @@ import math
 import numpy as np
 
 from .errors import UsageError
-from .measure import SeqVec, StepFunction, Window, _Record, star_integral
+from .fnspaces import StepFunction, star_integral
+from .measure import SeqVec, Window, _Record
 from .spaces import SeqSpaceSpec, _check_windows
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -1,33 +1,29 @@
-"""Step functions on [0,1] or [0,inf) and the dyadic reduction to sequences.
+"""Windows, sequence vectors and the record base.
 
-Everything downstream (norms, K-functionals, transfer operators) is built on
-two carriers:
+``SeqVec`` is a finitely supported vector on an integer window J
+(``Window``), one of Z, Z_- (indices < 0) or Z_+ (indices >= 0): what the
+sequence spaces of ``spaces`` norm.  Step functions, f* and the dyadic
+envelope f -> (f*(2^n))_n live in ``fnspaces``; ``SeqVec.to_step``, which
+reconstructs sum x(n) chi_[2^n,2^(n+1)) as a step function, is the one
+method here that loads it.
 
-* ``StepFunction`` -- a finitely supported step function ``f`` with
-  f = v_i on [t_{i-1}, t_i) and f = 0 past the last breakpoint.  The
-  decreasing rearrangement of a step function is again a step function, so
-  every integral in the package is a finite exact sum.
-* ``SeqVec`` -- a finitely supported vector on an integer window J, one of
-  Z, Z_- (indices < 0) or Z_+ (indices >= 0).
-
-The bridge between the two is ``dyadic_envelope``: sampling f* at the dyadic
-points 2^n produces the coefficient vector of G = sum f*(2^n) chi_[2^n,2^(n+1))
-which satisfies the two-sided envelope f* <= G <= D_2 f* on the covered range.
-
-``_Record`` is the base of the package's records, ``StepFunction`` and
-``Window`` among them: plain classes with their constructors written out.
+``_Record`` is the base of the package's records, ``Window`` and
+``fnspaces.StepFunction`` among them: plain classes with their constructors
+written out.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .fnspaces import StepFunction
+
 UNIT = "unit"
 HALFLINE = "halfline"
-
-_DOMAINS = (UNIT, HALFLINE)
 
 LOG2 = math.log(2.0)
 
@@ -69,150 +65,6 @@ class _Record:
 
     def _hash(self):
         return hash(self._values())
-
-
-class StepFunction(_Record):
-    """Right-continuous step function, zero past its last breakpoint.
-
-    ``breakpoints`` is the strictly increasing grid t_0 = 0 < t_1 < ... < t_m
-    and ``values`` the piece values v_1..v_m with f = v_i on [t_{i-1}, t_i).
-    On the unit-interval domain t_m <= 1.  Values may be negative; operations
-    that need |f| take the absolute value themselves.  ``lengths`` (the piece
-    lengths) and ``vals`` are read-only arrays built once; they are not
-    fields, so equality, hash and JSON see the tuples only.
-    """
-
-    _fields = ("domain", "breakpoints", "values")
-    __setattr__ = __delattr__ = _Record._read_only
-    __hash__ = _Record._hash
-
-    def __init__(self, domain: str, breakpoints: tuple[float, ...], values: tuple[float, ...]):
-        if domain not in _DOMAINS:
-            raise ValueError(f"unknown domain {domain!r}")
-        bp = np.asarray(breakpoints, dtype=float)
-        if bp.size == 0 or bp[0] != 0.0:
-            raise ValueError("breakpoints must start at 0")
-        if bp.size != len(values) + 1:
-            raise ValueError("need exactly one more breakpoint than values")
-        lengths = np.diff(bp)
-        if np.any(lengths <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if domain == UNIT and bp[-1] > 1.0 + 1e-15:
-            raise ValueError("unit-interval step function exceeds [0,1]")
-        values = tuple(float(v) for v in values)
-        vals = np.array(values)
-        lengths.setflags(write=False)
-        vals.setflags(write=False)
-        vars(self).update(domain=domain, breakpoints=tuple(float(t) for t in bp),
-                          values=values, lengths=lengths, vals=vals)
-
-    # -- basic geometry ----------------------------------------------------
-
-    def __call__(self, t) -> np.ndarray:
-        """Evaluate f at t (scalar or array), right-continuous, 0 past t_m."""
-        t = np.asarray(t, dtype=float)
-        bp = np.asarray(self.breakpoints)
-        idx = np.searchsorted(bp, t, side="right") - 1
-        out = np.zeros_like(t, dtype=float)
-        inside = (idx >= 0) & (idx < len(self.values))
-        out[inside] = self.vals[idx[inside]]
-        return out
-
-    # -- algebra on a shared grid -------------------------------------------
-
-    def with_values(self, values) -> "StepFunction":
-        return StepFunction(self.domain, self.breakpoints, tuple(float(v) for v in values))
-
-    def scale(self, c: float) -> "StepFunction":
-        return self.with_values(c * self.vals)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "breakpoints": list(self.breakpoints),
-            "values": list(self.values),
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "StepFunction":
-        return StepFunction(d["domain"], tuple(d["breakpoints"]), tuple(d["values"]))
-
-
-def char_fn(a: float, b: float, domain: str = UNIT, height: float = 1.0) -> StepFunction:
-    """height * chi_[a,b) as a StepFunction."""
-    if a > 0:
-        return StepFunction(domain, (0.0, a, b), (0.0, height))
-    return StepFunction(domain, (0.0, b), (height,))
-
-
-def zero_fn(domain: str = UNIT) -> StepFunction:
-    return StepFunction(domain, (0.0, 1.0), (0.0,))
-
-
-# ---------------------------------------------------------------------------
-# rearrangement
-# ---------------------------------------------------------------------------
-
-
-def _decreasing(V: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The decreasing rearrangement of each row of V on pieces of the given
-    lengths, as (S, T): S is |V| sorted decreasingly along each row (stably,
-    so ties stay in piece order) and T the cumulative piece lengths in that
-    order, so the row's f* is S[k] on [T[k-1], T[k]) with T[-1] = 0.  The
-    lengths of a run of equal values are summed first and then added to the
-    run's start, as ``rearrange`` merges them: T at the end of each run is a
-    breakpoint of f* to the bit."""
-    A = np.abs(V)
-    order = np.argsort(-A, axis=1, kind="stable")
-    S = np.take_along_axis(A, order, axis=1)
-    run = lengths[order]  # becomes each piece's partial sum within its run
-    tie = S[:, 1:] == S[:, :-1]
-    for j in np.flatnonzero(tie.any(axis=0)) + 1:
-        run[:, j] += np.where(tie[:, j - 1], run[:, j - 1], 0.0)
-    end = np.ones(S.shape, dtype=bool)
-    end[:, :-1] = ~tie
-    # a running sum of the run totals (zeros elsewhere add exactly) is each
-    # run's start, to which its pieces' partial sums are added
-    starts = np.cumsum(np.where(end, run, 0.0), axis=1)
-    T = run
-    T[:, 1:] += starts[:, :-1]
-    return S, T
-
-
-def _sample_decreasing(S: np.ndarray, T: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """f*(points) for each row of ``_decreasing``'s (S, T): the S entry of the
-    piece with T[k-1] <= point < T[k], 0 past the support."""
-    k = np.add.reduce(T[:, :, None] <= points, axis=1)
-    return np.take_along_axis(np.pad(S, ((0, 0), (0, 1))), k, axis=1)
-
-
-def rearrange(f: StepFunction) -> StepFunction:
-    """Decreasing rearrangement f* of |f|.
-
-    f* is the nonincreasing right-continuous step function equimeasurable
-    with |f|: for every level c > 0 the sets {|f| > c} and {f* > c} have the
-    same measure.  It is the one row of ``_decreasing``, a run of equal values
-    one piece; pieces of value 0 or of no length at float resolution are
-    dropped, so the result is supported on [0, m(supp f)).
-    """
-    (S,), (T,) = _decreasing(f.vals[None], f.lengths)
-    end = S > 0.0
-    end[:-1] &= S[1:] != S[:-1]
-    v, t = S[end], T[end]
-    keep = np.diff(t, prepend=0.0) > 0.0
-    if not keep.any():
-        return zero_fn(f.domain)
-    return StepFunction(f.domain, (0.0, *t[keep].tolist()), tuple(v[keep].tolist()))
-
-
-def star_integral(f: StepFunction, t: float) -> float:
-    """int_0^t f*(s) ds, exact from steps, for t > 0."""
-    fs = rearrange(f)
-    bp = np.asarray(fs.breakpoints)
-    covered = np.clip(np.minimum(bp[1:], t) - bp[:-1], 0.0, None)
-    return float(np.dot(fs.vals, covered))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +207,7 @@ class SeqVec:
 
     def to_step(self, domain: str | None = None) -> StepFunction:
         """Reconstruct sum x(n) chi_[2^n, 2^(n+1)) as a step function."""
+        from .fnspaces import StepFunction, zero_fn
         domain = domain or self.window.domain
         nz = np.nonzero(self.values)[0]
         if nz.size == 0:
@@ -393,18 +246,3 @@ class SeqVec:
 
     def __repr__(self):
         return f"SeqVec({self.window.kind}[{self.window.lo},{self.window.hi}], {self.entries()})"
-
-
-def dyadic_envelope(f: StepFunction, window: Window) -> SeqVec:
-    """Sample f* at the dyadic points: returns (f*(2^n))_{n in window}.
-
-    The reconstructed step function G = sum f*(2^n) chi_[2^n,2^(n+1)) satisfies
-    f* <= G <= D_2 f* on [2^lo, 2^(hi+1)).  If f* still carries mass outside
-    that range the result is flagged with meta["truncated"] = True.
-    """
-    S, T = _decreasing(f.vals[None], f.lengths)
-    points = np.append(np.power(2.0, window.indices().astype(float)), 2.0 ** (window.hi + 1))
-    (samples,) = _sample_decreasing(S, T, points)
-    vec = SeqVec(window, samples[:-1])
-    vec.meta["truncated"] = bool(samples[-1] > 0.0 or np.max(S, initial=0.0) > samples[0])
-    return vec

@@ -1,17 +1,11 @@
-"""Norm evaluators: r.i. function spaces and their Kothe sequence spaces.
+"""Norm evaluators: the Kothe sequence spaces on a window.
 
-Function-space variants (Lp, the Lorentz quasinorm of a power weight,
-Orlicz/Luxemburg, and the space-from-sequence construction) evaluate exactly
-on step functions -- every integral is a finite sum over pieces.
-``norm_rows_on(f)`` binds the
-pieces of f and norms the rows of a (k, pieces) array of values on them;
-sequence-space variants are modelled on a Window, and ``norm_rows`` norms the
-rows of a (k, n) array.  The base classes decide once: a space whose
-weighted-lp form answers is normed by the one row formula ``_wlp_norms`` on
-it, any other by its own ``_rows_on(f)`` or ``_rows``.  Rows never depend on
-each other; ``fn_norm`` and ``norm_values`` are the one-row cases.  The
-Lorentz and space-from-sequence rows sort a batch once
-(``measure._decreasing``); the Orlicz rows are ``orlicz._orlicz_rows``.  The
+A sequence space is modelled on a Window, and ``norm_rows`` norms the rows
+of a (k, n) array.  The base class decides once: a space whose weighted-lp
+form answers is normed by the one row formula ``_wlp_norms`` on it (which
+norms the function spaces of ``fnspaces`` on their forms too), any other by
+its own ``_rows``.  Rows never depend on each other; ``norm_values`` is the
+one-row case.  The Orlicz rows are ``orlicz._orlicz_rows``.  The
 adversarial searches (the RSP/LSP shift search, kappa, the ``op_norm`` lower
 bound) share the one ascent of ``couplekit.ascent`` and one ratio of rows,
 ``_row_ratios``.
@@ -20,25 +14,21 @@ The dyadic sequence space of a function space X is E_X with
 ||x||_{E_X} = ||sum x(n) chi_[2^n,2^(n+1))||_X; for X = L_p this is the
 weighted ell_p space with weights 2^(n/p), for X = L_infty it is ell_infty
 (the p = inf member, with unit weights), and for X = L_F it is the modular
-space with block weights 2^n.
+space with block weights 2^n; any other is ``fnspaces.InducedSeq``.
 
-Only this module knows the concrete space classes: other modules ask a space
-through its protocol, whose base-class defaults describe a space without
-closed forms.  ``SpaceSpec``: ``e_space(window)`` (E_X, by default
-``InducedSeq``), ``norm_rows_on(f)``, ``weighted_lp_form_on(f)``, ``boyd()``,
-``generator()``.  ``SeqSpaceSpec``: ``norm_rows(V, grad=False)`` (with
+Only this module and ``fnspaces`` (the r.i. function spaces) know the
+concrete space classes: other modules ask a space through its protocol,
+whose base-class defaults describe a space without closed forms.
+``SeqSpaceSpec``: ``norm_rows(V, grad=False)`` (with
 ``grad``, the rows' norming functionals G too, as (norms, G), 0 on a zero
 row; an ``InducedSeq`` without a form has none, a ``UsageError``), ``e_space``
 (the space itself), ``weighted_lp_form()``, ``unit_norms()`` (the rows of
 the identity, ``unit_norm(n)`` one of them), ``shift_norm_upper(m)`` (a
 certified bound on ||tau_m||), ``generator()``.
 The weighted-lp forms are the one answer to "is this space exactly a
-weighted ell_p", p = inf included: a function space fixes ``_lp`` at
-construction (p for L_p, the Lorentz space of t^(1/p) and the Orlicz space
-of x^p, else None), from which ``SpaceSpec`` alone answers |I_i|^(1/p) on
-pieces; ``WeightedLp`` its weights, the modular space of x^p 2^(n/p),
-``InducedSeq`` its space's form on the blocks; a power's exponent is read
-from the profile once per space, never from a name.
+weighted ell_p", p = inf included: ``WeightedLp`` its weights, the modular
+space of x^p 2^(n/p), ``InducedSeq`` its space's form on the blocks; a
+power's exponent is read from the profile once per space, never from a name.
 ``SeqSpaceSpec`` reads every closed form from the form (w, p): the norms
 and their norming functionals, ||e_n|| = w_n, max w_n / w_(n-m) for
 ||tau_m||, ``shift_upper()`` and ``reversed_space()``; a space without one
@@ -47,11 +37,11 @@ norms of the identity's rows) and ``_shift_norm_upper``.
 So a weighted ell_p is a ``WeightedLp`` (a constructor and a spec string):
 ``OrderReversed(E)`` is ``E.reversed_space()``, ``GeometricWeighted(E, b)``
 E at b = 1, else w_n b^n on E's form; any other space is reversed and
-weighted by ``_Conjugated``, which folds a chain of both.
-``FromSequenceSpace`` delegates ``generator`` to E.  Data meets a
+weighted by ``_Conjugated``, which folds a chain of both.  Data meets a
 sequence space through one check, ``_check_windows``: a vector, family or
 window off the space's window is a ``UsageError`` naming both windows.
-``orlicz``, ``analysis`` and ``kappa`` are imported by the methods that call them.
+This module imports no ``fnspaces``; ``orlicz``, ``analysis`` and ``kappa``
+are imported by the methods that call them.
 """
 
 from __future__ import annotations
@@ -63,103 +53,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import UsageError
-from .measure import (LOG2, UNIT, SeqVec, StepFunction, Window, _decreasing, _Record,
-                      _sample_decreasing, _spec_num)
+from .measure import LOG2, SeqVec, Window, _spec_num
 
 if TYPE_CHECKING:
     from .orlicz import OrliczFn
 
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
-# kappa_estimate budget and seed behind FromSequenceSpace's kappa_+ < 2 check
-_KAPPA_BUDGET, _KAPPA_SEED = 400, 0
-
-
-# ---------------------------------------------------------------------------
-# the power weight of Lorentz spaces
-# ---------------------------------------------------------------------------
-
-
-class PowerWeight(_Record):
-    """w(t) = t^exponent; exponent = 1/q gives the standard Lorentz L(q,p).
-    ``integral(p, T)`` is W(T) = int_0^T w(t)^p dt/t for an array of T > 0,
-    in closed form."""
-
-    _fields = ("exponent",)
-    __setattr__ = __delattr__ = _Record._read_only
-    __hash__ = _Record._hash
-
-    def __init__(self, exponent: float):
-        if not exponent > 0:
-            raise ValueError("power weight needs a positive exponent")
-        vars(self)["exponent"] = exponent
-
-    def integral(self, p: float, T: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # past the float range W(T) is inf
-            return np.power(T, self.exponent * p) / (self.exponent * p)
-
-
-# ---------------------------------------------------------------------------
-# function spaces
-# ---------------------------------------------------------------------------
-
-
-class BoydIndices(_Record):
-    _fields = ("p", "q", "p_err", "q_err", "method")
-
-    def __init__(self, p: float, q: float, p_err: float, q_err: float, method: str):
-        self.p, self.q, self.p_err, self.q_err, self.method = p, q, p_err, q_err, method
-
-    def to_json_dict(self):
-        return self._field_dict()
-
-
-class SpaceSpec:
-    """Base for concrete r.i. function spaces on [0,1] or [0,inf)."""
-
-    domain: str = UNIT
-    _lp: float | None = None  # p when the space is L_p, set once at construction
-
-    def norm_rows_on(self, f: StepFunction, form: bool = False):
-        """V -> norms of the rows of a (k, pieces) array of values on the
-        pieces of f; rows do not depend on each other.  ``_wlp_norms`` on
-        the form wherever ``weighted_lp_form_on(f)`` answers, else ``_rows_on(f)``;
-        with ``form``, (rows, that form), the form read once."""
-        lp = self.weighted_lp_form_on(f)
-        rows = self._rows_on(f) if lp is None else (lambda V: _wlp_norms(V, *lp))
-        return (rows, lp) if form else rows
-
-    def _rows_on(self, f: StepFunction):
-        raise NotImplementedError  # the space's own formula where no form answers
-
-    def fn_norm(self, f: StepFunction) -> float:
-        """Norm of one step function: the one-row case of ``norm_rows_on``."""
-        return float(self.norm_rows_on(f)(f.vals[None])[0])
-
-    def weighted_lp_form_on(self, f: StepFunction) -> tuple[np.ndarray, float] | None:
-        """(weights, p) when the norm of values on the pieces of f is a
-        weighted ell_p, else None: L_p's |I_i|^(1/p), unit weights at p = inf,
-        when the space is L_p (its ``_lp``)."""
-        if (p := self._lp) is None:
-            return None
-        return (np.ones(f.lengths.size) if math.isinf(p) else f.lengths ** (1.0 / p)), p
-
-    def e_space(self, window: Window) -> "SeqSpaceSpec":
-        """The dyadic sequence space E_X on the window, fast form if known."""
-        return InducedSeq(self, window)
-
-    def boyd(self) -> BoydIndices:
-        """Boyd indices (p_X, q_X) with error bars, by the best available route."""
-        raise UsageError(f"no Boyd-index route for {type(self).__name__}")
-
-    def generator(self) -> OrliczFn | None:
-        """The Orlicz function the space is built on, if any."""
-        return None
-
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.spec_string()} on {self.domain}>"
 
 
 def _wlp_norms(V: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
@@ -186,104 +85,6 @@ def _wlp_norms(V: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
                 out[i] = m * float(np.add.reduce((t / m) ** p)) ** root
     return out
 
-
-class LpSpace(SpaceSpec):
-    def __init__(self, p: float, domain: str = UNIT):
-        if not p >= 1:
-            raise ValueError("Lp needs p >= 1")
-        self.p = self._lp = float(p)
-        self.domain = domain
-
-    def e_space(self, window: Window) -> "SeqSpaceSpec":
-        return dyadic_lp(self.p, window)
-
-    def boyd(self) -> BoydIndices:
-        return BoydIndices(self.p, self.p, 0.0, 0.0, "analytic")
-
-    def spec_string(self) -> str:
-        return "linf" if math.isinf(self.p) else f"lp:p={_spec_num(self.p)}"
-
-
-def linf_space(domain: str = UNIT) -> LpSpace:
-    return LpSpace(math.inf, domain)
-
-
-class LorentzSpace(SpaceSpec):
-    """Quasinorm ||f|| = (int f*(t)^p w(t)^p dt/t)^(1/p), evaluated exactly.
-
-    Kept as the quasinorm exactly as written (no renorming).  w = t^(1/p)
-    gives L_p.  A batch of rows on the pieces of f is one ``_decreasing`` sort
-    (S, T) and one array formula, ||v||^p = sum_k S_k^p (W(T_k) - W(T_(k-1))),
-    with the weight's closed-form ``integral`` W(T) = int_0^T w^p dt/t.
-    """
-
-    def __init__(self, p: float, weight: PowerWeight, domain: str = UNIT):
-        if not (1 <= p < math.inf):
-            raise ValueError("Lorentz order must satisfy 1 <= p < inf")
-        self.p = float(p)
-        self.weight = weight
-        self.domain = domain
-        # t^(1/p) is the one power weight whose quasinorm is L_p itself
-        if abs(self.p * weight.exponent - 1.0) <= 1e-12:
-            self._lp = self.p
-
-    def _rows_on(self, f: StepFunction):
-        def rows(V: np.ndarray) -> np.ndarray:
-            S, T = _decreasing(V, f.lengths)
-            # past a T where T^(p e) overflows, W is inf: the increments stay inf
-            W = self.weight.integral(self.p, T)
-            dW = W.copy()
-            np.subtract(W[:, 1:], W[:, :-1], out=dW[:, 1:], where=W[:, :-1] < math.inf)
-            terms = np.multiply(S ** self.p, dW, out=np.zeros(S.shape), where=S > 0.0)
-            return np.add.reduce(terms, axis=1) ** (1.0 / self.p)
-        return rows
-
-    def boyd(self) -> BoydIndices:
-        q = 1.0 / self.weight.exponent
-        return BoydIndices(q, q, 0.0, 0.0, "analytic")
-
-    def spec_string(self) -> str:
-        return f"lorentz:p={_spec_num(self.p)},w=pow:{_spec_num(self.weight.exponent)}"
-
-
-class OrliczSpace(SpaceSpec):
-    """Luxemburg norm inf{alpha : int F(|f|/alpha) <= 1} of a step function.
-
-    The modular is sum_i |I_i| F(|f_i| / alpha), so the rows on the pieces of
-    f are ``_orlicz_rows`` with log weights log |I_i| and levels
-    lambda_i = F^{-1}(1 / |I_i|), solved once per f by one ``log_inv`` call:
-    closed-form on a piecewise-affine profile, a bisection of about 60 profile
-    calls on a smooth one, which a one-off ``fn_norm`` pays in full.
-    F(x) = x^p gives L_p.
-    """
-
-    def __init__(self, F: OrliczFn, domain: str = UNIT):
-        from .orlicz import _power_exponent  # loaded with F's class
-        self.F = F
-        self.domain = domain
-        self._lp = _power_exponent(F)
-
-    def _rows_on(self, f: StepFunction):
-        from .orlicz import _orlicz_rows
-        log_len = np.log(f.lengths)
-        log_lambda = np.atleast_1d(self.F.log_inv(-log_len))
-        return lambda V: _orlicz_rows(self.F, V, log_len, log_lambda)
-
-    def e_space(self, window: Window) -> "SeqSpaceSpec":
-        return OrliczModular(self.F, window)
-
-    def boyd(self) -> BoydIndices:
-        from .analysis import indices
-        rep, unit = indices(self.F), self.domain == UNIT
-        p, q = rep.boyd_unit if unit else rep.boyd_halfline
-        err = rep.err_inf if unit else max(rep.err_inf, rep.err_0)
-        return BoydIndices(p, q, err + 0.01, err + 0.01, "matuszewska")
-
-    def generator(self) -> OrliczFn:
-        return self.F
-
-    def spec_string(self) -> str:
-        return f"orlicz:gen=<{self.F.spec_string()}>"
 
 
 # ---------------------------------------------------------------------------
@@ -581,74 +382,6 @@ def OrderReversed(inner: SeqSpaceSpec) -> SeqSpaceSpec:
     """||x|| = ||x~||_inner with x~(n) = x(-(n+1)): ``inner.reversed_space()``."""
     return inner.reversed_space()
 
-
-class InducedSeq(SeqSpaceSpec):
-    """E_X by direct reconstruction: norm of sum x(n) chi_[2^n, 2^(n+1)) in X.
-
-    Fallback for spaces without a closed-form E_X (a Lorentz space whose
-    weight is not t^(1/p)); the reconstruction rearranges internally, so the
-    space is automatically symmetric in the r.i. sense.  Without a form it
-    has no norming functional: ``grad`` is a ``UsageError``.
-    """
-
-    def __init__(self, space: SpaceSpec, window: Window):
-        self.space = space
-        self.window = window
-        # the pieces [0, 2^lo), [2^n, 2^(n+1)); the form drops the first
-        pieces = SeqVec(window, np.ones(window.size)).to_step(space.domain)
-        if (form := space.weighted_lp_form_on(pieces)) is not None:
-            self._form = form[0][1:], form[1]
-        else:
-            self._blocks = space._rows_on(pieces)
-
-    def _rows(self, V: np.ndarray, grad: bool = False):
-        if grad:
-            raise UsageError("no norming functional for InducedSeq; supported: weighted "
-                             "lp and Orlicz modular, reversed or b^n-weighted")
-        return self._blocks(np.insert(V, 0, 0.0, axis=1))
-
-    def spec_string(self) -> str:
-        return f"seq:induced:<{self.space.spec_string()}>"
-
-
-class FromSequenceSpace(SpaceSpec):
-    """r.i. space built from a sequence space: ||f|| = ||(f*(2^n))_n||_E.
-
-    Requires the fitted shift growth kappa_+(E) < 2 (checked at construction
-    via ``kappa_estimate``; the estimate's extrapolated value is used and
-    recorded, and it also gives the Boyd indices).  The domain follows the
-    window kind: Z_- models [0,1], Z and Z_+ model [0, inf).  A batch of rows
-    samples f*(2^n) off one ``_decreasing`` sort and makes one ``E.norm_rows``.
-    """
-
-    def __init__(self, E: SeqSpaceSpec):
-        from .kappa import kappa_estimate
-        self.E = E
-        self.window = E.window
-        self.domain = self.window.domain
-        self.kappa = kappa_estimate(E, budget=_KAPPA_BUDGET, seed=_KAPPA_SEED)
-        if not (self.kappa.plus_est < 2.0):
-            raise ValueError(
-                f"space-from-sequence needs kappa_+(E) < 2; fitted "
-                f"{self.kappa.plus_est:.4f}")
-
-    def _rows_on(self, f: StepFunction):
-        points = np.power(2.0, self.window.indices().astype(float))
-        return lambda V: self.E.norm_rows(_sample_decreasing(*_decreasing(V, f.lengths), points))
-
-    def boyd(self) -> BoydIndices:
-        est = self.kappa
-        p = 1.0 / math.log2(est.plus_est) if est.plus_est > 1 else math.inf
-        q = -1.0 / math.log2(est.minus_est) if est.minus_est < 1 else math.inf
-        p_err = abs(p - (1.0 / math.log2(est.plus_lb) if est.plus_lb > 1 else math.inf))
-        q_err = abs(q - (-1.0 / math.log2(est.minus_lb) if est.minus_lb < 1 else math.inf))
-        return BoydIndices(p, q, min(p_err, 1.0), min(q_err, 1.0), "kappa-estimate")
-
-    def generator(self) -> OrliczFn | None:
-        return self.E.generator()
-
-    def spec_string(self) -> str:
-        return f"fromseq:<{self.E.spec_string()}>"
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,9 @@ from .orlicz import (MinimalFn, OrliczFn, brudnyi_pair, convexify,
                      elastic_non_lorentz, example1, logfactor_fn, power,
                      pwpower)
 
-if TYPE_CHECKING:  # a generator needs only orlicz: the parsers import spaces when called
-    from .spaces import PowerWeight, SeqSpaceSpec, SpaceSpec
+if TYPE_CHECKING:  # a generator needs only orlicz: the parsers import the spaces when called
+    from .fnspaces import PowerWeight, SpaceSpec
+    from .spaces import SeqSpaceSpec
 
 _FN_NAMES = ("lorentz", "orlicz", "fromseq", "linf", "lp")
 _SEQ_NAMES = ("seq:orlicz-modular", "seq:lpw", "seq:linf", "seq:from",
@@ -196,7 +197,7 @@ def parse_generator(spec: str) -> OrliczFn:
 
 
 def _parse_weight(val: str) -> PowerWeight:
-    from .spaces import PowerWeight
+    from .fnspaces import PowerWeight
 
     val = _strip(val)
     if val.startswith("pow:"):
@@ -206,8 +207,8 @@ def _parse_weight(val: str) -> PowerWeight:
 
 def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
     """Parse a sequence-space spec on the given window (default [-64, -1])."""
-    from .spaces import (GeometricWeighted, InducedSeq, LinftySeq, OrderReversed,
-                         OrliczModular, WeightedLp, dyadic_lp)
+    from .spaces import (GeometricWeighted, LinftySeq, OrderReversed, OrliczModular,
+                         WeightedLp, dyadic_lp)
 
     if window is None:
         window = default_unit_window()
@@ -235,6 +236,7 @@ def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
             return GeometricWeighted(parse_seq_space(positional[0], window),
                                      _num(kwargs["weightbase"]))
         if name == "seq:induced":
+            from .fnspaces import InducedSeq
             return InducedSeq(parse_space(positional[0], window.domain), window)
         if name == "rev":
             # the inner space lives on the reversed window, so the result is on window
@@ -245,7 +247,7 @@ def parse_seq_space(spec: str, window: Window | None = None) -> SeqSpaceSpec:
 def parse_space(spec: str, domain: str = UNIT,
                 window: Window | None = None) -> SpaceSpec:
     """Parse a function-space spec (Lp, Lorentz, Orlicz, fromseq)."""
-    from .spaces import FromSequenceSpace, LorentzSpace, LpSpace, OrliczSpace, linf_space
+    from .fnspaces import FromSequenceSpace, LorentzSpace, LpSpace, OrliczSpace, linf_space
 
     name, rest = _match_name(_strip(spec), _FN_NAMES)
     with _parse_args(rest) as (kwargs, positional):

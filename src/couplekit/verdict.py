@@ -21,7 +21,8 @@ import numpy as np
 from .errors import UsageError
 from .measure import Window, _Record, default_unit_window
 from .orlicz import OrliczFn, brudnyi_schedule
-from .spaces import OrliczModular, SpaceSpec, _wlp_norms
+from .fnspaces import SpaceSpec
+from .spaces import OrliczModular, _wlp_norms
 
 CAVEAT_EXACT = "exact shift constants"
 CAVEAT_WITNESS = "inelasticity witness of the elasticity counters on their grid"

@@ -10,7 +10,7 @@ from couplekit import (LinftySeq, LorentzSpace, LpSpace, OrliczModular, OrliczSp
                        WeightedLp, Window, char_fn, dyadic_envelope, dyadic_lp,
                        fit_separation, kfunc, k_block_estimate, k_l1_linf_oracle,
                        k_numeric, k_profile, linf_space, power, pwpower, rho_profile)
-from couplekit.spaces import SpaceSpec
+from couplekit.fnspaces import SpaceSpec
 from couplekit.specdsl import parse_any_space, parse_seq_space
 from conftest import random_seqvec, random_step
 

@@ -23,18 +23,19 @@ EXPORTED = {
     "analysis": "IndexReport TGrid counter elasticity_report indices lambda_seq phi_minus "
                 "phi_plus rv_defect w_witness",
     "errors": "ConvergenceError CoupleKitError HypothesisError UsageError",
+    "fnspaces": "BoydIndices FromSequenceSpace InducedSeq LorentzSpace LpSpace OrliczSpace "
+                "PowerWeight SpaceSpec StepFunction char_fn dyadic_envelope linf_space "
+                "rearrange zero_fn",
     "kappa": "KappaEstimate kappa_estimate",
     "kfunc": "KResult SeparationFit fit_separation k_block_estimate k_l1_linf_oracle k_numeric "
              "k_profile rho_profile",
-    "measure": "HALFLINE UNIT SeqVec StepFunction Window char_fn default_unit_window "
-               "dyadic_envelope rearrange zero_fn",
+    "measure": "HALFLINE UNIT SeqVec Window default_unit_window",
     "orlicz": "ConvexifiedFn MinimalFn OrliczFn brudnyi_pair brudnyi_schedule convexify "
               "elastic_non_lorentz example1 logfactor_fn power pwpower sample_profile",
     "shift": "LSP RSP InterlacedFamily ShiftEstimate ShiftWitness family_ratio gen_interlaced "
              "replay_witness shift_constant_estimate shift_schedule",
-    "spaces": "BoydIndices FromSequenceSpace GeometricWeighted InducedSeq LinftySeq "
-              "LorentzSpace LpSpace OrderReversed OrliczModular OrliczSpace PowerWeight "
-              "SeqSpaceSpec SpaceSpec WeightedLp dyadic_lp linf_space",
+    "spaces": "GeometricWeighted LinftySeq OrderReversed OrliczModular SeqSpaceSpec WeightedLp "
+              "dyadic_lp",
     "specdsl": "parse_any_space parse_generator parse_seq_space parse_space",
     "transfer": "PositiveMatrix k_transfer majorization_transfer op_norm rank_one_shift",
     "verdict": "CoupleReport brudnyi_evidence classify_couple",
@@ -83,7 +84,7 @@ def test_orlicz_shift_set_up_loads_only_the_orlicz_stack():
 
 def test_kfunc_transfer_set_up_loads_no_orlicz_module():
     loaded = _loaded(_SET_UP.format(workload="kfunc-transfer"))
-    assert {"kfunc", "transfer", "spaces"} <= loaded
+    assert {"kfunc", "transfer", "spaces", "fnspaces"} <= loaded
     assert not {"orlicz", "analysis", "kappa", "specdsl", "verdict"} & loaded
 
 
@@ -99,7 +100,7 @@ def test_readme_shift_test_loads_no_analysis_kappa_or_k_module(tmp_path):
             "--budget", "200", "--seed", "11", "--out", str(tmp_path / "shift.json")]
     loaded = _cli_loaded(argv)
     assert {"shift", "spaces", "orlicz"} <= loaded
-    assert not {"analysis", "kappa", "kfunc", "transfer", "verdict"} & loaded
+    assert not {"fnspaces", "analysis", "kappa", "kfunc", "transfer", "verdict"} & loaded
 
 
 def test_exact_verdict_loads_no_analysis_or_kappa(tmp_path):
@@ -117,8 +118,8 @@ def test_generate_command_loads_no_search_or_k_module(tmp_path):
     loaded = _loaded(code)
     assert dump.read_text().count("\n") == 6
     assert {"cli", "specdsl", "orlicz"} <= loaded
-    assert not {"kfunc", "transfer", "shift", "verdict", "spaces", "ascent", "analysis",
-                "kappa"} & loaded
+    assert not {"kfunc", "transfer", "shift", "verdict", "spaces", "fnspaces", "ascent",
+                "analysis", "kappa"} & loaded
 
 
 def test_every_exported_name_is_its_module_attribute():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from couplekit import (SeqVec, StepFunction, Window, char_fn,
                        default_unit_window, dyadic_envelope, k_l1_linf_oracle, rearrange, zero_fn)
-from couplekit.measure import star_integral
+from couplekit.fnspaces import star_integral
 from conftest import (random_step, reference_dyadic_envelope, reference_rearrange,
                       reference_star_integral, tied_rows)
 

@@ -11,10 +11,10 @@ import pytest
 from couplekit.analysis import ElasticityReport, IndexReport, WWitnessReport
 from couplekit.errors import UsageError
 from couplekit.kappa import KappaEstimate
+from couplekit.fnspaces import BoydIndices, PowerWeight, StepFunction
 from couplekit.kfunc import KResult, SeparationFit
-from couplekit.measure import StepFunction, Window
+from couplekit.measure import Window
 from couplekit.shift import InterlacedFamily, ShiftEstimate, ShiftWitness
-from couplekit.spaces import BoydIndices, PowerWeight
 from couplekit.transfer import _LowerSearch
 from couplekit.verdict import CoupleReport
 

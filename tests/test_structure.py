@@ -1,11 +1,11 @@
-"""Only ``spaces`` dispatches on the concrete space classes.
+"""Only ``spaces`` and ``fnspaces`` dispatch on the concrete space classes.
 
 The algorithm modules ask a space what it is through its own methods
 (``e_space``, ``norm_rows_on``, ``norm_rows``, ``weighted_lp_form``,
 ``boyd``, ``generator``).  This test
 reads their source and fails when one of them tests for a concrete class
-from ``spaces``, or imports one outside the one deliberate exception
-(``verdict`` builds ``OrliczModular``s).  It also keeps ``verdict`` free of
+from ``spaces`` or ``fnspaces``, or imports one outside the one deliberate
+exception (``verdict`` builds ``OrliczModular``s).  It also keeps ``verdict`` free of
 searches, and one class per space (ell_infty is
 ``WeightedLp`` at p = inf with unit weights; ``LinftySeq`` only builds it; a
 reversed or geometrically weighted weighted ell_p is a ``WeightedLp``, and
@@ -36,7 +36,7 @@ one Luxemburg solver (one fused profile call per Newton step, the one
 Newton stop and the only reader of a profile's curvature besides the
 start) behind one Orlicz row path (``_orlicz_rows``, its one caller, which
 the modular and the function space both call), one decreasing rearrangement
-(``measure._decreasing``, one sort per batch of rows behind ``rearrange``,
+(``fnspaces._decreasing``, one sort per batch of rows behind ``rearrange``,
 ``dyadic_envelope`` and the Lorentz and space-from-sequence rows), one
 multiplicative ascent (``ascent._ascend_steps``) with one stop rule (one
 accept margin, one set of stop labels and ``ascent.stop_level``), the index
@@ -66,6 +66,7 @@ from pathlib import Path
 import pytest
 
 import couplekit.analysis as analysis
+import couplekit.fnspaces as fnspaces
 import couplekit.spaces as spaces
 from couplekit import Window, parse_seq_space
 from couplekit.shift import InterlacedFamily
@@ -76,18 +77,27 @@ SRC = Path(spaces.__file__).parent
 # counterexample pair
 ALLOWED_IMPORTS = {"verdict": {"OrliczModular"}}
 MODULES = ("kfunc", "transfer", "verdict", "shift", "kappa", "cli")
+# each class that the two space modules define, by name, with its module
+CLASS_MODULES = {node.name: mod for mod in (spaces, fnspaces)
+                 for node in ast.parse(Path(mod.__file__).read_text()).body
+                 if isinstance(node, ast.ClassDef)}
 
 
 def _spaces_classes() -> set[str]:
-    tree = ast.parse((SRC / "spaces.py").read_text())
-    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    # a step function is the data a function space norms, not a space: K
+    # tells it from a sequence vector
+    return set(CLASS_MODULES) - {"StepFunction"}
+
+
+def _space_class(name: str):
+    return getattr(CLASS_MODULES[name], name)
 
 
 def _concrete_space_classes() -> set[str]:
-    bases = (spaces.SpaceSpec, spaces.SeqSpaceSpec)
+    bases = (fnspaces.SpaceSpec, spaces.SeqSpaceSpec)
     return {name for name in _spaces_classes()
-            if issubclass(getattr(spaces, name), bases)
-            and getattr(spaces, name) not in bases}
+            if issubclass(_space_class(name), bases)
+            and _space_class(name) not in bases}
 
 
 def _names(node) -> set[str]:
@@ -149,9 +159,10 @@ def test_no_space_type_dispatch_outside_spaces(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     tested = _isinstance_classes(tree) & _spaces_classes()
     assert not tested, f"{module}.py tests for {sorted(tested)}; ask the space instead"
-    imported = _imports_from(tree, "spaces") & _concrete_space_classes()
+    imported = ((_imports_from(tree, "spaces") | _imports_from(tree, "fnspaces"))
+                & _concrete_space_classes())
     assert imported <= ALLOWED_IMPORTS.get(module, set()), (
-        f"{module}.py imports {sorted(imported)} from spaces")
+        f"{module}.py imports {sorted(imported)} from the space modules")
 
 
 def test_verdict_runs_no_search():
@@ -189,7 +200,7 @@ def test_one_norm_formula_per_sequence_space():
     # space's own _rows; a weighted ell_p always has a form, so no formula
     assert "norm_rows" in vars(spaces.SeqSpaceSpec)
     for name in _concrete_space_classes():
-        cls = getattr(spaces, name)
+        cls = _space_class(name)
         if issubclass(cls, spaces.SeqSpaceSpec):
             assert not {"norm_values", "norm_rows"} & set(vars(cls)), f"{name}"
             assert ("_rows" in vars(cls)) is (name != "WeightedLp"), f"{name}"
@@ -213,10 +224,11 @@ def test_one_exactness_answer():
         assert method in vars(spaces.SeqSpaceSpec)
         for name in _concrete_space_classes():
             if (name, method) != ("_Conjugated", "reversed_space"):
-                assert method not in vars(getattr(spaces, name)), f"{name} defines {method}"
-    # a power is read from the profile: spaces reads no generator's name,
-    # and of the algorithm modules only the counterexample-pair annotation does
-    assert not _reads_name(ast.parse((SRC / "spaces.py").read_text()))
+                assert method not in vars(_space_class(name)), f"{name} defines {method}"
+    # a power is read from the profile: the space modules read no generator's
+    # name, and of the algorithm modules only the counterexample-pair annotation does
+    for stem in ("spaces", "fnspaces"):
+        assert not _reads_name(ast.parse((SRC / f"{stem}.py").read_text())), stem
     for module in MODULES:
         readers = {fn.name for fn in _functions(ast.parse((SRC / f"{module}.py").read_text()))
                    if _reads_name(fn)}
@@ -230,7 +242,7 @@ def test_one_answer_from_the_form():
     for method in ("norm_rows", "unit_norm", "unit_norms", "shift_norm_upper"):
         assert method in vars(spaces.SeqSpaceSpec), method
         for name in _concrete_space_classes():
-            assert method not in vars(getattr(spaces, name)), f"{name} defines {method}"
+            assert method not in vars(_space_class(name)), f"{name} defines {method}"
     tree = ast.parse((SRC / "spaces.py").read_text())
     wlp = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "WeightedLp")
@@ -259,7 +271,7 @@ def test_two_hooks_per_sequence_space():
     own = {"__init__", "spec_string", "generator", "reversed_space"}
     found = set()
     for name in _spaces_classes():
-        cls = getattr(spaces, name)
+        cls = _space_class(name)
         assert not {"_unit_norm", "_norming_rows", "norming_rows"} & set(vars(cls)), name
         if issubclass(cls, base) and cls is not base:
             found.add(name)
@@ -276,12 +288,12 @@ def test_two_hooks_per_sequence_space():
 def test_one_norm_formula_per_function_space():
     # the base class norms the pieces by the form when it answers, else by the
     # space's own _rows_on; L_p's form always answers, so it has no formula
-    assert "norm_closure" not in vars(spaces.SpaceSpec)
-    assert "norm_rows_on" in vars(spaces.SpaceSpec)
+    assert "norm_closure" not in vars(fnspaces.SpaceSpec)
+    assert "norm_rows_on" in vars(fnspaces.SpaceSpec)
     found = set()
     for name in _concrete_space_classes():
-        cls = getattr(spaces, name)
-        if issubclass(cls, spaces.SpaceSpec):
+        cls = _space_class(name)
+        if issubclass(cls, fnspaces.SpaceSpec):
             found.add(name)
             assert not {"fn_norm", "norm_closure", "norm_rows_on"} & set(vars(cls)), f"{name}"
             assert ("_rows_on" in vars(cls)) is (name != "LpSpace"), f"{name}"
@@ -292,12 +304,12 @@ def test_one_norm_formula_per_function_space():
     # a function space's form is read on the base class from its L_p
     # exponent, fixed at construction: a power's exponent is read from the
     # profile once per Orlicz space or modular, not once per norm
-    assert "weighted_lp_form_on" in vars(spaces.SpaceSpec)
+    assert "weighted_lp_form_on" in vars(fnspaces.SpaceSpec)
     for name in found:
-        assert "weighted_lp_form_on" not in vars(getattr(spaces, name)), name
+        assert "weighted_lp_form_on" not in vars(_space_class(name)), name
     fns = _qualified_functions()
     assert {name for name, fn in fns.items() if "_power_exponent" in _called(fn)} == {
-        "spaces.OrliczModular.__init__", "spaces.OrliczSpace.__init__"}
+        "spaces.OrliczModular.__init__", "fnspaces.OrliczSpace.__init__"}
 
 
 def test_one_window_check():
@@ -340,10 +352,10 @@ def test_one_luxemburg_solver():
     fns = _qualified_functions()
     callers = [name for name, fn in fns.items() if "_luxemburg_log" in _called(fn)]
     assert callers == ["orlicz._orlicz_rows"]
-    for name in ("spaces.OrliczModular._rows", "spaces.OrliczSpace._rows_on"):
+    for name in ("spaces.OrliczModular._rows", "fnspaces.OrliczSpace._rows_on"):
         assert "_orlicz_rows" in _called(fns[name]), name
     # no zero-pattern grouping and no bracket of its own on the function path
-    assert not {"tobytes", "inf", "setdefault"} & _names(fns["spaces.OrliczSpace._rows_on"])
+    assert not {"tobytes", "inf", "setdefault"} & _names(fns["fnspaces.OrliczSpace._rows_on"])
 
 
 def _called(fn) -> set[str]:
@@ -370,22 +382,30 @@ def _qualified_functions() -> dict:
 
 
 def test_one_decreasing_rearrangement():
-    # f* has one implementation, measure._decreasing: the one sort in measure
-    # and spaces, behind rearrange, dyadic_envelope and the Lorentz and
-    # space-from-sequence rows, each of which sorts a batch once and builds no
-    # step function per row
+    # f* has one implementation, fnspaces._decreasing: the one sort in measure
+    # and the space modules, behind rearrange, dyadic_envelope and the Lorentz
+    # and space-from-sequence rows, each of which sorts a batch once and builds
+    # no step function per row
     fns = _qualified_functions()
     sorts = {"argsort", "sort", "lexsort"}
-    assert {name for name, fn in fns.items() if name.split(".")[0] in ("measure", "spaces")
-            and _called(fn) & sorts} == {"measure._decreasing"}
-    for name in ("measure.rearrange", "measure.dyadic_envelope",
-                 "spaces.LorentzSpace._rows_on", "spaces.FromSequenceSpace._rows_on"):
+    assert {name for name, fn in fns.items()
+            if name.split(".")[0] in ("measure", "spaces", "fnspaces")
+            and _called(fn) & sorts} == {"fnspaces._decreasing"}
+    for name in ("fnspaces.rearrange", "fnspaces.dyadic_envelope",
+                 "fnspaces.LorentzSpace._rows_on", "fnspaces.FromSequenceSpace._rows_on"):
         calls = [node for node in ast.walk(fns[name]) if isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Name) and node.func.id == "_decreasing"]
         assert len(calls) == 1, name
+    step_builders = {"rearrange", "dyadic_envelope", "with_values", "StepFunction"}
     tree = ast.parse((SRC / "spaces.py").read_text())
-    assert not {"rearrange", "dyadic_envelope", "with_values", "StepFunction"} & _called(tree)
-    assert not {"_piece_integral", "segment_at"} & {fn.name for fn in _functions(tree)}
+    assert not step_builders & _called(tree)
+    # nor does any class of fnspaces, the function spaces among them
+    fn_tree = ast.parse((SRC / "fnspaces.py").read_text())
+    for cls in fn_tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name != "StepFunction":
+            assert not step_builders & _called(cls), cls.name
+    for t in (tree, fn_tree):
+        assert not {"_piece_integral", "segment_at"} & {fn.name for fn in _functions(t)}
 
 
 def test_one_newton_stop():
