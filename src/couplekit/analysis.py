@@ -13,8 +13,8 @@ schedule of disjoint oscillation intervals.
 These four analyses (``counter``, ``elasticity_report``, ``rv_defect``,
 ``w_witness``) share one input front end.  ``_log_grid`` turns a t-grid into
 log t: a t that is not finite and positive, or a grid not strictly increasing
-over at least 2 points, is a ValueError naming the argument.  ``_omega_table``
-forms omega per x: an x outside (0, 1] or an overflowing h is a ValueError,
+over at least 2 points, is a UsageError naming the argument.  ``_omega_table``
+forms omega per x: an x outside (0, 1] or an overflowing h is a UsageError,
 and h(v - kappa) is evaluated only where v - kappa is not a grid point.
 The indices, ``lambda_seq`` and ``log_dilation`` read h directly.
 """
@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from .errors import UsageError
 from .measure import LOG2, _Record
 from .orlicz import OrliczFn, _finite_profile
 
@@ -95,7 +96,7 @@ def _chord_slope_range(v: np.ndarray, h: np.ndarray, y: float) -> tuple[float, f
     while np.any(fix := (e < n) & (v - v[np.minimum(e, n - 1)] >= y)):
         e[fix] += 1
     if not e[-1]:
-        raise ValueError("index points span less than the boundary layer y_layer")
+        raise UsageError("index points span less than the boundary layer y_layer")
     j = np.flatnonzero(e)
     end = e[j]
     lo_j, hi_j = _row_slope_extremes(v, h, j, e[end - 1], end)
@@ -141,7 +142,7 @@ def indices(F: OrliczFn, t_grid=None, x_grid=None, y_layer: float = 1.5) -> Inde
     ``_chord_slope_range``.
     """
     if y_layer <= 0:
-        raise ValueError("boundary layer y_layer must be positive")
+        raise UsageError("boundary layer y_layer must be positive")
     if t_grid is None:
         t_grid = np.exp(np.linspace(0.0, 64.0, 257))
     v_grid = np.log(_positive(t_grid, "t_grid"))
@@ -180,7 +181,7 @@ def lambda_seq(F: OrliczFn, window) -> dict[int, float]:
     """
     ns = window.indices()
     if np.any(ns > 0):
-        raise ValueError("lambda sequence lives on nonpositive indices")
+        raise UsageError("lambda sequence lives on nonpositive indices")
     return {int(n): math.exp(u) for n, u in zip(ns, F.log_lambda(ns).tolist())}
 
 
@@ -223,7 +224,7 @@ def rv_defect(F: OrliczFn, x_grid, t_range) -> float:
     """
     v = _log_grid(t_range, "t_range")
     if v.size < 64:
-        raise ValueError("t_range needs at least 64 points")
+        raise UsageError("t_range needs at least 64 points")
     worst = 1.0
     for omega in _omega_table(F, v[v.size // 2:], x_grid):
         worst = max(worst, float(np.exp(np.max(omega) - np.min(omega))))
@@ -252,36 +253,36 @@ class TGrid:
 
 
 def _log_grid(grid, name: str) -> np.ndarray:
-    """log t of a ``TGrid`` or raw t, checked; a ValueError names ``name``."""
+    """log t of a ``TGrid`` or raw t, checked; a UsageError names ``name``."""
     if isinstance(grid, TGrid):
         v = np.asarray(grid.log, dtype=float)  # .log is writable: float64 again
     else:
         v = np.log(_positive(grid, name))
     # finite first: np.diff of infinities warns
     if v.ndim != 1 or v.size < 2 or not np.all(np.isfinite(v)) or not np.all(np.diff(v) > 0):
-        raise ValueError(f"{name} must be finite and strictly increasing, with at least 2 points")
+        raise UsageError(f"{name} must be finite and strictly increasing, with at least 2 points")
     return v
 
 
 def _positive(a, name: str, what: str = "t") -> np.ndarray:
-    """a as floats, checked before any log: a ValueError naming ``name``
+    """a as floats, checked before any log: a UsageError naming ``name``
     unless every entry is finite and > 0."""
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a) & (a > 0)):
-        raise ValueError(f"{name} must hold finite {what} > 0")
+        raise UsageError(f"{name} must hold finite {what} > 0")
     return a
 
 
 def _check_counter_grid(grid, side: str, name: str) -> np.ndarray:
     if side not in ("inf", "0"):
-        raise ValueError(f"side must be 'inf' or '0'; got {side!r}")
+        raise UsageError(f"side must be 'inf' or '0'; got {side!r}")
     v = _log_grid(grid, name)
     if np.any(np.diff(v) > 0.25 * LOG2 + 1e-9):
-        raise ValueError(f"{name} ratio must be <= 2^(1/4)")
+        raise UsageError(f"{name} ratio must be <= 2^(1/4)")
     if side == "inf" and v[0] < -1e-12:
-        raise ValueError(f"{name} at infinity must start at t >= 1")
+        raise UsageError(f"{name} at infinity must start at t >= 1")
     if side == "0" and v[-1] > 1e-12:
-        raise ValueError(f"{name} at zero must end at t <= 1")
+        raise UsageError(f"{name} at zero must end at t <= 1")
     return v
 
 
@@ -312,13 +313,13 @@ def _omega_table(F: OrliczFn, v: np.ndarray, xs):
 def _counter_kappa(x: float) -> float:
     """kappa = log(1/x) for a counter argument x in (0, 1]."""
     if not (0 < x <= 1):
-        raise ValueError("counter argument x must lie in (0, 1]")
+        raise UsageError("counter argument x must lie in (0, 1]")
     return -math.log(x) if x < 1 else 0.0
 
 
 def _counter_log_threshold(C: float) -> float:
     if not 1 < C < math.inf:
-        raise ValueError(f"counter threshold C must be finite and exceed 1; got {C!r}")
+        raise UsageError(f"counter threshold C must be finite and exceed 1; got {C!r}")
     return math.log(C)
 
 
@@ -404,9 +405,9 @@ def counter(F: OrliczFn, kind: str, x: float, C: float, side: str = "inf",
         except ValueError:
             p = math.nan
         if not math.isfinite(p):
-            raise ValueError(f"counter kind {kind!r} needs a finite exponent p")
+            raise UsageError(f"counter kind {kind!r} needs a finite exponent p")
     elif kind not in ("phi+", "phi-"):
-        raise ValueError(f"unknown counter kind {kind!r}")
+        raise UsageError(f"unknown counter kind {kind!r}")
     if grid is None:
         grid = TGrid.span(0.0, 1024.0) if side == "inf" else TGrid.span(-1024.0, 0.0)
     v = _check_counter_grid(grid, side, "grid")
@@ -484,9 +485,9 @@ def elasticity_report(F: OrliczFn, C0: float = 4.0, x_grid=None,
         x_grid = 2.0 ** -np.arange(4, 17, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.size < 2:
-        raise ValueError(f"x_grid needs at least two points for the fit; got {x_grid.size}")
+        raise UsageError(f"x_grid needs at least two points for the fit; got {x_grid.size}")
     if np.any(np.diff(x_grid) >= 0):
-        raise ValueError("x_grid must be decreasing")
+        raise UsageError("x_grid must be decreasing")
     logC = _counter_log_threshold(C0)
     if t_grid is None:
         t_grid = TGrid.span(0.0, 2048.0) if side == "inf" else TGrid.span(-2048.0, 0.0)

@@ -2,10 +2,11 @@
 
 Artifacts are JSON (CSV for profile/grid tables), embed the fully resolved
 configuration, and are byte-identical under identical argv + seed apart
-from the ``timestamp`` field.  Exit codes: 0 success, 1 usage errors,
-2 hypothesis violations; errors go to stderr as one JSON object with a
-machine-readable ``error`` code.  Each command imports the modules it
-calls inside its own function, so one call compiles only those.
+from the ``timestamp`` field.  Exit codes: 0 success, 2 a ``HypothesisError``,
+1 any other ``CoupleKitError`` or an ``OSError``, each written to stderr as one
+JSON object with a machine-readable ``error`` code; any other exception is a
+defect and leaves ``main`` as a traceback.  Each command imports the modules
+it calls inside its own function, so one call compiles only those.
 
 Input files are JSON: a step function (``--f``) is ``{"domain": "unit" |
 "halfline", "breakpoints": [...], "values": [...]}``, a sequence vector
@@ -32,20 +33,24 @@ from .measure import SeqVec, Window
 
 def _window_arg(text: str) -> Window:
     parts = text.split(":")
-    if len(parts) == 2:
+    try:
         lo, hi = int(parts[0]), int(parts[1])
-        return Window("Z-" if hi <= -1 else "Z", lo, hi)
-    if len(parts) == 3:
-        return Window(parts[2], int(parts[0]), int(parts[1]))
-    raise UsageError("window must be lo:hi or lo:hi:kind")
+    except (IndexError, ValueError):
+        parts = []
+    if len(parts) not in (2, 3):
+        raise UsageError(f"--window must be lo:hi or lo:hi:kind, lo and hi integers; got {text!r}")
+    return Window(parts[2] if len(parts) == 3 else "Z-" if hi <= -1 else "Z", lo, hi)
 
 
 def _t_grid_arg(text: str) -> list[float]:
     # log:a:b:n -> n points 2^a .. 2^b, geometric
     parts = text.split(":")
+    try:
+        a, b, n = float(parts[1]), float(parts[2]), int(parts[3])
+    except (IndexError, ValueError):
+        parts = []
     if len(parts) != 4 or parts[0] != "log":
-        raise UsageError("t-grid must be log:<a>:<b>:<n> (powers of 2)")
-    a, b, n = float(parts[1]), float(parts[2]), int(parts[3])
+        raise UsageError(f"--t-grid must be log:<a>:<b>:<n> (2^a .. 2^b, integer n); got {text!r}")
     if n < 1:
         raise UsageError(f"t-grid needs at least one point, got n = {n}")
     es = np.linspace(a, b, n)
@@ -66,16 +71,19 @@ def _write_json(path: str, payload: dict):
 
 
 def _load(path: str, from_json_dict):
-    """from_json_dict of the file's JSON object; a missing key is a usage
-    error naming the file and the key."""
+    """from_json_dict of the file's JSON object; other content is a usage error naming the file."""
     with open(path) as fh:
-        d = json.load(fh)
-    if not isinstance(d, dict):
-        raise UsageError(f"{path} must hold a JSON object")
-    try:
-        return from_json_dict(d)
-    except KeyError as exc:
-        raise UsageError(f"{path} is missing the key {exc.args[0]!r}") from None
+        try:
+            d = json.load(fh)
+            if not isinstance(d, dict):
+                raise UsageError(f"{path} must hold a JSON object")
+            return from_json_dict(d)
+        except CoupleKitError:
+            raise
+        except KeyError as exc:
+            raise UsageError(f"{path} is missing the key {exc.args[0]!r}") from None
+        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise UsageError(f"{path} does not hold valid input: {exc}") from None
 
 
 def cmd_analyze_orlicz(args) -> int:
@@ -106,8 +114,8 @@ def cmd_k_profile(args) -> int:
 
     X = parse_any_space(args.X)
     Y = parse_any_space(args.Y)
-    f = _load(args.f, StepFunction.from_json_dict)
     grid = _t_grid_arg(args.t_grid)
+    f = _load(args.f, StepFunction.from_json_dict)
     rows = k_profile(f, X, Y, grid)
     with open(args.out, "w", newline="") as fh:
         wr = csv.DictWriter(fh, fieldnames=["t", "K", "x_mass", "y_mass",
@@ -275,20 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        for flag in ("seed", "points"):  # numpy refuses a negative one
+            if getattr(args, flag, 0) < 0:
+                raise UsageError(f"--{flag} must be >= 0; got {getattr(args, flag)}")
         return args.func(args)
-    except HypothesisError as exc:
-        print(json.dumps({"error": exc.code, "detail": str(exc)}), file=sys.stderr)
-        return 2
-    except (UsageError, CoupleKitError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (CoupleKitError, OSError) as exc:
         code = getattr(exc, "code", "usage")
         print(json.dumps({"error": code, "detail": str(exc)}), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, HypothesisError) else 1
 
 
 if __name__ == "__main__":

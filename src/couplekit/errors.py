@@ -1,4 +1,7 @@
-"""Error types with machine-readable codes (the CLI maps codes to exit status)."""
+"""Error types with machine-readable codes (the CLI maps codes to exit status):
+``UsageError`` a bad argument or input (also a ``ValueError``), ``HypothesisError``
+a hypothesis failed on supplied data, ``ConvergenceError`` a solver's iteration
+cap.  Every refusal in the package is one of them; anything else is a defect."""
 
 
 class CoupleKitError(Exception):
@@ -11,7 +14,7 @@ class HypothesisError(CoupleKitError):
     code = "hypothesis-violation"
 
 
-class UsageError(CoupleKitError):
+class UsageError(CoupleKitError, ValueError):
     code = "usage"
 
 

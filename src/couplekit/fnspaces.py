@@ -57,17 +57,17 @@ class StepFunction(_Record):
 
     def __init__(self, domain: str, breakpoints: tuple[float, ...], values: tuple[float, ...]):
         if domain not in _DOMAINS:
-            raise ValueError(f"unknown domain {domain!r}")
+            raise UsageError(f"unknown domain {domain!r}")
         bp = np.asarray(breakpoints, dtype=float)
         if bp.size == 0 or bp[0] != 0.0:
-            raise ValueError("breakpoints must start at 0")
+            raise UsageError("breakpoints must start at 0")
         if bp.size != len(values) + 1:
-            raise ValueError("need exactly one more breakpoint than values")
+            raise UsageError("need exactly one more breakpoint than values")
         lengths = np.diff(bp)
         if np.any(lengths <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise UsageError("breakpoints must be strictly increasing")
         if domain == UNIT and bp[-1] > 1.0 + 1e-15:
-            raise ValueError("unit-interval step function exceeds [0,1]")
+            raise UsageError("unit-interval step function exceeds [0,1]")
         values = tuple(float(v) for v in values)
         vals = np.array(values)
         lengths.setflags(write=False)
@@ -215,7 +215,7 @@ class PowerWeight(_Record):
 
     def __init__(self, exponent: float):
         if not exponent > 0:
-            raise ValueError("power weight needs a positive exponent")
+            raise UsageError("power weight needs a positive exponent")
         vars(self)["exponent"] = exponent
 
     def integral(self, p: float, T: np.ndarray) -> np.ndarray:
@@ -291,7 +291,7 @@ class SpaceSpec:
 class LpSpace(SpaceSpec):
     def __init__(self, p: float, domain: str = UNIT):
         if not p >= 1:
-            raise ValueError("Lp needs p >= 1")
+            raise UsageError("Lp needs p >= 1")
         self.p = self._lp = float(p)
         self.domain = domain
 
@@ -320,7 +320,7 @@ class LorentzSpace(SpaceSpec):
 
     def __init__(self, p: float, weight: PowerWeight, domain: str = UNIT):
         if not (1 <= p < math.inf):
-            raise ValueError("Lorentz order must satisfy 1 <= p < inf")
+            raise UsageError("Lorentz order must satisfy 1 <= p < inf")
         self.p = float(p)
         self.weight = weight
         self.domain = domain
@@ -433,9 +433,8 @@ class FromSequenceSpace(SpaceSpec):
         self.domain = self.window.domain
         self.kappa = kappa_estimate(E, budget=_KAPPA_BUDGET, seed=_KAPPA_SEED)
         if not (self.kappa.plus_est < 2.0):
-            raise ValueError(
-                f"space-from-sequence needs kappa_+(E) < 2; fitted "
-                f"{self.kappa.plus_est:.4f}")
+            raise UsageError(f"space-from-sequence needs kappa_+(E) < 2; "
+                             f"fitted {self.kappa.plus_est:.4f}")
 
     def _rows_on(self, f: StepFunction):
         points = np.power(2.0, self.window.indices().astype(float))

@@ -57,7 +57,7 @@ import math
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import HypothesisError, UsageError
 from .fnspaces import StepFunction, star_integral
 from .measure import SeqVec, Window, _Record
 from .spaces import SeqSpaceSpec, _check_windows
@@ -173,14 +173,14 @@ def _k_grid(ts, f, X, Y, tol: float = 1e-8) -> list[KResult]:
     and the descent sweeps."""
     for t in ts:
         if not 0 < t < math.inf:
-            raise ValueError(f"K-functional needs a finite t > 0; got {t!r}")
+            raise UsageError(f"K-functional needs a finite t > 0; got {t!r}")
     sequence_like = isinstance(f, SeqVec)
     if sequence_like:
         a = np.abs(f.values)
     elif isinstance(f, StepFunction):
         a = np.abs(f.vals)
     else:
-        raise TypeError("f must be a StepFunction or SeqVec")
+        raise UsageError("f must be a StepFunction or SeqVec")
     _check_finite("f", f)
     nx, form_x = _side(X, f)
     ny, form_y = _side(Y, f)
@@ -515,7 +515,7 @@ def k_l1_linf_oracle(t: float, f: StepFunction) -> float:
     suite before acceptance relies on it.
     """
     if t <= 0:
-        raise ValueError("oracle needs t > 0")
+        raise UsageError("oracle needs t > 0")
     return star_integral(f, t)
 
 
@@ -546,7 +546,7 @@ def fit_separation(rho: dict[int, float]) -> SeparationFit:
     """
     ns = sorted(rho)
     if any(rho[n] <= 0 for n in ns):
-        raise ValueError("rho must be strictly positive")
+        raise UsageError("rho must be strictly positive")
     lr = {n: math.log2(rho[n]) for n in ns}
     beta = math.inf
     per_gap: dict[int, float] = {}
@@ -595,9 +595,9 @@ def k_block_estimate(t: float, x: SeqVec, E: SeqSpaceSpec, F: SeqSpaceSpec,
     call per side.
     """
     if not 0 < t < math.inf:
-        raise ValueError(f"block estimate needs a finite t > 0; got {t!r}")
+        raise UsageError(f"block estimate needs a finite t > 0; got {t!r}")
     if not fit.separated:
-        raise ValueError("couple is not exponentially separated")
+        raise HypothesisError("couple is not exponentially separated")
     _check_windows("vector", x.window, E, F)
     js = _block_points(t, fit, x.window.lo, x.window.size)
     head = np.arange(x.window.size) < np.array(js)[:, None]  # row r: j < js[r]
@@ -631,7 +631,7 @@ def k_profile(f, X, Y, t_grid, tol: float = 1e-8):
     depend on t (the level scan, the trial splits) are normed once."""
     ts = [float(t) for t in t_grid]
     if not all(0 < t < math.inf for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t grid must be finite, positive and increasing")
+        raise UsageError("t grid must be finite, positive and increasing")
     return [
         {"t": r.t, "K": r.value, "x_mass": r.x_mass, "y_mass": r.y_mass,
          "lower": r.lower, "converged": r.converged}

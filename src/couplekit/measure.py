@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import UsageError
+
 if TYPE_CHECKING:
     from .fnspaces import StepFunction
 
@@ -91,13 +93,13 @@ class Window(_Record):
 
     def __init__(self, kind: str, lo: int, hi: int):
         if kind not in _KINDS:
-            raise ValueError(f"unknown window kind {kind!r}")
+            raise UsageError(f"unknown window kind {kind!r}")
         if lo > hi:
-            raise ValueError("window needs lo <= hi")
+            raise UsageError("window needs lo <= hi")
         if kind == Z_MINUS and hi > -1:
-            raise ValueError("Z- window must satisfy hi <= -1")
+            raise UsageError("Z- window must satisfy hi <= -1")
         if kind == Z_PLUS and lo < 0:
-            raise ValueError("Z+ window must satisfy lo >= 0")
+            raise UsageError("Z+ window must satisfy lo >= 0")
         vars(self).update(kind=kind, lo=lo, hi=hi)
 
     def __eq__(self, other):  # written out: each window check compares two windows
@@ -153,7 +155,7 @@ class SeqVec:
     def __init__(self, window: Window, values, meta: dict | None = None):
         vals = np.array(values, dtype=float)
         if vals.shape != (window.size,):
-            raise ValueError("values length must equal window size")
+            raise UsageError("values length must equal window size")
         vals.setflags(write=False)
         self.window = window
         self.values = vals
@@ -165,7 +167,7 @@ class SeqVec:
         for n, v in entries.items():
             n = int(n)
             if not (window.lo <= n <= window.hi):
-                raise ValueError(f"index {n} outside window [{window.lo},{window.hi}]")
+                raise UsageError(f"index {n} outside window [{window.lo},{window.hi}]")
             vals[n - window.lo] = float(v)
         return SeqVec(window, vals)
 

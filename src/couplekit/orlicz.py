@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, UsageError
+from .errors import ConvergenceError, HypothesisError, UsageError
 from .measure import LOG2, _spec_num
 
 
@@ -178,11 +178,11 @@ class PiecewiseAffineFn(OrliczFn):
         self._s = np.asarray(slopes, dtype=float)
         self._s_below = float(slope_below)
         if self._u.ndim != 1 or self._u.size == 0 or np.any(np.diff(self._u) <= 0):
-            raise ValueError("anchors must be strictly increasing")
+            raise UsageError("anchors must be strictly increasing")
         if self._s.shape != self._u.shape:
-            raise ValueError("one slope per anchor (last one extends to +inf)")
+            raise UsageError("one slope per anchor (last one extends to +inf)")
         if self._s_below < 1.0 - 1e-12 or np.any(self._s < 1.0 - 1e-12):
-            raise ValueError("profile slope must stay >= 1 (F(x)/x increasing)")
+            raise UsageError("profile slope must stay >= 1 (F(x)/x increasing)")
         # segment k = searchsorted(u, x, "right"): k = 0 is the tail below u_0,
         # k >= 1 the segment starting at anchor k - 1; _u, _h, _s become views
         self._seg_u = np.concatenate([self._u[:1], self._u])
@@ -233,14 +233,14 @@ class PiecewiseAffineFn(OrliczFn):
 def power(p: float) -> OrliczFn:
     """F(x) = x^p."""
     if not p >= 1:
-        raise ValueError("power generator needs p >= 1")
+        raise UsageError("power generator needs p >= 1")
     return PiecewiseAffineFn("power", {"p": p}, [0.0], [0.0], [p], p)
 
 
 def pwpower(p0: float, p1: float) -> OrliczFn:
     """F(x) = x^p0 for x <= 1, x^p1 for x >= 1 (needs 1 <= p0 <= p1 for convexity)."""
     if not (1 <= p0 <= p1):
-        raise ValueError("pwpower needs 1 <= p0 <= p1")
+        raise UsageError("pwpower needs 1 <= p0 <= p1")
     return PiecewiseAffineFn("pwpower", {"p0": p0, "p1": p1}, [0.0], [0.0], [p1], p0)
 
 
@@ -249,7 +249,7 @@ class LogFactorFn(OrliczFn):
 
     def __init__(self, p: float):
         if not p >= 1:
-            raise ValueError("logfactor generator needs p >= 1")
+            raise UsageError("logfactor generator needs p >= 1")
         self.name = "logfactor"
         self.params = {"p": p}
         self.p = float(p)
@@ -289,9 +289,9 @@ def example1(xi=None, n_blocks: int = 40) -> OrliczFn:
     ns = np.arange(1, n_blocks + 1)
     xis = np.asarray(xi_fn(ns), dtype=float)
     if np.any(xis <= 0) or np.any(xis > 1):
-        raise ValueError("xi schedule must take values in (0, 1]")
+        raise HypothesisError("xi schedule must take values in (0, 1]")
     if np.any(np.diff(xis) > 1e-15):
-        raise ValueError("xi schedule must be nonincreasing")
+        raise HypothesisError("xi schedule must be nonincreasing")
     anchors = [1.0]
     hvals = [2.0]
     slopes = []
@@ -326,9 +326,9 @@ def elastic_non_lorentz(psi=None, u_max: float = 4096.0, step: float = 0.125) ->
     grid = np.arange(0.0, u_max + step, step)
     phi = 2.0 + np.asarray(psi_fn(grid), dtype=float)
     if np.any(np.diff(phi) > 1e-15):
-        raise ValueError("psi must be nonincreasing")
+        raise HypothesisError("psi must be nonincreasing")
     if np.any(phi - 2.0 > 1.0 + 1e-12):
-        raise ValueError("psi must be bounded by one")
+        raise HypothesisError("psi must be bounded by one")
     h = np.concatenate([[0.0], np.cumsum(0.5 * (phi[1:] + phi[:-1]) * np.diff(grid))])
     return PiecewiseAffineFn.from_samples("elastic-nl", {}, grid, h, slope_below=2.0)
 
@@ -357,7 +357,7 @@ def brudnyi_pair(p: float, q: float, u_cap: float = 2.0 ** 23):
     [a_n, b_n].  The phi and psi supports are disjoint by the schedule.
     """
     if not (q > p > 1):
-        raise ValueError("brudnyi pair needs q > p > 1")
+        raise UsageError("brudnyi pair needs q > p > 1")
     r = 0.5 * (p + q)
     alpha = p - 1.0
     beta = q - r
@@ -426,7 +426,7 @@ class MinimalFn(OrliczFn):
 
     def __init__(self, alpha: float = 0.05):
         if not (0 < alpha <= 1.0 / (4.0 * math.pi)):
-            raise ValueError("minimal generator needs 0 < alpha <= 1/(4 pi)")
+            raise UsageError("minimal generator needs 0 < alpha <= 1/(4 pi)")
         self.name = "minimal"
         self.params = {"alpha": alpha}
         self.alpha = float(alpha)
@@ -494,7 +494,7 @@ class ConvexifiedFn(OrliczFn):
     F1 is convex, F1 <= F, and F(x) <= F1(2x)/log 2.  A base without breaks
     is resampled by ``sample_profile``, and ``sampled_range`` records the
     u-range of that sample: past it the end slopes are extrapolated and the
-    sandwich fails.  Every slope must be >= 1 (F(x)/x nondecreasing).
+    sandwich fails.  Each slope is >= 1: ``PiecewiseAffineFn`` refuses less.
     """
 
     def __init__(self, base: OrliczFn):
@@ -507,8 +507,6 @@ class ConvexifiedFn(OrliczFn):
         self.name = f"convexify<{base.name if base.sampled else base.spec_string()}>"
         self.params = {}
         u, h, s = seg._u, seg._h, seg._s
-        if seg._s_below < 1.0 - 1e-12 or np.any(s < 1.0 - 1e-12):
-            raise ValueError("convexify requires F(x)/x nondecreasing (slopes >= 1)")
         # log integral over (-inf, u_0]
         cum = h[0] - math.log(seg._s_below)
         cums = [cum]
@@ -568,7 +566,7 @@ def sample_profile(base: OrliczFn, u_lo: float = -64.0, u_hi: float = 2048.0,
                    step: float = 0.125) -> PiecewiseAffineFn:
     """Piecewise-affine resampling of a smooth profile (uniform step <= 1/8)."""
     if step > 0.125 + 1e-12:
-        raise ValueError("grid step must be <= 1/8")
+        raise UsageError("grid step must be <= 1/8")
     grid = np.arange(u_lo, u_hi + step, step)
     out = PiecewiseAffineFn.from_samples(f"grid<{base.name}>", dict(base.params),
                                          grid, base.log_eval(grid))
@@ -586,12 +584,12 @@ def logfactor_fn(p: float) -> OrliczFn:
 
 
 def _finite_profile(F: OrliczFn, pts: np.ndarray) -> np.ndarray:
-    """h = log F on the monotone points pts; a ValueError when it overflows
+    """h = log F on the monotone points pts; a UsageError when it overflows
     (h is convex: finite at both ends means finite throughout)."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         h = F.log_eval(pts)
     if h.size and not (math.isfinite(h[0]) and math.isfinite(h[-1])):
-        raise ValueError(f"{F.spec_string()}: log F is not finite on "
+        raise UsageError(f"{F.spec_string()}: log F is not finite on "
                          f"[{pts[0]:g}, {pts[-1]:g}]; its profile overflows")
     return h
 

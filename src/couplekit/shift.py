@@ -72,17 +72,17 @@ class InterlacedFamily(_Record):
         B = np.stack((self.X, self.Y), axis=1).reshape(-1, self.window.size)
         nz = B != 0.0
         if not np.all(nz.any(axis=1)):
-            raise ValueError("empty block in interlaced family")
+            raise UsageError("empty block in interlaced family")
         first, last = nz.argmax(axis=1), nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
         if np.any(last[:-1] >= first[1:]):
-            raise ValueError("supports are not strictly interlaced")
+            raise UsageError("supports are not strictly interlaced")
         if E is not None:
             _check_windows("family", self.window, E)
             norms = E.norm_rows(B)
             if np.any(np.abs(norms[0::2] - 1.0) > tol):
-                raise ValueError("x block is not normalized")
+                raise UsageError("x block is not normalized")
             if np.any(norms[1::2] > 1.0 + tol):
-                raise ValueError("y block norm exceeds 1")
+                raise UsageError("y block norm exceeds 1")
 
     def to_json_dict(self):
         return {
@@ -214,10 +214,10 @@ def replay_witness(E: SeqSpaceSpec, witness: ShiftWitness) -> float:
 
 
 def _embed_family(fam: InterlacedFamily, window: Window) -> InterlacedFamily:
-    """The family padded into ``window``; an entry outside it is a ValueError."""
+    """The family padded into ``window``; an entry outside it is a UsageError."""
     used = fam.window.indices()[np.any(fam.X, axis=0) | np.any(fam.Y, axis=0)]
     if used.size and not window.lo <= used[0] <= used[-1] <= window.hi:
-        raise ValueError(f"family entries outside window [{window.lo},{window.hi}]")
+        raise UsageError(f"family entries outside window [{window.lo},{window.hi}]")
     B = np.zeros((2, len(fam.X), window.size))
     B[:, :, used - window.lo] = np.stack((fam.X, fam.Y))[:, :, used - fam.window.lo]
     return InterlacedFamily(window, *B)

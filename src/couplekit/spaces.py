@@ -213,9 +213,9 @@ class WeightedLp(SeqSpaceSpec):
     def __init__(self, p: float, window: Window, weights=None,
                  wexp: float | None = None):
         if not p >= 1:
-            raise ValueError("weighted lp needs p >= 1")
+            raise UsageError("weighted lp needs p >= 1")
         if weights is not None and wexp is not None:
-            raise ValueError("give weights or wexp, not both")
+            raise UsageError("give weights or wexp, not both")
         self.p = float(p)
         self.window = window
         self.wexp = None
@@ -226,7 +226,7 @@ class WeightedLp(SeqSpaceSpec):
         else:
             w = np.asarray(weights, dtype=float)
         if w.shape != (window.size,) or not np.all(np.isfinite(w) & (w > 0)):
-            raise ValueError("need one finite, strictly positive weight per index")
+            raise UsageError("need one finite, strictly positive weight per index")
         self.weights = w
         self._form = w, self.p
 
@@ -244,7 +244,7 @@ class WeightedLp(SeqSpaceSpec):
 def dyadic_lp(p: float, window: Window) -> WeightedLp:
     """E_X for X = L_p: weighted ell_p with w_n = 2^(n/p); ell_infty for p = inf."""
     if not p >= 1:  # before 2^(n/p) divides by it
-        raise ValueError("weighted lp needs p >= 1")
+        raise UsageError("weighted lp needs p >= 1")
     return WeightedLp(p, window, weights=2.0 ** (window.indices() / p))
 
 
@@ -330,7 +330,7 @@ class _Conjugated(SeqSpaceSpec):
             inner, reverse = inner.inner, reverse != inner.reverse
         with np.errstate(over="ignore"):  # the check below reports it
             if not np.all(np.isfinite(s := reduce(np.multiply, scales, 1.0)) & (s > 0)):
-                raise ValueError("need one finite, strictly positive weight per index")
+                raise UsageError("need one finite, strictly positive weight per index")
         self.inner, self.reverse, self.scales, self.spec, self.back = (
             inner, reverse, scales, spec, back)
         self.window = inner.window.reversed() if reverse else inner.window
@@ -371,7 +371,7 @@ def GeometricWeighted(inner: SeqSpaceSpec, base: float) -> SeqSpaceSpec:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         w = float(base) ** inner.window.indices().astype(float)
     if not np.all(np.isfinite(w) & (w > 0)):
-        raise ValueError(f"weight base {base!r} gives weights b^n not all finite and > 0")
+        raise UsageError(f"weight base {base!r} gives weights b^n not all finite and > 0")
     if (form := inner.weighted_lp_form()) is not None:
         with np.errstate(over="ignore"):  # WeightedLp reports it
             return WeightedLp(form[1], inner.window, weights=form[0] * w)

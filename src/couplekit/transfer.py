@@ -91,7 +91,7 @@ class PositiveMatrix:
     def _push_rank_one(self, G: np.ndarray, Y: np.ndarray, notes: list):
         """Push the steps <., G[i]> Y[i], one per row, with their notes."""
         if not (np.all(G >= 0) and np.all(Y >= 0)):  # a NaN fails too
-            raise ValueError("positive matrix entries must be >= 0")
+            raise UsageError("positive matrix entries must be >= 0")
         self.G = np.concatenate([self.G, G])
         self.Y = np.concatenate([self.Y, Y])
         self.steps += [("rank_one", None, note) for note in notes]
@@ -108,13 +108,13 @@ class PositiveMatrix:
 
     def add_rank_one(self, functional: SeqVec, target: SeqVec, note: str | None = None):
         if functional.window != self.window or target.window != self.window:
-            raise ValueError("window mismatch")
+            raise UsageError("window mismatch")
         self._push_rank_one(functional.values[None], target.values[None], [note])
 
     def add_diagonal(self, diag: dict[int, float], note: str | None = None):
         values = self._values(diag)
         if not np.all(values >= 0):
-            raise ValueError("positive matrix entries must be >= 0")
+            raise UsageError("positive matrix entries must be >= 0")
         self.d = self.d + values
         self.steps.append(("diagonal", values, note))
 
@@ -169,21 +169,21 @@ class PositiveMatrix:
 
     def apply(self, x: SeqVec) -> SeqVec:
         if x.window != self.window:
-            raise ValueError("window mismatch")
+            raise UsageError("window mismatch")
         return SeqVec(self.window, self.Y.T @ (self.G @ x.values) + self.d * x.values)
 
     # -- algebra ---------------------------------------------------------------
 
     def scaled(self, c: float) -> "PositiveMatrix":
         if not c >= 0:
-            raise ValueError("scale factor must be >= 0")
+            raise UsageError("scale factor must be >= 0")
         return PositiveMatrix._stacked(
             self.window, self.G, self.Y * c,
             [(op, None if diag is None else diag * c, note) for op, diag, note in self.steps])
 
     def __add__(self, other: "PositiveMatrix") -> "PositiveMatrix":
         if other.window != self.window:
-            raise ValueError("window mismatch")
+            raise UsageError("window mismatch")
         return PositiveMatrix._stacked(self.window, np.concatenate([self.G, other.G]),
                                        np.concatenate([self.Y, other.Y]),
                                        self.steps + other.steps)
@@ -353,7 +353,7 @@ def _add_block_sum(T: PositiveMatrix, X, Y, E: SeqSpaceSpec, note: str) -> np.nd
     X, Y = X[rows], Y[rows]
     norms, G = E.norm_rows(X, grad=True)
     if not np.all(norms > 0.0):
-        raise ValueError("cannot norm the zero vector")
+        raise UsageError("cannot norm the zero vector")
     pairings = np.array([np.dot(x, g) for x, g in zip(X, G)])
     # not >, so that a NaN pairing fails too
     if (bad := np.flatnonzero(~(np.abs(pairings / norms - 1.0) <= FUNCTIONAL_TOL))).size:

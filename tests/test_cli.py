@@ -214,11 +214,16 @@ def test_budget_below_one_is_usage_error(tmp_path, capsys, argv, budget):
        f"x_grid needs at least two points for the fit; got {kmax - 3}") for kmax in (3, 4)],
     *[(["analyze-orlicz", "--gen", "example1", "--C0", c],
        f"counter threshold C must be finite and exceed 1; got {c}") for c in ("nan", "inf")],
+    (["shift-test", "--space", "seq:lpw:p=2", "--side", "rsp", "--window", "a:b"],
+     "--window must be lo:hi or lo:hi:kind, lo and hi integers; got 'a:b'"),
+    (["k-profile", "--X", "lp:p=1", "--Y", "linf", "--f", "f.json", "--t-grid", "log:x:1:4"],
+     "--t-grid must be log:<a>:<b>:<n> (2^a .. 2^b, integer n); got 'log:x:1:4'"),
 ], ids=["lpw-without-p", "analyze-overflow", "verdict-overflow", "weightbase-nan",
         "weightbase-inf", "weightbase-huge", "weights-nan", "wexp-nan", "wexp-overflow",
         *(f"nested-{inner}weights-{flow}" for inner in ("", "modular-", "lpw-")
           for flow in ("underflow", "overflow")), "analyze-kmax-3",
-        "analyze-kmax-4", "analyze-C0-nan", "analyze-C0-inf"])
+        "analyze-kmax-4", "analyze-C0-nan", "analyze-C0-inf", "window-not-integer",
+        "t-grid-not-a-number"])
 @pytest.mark.filterwarnings("error")  # stderr holds the one JSON error object only
 def test_bad_spec_is_usage_error(tmp_path, capsys, argv, detail):
     out = tmp_path / "out.json"
@@ -545,6 +550,39 @@ def test_k_profile_unknown_domain_exit_1(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["detail"] == "unknown domain 'circle'"
+
+
+@pytest.mark.parametrize("command, content", [
+    ("k-profile", '{"domain": "unit", "breakpoints": null, "values": [1.0]}'),
+    ("k-profile", '{"domain": "unit", "breakpoints": [0, 1], "values": ["abc"]}'),
+    ("k-profile", "not json"),
+    ("transfer", '{"kind": "Z-", "lo": null, "hi": -1, "entries": {}}'),
+], ids=["breakpoints-null", "value-string", "not-json", "lo-null"])
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, content):
+    # a field of the wrong type or text that is not JSON is refused naming the file
+    fpath = tmp_path / "in.json"
+    fpath.write_text(content)
+    out = tmp_path / "out"
+    argv = (["k-profile", "--X", "lp:p=1", "--Y", "linf", "--t-grid", "log:-2:1:4", "--f", fpath]
+            if command == "k-profile" else
+            ["transfer", "--E", "seq:lpw:p=1", "--F", "seq:linf", "--window=-8:-1",
+             "--x", fpath, "--y", fpath])
+    assert _run(argv + ["--out", out]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "usage"
+    assert err["detail"].startswith(f"{fpath} does not hold valid input: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_defect_is_not_reported_as_usage(tmp_path, capsys, monkeypatch, error):
+    # an exception that is no refusal leaves main as a traceback, not exit 1
+    def broken(*args, **kwargs):
+        raise error("internal")
+    monkeypatch.setattr("couplekit.verdict.classify_couple", broken)
+    with pytest.raises(error, match="internal"):
+        _run(["verdict", "--X", "lp:p=2", "--Y", "linf", "--out", tmp_path / "v.json"])
+    assert capsys.readouterr().err == ""
 
 
 def test_bad_subcommand_exit_1(capsys):

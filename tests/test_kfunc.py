@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from couplekit import (LinftySeq, LorentzSpace, LpSpace, OrliczModular, OrliczSpace,
-                       PowerWeight, SeqSpaceSpec, SeqVec, StepFunction, UsageError,
+from couplekit import (HypothesisError, LinftySeq, LorentzSpace, LpSpace, OrliczModular,
+                       OrliczSpace, PowerWeight, SeqSpaceSpec, SeqVec, StepFunction, UsageError,
                        WeightedLp, Window, char_fn, dyadic_envelope, dyadic_lp,
                        fit_separation, kfunc, k_block_estimate, k_l1_linf_oracle,
                        k_numeric, k_profile, linf_space, power, pwpower, rho_profile)
@@ -125,7 +125,7 @@ def test_block_estimate_rejects_unseparated():
     win = Window("Z", -4, 4)
     E = dyadic_lp(1, win)
     flat = fit_separation({n: 1.0 for n in range(-4, 5)})
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisError, match="^couple is not exponentially separated$"):
         k_block_estimate(1.0, SeqVec.basis(win, 0), E, E, flat)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from couplekit import (MinimalFn, OrliczModular, TGrid, Window, brudnyi_pair,
+from couplekit import (HypothesisError, MinimalFn, OrliczModular, TGrid, Window, brudnyi_pair,
                        brudnyi_schedule, convexify, counter,
                        elastic_non_lorentz, elasticity_report, example1,
                        indices, lambda_seq, logfactor_fn, parse_generator,
@@ -58,6 +58,13 @@ def test_brudnyi_needs_q_gt_p_gt_1():
         brudnyi_pair(1.0, 2.0)
 
 
+def test_elastic_non_lorentz_rejects_bad_psi():
+    with pytest.raises(HypothesisError, match="^psi must be nonincreasing$"):
+        elastic_non_lorentz(psi=lambda t: 0.5 * np.tanh(t))
+    with pytest.raises(HypothesisError, match="^psi must be bounded by one$"):
+        elastic_non_lorentz(psi=lambda t: 2.0 + 0.0 * t)
+
+
 def test_example1_quadratic_below_e():
     F = example1()
     for x in (0.25, 1.0, math.e * 0.999):
@@ -65,9 +72,9 @@ def test_example1_quadratic_below_e():
 
 
 def test_example1_rejects_bad_schedule():
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisError, match="values in"):
         example1(xi=lambda n: np.asarray(n, dtype=float) * 0 + 1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisError, match="nonincreasing"):
         example1(xi=lambda n: 0.1 + 0.01 * np.asarray(n, dtype=float))
 
 

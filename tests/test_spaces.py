@@ -858,6 +858,17 @@ def test_lpw_needs_p(spec):
         parse_seq_space(spec, Window("Z-", -2, -1))
 
 
+@pytest.mark.parametrize("parse, spec", [
+    (parse_generator, "power:p=0.5"), (parse_space, "lp:p=0.5"),
+    (parse_space, "lorentz:p=2,w=pow:-3"),
+    (parse_seq_space, "seq:from:<seq:lpw:p=1>,weightbase=0"),
+], ids=["power", "lp", "lorentz-weight", "weightbase"])
+def test_bad_parameter_is_a_usage_error(parse, spec):
+    # a parameter out of range meets the same type as a missing or unread one
+    with pytest.raises(UsageError):
+        parse(spec)
+
+
 def test_parse_any_space_dispatch():
     assert isinstance(parse_any_space("lp:p=2"), LpSpace)
     assert isinstance(parse_any_space("seq:lpw:p=2"), WeightedLp)

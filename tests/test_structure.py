@@ -52,12 +52,14 @@ lambda_n = F^{-1}(2^{-n}) solved in one place (``OrliczFn.log_lambda``, once
 per generator), one window check (``spaces._check_windows``, which every
 pairing of a vector, family or window with a space calls, so a mismatch is
 one ``UsageError`` everywhere), one representation of a positive
-operator (the factor stack ``G``, ``Y``, ``d`` of ``PositiveMatrix``), and
+operator (the factor stack ``G``, ``Y``, ``d`` of ``PositiveMatrix``),
 classes built from their source as written: no dataclass, named tuple or
-``exec``.
+``exec``, and one refusal type: the package raises its ``errors`` types, and
+``cli.main`` reports those and ``OSError`` only.
 """
 
 import ast
+import builtins
 import functools
 import inspect
 import itertools
@@ -658,3 +660,45 @@ def test_one_representation_of_a_positive_operator():
     # the rank-one constant reads the block rows of the block sum itself
     assert "Y" in _names(fns["_rank_one_constant"])
     assert "PositiveMatrix" not in _called(fns["_rank_one_constant"])
+
+
+BUILTIN_EXCEPTIONS = {name for name, obj in vars(builtins).items()
+                      if isinstance(obj, type) and issubclass(obj, BaseException)}
+
+
+def _raised(node, fn=None):
+    """(innermost function or None, class name) of each ``raise`` of a named
+    class under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raised(child, child)
+        elif isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield fn, exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+        else:
+            yield from _raised(child, fn)
+
+
+def test_every_refusal_is_a_couplekit_error():
+    # src refuses with the errors types only.  Two builtins are allowed:
+    # NotImplementedError as the whole body of a protocol default, and the
+    # AttributeError Python's attribute protocol asks of the package's
+    # __getattr__ and of a read-only record
+    builtin = [(path.stem, fn, exc) for path in sorted(SRC.glob("*.py"))
+               for fn, exc in _raised(ast.parse(path.read_text()))
+               if exc in BUILTIN_EXCEPTIONS]
+    assert {exc for _, _, exc in builtin} == {"AttributeError", "NotImplementedError"}
+    assert sorted(f"{mod}.{fn.name}" for mod, fn, exc in builtin if exc == "AttributeError") == [
+        "__init__.__getattr__", "measure._read_only"]
+    for mod, fn, exc in builtin:
+        if exc == "NotImplementedError":
+            body = fn.body[1:] if ast.get_docstring(fn) else fn.body
+            assert len(body) == 1 and isinstance(body[0], ast.Raise), f"{mod}.{fn.name}"
+    # cli.main catches parse_args' SystemExit, then CoupleKitError and
+    # OSError only: any other exception from a command is a defect's traceback
+    main = next(fn for fn in _functions(ast.parse((SRC / "cli.py").read_text()))
+                if fn.name == "main")
+    handlers = [handler for node in ast.walk(main) if isinstance(node, ast.Try)
+                for handler in node.handlers]
+    assert [_names(handler.type) for handler in handlers] == [
+        {"SystemExit"}, {"CoupleKitError", "OSError"}]
