@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import CoupleKitError, HypothesisError, UsageError
+from .errors import CoupleKitError, HypothesisError, UsageError, check_seed
 from .measure import SeqVec, Window
 
 
@@ -164,7 +164,7 @@ def cmd_transfer(args) -> int:
         T = k_transfer(x, y, E, F, fit)
     payload = T.to_json_dict()
     payload["config"] = {"E": args.E, "F": args.F, "mode": args.mode,
-                         "window": window.to_json_dict(), "seed": args.seed}
+                         "window": window.to_json_dict(), "seed": check_seed(args.seed)}
     if args.check_norms:
         # op_norm's interval, with the evaluations its lower search spent and
         # why that search stopped
@@ -208,6 +208,8 @@ def cmd_generate(args) -> int:
             raise UsageError(f"{args.gen} is sampled on u in [{lo!r}, {hi!r}] and "
                              f"extrapolated past it; got --u-lo {args.u_lo!r}, "
                              f"--u-hi {args.u_hi!r}")
+    if args.points < 0:
+        raise UsageError(f"--points must be >= 0; got {args.points}")
     us = np.linspace(args.u_lo, args.u_hi, args.points)
     hs = _finite_profile(F, us)  # a usage error where log F overflows
     with open(args.dump, "w", newline="") as fh:
@@ -218,11 +220,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line is a usage error like any other
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (``parse_args`` leaves it
-    as it was)."""
-    ap = argparse.ArgumentParser(
+    as it was); its subparsers are ``_Parser``s too."""
+    ap = _Parser(
         prog="couplekit",
         description="Calderon-couple toolkit: norms, K-functionals, shift "
                     "properties, transfer operators, Orlicz elasticity.")
@@ -285,13 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
-        for flag in ("seed", "points"):  # numpy refuses a negative one
-            if getattr(args, flag, 0) < 0:
-                raise UsageError(f"--{flag} must be >= 0; got {getattr(args, flag)}")
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return 1 if exc.code not in (0, None) else 0
     except (CoupleKitError, OSError) as exc:
         code = getattr(exc, "code", "usage")
         print(json.dumps({"error": code, "detail": str(exc)}), file=sys.stderr)

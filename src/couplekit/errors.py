@@ -28,3 +28,10 @@ def check_budget(budget: int) -> None:
     """Reject an evaluation budget below 1, wherever a search may run on it."""
     if budget < 1:
         raise UsageError(f"budget must be at least 1; got {budget}")
+
+
+def check_seed(seed: int) -> int:
+    """The seed, refused below 0 (numpy's generators would refuse it as a builtin error)."""
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0; got {seed}")
+    return seed

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .ascent import STOP_OVERFLOW, STOP_UPPER, _ascend_steps, stop_level, stop_reason
-from .errors import UsageError, check_budget
+from .errors import UsageError, check_budget, check_seed
 from .measure import _Record
 from .spaces import _EPS, SeqSpaceSpec, _row_ratios, _shift_quotients, shift_values
 
@@ -116,7 +116,7 @@ def kappa_estimate(E: SeqSpaceSpec, budget: int = 800, seed: int = 0) -> KappaEs
     if window.size < 2:
         raise UsageError(f"kappa_estimate needs a window of at least 2 indices; "
                          f"this one has {window.size}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     n_max = max(1, window.size // 2)
     shifts = sorted(set([1, 2] + [n_max // 2, n_max] +
                         list(np.unique(np.geomspace(1, n_max, 6).astype(int)))))

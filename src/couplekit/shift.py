@@ -35,7 +35,7 @@ import numpy as np
 
 from .ascent import (ACCEPT_REL, STOP_BUDGET, _ascend_steps, stop_level,
                      stop_reason)
-from .errors import UsageError, check_budget
+from .errors import UsageError, check_budget, check_seed
 from .measure import SeqVec, Window, _Record, _sparse
 from .spaces import SeqSpaceSpec, _check_windows, _row_ratios
 
@@ -110,7 +110,7 @@ def gen_interlaced(E: SeqSpaceSpec, window: Window, n_pairs: int,
     then normalized by one ``norm_rows`` call.
     """
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(check_seed(seed))
     if n_pairs < 1:
         raise UsageError(f"n_pairs must be at least 1; got {n_pairs}")
     lmin, lmax = block_len_range
@@ -265,7 +265,7 @@ def shift_constant_estimate(E: SeqSpaceSpec, side: str = RSP,
     win = work.window
     upper = work.shift_upper()
     level = stop_level(target, upper)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     best_ratio, best, evals, stop = 0.0, None, 0, STOP_BUDGET
     if incumbent is not None and incumbent.witness is not None:
         fam = _embed_family(incumbent.witness.family, win)

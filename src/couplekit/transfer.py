@@ -48,7 +48,7 @@ import math
 import numpy as np
 
 from .ascent import ACCEPT_REL, STOP_BUDGET, _ascend_steps, stop_level, stop_reason
-from .errors import HypothesisError, UsageError, check_budget
+from .errors import HypothesisError, UsageError, check_budget, check_seed
 from .kfunc import (SeparationFit, _block_points, _check_finite, _k_grid, _prefix_norms,
                     _suffix_norms)
 from .measure import SeqVec, Window, _Record, _sparse
@@ -276,7 +276,7 @@ def _op_norm_lower(T: PositiveMatrix, space: SeqSpaceSpec, budget: int,
     check_budget(budget)
     upper = _upper_bound(T, space)
     level = stop_level(None, upper)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     win = T.window
     # the nonzero columns: of the diagonal and of the steps with a nonzero target
     cols = np.flatnonzero((T.G[T.Y.any(axis=1)] != 0).any(axis=0) | (T.d != 0))

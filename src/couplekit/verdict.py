@@ -1,15 +1,18 @@
 """Verdict engine for couples of r.i. spaces.
 
-The decision rules bundle numeric evidence behind the structure theorems:
-pair-with-L_infty reduces to stretchability, separated Boyd indices to
-shift properties of the dyadic sequence spaces, matching convexity ranges
-to the p-concave/p-convex criterion, and Orlicz/Orlicz pairs to the
-joint-elasticity necessary condition.  A positive or negative verdict is
-issued only when every hypothesis in the chain is certified at the stated
-evidence level (exact shift constants, or a concrete falsifier witness);
-everything else is "inconclusive" with the failed hypotheses listed, since
-finite searches and finite counter tables cannot prove an asymptotic
-property.  A rule that reads the elasticity counters imports ``analysis``.
+A couple's verdict is a function of two evidence records, one per space on
+the window.  ``_Evidence`` reads each per-space fact once (the spec, the
+domain, ``boyd()``, ``generator()``, the E-space's weighted-lp form and shift
+bound) and the elasticity report on first read, so an exact verdict loads no
+``analysis``.  ``_decide``'s routes read only the two records: (i) a pair
+with L_infty by X's stretchability; (ii) separated Boyd indices and (iii)
+matching convexity ranges by one shift-sides rule; (iv) an Orlicz pair by
+the joint-elasticity necessary condition, beside which the seeded
+counterexample-pair annotation is a step of the couple.  A definite verdict
+needs a certificate (exact shift constants, or a concrete falsifier
+witness); everything else is "inconclusive" with the failed hypotheses
+listed, since finite searches and counter tables cannot prove an
+asymptotic property.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, check_seed
 from .measure import Window, _Record, default_unit_window
 from .orlicz import OrliczFn, brudnyi_schedule
 from .fnspaces import SpaceSpec
@@ -27,6 +30,8 @@ from .spaces import OrliczModular, _wlp_norms
 CAVEAT_EXACT = "exact shift constants"
 CAVEAT_WITNESS = "inelasticity witness of the elasticity counters on their grid"
 CAVEAT_NONE = "no certification"
+_CAVEATS = {"calderon": CAVEAT_EXACT, "not-calderon-witness": CAVEAT_WITNESS,
+            "inconclusive": CAVEAT_NONE}
 
 
 class CoupleReport(_Record):
@@ -58,27 +63,41 @@ class CoupleReport(_Record):
         }
 
 
-def _stretchability_evidence(space: SpaceSpec, window: Window) -> dict:
-    """Evidence record for 'E_X has RSP': exact class, elasticity counters, or
-    none.
+class _Evidence:
+    """What a verdict reads of one space on one window, each fact read once."""
 
-    Only certificates decide, so no RSP search runs here: a finite search
-    can neither certify nor falsify a uniform constant (``shift-test`` runs
-    one)."""
-    if (constant := space.e_space(window).shift_upper()) is not None:
-        return {"kind": "exact-weighted-lp", "constant": constant,
-                "certified": True, "stretchable": True}
-    F = space.generator()
-    if F is None:
-        return {"kind": "none", "certified": False, "stretchable": None}
-    from .analysis import elasticity_report
-    rep = elasticity_report(F)
-    # the counter growth is the certified falsifier; elastic counters are
-    # consistent with stretchability, not a proof of it
-    witness = rep.classification == "inelastic-witness"
-    return {"kind": "elasticity", "report": rep.to_json_dict(),
-            "classification": rep.classification, "certified": witness,
-            "stretchable": False if witness else None}
+    def __init__(self, space: SpaceSpec, window: Window):
+        self.spec, self.domain = space.spec_string(), space.domain
+        self.boyd, self.generator = space.boyd(), space.generator()
+        E = space.e_space(window)
+        self.shift_upper, self.form = E.shift_upper(), E.weighted_lp_form()
+        self._elasticity = None
+
+    @property
+    def elasticity(self):
+        """The generator's elasticity report, computed on first read."""
+        if self._elasticity is None:
+            from .analysis import elasticity_report
+            self._elasticity = elasticity_report(self.generator)
+        return self._elasticity
+
+    @property
+    def stretchability(self) -> dict:
+        """'E_X has RSP': exact class, elasticity counters, or none.  Only
+        certificates decide, so no RSP search runs here: a finite search can
+        neither certify nor falsify a uniform constant (``shift-test`` runs one)."""
+        if self.shift_upper is not None:
+            return {"kind": "exact-weighted-lp", "constant": self.shift_upper,
+                    "certified": True, "stretchable": True}
+        if self.generator is None:
+            return {"kind": "none", "certified": False, "stretchable": None}
+        # the counter growth is the certified falsifier; elastic counters are
+        # consistent with stretchability, not a proof of it
+        rep = self.elasticity
+        witness = rep.classification == "inelastic-witness"
+        return {"kind": "elasticity", "report": rep.to_json_dict(),
+                "classification": rep.classification, "certified": witness,
+                "stretchable": False if witness else None}
 
 
 _OPTIONS = ("window", "seed", "p_concave_X", "p_convex_Y", "r_concave_Y")
@@ -99,111 +118,81 @@ def classify_couple(X: SpaceSpec, Y: SpaceSpec, options: dict | None = None) -> 
     if X.domain != Y.domain:
         raise UsageError("couple must live on a single domain")
     window = opts.get("window") or default_unit_window()
-    seed = int(opts.get("seed", 0))
+    return _decide(_Evidence(X, window), _Evidence(Y, window), window, opts)
 
-    bx, by = X.boyd(), Y.boyd()
+
+def _settle(report: CoupleReport, verdict: str, *reasons: str) -> CoupleReport:
+    report.verdict, report.caveat_level = verdict, _CAVEATS[verdict]
+    report.reasons.extend(reasons)
+    return report
+
+
+def _decide(x: _Evidence, y: _Evidence, window: Window, opts: dict) -> CoupleReport:
+    """The verdict on the couple (X, Y) from its two records on the window."""
+    bx, by = x.boyd, y.boyd
+    seed = check_seed(int(opts.get("seed", 0)))
     report = CoupleReport(
-        spaces={"X": X.spec_string(), "Y": Y.spec_string(), "domain": X.domain},
+        spaces={"X": x.spec, "Y": y.spec, "domain": x.domain},
         indices={"X": bx.to_json_dict(), "Y": by.to_json_dict()},
         applicable=[], verdict="inconclusive", caveat_level=CAVEAT_NONE,
         seeds={"seed": seed}, windows={"window": window.to_json_dict()},
     )
 
     # (i) pair with L_infty (E_Y's form has p = inf): verdict by stretchability of X
-    if (form := Y.e_space(window).weighted_lp_form()) and math.isinf(form[1]):
+    if y.form and math.isinf(y.form[1]):
         report.applicable.append("pair-with-Linfty (stretchability criterion)")
-        ev = _stretchability_evidence(X, window)
-        report.evidence["stretchability_X"] = ev
-        if ev.get("stretchable") is True and ev.get("certified"):
-            report.verdict = "calderon"
-            # only the exact-weighted-lp kind is certified stretchable
-            report.caveat_level = CAVEAT_EXACT
-            return report
-        if ev.get("stretchable") is False and ev.get("certified"):
-            report.verdict = "not-calderon-witness"
-            report.caveat_level = CAVEAT_WITNESS
-            report.reasons.append(
-                "inelasticity witness certifies failure of stretchability")
-            return report
-        report.reasons.append(
-            "stretchability evidence is consistency-level only")
-        return report
+        ev = report.evidence["stretchability_X"] = x.stretchability
+        # only the exact-weighted-lp kind is stretchable, and only a witness is not
+        if ev["stretchable"]:
+            return _settle(report, "calderon")
+        if ev["stretchable"] is False:
+            return _settle(report, "not-calderon-witness",
+                           "inelasticity witness certifies failure of stretchability")
+        return _settle(report, "inconclusive", "stretchability evidence is consistency-level only")
 
-    # (ii) separated Boyd indices
-    gap_ok = by.p - by.p_err > bx.q + bx.q_err
-    if gap_ok:
-        report.applicable.append("separated-Boyd-indices criterion (p_Y > q_X)")
-        return _verdict_from_shift_sides(report, X, Y, window)
-
-    # (iii) p-concavity / p-convexity route
-    p_cc = opts.get("p_concave_X")
-    p_cv = opts.get("p_convex_Y")
-    r_cc = opts.get("r_concave_Y")
-    derived = _derive_convexity_p(X, Y, bx, by)
-    if (p_cc is not None and p_cv is not None and p_cc == p_cv and r_cc) or derived:
+    # (ii) separated Boyd indices; (iii) the p-concavity / p-convexity route,
+    # asserted or by the sufficient-only index criterion q_X <= p <= p_Y
+    lo, hi = bx.q + bx.q_err, by.p - by.p_err
+    p_cc, route = opts.get("p_concave_X"), None
+    if hi > lo:
+        route = "separated-Boyd-indices criterion (p_Y > q_X)"
+    elif ((p_cc is not None and p_cc == opts.get("p_convex_Y") and opts.get("r_concave_Y"))
+          or (math.isfinite(by.q) and math.isfinite(lo) and lo <= hi)):
         tag = "user-asserted" if p_cc is not None else "sufficient index criteria"
-        report.applicable.append(f"matching convexity route ({tag})")
-        return _verdict_from_shift_sides(report, X, Y, window)
+        route = f"matching convexity route ({tag})"
+    if route:
+        report.applicable.append(route)
+        report.evidence["shift_X"] = {"exact-weighted-lp": x.shift_upper is not None}
+        report.evidence["shift_Y"] = {"exact-weighted-lp": y.shift_upper is not None}
+        if x.shift_upper is not None and y.shift_upper is not None:
+            return _settle(report, "calderon")
+        ev = report.evidence["stretchability_X"] = x.stretchability
+        if ev["stretchable"] is False:
+            return _settle(report, "not-calderon-witness",
+                           "X fails stretchability with certified witness")
+        return _settle(report, "inconclusive", "shift hypotheses not certified for both sides")
 
     # (iv) Orlicz/Orlicz necessary condition
-    Fx, Fy = X.generator(), Y.generator()
-    if Fx is not None and Fy is not None:
+    if x.generator is not None and y.generator is not None:
         report.applicable.append("Orlicz-pair necessary condition (joint elasticity or equal indices)")
         mismatch = (abs(bx.p - by.p) > bx.p_err + by.p_err + 1e-9 or
                     abs(bx.q - by.q) > bx.q_err + by.q_err + 1e-9)
-        from .analysis import elasticity_report
-        ex, ey = elasticity_report(Fx), elasticity_report(Fy)
-        report.evidence["elasticity_X"] = ex.to_json_dict()
-        report.evidence["elasticity_Y"] = ey.to_json_dict()
-        some_witness = "inelastic-witness" in (ex.classification, ey.classification)
-        if mismatch and some_witness:
-            report.verdict = "not-calderon-witness"
-            report.caveat_level = CAVEAT_WITNESS
-            report.reasons.append(
-                "index mismatch without joint elasticity (witness attached)")
-            return report
-        if _is_brudnyi_pair(Fx, Fy):
+        report.evidence["elasticity_X"] = x.elasticity.to_json_dict()
+        report.evidence["elasticity_Y"] = y.elasticity.to_json_dict()
+        if mismatch and "inelastic-witness" in (x.elasticity.classification,
+                                                y.elasticity.classification):
+            return _settle(report, "not-calderon-witness",
+                           "index mismatch without joint elasticity (witness attached)")
+        if _is_brudnyi_pair(x.generator, y.generator):
             report.evidence["brudnyi"] = brudnyi_evidence(
-                (Fx, Fy), Window("Z-", -max(256, window.size), -1), seed=seed)
+                (x.generator, y.generator), Window("Z-", -max(256, window.size), -1), seed=seed)
             report.reasons.append(
                 "recognized counterexample-pair construction: known Calderon "
                 "couple with p_F = p_G < q_F = q_G (annotation, not certified)")
-        report.reasons.append("necessary condition not violated; no certifying theorem")
-        return report
+        return _settle(report, "inconclusive", "necessary condition not violated; no certifying theorem")
 
-    report.reasons.append("no applicable theorem: Boyd gap absent, no convexity "
-                          "assertion, not an Orlicz pair")
-    return report
-
-
-def _derive_convexity_p(X, Y, bx, by) -> float | None:
-    """Sufficient-only index criterion: q_X <= p <= p_Y with Y r-concave."""
-    if not (math.isfinite(by.q)):
-        return None
-    lo = bx.q + bx.q_err
-    hi = by.p - by.p_err
-    if lo <= hi and math.isfinite(lo):
-        return 0.5 * (lo + hi)
-    return None
-
-
-def _verdict_from_shift_sides(report, X, Y, window):
-    ex, ey = (S.e_space(window).shift_upper() is not None for S in (X, Y))
-    report.evidence["shift_X"] = {"exact-weighted-lp": ex}
-    report.evidence["shift_Y"] = {"exact-weighted-lp": ey}
-    if ex and ey:
-        report.verdict = "calderon"
-        report.caveat_level = CAVEAT_EXACT
-        return report
-    sx = _stretchability_evidence(X, window)
-    report.evidence["stretchability_X"] = sx
-    if sx.get("stretchable") is False and sx.get("certified"):
-        report.verdict = "not-calderon-witness"
-        report.caveat_level = CAVEAT_WITNESS
-        report.reasons.append("X fails stretchability with certified witness")
-        return report
-    report.reasons.append("shift hypotheses not certified for both sides")
-    return report
+    return _settle(report, "inconclusive", "no applicable theorem: Boyd gap absent, no "
+                   "convexity assertion, not an Orlicz pair")
 
 
 def _is_brudnyi_pair(Fx: OrliczFn, Fy: OrliczFn) -> bool:
@@ -255,7 +244,7 @@ def brudnyi_evidence(pair, window: Window, n_samples: int = 200,
         raise UsageError("window too narrow: no index reaches a psi band")
     EF = OrliczModular(F, window)
     EG = OrliczModular(G, window)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
 
     # all samples first (J0, then J1), then one norm_rows call per set and space
     V0 = _brudnyi_samples(rng, lam_arr, J0, n_samples)

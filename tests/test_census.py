@@ -71,9 +71,10 @@ def test_load_table_sizes_each_loaded_module_and_its_called_def_lines():
     defs = census.enumerate_defs()
     check = next(d for d in defs if d.name == "errors.check_budget")
     runs_of = {d: ["w"] if d is check else [] for d in defs}
+    held = sum(d.lines for d in defs if d.name.startswith("errors."))
     header, row, total = census.load_table("w", ["errors"], runs_of)
     assert row.split() == ["#", "errors", f"{lines:,d}", f"{tokens:,d}", str(check.lines),
-                           "/", str(check.lines)]
+                           "/", str(held)]
     assert total.split()[1] == "total" and total.split()[2:] == row.split()[2:]
 
 

@@ -589,6 +589,43 @@ def test_bad_subcommand_exit_1(capsys):
     assert _run(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["shift-test", "--space", "seq:lpw:p=2", "--side", "rsp", "--budget", "abc", "--out", "o"],
+     "couplekit shift-test: argument --budget: invalid int value: 'abc'"),
+    (["verdict", "--X", "lp:p=2", "--Y", "linf", "--out", "o", "--colour", "red"],
+     "couplekit: unrecognized arguments: --colour red"),
+    (["verdict", "--X", "lp:p=2", "--out", "o"],
+     "couplekit verdict: the following arguments are required: --Y"),
+    (["no-such-command"], "couplekit: argument command: invalid choice: 'no-such-command'"),
+], ids=["bad-type", "unknown-option", "missing-flag", "unknown-command"])
+def test_command_line_error_is_one_json_object(capsys, argv, detail):
+    # argparse's refusals meet the same rule as the commands' own: exit 1 and
+    # one JSON object on stderr, not argparse's usage text
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    err = json.loads(err)
+    assert err["error"] == "usage" and err["detail"].startswith(detail)
+
+
+def test_help_exits_0(capsys):
+    assert _run(["verdict", "--help"]) == 0
+    assert "--seed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["shift-test", "--space", "seq:lpw:p=2", "--side", "rsp", "--window=-8:-1",
+      "--seed", -1, "--budget", 5, "--out", "o.json"], "seed must be >= 0; got -1"),
+    (["generate", "--gen", "power:p=2", "--points", -1, "--dump", "o.csv"],
+     "--points must be >= 0; got -1"),
+], ids=["seed", "points"])
+def test_negative_seed_or_points_is_usage_error(tmp_path, capsys, monkeypatch, argv, detail):
+    monkeypatch.chdir(tmp_path)
+    assert _run(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "usage", "detail": detail}
+    assert not list(tmp_path.iterdir())
+
+
 def test_transfer_on_reversed_space_names_its_error(tmp_path, capsys):
     # rev:<inner> lives on --window; K mode used to die with an IndexError
     win = Window("Z-", -24, -1)

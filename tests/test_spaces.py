@@ -19,6 +19,9 @@ from couplekit import (FromSequenceSpace, GeometricWeighted, InducedSeq, LinftyS
                        parse_generator, parse_seq_space, parse_space, power,
                        pwpower, rearrange, rho_profile, sample_profile)
 from couplekit.ascent import stop_level
+from couplekit.shift import gen_interlaced, shift_constant_estimate
+from couplekit.transfer import PositiveMatrix, op_norm
+from couplekit.verdict import brudnyi_evidence, classify_couple
 from couplekit.kappa import _best_shift_ratio, _shift_bound, _shift_ratios
 from couplekit.orlicz import _ARRAY_ROWS
 from couplekit.spaces import _EPS, _Conjugated, _wlp_norms, shift_values
@@ -867,6 +870,26 @@ def test_bad_parameter_is_a_usage_error(parse, spec):
     # a parameter out of range meets the same type as a missing or unread one
     with pytest.raises(UsageError):
         parse(spec)
+
+
+_SEED_WINDOW = Window("Z-", -8, -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: shift_constant_estimate(dyadic_lp(2, _SEED_WINDOW), budget=5, seed=-1),
+    lambda: gen_interlaced(dyadic_lp(2, _SEED_WINDOW), _SEED_WINDOW, 2, seed=-1),
+    lambda: kappa_estimate(dyadic_lp(2, _SEED_WINDOW), budget=5, seed=-1),
+    lambda: op_norm(PositiveMatrix(_SEED_WINDOW), dyadic_lp(2, _SEED_WINDOW), "lower",
+                    budget=5, seed=-1),
+    lambda: brudnyi_evidence(brudnyi_pair(1.5, 3.0), Window("Z-", -256, -1), n_samples=5,
+                             seed=-1),
+    lambda: classify_couple(LpSpace(2), linf_space(), {"seed": -1}),
+], ids=["shift-search", "interlaced", "kappa", "op-norm", "brudnyi", "classify"])
+def test_negative_seed_is_a_usage_error(call):
+    # each seeded entry point refuses the seed itself, before numpy's
+    # generator would refuse it with a builtin error
+    with pytest.raises(UsageError, match="seed must be >= 0; got -1"):
+        call()
 
 
 def test_parse_any_space_dispatch():

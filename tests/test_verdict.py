@@ -1,3 +1,5 @@
+import collections
+import json
 import math
 
 import numpy as np
@@ -10,7 +12,10 @@ from couplekit import (FromSequenceSpace, LorentzSpace, LpSpace,
                        dyadic_lp, example1, lambda_seq, linf_space, parse_space, power,
                        pwpower)
 from couplekit.orlicz import brudnyi_schedule
-from couplekit.verdict import CAVEAT_EXACT, CAVEAT_NONE, CAVEAT_WITNESS, _brudnyi_samples
+from couplekit import analysis
+from couplekit.measure import default_unit_window
+from couplekit.verdict import (CAVEAT_EXACT, CAVEAT_NONE, CAVEAT_WITNESS, _brudnyi_samples,
+                               _decide, _Evidence)
 from conftest import reference_brudnyi_samples
 
 
@@ -151,6 +156,51 @@ def test_verdict_routes(X, Y, options, verdict, route, caveat, reasons):
     rep = classify_couple(parse_space(X), parse_space(Y), options)
     assert (rep.verdict, rep.caveat_level, rep.reasons) == (verdict, caveat, reasons)
     assert rep.applicable == ([route] if route else [])
+
+
+_MATRIX_SPECS = ["lp:p=1", "lp:p=2", "lp:p=4", "linf", "lorentz:p=2,w=pow:0.3",
+                 *(f"orlicz:gen=<{gen}>" for gen in (
+                     "power:p=2", "pwpower:p0=1.5,p1=3", "logfactor:p=1.5", "example1",
+                     "elastic-nl", "brudnyi:p=1.5,q=3:F", "brudnyi:p=1.5,q=3:G",
+                     "minimal:alpha=0.05")),
+                 "fromseq:<seq:orlicz-modular:gen=<example1>>"]
+
+# test_verdict_routes's couples, route (i) and the counterexample pair
+_SAMPLE = [("lp:p=2", "lp:p=2", {}),
+           ("lp:p=3", "lp:p=2", {"p_concave_X": 2, "p_convex_Y": 2, "r_concave_Y": 3}),
+           ("orlicz:gen=<example1>", "lp:p=4", {}),
+           ("orlicz:gen=<pwpower:p0=2,p1=3>", "lp:p=4", {}),
+           ("orlicz:gen=<example1>", "orlicz:gen=<power:p=2>", {}),
+           ("lp:p=3", "lp:p=1", {}),
+           ("lp:p=2", "linf", {}),
+           ("orlicz:gen=<brudnyi:p=1.5,q=3:F>", "orlicz:gen=<brudnyi:p=1.5,q=3:G>", {})]
+
+
+def test_matrix_reads_each_space_once(monkeypatch):
+    # the 14 x 14 zoo matrix decides from 14 records, one per space, so each
+    # space's analyses run once for its 28 couples; a decision from shared
+    # records is classify_couple's, on every route and verdict
+    window, spaces = default_unit_window(), {s: parse_space(s) for s in _MATRIX_SPECS}
+    calls = collections.Counter()
+    for name in ("elasticity_report", "indices"):
+        def counted(*args, _name=name, _fn=getattr(analysis, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    records = {s: _Evidence(X, window) for s, X in spaces.items()}
+    verdicts = collections.Counter(_decide(x, y, window, {"seed": 0}).verdict
+                                   for x in records.values() for y in records.values())
+    assert verdicts == {"calderon": 13, "inconclusive": 149, "not-calderon-witness": 34}
+    assert calls["elasticity_report"] <= 9 and calls["indices"] <= 8
+    monkeypatch.undo()
+    for X, Y, options in _SAMPLE:
+        for spec in (X, Y):
+            if spec not in records:
+                records[spec] = _Evidence(spaces.setdefault(spec, parse_space(spec)), window)
+        options = {"seed": 0, **options}
+        shared = _decide(records[X], records[Y], window, options).to_json_dict()
+        fresh = classify_couple(spaces[X], spaces[Y], options).to_json_dict()
+        assert json.dumps(shared, sort_keys=True) == json.dumps(fresh, sort_keys=True)
 
 
 @pytest.mark.parametrize("p, exponent, exact", [
