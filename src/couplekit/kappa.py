@@ -53,10 +53,16 @@ class KappaEstimate(_Record):
 
 def _shift_ratios(space: SeqSpaceSpec, V: np.ndarray, n: int) -> np.ndarray:
     """||tau_n v|| / ||v|| for each row v of V: 0 where ||v|| = 0, inf past
-    the overflow ratio."""
-    out = _row_ratios(space, V, shift_values(V, n))
+    the overflow ratio.  Each distinct row, bit for bit, is solved once, and
+    its repeats (a lane that drew one step twice with no accept between)
+    take its value: a row's norm does not depend on its batch."""
+    V = np.ascontiguousarray(V)
+    rows = V.view(np.dtype((np.void, V.itemsize * V.shape[1])))[:, 0]
+    _, first, back = np.unique(rows, return_index=True, return_inverse=True)
+    U = V[first]
+    out = _row_ratios(space, U, shift_values(U, n))
     out[out > _OVERFLOW_RATIO] = math.inf
-    return out
+    return out[back]
 
 
 def _shift_bound(space: SeqSpaceSpec, n: int) -> float:

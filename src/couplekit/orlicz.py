@@ -192,15 +192,15 @@ class PiecewiseAffineFn(OrliczFn):
 
     def log_eval(self, u):
         u = np.asarray(u, dtype=float)
-        k = np.searchsorted(self._u, u, side="right")
+        k = self._u.searchsorted(u, side="right")
         return self._seg_h[k] + (u - self._seg_u[k]) * self._seg_s[k]
 
     def slope(self, u):
-        return self._seg_s[np.searchsorted(self._u, u, side="right")]
+        return self._seg_s[self._u.searchsorted(u, side="right")]
 
     def log_eval_slope(self, u):
         u = np.asarray(u, dtype=float)
-        k = np.searchsorted(self._u, u, side="right")
+        k = self._u.searchsorted(u, side="right")
         s = self._seg_s[k]
         return self._seg_h[k] + (u - self._seg_u[k]) * s, s
 
@@ -643,13 +643,16 @@ def _luxemburg_log(F: OrliczFn, er: np.ndarray, ec: np.ndarray, la: np.ndarray,
     points), and the terms exp(log w + h - max) and their products with h'
     on the entries of the rows still iterating, with row maxima by
     ``np.maximum.reduceat``.  Both row sums (S and D of G' = -D / S) are
-    taken in one zero-filled (2, k, n) buffer reduced over the full width:
-    zeros in place keep numpy's pairwise summation order, so a row's result
-    does not depend on the other rows; the rows still iterating reuse its
-    leading rows.  A batch of at least ``_ARRAY_ROWS`` rows keeps each row's
-    beta, bracket and previous width in arrays, stepped as whole-array
-    operations; below that, the rows step one by one in lists.  Both steps
-    compute the same floats (``math.log`` per row, Python's min/max as
+    taken in one zero-filled (2, k, n) buffer, the terms scattered through
+    flat views at row * n + column and reduced over the full width: zeros in
+    place keep numpy's pairwise summation order, so a row's result does not
+    depend on the other rows.  When rows finish, the rows still iterating
+    are renumbered 0, 1, ... through one index map, the finished rows'
+    entries dropped, and the buffer's leading rows zeroed and reused.  A
+    batch of at least ``_ARRAY_ROWS`` rows keeps each row's beta, bracket
+    and previous width in arrays, stepped as whole-array operations; below
+    that, the rows step one by one in lists.  Both steps compute the same
+    floats (``math.log`` per row, the bracket's min and max as the same
     strict comparisons), so a row's iterates do not depend on the path.
     """
     k, n = len(beta), len(log_w)
@@ -661,13 +664,14 @@ def _luxemburg_log(F: OrliczFn, er: np.ndarray, ec: np.ndarray, la: np.ndarray,
     lw, flat = log_w[ec], er * n + ec
     starts = er.searchsorted(np.arange(k))
     sums = np.zeros((2, k, n))
-    s_f, d_f = sums[0].reshape(-1), sums[1].reshape(-1)
+    s_f = sums.reshape(-1)
+    d_f = s_f[k * n:]
     # row, beta, bracket and previous bracket width of each row still
     # iterating: arrays while the batch is wide, then lists
     if wide := k >= _ARRAY_ROWS:
         rows, betas, los, his, widths = np.arange(k), beta, lo, hi, np.full(k, math.inf)
     else:
-        rows, betas, los, his = list(range(k)), beta.tolist(), lo.tolist(), hi.tolist()
+        rows, betas, los, his = range(k), beta.tolist(), lo.tolist(), hi.tolist()
         widths = [math.inf] * k
     for _ in range(_MAX_ITER):
         live = len(rows)
@@ -677,11 +681,10 @@ def _luxemburg_log(F: OrliczFn, er: np.ndarray, ec: np.ndarray, la: np.ndarray,
         wts = np.exp(e - m[er])
         s_f[flat] = wts
         d_f[flat] = wts * dh
-        SD = np.add.reduce(sums[:, :live], axis=2)
         if wide:
-            S, D = SD
-            # the list rule below as array operations; np.where on strict
-            # comparisons is Python's min/max, signed zeros included
+            S, D = np.add.reduce(sums, axis=2)
+            # the list rule below as array operations, np.where on the same
+            # strict comparisons
             g = m + np.fromiter(map(math.log, S.tolist()), float, live)
             d = g * S / D
             reach = betas + g * (1.0 + 1e-9)
@@ -690,7 +693,7 @@ def _luxemburg_log(F: OrliczFn, er: np.ndarray, ec: np.ndarray, la: np.ndarray,
                         np.where(up, np.where(reach < his, reach, his), betas))
             nxt, width = betas + d, his - los
             done = (np.abs(d) <= stop) | (width <= _NEWTON_TOL * (1.0 + np.abs(betas)))
-            keep = np.flatnonzero(~done)
+            keep = (~done).nonzero()[0]
             if len(keep) < live:
                 end = np.where(los > nxt, los, nxt)
                 out[rows[done]] = np.where(his < end, his, end)[done]
@@ -698,22 +701,25 @@ def _luxemburg_log(F: OrliczFn, er: np.ndarray, ec: np.ndarray, la: np.ndarray,
             betas, widths = np.where(bisect, 0.5 * (los + his), nxt), width
         else:
             keep = []
-            S, D = SD.tolist()
-            for i, (row, beta, lo, hi, mx) in enumerate(zip(rows, betas, los, his, m.tolist())):
-                g = mx + math.log(S[i])
-                d = g * S[i] / D[i]
-                reach = g * (1.0 + 1e-9)
+            S, D = np.add.reduce(sums, axis=2).tolist()
+            for i, (row, beta, lo, hi, mx, s, dd) in enumerate(
+                    zip(rows, betas, los, his, m.tolist(), S, D)):
+                g = mx + math.log(s)
+                d = g * s / dd
+                reach = beta + g * (1.0 + 1e-9)
+                # Python's min(hi, reach) and max(lo, reach)
                 if g > 0.0:
-                    lo, hi = beta, min(hi, beta + reach)
+                    lo, hi = beta, reach if reach < hi else hi
                 else:
-                    lo, hi = max(lo, beta + reach), beta
-                if abs(d) <= stop or hi - lo <= _NEWTON_TOL * (1.0 + abs(beta)):
+                    lo, hi = reach if reach > lo else lo, beta
+                width = hi - lo
+                if abs(d) <= stop or width <= _NEWTON_TOL * (1.0 + abs(beta)):
                     out[row] = min(max(beta + d, lo), hi)
                     continue
                 nxt = beta + d
-                if not (lo < nxt < hi) or hi - lo > 0.5 * widths[i]:
+                if not (lo < nxt < hi) or width > 0.5 * widths[i]:
                     nxt = 0.5 * (lo + hi)
-                betas[i], los[i], his[i], widths[i] = nxt, lo, hi, hi - lo
+                betas[i], los[i], his[i], widths[i] = nxt, lo, hi, width
                 keep.append(i)
         if len(keep) < live:
             if not len(keep):
@@ -723,14 +729,15 @@ def _luxemburg_log(F: OrliczFn, er: np.ndarray, ec: np.ndarray, la: np.ndarray,
             if wide and len(keep) < _ARRAY_ROWS:  # the rows left iterate as lists
                 wide, state = False, [v.tolist() for v in state]
             rows, betas, los, his, widths = state
-            # renumber the rows still iterating; -1 marks the finished ones
-            new = np.full(live, -1)
-            new[keep] = np.arange(len(keep))
+            # renumber the rows still iterating 1, 2, ...; 0 marks the finished ones
+            new = np.zeros(live, np.intp)
+            new[keep] = np.arange(1, len(keep) + 1)
             er = new[er]
-            on = er >= 0
-            er, ec, la, lw = er[on], ec[on], la[on], lw[on]
+            on = er.nonzero()
+            er, ec, la, lw = er[on] - 1, ec[on], la[on], lw[on]
             flat = er * n + ec
-            sums[:, :len(keep)] = 0.0
+            sums = sums[:, :len(keep)]
+            sums[...] = 0.0
             starts = er.searchsorted(np.arange(len(keep)))
     raise ConvergenceError(
         f"Luxemburg solver reached {_MAX_ITER} iterations (bracket "
@@ -747,29 +754,44 @@ def _orlicz_rows(F: OrliczFn, V: np.ndarray, log_w: np.ndarray,
     ``_luxemburg_log`` call on their packed nonzero entries, started at the
     bracket's low end or, given ``curvature()``, at the root for x^s, s the
     mid slope, scaled to agree with F at each lambda_i:
-    q_max + log sum exp(s (q_i - q_max)) / s, q_i = log b_i, clamped."""
+    q_max + log sum exp(s (q_i - q_max)) / s, q_i = log b_i, clamped.
+
+    The nonzero entries are read through one flat index into V, row-major,
+    and b_i is scattered through it into a zero-filled (k, n) buffer whose
+    row max and row sum are the bracket.  When every row solves, as in a
+    shift search, the entries go to the solver as they are; otherwise the
+    solve rows' entries are picked out, their rows renumbered 0, 1, ..."""
     k, n = V.shape
-    er, ec = np.nonzero(V)
-    la = np.log(np.abs(V[er, ec]))
+    v = V.ravel()
+    flat = v.nonzero()[0]
+    er, ec = np.divmod(flat, n)
+    la = np.log(np.abs(v[flat]))
     q = la - log_lambda[ec]
     piece = np.zeros((k, n))
     with np.errstate(over="ignore"):  # a sum past the float range opens the bracket
-        piece[er, ec] = np.exp(q)
+        piece.ravel()[flat] = np.exp(q)
         out = np.maximum.reduce(piece, axis=1)
         hi0 = np.add.reduce(piece, axis=1)
     solve = hi0 > out * (1 + 1e-14)
-    if solve.any():
+    if not (n_solve := np.count_nonzero(solve)):
+        return out
+    if n_solve < k:
         on = solve[er]
         er, ec, la, q = (np.cumsum(solve) - 1)[er[on]], ec[on], la[on], q[on]
         b_lo, b_hi = np.log(out[solve]), np.log(hi0[solve])
-        beta = b_lo
-        if (curv := F.curvature()) is not None:
-            s = 0.5 * (curv[0] + curv[1])
-            q_max = np.maximum.reduceat(q, er.searchsorted(np.arange(b_lo.size)))
-            piece = np.zeros((b_lo.size, n))
-            piece[er, ec] = np.exp(s * (q - q_max[er]))
-            beta = np.clip(q_max + np.log(np.add.reduce(piece, axis=1)) / s, b_lo, b_hi)
-        out[solve] = np.exp(_luxemburg_log(F, er, ec, la, log_w, beta, b_lo, b_hi))
+    else:
+        b_lo, b_hi = np.log(out), np.log(hi0)
+    beta = b_lo
+    if (curv := F.curvature()) is not None:
+        s = 0.5 * (curv[0] + curv[1])
+        q_max = np.maximum.reduceat(q, er.searchsorted(np.arange(n_solve)))
+        piece = np.zeros((n_solve, n))
+        piece[er, ec] = np.exp(s * (q - q_max[er]))
+        beta = np.clip(q_max + np.log(np.add.reduce(piece, axis=1)) / s, b_lo, b_hi)
+    norms = np.exp(_luxemburg_log(F, er, ec, la, log_w, beta, b_lo, b_hi))
+    if n_solve == k:
+        return norms
+    out[solve] = norms
     return out
 
 

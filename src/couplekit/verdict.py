@@ -154,11 +154,12 @@ def _decide(x: _Evidence, y: _Evidence, window: Window, opts: dict) -> CoupleRep
     # asserted or by the sufficient-only index criterion q_X <= p <= p_Y
     lo, hi = bx.q + bx.q_err, by.p - by.p_err
     p_cc, route = opts.get("p_concave_X"), None
+    asserted = p_cc is not None and p_cc == opts.get("p_convex_Y") and opts.get("r_concave_Y")
     if hi > lo:
         route = "separated-Boyd-indices criterion (p_Y > q_X)"
-    elif ((p_cc is not None and p_cc == opts.get("p_convex_Y") and opts.get("r_concave_Y"))
-          or (math.isfinite(by.q) and math.isfinite(lo) and lo <= hi)):
-        tag = "user-asserted" if p_cc is not None else "sufficient index criteria"
+    elif asserted or (math.isfinite(by.q) and math.isfinite(lo) and lo <= hi):
+        # named after the clause that decided: the assertion when it holds
+        tag = "user-asserted" if asserted else "sufficient index criteria"
         route = f"matching convexity route ({tag})"
     if route:
         report.applicable.append(route)

@@ -55,3 +55,36 @@ def test_paired_ratios_and_wins():
     # higher is better for throughput: the same two pairs win
     assert s["tasks_per_s"]["won"] == 2
     assert s["kind:k-profile:orlicz-linf"]["won"] == 2
+
+
+def _pairs(base_factors, new_factors):
+    base = bench.parse_output(_CANNED)
+    return [(_scaled(base, b), _scaled(base, n)) for b, n in zip(base_factors, new_factors)]
+
+
+def test_claim_rule_holds():
+    # 10 of 10 won, parent runs within 2% of each other, the checkout 10% faster
+    spread = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0, 1.0]
+    s = bench.paired(_pairs(spread, [0.9 * f for f in spread]))["task_p50_s"]
+    assert (s["won"], s["pairs"]) == (10, 10)
+    assert s["base_median"] == pytest.approx(0.0119)
+    assert s["checkout_median"] == pytest.approx(0.9 * 0.0119)
+    # inclusive quartiles 0.9925 and 1.0075 of the factors
+    assert s["base_iqr"] == pytest.approx(0.015 * 0.0119)
+    assert s["claim"]
+    # throughput is better higher: the same runs claim it too
+    assert bench.paired(_pairs(spread, [0.9 * f for f in spread]))["tasks_per_s"]["claim"]
+
+
+def test_claim_rule_misses():
+    spread = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0, 1.0]
+    # 8 of 10 won, though the median gap is far past the parent's IQR
+    new = [0.9 * f for f in spread[:8]] + [1.1 * f for f in spread[8:]]
+    s = bench.paired(_pairs(spread, new))["task_p50_s"]
+    assert s["won"] == 8 and s["checkout_median"] < s["base_median"] - s["base_iqr"]
+    assert not s["claim"]
+    # 10 of 10 won, but by less than the parent's spread of about 20%
+    wide = [1.0, 1.2, 0.8, 1.1, 0.9, 1.0, 1.2, 0.8, 1.1, 0.9]
+    s = bench.paired(_pairs(wide, [0.97 * f for f in wide]))["task_p50_s"]
+    assert s["won"] == 10 and s["base_median"] - s["checkout_median"] < s["base_iqr"]
+    assert not s["claim"]

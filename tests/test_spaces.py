@@ -22,9 +22,10 @@ from couplekit.ascent import stop_level
 from couplekit.shift import gen_interlaced, shift_constant_estimate
 from couplekit.transfer import PositiveMatrix, op_norm
 from couplekit.verdict import brudnyi_evidence, classify_couple
+import couplekit.kappa as kappa
 from couplekit.kappa import _best_shift_ratio, _shift_bound, _shift_ratios
 from couplekit.orlicz import _ARRAY_ROWS
-from couplekit.spaces import _EPS, _Conjugated, _wlp_norms, shift_values
+from couplekit.spaces import _EPS, _Conjugated, _row_ratios, _wlp_norms, shift_values
 from couplekit.transfer import FUNCTIONAL_TOL
 from conftest import (SEARCH_SPACE_KINDS, count_solver_kernel, random_seqvec, random_step,
                       reference_dyadic_envelope, reference_lorentz_norm, reference_norm,
@@ -444,6 +445,35 @@ def test_kappa_table_after_an_overflow_equals_step_by_step_ascent(seed):
     est = kappa_estimate(E, budget=200, seed=seed)
     assert math.isinf(est.table[6]) and math.isfinite(est.table[-6])
     assert est.table == _reference_kappa_table(E, est, 200, seed)
+
+
+def _every_row_shift_ratios(space, V, n):
+    """``kappa._shift_ratios`` solving every row, repeats included."""
+    out = kappa._row_ratios(space, V, shift_values(V, n))
+    out[out > kappa._OVERFLOW_RATIO] = math.inf
+    return out
+
+
+@pytest.mark.parametrize("gen, rows", [(example1(), (462, 369)), (MinimalFn(0.05), (5800, 4769))],
+                         ids=["example1", "minimal"])
+def test_kappa_solves_each_distinct_row_once(gen, rows, monkeypatch):
+    # a lane that draws one (coordinate, factor) step twice with no accept
+    # between sends the same row twice in one batch; the repeat takes its
+    # first copy's ratio, so the estimate equals the one solving every row
+    E = OrliczModular(gen, Window("Z-", -64, -1))
+    solved = []
+
+    def counted(space, D, N):
+        solved.append(len(D))
+        return _row_ratios(space, D, N)
+
+    monkeypatch.setattr(kappa, "_row_ratios", counted)
+    est = kappa_estimate(E, budget=400, seed=0)
+    once = sum(solved)
+    solved.clear()
+    monkeypatch.setattr(kappa, "_shift_ratios", _every_row_shift_ratios)
+    assert kappa_estimate(E, budget=400, seed=0) == est
+    assert (sum(solved), once) == rows
 
 
 @pytest.mark.parametrize("build", [
@@ -1153,6 +1183,41 @@ def test_wide_batches_equal_each_row_alone(name, monkeypatch):
         assert norms[i] == rows(V[i:i + 1])[0], (name, i)
     # each row takes the same Newton steps, batched or alone
     assert sum(points) == batch
+
+
+# a row's norm is one float whatever batch it is solved in: alone, among
+# other rows in any order, or among enough rows that the solver keeps its
+# state in arrays; a curvature generator and piecewise-affine ones
+_BATCH_WIN = Window("Z-", -16, -1)
+_BATCH_GENERATORS = {"minimal": MinimalFn(0.05), "example1": example1(),
+                     "brudnyi-F": brudnyi_pair(1.5, 3.0)[0], "pwpower": pwpower(1.5, 3.0)}
+_BATCH_SPACES = {
+    **{f"modular-{g}": lambda F=F: OrliczModular(F, _BATCH_WIN)
+       for g, F in _BATCH_GENERATORS.items()},
+    **{f"geometric-{g}": lambda F=F: GeometricWeighted(OrliczModular(F, _BATCH_WIN), 2 ** 0.5)
+       for g, F in _BATCH_GENERATORS.items()},
+    **{f"reversed-{g}": lambda F=F: OrderReversed(OrliczModular(F, _BATCH_WIN.reversed()))
+       for g, F in _BATCH_GENERATORS.items()},
+}
+_BATCH_ROW = st.lists(_ENTRY, min_size=_BATCH_WIN.size, max_size=_BATCH_WIN.size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_BATCH_SPACES)), row=_BATCH_ROW,
+       others=st.lists(_BATCH_ROW, max_size=4), data=st.data())
+def test_a_rows_norm_does_not_depend_on_its_batch(name, row, others, data):
+    E = _BATCH_SPACES[name]()
+    assert E.window == _BATCH_WIN
+    alone = E.norm_rows(np.array([row]))[0]
+    batch = others + [row]
+    order = data.draw(st.permutations(range(len(batch))))
+    assert E.norm_rows(np.array(batch)[order])[order.index(len(others))] == alone
+    # rows that each need a solve, so the batch starts on the array state
+    fill = np.outer(2.0 ** np.arange(_ARRAY_ROWS), np.linspace(1.0, 0.1, _BATCH_WIN.size))
+    at = data.draw(st.integers(0, _ARRAY_ROWS + len(others)))
+    wide = np.insert(np.concatenate([fill, np.array(others).reshape(-1, _BATCH_WIN.size)]),
+                     at, row, axis=0)
+    assert E.norm_rows(wide)[at] == alone
 
 
 # every space whose weighted-lp form answers, each built once

@@ -141,6 +141,11 @@ _BOYD_GAP = "separated-Boyd-indices criterion (p_Y > q_X)"
      "matching convexity route (sufficient index criteria)", CAVEAT_EXACT, []),
     ("lp:p=3", "lp:p=2", {"p_concave_X": 2, "p_convex_Y": 2, "r_concave_Y": 3},
      "calderon", "matching convexity route (user-asserted)", CAVEAT_EXACT, []),
+    # an incomplete or mismatched assertion does not hold: the index criterion decided
+    ("lp:p=2", "lp:p=2", {"p_concave_X": 3}, "calderon",
+     "matching convexity route (sufficient index criteria)", CAVEAT_EXACT, []),
+    ("lp:p=2", "lp:p=2", {"p_concave_X": 2, "p_convex_Y": 3, "r_concave_Y": 3}, "calderon",
+     "matching convexity route (sufficient index criteria)", CAVEAT_EXACT, []),
     ("orlicz:gen=<example1>", "lp:p=4", {}, "not-calderon-witness", _BOYD_GAP,
      CAVEAT_WITNESS, ["X fails stretchability with certified witness"]),
     ("orlicz:gen=<pwpower:p0=2,p1=3>", "lp:p=4", {}, "inconclusive", _BOYD_GAP,
@@ -150,7 +155,8 @@ _BOYD_GAP = "separated-Boyd-indices criterion (p_Y > q_X)"
      CAVEAT_WITNESS, ["index mismatch without joint elasticity (witness attached)"]),
     ("lp:p=3", "lp:p=1", {}, "inconclusive", None, CAVEAT_NONE,
      ["no applicable theorem: Boyd gap absent, no convexity assertion, not an Orlicz pair"]),
-], ids=["convexity-derived", "convexity-asserted", "boyd-gap-witness",
+], ids=["convexity-derived", "convexity-asserted", "convexity-assertion-incomplete",
+        "convexity-assertion-mismatched", "boyd-gap-witness",
         "boyd-gap-inconclusive", "orlicz-mismatch-witness", "no-theorem"])
 def test_verdict_routes(X, Y, options, verdict, route, caveat, reasons):
     rep = classify_couple(parse_space(X), parse_space(Y), options)

@@ -17,8 +17,10 @@ paths have the same length (``peak_rss_mb`` depends on it).  It runs the two
 trees N times, alternating which runs first, since the second run of a pair
 tends to read slower whichever tree it is.  For each end-to-end metric and
 each task kind's raw median it prints the N paired ratios (this checkout /
-REV), their median and "k of N won".  With ``--tag`` the runs and the
-summary are added to ``BENCH_<T>.json``.
+REV), their median and "k of N won", each side's median, the parent's
+interquartile range and whether the claim rule holds (at least 9 of 10
+pairs won and a median gap larger than that range).  With ``--tag`` the
+runs and the summary are added to ``BENCH_<T>.json``.
 """
 
 from __future__ import annotations
@@ -86,8 +88,23 @@ def paired(pairs: list[tuple[dict, dict]]) -> dict:
         ratios = [n / b if b else float("nan") for b, n in series[name]]
         won = sum((n > b) if higher else (n < b) for b, n in series[name])
         out[name] = {"ratios": ratios, "median": statistics.median(ratios),
-                     "won": won, "pairs": len(ratios)}
+                     "won": won, "pairs": len(ratios),
+                     **claim_rule(series[name], won, higher)}
     return out
+
+
+def claim_rule(pairs: list[tuple[float, float]], won: int, higher: bool) -> dict:
+    """Each side's median over the (parent, checkout) value pairs, the
+    parent's interquartile range and whether a gain may be claimed: the
+    checkout won at least 9 of 10 pairs and its median beats the parent's
+    by more than that range."""
+    base = [b for b, _ in pairs]
+    q1, _, q3 = (statistics.quantiles(base, n=4, method="inclusive") if len(base) > 1
+                 else (base[0],) * 3)
+    b, n = statistics.median(base), statistics.median([n for _, n in pairs])
+    gap = n - b if higher else b - n
+    return {"base_median": b, "checkout_median": n, "base_iqr": q3 - q1,
+            "claim": 10 * won >= 9 * len(base) and gap > q3 - q1}
 
 
 def _write(tag: str, key: str, value) -> Path:
@@ -148,7 +165,9 @@ def cmd_ab(args) -> int:
     summary = paired(pairs)
     for name, s in summary.items():
         ratios = " ".join(f"{r:.3f}" for r in s["ratios"])
-        print(f"{name}: median {s['median']:.3f}, {s['won']} of {s['pairs']} won [{ratios}]")
+        print(f"{name}: median {s['median']:.3f}, {s['won']} of {s['pairs']} won [{ratios}]; "
+              f"medians {s['base_median']:.4g} -> {s['checkout_median']:.4g}, parent IQR "
+              f"{s['base_iqr']:.4g}: claim {'holds' if s['claim'] else 'misses'}")
     if args.tag:
         entry = {"rev": args.rev, "workload": args.workload, "seed": args.seed,
                  "seconds": args.seconds, "summary": summary,
